@@ -2,14 +2,21 @@
 //!
 //! Bits are packed LSB-first within each byte: the first bit written becomes
 //! bit 0 of byte 0. This matches the convention used by the Huffman and
-//! bit-plane coders here, and keeps the reader branch-free on the hot path.
+//! bit-plane coders here. Writer and reader both work through a 64-bit
+//! accumulator, so a multi-bit write or read costs the same as one bit.
 
 /// Append-only bit writer backed by a `Vec<u8>`.
+///
+/// Bits collect in a 64-bit accumulator and reach the buffer four whole
+/// bytes at a time, so a write is a shift, an OR and a rarely-taken
+/// flush branch regardless of how many bits it carries.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Number of valid bits in the final byte of `buf` (0 means byte-aligned).
-    bit_pos: u32,
+    /// Pending bits, first-written in bit 0; zero at and above `nbits`.
+    acc: u64,
+    /// Number of pending bits in `acc`; below 32 between calls.
+    nbits: u32,
 }
 
 impl BitWriter {
@@ -20,83 +27,85 @@ impl BitWriter {
 
     /// Create a writer with capacity for roughly `bits` bits.
     pub fn with_bit_capacity(bits: usize) -> Self {
+        Self::appending_to(Vec::with_capacity(bits / 8 + 1))
+    }
+
+    /// Create a writer whose first bit becomes bit 0 of the byte after
+    /// the current end of `buf`; [`BitWriter::into_bytes`] hands it back.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
         Self {
-            buf: Vec::with_capacity(bits / 8 + 1),
-            bit_pos: 0,
+            buf,
+            acc: 0,
+            nbits: 0,
         }
     }
 
-    /// Total number of bits written so far.
+    /// Total number of bits in the buffer, counting any it held before
+    /// [`BitWriter::appending_to`].
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.buf.len() * 8 + self.nbits as usize
     }
 
     /// Write a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.buf.push(0);
-        }
-        if bit {
-            let last = self.buf.len() - 1;
-            self.buf[last] |= 1 << self.bit_pos;
-        }
-        self.bit_pos = (self.bit_pos + 1) % 8;
+        self.put(bit as u64, 1);
     }
 
     /// Write the low `count` bits of `value`, LSB-first. `count <= 64`.
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u32) {
         debug_assert!(count <= 64);
-        debug_assert!(count == 64 || value < (1u64 << count) || count == 0);
-        let mut remaining = count;
-        let mut v = value;
-        while remaining > 0 {
-            if self.bit_pos == 0 {
-                self.buf.push(0);
-            }
-            let free = 8 - self.bit_pos;
-            let take = free.min(remaining);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            let chunk = (v & mask) as u8;
-            let last = self.buf.len() - 1;
-            self.buf[last] |= chunk << self.bit_pos;
-            self.bit_pos = (self.bit_pos + take) % 8;
-            v >>= take;
-            remaining -= take;
+        if count > 32 {
+            self.put(value & 0xFFFF_FFFF, 32);
+            self.put(value >> 32, count - 32);
+        } else {
+            self.put(value, count);
+        }
+    }
+
+    /// Append the low `count <= 32` bits of `value`: with fewer than 32
+    /// bits pending they always fit the accumulator.
+    #[inline]
+    fn put(&mut self, value: u64, count: u32) {
+        self.acc |= (value & ((1u64 << count) - 1)) << self.nbits;
+        self.nbits += count;
+        if self.nbits >= 32 {
+            self.buf.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
     /// Pad with zero bits to the next byte boundary.
     pub fn align(&mut self) {
-        self.bit_pos = 0;
+        self.put(0, self.nbits.wrapping_neg() % 8);
     }
 
-    /// Consume the writer, returning the packed bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Consume the writer, returning the packed bytes (the final byte
+    /// zero-padded).
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = self.nbits.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.buf
-    }
-
-    /// Borrow the packed bytes written so far (final byte may be partial).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 
 /// Sequential bit reader over a byte slice.
+///
+/// The mirror image of [`BitWriter`]: a 64-bit accumulator refilled eight
+/// input bytes at a time (one at a time over the last seven), so a read
+/// is a mask and a shift.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
-    byte_pos: usize,
-    bit_pos: u32,
+    /// Next byte of `buf` to load into `acc`.
+    pos: usize,
+    /// Loaded, unconsumed bits; the next bit to read is bit 0. Bits at
+    /// and above `nbits` are either zero or a preview of `buf[pos..]`.
+    acc: u64,
+    /// Number of valid bits in `acc`.
+    nbits: u32,
 }
 
 /// Error returned when a reader runs past the end of its buffer.
@@ -116,14 +125,15 @@ impl<'a> BitReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
         Self {
             buf,
-            byte_pos: 0,
-            bit_pos: 0,
+            pos: 0,
+            acc: 0,
+            nbits: 0,
         }
     }
 
     /// Number of bits consumed so far.
     pub fn bits_read(&self) -> usize {
-        self.byte_pos * 8 + self.bit_pos as usize
+        self.pos * 8 - self.nbits as usize
     }
 
     /// Number of bits remaining.
@@ -131,52 +141,80 @@ impl<'a> BitReader<'a> {
         self.buf.len() * 8 - self.bits_read()
     }
 
+    /// Top the accumulator up to at least 56 bits, or to the end of input.
+    #[inline]
+    pub fn refill(&mut self) {
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+            // OR in a whole word but account only for the bytes that fit:
+            // the surplus high bits are exactly what the next refill ORs
+            // into the same positions again.
+            self.acc |= u64::from_le_bytes(word.try_into().expect("8 bytes")) << self.nbits;
+            let bytes = (63 - self.nbits) / 8;
+            self.pos += bytes as usize;
+            self.nbits += 8 * bytes;
+        } else {
+            while self.nbits <= 56 && self.pos < self.buf.len() {
+                self.acc |= (self.buf[self.pos] as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
+        }
+    }
+
+    /// The accumulator after a [`BitReader::refill`]: the next unread bit
+    /// is bit 0. Only the low [`BitReader::bits_buffered`] bits may be
+    /// relied on; past the end of input the rest read as zero.
+    #[inline]
+    pub fn peek(&self) -> u64 {
+        self.acc
+    }
+
+    /// Number of unread bits currently in the accumulator.
+    #[inline]
+    pub fn bits_buffered(&self) -> u32 {
+        self.nbits
+    }
+
+    /// Skip `count <= bits_buffered()` bits (`count < 64`).
+    #[inline]
+    pub fn consume(&mut self, count: u32) {
+        debug_assert!(count <= self.nbits);
+        self.acc >>= count;
+        self.nbits -= count;
+    }
+
     /// Read one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, BitReadError> {
-        if self.byte_pos >= self.buf.len() {
-            return Err(BitReadError);
-        }
-        let bit = (self.buf[self.byte_pos] >> self.bit_pos) & 1 == 1;
-        self.bit_pos += 1;
-        if self.bit_pos == 8 {
-            self.bit_pos = 0;
-            self.byte_pos += 1;
-        }
-        Ok(bit)
+        self.read_bits(1).map(|b| b != 0)
     }
 
-    /// Read `count` bits, LSB-first. `count <= 64`.
+    /// Read `count` bits, LSB-first. `count <= 64`. Consumes nothing
+    /// when fewer than `count` bits remain.
     #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u64, BitReadError> {
         debug_assert!(count <= 64);
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < count {
-            if self.byte_pos >= self.buf.len() {
+        if count > 32 {
+            if self.bits_remaining() < count as usize {
                 return Err(BitReadError);
             }
-            let avail = 8 - self.bit_pos;
-            let take = avail.min(count - got);
-            let mask = ((1u16 << take) - 1) as u8;
-            let chunk = (self.buf[self.byte_pos] >> self.bit_pos) & mask;
-            out |= (chunk as u64) << got;
-            self.bit_pos += take;
-            if self.bit_pos == 8 {
-                self.bit_pos = 0;
-                self.byte_pos += 1;
-            }
-            got += take;
+            let low = self.read_bits(32)?;
+            return Ok(low | self.read_bits(count - 32)? << 32);
         }
-        Ok(out)
+        if self.nbits < count {
+            self.refill();
+            if self.nbits < count {
+                return Err(BitReadError);
+            }
+        }
+        let value = self.acc & ((1u64 << count) - 1);
+        self.consume(count);
+        Ok(value)
     }
 
     /// Skip to the next byte boundary.
     pub fn align(&mut self) {
-        if self.bit_pos != 0 {
-            self.bit_pos = 0;
-            self.byte_pos += 1;
-        }
+        self.consume(self.nbits % 8);
     }
 }
 
@@ -301,6 +339,71 @@ mod tests {
         r.read_bits(5).unwrap();
         assert_eq!(r.bits_remaining(), 27);
         assert_eq!(r.bits_read(), 5);
+    }
+
+    #[test]
+    fn mixed_widths_round_trip_across_word_boundaries() {
+        // Every width 0..=64 at every phase of the 32-bit flush cycle.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut items = Vec::new();
+        for i in 0..2000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let count = (i * 7 + (x >> 60) as u32) % 65;
+            let value = if count == 64 {
+                x
+            } else {
+                x & ((1u64 << count) - 1)
+            };
+            items.push((value, count));
+        }
+        let mut w = BitWriter::appending_to(vec![0xEE, 0xEE]);
+        for &(v, c) in &items {
+            w.write_bits(v, c);
+        }
+        let bits: usize = items.iter().map(|&(_, c)| c as usize).sum();
+        assert_eq!(w.bit_len(), 16 + bits);
+        let bytes = w.into_bytes();
+        assert_eq!(&bytes[..2], &[0xEE, 0xEE]);
+        assert_eq!(bytes.len(), 2 + bits.div_ceil(8));
+        let mut r = BitReader::new(&bytes[2..]);
+        for &(v, c) in &items {
+            assert_eq!(r.read_bits(c).unwrap(), v);
+        }
+        assert_eq!(r.bits_read(), bits);
+        assert!(r.bits_remaining() < 8);
+    }
+
+    #[test]
+    fn failed_read_consumes_nothing() {
+        let bytes = [0xA5u8; 5];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.read_bits(3).unwrap(), 0b101);
+        assert_eq!(r.read_bits(64), Err(BitReadError));
+        assert_eq!(r.read_bits(38), Err(BitReadError));
+        assert_eq!(r.bits_read(), 3);
+        assert_eq!(
+            r.read_bits(37).unwrap(),
+            (0xA5A5A5A5A5u64 >> 3) & ((1 << 37) - 1)
+        );
+        assert_eq!(r.bits_remaining(), 0);
+    }
+
+    #[test]
+    fn peek_and_consume_follow_the_stream() {
+        let bytes: Vec<u8> = (1..=20).collect();
+        let mut r = BitReader::new(&bytes);
+        let mut seen = Vec::new();
+        loop {
+            r.refill();
+            if r.bits_buffered() < 8 {
+                break;
+            }
+            seen.push(r.peek() as u8);
+            r.consume(8);
+        }
+        assert_eq!(seen, bytes);
     }
 
     #[test]

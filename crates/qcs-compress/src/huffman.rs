@@ -4,10 +4,41 @@
 //! of `qzstd` (byte alphabet) and as the quantization-code coder inside the
 //! SZ-style compressors (alphabet up to 65,537 symbols).
 //!
-//! Code lengths are limited to [`MAX_CODE_LEN`] bits by iteratively halving
-//! symbol frequencies, which keeps the decoder table small and bounded.
+//! Stream layout (all integers little-endian):
+//!
+//! ```text
+//! [alphabet u32][count u64][header_len u32][header][payload_len u64][payload]
+//! header  := (code_len u8, run u16)*      one code length per symbol, run-length coded
+//! payload := canonical codes, most significant code bit first, packed LSB-first
+//! ```
+//!
+//! so a stream is `24 + header_len + ceil(sum(freq * code_len) / 8)` bytes
+//! long, which the encoder knows once it has the histogram
+//! ([`encode_bytes_if_smaller`] uses that to skip hopeless payloads).
+//!
+//! **Code lengths** come from one sort of the live symbols by
+//! `(frequency, symbol)` and a two-queue merge: sorted leaves in one queue,
+//! merged nodes (whose weights come out non-decreasing) in the other, leaves
+//! winning weight ties. Lengths are limited to [`MAX_CODE_LEN`] bits by
+//! halving the frequencies and rebuilding, which keeps the decoder tables
+//! small and bounded.
+//!
+//! **Encoder table**: one `u32` per symbol, `bit_reversed_code << 5 | len`;
+//! the code is stored already reversed because the bit writer is LSB-first
+//! and canonical codes go out most significant bit first.
+//!
+//! **Decoder table**: `2^min(max_len, TABLE_BITS)` entries indexed by the
+//! next bits of the stream, each `symbol << 5 | len` or 0. A code shorter
+//! than the index fills every entry it prefixes. An entry of 0 (a longer
+//! code, or an invalid one) falls back to the canonical walk: for each
+//! length, the codes are `first_code[len] .. first_code[len] + count[len]`
+//! and map to consecutive slots of the symbols sorted by `(len, symbol)`.
+//!
+//! All working tables live in one recycled per-thread workspace, so
+//! steady-state coding performs no heap allocation.
 
 use crate::bitio::{bytes, BitReader, BitWriter};
+use std::cell::RefCell;
 
 /// Maximum admissible code length in bits.
 pub const MAX_CODE_LEN: u32 = 24;
@@ -39,114 +70,218 @@ impl std::fmt::Display for HuffmanError {
 
 impl std::error::Error for HuffmanError {}
 
-/// Compute Huffman code lengths for `freqs` (one entry per symbol).
+/// Index width of the decoder's lookup table.
+const TABLE_BITS: u32 = 11;
+/// Low bits of a table entry holding the code length.
+const LEN_BITS: u32 = 5;
+const LEN_MASK: u32 = (1 << LEN_BITS) - 1;
+
+/// A node of the code-length tree. Leaves come first, sorted; merged
+/// nodes follow in creation order.
+#[derive(Clone, Copy, Default)]
+struct Node {
+    weight: u64,
+    /// The symbol (leaves only).
+    sym: u32,
+    /// Index of the parent node, then (after the build) the node's depth.
+    parent: u32,
+}
+
+/// Recycled working tables, one set per thread.
+struct Workspace {
+    /// Encoder: occurrences per symbol.
+    freqs: Vec<u64>,
+    /// Encoder: code length per symbol.
+    lens: Vec<u8>,
+    /// Encoder: table entry per symbol. Decoder: symbols by `(len, symbol)`.
+    codes: Vec<u32>,
+    nodes: Vec<Node>,
+    /// Encoder: the other half of the sort's double buffer.
+    spare: Vec<Node>,
+}
+
+thread_local! {
+    static WORK: RefCell<Workspace> = const {
+        RefCell::new(Workspace {
+            freqs: Vec::new(),
+            lens: Vec::new(),
+            codes: Vec::new(),
+            nodes: Vec::new(),
+            spare: Vec::new(),
+        })
+    };
+}
+
+/// Stable sort of `nodes` by weight: one counting pass per byte of the
+/// weights that is in use at all. Fed in symbol order, it leaves the
+/// nodes ordered by `(weight, symbol)`.
+fn sort_by_weight(nodes: &mut Vec<Node>, spare: &mut Vec<Node>) {
+    let used = nodes.iter().fold(0, |bits, n| bits | n.weight);
+    // Every slot is overwritten by each pass, so stale contents are fine.
+    spare.resize(nodes.len(), Node::default());
+    for shift in (0..64).step_by(8).take_while(|&shift| used >> shift != 0) {
+        let digit = |n: &Node| (n.weight >> shift) as usize & 0xFF;
+        let mut next = [0usize; 256];
+        for n in nodes.iter() {
+            next[digit(n)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            start += std::mem::replace(slot, start);
+        }
+        for n in nodes.iter() {
+            spare[next[digit(n)]] = *n;
+            next[digit(n)] += 1;
+        }
+        std::mem::swap(nodes, spare);
+    }
+}
+
+/// Build the tree over the `m >= 2` sorted leaves in `nodes` and leave
+/// each leaf's depth in its `parent` field. Returns the largest.
 ///
-/// Returns one length per symbol; zero-frequency symbols get length 0.
-/// Lengths are guaranteed `<= MAX_CODE_LEN`.
-fn code_lengths(freqs: &[u64]) -> Vec<u32> {
-    let mut freqs: Vec<u64> = freqs.to_vec();
-    loop {
-        let lens = unrestricted_code_lengths(&freqs);
-        let max = lens.iter().copied().max().unwrap_or(0);
-        if max <= MAX_CODE_LEN {
-            return lens;
+/// Pops in the order a min-heap over `(weight, node index)` would: leaves
+/// (lower indices) before merged nodes of equal weight, merged nodes in
+/// creation order.
+fn leaf_depths(nodes: &mut Vec<Node>) -> u32 {
+    let m = nodes.len();
+    let (mut leaf, mut merged) = (0, m);
+    for next in m..2 * m - 1 {
+        let mut weight = 0;
+        for _ in 0..2 {
+            let take_leaf =
+                leaf < m && (merged == next || nodes[leaf].weight <= nodes[merged].weight);
+            let queue = if take_leaf { &mut leaf } else { &mut merged };
+            nodes[*queue].parent = next as u32;
+            weight += nodes[*queue].weight;
+            *queue += 1;
         }
-        // Flatten the distribution and retry; convergence is guaranteed
-        // because all nonzero frequencies head toward 1.
-        for f in freqs.iter_mut() {
-            if *f > 1 {
-                *f = (*f).div_ceil(2);
-            }
-        }
+        nodes.push(Node {
+            weight,
+            ..Node::default()
+        });
     }
+    // A parent always has the higher index, so walking down from the root
+    // (depth 0, already in place) finds every parent's depth settled.
+    for i in (0..2 * m - 2).rev() {
+        nodes[i].parent = nodes[nodes[i].parent as usize].parent + 1;
+    }
+    nodes[..m].iter().map(|n| n.parent).max().unwrap_or(0)
 }
 
-/// Classic two-queue Huffman construction returning code lengths.
-fn unrestricted_code_lengths(freqs: &[u64]) -> Vec<u32> {
-    #[derive(Clone, Copy)]
-    struct Node {
-        // Indices into the nodes arena; leaves are 0..n.
-        left: usize,
-        right: usize,
-    }
-    const LEAF: usize = usize::MAX;
-
-    let n = freqs.len();
-    let mut lens = vec![0u32; n];
-    let live: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    match live.len() {
-        0 => return lens,
-        1 => {
+/// Fill `ws.lens` with one code length per symbol for the histogram in
+/// `ws.freqs` (0 for absent symbols, otherwise `1..=MAX_CODE_LEN`) and
+/// return the payload size in bits.
+fn code_lengths(ws: &mut Workspace) -> u64 {
+    ws.lens.clear();
+    ws.lens.resize(ws.freqs.len(), 0);
+    let mut m = 0;
+    for round in 0.. {
+        // The length limit: flatten the distribution by halving every
+        // frequency (rounding up) once more and rebuild. Convergence is
+        // guaranteed because all nonzero frequencies head toward 1.
+        let live = ws.freqs.iter().enumerate().filter(|(_, &f)| f > 0);
+        ws.nodes.clear();
+        ws.nodes.extend(live.map(|(s, &f)| Node {
+            weight: f.div_ceil(1 << round),
+            sym: s as u32,
             // A single distinct symbol still needs one bit on the wire.
-            lens[live[0]] = 1;
-            return lens;
+            parent: 1,
+        }));
+        m = ws.nodes.len();
+        if m < 2 {
+            break;
         }
-        _ => {}
-    }
-
-    let mut arena: Vec<Node> = (0..n)
-        .map(|_| Node {
-            left: LEAF,
-            right: LEAF,
-        })
-        .collect();
-
-    // Min-heap of (freq, arena index). BinaryHeap is a max-heap, so use Reverse.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        live.iter().map(|&i| Reverse((freqs[i], i))).collect();
-
-    while heap.len() > 1 {
-        let Reverse((fa, a)) = heap.pop().unwrap();
-        let Reverse((fb, b)) = heap.pop().unwrap();
-        let idx = arena.len();
-        arena.push(Node { left: a, right: b });
-        heap.push(Reverse((fa + fb, idx)));
-    }
-    let root = heap.pop().unwrap().0 .1;
-
-    // Iterative depth-first traversal assigning depths to leaves.
-    let mut stack = vec![(root, 0u32)];
-    while let Some((idx, depth)) = stack.pop() {
-        let node = arena[idx];
-        if node.left == LEAF {
-            lens[idx] = depth.max(1);
-        } else {
-            stack.push((node.left, depth + 1));
-            stack.push((node.right, depth + 1));
+        sort_by_weight(&mut ws.nodes, &mut ws.spare);
+        if leaf_depths(&mut ws.nodes) <= MAX_CODE_LEN {
+            break;
         }
     }
-    lens
+    let mut bits = 0;
+    for n in &ws.nodes[..m] {
+        ws.lens[n.sym as usize] = n.parent as u8;
+        bits += ws.freqs[n.sym as usize] * n.parent as u64;
+    }
+    bits
 }
 
-/// Assign canonical codes given code lengths (shorter codes first,
-/// ties broken by symbol order). Returns `(code, len)` per symbol.
-fn canonical_codes(lens: &[u32]) -> Vec<(u32, u32)> {
-    let max_len = lens.iter().copied().max().unwrap_or(0);
-    let mut bl_count = vec![0u32; max_len as usize + 1];
-    for &l in lens {
-        if l > 0 {
-            bl_count[l as usize] += 1;
+/// Run-length view of the code lengths, as the header stores them.
+fn runs(lens: &[u8]) -> impl Iterator<Item = (u8, u16)> + '_ {
+    lens.chunk_by(|a, b| a == b)
+        .flat_map(|run| run.chunks(u16::MAX as usize))
+        .map(|run| (run[0], run.len() as u16))
+}
+
+/// `first_code[len]`: the canonical code of the first symbol of each
+/// length, given how many symbols have each length (shorter codes first,
+/// ties broken by symbol order).
+fn first_codes(count: &[u32; MAX_CODE_LEN as usize + 1]) -> [u32; MAX_CODE_LEN as usize + 1] {
+    let mut first = [0u32; MAX_CODE_LEN as usize + 1];
+    for len in 1..=MAX_CODE_LEN as usize {
+        first[len] = (first[len - 1] + count[len - 1]) << 1;
+    }
+    first
+}
+
+/// The low `len` bits of `code`, most significant first.
+#[inline]
+fn reversed(code: u32, len: u32) -> u32 {
+    code.reverse_bits() >> (32 - len)
+}
+
+/// Shared encoder: append the stream for `symbols` to `out` unless it
+/// would be `limit` bytes or longer. Returns whether it was appended.
+fn encode_core<T: Copy + Into<u32>>(
+    symbols: &[T],
+    alphabet: u32,
+    limit: usize,
+    out: &mut Vec<u8>,
+) -> Result<bool, HuffmanError> {
+    WORK.with(|ws| {
+        let ws = &mut *ws.borrow_mut();
+        ws.freqs.clear();
+        ws.freqs.resize(alphabet as usize, 0);
+        for &s in symbols {
+            let symbol = s.into();
+            let slot = ws.freqs.get_mut(symbol as usize);
+            *slot.ok_or(HuffmanError::SymbolOutOfRange { symbol, alphabet })? += 1;
         }
-    }
-    let mut next_code = vec![0u32; max_len as usize + 2];
-    let mut code = 0u32;
-    for bits in 1..=max_len {
-        code = (code + bl_count[bits as usize - 1]) << 1;
-        next_code[bits as usize] = code;
-    }
-    lens.iter()
-        .map(|&l| {
-            if l == 0 {
-                (0, 0)
-            } else {
-                let c = next_code[l as usize];
-                next_code[l as usize] += 1;
-                (c, l)
-            }
-        })
-        .collect()
+        let payload_len = code_lengths(ws).div_ceil(8) as usize;
+        let header_len = 3 * runs(&ws.lens).count();
+        let total = 24 + header_len + payload_len;
+        if total >= limit {
+            return Ok(false);
+        }
+
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for &l in ws.lens.iter().filter(|&&l| l > 0) {
+            count[l as usize] += 1;
+        }
+        let mut next_code = first_codes(&count);
+        ws.codes.resize(alphabet as usize, 0);
+        for (entry, &l) in ws.codes.iter_mut().zip(&ws.lens).filter(|(_, &l)| l > 0) {
+            let code = &mut next_code[l as usize];
+            *entry = reversed(*code, l as u32) << LEN_BITS | l as u32;
+            *code += 1;
+        }
+
+        out.reserve(total);
+        bytes::put_u32(out, alphabet);
+        bytes::put_u64(out, symbols.len() as u64);
+        bytes::put_u32(out, header_len as u32);
+        for (l, run) in runs(&ws.lens) {
+            out.push(l);
+            out.extend_from_slice(&run.to_le_bytes());
+        }
+        bytes::put_u64(out, payload_len as u64);
+        let mut w = BitWriter::appending_to(std::mem::take(out));
+        for &s in symbols {
+            let entry = ws.codes[s.into() as usize];
+            w.write_bits((entry >> LEN_BITS) as u64, entry & LEN_MASK);
+        }
+        *out = w.into_bytes();
+        Ok(true)
+    })
 }
 
 /// Encode `symbols` (each `< alphabet`) into a self-describing byte stream.
@@ -158,127 +293,154 @@ pub fn encode(symbols: &[u32], alphabet: u32) -> Result<Vec<u8>, HuffmanError> {
 
 /// [`encode`], *appending* the stream to `out`.
 pub fn encode_into(symbols: &[u32], alphabet: u32, out: &mut Vec<u8>) -> Result<(), HuffmanError> {
-    let mut freqs = vec![0u64; alphabet as usize];
-    for &s in symbols {
-        let slot = freqs
-            .get_mut(s as usize)
-            .ok_or(HuffmanError::SymbolOutOfRange {
-                symbol: s,
-                alphabet,
-            })?;
-        *slot += 1;
-    }
-    let lens = code_lengths(&freqs);
-    let codes = canonical_codes(&lens);
-
-    bytes::put_u32(out, alphabet);
-    bytes::put_u64(out, symbols.len() as u64);
-
-    // Header: code lengths, run-length encoded as (len: u8, run: u16) pairs.
-    let mut header = Vec::new();
-    let mut i = 0usize;
-    while i < lens.len() {
-        let l = lens[i];
-        let mut run = 1usize;
-        while i + run < lens.len() && lens[i + run] == l && run < u16::MAX as usize {
-            run += 1;
-        }
-        header.push(l as u8);
-        header.extend_from_slice(&(run as u16).to_le_bytes());
-        i += run;
-    }
-    bytes::put_u32(out, header.len() as u32);
-    out.extend_from_slice(&header);
-
-    // Payload: codes MSB-first within the LSB-first bit writer, so we reverse
-    // bits here and read naturally on decode via table lookups.
-    let mut w = BitWriter::with_bit_capacity(symbols.len() * 8);
-    for &s in symbols {
-        let (code, len) = codes[s as usize];
-        debug_assert!(len > 0, "encoding a symbol with zero frequency");
-        // Emit MSB-first so canonical prefix decoding works.
-        for bit in (0..len).rev() {
-            w.write_bit((code >> bit) & 1 == 1);
-        }
-    }
-    let payload = w.into_bytes();
-    bytes::put_u64(out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    Ok(())
+    encode_core(symbols, alphabet, usize::MAX, out).map(|_| ())
 }
 
-/// Decoder table built from canonical code lengths.
-struct Decoder {
-    /// `(first_code, first_symbol_index)` per length.
-    first_code: Vec<u32>,
-    first_index: Vec<u32>,
-    count: Vec<u32>,
-    /// Symbols ordered canonically (by length, then symbol value).
-    symbols: Vec<u32>,
-    max_len: u32,
+/// Convenience wrapper for byte-alphabet payloads.
+pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_bytes_into(data, &mut out);
+    out
 }
 
-impl Decoder {
-    fn from_lens(lens: &[u32]) -> Self {
-        let max_len = lens.iter().copied().max().unwrap_or(0);
-        let mut count = vec![0u32; max_len as usize + 1];
-        for &l in lens {
+/// [`encode_bytes`], *appending* the stream to `out`.
+pub fn encode_bytes_into(data: &[u8], out: &mut Vec<u8>) {
+    encode_bytes_if_smaller(data, usize::MAX, out);
+}
+
+/// [`encode_bytes_into`] if the stream is shorter than `limit` bytes:
+/// returns `true` and appends it, or returns `false` and leaves `out`
+/// untouched. The length is known from the histogram, so a `false` costs
+/// no payload pass.
+pub fn encode_bytes_if_smaller(data: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
+    encode_core(data, 256, limit, out).expect("byte symbols are always in range")
+}
+
+/// Shared decoder: append the symbols of `data` to `out`.
+fn decode_core<T: TryFrom<u32>>(data: &[u8], out: &mut Vec<T>) -> Result<(), HuffmanError> {
+    let mut pos = 0usize;
+    let alphabet =
+        bytes::get_u32(data, &mut pos).ok_or(HuffmanError::Corrupt("missing alphabet"))?;
+    let n = bytes::get_u64(data, &mut pos).ok_or(HuffmanError::Corrupt("missing count"))?;
+    let header_len =
+        bytes::get_u32(data, &mut pos).ok_or(HuffmanError::Corrupt("missing header len"))? as usize;
+    let header = data[pos..]
+        .get(..header_len)
+        .ok_or(HuffmanError::Corrupt("truncated header"))?;
+    pos += header_len;
+    let payload_len =
+        bytes::get_u64(data, &mut pos).ok_or(HuffmanError::Corrupt("missing payload len"))?;
+    let payload = usize::try_from(payload_len)
+        .ok()
+        .and_then(|len| data[pos..].get(..len))
+        .ok_or(HuffmanError::Corrupt("truncated payload"))?;
+    // Every symbol costs at least one payload bit: a count beyond that
+    // is corrupt, and checking here bounds the reservation below.
+    if n.div_ceil(8) > payload.len() as u64 {
+        return Err(HuffmanError::Corrupt("count exceeds payload bits"));
+    }
+    let n = n as usize;
+
+    // First pass over the header, allocating nothing: the lengths must be
+    // in range, cover the alphabet exactly and not over-subscribe the
+    // code space (Kraft sum <= 1, in units of 2^-MAX_CODE_LEN).
+    let runs = || {
+        header
+            .chunks_exact(3)
+            .map(|r| (r[0] as usize, u16::from_le_bytes([r[1], r[2]])))
+    };
+    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+    let (mut described, mut kraft) = (0u64, 0u64);
+    for (l, run) in runs() {
+        if l > MAX_CODE_LEN as usize {
+            return Err(HuffmanError::Corrupt("code length exceeds limit"));
+        }
+        described += run as u64;
+        if l > 0 {
+            count[l] += run as u32;
+            kraft += (run as u64) << (MAX_CODE_LEN as usize - l);
+            if kraft > 1 << MAX_CODE_LEN {
+                return Err(HuffmanError::Corrupt("over-subscribed code lengths"));
+            }
+        }
+    }
+    if described != alphabet as u64 {
+        return Err(HuffmanError::Corrupt("header length mismatch"));
+    }
+    let Some(max_len) = (1..=MAX_CODE_LEN).rev().find(|&l| count[l as usize] > 0) else {
+        return match n {
+            0 => Ok(()),
+            _ => Err(HuffmanError::Corrupt("symbols without any code")),
+        };
+    };
+
+    let first_code = first_codes(&count);
+    let mut first_index = [0u32; MAX_CODE_LEN as usize + 1];
+    for len in 1..=MAX_CODE_LEN as usize {
+        first_index[len] = first_index[len - 1] + count[len - 1];
+    }
+    let table_bits = max_len.min(TABLE_BITS);
+    let mut table = [0u32; 1 << TABLE_BITS];
+
+    WORK.with(|ws| {
+        // Second pass: the Kraft bound caps the live symbols at
+        // 2^MAX_CODE_LEN, whatever the header claims for the alphabet.
+        let mut ws = ws.borrow_mut();
+        let sorted = &mut ws.codes;
+        sorted.clear();
+        sorted.resize(
+            (first_index[max_len as usize] + count[max_len as usize]) as usize,
+            0,
+        );
+        let mut next = first_index;
+        let mut sym = 0u32;
+        for (l, run) in runs() {
             if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        let mut symbols = Vec::new();
-        for target in 1..=max_len {
-            for (sym, &l) in lens.iter().enumerate() {
-                if l == target {
-                    symbols.push(sym as u32);
+                for s in sym..sym + run as u32 {
+                    let rank = next[l] - first_index[l];
+                    sorted[next[l] as usize] = s;
+                    next[l] += 1;
+                    if l as u32 <= table_bits && s <= u32::MAX >> LEN_BITS {
+                        let code = reversed(first_code[l] + rank, l as u32) as usize;
+                        for slot in table[code..1 << table_bits].iter_mut().step_by(1 << l) {
+                            *slot = s << LEN_BITS | l as u32;
+                        }
+                    }
                 }
             }
+            sym += run as u32;
         }
-        let mut first_code = vec![0u32; max_len as usize + 2];
-        let mut first_index = vec![0u32; max_len as usize + 2];
-        let mut code = 0u32;
-        let mut index = 0u32;
-        for bits in 1..=max_len {
-            code = (code
-                + if bits >= 2 {
-                    count[bits as usize - 1]
-                } else {
-                    0
-                })
-                << 1;
-            // Mirror the canonical assignment in `canonical_codes`.
-            first_code[bits as usize] = code;
-            first_index[bits as usize] = index;
-            index += count[bits as usize];
-        }
-        Self {
-            first_code,
-            first_index,
-            count,
-            symbols,
-            max_len,
-        }
-    }
 
-    fn decode_one(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
-        let mut code = 0u32;
-        for len in 1..=self.max_len {
-            code = (code << 1)
-                | r.read_bit()
-                    .map_err(|_| HuffmanError::Corrupt("truncated payload"))?
-                    as u32;
-            let cnt = self.count[len as usize];
-            if cnt > 0 {
-                let first = self.first_code[len as usize];
-                if code < first + cnt && code >= first {
-                    let idx = self.first_index[len as usize] + (code - first);
-                    return Ok(self.symbols[idx as usize]);
-                }
+        let mut r = BitReader::new(payload);
+        out.reserve(n);
+        for _ in 0..n {
+            if r.bits_buffered() < MAX_CODE_LEN {
+                r.refill();
             }
+            let entry = table[r.peek() as usize & ((1 << table_bits) - 1)];
+            let (symbol, len) = if entry != 0 {
+                (entry >> LEN_BITS, entry & LEN_MASK)
+            } else {
+                // Longer than the table index: walk the lengths with the
+                // next bits most significant first, as the codes are.
+                let window = (r.peek() as u32).reverse_bits();
+                (1..=max_len)
+                    .find_map(|len| {
+                        let rank = (window >> (32 - len)).wrapping_sub(first_code[len as usize]);
+                        (rank < count[len as usize])
+                            .then(|| (sorted[(first_index[len as usize] + rank) as usize], len))
+                    })
+                    .ok_or(HuffmanError::Corrupt("invalid code"))?
+            };
+            if len > r.bits_buffered() {
+                return Err(HuffmanError::Corrupt("truncated payload"));
+            }
+            r.consume(len);
+            let symbol = T::try_from(symbol);
+            out.push(symbol.map_err(|_| HuffmanError::Corrupt("symbol exceeds byte range"))?);
         }
-        Err(HuffmanError::Corrupt("code exceeds max length"))
-    }
+        Ok(())
+    })
 }
 
 /// Decode a stream produced by [`encode`].
@@ -290,61 +452,7 @@ pub fn decode(data: &[u8]) -> Result<Vec<u32>, HuffmanError> {
 
 /// [`decode`], *appending* the symbols to `out`.
 pub fn decode_into(data: &[u8], out: &mut Vec<u32>) -> Result<(), HuffmanError> {
-    let mut pos = 0usize;
-    let alphabet =
-        bytes::get_u32(data, &mut pos).ok_or(HuffmanError::Corrupt("missing alphabet"))?;
-    let n = bytes::get_u64(data, &mut pos).ok_or(HuffmanError::Corrupt("missing count"))? as usize;
-    let header_len =
-        bytes::get_u32(data, &mut pos).ok_or(HuffmanError::Corrupt("missing header len"))? as usize;
-    let header = data
-        .get(pos..pos + header_len)
-        .ok_or(HuffmanError::Corrupt("truncated header"))?;
-    pos += header_len;
-
-    let mut lens = Vec::with_capacity(alphabet as usize);
-    let mut h = 0usize;
-    while h + 3 <= header.len() {
-        let l = header[h] as u32;
-        let run = u16::from_le_bytes([header[h + 1], header[h + 2]]) as usize;
-        for _ in 0..run {
-            lens.push(l);
-        }
-        h += 3;
-    }
-    if lens.len() != alphabet as usize {
-        return Err(HuffmanError::Corrupt("header length mismatch"));
-    }
-
-    let payload_len = bytes::get_u64(data, &mut pos)
-        .ok_or(HuffmanError::Corrupt("missing payload len"))? as usize;
-    let payload = data
-        .get(pos..pos + payload_len)
-        .ok_or(HuffmanError::Corrupt("truncated payload"))?;
-
-    let decoder = Decoder::from_lens(&lens);
-    let mut r = BitReader::new(payload);
-    out.reserve(n);
-    for _ in 0..n {
-        out.push(decoder.decode_one(&mut r)?);
-    }
-    Ok(())
-}
-
-/// Convenience wrapper for byte-alphabet payloads.
-pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_bytes_into(data, &mut out);
-    out
-}
-
-/// [`encode_bytes`], *appending* the stream to `out` and recycling the
-/// symbol widening scratch per thread.
-pub fn encode_bytes_into(data: &[u8], out: &mut Vec<u8>) {
-    let mut symbols = crate::scratch::take_u32s();
-    symbols.reserve(data.len());
-    symbols.extend(data.iter().map(|&b| b as u32));
-    encode_into(&symbols, 256, out).expect("byte symbols are always in range");
-    crate::scratch::put_u32s(symbols);
+    decode_core(data, out)
 }
 
 /// Inverse of [`encode_bytes`].
@@ -354,22 +462,9 @@ pub fn decode_bytes(data: &[u8]) -> Result<Vec<u8>, HuffmanError> {
     Ok(out)
 }
 
-/// [`decode_bytes`], *appending* the bytes to `out` and recycling the
-/// symbol scratch per thread.
+/// [`decode_bytes`], *appending* the bytes to `out`.
 pub fn decode_bytes_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), HuffmanError> {
-    let mut symbols = crate::scratch::take_u32s();
-    let res = decode_into(data, &mut symbols);
-    let res = res.and_then(|()| {
-        out.reserve(symbols.len());
-        for &s in &symbols {
-            out.push(
-                u8::try_from(s).map_err(|_| HuffmanError::Corrupt("symbol exceeds byte range"))?,
-            );
-        }
-        Ok(())
-    });
-    crate::scratch::put_u32s(symbols);
-    res
+    decode_core(data, out)
 }
 
 #[cfg(test)]
@@ -451,8 +546,19 @@ mod tests {
             a = b;
             b = c;
         }
-        let lens = code_lengths(&freqs);
-        assert!(lens.iter().all(|&l| l <= MAX_CODE_LEN));
+        let mut ws = Workspace {
+            freqs: freqs.clone(),
+            lens: Vec::new(),
+            codes: Vec::new(),
+            nodes: Vec::new(),
+            spare: Vec::new(),
+        };
+        code_lengths(&mut ws);
+        assert!(ws
+            .lens
+            .iter()
+            .all(|&l| (1..=MAX_CODE_LEN).contains(&(l as u32))));
+        assert_eq!(ws.lens.iter().max(), Some(&(MAX_CODE_LEN as u8)));
         // And the resulting canonical code must still round-trip.
         let mut symbols = Vec::new();
         for (s, &f) in freqs.iter().enumerate() {

@@ -129,6 +129,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// The word-at-a-time entropy back end is plain indexing and shifts; keep it so.
+#![forbid(unsafe_code)]
 
 pub mod bitio;
 pub mod codec;

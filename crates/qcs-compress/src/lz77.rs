@@ -12,6 +12,28 @@
 //! Literal lengths >= 15 and match lengths >= 18 spill into extension bytes
 //! of 255-saturated continuation, as in LZ4. A match_len_code of 0 with
 //! offset 0 marks the end-of-stream token.
+//!
+//! # Match finder tables
+//!
+//! The match finder is recycled per thread and **nothing in it is ever
+//! cleared** — on the 2–4 KiB inputs the simulator feeds it, refilling a
+//! 512 KiB table would cost more than the compression. Positions are
+//! *absolute*: a call numbers its input bytes `base .. base + len` and the
+//! next call on the thread starts where it ended, so a position is never
+//! handed out twice (a `u64` cannot wrap). That makes the leftovers of
+//! earlier calls recognisable — the **stale-slot rule**:
+//!
+//! * `head[h]` is the absolute position of the latest insert with hash
+//!   `h`. A value below `base` was left by an earlier call and is an empty
+//!   slot; `base` starts at 1, so the zeroed table starts empty.
+//! * `prev[i]` is the distance from relative position `i` back to the
+//!   previous insert with the same hash, 0 for none and for more than
+//!   [`WINDOW`] (a link the search could never follow). An insert writes
+//!   `prev[i]` before `head` can lead a search to `i`, so a stale entry is
+//!   never read and the table is only ever grown.
+//!
+//! A search therefore visits exactly the candidates, in exactly the order,
+//! that freshly cleared tables would give it.
 
 /// Minimum match length worth encoding (3 header bytes per match).
 pub const MIN_MATCH: usize = 4;
@@ -66,55 +88,79 @@ fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
     len
 }
 
+/// Recycled match-finder state; see the module docs for the stale-slot
+/// rule that lets it go uncleared.
 struct Matcher {
-    head: Vec<i64>,
-    prev: Vec<i64>,
+    head: Vec<u64>,
+    prev: Vec<u16>,
+    /// Absolute position of the current input's first byte.
+    base: u64,
+    /// Absolute position one past the current input's last byte.
+    end: u64,
 }
 
 thread_local! {
-    /// Recycled match-finder state: the hash head table is 512 KiB and the
-    /// chain table is one word per input byte, so rebuilding them per call
-    /// would dominate small-block compression. `reset` refills in place.
-    static MATCHER: std::cell::RefCell<Option<Matcher>> = const { std::cell::RefCell::new(None) };
+    static MATCHER: std::cell::RefCell<Matcher> = const {
+        std::cell::RefCell::new(Matcher {
+            head: Vec::new(),
+            prev: Vec::new(),
+            base: 1,
+            end: 1,
+        })
+    };
 }
 
 impl Matcher {
-    fn new(len: usize) -> Self {
-        Self {
-            head: vec![-1; HASH_SIZE],
-            prev: vec![-1; len],
+    /// Start on an input of `len` bytes.
+    fn begin(&mut self, len: usize) {
+        self.head.resize(HASH_SIZE, 0);
+        if self.prev.len() < len {
+            self.prev.resize(len, 0);
         }
+        self.base = self.end;
+        self.end += len as u64;
     }
 
-    fn reset(&mut self, len: usize) {
-        self.head.iter_mut().for_each(|h| *h = -1);
-        self.prev.clear();
-        self.prev.resize(len, -1);
+    /// Make `i` the latest position of hash slot `slot`.
+    #[inline]
+    fn link(&mut self, i: usize, slot: usize) {
+        let pos = self.base + i as u64;
+        let head = std::mem::replace(&mut self.head[slot], pos);
+        self.prev[i] = if head >= self.base {
+            u16::try_from(pos - head).unwrap_or(0)
+        } else {
+            0
+        };
     }
 
     #[inline]
     fn insert(&mut self, data: &[u8], i: usize) {
         if i + MIN_MATCH <= data.len() {
-            let h = hash4(data, i);
-            self.prev[i] = self.head[h];
-            self.head[h] = i as i64;
+            self.link(i, hash4(data, i));
         }
     }
 
-    /// Best `(offset, length)` match at position `i`, or `None`.
-    fn find(&self, data: &[u8], i: usize) -> Option<(usize, usize)> {
+    /// Best `(offset, length)` match at position `i`, or `None`; with
+    /// `INSERT`, position `i` is inserted afterwards (in one table visit).
+    fn find<const INSERT: bool>(&mut self, data: &[u8], i: usize) -> Option<(usize, usize)> {
         if i + MIN_MATCH > data.len() {
             return None;
         }
         let limit = data.len() - i;
         let mut best_len = MIN_MATCH - 1;
         let mut best_off = 0usize;
-        let mut cand = self.head[hash4(data, i)];
-        let min_pos = i.saturating_sub(WINDOW) as i64;
+        let slot = hash4(data, i);
+        let mut cand = self.head[slot];
+        if INSERT {
+            // The walk below only reads `prev` of earlier positions.
+            self.link(i, slot);
+        }
+        let min_pos = self.base + i.saturating_sub(WINDOW) as u64;
         let mut chain = 0;
         while cand >= min_pos && chain < MAX_CHAIN {
-            let c = cand as usize;
-            if c < i {
+            let c = (cand - self.base) as usize;
+            // A candidate that differs at `best_len` cannot beat it.
+            if c < i && data[c + best_len] == data[i + best_len] {
                 let len = match_len(data, c, i, limit);
                 if len > best_len {
                     best_len = len;
@@ -124,7 +170,11 @@ impl Matcher {
                     }
                 }
             }
-            cand = self.prev[cand as usize];
+            let back = self.prev[c];
+            if back == 0 {
+                break;
+            }
+            cand -= back as u64;
             chain += 1;
         }
         if best_len >= MIN_MATCH {
@@ -182,12 +232,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Compress `data`, *appending* the stream to `out`. Identical bytes to
 /// [`compress`]; the match-finder state is recycled per thread so
-/// steady-state compression performs no heap allocation.
+/// steady-state compression performs no heap allocation and no table fill.
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     MATCHER.with(|m| {
-        let mut slot = m.borrow_mut();
-        let matcher = slot.get_or_insert_with(|| Matcher::new(data.len()));
-        matcher.reset(data.len());
+        let matcher = &mut *m.borrow_mut();
+        matcher.begin(data.len());
         compress_with(data, matcher, out);
     });
 }
@@ -200,24 +249,19 @@ fn compress_with(data: &[u8], matcher: &mut Matcher, out: &mut Vec<u8>) {
     let mut i = 0usize;
     let mut lit_start = 0usize;
     while i < data.len() {
-        match matcher.find(data, i) {
+        match matcher.find::<true>(data, i) {
             Some((off, len)) => {
                 // Lazy matching: if the next position has a strictly longer
                 // match, emit this byte as a literal instead.
                 let mut off = off;
                 let mut len = len;
                 let mut start = i;
-                if i + 1 < data.len() {
-                    matcher.insert(data, i);
-                    if let Some((off2, len2)) = matcher.find(data, i + 1) {
-                        if len2 > len + 1 {
-                            start = i + 1;
-                            off = off2;
-                            len = len2;
-                        }
+                if let Some((off2, len2)) = matcher.find::<false>(data, i + 1) {
+                    if len2 > len + 1 {
+                        start = i + 1;
+                        off = off2;
+                        len = len2;
                     }
-                } else {
-                    matcher.insert(data, i);
                 }
                 emit(out, &data[lit_start..start], Some((off, len)));
                 // Index the covered region (sparsely for long matches).
@@ -231,10 +275,7 @@ fn compress_with(data: &[u8], matcher: &mut Matcher, out: &mut Vec<u8>) {
                 i = end;
                 lit_start = end;
             }
-            None => {
-                matcher.insert(data, i);
-                i += 1;
-            }
+            None => i += 1,
         }
     }
     emit(out, &data[lit_start..], None);

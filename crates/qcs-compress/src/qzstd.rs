@@ -70,89 +70,50 @@ const MODE_LZ: u8 = 1;
 const MODE_LZ_HUFF: u8 = 2;
 const MODE_ZERO: u8 = 3;
 
-fn container(mode: u8, orig_len: usize, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 9);
-    out.push(mode);
-    out.extend_from_slice(&(orig_len as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Compress `data` at the given level. The returned vector's capacity
 /// equals its length, so converting it to `Arc<[u8]>`/`Box<[u8]>` never
 /// reallocates.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    if data.iter().all(|&b| b == 0) {
-        return container(MODE_ZERO, data.len(), &[]);
-    }
-    let mut lz = crate::scratch::take_bytes();
-    lz77::compress_into(data, &mut lz);
-    let out = match level {
-        Level::High => {
-            let mut entropy = crate::scratch::take_bytes();
-            huffman::encode_bytes_into(&lz, &mut entropy);
-            let payload = if entropy.len() < lz.len() {
-                &entropy
-            } else {
-                &lz
-            };
-            let out = if payload.len() >= data.len() {
-                container(MODE_STORED, data.len(), data)
-            } else if entropy.len() < lz.len() {
-                container(MODE_LZ_HUFF, data.len(), &entropy)
-            } else {
-                container(MODE_LZ, data.len(), &lz)
-            };
-            crate::scratch::put_bytes(entropy);
-            out
-        }
-        Level::Fast => {
-            if lz.len() >= data.len() {
-                container(MODE_STORED, data.len(), data)
-            } else {
-                container(MODE_LZ, data.len(), &lz)
-            }
-        }
-    };
-    crate::scratch::put_bytes(lz);
+    let mut out = Vec::new();
+    compress_into(data, level, &mut out);
+    // `compress_into` reserves for the largest payload it may pick; only
+    // an entropy-coded one comes out shorter.
+    out.shrink_to_fit();
     out
 }
 
+/// Append the 9-byte container header, reserving for `payload_cap` more.
+fn begin_container(out: &mut Vec<u8>, mode: u8, orig_len: usize, payload_cap: usize) {
+    out.reserve(9 + payload_cap);
+    out.push(mode);
+    out.extend_from_slice(&(orig_len as u64).to_le_bytes());
+}
+
 /// [`compress`], *appending* the container to `out`. Identical bytes; the
-/// intermediate LZ/entropy streams come from recycled per-thread scratch,
-/// so steady-state compression into a reused `out` performs no heap
+/// intermediate LZ stream comes from recycled per-thread scratch, so
+/// steady-state compression into a reused `out` performs no heap
 /// allocation once the scratch has grown to the working size.
 pub fn compress_into(data: &[u8], level: Level, out: &mut Vec<u8>) {
     if data.iter().all(|&b| b == 0) {
-        out.reserve(9);
-        out.push(MODE_ZERO);
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        return;
+        return begin_container(out, MODE_ZERO, data.len(), 0);
     }
     let mut lz = crate::scratch::take_bytes();
     lz77::compress_into(data, &mut lz);
-    let mut entropy = crate::scratch::take_bytes();
-    let (mode, payload): (u8, &[u8]) = match level {
-        Level::Fast => (MODE_LZ, &lz),
-        Level::High => {
-            huffman::encode_bytes_into(&lz, &mut entropy);
-            if entropy.len() < lz.len() {
-                (MODE_LZ_HUFF, &entropy)
-            } else {
-                (MODE_LZ, &lz)
-            }
-        }
-    };
-    let (mode, payload) = if payload.len() >= data.len() {
-        (MODE_STORED, data)
-    } else {
-        (mode, payload)
-    };
-    out.reserve(payload.len() + 9);
-    out.push(mode);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    crate::scratch::put_bytes(entropy);
+    // The entropy stage is kept only when it beats both the LZ stream and
+    // the raw input. Its length is known before its payload is, so a loss
+    // costs no payload pass, and a win lands in `out` directly.
+    let limit = lz.len().min(data.len());
+    let mode_at = out.len();
+    begin_container(out, MODE_LZ_HUFF, data.len(), limit);
+    if !(level == Level::High && huffman::encode_bytes_if_smaller(&lz, limit, out)) {
+        let (mode, payload) = if lz.len() < data.len() {
+            (MODE_LZ, &lz[..])
+        } else {
+            (MODE_STORED, data)
+        };
+        out[mode_at] = mode;
+        out.extend_from_slice(payload);
+    }
     crate::scratch::put_bytes(lz);
 }
 

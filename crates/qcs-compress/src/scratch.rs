@@ -58,7 +58,7 @@ pub(crate) fn put_f64s(mut buf: Vec<f64>) {
     });
 }
 
-/// Check out an empty `u32` buffer (Huffman symbol scratch).
+/// Check out an empty `u32` buffer (SZ quantization codes).
 pub(crate) fn take_u32s() -> Vec<u32> {
     U32_BUFS.with(|p| p.borrow_mut().pop()).unwrap_or_default()
 }

@@ -1209,7 +1209,7 @@ impl CompressedSimulator {
         let layout = self.layout;
         let mut amps = vec![Complex64::ZERO; layout.total_amps() as usize];
         let outs = self.query_all(|| WorkerCmd::SnapshotBlocks)?;
-        let mut buf = Vec::new();
+        let mut buf = self.codec.take_amp_buf();
         for (rank, out) in outs.into_iter().enumerate() {
             let blocks = match out {
                 WorkerOut::Blocks(v) => v,
@@ -1223,6 +1223,7 @@ impl CompressedSimulator {
                 }
             }
         }
+        self.codec.put_amp_buf(buf);
         Ok(StateVector::from_amplitudes(amps))
     }
 
@@ -1259,7 +1260,7 @@ impl CompressedSimulator {
             r -= w;
         }
         let block = self.fetch_block(slot / bpr, slot % bpr)?;
-        let mut buf = Vec::new();
+        let mut buf = self.codec.take_amp_buf();
         self.codec.decompress(&block, &mut buf)?;
         let mut o = layout.block_amps() - 1;
         for i in 0..layout.block_amps() {
@@ -1270,6 +1271,7 @@ impl CompressedSimulator {
             }
             r -= w;
         }
+        self.codec.put_amp_buf(buf);
         Ok(layout.join(slot / bpr, slot % bpr, o))
     }
 

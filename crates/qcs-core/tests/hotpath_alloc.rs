@@ -80,3 +80,46 @@ fn spilled_qft14_allocates_strictly_less_than_prepool_baseline() {
         block_bytes
     );
 }
+
+/// Read-only queries against a prepared state go through the same pool as
+/// gate waves: once one battery has warmed the calling thread's stripe, a
+/// second battery (`prob_one` on every qubit, 100 `sample` draws,
+/// `norm_sqr`, a dense snapshot) must not allocate at the codec seam.
+#[test]
+fn warm_query_battery_has_zero_codec_allocs() {
+    let cfg = SimConfig::default().with_block_log2(10);
+    let mut sim = CompressedSimulator::new(14, cfg).expect("sim");
+    let mut rng = StdRng::seed_from_u64(1);
+    sim.run(&qft_benchmark_circuit(14, 12), &mut rng)
+        .expect("prepare state");
+
+    let mut battery = |sim: &CompressedSimulator| {
+        for q in 0..14 {
+            sim.prob_one(q).expect("prob_one");
+        }
+        for _ in 0..100 {
+            sim.sample(&mut rng).expect("sample");
+        }
+        sim.norm_sqr().expect("norm_sqr");
+        sim.snapshot_dense().expect("snapshot");
+        sim.report()
+    };
+    let warm = battery(&sim);
+    let steady = battery(&sim);
+
+    let allocs = steady.codec_allocs - warm.codec_allocs;
+    let bytes = steady.codec_bytes_alloc - warm.codec_bytes_alloc;
+    assert_eq!(
+        allocs, 0,
+        "a warm query battery allocated {allocs} codec scratch buffers \
+         ({bytes} bytes); queries must check their buffers out of the pool"
+    );
+    assert_eq!(
+        bytes, 0,
+        "warm queries grew pooled buffers by {bytes} bytes"
+    );
+    assert!(
+        steady.scratch_reuse_hits > warm.scratch_reuse_hits,
+        "the query battery reported no pool hits"
+    );
+}

@@ -159,3 +159,138 @@ fn checkpoint_loader_survives_corruption() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// A Huffman stream assembled field by field, for header-corruption tests.
+fn huffman_stream(alphabet: u32, count: u64, runs: &[(u8, u16)], payload: &[u8]) -> Vec<u8> {
+    let mut s = Vec::new();
+    s.extend_from_slice(&alphabet.to_le_bytes());
+    s.extend_from_slice(&count.to_le_bytes());
+    s.extend_from_slice(&(3 * runs.len() as u32).to_le_bytes());
+    for &(len, run) in runs {
+        s.push(len);
+        s.extend_from_slice(&run.to_le_bytes());
+    }
+    s.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    s.extend_from_slice(payload);
+    s
+}
+
+// The Huffman header's sizes come off the wire: each must be checked
+// against what the stream can actually hold *before* it sizes an
+// allocation, and a code-length set no prefix code can have is corrupt.
+#[test]
+fn huffman_header_sizes_are_bounded_before_allocating() {
+    use qcsim::compress::huffman::{self, HuffmanError};
+    let corrupt = |stream: &[u8], what: &str| {
+        assert!(
+            matches!(huffman::decode(stream), Err(HuffmanError::Corrupt(_))),
+            "{what}: u32 decoder accepted it"
+        );
+        assert!(
+            matches!(huffman::decode_bytes(stream), Err(HuffmanError::Corrupt(_))),
+            "{what}: byte decoder accepted it"
+        );
+    };
+    // Sanity: the builder produces what the decoder reads. Two symbols,
+    // one bit each, "0 1 1".
+    let good = huffman_stream(2, 3, &[(1, 2)], &[0b110]);
+    assert_eq!(huffman::decode(&good).unwrap(), vec![0, 1, 1]);
+
+    // A count no payload of this size could carry (it would have sized a
+    // 2^60-element reservation).
+    corrupt(
+        &huffman_stream(2, 1 << 60, &[(1, 2)], &[0b110]),
+        "huge count",
+    );
+    corrupt(
+        &huffman_stream(2, 9, &[(1, 2)], &[0b110]),
+        "count over payload bits",
+    );
+    // An alphabet the 3-byte header cannot describe (it would have sized a
+    // 4 GiB table).
+    corrupt(
+        &huffman_stream(u32::MAX, 3, &[(1, 2)], &[0b110]),
+        "huge alphabet",
+    );
+    corrupt(
+        &huffman_stream(3, 3, &[(1, 2)], &[0b110]),
+        "alphabet over header",
+    );
+    corrupt(
+        &huffman_stream(1, 3, &[(1, 2)], &[0b110]),
+        "header over alphabet",
+    );
+    // Code lengths past the limit.
+    corrupt(&huffman_stream(2, 3, &[(25, 2)], &[0; 16]), "length 25");
+    corrupt(&huffman_stream(2, 3, &[(255, 2)], &[0; 16]), "length 255");
+    // Over-subscribed: three 1-bit codes; 2^24 + 1 codes of 24 bits.
+    corrupt(
+        &huffman_stream(3, 3, &[(1, 3)], &[0b110]),
+        "three 1-bit codes",
+    );
+    let mut runs = vec![(24u8, u16::MAX); 256];
+    runs.push((24, 257));
+    corrupt(
+        &huffman_stream((1 << 24) + 1, 1, &runs, &[0; 3]),
+        "2^24 + 1 codes",
+    );
+    // Symbols promised, no code to spell them with.
+    corrupt(
+        &huffman_stream(4, 2, &[(0, 4)], &[0]),
+        "count without codes",
+    );
+    // A payload length past the end of the stream, up to overflowing.
+    let mut long = good.clone();
+    let at = long.len() - 1 - 8;
+    long[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    corrupt(&long, "payload length u64::MAX");
+}
+
+// The payload reader refills eight bytes at a time and one at a time over
+// the tail: a payload cut anywhere (with the length field kept honest, so
+// only the bit reader can notice) must run dry as an error, not as a
+// panic or as made-up symbols.
+#[test]
+fn huffman_payload_truncation_is_an_error_at_every_cut() {
+    use qcsim::compress::{huffman, qzstd};
+    // Mixed code lengths, including ones longer than the lookup table's
+    // index, so both decode paths meet the cut.
+    let mut symbols: Vec<u32> = (0..4000u32).map(|i| (i * i + 3 * i) % 23).collect();
+    for deep in 0..300u32 {
+        symbols.extend(std::iter::repeat_n(100 + deep, 1 + (deep % 3) as usize));
+    }
+    let stream = huffman::encode(&symbols, 400).unwrap();
+    assert_eq!(huffman::decode(&stream).unwrap(), symbols);
+    let header_len = u32::from_le_bytes(stream[12..16].try_into().unwrap()) as usize;
+    let longest = stream[16..16 + header_len].chunks(3).map(|run| run[0]);
+    assert!(longest.max() > Some(11), "no code past the table index");
+    let payload_at = 16 + header_len + 8;
+    let payload_len = stream.len() - payload_at;
+    for cut in (0..payload_len).filter(|c| *c < 40 || payload_len - c < 40 || c % 97 == 0) {
+        let mut short = stream[..payload_at + cut].to_vec();
+        short[payload_at - 8..payload_at].copy_from_slice(&(cut as u64).to_le_bytes());
+        assert!(
+            huffman::decode(&short).is_err(),
+            "payload cut to {cut} bytes"
+        );
+    }
+    // The same through the container that carries it: sixteen-symbol
+    // noise has few matches for LZ77 and four-bit codes for Huffman.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let text: Vec<u8> = (0..4000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 40) as u8 & 0x0F
+        })
+        .collect();
+    let container = qzstd::compress(&text, qzstd::Level::High);
+    assert_eq!(container[0], 2, "noise should take the LZ77 + Huffman mode");
+    for cut in 0..container.len() {
+        assert!(
+            qzstd::decompress(&container[..cut]).is_err(),
+            "container cut to {cut}"
+        );
+    }
+}
