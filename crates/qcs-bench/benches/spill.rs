@@ -52,7 +52,7 @@ fn bench_budget_sweep(c: &mut Criterion) {
                     let mut sim = CompressedSimulator::new(n as u32, cfg).unwrap();
                     let mut rng = StdRng::seed_from_u64(0);
                     sim.run(&circuit, &mut rng).unwrap();
-                    sim.report().spills
+                    sim.report().breakdown.spills
                 })
             },
         );

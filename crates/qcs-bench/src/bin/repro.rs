@@ -3,13 +3,7 @@
 //! Usage: `repro <experiment> [--csv-dir DIR] [--remote]` where experiment
 //! is one of `table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //! fig14 fig15 fig16 table2 table-spill table-partial table-server
-//! ablation-cache ablation-qzstd ablation-ladder ablation-fusion
-//! bench-json all`.
-//!
-//! `bench-json` is the machine-readable hot-path perf harness: it runs
-//! three fused workloads with spill off and on and writes
-//! `BENCH_hotpath.json` (per-workload ns/gate, codec time, and the
-//! codec-seam allocation counters) instead of a CSV table.
+//! ablation-cache ablation-qzstd ablation-ladder ablation-fusion all`.
 //!
 //! `--remote` makes `fig5` host its rank workers in `qcsim-workerd`
 //! daemon loops over loopback TCP instead of in-process threads, so the
@@ -51,7 +45,7 @@ fn main() {
     }
     if cmds.is_empty() {
         eprintln!(
-            "usage: repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table2|table-spill|table-partial|table-server|ablation-cache|ablation-qzstd|ablation-ladder|ablation-fusion|bench-json|all> [--csv-dir DIR] [--remote]"
+            "usage: repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table2|table-spill|table-partial|table-server|ablation-cache|ablation-qzstd|ablation-ladder|ablation-fusion|all> [--csv-dir DIR] [--remote]"
         );
         std::process::exit(2);
     }
@@ -108,7 +102,6 @@ fn main() {
             "ablation-qzstd" => ablation_qzstd(&csv_dir),
             "ablation-ladder" => ablation_ladder(&csv_dir),
             "ablation-fusion" => ablation_fusion(&csv_dir),
-            "bench-json" => bench_json(),
             other => {
                 eprintln!("unknown experiment: {other}");
                 std::process::exit(2);
@@ -211,8 +204,8 @@ fn fig5(dir: &Path, remote: bool) {
             format!("{ranks}x{threads}"),
             format!("{elapsed:.3}"),
             format!("{:.1}%", 100.0 * elapsed / base),
-            format!("{:.2}", report.comm_ns as f64 / 1e6),
-            format!("{:.2}", report.bytes_exchanged as f64 / 1e6),
+            format!("{:.2}", report.breakdown.comm_ns() as f64 / 1e6),
+            format!("{:.2}", report.breakdown.comm_bytes as f64 / 1e6),
             format!("{:.2}", report.exchanges_per_gate()),
         ]);
     }
@@ -635,7 +628,7 @@ fn table2(dir: &Path) {
             format!("{:.1}", pct[2]),
             format!("{:.1}", pct[3]),
             format!("{:.1}", 1000.0 * report.time_per_gate()),
-            format!("{:.1}", report.bytes_exchanged as f64 / 1e6),
+            format!("{:.1}", report.breakdown.comm_bytes as f64 / 1e6),
             format!("{:.3}", report.fidelity_lower_bound),
             format!("{fid:.3}"),
             format!("{:.2}", report.min_compression_ratio),
@@ -876,16 +869,16 @@ fn table_spill(dir: &Path) {
                     }),
                     format!("{wall:.2}"),
                     format!("{:.1}", report.peak_memory_bytes as f64 / 1e6),
-                    format!("{}", report.spills),
-                    format!("{}", report.fetches),
-                    format!("{}", report.prefetch_hits),
-                    format!("{:.0}%", 100.0 * report.prefetch_hit_rate()),
-                    format!("{}", report.prefetch_misses),
-                    format!("{:.1}", report.spill_bytes as f64 / 1e6),
-                    format!("{:.0}", report.spill_io_ns as f64 / 1e6),
-                    format!("{:.0}", report.prefetch_ns as f64 / 1e6),
-                    format!("{:.1}", report.write_behind_bytes as f64 / 1e6),
-                    format!("{:.0}", report.write_behind_ns as f64 / 1e6),
+                    format!("{}", report.breakdown.spills),
+                    format!("{}", report.breakdown.fetches),
+                    format!("{}", report.breakdown.prefetch_hits),
+                    format!("{:.0}%", 100.0 * report.breakdown.prefetch_hit_rate()),
+                    format!("{}", report.breakdown.prefetch_misses),
+                    format!("{:.1}", report.breakdown.spill_bytes as f64 / 1e6),
+                    format!("{:.0}", report.breakdown.spill_io_ns() as f64 / 1e6),
+                    format!("{:.0}", report.breakdown.prefetch_ns() as f64 / 1e6),
+                    format!("{:.1}", report.breakdown.write_behind_bytes as f64 / 1e6),
+                    format!("{:.0}", report.breakdown.write_behind_ns() as f64 / 1e6),
                 ]);
             }
         }
@@ -973,7 +966,7 @@ fn table_partial(dir: &Path) {
 
         // In-run checks: the acceptance contract, not just table copy.
         assert_eq!(
-            r2_off.partial_decodes, 0,
+            r2_off.breakdown.partial_decodes, 0,
             "{name}: partial_decode=false must never route partially"
         );
         assert!(
@@ -986,11 +979,12 @@ fn table_partial(dir: &Path) {
                 "{name}: P(q{q}=1) partial {a} vs full {b}"
             );
         }
-        let q_fetch =
-            |r1: &qcs_core::SimReport, r2: &qcs_core::SimReport| r2.fetch_bytes - r1.fetch_bytes;
+        let q_fetch = |r1: &qcs_core::SimReport, r2: &qcs_core::SimReport| {
+            r2.breakdown.fetch_bytes - r1.breakdown.fetch_bytes
+        };
         let (qf_on, qf_off) = (q_fetch(&r1_on, &r2_on), q_fetch(&r1_off, &r2_off));
-        let q_pdec_on = r2_on.partial_decodes - r1_on.partial_decodes;
-        let q_seg_on = r2_on.segment_bytes_read - r1_on.segment_bytes_read;
+        let q_pdec_on = r2_on.breakdown.partial_decodes - r1_on.breakdown.partial_decodes;
+        let q_seg_on = r2_on.breakdown.segment_bytes_read - r1_on.breakdown.segment_bytes_read;
         assert!(q_pdec_on > 0, "{name}: queries never took the partial path");
         assert!(
             qf_on < qf_off,
@@ -998,20 +992,20 @@ fn table_partial(dir: &Path) {
         );
         if name == "qft_16" {
             assert!(
-                r1_on.partial_decodes > 0,
+                r1_on.breakdown.partial_decodes > 0,
                 "qft: partial path never fired during the run"
             );
             assert!(
-                r1_on.segments_decoded < r1_on.segments_full,
+                r1_on.breakdown.segments_decoded < r1_on.breakdown.segments_full,
                 "qft: {} segments decoded, whole-block would be {}",
-                r1_on.segments_decoded,
-                r1_on.segments_full
+                r1_on.breakdown.segments_decoded,
+                r1_on.breakdown.segments_full
             );
             assert!(
-                r1_on.segment_bytes_read < r1_on.segment_bytes_full,
+                r1_on.breakdown.segment_bytes_read < r1_on.breakdown.segment_bytes_full,
                 "qft: {} codec bytes touched, whole-block would be {}",
-                r1_on.segment_bytes_read,
-                r1_on.segment_bytes_full
+                r1_on.breakdown.segment_bytes_read,
+                r1_on.breakdown.segment_bytes_full
             );
         }
         for (partial, wall, r1, r2, err) in [
@@ -1023,16 +1017,20 @@ fn table_partial(dir: &Path) {
                 format!("{n}"),
                 format!("{partial}"),
                 format!("{wall:.2}"),
-                format!("{}", r1.partial_decodes),
-                format!("{}", r1.segments_decoded),
-                format!("{}", r1.segments_full),
-                format!("{:.2}", r1.segment_bytes_read as f64 / 1e6),
-                format!("{:.2}", r1.segment_bytes_full as f64 / 1e6),
+                format!("{}", r1.breakdown.partial_decodes),
+                format!("{}", r1.breakdown.segments_decoded),
+                format!("{}", r1.breakdown.segments_full),
+                format!("{:.2}", r1.breakdown.segment_bytes_read as f64 / 1e6),
+                format!("{:.2}", r1.breakdown.segment_bytes_full as f64 / 1e6),
                 format!("{:.2}", q_fetch(r1, r2) as f64 / 1e6),
-                format!("{}", r2.partial_decodes - r1.partial_decodes),
+                format!(
+                    "{}",
+                    r2.breakdown.partial_decodes - r1.breakdown.partial_decodes
+                ),
                 format!(
                     "{:.1}",
-                    (r2.segment_bytes_read - r1.segment_bytes_read) as f64 / 1e3
+                    (r2.breakdown.segment_bytes_read - r1.breakdown.segment_bytes_read) as f64
+                        / 1e3
                 ),
                 format!("{err:.2e}"),
             ]);
@@ -1217,125 +1215,4 @@ fn ablation_ladder(dir: &Path) {
     }
     finish(&t, dir, "ablation_ladder");
     println!("expected: adaptive tracks the budget; fixed 1e-1 destroys fidelity; lossless barely compresses QFT states");
-}
-
-// --- bench-json: machine-readable hot-path perf harness -------------------
-
-/// One escaping-free JSON number/bool/string field; the writer below is
-/// hand-rolled because the harness's whole schema is flat and the crate
-/// policy is no new dependencies.
-fn json_field(out: &mut String, key: &str, value: &str, last: bool) {
-    out.push_str("      \"");
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(value);
-    out.push_str(if last { "\n" } else { ",\n" });
-}
-
-/// Run the hot-path benchmark matrix (three fused workloads x spill
-/// off/on) and write `BENCH_hotpath.json` in the current directory.
-///
-/// Schema (`qcs-hotpath-bench/v1`): a top-level object with `schema` and
-/// `rows`; each row carries `workload`, `qubits`, `gates`, `spill`,
-/// `wall_ms`, `ns_per_gate`, `compress_ns`, `decompress_ns`, `codec_ns`,
-/// `codec_allocs`, `codec_bytes_alloc`, `scratch_reuse_hits`, and
-/// `peak_bytes`. Wall-clock fields are machine-dependent; the allocation
-/// counters are the reproducible contract (steady-state gate waves pin
-/// `codec_allocs` to the warm-up residue only).
-fn bench_json() {
-    let workloads: Vec<(&str, qcs_circuits::Circuit)> = vec![
-        ("qft_18", qft_benchmark_circuit(18, 12)),
-        ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
-        (
-            "qaoa_18",
-            qcs_circuits::qaoa_circuit(
-                &qcs_circuits::random_regular_graph(18, 4, 7),
-                &qcs_circuits::QaoaParams::standard(1),
-            ),
-        ),
-    ];
-    let mut out = String::from("{\n  \"schema\": \"qcs-hotpath-bench/v1\",\n  \"rows\": [\n");
-    let mut first = true;
-    for (name, circuit) in &workloads {
-        for &spill in &[false, true] {
-            // Fusion stays on (the hot path under test); spill-on caps
-            // residency at 32 blocks so the out-of-core tier's recycled
-            // frame scratch shows up in the counters too.
-            let mut cfg = SimConfig::default().with_block_log2(10);
-            if spill {
-                cfg = cfg.with_spill(32);
-            }
-            let n = circuit.num_qubits() as u32;
-            let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
-            let mut rng = StdRng::seed_from_u64(7);
-            let t0 = Instant::now();
-            sim.run(circuit, &mut rng).expect("run");
-            let wall = t0.elapsed();
-            let report = sim.report();
-            let compress_ns = report.breakdown.compression.as_nanos() as u64;
-            let decompress_ns = report.breakdown.decompression.as_nanos() as u64;
-            let ns_per_gate = if report.gates == 0 {
-                0
-            } else {
-                wall.as_nanos() as u64 / report.gates as u64
-            };
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    {\n");
-            json_field(&mut out, "workload", &format!("\"{name}\""), false);
-            json_field(&mut out, "qubits", &n.to_string(), false);
-            json_field(&mut out, "gates", &report.gates.to_string(), false);
-            json_field(
-                &mut out,
-                "spill",
-                if spill { "true" } else { "false" },
-                false,
-            );
-            json_field(&mut out, "wall_ms", &wall.as_millis().to_string(), false);
-            json_field(&mut out, "ns_per_gate", &ns_per_gate.to_string(), false);
-            json_field(&mut out, "compress_ns", &compress_ns.to_string(), false);
-            json_field(&mut out, "decompress_ns", &decompress_ns.to_string(), false);
-            json_field(
-                &mut out,
-                "codec_ns",
-                &(compress_ns + decompress_ns).to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "codec_allocs",
-                &report.codec_allocs.to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "codec_bytes_alloc",
-                &report.codec_bytes_alloc.to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "scratch_reuse_hits",
-                &report.scratch_reuse_hits.to_string(),
-                false,
-            );
-            json_field(
-                &mut out,
-                "peak_bytes",
-                &report.peak_memory_bytes.to_string(),
-                true,
-            );
-            out.push_str("    }");
-            println!(
-                "... {name} spill={spill} gates={} ns/gate={ns_per_gate} allocs={} reuse={}",
-                report.gates, report.codec_allocs, report.scratch_reuse_hits
-            );
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    let path = Path::new("BENCH_hotpath.json");
-    std::fs::write(path, out).expect("write BENCH_hotpath.json");
-    println!("(json: {})", path.display());
 }

@@ -1,6 +1,14 @@
 //! Time-breakdown and communication accounting (paper Table 2 rows:
 //! compression / decompression / communication / computation time), plus
 //! the out-of-core tier's spill/fetch traffic and I/O time.
+//!
+//! The phase lanes and counters are declared **once**, in the
+//! `breakdown_table!` invocation below. [`TimeBreakdown`] (fields, docs,
+//! [`delta`](TimeBreakdown::delta), `+=`, the `[u64; N]` array form the
+//! wire codecs loop over, [`FIELD_NAMES`](TimeBreakdown::FIELD_NAMES)) and
+//! the [`Phase`] → lane mapping behind [`Metrics::add`] all derive from
+//! that list, so a new counter is one line there plus its increment in a
+//! `Metrics::add_*` method.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -57,37 +65,227 @@ impl Phase {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    durations: [Duration; 7],
-    comm_bytes: u64,
-    exchanges: u64,
-    block_touches: u64,
-    batched_gate_applications: u64,
-    spills: u64,
-    fetches: u64,
-    spill_bytes: u64,
-    fetch_bytes: u64,
-    prefetch_hits: u64,
-    prefetch_misses: u64,
-    blocking_fetch_bytes: u64,
-    overlapped_fetch_bytes: u64,
-    write_behind_spills: u64,
-    write_behind_bytes: u64,
-    partial_decodes: u64,
-    segments_decoded: u64,
-    segments_full: u64,
-    segment_bytes_read: u64,
-    segment_bytes_full: u64,
-    codec_allocs: u64,
-    codec_bytes_alloc: u64,
-    scratch_reuse_hits: u64,
+fn saturating_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Thread-safe accumulator of per-phase wall time and communication volume.
+/// Declares [`TimeBreakdown`] from one list: `lanes` are `Duration`
+/// fields, each bound to the [`Phase`] that feeds it; `counters` are
+/// `u64` fields. Everything field-wise is generated here and nowhere else.
+macro_rules! breakdown_table {
+    (
+        lanes { $( $(#[$lane_doc:meta])* $lane:ident: $phase:ident, )* }
+        counters { $( $(#[$counter_doc:meta])* $counter:ident, )* }
+    ) => {
+        /// Immutable snapshot of the phase timings (Table 2 rows) and the
+        /// traffic counters recorded next to them.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TimeBreakdown {
+            $( $(#[$lane_doc])* pub $lane: Duration, )*
+            $( $(#[$counter_doc])* pub $counter: u64, )*
+        }
+
+        impl TimeBreakdown {
+            /// Field names in declaration (and array-form) order: the phase
+            /// lanes, then the counters.
+            pub const FIELD_NAMES: &'static [&'static str] =
+                &[$( stringify!($lane), )* $( stringify!($counter), )*];
+
+            /// Number of fields — the length of the array form.
+            pub const FIELDS: usize = Self::FIELD_NAMES.len();
+
+            /// The array form, in [`FIELD_NAMES`](Self::FIELD_NAMES) order:
+            /// lanes as saturating nanoseconds, counters as they are. This
+            /// is what travels on the wire.
+            pub fn to_array(&self) -> [u64; Self::FIELDS] {
+                [$( saturating_nanos(self.$lane), )* $( self.$counter, )*]
+            }
+
+            /// Inverse of [`to_array`](Self::to_array).
+            pub fn from_array(fields: [u64; Self::FIELDS]) -> Self {
+                let [$( $lane, )* $( $counter, )*] = fields;
+                Self {
+                    $( $lane: Duration::from_nanos($lane), )*
+                    $( $counter, )*
+                }
+            }
+
+            /// What happened since `earlier`: the field-wise difference
+            /// between two snapshots of the same monotonically growing
+            /// accumulator (saturating, so a reset in between degrades to
+            /// zeros rather than wrapping). This is the unit a remote worker
+            /// ships per response — see [`Metrics::absorb`].
+            pub fn delta(&self, earlier: &TimeBreakdown) -> TimeBreakdown {
+                TimeBreakdown {
+                    $( $lane: self.$lane.saturating_sub(earlier.$lane), )*
+                    $( $counter: self.$counter.saturating_sub(earlier.$counter), )*
+                }
+            }
+
+            /// The phase lanes in [`Phase::ALL`] order.
+            fn lanes(&self) -> [Duration; Phase::ALL.len()] {
+                [$( self.$lane, )*]
+            }
+
+            fn lane_mut(&mut self, phase: Phase) -> &mut Duration {
+                match phase {
+                    $( Phase::$phase => &mut self.$lane, )*
+                }
+            }
+        }
+
+        impl std::ops::AddAssign<&TimeBreakdown> for TimeBreakdown {
+            fn add_assign(&mut self, rhs: &TimeBreakdown) {
+                $( self.$lane += rhs.$lane; )*
+                $( self.$counter += rhs.$counter; )*
+            }
+        }
+    };
+}
+
+breakdown_table! {
+    lanes {
+        /// Time spent compressing.
+        compression: Compression,
+        /// Time spent decompressing.
+        decompression: Decompression,
+        /// Time spent exchanging blocks between ranks.
+        communication: Communication,
+        /// Time spent in gate arithmetic.
+        computation: Computation,
+        /// Time spent reading/writing spilled blocks on the out-of-core
+        /// tier's critical path (blocking I/O the waves waited for).
+        spill_io: SpillIo,
+        /// Time the background prefetch threads spent reading spilled frames
+        /// (overlapped with compute — not on any wave's critical path).
+        prefetch: Prefetch,
+        /// Time the background write-behind threads spent appending evicted
+        /// frames (overlapped with compute — not on any wave's critical path).
+        write_behind: WriteBehind,
+    }
+    counters {
+        /// Bytes exchanged between ranks.
+        comm_bytes,
+        /// Inter-rank block-pair exchanges performed.
+        exchanges,
+        /// Decompress → compute → recompress cycles performed.
+        block_touches,
+        /// Gate kernels applied across all block touches.
+        batched_gate_applications,
+        /// Blocks evicted from residency and written to the spill tier
+        /// (0 without an out-of-core store).
+        spills,
+        /// Blocks read back from the spill tier.
+        fetches,
+        /// Bytes written to the spill tier.
+        spill_bytes,
+        /// Bytes read back from the spill tier.
+        fetch_bytes,
+        /// Spilled fetches served from the prefetch staging buffer — the
+        /// background read overlapped with compute (0 with prefetch off or
+        /// without an out-of-core store).
+        prefetch_hits,
+        /// Spilled fetches that blocked on a critical-path disk read (with
+        /// prefetch off, every spilled fetch is a miss).
+        prefetch_misses,
+        /// Spill-tier bytes read on the critical path.
+        blocking_fetch_bytes,
+        /// Spill-tier bytes read in the background, overlapped with compute.
+        overlapped_fetch_bytes,
+        /// Spill-tier blocks written by the background write-behind thread
+        /// (a subset of `spills`; 0 with write-behind off).
+        write_behind_spills,
+        /// Spill-tier bytes written by the background write-behind thread.
+        write_behind_bytes,
+        /// Block operations served by the segment-addressable fast path
+        /// (0 with partial decode off or a whole-stream codec).
+        partial_decodes,
+        /// Segments actually decoded by partial-path operations.
+        segments_decoded,
+        /// Segments a whole-block decode would have touched for the same
+        /// operations.
+        segments_full,
+        /// Compressed bytes the partial path actually read.
+        segment_bytes_read,
+        /// Compressed bytes a whole-block decode would have read for the same
+        /// operations.
+        segment_bytes_full,
+        /// Heap allocations observed at the codec seam (pool misses plus
+        /// scratch-capacity growth); 0 in a warm steady state.
+        codec_allocs,
+        /// Bytes those codec-seam allocations requested.
+        codec_bytes_alloc,
+        /// Scratch-buffer reuse hits at the codec seam (pool checkouts served
+        /// from recycled buffers, and decodes that fit existing capacity).
+        scratch_reuse_hits,
+    }
+}
+
+impl TimeBreakdown {
+    /// Total across phases.
+    pub fn total(&self) -> Duration {
+        self.lanes().iter().sum()
+    }
+
+    /// Communication time in nanoseconds (saturating; the Table 2 row the
+    /// repro harness prints directly).
+    pub fn comm_ns(&self) -> u64 {
+        saturating_nanos(self.communication)
+    }
+
+    /// Spill-tier I/O time in nanoseconds (saturating).
+    pub fn spill_io_ns(&self) -> u64 {
+        saturating_nanos(self.spill_io)
+    }
+
+    /// Background prefetch I/O time in nanoseconds (saturating).
+    pub fn prefetch_ns(&self) -> u64 {
+        saturating_nanos(self.prefetch)
+    }
+
+    /// Background write-behind I/O time in nanoseconds (saturating).
+    pub fn write_behind_ns(&self) -> u64 {
+        saturating_nanos(self.write_behind)
+    }
+
+    /// Fraction of spilled fetches served from the prefetch staging
+    /// buffer (0 when nothing was fetched).
+    pub fn prefetch_hit_rate(&self) -> f64 {
+        let total = self.prefetch_hits + self.prefetch_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.prefetch_hits as f64 / total as f64
+        }
+    }
+
+    /// Average gate kernels per block touch (0 when nothing ran). Values
+    /// above 1 mean decompress/recompress cycles are being amortized.
+    pub fn gates_per_block_touch(&self) -> f64 {
+        if self.block_touches == 0 {
+            0.0
+        } else {
+            self.batched_gate_applications as f64 / self.block_touches as f64
+        }
+    }
+
+    /// Percentage of total for each phase, in [`Phase::ALL`] order.
+    /// Returns zeros when nothing was recorded.
+    pub fn percentages(&self) -> [f64; 7] {
+        let total = self.total().as_secs_f64();
+        if total == 0.0 {
+            return [0.0; 7];
+        }
+        self.lanes().map(|d| d.as_secs_f64() / total * 100.0)
+    }
+}
+
+/// Thread-safe accumulator of per-phase wall time and traffic counters: a
+/// shared [`TimeBreakdown`] behind one lock. Read it with
+/// [`breakdown`](Metrics::breakdown).
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    inner: Arc<Mutex<Inner>>,
+    inner: Arc<Mutex<TimeBreakdown>>,
 }
 
 impl Metrics {
@@ -98,7 +296,7 @@ impl Metrics {
 
     /// Add `d` to `phase`.
     pub fn add(&self, phase: Phase, d: Duration) {
-        self.inner.lock().durations[phase as usize] += d;
+        *self.inner.lock().lane_mut(phase) += d;
     }
 
     /// Time a closure, attributing its wall time to `phase`.
@@ -114,20 +312,10 @@ impl Metrics {
         self.inner.lock().comm_bytes += bytes;
     }
 
-    /// Total bytes exchanged between ranks.
-    pub fn comm_bytes(&self) -> u64 {
-        self.inner.lock().comm_bytes
-    }
-
     /// Record one inter-rank block-pair exchange (a compressed payload
     /// crossing to the partner rank and its replacement coming back).
     pub fn add_exchange(&self) {
         self.inner.lock().exchanges += 1;
-    }
-
-    /// Total inter-rank block-pair exchanges performed.
-    pub fn exchanges(&self) -> u64 {
-        self.inner.lock().exchanges
     }
 
     /// Record one block evicted from residency and written to the spill
@@ -176,56 +364,6 @@ impl Metrics {
         inner.write_behind_bytes += bytes;
     }
 
-    /// Total blocks written to the spill tier.
-    pub fn spills(&self) -> u64 {
-        self.inner.lock().spills
-    }
-
-    /// Total blocks read back from the spill tier.
-    pub fn fetches(&self) -> u64 {
-        self.inner.lock().fetches
-    }
-
-    /// Total bytes written to the spill tier.
-    pub fn spill_bytes(&self) -> u64 {
-        self.inner.lock().spill_bytes
-    }
-
-    /// Total bytes read back from the spill tier.
-    pub fn fetch_bytes(&self) -> u64 {
-        self.inner.lock().fetch_bytes
-    }
-
-    /// Spilled fetches served from the prefetch staging buffer.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.inner.lock().prefetch_hits
-    }
-
-    /// Spilled fetches that blocked on a critical-path disk read.
-    pub fn prefetch_misses(&self) -> u64 {
-        self.inner.lock().prefetch_misses
-    }
-
-    /// Spill-tier bytes read on the critical path.
-    pub fn blocking_fetch_bytes(&self) -> u64 {
-        self.inner.lock().blocking_fetch_bytes
-    }
-
-    /// Spill-tier bytes read in the background, overlapped with compute.
-    pub fn overlapped_fetch_bytes(&self) -> u64 {
-        self.inner.lock().overlapped_fetch_bytes
-    }
-
-    /// Spill-tier blocks written by the background write-behind thread.
-    pub fn write_behind_spills(&self) -> u64 {
-        self.inner.lock().write_behind_spills
-    }
-
-    /// Spill-tier bytes written by the background write-behind thread.
-    pub fn write_behind_bytes(&self) -> u64 {
-        self.inner.lock().write_behind_bytes
-    }
-
     /// Record one block operation served by the segment-addressable fast
     /// path: it decoded `segments` of the block's `segments_full` segments
     /// and read `bytes` of the `bytes_full` a whole-block decode would
@@ -262,48 +400,6 @@ impl Metrics {
         inner.scratch_reuse_hits += reuse_hits;
     }
 
-    /// Heap allocations observed at the codec seam.
-    pub fn codec_allocs(&self) -> u64 {
-        self.inner.lock().codec_allocs
-    }
-
-    /// Bytes those codec-seam allocations requested.
-    pub fn codec_bytes_alloc(&self) -> u64 {
-        self.inner.lock().codec_bytes_alloc
-    }
-
-    /// Scratch-buffer reuse hits at the codec seam.
-    pub fn scratch_reuse_hits(&self) -> u64 {
-        self.inner.lock().scratch_reuse_hits
-    }
-
-    /// Block operations served by the segment-addressable fast path.
-    pub fn partial_decodes(&self) -> u64 {
-        self.inner.lock().partial_decodes
-    }
-
-    /// Segments actually decoded by partial-path operations.
-    pub fn segments_decoded(&self) -> u64 {
-        self.inner.lock().segments_decoded
-    }
-
-    /// Segments a whole-block decode would have touched for the same
-    /// operations.
-    pub fn segments_full(&self) -> u64 {
-        self.inner.lock().segments_full
-    }
-
-    /// Compressed bytes the partial path actually read.
-    pub fn segment_bytes_read(&self) -> u64 {
-        self.inner.lock().segment_bytes_read
-    }
-
-    /// Compressed bytes a whole-block decode would have read for the same
-    /// operations.
-    pub fn segment_bytes_full(&self) -> u64 {
-        self.inner.lock().segment_bytes_full
-    }
-
     /// Record one block-touch (a decompress → compute → recompress cycle of
     /// one work unit) that applied `gates` gate kernels to the scratch.
     ///
@@ -315,72 +411,9 @@ impl Metrics {
         inner.batched_gate_applications += gates;
     }
 
-    /// Total decompress → compute → recompress cycles performed.
-    pub fn block_touches(&self) -> u64 {
-        self.inner.lock().block_touches
-    }
-
-    /// Total gate kernels applied across all block touches.
-    pub fn batched_gate_applications(&self) -> u64 {
-        self.inner.lock().batched_gate_applications
-    }
-
-    /// Average gates applied per block touch (0 when nothing ran). Values
-    /// above 1 mean decompress/recompress cycles are being amortized.
-    pub fn gates_per_block_touch(&self) -> f64 {
-        let inner = self.inner.lock();
-        if inner.block_touches == 0 {
-            0.0
-        } else {
-            inner.batched_gate_applications as f64 / inner.block_touches as f64
-        }
-    }
-
-    /// Accumulated time for a phase.
-    pub fn duration(&self, phase: Phase) -> Duration {
-        self.inner.lock().durations[phase as usize]
-    }
-
-    /// Sum over all phases.
-    pub fn total(&self) -> Duration {
-        let inner = self.inner.lock();
-        inner.durations.iter().sum()
-    }
-
-    /// Snapshot as a [`TimeBreakdown`].
+    /// Snapshot of everything recorded so far.
     pub fn breakdown(&self) -> TimeBreakdown {
-        let inner = self.inner.lock();
-        TimeBreakdown {
-            compression: inner.durations[Phase::Compression as usize],
-            decompression: inner.durations[Phase::Decompression as usize],
-            communication: inner.durations[Phase::Communication as usize],
-            computation: inner.durations[Phase::Computation as usize],
-            spill_io: inner.durations[Phase::SpillIo as usize],
-            prefetch: inner.durations[Phase::Prefetch as usize],
-            write_behind: inner.durations[Phase::WriteBehind as usize],
-            comm_bytes: inner.comm_bytes,
-            exchanges: inner.exchanges,
-            block_touches: inner.block_touches,
-            batched_gate_applications: inner.batched_gate_applications,
-            spills: inner.spills,
-            fetches: inner.fetches,
-            spill_bytes: inner.spill_bytes,
-            fetch_bytes: inner.fetch_bytes,
-            prefetch_hits: inner.prefetch_hits,
-            prefetch_misses: inner.prefetch_misses,
-            blocking_fetch_bytes: inner.blocking_fetch_bytes,
-            overlapped_fetch_bytes: inner.overlapped_fetch_bytes,
-            write_behind_spills: inner.write_behind_spills,
-            write_behind_bytes: inner.write_behind_bytes,
-            partial_decodes: inner.partial_decodes,
-            segments_decoded: inner.segments_decoded,
-            segments_full: inner.segments_full,
-            segment_bytes_read: inner.segment_bytes_read,
-            segment_bytes_full: inner.segment_bytes_full,
-            codec_allocs: inner.codec_allocs,
-            codec_bytes_alloc: inner.codec_bytes_alloc,
-            scratch_reuse_hits: inner.scratch_reuse_hits,
-        }
+        *self.inner.lock()
     }
 
     /// Streaming seam: the breakdown delta accumulated since `since`,
@@ -397,247 +430,16 @@ impl Metrics {
 
     /// Reset all counters.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        *inner = Inner::default();
+        *self.inner.lock() = TimeBreakdown::default();
     }
 
     /// Fold a remote worker's [`TimeBreakdown`] delta into this
     /// accumulator. A socket transport keeps one `Metrics` per daemon-side
     /// worker and ships `breakdown` *differences* with each response; the
-    /// coordinator absorbs them here so `bytes_exchanged`, `comm_ns`, and
+    /// coordinator absorbs them here so `comm_bytes`, `communication`, and
     /// the rest of the Table 2 rows flow through a wire hop unchanged.
     pub fn absorb(&self, d: &TimeBreakdown) {
-        let mut inner = self.inner.lock();
-        inner.durations[Phase::Compression as usize] += d.compression;
-        inner.durations[Phase::Decompression as usize] += d.decompression;
-        inner.durations[Phase::Communication as usize] += d.communication;
-        inner.durations[Phase::Computation as usize] += d.computation;
-        inner.durations[Phase::SpillIo as usize] += d.spill_io;
-        inner.durations[Phase::Prefetch as usize] += d.prefetch;
-        inner.durations[Phase::WriteBehind as usize] += d.write_behind;
-        inner.comm_bytes += d.comm_bytes;
-        inner.exchanges += d.exchanges;
-        inner.block_touches += d.block_touches;
-        inner.batched_gate_applications += d.batched_gate_applications;
-        inner.spills += d.spills;
-        inner.fetches += d.fetches;
-        inner.spill_bytes += d.spill_bytes;
-        inner.fetch_bytes += d.fetch_bytes;
-        inner.prefetch_hits += d.prefetch_hits;
-        inner.prefetch_misses += d.prefetch_misses;
-        inner.blocking_fetch_bytes += d.blocking_fetch_bytes;
-        inner.overlapped_fetch_bytes += d.overlapped_fetch_bytes;
-        inner.write_behind_spills += d.write_behind_spills;
-        inner.write_behind_bytes += d.write_behind_bytes;
-        inner.partial_decodes += d.partial_decodes;
-        inner.segments_decoded += d.segments_decoded;
-        inner.segments_full += d.segments_full;
-        inner.segment_bytes_read += d.segment_bytes_read;
-        inner.segment_bytes_full += d.segment_bytes_full;
-        inner.codec_allocs += d.codec_allocs;
-        inner.codec_bytes_alloc += d.codec_bytes_alloc;
-        inner.scratch_reuse_hits += d.scratch_reuse_hits;
-    }
-}
-
-/// Immutable snapshot of the phase timings (Table 2 rows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimeBreakdown {
-    /// Time spent compressing.
-    pub compression: Duration,
-    /// Time spent decompressing.
-    pub decompression: Duration,
-    /// Time spent exchanging blocks between ranks.
-    pub communication: Duration,
-    /// Time spent in gate arithmetic.
-    pub computation: Duration,
-    /// Time spent reading/writing spilled blocks on the out-of-core
-    /// tier's critical path (blocking I/O the waves waited for).
-    pub spill_io: Duration,
-    /// Time the background prefetch threads spent reading spilled frames
-    /// (overlapped with compute — not on any wave's critical path).
-    pub prefetch: Duration,
-    /// Time the background write-behind threads spent appending evicted
-    /// frames (overlapped with compute — not on any wave's critical path).
-    pub write_behind: Duration,
-    /// Bytes exchanged between ranks.
-    pub comm_bytes: u64,
-    /// Inter-rank block-pair exchanges performed.
-    pub exchanges: u64,
-    /// Decompress → compute → recompress cycles performed.
-    pub block_touches: u64,
-    /// Gate kernels applied across all block touches.
-    pub batched_gate_applications: u64,
-    /// Blocks written to the spill tier.
-    pub spills: u64,
-    /// Blocks read back from the spill tier.
-    pub fetches: u64,
-    /// Bytes written to the spill tier.
-    pub spill_bytes: u64,
-    /// Bytes read back from the spill tier.
-    pub fetch_bytes: u64,
-    /// Spilled fetches served from the prefetch staging buffer.
-    pub prefetch_hits: u64,
-    /// Spilled fetches that blocked on a critical-path disk read.
-    pub prefetch_misses: u64,
-    /// Spill-tier bytes read on the critical path.
-    pub blocking_fetch_bytes: u64,
-    /// Spill-tier bytes read in the background, overlapped with compute.
-    pub overlapped_fetch_bytes: u64,
-    /// Spill-tier blocks written by the background write-behind thread.
-    pub write_behind_spills: u64,
-    /// Spill-tier bytes written by the background write-behind thread.
-    pub write_behind_bytes: u64,
-    /// Block operations served by the segment-addressable fast path.
-    pub partial_decodes: u64,
-    /// Segments actually decoded by partial-path operations.
-    pub segments_decoded: u64,
-    /// Segments a whole-block decode would have touched for the same
-    /// operations.
-    pub segments_full: u64,
-    /// Compressed bytes the partial path actually read.
-    pub segment_bytes_read: u64,
-    /// Compressed bytes a whole-block decode would have read for the same
-    /// operations.
-    pub segment_bytes_full: u64,
-    /// Heap allocations observed at the codec seam (pool misses plus
-    /// scratch-capacity growth); 0 in a warm steady state.
-    pub codec_allocs: u64,
-    /// Bytes those codec-seam allocations requested.
-    pub codec_bytes_alloc: u64,
-    /// Scratch-buffer reuse hits at the codec seam (pool checkouts served
-    /// from recycled buffers, and decodes that fit existing capacity).
-    pub scratch_reuse_hits: u64,
-}
-
-impl TimeBreakdown {
-    /// What happened since `earlier`: the field-wise difference between
-    /// two snapshots of the same monotonically growing accumulator
-    /// (saturating, so a reset in between degrades to zeros rather than
-    /// wrapping). This is the unit a remote worker ships per response —
-    /// see [`Metrics::absorb`].
-    pub fn delta(&self, earlier: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            compression: self.compression.saturating_sub(earlier.compression),
-            decompression: self.decompression.saturating_sub(earlier.decompression),
-            communication: self.communication.saturating_sub(earlier.communication),
-            computation: self.computation.saturating_sub(earlier.computation),
-            spill_io: self.spill_io.saturating_sub(earlier.spill_io),
-            prefetch: self.prefetch.saturating_sub(earlier.prefetch),
-            write_behind: self.write_behind.saturating_sub(earlier.write_behind),
-            comm_bytes: self.comm_bytes.saturating_sub(earlier.comm_bytes),
-            exchanges: self.exchanges.saturating_sub(earlier.exchanges),
-            block_touches: self.block_touches.saturating_sub(earlier.block_touches),
-            batched_gate_applications: self
-                .batched_gate_applications
-                .saturating_sub(earlier.batched_gate_applications),
-            spills: self.spills.saturating_sub(earlier.spills),
-            fetches: self.fetches.saturating_sub(earlier.fetches),
-            spill_bytes: self.spill_bytes.saturating_sub(earlier.spill_bytes),
-            fetch_bytes: self.fetch_bytes.saturating_sub(earlier.fetch_bytes),
-            prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            prefetch_misses: self.prefetch_misses.saturating_sub(earlier.prefetch_misses),
-            blocking_fetch_bytes: self
-                .blocking_fetch_bytes
-                .saturating_sub(earlier.blocking_fetch_bytes),
-            overlapped_fetch_bytes: self
-                .overlapped_fetch_bytes
-                .saturating_sub(earlier.overlapped_fetch_bytes),
-            write_behind_spills: self
-                .write_behind_spills
-                .saturating_sub(earlier.write_behind_spills),
-            write_behind_bytes: self
-                .write_behind_bytes
-                .saturating_sub(earlier.write_behind_bytes),
-            partial_decodes: self.partial_decodes.saturating_sub(earlier.partial_decodes),
-            segments_decoded: self
-                .segments_decoded
-                .saturating_sub(earlier.segments_decoded),
-            segments_full: self.segments_full.saturating_sub(earlier.segments_full),
-            segment_bytes_read: self
-                .segment_bytes_read
-                .saturating_sub(earlier.segment_bytes_read),
-            segment_bytes_full: self
-                .segment_bytes_full
-                .saturating_sub(earlier.segment_bytes_full),
-            codec_allocs: self.codec_allocs.saturating_sub(earlier.codec_allocs),
-            codec_bytes_alloc: self
-                .codec_bytes_alloc
-                .saturating_sub(earlier.codec_bytes_alloc),
-            scratch_reuse_hits: self
-                .scratch_reuse_hits
-                .saturating_sub(earlier.scratch_reuse_hits),
-        }
-    }
-
-    /// Total across phases.
-    pub fn total(&self) -> Duration {
-        self.compression
-            + self.decompression
-            + self.communication
-            + self.computation
-            + self.spill_io
-            + self.prefetch
-            + self.write_behind
-    }
-
-    /// Communication time in nanoseconds (saturating; the Table 2 row the
-    /// repro harness prints directly).
-    pub fn comm_ns(&self) -> u64 {
-        u64::try_from(self.communication.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Spill-tier I/O time in nanoseconds (saturating).
-    pub fn spill_io_ns(&self) -> u64 {
-        u64::try_from(self.spill_io.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Background prefetch I/O time in nanoseconds (saturating).
-    pub fn prefetch_ns(&self) -> u64 {
-        u64::try_from(self.prefetch.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Background write-behind I/O time in nanoseconds (saturating).
-    pub fn write_behind_ns(&self) -> u64 {
-        u64::try_from(self.write_behind.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Fraction of spilled fetches served from the prefetch staging
-    /// buffer (0 when nothing was fetched).
-    pub fn prefetch_hit_rate(&self) -> f64 {
-        let total = self.prefetch_hits + self.prefetch_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / total as f64
-        }
-    }
-
-    /// Average gate kernels per block touch (0 when nothing ran).
-    pub fn gates_per_block_touch(&self) -> f64 {
-        if self.block_touches == 0 {
-            0.0
-        } else {
-            self.batched_gate_applications as f64 / self.block_touches as f64
-        }
-    }
-
-    /// Percentage of total for each phase, in [`Phase::ALL`] order.
-    /// Returns zeros when nothing was recorded.
-    pub fn percentages(&self) -> [f64; 7] {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            return [0.0; 7];
-        }
-        [
-            self.compression.as_secs_f64() / total * 100.0,
-            self.decompression.as_secs_f64() / total * 100.0,
-            self.communication.as_secs_f64() / total * 100.0,
-            self.computation.as_secs_f64() / total * 100.0,
-            self.spill_io.as_secs_f64() / total * 100.0,
-            self.prefetch.as_secs_f64() / total * 100.0,
-            self.write_behind.as_secs_f64() / total * 100.0,
-        ]
+        *self.inner.lock() += d;
     }
 }
 
@@ -646,14 +448,44 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_table_field_survives_delta_absorb_and_the_array_form() {
+        let names = TimeBreakdown::FIELD_NAMES;
+        assert_eq!(names.len(), TimeBreakdown::FIELDS);
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "duplicate field name {name}");
+            let mut fields = [0u64; TimeBreakdown::FIELDS];
+            fields[i] = 1000 + i as u64;
+            let only = TimeBreakdown::from_array(fields);
+            assert_ne!(only, TimeBreakdown::default(), "{name} lost by from_array");
+            assert_eq!(only.to_array(), fields, "{name}");
+            assert_eq!(only.delta(&TimeBreakdown::default()), only, "{name}");
+            let m = Metrics::new();
+            m.absorb(&only);
+            assert_eq!(m.breakdown(), only, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_phase_feeds_its_own_lane_in_report_order() {
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            let m = Metrics::new();
+            m.add(phase, Duration::from_nanos(5));
+            let mut fields = [0u64; TimeBreakdown::FIELDS];
+            fields[i] = 5;
+            assert_eq!(m.breakdown().to_array(), fields, "{}", phase.name());
+        }
+    }
+
+    #[test]
     fn accumulates_per_phase() {
         let m = Metrics::new();
         m.add(Phase::Compression, Duration::from_millis(10));
         m.add(Phase::Compression, Duration::from_millis(5));
         m.add(Phase::Computation, Duration::from_millis(85));
-        assert_eq!(m.duration(Phase::Compression), Duration::from_millis(15));
-        assert_eq!(m.total(), Duration::from_millis(100));
-        let pct = m.breakdown().percentages();
+        let b = m.breakdown();
+        assert_eq!(b.compression, Duration::from_millis(15));
+        assert_eq!(b.total(), Duration::from_millis(100));
+        let pct = b.percentages();
         assert!((pct[0] - 15.0).abs() < 1e-9);
         assert!((pct[3] - 85.0).abs() < 1e-9);
     }
@@ -666,7 +498,7 @@ mod tests {
             42
         });
         assert_eq!(v, 42);
-        assert!(m.duration(Phase::Decompression) >= Duration::from_millis(4));
+        assert!(m.breakdown().decompression >= Duration::from_millis(4));
     }
 
     #[test]
@@ -674,7 +506,7 @@ mod tests {
         let m = Metrics::new();
         m.add_comm_bytes(1024);
         m.add_comm_bytes(512);
-        assert_eq!(m.comm_bytes(), 1536);
+        assert_eq!(m.breakdown().comm_bytes, 1536);
     }
 
     #[test]
@@ -682,9 +514,9 @@ mod tests {
         let m = Metrics::new();
         m.add(Phase::Computation, Duration::from_millis(1));
         m.add_comm_bytes(9);
+        m.add_spill(100);
         m.reset();
-        assert_eq!(m.total(), Duration::ZERO);
-        assert_eq!(m.comm_bytes(), 0);
+        assert_eq!(m.breakdown(), TimeBreakdown::default());
     }
 
     #[test]
@@ -693,16 +525,12 @@ mod tests {
     }
 
     #[test]
-    fn spill_traffic_accumulates_and_resets() {
+    fn spill_traffic_accumulates() {
         let m = Metrics::new();
         m.add_spill(100);
         m.add_spill(40);
         m.add_fetch_blocking(100);
         m.add(Phase::SpillIo, Duration::from_millis(3));
-        assert_eq!(m.spills(), 2);
-        assert_eq!(m.fetches(), 1);
-        assert_eq!(m.spill_bytes(), 140);
-        assert_eq!(m.fetch_bytes(), 100);
         let b = m.breakdown();
         assert_eq!(b.spills, 2);
         assert_eq!(b.fetches, 1);
@@ -711,9 +539,6 @@ mod tests {
         assert_eq!(b.spill_io, Duration::from_millis(3));
         assert_eq!(b.spill_io_ns(), 3_000_000);
         assert!(b.percentages()[4] > 99.0, "only spill i/o was recorded");
-        m.reset();
-        assert_eq!(m.spills(), 0);
-        assert_eq!(m.spill_bytes(), 0);
     }
 
     #[test]
@@ -724,25 +549,17 @@ mod tests {
         m.add_fetch_overlapped(40);
         m.add(Phase::Prefetch, Duration::from_millis(2));
         // Hits and misses partition the fetch total.
-        assert_eq!(m.fetches(), 3);
-        assert_eq!(m.prefetch_hits(), 2);
-        assert_eq!(m.prefetch_misses(), 1);
-        assert_eq!(m.fetch_bytes(), 200);
-        assert_eq!(m.blocking_fetch_bytes(), 100);
-        assert_eq!(m.overlapped_fetch_bytes(), 100);
         let b = m.breakdown();
-        assert_eq!(b.prefetch_hits + b.prefetch_misses, b.fetches);
-        assert_eq!(
-            b.blocking_fetch_bytes + b.overlapped_fetch_bytes,
-            b.fetch_bytes
-        );
+        assert_eq!(b.fetches, 3);
+        assert_eq!(b.prefetch_hits, 2);
+        assert_eq!(b.prefetch_misses, 1);
+        assert_eq!(b.fetch_bytes, 200);
+        assert_eq!(b.blocking_fetch_bytes, 100);
+        assert_eq!(b.overlapped_fetch_bytes, 100);
         assert!((b.prefetch_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(b.prefetch, Duration::from_millis(2));
         assert_eq!(b.prefetch_ns(), 2_000_000);
         assert!(b.percentages()[5] > 99.0, "only prefetch i/o was recorded");
-        m.reset();
-        assert_eq!(m.prefetch_hits(), 0);
-        assert_eq!(m.blocking_fetch_bytes(), 0);
         assert_eq!(TimeBreakdown::default().prefetch_hit_rate(), 0.0);
     }
 
@@ -755,12 +572,9 @@ mod tests {
         m.add(Phase::WriteBehind, Duration::from_millis(4));
         // Write-behind spills count toward the spill totals, with the
         // asynchronous share tracked separately.
-        assert_eq!(m.spills(), 3);
-        assert_eq!(m.spill_bytes(), 200);
-        assert_eq!(m.write_behind_spills(), 2);
-        assert_eq!(m.write_behind_bytes(), 100);
         let b = m.breakdown();
         assert_eq!(b.spills, 3);
+        assert_eq!(b.spill_bytes, 200);
         assert_eq!(b.write_behind_spills, 2);
         assert_eq!(b.write_behind_bytes, 100);
         assert_eq!(b.write_behind, Duration::from_millis(4));
@@ -769,9 +583,6 @@ mod tests {
             b.percentages()[6] > 99.0,
             "only write-behind i/o was recorded"
         );
-        m.reset();
-        assert_eq!(m.write_behind_spills(), 0);
-        assert_eq!(m.write_behind_bytes(), 0);
     }
 
     #[test]
@@ -780,61 +591,35 @@ mod tests {
         // Two partial operations: 2 of 8 segments, then 3 of 8.
         m.add_partial_decode(2, 8, 200, 800);
         m.add_partial_decode(3, 8, 300, 800);
-        assert_eq!(m.partial_decodes(), 2);
-        assert_eq!(m.segments_decoded(), 5);
-        assert_eq!(m.segments_full(), 16);
-        assert_eq!(m.segment_bytes_read(), 500);
-        assert_eq!(m.segment_bytes_full(), 1600);
         let b = m.breakdown();
         assert_eq!(b.partial_decodes, 2);
-        assert!(b.segments_decoded < b.segments_full);
-        assert!(b.segment_bytes_read < b.segment_bytes_full);
-        let delta = b.delta(&TimeBreakdown::default());
-        assert_eq!(delta.segments_decoded, 5);
-        let other = Metrics::new();
-        other.absorb(&delta);
-        assert_eq!(other.segment_bytes_full(), 1600);
-        m.reset();
-        assert_eq!(m.partial_decodes(), 0);
+        assert_eq!(b.segments_decoded, 5);
+        assert_eq!(b.segments_full, 16);
+        assert_eq!(b.segment_bytes_read, 500);
+        assert_eq!(b.segment_bytes_full, 1600);
     }
 
     #[test]
-    fn codec_counter_accounting_flows_through_delta_and_absorb() {
+    fn codec_counter_accounting_accumulates() {
         let m = Metrics::new();
         m.add_codec_counters(3, 4096, 10);
         m.add_codec_counters(0, 0, 7);
-        assert_eq!(m.codec_allocs(), 3);
-        assert_eq!(m.codec_bytes_alloc(), 4096);
-        assert_eq!(m.scratch_reuse_hits(), 17);
         let b = m.breakdown();
         assert_eq!(b.codec_allocs, 3);
         assert_eq!(b.codec_bytes_alloc, 4096);
         assert_eq!(b.scratch_reuse_hits, 17);
-        let delta = b.delta(&TimeBreakdown::default());
-        let other = Metrics::new();
-        other.absorb(&delta);
-        assert_eq!(other.codec_allocs(), 3);
-        assert_eq!(other.scratch_reuse_hits(), 17);
-        m.reset();
-        assert_eq!(m.codec_allocs(), 0);
-        assert_eq!(m.scratch_reuse_hits(), 0);
     }
 
     #[test]
     fn block_touch_accounting_amortizes_gates() {
         let m = Metrics::new();
-        assert_eq!(m.gates_per_block_touch(), 0.0);
+        assert_eq!(m.breakdown().gates_per_block_touch(), 0.0);
         m.add_block_touch(1); // unbatched gate: one touch, one kernel
         m.add_block_touch(5); // batched touch: one touch, five kernels
-        assert_eq!(m.block_touches(), 2);
-        assert_eq!(m.batched_gate_applications(), 6);
-        assert!((m.gates_per_block_touch() - 3.0).abs() < 1e-12);
         let b = m.breakdown();
         assert_eq!(b.block_touches, 2);
         assert_eq!(b.batched_gate_applications, 6);
         assert!((b.gates_per_block_touch() - 3.0).abs() < 1e-12);
-        m.reset();
-        assert_eq!(m.block_touches(), 0);
     }
 
     #[test]
@@ -885,7 +670,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m2.duration(Phase::Computation), Duration::from_millis(4));
-        assert_eq!(m2.comm_bytes(), 40);
+        let b = m2.breakdown();
+        assert_eq!(b.computation, Duration::from_millis(4));
+        assert_eq!(b.comm_bytes, 40);
     }
 }

@@ -246,6 +246,14 @@ impl BlockCodec {
         self.counters.take()
     }
 
+    /// Drain the seam counters into `metrics`, so its breakdown reflects
+    /// codec allocations up to this instant. Draining swaps to zero, so
+    /// ranks sharing one codec never double count.
+    pub fn drain_counters_into(&self, metrics: &qcs_cluster::Metrics) {
+        let c = self.take_counters();
+        metrics.add_codec_counters(c.codec_allocs, c.codec_bytes_alloc, c.scratch_reuse_hits);
+    }
+
     /// Check an amplitude scratch buffer out of the pool (counted).
     pub fn take_amp_buf(&self) -> Vec<f64> {
         match self.pool.take_f64s() {

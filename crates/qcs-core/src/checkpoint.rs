@@ -272,7 +272,7 @@ mod tests {
         sim.run(&tail, &mut rng).unwrap();
         restored.run(&tail, &mut rng).unwrap();
         assert!(
-            restored.report().bytes_exchanged > 0,
+            restored.report().breakdown.comm_bytes > 0,
             "restored workers must exchange compressed payloads"
         );
         let (a, b) = (
@@ -306,7 +306,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut spilled = CompressedSimulator::new(7, base.clone().with_spill(2)).unwrap();
         spilled.run(&c, &mut rng).unwrap();
-        assert!(spilled.report().spills > 0, "precondition: blocks on disk");
+        assert!(
+            spilled.report().breakdown.spills > 0,
+            "precondition: blocks on disk"
+        );
 
         let path = tmp("spilled");
         save(&spilled, &path).unwrap();
@@ -354,7 +357,7 @@ mod tests {
         let mut resumed = load(&path, cfg.with_spill(1)).unwrap();
         std::fs::remove_file(&path).ok();
         resumed.run(&tail, &mut rng).unwrap();
-        assert!(resumed.report().spills > 0);
+        assert!(resumed.report().breakdown.spills > 0);
 
         let (a, b) = (
             oneshot.snapshot_dense().unwrap(),

@@ -130,11 +130,6 @@ pub struct SimConfig {
     /// new bound so the budget is actually restored (rather than only
     /// applying the new bound to future compressions).
     pub recompress_on_escalate: bool,
-    /// Optional modeled interconnect bandwidth in bytes/second. When set,
-    /// each rank-pair exchange adds `bytes / bandwidth` of *modeled* time to
-    /// the communication phase on top of the measured copy time, standing
-    /// in for the Aries network the paper measures.
-    pub modeled_link_bandwidth: Option<f64>,
     /// Run circuits through the batch scheduler: fuse consecutive
     /// single-qubit gates on the same qubit and group consecutive
     /// intra-block gates into batches, so each block pays one
@@ -187,7 +182,6 @@ impl Default for SimConfig {
             cache_lines: 64,
             cache_auto_disable_after: 512,
             recompress_on_escalate: true,
-            modeled_link_bandwidth: None,
             fusion: true,
             max_batch_gates: qcs_circuits::schedule::MAX_BATCH_GATES,
             spill: None,

@@ -61,7 +61,7 @@ use qcs_circuits::{
     schedule_circuit, AccessPlan, Circuit, GateBatch, Op, Schedule, ScheduledOp, WaveAccess,
 };
 use qcs_cluster::exec::{duplex, ClusterSim, Worker as _};
-use qcs_cluster::{ControlScope, Layout, Metrics, Phase, Route, TimeBreakdown};
+use qcs_cluster::{ControlScope, Layout, Metrics, Route, TimeBreakdown};
 use qcs_compress::ErrorBound;
 use qcs_statevec::{Complex64, Gate1, StateVector};
 use std::sync::Arc;
@@ -165,7 +165,11 @@ pub struct WaveStatus {
 }
 
 /// Summary statistics of a finished (or in-progress) simulation, matching
-/// the rows of the paper's Table 2.
+/// the rows of the paper's Table 2. Everything the [`Metrics`] sink
+/// accumulates — phase times and the exchange / spill / prefetch /
+/// partial-decode / codec-allocation counters — lives in
+/// [`breakdown`](Self::breakdown) and nowhere else; the other fields are
+/// what only the engine facade knows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Qubit count.
@@ -174,8 +178,10 @@ pub struct SimReport {
     pub gates: usize,
     /// Wall-clock time in gate processing.
     pub wall_time: Duration,
-    /// Per-phase breakdown (compression/decompression/communication/
-    /// computation).
+    /// Snapshot of the shared metrics sink: per-phase times
+    /// (compression / decompression / communication / computation / spill
+    /// tier) and every traffic counter, as declared once in
+    /// `qcs_cluster::metrics`.
     pub breakdown: TimeBreakdown,
     /// Lower bound on fidelity per Eq. 11.
     pub fidelity_lower_bound: f64,
@@ -193,66 +199,6 @@ pub struct SimReport {
     pub cache_hits: u64,
     /// Compressed-block cache misses.
     pub cache_misses: u64,
-    /// Compressed bytes moved between rank workers.
-    pub bytes_exchanged: u64,
-    /// Wall time spent in inter-rank communication, in nanoseconds.
-    pub comm_ns: u64,
-    /// Inter-rank block-pair exchanges performed.
-    pub exchanges: u64,
-    /// Blocks evicted from residency and written to the spill tier
-    /// (0 without an out-of-core store).
-    pub spills: u64,
-    /// Blocks read back from the spill tier.
-    pub fetches: u64,
-    /// Bytes written to the spill tier.
-    pub spill_bytes: u64,
-    /// Bytes read back from the spill tier.
-    pub fetch_bytes: u64,
-    /// Wall time spent in blocking (critical-path) spill-tier I/O, in
-    /// nanoseconds.
-    pub spill_io_ns: u64,
-    /// Spilled fetches served from the prefetch staging buffer — the
-    /// background read overlapped with compute (0 with prefetch off or
-    /// without an out-of-core store).
-    pub prefetch_hits: u64,
-    /// Spilled fetches that blocked on a critical-path disk read (with
-    /// prefetch off, every spilled fetch is a miss).
-    pub prefetch_misses: u64,
-    /// Spill-tier bytes read on the critical path (blocking fetches).
-    pub blocking_fetch_bytes: u64,
-    /// Spill-tier bytes read in the background, off the critical path.
-    pub overlapped_fetch_bytes: u64,
-    /// Wall time the background prefetch threads spent reading spilled
-    /// frames, in nanoseconds (overlap, not critical path).
-    pub prefetch_ns: u64,
-    /// Spills drained by the background write-behind threads (a subset of
-    /// `spills`; 0 with write-behind off).
-    pub write_behind_spills: u64,
-    /// Bytes those background drains appended, off the critical path.
-    pub write_behind_bytes: u64,
-    /// Wall time the background write-behind threads spent appending
-    /// eviction frames, in nanoseconds (overlap, not critical path).
-    pub write_behind_ns: u64,
-    /// Block operations served by the segment-addressable partial path
-    /// (0 with [`SimConfig::partial_decode`](crate::SimConfig) off or a
-    /// whole-stream codec).
-    pub partial_decodes: u64,
-    /// Segments those operations actually decoded.
-    pub segments_decoded: u64,
-    /// Segments a whole-block decode would have decoded for them.
-    pub segments_full: u64,
-    /// Compressed stream bytes the partial operations consumed.
-    pub segment_bytes_read: u64,
-    /// Compressed stream bytes whole-block decodes would have consumed.
-    pub segment_bytes_full: u64,
-    /// Codec-side scratch buffers the hot path had to heap-allocate (pool
-    /// misses plus mid-wave growth; 0 in an allocation-free steady state).
-    pub codec_allocs: u64,
-    /// Bytes those codec-side allocations and growths requested.
-    pub codec_bytes_alloc: u64,
-    /// Scratch requests served by recycling a pooled buffer without
-    /// touching the allocator.
-    pub scratch_reuse_hits: u64,
 }
 
 impl SimReport {
@@ -270,19 +216,7 @@ impl SimReport {
         if self.gates == 0 {
             0.0
         } else {
-            self.exchanges as f64 / self.gates as f64
-        }
-    }
-
-    /// Fraction of spilled fetches that were served from the prefetch
-    /// staging buffer instead of blocking on disk (0 when nothing was
-    /// fetched).
-    pub fn prefetch_hit_rate(&self) -> f64 {
-        let total = self.prefetch_hits + self.prefetch_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / total as f64
+            self.breakdown.exchanges as f64 / self.gates as f64
         }
     }
 }
@@ -789,22 +723,12 @@ impl CompressedSimulator {
         }
     }
 
-    /// Fold a finished gate/batch wave into the ledger and the modeled
-    /// link time (one ledger entry per wave, as a batched recompression is
-    /// a single lossy event).
+    /// Fold a finished gate/batch wave into the ledger (one entry per
+    /// wave, as a batched recompression is a single lossy event).
     fn finish_wave(&mut self, waves: &[WaveOut], bound: ErrorBound) {
         let any_lossy = waves.iter().any(|w| w.lossy);
         self.ledger
             .record_gate(if any_lossy { bound.magnitude() } else { 0.0 });
-        let comm_bytes: u64 = waves.iter().map(|w| w.comm_bytes).sum();
-        if comm_bytes > 0 {
-            if let Some(bw) = self.cfg.modeled_link_bandwidth {
-                self.metrics.add(
-                    Phase::Communication,
-                    Duration::from_secs_f64(comm_bytes as f64 / bw),
-                );
-            }
-        }
     }
 
     // --- circuit execution ------------------------------------------------
@@ -1296,10 +1220,7 @@ impl CompressedSimulator {
         // Drain the codec's scratch counters into the shared sink so the
         // report reflects allocations up to this instant (remote workers
         // drain their own codecs and ship deltas over the wire instead).
-        let c = self.codec.take_counters();
-        self.metrics
-            .add_codec_counters(c.codec_allocs, c.codec_bytes_alloc, c.scratch_reuse_hits);
-        let breakdown = self.metrics.breakdown();
+        self.codec.drain_counters_into(&self.metrics);
         SimReport {
             num_qubits: self.layout.num_qubits,
             gates: self.gates_applied,
@@ -1316,31 +1237,7 @@ impl CompressedSimulator {
             uncompressed_bytes: self.layout.uncompressed_bytes(),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            bytes_exchanged: breakdown.comm_bytes,
-            comm_ns: breakdown.comm_ns(),
-            exchanges: breakdown.exchanges,
-            spills: breakdown.spills,
-            fetches: breakdown.fetches,
-            spill_bytes: breakdown.spill_bytes,
-            fetch_bytes: breakdown.fetch_bytes,
-            spill_io_ns: breakdown.spill_io_ns(),
-            prefetch_hits: breakdown.prefetch_hits,
-            prefetch_misses: breakdown.prefetch_misses,
-            blocking_fetch_bytes: breakdown.blocking_fetch_bytes,
-            overlapped_fetch_bytes: breakdown.overlapped_fetch_bytes,
-            prefetch_ns: breakdown.prefetch_ns(),
-            write_behind_spills: breakdown.write_behind_spills,
-            write_behind_bytes: breakdown.write_behind_bytes,
-            write_behind_ns: breakdown.write_behind_ns(),
-            partial_decodes: breakdown.partial_decodes,
-            segments_decoded: breakdown.segments_decoded,
-            segments_full: breakdown.segments_full,
-            segment_bytes_read: breakdown.segment_bytes_read,
-            segment_bytes_full: breakdown.segment_bytes_full,
-            codec_allocs: breakdown.codec_allocs,
-            codec_bytes_alloc: breakdown.codec_bytes_alloc,
-            scratch_reuse_hits: breakdown.scratch_reuse_hits,
-            breakdown,
+            breakdown: self.metrics.breakdown(),
         }
     }
 
@@ -1585,16 +1482,19 @@ mod tests {
         let mut c = Circuit::new(6);
         c.h(0); // in-block
         sim.run(&c, &mut rng).unwrap();
-        assert_eq!(sim.report().bytes_exchanged, 0);
-        assert_eq!(sim.report().exchanges, 0);
+        assert_eq!(sim.report().breakdown.comm_bytes, 0);
+        assert_eq!(sim.report().breakdown.exchanges, 0);
         let mut c2 = Circuit::new(6);
         c2.h(5); // rank bit
         sim.run(&c2, &mut rng).unwrap();
         let report = sim.report();
-        assert!(report.bytes_exchanged > 0);
-        assert!(report.comm_ns > 0, "exchange must cost communication time");
+        assert!(report.breakdown.comm_bytes > 0);
+        assert!(
+            report.breakdown.comm_ns() > 0,
+            "exchange must cost communication time"
+        );
         // One pair of ranks, every block of the lead rank exchanged once.
-        assert_eq!(report.exchanges, 4);
+        assert_eq!(report.breakdown.exchanges, 4);
         assert!(report.exchanges_per_gate() > 0.0);
     }
 
@@ -1754,9 +1654,10 @@ mod tests {
             .without_cache();
         let mut sim = CompressedSimulator::new(6, cfg).unwrap();
         sim.run(&c, &mut rng).unwrap();
-        assert_eq!(sim.metrics().block_touches(), 8);
-        assert_eq!(sim.metrics().batched_gate_applications(), 32);
-        assert!((sim.metrics().gates_per_block_touch() - 4.0).abs() < 1e-12);
+        let b = sim.metrics().breakdown();
+        assert_eq!(b.block_touches, 8);
+        assert_eq!(b.batched_gate_applications, 32);
+        assert!((b.gates_per_block_touch() - 4.0).abs() < 1e-12);
         let dense = c.simulate_dense(&mut rng);
         assert!(sim.snapshot_dense().unwrap().fidelity(&dense) > 1.0 - 1e-12);
     }
@@ -1857,11 +1758,14 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-        assert_eq!(r_mem.spills, 0, "all-resident run must not spill");
-        assert!(r_spill.spills > 0, "budgeted run must spill");
-        assert!(r_spill.fetches > 0, "budgeted run must fetch");
-        assert!(r_spill.spill_bytes > 0 && r_spill.fetch_bytes > 0);
-        assert!(r_spill.spill_io_ns > 0, "spill i/o must cost time");
+        assert_eq!(r_mem.breakdown.spills, 0, "all-resident run must not spill");
+        assert!(r_spill.breakdown.spills > 0, "budgeted run must spill");
+        assert!(r_spill.breakdown.fetches > 0, "budgeted run must fetch");
+        assert!(r_spill.breakdown.spill_bytes > 0 && r_spill.breakdown.fetch_bytes > 0);
+        assert!(
+            r_spill.breakdown.spill_io_ns() > 0,
+            "spill i/o must cost time"
+        );
     }
 
     #[test]
@@ -1910,8 +1814,11 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-        assert!(report.spills > 0);
-        assert!(report.exchanges > 0, "rank-crossing gates must exchange");
+        assert!(report.breakdown.spills > 0);
+        assert!(
+            report.breakdown.exchanges > 0,
+            "rank-crossing gates must exchange"
+        );
     }
 
     #[test]

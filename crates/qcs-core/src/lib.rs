@@ -69,8 +69,8 @@
 //! line is keyed by the batch signature *and* the per-block selection mask,
 //! so byte-identical blocks with different applicable-gate subsets never
 //! share a line, and the hit/miss counters advance once per block touch
-//! (not once per fused gate). `Metrics::gates_per_block_touch` reports the
-//! amortization factor actually achieved.
+//! (not once per fused gate). `TimeBreakdown::gates_per_block_touch`
+//! reports the amortization factor actually achieved.
 //!
 //! ## Example
 //!

@@ -17,8 +17,8 @@
 //! ```text
 //!  coordinator (ClusterSim thread)           qcsim-workerd daemon
 //!  ──────────────────────────────            ────────────────────
-//!  Hello  {version, rank, layout,     ─▶     validate; build the rank's
-//!          config subset, block table}        RankWorker (own metrics,
+//!  Hello  {version, rank, qubits,     ─▶     validate; build the rank's
+//!          SimConfig, block table}            RankWorker (own metrics,
 //!                                   ◀─ HelloAck cache, store/spill dir)
 //!  Cmd    {serialized WorkerCmd}      ─▶     worker.handle(cmd)
 //!          ... Relay frames both ways
@@ -55,8 +55,9 @@
 
 use crate::block::{BlockCodec, CompressedBlock};
 use crate::cache::BlockCache;
-use crate::config::{RemoteConfig, SimConfig, SpillConfig};
+use crate::config::{RemoteConfig, SimConfig};
 use crate::engine::SimError;
+use crate::serial::{put_sim_config, take_sim_config};
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
 use crate::worker::{
     BatchCmd, BatchPlan, BlockMsg, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
@@ -67,7 +68,7 @@ use qcs_cluster::{
     duplex, ControlScope, Duplex, DuplexRx, DuplexTx, Layout, Metrics, Route, TimeBreakdown,
 };
 use qcs_compress::frame as cframe;
-use qcs_compress::{CodecId, ErrorBound};
+use qcs_compress::ErrorBound;
 use qcs_net::wire::{put_f64, put_str, put_u32, put_u64, put_u8};
 use qcs_net::{recv_frame, send_frame, Cursor, NetError, PROTOCOL_VERSION};
 use qcs_statevec::{Complex64, Gate1};
@@ -76,7 +77,6 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 // Frame kinds of the worker protocol (the `kind` byte of each qcs-net
 // frame).
@@ -244,81 +244,20 @@ fn take_block(cur: &mut Cursor) -> Result<CompressedBlock, NetError> {
     })
 }
 
-pub(crate) fn put_duration(buf: &mut Vec<u8>, d: Duration) {
-    put_u64(buf, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-}
-
+/// A [`TimeBreakdown`] travels as its array form: one `u64` per field of
+/// the table in `qcs_cluster::metrics`, in table order.
 pub(crate) fn put_breakdown(buf: &mut Vec<u8>, b: &TimeBreakdown) {
-    put_duration(buf, b.compression);
-    put_duration(buf, b.decompression);
-    put_duration(buf, b.communication);
-    put_duration(buf, b.computation);
-    put_duration(buf, b.spill_io);
-    put_duration(buf, b.prefetch);
-    put_duration(buf, b.write_behind);
-    for v in [
-        b.comm_bytes,
-        b.exchanges,
-        b.block_touches,
-        b.batched_gate_applications,
-        b.spills,
-        b.fetches,
-        b.spill_bytes,
-        b.fetch_bytes,
-        b.prefetch_hits,
-        b.prefetch_misses,
-        b.blocking_fetch_bytes,
-        b.overlapped_fetch_bytes,
-        b.write_behind_spills,
-        b.write_behind_bytes,
-        b.partial_decodes,
-        b.segments_decoded,
-        b.segments_full,
-        b.segment_bytes_read,
-        b.segment_bytes_full,
-        b.codec_allocs,
-        b.codec_bytes_alloc,
-        b.scratch_reuse_hits,
-    ] {
+    for v in b.to_array() {
         put_u64(buf, v);
     }
 }
 
 pub(crate) fn take_breakdown(cur: &mut Cursor) -> Result<TimeBreakdown, NetError> {
-    let mut d = || -> Result<Duration, NetError> { Ok(Duration::from_nanos(cur.take_u64()?)) };
-    let (compression, decompression, communication, computation) = (d()?, d()?, d()?, d()?);
-    let (spill_io, prefetch, write_behind) = (d()?, d()?, d()?);
-    Ok(TimeBreakdown {
-        compression,
-        decompression,
-        communication,
-        computation,
-        spill_io,
-        prefetch,
-        write_behind,
-        comm_bytes: cur.take_u64()?,
-        exchanges: cur.take_u64()?,
-        block_touches: cur.take_u64()?,
-        batched_gate_applications: cur.take_u64()?,
-        spills: cur.take_u64()?,
-        fetches: cur.take_u64()?,
-        spill_bytes: cur.take_u64()?,
-        fetch_bytes: cur.take_u64()?,
-        prefetch_hits: cur.take_u64()?,
-        prefetch_misses: cur.take_u64()?,
-        blocking_fetch_bytes: cur.take_u64()?,
-        overlapped_fetch_bytes: cur.take_u64()?,
-        write_behind_spills: cur.take_u64()?,
-        write_behind_bytes: cur.take_u64()?,
-        partial_decodes: cur.take_u64()?,
-        segments_decoded: cur.take_u64()?,
-        segments_full: cur.take_u64()?,
-        segment_bytes_read: cur.take_u64()?,
-        segment_bytes_full: cur.take_u64()?,
-        codec_allocs: cur.take_u64()?,
-        codec_bytes_alloc: cur.take_u64()?,
-        scratch_reuse_hits: cur.take_u64()?,
-    })
+    let mut fields = [0u64; TimeBreakdown::FIELDS];
+    for v in &mut fields {
+        *v = cur.take_u64()?;
+    }
+    Ok(TimeBreakdown::from_array(fields))
 }
 
 // --- command / response codecs ------------------------------------------
@@ -544,7 +483,6 @@ fn put_worker_out(buf: &mut Vec<u8>, out: &WorkerOut) {
         WorkerOut::Wave(w) => {
             put_u8(buf, OUT_WAVE);
             put_u8(buf, w.lossy as u8);
-            put_u64(buf, w.comm_bytes);
             put_u64(buf, w.compressed_bytes);
             put_u64(buf, w.resident_bytes);
             put_u64(buf, w.hot_bytes);
@@ -578,7 +516,6 @@ fn take_worker_out(cur: &mut Cursor) -> Result<WorkerOut, NetError> {
     match cur.take_u8()? {
         OUT_WAVE => Ok(WorkerOut::Wave(WaveOut {
             lossy: cur.take_u8()? != 0,
-            comm_bytes: cur.take_u64()?,
             compressed_bytes: cur.take_u64()?,
             resident_bytes: cur.take_u64()?,
             hot_bytes: cur.take_u64()?,
@@ -652,65 +589,37 @@ fn decode_relay(body: &[u8]) -> Result<BlockMsg, NetError> {
 
 // --- handshake -----------------------------------------------------------
 
-pub(crate) const EVICTION_LRU: u8 = 0;
-pub(crate) const EVICTION_PLANNED_MIN: u8 = 1;
-
 /// Everything the daemon needs to stand up one rank's worker: the rank's
-/// identity and geometry, the worker-relevant subset of [`SimConfig`],
-/// and the rank's initial compressed block table.
+/// identity, the register size, the coordinator's [`SimConfig`] (minus
+/// what only the coordinator may decide — see [`encode_hello`]), and the
+/// rank's initial compressed block table.
 struct Hello {
     rank: usize,
     layout: Layout,
-    lossy_codec: CodecId,
-    threads_per_rank: Option<usize>,
-    cache_lines: usize,
-    cache_auto_disable_after: u64,
-    prefetch: bool,
-    partial_decode: bool,
-    spill: Option<SpillConfig>,
+    cfg: SimConfig,
     blocks: Vec<Option<CompressedBlock>>,
 }
 
+/// The config travels in the [`crate::serial`] encoding, stripped of the
+/// two fields a daemon must not take from a peer: `remote` (the daemon
+/// *is* the remote end) and `spill.dir` (it chooses where its own
+/// segments live).
 fn encode_hello(
     rank: usize,
     cfg: &SimConfig,
-    layout: Layout,
+    num_qubits: u32,
     blocks: &[Option<CompressedBlock>],
 ) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, PROTOCOL_VERSION);
     put_u32(&mut buf, rank as u32);
-    put_u32(&mut buf, layout.num_qubits);
-    put_u32(&mut buf, layout.ranks_log2);
-    put_u32(&mut buf, layout.block_log2);
-    put_u8(&mut buf, cfg.lossy_codec as u8);
-    match cfg.threads_per_rank {
-        Some(t) => {
-            put_u8(&mut buf, 1);
-            put_u32(&mut buf, t as u32);
-        }
-        None => put_u8(&mut buf, 0),
+    put_u32(&mut buf, num_qubits);
+    let mut shipped = cfg.clone();
+    shipped.remote = None;
+    if let Some(spill) = &mut shipped.spill {
+        spill.dir = None;
     }
-    put_u64(&mut buf, cfg.cache_lines as u64);
-    put_u64(&mut buf, cfg.cache_auto_disable_after);
-    put_u8(&mut buf, cfg.prefetch as u8);
-    put_u8(&mut buf, cfg.partial_decode as u8);
-    match &cfg.spill {
-        Some(spill) => {
-            put_u8(&mut buf, 1);
-            put_u64(&mut buf, spill.resident_blocks as u64);
-            put_u8(
-                &mut buf,
-                match spill.eviction {
-                    crate::store::Eviction::Lru => EVICTION_LRU,
-                    crate::store::Eviction::PlannedMin => EVICTION_PLANNED_MIN,
-                },
-            );
-            put_u8(&mut buf, spill.write_behind as u8);
-            put_u64(&mut buf, spill.shards as u64);
-        }
-        None => put_u8(&mut buf, 0),
-    }
+    put_sim_config(&mut buf, &shipped).expect("a config without a spill dir always encodes");
     put_u32(&mut buf, blocks.len() as u32);
     for block in blocks {
         match block {
@@ -733,39 +642,14 @@ fn decode_hello(body: &[u8]) -> Result<Hello, NetError> {
         )));
     }
     let rank = cur.take_u32()? as usize;
-    let layout = Layout::new(cur.take_u32()?, cur.take_u32()?, cur.take_u32()?);
-    let lossy_codec = {
-        let id = cur.take_u8()?;
-        CodecId::from_u8(id).ok_or_else(|| NetError::Corrupt(format!("unknown codec id {id}")))?
-    };
-    let threads_per_rank = if cur.take_u8()? != 0 {
-        Some(cur.take_u32()? as usize)
-    } else {
-        None
-    };
-    let cache_lines = cur.take_u64()? as usize;
-    let cache_auto_disable_after = cur.take_u64()?;
-    let prefetch = cur.take_u8()? != 0;
-    let partial_decode = cur.take_u8()? != 0;
-    let spill = if cur.take_u8()? != 0 {
-        let resident_blocks = cur.take_u64()? as usize;
-        let eviction = match cur.take_u8()? {
-            EVICTION_LRU => crate::store::Eviction::Lru,
-            EVICTION_PLANNED_MIN => crate::store::Eviction::PlannedMin,
-            t => return Err(NetError::Corrupt(format!("unknown eviction tag {t}"))),
-        };
-        let write_behind = cur.take_u8()? != 0;
-        let shards = cur.take_u64()? as usize;
-        Some(SpillConfig {
-            resident_blocks,
-            dir: None, // the daemon chooses where its own segments live
-            eviction,
-            write_behind,
-            shards,
-        })
-    } else {
-        None
-    };
+    let num_qubits = cur.take_u32()?;
+    let mut cfg = take_sim_config(&mut cur)?;
+    if let Some(spill) = &mut cfg.spill {
+        spill.dir = None; // the daemon chooses where its own segments live
+    }
+    // `Layout::new` asserts its geometry; reject a hostile one first.
+    cfg.validate(num_qubits).map_err(NetError::Corrupt)?;
+    let layout = Layout::new(num_qubits, cfg.ranks_log2, cfg.block_log2);
     let n = cur.take_count(1)?;
     let mut blocks = Vec::with_capacity(n);
     for _ in 0..n {
@@ -779,13 +663,7 @@ fn decode_hello(body: &[u8]) -> Result<Hello, NetError> {
     Ok(Hello {
         rank,
         layout,
-        lossy_codec,
-        threads_per_rank,
-        cache_lines,
-        cache_auto_disable_after,
-        prefetch,
-        partial_decode,
-        spill,
+        cfg,
         blocks,
     })
 }
@@ -845,7 +723,7 @@ impl RemoteWorkerClient {
             writer: stream,
             metrics,
         };
-        let hello = encode_hello(rank, cfg, layout, blocks);
+        let hello = encode_hello(rank, cfg, layout.num_qubits, blocks);
         write_frame_to(&mut client.writer, K_HELLO, &hello)
             .map_err(|e| transport_err(rank, "send handshake", e))?;
         let (kind, body) = recv_frame(&mut client.reader)
@@ -1071,16 +949,17 @@ fn build_worker(
             hello.layout.ranks()
         ));
     }
-    let codec = Arc::new(BlockCodec::new(hello.lossy_codec));
+    let cfg = &hello.cfg;
+    let codec = Arc::new(BlockCodec::new(cfg.lossy_codec));
     codec.prewarm(
         hello.layout.block_amps() * 2,
         (4 * rayon::current_num_threads() + 4).min(32),
     );
     let cache = Arc::new(BlockCache::new(
-        hello.cache_lines,
-        hello.cache_auto_disable_after,
+        cfg.cache_lines,
+        cfg.cache_auto_disable_after,
     ));
-    let store: Box<dyn BlockStore> = match &hello.spill {
+    let store: Box<dyn BlockStore> = match &cfg.spill {
         Some(spill) => {
             let dir = opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             let guard = SegmentDirGuard::create(&dir).map_err(|e| format!("spill dir: {e}"))?;
@@ -1092,7 +971,7 @@ fn build_worker(
                     metrics.clone(),
                     hello.blocks.clone(),
                     SpillOptions {
-                        prefetch: hello.prefetch,
+                        prefetch: cfg.prefetch,
                         dir_guard: Some(Arc::clone(&guard)),
                         eviction: spill.eviction,
                         write_behind: spill.write_behind,
@@ -1111,7 +990,7 @@ fn build_worker(
         cache,
         metrics,
         store,
-        hello.partial_decode,
+        cfg.partial_decode,
     ))
 }
 
@@ -1168,6 +1047,7 @@ fn handle_conn(stream: TcpStream, opts: &ServeOptions) -> Result<(), NetError> {
         .and_then(|h| {
             let worker = build_worker(&h, opts, metrics.clone())?;
             let pool = h
+                .cfg
                 .threads_per_rank
                 .map(|t| {
                     rayon::ThreadPoolBuilder::new()
@@ -1318,23 +1198,21 @@ mod tests {
         let delta = TimeBreakdown {
             comm_bytes: 1234,
             exchanges: 5,
-            communication: Duration::from_micros(250),
+            communication: std::time::Duration::from_micros(250),
             ..TimeBreakdown::default()
         };
         let ok: Result<WorkerOut, SimError> = Ok(WorkerOut::Wave(WaveOut {
             lossy: true,
-            comm_bytes: 99,
             compressed_bytes: 1000,
             resident_bytes: 800,
             hot_bytes: 700,
         }));
         let (d, r) = decode_done(&encode_done(&ok, &delta)).unwrap();
         assert_eq!(d.comm_bytes, 1234);
-        assert_eq!(d.communication, Duration::from_micros(250));
+        assert_eq!(d.communication, delta.communication);
         match r.unwrap() {
             WorkerOut::Wave(w) => {
                 assert!(w.lossy);
-                assert_eq!(w.comm_bytes, 99);
                 assert_eq!(w.hot_bytes, 700);
             }
             _ => panic!("wrong response decoded"),
@@ -1354,21 +1232,18 @@ mod tests {
             .with_write_behind(true)
             .with_spill_shards(3)
             .with_partial_decode(false);
-        let layout = Layout::new(6, 1, 3);
+        let coordinator_side = cfg
+            .clone()
+            .with_spill_dir(PathBuf::from("/coordinator/only"))
+            .with_remote(vec!["127.0.0.1:9"]);
         let blocks = vec![Some(zero_block()), None, Some(zero_block()), None];
-        let body = encode_hello(1, &cfg, layout, &blocks);
+        let body = encode_hello(1, &coordinator_side, 6, &blocks);
         let hello = decode_hello(&body).unwrap();
         assert_eq!(hello.rank, 1);
-        assert_eq!(hello.layout, layout);
-        assert_eq!(hello.threads_per_rank, Some(2));
-        assert_eq!(hello.cache_lines, 64);
-        assert!(hello.prefetch);
-        assert!(!hello.partial_decode, "partial-decode flag round-trips");
-        let spill = hello.spill.expect("spill config shipped");
-        assert_eq!(spill.resident_blocks, 2);
-        assert!(spill.write_behind);
-        assert_eq!(spill.shards, 3);
-        assert!(spill.dir.is_none(), "daemon picks its own directory");
+        assert_eq!(hello.layout, Layout::new(6, 1, 3));
+        // Everything but the remote endpoints and the spill directory
+        // (the daemon picks its own) arrives as configured.
+        assert_eq!(hello.cfg, cfg);
         assert_eq!(hello.blocks.len(), 4);
         assert!(hello.blocks[0].is_some() && hello.blocks[1].is_none());
     }
@@ -1376,14 +1251,21 @@ mod tests {
     #[test]
     fn version_mismatch_is_a_protocol_error() {
         let cfg = SimConfig::default().with_block_log2(3);
-        let layout = Layout::new(4, 0, 3);
-        let mut body = encode_hello(0, &cfg, layout, &[]);
+        let mut body = encode_hello(0, &cfg, 4, &[]);
         body[0] = PROTOCOL_VERSION as u8 + 1;
         assert!(matches!(decode_hello(&body), Err(NetError::Protocol(_))));
     }
 
+    #[test]
+    fn impossible_geometry_is_rejected_not_asserted() {
+        // 4 qubits cannot hold 2^1 ranks x 2^12-amp blocks.
+        let cfg = SimConfig::default().with_ranks_log2(1);
+        let body = encode_hello(0, &cfg, 4, &[]);
+        assert!(matches!(decode_hello(&body), Err(NetError::Corrupt(_))));
+    }
+
     fn zero_block() -> CompressedBlock {
-        let codec = BlockCodec::new(CodecId::SolutionC);
+        let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
         codec.compress(&[0.0; 16], ErrorBound::Lossless).unwrap()
     }
 }

@@ -107,7 +107,7 @@ fn access_plan_is_exact_through_the_spill_tier_too() {
         assert_eq!(observed, planned, "spilled run diverged at item {i}");
     }
     assert!(
-        sim.report().spills > 0,
+        sim.report().breakdown.spills > 0,
         "precondition: the run must actually spill"
     );
 }

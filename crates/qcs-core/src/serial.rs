@@ -11,16 +11,20 @@
 
 use crate::config::{RemoteConfig, SimConfig, SpillConfig};
 use crate::engine::SimReport;
-use crate::net::{
-    put_bound, put_breakdown, put_duration, take_bound, take_breakdown, EVICTION_LRU,
-    EVICTION_PLANNED_MIN,
-};
+use crate::net::{put_bound, put_breakdown, take_bound, take_breakdown};
 use crate::store::Eviction;
 use qcs_compress::CodecId;
 use qcs_net::wire::{put_f64, put_str, put_u32, put_u64, put_u8};
 use qcs_net::{Cursor, NetError};
 use std::path::PathBuf;
 use std::time::Duration;
+
+const EVICTION_LRU: u8 = 0;
+const EVICTION_PLANNED_MIN: u8 = 1;
+
+fn put_duration(buf: &mut Vec<u8>, d: Duration) {
+    put_u64(buf, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+}
 
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     match v {
@@ -57,13 +61,6 @@ pub fn put_sim_config(buf: &mut Vec<u8>, cfg: &SimConfig) -> Result<(), NetError
     put_u64(buf, cfg.cache_lines as u64);
     put_u64(buf, cfg.cache_auto_disable_after);
     put_u8(buf, cfg.recompress_on_escalate as u8);
-    match cfg.modeled_link_bandwidth {
-        Some(bw) => {
-            put_u8(buf, 1);
-            put_f64(buf, bw);
-        }
-        None => put_u8(buf, 0),
-    }
     put_u8(buf, cfg.fusion as u8);
     put_u64(buf, cfg.max_batch_gates as u64);
     match &cfg.spill {
@@ -128,11 +125,6 @@ pub fn take_sim_config(cur: &mut Cursor) -> Result<SimConfig, NetError> {
     let cache_lines = cur.take_u64()? as usize;
     let cache_auto_disable_after = cur.take_u64()?;
     let recompress_on_escalate = cur.take_u8()? != 0;
-    let modeled_link_bandwidth = if cur.take_u8()? != 0 {
-        Some(cur.take_f64()?)
-    } else {
-        None
-    };
     let fusion = cur.take_u8()? != 0;
     let max_batch_gates = cur.take_u64()? as usize;
     let spill = if cur.take_u8()? != 0 {
@@ -186,7 +178,6 @@ pub fn take_sim_config(cur: &mut Cursor) -> Result<SimConfig, NetError> {
         cache_lines,
         cache_auto_disable_after,
         recompress_on_escalate,
-        modeled_link_bandwidth,
         fusion,
         max_batch_gates,
         spill,
@@ -210,36 +201,8 @@ pub fn put_sim_report(buf: &mut Vec<u8>, report: &SimReport) {
     // u128 as two u64 halves, high first.
     put_u64(buf, (report.uncompressed_bytes >> 64) as u64);
     put_u64(buf, report.uncompressed_bytes as u64);
-    for v in [
-        report.cache_hits,
-        report.cache_misses,
-        report.bytes_exchanged,
-        report.comm_ns,
-        report.exchanges,
-        report.spills,
-        report.fetches,
-        report.spill_bytes,
-        report.fetch_bytes,
-        report.spill_io_ns,
-        report.prefetch_hits,
-        report.prefetch_misses,
-        report.blocking_fetch_bytes,
-        report.overlapped_fetch_bytes,
-        report.prefetch_ns,
-        report.write_behind_spills,
-        report.write_behind_bytes,
-        report.write_behind_ns,
-        report.partial_decodes,
-        report.segments_decoded,
-        report.segments_full,
-        report.segment_bytes_read,
-        report.segment_bytes_full,
-        report.codec_allocs,
-        report.codec_bytes_alloc,
-        report.scratch_reuse_hits,
-    ] {
-        put_u64(buf, v);
-    }
+    put_u64(buf, report.cache_hits);
+    put_u64(buf, report.cache_misses);
 }
 
 /// Decode a [`SimReport`] from `cur` (the inverse of [`put_sim_report`]).
@@ -267,30 +230,6 @@ pub fn take_sim_report(cur: &mut Cursor) -> Result<SimReport, NetError> {
         uncompressed_bytes,
         cache_hits: cur.take_u64()?,
         cache_misses: cur.take_u64()?,
-        bytes_exchanged: cur.take_u64()?,
-        comm_ns: cur.take_u64()?,
-        exchanges: cur.take_u64()?,
-        spills: cur.take_u64()?,
-        fetches: cur.take_u64()?,
-        spill_bytes: cur.take_u64()?,
-        fetch_bytes: cur.take_u64()?,
-        spill_io_ns: cur.take_u64()?,
-        prefetch_hits: cur.take_u64()?,
-        prefetch_misses: cur.take_u64()?,
-        blocking_fetch_bytes: cur.take_u64()?,
-        overlapped_fetch_bytes: cur.take_u64()?,
-        prefetch_ns: cur.take_u64()?,
-        write_behind_spills: cur.take_u64()?,
-        write_behind_bytes: cur.take_u64()?,
-        write_behind_ns: cur.take_u64()?,
-        partial_decodes: cur.take_u64()?,
-        segments_decoded: cur.take_u64()?,
-        segments_full: cur.take_u64()?,
-        segment_bytes_read: cur.take_u64()?,
-        segment_bytes_full: cur.take_u64()?,
-        codec_allocs: cur.take_u64()?,
-        codec_bytes_alloc: cur.take_u64()?,
-        scratch_reuse_hits: cur.take_u64()?,
     })
 }
 
@@ -298,6 +237,7 @@ pub fn take_sim_report(cur: &mut Cursor) -> Result<SimReport, NetError> {
 mod tests {
     use super::*;
     use crate::store::Eviction;
+    use qcs_cluster::TimeBreakdown;
 
     #[test]
     fn config_round_trips_with_all_options_set() {
@@ -334,7 +274,8 @@ mod tests {
             num_qubits: 20,
             gates: 1234,
             wall_time: Duration::from_millis(42),
-            breakdown: Default::default(),
+            // Every table field distinct and non-zero, whatever the table holds.
+            breakdown: TimeBreakdown::from_array(std::array::from_fn(|i| 3 + i as u64)),
             fidelity_lower_bound: 0.99,
             current_bound: qcs_compress::ErrorBound::Absolute(1e-4),
             escalations: 2,
@@ -343,30 +284,6 @@ mod tests {
             uncompressed_bytes: (1u128 << 70) | 99,
             cache_hits: 1,
             cache_misses: 2,
-            bytes_exchanged: 3,
-            comm_ns: 4,
-            exchanges: 5,
-            spills: 6,
-            fetches: 7,
-            spill_bytes: 8,
-            fetch_bytes: 9,
-            spill_io_ns: 10,
-            prefetch_hits: 11,
-            prefetch_misses: 12,
-            blocking_fetch_bytes: 13,
-            overlapped_fetch_bytes: 14,
-            prefetch_ns: 15,
-            write_behind_spills: 16,
-            write_behind_bytes: 17,
-            write_behind_ns: 18,
-            partial_decodes: 19,
-            segments_decoded: 20,
-            segments_full: 21,
-            segment_bytes_read: 22,
-            segment_bytes_full: 23,
-            codec_allocs: 24,
-            codec_bytes_alloc: 25,
-            scratch_reuse_hits: 26,
         };
         let mut buf = Vec::new();
         put_sim_report(&mut buf, &report);

@@ -2352,7 +2352,7 @@ mod tests {
         let s = spill_store("budget", 3, n, &metrics);
         // Only 3 of 8 blocks may stay hot; the rest were spilled at seed.
         assert_eq!(s.resident_cap(), Some(3));
-        assert!(metrics.spills() >= (n - 3) as u64);
+        assert!(metrics.breakdown().spills >= (n - 3) as u64);
         assert!(s.resident_bytes() < s.compressed_bytes());
         // Every block comes back byte-identical, wherever it lives.
         for i in 0..n {
@@ -2363,9 +2363,9 @@ mod tests {
             assert_eq!(b.bound, want.bound);
             s.put(i, b).unwrap();
         }
-        assert!(metrics.fetches() > 0);
-        assert!(metrics.fetch_bytes() > 0);
-        assert!(metrics.duration(Phase::SpillIo).as_nanos() > 0);
+        assert!(metrics.breakdown().fetches > 0);
+        assert!(metrics.breakdown().fetch_bytes > 0);
+        assert!(metrics.breakdown().spill_io.as_nanos() > 0);
     }
 
     #[test]
@@ -2375,22 +2375,34 @@ mod tests {
         // residents {1, 2}.
         let metrics = Metrics::new();
         let s = spill_store("lru", 2, 3, &metrics);
-        assert_eq!(metrics.spills(), 1, "seed must evict exactly slot 0");
+        assert_eq!(
+            metrics.breakdown().spills,
+            1,
+            "seed must evict exactly slot 0"
+        );
         // Touch slot 1 so slot 2 becomes the LRU resident, then cycle the
         // spilled slot 0 back in: the over-budget put must evict 2, not 1.
         s.peek(1).unwrap();
-        let fetches_after_seed = metrics.fetches();
+        let fetches_after_seed = metrics.breakdown().fetches;
         let b0 = s.take(0).unwrap(); // disk fetch
-        assert_eq!(metrics.fetches(), fetches_after_seed + 1);
+        assert_eq!(metrics.breakdown().fetches, fetches_after_seed + 1);
         s.put(0, b0).unwrap(); // residents must now be {0, 1}
                                // Slot 1 stayed resident: cycling it costs no fetch.
         let b1 = s.take(1).unwrap();
         s.put(1, b1).unwrap();
-        assert_eq!(metrics.fetches(), fetches_after_seed + 1, "1 was hot");
+        assert_eq!(
+            metrics.breakdown().fetches,
+            fetches_after_seed + 1,
+            "1 was hot"
+        );
         // Slot 2 was the eviction victim: reading it goes to disk, and the
         // round-tripped bytes are intact.
         let b2 = s.peek(2).unwrap();
-        assert_eq!(metrics.fetches(), fetches_after_seed + 2, "2 was cold");
+        assert_eq!(
+            metrics.breakdown().fetches,
+            fetches_after_seed + 2,
+            "2 was cold"
+        );
         assert_eq!(&b2.bytes[..], &blk(2, 66).bytes[..]);
     }
 
@@ -2441,8 +2453,12 @@ mod tests {
         for (&slot, b) in slots.iter().zip(blocks) {
             s.put(slot, b).unwrap();
         }
-        assert!(metrics.fetches() > 0);
-        assert_eq!(metrics.prefetch_hits(), 0, "no prefetch was requested");
+        assert!(metrics.breakdown().fetches > 0);
+        assert_eq!(
+            metrics.breakdown().prefetch_hits,
+            0,
+            "no prefetch was requested"
+        );
         // MemStore honors the same contract through the default impl.
         let m = MemStore::new(vec![Some(blk(1, 10)), Some(blk(2, 20))]);
         let got = m.fetch_many(&[1, 0]).unwrap();
@@ -2478,22 +2494,24 @@ mod tests {
         assert_eq!(&b0.bytes[..], &blk(0, 64).bytes[..]);
         let b1 = s.fetch_many(&[1]).unwrap().remove(0);
         assert_eq!(&b1.bytes[..], &blk(1, 65).bytes[..]);
-        assert_eq!(metrics.prefetch_hits(), 2);
-        assert!(metrics.overlapped_fetch_bytes() > 0);
-        assert_eq!(metrics.prefetch_misses(), 0, "nothing should have blocked");
+        assert_eq!(metrics.breakdown().prefetch_hits, 2);
+        assert!(metrics.breakdown().overlapped_fetch_bytes > 0);
+        assert_eq!(
+            metrics.breakdown().prefetch_misses,
+            0,
+            "nothing should have blocked"
+        );
         // A non-prefetched spilled slot still blocks (a miss).
         let b2 = s.take(2).unwrap();
         assert_eq!(&b2.bytes[..], &blk(2, 66).bytes[..]);
-        assert_eq!(metrics.prefetch_misses(), 1);
-        assert!(metrics.blocking_fetch_bytes() > 0);
+        assert_eq!(metrics.breakdown().prefetch_misses, 1);
+        assert!(metrics.breakdown().blocking_fetch_bytes > 0);
         s.put(0, b0).unwrap();
         s.put(1, b1).unwrap();
         s.put(2, b2).unwrap();
         // Fetch total is exactly hits + misses.
-        assert_eq!(
-            metrics.fetches(),
-            metrics.prefetch_hits() + metrics.prefetch_misses()
-        );
+        let b = metrics.breakdown();
+        assert_eq!(b.fetches, b.prefetch_hits + b.prefetch_misses);
         // Hints about resident or already-staged slots are absorbed.
         s.prefetch(&[0, 1, 2, 3, 4, 5]);
         drop(s); // joins the fetcher cleanly with requests possibly queued
@@ -2527,8 +2545,11 @@ mod tests {
             assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
             s.put(slot, b).unwrap();
         }
-        assert!(metrics.prefetch_hits() <= cap as u64);
-        assert!(metrics.prefetch_hits() > 0, "the budgeted prefix must hit");
+        assert!(metrics.breakdown().prefetch_hits <= cap as u64);
+        assert!(
+            metrics.breakdown().prefetch_hits > 0,
+            "the budgeted prefix must hit"
+        );
     }
 
     #[test]
@@ -2760,12 +2781,13 @@ mod tests {
         // and the dirty buffer is empty.
         s.flush_dirty().unwrap();
         assert_eq!(s.debug_dirty_len(), 0);
+        let b = metrics.breakdown();
         assert!(
-            metrics.write_behind_spills() > 0,
+            b.write_behind_spills > 0,
             "seed evictions must drain through the writer"
         );
-        assert_eq!(metrics.write_behind_spills(), metrics.spills());
-        assert!(metrics.write_behind_bytes() > 0);
+        assert_eq!(b.write_behind_spills, b.spills);
+        assert!(b.write_behind_bytes > 0);
         for i in 0..n {
             let b = s.take(i).unwrap();
             assert_eq!(&b.bytes[..], &blk(i as u8, 64 + i).bytes[..], "slot {i}");
@@ -3194,7 +3216,7 @@ mod tests {
             s.resident_bytes() > resident_before,
             "staged range bytes must appear in the footprint"
         );
-        assert!(metrics.duration(Phase::Prefetch).as_nanos() > 0);
+        assert!(metrics.breakdown().prefetch.as_nanos() > 0);
         // The staged run covers a fetch of segment 1 alone: served from
         // memory, consumed one-shot.
         let rf = s

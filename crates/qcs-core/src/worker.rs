@@ -231,8 +231,6 @@ pub(crate) enum WorkerCmd {
 pub(crate) struct WaveOut {
     /// A lossy recompression happened on this rank.
     pub lossy: bool,
-    /// Bytes this rank moved across exchange links (leader-side count).
-    pub comm_bytes: u64,
     /// Total compressed bytes owned by this rank after the wave (resident
     /// plus spilled).
     pub compressed_bytes: u64,
@@ -378,13 +376,9 @@ impl exec::Worker for RankWorker {
             WorkerCmd::Recompress { bound } => self.recompress_all(bound).map(WorkerOut::Wave),
             other => self.query(other),
         };
-        // Drain the codec's scratch counters into the metrics sink after
-        // every command so remote daemons ship them in the per-command
-        // delta; `take` swaps to zero, so shared-codec ranks never double
-        // count.
-        let c = self.codec.take_counters();
-        self.metrics
-            .add_codec_counters(c.codec_allocs, c.codec_bytes_alloc, c.scratch_reuse_hits);
+        // After every command, so remote daemons ship the codec counters
+        // in the per-command delta.
+        self.codec.drain_counters_into(&self.metrics);
         out
     }
 }
@@ -411,10 +405,9 @@ impl RankWorker {
         }
     }
 
-    fn wave_out(&self, lossy: bool, comm_bytes: u64) -> WaveOut {
+    fn wave_out(&self, lossy: bool) -> WaveOut {
         WaveOut {
             lossy,
-            comm_bytes,
             compressed_bytes: self.store.compressed_bytes(),
             resident_bytes: self.store.resident_bytes(),
             hot_bytes: self.store.hot_bytes(),
@@ -486,7 +479,7 @@ impl RankWorker {
 
     fn apply_gate(&mut self, cmd: &GateCmd) -> Result<WaveOut, SimError> {
         if !self.selected(cmd.rank_cmask) {
-            return Ok(self.wave_out(false, 0));
+            return Ok(self.wave_out(false));
         }
         let bpr = self.layout.blocks_per_rank();
         let block_ok = |b: usize| b & cmd.block_cmask == cmd.block_cmask;
@@ -619,7 +612,7 @@ impl RankWorker {
                 }
             }
         }
-        Ok(self.wave_out(lossy, 0))
+        Ok(self.wave_out(lossy))
     }
 
     /// Fold one unit's timings and touch counts into the shared metrics.
@@ -640,7 +633,7 @@ impl RankWorker {
 
     fn exchange(&mut self, mut cmd: ExchangeCmd) -> Result<WaveOut, SimError> {
         let out = match std::mem::replace(&mut cmd.role, ExchangeRole::Idle) {
-            ExchangeRole::Idle => Ok(self.wave_out(false, 0)),
+            ExchangeRole::Idle => Ok(self.wave_out(false)),
             ExchangeRole::Follow(link) => self.exchange_follow(&cmd, link),
             ExchangeRole::Lead(link) => self.exchange_lead(&cmd, link),
         };
@@ -692,7 +685,7 @@ impl RankWorker {
         }
         // The wait above is overlap with the leader's compute; the leader
         // accounts the pair's communication time and bytes.
-        Ok(self.wave_out(false, 0))
+        Ok(self.wave_out(false))
     }
 
     /// Leader side: receive the partner's compressed block, pair it with
@@ -710,7 +703,6 @@ impl RankWorker {
         // instead of blocking between pair updates.
         self.store.prefetch(&sel);
         let mut lossy = false;
-        let mut comm_bytes = 0u64;
         for &b in &sel {
             let t = Instant::now();
             let (pb, partner) = link
@@ -749,11 +741,10 @@ impl RankWorker {
             }
             self.metrics.add(Phase::Communication, t.elapsed());
             self.store.put(b, out.out_a)?;
-            comm_bytes += inbound + outbound;
             self.metrics.add_comm_bytes(inbound + outbound);
             self.metrics.add_exchange();
         }
-        Ok(self.wave_out(lossy, comm_bytes))
+        Ok(self.wave_out(lossy))
     }
 
     // --- batches ---------------------------------------------------------
@@ -830,7 +821,7 @@ impl RankWorker {
                 self.store.put(out.slot_a, out.out_a)?;
             }
         }
-        Ok(self.wave_out(lossy, 0))
+        Ok(self.wave_out(lossy))
     }
 
     // --- collectives ------------------------------------------------------
@@ -927,7 +918,7 @@ impl RankWorker {
             codec.put_amp_buf(buf);
             Ok(out)
         })?;
-        Ok(self.wave_out(bound.is_lossy(), 0))
+        Ok(self.wave_out(bound.is_lossy()))
     }
 
     fn recompress_all(&mut self, bound: ErrorBound) -> Result<WaveOut, SimError> {
@@ -939,7 +930,7 @@ impl RankWorker {
             codec.put_amp_buf(buf);
             Ok(out)
         })?;
-        Ok(self.wave_out(bound.is_lossy(), 0))
+        Ok(self.wave_out(bound.is_lossy()))
     }
 
     /// Map every local block through read-only `f` and collect the per-

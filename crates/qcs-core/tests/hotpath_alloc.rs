@@ -31,9 +31,9 @@ fn fused_qft14_steady_state_has_zero_codec_allocs() {
     sim.run(&circuit, &mut rng).expect("steady-state run");
     let steady = sim.report();
 
-    let allocs = steady.codec_allocs - warm.codec_allocs;
-    let bytes = steady.codec_bytes_alloc - warm.codec_bytes_alloc;
-    let hits = steady.scratch_reuse_hits - warm.scratch_reuse_hits;
+    let allocs = steady.breakdown.codec_allocs - warm.breakdown.codec_allocs;
+    let bytes = steady.breakdown.codec_bytes_alloc - warm.breakdown.codec_bytes_alloc;
+    let hits = steady.breakdown.scratch_reuse_hits - warm.breakdown.scratch_reuse_hits;
     assert_eq!(
         allocs, 0,
         "steady-state waves allocated {allocs} codec scratch buffers \
@@ -64,17 +64,17 @@ fn spilled_qft14_allocates_strictly_less_than_prepool_baseline() {
     // f64s = 16 KiB). The counters record every checkout either as a pool
     // hit or as an alloc, so the sum is the old allocation count.
     let block_bytes = (2u64 << 10) * 8;
-    let checkouts = report.codec_allocs + report.scratch_reuse_hits;
+    let checkouts = report.breakdown.codec_allocs + report.breakdown.scratch_reuse_hits;
     let baseline = checkouts * block_bytes;
     assert!(
-        report.scratch_reuse_hits > 0,
+        report.breakdown.scratch_reuse_hits > 0,
         "spill path reported no pool hits: {report:?}"
     );
     assert!(
-        report.codec_bytes_alloc < baseline,
+        report.breakdown.codec_bytes_alloc < baseline,
         "codec allocated {} bytes, not below the {} byte pre-pool \
          baseline ({} checkouts x {} bytes/block)",
-        report.codec_bytes_alloc,
+        report.breakdown.codec_bytes_alloc,
         baseline,
         checkouts,
         block_bytes
@@ -107,8 +107,8 @@ fn warm_query_battery_has_zero_codec_allocs() {
     let warm = battery(&sim);
     let steady = battery(&sim);
 
-    let allocs = steady.codec_allocs - warm.codec_allocs;
-    let bytes = steady.codec_bytes_alloc - warm.codec_bytes_alloc;
+    let allocs = steady.breakdown.codec_allocs - warm.breakdown.codec_allocs;
+    let bytes = steady.breakdown.codec_bytes_alloc - warm.breakdown.codec_bytes_alloc;
     assert_eq!(
         allocs, 0,
         "a warm query battery allocated {allocs} codec scratch buffers \
@@ -119,7 +119,7 @@ fn warm_query_battery_has_zero_codec_allocs() {
         "warm queries grew pooled buffers by {bytes} bytes"
     );
     assert!(
-        steady.scratch_reuse_hits > warm.scratch_reuse_hits,
+        steady.breakdown.scratch_reuse_hits > warm.breakdown.scratch_reuse_hits,
         "the query battery reported no pool hits"
     );
 }

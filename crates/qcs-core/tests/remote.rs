@@ -69,14 +69,14 @@ fn loopback_remote_ranks_match_in_process() {
         let report = sim.report();
         assert_eq!(report.fidelity_lower_bound, local_fid, "{name}: ledger");
         assert!(
-            report.bytes_exchanged > 0,
+            report.breakdown.comm_bytes > 0,
             "{name}: rank-crossing gates must move compressed bytes"
         );
         assert!(
-            report.comm_ns > 0,
+            report.breakdown.comm_ns() > 0,
             "{name}: socket exchanges must account communication time"
         );
-        assert!(report.exchanges > 0, "{name}: exchange count");
+        assert!(report.breakdown.exchanges > 0, "{name}: exchange count");
 
         drop(sim); // says goodbye to the daemon, ending both handlers
         server.join().expect("daemon thread");
@@ -216,7 +216,7 @@ fn workerd_binary_end_to_end_and_kill_mid_session() {
         .map(|(a, b)| (*a - *b).abs())
         .fold(0.0f64, f64::max);
     assert!(err <= TOL, "binary-hosted run diverged: {err:e}");
-    assert!(sim.report().bytes_exchanged > 0);
+    assert!(sim.report().breakdown.comm_bytes > 0);
     drop(sim);
 
     // New session, then kill the daemon under it: the next wave must be

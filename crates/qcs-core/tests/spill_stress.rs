@@ -165,7 +165,7 @@ fn sharded_spill_store_survives_concurrent_hammering() {
         "residency stays bounded after the storm"
     );
     assert!(
-        metrics.spills() > 0,
+        metrics.breakdown().spills > 0,
         "a {CAP}-of-{SLOTS} residency budget must actually spill"
     );
 

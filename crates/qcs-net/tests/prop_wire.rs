@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use qcs_circuits::{Circuit, Op};
+use qcs_cluster::TimeBreakdown;
 use qcs_compress::{CodecId, ErrorBound};
 use qcs_core::{put_sim_config, put_sim_report, take_sim_config, take_sim_report, SimConfig};
 use qcs_core::{SimReport, SpillConfig};
@@ -171,105 +172,31 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
 
 fn arb_report() -> impl Strategy<Value = SimReport> {
     (
-        (
-            1u32..40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-        ),
-        (
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-            0u64..1 << 40,
-        ),
-        (
-            0.0f64..1.0,
-            0.5f64..80.0,
-            arb_bound(),
-            0u64..1 << 60,
-            0u64..1 << 30,
-            0u64..1 << 30,
-        ),
+        (1u32..40, 0u64..1 << 40, 0u64..1 << 60, 0u64..1 << 40),
+        (0.0f64..1.0, 0.5f64..80.0, arb_bound()),
+        (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 30, 0u64..1 << 30),
+        // One value per field of the counter table, whatever it holds.
+        prop::collection::vec(0u64..1 << 50, TimeBreakdown::FIELDS),
     )
         .prop_map(
             |(
-                (num_qubits, gates, a, b, c, d),
-                (e, f, g, h, i, j),
-                (fidelity, ratio, bound, wall_ns, k, l),
-            )| {
-                let mut r = SimReport {
-                    num_qubits,
-                    gates: gates as usize,
-                    wall_time: Duration::from_nanos(wall_ns),
-                    fidelity_lower_bound: fidelity,
-                    current_bound: bound,
-                    escalations: a,
-                    min_compression_ratio: ratio,
-                    peak_memory_bytes: b,
-                    uncompressed_bytes: (b as u128) << 64 | c as u128,
-                    cache_hits: c,
-                    cache_misses: d,
-                    bytes_exchanged: e,
-                    comm_ns: f,
-                    exchanges: g,
-                    spills: h,
-                    fetches: i,
-                    spill_bytes: j,
-                    fetch_bytes: k,
-                    spill_io_ns: l,
-                    prefetch_hits: a ^ e,
-                    prefetch_misses: b ^ f,
-                    blocking_fetch_bytes: c ^ g,
-                    overlapped_fetch_bytes: d ^ h,
-                    prefetch_ns: e ^ i,
-                    write_behind_spills: f ^ j,
-                    write_behind_bytes: g ^ k,
-                    write_behind_ns: h ^ l,
-                    partial_decodes: i ^ k,
-                    segments_decoded: j ^ l,
-                    segments_full: a ^ l,
-                    segment_bytes_read: b ^ k,
-                    segment_bytes_full: c ^ j,
-                    codec_allocs: d ^ i,
-                    codec_bytes_alloc: e ^ h,
-                    scratch_reuse_hits: f ^ g,
-                    breakdown: Default::default(),
-                };
-                r.breakdown.compression = Duration::from_nanos(a & ((1 << 50) - 1));
-                r.breakdown.decompression = Duration::from_nanos(b & ((1 << 50) - 1));
-                r.breakdown.communication = Duration::from_nanos(c & ((1 << 50) - 1));
-                r.breakdown.computation = Duration::from_nanos(d & ((1 << 50) - 1));
-                r.breakdown.spill_io = Duration::from_nanos(e & ((1 << 50) - 1));
-                r.breakdown.prefetch = Duration::from_nanos(f & ((1 << 50) - 1));
-                r.breakdown.write_behind = Duration::from_nanos(g & ((1 << 50) - 1));
-                r.breakdown.comm_bytes = h;
-                r.breakdown.exchanges = i;
-                r.breakdown.block_touches = j;
-                r.breakdown.batched_gate_applications = k;
-                r.breakdown.spills = l;
-                r.breakdown.fetches = a;
-                r.breakdown.spill_bytes = b;
-                r.breakdown.fetch_bytes = c;
-                r.breakdown.prefetch_hits = d;
-                r.breakdown.prefetch_misses = e;
-                r.breakdown.blocking_fetch_bytes = f;
-                r.breakdown.overlapped_fetch_bytes = g;
-                r.breakdown.write_behind_spills = h;
-                r.breakdown.write_behind_bytes = i;
-                r.breakdown.partial_decodes = j;
-                r.breakdown.segments_decoded = k;
-                r.breakdown.segments_full = l;
-                r.breakdown.segment_bytes_read = a ^ b;
-                r.breakdown.segment_bytes_full = c ^ d;
-                r.breakdown.codec_allocs = e ^ f;
-                r.breakdown.codec_bytes_alloc = g ^ h;
-                r.breakdown.scratch_reuse_hits = i ^ j;
-                r
+                (num_qubits, gates, wall_ns, escalations),
+                (fidelity, ratio, bound),
+                (peak, low, cache_hits, cache_misses),
+                fields,
+            )| SimReport {
+                num_qubits,
+                gates: gates as usize,
+                wall_time: Duration::from_nanos(wall_ns),
+                breakdown: TimeBreakdown::from_array(fields.try_into().expect("FIELDS values")),
+                fidelity_lower_bound: fidelity,
+                current_bound: bound,
+                escalations,
+                min_compression_ratio: ratio,
+                peak_memory_bytes: peak,
+                uncompressed_bytes: (peak as u128) << 64 | low as u128,
+                cache_hits,
+                cache_misses,
             },
         )
 }

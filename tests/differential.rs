@@ -12,8 +12,10 @@
 use qcsim::circuits::supremacy::{random_circuit, Grid};
 use qcsim::circuits::{
     grover_circuit, optimal_iterations, phase_estimation_circuit, qaoa_circuit,
-    qft_benchmark_circuit, random_regular_graph, QaoaParams,
+    qft_benchmark_circuit, random_regular_graph, schedule_circuit, QaoaParams,
 };
+use qcsim::cluster::{Phase, TimeBreakdown};
+use qcsim::core::{RunOutcome, WaveControl};
 use qcsim::{Circuit, CompressedSimulator, ErrorBound, SimConfig, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -144,7 +146,7 @@ fn partial_decode_differential() {
             let (on, on_report) = run(true);
             let (off, off_report) = run(false);
             assert_eq!(
-                off_report.partial_decodes, 0,
+                off_report.breakdown.partial_decodes, 0,
                 "{name}: partial_decode=false must never route partially"
             );
             let vs_dense = on
@@ -173,18 +175,21 @@ fn partial_decode_differential() {
             // segments and bytes than whole-block decodes would have.
             if *name == "qft" && !fusion {
                 let r = &on_report;
-                assert!(r.partial_decodes > 0, "qft: partial path never fired");
                 assert!(
-                    r.segments_decoded < r.segments_full,
-                    "qft: {} segments decoded, whole-block would be {}",
-                    r.segments_decoded,
-                    r.segments_full
+                    r.breakdown.partial_decodes > 0,
+                    "qft: partial path never fired"
                 );
                 assert!(
-                    r.segment_bytes_read < r.segment_bytes_full,
+                    r.breakdown.segments_decoded < r.breakdown.segments_full,
+                    "qft: {} segments decoded, whole-block would be {}",
+                    r.breakdown.segments_decoded,
+                    r.breakdown.segments_full
+                );
+                assert!(
+                    r.breakdown.segment_bytes_read < r.breakdown.segment_bytes_full,
                     "qft: {} bytes touched, whole-block would be {}",
-                    r.segment_bytes_read,
-                    r.segment_bytes_full
+                    r.breakdown.segment_bytes_read,
+                    r.breakdown.segment_bytes_full
                 );
             }
         }
@@ -221,5 +226,42 @@ fn fused_and_unfused_compressed_runs_agree_exactly() {
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0f64, f64::max);
         assert!(err <= TOL, "{name}: fused vs unfused max error {err:e}");
+    }
+}
+
+#[test]
+fn wave_deltas_sum_to_the_run_total() {
+    // The per-item deltas `run_schedule_observed` streams (what the job
+    // server forwards as `JobOut::Wave`) must account for the whole run:
+    // summed field by field they equal the difference of the reports
+    // around it, for every counter of the table. Phase lanes are wall
+    // time, which background spill threads may still add to.
+    let circuit = qft_benchmark_circuit(10, 3);
+    for ranks_log2 in [0u32, 1] {
+        let cfg = lossless_cfg(4, ranks_log2, true).with_spill(4);
+        let schedule = schedule_circuit(&circuit, &cfg.fusion_policy());
+        let mut sim = CompressedSimulator::new(10, cfg).expect("sim");
+        let initial = sim.report().breakdown;
+        let mut sum = TimeBreakdown::default();
+        let mut rng = StdRng::seed_from_u64(2019);
+        let outcome = sim
+            .run_schedule_observed(&schedule, &mut rng, 0, &mut |status| {
+                sum += &status.delta;
+                WaveControl::Continue
+            })
+            .expect("run");
+        assert_eq!(outcome, RunOutcome::Completed);
+        let total = sim.report().breakdown.delta(&initial);
+        assert!(total.block_touches > 0 && total.spills > 0 && total.fetches > 0);
+        assert_eq!(total.exchanges > 0, ranks_log2 > 0);
+        let (sum, total) = (sum.to_array(), total.to_array());
+        for i in Phase::ALL.len()..TimeBreakdown::FIELDS {
+            assert_eq!(
+                sum[i],
+                total[i],
+                "ranks_log2={ranks_log2}: {} summed over waves vs run total",
+                TimeBreakdown::FIELD_NAMES[i]
+            );
+        }
     }
 }

@@ -90,18 +90,18 @@ fn every_family_matches_dense_across_policy_and_write_behind() {
                 let sim = run(&circuit, spilled_cfg(2, eviction, write_behind, true));
                 let report = sim.report();
                 assert!(
-                    report.spills > 0 && report.fetches > 0,
+                    report.breakdown.spills > 0 && report.breakdown.fetches > 0,
                     "{name} ({} / wb={write_behind}): the run must go out-of-core",
                     eviction.name()
                 );
                 if write_behind {
                     assert!(
-                        report.write_behind_bytes <= report.spill_bytes,
+                        report.breakdown.write_behind_bytes <= report.breakdown.spill_bytes,
                         "{name}: write-behind bytes are a subset of spill bytes"
                     );
                 } else {
                     assert_eq!(
-                        report.write_behind_spills,
+                        report.breakdown.write_behind_spills,
                         0,
                         "{name} ({}): synchronous mode must never count \
                          write-behind spills",
@@ -141,27 +141,27 @@ fn planned_min_never_blocks_on_more_fetches_than_lru() {
             );
             let (lru, min) = (lru.report(), min.report());
             assert_eq!(
-                lru.prefetch_hits, 0,
+                lru.breakdown.prefetch_hits, 0,
                 "{name}: prefetch off must never stage blocks"
             );
             assert!(
-                lru.fetches > 0,
+                lru.breakdown.fetches > 0,
                 "{name} (budget {budget}): the comparison needs spill traffic"
             );
             // With prefetch off, blocking fetches == fetches.
             assert!(
-                min.prefetch_misses <= lru.prefetch_misses,
+                min.breakdown.prefetch_misses <= lru.breakdown.prefetch_misses,
                 "{name} (budget {budget}): PlannedMin blocked on more \
                  fetches than Lru ({} vs {})",
-                min.prefetch_misses,
-                lru.prefetch_misses
+                min.breakdown.prefetch_misses,
+                lru.breakdown.prefetch_misses
             );
             assert!(
-                min.spill_bytes <= lru.spill_bytes,
+                min.breakdown.spill_bytes <= lru.breakdown.spill_bytes,
                 "{name} (budget {budget}): PlannedMin wrote more spill \
                  bytes than Lru ({} vs {})",
-                min.spill_bytes,
-                lru.spill_bytes
+                min.breakdown.spill_bytes,
+                lru.breakdown.spill_bytes
             );
         }
     }
@@ -189,9 +189,9 @@ fn peak_memory_stays_within_budget_staging_and_dirty_bounds() {
         .with_write_behind(true);
     let sim = run(&circuit, cfg);
     let report = sim.report();
-    assert!(report.spills > 0, "the run must go out-of-core");
+    assert!(report.breakdown.spills > 0, "the run must go out-of-core");
     assert!(
-        report.write_behind_spills > 0,
+        report.breakdown.write_behind_spills > 0,
         "the writer thread must commit at least one frame"
     );
 

@@ -89,7 +89,7 @@ fn twenty_qubit_spilled_runs_match_in_ram_blocking_and_prefetched() {
 
     let off = blocking.report();
     assert_eq!(
-        off.prefetch_hits, 0,
+        off.breakdown.prefetch_hits, 0,
         "prefetch off must never serve staged blocks"
     );
     assert!(
@@ -99,9 +99,9 @@ fn twenty_qubit_spilled_runs_match_in_ram_blocking_and_prefetched() {
         blocking.resident_bytes(),
         blocking.compressed_bytes()
     );
-    assert!(off.spills > 0, "no blocks were spilled");
-    assert!(off.fetches > 0, "no blocks were fetched back");
-    assert!(off.spill_bytes > 0 && off.fetch_bytes > 0);
+    assert!(off.breakdown.spills > 0, "no blocks were spilled");
+    assert!(off.breakdown.fetches > 0, "no blocks were fetched back");
+    assert!(off.breakdown.spill_bytes > 0 && off.breakdown.fetch_bytes > 0);
     let err = max_amp_error(&in_ram, &blocking);
     assert!(
         err <= TOL,
@@ -115,24 +115,24 @@ fn twenty_qubit_spilled_runs_match_in_ram_blocking_and_prefetched() {
         "prefetched 20-qubit run diverged: max amplitude error {err:e} > {TOL:e}"
     );
     assert!(
-        on.spills > 0 && on.fetches > 0,
+        on.breakdown.spills > 0 && on.breakdown.fetches > 0,
         "the run must go out-of-core"
     );
     assert!(
-        on.prefetch_hits > 0,
+        on.breakdown.prefetch_hits > 0,
         "planned access must produce staged (overlapped) fetches"
     );
-    assert!(on.overlapped_fetch_bytes > 0);
+    assert!(on.breakdown.overlapped_fetch_bytes > 0);
     assert_eq!(
-        on.prefetch_hits + on.prefetch_misses,
-        on.fetches,
+        on.breakdown.prefetch_hits + on.breakdown.prefetch_misses,
+        on.breakdown.fetches,
         "hits and misses must partition the fetch total"
     );
     assert!(
-        on.prefetch_misses < off.prefetch_misses,
+        on.breakdown.prefetch_misses < off.breakdown.prefetch_misses,
         "prefetch on must block on fewer fetches than off ({} vs {})",
-        on.prefetch_misses,
-        off.prefetch_misses
+        on.breakdown.prefetch_misses,
+        off.breakdown.prefetch_misses
     );
 }
 
@@ -151,8 +151,11 @@ fn spilled_multi_rank_run_matches_in_ram() {
     let spilled = run(&c, lossless_cfg(4, 2).with_spill(3));
 
     let report = spilled.report();
-    assert!(report.spills > 0);
-    assert!(report.exchanges > 0, "rank-crossing gates must exchange");
+    assert!(report.breakdown.spills > 0);
+    assert!(
+        report.breakdown.exchanges > 0,
+        "rank-crossing gates must exchange"
+    );
     let err = max_amp_error(&in_ram, &spilled);
     assert!(err <= TOL, "max amplitude error {err:e} > {TOL:e}");
 }
@@ -191,5 +194,5 @@ fn spilled_measurement_and_observables_match() {
     assert_eq!(oa, ob);
     let err = max_amp_error(&mem, &spill);
     assert!(err <= TOL, "post-measurement divergence {err:e}");
-    assert!(spill.report().fetches > 0);
+    assert!(spill.report().breakdown.fetches > 0);
 }
