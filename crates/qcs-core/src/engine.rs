@@ -54,13 +54,13 @@ use crate::config::SimConfig;
 use crate::fidelity_bound::FidelityLedger;
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
 use crate::worker::{
-    BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker, WaveOut,
-    WorkerCmd, WorkerOut,
+    decode_timed, BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
+    WaveOut, WorkerCmd, WorkerOut,
 };
 use qcs_circuits::{
     schedule_circuit, AccessPlan, Circuit, GateBatch, Op, Schedule, ScheduledOp, WaveAccess,
 };
-use qcs_cluster::exec::{duplex, ClusterSim, Worker as _};
+use qcs_cluster::exec::{duplex, ClusterSim, Worker};
 use qcs_cluster::{ControlScope, Layout, Metrics, Route, TimeBreakdown};
 use qcs_compress::ErrorBound;
 use qcs_statevec::{Complex64, Gate1, StateVector};
@@ -242,6 +242,34 @@ fn with_pool<T>(pool: &Option<rayon::ThreadPool>, f: impl FnOnce() -> T) -> T {
         Some(p) => p.install(f),
         None => f(),
     }
+}
+
+/// One wave over a threaded backend, in-process or remote: scatter
+/// `cmds[r]` to rank `r`, gather in rank order, fail on the first rank
+/// that did.
+fn gather<W>(cluster: &ClusterSim<W>, cmds: Vec<WorkerCmd>) -> Result<Vec<WorkerOut>, SimError>
+where
+    W: Worker<Cmd = WorkerCmd, Resp = Result<WorkerOut, SimError>>,
+{
+    cluster.dispatch(cmds)?.into_iter().collect()
+}
+
+/// Inverse-CDF scan: the first index whose weight exceeds what is left of
+/// `r` after the weights before it, leaving in `r` the remainder inside
+/// that index. When rounding carries `r` past the last weight, the last
+/// index with non-zero weight — never a zero-probability one.
+fn pick_weighted(weights: impl Iterator<Item = f64>, r: &mut f64) -> usize {
+    let mut last_nonzero = 0;
+    for (i, w) in weights.enumerate() {
+        if *r < w {
+            return i;
+        }
+        *r -= w;
+        if w > 0.0 {
+            last_nonzero = i;
+        }
+    }
+    last_nonzero
 }
 
 /// The compressed-state simulator.
@@ -561,6 +589,11 @@ impl CompressedSimulator {
     /// feeds `peak_memory_bytes` reporting, while the adaptive-ladder
     /// escalation decision uses the deterministic
     /// [`CompressedSimulator::hot_memory_bytes`].
+    ///
+    /// Not charged: the per-rank query summary a frozen state keeps
+    /// between mutations (`8 * blocks_per_rank + 4 * n * (n - 1)` bytes
+    /// per rank — a few parts per million of the blocks it summarizes,
+    /// and gone again by the time the next gate's footprint is sampled).
     pub fn memory_bytes(&self) -> u64 {
         let scratch = 2 * (self.layout.block_amps() as u64) * 16;
         self.resident_bytes() + self.layout.ranks() as u64 * scratch
@@ -600,28 +633,15 @@ impl CompressedSimulator {
     /// Scatter one command per rank and gather the mutating-wave outputs,
     /// refreshing the per-rank byte watermarks.
     fn mutate_wave(&mut self, cmds: Vec<WorkerCmd>) -> Result<Vec<WaveOut>, SimError> {
-        let outs: Vec<WaveOut> = match &mut self.backend {
+        let outs = match &mut self.backend {
             Backend::Local(w, pool) => {
                 let cmd = cmds.into_iter().next().expect("one command");
-                vec![with_pool(pool, || w.handle(cmd))?.wave()]
+                vec![with_pool(pool, || w.handle(cmd))?]
             }
-            Backend::Cluster(c) => {
-                let resps = c.dispatch(cmds)?;
-                let mut outs = Vec::with_capacity(resps.len());
-                for resp in resps {
-                    outs.push(resp?.wave());
-                }
-                outs
-            }
-            Backend::Remote(c) => {
-                let resps = c.dispatch(cmds)?;
-                let mut outs = Vec::with_capacity(resps.len());
-                for resp in resps {
-                    outs.push(resp?.wave());
-                }
-                outs
-            }
+            Backend::Cluster(c) => gather(c, cmds)?,
+            Backend::Remote(c) => gather(c, cmds)?,
         };
+        let outs: Vec<WaveOut> = outs.into_iter().map(WorkerOut::wave).collect();
         for (rank, wave) in outs.iter().enumerate() {
             self.rank_bytes[rank] = wave.compressed_bytes;
             self.rank_resident[rank] = wave.resident_bytes;
@@ -661,66 +681,28 @@ impl CompressedSimulator {
         }
     }
 
+    /// Scatter one read-only command per rank and gather the answers.
+    fn query_wave(&self, cmds: Vec<WorkerCmd>) -> Result<Vec<WorkerOut>, SimError> {
+        match &self.backend {
+            Backend::Local(w, pool) => {
+                let cmd = cmds.into_iter().next().expect("one command");
+                Ok(vec![with_pool(pool, || w.query(cmd))?])
+            }
+            Backend::Cluster(c) => gather(c, cmds),
+            Backend::Remote(c) => gather(c, cmds),
+        }
+    }
+
     /// Broadcast one read-only command to every rank.
     fn query_all(&self, make: impl Fn() -> WorkerCmd) -> Result<Vec<WorkerOut>, SimError> {
-        match &self.backend {
-            Backend::Local(w, pool) => Ok(vec![with_pool(pool, || w.query(make()))?]),
-            Backend::Cluster(c) => {
-                let cmds = (0..c.ranks()).map(|_| make()).collect();
-                c.dispatch(cmds)?.into_iter().collect()
-            }
-            Backend::Remote(c) => {
-                let cmds = (0..c.ranks()).map(|_| make()).collect();
-                c.dispatch(cmds)?.into_iter().collect()
-            }
-        }
+        self.query_wave((0..self.layout.ranks()).map(|_| make()).collect())
     }
 
     /// Send one read-only command to a single rank (all others no-op).
     fn query_rank(&self, rank: usize, cmd_for_rank: WorkerCmd) -> Result<WorkerOut, SimError> {
-        match &self.backend {
-            Backend::Local(w, pool) => with_pool(pool, || w.query(cmd_for_rank)),
-            Backend::Cluster(c) => {
-                let mut cmd = Some(cmd_for_rank);
-                let cmds = (0..c.ranks())
-                    .map(|r| {
-                        if r == rank {
-                            cmd.take().expect("one target rank")
-                        } else {
-                            WorkerCmd::Nop
-                        }
-                    })
-                    .collect();
-                let mut out = None;
-                for (r, resp) in c.dispatch(cmds)?.into_iter().enumerate() {
-                    let resp = resp?;
-                    if r == rank {
-                        out = Some(resp);
-                    }
-                }
-                Ok(out.expect("target rank answered"))
-            }
-            Backend::Remote(c) => {
-                let mut cmd = Some(cmd_for_rank);
-                let cmds = (0..c.ranks())
-                    .map(|r| {
-                        if r == rank {
-                            cmd.take().expect("one target rank")
-                        } else {
-                            WorkerCmd::Nop
-                        }
-                    })
-                    .collect();
-                let mut out = None;
-                for (r, resp) in c.dispatch(cmds)?.into_iter().enumerate() {
-                    let resp = resp?;
-                    if r == rank {
-                        out = Some(resp);
-                    }
-                }
-                Ok(out.expect("target rank answered"))
-            }
-        }
+        let mut cmds: Vec<WorkerCmd> = (0..self.layout.ranks()).map(|_| WorkerCmd::Nop).collect();
+        cmds[rank] = cmd_for_rank;
+        Ok(self.query_wave(cmds)?.swap_remove(rank))
     }
 
     /// Fold a finished gate/batch wave into the ledger (one entry per
@@ -1119,10 +1101,28 @@ impl CompressedSimulator {
         Ok(())
     }
 
-    /// Squared 2-norm of the stored state (1 up to compression error).
+    /// Squared 2-norm of the stored state (1 up to compression error):
+    /// the sum of the per-block weights in each rank's query summary.
     pub fn norm_sqr(&self) -> Result<f64, SimError> {
         let outs = self.query_all(|| WorkerCmd::NormSqr)?;
         Ok(outs.into_iter().map(|o| o.scalar()).sum())
+    }
+
+    /// Gather every rank's compressed blocks and hand each one, decoded
+    /// through a single pooled buffer, to `sink` in global block order.
+    fn decode_blocks(&self, mut sink: impl FnMut(usize, &[f64])) -> Result<(), SimError> {
+        let outs = self.query_all(|| WorkerCmd::SnapshotBlocks)?;
+        let mut buf = self.codec.take_amp_buf();
+        let blocks = outs.into_iter().flat_map(|out| match out {
+            WorkerOut::Blocks(v) => v,
+            _ => unreachable!("snapshot returns blocks"),
+        });
+        for (slot, blk) in blocks.enumerate() {
+            decode_timed(&self.codec, &self.metrics, self.layout, &blk, &mut buf)?;
+            sink(slot, &buf);
+        }
+        self.codec.put_amp_buf(buf);
+        Ok(())
     }
 
     /// Decompress the full state into a dense [`StateVector`].
@@ -1130,24 +1130,14 @@ impl CompressedSimulator {
     /// Only sensible for small `n`; used by tests, fidelity measurement and
     /// the benchmark harness.
     pub fn snapshot_dense(&self) -> Result<StateVector, SimError> {
-        let layout = self.layout;
-        let mut amps = vec![Complex64::ZERO; layout.total_amps() as usize];
-        let outs = self.query_all(|| WorkerCmd::SnapshotBlocks)?;
-        let mut buf = self.codec.take_amp_buf();
-        for (rank, out) in outs.into_iter().enumerate() {
-            let blocks = match out {
-                WorkerOut::Blocks(v) => v,
-                _ => unreachable!("snapshot returns blocks"),
-            };
-            for (b, blk) in blocks.iter().enumerate() {
-                self.codec.decompress(blk, &mut buf)?;
-                let base = layout.join(rank, b, 0) as usize;
-                for o in 0..layout.block_amps() {
-                    amps[base + o] = Complex64::new(buf[2 * o], buf[2 * o + 1]);
-                }
+        let block_amps = self.layout.block_amps();
+        let mut amps = vec![Complex64::ZERO; self.layout.total_amps() as usize];
+        self.decode_blocks(|slot, vals| {
+            let dst = &mut amps[slot * block_amps..(slot + 1) * block_amps];
+            for (amp, v) in dst.iter_mut().zip(vals.chunks_exact(2)) {
+                *amp = Complex64::new(v[0], v[1]);
             }
-        }
-        self.codec.put_amp_buf(buf);
+        })?;
         Ok(StateVector::from_amplitudes(amps))
     }
 
@@ -1155,16 +1145,24 @@ impl CompressedSimulator {
     /// harness to produce compressor workloads (`qaoa_36`/`sup_36`-style
     /// snapshots).
     pub fn snapshot_f64(&self) -> Result<Vec<f64>, SimError> {
-        let sv = self.snapshot_dense()?;
-        Ok(sv.as_f64_slice().to_vec())
+        let block_f64s = self.layout.block_amps() * 2;
+        let mut flat = vec![0.0f64; self.layout.total_amps() as usize * 2];
+        self.decode_blocks(|slot, vals| {
+            flat[slot * block_f64s..(slot + 1) * block_f64s].copy_from_slice(vals);
+        })?;
+        Ok(flat)
     }
 
     /// Sample one basis-state index from the current distribution.
+    ///
+    /// Cost: the per-block weights come from each rank's query summary —
+    /// one pass over the rank's blocks on the first draw after a
+    /// mutation, no decode at all afterwards — so a draw is an
+    /// `O(blocks)` scan of the weights plus one block fetched from its
+    /// owner and decoded for the in-block scan.
     pub fn sample(&self, rng: &mut impl rand::Rng) -> Result<u64, SimError> {
         let layout = self.layout;
         let bpr = layout.blocks_per_rank();
-        // Two-pass: per-block weights across ranks, then within the chosen
-        // block (fetched compressed from its owner).
         let outs = self.query_all(|| WorkerCmd::Weights)?;
         let weights: Vec<f64> = outs
             .into_iter()
@@ -1175,26 +1173,14 @@ impl CompressedSimulator {
             .collect();
         let total: f64 = weights.iter().sum();
         let mut r = rng.gen::<f64>() * total;
-        let mut slot = weights.len() - 1;
-        for (i, w) in weights.iter().enumerate() {
-            if r < *w {
-                slot = i;
-                break;
-            }
-            r -= w;
-        }
+        let slot = pick_weighted(weights.iter().copied(), &mut r);
         let block = self.fetch_block(slot / bpr, slot % bpr)?;
         let mut buf = self.codec.take_amp_buf();
-        self.codec.decompress(&block, &mut buf)?;
-        let mut o = layout.block_amps() - 1;
-        for i in 0..layout.block_amps() {
-            let w = buf[2 * i] * buf[2 * i] + buf[2 * i + 1] * buf[2 * i + 1];
-            if r < w {
-                o = i;
-                break;
-            }
-            r -= w;
-        }
+        decode_timed(&self.codec, &self.metrics, layout, &block, &mut buf)?;
+        let o = pick_weighted(
+            buf.chunks_exact(2).map(|v| v[0] * v[0] + v[1] * v[1]),
+            &mut r,
+        );
         self.codec.put_amp_buf(buf);
         Ok(layout.join(slot / bpr, slot % bpr, o))
     }
@@ -1204,9 +1190,13 @@ impl CompressedSimulator {
         Ok(1.0 - 2.0 * self.prob_one(qubit)?)
     }
 
-    /// Expectation value of `Z_a Z_b` (the MAXCUT cost term), computed in
-    /// one blockwise pass per rank without decompressing the full state at
-    /// once.
+    /// Expectation value of `Z_a Z_b` (the MAXCUT cost term).
+    ///
+    /// Answered from each rank's query summary, which holds the rank's
+    /// term for *every* pair: the first call after a mutation costs one
+    /// blockwise pass per rank (never the full state decompressed at
+    /// once), every later one — for any pair — decodes nothing. The
+    /// value is the same bits either way.
     pub fn expectation_zz(&self, a: usize, b: usize) -> Result<f64, SimError> {
         assert!(a != b, "zz needs distinct qubits");
         let layout = self.layout;
@@ -1551,6 +1541,25 @@ mod tests {
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn weighted_scan_never_lands_on_a_zero_weight() {
+        // After a collapse on a block-index qubit the trailing blocks
+        // weigh exactly zero; `r` pinned at the total is what rounding in
+        // the running subtraction can leave the scan with.
+        let weights = [0.25, 0.0, 0.75, 0.0, 0.0];
+        let total: f64 = weights.iter().sum();
+        let mut r = total;
+        assert_eq!(pick_weighted(weights.iter().copied(), &mut r), 2);
+        assert_eq!(r, 0.0);
+        // Inside the range the scan is the plain inverse CDF, and leaves
+        // the remainder within the chosen slot behind.
+        let mut r = 0.5;
+        assert_eq!(pick_weighted(weights.iter().copied(), &mut r), 2);
+        assert_eq!(r, 0.25);
+        let mut r = 0.0;
+        assert_eq!(pick_weighted(weights.iter().copied(), &mut r), 0);
     }
 
     #[test]

@@ -101,8 +101,11 @@ pub mod net;
 mod partial;
 #[cfg(test)]
 mod plan_check;
+#[cfg(test)]
+mod query_check;
 pub mod serial;
 pub mod store;
+mod summary;
 mod worker;
 
 pub use block::{BlockCodec, CompressedBlock};

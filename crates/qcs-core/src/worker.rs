@@ -49,9 +49,15 @@
 //!  │  leader recv/  │  │ follower sends │             compressed blocks
 //!  │  compute/send  │  │ then installs  │             (§3.3 case (c))
 //!  │                │  │                │
-//!  │ Collapse/Prob/ │  │                │             the rank's term of
-//!  │ Norm/Weights/Zz│  │ (PlanCursor-   │             an MPI_Allreduce
-//!  │                │  │  chunked too)  │
+//!  │ Collapse/Prob: │  │ (PlanCursor-   │             the rank's term of
+//!  │  a pass over   │  │  chunked too)  │             an MPI_Allreduce
+//!  │  the blocks    │  │                │
+//!  │                │  │                │
+//!  │ Norm/Weights/Zz│  │ first one after│             the same reduce,
+//!  │  read from the │  │ a mutation: one│             its operand kept
+//!  │  QuerySummary, │  │ pass builds it;│             per frozen state;
+//!  │  no decode     │  │ Gate..Recompr. │             any mutating
+//!  │                │  │ arms drop it   │             command drops it
 //!  └──────┬─────────┘  └──────┬─────────┘
 //!         │   WorkerOut       │
 //!         ▼                   ▼
@@ -66,7 +72,10 @@
 //! every rank (an `MPI_Bcast` of the op followed by embarrassingly
 //! parallel local work); [`WorkerCmd::ProbOne`], [`WorkerCmd::NormSqr`],
 //! [`WorkerCmd::Weights`] and [`WorkerCmd::ExpectationZz`] are the
-//! reduce family (each rank returns its partial, the facade sums);
+//! reduce family (each rank returns its partial, the facade sums) — the
+//! last three answered from the rank's `QuerySummary` (see
+//! `crate::summary`), which the first of them after a mutating command
+//! builds in one pass and every mutating command drops;
 //! [`WorkerCmd::SnapshotBlocks`] / [`WorkerCmd::FetchBlock`] are gathers;
 //! [`WorkerCmd::Exchange`] is the point-to-point case below; and
 //! [`WorkerCmd::Nop`] lets the facade address a single rank inside an
@@ -116,12 +125,13 @@ use crate::cache::BlockCache;
 use crate::engine::SimError;
 use crate::partial::{self, PartialStats};
 use crate::store::BlockStore;
+use crate::summary::QuerySummary;
 use qcs_circuits::schedule::mix;
 use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
 use qcs_statevec::{kernels, Gate1};
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A compressed block in flight between two paired rank workers, tagged
@@ -273,6 +283,10 @@ impl WorkerOut {
 /// workers inside a single block.
 const MIN_SEGMENT_F64: usize = 4096;
 
+/// Most per-block outputs a query wave holds between its parallel map and
+/// its in-order fold (see [`RankWorker::map_blocks`]).
+const QUERY_CHUNK_BLOCKS: usize = 256;
+
 /// Walks one wave's planned unit list in residency-budget chunks — the
 /// single place wave chunking lives, shared by gate, batch, recompress,
 /// collapse, and query waves.
@@ -354,6 +368,11 @@ pub(crate) struct RankWorker {
     /// Route qualifying waves through the segment-addressable partial
     /// decode/encode path ([`SimConfig::partial_decode`](crate::SimConfig)).
     partial: bool,
+    /// The frozen state's [`QuerySummary`], built by the first
+    /// `Weights`/`NormSqr`/`ExpectationZz` after a mutation and dropped
+    /// by the next one ([`RankWorker::thaw`]). Behind a `OnceLock` because
+    /// queries run through `&self`.
+    summary: OnceLock<QuerySummary>,
 }
 
 impl exec::Worker for RankWorker {
@@ -362,18 +381,21 @@ impl exec::Worker for RankWorker {
 
     fn handle(&mut self, cmd: WorkerCmd) -> Result<WorkerOut, SimError> {
         let out = match cmd {
-            WorkerCmd::Gate(g) => self.apply_gate(&g).map(WorkerOut::Wave),
-            WorkerCmd::Exchange(x) => self.exchange(x).map(WorkerOut::Wave),
-            WorkerCmd::Batch(b) => self.apply_batch(&b).map(WorkerOut::Wave),
+            WorkerCmd::Gate(g) => self.thaw().apply_gate(&g).map(WorkerOut::Wave),
+            WorkerCmd::Exchange(x) => self.thaw().exchange(x).map(WorkerOut::Wave),
+            WorkerCmd::Batch(b) => self.thaw().apply_batch(&b).map(WorkerOut::Wave),
             WorkerCmd::Collapse {
                 scope,
                 outcome,
                 scale,
                 bound,
             } => self
+                .thaw()
                 .collapse(scope, outcome, scale, bound)
                 .map(WorkerOut::Wave),
-            WorkerCmd::Recompress { bound } => self.recompress_all(bound).map(WorkerOut::Wave),
+            WorkerCmd::Recompress { bound } => {
+                self.thaw().recompress_all(bound).map(WorkerOut::Wave)
+            }
             other => self.query(other),
         };
         // After every command, so remote daemons ship the codec counters
@@ -402,7 +424,16 @@ impl RankWorker {
             metrics,
             store,
             partial,
+            summary: OnceLock::new(),
         }
+    }
+
+    /// The blocks are about to change: drop the frozen state's summary.
+    /// Called by every mutating arm of [`RankWorker::handle`] and nowhere
+    /// else.
+    fn thaw(&mut self) -> &mut Self {
+        self.summary.take();
+        self
     }
 
     fn wave_out(&self, lossy: bool) -> WaveOut {
@@ -933,21 +964,24 @@ impl RankWorker {
         Ok(self.wave_out(bound.is_lossy()))
     }
 
-    /// Map every local block through read-only `f` and collect the per-
-    /// block outputs in block order. Query waves walk the same
-    /// [`PlanCursor`] as the mutating ones: chunked to the residency
+    /// Map every local block through read-only `f`, handing the per-block
+    /// outputs to `fold` strictly in block order. Query waves walk the
+    /// same [`PlanCursor`] as the mutating ones: chunked to the residency
     /// budget (spilled blocks are peeked from disk without displacing hot
     /// ones), the next chunk prefetching while the current one reduces,
-    /// striped across rayon inside each chunk.
+    /// striped across rayon inside each chunk. At most
+    /// [`QUERY_CHUNK_BLOCKS`] outputs are in flight between `f` and
+    /// `fold`, whatever the store's budget; chunking never reorders the
+    /// fold, so the result does not depend on it.
     fn map_blocks<T: Send>(
         &self,
         f: impl Fn(usize, &CompressedBlock) -> Result<T, SimError> + Sync,
-    ) -> Result<Vec<T>, SimError> {
+        mut fold: impl FnMut(usize, T),
+    ) -> Result<(), SimError> {
         let bpr = self.layout.blocks_per_rank();
         let all: Vec<usize> = (0..bpr).collect();
         self.announce_plan(&all, None);
-        let mut out = Vec::with_capacity(bpr);
-        let mut cursor = PlanCursor::new(&all, self.flight_budget());
+        let mut cursor = PlanCursor::new(&all, self.flight_budget().min(QUERY_CHUNK_BLOCKS));
         while let Some(chunk) = cursor.next_chunk() {
             let mut peeked = Vec::with_capacity(chunk.len());
             for &b in chunk {
@@ -956,9 +990,11 @@ impl RankWorker {
             cursor.hint_upcoming(self.store.as_ref(), None, |&b, out| out.push(b));
             let results: Result<Vec<T>, SimError> =
                 peeked.into_par_iter().map(|(b, blk)| f(b, &blk)).collect();
-            out.extend(results?);
+            for (&b, out) in chunk.iter().zip(results?) {
+                fold(b, out);
+            }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn prob_one(&self, scope: ControlScope) -> Result<f64, SimError> {
@@ -970,32 +1006,38 @@ impl RankWorker {
             }
         }
         let rank = self.rank;
+        let layout = self.layout;
         let codec = Arc::clone(&self.codec);
-        let sums = self.map_blocks(|b, blk| {
-            let selected_whole = match scope {
-                ControlScope::InBlock { .. } => None,
-                ControlScope::BlockSelect { block_bit } => Some(b >> block_bit & 1 == 1),
-                ControlScope::RankSelect { rank_bit } => Some(rank >> rank_bit & 1 == 1),
-            };
-            if selected_whole == Some(false) {
-                return Ok(0.0);
-            }
-            let mut buf = codec.take_amp_buf();
-            codec.decompress(blk, &mut buf)?;
-            let sum = match scope {
-                ControlScope::InBlock { offset_bit } => {
-                    let bit = 1usize << offset_bit;
-                    (0..buf.len() / 2)
-                        .filter(|o| o & bit != 0)
-                        .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
-                        .sum()
+        let metrics = self.metrics.clone();
+        let mut total = 0.0;
+        self.map_blocks(
+            |b, blk| {
+                let selected_whole = match scope {
+                    ControlScope::InBlock { .. } => None,
+                    ControlScope::BlockSelect { block_bit } => Some(b >> block_bit & 1 == 1),
+                    ControlScope::RankSelect { rank_bit } => Some(rank >> rank_bit & 1 == 1),
+                };
+                if selected_whole == Some(false) {
+                    return Ok(0.0);
                 }
-                _ => buf.iter().map(|v| v * v).sum(),
-            };
-            codec.put_amp_buf(buf);
-            Ok(sum)
-        })?;
-        Ok(sums.into_iter().sum())
+                let mut buf = codec.take_amp_buf();
+                decode_timed(&codec, &metrics, layout, blk, &mut buf)?;
+                let sum = match scope {
+                    ControlScope::InBlock { offset_bit } => {
+                        let bit = 1usize << offset_bit;
+                        (0..buf.len() / 2)
+                            .filter(|o| o & bit != 0)
+                            .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
+                            .sum()
+                    }
+                    _ => buf.iter().map(|v| v * v).sum(),
+                };
+                codec.put_amp_buf(buf);
+                Ok(sum)
+            },
+            |_, sum| total += sum,
+        )?;
+        Ok(total)
     }
 
     /// Segment-addressed `P(qubit = 1)`: when the lossy codec is
@@ -1061,12 +1103,16 @@ impl RankWorker {
                        body_of: &mut dyn FnMut(usize) -> Result<Vec<f64>, SimError>|
          -> Result<f64, SimError> {
             let mut sum = 0.0;
+            let mut decode = Duration::ZERO;
             for &s in segs {
+                let t = Instant::now();
                 let vals = body_of(s)?;
+                decode += t.elapsed();
                 for o in 0..vals.len() / 2 {
                     sum += vals[2 * o] * vals[2 * o] + vals[2 * o + 1] * vals[2 * o + 1];
                 }
             }
+            self.metrics.add(Phase::Decompression, decode);
             Ok(sum)
         };
 
@@ -1146,7 +1192,7 @@ impl RankWorker {
 
         // Whole-block fallback (lossless blocks, foreign streams).
         let mut buf = self.codec.take_amp_buf();
-        self.codec.decompress(&blk, &mut buf)?;
+        decode_timed(&self.codec, &self.metrics, self.layout, &blk, &mut buf)?;
         let sum = (0..buf.len() / 2)
             .filter(|o| o & bit != 0)
             .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
@@ -1155,43 +1201,68 @@ impl RankWorker {
         Ok(sum)
     }
 
-    fn norm_sqr(&self) -> Result<f64, SimError> {
-        Ok(self.weights()?.into_iter().sum())
-    }
-
-    /// Per-block squared norms (the sampling weights; their sum is the
-    /// rank's contribution to the state's squared 2-norm).
-    fn weights(&self) -> Result<Vec<f64>, SimError> {
-        let codec = Arc::clone(&self.codec);
-        self.map_blocks(|_, blk| {
-            let mut buf = codec.take_amp_buf();
-            codec.decompress(blk, &mut buf)?;
-            let sum = buf.iter().map(|v| v * v).sum();
-            codec.put_amp_buf(buf);
-            Ok(sum)
-        })
-    }
-
-    fn expectation_zz(&self, a: usize, b: usize) -> Result<f64, SimError> {
+    /// The frozen state's [`QuerySummary`]: built by one pass over the
+    /// rank's blocks on the first call after a mutation, answered from
+    /// memory — no decode, no store read — on every later one.
+    fn summary(&self) -> Result<&QuerySummary, SimError> {
+        if let Some(summary) = self.summary.get() {
+            return Ok(summary);
+        }
         let layout = self.layout;
         let rank = self.rank;
         let codec = Arc::clone(&self.codec);
-        let terms = self.map_blocks(|bidx, blk| {
-            let base = layout.join(rank, bidx, 0);
-            let mut buf = codec.take_amp_buf();
-            codec.decompress(blk, &mut buf)?;
-            let mut acc = 0.0;
-            for o in 0..buf.len() / 2 {
-                let idx = base + o as u64;
-                let parity = ((idx >> a) & 1) ^ ((idx >> b) & 1);
-                let w = buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1];
-                acc += if parity == 0 { w } else { -w };
-            }
-            codec.put_amp_buf(buf);
-            Ok(acc)
-        })?;
-        Ok(terms.into_iter().sum())
+        let metrics = self.metrics.clone();
+        let mut summary = QuerySummary::new(layout);
+        self.map_blocks(
+            |_, blk| {
+                let mut buf = codec.take_amp_buf();
+                decode_timed(&codec, &metrics, layout, blk, &mut buf)?;
+                let terms = QuerySummary::block_terms(layout, &mut buf);
+                codec.put_amp_buf(buf);
+                Ok(terms)
+            },
+            |b, (weight, row)| summary.push_block(layout.join(rank, b, 0), weight, &row),
+        )?;
+        // Two racing first queries build the same bits; either may win.
+        Ok(self.summary.get_or_init(|| summary))
     }
+
+    /// The rank's term of the squared 2-norm: the sum of the weights.
+    fn norm_sqr(&self) -> Result<f64, SimError> {
+        Ok(self.summary()?.weights().iter().sum())
+    }
+
+    /// Per-block squared norms, in block order (the sampling weights).
+    fn weights(&self) -> Result<Vec<f64>, SimError> {
+        Ok(self.summary()?.weights().to_vec())
+    }
+
+    fn expectation_zz(&self, a: usize, b: usize) -> Result<f64, SimError> {
+        Ok(self.summary()?.zz(a, b))
+    }
+}
+
+/// Decode one of `layout`'s blocks into `buf`, charging the time to the
+/// Decompression lane: query waves decode outside the unit pipeline that
+/// times gate waves. A stream that decodes to another length than the
+/// layout's block is corrupt.
+pub(crate) fn decode_timed(
+    codec: &BlockCodec,
+    metrics: &Metrics,
+    layout: Layout,
+    blk: &CompressedBlock,
+    buf: &mut Vec<f64>,
+) -> Result<(), SimError> {
+    metrics.time(Phase::Decompression, || codec.decompress(blk, buf))?;
+    let block_f64s = 2 * layout.block_amps();
+    if buf.len() != block_f64s {
+        return Err(CodecError::Corrupt(format!(
+            "block decodes to {} values, layout has {block_f64s}",
+            buf.len()
+        ))
+        .into());
+    }
+    Ok(())
 }
 
 /// One work unit: a single block, or a pair of blocks whose amplitudes are
