@@ -10,12 +10,21 @@
 //!
 //! ```text
 //! magic "QCF1" (4) | codec u8 | bound tag u8 | bound magnitude f64 le
-//! | payload_len u32 le | checksum u64 le (FNV-1a over payload) | payload
+//! | payload_len u32 le | checksum u64 le (XXH64 over payload) | payload
 //! ```
 //!
 //! The header is a fixed [`HEADER_LEN`] bytes, so a reader can skip a
 //! frame without parsing its payload and a writer knows a frame's on-disk
 //! footprint up front ([`encoded_len`]).
+//!
+//! Every checksum here is [`checksum64`] (XXH64, seed 0; see
+//! [`crate::checksum`]). Builds up to checkpoint format `QCSCKPT2` computed
+//! the same 8-byte fields with FNV-1a. The layouts and the `QCF1`/`QCF2`
+//! magics did not change with the function: a frame outlives its process
+//! only inside a checkpoint, whose own magic was bumped (spill segments are
+//! created fresh and removed by the store that wrote them), and a stray
+//! FNV-1a frame handed to [`read_frame`] fails its checksum like any other
+//! corrupt payload.
 //!
 //! # Frame version 2: segment-addressable payloads
 //!
@@ -25,12 +34,12 @@
 //! ```text
 //! magic "QCF2" (4) | codec u8 | bound tag u8 | bound magnitude f64 le
 //! | payload_len u32 le | prefix_len u32 le
-//! | checksum u64 le (FNV-1a over payload[..prefix_len]) | payload
+//! | checksum u64 le (XXH64 over payload[..prefix_len]) | payload
 //! ```
 //!
 //! A v2 frame's checksum covers only the payload's *stream prefix* (the
 //! segmented header + per-segment index); the index's own per-segment
-//! FNV-1a checksums cover the bodies. That split is what makes byte-range
+//! checksums cover the bodies. That split is what makes byte-range
 //! reads possible — a reader can fetch `header + prefix`, verify both, and
 //! then fetch exactly the segment bodies it needs, each verified against
 //! its index entry — without ever materializing the whole payload.
@@ -49,6 +58,7 @@
 //! assert_eq!(frame.payload, b"payload");
 //! ```
 
+use crate::checksum::checksum64;
 use crate::codec::CodecId;
 use crate::error_bound::ErrorBound;
 use std::io::{Read, Write};
@@ -116,16 +126,6 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// FNV-1a over `bytes` — the frame checksum (also usable as a cheap
-/// content hash by callers that already hold a payload).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Total on-disk footprint of a *version-1* frame with a
 /// `payload_len`-byte payload. Use [`encoded_len_of`] when you hold the
 /// payload itself, since segmented payloads get the larger v2 header.
@@ -170,9 +170,9 @@ pub fn write_frame<W: Write>(
     match prefix_len {
         Some(p) => {
             w.write_all(&(p as u32).to_le_bytes())?;
-            w.write_all(&fnv1a(&payload[..p]).to_le_bytes())?;
+            w.write_all(&checksum64(&payload[..p]).to_le_bytes())?;
         }
-        None => w.write_all(&fnv1a(payload).to_le_bytes())?,
+        None => w.write_all(&checksum64(payload).to_le_bytes())?,
     }
     w.write_all(payload)?;
     Ok(encoded_len_of(payload))
@@ -222,9 +222,9 @@ pub fn encode_frame_into(
     match prefix_len {
         Some(p) => {
             out.extend_from_slice(&(p as u32).to_le_bytes());
-            out.extend_from_slice(&fnv1a(&payload[..p]).to_le_bytes());
+            out.extend_from_slice(&checksum64(&payload[..p]).to_le_bytes());
         }
-        None => out.extend_from_slice(&fnv1a(payload).to_le_bytes()),
+        None => out.extend_from_slice(&checksum64(payload).to_le_bytes()),
     }
     out.extend_from_slice(payload);
     Ok(())
@@ -339,7 +339,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
         Some(p) => &payload[..p],
         None => &payload[..],
     };
-    if fnv1a(covered) != parsed.checksum {
+    if checksum64(covered) != parsed.checksum {
         return Err(FrameError::Corrupt("payload checksum mismatch".into()));
     }
     Ok(Frame {

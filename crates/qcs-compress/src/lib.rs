@@ -133,6 +133,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bitio;
+pub mod checksum;
 pub mod codec;
 pub mod error_bound;
 pub mod fpzip;

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic u32 | n_values u64 | seg_values u32 | n_segs u32
-//! | n_segs x { body_len u32 | body_fnv u64 }     <- the segment index
+//! | n_segs x { body_len u32 | body_checksum u64 }     <- the segment index
 //! | segment bodies, back to back
 //! ```
 //!
@@ -21,9 +21,12 @@
 //! `(n_values, seg_values)` ([`SegmentIndex::prefix_len_for`]), so an
 //! out-of-core store can read the prefix of a spilled stream with a single
 //! byte-range read and then fetch exactly the segment bodies a partial
-//! decode needs. Each body carries its own FNV-1a checksum in the index,
-//! which is how byte-range reads stay end-to-end verified even though the
-//! enclosing frame can no longer checksum the whole payload.
+//! decode needs. Each body carries its own checksum in the index
+//! ([`checksum64`](crate::checksum::checksum64), XXH64 — FNV-1a in streams
+//! written before checkpoint format `QCSCKPT3`, which therefore fail
+//! verification segment by segment), which is how byte-range reads stay
+//! end-to-end verified even though the enclosing frame can no longer
+//! checksum the whole payload.
 //!
 //! Legacy (whole-stream) Solution C/D formats remain decodable; they are
 //! simply not segment-addressable ([`SegmentIndex::parse`] returns `None`
@@ -45,7 +48,7 @@ pub(crate) const SEG_MAGIC_D: u32 = 0x5143_5364;
 /// Fixed part of the stream prefix: magic 4 + n_values 8 + seg_values 4
 /// + n_segs 4.
 const FIXED_PREFIX: usize = 20;
-/// Bytes per segment-index entry: body_len u32 + body_fnv u64.
+/// Bytes per segment-index entry: body_len u32 + body_checksum u64.
 const ENTRY_LEN: usize = 12;
 
 /// One entry of a parsed segment index.
@@ -55,8 +58,8 @@ pub struct SegmentEntry {
     pub offset: usize,
     /// Byte length of the segment body.
     pub len: usize,
-    /// FNV-1a checksum of the segment body.
-    pub fnv: u64,
+    /// [`checksum64`](crate::checksum::checksum64) of the segment body.
+    pub checksum: u64,
 }
 
 /// Parsed per-segment byte-offset index of a segmented stream.
@@ -119,8 +122,12 @@ impl SegmentIndex {
         let mut offset = prefix_len;
         for _ in 0..n_segs {
             let len = b::get_u32(bytes, &mut pos).expect("index sized above") as usize;
-            let fnv = b::get_u64(bytes, &mut pos).expect("index sized above");
-            entries.push(SegmentEntry { offset, len, fnv });
+            let checksum = b::get_u64(bytes, &mut pos).expect("index sized above");
+            entries.push(SegmentEntry {
+                offset,
+                len,
+                checksum,
+            });
             offset = offset
                 .checked_add(len)
                 .ok_or_else(|| CodecError::Corrupt("segmented: body offsets overflow".into()))?;

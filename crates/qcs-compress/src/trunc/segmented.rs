@@ -1,19 +1,20 @@
 //! Shared container engine for the segmented Solution C/D formats.
 //!
 //! Both codecs reuse the layout documented in [`crate::partial`]: a fixed
-//! header, a per-segment `(len, fnv)` index, then independently encoded
-//! segment bodies. This module owns the container mechanics — assembling,
-//! verifying, decoding, and splicing — while each codec supplies the
-//! per-slice encode/decode of its legacy body format.
+//! header, a per-segment `(len, checksum)` index (the checksum is
+//! [`checksum64`], XXH64), then independently encoded segment bodies. This
+//! module owns the container mechanics — assembling, verifying, decoding,
+//! and splicing — while each codec supplies the per-slice encode/decode of
+//! its legacy body format.
 //!
 //! Assembly is single-pass and allocation-free on the caller's buffer:
 //! the index region is reserved with placeholder bytes, each body is
 //! encoded (or copied) straight onto the tail of the output, and the
-//! `(len, fnv)` entry is backfilled once the body's extent is known.
+//! `(len, checksum)` entry is backfilled once the body's extent is known.
 
 use crate::bitio::bytes;
+use crate::checksum::checksum64;
 use crate::codec::CodecError;
-use crate::frame::fnv1a;
 use crate::partial::{SegmentEdit, SegmentIndex};
 
 /// The per-slice body decoder a codec lends to the container machinery.
@@ -22,7 +23,7 @@ pub(crate) type DecodeSlice<'a> = &'a dyn Fn(&[u8], &mut Vec<f64>) -> Result<(),
 
 /// Byte offset of the segment index within a stream (the fixed header).
 const INDEX_START: usize = 20;
-/// Bytes per index entry: body_len u32 + body_fnv u64.
+/// Bytes per index entry: body_len u32 + body_checksum u64.
 const ENTRY_LEN: usize = 12;
 
 /// Write the fixed header plus a zeroed index for `n_segs` segments,
@@ -40,10 +41,10 @@ fn put_prefix(out: &mut Vec<u8>, magic: u32, n_values: usize, seg_values: usize,
 /// current end of `out`.
 fn fill_entry(out: &mut [u8], base: usize, seg: usize, body_start: usize) {
     let body_len = out.len() - body_start;
-    let fnv = fnv1a(&out[body_start..]);
+    let sum = checksum64(&out[body_start..]);
     let at = base + INDEX_START + ENTRY_LEN * seg;
     out[at..at + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    out[at + 4..at + 12].copy_from_slice(&fnv.to_le_bytes());
+    out[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Assemble a segmented stream: split `data` every `seg_values` doubles
@@ -107,7 +108,7 @@ pub(crate) fn decode_segment(
             entry.len
         )));
     }
-    if fnv1a(body) != entry.fnv {
+    if checksum64(body) != entry.checksum {
         return Err(CodecError::Corrupt(format!(
             "segment {seg}: body checksum mismatch"
         )));

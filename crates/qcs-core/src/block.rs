@@ -39,10 +39,12 @@ impl CompressedBlock {
         self.bytes.is_empty()
     }
 
-    /// FNV-1a hash of the payload, used as the cache-line tag (the same
-    /// hash the frame format uses as its checksum).
+    /// [`checksum64`](qcs_compress::checksum::checksum64) (XXH64) of the
+    /// payload: the cache-line tag, and the same function the frame format
+    /// uses as its checksum. One pass over the payload per call; the block
+    /// cache makes that call once per block touch.
     pub fn content_hash(&self) -> u64 {
-        qcs_compress::frame::fnv1a(&self.bytes)
+        qcs_compress::checksum::checksum64(&self.bytes)
     }
 }
 

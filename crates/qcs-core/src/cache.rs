@@ -7,8 +7,13 @@
 //! is least-recently-used over a fixed number of lines (64 in the paper),
 //! and the cache disables itself if the hit rate stays at zero (§3.4).
 //!
-//! Lookups compare the full compressed payloads, not just their hashes, so
-//! a hash collision can never corrupt the simulation.
+//! A line is tagged with [`CompressedBlock::content_hash`] (XXH64) of each
+//! input payload. The tag is computed once per block touch: a missed
+//! [`BlockCache::lookup`] returns it inside a [`Miss`], and
+//! [`BlockCache::insert`] takes that `Miss` instead of the input blocks, so
+//! inserting never reads a payload. Hits compare the full compressed
+//! payloads, not just their tags, so a hash collision can never corrupt the
+//! simulation.
 
 use crate::block::CompressedBlock;
 use parking_lot::Mutex;
@@ -38,6 +43,23 @@ struct Inner {
     lines: HashMap<LineKey, Line>,
     clock: u64,
 }
+
+/// What a missed [`BlockCache::lookup`] already worked out, handed to
+/// [`BlockCache::insert`] once the result is computed: the line key (the
+/// one hashing pass over the inputs) and the input payloads the line keeps
+/// as its collision guard. Empty when the cache is disabled.
+#[derive(Debug)]
+pub struct Miss(Option<Pending>);
+
+#[derive(Debug)]
+struct Pending {
+    key: LineKey,
+    in1: Arc<[u8]>,
+    in2: Option<Arc<[u8]>>,
+}
+
+/// A cached result: the output block(s) of the looked-up operation.
+pub type Hit = (CompressedBlock, Option<CompressedBlock>);
 
 /// Number of independently locked shards; keeps 20+ workers from
 /// serializing on one mutex when the hit rate is high.
@@ -135,15 +157,17 @@ impl BlockCache {
         }
     }
 
-    /// Look up the result of `op_signature` applied to `(b1, b2)`.
+    /// Look up the result of `op_signature` applied to `(b1, b2)`. On a
+    /// miss, the `Err` carries what [`insert`](Self::insert) needs to file
+    /// the result the caller is about to compute.
     pub fn lookup(
         &self,
         op_signature: u64,
         b1: &CompressedBlock,
         b2: Option<&CompressedBlock>,
-    ) -> Option<(CompressedBlock, Option<CompressedBlock>)> {
+    ) -> Result<Hit, Miss> {
         if self.is_disabled() {
-            return None;
+            return Err(Miss(None));
         }
         let key = LineKey {
             op_signature,
@@ -166,31 +190,26 @@ impl BlockCache {
                 let out = (line.out1.clone(), line.out2.clone());
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(out);
+                return Ok(out);
             }
         }
         drop(inner);
         self.note_miss();
-        None
+        Err(Miss(Some(Pending {
+            key,
+            in1: b1.bytes.clone(),
+            in2: b2.map(|b| b.bytes.clone()),
+        })))
     }
 
-    /// Insert a computed result.
-    pub fn insert(
-        &self,
-        op_signature: u64,
-        in1: &CompressedBlock,
-        in2: Option<&CompressedBlock>,
-        out1: &CompressedBlock,
-        out2: Option<&CompressedBlock>,
-    ) {
-        if self.is_disabled() || self.shard_capacity == 0 {
+    /// File the result computed after `miss`.
+    pub fn insert(&self, miss: Miss, out1: &CompressedBlock, out2: Option<&CompressedBlock>) {
+        let Some(Pending { key, in1, in2 }) = miss.0 else {
+            return;
+        };
+        if self.is_disabled() {
             return;
         }
-        let key = LineKey {
-            op_signature,
-            h1: in1.content_hash(),
-            h2: in2.map(|b| b.content_hash()).unwrap_or(0),
-        };
         let mut inner = self.shard_of(&key).lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -208,8 +227,8 @@ impl BlockCache {
         inner.lines.insert(
             key,
             Line {
-                in1: in1.bytes.clone(),
-                in2: in2.map(|b| b.bytes.clone()),
+                in1,
+                in2,
                 out1: out1.clone(),
                 out2: out2.cloned(),
                 last_used: clock,
@@ -241,13 +260,25 @@ mod tests {
         }
     }
 
+    /// Miss on `(op, in1, in2)`, then file `(out1, out2)` for it.
+    fn fill(
+        cache: &BlockCache,
+        op: u64,
+        in1: &CompressedBlock,
+        in2: Option<&CompressedBlock>,
+        out1: &CompressedBlock,
+        out2: Option<&CompressedBlock>,
+    ) {
+        let miss = cache.lookup(op, in1, in2).expect_err("line not resident");
+        cache.insert(miss, out1, out2);
+    }
+
     #[test]
     fn hit_after_insert() {
         let cache = BlockCache::new(4, 1000);
         let in1 = block(1, 100);
         let out1 = block(2, 80);
-        assert!(cache.lookup(42, &in1, None).is_none());
-        cache.insert(42, &in1, None, &out1, None);
+        fill(&cache, 42, &in1, None, &out1, None);
         let (o, o2) = cache.lookup(42, &in1, None).unwrap();
         assert_eq!(*o.bytes, *out1.bytes);
         assert!(o2.is_none());
@@ -260,11 +291,18 @@ mod tests {
         let cache = BlockCache::new(4, 1000);
         let in1 = block(1, 10);
         let in2 = block(2, 10);
-        cache.insert(1, &in1, Some(&in2), &block(3, 5), Some(&block(4, 5)));
-        assert!(cache.lookup(2, &in1, Some(&in2)).is_none()); // other op
-        assert!(cache.lookup(1, &in2, Some(&in1)).is_none()); // swapped blocks
-        assert!(cache.lookup(1, &in1, None).is_none()); // missing second
-        assert!(cache.lookup(1, &in1, Some(&in2)).is_some());
+        fill(
+            &cache,
+            1,
+            &in1,
+            Some(&in2),
+            &block(3, 5),
+            Some(&block(4, 5)),
+        );
+        assert!(cache.lookup(2, &in1, Some(&in2)).is_err()); // other op
+        assert!(cache.lookup(1, &in2, Some(&in1)).is_err()); // swapped blocks
+        assert!(cache.lookup(1, &in1, None).is_err()); // missing second
+        assert!(cache.lookup(1, &in1, Some(&in2)).is_ok());
     }
 
     #[test]
@@ -274,57 +312,53 @@ mod tests {
         let cache = BlockCache::new(16, 100_000);
         for i in 0..200u8 {
             let b = block(i, 8);
-            cache.insert(i as u64, &b, None, &b, None);
+            fill(&cache, i as u64, &b, None, &b, None);
         }
         assert!(cache.len() <= 16, "resident {} > capacity", cache.len());
-        // Re-inserting an existing key does not grow the cache.
-        let before = cache.len();
-        let b = block(199, 8);
-        cache.insert(199, &b, None, &b, None);
-        assert_eq!(cache.len(), before);
     }
 
     #[test]
-    fn within_shard_eviction_is_lru() {
-        // One shard total: every key shares it, giving deterministic
-        // global-LRU behavior to test the policy itself.
+    fn refiling_a_resident_line_updates_it_in_place() {
+        // Two workers can miss on the same line before either files it;
+        // the second insert must replace, not grow.
         let cache = BlockCache::new(2, 1000);
-        // Force all keys into one shard by using a single-shard view:
-        // capacity 2 with 16 shards gives shard_capacity 1, so same-shard
-        // collisions evict immediately; instead exercise LRU through
-        // repeated same-key updates plus the aggregate bound.
         let (a, b) = (block(1, 8), block(2, 8));
-        cache.insert(1, &a, None, &a, None);
-        assert!(cache.lookup(1, &a, None).is_some());
-        cache.insert(1, &a, None, &b, None); // update in place
+        let first = cache.lookup(1, &a, None).expect_err("cold");
+        let second = cache.lookup(1, &a, None).expect_err("cold");
+        cache.insert(first, &a, None);
+        cache.insert(second, &b, None);
+        assert_eq!(cache.len(), 1);
         let (out, _) = cache.lookup(1, &a, None).unwrap();
         assert_eq!(*out.bytes, *b.bytes);
-        assert!(cache.len() <= 2);
     }
 
     #[test]
     fn auto_disable_on_cold_stream() {
         let cache = BlockCache::new(4, 10);
+        let mut last = None;
         for i in 0..10u8 {
-            assert!(cache.lookup(i as u64, &block(i, 4), None).is_none());
+            last = cache.lookup(i as u64, &block(i, 4), None).err();
         }
         assert!(cache.is_disabled());
-        // Once disabled, even previously inserted lines stop answering.
-        cache.insert(99, &block(99, 4), None, &block(1, 1), None);
-        assert!(cache.lookup(99, &block(99, 4), None).is_none());
+        // Once disabled, neither a miss taken earlier nor a new one files
+        // a line, and nothing answers.
+        cache.insert(last.unwrap(), &block(1, 1), None);
+        let miss = cache.lookup(99, &block(99, 4), None).expect_err("disabled");
+        cache.insert(miss, &block(1, 1), None);
+        assert!(cache.is_empty());
+        assert_eq!(cache.misses(), 10, "a disabled cache counts nothing");
     }
 
     #[test]
     fn hits_prevent_auto_disable() {
         let cache = BlockCache::new(4, 5);
         let a = block(7, 4);
-        cache.lookup(1, &a, None);
-        cache.insert(1, &a, None, &a, None);
+        fill(&cache, 1, &a, None, &a, None);
         for _ in 0..100 {
-            assert!(cache.lookup(1, &a, None).is_some());
+            assert!(cache.lookup(1, &a, None).is_ok());
         }
         for i in 0..20u8 {
-            cache.lookup(50 + i as u64, &block(i, 4), None);
+            let _ = cache.lookup(50 + i as u64, &block(i, 4), None);
         }
         assert!(!cache.is_disabled());
     }
@@ -334,19 +368,26 @@ mod tests {
         let cache = BlockCache::new(0, 10);
         assert!(cache.is_disabled());
         let a = block(1, 4);
-        cache.insert(1, &a, None, &a, None);
-        assert!(cache.lookup(1, &a, None).is_none());
+        let miss = cache.lookup(1, &a, None).expect_err("disabled");
+        cache.insert(miss, &a, None);
+        assert!(cache.lookup(1, &a, None).is_err());
+        assert!(cache.is_empty());
     }
 
     #[test]
-    fn hash_collision_guard_compares_payloads() {
-        // Two different payloads that we force into the same key by using
-        // the same op signature; lookup must not return the wrong line even
-        // if hashes collided (we simulate by checking exact-compare path).
+    fn equal_tag_with_a_different_payload_is_a_miss() {
+        // Forge the collision XXH64 will not hand us: file a line under
+        // `b`'s key whose guard payload is `a`'s. Looking `b` up finds the
+        // key, compares payloads, and must miss.
         let cache = BlockCache::new(4, 1000);
-        let a = block(1, 16);
-        cache.insert(5, &a, None, &block(9, 3), None);
-        let near = block(1, 15); // different payload
-        assert!(cache.lookup(5, &near, None).is_none());
+        let (a, b) = (block(1, 16), block(2, 16));
+        let Miss(Some(mut forged)) = cache.lookup(5, &b, None).expect_err("cold") else {
+            panic!("enabled cache returned an empty miss");
+        };
+        forged.in1 = a.bytes.clone();
+        cache.insert(Miss(Some(forged)), &block(9, 3), None);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(5, &b, None).is_err());
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
 }

@@ -7,17 +7,21 @@
 //! binary format:
 //!
 //! ```text
-//! magic "QCSCKPT2" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
+//! magic "QCSCKPT3" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
 //! | level u32 | lossy_codec u8
 //! | ledger: log_product f64, gates u64, lossy_gates u64, max_delta f64
 //! | block_count u64 | blocks: one qcs_compress::frame each *
 //! ```
 //!
-//! Version 2 stores each block as a self-describing
-//! [`qcs_compress::frame`] — the same format the out-of-core spill tier
-//! uses — so every block record carries its codec id, error bound, length,
-//! and a payload checksum; a flipped bit in a checkpoint surfaces as a
-//! frame error on load, not as silently corrupt amplitudes.
+//! Each block is stored as a self-describing [`qcs_compress::frame`] — the
+//! same format the out-of-core spill tier uses — so every block record
+//! carries its codec id, error bound, length, and a payload checksum; a
+//! flipped bit in a checkpoint surfaces as a frame error on load, not as
+//! silently corrupt amplitudes. Version 3 has version 2's layout with the
+//! frame and segment checksums computed by
+//! [`qcs_compress::checksum::checksum64`] (XXH64) instead of FNV-1a; the
+//! magic changed with them, so a version-2 file is refused by name before
+//! any frame is read.
 //!
 //! Checkpointing composes with the out-of-core tier in both directions:
 //! saving streams spilled blocks one at a time through the block store
@@ -34,7 +38,7 @@ use qcs_compress::{frame, CodecId};
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"QCSCKPT2";
+const MAGIC: &[u8; 8] = b"QCSCKPT3";
 
 /// Write a checkpoint of `sim` to `path`.
 ///
@@ -410,7 +414,7 @@ mod tests {
         std::fs::write(&path, b"QCSCKPT1then-some-v1-payload").unwrap();
         match load(&path, SimConfig::default()) {
             Err(SimError::Checkpoint(m)) => assert!(
-                m.contains("version '1'") && m.contains("reads '2'"),
+                m.contains("version '1'") && m.contains("reads '3'"),
                 "v1 file must name the version mismatch, got: {m}"
             ),
             other => panic!(

@@ -89,6 +89,7 @@ use crate::block::CompressedBlock;
 use crate::engine::SimError;
 use parking_lot::Mutex;
 use qcs_cluster::{Metrics, Phase};
+use qcs_compress::checksum::checksum64;
 use qcs_compress::frame;
 use qcs_compress::{CodecId, ErrorBound, SegmentIndex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -1671,7 +1672,7 @@ impl BlockStore for SpillStore {
             file.read_exact_at(&mut prefix[have..], offset + (header_len + have) as u64)
                 .map_err(|e| io_err("read spill segment index", e))?;
         }
-        if frame::fnv1a(&prefix) != header.checksum {
+        if checksum64(&prefix) != header.checksum {
             return Err(SimError::Spill(
                 "spill frame segment index checksum mismatch".into(),
             ));
@@ -1855,7 +1856,7 @@ fn read_segment_run(file: &File, req: &RangeJob) -> Option<RangeFetch> {
     let mut prefix = vec![0u8; prefix_len];
     file.read_exact_at(&mut prefix, req.offset + header_len as u64)
         .ok()?;
-    if frame::fnv1a(&prefix) != header.checksum {
+    if checksum64(&prefix) != header.checksum {
         return None;
     }
     let index = SegmentIndex::parse(&prefix).ok().flatten()?;

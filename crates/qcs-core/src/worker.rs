@@ -1331,19 +1331,22 @@ fn process_one(
     let mut timings = [Duration::ZERO; 4];
 
     // Cache lookup (§3.4): skips decompress + compute + compress.
-    if let Some((out_a, out_b)) = cache.lookup(op_signature, &unit.in_a, unit.in_b.as_ref()) {
-        return Ok(UnitOut {
-            slot_a: unit.slot_a,
-            slot_b: unit.slot_b,
-            out_a,
-            out_b,
-            timings,
-            compressed_lossy: false,
-            cache_hit: true,
-            gates_applied: 0,
-            partial: None,
-        });
-    }
+    let miss = match cache.lookup(op_signature, &unit.in_a, unit.in_b.as_ref()) {
+        Ok((out_a, out_b)) => {
+            return Ok(UnitOut {
+                slot_a: unit.slot_a,
+                slot_b: unit.slot_b,
+                out_a,
+                out_b,
+                timings,
+                compressed_lossy: false,
+                cache_hit: true,
+                gates_applied: 0,
+                partial: None,
+            })
+        }
+        Err(miss) => miss,
+    };
 
     // Partial fast path: a diagonal gate whose touched set covers at
     // most half the block's segments decodes and re-encodes only those.
@@ -1355,7 +1358,7 @@ fn process_one(
                 timings[1] += op.decompress;
                 timings[3] += op.compute;
                 timings[0] += op.compress;
-                cache.insert(op_signature, &unit.in_a, None, &op.block, None);
+                cache.insert(miss, &op.block, None);
                 return Ok(UnitOut {
                     slot_a: unit.slot_a,
                     slot_b: None,
@@ -1406,13 +1409,7 @@ fn process_one(
     codec.put_amp_buf(buf_b);
     codec.put_amp_buf(buf_a);
 
-    cache.insert(
-        op_signature,
-        &unit.in_a,
-        unit.in_b.as_ref(),
-        &out_a,
-        out_b.as_ref(),
-    );
+    cache.insert(miss, &out_a, out_b.as_ref());
 
     Ok(UnitOut {
         slot_a: unit.slot_a,
@@ -1454,19 +1451,22 @@ fn process_batch_unit(
     let mut timings = [Duration::ZERO; 4];
     let sig = mix(batch_signature, unit.mask);
 
-    if let Some((out, _)) = cache.lookup(sig, &unit.block, None) {
-        return Ok(UnitOut {
-            slot_a: unit.slot,
-            slot_b: None,
-            out_a: out,
-            out_b: None,
-            timings,
-            compressed_lossy: false,
-            cache_hit: true,
-            gates_applied: 0,
-            partial: None,
-        });
-    }
+    let miss = match cache.lookup(sig, &unit.block, None) {
+        Ok((out, _)) => {
+            return Ok(UnitOut {
+                slot_a: unit.slot,
+                slot_b: None,
+                out_a: out,
+                out_b: None,
+                timings,
+                compressed_lossy: false,
+                cache_hit: true,
+                gates_applied: 0,
+                partial: None,
+            })
+        }
+        Err(miss) => miss,
+    };
 
     // Partial fast path: when every firing gate is diagonal and their
     // touched segments together cover at most half the block, decode
@@ -1476,7 +1476,7 @@ fn process_batch_unit(
             timings[1] += op.decompress;
             timings[3] += op.compute;
             timings[0] += op.compress;
-            cache.insert(sig, &unit.block, None, &op.block, None);
+            cache.insert(miss, &op.block, None);
             return Ok(UnitOut {
                 slot_a: unit.slot,
                 slot_b: None,
@@ -1518,7 +1518,7 @@ fn process_batch_unit(
     timings[0] += t.elapsed();
     codec.put_amp_buf(buf);
 
-    cache.insert(sig, &unit.block, None, &out, None);
+    cache.insert(miss, &out, None);
 
     Ok(UnitOut {
         slot_a: unit.slot,

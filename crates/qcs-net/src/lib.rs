@@ -4,7 +4,7 @@
 //!
 //! The paper's deployment drives ranks over MPI; this crate supplies the
 //! socket-level half of the in-repo stand-in: a length-prefixed,
-//! checksummed message frame (the same FNV-1a convention as
+//! checksummed message frame (the same XXH64 `checksum64` that
 //! `qcs_compress::frame` uses for blocks at rest), compact little-endian
 //! field encoders/decoders for message bodies, and supervised TCP
 //! connection establishment (bounded reconnect-with-backoff, read/write
@@ -19,9 +19,15 @@
 //! ## Frame format
 //!
 //! ```text
-//! magic "QWP1" (4) | kind u8 | body_len u32 le | checksum u64 le (FNV-1a
+//! magic "QWP1" (4) | kind u8 | body_len u32 le | checksum u64 le (XXH64
 //! over body) | body
 //! ```
+//!
+//! The checksum is `qcs_compress::checksum::checksum64`. Up to
+//! [`PROTOCOL_VERSION`] 3 it was FNV-1a over the same field; version 4 is
+//! that change and nothing else. A version-3 peer's frames fail the body
+//! checksum here (its Hello never reaches the version comparison), and a
+//! version-3 body under a valid checksum is refused by the handshake.
 //!
 //! The `kind` byte is opaque to this crate; the protocol built on top
 //! assigns meanings. Like the block-frame decoder, [`recv_frame`] never
@@ -31,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+use qcs_compress::checksum::checksum64;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -43,7 +50,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";
@@ -102,7 +109,7 @@ pub fn send_frame<W: Write>(w: &mut W, kind: u8, body: &[u8]) -> Result<(), NetE
     w.write_all(&MAGIC)?;
     w.write_all(&[kind])?;
     w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&qcs_compress::frame::fnv1a(body).to_le_bytes())?;
+    w.write_all(&checksum64(body).to_le_bytes())?;
     w.write_all(body)?;
     w.flush()?;
     Ok(())
@@ -138,7 +145,7 @@ pub fn recv_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), NetError> {
             format!("frame body truncated: header claims {body_len} bytes, stream had {got}"),
         )));
     }
-    if qcs_compress::frame::fnv1a(&body) != checksum {
+    if checksum64(&body) != checksum {
         return Err(NetError::Corrupt("frame body checksum mismatch".into()));
     }
     Ok((kind, body))

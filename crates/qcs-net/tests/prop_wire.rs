@@ -434,3 +434,45 @@ proptest! {
         assert_corruption_no_panic(&buf, pos, flip, decode_job_out);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Stale-format rejection
+// ---------------------------------------------------------------------------
+
+/// A rank Hello exactly as the last FNV-1a build (protocol v3) put it on
+/// the socket, captured from that build. The frame layout is unchanged, so
+/// what refuses it is the body checksum; re-framed with today's checksum,
+/// what refuses it is the version in its body. Neither reaches a worker.
+#[test]
+fn fnv1a_era_hello_ends_in_typed_errors() {
+    use qcs_net::{recv_frame, send_frame, HEADER_LEN};
+    use std::io::Write as _;
+
+    let stale: &[u8] = include_bytes!("fixtures/fnv1a_wire_hello_v3.bin");
+    match recv_frame(&mut &stale[..]) {
+        Err(NetError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
+        other => panic!("FNV-1a era frame accepted: {other:?}"),
+    }
+
+    let (addr, daemon) = qcs_core::spawn_loopback(2, Default::default()).expect("daemon");
+    let policy = qcs_net::ConnectPolicy::default();
+
+    // As captured: the daemon drops the connection without an ack.
+    let mut raw = qcs_net::connect_supervised(&addr, &policy).unwrap();
+    raw.write_all(stale).unwrap();
+    assert!(matches!(recv_frame(&mut raw), Err(NetError::Io(_))));
+
+    // Same body under a valid checksum: a HelloAck refusing protocol v3.
+    let (kind, body) = (stale[4], &stale[HEADER_LEN..]);
+    let mut reframed = qcs_net::connect_supervised(&addr, &policy).unwrap();
+    send_frame(&mut reframed, kind, body).unwrap();
+    let (_, ack) = recv_frame(&mut reframed).expect("the daemon answers a well-formed hello");
+    let mut cur = Cursor::new(&ack);
+    assert_eq!(cur.take_u8().unwrap(), 0, "a v3 hello must be refused");
+    let reason = cur.take_str().unwrap();
+    assert!(reason.contains("protocol v3"), "{reason}");
+
+    daemon
+        .join()
+        .expect("both handlers ended without panicking");
+}

@@ -30,7 +30,7 @@ use crate::scheduler::{carve_bytes, Clock, SchedAction, SchedPolicy, Scheduler, 
 use parking_lot::Mutex;
 use qcs_core::{checkpoint, CompressedSimulator, RunOutcome, SimError, SpillConfig, WaveControl};
 use qcs_net::wire::{put_str, put_u32, put_u8};
-use qcs_net::{recv_frame, send_frame, Cursor, NetError, PROTOCOL_VERSION};
+use qcs_net::{recv_frame, send_frame, Cursor, PROTOCOL_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -334,6 +334,9 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
             break;
         }
         let Ok(stream) = conn else { continue };
+        // Events are small frames answered by small frames: without this,
+        // each one waits out Nagle against the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let sid = served;
         let finished = {
             let mut st = shared.state.lock();
@@ -356,12 +359,22 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
 }
 
-fn write_out(stream: &mut TcpStream, out: &JobOut) -> Result<(), NetError> {
-    let body = encode_job_out(out);
-    let mut buf = Vec::with_capacity(qcs_net::HEADER_LEN + body.len());
-    send_frame(&mut buf, K_JOB_OUT, &body)?;
-    stream.write_all(&buf)?;
-    Ok(())
+/// The session writer: frame every event queued since the last wake-up
+/// into one buffer and hand the socket one write per wake-up, not one per
+/// event. Ends when every sender is gone or the client stops reading.
+fn write_events(mut stream: TcpStream, rx: mpsc::Receiver<JobOut>) {
+    let mut buf = Vec::new();
+    while let Ok(first) = rx.recv() {
+        buf.clear();
+        for out in std::iter::once(first).chain(rx.try_iter()) {
+            if send_frame(&mut buf, K_JOB_OUT, &encode_job_out(&out)).is_err() {
+                return;
+            }
+        }
+        if stream.write_all(&buf).is_err() {
+            return;
+        }
+    }
 }
 
 /// One connection's lifetime: run the protocol, then unregister so the
@@ -403,18 +416,9 @@ fn session_protocol(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 
     let (tx, rx) = mpsc::channel::<JobOut>();
-    let writer = {
-        let mut wstream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        std::thread::spawn(move || {
-            while let Ok(out) = rx.recv() {
-                if write_out(&mut wstream, &out).is_err() {
-                    break;
-                }
-            }
-        })
+    let writer = match stream.try_clone() {
+        Ok(wstream) => std::thread::spawn(move || write_events(wstream, rx)),
+        Err(_) => return,
     };
 
     let mut my_jobs: Vec<JobId> = Vec::new();
@@ -751,4 +755,26 @@ fn execute(
 fn cleanup_job_files(shared: &Arc<Shared>, job: JobId) {
     let _ = std::fs::remove_dir_all(shared.work_dir.join(format!("job-{}", job.0)));
     let _ = std::fs::remove_file(shared.work_dir.join(format!("job-{}.ckpt", job.0)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::JobClient;
+
+    #[test]
+    fn accepted_session_streams_have_nodelay() {
+        let server = spawn_loopback(ServerConfig::default()).unwrap();
+        // The handshake reply proves the session is registered.
+        let client = JobClient::connect(&server.addr().to_string(), &Default::default()).unwrap();
+        {
+            let st = server.shared.state.lock();
+            assert_eq!(st.session_streams.len(), 1);
+            for stream in st.session_streams.values() {
+                assert!(stream.nodelay().unwrap());
+            }
+        }
+        drop(client);
+        server.shutdown();
+    }
 }

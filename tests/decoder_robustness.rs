@@ -294,3 +294,73 @@ fn huffman_payload_truncation_is_an_error_at_every_cut() {
         );
     }
 }
+
+/// Bytes written by the last build whose checksums were FNV-1a (frames
+/// `QCF1`/`QCF2` unchanged in layout, checkpoint `QCSCKPT2`), captured from
+/// that build and checked in. Every field but the checksums still parses,
+/// so each reader must get as far as the checksum (or the version) and stop
+/// there with its typed error — never decode, never panic.
+#[test]
+fn fnv1a_era_bytes_end_in_typed_errors() {
+    use qcsim::compress::frame::{parse_header, read_frame, FrameError};
+    use qcsim::compress::trunc::SolutionC;
+    use qcsim::compress::{Codec as _, CodecError, PartialCodec as _, SegmentIndex};
+    use qcsim::core::{checkpoint, SimError};
+
+    let v1: &[u8] = include_bytes!("fixtures/fnv1a_frame_v1_qzstd.bin");
+    let v2: &[u8] = include_bytes!("fixtures/fnv1a_frame_v2_solution_c.bin");
+    let ckpt: &[u8] = include_bytes!("fixtures/fnv1a_checkpoint_v2.bin");
+
+    // Frames: same header layout, so the header parses; the payload (v1)
+    // or prefix (v2) checksum is what refuses them.
+    for (frame, codec) in [(v1, CodecId::Qzstd), (v2, CodecId::SolutionC)] {
+        assert_eq!(parse_header(frame).unwrap().codec, codec);
+        match read_frame(&mut &frame[..]) {
+            Err(FrameError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
+            other => panic!("{codec} frame from the FNV-1a era accepted: {other:?}"),
+        }
+    }
+
+    // The segmented stream inside the v2 frame: the index parses, every
+    // segment body fails its per-segment checksum, whole or by range.
+    let stream = &v2[parse_header(v2).unwrap().header_len..];
+    let index = SegmentIndex::parse(stream).unwrap().unwrap();
+    assert_eq!(index.n_segs(), 3);
+    let c = SolutionC::default();
+    let is_checksum = |r: Result<(), CodecError>| match r {
+        Err(CodecError::Corrupt(m)) => m.contains("checksum"),
+        _ => false,
+    };
+    assert!(is_checksum(c.decompress(stream).map(drop)));
+    for seg in 0..index.n_segs() {
+        let mut out = Vec::new();
+        assert!(is_checksum(c.decompress_range(
+            stream,
+            seg..seg + 1,
+            &mut out
+        )));
+        assert!(out.is_empty(), "segment {seg} leaked values");
+    }
+
+    // Checkpoint: refused by version before any frame is read; with the
+    // version byte forged, refused at the first block frame's checksum.
+    let path = std::env::temp_dir().join(format!("qcsim-fnv1a-{}.ckpt", std::process::id()));
+    let cfg = qcsim::SimConfig::default().with_block_log2(2);
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        match checkpoint::load(&path, cfg.clone()) {
+            Err(SimError::Checkpoint(m)) => m,
+            other => panic!(
+                "FNV-1a era checkpoint mishandled: {:?}",
+                other.err().map(|e| e.to_string())
+            ),
+        }
+    };
+    let m = load(ckpt);
+    assert!(m.contains("version '2'"), "{m}");
+    let mut forged = ckpt.to_vec();
+    forged[7] = b'3';
+    let m = load(&forged);
+    assert!(m.contains("block frame 0") && m.contains("checksum"), "{m}");
+    std::fs::remove_file(&path).ok();
+}
