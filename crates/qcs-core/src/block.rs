@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// One compressed block of `block_amps` complex amplitudes
 /// (`2 * block_amps` doubles, interleaved re/im).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressedBlock {
     /// Codec that produced `bytes`.
     pub codec: CodecId,
@@ -26,6 +26,16 @@ pub struct CompressedBlock {
     pub bound: ErrorBound,
     /// Compressed payload, shared with the block cache.
     pub bytes: Arc<[u8]>,
+}
+
+impl From<qcs_compress::frame::Frame> for CompressedBlock {
+    fn from(frame: qcs_compress::frame::Frame) -> Self {
+        Self {
+            codec: frame.codec,
+            bound: frame.bound,
+            bytes: frame.payload.into(),
+        }
+    }
 }
 
 impl CompressedBlock {

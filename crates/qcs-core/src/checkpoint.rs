@@ -13,6 +13,11 @@
 //! | block_count u64 | blocks: one qcs_compress::frame each *
 //! ```
 //!
+//! The 57 bytes between the magic and the first block are one
+//! [`qcs_net::wire!`] declaration (`Header` below), shared by `save` and
+//! `load`; `tests/fixtures/checkpoint_v3_small.bin` pins the bytes (see
+//! "Changing a layout" in [`mod@qcs_net::wire`]).
+//!
 //! Each block is stored as a self-describing [`qcs_compress::frame`] — the
 //! same format the out-of-core spill tier uses — so every block record
 //! carries its codec id, error bound, length, and a payload checksum; a
@@ -35,10 +40,25 @@ use crate::config::SimConfig;
 use crate::engine::{CompressedSimulator, SimError};
 use crate::fidelity_bound::FidelityLedger;
 use qcs_compress::{frame, CodecId};
+use qcs_net::wire::{decode, Idx32, Wire};
 use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"QCSCKPT3";
+
+qcs_net::wire! {
+    /// Everything between the magic and the block frames. Every field is
+    /// fixed-width, so `Header::MIN_LEN` is the header's exact length.
+    struct Header {
+        num_qubits: u32,
+        ranks_log2: u32,
+        block_log2: u32,
+        level: usize as Idx32,
+        lossy_codec: CodecId,
+        ledger: FidelityLedger,
+        block_count: usize,
+    }
+}
 
 /// Write a checkpoint of `sim` to `path`.
 ///
@@ -55,20 +75,19 @@ pub fn save(sim: &CompressedSimulator, path: &Path) -> Result<(), SimError> {
             .map_err(|e| SimError::Checkpoint(format!("create {path:?}: {e}")))?,
     );
     let io = |e: std::io::Error| SimError::Checkpoint(format!("write: {e}"));
-    w.write_all(MAGIC).map_err(io)?;
-    w.write_all(&layout.num_qubits.to_le_bytes()).map_err(io)?;
-    w.write_all(&cfg.ranks_log2.to_le_bytes()).map_err(io)?;
-    w.write_all(&cfg.block_log2.to_le_bytes()).map_err(io)?;
-    w.write_all(&(level as u32).to_le_bytes()).map_err(io)?;
-    w.write_all(&[cfg.lossy_codec as u8]).map_err(io)?;
-    let (log_product, gates, lossy_gates, max_delta) = ledger.to_raw();
-    w.write_all(&log_product.to_le_bytes()).map_err(io)?;
-    w.write_all(&gates.to_le_bytes()).map_err(io)?;
-    w.write_all(&lossy_gates.to_le_bytes()).map_err(io)?;
-    w.write_all(&max_delta.to_le_bytes()).map_err(io)?;
     let (ranks, bpr) = (layout.ranks(), layout.blocks_per_rank());
-    w.write_all(&((ranks * bpr) as u64).to_le_bytes())
-        .map_err(io)?;
+    let mut header = MAGIC.to_vec();
+    let fields = Header {
+        num_qubits: layout.num_qubits,
+        ranks_log2: cfg.ranks_log2,
+        block_log2: cfg.block_log2,
+        level,
+        lossy_codec: cfg.lossy_codec,
+        ledger: ledger.clone(),
+        block_count: ranks * bpr,
+    };
+    Header::put(&fields, &mut header);
+    w.write_all(&header).map_err(io)?;
     for rank in 0..ranks {
         for block in 0..bpr {
             let blk = sim.fetch_block(rank, block)?;
@@ -106,62 +125,34 @@ pub fn load(path: &Path, mut cfg: SimConfig) -> Result<CompressedSimulator, SimE
         }
         return Err(SimError::Checkpoint("bad magic".into()));
     }
-    let mut u32buf = [0u8; 4];
-    let mut u64buf = [0u8; 8];
-    let mut read_u32 = |r: &mut dyn Read| -> Result<u32, SimError> {
-        r.read_exact(&mut u32buf).map_err(io)?;
-        Ok(u32::from_le_bytes(u32buf))
-    };
-    let num_qubits = read_u32(&mut r)?;
-    let ranks_log2 = read_u32(&mut r)?;
-    let block_log2 = read_u32(&mut r)?;
-    let level = read_u32(&mut r)? as usize;
+    let mut raw = [0u8; Header::MIN_LEN];
+    r.read_exact(&mut raw).map_err(io)?;
+    let h: Header = decode(&raw).map_err(|e| SimError::Checkpoint(format!("header: {e}")))?;
     // Geometry sanity before any shifts: corrupt headers must error out,
     // not overflow.
-    if num_qubits == 0 || num_qubits > 40 || ranks_log2 + block_log2 > num_qubits {
+    if h.num_qubits == 0
+        || h.num_qubits > 40
+        || h.ranks_log2 as u64 + h.block_log2 as u64 > h.num_qubits as u64
+    {
         return Err(SimError::Checkpoint(format!(
-            "implausible geometry: n={num_qubits} ranks_log2={ranks_log2} block_log2={block_log2}"
+            "implausible geometry: n={} ranks_log2={} block_log2={}",
+            h.num_qubits, h.ranks_log2, h.block_log2
         )));
     }
-    let mut byte = [0u8; 1];
-    r.read_exact(&mut byte).map_err(io)?;
-    let lossy_codec = CodecId::from_u8(byte[0])
-        .ok_or_else(|| SimError::Checkpoint(format!("unknown codec id {}", byte[0])))?;
 
-    let mut read_u64 = |r: &mut dyn Read| -> Result<u64, SimError> {
-        r.read_exact(&mut u64buf).map_err(io)?;
-        Ok(u64::from_le_bytes(u64buf))
-    };
-    let read_f64 = |r: &mut dyn Read| -> Result<f64, SimError> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b).map_err(io)?;
-        Ok(f64::from_le_bytes(b))
-    };
-    let log_product = read_f64(&mut r)?;
-    let gates = read_u64(&mut r)?;
-    let lossy_gates = read_u64(&mut r)?;
-    let max_delta = read_f64(&mut r)?;
-    let ledger = FidelityLedger::from_raw(log_product, gates, lossy_gates, max_delta);
-
-    let block_count = read_u64(&mut r)? as usize;
-    if block_count > (1usize << 40) {
-        return Err(SimError::Checkpoint("absurd block count".into()));
-    }
-    let mut blocks = Vec::with_capacity(block_count);
-    for i in 0..block_count {
+    // The table grows with the frames actually read: `block_count` is the
+    // file's claim, checked against the geometry once the blocks are in.
+    let mut blocks = Vec::new();
+    for i in 0..h.block_count {
         let f = frame::read_frame(&mut r)
             .map_err(|e| SimError::Checkpoint(format!("block frame {i}: {e}")))?;
-        blocks.push(Some(CompressedBlock {
-            codec: f.codec,
-            bound: f.bound,
-            bytes: f.payload.into(),
-        }));
+        blocks.push(Some(CompressedBlock::from(f)));
     }
 
-    cfg.ranks_log2 = ranks_log2;
-    cfg.block_log2 = block_log2;
-    cfg.lossy_codec = lossy_codec;
-    CompressedSimulator::from_checkpoint_parts(cfg, level, ledger, blocks, num_qubits)
+    cfg.ranks_log2 = h.ranks_log2;
+    cfg.block_log2 = h.block_log2;
+    cfg.lossy_codec = h.lossy_codec;
+    CompressedSimulator::from_checkpoint_parts(cfg, h.level, h.ledger, blocks, h.num_qubits)
 }
 
 #[cfg(test)]

@@ -201,6 +201,20 @@ impl SimConfig {
     /// cannot panic admission arithmetic.
     pub const MAX_QUBITS: u32 = 62;
 
+    /// Most block-cache lines [`SimConfig::validate`] accepts (the paper
+    /// uses 64). `cache_lines` pre-sizes the cache's hash tables, so an
+    /// unbounded wire value would be an allocation request — `usize::MAX`
+    /// panics the table constructor outright.
+    pub const MAX_CACHE_LINES: usize = 1 << 16;
+
+    /// Most segment shards per rank [`SimConfig::validate`] accepts: each
+    /// shard is one directory and one open segment file per rank.
+    pub const MAX_SPILL_SHARDS: usize = 64;
+
+    /// Most rayon threads per rank [`SimConfig::validate`] accepts: the
+    /// value is a thread-spawn count.
+    pub const MAX_THREADS_PER_RANK: usize = 256;
+
     /// Config with a given block size exponent.
     pub fn with_block_log2(mut self, block_log2: u32) -> Self {
         self.block_log2 = block_log2;
@@ -375,12 +389,32 @@ impl SimConfig {
                 qcs_circuits::schedule::MAX_BATCH_GATES
             ));
         }
+        if self.cache_lines > Self::MAX_CACHE_LINES {
+            return Err(format!(
+                "{} cache lines exceeds the supported maximum of {}",
+                self.cache_lines,
+                Self::MAX_CACHE_LINES
+            ));
+        }
+        if self
+            .threads_per_rank
+            .is_some_and(|t| t > Self::MAX_THREADS_PER_RANK)
+        {
+            return Err(format!(
+                "threads_per_rank exceeds the supported maximum of {}",
+                Self::MAX_THREADS_PER_RANK
+            ));
+        }
         if let Some(spill) = &self.spill {
             if spill.resident_blocks == 0 {
                 return Err("spill residency budget must be at least 1 block".into());
             }
-            if spill.shards == 0 {
-                return Err("spill shard count must be at least 1".into());
+            if !(1..=Self::MAX_SPILL_SHARDS).contains(&spill.shards) {
+                return Err(format!(
+                    "spill shard count {} outside 1..={}",
+                    spill.shards,
+                    Self::MAX_SPILL_SHARDS
+                ));
             }
         }
         if let Some(remote) = &self.remote {
@@ -444,6 +478,30 @@ mod tests {
         bad.remote.as_mut().unwrap().connect_attempts = 0;
         assert!(bad.validate(16).is_err());
         assert!(SimConfig::default().remote.is_none());
+    }
+
+    /// Fields that size an allocation or a spawn by their raw value are
+    /// bounded, so a config off the wire cannot ask for the moon.
+    #[test]
+    fn validation_bounds_every_sizing_field() {
+        let ok = SimConfig::default().with_block_log2(3).with_spill(2);
+        assert!(ok.validate(9).is_ok());
+        let mut at_cap = ok
+            .clone()
+            .with_threads_per_rank(SimConfig::MAX_THREADS_PER_RANK);
+        at_cap.cache_lines = SimConfig::MAX_CACHE_LINES;
+        at_cap.spill.as_mut().unwrap().shards = SimConfig::MAX_SPILL_SHARDS;
+        assert!(at_cap.validate(9).is_ok());
+
+        let mut bad = ok.clone();
+        bad.cache_lines = usize::MAX;
+        assert!(bad.validate(9).unwrap_err().contains("cache lines"));
+        let bad = ok
+            .clone()
+            .with_spill_shards(SimConfig::MAX_SPILL_SHARDS + 1);
+        assert!(bad.validate(9).unwrap_err().contains("shard"));
+        let bad = ok.with_threads_per_rank(usize::MAX);
+        assert!(bad.validate(9).unwrap_err().contains("threads_per_rank"));
     }
 
     #[test]

@@ -74,26 +74,15 @@ impl FidelityLedger {
     pub fn max_delta(&self) -> f64 {
         self.max_delta
     }
+}
 
-    /// Serialize to `(log_product, gates, lossy_gates, max_delta)` for
-    /// checkpoints.
-    pub fn to_raw(&self) -> (f64, u64, u64, f64) {
-        (
-            self.log_product,
-            self.gates as u64,
-            self.lossy_gates as u64,
-            self.max_delta,
-        )
-    }
-
-    /// Rebuild from checkpoint fields.
-    pub fn from_raw(log_product: f64, gates: u64, lossy_gates: u64, max_delta: f64) -> Self {
-        Self {
-            log_product,
-            gates: gates as usize,
-            lossy_gates: lossy_gates as usize,
-            max_delta,
-        }
+// The ledger's checkpoint layout.
+qcs_net::wire! {
+    impl struct FidelityLedger {
+        log_product: f64,
+        gates: usize,
+        lossy_gates: usize,
+        max_delta: f64,
     }
 }
 
@@ -153,13 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn raw_round_trip() {
+    fn wire_round_trip() {
+        use qcs_net::wire::{decode, encode};
         let mut l = FidelityLedger::new();
         l.record_gate(1e-3);
         l.record_gate(0.0);
-        let (lp, g, lg, md) = l.to_raw();
-        let back = FidelityLedger::from_raw(lp, g, lg, md);
-        assert_eq!(back, l);
+        assert_eq!(decode::<FidelityLedger>(&encode(&l)).unwrap(), l);
     }
 
     #[test]

@@ -114,7 +114,6 @@ pub use config::{RemoteConfig, SimConfig, SpillConfig};
 pub use engine::{CompressedSimulator, RunOutcome, SimError, SimReport, WaveControl, WaveStatus};
 pub use fidelity_bound::{fidelity_curve, FidelityLedger};
 pub use net::{serve, spawn_loopback, ServeOptions};
-pub use serial::{put_sim_config, put_sim_report, take_sim_config, take_sim_report};
 pub use store::{
     BlockStore, Eviction, EvictionPolicy, Lru, MemStore, PlannedMin, SegmentDirGuard, SpillOptions,
     SpillStore,

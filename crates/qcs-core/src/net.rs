@@ -57,7 +57,7 @@ use crate::block::{BlockCodec, CompressedBlock};
 use crate::cache::BlockCache;
 use crate::config::{RemoteConfig, SimConfig};
 use crate::engine::SimError;
-use crate::serial::{put_sim_config, take_sim_config};
+use crate::serial::BreakdownWire;
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
 use crate::worker::{
     BatchCmd, BatchPlan, BlockMsg, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
@@ -69,8 +69,8 @@ use qcs_cluster::{
 };
 use qcs_compress::frame as cframe;
 use qcs_compress::ErrorBound;
-use qcs_net::wire::{put_f64, put_str, put_u32, put_u64, put_u8};
-use qcs_net::{recv_frame, send_frame, Cursor, NetError, PROTOCOL_VERSION};
+use qcs_net::wire::{decode, encode, Idx32, Wire};
+use qcs_net::{recv_frame, send_frame, wire, Cursor, NetError, PROTOCOL_VERSION};
 use qcs_statevec::{Complex64, Gate1};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -84,7 +84,7 @@ const K_HELLO: u8 = 1;
 const K_HELLO_ACK: u8 = 2;
 const K_CMD: u8 = 3;
 const K_DONE: u8 = 4;
-const K_RELAY: u8 = 5;
+const K_RELAY: u8 = 5; // body: one `BlockMsg` (the block's index, then its frame)
 const K_EXCHANGE_EOF: u8 = 6;
 const K_SHUTDOWN: u8 = 7;
 
@@ -101,588 +101,254 @@ fn transport_err(rank: usize, context: &str, e: impl std::fmt::Display) -> SimEr
     SimError::Transport(format!("rank {rank}: {context}: {e}"))
 }
 
-// --- field codecs --------------------------------------------------------
+// --- leaf layouts --------------------------------------------------------
+//
+// `Gate1`, `Route` and `ControlScope` belong to other crates, so their
+// layouts hang off marker types (see `qcs_net::wire`).
 
-pub(crate) fn put_bound(buf: &mut Vec<u8>, bound: ErrorBound) {
-    put_u8(buf, bound.tag());
-    put_f64(buf, bound.magnitude());
-}
+/// The 2x2 matrix row-major, each entry as `re`, `im`.
+struct GateWire;
 
-pub(crate) fn take_bound(cur: &mut Cursor) -> Result<ErrorBound, NetError> {
-    let tag = cur.take_u8()?;
-    let magnitude = cur.take_f64()?;
-    ErrorBound::from_tag(tag, magnitude)
-        .ok_or_else(|| NetError::Corrupt(format!("unknown error-bound tag {tag}")))
-}
-
-fn put_gate(buf: &mut Vec<u8>, gate: &Gate1) {
-    for row in &gate.m {
-        for c in row {
-            put_f64(buf, c.re);
-            put_f64(buf, c.im);
+impl Wire<Gate1> for GateWire {
+    const MIN_LEN: usize = 64;
+    fn put(gate: &Gate1, buf: &mut Vec<u8>) {
+        for c in gate.m.iter().flatten() {
+            f64::put(&c.re, buf);
+            f64::put(&c.im, buf);
         }
+    }
+    fn take(cur: &mut Cursor) -> Result<Gate1, NetError> {
+        let mut m = [[Complex64::ZERO; 2]; 2];
+        for c in m.iter_mut().flatten() {
+            *c = Complex64::new(f64::take(cur)?, f64::take(cur)?);
+        }
+        Ok(Gate1 { m })
     }
 }
 
-fn take_gate(cur: &mut Cursor) -> Result<Gate1, NetError> {
-    let mut m = [[Complex64::ZERO; 2]; 2];
-    for row in &mut m {
-        for c in row.iter_mut() {
-            *c = Complex64 {
-                re: cur.take_f64()?,
-                im: cur.take_f64()?,
-            };
-        }
-    }
-    Ok(Gate1 { m })
-}
-
-fn put_route(buf: &mut Vec<u8>, route: Route) {
-    match route {
-        Route::InBlock { offset_bit } => {
-            put_u8(buf, 0);
-            put_u32(buf, offset_bit);
-        }
-        Route::InterBlock { block_stride } => {
-            put_u8(buf, 1);
-            put_u64(buf, block_stride as u64);
-        }
-        Route::InterRank { rank_stride } => {
-            put_u8(buf, 2);
-            put_u64(buf, rank_stride as u64);
-        }
+struct RouteWire;
+wire! {
+    impl enum Route as RouteWire {
+        0 => InBlock { offset_bit: u32 },
+        1 => InterBlock { block_stride: usize },
+        2 => InterRank { rank_stride: usize },
     }
 }
 
-fn take_route(cur: &mut Cursor) -> Result<Route, NetError> {
-    match cur.take_u8()? {
-        0 => Ok(Route::InBlock {
-            offset_bit: cur.take_u32()?,
-        }),
-        1 => Ok(Route::InterBlock {
-            block_stride: cur.take_u64()? as usize,
-        }),
-        2 => Ok(Route::InterRank {
-            rank_stride: cur.take_u64()? as usize,
-        }),
-        t => Err(NetError::Corrupt(format!("unknown route tag {t}"))),
+struct ScopeWire;
+wire! {
+    impl enum ControlScope as ScopeWire {
+        0 => InBlock { offset_bit: u32 },
+        1 => BlockSelect { block_bit: u32 },
+        2 => RankSelect { rank_bit: u32 },
     }
-}
-
-fn put_scope(buf: &mut Vec<u8>, scope: ControlScope) {
-    match scope {
-        ControlScope::InBlock { offset_bit } => {
-            put_u8(buf, 0);
-            put_u32(buf, offset_bit);
-        }
-        ControlScope::BlockSelect { block_bit } => {
-            put_u8(buf, 1);
-            put_u32(buf, block_bit);
-        }
-        ControlScope::RankSelect { rank_bit } => {
-            put_u8(buf, 2);
-            put_u32(buf, rank_bit);
-        }
-    }
-}
-
-fn take_scope(cur: &mut Cursor) -> Result<ControlScope, NetError> {
-    let tag = cur.take_u8()?;
-    let bit = cur.take_u32()?;
-    match tag {
-        0 => Ok(ControlScope::InBlock { offset_bit: bit }),
-        1 => Ok(ControlScope::BlockSelect { block_bit: bit }),
-        2 => Ok(ControlScope::RankSelect { rank_bit: bit }),
-        t => Err(NetError::Corrupt(format!("unknown scope tag {t}"))),
-    }
-}
-
-fn put_lookahead(buf: &mut Vec<u8>, lookahead: &Lookahead) {
-    match lookahead {
-        Some(slots) => {
-            put_u8(buf, 1);
-            put_u32(buf, slots.len() as u32);
-            for &s in slots.iter() {
-                put_u64(buf, s as u64);
-            }
-        }
-        None => put_u8(buf, 0),
-    }
-}
-
-fn take_lookahead(cur: &mut Cursor) -> Result<Lookahead, NetError> {
-    if cur.take_u8()? == 0 {
-        return Ok(None);
-    }
-    let n = cur.take_count(8)?;
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        slots.push(cur.take_u64()? as usize);
-    }
-    Ok(Some(Arc::new(slots)))
 }
 
 /// A compressed block travels as a `qcs_compress` block frame embedded in
 /// the message body — codec id, error bound, checksum, and payload in the
 /// exact on-disk format, so the spill tier and the wire share one
 /// encoding.
-fn put_block(buf: &mut Vec<u8>, block: &CompressedBlock) {
-    cframe::write_frame(buf, block.codec, block.bound, &block.bytes)
-        .expect("in-memory block frame write cannot fail");
-}
-
-fn take_block(cur: &mut Cursor) -> Result<CompressedBlock, NetError> {
-    let mut r = cur.rest();
-    let before = r.len();
-    let frame = cframe::read_frame(&mut r)
-        .map_err(|e| NetError::Corrupt(format!("embedded block frame: {e}")))?;
-    cur.skip(before - r.len())?;
-    Ok(CompressedBlock {
-        codec: frame.codec,
-        bound: frame.bound,
-        bytes: frame.payload.into(),
-    })
-}
-
-/// A [`TimeBreakdown`] travels as its array form: one `u64` per field of
-/// the table in `qcs_cluster::metrics`, in table order.
-pub(crate) fn put_breakdown(buf: &mut Vec<u8>, b: &TimeBreakdown) {
-    for v in b.to_array() {
-        put_u64(buf, v);
+impl Wire for CompressedBlock {
+    const MIN_LEN: usize = cframe::HEADER_LEN;
+    fn put(block: &Self, buf: &mut Vec<u8>) {
+        cframe::write_frame(buf, block.codec, block.bound, &block.bytes)
+            .expect("in-memory block frame write cannot fail");
+    }
+    fn take(cur: &mut Cursor) -> Result<Self, NetError> {
+        cur.take_embedded(cframe::read_frame)
+            .map(CompressedBlock::from)
+            .map_err(|e| NetError::Corrupt(format!("embedded block frame: {e}")))
     }
 }
 
-pub(crate) fn take_breakdown(cur: &mut Cursor) -> Result<TimeBreakdown, NetError> {
-    let mut fields = [0u64; TimeBreakdown::FIELDS];
-    for v in &mut fields {
-        *v = cur.take_u64()?;
+/// The one hand-written conversion: a duplex link cannot travel, so it
+/// occupies no bytes and only its role's tag is written. The coordinator
+/// keeps the link it was given (to bridge with Relay frames); a decoded
+/// link is closed until the daemon's connection handler swaps a live one
+/// in.
+struct ClosedLink;
+
+impl Wire<Duplex<BlockMsg>> for ClosedLink {
+    const MIN_LEN: usize = 0;
+    fn put(_: &Duplex<BlockMsg>, _: &mut Vec<u8>) {}
+    fn take(_: &mut Cursor) -> Result<Duplex<BlockMsg>, NetError> {
+        Ok(duplex().0)
     }
-    Ok(TimeBreakdown::from_array(fields))
 }
 
-// --- command / response codecs ------------------------------------------
-
-const CMD_GATE: u8 = 0;
-const CMD_EXCHANGE: u8 = 1;
-const CMD_BATCH: u8 = 2;
-const CMD_COLLAPSE: u8 = 3;
-const CMD_RECOMPRESS: u8 = 4;
-const CMD_PROB_ONE: u8 = 5;
-const CMD_NORM_SQR: u8 = 6;
-const CMD_WEIGHTS: u8 = 7;
-const CMD_FETCH_BLOCK: u8 = 8;
-const CMD_SNAPSHOT: u8 = 9;
-const CMD_EXPECTATION_ZZ: u8 = 10;
-const CMD_NOP: u8 = 11;
-
-const ROLE_IDLE: u8 = 0;
-const ROLE_LEAD: u8 = 1;
-const ROLE_FOLLOW: u8 = 2;
-
-/// Serialize a command for the wire. An exchange command's duplex link
-/// cannot travel: the link is handed back to the caller (to bridge with
-/// Relay frames) and only the role tag is encoded.
-fn encode_cmd(cmd: WorkerCmd) -> (Vec<u8>, Option<Duplex<BlockMsg>>) {
-    let mut buf = Vec::new();
-    let mut link = None;
-    match cmd {
-        WorkerCmd::Gate(g) => {
-            put_u8(&mut buf, CMD_GATE);
-            put_u64(&mut buf, g.signature);
-            put_gate(&mut buf, &g.gate);
-            put_route(&mut buf, g.route);
-            put_u64(&mut buf, g.offset_cmask as u64);
-            put_u64(&mut buf, g.block_cmask as u64);
-            put_u64(&mut buf, g.rank_cmask as u64);
-            put_bound(&mut buf, g.bound);
-            put_lookahead(&mut buf, &g.lookahead);
-        }
-        WorkerCmd::Exchange(x) => {
-            put_u8(&mut buf, CMD_EXCHANGE);
-            put_u64(&mut buf, x.signature);
-            put_gate(&mut buf, &x.gate);
-            put_u64(&mut buf, x.offset_cmask as u64);
-            put_u64(&mut buf, x.block_cmask as u64);
-            put_bound(&mut buf, x.bound);
-            let role = match x.role {
-                ExchangeRole::Idle => ROLE_IDLE,
-                ExchangeRole::Lead(l) => {
-                    link = Some(l);
-                    ROLE_LEAD
-                }
-                ExchangeRole::Follow(l) => {
-                    link = Some(l);
-                    ROLE_FOLLOW
-                }
-            };
-            put_u8(&mut buf, role);
-            put_lookahead(&mut buf, &x.lookahead);
-        }
-        WorkerCmd::Batch(b) => {
-            put_u8(&mut buf, CMD_BATCH);
-            put_u64(&mut buf, b.signature);
-            put_bound(&mut buf, b.bound);
-            put_lookahead(&mut buf, &b.lookahead);
-            put_u32(&mut buf, b.plans.len() as u32);
-            for p in b.plans.iter() {
-                put_gate(&mut buf, &p.gate);
-                put_u32(&mut buf, p.offset_bit);
-                put_u64(&mut buf, p.offset_cmask as u64);
-                put_u64(&mut buf, p.block_cmask as u64);
-                put_u64(&mut buf, p.rank_cmask as u64);
-            }
-        }
-        WorkerCmd::Collapse {
-            scope,
-            outcome,
-            scale,
-            bound,
-        } => {
-            put_u8(&mut buf, CMD_COLLAPSE);
-            put_scope(&mut buf, scope);
-            put_u8(&mut buf, outcome as u8);
-            put_f64(&mut buf, scale);
-            put_bound(&mut buf, bound);
-        }
-        WorkerCmd::Recompress { bound } => {
-            put_u8(&mut buf, CMD_RECOMPRESS);
-            put_bound(&mut buf, bound);
-        }
-        WorkerCmd::ProbOne { scope } => {
-            put_u8(&mut buf, CMD_PROB_ONE);
-            put_scope(&mut buf, scope);
-        }
-        WorkerCmd::NormSqr => put_u8(&mut buf, CMD_NORM_SQR),
-        WorkerCmd::Weights => put_u8(&mut buf, CMD_WEIGHTS),
-        WorkerCmd::FetchBlock { block } => {
-            put_u8(&mut buf, CMD_FETCH_BLOCK);
-            put_u64(&mut buf, block as u64);
-        }
-        WorkerCmd::SnapshotBlocks => put_u8(&mut buf, CMD_SNAPSHOT),
-        WorkerCmd::ExpectationZz { a, b } => {
-            put_u8(&mut buf, CMD_EXPECTATION_ZZ);
-            put_u64(&mut buf, a as u64);
-            put_u64(&mut buf, b as u64);
-        }
-        WorkerCmd::Nop => put_u8(&mut buf, CMD_NOP),
+wire! {
+    impl enum ExchangeRole {
+        0 => Idle {},
+        1 => Lead { 0: Duplex<BlockMsg> as ClosedLink },
+        2 => Follow { 0: Duplex<BlockMsg> as ClosedLink },
     }
-    (buf, link)
 }
 
-/// A decoded daemon-side command: for an exchange, `bridge` is the local
-/// duplex end the connection's relay threads pump (the worker holds the
-/// other end inside the command's role).
-struct DecodedCmd {
-    cmd: WorkerCmd,
-    bridge: Option<Duplex<BlockMsg>>,
+// --- command / response layouts ------------------------------------------
+
+wire! {
+    impl struct GateCmd {
+        signature: u64,
+        gate: Gate1 as GateWire,
+        route: Route as RouteWire,
+        offset_cmask: usize,
+        block_cmask: usize,
+        rank_cmask: usize,
+        bound: ErrorBound,
+        lookahead: Lookahead,
+    }
 }
 
-fn decode_cmd(body: &[u8]) -> Result<DecodedCmd, NetError> {
-    let mut cur = Cursor::new(body);
-    let tag = cur.take_u8()?;
-    let mut bridge = None;
-    let cmd = match tag {
-        CMD_GATE => WorkerCmd::Gate(GateCmd {
-            signature: cur.take_u64()?,
-            gate: take_gate(&mut cur)?,
-            route: take_route(&mut cur)?,
-            offset_cmask: cur.take_u64()? as usize,
-            block_cmask: cur.take_u64()? as usize,
-            rank_cmask: cur.take_u64()? as usize,
-            bound: take_bound(&mut cur)?,
-            lookahead: take_lookahead(&mut cur)?,
-        }),
-        CMD_EXCHANGE => {
-            let signature = cur.take_u64()?;
-            let gate = take_gate(&mut cur)?;
-            let offset_cmask = cur.take_u64()? as usize;
-            let block_cmask = cur.take_u64()? as usize;
-            let bound = take_bound(&mut cur)?;
-            let role = match cur.take_u8()? {
-                ROLE_IDLE => ExchangeRole::Idle,
-                role @ (ROLE_LEAD | ROLE_FOLLOW) => {
-                    let (worker_end, bridge_end) = duplex();
-                    bridge = Some(bridge_end);
-                    if role == ROLE_LEAD {
-                        ExchangeRole::Lead(worker_end)
-                    } else {
-                        ExchangeRole::Follow(worker_end)
-                    }
-                }
-                t => return Err(NetError::Corrupt(format!("unknown exchange role {t}"))),
-            };
-            WorkerCmd::Exchange(ExchangeCmd {
-                signature,
-                gate,
-                offset_cmask,
-                block_cmask,
-                bound,
-                role,
-                lookahead: take_lookahead(&mut cur)?,
-            })
-        }
-        CMD_BATCH => {
-            let signature = cur.take_u64()?;
-            let bound = take_bound(&mut cur)?;
-            let lookahead = take_lookahead(&mut cur)?;
-            let n = cur.take_count(1)?;
-            let mut plans = Vec::with_capacity(n);
-            for _ in 0..n {
-                plans.push(BatchPlan {
-                    gate: take_gate(&mut cur)?,
-                    offset_bit: cur.take_u32()?,
-                    offset_cmask: cur.take_u64()? as usize,
-                    block_cmask: cur.take_u64()? as usize,
-                    rank_cmask: cur.take_u64()? as usize,
-                });
-            }
-            WorkerCmd::Batch(BatchCmd {
-                plans: Arc::new(plans),
-                signature,
-                bound,
-                lookahead,
-            })
-        }
-        CMD_COLLAPSE => WorkerCmd::Collapse {
-            scope: take_scope(&mut cur)?,
-            outcome: cur.take_u8()? != 0,
-            scale: cur.take_f64()?,
-            bound: take_bound(&mut cur)?,
+wire! {
+    impl struct ExchangeCmd {
+        signature: u64,
+        gate: Gate1 as GateWire,
+        offset_cmask: usize,
+        block_cmask: usize,
+        bound: ErrorBound,
+        role: ExchangeRole,
+        lookahead: Lookahead,
+    }
+}
+
+wire! {
+    impl struct BatchPlan {
+        gate: Gate1 as GateWire,
+        offset_bit: u32,
+        offset_cmask: usize,
+        block_cmask: usize,
+        rank_cmask: usize,
+    }
+}
+
+wire! {
+    impl struct BatchCmd {
+        signature: u64,
+        bound: ErrorBound,
+        lookahead: Lookahead,
+        plans: Arc<Vec<BatchPlan>>,
+    }
+}
+
+wire! {
+    impl enum WorkerCmd {
+        0 => Gate { 0: GateCmd },
+        1 => Exchange { 0: ExchangeCmd },
+        2 => Batch { 0: BatchCmd },
+        3 => Collapse {
+            scope: ControlScope as ScopeWire,
+            outcome: bool,
+            scale: f64,
+            bound: ErrorBound,
         },
-        CMD_RECOMPRESS => WorkerCmd::Recompress {
-            bound: take_bound(&mut cur)?,
-        },
-        CMD_PROB_ONE => WorkerCmd::ProbOne {
-            scope: take_scope(&mut cur)?,
-        },
-        CMD_NORM_SQR => WorkerCmd::NormSqr,
-        CMD_WEIGHTS => WorkerCmd::Weights,
-        CMD_FETCH_BLOCK => WorkerCmd::FetchBlock {
-            block: cur.take_u64()? as usize,
-        },
-        CMD_SNAPSHOT => WorkerCmd::SnapshotBlocks,
-        CMD_EXPECTATION_ZZ => WorkerCmd::ExpectationZz {
-            a: cur.take_u64()? as usize,
-            b: cur.take_u64()? as usize,
-        },
-        CMD_NOP => WorkerCmd::Nop,
-        t => return Err(NetError::Corrupt(format!("unknown command tag {t}"))),
-    };
-    cur.finish()?;
-    Ok(DecodedCmd { cmd, bridge })
-}
-
-const OUT_WAVE: u8 = 0;
-const OUT_SCALAR: u8 = 1;
-const OUT_WEIGHTS: u8 = 2;
-const OUT_BLOCK: u8 = 3;
-const OUT_BLOCKS: u8 = 4;
-
-fn put_worker_out(buf: &mut Vec<u8>, out: &WorkerOut) {
-    match out {
-        WorkerOut::Wave(w) => {
-            put_u8(buf, OUT_WAVE);
-            put_u8(buf, w.lossy as u8);
-            put_u64(buf, w.compressed_bytes);
-            put_u64(buf, w.resident_bytes);
-            put_u64(buf, w.hot_bytes);
-        }
-        WorkerOut::Scalar(v) => {
-            put_u8(buf, OUT_SCALAR);
-            put_f64(buf, *v);
-        }
-        WorkerOut::Weights(w) => {
-            put_u8(buf, OUT_WEIGHTS);
-            put_u32(buf, w.len() as u32);
-            for v in w {
-                put_f64(buf, *v);
-            }
-        }
-        WorkerOut::Block(b) => {
-            put_u8(buf, OUT_BLOCK);
-            put_block(buf, b);
-        }
-        WorkerOut::Blocks(bs) => {
-            put_u8(buf, OUT_BLOCKS);
-            put_u32(buf, bs.len() as u32);
-            for b in bs {
-                put_block(buf, b);
-            }
-        }
+        4 => Recompress { bound: ErrorBound },
+        5 => ProbOne { scope: ControlScope as ScopeWire },
+        6 => NormSqr {},
+        7 => Weights {},
+        8 => FetchBlock { block: usize },
+        9 => SnapshotBlocks {},
+        10 => ExpectationZz { a: usize, b: usize },
+        11 => Nop {},
     }
 }
 
-fn take_worker_out(cur: &mut Cursor) -> Result<WorkerOut, NetError> {
-    match cur.take_u8()? {
-        OUT_WAVE => Ok(WorkerOut::Wave(WaveOut {
-            lossy: cur.take_u8()? != 0,
-            compressed_bytes: cur.take_u64()?,
-            resident_bytes: cur.take_u64()?,
-            hot_bytes: cur.take_u64()?,
-        })),
-        OUT_SCALAR => Ok(WorkerOut::Scalar(cur.take_f64()?)),
-        OUT_WEIGHTS => {
-            let n = cur.take_count(8)?;
-            let mut w = Vec::with_capacity(n);
-            for _ in 0..n {
-                w.push(cur.take_f64()?);
-            }
-            Ok(WorkerOut::Weights(w))
-        }
-        OUT_BLOCK => Ok(WorkerOut::Block(take_block(cur)?)),
-        OUT_BLOCKS => {
-            let n = cur.take_count(1)?;
-            let mut bs = Vec::with_capacity(n);
-            for _ in 0..n {
-                bs.push(take_block(cur)?);
-            }
-            Ok(WorkerOut::Blocks(bs))
-        }
-        t => Err(NetError::Corrupt(format!("unknown response tag {t}"))),
+wire! {
+    impl struct WaveOut {
+        lossy: bool,
+        compressed_bytes: u64,
+        resident_bytes: u64,
+        hot_bytes: u64,
     }
 }
 
-/// `Done` body: the metrics delta since the previous `Done`, then the
-/// command's result (a response or the worker's error, stringified).
-fn encode_done(result: &Result<WorkerOut, SimError>, delta: &TimeBreakdown) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_breakdown(&mut buf, delta);
-    match result {
-        Ok(out) => {
-            put_u8(&mut buf, 1);
-            put_worker_out(&mut buf, out);
-        }
-        Err(e) => {
-            put_u8(&mut buf, 0);
-            put_str(&mut buf, &e.to_string());
-        }
+wire! {
+    impl enum WorkerOut {
+        0 => Wave { 0: WaveOut },
+        1 => Scalar { 0: f64 },
+        2 => Weights { 0: Vec<f64> },
+        3 => Block { 0: CompressedBlock },
+        4 => Blocks { 0: Vec<CompressedBlock> },
     }
-    buf
 }
 
-fn decode_done(body: &[u8]) -> Result<(TimeBreakdown, Result<WorkerOut, String>), NetError> {
-    let mut cur = Cursor::new(body);
-    let delta = take_breakdown(&mut cur)?;
-    let result = if cur.take_u8()? != 0 {
-        Ok(take_worker_out(&mut cur)?)
-    } else {
-        Err(cur.take_str()?.to_string())
-    };
-    cur.finish()?;
-    Ok((delta, result))
-}
-
-fn encode_relay(b: usize, blk: &CompressedBlock) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, b as u64);
-    put_block(&mut buf, blk);
-    buf
-}
-
-fn decode_relay(body: &[u8]) -> Result<BlockMsg, NetError> {
-    let mut cur = Cursor::new(body);
-    let b = cur.take_u64()? as usize;
-    let blk = take_block(&mut cur)?;
-    cur.finish()?;
-    Ok((b, blk))
+wire! {
+    /// `Done` body: the metrics delta since the previous `Done`, then the
+    /// command's result (a response or the worker's error, stringified).
+    #[cfg_attr(test, derive(Debug, PartialEq))]
+    struct Done {
+        delta: TimeBreakdown as BreakdownWire,
+        result: Result<WorkerOut, String>,
+    }
 }
 
 // --- handshake -----------------------------------------------------------
 
-/// Everything the daemon needs to stand up one rank's worker: the rank's
-/// identity, the register size, the coordinator's [`SimConfig`] (minus
-/// what only the coordinator may decide — see [`encode_hello`]), and the
-/// rank's initial compressed block table.
-struct Hello {
-    rank: usize,
-    layout: Layout,
-    cfg: SimConfig,
-    blocks: Vec<Option<CompressedBlock>>,
+wire! {
+    /// Everything the daemon needs to stand up one rank's worker: the
+    /// rank's identity, the register size, the coordinator's [`SimConfig`]
+    /// (minus what only the coordinator may decide — see [`Hello::new`]),
+    /// and the rank's initial compressed block table.
+    #[cfg_attr(test, derive(Debug, PartialEq))]
+    struct Hello {
+        version: u32,
+        rank: usize as Idx32,
+        num_qubits: u32,
+        cfg: SimConfig,
+        blocks: Vec<Option<CompressedBlock>>,
+    }
 }
 
-/// The config travels in the [`crate::serial`] encoding, stripped of the
-/// two fields a daemon must not take from a peer: `remote` (the daemon
-/// *is* the remote end) and `spill.dir` (it chooses where its own
-/// segments live).
-fn encode_hello(
-    rank: usize,
-    cfg: &SimConfig,
-    num_qubits: u32,
-    blocks: &[Option<CompressedBlock>],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u32(&mut buf, PROTOCOL_VERSION);
-    put_u32(&mut buf, rank as u32);
-    put_u32(&mut buf, num_qubits);
-    let mut shipped = cfg.clone();
-    shipped.remote = None;
-    if let Some(spill) = &mut shipped.spill {
-        spill.dir = None;
-    }
-    put_sim_config(&mut buf, &shipped).expect("a config without a spill dir always encodes");
-    put_u32(&mut buf, blocks.len() as u32);
-    for block in blocks {
-        match block {
-            Some(b) => {
-                put_u8(&mut buf, 1);
-                put_block(&mut buf, b);
-            }
-            None => put_u8(&mut buf, 0),
+impl Hello {
+    /// The config travels stripped of the two fields a daemon must not
+    /// take from a peer: `remote` (the daemon *is* the remote end) and
+    /// `spill.dir` (it chooses where its own segments live).
+    fn new(
+        rank: usize,
+        cfg: &SimConfig,
+        num_qubits: u32,
+        blocks: &[Option<CompressedBlock>],
+    ) -> Self {
+        let mut cfg = cfg.clone();
+        cfg.remote = None;
+        if let Some(spill) = &mut cfg.spill {
+            spill.dir = None;
+        }
+        Self {
+            version: PROTOCOL_VERSION,
+            rank,
+            num_qubits,
+            cfg,
+            blocks: blocks.to_vec(),
         }
     }
-    buf
+
+    /// Daemon side: decode a Hello body and derive the layout it implies.
+    /// The version is compared before the rest is parsed, so a peer with
+    /// another layout is told so rather than called corrupt.
+    fn admit(body: &[u8]) -> Result<(Self, Layout), NetError> {
+        let version = u32::take(&mut Cursor::new(body))?;
+        if version != PROTOCOL_VERSION {
+            return Err(NetError::Protocol(format!(
+                "peer speaks protocol v{version}, this daemon speaks v{PROTOCOL_VERSION}"
+            )));
+        }
+        let mut hello: Hello = decode(body)?;
+        if let Some(spill) = &mut hello.cfg.spill {
+            spill.dir = None; // the daemon chooses where its own segments live
+        }
+        // `Layout::new` asserts its geometry; reject a hostile one first.
+        hello
+            .cfg
+            .validate(hello.num_qubits)
+            .map_err(NetError::Corrupt)?;
+        let layout = Layout::new(hello.num_qubits, hello.cfg.ranks_log2, hello.cfg.block_log2);
+        Ok((hello, layout))
+    }
 }
 
-fn decode_hello(body: &[u8]) -> Result<Hello, NetError> {
-    let mut cur = Cursor::new(body);
-    let version = cur.take_u32()?;
-    if version != PROTOCOL_VERSION {
-        return Err(NetError::Protocol(format!(
-            "peer speaks protocol v{version}, this daemon speaks v{PROTOCOL_VERSION}"
-        )));
-    }
-    let rank = cur.take_u32()? as usize;
-    let num_qubits = cur.take_u32()?;
-    let mut cfg = take_sim_config(&mut cur)?;
-    if let Some(spill) = &mut cfg.spill {
-        spill.dir = None; // the daemon chooses where its own segments live
-    }
-    // `Layout::new` asserts its geometry; reject a hostile one first.
-    cfg.validate(num_qubits).map_err(NetError::Corrupt)?;
-    let layout = Layout::new(num_qubits, cfg.ranks_log2, cfg.block_log2);
-    let n = cur.take_count(1)?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(if cur.take_u8()? != 0 {
-            Some(take_block(&mut cur)?)
-        } else {
-            None
-        });
-    }
-    cur.finish()?;
-    Ok(Hello {
-        rank,
-        layout,
-        cfg,
-        blocks,
-    })
-}
-
-fn encode_hello_ack(result: Result<u32, &str>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match result {
-        Ok(rank) => {
-            put_u8(&mut buf, 1);
-            put_u32(&mut buf, PROTOCOL_VERSION);
-            put_u32(&mut buf, rank);
-        }
-        Err(msg) => {
-            put_u8(&mut buf, 0);
-            put_str(&mut buf, msg);
-        }
-    }
-    buf
-}
+/// `HelloAck` body: the daemon's protocol version and the rank it now
+/// hosts, or why the handshake was refused.
+type HelloAck = Result<(u32, u32), String>;
 
 // --- coordinator side: the remote worker stub ---------------------------
 
@@ -723,7 +389,7 @@ impl RemoteWorkerClient {
             writer: stream,
             metrics,
         };
-        let hello = encode_hello(rank, cfg, layout.num_qubits, blocks);
+        let hello = encode(&Hello::new(rank, cfg, layout.num_qubits, blocks));
         write_frame_to(&mut client.writer, K_HELLO, &hello)
             .map_err(|e| transport_err(rank, "send handshake", e))?;
         let (kind, body) = recv_frame(&mut client.reader)
@@ -735,18 +401,12 @@ impl RemoteWorkerClient {
                 format!("unexpected frame kind {kind}"),
             ));
         }
-        let mut cur = Cursor::new(&body);
-        let ok = cur.take_u8().map_err(|e| transport_err(rank, "ack", e))?;
-        if ok == 0 {
-            let msg = cur
-                .take_str()
-                .map_err(|e| transport_err(rank, "ack", e))?
-                .to_string();
-            return Err(SimError::Transport(format!(
+        match decode::<HelloAck>(&body).map_err(|e| transport_err(rank, "ack", e))? {
+            Ok(_) => Ok(client),
+            Err(msg) => Err(SimError::Transport(format!(
                 "rank {rank}: daemon rejected handshake: {msg}"
-            )));
+            ))),
         }
-        Ok(client)
     }
 }
 
@@ -758,17 +418,21 @@ impl Drop for RemoteWorkerClient {
     }
 }
 
-/// Drain the coordinator-side link (blocks the *peer* rank sends toward
-/// this rank's daemon) into Relay frames; when the link closes — the peer
-/// client got its `Done` and dropped its sender — tell the daemon's
-/// inbound relay the stream is over.
-fn forward_outbound(rx: DuplexRx<BlockMsg>, mut w: TcpStream) {
-    while let Some((b, blk)) = rx.recv() {
-        if write_frame_to(&mut w, K_RELAY, &encode_relay(b, &blk)).is_err() {
+/// Drain a link end onto the socket as Relay frames until the link
+/// closes. The coordinator drains what the *peer* rank sends toward this
+/// rank's daemon, and when that link closes — the peer client got its
+/// `Done` and dropped its sender — tells the daemon's inbound relay the
+/// stream is over (`then_eof`); the daemon drains its worker's outbound
+/// blocks until the worker's `handle` returns.
+fn pump_outbound(rx: DuplexRx<BlockMsg>, mut w: TcpStream, then_eof: bool) {
+    while let Some(msg) = rx.recv() {
+        if write_frame_to(&mut w, K_RELAY, &encode(&msg)).is_err() {
             return; // socket gone; the main read path owns the error
         }
     }
-    let _ = write_frame_to(&mut w, K_EXCHANGE_EOF, &[]);
+    if then_eof {
+        let _ = write_frame_to(&mut w, K_EXCHANGE_EOF, &[]);
+    }
 }
 
 impl qcs_cluster::exec::Worker for RemoteWorkerClient {
@@ -776,7 +440,14 @@ impl qcs_cluster::exec::Worker for RemoteWorkerClient {
     type Resp = Result<WorkerOut, SimError>;
 
     fn handle(&mut self, cmd: WorkerCmd) -> Result<WorkerOut, SimError> {
-        let (body, link) = encode_cmd(cmd);
+        let body = encode(&cmd);
+        let link = match cmd {
+            WorkerCmd::Exchange(ExchangeCmd {
+                role: ExchangeRole::Lead(l) | ExchangeRole::Follow(l),
+                ..
+            }) => Some(l),
+            _ => None,
+        };
         if let Err(e) = write_frame_to(&mut self.writer, K_CMD, &body) {
             return Err(transport_err(self.rank, "send command", e));
         }
@@ -790,14 +461,14 @@ impl qcs_cluster::exec::Worker for RemoteWorkerClient {
                     .writer
                     .try_clone()
                     .map_err(|e| transport_err(self.rank, "clone stream", e))?;
-                Some((tx, std::thread::spawn(move || forward_outbound(rx, w))))
+                Some((tx, std::thread::spawn(move || pump_outbound(rx, w, true))))
             }
             None => None,
         };
         let result = loop {
             match recv_frame(&mut self.reader) {
                 Err(e) => break Err(transport_err(self.rank, "read response", e)),
-                Ok((K_RELAY, body)) => match (&bridge, decode_relay(&body)) {
+                Ok((K_RELAY, body)) => match (&bridge, decode::<BlockMsg>(&body)) {
                     (Some((tx, _)), Ok(msg)) => {
                         // A false send means the peer client already
                         // failed; its own wave surfaces that error.
@@ -813,8 +484,8 @@ impl qcs_cluster::exec::Worker for RemoteWorkerClient {
                     (_, Err(e)) => break Err(transport_err(self.rank, "relay frame", e)),
                 },
                 Ok((K_DONE, body)) => {
-                    break match decode_done(&body) {
-                        Ok((delta, result)) => {
+                    break match decode::<Done>(&body) {
+                        Ok(Done { delta, result }) => {
                             self.metrics.absorb(&delta);
                             result.map_err(|msg| {
                                 SimError::Transport(format!("rank {} (remote): {msg}", self.rank))
@@ -932,27 +603,28 @@ pub fn spawn_loopback(
 /// is per-connection, exactly as per-process state would be under MPI.
 fn build_worker(
     hello: &Hello,
+    layout: Layout,
     opts: &ServeOptions,
     metrics: Metrics,
 ) -> Result<RankWorker, String> {
-    if hello.blocks.len() != hello.layout.blocks_per_rank() {
+    if hello.blocks.len() != layout.blocks_per_rank() {
         return Err(format!(
             "handshake shipped {} blocks, layout needs {}",
             hello.blocks.len(),
-            hello.layout.blocks_per_rank()
+            layout.blocks_per_rank()
         ));
     }
-    if hello.rank >= hello.layout.ranks() {
+    if hello.rank >= layout.ranks() {
         return Err(format!(
             "rank {} out of range for a {}-rank layout",
             hello.rank,
-            hello.layout.ranks()
+            layout.ranks()
         ));
     }
     let cfg = &hello.cfg;
     let codec = Arc::new(BlockCodec::new(cfg.lossy_codec));
     codec.prewarm(
-        hello.layout.block_amps() * 2,
+        layout.block_amps() * 2,
         (4 * rayon::current_num_threads() + 4).min(32),
     );
     let cache = Arc::new(BlockCache::new(
@@ -985,7 +657,7 @@ fn build_worker(
     };
     Ok(RankWorker::new(
         hello.rank,
-        hello.layout,
+        layout,
         codec,
         cache,
         metrics,
@@ -994,35 +666,15 @@ fn build_worker(
     ))
 }
 
-/// Daemon side of the exchange bridge: pump the worker's outbound blocks
-/// onto the socket as Relay frames. Ends when the worker drops its link
-/// end (its `handle` returned).
-fn relay_worker_outbound(rx: DuplexRx<BlockMsg>, mut w: TcpStream) {
-    while let Some((b, blk)) = rx.recv() {
-        if write_frame_to(&mut w, K_RELAY, &encode_relay(b, &blk)).is_err() {
-            return;
-        }
-    }
-}
-
 /// Daemon side of the exchange bridge: pump inbound Relay frames into the
 /// worker's link. Ends on the coordinator's `ExchangeEof`, or on any
 /// read/protocol error — either way the sender drops, so a worker waiting
 /// on a vanished peer sees a closed link (a typed exchange error), not a
 /// hang.
 fn relay_socket_inbound(tx: DuplexTx<BlockMsg>, mut r: TcpStream) {
-    loop {
-        match recv_frame(&mut r) {
-            Ok((K_RELAY, body)) => match decode_relay(&body) {
-                Ok(msg) => {
-                    if !tx.send(msg) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            },
-            Ok((K_EXCHANGE_EOF, _)) => return,
-            _ => return,
+    while let Ok((K_RELAY, body)) = recv_frame(&mut r) {
+        if !decode::<BlockMsg>(&body).is_ok_and(|msg| tx.send(msg)) {
+            return;
         }
     }
 }
@@ -1042,31 +694,37 @@ fn handle_conn(stream: TcpStream, opts: &ServeOptions) -> Result<(), NetError> {
         )));
     }
     let metrics = Metrics::new();
-    let (mut worker, pool) = match decode_hello(&body)
-        .map_err(|e| e.to_string())
-        .and_then(|h| {
-            let worker = build_worker(&h, opts, metrics.clone())?;
-            let pool = h
-                .cfg
-                .threads_per_rank
-                .map(|t| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(t.max(1))
-                        .build()
-                        .map_err(|e| format!("rayon pool: {e}"))
-                })
-                .transpose()?;
-            Ok((h.rank, worker, pool))
-        }) {
-        Ok((rank, worker, pool)) => {
-            write_frame_to(&mut writer, K_HELLO_ACK, &encode_hello_ack(Ok(rank as u32)))?;
-            (worker, pool)
-        }
-        Err(msg) => {
-            write_frame_to(&mut writer, K_HELLO_ACK, &encode_hello_ack(Err(&msg)))?;
-            return Err(NetError::Protocol(msg));
-        }
-    };
+    let (mut worker, layout, pool) =
+        match Hello::admit(&body)
+            .map_err(|e| e.to_string())
+            .and_then(|(h, layout)| {
+                let worker = build_worker(&h, layout, opts, metrics.clone())?;
+                let pool = h
+                    .cfg
+                    .threads_per_rank
+                    .map(|t| {
+                        rayon::ThreadPoolBuilder::new()
+                            .num_threads(t.max(1))
+                            .build()
+                            .map_err(|e| format!("rayon pool: {e}"))
+                    })
+                    .transpose()?;
+                Ok((h.rank as u32, worker, layout, pool))
+            }) {
+            Ok((rank, worker, layout, pool)) => {
+                let ack: HelloAck = Ok((PROTOCOL_VERSION, rank));
+                write_frame_to(&mut writer, K_HELLO_ACK, &encode(&ack))?;
+                (worker, layout, pool)
+            }
+            Err(msg) => {
+                write_frame_to(
+                    &mut writer,
+                    K_HELLO_ACK,
+                    &encode::<HelloAck>(&Err(msg.clone())),
+                )?;
+                return Err(NetError::Protocol(msg));
+            }
+        };
 
     let mut last = TimeBreakdown::default();
     let mut cmds_handled = 0usize;
@@ -1087,37 +745,55 @@ fn handle_conn(stream: TcpStream, opts: &ServeOptions) -> Result<(), NetError> {
                     return Ok(());
                 }
                 cmds_handled += 1;
-                let DecodedCmd { cmd, bridge } = decode_cmd(&body)?;
-                let relays = match bridge {
-                    Some(b) => {
-                        let (btx, brx) = b.split();
+                let mut cmd: WorkerCmd = decode(&body)?;
+                // A command that decodes is not yet one the worker may
+                // run: its indices and masks are still the peer's claim.
+                if let Err(msg) = cmd.validate(&layout) {
+                    let done = Done {
+                        delta: TimeBreakdown::default(),
+                        result: Err(format!("invalid command: {msg}")),
+                    };
+                    write_frame_to(&mut writer, K_DONE, &encode(&done))?;
+                    continue;
+                }
+                // For an exchange, stand a live local duplex in for the
+                // link that could not travel: the worker holds one end,
+                // this connection's relay threads pump the other.
+                let relays = match &mut cmd {
+                    WorkerCmd::Exchange(ExchangeCmd {
+                        role: ExchangeRole::Lead(link) | ExchangeRole::Follow(link),
+                        ..
+                    }) => {
+                        let (worker_end, bridge_end) = duplex();
+                        *link = worker_end;
+                        let (btx, brx) = bridge_end.split();
                         let w = writer.try_clone()?;
                         let r = reader.try_clone()?;
                         Some((
-                            std::thread::spawn(move || relay_worker_outbound(brx, w)),
+                            std::thread::spawn(move || pump_outbound(brx, w, false)),
                             std::thread::spawn(move || relay_socket_inbound(btx, r)),
                         ))
                     }
-                    None => None,
+                    _ => None,
                 };
                 let result = match &pool {
                     Some(p) => p.install(|| worker.handle(cmd)),
                     None => worker.handle(cmd),
                 };
                 let now = metrics.breakdown();
-                let delta = now.delta(&last);
+                let done = encode(&Done {
+                    delta: now.delta(&last),
+                    result: result.map_err(|e| e.to_string()),
+                });
                 last = now;
-                if let Some((outbound, inbound)) = relays {
-                    // Every outbound Relay frame precedes Done on the
-                    // wire; Done goes out BEFORE joining the inbound
-                    // relay, because the peer's ExchangeEof can only
-                    // arrive after the peer rank observed its own Done.
-                    let _ = outbound.join();
-                    write_frame_to(&mut writer, K_DONE, &encode_done(&result, &delta))?;
-                    let _ = inbound.join();
-                } else {
-                    write_frame_to(&mut writer, K_DONE, &encode_done(&result, &delta))?;
-                }
+                // Every outbound Relay frame precedes Done on the wire;
+                // Done goes out BEFORE joining the inbound relay, because
+                // the peer's ExchangeEof can only arrive after the peer
+                // rank observed its own Done.
+                let (outbound, inbound) = relays.unzip();
+                let _ = outbound.map(JoinHandle::join);
+                write_frame_to(&mut writer, K_DONE, &done)?;
+                let _ = inbound.map(JoinHandle::join);
             }
             other => {
                 return Err(NetError::Protocol(format!(
@@ -1128,43 +804,539 @@ fn handle_conn(stream: TcpStream, opts: &ServeOptions) -> Result<(), NetError> {
     }
 }
 
+// The generic wire contract and its counting allocator live with the wire
+// crate's own suite; the worker protocol is crate-private, so its half of
+// that suite runs from this file's tests.
+#[cfg(test)]
+#[path = "../../qcs-net/tests/contract/mod.rs"]
+mod contract;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn gate_cmd_round_trips() {
-        let cmd = WorkerCmd::Gate(GateCmd {
-            signature: 0xDEAD_BEEF,
-            gate: Gate1::t(),
-            route: Route::InterBlock { block_stride: 4 },
-            offset_cmask: 0b101,
-            block_cmask: 0b10,
-            rank_cmask: 1,
-            bound: ErrorBound::PointwiseRelative(1e-3),
-            lookahead: Some(Arc::new(vec![3, 1, 4])),
-        });
-        let (body, link) = encode_cmd(cmd);
-        assert!(link.is_none());
-        let decoded = decode_cmd(&body).unwrap();
-        assert!(decoded.bridge.is_none());
-        match decoded.cmd {
-            WorkerCmd::Gate(g) => {
-                assert_eq!(g.signature, 0xDEAD_BEEF);
-                assert_eq!(g.route, Route::InterBlock { block_stride: 4 });
-                assert_eq!(g.offset_cmask, 0b101);
-                assert_eq!(g.block_cmask, 0b10);
-                assert_eq!(g.rank_cmask, 1);
-                assert_eq!(g.bound, ErrorBound::PointwiseRelative(1e-3));
-                assert_eq!(g.lookahead.as_deref(), Some(&vec![3, 1, 4]));
-                assert_eq!(g.gate.m[1][1].re, Gate1::t().m[1][1].re);
-            }
-            _ => panic!("wrong command decoded"),
+    use super::contract::{self, wire_contract};
+
+    #[global_allocator]
+    static ALLOC: contract::CountingAlloc = contract::CountingAlloc;
+
+    // A link is not part of a command's wire form: roles compare by kind.
+    impl PartialEq for ExchangeRole {
+        fn eq(&self, other: &Self) -> bool {
+            std::mem::discriminant(self) == std::mem::discriminant(other)
         }
     }
 
+    impl std::fmt::Debug for ExchangeRole {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str(match self {
+                ExchangeRole::Idle => "Idle",
+                ExchangeRole::Lead(_) => "Lead",
+                ExchangeRole::Follow(_) => "Follow",
+            })
+        }
+    }
+
+    // --- golden values: the bytes under qcs-net/tests/fixtures/ were
+    // written by the hand-rolled codecs of commit 3a80267 from exactly
+    // these values ---------------------------------------------------------
+
+    fn golden_block(lossy: bool) -> CompressedBlock {
+        let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
+        let vals: Vec<f64> = (0..16).map(|i| (i as f64 * 0.37).sin()).collect();
+        let bound = if lossy {
+            ErrorBound::PointwiseRelative(1e-3)
+        } else {
+            ErrorBound::Lossless
+        };
+        codec.compress(&vals, bound).unwrap()
+    }
+
+    fn golden_cmds() -> Vec<(&'static str, WorkerCmd)> {
+        let (lead, follow) = duplex::<BlockMsg>();
+        vec![
+            (
+                "gate",
+                WorkerCmd::Gate(GateCmd {
+                    signature: 0xDEAD_BEEF_0123_4567,
+                    gate: Gate1::t(),
+                    route: Route::InterBlock { block_stride: 4 },
+                    offset_cmask: 0b101,
+                    block_cmask: 0b10,
+                    rank_cmask: 1,
+                    bound: ErrorBound::PointwiseRelative(1e-3),
+                    lookahead: Some(Arc::new(vec![3, 1, 4])),
+                }),
+            ),
+            (
+                "gate_in_block",
+                WorkerCmd::Gate(GateCmd {
+                    signature: 9,
+                    gate: Gate1::u3(0.1, -0.2, 0.3),
+                    route: Route::InBlock { offset_bit: 2 },
+                    offset_cmask: 0,
+                    block_cmask: 0,
+                    rank_cmask: 0,
+                    bound: ErrorBound::Lossless,
+                    lookahead: None,
+                }),
+            ),
+            (
+                "exchange_lead",
+                WorkerCmd::Exchange(ExchangeCmd {
+                    signature: 7,
+                    gate: Gate1::h(),
+                    offset_cmask: 0b11,
+                    block_cmask: 1,
+                    bound: ErrorBound::Lossless,
+                    role: ExchangeRole::Lead(lead),
+                    lookahead: None,
+                }),
+            ),
+            (
+                "exchange_follow",
+                WorkerCmd::Exchange(ExchangeCmd {
+                    signature: 8,
+                    gate: Gate1::rx(0.7),
+                    offset_cmask: 0,
+                    block_cmask: 0,
+                    bound: ErrorBound::Absolute(1e-5),
+                    role: ExchangeRole::Follow(follow),
+                    lookahead: Some(Arc::new(vec![0, 2])),
+                }),
+            ),
+            (
+                "exchange_idle",
+                WorkerCmd::Exchange(ExchangeCmd {
+                    signature: 9,
+                    gate: Gate1::x(),
+                    offset_cmask: 1,
+                    block_cmask: 2,
+                    bound: ErrorBound::Lossless,
+                    role: ExchangeRole::Idle,
+                    lookahead: Some(Arc::new(Vec::new())),
+                }),
+            ),
+            (
+                "batch",
+                WorkerCmd::Batch(BatchCmd {
+                    plans: Arc::new(vec![
+                        BatchPlan {
+                            gate: Gate1::h(),
+                            offset_bit: 0,
+                            offset_cmask: 0b10,
+                            block_cmask: 1,
+                            rank_cmask: 0,
+                        },
+                        BatchPlan {
+                            gate: Gate1::rz(0.3),
+                            offset_bit: 2,
+                            offset_cmask: 0,
+                            block_cmask: 0,
+                            rank_cmask: 1,
+                        },
+                    ]),
+                    signature: 0x1234_5678_9ABC_DEF0,
+                    bound: ErrorBound::PointwiseRelative(1e-4),
+                    lookahead: Some(Arc::new(vec![1])),
+                }),
+            ),
+            (
+                "collapse",
+                WorkerCmd::Collapse {
+                    scope: ControlScope::RankSelect { rank_bit: 1 },
+                    outcome: true,
+                    scale: std::f64::consts::SQRT_2,
+                    bound: ErrorBound::Absolute(1e-4),
+                },
+            ),
+            (
+                "recompress",
+                WorkerCmd::Recompress {
+                    bound: ErrorBound::PointwiseRelative(1e-2),
+                },
+            ),
+            (
+                "prob_one",
+                WorkerCmd::ProbOne {
+                    scope: ControlScope::InBlock { offset_bit: 2 },
+                },
+            ),
+            (
+                "prob_one_block_select",
+                WorkerCmd::ProbOne {
+                    scope: ControlScope::BlockSelect { block_bit: 1 },
+                },
+            ),
+            ("norm_sqr", WorkerCmd::NormSqr),
+            ("weights", WorkerCmd::Weights),
+            ("fetch_block", WorkerCmd::FetchBlock { block: 5 }),
+            ("snapshot", WorkerCmd::SnapshotBlocks),
+            ("expectation_zz", WorkerCmd::ExpectationZz { a: 3, b: 9 }),
+            ("nop", WorkerCmd::Nop),
+        ]
+    }
+
+    fn golden_results() -> Vec<(&'static str, Result<WorkerOut, String>)> {
+        vec![
+            (
+                "wave",
+                Ok(WorkerOut::Wave(WaveOut {
+                    lossy: true,
+                    compressed_bytes: 1000,
+                    resident_bytes: 800,
+                    hot_bytes: 700,
+                })),
+            ),
+            ("scalar", Ok(WorkerOut::Scalar(-0.125))),
+            ("weights", Ok(WorkerOut::Weights(vec![0.25, 0.5, 0.125]))),
+            ("block", Ok(WorkerOut::Block(golden_block(true)))),
+            (
+                "blocks",
+                Ok(WorkerOut::Blocks(vec![
+                    golden_block(false),
+                    golden_block(true),
+                ])),
+            ),
+            ("err", Err(SimError::Spill("disk full".into()).to_string())),
+        ]
+    }
+
+    fn golden_hello_cfg() -> SimConfig {
+        SimConfig::default()
+            .with_block_log2(3)
+            .with_ranks_log2(1)
+            .with_threads_per_rank(2)
+            .with_spill(2)
+            .with_write_behind(true)
+            .with_spill_shards(3)
+            .with_partial_decode(false)
+            .with_spill_dir(PathBuf::from("/coordinator/only"))
+            .with_remote(vec!["127.0.0.1:9"])
+    }
+
+    fn assert_golden<T: Wire + PartialEq + std::fmt::Debug>(name: &str, value: &T) {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../qcs-net/tests/fixtures");
+        contract::assert_golden(dir, name, value);
+    }
+
     #[test]
-    fn exchange_cmd_builds_a_daemon_bridge() {
+    fn worker_protocol_bytes_match_the_parent_commit() {
+        for (name, cmd) in golden_cmds() {
+            assert_golden(&format!("cmd_{name}"), &cmd);
+        }
+        let delta = TimeBreakdown::from_array(std::array::from_fn(|i| 3 + i as u64));
+        for (name, result) in golden_results() {
+            assert_golden(&format!("done_{name}"), &Done { delta, result });
+        }
+        assert_golden::<BlockMsg>("relay", &(5, golden_block(true)));
+        let blocks = [
+            Some(golden_block(false)),
+            None,
+            Some(golden_block(true)),
+            None,
+        ];
+        assert_golden(
+            "hello_full",
+            &Hello::new(1, &golden_hello_cfg(), 6, &blocks),
+        );
+        assert_golden(
+            "hello_no_blocks",
+            &Hello::new(0, &SimConfig::default().with_block_log2(3), 4, &[]),
+        );
+        assert_golden::<HelloAck>("hello_ack_ok", &Ok((PROTOCOL_VERSION, 1)));
+        assert_golden::<HelloAck>(
+            "hello_ack_err",
+            &Err("rank 9 out of range for a 2-rank layout".into()),
+        );
+        assert_eq!(PROTOCOL_VERSION, 4);
+    }
+
+    // --- the wire contract over arbitrary protocol values ------------------
+
+    fn arb_bound() -> impl Strategy<Value = ErrorBound> {
+        prop_oneof![
+            Just(ErrorBound::Lossless),
+            (1e-9f64..1e-1).prop_map(ErrorBound::PointwiseRelative),
+            (1e-9f64..1e-1).prop_map(ErrorBound::Absolute),
+        ]
+    }
+
+    fn arb_gate() -> impl Strategy<Value = Gate1> {
+        prop::collection::vec(-1.0f64..1.0, 8).prop_map(|v| {
+            let c = |k: usize| Complex64 {
+                re: v[2 * k],
+                im: v[2 * k + 1],
+            };
+            Gate1 {
+                m: [[c(0), c(1)], [c(2), c(3)]],
+            }
+        })
+    }
+
+    fn arb_lookahead() -> impl Strategy<Value = Lookahead> {
+        prop_oneof![
+            Just(None),
+            prop::collection::vec(any::<usize>(), 0..6).prop_map(|v| Some(Arc::new(v))),
+        ]
+    }
+
+    fn arb_scope() -> impl Strategy<Value = ControlScope> {
+        (0u8..3, any::<u32>()).prop_map(|(kind, bit)| match kind {
+            0 => ControlScope::InBlock { offset_bit: bit },
+            1 => ControlScope::BlockSelect { block_bit: bit },
+            _ => ControlScope::RankSelect { rank_bit: bit },
+        })
+    }
+
+    fn arb_block() -> impl Strategy<Value = CompressedBlock> {
+        prop_oneof![
+            (0u8..2).prop_map(|lossy| golden_block(lossy == 1)),
+            (
+                0usize..qcs_compress::CodecId::ALL.len(),
+                arb_bound(),
+                prop::collection::vec(any::<u8>(), 0..48)
+            )
+                .prop_map(|(codec, bound, bytes)| CompressedBlock {
+                    codec: qcs_compress::CodecId::ALL[codec],
+                    bound,
+                    bytes: bytes.into(),
+                }),
+        ]
+    }
+
+    /// Every one of the 12 variants, with arbitrary (not merely valid)
+    /// field values: the layout carries what it is given.
+    fn arb_cmd() -> impl Strategy<Value = WorkerCmd> {
+        let masks = || (any::<usize>(), any::<usize>(), any::<usize>());
+        prop_oneof![
+            (
+                any::<u64>(),
+                arb_gate(),
+                (0u8..3, any::<u32>(), any::<usize>()),
+                masks(),
+                arb_bound(),
+                arb_lookahead()
+            )
+                .prop_map(
+                    |(signature, gate, (kind, bit, stride), m, bound, lookahead)| {
+                        WorkerCmd::Gate(GateCmd {
+                            signature,
+                            gate,
+                            route: match kind {
+                                0 => Route::InBlock { offset_bit: bit },
+                                1 => Route::InterBlock {
+                                    block_stride: stride,
+                                },
+                                _ => Route::InterRank {
+                                    rank_stride: stride,
+                                },
+                            },
+                            offset_cmask: m.0,
+                            block_cmask: m.1,
+                            rank_cmask: m.2,
+                            bound,
+                            lookahead,
+                        })
+                    }
+                ),
+            (
+                any::<u64>(),
+                arb_gate(),
+                masks(),
+                arb_bound(),
+                0u8..3,
+                arb_lookahead()
+            )
+                .prop_map(|(signature, gate, m, bound, role, lookahead)| {
+                    let (lead, follow) = duplex::<BlockMsg>();
+                    WorkerCmd::Exchange(ExchangeCmd {
+                        signature,
+                        gate,
+                        offset_cmask: m.0,
+                        block_cmask: m.1,
+                        bound,
+                        role: match role {
+                            0 => ExchangeRole::Idle,
+                            1 => ExchangeRole::Lead(lead),
+                            _ => ExchangeRole::Follow(follow),
+                        },
+                        lookahead,
+                    })
+                }),
+            (
+                prop::collection::vec((arb_gate(), any::<u32>(), masks()), 0..5),
+                any::<u64>(),
+                arb_bound(),
+                arb_lookahead()
+            )
+                .prop_map(|(plans, signature, bound, lookahead)| {
+                    WorkerCmd::Batch(BatchCmd {
+                        plans: Arc::new(
+                            plans
+                                .into_iter()
+                                .map(|(gate, offset_bit, m)| BatchPlan {
+                                    gate,
+                                    offset_bit,
+                                    offset_cmask: m.0,
+                                    block_cmask: m.1,
+                                    rank_cmask: m.2,
+                                })
+                                .collect(),
+                        ),
+                        signature,
+                        bound,
+                        lookahead,
+                    })
+                }),
+            (arb_scope(), any::<bool>(), 0.5f64..2.0, arb_bound()).prop_map(
+                |(scope, outcome, scale, bound)| WorkerCmd::Collapse {
+                    scope,
+                    outcome,
+                    scale,
+                    bound,
+                }
+            ),
+            arb_bound().prop_map(|bound| WorkerCmd::Recompress { bound }),
+            arb_scope().prop_map(|scope| WorkerCmd::ProbOne { scope }),
+            Just(()).prop_map(|_| WorkerCmd::NormSqr),
+            Just(()).prop_map(|_| WorkerCmd::Weights),
+            any::<usize>().prop_map(|block| WorkerCmd::FetchBlock { block }),
+            Just(()).prop_map(|_| WorkerCmd::SnapshotBlocks),
+            (any::<usize>(), any::<usize>()).prop_map(|(a, b)| WorkerCmd::ExpectationZz { a, b }),
+            Just(()).prop_map(|_| WorkerCmd::Nop),
+        ]
+    }
+
+    fn arb_out() -> impl Strategy<Value = WorkerOut> {
+        prop_oneof![
+            (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+                |(lossy, compressed_bytes, resident_bytes, hot_bytes)| {
+                    WorkerOut::Wave(WaveOut {
+                        lossy,
+                        compressed_bytes,
+                        resident_bytes,
+                        hot_bytes,
+                    })
+                }
+            ),
+            (-2.0f64..2.0).prop_map(WorkerOut::Scalar),
+            prop::collection::vec(0.0f64..1.0, 0..9).prop_map(WorkerOut::Weights),
+            arb_block().prop_map(WorkerOut::Block),
+            prop::collection::vec(arb_block(), 0..4).prop_map(WorkerOut::Blocks),
+        ]
+    }
+
+    fn arb_done() -> impl Strategy<Value = Done> {
+        (
+            prop::collection::vec(any::<u64>(), TimeBreakdown::FIELDS),
+            prop_oneof![
+                3 => arb_out().prop_map(Ok),
+                1 => (0usize..3).prop_map(|k| Err(["spill error: disk full", "", "ν"][k].into())),
+            ],
+        )
+            .prop_map(|(fields, result)| Done {
+                delta: TimeBreakdown::from_array(fields.try_into().expect("FIELDS values")),
+                result,
+            })
+    }
+
+    fn arb_hello() -> impl Strategy<Value = Hello> {
+        (
+            (any::<u32>(), 0usize..1 << 32, any::<u32>()),
+            (2u32..7, 0u32..3, 0usize..4, 0usize..3, any::<bool>()),
+            prop::collection::vec(prop_oneof![Just(None), arb_block().prop_map(Some)], 0..5),
+        )
+            .prop_map(
+                |(
+                    (version, rank, num_qubits),
+                    (block_log2, ranks_log2, spill, shards, write_behind),
+                    blocks,
+                )| {
+                    let mut cfg = SimConfig::default()
+                        .with_block_log2(block_log2)
+                        .with_ranks_log2(ranks_log2);
+                    if spill > 0 {
+                        cfg = cfg
+                            .with_spill(spill)
+                            .with_spill_shards(shards)
+                            .with_write_behind(write_behind);
+                    }
+                    Hello {
+                        version,
+                        rank,
+                        num_qubits,
+                        cfg,
+                        blocks,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn worker_cmd_meets_the_wire_contract(cmd in arb_cmd()) {
+            wire_contract(&cmd);
+        }
+
+        #[test]
+        fn done_and_worker_out_meet_the_wire_contract(done in arb_done()) {
+            wire_contract(&done);
+        }
+
+        #[test]
+        fn relay_meets_the_wire_contract(index in any::<usize>(), block in arb_block()) {
+            wire_contract::<BlockMsg>(&(index, block));
+        }
+
+        #[test]
+        fn hello_and_ack_meet_the_wire_contract(
+            hello in arb_hello(),
+            version in any::<u32>(),
+            rank in any::<u32>()
+        ) {
+            wire_contract(&hello);
+            wire_contract::<HelloAck>(&Ok((version, rank)));
+            wire_contract::<HelloAck>(&Err(format!("refused v{version}")));
+        }
+    }
+
+    /// The hand-counted minimum this replaces let a `Batch` body claim one
+    /// plan per remaining *byte* (a 92-byte plan bounded at 1), so the
+    /// `Vec::with_capacity` behind it was ~100x the body.
+    #[test]
+    fn batch_plan_count_is_bounded_by_the_body() {
+        assert_eq!(BatchPlan::MIN_LEN, 64 + 4 + 3 * 8);
+        let cmd = WorkerCmd::Batch(BatchCmd {
+            plans: Arc::new(Vec::new()),
+            signature: 1,
+            bound: ErrorBound::Lossless,
+            lookahead: None,
+        });
+        let mut body = encode(&cmd);
+        let count_at = body.len() - 4;
+        body.resize(count_at + 4 + 3 * BatchPlan::MIN_LEN, 0);
+        // Four plans claimed over three plans' worth of bytes.
+        body[count_at..count_at + 4].copy_from_slice(&4u32.to_le_bytes());
+        let (result, requested) = contract::allocated_by(|| decode::<WorkerCmd>(&body));
+        match result {
+            Err(NetError::Corrupt(m)) => assert!(m.contains("count 4"), "{m}"),
+            other => panic!("over-claimed plan count accepted: {other:?}"),
+        }
+        assert!(
+            requested < std::mem::size_of::<BatchPlan>() * 4,
+            "the plan table was reserved ({requested} bytes) before the count was refused"
+        );
+        // Exactly as many as fit is fine.
+        body[count_at..count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(decode::<WorkerCmd>(&body).is_ok());
+    }
+
+    #[test]
+    fn a_decoded_exchange_holds_a_closed_link_until_bridged() {
         let (lead, _follow) = duplex::<BlockMsg>();
         let cmd = WorkerCmd::Exchange(ExchangeCmd {
             signature: 7,
@@ -1175,55 +1347,23 @@ mod tests {
             role: ExchangeRole::Lead(lead),
             lookahead: None,
         });
-        let (body, link) = encode_cmd(cmd);
-        assert!(link.is_some(), "the coordinator keeps the link");
-        let decoded = decode_cmd(&body).unwrap();
-        let bridge = decoded.bridge.expect("daemon side builds a local bridge");
-        match decoded.cmd {
-            WorkerCmd::Exchange(x) => match x.role {
-                ExchangeRole::Lead(worker_end) => {
-                    // The two local ends are wired to each other.
-                    assert!(worker_end.send((0, zero_block())));
-                    let (b, _) = bridge.recv().unwrap();
-                    assert_eq!(b, 0);
-                }
-                _ => panic!("wrong role decoded"),
-            },
+        match decode::<WorkerCmd>(&encode(&cmd)).unwrap() {
+            WorkerCmd::Exchange(ExchangeCmd {
+                role: ExchangeRole::Lead(link),
+                ..
+            }) => {
+                assert!(
+                    !link.send((0, golden_block(false))),
+                    "nobody holds the other end"
+                );
+                assert!(link.recv().is_none());
+            }
             _ => panic!("wrong command decoded"),
         }
     }
 
     #[test]
-    fn done_round_trips_results_and_deltas() {
-        let delta = TimeBreakdown {
-            comm_bytes: 1234,
-            exchanges: 5,
-            communication: std::time::Duration::from_micros(250),
-            ..TimeBreakdown::default()
-        };
-        let ok: Result<WorkerOut, SimError> = Ok(WorkerOut::Wave(WaveOut {
-            lossy: true,
-            compressed_bytes: 1000,
-            resident_bytes: 800,
-            hot_bytes: 700,
-        }));
-        let (d, r) = decode_done(&encode_done(&ok, &delta)).unwrap();
-        assert_eq!(d.comm_bytes, 1234);
-        assert_eq!(d.communication, delta.communication);
-        match r.unwrap() {
-            WorkerOut::Wave(w) => {
-                assert!(w.lossy);
-                assert_eq!(w.hot_bytes, 700);
-            }
-            _ => panic!("wrong response decoded"),
-        }
-        let err: Result<WorkerOut, SimError> = Err(SimError::Spill("disk full".into()));
-        let (_, r) = decode_done(&encode_done(&err, &delta)).unwrap();
-        assert_eq!(r.unwrap_err(), "spill error: disk full");
-    }
-
-    #[test]
-    fn hello_round_trips_config_and_blocks() {
+    fn hello_ships_the_config_minus_what_the_daemon_decides() {
         let cfg = SimConfig::default()
             .with_block_log2(3)
             .with_ranks_log2(1)
@@ -1236,36 +1376,193 @@ mod tests {
             .clone()
             .with_spill_dir(PathBuf::from("/coordinator/only"))
             .with_remote(vec!["127.0.0.1:9"]);
-        let blocks = vec![Some(zero_block()), None, Some(zero_block()), None];
-        let body = encode_hello(1, &coordinator_side, 6, &blocks);
-        let hello = decode_hello(&body).unwrap();
+        let blocks = vec![
+            Some(golden_block(false)),
+            None,
+            Some(golden_block(false)),
+            None,
+        ];
+        let body = encode(&Hello::new(1, &coordinator_side, 6, &blocks));
+        let (hello, layout) = Hello::admit(&body).unwrap();
         assert_eq!(hello.rank, 1);
-        assert_eq!(hello.layout, Layout::new(6, 1, 3));
+        assert_eq!(layout, Layout::new(6, 1, 3));
         // Everything but the remote endpoints and the spill directory
         // (the daemon picks its own) arrives as configured.
         assert_eq!(hello.cfg, cfg);
-        assert_eq!(hello.blocks.len(), 4);
-        assert!(hello.blocks[0].is_some() && hello.blocks[1].is_none());
+        assert_eq!(hello.blocks, blocks);
     }
 
     #[test]
     fn version_mismatch_is_a_protocol_error() {
         let cfg = SimConfig::default().with_block_log2(3);
-        let mut body = encode_hello(0, &cfg, 4, &[]);
+        let mut body = encode(&Hello::new(0, &cfg, 4, &[]));
         body[0] = PROTOCOL_VERSION as u8 + 1;
-        assert!(matches!(decode_hello(&body), Err(NetError::Protocol(_))));
+        assert!(matches!(Hello::admit(&body), Err(NetError::Protocol(_))));
+        // Named even when the rest of the body is another version's layout.
+        assert!(matches!(
+            Hello::admit(&body[..6]),
+            Err(NetError::Protocol(_))
+        ));
     }
 
     #[test]
     fn impossible_geometry_is_rejected_not_asserted() {
         // 4 qubits cannot hold 2^1 ranks x 2^12-amp blocks.
         let cfg = SimConfig::default().with_ranks_log2(1);
-        let body = encode_hello(0, &cfg, 4, &[]);
-        assert!(matches!(decode_hello(&body), Err(NetError::Corrupt(_))));
+        let body = encode(&Hello::new(0, &cfg, 4, &[]));
+        assert!(matches!(Hello::admit(&body), Err(NetError::Corrupt(_))));
     }
 
-    fn zero_block() -> CompressedBlock {
+    // --- hostile commands against a live daemon ----------------------------
+
+    /// Commands that decode cleanly but would index, shift or
+    /// `unreachable!` past rank 0 of a 6-qubit, 2-rank, 2^3-amp-block
+    /// layout (4 blocks per rank).
+    fn hostile_cmds() -> Vec<(&'static str, WorkerCmd)> {
+        let gate = |route, masks: (usize, usize, usize), lookahead: Lookahead| {
+            WorkerCmd::Gate(GateCmd {
+                signature: 1,
+                gate: Gate1::h(),
+                route,
+                offset_cmask: masks.0,
+                block_cmask: masks.1,
+                rank_cmask: masks.2,
+                bound: ErrorBound::Lossless,
+                lookahead,
+            })
+        };
+        let in_block = Route::InBlock { offset_bit: 0 };
+        let plan = |offset_bit| BatchPlan {
+            gate: Gate1::h(),
+            offset_bit,
+            offset_cmask: 0,
+            block_cmask: 0,
+            rank_cmask: 0,
+        };
+        let batch = |plans: Vec<BatchPlan>| {
+            WorkerCmd::Batch(BatchCmd {
+                plans: Arc::new(plans),
+                signature: 1,
+                bound: ErrorBound::Lossless,
+                lookahead: None,
+            })
+        };
+        let scopes = [
+            ControlScope::InBlock { offset_bit: 3 },
+            ControlScope::BlockSelect { block_bit: 2 },
+            ControlScope::RankSelect { rank_bit: 1 },
+        ];
+        let mut cmds = vec![
+            ("fetch far", WorkerCmd::FetchBlock { block: 1 << 40 }),
+            ("fetch one past", WorkerCmd::FetchBlock { block: 4 }),
+            (
+                "inter-rank gate",
+                gate(Route::InterRank { rank_stride: 1 }, (0, 0, 0), None),
+            ),
+            (
+                "offset bit = block_log2",
+                gate(Route::InBlock { offset_bit: 3 }, (0, 0, 0), None),
+            ),
+            (
+                "offset bit 63",
+                gate(Route::InBlock { offset_bit: 63 }, (0, 0, 0), None),
+            ),
+            (
+                "stride = blocks",
+                gate(Route::InterBlock { block_stride: 4 }, (0, 0, 0), None),
+            ),
+            (
+                "stride not a bit",
+                gate(Route::InterBlock { block_stride: 3 }, (0, 0, 0), None),
+            ),
+            (
+                "stride zero",
+                gate(Route::InterBlock { block_stride: 0 }, (0, 0, 0), None),
+            ),
+            ("offset mask", gate(in_block, (1 << 3, 0, 0), None)),
+            ("block mask", gate(in_block, (0, 4, 0), None)),
+            ("rank mask", gate(in_block, (0, 0, 2), None)),
+            (
+                "lookahead slot",
+                gate(in_block, (0, 0, 0), Some(Arc::new(vec![0, 99]))),
+            ),
+            (
+                "65-gate batch",
+                batch(
+                    (0..=qcs_circuits::schedule::MAX_BATCH_GATES)
+                        .map(|_| plan(0))
+                        .collect(),
+                ),
+            ),
+            ("batch offset bit", batch(vec![plan(0), plan(3)])),
+            (
+                "exchange block mask",
+                WorkerCmd::Exchange(ExchangeCmd {
+                    signature: 1,
+                    gate: Gate1::h(),
+                    offset_cmask: 0,
+                    block_cmask: 8,
+                    bound: ErrorBound::Lossless,
+                    role: ExchangeRole::Lead(duplex().0),
+                    lookahead: None,
+                }),
+            ),
+            ("zz out of range", WorkerCmd::ExpectationZz { a: 6, b: 0 }),
+            ("zz same qubit", WorkerCmd::ExpectationZz { a: 2, b: 2 }),
+        ];
+        for scope in scopes {
+            cmds.push(("prob_one scope", WorkerCmd::ProbOne { scope }));
+            cmds.push((
+                "collapse scope",
+                WorkerCmd::Collapse {
+                    scope,
+                    outcome: true,
+                    scale: 1.0,
+                    bound: ErrorBound::Lossless,
+                },
+            ));
+        }
+        cmds
+    }
+
+    #[test]
+    fn hostile_commands_get_done_err_and_the_daemon_keeps_serving() {
+        let (addr, daemon) = spawn_loopback(1, ServeOptions::default()).unwrap();
+        let mut stream =
+            qcs_net::connect_supervised(&addr, &qcs_net::ConnectPolicy::default()).unwrap();
+        // |0...0> on rank 0: amplitude 1 at offset 0 of block 0.
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
-        codec.compress(&[0.0; 16], ErrorBound::Lossless).unwrap()
+        let block = |first: f64| {
+            let mut vals = [0.0; 16];
+            vals[0] = first;
+            Some(codec.compress(&vals, ErrorBound::Lossless).unwrap())
+        };
+        let blocks = [block(1.0), block(0.0), block(0.0), block(0.0)];
+        let cfg = SimConfig::default().with_block_log2(3).with_ranks_log2(1);
+        let hello = encode(&Hello::new(0, &cfg, 6, &blocks));
+        write_frame_to(&mut stream, K_HELLO, &hello).unwrap();
+        let (kind, ack) = recv_frame(&mut stream).unwrap();
+        assert_eq!(kind, K_HELLO_ACK);
+        assert!(decode::<HelloAck>(&ack).unwrap().is_ok());
+
+        let mut ask = |cmd: &WorkerCmd| {
+            write_frame_to(&mut stream, K_CMD, &encode(cmd)).unwrap();
+            let (kind, body) = recv_frame(&mut stream).expect("the connection is still served");
+            assert_eq!(kind, K_DONE);
+            decode::<Done>(&body).unwrap().result
+        };
+        for (what, cmd) in hostile_cmds() {
+            match ask(&cmd) {
+                Err(msg) => assert!(msg.contains("invalid command"), "{what}: {msg}"),
+                Ok(out) => panic!("{what}: executed, answered {out:?}"),
+            }
+            assert_eq!(
+                ask(&WorkerCmd::NormSqr),
+                Ok(WorkerOut::Scalar(1.0)),
+                "after {what}"
+            );
+        }
+        write_frame_to(&mut stream, K_SHUTDOWN, &[]).unwrap();
+        daemon.join().expect("the daemon thread ends cleanly");
     }
 }

@@ -126,7 +126,7 @@ use crate::engine::SimError;
 use crate::partial::{self, PartialStats};
 use crate::store::BlockStore;
 use crate::summary::QuerySummary;
-use qcs_circuits::schedule::mix;
+use qcs_circuits::schedule::{mix, MAX_BATCH_GATES};
 use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
 use qcs_statevec::{kernels, Gate1};
@@ -148,6 +148,7 @@ pub(crate) type Lookahead = Option<Arc<Vec<usize>>>;
 /// facade. `route` is never `InterRank` — rank-crossing gates go through
 /// [`ExchangeCmd`] instead.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct GateCmd {
     pub signature: u64,
     pub gate: Gate1,
@@ -173,6 +174,7 @@ pub(crate) enum ExchangeRole {
 }
 
 /// A `Route::InterRank` gate wave: the gate plus this rank's role.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct ExchangeCmd {
     pub signature: u64,
     pub gate: Gate1,
@@ -185,6 +187,7 @@ pub(crate) struct ExchangeCmd {
 
 /// Per-gate kernel plan inside a batch: the matrix plus the control masks
 /// partitioned by scope (§3.3).
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct BatchPlan {
     pub gate: Gate1,
     pub offset_bit: u32,
@@ -196,6 +199,7 @@ pub(crate) struct BatchPlan {
 /// An intra-block [`qcs_circuits::GateBatch`] wave: shared plans plus the
 /// batch cache signature.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct BatchCmd {
     pub plans: Arc<Vec<BatchPlan>>,
     pub signature: u64,
@@ -204,6 +208,7 @@ pub(crate) struct BatchCmd {
 }
 
 /// The command protocol between the engine facade and its rank workers.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) enum WorkerCmd {
     /// Apply an in-block or inter-block gate to the local blocks.
     Gate(GateCmd),
@@ -236,8 +241,109 @@ pub(crate) enum WorkerCmd {
     Nop,
 }
 
+impl WorkerCmd {
+    /// Check a command that came off a socket against the rank's layout
+    /// before [`RankWorker::handle`] sees it: the handlers index blocks,
+    /// shift by bit positions and `unreachable!` on routes the facade
+    /// never sends, all of which a peer's bytes could otherwise reach.
+    pub(crate) fn validate(&self, layout: &Layout) -> Result<(), String> {
+        let bpr = layout.blocks_per_rank();
+        let block_bits = bpr.trailing_zeros();
+        let masks = |offset: usize, block: usize, rank: usize| {
+            if offset >> layout.block_log2 != 0 || block >= bpr || rank >= layout.ranks() {
+                return Err(format!(
+                    "control masks {offset:#x}/{block:#x}/{rank:#x} reach outside a \
+                     2^{} x {bpr} x {} layout",
+                    layout.block_log2,
+                    layout.ranks()
+                ));
+            }
+            Ok(())
+        };
+        let offset_bit = |bit: u32| {
+            if bit >= layout.block_log2 {
+                return Err(format!(
+                    "offset bit {bit} outside a 2^{}-amplitude block",
+                    layout.block_log2
+                ));
+            }
+            Ok(())
+        };
+        let scope = |scope: &ControlScope| match *scope {
+            ControlScope::InBlock { offset_bit: bit } => offset_bit(bit),
+            ControlScope::BlockSelect { block_bit } if block_bit >= block_bits => {
+                Err(format!("block bit {block_bit} outside a {bpr}-block rank"))
+            }
+            ControlScope::RankSelect { rank_bit } if rank_bit >= layout.ranks_log2 => Err(format!(
+                "rank bit {rank_bit} outside a {}-rank layout",
+                layout.ranks()
+            )),
+            _ => Ok(()),
+        };
+        let ahead = |lookahead: &Lookahead| match lookahead
+            .iter()
+            .flat_map(|l| l.iter())
+            .find(|&&s| s >= bpr)
+        {
+            Some(slot) => Err(format!("lookahead slot {slot} outside a {bpr}-block rank")),
+            None => Ok(()),
+        };
+        match self {
+            WorkerCmd::Gate(g) => {
+                masks(g.offset_cmask, g.block_cmask, g.rank_cmask)?;
+                ahead(&g.lookahead)?;
+                match g.route {
+                    Route::InBlock { offset_bit: bit } => offset_bit(bit),
+                    Route::InterBlock { block_stride }
+                        if !block_stride.is_power_of_two() || block_stride >= bpr =>
+                    {
+                        Err(format!(
+                            "block stride {block_stride} is not a block bit of a {bpr}-block rank"
+                        ))
+                    }
+                    Route::InterBlock { .. } => Ok(()),
+                    Route::InterRank { .. } => {
+                        Err("an inter-rank gate must arrive as an exchange".into())
+                    }
+                }
+            }
+            WorkerCmd::Exchange(x) => {
+                masks(x.offset_cmask, x.block_cmask, 0)?;
+                ahead(&x.lookahead)
+            }
+            WorkerCmd::Batch(b) => {
+                if b.plans.len() > MAX_BATCH_GATES {
+                    return Err(format!(
+                        "batch of {} gates exceeds the {MAX_BATCH_GATES}-gate cap",
+                        b.plans.len()
+                    ));
+                }
+                ahead(&b.lookahead)?;
+                b.plans.iter().try_for_each(|p| {
+                    offset_bit(p.offset_bit)?;
+                    masks(p.offset_cmask, p.block_cmask, p.rank_cmask)
+                })
+            }
+            WorkerCmd::Collapse { scope: s, .. } | WorkerCmd::ProbOne { scope: s } => scope(s),
+            WorkerCmd::FetchBlock { block } if *block >= bpr => {
+                Err(format!("block {block} outside a {bpr}-block rank"))
+            }
+            WorkerCmd::ExpectationZz { a, b }
+                if a == b || a.max(b) >= &(layout.num_qubits as usize) =>
+            {
+                Err(format!(
+                    "<Z_{a} Z_{b}> needs two distinct qubits below {}",
+                    layout.num_qubits
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Summary of a state-mutating wave on one rank.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct WaveOut {
     /// A lossy recompression happened on this rank.
     pub lossy: bool,
@@ -255,6 +361,7 @@ pub(crate) struct WaveOut {
 
 /// Response half of the [`WorkerCmd`] protocol.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) enum WorkerOut {
     Wave(WaveOut),
     Scalar(f64),

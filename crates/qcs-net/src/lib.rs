@@ -5,16 +5,27 @@
 //! The paper's deployment drives ranks over MPI; this crate supplies the
 //! socket-level half of the in-repo stand-in: a length-prefixed,
 //! checksummed message frame (the same XXH64 `checksum64` that
-//! `qcs_compress::frame` uses for blocks at rest), compact little-endian
-//! field encoders/decoders for message bodies, and supervised TCP
+//! `qcs_compress::frame` uses for blocks at rest), the [`wire::Wire`]
+//! trait every message body is laid out through, and supervised TCP
 //! connection establishment (bounded reconnect-with-backoff, read/write
 //! timeouts).
 //!
+//! ## Message bodies
+//!
+//! A type with a byte layout implements [`wire::Wire`]: `put`, `take` and
+//! `MIN_LEN`, the fewest bytes a value occupies. The leaves (scalars,
+//! strings, `Option`, `Vec`, …) are implemented in [`mod@wire`]; a struct
+//! or tagged enum lists its fields once in a [`wire!`] declaration, which
+//! derives all three — so encoder and decoder cannot disagree, and every
+//! sequence count is bounded by `remaining / MIN_LEN` before anything is
+//! allocated for it, with no element size counted by hand.
+//!
 //! What travels *inside* the frames — the `WorkerCmd`/`WorkerOut`
-//! serialization, handshake, and the relay protocol for inter-rank
-//! exchanges — is defined by `qcs-core::net` on top of this crate, so the
-//! layering mirrors a connection-front / core-router split: this crate
-//! knows bytes and sockets, never simulator types.
+//! layouts, handshake, and the relay protocol for inter-rank exchanges —
+//! is declared by `qcs-core::net` on top of this crate (the job protocol
+//! by `qcs-server::protocol`), so the layering mirrors a connection-front
+//! / core-router split: this crate knows bytes and sockets, never
+//! simulator types.
 //!
 //! ## Frame format
 //!

@@ -1,31 +1,48 @@
-//! Wire-codec property suite (proptest): every codec that crosses the
+//! Wire-codec property suite (proptest): every layout that crosses the
 //! job protocol — circuits, [`SimConfig`], [`SimReport`], [`JobCmd`],
-//! [`JobOut`] — must
+//! [`JobOut`] — meets the one generic contract in `contract/mod.rs`:
 //!
-//! 1. round-trip arbitrary values exactly (`decode(encode(v)) == v`),
-//! 2. turn *every* strict prefix of a valid encoding into a typed
-//!    [`NetError`] — never a panic, never a silently-wrong value, and
-//! 3. survive arbitrary single-byte corruption without panicking
-//!    (corruption may decode to a different valid value or a typed
-//!    error; it must never take the process down).
+//! 1. arbitrary values round-trip exactly (`decode(encode(v)) == v`),
+//! 2. *every* strict prefix of a valid encoding is a typed [`NetError`] —
+//!    never a panic, never a silently-wrong value, and
+//! 3. no single-byte substitution panics the decoder or makes it allocate
+//!    more than a small multiple of the body (it may decode to a different
+//!    valid value or a typed error).
+//!
+//! The worker protocol's types are private to `qcs-core`, so the same
+//! contract runs over them from `qcs-core/src/net.rs`'s tests. The golden
+//! test below pins the job protocol's *bytes* to fixtures written by the
+//! hand-rolled codecs of commit 3a80267.
 //!
 //! This test lives in `qcs-net` (the transport the frames ride on) and
-//! dev-depends back on `qcs-core`/`qcs-server` for the codecs layered
+//! dev-depends back on `qcs-core`/`qcs-server` for the layouts declared
 //! above it — a dev-only cycle cargo permits.
 
+mod contract;
+
+use contract::wire_contract;
 use proptest::prelude::*;
 use qcs_circuits::{Circuit, Op};
 use qcs_cluster::TimeBreakdown;
 use qcs_compress::{CodecId, ErrorBound};
-use qcs_core::{put_sim_config, put_sim_report, take_sim_config, take_sim_report, SimConfig};
-use qcs_core::{SimReport, SpillConfig};
+use qcs_core::{SimConfig, SimReport, SpillConfig};
+use qcs_net::wire::{encode, Wire};
 use qcs_net::{Cursor, NetError};
 use qcs_server::protocol::{
-    decode_job_cmd, decode_job_out, encode_job_cmd, encode_job_out, put_circuit, take_circuit,
-    AdmissionEvent, HealthInfo, JobCmd, JobId, JobOut, JobSpec, JobState, JobSummary,
+    decode_job_cmd, decode_job_out, encode_job_cmd, encode_job_out, AdmissionEvent, CircuitWire,
+    HealthInfo, JobCmd, JobId, JobOut, JobSpec, JobState, JobSummary,
 };
 use qcs_statevec::GateKind;
 use std::time::Duration;
+
+#[global_allocator]
+static ALLOC: contract::CountingAlloc = contract::CountingAlloc;
+
+/// `Circuit` is foreign to every crate that encodes it, so its layout is a
+/// marker (`CircuitWire`); this gives it a `Wire` face for the contract.
+#[derive(Debug, PartialEq)]
+struct WiredCircuit(Circuit);
+qcs_net::wire! { impl struct WiredCircuit { 0: Circuit as CircuitWire } }
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -330,38 +347,6 @@ fn arb_out() -> impl Strategy<Value = JobOut> {
 }
 
 // ---------------------------------------------------------------------------
-// Helpers
-// ---------------------------------------------------------------------------
-
-/// Every strict prefix of `bytes` must decode to a typed error — never
-/// panic, never succeed (the codecs have no optional trailing data).
-fn assert_prefixes_fail<T, F: Fn(&[u8]) -> Result<T, NetError>>(bytes: &[u8], decode: F) {
-    for len in 0..bytes.len() {
-        assert!(
-            decode(&bytes[..len]).is_err(),
-            "decode of {len}-byte prefix (of {}) must fail",
-            bytes.len()
-        );
-    }
-}
-
-/// Flip one byte and decode: any outcome but a panic is acceptable.
-fn assert_corruption_no_panic<T, F: Fn(&[u8]) -> Result<T, NetError>>(
-    bytes: &[u8],
-    pos: usize,
-    flip: u8,
-    decode: F,
-) {
-    if bytes.is_empty() {
-        return;
-    }
-    let mut copy = bytes.to_vec();
-    let idx = pos % copy.len();
-    copy[idx] ^= flip | 1;
-    let _ = decode(&copy);
-}
-
-// ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
 
@@ -369,70 +354,224 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn circuit_codec_round_trips(circuit in arb_circuit(), pos in 0usize..4096, flip in 0u8..255) {
-        let mut buf = Vec::new();
-        put_circuit(&mut buf, &circuit);
-        let decode = |bytes: &[u8]| {
-            let mut cur = Cursor::new(bytes);
-            let c = take_circuit(&mut cur)?;
-            cur.finish()?;
-            Ok(c)
-        };
-        let back = decode(&buf).expect("round trip decodes");
-        prop_assert_eq!(&back, &circuit);
-        assert_prefixes_fail(&buf, decode);
-        assert_corruption_no_panic(&buf, pos, flip, decode);
+    fn circuit_codec_round_trips(circuit in arb_circuit()) {
+        wire_contract(&WiredCircuit(circuit));
     }
 
     #[test]
-    fn sim_config_codec_round_trips(cfg in arb_config(), pos in 0usize..4096, flip in 0u8..255) {
-        let mut buf = Vec::new();
-        put_sim_config(&mut buf, &cfg).expect("utf-8 spill dir encodes");
-        let decode = |bytes: &[u8]| {
-            let mut cur = Cursor::new(bytes);
-            let c = take_sim_config(&mut cur)?;
-            cur.finish()?;
-            Ok(c)
-        };
-        let back = decode(&buf).expect("round trip decodes");
-        prop_assert_eq!(&back, &cfg);
-        assert_prefixes_fail(&buf, decode);
-        assert_corruption_no_panic(&buf, pos, flip, decode);
+    fn sim_config_codec_round_trips(cfg in arb_config()) {
+        wire_contract(&cfg);
     }
 
     #[test]
-    fn sim_report_codec_round_trips(report in arb_report(), pos in 0usize..4096, flip in 0u8..255) {
-        let mut buf = Vec::new();
-        put_sim_report(&mut buf, &report);
-        let decode = |bytes: &[u8]| {
-            let mut cur = Cursor::new(bytes);
-            let r = take_sim_report(&mut cur)?;
-            cur.finish()?;
-            Ok(r)
-        };
-        let back = decode(&buf).expect("round trip decodes");
-        prop_assert_eq!(&back, &report);
-        assert_prefixes_fail(&buf, decode);
-        assert_corruption_no_panic(&buf, pos, flip, decode);
+    fn sim_report_codec_round_trips(report in arb_report()) {
+        wire_contract(&report);
     }
 
     #[test]
-    fn job_cmd_codec_round_trips(cmd in arb_cmd(), pos in 0usize..4096, flip in 0u8..255) {
-        let buf = encode_job_cmd(&cmd).expect("encodes");
-        let back = decode_job_cmd(&buf).expect("round trip decodes");
-        prop_assert_eq!(&back, &cmd);
-        assert_prefixes_fail(&buf, decode_job_cmd);
-        assert_corruption_no_panic(&buf, pos, flip, decode_job_cmd);
+    fn job_cmd_codec_round_trips(cmd in arb_cmd()) {
+        wire_contract(&cmd);
+        // The public entry points are the same layout.
+        let body = encode_job_cmd(&cmd).expect("utf-8 spill dir encodes");
+        prop_assert_eq!(&body, &encode(&cmd));
+        prop_assert_eq!(&decode_job_cmd(&body).expect("decodes"), &cmd);
     }
 
     #[test]
-    fn job_out_codec_round_trips(out in arb_out(), pos in 0usize..4096, flip in 0u8..255) {
-        let buf = encode_job_out(&out);
-        let back = decode_job_out(&buf).expect("round trip decodes");
-        prop_assert_eq!(&back, &out);
-        assert_prefixes_fail(&buf, decode_job_out);
-        assert_corruption_no_panic(&buf, pos, flip, decode_job_out);
+    fn job_out_codec_round_trips(out in arb_out()) {
+        wire_contract(&out);
+        let body = encode_job_out(&out);
+        prop_assert_eq!(&body, &encode(&out));
+        prop_assert_eq!(&decode_job_out(&body).expect("decodes"), &out);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+
+fn golden_config() -> SimConfig {
+    let mut cfg = SimConfig::default()
+        .with_block_log2(10)
+        .with_ranks_log2(2)
+        .with_threads_per_rank(3)
+        .with_memory_budget(1 << 24)
+        .with_lossy_codec(CodecId::SolutionD)
+        .with_max_batch_gates(17)
+        .with_spill(4)
+        .with_spill_dir(std::path::PathBuf::from("/tmp/qcs-spill"))
+        .with_eviction(qcs_core::Eviction::PlannedMin)
+        .with_write_behind(true)
+        .with_spill_shards(4)
+        .with_prefetch(false)
+        .with_partial_decode(false)
+        .with_remote(vec!["127.0.0.1:9000", "node-b.example:7401"]);
+    cfg.cache_lines = 96;
+    cfg.cache_auto_disable_after = 777;
+    cfg.recompress_on_escalate = !cfg.recompress_on_escalate;
+    let remote = cfg.remote.as_mut().unwrap();
+    remote.connect_attempts = 3;
+    remote.connect_backoff_ms = 25;
+    remote.io_timeout_ms = Some(30_000);
+    cfg
+}
+
+fn golden_report() -> SimReport {
+    SimReport {
+        num_qubits: 20,
+        gates: 1234,
+        wall_time: Duration::from_millis(42),
+        breakdown: TimeBreakdown::from_array(std::array::from_fn(|i| 3 + i as u64)),
+        fidelity_lower_bound: 0.99,
+        current_bound: ErrorBound::Absolute(1e-4),
+        escalations: 2,
+        min_compression_ratio: 3.5,
+        peak_memory_bytes: 1 << 20,
+        uncompressed_bytes: (1u128 << 70) | 99,
+        cache_hits: 1,
+        cache_misses: 2,
+    }
+}
+
+fn golden_circuit() -> Circuit {
+    let mut c = Circuit::new(5);
+    c.push(Op::Single {
+        gate: GateKind::U3(0.1, -0.2, 0.3),
+        target: 4,
+    });
+    c.push(Op::Single {
+        gate: GateKind::SqrtY,
+        target: 0,
+    });
+    c.push(Op::Controlled {
+        gate: GateKind::Phase(1.25),
+        control: 0,
+        target: 3,
+    });
+    c.push(Op::MultiControlled {
+        gate: GateKind::X,
+        controls: vec![0, 1],
+        target: 2,
+    });
+    c.push(Op::Swap { a: 1, b: 4 });
+    c.push(Op::Single {
+        gate: GateKind::Rz(-0.5),
+        target: 2,
+    });
+    c.push(Op::Measure { target: 0 });
+    c
+}
+
+fn golden_outs() -> Vec<(&'static str, JobOut)> {
+    vec![
+        ("accepted", JobOut::Accepted { job: JobId(1) }),
+        (
+            "rejected",
+            JobOut::Rejected {
+                reason: "over budget ∞".into(),
+            },
+        ),
+        (
+            "state",
+            JobOut::State {
+                job: JobId(2),
+                state: JobState::Suspended,
+            },
+        ),
+        (
+            "wave",
+            JobOut::Wave {
+                job: JobId(3),
+                item: 4,
+                items: 9,
+                report: Box::new(golden_report()),
+            },
+        ),
+        (
+            "done",
+            JobOut::Done {
+                job: JobId(4),
+                report: Box::new(golden_report()),
+                amplitudes: vec![0.5, -0.5, 0.25, 0.0],
+            },
+        ),
+        (
+            "failed",
+            JobOut::Failed {
+                job: JobId(5),
+                error: "spill error: disk full".into(),
+            },
+        ),
+        (
+            "health",
+            JobOut::Health(HealthInfo {
+                uptime_ms: 1,
+                budget_bytes: 2,
+                carved_bytes: 3,
+                jobs: vec![
+                    JobSummary {
+                        job: JobId(4),
+                        name: "j".into(),
+                        priority: 5,
+                        state: JobState::Running,
+                        carve_bytes: 6,
+                    },
+                    JobSummary {
+                        job: JobId(7),
+                        name: "νile".into(),
+                        priority: 0,
+                        state: JobState::Cancelled,
+                        carve_bytes: 0,
+                    },
+                ],
+                admissions: vec![
+                    AdmissionEvent {
+                        seq: 0,
+                        job: JobId(4),
+                        carve_bytes: 6,
+                        carved_after: 6,
+                        cap: 100,
+                    },
+                    AdmissionEvent {
+                        seq: 1,
+                        job: JobId(7),
+                        carve_bytes: 10,
+                        carved_after: 16,
+                        cap: 100,
+                    },
+                ],
+            }),
+        ),
+    ]
+}
+
+fn assert_golden<T: Wire + PartialEq + std::fmt::Debug>(name: &str, value: &T) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    contract::assert_golden(dir, name, value);
+}
+
+/// The fixtures were written by the put_/take_ codecs this trait replaced
+/// (commit 3a80267), from exactly these values. To change a layout on
+/// purpose: edit its one `wire!` declaration, bump
+/// `qcs_net::PROTOCOL_VERSION`, and regenerate the fixture in the same
+/// commit.
+#[test]
+fn job_protocol_bytes_match_the_parent_commit() {
+    assert_golden("sim_config_max", &golden_config());
+    assert_golden("sim_report", &golden_report());
+    let spec = JobSpec::new("fleet-α", golden_circuit(), golden_config())
+        .with_priority(7)
+        .with_seed(42)
+        .with_amplitudes()
+        .with_pace_ms(5);
+    assert_golden("job_cmd_submit", &JobCmd::Submit(Box::new(spec)));
+    assert_golden("job_cmd_cancel", &JobCmd::Cancel { job: JobId(9) });
+    assert_golden("job_cmd_health", &JobCmd::Health);
+    for (name, out) in golden_outs() {
+        assert_golden(&format!("job_out_{name}"), &out);
+    }
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 4);
+    assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 
 // ---------------------------------------------------------------------------
@@ -468,8 +607,8 @@ fn fnv1a_era_hello_ends_in_typed_errors() {
     send_frame(&mut reframed, kind, body).unwrap();
     let (_, ack) = recv_frame(&mut reframed).expect("the daemon answers a well-formed hello");
     let mut cur = Cursor::new(&ack);
-    assert_eq!(cur.take_u8().unwrap(), 0, "a v3 hello must be refused");
-    let reason = cur.take_str().unwrap();
+    assert_eq!(u8::take(&mut cur).unwrap(), 0, "a v3 hello must be refused");
+    let reason = String::take(&mut cur).unwrap();
     assert!(reason.contains("protocol v3"), "{reason}");
 
     daemon

@@ -8,12 +8,12 @@
 //! regardless of interleaving.
 
 use crate::protocol::{
-    decode_job_out, encode_job_cmd, HealthInfo, JobCmd, JobId, JobOut, JobSpec, K_JOB_CMD,
-    K_JOB_HELLO, K_JOB_HELLO_ACK, K_JOB_OUT,
+    decode_job_out, encode_job_cmd, HealthInfo, JobCmd, JobHelloAck, JobId, JobOut, JobSpec,
+    K_JOB_CMD, K_JOB_HELLO, K_JOB_HELLO_ACK, K_JOB_OUT,
 };
-use qcs_net::wire::put_u32;
+use qcs_net::wire::{decode, encode};
 use qcs_net::{
-    connect_supervised, recv_frame, send_frame, ConnectPolicy, Cursor, NetError, PROTOCOL_VERSION,
+    connect_supervised, recv_frame, send_frame, ConnectPolicy, NetError, PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::Write;
@@ -47,10 +47,8 @@ impl JobClient {
     /// Connect and perform the version handshake.
     pub fn connect(addr: &str, policy: &ConnectPolicy) -> Result<Self, NetError> {
         let mut stream = connect_supervised(addr, policy)?;
-        let mut hello = Vec::new();
-        put_u32(&mut hello, PROTOCOL_VERSION);
         let mut buf = Vec::new();
-        send_frame(&mut buf, K_JOB_HELLO, &hello)?;
+        send_frame(&mut buf, K_JOB_HELLO, &encode(&PROTOCOL_VERSION))?;
         stream.write_all(&buf)?;
         let (kind, body) = recv_frame(&mut stream)?;
         if kind != K_JOB_HELLO_ACK {
@@ -58,9 +56,7 @@ impl JobClient {
                 "expected hello ack, got frame kind {kind}"
             )));
         }
-        let mut cur = Cursor::new(&body);
-        if cur.take_u8()? == 0 {
-            let reason = cur.take_str()?.to_string();
+        if let Err(reason) = decode::<JobHelloAck>(&body)? {
             return Err(NetError::Protocol(format!(
                 "server rejected hello: {reason}"
             )));

@@ -3,27 +3,32 @@
 //!
 //! Frame kinds live in a separate numeric range from the rank-worker
 //! protocol (`qcs-core::net` uses 1–7) so a client that dials the wrong
-//! daemon gets a clean protocol error, not a misparse. Bodies use the
-//! same [`qcs_net::wire`] put/take vocabulary; `SimConfig`/`SimReport`
-//! payloads reuse the public codecs in [`qcs_core::serial`]. Decoders
-//! return typed [`NetError`]s on truncated or corrupt input — never a
-//! panic (pinned by `qcs-net/tests/prop_wire.rs`).
+//! daemon gets a clean protocol error, not a misparse. Every body layout
+//! is one [`qcs_net::wire!`] declaration in this file — a struct's field
+//! order *is* its byte order — with `SimConfig`/`SimReport` payloads laid
+//! out by [`qcs_core::serial`]. Decoders return typed [`NetError`]s on
+//! truncated or corrupt input — never a panic, never an allocation beyond
+//! a small multiple of the body (pinned, bytes included, by
+//! `qcs-net/tests/prop_wire.rs`).
 
 use qcs_circuits::{Circuit, Op};
-use qcs_core::{put_sim_config, put_sim_report, take_sim_config, take_sim_report};
 use qcs_core::{SimConfig, SimReport};
-use qcs_net::wire::{put_f64, put_str, put_u32, put_u64, put_u8};
-use qcs_net::{Cursor, NetError};
+use qcs_net::wire::{decode, encode, Idx32, Wire};
+use qcs_net::{wire, Cursor, NetError};
 use qcs_statevec::GateKind;
 
 /// Client → server handshake frame (body: protocol version).
 pub const K_JOB_HELLO: u8 = 16;
-/// Server → client handshake acknowledgement.
+/// Server → client handshake acknowledgement (body: a [`JobHelloAck`]).
 pub const K_JOB_HELLO_ACK: u8 = 17;
 /// Client → server command frame (body: an encoded [`JobCmd`]).
 pub const K_JOB_CMD: u8 = 18;
 /// Server → client event frame (body: an encoded [`JobOut`]).
 pub const K_JOB_OUT: u8 = 19;
+
+/// `K_JOB_HELLO_ACK` body: the server's protocol version, or why it
+/// refused the hello.
+pub type JobHelloAck = Result<u32, String>;
 
 /// Server-assigned job identifier, unique for the daemon's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,31 +40,35 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// A circuit-submission job: what to simulate, how, and with what
-/// priority. The server normalizes `config` on admission (it assigns the
-/// spill carve-out and working directory), so `config.spill` here is a
-/// request, not a guarantee.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// Human-readable label, echoed in the management job list.
-    pub name: String,
-    /// Scheduling priority: higher runs first; FIFO within a priority.
-    pub priority: u8,
-    /// Seed for the run's measurement RNG.
-    pub seed: u64,
-    /// Qubit count of the simulation.
-    pub num_qubits: u32,
-    /// The circuit to run.
-    pub circuit: Circuit,
-    /// Engine configuration (geometry, codec, ladder, spill request…).
-    pub config: SimConfig,
-    /// Ship the final dense amplitudes in [`JobOut::Done`]. Only honored
-    /// up to the server's snapshot cap; bigger states get an empty vec.
-    pub return_amplitudes: bool,
-    /// Sleep this long after every schedule item (milliseconds). A pacing
-    /// knob for tests and demos that need a job to stay running long
-    /// enough to be cancelled, suspended, or observed; 0 for real work.
-    pub pace_ms: u64,
+wire! {
+    /// A circuit-submission job: what to simulate, how, and with what
+    /// priority. The server normalizes `config` on admission (it assigns
+    /// the spill carve-out and working directory), so `config.spill` here
+    /// is a request, not a guarantee.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct JobSpec {
+        /// Human-readable label, echoed in the management job list.
+        pub name: String,
+        /// Scheduling priority: higher runs first; FIFO within a priority.
+        pub priority: u8,
+        /// Seed for the run's measurement RNG.
+        pub seed: u64,
+        /// Qubit count of the simulation.
+        pub num_qubits: u32,
+        /// The circuit to run.
+        pub circuit: Circuit as CircuitWire,
+        /// Engine configuration (geometry, codec, ladder, spill request…).
+        pub config: SimConfig,
+        /// Ship the final dense amplitudes in [`JobOut::Done`]. Only
+        /// honored up to the server's snapshot cap; bigger states get an
+        /// empty vec.
+        pub return_amplitudes: bool,
+        /// Sleep this long after every schedule item (milliseconds). A
+        /// pacing knob for tests and demos that need a job to stay running
+        /// long enough to be cancelled, suspended, or observed; 0 for real
+        /// work.
+        pub pace_ms: u64,
+    }
 }
 
 impl JobSpec {
@@ -130,79 +139,60 @@ impl JobState {
             JobState::Done | JobState::Failed | JobState::Cancelled
         )
     }
+}
 
-    fn tag(self) -> u8 {
-        match self {
-            JobState::Queued => 0,
-            JobState::Admitted => 1,
-            JobState::Running => 2,
-            JobState::Suspended => 3,
-            JobState::Done => 4,
-            JobState::Failed => 5,
-            JobState::Cancelled => 6,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, NetError> {
-        Ok(match tag {
-            0 => JobState::Queued,
-            1 => JobState::Admitted,
-            2 => JobState::Running,
-            3 => JobState::Suspended,
-            4 => JobState::Done,
-            5 => JobState::Failed,
-            6 => JobState::Cancelled,
-            t => return Err(NetError::Corrupt(format!("unknown job state tag {t}"))),
-        })
+wire! {
+    /// One row of the management job list.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct JobSummary {
+        /// The job.
+        pub job: JobId,
+        /// Its label.
+        pub name: String,
+        /// Its priority.
+        pub priority: u8,
+        /// Current lifecycle state.
+        pub state: JobState,
+        /// Memory carve-out the scheduler accounts for it, in bytes.
+        pub carve_bytes: u64,
     }
 }
 
-/// One row of the management job list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSummary {
-    /// The job.
-    pub job: JobId,
-    /// Its label.
-    pub name: String,
-    /// Its priority.
-    pub priority: u8,
-    /// Current lifecycle state.
-    pub state: JobState,
-    /// Memory carve-out the scheduler accounts for it, in bytes.
-    pub carve_bytes: u64,
+wire! {
+    /// One budget admission, recorded by the scheduler at the moment a
+    /// job's carve-out was charged. The concurrency harness asserts
+    /// `carved_after <= cap` over the whole log.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct AdmissionEvent {
+        /// Monotone admission sequence number.
+        pub seq: u64,
+        /// The admitted job.
+        pub job: JobId,
+        /// Its carve-out in bytes.
+        pub carve_bytes: u64,
+        /// Aggregate carved bytes immediately after this admission.
+        pub carved_after: u64,
+        /// The server budget the aggregate must stay within.
+        pub cap: u64,
+    }
 }
 
-/// One budget admission, recorded by the scheduler at the moment a job's
-/// carve-out was charged. The concurrency harness asserts
-/// `carved_after <= cap` over the whole log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionEvent {
-    /// Monotone admission sequence number.
-    pub seq: u64,
-    /// The admitted job.
-    pub job: JobId,
-    /// Its carve-out in bytes.
-    pub carve_bytes: u64,
-    /// Aggregate carved bytes immediately after this admission.
-    pub carved_after: u64,
-    /// The server budget the aggregate must stay within.
-    pub cap: u64,
-}
-
-/// Snapshot answered to [`JobCmd::Health`]: uptime, budget occupancy,
-/// the job list, and the full admission log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthInfo {
-    /// Milliseconds since the daemon started.
-    pub uptime_ms: u64,
-    /// The global memory budget in bytes.
-    pub budget_bytes: u64,
-    /// Bytes currently carved out by admitted/running jobs.
-    pub carved_bytes: u64,
-    /// Every job the daemon has seen, in submission order.
-    pub jobs: Vec<JobSummary>,
-    /// Every admission event since startup.
-    pub admissions: Vec<AdmissionEvent>,
+wire! {
+    /// Snapshot answered to [`JobCmd::Health`]: uptime, budget occupancy,
+    /// the job list, and the full admission log.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HealthInfo {
+        /// Milliseconds since the daemon started.
+        pub uptime_ms: u64,
+        /// The global memory budget in bytes.
+        pub budget_bytes: u64,
+        /// Bytes currently carved out by admitted/running jobs.
+        pub carved_bytes: u64,
+        /// Every job the daemon has seen, in submission order.
+        pub jobs: Vec<JobSummary>,
+        /// Every admission event since startup.
+        pub admissions: Vec<AdmissionEvent>,
+    }
 }
 
 /// Client → server commands.
@@ -278,402 +268,170 @@ pub enum JobOut {
     Health(HealthInfo),
 }
 
-// --- circuit codec -------------------------------------------------------
+// --- circuit layouts -----------------------------------------------------
+//
+// `GateKind`, `Op` and `Circuit` belong to other crates, so their layouts
+// hang off marker types (see `qcs_net::wire`). Qubit indices travel as
+// `u32`.
 
-fn put_gate_kind(buf: &mut Vec<u8>, g: GateKind) {
-    match g {
-        GateKind::H => put_u8(buf, 0),
-        GateKind::X => put_u8(buf, 1),
-        GateKind::Y => put_u8(buf, 2),
-        GateKind::Z => put_u8(buf, 3),
-        GateKind::S => put_u8(buf, 4),
-        GateKind::Sdg => put_u8(buf, 5),
-        GateKind::T => put_u8(buf, 6),
-        GateKind::Tdg => put_u8(buf, 7),
-        GateKind::SqrtX => put_u8(buf, 8),
-        GateKind::SqrtY => put_u8(buf, 9),
-        GateKind::Rx(t) => {
-            put_u8(buf, 10);
-            put_f64(buf, t);
-        }
-        GateKind::Ry(t) => {
-            put_u8(buf, 11);
-            put_f64(buf, t);
-        }
-        GateKind::Rz(t) => {
-            put_u8(buf, 12);
-            put_f64(buf, t);
-        }
-        GateKind::Phase(t) => {
-            put_u8(buf, 13);
-            put_f64(buf, t);
-        }
-        GateKind::U3(a, b, c) => {
-            put_u8(buf, 14);
-            put_f64(buf, a);
-            put_f64(buf, b);
-            put_f64(buf, c);
-        }
+struct GateKindWire;
+wire! {
+    impl enum GateKind as GateKindWire {
+        0 => H {},
+        1 => X {},
+        2 => Y {},
+        3 => Z {},
+        4 => S {},
+        5 => Sdg {},
+        6 => T {},
+        7 => Tdg {},
+        8 => SqrtX {},
+        9 => SqrtY {},
+        10 => Rx { 0: f64 },
+        11 => Ry { 0: f64 },
+        12 => Rz { 0: f64 },
+        13 => Phase { 0: f64 },
+        14 => U3 { 0: f64, 1: f64, 2: f64 },
     }
 }
 
-fn take_gate_kind(cur: &mut Cursor) -> Result<GateKind, NetError> {
-    Ok(match cur.take_u8()? {
-        0 => GateKind::H,
-        1 => GateKind::X,
-        2 => GateKind::Y,
-        3 => GateKind::Z,
-        4 => GateKind::S,
-        5 => GateKind::Sdg,
-        6 => GateKind::T,
-        7 => GateKind::Tdg,
-        8 => GateKind::SqrtX,
-        9 => GateKind::SqrtY,
-        10 => GateKind::Rx(cur.take_f64()?),
-        11 => GateKind::Ry(cur.take_f64()?),
-        12 => GateKind::Rz(cur.take_f64()?),
-        13 => GateKind::Phase(cur.take_f64()?),
-        14 => GateKind::U3(cur.take_f64()?, cur.take_f64()?, cur.take_f64()?),
-        t => return Err(NetError::Corrupt(format!("unknown gate kind tag {t}"))),
-    })
+struct OpWire;
+wire! {
+    impl enum Op as OpWire {
+        0 => Single { gate: GateKind as GateKindWire, target: usize as Idx32 },
+        1 => Controlled {
+            gate: GateKind as GateKindWire,
+            control: usize as Idx32,
+            target: usize as Idx32,
+        },
+        2 => MultiControlled {
+            gate: GateKind as GateKindWire,
+            controls: Vec<usize> as Vec<Idx32>,
+            target: usize as Idx32,
+        },
+        3 => Swap { a: usize as Idx32, b: usize as Idx32 },
+        4 => Measure { target: usize as Idx32 },
+    }
 }
 
-fn put_op(buf: &mut Vec<u8>, op: &Op) {
-    match op {
-        Op::Single { gate, target } => {
-            put_u8(buf, 0);
-            put_gate_kind(buf, *gate);
-            put_u32(buf, *target as u32);
+/// A [`Circuit`]'s layout: qubit count, then its ops. Decoding checks
+/// every op against the qubit count — what [`Circuit::push`] asserts — so
+/// a hostile circuit is a typed error, not a panic.
+pub struct CircuitWire;
+
+impl Wire<Circuit> for CircuitWire {
+    const MIN_LEN: usize = 8;
+    fn put(circuit: &Circuit, buf: &mut Vec<u8>) {
+        Idx32::put(&circuit.num_qubits(), buf);
+        Idx32::put(&circuit.ops().len(), buf);
+        for op in circuit.ops() {
+            OpWire::put(op, buf);
         }
-        Op::Controlled {
-            gate,
-            control,
-            target,
-        } => {
-            put_u8(buf, 1);
-            put_gate_kind(buf, *gate);
-            put_u32(buf, *control as u32);
-            put_u32(buf, *target as u32);
+    }
+    fn take(cur: &mut Cursor) -> Result<Circuit, NetError> {
+        let num_qubits = Idx32::take(cur)?;
+        if num_qubits == 0 {
+            return Err(NetError::Corrupt("circuit on zero qubits".into()));
         }
-        Op::MultiControlled {
-            gate,
-            controls,
-            target,
-        } => {
-            put_u8(buf, 2);
-            put_gate_kind(buf, *gate);
-            put_u32(buf, controls.len() as u32);
-            for c in controls {
-                put_u32(buf, *c as u32);
+        let mut circuit = Circuit::new(num_qubits);
+        for op in <Vec<OpWire>>::take(cur)? {
+            if op.max_qubit() >= num_qubits {
+                return Err(NetError::Corrupt(format!(
+                    "op touches qubit {} in a {num_qubits}-qubit circuit",
+                    op.max_qubit()
+                )));
             }
-            put_u32(buf, *target as u32);
-        }
-        Op::Swap { a, b } => {
-            put_u8(buf, 3);
-            put_u32(buf, *a as u32);
-            put_u32(buf, *b as u32);
-        }
-        Op::Measure { target } => {
-            put_u8(buf, 4);
-            put_u32(buf, *target as u32);
-        }
-    }
-}
-
-fn take_op(cur: &mut Cursor) -> Result<Op, NetError> {
-    Ok(match cur.take_u8()? {
-        0 => Op::Single {
-            gate: take_gate_kind(cur)?,
-            target: cur.take_u32()? as usize,
-        },
-        1 => Op::Controlled {
-            gate: take_gate_kind(cur)?,
-            control: cur.take_u32()? as usize,
-            target: cur.take_u32()? as usize,
-        },
-        2 => {
-            let gate = take_gate_kind(cur)?;
-            let n = cur.take_count(4)?;
-            let mut controls = Vec::with_capacity(n);
-            for _ in 0..n {
-                controls.push(cur.take_u32()? as usize);
+            if let Op::MultiControlled {
+                controls, target, ..
+            } = &op
+            {
+                let repeats = |(i, q): (usize, &usize)| q == target || controls[..i].contains(q);
+                if controls.iter().enumerate().any(repeats) {
+                    return Err(NetError::Corrupt(format!("duplicate qubits in {op:?}")));
+                }
             }
-            Op::MultiControlled {
-                gate,
-                controls,
-                target: cur.take_u32()? as usize,
-            }
+            circuit.push(op);
         }
-        3 => Op::Swap {
-            a: cur.take_u32()? as usize,
-            b: cur.take_u32()? as usize,
-        },
-        4 => Op::Measure {
-            target: cur.take_u32()? as usize,
-        },
-        t => return Err(NetError::Corrupt(format!("unknown op tag {t}"))),
-    })
-}
-
-/// Append a [`Circuit`] to `buf` (qubit count + ops).
-pub fn put_circuit(buf: &mut Vec<u8>, circuit: &Circuit) {
-    put_u32(buf, circuit.num_qubits() as u32);
-    put_u32(buf, circuit.ops().len() as u32);
-    for op in circuit.ops() {
-        put_op(buf, op);
+        Ok(circuit)
     }
 }
 
-/// Decode a [`Circuit`] (the inverse of [`put_circuit`]).
-pub fn take_circuit(cur: &mut Cursor) -> Result<Circuit, NetError> {
-    let num_qubits = cur.take_u32()? as usize;
-    let n = cur.take_count(5)?;
-    let mut circuit = Circuit::new(num_qubits);
-    for _ in 0..n {
-        let op = take_op(cur)?;
-        if op.max_qubit() >= num_qubits {
-            return Err(NetError::Corrupt(format!(
-                "op touches qubit {} in a {num_qubits}-qubit circuit",
-                op.max_qubit()
-            )));
-        }
-        circuit.push(op);
+// --- job spec / command / event layouts ----------------------------------
+
+wire! { impl struct JobId { 0: u64 } }
+
+wire! {
+    impl enum JobState {
+        0 => Queued {},
+        1 => Admitted {},
+        2 => Running {},
+        3 => Suspended {},
+        4 => Done {},
+        5 => Failed {},
+        6 => Cancelled {},
     }
-    Ok(circuit)
 }
 
-// --- job spec / command / event codecs -----------------------------------
-
-/// Append a [`JobSpec`] to `buf`. Fails only when the config cannot
-/// serialize (non-UTF-8 spill dir).
-pub fn put_job_spec(buf: &mut Vec<u8>, spec: &JobSpec) -> Result<(), NetError> {
-    put_str(buf, &spec.name);
-    put_u8(buf, spec.priority);
-    put_u64(buf, spec.seed);
-    put_u32(buf, spec.num_qubits);
-    put_circuit(buf, &spec.circuit);
-    put_sim_config(buf, &spec.config)?;
-    put_u8(buf, spec.return_amplitudes as u8);
-    put_u64(buf, spec.pace_ms);
-    Ok(())
+wire! {
+    impl enum JobCmd {
+        0 => Submit { 0: Box<JobSpec> },
+        1 => Cancel { job: JobId },
+        2 => Health {},
+    }
 }
 
-/// Decode a [`JobSpec`] (the inverse of [`put_job_spec`]).
-pub fn take_job_spec(cur: &mut Cursor) -> Result<JobSpec, NetError> {
-    Ok(JobSpec {
-        name: cur.take_str()?.to_string(),
-        priority: cur.take_u8()?,
-        seed: cur.take_u64()?,
-        num_qubits: cur.take_u32()?,
-        circuit: take_circuit(cur)?,
-        config: take_sim_config(cur)?,
-        return_amplitudes: cur.take_u8()? != 0,
-        pace_ms: cur.take_u64()?,
-    })
+wire! {
+    impl enum JobOut {
+        0 => Accepted { job: JobId },
+        1 => Rejected { reason: String },
+        2 => State { job: JobId, state: JobState },
+        3 => Wave { job: JobId, item: u64, items: u64, report: Box<SimReport> },
+        4 => Done { job: JobId, report: Box<SimReport>, amplitudes: Vec<f64> },
+        5 => Failed { job: JobId, error: String },
+        6 => Health { 0: HealthInfo },
+    }
 }
 
-const CMD_SUBMIT: u8 = 0;
-const CMD_CANCEL: u8 = 1;
-const CMD_HEALTH: u8 = 2;
-
-/// Encode a [`JobCmd`] into a `K_JOB_CMD` frame body.
+/// Encode a [`JobCmd`] into a `K_JOB_CMD` frame body. Fails only when a
+/// submitted config's `spill.dir` is not UTF-8: such a path cannot travel
+/// portably, and `put` would write it lossily.
 pub fn encode_job_cmd(cmd: &JobCmd) -> Result<Vec<u8>, NetError> {
-    let mut buf = Vec::new();
-    match cmd {
-        JobCmd::Submit(spec) => {
-            put_u8(&mut buf, CMD_SUBMIT);
-            put_job_spec(&mut buf, spec)?;
+    if let JobCmd::Submit(spec) = cmd {
+        let dir = spec.config.spill.as_ref().and_then(|s| s.dir.as_ref());
+        if dir.is_some_and(|d| d.to_str().is_none()) {
+            return Err(NetError::Protocol(
+                "spill dir is not UTF-8; cannot serialize".into(),
+            ));
         }
-        JobCmd::Cancel { job } => {
-            put_u8(&mut buf, CMD_CANCEL);
-            put_u64(&mut buf, job.0);
-        }
-        JobCmd::Health => put_u8(&mut buf, CMD_HEALTH),
     }
-    Ok(buf)
+    Ok(encode(cmd))
 }
 
 /// Decode a `K_JOB_CMD` frame body.
 pub fn decode_job_cmd(body: &[u8]) -> Result<JobCmd, NetError> {
-    let mut cur = Cursor::new(body);
-    let cmd = match cur.take_u8()? {
-        CMD_SUBMIT => JobCmd::Submit(Box::new(take_job_spec(&mut cur)?)),
-        CMD_CANCEL => JobCmd::Cancel {
-            job: JobId(cur.take_u64()?),
-        },
-        CMD_HEALTH => JobCmd::Health,
-        t => return Err(NetError::Corrupt(format!("unknown job command tag {t}"))),
-    };
-    cur.finish()?;
-    Ok(cmd)
-}
-
-const OUT_ACCEPTED: u8 = 0;
-const OUT_REJECTED: u8 = 1;
-const OUT_STATE: u8 = 2;
-const OUT_WAVE: u8 = 3;
-const OUT_DONE: u8 = 4;
-const OUT_FAILED: u8 = 5;
-const OUT_HEALTH: u8 = 6;
-
-fn put_report(buf: &mut Vec<u8>, report: &SimReport) {
-    put_sim_report(buf, report);
+    decode(body)
 }
 
 /// Encode a [`JobOut`] into a `K_JOB_OUT` frame body.
 pub fn encode_job_out(out: &JobOut) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match out {
-        JobOut::Accepted { job } => {
-            put_u8(&mut buf, OUT_ACCEPTED);
-            put_u64(&mut buf, job.0);
-        }
-        JobOut::Rejected { reason } => {
-            put_u8(&mut buf, OUT_REJECTED);
-            put_str(&mut buf, reason);
-        }
-        JobOut::State { job, state } => {
-            put_u8(&mut buf, OUT_STATE);
-            put_u64(&mut buf, job.0);
-            put_u8(&mut buf, state.tag());
-        }
-        JobOut::Wave {
-            job,
-            item,
-            items,
-            report,
-        } => {
-            put_u8(&mut buf, OUT_WAVE);
-            put_u64(&mut buf, job.0);
-            put_u64(&mut buf, *item);
-            put_u64(&mut buf, *items);
-            put_report(&mut buf, report);
-        }
-        JobOut::Done {
-            job,
-            report,
-            amplitudes,
-        } => {
-            put_u8(&mut buf, OUT_DONE);
-            put_u64(&mut buf, job.0);
-            put_report(&mut buf, report);
-            put_u32(&mut buf, amplitudes.len() as u32);
-            for a in amplitudes {
-                put_f64(&mut buf, *a);
-            }
-        }
-        JobOut::Failed { job, error } => {
-            put_u8(&mut buf, OUT_FAILED);
-            put_u64(&mut buf, job.0);
-            put_str(&mut buf, error);
-        }
-        JobOut::Health(info) => {
-            put_u8(&mut buf, OUT_HEALTH);
-            put_u64(&mut buf, info.uptime_ms);
-            put_u64(&mut buf, info.budget_bytes);
-            put_u64(&mut buf, info.carved_bytes);
-            put_u32(&mut buf, info.jobs.len() as u32);
-            for j in &info.jobs {
-                put_u64(&mut buf, j.job.0);
-                put_str(&mut buf, &j.name);
-                put_u8(&mut buf, j.priority);
-                put_u8(&mut buf, j.state.tag());
-                put_u64(&mut buf, j.carve_bytes);
-            }
-            put_u32(&mut buf, info.admissions.len() as u32);
-            for a in &info.admissions {
-                put_u64(&mut buf, a.seq);
-                put_u64(&mut buf, a.job.0);
-                put_u64(&mut buf, a.carve_bytes);
-                put_u64(&mut buf, a.carved_after);
-                put_u64(&mut buf, a.cap);
-            }
-        }
-    }
-    buf
+    encode(out)
 }
 
 /// Decode a `K_JOB_OUT` frame body.
 pub fn decode_job_out(body: &[u8]) -> Result<JobOut, NetError> {
-    let mut cur = Cursor::new(body);
-    let out = match cur.take_u8()? {
-        OUT_ACCEPTED => JobOut::Accepted {
-            job: JobId(cur.take_u64()?),
-        },
-        OUT_REJECTED => JobOut::Rejected {
-            reason: cur.take_str()?.to_string(),
-        },
-        OUT_STATE => JobOut::State {
-            job: JobId(cur.take_u64()?),
-            state: JobState::from_tag(cur.take_u8()?)?,
-        },
-        OUT_WAVE => JobOut::Wave {
-            job: JobId(cur.take_u64()?),
-            item: cur.take_u64()?,
-            items: cur.take_u64()?,
-            report: Box::new(take_sim_report(&mut cur)?),
-        },
-        OUT_DONE => {
-            let job = JobId(cur.take_u64()?);
-            let report = Box::new(take_sim_report(&mut cur)?);
-            let n = cur.take_count(8)?;
-            let mut amplitudes = Vec::with_capacity(n);
-            for _ in 0..n {
-                amplitudes.push(cur.take_f64()?);
-            }
-            JobOut::Done {
-                job,
-                report,
-                amplitudes,
-            }
-        }
-        OUT_FAILED => JobOut::Failed {
-            job: JobId(cur.take_u64()?),
-            error: cur.take_str()?.to_string(),
-        },
-        OUT_HEALTH => {
-            let uptime_ms = cur.take_u64()?;
-            let budget_bytes = cur.take_u64()?;
-            let carved_bytes = cur.take_u64()?;
-            let n = cur.take_count(19)?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(JobSummary {
-                    job: JobId(cur.take_u64()?),
-                    name: cur.take_str()?.to_string(),
-                    priority: cur.take_u8()?,
-                    state: JobState::from_tag(cur.take_u8()?)?,
-                    carve_bytes: cur.take_u64()?,
-                });
-            }
-            let n = cur.take_count(40)?;
-            let mut admissions = Vec::with_capacity(n);
-            for _ in 0..n {
-                admissions.push(AdmissionEvent {
-                    seq: cur.take_u64()?,
-                    job: JobId(cur.take_u64()?),
-                    carve_bytes: cur.take_u64()?,
-                    carved_after: cur.take_u64()?,
-                    cap: cur.take_u64()?,
-                });
-            }
-            JobOut::Health(HealthInfo {
-                uptime_ms,
-                budget_bytes,
-                carved_bytes,
-                jobs,
-                admissions,
-            })
-        }
-        t => return Err(NetError::Corrupt(format!("unknown job event tag {t}"))),
-    };
-    cur.finish()?;
-    Ok(out)
+    decode(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_circuit(bytes: &[u8]) -> Result<Circuit, NetError> {
+        let mut cur = Cursor::new(bytes);
+        let circuit = CircuitWire::take(&mut cur)?;
+        cur.finish()?;
+        Ok(circuit)
+    }
 
     #[test]
     fn circuit_round_trips() {
@@ -695,29 +453,36 @@ mod tests {
         c.push(Op::Swap { a: 1, b: 4 });
         c.push(Op::Measure { target: 0 });
         let mut buf = Vec::new();
-        put_circuit(&mut buf, &c);
-        let mut cur = Cursor::new(&buf);
-        let back = take_circuit(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back, c);
+        CircuitWire::put(&c, &mut buf);
+        assert_eq!(decode_circuit(&buf).unwrap(), c);
     }
 
+    /// What `Circuit::new` and `Circuit::push` would assert is refused as
+    /// corruption first.
     #[test]
-    fn out_of_range_qubit_is_corrupt() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 2); // 2 qubits
-        put_u32(&mut buf, 1); // 1 op
-        put_op(
-            &mut buf,
-            &Op::Single {
-                gate: GateKind::H,
-                target: 7,
-            },
-        );
-        assert!(matches!(
-            take_circuit(&mut Cursor::new(&buf)),
-            Err(NetError::Corrupt(_))
-        ));
+    fn circuits_the_ir_would_assert_on_are_corrupt() {
+        assert!(matches!(decode_circuit(&[0; 8]), Err(NetError::Corrupt(_))));
+        let encode_ops = |ops: &[Op]| {
+            let mut buf = encode(&2u32); // 2 qubits
+            <Vec<OpWire>>::put(&ops.to_vec(), &mut buf);
+            buf
+        };
+        let out_of_range = Op::Single {
+            gate: GateKind::H,
+            target: 7,
+        };
+        let repeated = |controls: Vec<usize>, target| Op::MultiControlled {
+            gate: GateKind::X,
+            controls,
+            target,
+        };
+        for bad in [out_of_range, repeated(vec![0, 0], 1), repeated(vec![1], 1)] {
+            match decode_circuit(&encode_ops(std::slice::from_ref(&bad))) {
+                Err(NetError::Corrupt(_)) => {}
+                other => panic!("{bad:?} decoded to {other:?}"),
+            }
+        }
+        assert!(decode_circuit(&encode_ops(&[repeated(vec![0], 1)])).is_ok());
     }
 
     #[test]
@@ -772,6 +537,27 @@ mod tests {
             let body = encode_job_out(&out);
             assert_eq!(decode_job_out(&body).unwrap(), out);
         }
+    }
+
+    /// The hand-counted minimum this replaces said 19 bytes for a summary
+    /// that is never shorter than 22.
+    #[test]
+    fn element_minimums_are_derived_from_the_layouts() {
+        assert_eq!(JobSummary::MIN_LEN, 8 + 4 + 1 + 1 + 8);
+        assert_eq!(AdmissionEvent::MIN_LEN, 40);
+        assert_eq!(<OpWire as Wire<Op>>::MIN_LEN, 1 + 4); // Measure
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_utf8_spill_dir_is_refused_not_mangled() {
+        use std::os::unix::ffi::OsStringExt;
+        let dir = std::ffi::OsString::from_vec(vec![b'/', 0xFF, 0xFE]);
+        let cfg = SimConfig::default()
+            .with_spill(1)
+            .with_spill_dir(dir.into());
+        let cmd = JobCmd::Submit(Box::new(JobSpec::new("t", Circuit::new(3), cfg)));
+        assert!(matches!(encode_job_cmd(&cmd), Err(NetError::Protocol(_))));
     }
 
     #[test]

@@ -23,14 +23,14 @@
 //! concurrency surface stays mechanism, not policy.
 
 use crate::protocol::{
-    decode_job_cmd, encode_job_out, HealthInfo, JobCmd, JobId, JobOut, JobSpec, JobState,
-    K_JOB_CMD, K_JOB_HELLO, K_JOB_HELLO_ACK, K_JOB_OUT,
+    decode_job_cmd, encode_job_out, HealthInfo, JobCmd, JobHelloAck, JobId, JobOut, JobSpec,
+    JobState, K_JOB_CMD, K_JOB_HELLO, K_JOB_HELLO_ACK, K_JOB_OUT,
 };
 use crate::scheduler::{carve_bytes, Clock, SchedAction, SchedPolicy, Scheduler, WallClock};
 use parking_lot::Mutex;
 use qcs_core::{checkpoint, CompressedSimulator, RunOutcome, SimError, SpillConfig, WaveControl};
-use qcs_net::wire::{put_str, put_u32, put_u8};
-use qcs_net::{recv_frame, send_frame, Cursor, PROTOCOL_VERSION};
+use qcs_net::wire::{decode, encode};
+use qcs_net::{recv_frame, send_frame, PROTOCOL_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -143,6 +143,8 @@ struct Shared {
     work_dir: PathBuf,
     state: Mutex<State>,
     shutdown: AtomicBool,
+    /// Test hook: the next runner to start panics instead of executing.
+    debug_panic_next_runner: AtomicBool,
 }
 
 /// A running daemon: its bound address plus shutdown/join control.
@@ -188,6 +190,7 @@ pub fn spawn(listener: TcpListener, cfg: ServerConfig) -> std::io::Result<Server
             pending_actions: Vec::new(),
         }),
         shutdown: AtomicBool::new(false),
+        debug_panic_next_runner: AtomicBool::new(false),
     });
     let accept = {
         let shared = Arc::clone(&shared);
@@ -215,6 +218,15 @@ impl ServerHandle {
     /// The daemon's working directory (spill segments + checkpoints).
     pub fn work_dir(&self) -> &std::path::Path {
         &self.shared.work_dir
+    }
+
+    /// Fault injection for tests: make the next admitted job's runner
+    /// thread panic where a bug in the engine would.
+    #[doc(hidden)]
+    pub fn debug_panic_next_runner(&self) {
+        self.shared
+            .debug_panic_next_runner
+            .store(true, Ordering::SeqCst);
     }
 
     /// Block until the accept loop exits (a `max_conns` limit, or
@@ -392,18 +404,13 @@ fn session_protocol(shared: &Arc<Shared>, mut stream: TcpStream) {
     // Version handshake: first frame must be a matching hello.
     match recv_frame(&mut stream) {
         Ok((K_JOB_HELLO, body)) => {
-            let mut cur = Cursor::new(&body);
-            let ok = cur
-                .take_u32()
-                .is_ok_and(|version| version == PROTOCOL_VERSION && cur.finish().is_ok());
-            let mut ack = Vec::new();
-            if ok {
-                put_u8(&mut ack, 1);
-                put_u32(&mut ack, PROTOCOL_VERSION);
+            let ok = decode::<u32>(&body).is_ok_and(|version| version == PROTOCOL_VERSION);
+            let ack: JobHelloAck = if ok {
+                Ok(PROTOCOL_VERSION)
             } else {
-                put_u8(&mut ack, 0);
-                put_str(&mut ack, "protocol version mismatch");
-            }
+                Err("protocol version mismatch".into())
+            };
+            let ack = encode(&ack);
             let mut buf = Vec::new();
             if send_frame(&mut buf, K_JOB_HELLO_ACK, &ack).is_err()
                 || stream.write_all(&buf).is_err()
@@ -598,7 +605,13 @@ enum RunEnd {
     Done(Box<qcs_core::SimReport>, Vec<f64>),
     Cancelled,
     Suspended(PathBuf, usize),
-    Failed(SimError),
+    Failed(String),
+}
+
+impl From<SimError> for RunEnd {
+    fn from(e: SimError) -> Self {
+        RunEnd::Failed(e.to_string())
+    }
 }
 
 fn run_job(shared: Arc<Shared>, job: JobId) {
@@ -618,7 +631,23 @@ fn run_job(shared: Arc<Shared>, job: JobId) {
         state: JobState::Running,
     });
 
-    let end = execute(&shared, job, &spec, &ctrl, &events, &ckpt);
+    // A panic below this line must still end the job: otherwise it stays
+    // `Running` with its carve-out charged and its event channel open,
+    // and shutdown waits on that channel forever.
+    let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if shared.debug_panic_next_runner.swap(false, Ordering::SeqCst) {
+            panic!("debug hook: runner panic");
+        }
+        execute(&shared, job, &spec, &ctrl, &events, &ckpt)
+    }))
+    .unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("no message");
+        RunEnd::Failed(format!("internal error: runner panicked: {what}"))
+    });
 
     let mut st = shared.state.lock();
     let now = shared.clock.now_ms();
@@ -640,12 +669,9 @@ fn run_job(shared: Arc<Shared>, job: JobId) {
             });
             st.sched.running_ended(job, JobState::Cancelled, now)
         }
-        RunEnd::Failed(err) => {
+        RunEnd::Failed(error) => {
             cleanup_job_files(&shared, job);
-            let _ = events.send(JobOut::Failed {
-                job,
-                error: err.to_string(),
-            });
+            let _ = events.send(JobOut::Failed { job, error });
             st.sched.running_ended(job, JobState::Failed, now)
         }
         RunEnd::Suspended(path, next_item) => {
@@ -684,21 +710,18 @@ fn execute(
 ) -> RunEnd {
     if let Some(dir) = spec.config.spill.as_ref().and_then(|s| s.dir.as_ref()) {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            return RunEnd::Failed(SimError::Spill(format!(
-                "create job spill dir {}: {e}",
-                dir.display()
-            )));
+            return SimError::Spill(format!("create job spill dir {}: {e}", dir.display())).into();
         }
     }
     let schedule = qcs_circuits::schedule_circuit(&spec.circuit, &spec.config.fusion_policy());
     let (mut sim, start_item) = match ckpt {
         Some((path, next_item)) => match checkpoint::load(path, spec.config.clone()) {
             Ok(sim) => (sim, *next_item),
-            Err(e) => return RunEnd::Failed(e),
+            Err(e) => return e.into(),
         },
         None => match CompressedSimulator::new(spec.num_qubits, spec.config.clone()) {
             Ok(sim) => (sim, 0),
-            Err(e) => return RunEnd::Failed(e),
+            Err(e) => return e.into(),
         },
     };
     let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -730,7 +753,7 @@ fn execute(
                 if spec.return_amplitudes && spec.num_qubits <= shared.cfg.max_snapshot_qubits {
                     match sim.snapshot_f64() {
                         Ok(a) => a,
-                        Err(e) => return RunEnd::Failed(e),
+                        Err(e) => return e.into(),
                     }
                 } else {
                     Vec::new()
@@ -742,10 +765,10 @@ fn execute(
             let path = shared.work_dir.join(format!("job-{}.ckpt", job.0));
             match checkpoint::save(&sim, &path) {
                 Ok(()) => RunEnd::Suspended(path, next_item),
-                Err(e) => RunEnd::Failed(e),
+                Err(e) => e.into(),
             }
         }
-        Err(e) => RunEnd::Failed(e),
+        Err(e) => e.into(),
     }
 }
 

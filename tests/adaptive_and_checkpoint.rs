@@ -158,3 +158,53 @@ fn time_breakdown_covers_all_phases() {
     let pct = bd.percentages();
     assert!((pct.iter().sum::<f64>() - 100.0).abs() < 1e-6);
 }
+
+fn golden_checkpoint_cfg() -> SimConfig {
+    SimConfig::default()
+        .with_block_log2(3)
+        .with_ranks_log2(1)
+        .with_fixed_bound(ErrorBound::PointwiseRelative(1e-4))
+}
+
+fn golden_checkpoint_sim() -> CompressedSimulator {
+    let mut sim = CompressedSimulator::new(6, golden_checkpoint_cfg()).unwrap();
+    let mut c = Circuit::new(6);
+    for q in 0..6 {
+        c.h(q);
+    }
+    c.cx(0, 5).rz(0.4, 3).t(2);
+    sim.run(&c, &mut StdRng::seed_from_u64(0)).unwrap();
+    sim
+}
+
+/// `fixtures/checkpoint_v3_small.bin` was written by the hand-rolled
+/// header code of commit 3a80267 from exactly this simulator. To change the
+/// layout on purpose: edit the `Header` declaration in
+/// `qcs-core/src/checkpoint.rs`, change the magic, and regenerate the
+/// fixture in the same commit.
+#[test]
+fn checkpoint_bytes_match_the_parent_commit() {
+    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v3_small.bin");
+    assert_eq!(&fixture[..8], b"QCSCKPT3");
+    let sim = golden_checkpoint_sim();
+    let path = std::env::temp_dir().join(format!("qcsim-golden-{}.ckpt", std::process::id()));
+
+    checkpoint::save(&sim, &path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    assert_eq!(saved.len(), fixture.len());
+    assert!(saved == fixture, "checkpoint encoding drifted");
+
+    std::fs::write(&path, fixture).unwrap();
+    let restored = checkpoint::load(&path, golden_checkpoint_cfg()).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(restored.ledger(), sim.ledger());
+    assert_eq!(restored.current_bound(), sim.current_bound());
+    let (want, got) = (
+        sim.snapshot_dense().unwrap(),
+        restored.snapshot_dense().unwrap(),
+    );
+    for (a, b) in want.amplitudes().iter().zip(got.amplitudes()) {
+        assert_eq!(a.re.to_bits(), b.re.to_bits());
+        assert_eq!(a.im.to_bits(), b.im.to_bits());
+    }
+}

@@ -458,6 +458,75 @@ fn hostile_specs_are_rejected_or_clamped() {
     server.shutdown();
 }
 
+/// A config that sizes an allocation off the wire is refused at
+/// admission, and a runner that panics anyway (forced here by the debug
+/// hook; at 3a80267 a `cache_lines = usize::MAX` submission did it for
+/// real) ends `Failed` with its carve-out released — it used to stay
+/// `Running` forever and make dropping the server handle hang.
+#[test]
+fn a_hostile_config_or_a_panicking_runner_cannot_wedge_the_server() {
+    let server = spawn_loopback(ServerConfig::default()).expect("spawn server");
+    let mut client = connect(&server.addr());
+    let circuit = qft_benchmark_circuit(6, 5);
+
+    let mut hostile = job_cfg();
+    hostile.cache_lines = usize::MAX;
+    let err = client
+        .submit(&JobSpec::new("cache-bomb", circuit.clone(), hostile))
+        .expect_err("an unbounded cache_lines must be rejected at admission");
+    assert!(
+        err.to_string().contains("cache lines"),
+        "typed reason: {err}"
+    );
+    let hostile = job_cfg().with_spill_shards(usize::MAX);
+    let err = client
+        .submit(&JobSpec::new("shard-bomb", circuit.clone(), hostile))
+        .expect_err("an unbounded shard count must be rejected at admission");
+    assert!(err.to_string().contains("shard"), "typed reason: {err}");
+
+    server.debug_panic_next_runner();
+    let doomed = client
+        .submit(&JobSpec::new("doomed", circuit.clone(), job_cfg()))
+        .expect("submit doomed");
+    match client.wait(doomed, |_| {}).expect("wait doomed") {
+        JobEnd::Failed(error) => assert!(error.contains("panicked"), "{error}"),
+        other => panic!("doomed: expected Failed, got {other:?}"),
+    }
+    // The server is still a server.
+    let good = client
+        .submit(&JobSpec::new("good", circuit.clone(), job_cfg()).with_amplitudes())
+        .expect("submit good");
+    match client.wait(good, |_| {}).expect("wait good") {
+        JobEnd::Done { amplitudes, .. } => {
+            assert_amps_match(
+                "good",
+                &amplitudes,
+                &reference_amps(&circuit, &job_cfg(), 0),
+            );
+        }
+        other => panic!("good: expected Done, got {other:?}"),
+    }
+    let health = client.health().expect("health");
+    let doomed_row = health.jobs.iter().find(|j| j.job == doomed).expect("row");
+    assert_eq!(doomed_row.state, JobState::Failed);
+    assert_eq!(
+        health.carved_bytes, 0,
+        "the panicked job released its carve-out"
+    );
+    assert_eq!(leaked_job_files(server.work_dir()), Vec::<String>::new());
+
+    // Dropping the handle joins every runner and session: it must return.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(server);
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server shutdown hung");
+    dropper.join().expect("dropper thread");
+}
+
 /// `max_conns` stops accepting but, as its docs promise, sessions
 /// already open keep running: a job in flight on the final connection
 /// completes (matching an in-process run) instead of being cancelled
