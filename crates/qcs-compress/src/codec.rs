@@ -36,42 +36,41 @@ pub trait Codec: Send + Sync {
     /// Short identifier used in reports (e.g. `"sz"`, `"sol_c"`).
     fn name(&self) -> &'static str;
 
-    /// Compress `data` under `bound`.
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError>;
-
-    /// Decompress `bytes` produced by this codec's `compress`.
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError>;
-
     /// Compress `data` under `bound` into `out`, reusing its capacity.
     ///
-    /// `out` is cleared first; on success it holds exactly the bytes
-    /// [`Codec::compress`] would have returned (bit-identical), on error
-    /// its contents are unspecified. The default delegates to the
-    /// allocating method so external implementations keep working; the
-    /// hot codecs in this crate override it to write in place.
+    /// `out` is cleared first; on success it holds the compressed stream,
+    /// on error its contents are unspecified. This and
+    /// [`Codec::decompress_into`] are the pair a codec implements; the
+    /// allocating forms below are provided over them.
     fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let bytes = self.compress(data, bound)?;
-        out.clear();
-        out.extend_from_slice(&bytes);
-        Ok(())
+    ) -> Result<(), CodecError>;
+
+    /// Decompress `bytes` produced by this codec into `out`, reusing its
+    /// capacity.
+    ///
+    /// `out` is cleared first; on success it holds the decoded values, on
+    /// error its contents are unspecified.
+    fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError>;
+
+    /// Compress `data` under `bound` into a fresh vector: exactly the
+    /// bytes [`Codec::compress_into`] writes, staged through recycled
+    /// per-thread scratch so the returned vector's capacity equals its
+    /// length (converting it to `Arc<[u8]>`/`Box<[u8]>` never copies
+    /// through a reallocation).
+    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
+        crate::scratch::staged(|out| self.compress_into(data, bound, out))
     }
 
-    /// Decompress `bytes` into `out`, reusing its capacity.
-    ///
-    /// `out` is cleared first; on success it holds exactly the values
-    /// [`Codec::decompress`] would have returned (bit-identical), on
-    /// error its contents are unspecified. The default delegates to the
-    /// allocating method; the hot codecs override it to decode in place.
-    fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        let values = self.decompress(bytes)?;
-        out.clear();
-        out.extend_from_slice(&values);
-        Ok(())
+    /// Decompress `bytes` into a fresh vector: exactly the values
+    /// [`Codec::decompress_into`] writes.
+    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_into(bytes, &mut out)?;
+        Ok(out)
     }
 
     /// Whether the codec supports a bound mode.
@@ -151,19 +150,6 @@ impl std::fmt::Display for CodecId {
             CodecId::Fpzip => "fpzip-like",
         };
         f.write_str(s)
-    }
-}
-
-/// Repack `v` so its capacity equals its length (no-op when already
-/// exact). Compressors return exact-capacity vectors so converting them to
-/// `Arc<[u8]>`/`Box<[u8]>` never copies through a reallocation.
-pub(crate) fn exact(v: Vec<u8>) -> Vec<u8> {
-    if v.capacity() == v.len() {
-        v
-    } else {
-        let mut out = Vec::with_capacity(v.len());
-        out.extend_from_slice(&v);
-        out
     }
 }
 

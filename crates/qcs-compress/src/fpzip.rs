@@ -86,7 +86,12 @@ impl Codec for FpzipLike {
         "fpzip"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
+    fn compress_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let p = Self::precision(bound)?;
         let drop = 64 - p;
         let mut exceptions: Vec<(u64, u64)> = Vec::new();
@@ -141,10 +146,12 @@ impl Codec for FpzipLike {
             bytes::put_u64(&mut body, *idx);
             bytes::put_u64(&mut body, *bits);
         }
-        Ok(qzstd::compress(&body, qzstd::Level::Fast))
+        out.clear();
+        qzstd::compress_into(&body, qzstd::Level::Fast, out);
+        Ok(())
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
+    fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
         let body =
             qzstd::decompress(data).map_err(|e| CodecError::Corrupt(format!("backend: {e}")))?;
         let mut pos = 0usize;
@@ -178,7 +185,8 @@ impl Codec for FpzipLike {
             .ok_or_else(|| CodecError::Corrupt("truncated payload".into()))?;
         pos += payload_len;
 
-        let mut out = Vec::with_capacity(n);
+        out.clear();
+        out.reserve(n);
         let mut prev = 0u64;
         let mut ppos = 0usize;
         for i in 0..n {
@@ -215,7 +223,7 @@ impl Codec for FpzipLike {
                 .ok_or_else(|| CodecError::Corrupt("exception index out of range".into()))? =
                 f64::from_bits(bits);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {

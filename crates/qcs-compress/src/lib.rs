@@ -179,28 +179,13 @@ impl Codec for QzstdCodec {
         "qzstd"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        // A lossless codec satisfies every bound; reject only nonsense input.
-        if let ErrorBound::Absolute(e) | ErrorBound::PointwiseRelative(e) = bound {
-            if e < 0.0 {
-                return Err(CodecError::InvalidParam(format!("negative bound {e}")));
-            }
-        }
-        Ok(qzstd::compress(&f64s_to_bytes(data), self.level))
-    }
-
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
+        // A lossless codec satisfies every bound; reject only nonsense input.
         if let ErrorBound::Absolute(e) | ErrorBound::PointwiseRelative(e) = bound {
             if e < 0.0 {
                 return Err(CodecError::InvalidParam(format!("negative bound {e}")));

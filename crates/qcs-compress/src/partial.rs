@@ -285,32 +285,27 @@ pub trait PartialCodec: Codec {
         Ok(())
     }
 
-    /// Apply segment-level `edits` to a complete stream, returning the new
-    /// stream. Untouched segment bodies are copied verbatim — never
-    /// decoded or re-encoded.
-    fn recompress_segments(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// [`PartialCodec::recompress_segments`] into a reused buffer: `out` is
-    /// cleared first and on success holds exactly the bytes the allocating
-    /// method would have returned. The default delegates to the allocating
-    /// method; segment-addressable codecs in this crate override it to
-    /// splice in place.
+    /// Apply segment-level `edits` to a complete stream, writing the new
+    /// stream into `out` (cleared first). Untouched segment bodies are
+    /// copied verbatim — never decoded or re-encoded.
     fn recompress_segments_into(
         &self,
         data: &[u8],
         edits: &[SegmentEdit<'_>],
         bound: ErrorBound,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let bytes = self.recompress_segments(data, edits, bound)?;
-        out.clear();
-        out.extend_from_slice(&bytes);
-        Ok(())
+    ) -> Result<(), CodecError>;
+
+    /// [`PartialCodec::recompress_segments_into`] into a fresh vector
+    /// whose capacity equals its length, staged through recycled
+    /// per-thread scratch like [`Codec::compress`].
+    fn recompress_segments(
+        &self,
+        data: &[u8],
+        edits: &[SegmentEdit<'_>],
+        bound: ErrorBound,
+    ) -> Result<Vec<u8>, CodecError> {
+        crate::scratch::staged(|out| self.recompress_segments_into(data, edits, bound, out))
     }
 
     /// Re-encode the contiguous segment run `segs` from `values` (the

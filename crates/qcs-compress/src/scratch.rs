@@ -42,6 +42,21 @@ pub(crate) fn put_bytes(mut buf: Vec<u8>) {
     });
 }
 
+/// Run `fill` over a recycled byte buffer and return what it wrote as a
+/// fresh vector whose capacity equals its length (so converting it to
+/// `Arc<[u8]>`/`Box<[u8]>` never copies through a reallocation): the
+/// allocating form of any `*_into` encoder.
+pub(crate) fn staged<E>(fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>) -> Result<Vec<u8>, E> {
+    let mut staged = take_bytes();
+    let res = fill(&mut staged).map(|()| {
+        let mut out = Vec::with_capacity(staged.len());
+        out.extend_from_slice(&staged);
+        out
+    });
+    put_bytes(staged);
+    res
+}
+
 /// Check out an empty `f64` buffer, reusing a recycled one when possible.
 pub(crate) fn take_f64s() -> Vec<f64> {
     F64_BUFS.with(|p| p.borrow_mut().pop()).unwrap_or_default()

@@ -1,7 +1,7 @@
 //! Core SZ pipeline shared by Solutions A and B.
 
 use crate::bitio::bytes;
-use crate::codec::CodecError;
+use crate::codec::{Codec, CodecError};
 use crate::error_bound::ErrorBound;
 use crate::huffman;
 use crate::qzstd;
@@ -29,30 +29,26 @@ impl SzCore {
         assert!(bins >= 4 && stride >= 1);
         Self { bins, stride }
     }
+}
 
-    /// Compress under `bound` (absolute or pointwise-relative only). The
-    /// returned vector's capacity equals its length.
-    pub fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        let mut scratch = crate::scratch::take_bytes();
-        let res = self.compress_into(data, bound, &mut scratch).map(|()| {
-            let mut out = Vec::with_capacity(scratch.len());
-            out.extend_from_slice(&scratch);
-            out
-        });
-        crate::scratch::put_bytes(scratch);
-        res
+/// The core is itself a [`Codec`] (absolute and pointwise-relative bounds
+/// only); Solutions A and B are this codec at their two parameter sets.
+impl Codec for SzCore {
+    fn name(&self) -> &'static str {
+        "sz"
     }
 
-    /// [`SzCore::compress`], *appending* the stream to `out`. Every
-    /// intermediate (quantization codes, bitmaps, bodies, log stream) is
-    /// staged through recycled per-thread scratch, so steady-state
-    /// compression into a reused `out` performs no heap allocation.
-    pub fn compress_into(
+    /// Every intermediate (quantization codes, bitmaps, bodies, log
+    /// stream) is staged through recycled per-thread scratch, so
+    /// steady-state compression into a reused `out` performs no heap
+    /// allocation.
+    fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
+        out.clear();
         match bound {
             ErrorBound::Absolute(e) if e > 0.0 => {
                 bytes::put_u32(out, MAGIC);
@@ -77,15 +73,8 @@ impl SzCore {
         }
     }
 
-    /// Decompress a stream produced by [`SzCore::compress`].
-    pub fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SzCore::decompress`], *appending* the values to `out`.
-    pub fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+    fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+        out.clear();
         let mut pos = 0usize;
         let magic = bytes::get_u32(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
@@ -106,6 +95,12 @@ impl SzCore {
         }
     }
 
+    fn supports(&self, bound: ErrorBound) -> bool {
+        bound.is_lossy()
+    }
+}
+
+impl SzCore {
     // --- absolute-bound core (prediction + quantization + huffman + qzstd) ---
 
     /// Append the qzstd-compressed absolute-mode stream for `data` to `out`.

@@ -41,31 +41,21 @@ impl Codec for SolutionA {
         "sol_a"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        self.core.compress(data, bound)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        out.clear();
         self.core.compress_into(data, bound, out)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        self.core.decompress(bytes)
-    }
-
     fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        out.clear();
         self.core.decompress_into(bytes, out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {
-        bound.is_lossy()
+        self.core.supports(bound)
     }
 }
 
@@ -90,31 +80,21 @@ impl Codec for SolutionB {
         "sol_b"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        self.core.compress(data, bound)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        out.clear();
         self.core.compress_into(data, bound, out)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        self.core.decompress(bytes)
-    }
-
     fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        out.clear();
         self.core.decompress_into(bytes, out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {
-        bound.is_lossy()
+        self.core.supports(bound)
     }
 }
 

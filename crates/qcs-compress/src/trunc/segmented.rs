@@ -47,26 +47,10 @@ fn fill_entry(out: &mut [u8], base: usize, seg: usize, body_start: usize) {
     out[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Assemble a segmented stream: split `data` every `seg_values` doubles
-/// and encode each slice with `encode_slice`. The returned vector's
-/// capacity equals its length.
-pub(crate) fn compress(
-    magic: u32,
-    data: &[f64],
-    seg_values: usize,
-    encode_slice: impl FnMut(&[f64], &mut Vec<u8>),
-) -> Vec<u8> {
-    let mut scratch = crate::scratch::take_bytes();
-    compress_into(magic, data, seg_values, encode_slice, &mut scratch);
-    let mut out = Vec::with_capacity(scratch.len());
-    out.extend_from_slice(&scratch);
-    crate::scratch::put_bytes(scratch);
-    out
-}
-
-/// [`compress`], *appending* the stream to `out`. Bodies are encoded
-/// directly onto the tail of `out` and their index entries backfilled, so
-/// assembly itself performs no heap allocation.
+/// Assemble a segmented stream, *appending* it to `out`: split `data`
+/// every `seg_values` doubles and encode each slice with `encode_slice`.
+/// Bodies are encoded directly onto the tail of `out` and their index
+/// entries backfilled, so assembly itself performs no heap allocation.
 pub(crate) fn compress_into(
     magic: u32,
     data: &[f64],
@@ -150,31 +134,11 @@ pub(crate) fn decompress_into(
     Ok(())
 }
 
-/// Splice segment-level edits into a segmented stream: edited segments get
-/// freshly encoded bodies via `encode_slice`, untouched bodies are copied
-/// verbatim. `Zero` edits reuse one canonical zero body per slice length,
-/// so zeroing segments never pays an encode per segment. The returned
-/// vector's capacity equals its length.
-pub(crate) fn splice(
-    magic: u32,
-    data: &[u8],
-    edits: &[SegmentEdit<'_>],
-    encode_slice: impl FnMut(&[f64], &mut Vec<u8>) -> Result<(), CodecError>,
-) -> Result<Vec<u8>, CodecError> {
-    let mut scratch = crate::scratch::take_bytes();
-    let res = splice_into(magic, data, edits, encode_slice, &mut scratch);
-    let res = res.map(|()| {
-        let mut out = Vec::with_capacity(scratch.len());
-        out.extend_from_slice(&scratch);
-        out
-    });
-    crate::scratch::put_bytes(scratch);
-    res
-}
-
-/// [`splice`], *appending* the new stream to `out`. Replacement bodies are
-/// encoded straight onto the tail of `out`; untouched bodies are copied
-/// verbatim from `data`.
+/// Splice segment-level edits into a segmented stream, *appending* the
+/// new stream to `out`: edited segments get freshly encoded bodies via
+/// `encode_slice`, straight onto the tail of `out`; untouched bodies are
+/// copied verbatim from `data`. `Zero` edits reuse one canonical zero body
+/// per slice length, so zeroing segments never pays an encode per segment.
 pub(crate) fn splice_into(
     magic: u32,
     data: &[u8],

@@ -92,19 +92,9 @@ impl SolutionC {
         }
     }
 
-    /// Core encoder shared with Solution D. The returned vector's capacity
-    /// equals its length.
-    pub(crate) fn encode_stream(&self, data: &[f64], m: u32) -> Vec<u8> {
-        let mut body = crate::scratch::take_bytes();
-        Self::encode_body(data, m, &mut body);
-        let out = qzstd::compress(&body, self.backend_level);
-        crate::scratch::put_bytes(body);
-        out
-    }
-
-    /// [`SolutionC::encode_stream`], *appending* the stream to `out`. The
-    /// intermediate body is staged through recycled per-thread scratch, so
-    /// steady-state encoding performs no heap allocation.
+    /// Core encoder shared with Solution D, *appending* the stream to
+    /// `out`. The intermediate body is staged through recycled per-thread
+    /// scratch, so steady-state encoding performs no heap allocation.
     pub(crate) fn encode_stream_into(&self, data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut body = crate::scratch::take_bytes();
         Self::encode_body(data, m, &mut body);
@@ -265,22 +255,6 @@ impl Codec for SolutionC {
         "sol_c"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        let m = Self::mantissa_bits(bound)?;
-        match self.segment_values {
-            Some(sv) => Ok(segmented::compress(SEG_MAGIC_C, data, sv, |slice, out| {
-                self.encode_stream_into(slice, m, out)
-            })),
-            None => Ok(self.encode_stream(data, m)),
-        }
-    }
-
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
@@ -339,19 +313,6 @@ impl PartialCodec for SolutionC {
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
         segmented::decode_segment(index, seg, body, &|b, o| self.decode_stream_into(b, o), out)
-    }
-
-    fn recompress_segments(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CodecError> {
-        let m = Self::mantissa_bits(bound)?;
-        segmented::splice(SEG_MAGIC_C, data, edits, |slice, out| {
-            self.encode_stream_into(slice, m, out);
-            Ok(())
-        })
     }
 
     fn recompress_segments_into(

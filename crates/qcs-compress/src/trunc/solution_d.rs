@@ -40,23 +40,12 @@ impl SolutionD {
         }
     }
 
-    /// Encode one run of values as a legacy D body: even/odd reshuffle,
-    /// then a Solution C stream per half. Used whole-stream and as the
-    /// per-segment body encoder of the segmented format. The returned
-    /// vector's capacity equals its length.
-    fn encode_shuffled(&self, data: &[f64], m: u32) -> Vec<u8> {
-        let mut scratch = crate::scratch::take_bytes();
-        self.encode_shuffled_into(data, m, &mut scratch);
-        let mut out = Vec::with_capacity(scratch.len());
-        out.extend_from_slice(&scratch);
-        crate::scratch::put_bytes(scratch);
-        out
-    }
-
-    /// [`Self::encode_shuffled`], *appending* the body to `out`. The half
-    /// streams are encoded straight onto the tail of `out` (their length
-    /// words backfilled), with the shuffled halves staged through recycled
-    /// per-thread scratch.
+    /// Encode one run of values as a legacy D body — even/odd reshuffle,
+    /// then a Solution C stream per half — *appending* it to `out`. Used
+    /// whole-stream and as the per-segment body encoder of the segmented
+    /// format. The half streams are encoded straight onto the tail of
+    /// `out` (their length words backfilled), with the shuffled halves
+    /// staged through recycled per-thread scratch.
     fn encode_shuffled_into(&self, data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut even = crate::scratch::take_f64s();
         let mut odd = crate::scratch::take_f64s();
@@ -142,16 +131,6 @@ impl Codec for SolutionD {
         "sol_d"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
-        let m = SolutionC::mantissa_bits(bound)?;
-        match self.inner.segment_values {
-            Some(sv) => Ok(segmented::compress(SEG_MAGIC_D, data, sv, |slice, out| {
-                self.encode_shuffled_into(slice, m, out)
-            })),
-            None => Ok(self.encode_shuffled(data, m)),
-        }
-    }
-
     fn compress_into(
         &self,
         data: &[f64],
@@ -171,12 +150,6 @@ impl Codec for SolutionD {
             None => self.encode_shuffled_into(data, m, out),
         }
         Ok(())
-    }
-
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_into(data, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
@@ -222,19 +195,6 @@ impl PartialCodec for SolutionD {
             &|b, o| self.decode_shuffled_into(b, o),
             out,
         )
-    }
-
-    fn recompress_segments(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CodecError> {
-        let m = SolutionC::mantissa_bits(bound)?;
-        segmented::splice(SEG_MAGIC_D, data, edits, |slice, out| {
-            self.encode_shuffled_into(slice, m, out);
-            Ok(())
-        })
     }
 
     fn recompress_segments_into(

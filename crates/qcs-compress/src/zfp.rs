@@ -198,13 +198,18 @@ impl Codec for ZfpLike {
         "zfp"
     }
 
-    fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<Vec<u8>, CodecError> {
+    fn compress_into(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        out.clear();
         match bound {
             ErrorBound::Absolute(e) if e > 0.0 => {
-                let payload = self.encode_abs(data, e);
-                let mut out = header(MODE_ABS, data.len(), e);
-                out.extend_from_slice(&payload);
-                Ok(crate::codec::exact(out))
+                put_header(out, MODE_ABS, data.len(), e);
+                out.extend_from_slice(&self.encode_abs(data, e));
+                Ok(())
             }
             ErrorBound::PointwiseRelative(eps) if eps > 0.0 && eps < 1.0 => {
                 // Log-domain preprocessing (paper §4.1): compress ln|x| with
@@ -226,12 +231,12 @@ impl Codec for ZfpLike {
                     logs.push(v.abs().ln());
                 }
                 let payload = self.encode_abs(&logs, log_bound);
-                let mut out = header(MODE_REL, data.len(), log_bound);
-                bytes::put_u64(&mut out, logs.len() as u64);
+                put_header(out, MODE_REL, data.len(), log_bound);
+                bytes::put_u64(out, logs.len() as u64);
                 out.extend_from_slice(&signs);
                 out.extend_from_slice(&zeros);
                 out.extend_from_slice(&payload);
-                Ok(crate::codec::exact(out))
+                Ok(())
             }
             ErrorBound::Lossless => Err(CodecError::UnsupportedBound(
                 "zfp-like codec is fixed-accuracy only",
@@ -240,7 +245,8 @@ impl Codec for ZfpLike {
         }
     }
 
-    fn decompress(&self, data: &[u8]) -> Result<Vec<f64>, CodecError> {
+    fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+        out.clear();
         let mut pos = 0usize;
         let magic = bytes::get_u32(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
@@ -256,7 +262,10 @@ impl Codec for ZfpLike {
         let _bound = bytes::get_f64(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing bound".into()))?;
         match mode {
-            MODE_ABS => self.decode_abs(&data[pos..], n),
+            MODE_ABS => {
+                out.extend_from_slice(&self.decode_abs(&data[pos..], n)?);
+                Ok(())
+            }
             MODE_REL => {
                 let n_logs = bytes::get_u64(data, &mut pos)
                     .ok_or_else(|| CodecError::Corrupt("missing log count".into()))?
@@ -273,7 +282,7 @@ impl Codec for ZfpLike {
                     .to_vec();
                 pos += bitmap_len;
                 let logs = self.decode_abs(&data[pos..], n_logs)?;
-                let mut out = Vec::with_capacity(n);
+                out.reserve(n);
                 let mut li = 0usize;
                 for i in 0..n {
                     if zeros[i / 8] >> (i % 8) & 1 == 1 {
@@ -288,7 +297,7 @@ impl Codec for ZfpLike {
                     let neg = signs[i / 8] >> (i % 8) & 1 == 1;
                     out.push(if neg { -mag } else { mag });
                 }
-                Ok(out)
+                Ok(())
             }
             _ => Err(CodecError::Corrupt("unknown mode".into())),
         }
@@ -299,13 +308,11 @@ impl Codec for ZfpLike {
     }
 }
 
-fn header(mode: u8, n: usize, bound: f64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    bytes::put_u32(&mut out, MAGIC);
+fn put_header(out: &mut Vec<u8>, mode: u8, n: usize, bound: f64) {
+    bytes::put_u32(out, MAGIC);
     out.push(mode);
-    bytes::put_u64(&mut out, n as u64);
-    bytes::put_f64(&mut out, bound);
-    out
+    bytes::put_u64(out, n as u64);
+    bytes::put_f64(out, bound);
 }
 
 #[cfg(test)]

@@ -54,14 +54,14 @@ use crate::config::SimConfig;
 use crate::fidelity_bound::FidelityLedger;
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
 use crate::worker::{
-    decode_timed, BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
+    decode_block, BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
     WaveOut, WorkerCmd, WorkerOut,
 };
 use qcs_circuits::{
     schedule_circuit, AccessPlan, Circuit, GateBatch, Op, Schedule, ScheduledOp, WaveAccess,
 };
 use qcs_cluster::exec::{duplex, ClusterSim, Worker};
-use qcs_cluster::{ControlScope, Layout, Metrics, Route, TimeBreakdown};
+use qcs_cluster::{ControlScope, Layout, Metrics, Phase, Route, TimeBreakdown};
 use qcs_compress::ErrorBound;
 use qcs_statevec::{Complex64, Gate1, StateVector};
 use std::sync::Arc;
@@ -1112,16 +1112,15 @@ impl CompressedSimulator {
     /// through a single pooled buffer, to `sink` in global block order.
     fn decode_blocks(&self, mut sink: impl FnMut(usize, &[f64])) -> Result<(), SimError> {
         let outs = self.query_all(|| WorkerCmd::SnapshotBlocks)?;
-        let mut buf = self.codec.take_amp_buf();
         let blocks = outs.into_iter().flat_map(|out| match out {
             WorkerOut::Blocks(v) => v,
             _ => unreachable!("snapshot returns blocks"),
         });
         for (slot, blk) in blocks.enumerate() {
-            decode_timed(&self.codec, &self.metrics, self.layout, &blk, &mut buf)?;
+            let buf = decode_block(&self.codec, self.layout, &blk)?;
+            self.metrics.add(Phase::Decompression, buf.spent);
             sink(slot, &buf);
         }
-        self.codec.put_amp_buf(buf);
         Ok(())
     }
 
@@ -1175,13 +1174,12 @@ impl CompressedSimulator {
         let mut r = rng.gen::<f64>() * total;
         let slot = pick_weighted(weights.iter().copied(), &mut r);
         let block = self.fetch_block(slot / bpr, slot % bpr)?;
-        let mut buf = self.codec.take_amp_buf();
-        decode_timed(&self.codec, &self.metrics, layout, &block, &mut buf)?;
+        let buf = decode_block(&self.codec, layout, &block)?;
+        self.metrics.add(Phase::Decompression, buf.spent);
         let o = pick_weighted(
             buf.chunks_exact(2).map(|v| v[0] * v[0] + v[1] * v[1]),
             &mut r,
         );
-        self.codec.put_amp_buf(buf);
         Ok(layout.join(slot / bpr, slot % bpr, o))
     }
 

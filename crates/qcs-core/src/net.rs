@@ -1527,42 +1527,97 @@ mod tests {
 
     #[test]
     fn hostile_commands_get_done_err_and_the_daemon_keeps_serving() {
-        let (addr, daemon) = spawn_loopback(1, ServeOptions::default()).unwrap();
-        let mut stream =
-            qcs_net::connect_supervised(&addr, &qcs_net::ConnectPolicy::default()).unwrap();
-        // |0...0> on rank 0: amplitude 1 at offset 0 of block 0.
+        let (addr, daemon) = spawn_loopback(4, ServeOptions::default()).unwrap();
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
-        let block = |first: f64| {
-            let mut vals = [0.0; 16];
-            vals[0] = first;
-            Some(codec.compress(&vals, ErrorBound::Lossless).unwrap())
-        };
-        let blocks = [block(1.0), block(0.0), block(0.0), block(0.0)];
+        let block = |vals: &[f64]| Some(codec.compress(vals, ErrorBound::Lossless).unwrap());
+        // |0...0> on rank 0: amplitude 1 at offset 0 of block 0.
+        let mut first = [0.0; 16];
+        first[0] = 1.0;
         let cfg = SimConfig::default().with_block_log2(3).with_ranks_log2(1);
-        let hello = encode(&Hello::new(0, &cfg, 6, &blocks));
-        write_frame_to(&mut stream, K_HELLO, &hello).unwrap();
-        let (kind, ack) = recv_frame(&mut stream).unwrap();
-        assert_eq!(kind, K_HELLO_ACK);
-        assert!(decode::<HelloAck>(&ack).unwrap().is_ok());
-
-        let mut ask = |cmd: &WorkerCmd| {
-            write_frame_to(&mut stream, K_CMD, &encode(cmd)).unwrap();
-            let (kind, body) = recv_frame(&mut stream).expect("the connection is still served");
+        // One connection hosting rank 0 over `blocks`.
+        let session = |blocks: &[Option<CompressedBlock>]| {
+            let mut stream =
+                qcs_net::connect_supervised(&addr, &qcs_net::ConnectPolicy::default()).unwrap();
+            let hello = encode(&Hello::new(0, &cfg, 6, blocks));
+            write_frame_to(&mut stream, K_HELLO, &hello).unwrap();
+            let (kind, ack) = recv_frame(&mut stream).unwrap();
+            assert_eq!(kind, K_HELLO_ACK);
+            assert!(decode::<HelloAck>(&ack).unwrap().is_ok());
+            stream
+        };
+        let ask = |stream: &mut TcpStream, cmd: &WorkerCmd| {
+            write_frame_to(stream, K_CMD, &encode(cmd)).unwrap();
+            let (kind, body) = recv_frame(stream).expect("the connection is still served");
             assert_eq!(kind, K_DONE);
             decode::<Done>(&body).unwrap().result
         };
+
+        let zeros = || block(&[0.0; 16]);
+        let mut stream = session(&[block(&first), zeros(), zeros(), zeros()]);
         for (what, cmd) in hostile_cmds() {
-            match ask(&cmd) {
+            match ask(&mut stream, &cmd) {
                 Err(msg) => assert!(msg.contains("invalid command"), "{what}: {msg}"),
                 Ok(out) => panic!("{what}: executed, answered {out:?}"),
             }
             assert_eq!(
-                ask(&WorkerCmd::NormSqr),
+                ask(&mut stream, &WorkerCmd::NormSqr),
                 Ok(WorkerOut::Scalar(1.0)),
                 "after {what}"
             );
         }
         write_frame_to(&mut stream, K_SHUTDOWN, &[]).unwrap();
+
+        // Well-formed commands over a hostile block table: block 0 decodes
+        // cleanly, to half the values of the layout's blocks. `Hello` does
+        // not decode, so the handshake succeeds; each wave that reaches
+        // the block is `Done(Err)`, not a dead handler.
+        let gate = |route| {
+            WorkerCmd::Gate(GateCmd {
+                signature: 1,
+                gate: Gate1::h(),
+                route,
+                offset_cmask: 0,
+                block_cmask: 0,
+                rank_cmask: 0,
+                bound: ErrorBound::Lossless,
+                lookahead: None,
+            })
+        };
+        let batch = WorkerCmd::Batch(BatchCmd {
+            plans: Arc::new(vec![BatchPlan {
+                gate: Gate1::h(),
+                offset_bit: 1,
+                offset_cmask: 0,
+                block_cmask: 0,
+                rank_cmask: 0,
+            }]),
+            signature: 1,
+            bound: ErrorBound::Lossless,
+            lookahead: None,
+        });
+        for (what, cmd) in [
+            ("in-block gate", gate(Route::InBlock { offset_bit: 2 })),
+            ("batch", batch),
+            (
+                "inter-block gate",
+                gate(Route::InterBlock { block_stride: 1 }),
+            ),
+        ] {
+            let mut stream = session(&[block(&first[..8]), zeros(), zeros(), zeros()]);
+            match ask(&mut stream, &cmd) {
+                Err(msg) => assert!(
+                    msg.contains("block decodes to 8 values, layout has 16"),
+                    "{what} over a short block: {msg}"
+                ),
+                Ok(out) => panic!("{what} over a short block answered {out:?}"),
+            }
+            assert_eq!(
+                ask(&mut stream, &WorkerCmd::Nop),
+                Ok(WorkerOut::Scalar(0.0)),
+                "after {what} over a short block"
+            );
+            write_frame_to(&mut stream, K_SHUTDOWN, &[]).unwrap();
+        }
         daemon.join().expect("the daemon thread ends cleanly");
     }
 }

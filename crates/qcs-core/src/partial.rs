@@ -37,7 +37,7 @@
 //! partial path omits).
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::worker::BatchPlan;
+use crate::worker::{wrong_length, BatchPlan};
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentEdit, SegmentIndex};
 use qcs_statevec::{Complex64, Gate1};
 use std::ops::Range;
@@ -190,16 +190,32 @@ pub(crate) fn apply_diagonal_at(
     }
 }
 
-/// The block's segment-addressable view, when the whole partial pipeline
-/// applies: the wave's bound is lossy (so the rewrite stays on the lossy
-/// codec), the block was produced by a partial-capable codec, the stream
-/// is actually segmented with more than one segment, and its geometry
-/// supports bit routing.
+/// A block's segment-addressable view: the codec that produced it, its
+/// parsed index, and what a rewrite needs to put new bodies back.
+struct SegView<'a> {
+    codec: &'a BlockCodec,
+    p: &'a dyn PartialCodec,
+    blk: &'a CompressedBlock,
+    index: SegmentIndex,
+    /// `log2` of the amplitudes per segment.
+    sa_bits: u32,
+    bound: ErrorBound,
+}
+
+/// `blk`'s [`SegView`], when the whole partial pipeline applies: the
+/// wave's bound is lossy (so the rewrite stays on the lossy codec), the
+/// block was produced by a partial-capable codec, the stream is actually
+/// segmented with more than one segment, and its geometry supports bit
+/// routing. A segmented stream that covers another number of values than
+/// the layout's `block_f64s` is corrupt — the same check
+/// [`crate::worker::decode_block`] makes on a whole-block decode, made
+/// here because a rewrite never decodes the whole block.
 fn segmented_view<'a>(
     codec: &'a BlockCodec,
-    blk: &CompressedBlock,
+    block_f64s: usize,
+    blk: &'a CompressedBlock,
     bound: ErrorBound,
-) -> Result<Option<(&'a dyn PartialCodec, SegmentIndex, u32)>, CodecError> {
+) -> Result<Option<SegView<'a>>, CodecError> {
     if !bound.is_lossy() {
         return Ok(None);
     }
@@ -209,82 +225,91 @@ fn segmented_view<'a>(
     let Some(index) = p.segment_index(&blk.bytes)? else {
         return Ok(None);
     };
+    if index.n_values != block_f64s {
+        return Err(wrong_length(index.n_values, block_f64s));
+    }
     if index.n_segs() < 2 {
         return Ok(None);
     }
     let Some(sa_bits) = seg_amp_bits(&index) else {
         return Ok(None);
     };
-    Ok(Some((p, index, sa_bits)))
+    Ok(Some(SegView {
+        codec,
+        p,
+        blk,
+        index,
+        sa_bits,
+        bound,
+    }))
 }
 
-/// Decode each segment in `segs`, run `transform` over it (with its base
-/// amplitude offset), and splice the re-encoded bodies back into the
-/// stream. Segment scratch and the spliced output come from the codec's
-/// buffer pool, so a steady-state partial wave allocates nothing.
-#[allow(clippy::too_many_arguments)]
-fn rewrite_segments(
-    codec: &BlockCodec,
-    p: &dyn PartialCodec,
-    blk: &CompressedBlock,
-    index: &SegmentIndex,
-    sa_bits: u32,
-    segs: &[usize],
-    bound: ErrorBound,
-    mut transform: impl FnMut(usize, &mut [f64]),
-) -> Result<PartialOp, CodecError> {
-    let t = Instant::now();
-    let mut decoded: Vec<Vec<f64>> = Vec::with_capacity(segs.len());
-    for &s in segs {
-        let body = blk
-            .bytes
-            .get(index.byte_range(s))
-            .ok_or_else(|| CodecError::Corrupt(format!("segment {s} body out of bounds")))?;
-        let mut vals = codec.take_amp_buf();
-        p.decompress_segment(index, s, body, &mut vals)?;
-        decoded.push(vals);
-    }
-    let decompress = t.elapsed();
+impl SegView<'_> {
+    /// Decode each segment in `segs`, run `transform` over it (with its
+    /// base amplitude offset), and splice the re-encoded bodies back into
+    /// the stream; segments in `zeroed` are replaced by all-zero bodies
+    /// without being decoded. Segment scratch and the spliced output come
+    /// from the codec's buffer pool, so a steady-state partial wave
+    /// allocates nothing.
+    fn rewrite(
+        &self,
+        segs: &[usize],
+        zeroed: &[usize],
+        mut transform: impl FnMut(usize, &mut [f64]),
+    ) -> Result<PartialOp, CodecError> {
+        let (codec, index, blk) = (self.codec, &self.index, self.blk);
+        let t = Instant::now();
+        let mut decoded: Vec<Vec<f64>> = Vec::with_capacity(segs.len());
+        for &s in segs {
+            let body = blk
+                .bytes
+                .get(index.byte_range(s))
+                .ok_or_else(|| CodecError::Corrupt(format!("segment {s} body out of bounds")))?;
+            let mut vals = codec.take_amp_buf();
+            self.p.decompress_segment(index, s, body, &mut vals)?;
+            decoded.push(vals);
+        }
+        let decompress = t.elapsed();
 
-    let t = Instant::now();
-    for (&s, vals) in segs.iter().zip(&mut decoded) {
-        transform(s << sa_bits, vals);
-    }
-    let compute = t.elapsed();
+        let t = Instant::now();
+        for (&s, vals) in segs.iter().zip(&mut decoded) {
+            transform(s << self.sa_bits, vals);
+        }
+        let compute = t.elapsed();
 
-    let t = Instant::now();
-    let edits: Vec<SegmentEdit<'_>> = segs
-        .iter()
-        .zip(&decoded)
-        .map(|(&s, vals)| SegmentEdit::Replace {
-            seg: s,
-            values: vals,
+        let t = Instant::now();
+        let replace = segs
+            .iter()
+            .zip(&decoded)
+            .map(|(&seg, values)| SegmentEdit::Replace { seg, values });
+        let edits: Vec<SegmentEdit<'_>> = replace
+            .chain(zeroed.iter().map(|&seg| SegmentEdit::Zero { seg }))
+            .collect();
+        let mut out = codec.take_byte_buf();
+        let cap_before = out.capacity();
+        self.p
+            .recompress_segments_into(&blk.bytes, &edits, self.bound, &mut out)?;
+        codec.note_growth(cap_before, out.capacity(), 1);
+        let bytes: Arc<[u8]> = Arc::from(&out[..]);
+        let compress = t.elapsed();
+        drop(edits);
+        codec.put_byte_buf(out);
+        for vals in decoded {
+            codec.put_amp_buf(vals);
+        }
+
+        Ok(PartialOp {
+            block: CompressedBlock {
+                codec: blk.codec,
+                bound: self.bound,
+                bytes,
+            },
+            stats: partial_stats(index, segs, blk.bytes.len()),
+            decompress,
+            compute,
+            compress,
         })
-        .collect();
-    let mut out = codec.take_byte_buf();
-    let cap_before = out.capacity();
-    p.recompress_segments_into(&blk.bytes, &edits, bound, &mut out)?;
-    codec.note_growth(cap_before, out.capacity(), 1);
-    let bytes: Arc<[u8]> = Arc::from(&out[..]);
-    let compress = t.elapsed();
-    drop(edits);
-    codec.put_byte_buf(out);
-    for vals in decoded {
-        codec.put_amp_buf(vals);
     }
-
-    let stats = partial_stats(index, segs, blk.bytes.len());
-    Ok(PartialOp {
-        block: CompressedBlock {
-            codec: blk.codec,
-            bound,
-            bytes,
-        },
-        stats,
-        decompress,
-        compute,
-        compress,
-    })
 }
 
 /// Stats for a partial op that decoded `segs` of a `stream_len`-byte
@@ -303,53 +328,24 @@ pub(crate) fn partial_stats(
     }
 }
 
-/// Partial in-block gate path: when `gate` is diagonal and its touched
-/// set misses at least half the segments, rewrite only those segments.
-/// `Ok(None)` when the block, stream, or gate does not qualify.
-pub(crate) fn partial_gate(
-    codec: &BlockCodec,
-    blk: &CompressedBlock,
-    gate: &Gate1,
-    offset_bit: u32,
-    cmask: usize,
-    bound: ErrorBound,
-) -> Result<Option<PartialOp>, CodecError> {
-    let Some((p, index, sa_bits)) = segmented_view(codec, blk, bound)? else {
-        return Ok(None);
-    };
-    let Some(touch) = diag_touch(gate, offset_bit, cmask) else {
-        return Ok(None);
-    };
-    let Some(segs) = touched_segments(&index, sa_bits, touch) else {
-        return Ok(None);
-    };
-    rewrite_segments(
-        codec,
-        p,
-        blk,
-        &index,
-        sa_bits,
-        &segs,
-        bound,
-        |base, vals| apply_diagonal_at(vals, base, offset_bit, gate, cmask),
-    )
-    .map(Some)
-}
-
-/// Partial batch path: when every plan firing on this block (per `mask`)
-/// is diagonal and their touched segments together cover at most half the
+/// Partial gate path, for a lone in-block gate (a one-plan list) and a
+/// batch alike: when every plan firing on this block (per `mask`) is
+/// diagonal and their touched segments together cover at most half the
 /// stream, decode that union once and apply the firing plans in order.
+/// `Ok(None)` when the block, stream, or a firing gate does not qualify.
 pub(crate) fn partial_batch(
     codec: &BlockCodec,
+    block_f64s: usize,
     blk: &CompressedBlock,
     plans: &[BatchPlan],
     mask: u64,
     bound: ErrorBound,
 ) -> Result<Option<PartialOp>, CodecError> {
-    let Some((p, index, sa_bits)) = segmented_view(codec, blk, bound)? else {
+    let Some(view) = segmented_view(codec, block_f64s, blk, bound)? else {
         return Ok(None);
     };
-    let mut touched = vec![false; index.n_segs()];
+    let n_segs = view.index.n_segs();
+    let mut touched = vec![false; n_segs];
     let mut firing: Vec<&BatchPlan> = Vec::new();
     for (i, plan) in plans.iter().enumerate() {
         if mask & (1 << i) == 0 {
@@ -358,7 +354,7 @@ pub(crate) fn partial_batch(
         let Some(t) = diag_touch(&plan.gate, plan.offset_bit, plan.offset_cmask) else {
             return Ok(None);
         };
-        let Some(segs) = touched_segments(&index, sa_bits, t) else {
+        let Some(segs) = touched_segments(&view.index, view.sa_bits, t) else {
             return Ok(None);
         };
         for s in segs {
@@ -366,24 +362,15 @@ pub(crate) fn partial_batch(
         }
         firing.push(plan);
     }
-    let segs: Vec<usize> = (0..index.n_segs()).filter(|&s| touched[s]).collect();
-    if segs.len() * 2 > index.n_segs() {
+    let segs: Vec<usize> = (0..n_segs).filter(|&s| touched[s]).collect();
+    if segs.len() * 2 > n_segs {
         return Ok(None);
     }
-    rewrite_segments(
-        codec,
-        p,
-        blk,
-        &index,
-        sa_bits,
-        &segs,
-        bound,
-        |base, vals| {
-            for plan in &firing {
-                apply_diagonal_at(vals, base, plan.offset_bit, &plan.gate, plan.offset_cmask);
-            }
-        },
-    )
+    view.rewrite(&segs, &[], |base, vals| {
+        for plan in &firing {
+            apply_diagonal_at(vals, base, plan.offset_bit, &plan.gate, plan.offset_cmask);
+        }
+    })
     .map(Some)
 }
 
@@ -393,81 +380,26 @@ pub(crate) fn partial_batch(
 /// never decodes the body).
 pub(crate) fn partial_collapse(
     codec: &BlockCodec,
+    block_f64s: usize,
     blk: &CompressedBlock,
     offset_bit: u32,
     outcome: bool,
     scale: f64,
     bound: ErrorBound,
 ) -> Result<Option<PartialOp>, CodecError> {
-    let Some((p, index, sa_bits)) = segmented_view(codec, blk, bound)? else {
+    let Some(view) = segmented_view(codec, block_f64s, blk, bound)? else {
         return Ok(None);
     };
-    if offset_bit < sa_bits {
+    if offset_bit < view.sa_bits {
         return Ok(None);
     }
     let bit = 1usize << offset_bit;
-    let kept = |s: usize| ((s << sa_bits) & bit != 0) == outcome;
-
-    let t = Instant::now();
-    let kept_segs: Vec<usize> = (0..index.n_segs()).filter(|&s| kept(s)).collect();
-    let mut decoded: Vec<Vec<f64>> = Vec::with_capacity(kept_segs.len());
-    for &s in &kept_segs {
-        let body = blk
-            .bytes
-            .get(index.byte_range(s))
-            .ok_or_else(|| CodecError::Corrupt(format!("segment {s} body out of bounds")))?;
-        let mut vals = codec.take_amp_buf();
-        p.decompress_segment(&index, s, body, &mut vals)?;
-        decoded.push(vals);
-    }
-    let decompress = t.elapsed();
-
-    let t = Instant::now();
-    for vals in &mut decoded {
-        for v in vals.iter_mut() {
-            *v *= scale;
-        }
-    }
-    let compute = t.elapsed();
-
-    let t = Instant::now();
-    let mut edits: Vec<SegmentEdit<'_>> = Vec::with_capacity(index.n_segs());
-    let mut di = 0usize;
-    for s in 0..index.n_segs() {
-        if kept(s) {
-            edits.push(SegmentEdit::Replace {
-                seg: s,
-                values: &decoded[di],
-            });
-            di += 1;
-        } else {
-            edits.push(SegmentEdit::Zero { seg: s });
-        }
-    }
-    let mut out = codec.take_byte_buf();
-    let cap_before = out.capacity();
-    p.recompress_segments_into(&blk.bytes, &edits, bound, &mut out)?;
-    codec.note_growth(cap_before, out.capacity(), 1);
-    let bytes: Arc<[u8]> = Arc::from(&out[..]);
-    let compress = t.elapsed();
-    drop(edits);
-    codec.put_byte_buf(out);
-    for vals in decoded {
-        codec.put_amp_buf(vals);
-    }
-
-    let stats = partial_stats(&index, &kept_segs, blk.bytes.len());
-    Ok(Some(PartialOp {
-        block: CompressedBlock {
-            codec: blk.codec,
-            bound,
-            bytes,
-        },
-        stats,
-        decompress,
-        compute,
-        compress,
-    }))
+    let (kept, zeroed): (Vec<usize>, Vec<usize>) =
+        (0..view.index.n_segs()).partition(|&s| ((s << view.sa_bits) & bit != 0) == outcome);
+    view.rewrite(&kept, &zeroed, |_, vals| {
+        vals.iter_mut().for_each(|v| *v *= scale)
+    })
+    .map(Some)
 }
 
 #[cfg(test)]
@@ -487,6 +419,25 @@ mod tests {
 
     fn codec() -> BlockCodec {
         BlockCodec::new(CodecId::SolutionC)
+    }
+
+    /// A lone gate on `blk` through the batch path: a one-plan list.
+    fn one_plan_batch(
+        codec: &BlockCodec,
+        blk: &CompressedBlock,
+        gate: &Gate1,
+        offset_bit: u32,
+        cmask: usize,
+        bound: ErrorBound,
+    ) -> Result<Option<PartialOp>, CodecError> {
+        let plan = BatchPlan {
+            gate: *gate,
+            offset_bit,
+            offset_cmask: cmask,
+            block_cmask: 0,
+            rank_cmask: 0,
+        };
+        partial_batch(codec, 4096, blk, &[plan], 1, bound)
     }
 
     #[test]
@@ -549,7 +500,7 @@ mod tests {
             (Gate1::phase(-0.4), (1 << 10) | (1 << 2)),
         ] {
             let offset_bit = 9;
-            let op = partial_gate(&bc, &blk, &gate, offset_bit, cmask, BOUND)
+            let op = one_plan_batch(&bc, &blk, &gate, offset_bit, cmask, BOUND)
                 .unwrap()
                 .expect("qualifies");
             assert!(op.stats.segments * 2 <= op.stats.segments_full);
@@ -575,18 +526,18 @@ mod tests {
         let bc = codec();
         let blk = bc.compress(&amps(), BOUND).unwrap();
         // Uncontrolled rz touches everything: no segment constraint.
-        assert!(partial_gate(&bc, &blk, &Gate1::rz(0.2), 3, 0, BOUND)
+        assert!(one_plan_batch(&bc, &blk, &Gate1::rz(0.2), 3, 0, BOUND)
             .unwrap()
             .is_none());
         // A lossless wave must switch codec: partial declines.
         assert!(
-            partial_gate(&bc, &blk, &Gate1::t(), 10, 0, ErrorBound::Lossless)
+            one_plan_batch(&bc, &blk, &Gate1::t(), 10, 0, ErrorBound::Lossless)
                 .unwrap()
                 .is_none()
         );
         // Lossless (Qzstd) blocks are not partial-addressable.
         let blk = bc.compress(&amps(), ErrorBound::Lossless).unwrap();
-        assert!(partial_gate(&bc, &blk, &Gate1::t(), 10, 0, BOUND)
+        assert!(one_plan_batch(&bc, &blk, &Gate1::t(), 10, 0, BOUND)
             .unwrap()
             .is_none());
     }
@@ -598,7 +549,7 @@ mod tests {
         let blk = bc.compress(&data, BOUND).unwrap();
         let (offset_bit, scale) = (10u32, 1.25f64);
         for outcome in [false, true] {
-            let op = partial_collapse(&bc, &blk, offset_bit, outcome, scale, BOUND)
+            let op = partial_collapse(&bc, 4096, &blk, offset_bit, outcome, scale, BOUND)
                 .unwrap()
                 .expect("qualifies");
             assert_eq!(op.stats.segments * 2, op.stats.segments_full);
@@ -625,7 +576,7 @@ mod tests {
             }
         }
         // A bit below segment granularity splits segments: declines.
-        assert!(partial_collapse(&bc, &blk, 3, true, scale, BOUND)
+        assert!(partial_collapse(&bc, 4096, &blk, 3, true, scale, BOUND)
             .unwrap()
             .is_none());
     }

@@ -4,11 +4,39 @@
 //! facade in [`crate::engine`] speaks.
 //!
 //! This is the half of the paper's MPI rank that lives *on* the rank: the
-//! decompress → compute → recompress unit pipeline (§3.2), the per-rank
+//! decompress → compute → recompress block cycle (§3.2), the per-rank
 //! slice of every collective (probability sums, collapses, snapshots), and
 //! the rank's side of the §3.3 case (c) exchange. The other half — thread
 //! placement, scatter/gather, and pairing ranks for exchanges — lives in
 //! [`qcs_cluster::exec`].
+//!
+//! # One cycle, one walker, one decode
+//!
+//! The paper's whole engine is one inner loop, and each step of it is
+//! written once here:
+//!
+//! - **the decode seam**, [`decode_block`]: pooled scratch checkout, timed
+//!   `codec.decompress`, and the decoded length checked against the
+//!   layout's block — every whole-block decode of the engine goes through
+//!   it (gate, batch, exchange, collapse, recompress and query waves, and
+//!   the facade's snapshot and sampling reads), so a block of the wrong
+//!   length — from a checkpoint, a spill segment or a peer's `Hello` — is
+//!   `CodecError::Corrupt` on every path instead of an out-of-bounds index
+//!   in a kernel or a silently half-updated pair. The partial path never
+//!   decodes a whole block; it makes the same check on the segment index
+//!   (`crate::partial`);
+//! - **one cycle per arity**, `Cycle::block` (one block through a plan
+//!   list: cache lookup → partial fast path → decode → kernels → encode →
+//!   cache insert) and `Cycle::pair` (two partner blocks through
+//!   [`kernels::apply_cross`], two in and two out). A lone in-block gate
+//!   is a batch of one plan — [`RankWorker`] lowers it on arrival, the
+//!   facade and the wire still send a `GateCmd`;
+//! - **one mutating wave walker**, `RankWorker::walk`: announce the plan →
+//!   [`PlanCursor`] chunk → `fetch_many` → prefetch hint → one unit on the
+//!   calling thread or many across rayon → merge metrics → `put`. Pair
+//!   waves, batch waves, collapse and recompress are each a unit list and
+//!   a cycle closure handed to it; `RankWorker::map_blocks` is its
+//!   read-only twin for queries (peeks instead of takes, no write-back).
 //!
 //! # Wave lifecycle
 //!
@@ -34,24 +62,25 @@
 //!  │ RankWorker     │  │ RankWorker     │             one MPI rank each
 //!  │  ::handle(cmd) │  │  ::handle(cmd) │             (its event loop)
 //!  │                │  │                │
-//!  │ Gate/Batch — a PlanCursor walks the              §3.2 unit pipeline
-//!  │ wave's planned slots, one residency-             on the rank's own
-//!  │ budget chunk at a time:                          memory (MCDRAM
+//!  │ Gate/Batch/Collapse/Recompress — `walk`          §3.2 block cycle
+//!  │ takes the wave's planned units, one              on the rank's own
+//!  │ residency-budget chunk at a time:                memory (MCDRAM
 //!  │  fetch_many(chunk k)   coalesced reads           scratch); the
-//!  │  ─▶ prefetch(chunk k+1) ─▶ decompress            prefetch hint is
-//!  │  ─▶ kernel ─▶ recompress ─▶ store.put            the paper's MPI
-//!  │  (the wave's last chunk prefetches the           overlap aimed at
-//!  │  *next* wave's first slots — the facade's        disk: a recv
-//!  │  AccessPlan lookahead — so wave boundaries       posted before the
-//!  │  overlap too)                                    wave that needs it
+//!  │  ─▶ prefetch(chunk k+1) ─▶ Cycle::block          prefetch hint is
+//!  │  or ::pair: decode_block (length checked)        the paper's MPI
+//!  │  ─▶ kernel ─▶ recompress ─▶ store.put            overlap aimed at
+//!  │  (the wave's last chunk prefetches the           disk: a recv
+//!  │  *next* wave's first slots — the facade's        posted before the
+//!  │  AccessPlan lookahead — so wave boundaries       wave that needs it
+//!  │  overlap too)  │  │                │
 //!  │                │  │                │
 //!  │ Exchange:      │◀─┼─ Duplex link ─▶│             MPI_Sendrecv of
 //!  │  leader recv/  │  │ follower sends │             compressed blocks
-//!  │  compute/send  │  │ then installs  │             (§3.3 case (c))
+//!  │  Cycle::pair/  │  │ then installs  │             (§3.3 case (c))
+//!  │  send          │  │                │
 //!  │                │  │                │
-//!  │ Collapse/Prob: │  │ (PlanCursor-   │             the rank's term of
-//!  │  a pass over   │  │  chunked too)  │             an MPI_Allreduce
-//!  │  the blocks    │  │                │
+//!  │ Prob: map_blocks, the read-only    │             the rank's term of
+//!  │  walk (PlanCursor-chunked too)     │             an MPI_Allreduce
 //!  │                │  │                │
 //!  │ Norm/Weights/Zz│  │ first one after│             the same reduce,
 //!  │  read from the │  │ a mutation: one│             its operand kept
@@ -97,11 +126,11 @@
 //! Block storage is behind the [`BlockStore`] seam: a worker never holds
 //! raw block tables, so the same pipeline runs all-in-RAM (`MemStore`) or
 //! out-of-core (`SpillStore`, hot blocks resident under an LRU budget,
-//! cold blocks in per-rank segment files). Gate, batch, recompress,
-//! collapse, and query waves all walk their planned slot lists through a
-//! [`PlanCursor`]: each chunk (at most a residency budget of blocks) is
-//! pulled with one coalesced [`BlockStore::fetch_many`], and before the
-//! chunk computes the cursor hints the store at the chunk after it — or,
+//! cold blocks in per-rank segment files). Gate, batch, recompress and
+//! collapse waves (`walk`) and query waves (`map_blocks`) all take their
+//! planned slot lists through a [`PlanCursor`]: each chunk (at most a
+//! residency budget of blocks) is pulled with one coalesced
+//! [`BlockStore::fetch_many`], and before the chunk computes the cursor hints the store at the chunk after it — or,
 //! on a wave's last chunk, at the next wave's first slots, delivered by
 //! the facade from the schedule's `AccessPlan` — so a spilling store
 //! streams the upcoming blocks off disk in the background instead of
@@ -112,9 +141,10 @@
 //! A `Route::InterRank` gate pairs rank `r` with rank `r | stride`. The
 //! higher rank (the *follower*) streams its selected compressed blocks to
 //! the lower rank (the *leader*) over a [`Duplex`] link and the leader
-//! does the math: decompress both payloads, run the shared
-//! [`kernels::apply_cross`] pair update, recompress both, and send the
-//! partner's updated block back — still compressed. Only compressed bytes
+//! does the math — the same `Cycle::pair` a local inter-block pair runs:
+//! decode both payloads, the shared [`kernels::apply_cross`] update,
+//! recompress both — and sends the partner's updated block back, still
+//! compressed. Only compressed bytes
 //! ever cross the link, mirroring the paper's MPI exchange, and because
 //! the links are buffered the follower's sends overlap with the leader's
 //! (de)compression. Communication time and bytes are accounted on the
@@ -123,7 +153,7 @@
 use crate::block::{BlockCodec, CompressedBlock};
 use crate::cache::BlockCache;
 use crate::engine::SimError;
-use crate::partial::{self, PartialStats};
+use crate::partial::{self, PartialOp, PartialStats};
 use crate::store::BlockStore;
 use crate::summary::QuerySummary;
 use qcs_circuits::schedule::{mix, MAX_BATCH_GATES};
@@ -131,6 +161,7 @@ use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
 use qcs_statevec::{kernels, Gate1};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -613,155 +644,150 @@ impl RankWorker {
         }
     }
 
-    // --- gate waves ------------------------------------------------------
+    // --- gate and batch waves ---------------------------------------------
+
+    /// What a block cycle of a wave compressing under `bound` needs from
+    /// this rank.
+    fn cycle(&self, bound: ErrorBound) -> Cycle<'_> {
+        Cycle {
+            codec: &self.codec,
+            cache: &self.cache,
+            layout: self.layout,
+            bound,
+            partial: self.partial,
+        }
+    }
 
     fn apply_gate(&mut self, cmd: &GateCmd) -> Result<WaveOut, SimError> {
         if !self.selected(cmd.rank_cmask) {
             return Ok(self.wave_out(false));
         }
-        let bpr = self.layout.blocks_per_rank();
-        let block_ok = |b: usize| b & cmd.block_cmask == cmd.block_cmask;
-        let mut slots: Vec<(usize, Option<usize>)> = Vec::new();
-        let kernel = match cmd.route {
-            Route::InBlock { offset_bit } => {
-                slots.extend((0..bpr).filter(|&b| block_ok(b)).map(|b| (b, None)));
-                Kernel::InBlock { offset_bit }
-            }
+        match cmd.route {
+            // A lone in-block gate is a batch of one.
+            Route::InBlock { offset_bit } => self.apply_batch(&BatchCmd {
+                plans: Arc::new(vec![BatchPlan {
+                    gate: cmd.gate,
+                    offset_bit,
+                    offset_cmask: cmd.offset_cmask,
+                    block_cmask: cmd.block_cmask,
+                    rank_cmask: cmd.rank_cmask,
+                }]),
+                signature: cmd.signature,
+                bound: cmd.bound,
+                lookahead: cmd.lookahead.clone(),
+            }),
             Route::InterBlock { block_stride } => {
-                slots.extend(
-                    (0..bpr)
-                        .filter(|&b| b & block_stride == 0 && block_ok(b))
-                        .map(|b| (b, Some(b | block_stride))),
-                );
-                Kernel::Cross
+                let units: Vec<([usize; 2], ())> = (0..self.layout.blocks_per_rank())
+                    .filter(|b| b & block_stride == 0 && b & cmd.block_cmask == cmd.block_cmask)
+                    .map(|b| ([b, b | block_stride], ()))
+                    .collect();
+                let cycle = self.cycle(cmd.bound);
+                self.walk(&units, &cmd.lookahead, |_, [a, b], _| {
+                    cycle.pair(&cmd.gate, cmd.offset_cmask, cmd.signature, &a, &b)
+                })
             }
             Route::InterRank { .. } => {
                 unreachable!("inter-rank gates are exchange commands")
             }
-        };
-        self.process_units(&slots, kernel, cmd)
+        }
     }
 
-    /// Run every unit's decompress → compute → recompress cycle (cache
-    /// permitting) and write results back, walking the wave's planned
-    /// units through a [`PlanCursor`] so at most the store's residency
-    /// budget of blocks is in flight at once and the next chunk prefetches
-    /// while the current one computes. A lone unit runs on the calling
-    /// thread with the segmented kernel so a rank with one big block still
-    /// uses its whole rayon width; multiple units stripe across rayon.
-    fn process_units(
-        &mut self,
-        slots: &[(usize, Option<usize>)],
-        kernel: Kernel,
-        cmd: &GateCmd,
+    fn apply_batch(&mut self, cmd: &BatchCmd) -> Result<WaveOut, SimError> {
+        // One unit per local block some gate selects, with the subset of
+        // gates that fire on it.
+        let mut units: Vec<([usize; 1], u64)> = Vec::new();
+        for b in 0..self.layout.blocks_per_rank() {
+            let mut mask = 0u64;
+            for (i, p) in cmd.plans.iter().enumerate() {
+                if self.selected(p.rank_cmask) && b & p.block_cmask == p.block_cmask {
+                    mask |= 1 << i;
+                }
+            }
+            if mask != 0 {
+                units.push(([b], mask));
+            }
+        }
+        let cycle = self.cycle(cmd.bound);
+        self.walk(&units, &cmd.lookahead, |&(_, mask), [blk], wide| {
+            let (out, stats) = cycle.block(&cmd.plans, cmd.signature, mask, &blk, wide)?;
+            Ok(([out], stats))
+        })
+    }
+
+    /// The one mutating wave walker: run `cycle` over every unit of a
+    /// wave — `N` blocks in, `N` blocks out — and write the results back.
+    ///
+    /// The wave's planned slots are announced to a plan-consuming store,
+    /// then walked through a [`PlanCursor`] so at most the store's
+    /// residency budget of blocks is in flight at once: each chunk is one
+    /// coalesced [`BlockStore::fetch_many`], the next chunk (or, on the
+    /// last one, the next wave's `lookahead`) prefetches while this one
+    /// computes, the chunk's units stripe across rayon, and their metrics
+    /// and blocks are merged and put back in unit order. A chunk of one
+    /// unit runs on the calling thread and is told so (`wide`), so a rank
+    /// with one big block still uses its whole rayon width inside the
+    /// kernel. Per-worker scratch comes from the codec's pool inside the
+    /// cycle.
+    fn walk<const N: usize, T: Sync>(
+        &self,
+        units: &[([usize; N], T)],
+        lookahead: &Lookahead,
+        cycle: impl Fn(
+                &([usize; N], T),
+                [CompressedBlock; N],
+                bool,
+            ) -> Result<([CompressedBlock; N], CycleStats), SimError>
+            + Sync,
     ) -> Result<WaveOut, SimError> {
-        let bound = cmd.bound;
-        let blocks_per_unit = if matches!(kernel, Kernel::Cross) {
-            2
-        } else {
-            1
+        let lookahead = lookahead.as_ref().map(|v| v.as_slice());
+        let unit_slots = |u: &([usize; N], T), out: &mut Vec<usize>| out.extend_from_slice(&u.0);
+        let flat = |units: &[([usize; N], T)]| {
+            let mut slots = Vec::with_capacity(units.len() * N);
+            units.iter().for_each(|u| unit_slots(u, &mut slots));
+            slots
         };
-        let chunk_len = (self.flight_budget() / blocks_per_unit).max(1);
-        let unit_slots = |&(a, b): &(usize, Option<usize>), out: &mut Vec<usize>| {
-            out.push(a);
-            if let Some(b) = b {
-                out.push(b);
-            }
-        };
-        let lookahead = cmd.lookahead.as_ref().map(|v| v.as_slice());
         if self.store.wants_plan() {
-            let mut wave_slots = Vec::with_capacity(slots.len() * blocks_per_unit);
-            for unit in slots {
-                unit_slots(unit, &mut wave_slots);
-            }
-            self.announce_plan(&wave_slots, lookahead);
+            self.announce_plan(&flat(units), lookahead);
         }
         let mut lossy = false;
-        let mut cursor = PlanCursor::new(slots, chunk_len);
+        let mut cursor = PlanCursor::new(units, (self.flight_budget() / N).max(1));
         while let Some(chunk) = cursor.next_chunk() {
-            let mut flat = Vec::with_capacity(chunk.len() * blocks_per_unit);
-            for unit in chunk {
-                unit_slots(unit, &mut flat);
-            }
-            let mut fetched = self.store.fetch_many(&flat)?.into_iter();
+            let mut fetched = self.store.fetch_many(&flat(chunk))?.into_iter();
             cursor.hint_upcoming(self.store.as_ref(), lookahead, unit_slots);
-            let mut units = Vec::with_capacity(chunk.len());
-            for &(a, b) in chunk {
-                let in_a = fetched.next().expect("fetched block");
-                let in_b = b.map(|_| fetched.next().expect("fetched pair block"));
-                units.push(Unit {
-                    slot_a: a,
-                    slot_b: b,
-                    in_a,
-                    in_b,
-                });
-            }
-            let results: Result<Vec<UnitOut>, SimError> = if units.len() == 1 {
-                units
-                    .into_iter()
-                    .map(|unit| {
-                        process_one(
-                            &self.codec,
-                            &self.cache,
-                            &cmd.gate,
-                            kernel,
-                            cmd.offset_cmask,
-                            cmd.signature,
-                            bound,
-                            unit,
-                            true,
-                            self.partial,
-                        )
-                    })
-                    .collect()
-            } else {
-                let codec = Arc::clone(&self.codec);
-                let cache = Arc::clone(&self.cache);
-                let g = cmd.gate;
-                let (offset_cmask, signature) = (cmd.offset_cmask, cmd.signature);
-                let partial = self.partial;
-                // Per-worker scratch — the two decompressed blocks the paper
-                // holds in MCDRAM (§3.2) — comes from the codec's buffer
-                // pool inside `process_one`.
-                units
-                    .into_par_iter()
-                    .map(|unit| {
-                        process_one(
-                            &codec,
-                            &cache,
-                            &g,
-                            kernel,
-                            offset_cmask,
-                            signature,
-                            bound,
-                            unit,
-                            false,
-                            partial,
-                        )
-                    })
-                    .collect()
-            };
-            for out in results? {
-                self.merge_unit(&out);
-                lossy |= out.compressed_lossy;
-                self.store.put(out.slot_a, out.out_a)?;
-                if let Some(sb) = out.slot_b {
-                    self.store.put(sb, out.out_b.expect("pair output"))?;
+            let wide = chunk.len() == 1;
+            let taken: Vec<_> = chunk
+                .iter()
+                .map(|u| {
+                    let blocks = std::array::from_fn(|_| {
+                        fetched.next().expect("one fetched block per planned slot")
+                    });
+                    (u, blocks)
+                })
+                .collect();
+            let results: Result<Vec<_>, SimError> = taken
+                .into_par_iter()
+                .map(|(u, blocks)| cycle(u, blocks, wide))
+                .collect();
+            for ((slots, _), (blocks, stats)) in chunk.iter().zip(results?) {
+                self.merge(&stats);
+                lossy |= stats.lossy;
+                for (&slot, blk) in slots.iter().zip(blocks) {
+                    self.store.put(slot, blk)?;
                 }
             }
         }
         Ok(self.wave_out(lossy))
     }
 
-    /// Fold one unit's timings and touch counts into the shared metrics.
-    fn merge_unit(&self, out: &UnitOut) {
-        self.metrics.add(Phase::Compression, out.timings[0]);
-        self.metrics.add(Phase::Decompression, out.timings[1]);
-        self.metrics.add(Phase::Computation, out.timings[3]);
-        if !out.cache_hit {
-            self.metrics.add_block_touch(out.gates_applied);
+    /// Fold one cycle's timings and touch counts into the shared metrics.
+    fn merge(&self, stats: &CycleStats) {
+        self.metrics.add(Phase::Compression, stats.compress);
+        self.metrics.add(Phase::Decompression, stats.decompress);
+        self.metrics.add(Phase::Computation, stats.compute);
+        if let Some(gates) = stats.touch {
+            self.metrics.add_block_touch(gates);
         }
-        if let Some(s) = out.partial {
+        if let Some(s) = stats.partial {
             self.metrics
                 .add_partial_decode(s.segments, s.segments_full, s.bytes, s.bytes_full);
         }
@@ -840,6 +866,7 @@ impl RankWorker {
         // stage them ahead so those takes ride the background fetcher
         // instead of blocking between pair updates.
         self.store.prefetch(&sel);
+        let cycle = self.cycle(cmd.bound);
         let mut lossy = false;
         for &b in &sel {
             let t = Instant::now();
@@ -851,144 +878,30 @@ impl RankWorker {
             let own = self.store.take(b)?;
             let inbound = partner.len() as u64;
 
-            let unit = Unit {
-                slot_a: b,
-                slot_b: None,
-                in_a: own,
-                in_b: Some(partner),
-            };
-            let out = process_one(
-                &self.codec,
-                &self.cache,
-                &cmd.gate,
-                Kernel::Cross,
-                cmd.offset_cmask,
-                cmd.signature,
-                cmd.bound,
-                unit,
-                sel.len() == 1,
-                false,
-            )?;
-            self.merge_unit(&out);
-            lossy |= out.compressed_lossy;
-            let back = out.out_b.expect("pair output");
+            let ([own, back], stats) =
+                cycle.pair(&cmd.gate, cmd.offset_cmask, cmd.signature, &own, &partner)?;
+            self.merge(&stats);
+            lossy |= stats.lossy;
             let outbound = back.len() as u64;
             let t = Instant::now();
             if !link.send((b, back)) {
                 return Err(SimError::Exchange("peer rank dropped the link".into()));
             }
             self.metrics.add(Phase::Communication, t.elapsed());
-            self.store.put(b, out.out_a)?;
+            self.store.put(b, own)?;
             self.metrics.add_comm_bytes(inbound + outbound);
             self.metrics.add_exchange();
         }
         Ok(self.wave_out(lossy))
     }
 
-    // --- batches ---------------------------------------------------------
-
-    fn apply_batch(&mut self, cmd: &BatchCmd) -> Result<WaveOut, SimError> {
-        let bpr = self.layout.blocks_per_rank();
-        // One unit per local block some gate selects.
-        let mut selections: Vec<(usize, u64)> = Vec::new();
-        for b in 0..bpr {
-            let mut mask = 0u64;
-            for (i, p) in cmd.plans.iter().enumerate() {
-                if self.selected(p.rank_cmask) && b & p.block_cmask == p.block_cmask {
-                    mask |= 1 << i;
-                }
-            }
-            if mask != 0 {
-                selections.push((b, mask));
-            }
-        }
-
-        let bound = cmd.bound;
-        let chunk_len = self.flight_budget();
-        let unit_slots = |&(slot, _): &(usize, u64), out: &mut Vec<usize>| out.push(slot);
-        let lookahead = cmd.lookahead.as_ref().map(|v| v.as_slice());
-        if self.store.wants_plan() {
-            let wave_slots: Vec<usize> = selections.iter().map(|&(slot, _)| slot).collect();
-            self.announce_plan(&wave_slots, lookahead);
-        }
-        let mut lossy = false;
-        let mut cursor = PlanCursor::new(&selections, chunk_len);
-        while let Some(chunk) = cursor.next_chunk() {
-            let flat: Vec<usize> = chunk.iter().map(|&(slot, _)| slot).collect();
-            let fetched = self.store.fetch_many(&flat)?;
-            cursor.hint_upcoming(self.store.as_ref(), lookahead, unit_slots);
-            let units: Vec<BatchUnit> = chunk
-                .iter()
-                .zip(fetched)
-                .map(|(&(slot, mask), block)| BatchUnit { slot, mask, block })
-                .collect();
-            let results: Result<Vec<UnitOut>, SimError> = if units.len() == 1 {
-                units
-                    .into_iter()
-                    .map(|unit| {
-                        process_batch_unit(
-                            &self.codec,
-                            &self.cache,
-                            &cmd.plans,
-                            cmd.signature,
-                            bound,
-                            unit,
-                            true,
-                            self.partial,
-                        )
-                    })
-                    .collect()
-            } else {
-                let codec = Arc::clone(&self.codec);
-                let cache = Arc::clone(&self.cache);
-                let plans = Arc::clone(&cmd.plans);
-                let signature = cmd.signature;
-                let partial = self.partial;
-                units
-                    .into_par_iter()
-                    .map(|unit| {
-                        process_batch_unit(
-                            &codec, &cache, &plans, signature, bound, unit, false, partial,
-                        )
-                    })
-                    .collect()
-            };
-            for out in results? {
-                self.merge_unit(&out);
-                lossy |= out.compressed_lossy;
-                self.store.put(out.slot_a, out.out_a)?;
-            }
-        }
-        Ok(self.wave_out(lossy))
-    }
-
     // --- collectives ------------------------------------------------------
 
-    /// Take each local block through `f` (decompress → mutate → compress),
-    /// walked through a [`PlanCursor`] — chunked to the residency budget,
-    /// each chunk fetched in one coalesced read while the next one
-    /// prefetches, striped across rayon inside each chunk.
-    fn rewrite_blocks(
-        &mut self,
-        f: impl Fn(usize, &CompressedBlock) -> Result<CompressedBlock, SimError> + Sync,
-    ) -> Result<(), SimError> {
-        let bpr = self.layout.blocks_per_rank();
-        let all: Vec<usize> = (0..bpr).collect();
-        self.announce_plan(&all, None);
-        let mut cursor = PlanCursor::new(&all, self.flight_budget());
-        while let Some(chunk) = cursor.next_chunk() {
-            let fetched = self.store.fetch_many(chunk)?;
-            cursor.hint_upcoming(self.store.as_ref(), None, |&b, out| out.push(b));
-            let taken: Vec<(usize, CompressedBlock)> = chunk.iter().copied().zip(fetched).collect();
-            let results: Result<Vec<(usize, CompressedBlock)>, SimError> = taken
-                .into_par_iter()
-                .map(|(b, blk)| Ok((b, f(b, &blk)?)))
-                .collect();
-            for (b, blk) in results? {
-                self.store.put(b, blk)?;
-            }
-        }
-        Ok(())
+    /// Every local block as a one-block wave unit (collapse, recompress).
+    fn all_blocks(&self) -> Vec<([usize; 1], ())> {
+        (0..self.layout.blocks_per_rank())
+            .map(|b| ([b], ()))
+            .collect()
     }
 
     fn collapse(
@@ -999,76 +912,56 @@ impl RankWorker {
         bound: ErrorBound,
     ) -> Result<WaveOut, SimError> {
         let rank = self.rank;
-        let codec = Arc::clone(&self.codec);
-        let metrics = self.metrics.clone();
-        let partial = self.partial;
-        self.rewrite_blocks(|b, blk| {
+        let cycle = self.cycle(bound);
+        let block_f64s = 2 * self.layout.block_amps();
+        self.walk(&self.all_blocks(), &None, |&([b], ()), [blk], _| {
+            let mut stats = CycleStats::default();
             // Partial fast path: with the measured bit at or above
             // segment granularity, the projected-out half of the
             // segments is zeroed without ever being decoded.
-            if partial {
-                if let ControlScope::InBlock { offset_bit } = scope {
-                    if let Some(op) =
-                        partial::partial_collapse(&codec, blk, offset_bit, outcome, scale, bound)?
-                    {
-                        let s = op.stats;
-                        metrics.add_partial_decode(
-                            s.segments,
-                            s.segments_full,
-                            s.bytes,
-                            s.bytes_full,
-                        );
-                        return Ok(op.block);
-                    }
+            if let (true, ControlScope::InBlock { offset_bit }) = (cycle.partial, scope) {
+                if let Some(op) = partial::partial_collapse(
+                    cycle.codec,
+                    block_f64s,
+                    &blk,
+                    offset_bit,
+                    outcome,
+                    scale,
+                    bound,
+                )? {
+                    return Ok(([stats.absorb(op)], stats));
                 }
             }
-            let mut buf = codec.take_amp_buf();
-            codec.decompress(blk, &mut buf)?;
+            let mut buf = cycle.decode(&blk, &mut stats)?;
+            let t = Instant::now();
+            let project = |vals: &mut [f64], keep: bool| {
+                if keep {
+                    vals.iter_mut().for_each(|v| *v *= scale);
+                } else {
+                    vals.fill(0.0);
+                }
+            };
             match scope {
                 ControlScope::InBlock { offset_bit } => {
                     let bit = 1usize << offset_bit;
-                    for o in 0..buf.len() / 2 {
-                        if (o & bit != 0) == outcome {
-                            buf[2 * o] *= scale;
-                            buf[2 * o + 1] *= scale;
-                        } else {
-                            buf[2 * o] = 0.0;
-                            buf[2 * o + 1] = 0.0;
-                        }
+                    for (o, amp) in buf.chunks_exact_mut(2).enumerate() {
+                        project(amp, (o & bit != 0) == outcome);
                     }
                 }
-                ControlScope::BlockSelect { block_bit } => {
-                    if (b >> block_bit & 1 == 1) == outcome {
-                        buf.iter_mut().for_each(|v| *v *= scale);
-                    } else {
-                        buf.iter_mut().for_each(|v| *v = 0.0);
-                    }
-                }
-                ControlScope::RankSelect { rank_bit } => {
-                    if (rank >> rank_bit & 1 == 1) == outcome {
-                        buf.iter_mut().for_each(|v| *v *= scale);
-                    } else {
-                        buf.iter_mut().for_each(|v| *v = 0.0);
-                    }
-                }
+                _ => project(&mut buf, block_wide_bit(scope, rank, b) == Some(outcome)),
             }
-            let out = codec.compress_pooled(&buf, bound)?;
-            codec.put_amp_buf(buf);
-            Ok(out)
-        })?;
-        Ok(self.wave_out(bound.is_lossy()))
+            stats.compute += t.elapsed();
+            Ok(([cycle.encode(&buf, &mut stats)?], stats))
+        })
     }
 
     fn recompress_all(&mut self, bound: ErrorBound) -> Result<WaveOut, SimError> {
-        let codec = Arc::clone(&self.codec);
-        self.rewrite_blocks(|_, blk| {
-            let mut buf = codec.take_amp_buf();
-            codec.decompress(blk, &mut buf)?;
-            let out = codec.compress_pooled(&buf, bound)?;
-            codec.put_amp_buf(buf);
-            Ok(out)
-        })?;
-        Ok(self.wave_out(bound.is_lossy()))
+        let cycle = self.cycle(bound);
+        self.walk(&self.all_blocks(), &None, |_, [blk], _| {
+            let mut stats = CycleStats::default();
+            let buf = cycle.decode(&blk, &mut stats)?;
+            Ok(([cycle.encode(&buf, &mut stats)?], stats))
+        })
     }
 
     /// Map every local block through read-only `f`, handing the per-block
@@ -1112,39 +1005,36 @@ impl RankWorker {
                 }
             }
         }
-        let rank = self.rank;
-        let layout = self.layout;
-        let codec = Arc::clone(&self.codec);
-        let metrics = self.metrics.clone();
         let mut total = 0.0;
         self.map_blocks(
             |b, blk| {
-                let selected_whole = match scope {
-                    ControlScope::InBlock { .. } => None,
-                    ControlScope::BlockSelect { block_bit } => Some(b >> block_bit & 1 == 1),
-                    ControlScope::RankSelect { rank_bit } => Some(rank >> rank_bit & 1 == 1),
-                };
-                if selected_whole == Some(false) {
+                if block_wide_bit(scope, self.rank, b) == Some(false) {
                     return Ok(0.0);
                 }
-                let mut buf = codec.take_amp_buf();
-                decode_timed(&codec, &metrics, layout, blk, &mut buf)?;
-                let sum = match scope {
-                    ControlScope::InBlock { offset_bit } => {
-                        let bit = 1usize << offset_bit;
-                        (0..buf.len() / 2)
-                            .filter(|o| o & bit != 0)
-                            .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
-                            .sum()
-                    }
-                    _ => buf.iter().map(|v| v * v).sum(),
-                };
-                codec.put_amp_buf(buf);
-                Ok(sum)
+                self.bit_set_norm(blk, scope)
             },
             |_, sum| total += sum,
         )?;
         Ok(total)
+    }
+
+    /// One whole block's term of `P(qubit = 1)`: the squared norm of the
+    /// amplitudes with the qubit's offset bit set, or of every amplitude
+    /// for a qubit above the block (the caller skips the blocks where
+    /// that one reads 0).
+    fn bit_set_norm(&self, blk: &CompressedBlock, scope: ControlScope) -> Result<f64, SimError> {
+        let buf = decode_block(&self.codec, self.layout, blk)?;
+        self.metrics.add(Phase::Decompression, buf.spent);
+        Ok(match scope {
+            ControlScope::InBlock { offset_bit } => {
+                let bit = 1usize << offset_bit;
+                (0..buf.len() / 2)
+                    .filter(|o| o & bit != 0)
+                    .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
+                    .sum()
+            }
+            _ => buf.iter().map(|v| v * v).sum(),
+        })
     }
 
     /// Segment-addressed `P(qubit = 1)`: when the lossy codec is
@@ -1205,24 +1095,6 @@ impl RankWorker {
         prefix_hint: usize,
         offset_bit: u32,
     ) -> Result<f64, SimError> {
-        let bit = 1usize << offset_bit;
-        let seg_sum = |segs: &[usize],
-                       body_of: &mut dyn FnMut(usize) -> Result<Vec<f64>, SimError>|
-         -> Result<f64, SimError> {
-            let mut sum = 0.0;
-            let mut decode = Duration::ZERO;
-            for &s in segs {
-                let t = Instant::now();
-                let vals = body_of(s)?;
-                decode += t.elapsed();
-                for o in 0..vals.len() / 2 {
-                    sum += vals[2 * o] * vals[2 * o] + vals[2 * o + 1] * vals[2 * o + 1];
-                }
-            }
-            self.metrics.add(Phase::Decompression, decode);
-            Ok(sum)
-        };
-
         // Byte-range path: a spilled segmented frame serves exactly the
         // selected segments' bytes off disk.
         let mut parsed: Option<(SegmentIndex, Vec<usize>)> = None;
@@ -1230,39 +1102,20 @@ impl RankWorker {
             let Ok(Some(index)) = SegmentIndex::parse(prefix) else {
                 return Vec::new();
             };
-            let Some(sa_bits) = partial::seg_amp_bits(&index) else {
-                return Vec::new();
-            };
-            let Some(segs) = partial::bit_set_segments(&index, sa_bits, offset_bit) else {
+            let Some(segs) = partial::seg_amp_bits(&index)
+                .and_then(|sa| partial::bit_set_segments(&index, sa, offset_bit))
+            else {
                 return Vec::new();
             };
             let ranges = segs.iter().map(|&s| index.byte_range(s)).collect();
             parsed = Some((index, segs));
             ranges
         })?;
-        if let Some(rf) = fetched {
+        if let (Some(rf), Some((index, segs))) = (fetched, parsed) {
             if rf.codec == self.codec.lossy_id() {
-                if let Some((index, segs)) = parsed {
-                    let sum = seg_sum(&segs, &mut |s| {
-                        let range = index.byte_range(s);
-                        let body = rf.part_covering(&range).ok_or_else(|| {
-                            SimError::from(CodecError::Corrupt(format!(
-                                "range fetch missing segment {s} of slot {b}"
-                            )))
-                        })?;
-                        let mut vals = Vec::with_capacity(index.value_range(s).len());
-                        p.decompress_segment(&index, s, body, &mut vals)?;
-                        Ok(vals)
-                    })?;
-                    let st = partial::partial_stats(&index, &segs, rf.payload_len);
-                    self.metrics.add_partial_decode(
-                        st.segments,
-                        st.segments_full,
-                        st.bytes,
-                        st.bytes_full,
-                    );
-                    return Ok(sum);
-                }
+                return self.segment_norm(p, &index, &segs, rf.payload_len, b, |r| {
+                    rf.part_covering(&r)
+                });
             }
         }
 
@@ -1274,37 +1127,51 @@ impl RankWorker {
                 if let Some(segs) = partial::seg_amp_bits(&index)
                     .and_then(|sa| partial::bit_set_segments(&index, sa, offset_bit))
                 {
-                    let sum = seg_sum(&segs, &mut |s| {
-                        let range = index.byte_range(s);
-                        let body = blk.bytes.get(range).ok_or_else(|| {
-                            SimError::from(CodecError::Corrupt(format!(
-                                "segment {s} body out of bounds in slot {b}"
-                            )))
-                        })?;
-                        let mut vals = Vec::with_capacity(index.value_range(s).len());
-                        pf.decompress_segment(&index, s, body, &mut vals)?;
-                        Ok(vals)
-                    })?;
-                    let st = partial::partial_stats(&index, &segs, blk.bytes.len());
-                    self.metrics.add_partial_decode(
-                        st.segments,
-                        st.segments_full,
-                        st.bytes,
-                        st.bytes_full,
-                    );
-                    return Ok(sum);
+                    return self
+                        .segment_norm(pf, &index, &segs, blk.bytes.len(), b, |r| blk.bytes.get(r));
                 }
             }
         }
 
         // Whole-block fallback (lossless blocks, foreign streams).
-        let mut buf = self.codec.take_amp_buf();
-        decode_timed(&self.codec, &self.metrics, self.layout, &blk, &mut buf)?;
-        let sum = (0..buf.len() / 2)
-            .filter(|o| o & bit != 0)
-            .map(|o| buf[2 * o] * buf[2 * o] + buf[2 * o + 1] * buf[2 * o + 1])
-            .sum();
-        self.codec.put_amp_buf(buf);
+        self.bit_set_norm(&blk, ControlScope::InBlock { offset_bit })
+    }
+
+    /// Squared norm of segments `segs` of slot `b`'s segmented stream
+    /// (`stream_len` bytes, described by `index`), each body served by
+    /// `body_of` from wherever the stream's bytes are; the decode time and
+    /// the partial-decode savings are accounted here.
+    fn segment_norm<'a>(
+        &self,
+        p: &dyn PartialCodec,
+        index: &SegmentIndex,
+        segs: &[usize],
+        stream_len: usize,
+        b: usize,
+        body_of: impl Fn(Range<usize>) -> Option<&'a [u8]>,
+    ) -> Result<f64, SimError> {
+        let block_f64s = 2 * self.layout.block_amps();
+        if index.n_values != block_f64s {
+            return Err(wrong_length(index.n_values, block_f64s).into());
+        }
+        let mut sum = 0.0;
+        let mut decode = Duration::ZERO;
+        for &s in segs {
+            let body = body_of(index.byte_range(s)).ok_or_else(|| {
+                CodecError::Corrupt(format!("segment {s} body out of bounds in slot {b}"))
+            })?;
+            let t = Instant::now();
+            let mut vals = Vec::with_capacity(index.value_range(s).len());
+            p.decompress_segment(index, s, body, &mut vals)?;
+            decode += t.elapsed();
+            for o in 0..vals.len() / 2 {
+                sum += vals[2 * o] * vals[2 * o] + vals[2 * o + 1] * vals[2 * o + 1];
+            }
+        }
+        self.metrics.add(Phase::Decompression, decode);
+        let st = partial::partial_stats(index, segs, stream_len);
+        self.metrics
+            .add_partial_decode(st.segments, st.segments_full, st.bytes, st.bytes_full);
         Ok(sum)
     }
 
@@ -1316,19 +1183,14 @@ impl RankWorker {
             return Ok(summary);
         }
         let layout = self.layout;
-        let rank = self.rank;
-        let codec = Arc::clone(&self.codec);
-        let metrics = self.metrics.clone();
         let mut summary = QuerySummary::new(layout);
         self.map_blocks(
             |_, blk| {
-                let mut buf = codec.take_amp_buf();
-                decode_timed(&codec, &metrics, layout, blk, &mut buf)?;
-                let terms = QuerySummary::block_terms(layout, &mut buf);
-                codec.put_amp_buf(buf);
-                Ok(terms)
+                let mut buf = decode_block(&self.codec, layout, blk)?;
+                self.metrics.add(Phase::Decompression, buf.spent);
+                Ok(QuerySummary::block_terms(layout, &mut buf))
             },
-            |b, (weight, row)| summary.push_block(layout.join(rank, b, 0), weight, &row),
+            |b, (weight, row)| summary.push_block(layout.join(self.rank, b, 0), weight, &row),
         )?;
         // Two racing first queries build the same bits; either may win.
         Ok(self.summary.get_or_init(|| summary))
@@ -1349,61 +1211,81 @@ impl RankWorker {
     }
 }
 
-/// Decode one of `layout`'s blocks into `buf`, charging the time to the
-/// Decompression lane: query waves decode outside the unit pipeline that
-/// times gate waves. A stream that decodes to another length than the
-/// layout's block is corrupt.
-pub(crate) fn decode_timed(
-    codec: &BlockCodec,
-    metrics: &Metrics,
+/// The error every path reports for a block whose stream is intact but
+/// holds another number of values than the layout's blocks do.
+pub(crate) fn wrong_length(decoded: usize, expected: usize) -> CodecError {
+    CodecError::Corrupt(format!(
+        "block decodes to {decoded} values, layout has {expected}"
+    ))
+}
+
+/// One whole block decoded into pooled scratch (the two decompressed
+/// blocks the paper holds in MCDRAM, §3.2). Derefs to the values; the
+/// buffer goes back to the codec's pool when the guard drops.
+pub(crate) struct Decoded<'a> {
+    codec: &'a BlockCodec,
+    buf: Vec<f64>,
+    /// Wall time of the decode, for the caller to charge to the
+    /// Decompression lane (directly for a query, through [`CycleStats`]
+    /// for a block cycle).
+    pub spent: Duration,
+}
+
+impl std::ops::Deref for Decoded<'_> {
+    type Target = Vec<f64>;
+    fn deref(&self) -> &Vec<f64> {
+        &self.buf
+    }
+}
+
+impl std::ops::DerefMut for Decoded<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<f64> {
+        &mut self.buf
+    }
+}
+
+impl Drop for Decoded<'_> {
+    fn drop(&mut self) {
+        self.codec.put_amp_buf(std::mem::take(&mut self.buf));
+    }
+}
+
+/// The decode seam: every whole-block decode of the engine — gate, batch,
+/// exchange, collapse, recompress and query waves alike — is this
+/// function. It checks pooled scratch out, times `codec.decompress`, and
+/// holds the decoded length to the layout's block: a checkpoint, a spill
+/// segment or a peer's `Hello` can carry a block whose stream is intact
+/// but shorter or longer than the layout's, and the kernels index scratch
+/// by the layout. The scratch returns to the pool on the error paths too.
+pub(crate) fn decode_block<'a>(
+    codec: &'a BlockCodec,
     layout: Layout,
     blk: &CompressedBlock,
-    buf: &mut Vec<f64>,
-) -> Result<(), SimError> {
-    metrics.time(Phase::Decompression, || codec.decompress(blk, buf))?;
+) -> Result<Decoded<'a>, SimError> {
+    let t = Instant::now();
+    let mut out = Decoded {
+        codec,
+        buf: codec.take_amp_buf(),
+        spent: Duration::ZERO,
+    };
+    codec.decompress(blk, &mut out.buf)?;
+    out.spent = t.elapsed();
     let block_f64s = 2 * layout.block_amps();
-    if buf.len() != block_f64s {
-        return Err(CodecError::Corrupt(format!(
-            "block decodes to {} values, layout has {block_f64s}",
-            buf.len()
-        ))
-        .into());
+    if out.len() != block_f64s {
+        return Err(wrong_length(out.len(), block_f64s).into());
     }
-    Ok(())
+    Ok(out)
 }
 
-/// One work unit: a single block, or a pair of blocks whose amplitudes are
-/// gate partners (local pair or an exchange pair on the leader).
-struct Unit {
-    slot_a: usize,
-    slot_b: Option<usize>,
-    in_a: CompressedBlock,
-    in_b: Option<CompressedBlock>,
-}
-
-struct UnitOut {
-    slot_a: usize,
-    slot_b: Option<usize>,
-    out_a: CompressedBlock,
-    out_b: Option<CompressedBlock>,
-    timings: [Duration; 4],
-    compressed_lossy: bool,
-    /// False when the block cache answered and no cycle ran.
-    cache_hit: bool,
-    /// Gate kernels applied during the cycle (0 on a cache hit).
-    gates_applied: u64,
-    /// Set when the unit ran through the segment-addressable partial
-    /// path instead of a whole-block cycle.
-    partial: Option<PartialStats>,
-}
-
-/// Which pair-update kernel a unit runs.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    /// Pairs within one block, differing at `offset_bit`.
-    InBlock { offset_bit: u32 },
-    /// Pairs across two blocks at the same offset.
-    Cross,
+/// For a qubit above the block — a block-index or rank-index bit —
+/// whether it reads 1 on every amplitude of block `b` of `rank`; `None`
+/// for an offset qubit, which splits each block.
+fn block_wide_bit(scope: ControlScope, rank: usize, b: usize) -> Option<bool> {
+    match scope {
+        ControlScope::InBlock { .. } => None,
+        ControlScope::BlockSelect { block_bit } => Some(b >> block_bit & 1 == 1),
+        ControlScope::RankSelect { rank_bit } => Some(rank >> rank_bit & 1 == 1),
+    }
 }
 
 /// In-block pair update over a whole scratch buffer, splitting the buffer
@@ -1422,220 +1304,155 @@ fn run_in_block_kernel(buf: &mut [f64], offset_bit: u32, gate: &Gate1, cmask: us
         });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_one(
-    codec: &BlockCodec,
-    cache: &BlockCache,
-    gate: &Gate1,
-    kernel: Kernel,
-    offset_cmask: usize,
-    op_signature: u64,
+/// What one block cycle reports to the wave walker besides its blocks.
+#[derive(Default)]
+struct CycleStats {
+    decompress: Duration,
+    compute: Duration,
+    compress: Duration,
+    /// The cycle recompressed under a lossy bound.
+    lossy: bool,
+    /// Gate kernels applied, when the cycle was a gate's block touch;
+    /// `None` when the cache answered or the wave applies no gate
+    /// (collapse, recompress).
+    touch: Option<u64>,
+    /// Set when the cycle ran through the segment-addressable partial
+    /// path instead of a whole-block decode.
+    partial: Option<PartialStats>,
+}
+
+impl CycleStats {
+    /// Take over a partial rewrite's accounting; the rewritten block is
+    /// the cycle's output.
+    fn absorb(&mut self, op: PartialOp) -> CompressedBlock {
+        self.decompress += op.decompress;
+        self.compute += op.compute;
+        self.compress += op.compress;
+        self.lossy = op.block.bound.is_lossy();
+        self.partial = Some(op.stats);
+        op.block
+    }
+}
+
+/// §3.2's inner loop — decompress into scratch, compute, recompress —
+/// written once per arity: [`Cycle::block`] takes one block through a
+/// plan list, [`Cycle::pair`] takes two partner blocks through one gate.
+/// The struct is what a cycle needs besides its blocks, shared by
+/// reference across a wave's rayon workers.
+struct Cycle<'a> {
+    codec: &'a BlockCodec,
+    cache: &'a BlockCache,
+    layout: Layout,
     bound: ErrorBound,
-    unit: Unit,
-    wide: bool,
+    /// Try the segment-addressable partial path first.
     partial: bool,
-) -> Result<UnitOut, SimError> {
-    let mut timings = [Duration::ZERO; 4];
+}
 
-    // Cache lookup (§3.4): skips decompress + compute + compress.
-    let miss = match cache.lookup(op_signature, &unit.in_a, unit.in_b.as_ref()) {
-        Ok((out_a, out_b)) => {
-            return Ok(UnitOut {
-                slot_a: unit.slot_a,
-                slot_b: unit.slot_b,
-                out_a,
-                out_b,
-                timings,
-                compressed_lossy: false,
-                cache_hit: true,
-                gates_applied: 0,
-                partial: None,
-            })
-        }
-        Err(miss) => miss,
-    };
+impl Cycle<'_> {
+    /// [`decode_block`], timed into `stats`.
+    fn decode(
+        &self,
+        blk: &CompressedBlock,
+        stats: &mut CycleStats,
+    ) -> Result<Decoded<'_>, SimError> {
+        let buf = decode_block(self.codec, self.layout, blk)?;
+        stats.decompress += buf.spent;
+        Ok(buf)
+    }
 
-    // Partial fast path: a diagonal gate whose touched set covers at
-    // most half the block's segments decodes and re-encodes only those.
-    if partial && unit.in_b.is_none() {
-        if let Kernel::InBlock { offset_bit } = kernel {
-            if let Some(op) =
-                partial::partial_gate(codec, &unit.in_a, gate, offset_bit, offset_cmask, bound)?
-            {
-                timings[1] += op.decompress;
-                timings[3] += op.compute;
-                timings[0] += op.compress;
-                cache.insert(miss, &op.block, None);
-                return Ok(UnitOut {
-                    slot_a: unit.slot_a,
-                    slot_b: None,
-                    out_a: op.block,
-                    out_b: None,
-                    timings,
-                    compressed_lossy: bound.is_lossy(),
-                    cache_hit: false,
-                    gates_applied: 1,
-                    partial: Some(op.stats),
-                });
+    /// Recompress scratch under the wave's bound, timed into `stats`.
+    fn encode(&self, buf: &[f64], stats: &mut CycleStats) -> Result<CompressedBlock, SimError> {
+        let t = Instant::now();
+        let out = self.codec.compress_pooled(buf, self.bound)?;
+        stats.compress += t.elapsed();
+        stats.lossy = self.bound.is_lossy();
+        Ok(out)
+    }
+
+    /// One block through the plans `mask` selects: decompress once, apply
+    /// every firing gate, recompress once — or skip all three on a cache
+    /// hit (§3.4), or rewrite only the touched segments when every firing
+    /// gate is diagonal (see [`crate::partial`]).
+    ///
+    /// The cache key mixes the wave signature with the selection mask:
+    /// byte-identical blocks with different applicable-gate subsets must
+    /// never share a line, and one lookup/insert happens per block touch
+    /// (not per member gate).
+    fn block(
+        &self,
+        plans: &[BatchPlan],
+        signature: u64,
+        mask: u64,
+        input: &CompressedBlock,
+        wide: bool,
+    ) -> Result<(CompressedBlock, CycleStats), SimError> {
+        let mut stats = CycleStats::default();
+        let miss = match self.cache.lookup(mix(signature, mask), input, None) {
+            Ok((out, _)) => return Ok((out, stats)),
+            Err(miss) => miss,
+        };
+        stats.touch = Some(mask.count_ones() as u64);
+        let block_f64s = 2 * self.layout.block_amps();
+        let rewritten = if self.partial {
+            partial::partial_batch(self.codec, block_f64s, input, plans, mask, self.bound)?
+        } else {
+            None
+        };
+        let out = match rewritten {
+            Some(op) => stats.absorb(op),
+            None => {
+                let mut buf = self.decode(input, &mut stats)?;
+                let t = Instant::now();
+                for (i, plan) in plans.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        run_in_block_kernel(
+                            &mut buf,
+                            plan.offset_bit,
+                            &plan.gate,
+                            plan.offset_cmask,
+                            wide,
+                        );
+                    }
+                }
+                stats.compute += t.elapsed();
+                self.encode(&buf, &mut stats)?
             }
-        }
+        };
+        self.cache.insert(miss, &out, None);
+        Ok((out, stats))
     }
 
-    // Decompress (into the MCDRAM-modeled scratch, pooled so steady-state
-    // waves recycle warm buffers instead of allocating per block).
-    let t = Instant::now();
-    let mut buf_a = codec.take_amp_buf();
-    let mut buf_b = codec.take_amp_buf();
-    codec.decompress(&unit.in_a, &mut buf_a)?;
-    if let Some(in_b) = &unit.in_b {
-        codec.decompress(in_b, &mut buf_b)?;
+    /// Two blocks whose amplitudes are gate partners at equal offsets (a
+    /// local inter-block pair, or an exchange pair on the leader) through
+    /// the shared [`kernels::apply_cross`] update: two blocks in, two
+    /// blocks out.
+    fn pair(
+        &self,
+        gate: &Gate1,
+        offset_cmask: usize,
+        signature: u64,
+        in_a: &CompressedBlock,
+        in_b: &CompressedBlock,
+    ) -> Result<([CompressedBlock; 2], CycleStats), SimError> {
+        let mut stats = CycleStats::default();
+        let miss = match self.cache.lookup(signature, in_a, Some(in_b)) {
+            Ok((out_a, out_b)) => {
+                let out_b = out_b.ok_or_else(|| {
+                    CodecError::Corrupt("block cache answered a pair lookup with one block".into())
+                })?;
+                return Ok(([out_a, out_b], stats));
+            }
+            Err(miss) => miss,
+        };
+        stats.touch = Some(1);
+        let mut buf_a = self.decode(in_a, &mut stats)?;
+        let mut buf_b = self.decode(in_b, &mut stats)?;
+        let t = Instant::now();
+        kernels::apply_cross(&mut buf_a, &mut buf_b, gate, offset_cmask);
+        stats.compute += t.elapsed();
+        let out_a = self.encode(&buf_a, &mut stats)?;
+        let out_b = self.encode(&buf_b, &mut stats)?;
+        self.cache.insert(miss, &out_a, Some(&out_b));
+        Ok(([out_a, out_b], stats))
     }
-    timings[1] += t.elapsed();
-
-    // Compute.
-    let t = Instant::now();
-    match kernel {
-        Kernel::InBlock { offset_bit } => {
-            run_in_block_kernel(&mut buf_a, offset_bit, gate, offset_cmask, wide);
-        }
-        Kernel::Cross => {
-            kernels::apply_cross(&mut buf_a, &mut buf_b, gate, offset_cmask);
-        }
-    }
-    timings[3] += t.elapsed();
-
-    // Recompress.
-    let t = Instant::now();
-    let out_a = codec.compress_pooled(&buf_a, bound)?;
-    let out_b = if unit.in_b.is_some() {
-        Some(codec.compress_pooled(&buf_b, bound)?)
-    } else {
-        None
-    };
-    timings[0] += t.elapsed();
-    codec.put_amp_buf(buf_b);
-    codec.put_amp_buf(buf_a);
-
-    cache.insert(miss, &out_a, out_b.as_ref());
-
-    Ok(UnitOut {
-        slot_a: unit.slot_a,
-        slot_b: unit.slot_b,
-        out_a,
-        out_b,
-        timings,
-        compressed_lossy: bound.is_lossy(),
-        cache_hit: false,
-        gates_applied: 1,
-        partial: None,
-    })
-}
-
-/// One block plus the subset of batch gates that fire on it.
-struct BatchUnit {
-    slot: usize,
-    mask: u64,
-    block: CompressedBlock,
-}
-
-/// Decompress once, apply every selected gate, recompress once.
-///
-/// The cache key mixes the batch signature with the unit's selection mask:
-/// byte-identical blocks with different applicable-gate subsets must never
-/// share a line, and one lookup/insert happens per block touch (not per
-/// member gate).
-#[allow(clippy::too_many_arguments)]
-fn process_batch_unit(
-    codec: &BlockCodec,
-    cache: &BlockCache,
-    plans: &[BatchPlan],
-    batch_signature: u64,
-    bound: ErrorBound,
-    unit: BatchUnit,
-    wide: bool,
-    partial: bool,
-) -> Result<UnitOut, SimError> {
-    let mut timings = [Duration::ZERO; 4];
-    let sig = mix(batch_signature, unit.mask);
-
-    let miss = match cache.lookup(sig, &unit.block, None) {
-        Ok((out, _)) => {
-            return Ok(UnitOut {
-                slot_a: unit.slot,
-                slot_b: None,
-                out_a: out,
-                out_b: None,
-                timings,
-                compressed_lossy: false,
-                cache_hit: true,
-                gates_applied: 0,
-                partial: None,
-            })
-        }
-        Err(miss) => miss,
-    };
-
-    // Partial fast path: when every firing gate is diagonal and their
-    // touched segments together cover at most half the block, decode
-    // that union once and apply the gates in order.
-    if partial {
-        if let Some(op) = partial::partial_batch(codec, &unit.block, plans, unit.mask, bound)? {
-            timings[1] += op.decompress;
-            timings[3] += op.compute;
-            timings[0] += op.compress;
-            cache.insert(miss, &op.block, None);
-            return Ok(UnitOut {
-                slot_a: unit.slot,
-                slot_b: None,
-                out_a: op.block,
-                out_b: None,
-                timings,
-                compressed_lossy: bound.is_lossy(),
-                cache_hit: false,
-                gates_applied: unit.mask.count_ones() as u64,
-                partial: Some(op.stats),
-            });
-        }
-    }
-
-    let t = Instant::now();
-    let mut buf = codec.take_amp_buf();
-    codec.decompress(&unit.block, &mut buf)?;
-    timings[1] += t.elapsed();
-
-    let t = Instant::now();
-    let mut gates = 0u64;
-    for (i, plan) in plans.iter().enumerate() {
-        if unit.mask & (1 << i) == 0 {
-            continue;
-        }
-        run_in_block_kernel(
-            &mut buf,
-            plan.offset_bit,
-            &plan.gate,
-            plan.offset_cmask,
-            wide,
-        );
-        gates += 1;
-    }
-    timings[3] += t.elapsed();
-
-    let t = Instant::now();
-    let out = codec.compress_pooled(&buf, bound)?;
-    timings[0] += t.elapsed();
-    codec.put_amp_buf(buf);
-
-    cache.insert(miss, &out, None);
-
-    Ok(UnitOut {
-        slot_a: unit.slot,
-        slot_b: None,
-        out_a: out,
-        out_b: None,
-        timings,
-        compressed_lossy: bound.is_lossy(),
-        cache_hit: false,
-        gates_applied: gates,
-        partial: None,
-    })
 }
