@@ -665,12 +665,13 @@ fn ablation_cache(dir: &Path) {
             let t0 = Instant::now();
             sim.run(circuit, &mut rng).expect("run");
             let el = t0.elapsed().as_secs_f64();
+            let report = sim.report();
             t.row(vec![
                 name.to_string(),
                 format!("{cache}"),
                 format!("{el:.2}"),
-                format!("{}", sim.cache().hits()),
-                format!("{}", sim.cache().misses()),
+                format!("{}", report.cache_hits),
+                format!("{}", report.cache_misses),
             ]);
         }
     }

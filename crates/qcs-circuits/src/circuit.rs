@@ -62,54 +62,6 @@ impl Op {
             Op::Measure { target } => *target,
         }
     }
-
-    /// Stable signature for cache keys: combines gate kind, parameters and
-    /// qubit roles (paper §3.4, the `OP` field of a cache line).
-    pub fn signature(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(0x100000001b3)
-        }
-        let mut h = 0xcbf29ce484222325u64;
-        match self {
-            Op::Single { gate, target } => {
-                h = mix(h, 1);
-                h = mix(h, gate.signature());
-                h = mix(h, *target as u64);
-            }
-            Op::Controlled {
-                gate,
-                control,
-                target,
-            } => {
-                h = mix(h, 2);
-                h = mix(h, gate.signature());
-                h = mix(h, *control as u64);
-                h = mix(h, *target as u64);
-            }
-            Op::MultiControlled {
-                gate,
-                controls,
-                target,
-            } => {
-                h = mix(h, 3);
-                h = mix(h, gate.signature());
-                for c in controls {
-                    h = mix(h, *c as u64);
-                }
-                h = mix(h, *target as u64);
-            }
-            Op::Swap { a, b } => {
-                h = mix(h, 4);
-                h = mix(h, *a as u64);
-                h = mix(h, *b as u64);
-            }
-            Op::Measure { target } => {
-                h = mix(h, 5);
-                h = mix(h, *target as u64);
-            }
-        }
-        h
-    }
 }
 
 /// A quantum circuit: a qubit count and an ordered list of operations.
@@ -507,20 +459,6 @@ mod tests {
         assert_eq!(c.depth(), 2);
         c.cx(2, 3);
         assert_eq!(c.depth(), 2);
-    }
-
-    #[test]
-    fn signature_stable_and_distinct() {
-        let a = Op::Single {
-            gate: GateKind::H,
-            target: 0,
-        };
-        let b = Op::Single {
-            gate: GateKind::H,
-            target: 1,
-        };
-        assert_eq!(a.signature(), a.signature());
-        assert_ne!(a.signature(), b.signature());
     }
 
     #[test]

@@ -38,23 +38,6 @@ use qcs_statevec::{BatchGate, StateVector};
 /// apply to a given block in a 64-bit selection mask.
 pub const MAX_BATCH_GATES: usize = 64;
 
-/// FNV-style signature mixer shared by the scheduler and the engine's
-/// cache-key derivation (batch signature ⊕ per-block selection mask): both
-/// sides must use the same mixing function for the documented key scheme to
-/// stay coherent.
-pub fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100000001b3)
-}
-
-/// Salt mixed into the signature chain when a second gate fuses into a run,
-/// so a fused run can never collide with the raw op signature of a single
-/// gate (cache-key soundness, paper §3.4).
-const FUSE_SALT: u64 = 0xf0e1d2c3b4a59687;
-
-/// Salt seeding a [`GateBatch`] signature, so a batch key can never collide
-/// with an individual (fused or raw) gate key.
-const BATCH_SALT: u64 = 0x1badb002deadbeef;
-
 /// How the scheduler rewrites a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionPolicy {
@@ -126,15 +109,12 @@ fn retarget_diagonal(op: &mut BatchGate) {
     op.controls.sort_unstable();
 }
 
-/// One (possibly fused) controlled single-qubit unitary plus the metadata
-/// the engine's cache and the test suite need.
+/// One (possibly fused) controlled single-qubit unitary plus the source
+/// range it covers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedGate {
     /// Matrix, controls and target in the form batched appliers consume.
     pub op: BatchGate,
-    /// Stable cache signature. Equal to the source [`Op::signature`] for an
-    /// unfused gate; a salted chain over the run for fused gates.
-    pub signature: u64,
     /// Index of the first source op covered by this gate.
     pub src_start: usize,
     /// Number of consecutive source ops covered (1 for unfused gates).
@@ -153,14 +133,12 @@ impl FusedGate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateBatch {
     gates: Vec<FusedGate>,
-    signature: u64,
 }
 
 impl GateBatch {
     fn new(gates: Vec<FusedGate>) -> Self {
         debug_assert!(!gates.is_empty() && gates.len() <= MAX_BATCH_GATES);
-        let signature = gates.iter().fold(BATCH_SALT, |h, g| mix(h, g.signature));
-        Self { gates, signature }
+        Self { gates }
     }
 
     /// The batched gates, in program order.
@@ -176,12 +154,6 @@ impl GateBatch {
     /// True when the batch holds no gates (never produced by the scheduler).
     pub fn is_empty(&self) -> bool {
         self.gates.is_empty()
-    }
-
-    /// Combined cache signature of the whole batch. The engine mixes in the
-    /// per-block selection mask before using it as a cache key.
-    pub fn signature(&self) -> u64 {
-        self.signature
     }
 
     /// Total source ops covered by the batch.
@@ -331,14 +303,12 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
                     {
                         // Later gate multiplies from the left: |s'> = G2 G1 |s>.
                         run.op.gate = gate.matrix().matmul(&run.op.gate);
-                        run.signature = mix(mix(run.signature, FUSE_SALT), op.signature());
                         run.src_len += 1;
                     }
                     _ => {
                         flush(&mut pending, &mut pre);
                         pending = Some(FusedGate {
                             op: BatchGate::new(gate.matrix(), *target),
-                            signature: op.signature(),
                             src_start: i,
                             src_len: 1,
                         });
@@ -358,7 +328,6 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
                 }
                 pre.push(PreItem::Gate(FusedGate {
                     op: bg,
-                    signature: op.signature(),
                     src_start: i,
                     src_len: 1,
                 }));
@@ -376,7 +345,6 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
                 }
                 pre.push(PreItem::Gate(FusedGate {
                     op: bg,
-                    signature: op.signature(),
                     src_start: i,
                     src_len: 1,
                 }));
@@ -853,43 +821,6 @@ mod tests {
                 "block_log2={block_log2}"
             );
         }
-    }
-
-    #[test]
-    fn fused_signature_differs_from_raw_and_orders_matter() {
-        let mut ht = Circuit::new(1);
-        ht.h(0).t(0);
-        let mut th = Circuit::new(1);
-        th.t(0).h(0);
-        let p = FusionPolicy::for_block(0);
-        let sig = |c: &Circuit| match &schedule_circuit(c, &p).items()[0] {
-            ScheduledOp::Gate(g) => g.signature,
-            _ => unreachable!(),
-        };
-        let (s_ht, s_th) = (sig(&ht), sig(&th));
-        assert_ne!(s_ht, s_th, "fusion order must be part of the signature");
-        let mut h = Circuit::new(1);
-        h.h(0);
-        assert_ne!(s_ht, sig(&h));
-        assert_ne!(s_th, sig(&h));
-        // Unfused single gates keep the raw op signature for cache
-        // compatibility with the per-op path.
-        assert_eq!(sig(&h), h.ops()[0].signature());
-    }
-
-    #[test]
-    fn batch_signature_distinct_from_member_signatures() {
-        let mut c = Circuit::new(2);
-        c.h(0).t(1);
-        let s = schedule_circuit(&c, &FusionPolicy::for_block(2));
-        let b = match &s.items()[0] {
-            ScheduledOp::Batch(b) => b,
-            _ => unreachable!(),
-        };
-        for g in b.gates() {
-            assert_ne!(b.signature(), g.signature);
-        }
-        assert_eq!(b.source_gate_count(), 2);
     }
 
     #[test]

@@ -172,6 +172,11 @@ breakdown_table! {
         block_touches,
         /// Gate kernels applied across all block touches.
         batched_gate_applications,
+        /// Block touches the compressed-block cache answered (§3.4).
+        cache_hits,
+        /// Block touches the cache was consulted on and could not answer
+        /// (0 with the cache off or auto-disabled).
+        cache_misses,
         /// Blocks evicted from residency and written to the spill tier
         /// (0 without an out-of-core store).
         spills,
@@ -411,6 +416,14 @@ impl Metrics {
         inner.batched_gate_applications += gates;
     }
 
+    /// Record one consult of the compressed-block cache: a hit, or a miss
+    /// the touch went on to compute.
+    pub fn add_cache_lookup(&self, hit: bool) {
+        let mut inner = self.inner.lock();
+        inner.cache_hits += u64::from(hit);
+        inner.cache_misses += u64::from(!hit);
+    }
+
     /// Snapshot of everything recorded so far.
     pub fn breakdown(&self) -> TimeBreakdown {
         *self.inner.lock()
@@ -620,6 +633,16 @@ mod tests {
         assert_eq!(b.block_touches, 2);
         assert_eq!(b.batched_gate_applications, 6);
         assert!((b.gates_per_block_touch() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cache_lookups_split_hits_from_misses() {
+        let m = Metrics::new();
+        m.add_cache_lookup(true);
+        m.add_cache_lookup(false);
+        m.add_cache_lookup(false);
+        let b = m.breakdown();
+        assert_eq!((b.cache_hits, b.cache_misses), (1, 2));
     }
 
     #[test]

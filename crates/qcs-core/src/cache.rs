@@ -7,6 +7,12 @@
 //! is least-recently-used over a fixed number of lines (64 in the paper),
 //! and the cache disables itself if the hit rate stays at zero (§3.4).
 //!
+//! `OP` is a content key that the block cycle computing the line derives
+//! (`worker::Cycle::op_key`): each applied matrix, where in the block it
+//! acts, and the bound. It names no op, qubit or control mask, so equal
+//! touches anywhere in a circuit share a line. The cycles count hits and
+//! misses into the run's metrics, remote ranks included.
+//!
 //! A line is tagged with [`CompressedBlock::content_hash`] (XXH64) of each
 //! input payload. The tag is computed once per block touch: a missed
 //! [`BlockCache::lookup`] returns it inside a [`Miss`], and
@@ -21,10 +27,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Consecutive misses with no hit after which a cache shuts itself off:
+/// "our simulator will disable the compressed block cache if the cache hit
+/// rate is always zero" (§3.4).
+pub const AUTO_DISABLE_AFTER: u64 = 512;
+
 /// Key identifying a cache line.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LineKey {
-    op_signature: u64,
+    op: u64,
     h1: u64,
     h2: u64,
 }
@@ -50,6 +61,14 @@ struct Inner {
 /// as its collision guard. Empty when the cache is disabled.
 #[derive(Debug)]
 pub struct Miss(Option<Pending>);
+
+impl Miss {
+    /// Whether the lookup reached an enabled cache, and so counts as a
+    /// miss.
+    pub fn counted(&self) -> bool {
+        self.0.is_some()
+    }
+}
 
 #[derive(Debug)]
 struct Pending {
@@ -79,21 +98,11 @@ pub struct BlockCache {
     auto_disable_after: u64,
 }
 
-impl std::fmt::Debug for BlockCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockCache")
-            .field("shard_capacity", &self.shard_capacity)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("disabled", &self.is_disabled())
-            .finish()
-    }
-}
-
 impl BlockCache {
     /// Cache with `capacity` lines; auto-disables after
-    /// `auto_disable_after` consecutive misses with zero hits.
-    /// `capacity == 0` builds a permanently disabled cache.
+    /// `auto_disable_after` consecutive misses with zero hits (the engine
+    /// passes [`AUTO_DISABLE_AFTER`]). `capacity == 0` builds a permanently
+    /// disabled cache.
     pub fn new(capacity: usize, auto_disable_after: u64) -> Self {
         let shard_capacity = capacity.div_ceil(SHARDS);
         Self {
@@ -115,7 +124,7 @@ impl BlockCache {
 
     fn shard_of(&self, key: &LineKey) -> &Mutex<Inner> {
         let mix = key
-            .op_signature
+            .op
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add(key.h1)
             .wrapping_add(key.h2.rotate_left(17));
@@ -132,17 +141,6 @@ impl BlockCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Hit rate in [0, 1]; 0 when never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
     /// Whether the cache has shut itself off.
     pub fn is_disabled(&self) -> bool {
         self.disabled.load(Ordering::Relaxed)
@@ -157,12 +155,13 @@ impl BlockCache {
         }
     }
 
-    /// Look up the result of `op_signature` applied to `(b1, b2)`. On a
-    /// miss, the `Err` carries what [`insert`](Self::insert) needs to file
-    /// the result the caller is about to compute.
+    /// Look up the result of the operation keyed `op` applied to
+    /// `(b1, b2)`. On a miss, the `Err` carries what
+    /// [`insert`](Self::insert) needs to file the result the caller is
+    /// about to compute.
     pub fn lookup(
         &self,
-        op_signature: u64,
+        op: u64,
         b1: &CompressedBlock,
         b2: Option<&CompressedBlock>,
     ) -> Result<Hit, Miss> {
@@ -170,7 +169,7 @@ impl BlockCache {
             return Err(Miss(None));
         }
         let key = LineKey {
-            op_signature,
+            op,
             h1: b1.content_hash(),
             h2: b2.map(|b| b.content_hash()).unwrap_or(0),
         };

@@ -120,12 +120,9 @@ pub struct SimConfig {
     /// `[lossless, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]`.
     pub ladder: Vec<ErrorBound>,
     /// Compressed-block cache lines per simulation (§3.4; the paper uses
-    /// 64). 0 disables the cache entirely.
+    /// 64). 0 disables the cache entirely; a cache that never hits turns
+    /// itself off ([`crate::cache::AUTO_DISABLE_AFTER`]).
     pub cache_lines: usize,
-    /// Auto-disable the cache after this many consecutive lookups with no
-    /// hit (§3.4: "our simulator will disable the compressed block cache if
-    /// the cache hit rate is always zero").
-    pub cache_auto_disable_after: u64,
     /// When the ladder escalates, immediately recompress every block at the
     /// new bound so the budget is actually restored (rather than only
     /// applying the new bound to future compressions).
@@ -180,7 +177,6 @@ impl Default for SimConfig {
             lossy_codec: CodecId::SolutionC,
             ladder: qcs_compress::ladder().to_vec(),
             cache_lines: 64,
-            cache_auto_disable_after: 512,
             recompress_on_escalate: true,
             fusion: true,
             max_batch_gates: qcs_circuits::schedule::MAX_BATCH_GATES,

@@ -41,15 +41,16 @@
 //! recompression is a single lossy event, the fidelity ledger also charges
 //! one `delta` per batch instead of one per gate.
 //!
-//! Cache soundness: a batch's cache key is its schedule-level signature
-//! mixed with the per-block *selection mask* (which member gates actually
-//! fire on that block, given block/rank-scope controls), so two blocks with
-//! identical bytes but different applicable-gate subsets can never share a
-//! cache line. Each block touch consults the cache exactly once per batch,
-//! not once per member gate.
+//! Cache soundness: the facade sends no cache key. Each rank's block cycle
+//! derives it from what the touch computes — the member gates the block's
+//! *selection mask* fires (given block/rank-scope controls), their matrices
+//! and in-block positions, and the bound — so two blocks with identical
+//! bytes but different applicable-gate subsets can never share a cache
+//! line, while equal touches anywhere in the circuit do. Each block touch
+//! consults the cache exactly once per batch, not once per member gate.
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::cache::BlockCache;
+use crate::cache::{BlockCache, AUTO_DISABLE_AFTER};
 use crate::config::SimConfig;
 use crate::fidelity_bound::FidelityLedger;
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
@@ -68,7 +69,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by the compressed simulator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SimError {
     /// Configuration failed validation.
     Config(String),
@@ -195,9 +196,10 @@ pub struct SimReport {
     pub peak_memory_bytes: u64,
     /// `2^{n+4}`: what the uncompressed simulation would need.
     pub uncompressed_bytes: u128,
-    /// Compressed-block cache hits.
+    /// Compressed-block cache hits, as counted in
+    /// [`breakdown`](Self::breakdown) (every rank's, remote ones included).
     pub cache_hits: u64,
-    /// Compressed-block cache misses.
+    /// Compressed-block cache misses, likewise.
     pub cache_misses: u64,
 }
 
@@ -277,7 +279,6 @@ pub struct CompressedSimulator {
     cfg: SimConfig,
     layout: Layout,
     codec: Arc<BlockCodec>,
-    cache: Arc<BlockCache>,
     metrics: Metrics,
     backend: Backend,
     /// Last-known compressed byte total per rank (resident + spilled),
@@ -397,10 +398,6 @@ impl CompressedSimulator {
         let ranks = layout.ranks();
         let bpr = layout.blocks_per_rank();
         debug_assert_eq!(blocks.len(), ranks * bpr);
-        let cache = Arc::new(BlockCache::new(
-            cfg.cache_lines,
-            cfg.cache_auto_disable_after,
-        ));
         let metrics = Metrics::new();
         // Warm the codec's scratch pool so even the first waves run
         // allocation-free (prewarm is deliberately uncounted).
@@ -434,7 +431,6 @@ impl CompressedSimulator {
                 cfg,
                 layout,
                 codec,
-                cache,
                 metrics,
                 backend: Backend::Remote(ClusterSim::new(clients, None)),
                 rank_bytes: rank_bytes.clone(),
@@ -488,6 +484,8 @@ impl CompressedSimulator {
             stores.push(store);
         }
 
+        // One cache per process, shared by its rank threads.
+        let cache = Arc::new(BlockCache::new(cfg.cache_lines, AUTO_DISABLE_AFTER));
         let workers: Vec<RankWorker> = stores
             .into_iter()
             .enumerate()
@@ -522,7 +520,6 @@ impl CompressedSimulator {
             cfg,
             layout,
             codec,
-            cache,
             metrics,
             backend,
             rank_bytes,
@@ -832,13 +829,7 @@ impl CompressedSimulator {
             ScheduledOp::Batch(batch) => self.apply_batch_planned(batch, lookahead),
             ScheduledOp::Gate(g) => {
                 let start = Instant::now();
-                self.apply_unitary(
-                    g.signature,
-                    &g.op.gate,
-                    &g.op.controls,
-                    g.op.target,
-                    lookahead,
-                )?;
+                self.apply_unitary(&g.op.gate, &g.op.controls, g.op.target, lookahead)?;
                 self.gates_applied += g.src_len;
                 self.wall_time += start.elapsed();
                 self.after_gate()
@@ -852,28 +843,28 @@ impl CompressedSimulator {
         let start = Instant::now();
         match op {
             Op::Single { gate, target } => {
-                self.apply_unitary(op.signature(), &gate.matrix(), &[], *target, None)?;
+                self.apply_unitary(&gate.matrix(), &[], *target, None)?;
             }
             Op::Controlled {
                 gate,
                 control,
                 target,
             } => {
-                self.apply_unitary(op.signature(), &gate.matrix(), &[*control], *target, None)?;
+                self.apply_unitary(&gate.matrix(), &[*control], *target, None)?;
             }
             Op::MultiControlled {
                 gate,
                 controls,
                 target,
             } => {
-                self.apply_unitary(op.signature(), &gate.matrix(), controls, *target, None)?;
+                self.apply_unitary(&gate.matrix(), controls, *target, None)?;
             }
             Op::Swap { a, b } => {
                 // SWAP = CX(a,b) CX(b,a) CX(a,b); counted as one gate.
                 let x = Gate1::x();
-                self.apply_unitary(op.signature() ^ 1, &x, &[*a], *b, None)?;
-                self.apply_unitary(op.signature() ^ 2, &x, &[*b], *a, None)?;
-                self.apply_unitary(op.signature() ^ 3, &x, &[*a], *b, None)?;
+                self.apply_unitary(&x, &[*a], *b, None)?;
+                self.apply_unitary(&x, &[*b], *a, None)?;
+                self.apply_unitary(&x, &[*a], *b, None)?;
             }
             Op::Measure { target } => {
                 self.measure(*target, rng)?;
@@ -922,7 +913,6 @@ impl CompressedSimulator {
     /// wave's access so the workers can prefetch across the wave boundary.
     fn apply_unitary(
         &mut self,
-        op_signature: u64,
         gate: &Gate1,
         controls: &[usize],
         target: usize,
@@ -936,7 +926,6 @@ impl CompressedSimulator {
         let waves = match layout.route(target as u32) {
             route @ (Route::InBlock { .. } | Route::InterBlock { .. }) => {
                 let cmd = GateCmd {
-                    signature: op_signature,
                     gate: *gate,
                     route,
                     offset_cmask,
@@ -969,7 +958,6 @@ impl CompressedSimulator {
                     .zip(&lookaheads)
                     .map(|(role, lookahead)| {
                         WorkerCmd::Exchange(ExchangeCmd {
-                            signature: op_signature,
                             gate: *gate,
                             offset_cmask,
                             block_cmask,
@@ -992,9 +980,9 @@ impl CompressedSimulator {
     ///
     /// Block/rank-scope controls are honored through a per-block *selection
     /// mask*: member gate `i` fires on a block only when the block's rank
-    /// and block index bits cover the gate's control masks. The mask is
-    /// mixed into the cache key, and blocks no gate selects are skipped
-    /// outright (no touch, no cache traffic).
+    /// and block index bits cover the gate's control masks. The gates the
+    /// mask fires make up the cache key, and blocks no gate selects are
+    /// skipped outright (no touch, no cache traffic).
     pub fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
         self.apply_batch_planned(batch, None)
     }
@@ -1036,7 +1024,6 @@ impl CompressedSimulator {
         let lookaheads = self.lookahead_for(lookahead);
         let cmd = BatchCmd {
             plans: Arc::new(plans),
-            signature: batch.signature(),
             bound,
             lookahead: None,
         };
@@ -1209,6 +1196,7 @@ impl CompressedSimulator {
         // report reflects allocations up to this instant (remote workers
         // drain their own codecs and ship deltas over the wire instead).
         self.codec.drain_counters_into(&self.metrics);
+        let breakdown = self.metrics.breakdown();
         SimReport {
             num_qubits: self.layout.num_qubits,
             gates: self.gates_applied,
@@ -1223,9 +1211,9 @@ impl CompressedSimulator {
             },
             peak_memory_bytes: self.peak_memory,
             uncompressed_bytes: self.layout.uncompressed_bytes(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            breakdown: self.metrics.breakdown(),
+            cache_hits: breakdown.cache_hits,
+            cache_misses: breakdown.cache_misses,
+            breakdown,
         }
     }
 
@@ -1237,11 +1225,6 @@ impl CompressedSimulator {
     /// The shared metrics sink.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The block cache (for hit-rate inspection).
-    pub fn cache(&self) -> &BlockCache {
-        &self.cache
     }
 
     // --- checkpoint support (fields exposed to the checkpoint module) ---
@@ -1453,10 +1436,11 @@ mod tests {
         let mut c = Circuit::new(9);
         c.h(8).h(7);
         sim.run(&c, &mut rng).unwrap();
+        let report = sim.report();
         assert!(
-            sim.cache().hits() > 0,
+            report.cache_hits > 0,
             "expected cache hits on redundant zero blocks, misses={}",
-            sim.cache().misses()
+            report.cache_misses
         );
         // Correctness despite caching:
         let dense = c.simulate_dense(&mut rng);
@@ -1648,8 +1632,9 @@ mod tests {
         let cfg = SimConfig::default().with_block_log2(3).with_ranks_log2(0);
         let mut sim = CompressedSimulator::new(6, cfg).unwrap();
         sim.run(&c, &mut rng).unwrap();
+        let report = sim.report();
         assert_eq!(
-            sim.cache().hits() + sim.cache().misses(),
+            report.cache_hits + report.cache_misses,
             8,
             "expected one cache consult per block touch"
         );
@@ -1691,6 +1676,39 @@ mod tests {
             sim.snapshot_dense().unwrap().fidelity(&dense) > 1.0 - 1e-12,
             "selection-mask collision corrupted the state"
         );
+    }
+
+    #[test]
+    fn equal_touches_share_a_line_across_ops() {
+        // 6 qubits over 2^3-amp blocks: the H wall on the three block
+        // qubits leaves 8 byte-identical blocks B. `cx(5, 0)` applies X at
+        // offset bit 0 to blocks 4-7 and files (X, B); `x(0)` then finds
+        // that line on blocks 0-3, though it is another op. Blocks 4-7
+        // (now X·B) cost it one miss.
+        let cfg = SimConfig::default()
+            .with_block_log2(3)
+            .with_threads_per_rank(1)
+            .without_fusion();
+        let mut sim = CompressedSimulator::new(6, cfg).unwrap();
+        let mut c = Circuit::new(6);
+        c.h(3).h(4).h(5).cx(5, 0);
+        let mut rng = StdRng::seed_from_u64(0);
+        sim.run(&c, &mut rng).unwrap();
+        let before = sim.report();
+        let mut x = Circuit::new(6);
+        x.x(0);
+        sim.run(&x, &mut rng).unwrap();
+        let after = sim.report();
+        assert_eq!(
+            (
+                after.cache_hits - before.cache_hits,
+                after.cache_misses - before.cache_misses
+            ),
+            (7, 1)
+        );
+        c.x(0);
+        let dense = c.simulate_dense(&mut rng);
+        assert!(sim.snapshot_dense().unwrap().fidelity(&dense) > 1.0 - 1e-12);
     }
 
     #[test]
@@ -1738,6 +1756,41 @@ mod tests {
         assert_eq!(lossy_off, 4, "unfused: one lossy event per gate");
         assert_eq!(lossy_on, 1, "fused: one lossy event per batch");
         assert!(bound_on > bound_off);
+
+        // A wave the cache answers on every block still replays lossy
+        // recompressions: the same amplitudes are charged the same with the
+        // cache on and off — for in-block waves (X on qubit 0) and for
+        // inter-block pair waves (X on block qubit 8) alike.
+        for target in [0, 8] {
+            let mut probe = Circuit::new(9);
+            for q in 4..=8 {
+                probe.h(q);
+            }
+            probe.ry(0.3, 0).ry(0.7, 1);
+            for _ in 0..4 {
+                probe.x(target);
+            }
+            let charged = |cache: bool| {
+                let mut cfg = SimConfig::default()
+                    .with_block_log2(3)
+                    .with_fixed_bound(ErrorBound::PointwiseRelative(1e-3))
+                    .without_fusion();
+                if !cache {
+                    cfg = cfg.without_cache();
+                }
+                let mut sim = CompressedSimulator::new(9, cfg).unwrap();
+                sim.run(&probe, &mut StdRng::seed_from_u64(0)).unwrap();
+                let report = sim.report();
+                let charge = (sim.ledger().lossy_gates(), report.fidelity_lower_bound);
+                (charge, report.cache_hits)
+            };
+            let ((on, hits), (off, _)) = (charged(true), charged(false));
+            assert!(hits > 0, "x({target}): the probe must hit the cache");
+            assert_eq!(
+                on, off,
+                "x({target}): cache on vs off: (lossy gates, bound)"
+            );
+        }
     }
 
     #[test]

@@ -65,12 +65,16 @@
 //!   pipeline; [`SimConfig::with_max_batch_gates`]`(1)` keeps fusion but
 //!   disables batching.
 //!
-//! Cache keys stay sound under batching: a batch's compressed-block cache
-//! line is keyed by the batch signature *and* the per-block selection mask,
-//! so byte-identical blocks with different applicable-gate subsets never
-//! share a line, and the hit/miss counters advance once per block touch
-//! (not once per fused gate). `TimeBreakdown::gates_per_block_touch`
-//! reports the amortization factor actually achieved.
+//! Cache keys stay sound under batching: a block touch's compressed-block
+//! cache line is keyed by its content — the member gates the block's
+//! selection mask fires, each by matrix, offset bit and in-block control
+//! mask, plus the bound — derived by the rank's block cycle itself, so
+//! byte-identical blocks with different applicable-gate subsets never
+//! share a line, equal touches anywhere in the circuit do, and the hit/miss
+//! counters (`TimeBreakdown::{cache_hits, cache_misses}`) advance once per
+//! block touch (not once per fused gate).
+//! `TimeBreakdown::gates_per_block_touch` reports the amortization factor
+//! actually achieved.
 //!
 //! ## Example
 //!

@@ -54,7 +54,7 @@
 //! segment files it owned.
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::cache::BlockCache;
+use crate::cache::{BlockCache, AUTO_DISABLE_AFTER};
 use crate::config::{RemoteConfig, SimConfig};
 use crate::engine::SimError;
 use crate::serial::BreakdownWire;
@@ -188,7 +188,6 @@ wire! {
 
 wire! {
     impl struct GateCmd {
-        signature: u64,
         gate: Gate1 as GateWire,
         route: Route as RouteWire,
         offset_cmask: usize,
@@ -201,7 +200,6 @@ wire! {
 
 wire! {
     impl struct ExchangeCmd {
-        signature: u64,
         gate: Gate1 as GateWire,
         offset_cmask: usize,
         block_cmask: usize,
@@ -223,7 +221,6 @@ wire! {
 
 wire! {
     impl struct BatchCmd {
-        signature: u64,
         bound: ErrorBound,
         lookahead: Lookahead,
         plans: Arc<Vec<BatchPlan>>,
@@ -563,14 +560,17 @@ pub fn serve(listener: TcpListener, opts: ServeOptions) -> std::io::Result<()> {
         let (stream, peer) = listener.accept()?;
         accepted += 1;
         let opts = opts.clone();
-        handlers.push(std::thread::spawn(move || {
+        let handler = std::thread::spawn(move || {
             if let Err(e) = handle_conn(stream, &opts) {
                 eprintln!("qcsim-workerd: connection from {peer} failed: {e}");
             }
-        }));
+        });
+        handlers.push((peer, handler));
     }
-    for h in handlers {
-        let _ = h.join();
+    for (peer, handler) in handlers {
+        if handler.join().is_err() {
+            eprintln!("qcsim-workerd: connection handler for {peer} panicked");
+        }
     }
     Ok(())
 }
@@ -627,10 +627,7 @@ fn build_worker(
         layout.block_amps() * 2,
         (4 * rayon::current_num_threads() + 4).min(32),
     );
-    let cache = Arc::new(BlockCache::new(
-        cfg.cache_lines,
-        cfg.cache_auto_disable_after,
-    ));
+    let cache = Arc::new(BlockCache::new(cfg.cache_lines, AUTO_DISABLE_AFTER));
     let store: Box<dyn BlockStore> = match &cfg.spill {
         Some(spill) => {
             let dir = opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
@@ -859,7 +856,6 @@ mod tests {
             (
                 "gate",
                 WorkerCmd::Gate(GateCmd {
-                    signature: 0xDEAD_BEEF_0123_4567,
                     gate: Gate1::t(),
                     route: Route::InterBlock { block_stride: 4 },
                     offset_cmask: 0b101,
@@ -872,7 +868,6 @@ mod tests {
             (
                 "gate_in_block",
                 WorkerCmd::Gate(GateCmd {
-                    signature: 9,
                     gate: Gate1::u3(0.1, -0.2, 0.3),
                     route: Route::InBlock { offset_bit: 2 },
                     offset_cmask: 0,
@@ -885,7 +880,6 @@ mod tests {
             (
                 "exchange_lead",
                 WorkerCmd::Exchange(ExchangeCmd {
-                    signature: 7,
                     gate: Gate1::h(),
                     offset_cmask: 0b11,
                     block_cmask: 1,
@@ -897,7 +891,6 @@ mod tests {
             (
                 "exchange_follow",
                 WorkerCmd::Exchange(ExchangeCmd {
-                    signature: 8,
                     gate: Gate1::rx(0.7),
                     offset_cmask: 0,
                     block_cmask: 0,
@@ -909,7 +902,6 @@ mod tests {
             (
                 "exchange_idle",
                 WorkerCmd::Exchange(ExchangeCmd {
-                    signature: 9,
                     gate: Gate1::x(),
                     offset_cmask: 1,
                     block_cmask: 2,
@@ -937,7 +929,6 @@ mod tests {
                             rank_cmask: 1,
                         },
                     ]),
-                    signature: 0x1234_5678_9ABC_DEF0,
                     bound: ErrorBound::PointwiseRelative(1e-4),
                     lookahead: Some(Arc::new(vec![1])),
                 }),
@@ -1050,7 +1041,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 4);
+        assert_eq!(PROTOCOL_VERSION, 5);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1112,47 +1103,35 @@ mod tests {
         let masks = || (any::<usize>(), any::<usize>(), any::<usize>());
         prop_oneof![
             (
-                any::<u64>(),
                 arb_gate(),
                 (0u8..3, any::<u32>(), any::<usize>()),
                 masks(),
                 arb_bound(),
                 arb_lookahead()
             )
-                .prop_map(
-                    |(signature, gate, (kind, bit, stride), m, bound, lookahead)| {
-                        WorkerCmd::Gate(GateCmd {
-                            signature,
-                            gate,
-                            route: match kind {
-                                0 => Route::InBlock { offset_bit: bit },
-                                1 => Route::InterBlock {
-                                    block_stride: stride,
-                                },
-                                _ => Route::InterRank {
-                                    rank_stride: stride,
-                                },
+                .prop_map(|(gate, (kind, bit, stride), m, bound, lookahead)| {
+                    WorkerCmd::Gate(GateCmd {
+                        gate,
+                        route: match kind {
+                            0 => Route::InBlock { offset_bit: bit },
+                            1 => Route::InterBlock {
+                                block_stride: stride,
                             },
-                            offset_cmask: m.0,
-                            block_cmask: m.1,
-                            rank_cmask: m.2,
-                            bound,
-                            lookahead,
-                        })
-                    }
-                ),
-            (
-                any::<u64>(),
-                arb_gate(),
-                masks(),
-                arb_bound(),
-                0u8..3,
-                arb_lookahead()
-            )
-                .prop_map(|(signature, gate, m, bound, role, lookahead)| {
+                            _ => Route::InterRank {
+                                rank_stride: stride,
+                            },
+                        },
+                        offset_cmask: m.0,
+                        block_cmask: m.1,
+                        rank_cmask: m.2,
+                        bound,
+                        lookahead,
+                    })
+                }),
+            (arb_gate(), masks(), arb_bound(), 0u8..3, arb_lookahead()).prop_map(
+                |(gate, m, bound, role, lookahead)| {
                     let (lead, follow) = duplex::<BlockMsg>();
                     WorkerCmd::Exchange(ExchangeCmd {
-                        signature,
                         gate,
                         offset_cmask: m.0,
                         block_cmask: m.1,
@@ -1164,14 +1143,14 @@ mod tests {
                         },
                         lookahead,
                     })
-                }),
+                }
+            ),
             (
                 prop::collection::vec((arb_gate(), any::<u32>(), masks()), 0..5),
-                any::<u64>(),
                 arb_bound(),
                 arb_lookahead()
             )
-                .prop_map(|(plans, signature, bound, lookahead)| {
+                .prop_map(|(plans, bound, lookahead)| {
                     WorkerCmd::Batch(BatchCmd {
                         plans: Arc::new(
                             plans
@@ -1185,7 +1164,6 @@ mod tests {
                                 })
                                 .collect(),
                         ),
-                        signature,
                         bound,
                         lookahead,
                     })
@@ -1312,7 +1290,6 @@ mod tests {
         assert_eq!(BatchPlan::MIN_LEN, 64 + 4 + 3 * 8);
         let cmd = WorkerCmd::Batch(BatchCmd {
             plans: Arc::new(Vec::new()),
-            signature: 1,
             bound: ErrorBound::Lossless,
             lookahead: None,
         });
@@ -1339,7 +1316,6 @@ mod tests {
     fn a_decoded_exchange_holds_a_closed_link_until_bridged() {
         let (lead, _follow) = duplex::<BlockMsg>();
         let cmd = WorkerCmd::Exchange(ExchangeCmd {
-            signature: 7,
             gate: Gate1::h(),
             offset_cmask: 0,
             block_cmask: 0,
@@ -1405,6 +1381,17 @@ mod tests {
         ));
     }
 
+    /// `hello_full` as protocol v4 wrote it, before the op signatures left
+    /// the command bodies: refused by its version, not parsed.
+    #[test]
+    fn a_v4_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v4.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v4"), "{m}"),
+            other => panic!("a v4 hello was not refused by version: {other:?}"),
+        }
+    }
+
     #[test]
     fn impossible_geometry_is_rejected_not_asserted() {
         // 4 qubits cannot hold 2^1 ranks x 2^12-amp blocks.
@@ -1421,7 +1408,6 @@ mod tests {
     fn hostile_cmds() -> Vec<(&'static str, WorkerCmd)> {
         let gate = |route, masks: (usize, usize, usize), lookahead: Lookahead| {
             WorkerCmd::Gate(GateCmd {
-                signature: 1,
                 gate: Gate1::h(),
                 route,
                 offset_cmask: masks.0,
@@ -1442,7 +1428,6 @@ mod tests {
         let batch = |plans: Vec<BatchPlan>| {
             WorkerCmd::Batch(BatchCmd {
                 plans: Arc::new(plans),
-                signature: 1,
                 bound: ErrorBound::Lossless,
                 lookahead: None,
             })
@@ -1498,7 +1483,6 @@ mod tests {
             (
                 "exchange block mask",
                 WorkerCmd::Exchange(ExchangeCmd {
-                    signature: 1,
                     gate: Gate1::h(),
                     offset_cmask: 0,
                     block_cmask: 8,
@@ -1573,7 +1557,6 @@ mod tests {
         // the block is `Done(Err)`, not a dead handler.
         let gate = |route| {
             WorkerCmd::Gate(GateCmd {
-                signature: 1,
                 gate: Gate1::h(),
                 route,
                 offset_cmask: 0,
@@ -1591,7 +1574,6 @@ mod tests {
                 block_cmask: 0,
                 rank_cmask: 0,
             }]),
-            signature: 1,
             bound: ErrorBound::Lossless,
             lookahead: None,
         });
@@ -1611,11 +1593,18 @@ mod tests {
                 ),
                 Ok(out) => panic!("{what} over a short block answered {out:?}"),
             }
-            assert_eq!(
-                ask(&mut stream, &WorkerCmd::Nop),
-                Ok(WorkerOut::Scalar(0.0)),
-                "after {what} over a short block"
-            );
+            // The failed wave's blocks never went back to the store: every
+            // later command, a read of them included, is answered with
+            // that first failure — still a `Done`, not a dead handler.
+            for later in [WorkerCmd::NormSqr, WorkerCmd::Nop] {
+                match ask(&mut stream, &later) {
+                    Err(msg) => assert!(
+                        msg.contains("block decodes to 8 values, layout has 16"),
+                        "{later:?} after {what} over a short block: {msg}"
+                    ),
+                    Ok(out) => panic!("{later:?} after {what} over a short block: {out:?}"),
+                }
+            }
             write_frame_to(&mut stream, K_SHUTDOWN, &[]).unwrap();
         }
         daemon.join().expect("the daemon thread ends cleanly");

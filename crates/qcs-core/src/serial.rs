@@ -48,7 +48,6 @@ wire! {
         lossy_codec: CodecId,
         ladder: Vec<ErrorBound>,
         cache_lines: usize,
-        cache_auto_disable_after: u64,
         recompress_on_escalate: bool,
         fusion: bool,
         max_batch_gates: usize,

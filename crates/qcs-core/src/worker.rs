@@ -31,6 +31,12 @@
 //!   [`kernels::apply_cross`], two in and two out). A lone in-block gate
 //!   is a batch of one plan — [`RankWorker`] lowers it on arrival, the
 //!   facade and the wire still send a `GateCmd`;
+//! - **one cache key**, `Cycle::op_key`: a §3.4 line's `OP` is derived
+//!   from what the cycle computes — each applied gate's matrix, offset bit
+//!   and in-block control mask, then the bound — never from block or rank
+//!   masks, which only decide *whether* a block is touched. A hit is
+//!   charged like the recompression it replays, and hits and misses are
+//!   counted in the rank's metrics like any other cycle;
 //! - **one mutating wave walker**, `RankWorker::walk`: announce the plan →
 //!   [`PlanCursor`] chunk → `fetch_many` → prefetch hint → one unit on the
 //!   calling thread or many across rayon → merge metrics → `put`. Pair
@@ -156,7 +162,7 @@ use crate::engine::SimError;
 use crate::partial::{self, PartialOp, PartialStats};
 use crate::store::BlockStore;
 use crate::summary::QuerySummary;
-use qcs_circuits::schedule::{mix, MAX_BATCH_GATES};
+use qcs_circuits::schedule::MAX_BATCH_GATES;
 use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
 use qcs_statevec::{kernels, Gate1};
@@ -181,7 +187,6 @@ pub(crate) type Lookahead = Option<Arc<Vec<usize>>>;
 #[derive(Clone)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct GateCmd {
-    pub signature: u64,
     pub gate: Gate1,
     pub route: Route,
     pub offset_cmask: usize,
@@ -207,7 +212,6 @@ pub(crate) enum ExchangeRole {
 /// A `Route::InterRank` gate wave: the gate plus this rank's role.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct ExchangeCmd {
-    pub signature: u64,
     pub gate: Gate1,
     pub offset_cmask: usize,
     pub block_cmask: usize,
@@ -227,13 +231,12 @@ pub(crate) struct BatchPlan {
     pub rank_cmask: usize,
 }
 
-/// An intra-block [`qcs_circuits::GateBatch`] wave: shared plans plus the
-/// batch cache signature.
+/// An intra-block [`qcs_circuits::GateBatch`] wave: plans shared by every
+/// rank of the wave.
 #[derive(Clone)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct BatchCmd {
     pub plans: Arc<Vec<BatchPlan>>,
-    pub signature: u64,
     pub bound: ErrorBound,
     pub lookahead: Lookahead,
 }
@@ -508,9 +511,13 @@ pub(crate) struct RankWorker {
     partial: bool,
     /// The frozen state's [`QuerySummary`], built by the first
     /// `Weights`/`NormSqr`/`ExpectationZz` after a mutation and dropped
-    /// by the next one ([`RankWorker::thaw`]). Behind a `OnceLock` because
-    /// queries run through `&self`.
+    /// by the next one ([`RankWorker::mutate`]). Behind a `OnceLock`
+    /// because queries run through `&self`.
     summary: OnceLock<QuerySummary>,
+    /// The error of the first mutating command that failed. Its wave's
+    /// fetched blocks never went back to the store, so the rank's state is
+    /// gone: every later command is answered with this error.
+    failed: Option<SimError>,
 }
 
 impl exec::Worker for RankWorker {
@@ -519,21 +526,16 @@ impl exec::Worker for RankWorker {
 
     fn handle(&mut self, cmd: WorkerCmd) -> Result<WorkerOut, SimError> {
         let out = match cmd {
-            WorkerCmd::Gate(g) => self.thaw().apply_gate(&g).map(WorkerOut::Wave),
-            WorkerCmd::Exchange(x) => self.thaw().exchange(x).map(WorkerOut::Wave),
-            WorkerCmd::Batch(b) => self.thaw().apply_batch(&b).map(WorkerOut::Wave),
+            WorkerCmd::Gate(g) => self.mutate(|w| w.apply_gate(&g)),
+            WorkerCmd::Exchange(x) => self.mutate(|w| w.exchange(x)),
+            WorkerCmd::Batch(b) => self.mutate(|w| w.apply_batch(&b)),
             WorkerCmd::Collapse {
                 scope,
                 outcome,
                 scale,
                 bound,
-            } => self
-                .thaw()
-                .collapse(scope, outcome, scale, bound)
-                .map(WorkerOut::Wave),
-            WorkerCmd::Recompress { bound } => {
-                self.thaw().recompress_all(bound).map(WorkerOut::Wave)
-            }
+            } => self.mutate(|w| w.collapse(scope, outcome, scale, bound)),
+            WorkerCmd::Recompress { bound } => self.mutate(|w| w.recompress_all(bound)),
             other => self.query(other),
         };
         // After every command, so remote daemons ship the codec counters
@@ -563,15 +565,29 @@ impl RankWorker {
             store,
             partial,
             summary: OnceLock::new(),
+            failed: None,
         }
     }
 
-    /// The blocks are about to change: drop the frozen state's summary.
-    /// Called by every mutating arm of [`RankWorker::handle`] and nowhere
-    /// else.
-    fn thaw(&mut self) -> &mut Self {
+    /// Every mutating arm of [`RankWorker::handle`], and nowhere else: the
+    /// blocks are about to change, so drop the frozen state's summary, run
+    /// the wave, and keep the error if it fails.
+    fn mutate(
+        &mut self,
+        wave: impl FnOnce(&mut Self) -> Result<WaveOut, SimError>,
+    ) -> Result<WorkerOut, SimError> {
+        self.refuse_if_failed()?;
         self.summary.take();
-        self
+        let out = wave(self);
+        if let Err(e) = &out {
+            self.failed = Some(e.clone());
+        }
+        out.map(WorkerOut::Wave)
+    }
+
+    /// A rank whose mutating wave failed answers nothing else.
+    fn refuse_if_failed(&self) -> Result<(), SimError> {
+        self.failed.clone().map_or(Ok(()), Err)
     }
 
     fn wave_out(&self, lossy: bool) -> WaveOut {
@@ -619,6 +635,7 @@ impl RankWorker {
     /// Read-only commands, answerable through `&self` (the facade calls
     /// this directly on the local path so queries stay `&self` there too).
     pub(crate) fn query(&self, cmd: WorkerCmd) -> Result<WorkerOut, SimError> {
+        self.refuse_if_failed()?;
         match cmd {
             WorkerCmd::ProbOne { scope } => self.prob_one(scope).map(WorkerOut::Scalar),
             WorkerCmd::NormSqr => self.norm_sqr().map(WorkerOut::Scalar),
@@ -672,7 +689,6 @@ impl RankWorker {
                     block_cmask: cmd.block_cmask,
                     rank_cmask: cmd.rank_cmask,
                 }]),
-                signature: cmd.signature,
                 bound: cmd.bound,
                 lookahead: cmd.lookahead.clone(),
             }),
@@ -683,7 +699,7 @@ impl RankWorker {
                     .collect();
                 let cycle = self.cycle(cmd.bound);
                 self.walk(&units, &cmd.lookahead, |_, [a, b], _| {
-                    cycle.pair(&cmd.gate, cmd.offset_cmask, cmd.signature, &a, &b)
+                    cycle.pair(&cmd.gate, cmd.offset_cmask, &a, &b)
                 })
             }
             Route::InterRank { .. } => {
@@ -708,8 +724,9 @@ impl RankWorker {
             }
         }
         let cycle = self.cycle(cmd.bound);
+        let sigs: Vec<u64> = cmd.plans.iter().map(|p| p.gate.signature()).collect();
         self.walk(&units, &cmd.lookahead, |&(_, mask), [blk], wide| {
-            let (out, stats) = cycle.block(&cmd.plans, cmd.signature, mask, &blk, wide)?;
+            let (out, stats) = cycle.block(&cmd.plans, &sigs, mask, &blk, wide)?;
             Ok(([out], stats))
         })
     }
@@ -786,6 +803,9 @@ impl RankWorker {
         self.metrics.add(Phase::Computation, stats.compute);
         if let Some(gates) = stats.touch {
             self.metrics.add_block_touch(gates);
+        }
+        if let Some(hit) = stats.cache {
+            self.metrics.add_cache_lookup(hit);
         }
         if let Some(s) = stats.partial {
             self.metrics
@@ -878,8 +898,7 @@ impl RankWorker {
             let own = self.store.take(b)?;
             let inbound = partner.len() as u64;
 
-            let ([own, back], stats) =
-                cycle.pair(&cmd.gate, cmd.offset_cmask, cmd.signature, &own, &partner)?;
+            let ([own, back], stats) = cycle.pair(&cmd.gate, cmd.offset_cmask, &own, &partner)?;
             self.merge(&stats);
             lossy |= stats.lossy;
             let outbound = back.len() as u64;
@@ -1310,18 +1329,31 @@ struct CycleStats {
     decompress: Duration,
     compute: Duration,
     compress: Duration,
-    /// The cycle recompressed under a lossy bound.
+    /// The cycle's output was recompressed under a lossy bound — by this
+    /// cycle, or by the one that filed the cache line it replays.
     lossy: bool,
     /// Gate kernels applied, when the cycle was a gate's block touch;
     /// `None` when the cache answered or the wave applies no gate
     /// (collapse, recompress).
     touch: Option<u64>,
+    /// Whether the block cache answered, when it was consulted.
+    cache: Option<bool>,
     /// Set when the cycle ran through the segment-addressable partial
     /// path instead of a whole-block decode.
     partial: Option<PartialStats>,
 }
 
 impl CycleStats {
+    /// A cache hit: no decode, kernel or encode ran, but the output is the
+    /// recompression that filed the line, charged like one.
+    fn hit(outs: &[&CompressedBlock]) -> Self {
+        Self {
+            lossy: outs.iter().any(|b| b.bound.is_lossy()),
+            cache: Some(true),
+            ..Self::default()
+        }
+    }
+
     /// Take over a partial rewrite's accounting; the rewritten block is
     /// the cycle's output.
     fn absorb(&mut self, op: PartialOp) -> CompressedBlock {
@@ -1369,29 +1401,50 @@ impl Cycle<'_> {
         Ok(out)
     }
 
+    /// The `OP` half of a cache line's key (§3.4), built here only: the
+    /// `words` the cycle's output depends on besides its input blocks —
+    /// per applied gate, in order, its matrix signature, offset bit (block
+    /// cycles only) and in-block control mask — then the bound the output
+    /// is recompressed under. The partial path reads a subset of them.
+    fn op_key(&self, words: impl IntoIterator<Item = u64>) -> u64 {
+        let bound = [self.bound.tag().into(), self.bound.magnitude().to_bits()];
+        let words = words.into_iter().chain(bound);
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     /// One block through the plans `mask` selects: decompress once, apply
     /// every firing gate, recompress once — or skip all three on a cache
     /// hit (§3.4), or rewrite only the touched segments when every firing
-    /// gate is diagonal (see [`crate::partial`]).
-    ///
-    /// The cache key mixes the wave signature with the selection mask:
-    /// byte-identical blocks with different applicable-gate subsets must
-    /// never share a line, and one lookup/insert happens per block touch
-    /// (not per member gate).
+    /// gate is diagonal (see [`crate::partial`]). `sigs[i]` is plan `i`'s
+    /// matrix signature; one lookup/insert happens per block touch (not
+    /// per member gate).
     fn block(
         &self,
         plans: &[BatchPlan],
-        signature: u64,
+        sigs: &[u64],
         mask: u64,
         input: &CompressedBlock,
         wide: bool,
     ) -> Result<(CompressedBlock, CycleStats), SimError> {
-        let mut stats = CycleStats::default();
-        let miss = match self.cache.lookup(mix(signature, mask), input, None) {
-            Ok((out, _)) => return Ok((out, stats)),
+        let fired = |i: &usize| mask >> i & 1 == 1;
+        let key = self.op_key((0..plans.len()).filter(fired).flat_map(|i| {
+            let p = &plans[i];
+            [sigs[i], p.offset_bit.into(), p.offset_cmask as u64]
+        }));
+        let miss = match self.cache.lookup(key, input, None) {
+            Ok((out, _)) => {
+                let stats = CycleStats::hit(&[&out]);
+                return Ok((out, stats));
+            }
             Err(miss) => miss,
         };
-        stats.touch = Some(mask.count_ones() as u64);
+        let mut stats = CycleStats {
+            touch: Some(mask.count_ones() as u64),
+            cache: miss.counted().then_some(false),
+            ..CycleStats::default()
+        };
         let block_f64s = 2 * self.layout.block_amps();
         let rewritten = if self.partial {
             partial::partial_batch(self.codec, block_f64s, input, plans, mask, self.bound)?
@@ -1403,16 +1456,14 @@ impl Cycle<'_> {
             None => {
                 let mut buf = self.decode(input, &mut stats)?;
                 let t = Instant::now();
-                for (i, plan) in plans.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        run_in_block_kernel(
-                            &mut buf,
-                            plan.offset_bit,
-                            &plan.gate,
-                            plan.offset_cmask,
-                            wide,
-                        );
-                    }
+                for plan in (0..plans.len()).filter(fired).map(|i| &plans[i]) {
+                    run_in_block_kernel(
+                        &mut buf,
+                        plan.offset_bit,
+                        &plan.gate,
+                        plan.offset_cmask,
+                        wide,
+                    );
                 }
                 stats.compute += t.elapsed();
                 self.encode(&buf, &mut stats)?
@@ -1430,21 +1481,25 @@ impl Cycle<'_> {
         &self,
         gate: &Gate1,
         offset_cmask: usize,
-        signature: u64,
         in_a: &CompressedBlock,
         in_b: &CompressedBlock,
     ) -> Result<([CompressedBlock; 2], CycleStats), SimError> {
-        let mut stats = CycleStats::default();
-        let miss = match self.cache.lookup(signature, in_a, Some(in_b)) {
+        let key = self.op_key([gate.signature(), offset_cmask as u64]);
+        let miss = match self.cache.lookup(key, in_a, Some(in_b)) {
             Ok((out_a, out_b)) => {
                 let out_b = out_b.ok_or_else(|| {
                     CodecError::Corrupt("block cache answered a pair lookup with one block".into())
                 })?;
+                let stats = CycleStats::hit(&[&out_a, &out_b]);
                 return Ok(([out_a, out_b], stats));
             }
             Err(miss) => miss,
         };
-        stats.touch = Some(1);
+        let mut stats = CycleStats {
+            touch: Some(1),
+            cache: miss.counted().then_some(false),
+            ..CycleStats::default()
+        };
         let mut buf_a = self.decode(in_a, &mut stats)?;
         let mut buf_b = self.decode(in_b, &mut stats)?;
         let t = Instant::now();
@@ -1454,5 +1509,48 @@ impl Cycle<'_> {
         let out_b = self.encode(&buf_b, &mut stats)?;
         self.cache.insert(miss, &out_a, Some(&out_b));
         Ok(([out_a, out_b], stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::AUTO_DISABLE_AFTER;
+    use qcs_compress::CodecId;
+
+    /// Equal words under an equal bound share a key; the gates' order and
+    /// the bound — kind and magnitude — tell keys apart.
+    #[test]
+    fn op_key_covers_the_gate_order_and_the_bound() {
+        let codec = BlockCodec::new(CodecId::SolutionC);
+        let cache = BlockCache::new(0, AUTO_DISABLE_AFTER);
+        let key = |bound, words: &[u64]| {
+            let cycle = Cycle {
+                codec: &codec,
+                cache: &cache,
+                layout: Layout::new(4, 0, 3),
+                bound,
+                partial: false,
+            };
+            cycle.op_key(words.iter().copied())
+        };
+        let (h, t) = (Gate1::h().signature(), Gate1::t().signature());
+        let lossless = ErrorBound::Lossless;
+        assert_eq!(key(lossless, &[h, 0, 0]), key(lossless, &[h, 0, 0]));
+        assert_ne!(
+            key(lossless, &[h, 0, 0, t, 1, 0]),
+            key(lossless, &[t, 1, 0, h, 0, 0])
+        );
+        let bounds = [
+            lossless,
+            ErrorBound::Absolute(1e-3),
+            ErrorBound::PointwiseRelative(1e-3),
+            ErrorBound::PointwiseRelative(1e-4),
+        ];
+        for (i, a) in bounds.iter().enumerate() {
+            for b in &bounds[i + 1..] {
+                assert_ne!(key(*a, &[h, 0, 0]), key(*b, &[h, 0, 0]), "{a} vs {b}");
+            }
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! backend and once against remote rank workers hosted by the daemon
 //! loop, must agree amplitude-wise to 1e-10 — and the remote run must
 //! account its communication (non-zero exchanged bytes and comm time),
-//! since the exchange payloads now really cross sockets.
+//! since the exchange payloads now really cross sockets, and its block
+//! cache (the daemons' lookups, shipped back in the metrics deltas).
 //!
 //! Fault-injection half: a worker connection dropped mid-run (the daemon
 //! dies where a crashing rank process would) must surface as a typed
@@ -12,7 +13,7 @@
 //! segment directories must not outlive its workers.
 
 use qcs_circuits::{grover_circuit, optimal_iterations, qft_benchmark_circuit};
-use qcs_core::{CompressedSimulator, ServeOptions, SimConfig, SimError};
+use qcs_core::{CompressedSimulator, ServeOptions, SimConfig, SimError, SimReport};
 use qcs_statevec::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,13 +24,13 @@ fn base_cfg() -> SimConfig {
     SimConfig::default().with_block_log2(3).with_ranks_log2(1)
 }
 
-fn run_dense_snapshot(cfg: SimConfig, circuit: &qcs_circuits::Circuit) -> (StateVector, f64) {
+fn run_dense_snapshot(cfg: SimConfig, circuit: &qcs_circuits::Circuit) -> (StateVector, SimReport) {
     let n = circuit.num_qubits() as u32;
     let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
     let mut rng = StdRng::seed_from_u64(2019);
     sim.run(circuit, &mut rng).expect("run");
     let snap = sim.snapshot_dense().expect("snapshot");
-    (snap, sim.report().fidelity_lower_bound)
+    (snap, sim.report())
 }
 
 /// Two circuit families, in-process 2-rank cluster vs. two remote ranks
@@ -44,7 +45,7 @@ fn loopback_remote_ranks_match_in_process() {
         }),
     ];
     for (name, circuit) in families {
-        let (local_snap, local_fid) = run_dense_snapshot(base_cfg(), &circuit);
+        let (local_snap, local) = run_dense_snapshot(base_cfg(), &circuit);
 
         let (addr, server) =
             qcs_core::spawn_loopback(2, ServeOptions::default()).expect("spawn daemon");
@@ -67,7 +68,17 @@ fn loopback_remote_ranks_match_in_process() {
         );
 
         let report = sim.report();
-        assert_eq!(report.fidelity_lower_bound, local_fid, "{name}: ledger");
+        assert_eq!(
+            report.fidelity_lower_bound, local.fidelity_lower_bound,
+            "{name}: ledger"
+        );
+        let lookups = report.cache_hits + report.cache_misses;
+        assert!(lookups > 0, "{name}: remote ranks must report their cache");
+        assert_eq!(
+            lookups,
+            local.cache_hits + local.cache_misses,
+            "{name}: cache lookups, remote vs in-process"
+        );
         assert!(
             report.breakdown.comm_bytes > 0,
             "{name}: rank-crossing gates must move compressed bytes"

@@ -407,7 +407,6 @@ fn golden_config() -> SimConfig {
         .with_partial_decode(false)
         .with_remote(vec!["127.0.0.1:9000", "node-b.example:7401"]);
     cfg.cache_lines = 96;
-    cfg.cache_auto_disable_after = 777;
     cfg.recompress_on_escalate = !cfg.recompress_on_escalate;
     let remote = cfg.remote.as_mut().unwrap();
     remote.connect_attempts = 3;
@@ -570,7 +569,7 @@ fn job_protocol_bytes_match_the_parent_commit() {
     for (name, out) in golden_outs() {
         assert_golden(&format!("job_out_{name}"), &out);
     }
-    assert_eq!(qcs_net::PROTOCOL_VERSION, 4);
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 5);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 

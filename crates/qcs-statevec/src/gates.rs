@@ -190,12 +190,10 @@ impl Gate1 {
         )
     }
 
-    /// A stable 64-bit signature over the matrix entries.
-    ///
-    /// Fused gates produced by `matmul` have no [`GateKind`] name, so cache
-    /// keys (the `OP` field of a compressed-block cache line, paper §3.4)
-    /// are derived from the numeric matrix instead. Two gates with
-    /// bit-identical entries share a signature; any differing entry changes
+    /// A stable 64-bit signature over the matrix entries: the gate's share
+    /// of the `OP` field of a compressed-block cache line (paper §3.4).
+    /// Two gates with bit-identical entries share a signature — however
+    /// they were named, fused or routed — and any differing entry changes
     /// it.
     pub fn signature(&self) -> u64 {
         let mut h = 0x9e3779b97f4a7c15u64;
@@ -210,8 +208,7 @@ impl Gate1 {
 }
 
 /// Named gates used by the circuit IR; parameters are baked into the matrix
-/// but the name (and parameter, where present) is kept for reporting and
-/// for the compressed-block cache key.
+/// but the name (and parameter, where present) is kept for reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GateKind {
     /// Hadamard.
@@ -287,43 +284,6 @@ impl GateKind {
             GateKind::Phase(_) => "p",
             GateKind::U3(..) => "u3",
         }
-    }
-
-    /// A stable 64-bit signature for cache keys (kind + parameters).
-    pub fn signature(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(0x100000001b3)
-        }
-        let tag = match self {
-            GateKind::H => 1u64,
-            GateKind::X => 2,
-            GateKind::Y => 3,
-            GateKind::Z => 4,
-            GateKind::S => 5,
-            GateKind::Sdg => 6,
-            GateKind::T => 7,
-            GateKind::Tdg => 8,
-            GateKind::SqrtX => 9,
-            GateKind::SqrtY => 10,
-            GateKind::Rx(_) => 11,
-            GateKind::Ry(_) => 12,
-            GateKind::Rz(_) => 13,
-            GateKind::Phase(_) => 14,
-            GateKind::U3(..) => 15,
-        };
-        let mut h = mix(0xcbf29ce484222325, tag);
-        match *self {
-            GateKind::Rx(t) | GateKind::Ry(t) | GateKind::Rz(t) | GateKind::Phase(t) => {
-                h = mix(h, t.to_bits());
-            }
-            GateKind::U3(t, p, l) => {
-                h = mix(h, t.to_bits());
-                h = mix(h, p.to_bits());
-                h = mix(h, l.to_bits());
-            }
-            _ => {}
-        }
-        h
     }
 }
 
@@ -409,13 +369,6 @@ mod tests {
         let (b0, b1) = g.apply_pair(a0, a1);
         assert!(b0.approx_eq(g.m[0][0] * a0 + g.m[0][1] * a1, TOL));
         assert!(b1.approx_eq(g.m[1][0] * a0 + g.m[1][1] * a1, TOL));
-    }
-
-    #[test]
-    fn signatures_distinguish_parameters() {
-        assert_ne!(GateKind::Rz(0.1).signature(), GateKind::Rz(0.2).signature());
-        assert_ne!(GateKind::Rx(0.1).signature(), GateKind::Rz(0.1).signature());
-        assert_eq!(GateKind::H.signature(), GateKind::H.signature());
     }
 
     #[test]

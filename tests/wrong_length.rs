@@ -14,6 +14,9 @@
 //! `measure` (collapse) and the recompression pass of a ladder escalation —
 //! for a lossless and for a lossy segmented short block, on the in-place
 //! worker (`ranks_log2 = 0`) and on two rank threads (`ranks_log2 = 1`).
+//! A failed wave's blocks never return to the store, so the rank answers
+//! every later command with that first error: a `norm_sqr` after each
+//! wave is the same typed error, not a panic.
 //! The same check on blocks that arrive in a `Hello` frame lives in
 //! `qcs-core::net`'s hostile-command suite.
 
@@ -295,6 +298,13 @@ fn every_wave_is_a_typed_error(shape: Shape) {
             let mut sim = load(budget);
             let what = format!("{} ranks_log2={ranks_log2}: {name}", shape.name);
             assert_wrong_length(&shape, &what, wave(&mut sim));
+            // The failed wave's blocks never went back to the store: a
+            // read after it is the same typed error, not a panic.
+            assert_wrong_length(
+                &shape,
+                &format!("{what}, then norm_sqr"),
+                sim.norm_sqr().map(drop),
+            );
         }
         std::fs::remove_file(&path).ok();
     }
