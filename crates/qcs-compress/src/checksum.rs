@@ -4,6 +4,7 @@
 //! it covers: the frame checksum and the per-segment index entries
 //! ([`crate::frame`], [`crate::partial`]), the spill tier's prefix
 //! verification, the block cache's line tag and the `qcs-net` wire frame.
+//! The cache line's op key folds its words through it one at a time.
 //!
 //! XXH64 is a public specification with public test vectors
 //! (`tests/prop_checksum.rs` pins them and a scalar reference). Input is

@@ -50,7 +50,7 @@
 //! consults the cache exactly once per batch, not once per member gate.
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::cache::{BlockCache, AUTO_DISABLE_AFTER};
+use crate::cache::BlockCache;
 use crate::config::SimConfig;
 use crate::fidelity_bound::FidelityLedger;
 use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
@@ -485,7 +485,7 @@ impl CompressedSimulator {
         }
 
         // One cache per process, shared by its rank threads.
-        let cache = Arc::new(BlockCache::new(cfg.cache_lines, AUTO_DISABLE_AFTER));
+        let cache = Arc::new(BlockCache::new(cfg.cache_lines));
         let workers: Vec<RankWorker> = stores
             .into_iter()
             .enumerate()
@@ -1676,6 +1676,36 @@ mod tests {
             sim.snapshot_dense().unwrap().fidelity(&dense) > 1.0 - 1e-12,
             "selection-mask collision corrupted the state"
         );
+    }
+
+    #[test]
+    fn opposite_angles_never_share_a_line() {
+        // h(8) leaves the q8 = 0 and q8 = 1 blocks byte-identical (B).
+        // R(θ) on qubit 0 controlled on 8 files (R(θ), B); x(8) brings an
+        // untouched B under the control, where R(-θ) looks it up again.
+        // ±θ differ only in two entries' sign bits, which a linear key
+        // fold cancels: the cache would answer R(θ)·B.
+        use qcs_statevec::GateKind;
+        for rot in [GateKind::Rx, GateKind::Ry, GateKind::Rz] {
+            let mut c = Circuit::new(9);
+            c.h(8);
+            for theta in [0.3, -0.3] {
+                let gate = rot(theta);
+                c.push(Op::Controlled {
+                    gate,
+                    control: 8,
+                    target: 0,
+                });
+                c.x(8);
+            }
+            let cfg = SimConfig::default().with_block_log2(3);
+            let mut sim = CompressedSimulator::new(9, cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(0);
+            sim.run(&c, &mut rng).unwrap();
+            let dense = c.simulate_dense(&mut rng);
+            let f = sim.snapshot_dense().unwrap().fidelity(&dense);
+            assert!(f > 1.0 - 1e-12, "{:?}: fidelity {f}", rot(0.3));
+        }
     }
 
     #[test]

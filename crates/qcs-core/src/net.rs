@@ -54,7 +54,7 @@
 //! segment files it owned.
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::cache::{BlockCache, AUTO_DISABLE_AFTER};
+use crate::cache::BlockCache;
 use crate::config::{RemoteConfig, SimConfig};
 use crate::engine::SimError;
 use crate::serial::BreakdownWire;
@@ -627,7 +627,7 @@ fn build_worker(
         layout.block_amps() * 2,
         (4 * rayon::current_num_threads() + 4).min(32),
     );
-    let cache = Arc::new(BlockCache::new(cfg.cache_lines, AUTO_DISABLE_AFTER));
+    let cache = Arc::new(BlockCache::new(cfg.cache_lines));
     let store: Box<dyn BlockStore> = match &cfg.spill {
         Some(spill) => {
             let dir = opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir);

@@ -51,7 +51,7 @@ fn worker_over(layout: Layout, rank: usize, blocks: Vec<Option<CompressedBlock>>
         rank,
         layout,
         Arc::new(BlockCodec::new(CodecId::SolutionC)),
-        Arc::new(BlockCache::new(0, 0)),
+        Arc::new(BlockCache::new(0)),
         Metrics::new(),
         Box::new(MemStore::new(blocks)),
         true,

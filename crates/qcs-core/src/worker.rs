@@ -164,6 +164,7 @@ use crate::store::BlockStore;
 use crate::summary::QuerySummary;
 use qcs_circuits::schedule::MAX_BATCH_GATES;
 use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
+use qcs_compress::checksum::checksum64;
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
 use qcs_statevec::{kernels, Gate1};
 use rayon::prelude::*;
@@ -724,9 +725,8 @@ impl RankWorker {
             }
         }
         let cycle = self.cycle(cmd.bound);
-        let sigs: Vec<u64> = cmd.plans.iter().map(|p| p.gate.signature()).collect();
         self.walk(&units, &cmd.lookahead, |&(_, mask), [blk], wide| {
-            let (out, stats) = cycle.block(&cmd.plans, &sigs, mask, &blk, wide)?;
+            let (out, stats) = cycle.block(&cmd.plans, mask, &blk, wide)?;
             Ok(([out], stats))
         })
     }
@@ -1401,37 +1401,48 @@ impl Cycle<'_> {
         Ok(out)
     }
 
-    /// The `OP` half of a cache line's key (§3.4), built here only: the
-    /// `words` the cycle's output depends on besides its input blocks —
-    /// per applied gate, in order, its matrix signature, offset bit (block
-    /// cycles only) and in-block control mask — then the bound the output
-    /// is recompressed under. The partial path reads a subset of them.
-    fn op_key(&self, words: impl IntoIterator<Item = u64>) -> u64 {
+    /// The `OP` half of a cache line's key (§3.4), built here only from
+    /// what the cycle's output depends on besides its input blocks: per
+    /// applied gate, in order, the bits of its matrix entries and where it
+    /// acts (`at`: offset bit and in-block control mask; a pair's gate
+    /// spans its two blocks and passes offset bit 0), then the bound the
+    /// output is recompressed under. The partial path reads a subset of
+    /// them.
+    ///
+    /// Each word is folded in through [`checksum64`] of `key ^ word`, a
+    /// bijection of the word for a fixed key and of the key for a fixed
+    /// word: two keys over equally many words that differ in one word
+    /// always differ, and any other difference — say the two sign bits
+    /// between `ry(θ)` and `ry(-θ)` — collides with odds 2^-64, where a
+    /// linear fold would cancel it.
+    fn op_key<'g>(&self, gates: impl IntoIterator<Item = (&'g Gate1, [u64; 2])>) -> u64 {
+        let entries = |g: &Gate1| {
+            let m = g.m.into_iter().flatten();
+            m.flat_map(|e| [e.re.to_bits(), e.im.to_bits()])
+        };
+        let words = gates.into_iter().flat_map(|(g, at)| entries(g).chain(at));
         let bound = [self.bound.tag().into(), self.bound.magnitude().to_bits()];
-        let words = words.into_iter().chain(bound);
-        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
-            (h ^ w).wrapping_mul(0x0100_0000_01b3)
-        })
+        words
+            .chain(bound)
+            .fold(0, |key, w| checksum64(&(key ^ w).to_le_bytes()))
     }
 
     /// One block through the plans `mask` selects: decompress once, apply
     /// every firing gate, recompress once — or skip all three on a cache
     /// hit (§3.4), or rewrite only the touched segments when every firing
-    /// gate is diagonal (see [`crate::partial`]). `sigs[i]` is plan `i`'s
-    /// matrix signature; one lookup/insert happens per block touch (not
-    /// per member gate).
+    /// gate is diagonal (see [`crate::partial`]). One lookup/insert
+    /// happens per block touch (not per member gate).
     fn block(
         &self,
         plans: &[BatchPlan],
-        sigs: &[u64],
         mask: u64,
         input: &CompressedBlock,
         wide: bool,
     ) -> Result<(CompressedBlock, CycleStats), SimError> {
         let fired = |i: &usize| mask >> i & 1 == 1;
-        let key = self.op_key((0..plans.len()).filter(fired).flat_map(|i| {
+        let key = self.op_key((0..plans.len()).filter(fired).map(|i| {
             let p = &plans[i];
-            [sigs[i], p.offset_bit.into(), p.offset_cmask as u64]
+            (&p.gate, [p.offset_bit.into(), p.offset_cmask as u64])
         }));
         let miss = match self.cache.lookup(key, input, None) {
             Ok((out, _)) => {
@@ -1484,7 +1495,7 @@ impl Cycle<'_> {
         in_a: &CompressedBlock,
         in_b: &CompressedBlock,
     ) -> Result<([CompressedBlock; 2], CycleStats), SimError> {
-        let key = self.op_key([gate.signature(), offset_cmask as u64]);
+        let key = self.op_key([(gate, [0, offset_cmask as u64])]);
         let miss = match self.cache.lookup(key, in_a, Some(in_b)) {
             Ok((out_a, out_b)) => {
                 let out_b = out_b.ok_or_else(|| {
@@ -1515,16 +1526,16 @@ impl Cycle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::AUTO_DISABLE_AFTER;
     use qcs_compress::CodecId;
 
-    /// Equal words under an equal bound share a key; the gates' order and
-    /// the bound — kind and magnitude — tell keys apart.
+    /// Equal gates at equal places under an equal bound share a key; the
+    /// gates' order and places, the bound — kind and magnitude — and the
+    /// sign of an angle tell keys apart.
     #[test]
-    fn op_key_covers_the_gate_order_and_the_bound() {
+    fn op_key_covers_the_gates_their_order_and_the_bound() {
         let codec = BlockCodec::new(CodecId::SolutionC);
-        let cache = BlockCache::new(0, AUTO_DISABLE_AFTER);
-        let key = |bound, words: &[u64]| {
+        let cache = BlockCache::new(0);
+        let key = |bound, gates: &[(Gate1, [u64; 2])]| {
             let cycle = Cycle {
                 codec: &codec,
                 cache: &cache,
@@ -1532,14 +1543,36 @@ mod tests {
                 bound,
                 partial: false,
             };
-            cycle.op_key(words.iter().copied())
+            cycle.op_key(gates.iter().map(|(g, at)| (g, *at)))
         };
-        let (h, t) = (Gate1::h().signature(), Gate1::t().signature());
         let lossless = ErrorBound::Lossless;
-        assert_eq!(key(lossless, &[h, 0, 0]), key(lossless, &[h, 0, 0]));
+        let one = |g: Gate1| key(lossless, &[(g, [0, 0])]);
+        let (h, t) = (Gate1::h(), Gate1::t());
+        assert_eq!(one(h), one(Gate1::h()));
+        assert_ne!(one(h), one(t));
         assert_ne!(
-            key(lossless, &[h, 0, 0, t, 1, 0]),
-            key(lossless, &[t, 1, 0, h, 0, 0])
+            key(lossless, &[(h, [0, 0]), (t, [1, 0])]),
+            key(lossless, &[(t, [1, 0]), (h, [0, 0])])
+        );
+        assert_ne!(one(h), key(lossless, &[(h, [1, 0])]));
+        assert_ne!(one(h), key(lossless, &[(h, [0, 1])]));
+        // ±θ differ only in the sign bits of two entries (of one entry
+        // each for a pair of phase gates), which a linear fold cancels.
+        for rot in [Gate1::rx, Gate1::ry, Gate1::rz, Gate1::phase] {
+            for theta in [0.3, 1.0, 2.5] {
+                assert_ne!(one(rot(theta)), one(rot(-theta)), "±{theta}");
+            }
+        }
+        let (a, b) = (0.4, 0.9);
+        assert_ne!(
+            key(
+                lossless,
+                &[(Gate1::phase(a), [0, 0]), (Gate1::phase(b), [1, 0])]
+            ),
+            key(
+                lossless,
+                &[(Gate1::phase(-a), [0, 0]), (Gate1::phase(-b), [1, 0])]
+            )
         );
         let bounds = [
             lossless,
@@ -1549,7 +1582,11 @@ mod tests {
         ];
         for (i, a) in bounds.iter().enumerate() {
             for b in &bounds[i + 1..] {
-                assert_ne!(key(*a, &[h, 0, 0]), key(*b, &[h, 0, 0]), "{a} vs {b}");
+                assert_ne!(
+                    key(*a, &[(h, [0, 0])]),
+                    key(*b, &[(h, [0, 0])]),
+                    "{a} vs {b}"
+                );
             }
         }
     }

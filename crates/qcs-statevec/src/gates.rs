@@ -189,22 +189,6 @@ impl Gate1 {
             self.m[1][0] * a0 + self.m[1][1] * a1,
         )
     }
-
-    /// A stable 64-bit signature over the matrix entries: the gate's share
-    /// of the `OP` field of a compressed-block cache line (paper §3.4).
-    /// Two gates with bit-identical entries share a signature — however
-    /// they were named, fused or routed — and any differing entry changes
-    /// it.
-    pub fn signature(&self) -> u64 {
-        let mut h = 0x9e3779b97f4a7c15u64;
-        for row in &self.m {
-            for e in row {
-                h = (h ^ e.re.to_bits()).wrapping_mul(0x100000001b3);
-                h = (h ^ e.im.to_bits()).wrapping_mul(0x100000001b3);
-            }
-        }
-        h
-    }
 }
 
 /// Named gates used by the circuit IR; parameters are baked into the matrix
@@ -376,17 +360,6 @@ mod tests {
         assert!((qft_phase(1) - PI).abs() < TOL);
         assert!((qft_phase(2) - FRAC_PI_2).abs() < TOL);
         assert!((qft_phase(3) - FRAC_PI_4).abs() < TOL);
-    }
-
-    #[test]
-    fn gate1_signature_tracks_matrix_entries() {
-        assert_eq!(Gate1::h().signature(), Gate1::h().signature());
-        assert_ne!(Gate1::h().signature(), Gate1::x().signature());
-        assert_ne!(Gate1::rz(0.1).signature(), Gate1::rz(0.2).signature());
-        // Fused products are order-sensitive.
-        let ht = Gate1::h().matmul(&Gate1::t());
-        let th = Gate1::t().matmul(&Gate1::h());
-        assert_ne!(ht.signature(), th.signature());
     }
 
     #[test]
