@@ -44,8 +44,11 @@
 //! then fetch exactly the segment bodies it needs, each verified against
 //! its index entry — without ever materializing the whole payload.
 //! [`parse_header`] parses either version from a byte slice for exactly
-//! this path. Non-segmented payloads keep the version-1 format, and
-//! version-1 frames remain fully readable.
+//! this path. [`read_frame`] also checks that a v2 payload is a segmented
+//! stream this build reads, with a prefix of exactly `prefix_len` bytes: a
+//! segmented layout that is no longer written (see [`crate::partial`]) is
+//! refused there by name. Non-segmented payloads keep the version-1
+//! format, and version-1 frames remain fully readable.
 //!
 //! ```
 //! use qcs_compress::frame::{read_frame, write_frame};
@@ -341,6 +344,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     };
     if checksum64(covered) != parsed.checksum {
         return Err(FrameError::Corrupt("payload checksum mismatch".into()));
+    }
+    // A v2 frame promises a segmented payload this build reads, whose
+    // prefix is exactly what the checksum covered.
+    if let Some(p) = parsed.prefix_len {
+        if crate::partial::segmented_prefix_len(&payload) != Some(p) {
+            let why = match crate::partial::SegmentIndex::parse(&payload) {
+                Err(e) => e.to_string(),
+                Ok(_) => format!("payload is not a segmented stream with a {p}-byte prefix"),
+            };
+            return Err(FrameError::Corrupt(format!("v2 frame: {why}")));
+        }
     }
     Ok(Frame {
         codec: parsed.codec,

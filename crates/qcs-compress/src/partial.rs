@@ -28,6 +28,12 @@
 //! end-to-end verified even though the enclosing frame can no longer
 //! checksum the whole payload.
 //!
+//! A Solution C segment body starts with a mode byte (see
+//! [`crate::trunc`]). Segmented Solution C streams written before checkpoint
+//! format `QCSCKPT4` had no mode byte and the magic "QCSc";
+//! [`SegmentIndex::parse`] refuses them with a `Corrupt` error that names
+//! the old layout.
+//!
 //! Legacy (whole-stream) Solution C/D formats remain decodable; they are
 //! simply not segment-addressable ([`SegmentIndex::parse`] returns `None`
 //! for them).
@@ -40,8 +46,12 @@ use std::ops::Range;
 /// (512 complex amplitudes).
 pub const DEFAULT_SEGMENT_VALUES: usize = 1024;
 
-/// Stream magic of segmented Solution C streams ("QCSc").
-pub(crate) const SEG_MAGIC_C: u32 = 0x5143_5363;
+/// Stream magic of segmented Solution C streams whose segments start with
+/// a mode byte ("QCSe").
+pub(crate) const SEG_MAGIC_C: u32 = 0x5143_5365;
+/// Stream magic of segmented Solution C streams written before segments
+/// carried a mode byte ("QCSc"): recognised only to be refused by name.
+const SEG_MAGIC_C_V1: u32 = 0x5143_5363;
 /// Stream magic of segmented Solution D streams ("QCSd").
 pub(crate) const SEG_MAGIC_D: u32 = 0x5143_5364;
 
@@ -84,15 +94,22 @@ impl SegmentIndex {
     /// Parse the index from the head of `bytes` (a whole stream or just
     /// its prefix). Returns `Ok(None)` when the magic is not a segmented
     /// format; `Err` when it is but the prefix is truncated or
-    /// inconsistent.
+    /// inconsistent, and when it is a segmented layout this build no
+    /// longer reads.
     pub fn parse(bytes: &[u8]) -> Result<Option<SegmentIndex>, CodecError> {
         use crate::bitio::bytes as b;
         let mut pos = 0usize;
-        let magic = match b::get_u32(bytes, &mut pos) {
-            Some(m) if m == SEG_MAGIC_C || m == SEG_MAGIC_D => m,
+        match b::get_u32(bytes, &mut pos) {
+            Some(m) if m == SEG_MAGIC_C || m == SEG_MAGIC_D => {}
+            Some(SEG_MAGIC_C_V1) => {
+                return Err(CodecError::Corrupt(
+                    "segmented Solution C stream in the layout without segment mode \
+                     bytes (magic QCSc); re-encode it with the current build"
+                        .into(),
+                ))
+            }
             _ => return Ok(None),
-        };
-        let _ = magic;
+        }
         let n_values = b::get_u64(bytes, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("segmented: missing value count".into()))?
             as usize;

@@ -129,11 +129,26 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, QzError> {
 /// in place, with only the Huffman-to-LZ intermediate staged through
 /// recycled per-thread scratch.
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), QzError> {
+    decompress_capped_into(data, usize::MAX, out)
+}
+
+/// [`decompress_into`] for a caller that knows the most bytes the
+/// container can honestly hold: a declared length above `cap` is refused
+/// before anything is decoded or allocated.
+pub(crate) fn decompress_capped_into(
+    data: &[u8],
+    cap: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), QzError> {
     if data.len() < 9 {
         return Err(QzError::Corrupt("container too short"));
     }
     let mode = data[0];
-    let orig_len = u64::from_le_bytes(data[1..9].try_into().unwrap()) as usize;
+    let orig_len = u64::from_le_bytes(data[1..9].try_into().unwrap());
+    if orig_len > cap as u64 {
+        return Err(QzError::Corrupt("declared length over the caller's cap"));
+    }
+    let orig_len = orig_len as usize;
     let payload = &data[9..];
     let base = out.len();
     match mode {

@@ -5,7 +5,8 @@
 //! [`checksum64`], XXH64), then independently encoded segment bodies. This
 //! module owns the container mechanics — assembling, verifying, decoding,
 //! and splicing — while each codec supplies the per-slice encode/decode of
-//! its legacy body format.
+//! its segment bodies (Solution C: a mode byte and its body; Solution D:
+//! its legacy body).
 //!
 //! Assembly is single-pass and allocation-free on the caller's buffer:
 //! the index region is reserved with placeholder bytes, each body is
@@ -17,9 +18,11 @@ use crate::checksum::checksum64;
 use crate::codec::CodecError;
 use crate::partial::{SegmentEdit, SegmentIndex};
 
-/// The per-slice body decoder a codec lends to the container machinery.
-/// Appends the slice's values to the output buffer.
-pub(crate) type DecodeSlice<'a> = &'a dyn Fn(&[u8], &mut Vec<f64>) -> Result<(), CodecError>;
+/// The per-slice body decoder a codec lends to the container machinery:
+/// decodes a body the index says holds the given number of values, and
+/// appends them to the output buffer. It must refuse any length in the
+/// body that count cannot need before it allocates.
+pub(crate) type DecodeSlice<'a> = &'a dyn Fn(&[u8], usize, &mut Vec<f64>) -> Result<(), CodecError>;
 
 /// Byte offset of the segment index within a stream (the fixed header).
 const INDEX_START: usize = 20;
@@ -97,19 +100,21 @@ pub(crate) fn decode_segment(
             "segment {seg}: body checksum mismatch"
         )));
     }
+    let want = index.value_range(seg).len();
     let before = out.len();
-    decode_slice(body, out)?;
+    decode_slice(body, want, out)?;
     let decoded = out.len() - before;
-    if decoded != index.value_range(seg).len() {
+    if decoded != want {
         return Err(CodecError::Corrupt(format!(
-            "segment {seg}: decoded {decoded} values, expected {}",
-            index.value_range(seg).len()
+            "segment {seg}: decoded {decoded} values, expected {want}"
         )));
     }
     Ok(())
 }
 
-/// Decode a whole segmented stream, *appending* the values to `out`.
+/// Decode a whole segmented stream, *appending* the values to `out`. The
+/// index's value count is a claim: nothing is reserved for it up front,
+/// each segment reserves what its checked body holds.
 pub(crate) fn decompress_into(
     data: &[u8],
     decode_slice: DecodeSlice<'_>,
@@ -124,7 +129,6 @@ pub(crate) fn decompress_into(
             index.stream_len()
         )));
     }
-    out.reserve(index.n_values);
     for seg in 0..index.n_segs() {
         let body = data
             .get(index.byte_range(seg))

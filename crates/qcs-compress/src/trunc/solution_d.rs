@@ -71,10 +71,17 @@ impl SolutionD {
         crate::scratch::put_f64s(even);
     }
 
-    /// Decode one legacy D body (the inverse of [`Self::encode_shuffled`]),
-    /// *appending* the values to `out`. The half streams are staged through
-    /// recycled per-thread scratch before interleaving.
-    fn decode_shuffled_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
+    /// Decode one legacy D body (the inverse of
+    /// [`Self::encode_shuffled_into`]), *appending* the values to `out`.
+    /// `expect` is the value count an index promises, when there is one.
+    /// The half streams are staged through recycled per-thread scratch
+    /// before interleaving.
+    fn decode_shuffled_into(
+        &self,
+        data: &[u8],
+        expect: Option<usize>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let mut pos = 0usize;
         let magic = bytes::get_u32(data, &mut pos)
             .ok_or_else(|| CodecError::Corrupt("missing magic".into()))?;
@@ -99,8 +106,11 @@ impl SolutionD {
         let mut odd = crate::scratch::take_f64s();
         let res = self
             .inner
-            .decode_stream_into(e_bytes, &mut even)
-            .and_then(|()| self.inner.decode_stream_into(o_bytes, &mut odd))
+            .decode_stream_into(e_bytes, expect.map(|n| n.div_ceil(2)), &mut even)
+            .and_then(|()| {
+                self.inner
+                    .decode_stream_into(o_bytes, expect.map(|n| n / 2), &mut odd)
+            })
             .and_then(|()| {
                 if even.len() < odd.len() || even.len() > odd.len() + 1 {
                     return Err(CodecError::Corrupt(format!(
@@ -157,9 +167,13 @@ impl Codec for SolutionD {
         // anything else is the legacy whole-stream format.
         out.clear();
         if SegmentIndex::parse(data)?.is_some() {
-            segmented::decompress_into(data, &|body, out| self.decode_shuffled_into(body, out), out)
+            segmented::decompress_into(
+                data,
+                &|body, n, out| self.decode_shuffled_into(body, Some(n), out),
+                out,
+            )
         } else {
-            self.decode_shuffled_into(data, out)
+            self.decode_shuffled_into(data, None, out)
         }
     }
 
@@ -192,7 +206,7 @@ impl PartialCodec for SolutionD {
             index,
             seg,
             body,
-            &|b, o| self.decode_shuffled_into(b, o),
+            &|b, n, o| self.decode_shuffled_into(b, Some(n), o),
             out,
         )
     }

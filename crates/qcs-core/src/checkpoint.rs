@@ -7,7 +7,7 @@
 //! binary format:
 //!
 //! ```text
-//! magic "QCSCKPT3" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
+//! magic "QCSCKPT4" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
 //! | level u32 | lossy_codec u8
 //! | ledger: log_product f64, gates u64, lossy_gates u64, max_delta f64
 //! | block_count u64 | blocks: one qcs_compress::frame each *
@@ -15,7 +15,7 @@
 //!
 //! The 57 bytes between the magic and the first block are one
 //! [`qcs_net::wire!`] declaration (`Header` below), shared by `save` and
-//! `load`; `tests/fixtures/checkpoint_v3_small.bin` pins the bytes (see
+//! `load`; `tests/fixtures/checkpoint_v4_small.bin` pins the bytes (see
 //! "Changing a layout" in [`mod@qcs_net::wire`]).
 //!
 //! Each block is stored as a self-describing [`qcs_compress::frame`] — the
@@ -24,9 +24,11 @@
 //! flipped bit in a checkpoint surfaces as a frame error on load, not as
 //! silently corrupt amplitudes. Version 3 has version 2's layout with the
 //! frame and segment checksums computed by
-//! [`qcs_compress::checksum::checksum64`] (XXH64) instead of FNV-1a; the
-//! magic changed with them, so a version-2 file is refused by name before
-//! any frame is read.
+//! [`qcs_compress::checksum::checksum64`] (XXH64) instead of FNV-1a.
+//! Version 4 has version 3's layout; its segmented Solution C payloads
+//! carry a mode byte per segment (see [`qcs_compress::trunc`]). The magic
+//! changed each time, so an older file is refused by name before any frame
+//! is read.
 //!
 //! Checkpointing composes with the out-of-core tier in both directions:
 //! saving streams spilled blocks one at a time through the block store
@@ -44,7 +46,7 @@ use qcs_net::wire::{decode, Idx32, Wire};
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"QCSCKPT3";
+const MAGIC: &[u8; 8] = b"QCSCKPT4";
 
 qcs_net::wire! {
     /// Everything between the magic and the block frames. Every field is
@@ -405,7 +407,7 @@ mod tests {
         std::fs::write(&path, b"QCSCKPT1then-some-v1-payload").unwrap();
         match load(&path, SimConfig::default()) {
             Err(SimError::Checkpoint(m)) => assert!(
-                m.contains("version '1'") && m.contains("reads '3'"),
+                m.contains("version '1'") && m.contains("reads '4'"),
                 "v1 file must name the version mismatch, got: {m}"
             ),
             other => panic!(

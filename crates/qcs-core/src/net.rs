@@ -837,7 +837,8 @@ mod tests {
 
     // --- golden values: the bytes under qcs-net/tests/fixtures/ were
     // written by the hand-rolled codecs of commit 3a80267 from exactly
-    // these values ---------------------------------------------------------
+    // these values; those carrying a block or the protocol version were
+    // regenerated at protocol v6 (segment mode bytes) ----------------------
 
     fn golden_block(lossy: bool) -> CompressedBlock {
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
@@ -1041,7 +1042,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 5);
+        assert_eq!(PROTOCOL_VERSION, 6);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1389,6 +1390,18 @@ mod tests {
         match Hello::admit(body) {
             Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v4"), "{m}"),
             other => panic!("a v4 hello was not refused by version: {other:?}"),
+        }
+    }
+
+    /// `hello_full` as protocol v5 wrote it, before segmented Solution C
+    /// blocks carried a mode byte per segment: refused by its version, so
+    /// none of its blocks reaches a worker.
+    #[test]
+    fn a_v5_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v5.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v5"), "{m}"),
+            other => panic!("a v5 hello was not refused by version: {other:?}"),
         }
     }
 

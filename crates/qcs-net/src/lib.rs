@@ -39,6 +39,8 @@
 //! that change and nothing else. A version-3 peer's frames fail the body
 //! checksum here (its Hello never reaches the version comparison), and a
 //! version-3 body under a valid checksum is refused by the handshake.
+//! Version 5 dropped the op signatures from the command bodies; version 6
+//! carries segmented Solution C blocks with a mode byte per segment.
 //!
 //! The `kind` byte is opaque to this crate; the protocol built on top
 //! assigns meanings. Like the block-frame decoder, [`recv_frame`] never
@@ -61,7 +63,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";

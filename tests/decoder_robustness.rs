@@ -295,6 +295,28 @@ fn huffman_payload_truncation_is_an_error_at_every_cut() {
     }
 }
 
+/// A segmented Solution C stream from before segments carried a mode byte
+/// (magic "QCSc") is refused by its magic, naming the old layout: by the
+/// index parser, the whole decoder and the range decoder, with no value
+/// decoded and no fall-through to the whole-stream decoder.
+fn assert_refused_as_the_old_segment_layout(stream: &[u8]) {
+    use qcsim::compress::trunc::SolutionC;
+    use qcsim::compress::{Codec as _, CodecError, PartialCodec as _, SegmentIndex};
+    let names_it = |r: Result<(), CodecError>| match r {
+        Err(CodecError::Corrupt(m)) => m.contains("QCSc"),
+        _ => false,
+    };
+    assert!(names_it(SegmentIndex::parse(stream).map(drop)));
+    let c = SolutionC::default();
+    assert!(names_it(c.decompress(stream).map(drop)));
+    assert!(names_it(
+        SolutionC::whole_stream().decompress(stream).map(drop)
+    ));
+    let mut out = Vec::new();
+    assert!(names_it(c.decompress_range(stream, 0..1, &mut out)));
+    assert!(out.is_empty(), "a stale segment leaked values");
+}
+
 /// Bytes written by the last build whose checksums were FNV-1a (frames
 /// `QCF1`/`QCF2` unchanged in layout, checkpoint `QCSCKPT2`), captured from
 /// that build and checked in. Every field but the checksums still parses,
@@ -303,8 +325,6 @@ fn huffman_payload_truncation_is_an_error_at_every_cut() {
 #[test]
 fn fnv1a_era_bytes_end_in_typed_errors() {
     use qcsim::compress::frame::{parse_header, read_frame, FrameError};
-    use qcsim::compress::trunc::SolutionC;
-    use qcsim::compress::{Codec as _, CodecError, PartialCodec as _, SegmentIndex};
     use qcsim::core::{checkpoint, SimError};
 
     let v1: &[u8] = include_bytes!("fixtures/fnv1a_frame_v1_qzstd.bin");
@@ -321,26 +341,9 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
         }
     }
 
-    // The segmented stream inside the v2 frame: the index parses, every
-    // segment body fails its per-segment checksum, whole or by range.
-    let stream = &v2[parse_header(v2).unwrap().header_len..];
-    let index = SegmentIndex::parse(stream).unwrap().unwrap();
-    assert_eq!(index.n_segs(), 3);
-    let c = SolutionC::default();
-    let is_checksum = |r: Result<(), CodecError>| match r {
-        Err(CodecError::Corrupt(m)) => m.contains("checksum"),
-        _ => false,
-    };
-    assert!(is_checksum(c.decompress(stream).map(drop)));
-    for seg in 0..index.n_segs() {
-        let mut out = Vec::new();
-        assert!(is_checksum(c.decompress_range(
-            stream,
-            seg..seg + 1,
-            &mut out
-        )));
-        assert!(out.is_empty(), "segment {seg} leaked values");
-    }
+    // The segmented stream inside the v2 frame predates segment mode bytes
+    // too: refused by its magic before any body checksum is computed.
+    assert_refused_as_the_old_segment_layout(&v2[parse_header(v2).unwrap().header_len..]);
 
     // Checkpoint: refused by version before any frame is read; with the
     // version byte forged, refused at the first block frame's checksum.
@@ -359,8 +362,124 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
     let m = load(ckpt);
     assert!(m.contains("version '2'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'3';
+    forged[7] = b'4';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("checksum"), "{m}");
     std::fs::remove_file(&path).ok();
+}
+
+/// Bytes written by the last build whose segmented Solution C streams had
+/// no per-segment mode byte, captured from that build (commit 95df1e7):
+/// a three-segment stream in a v2 frame and the `QCSCKPT3` checkpoint of
+/// `adaptive_and_checkpoint.rs`'s golden simulator. (Its v5 Hello is
+/// `qcs-net/tests/fixtures/hello_v5.bin`, refused by version in
+/// `qcs-core`'s `net` tests.) Checksums still match, so each reader must
+/// stop at the magic or the version with its typed error.
+#[test]
+fn pre_mode_byte_bytes_end_in_typed_errors() {
+    use qcsim::compress::frame::{parse_header, read_frame, FrameError};
+    use qcsim::compress::CodecId;
+    use qcsim::core::{checkpoint, SimError};
+
+    let frame: &[u8] = include_bytes!("fixtures/qcsc_segmented_frame.bin");
+    let ckpt: &[u8] = include_bytes!("fixtures/checkpoint_v3_small.bin");
+
+    // The frame header is unchanged and its prefix checksum holds; the
+    // frame is refused because its payload is no segmented stream this
+    // build reads, and so is the stream itself.
+    let header = parse_header(frame).unwrap();
+    assert_eq!(header.codec, CodecId::SolutionC);
+    match read_frame(&mut &frame[..]) {
+        Err(FrameError::Corrupt(m)) => assert!(m.contains("QCSc"), "{m}"),
+        other => panic!("a pre-mode-byte frame was accepted: {other:?}"),
+    }
+    assert_refused_as_the_old_segment_layout(&frame[header.header_len..]);
+
+    // The checkpoint: refused by version; with the version forged, its
+    // first block frame is refused the same way.
+    let path = std::env::temp_dir().join(format!("qcsim-qcsc-{}.ckpt", std::process::id()));
+    let cfg = qcsim::SimConfig::default().with_block_log2(3);
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        match checkpoint::load(&path, cfg.clone()) {
+            Err(SimError::Checkpoint(m)) => m,
+            other => panic!(
+                "QCSCKPT3 checkpoint mishandled: {:?}",
+                other.err().map(|e| e.to_string())
+            ),
+        }
+    };
+    assert_eq!(&ckpt[..8], b"QCSCKPT3");
+    let m = load(ckpt);
+    assert!(m.contains("version '3'") && m.contains("reads '4'"), "{m}");
+    let mut forged = ckpt.to_vec();
+    forged[7] = b'4';
+    let m = load(&forged);
+    assert!(m.contains("block frame 0") && m.contains("QCSc"), "{m}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A body in the Solution C layout claiming `n` values over one code
+/// byte, an empty suffix and no exceptions.
+fn body_claiming(n: u64) -> Vec<u8> {
+    let mut body = 0x5143_5343u32.to_le_bytes().to_vec(); // "QCSC"
+    body.extend_from_slice(&n.to_le_bytes());
+    body.push(10); // mantissa bits
+    body.extend_from_slice(&1u64.to_le_bytes());
+    body.push(0); // the one code byte
+    body.extend_from_slice(&0u64.to_le_bytes()); // suffix length
+    body.extend_from_slice(&0u64.to_le_bytes()); // exception count
+    body
+}
+
+// Counts read from a segmented stream are claims: the index's value count
+// and each body's must agree before either sizes an allocation. Both
+// streams below are correctly checksummed; both used to take the process
+// down (a capacity-overflow panic, or an abort on a 2^43- or 2^35-byte
+// allocation).
+#[test]
+fn segment_counts_are_checked_before_allocating() {
+    use qcsim::compress::checksum::checksum64;
+    use qcsim::compress::trunc::SolutionC;
+    use qcsim::compress::{qzstd, Codec as _, CodecError, PartialCodec as _, SegmentIndex};
+
+    let c = SolutionC::default();
+    let good = c
+        .compress(
+            &[0.5, -0.25, 1e-3, 7.0],
+            ErrorBound::PointwiseRelative(1e-3),
+        )
+        .unwrap();
+    let prefix_len = SegmentIndex::parse(&good).unwrap().unwrap().prefix_len();
+    assert_eq!(prefix_len, 32, "one segment");
+    let corrupt = |r: Result<Vec<f64>, CodecError>, what: &str| match r {
+        Err(CodecError::Corrupt(m)) => assert!(m.contains("values"), "{what}: {m}"),
+        other => panic!("{what}: {other:?}"),
+    };
+
+    // A body claiming 2^61 or 2^40 values behind an index of four.
+    for n in [1u64 << 61, 1 << 40] {
+        let body = qzstd::compress(&body_claiming(n), qzstd::Level::Fast);
+        let mut stream = good[..prefix_len].to_vec();
+        stream[20..24].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        stream[24..32].copy_from_slice(&checksum64(&body).to_le_bytes());
+        stream.extend_from_slice(&body);
+        corrupt(c.decompress(&stream), &format!("segment claiming {n}"));
+        let mut out = Vec::new();
+        let range = c.decompress_range(&stream, 0..1, &mut out);
+        corrupt(range.map(|()| out), &format!("range over {n}"));
+        // The same body as a whole stream, with no index to hold it to.
+        corrupt(
+            SolutionC::whole_stream().decompress(&body),
+            &format!("whole stream claiming {n}"),
+        );
+    }
+
+    // An index claiming u32::MAX values in one segment over a valid
+    // four-value body.
+    let mut stream = good.clone();
+    stream[4..12].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    stream[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(SegmentIndex::parse(&stream).unwrap().unwrap().n_segs(), 1);
+    corrupt(c.decompress(&stream), "index claiming u32::MAX");
 }
