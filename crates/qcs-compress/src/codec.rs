@@ -56,6 +56,24 @@ pub trait Codec: Send + Sync {
     /// error its contents are unspecified.
     fn decompress_into(&self, bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError>;
 
+    /// [`Codec::decompress_into`] for a caller that knows the stream must
+    /// hold `max_values` values, such as a store holding one block: a
+    /// stream that declares more is refused as [`CodecError::Corrupt`]
+    /// before anything is allocated for it. A stream holding fewer may
+    /// decode or be refused; the caller checks the decoded length.
+    ///
+    /// The provided form is [`Codec::decompress_into`]. The codecs whose
+    /// headers size an allocation (qzstd, Solutions C and D) override it.
+    fn decompress_capped_into(
+        &self,
+        bytes: &[u8],
+        max_values: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        let _ = max_values;
+        self.decompress_into(bytes, out)
+    }
+
     /// Compress `data` under `bound` into a fresh vector: exactly the
     /// bytes [`Codec::compress_into`] writes, staged through recycled
     /// per-thread scratch so the returned vector's capacity equals its

@@ -229,9 +229,54 @@ fn reversed(code: u32, len: u32) -> u32 {
     code.reverse_bits() >> (32 - len)
 }
 
+/// A symbol type the encoder reads.
+trait Symbol: Copy + Into<u32> {
+    /// Add the occurrences of each symbol in `symbols` to its slot of
+    /// `freqs`, one slot per symbol of the alphabet.
+    fn count(symbols: &[Self], freqs: &mut [u64]) -> Result<(), HuffmanError>;
+}
+
+impl Symbol for u32 {
+    fn count(symbols: &[u32], freqs: &mut [u64]) -> Result<(), HuffmanError> {
+        let alphabet = freqs.len() as u32;
+        for &symbol in symbols {
+            let slot = freqs.get_mut(symbol as usize);
+            *slot.ok_or(HuffmanError::SymbolOutOfRange { symbol, alphabet })? += 1;
+        }
+        Ok(())
+    }
+}
+
+impl Symbol for u8 {
+    /// Four `u32` stripes, so a run of one byte value does not wait on
+    /// its own previous increment; each chunk is short enough that no
+    /// stripe count can overflow.
+    fn count(symbols: &[u8], freqs: &mut [u64]) -> Result<(), HuffmanError> {
+        for chunk in symbols.chunks(u32::MAX as usize) {
+            let mut stripes = [[0u32; 256]; 4];
+            let mut quads = chunk.chunks_exact(4);
+            for q in &mut quads {
+                for (stripe, &b) in stripes.iter_mut().zip(q) {
+                    stripe[b as usize] += 1;
+                }
+            }
+            for &b in quads.remainder() {
+                stripes[0][b as usize] += 1;
+            }
+            for (s, f) in freqs.iter_mut().enumerate() {
+                *f += stripes
+                    .iter()
+                    .map(|stripe| u64::from(stripe[s]))
+                    .sum::<u64>();
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Shared encoder: append the stream for `symbols` to `out` unless it
 /// would be `limit` bytes or longer. Returns whether it was appended.
-fn encode_core<T: Copy + Into<u32>>(
+fn encode_core<T: Symbol>(
     symbols: &[T],
     alphabet: u32,
     limit: usize,
@@ -241,11 +286,7 @@ fn encode_core<T: Copy + Into<u32>>(
         let ws = &mut *ws.borrow_mut();
         ws.freqs.clear();
         ws.freqs.resize(alphabet as usize, 0);
-        for &s in symbols {
-            let symbol = s.into();
-            let slot = ws.freqs.get_mut(symbol as usize);
-            *slot.ok_or(HuffmanError::SymbolOutOfRange { symbol, alphabet })? += 1;
-        }
+        T::count(symbols, &mut ws.freqs)?;
         let payload_len = code_lengths(ws).div_ceil(8) as usize;
         let header_len = 3 * runs(&ws.lens).count();
         let total = 24 + header_len + payload_len;

@@ -241,6 +241,13 @@ pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     });
 }
 
+/// The stream [`compress_into`] appends when it finds no match in `data`:
+/// one literal run, then the end-of-stream token. It is byte for byte
+/// that call's output whenever no match exists, without the search.
+pub(crate) fn literal_run_into(data: &[u8], out: &mut Vec<u8>) {
+    emit(out, data, None);
+}
+
 fn compress_with(data: &[u8], matcher: &mut Matcher, out: &mut Vec<u8>) {
     if data.is_empty() {
         emit(out, &[], None);
@@ -457,6 +464,16 @@ mod tests {
         compress_into(&data, &mut out);
         assert_eq!(&out[..2], &[0xEE, 0xEE]);
         assert_eq!(&out[2..], &plain[..]);
+    }
+
+    #[test]
+    fn literal_run_is_the_stream_of_a_match_free_input() {
+        // Distinct bytes: no 4-byte match anywhere.
+        for data in [vec![], vec![9u8], (0..=255u8).collect::<Vec<_>>()] {
+            let mut lit = Vec::new();
+            literal_run_into(&data, &mut lit);
+            assert_eq!(lit, compress(&data), "len {}", data.len());
+        }
     }
 
     #[test]

@@ -112,16 +112,31 @@ pub(crate) fn decode_segment(
     Ok(())
 }
 
-/// Decode a whole segmented stream, *appending* the values to `out`. The
-/// index's value count is a claim: nothing is reserved for it up front,
-/// each segment reserves what its checked body holds.
+/// Decode a whole stream of either layout, *appending* the values to
+/// `out`. A segmented stream decodes segment by segment through
+/// `decode_slice`; anything else is the legacy whole-stream format and goes
+/// to `decode_whole` (a stale segmented magic is an error, not a whole
+/// stream). `expect` is the value count the caller knows the stream holds,
+/// when it knows one: `decode_whole` is handed it, and an index declaring
+/// more is refused before any segment decodes. The index's value count is
+/// a claim: nothing is reserved for it up front, each segment reserves what
+/// its checked body holds.
 pub(crate) fn decompress_into(
     data: &[u8],
+    expect: Option<usize>,
     decode_slice: DecodeSlice<'_>,
+    decode_whole: impl FnOnce(&[u8], Option<usize>, &mut Vec<f64>) -> Result<(), CodecError>,
     out: &mut Vec<f64>,
 ) -> Result<(), CodecError> {
-    let index = SegmentIndex::parse(data)?
-        .ok_or_else(|| CodecError::Corrupt("not a segmented stream".into()))?;
+    let Some(index) = SegmentIndex::parse(data)? else {
+        return decode_whole(data, expect, out);
+    };
+    if let Some(want) = expect.filter(|&want| index.n_values > want) {
+        return Err(CodecError::Corrupt(format!(
+            "segmented stream declares {} values, expected {want}",
+            index.n_values
+        )));
+    }
     if index.stream_len() != data.len() {
         return Err(CodecError::Corrupt(format!(
             "segmented stream is {} bytes, index accounts for {}",

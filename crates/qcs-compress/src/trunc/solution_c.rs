@@ -245,10 +245,28 @@ impl SolutionC {
         suffix_start..s
     }
 
+    /// Decode a stream of either layout into `out` (cleared first);
+    /// `expect` as in [`segmented::decompress_into`].
+    fn decode_any_into(
+        &self,
+        data: &[u8],
+        expect: Option<usize>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        out.clear();
+        segmented::decompress_into(
+            data,
+            expect,
+            &|body, n, out| self.decode_segment_into(body, n, out),
+            |data, expect, out| self.decode_stream_into(data, expect, out),
+            out,
+        )
+    }
+
     /// Core decoder shared with Solution D and the whole-stream format,
     /// *appending* the values to `out`. `expect` is the value count an
-    /// index promises, when there is one. The decompressed body is staged
-    /// through recycled per-thread scratch.
+    /// index or the caller promises, when there is one. The decompressed
+    /// body is staged through recycled per-thread scratch.
     pub(crate) fn decode_stream_into(
         &self,
         data: &[u8],
@@ -309,9 +327,7 @@ impl SolutionC {
         let n = bytes::get_u64(body, &mut pos).ok_or_else(|| corrupt("missing count".into()))?;
         let n = usize::try_from(n).map_err(|_| corrupt(format!("count {n} out of range")))?;
         if let Some(want) = expect.filter(|&want| want != n) {
-            return Err(corrupt(format!(
-                "body holds {n} values, the index says {want}"
-            )));
+            return Err(corrupt(format!("body holds {n} values, expected {want}")));
         }
         let m = *body
             .get(pos)
@@ -474,19 +490,16 @@ impl Codec for SolutionC {
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        out.clear();
-        // Format-driven dispatch: segmented streams carry their own magic
-        // (a stale one is an error, not a whole stream); anything else is
-        // the legacy whole-stream format.
-        if SegmentIndex::parse(data)?.is_some() {
-            segmented::decompress_into(
-                data,
-                &|body, n, out| self.decode_segment_into(body, n, out),
-                out,
-            )
-        } else {
-            self.decode_stream_into(data, None, out)
-        }
+        self.decode_any_into(data, None, out)
+    }
+
+    fn decompress_capped_into(
+        &self,
+        data: &[u8],
+        max_values: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        self.decode_any_into(data, Some(max_values), out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {

@@ -71,6 +71,24 @@ impl SolutionD {
         crate::scratch::put_f64s(even);
     }
 
+    /// Decode a stream of either layout into `out` (cleared first);
+    /// `expect` as in [`segmented::decompress_into`].
+    fn decode_any_into(
+        &self,
+        data: &[u8],
+        expect: Option<usize>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        out.clear();
+        segmented::decompress_into(
+            data,
+            expect,
+            &|body, n, out| self.decode_shuffled_into(body, Some(n), out),
+            |data, expect, out| self.decode_shuffled_into(data, expect, out),
+            out,
+        )
+    }
+
     /// Decode one legacy D body (the inverse of
     /// [`Self::encode_shuffled_into`]), *appending* the values to `out`.
     /// `expect` is the value count an index promises, when there is one.
@@ -163,18 +181,16 @@ impl Codec for SolutionD {
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        // Format-driven dispatch: segmented streams carry their own magic;
-        // anything else is the legacy whole-stream format.
-        out.clear();
-        if SegmentIndex::parse(data)?.is_some() {
-            segmented::decompress_into(
-                data,
-                &|body, n, out| self.decode_shuffled_into(body, Some(n), out),
-                out,
-            )
-        } else {
-            self.decode_shuffled_into(data, None, out)
-        }
+        self.decode_any_into(data, None, out)
+    }
+
+    fn decompress_capped_into(
+        &self,
+        data: &[u8],
+        max_values: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        self.decode_any_into(data, Some(max_values), out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {

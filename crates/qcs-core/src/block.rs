@@ -397,10 +397,35 @@ impl BlockCodec {
         block: &CompressedBlock,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
+        self.decode(block, None, out)
+    }
+
+    /// [`Self::decompress`] of a block that must hold `max_values` values:
+    /// a stream declaring more is refused before it allocates
+    /// ([`Codec::decompress_capped_into`]).
+    pub(crate) fn decompress_capped(
+        &self,
+        block: &CompressedBlock,
+        max_values: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
+        self.decode(block, Some(max_values), out)
+    }
+
+    fn decode(
+        &self,
+        block: &CompressedBlock,
+        max_values: Option<usize>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let cap_before = out.capacity();
+        let run = |codec: &dyn Codec, out: &mut Vec<f64>| match max_values {
+            Some(max) => codec.decompress_capped_into(&block.bytes, max, out),
+            None => codec.decompress_into(&block.bytes, out),
+        };
         let res = match self.resident_codec(block.codec) {
-            Some(codec) => codec.decompress_into(&block.bytes, out),
-            None => block.codec.build().decompress_into(&block.bytes, out),
+            Some(codec) => run(codec, out),
+            None => run(&*block.codec.build(), out),
         };
         self.note_growth(cap_before, out.capacity(), 8);
         res

@@ -1271,11 +1271,13 @@ impl Drop for Decoded<'_> {
 
 /// The decode seam: every whole-block decode of the engine — gate, batch,
 /// exchange, collapse, recompress and query waves alike — is this
-/// function. It checks pooled scratch out, times `codec.decompress`, and
-/// holds the decoded length to the layout's block: a checkpoint, a spill
+/// function. It checks pooled scratch out, times the decode, and holds
+/// the decoded length to the layout's block: a checkpoint, a spill
 /// segment or a peer's `Hello` can carry a block whose stream is intact
 /// but shorter or longer than the layout's, and the kernels index scratch
-/// by the layout. The scratch returns to the pool on the error paths too.
+/// by the layout. A stream that *declares* more than the block is refused
+/// before it allocates. The scratch returns to the pool on the error
+/// paths too.
 pub(crate) fn decode_block<'a>(
     codec: &'a BlockCodec,
     layout: Layout,
@@ -1287,9 +1289,9 @@ pub(crate) fn decode_block<'a>(
         buf: codec.take_amp_buf(),
         spent: Duration::ZERO,
     };
-    codec.decompress(blk, &mut out.buf)?;
-    out.spent = t.elapsed();
     let block_f64s = 2 * layout.block_amps();
+    codec.decompress_capped(blk, block_f64s, &mut out.buf)?;
+    out.spent = t.elapsed();
     if out.len() != block_f64s {
         return Err(wrong_length(out.len(), block_f64s).into());
     }

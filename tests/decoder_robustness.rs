@@ -7,6 +7,69 @@
 
 use proptest::prelude::*;
 use qcsim::compress::{CodecId, ErrorBound};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the bytes each thread asks for, and refuses outright any single
+/// request above [`REFUSE_ABOVE`]: a decoder that trusts a declared length
+/// again aborts this binary ("memory allocation of .. bytes failed")
+/// instead of touching that memory.
+struct BoundedAlloc;
+
+/// Far above anything a test here decodes, far below what a hostile
+/// header can declare.
+const REFUSE_ABOVE: usize = 1 << 30;
+
+thread_local! {
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count `bytes` on this thread; whether the request may be served.
+fn admit(bytes: usize) -> bool {
+    let _ = REQUESTED.try_with(|n| n.set(n.get().saturating_add(bytes)));
+    bytes <= REFUSE_ABOVE
+}
+
+// SAFETY: every served request is forwarded unchanged to `System`; a
+// refused one returns null, which the `GlobalAlloc` contract allows.
+// Counting touches only a const-initialised thread-local `Cell`, which
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for BoundedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if admit(layout.size()) {
+            System.alloc(layout)
+        } else {
+            std::ptr::null_mut()
+        }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if admit(layout.size()) {
+            System.alloc_zeroed(layout)
+        } else {
+            std::ptr::null_mut()
+        }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if admit(new_size.saturating_sub(layout.size())) && new_size <= REFUSE_ABOVE {
+            System.realloc(ptr, layout, new_size)
+        } else {
+            std::ptr::null_mut()
+        }
+    }
+}
+
+#[global_allocator]
+static ALLOC: BoundedAlloc = BoundedAlloc;
+
+/// Bytes this thread asked the allocator for while `f` ran.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = REQUESTED.with(Cell::get);
+    let out = f();
+    (out, REQUESTED.with(Cell::get) - before)
+}
 
 fn valid_payload(id: CodecId) -> Vec<u8> {
     let data: Vec<f64> = (0..512).map(|i| (i as f64 * 0.17).sin() * 1e-4).collect();
@@ -482,4 +545,90 @@ fn segment_counts_are_checked_before_allocating() {
     stream[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(SegmentIndex::parse(&stream).unwrap().unwrap().n_segs(), 1);
     corrupt(c.decompress(&stream), "index claiming u32::MAX");
+}
+
+/// The 9-byte qzstd container `[3, 2^36 LE]`: the all-zero mode, declaring
+/// 64 GiB of zeros. Every field is well formed; only a caller that knows
+/// how many values the stream must hold can tell the length is absurd.
+fn zero_container_declaring_64_gib() -> Vec<u8> {
+    let mut container = vec![3u8];
+    container.extend_from_slice(&(1u64 << 36).to_le_bytes());
+    container
+}
+
+// Told how many values a stream must hold, a decoder refuses a container
+// declaring more before it allocates: qzstd as itself, Solution C as a
+// whole stream, Solution D as both halves of its body.
+#[test]
+fn capped_decoders_refuse_an_oversized_zero_container() {
+    use qcsim::compress::CodecError;
+    let zero = zero_container_declaring_64_gib();
+    let mut d_body = 0x5143_5344u32.to_le_bytes().to_vec(); // "QCSD"
+    for _ in 0..2 {
+        d_body.extend_from_slice(&(zero.len() as u64).to_le_bytes());
+        d_body.extend_from_slice(&zero);
+    }
+    for (id, bytes) in [
+        (CodecId::Qzstd, &zero),
+        (CodecId::SolutionC, &zero),
+        (CodecId::SolutionD, &d_body),
+    ] {
+        let codec = id.build();
+        let mut out = Vec::new();
+        let (res, requested) = allocated_by(|| codec.decompress_capped_into(bytes, 16, &mut out));
+        assert!(matches!(res, Err(CodecError::Corrupt(_))), "{id}: {res:?}");
+        assert!(requested <= 1 << 16, "{id}: requested {requested} bytes");
+    }
+}
+
+/// Magic plus the fixed-width header of a `QCSCKPT4` file: everything in
+/// front of the first block frame.
+const CHECKPOINT_HEADER_LEN: usize = 8 + 57;
+
+// The same container as the first block of a checksummed checkpoint of a
+// 5-qubit register in 16-value blocks, framed as a lossless (qzstd) block
+// and as a Solution C block at 1e-3 (whose decoder then takes the
+// whole-stream path). The file loads, since nothing decodes at load; the
+// first read of the block is a typed error, where it used to abort on a
+// 64 GiB allocation.
+#[test]
+fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
+    use qcsim::compress::{frame, CodecError};
+    use qcsim::core::{checkpoint, SimError};
+    use qcsim::{CompressedSimulator, SimConfig};
+
+    let cfg = SimConfig::default()
+        .with_block_log2(3)
+        .with_threads_per_rank(1);
+    let sim = CompressedSimulator::new(5, cfg.clone()).unwrap();
+    let path = std::env::temp_dir().join(format!("qcsim-zero64-{}.ckpt", std::process::id()));
+    checkpoint::save(&sim, &path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let (header, mut rest) = good.split_at(CHECKPOINT_HEADER_LEN);
+    let mut frames = Vec::new();
+    while !rest.is_empty() {
+        frames.push(frame::read_frame(&mut rest).expect("block frame"));
+    }
+
+    let zero = zero_container_declaring_64_gib();
+    for (codec, bound) in [
+        (CodecId::Qzstd, ErrorBound::Lossless),
+        (CodecId::SolutionC, ErrorBound::PointwiseRelative(1e-3)),
+    ] {
+        let mut spliced = header.to_vec();
+        frame::write_frame(&mut spliced, codec, bound, &zero).unwrap();
+        for f in &frames[1..] {
+            frame::write_frame(&mut spliced, f.codec, f.bound, &f.payload).unwrap();
+        }
+        std::fs::write(&path, &spliced).unwrap();
+        let sim = checkpoint::load(&path, cfg.clone()).expect("nothing decodes at load");
+        let (res, requested) = allocated_by(|| sim.norm_sqr());
+        match res {
+            Err(SimError::Codec(CodecError::Corrupt(_))) => {}
+            other => panic!("{codec}: wanted Codec(Corrupt(..)), got {other:?}"),
+        }
+        assert!(requested <= 1 << 16, "{codec}: requested {requested} bytes");
+        eprintln!("{codec}: norm_sqr requested {requested} bytes");
+    }
+    std::fs::remove_file(&path).ok();
 }
