@@ -2,16 +2,20 @@
 //! `expectation_zz` / `norm_sqr` / `sample` after a mutation costs (one
 //! pass over the rank's blocks that builds the query summary) against a
 //! plain weights-only pass over the same blocks (decode, sum of squares —
-//! what a single `norm_sqr` used to be), and what the queries cost once
-//! the summary is warm.
+//! what a single `norm_sqr` used to be), what the first `prob_one` after
+//! a mutation costs (one whole-block pass that fills the rank's memo for
+//! that qubit), and what the queries cost once the summary or memo is
+//! warm.
 //!
-//! Both passes run on one thread over Solution C blocks at 1e-3, at 2^10
-//! and 2^14 amplitudes per block. `summary_build` is measured through the
-//! engine, so on top of the pass it pays the facade's dispatch and the
-//! gate that invalidates the previous summary (a Z on one block, served
-//! by the block cache); `weights_only` is the bare codec loop. The ratio
-//! between the two is therefore an upper bound on what the summary adds
-//! to a cold query.
+//! All passes run on one thread over Solution C blocks at 1e-3, at 2^10
+//! and 2^14 amplitudes per block. `summary_build` and `prob_one` are
+//! measured through the engine, so on top of the pass they pay the
+//! facade's dispatch and the gate that invalidates the previous summary
+//! and memo (a Z on one block, served by the block cache); `weights_only`
+//! is the bare codec loop. The ratio between the two is therefore an
+//! upper bound on what the summary adds to a cold query. `prob_one` asks
+//! about offset bit 9, the lowest bit at the codec's segment granularity
+//! (512-amplitude segments).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcs_circuits::supremacy::{random_circuit, Grid};
@@ -28,6 +32,9 @@ const BOUND: ErrorBound = ErrorBound::PointwiseRelative(1e-3);
 /// 16 blocks of 2^14.
 const GEOMETRIES: [(&str, (usize, usize), u32); 2] =
     [("2^10_amps", (4, 4), 10), ("2^14_amps", (3, 6), 14)];
+
+/// The qubit `prob_one` asks about: offset bit 9, at segment granularity.
+const SEGMENT_BIT: usize = 9;
 
 /// A depth-8 supremacy state on one single-threaded rank.
 fn prepared(grid: (usize, usize), block_log2: u32) -> CompressedSimulator {
@@ -93,12 +100,18 @@ fn bench_cold_query(c: &mut Criterion) {
                 sim.expectation_zz(0, n - 1).expect("cold zz")
             })
         });
+        group.bench_function(BenchmarkId::new("prob_one", label), |b| {
+            b.iter(|| {
+                sim.apply_op(&thaw, &mut rng).expect("thaw");
+                sim.prob_one(SEGMENT_BIT).expect("cold prob_one")
+            })
+        });
     }
     group.finish();
 }
 
-/// Warm queries: the summary exists, nothing but a `sample` draw's one
-/// block is decoded.
+/// Warm queries: the summary and the `prob_one` memo exist, nothing but a
+/// `sample` draw's one block is decoded.
 fn bench_warm_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_warm");
     group.sample_size(20);
@@ -116,6 +129,10 @@ fn bench_warm_query(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(2);
         group.bench_function(BenchmarkId::new("sample", label), |b| {
             b.iter(|| sim.sample(&mut rng).expect("warm sample"))
+        });
+        sim.prob_one(SEGMENT_BIT).expect("warm the memo");
+        group.bench_function(BenchmarkId::new("prob_one", label), |b| {
+            b.iter(|| sim.prob_one(SEGMENT_BIT).expect("warm prob_one"))
         });
     }
     group.finish();

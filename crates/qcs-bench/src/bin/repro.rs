@@ -891,10 +891,8 @@ fn table_spill(dir: &Path) {
 
 fn table_partial(dir: &Path) {
     // The segment-addressable fast path (PR 8): diagonal gate waves and
-    // `P(q = 1)` queries only touch the segments their masks select, so
-    // the codec decodes strictly fewer amplitudes and — once the state is
-    // spilled — the query path reads byte ranges (index prefix + the
-    // bit-set segment runs) instead of whole frames.
+    // collapses only touch the segments their masks select, so the codec
+    // decodes strictly fewer amplitudes.
     //
     // Workloads: the deep QFT, whose cphase cascades carry high-bit
     // controls (the diagonal-heavy shape the fast path targets), and a
@@ -902,13 +900,16 @@ fn table_partial(dir: &Path) {
     // must not regress). Each runs the strict per-gate pipeline at a
     // fixed tight bound with a small resident budget, partial routing on
     // vs off, then answers a `P(q = 1)` sweep over the
-    // segment-granularity in-block qubits against the spilled state.
-    // Prefetch stays off so the query comparison isolates synchronous
-    // spill reads: whole frames (off) vs byte ranges (on). The `qry`
-    // columns are the query sweep's deltas; the rest cover the circuit
-    // run. Amplitudes must agree with the dense reference to 1e-10
-    // either way, and the diagonal-heavy run must show the strict
-    // segment/byte reductions (asserted below, not just printed).
+    // segment-granularity in-block qubits against the spilled state,
+    // twice. The first sweep is one whole-block pass per qubit and must
+    // give the same bits with routing on and off; the second, on the same
+    // frozen state, is answered from each rank's per-qubit memo and must
+    // read nothing from the spill tier. Prefetch stays off so the `qry
+    // fetch MB` column (the first sweep's spill reads) counts synchronous
+    // reads only; the rest cover the circuit run. Amplitudes must agree
+    // with the dense reference to 1e-10 either way, and the
+    // diagonal-heavy run must show the strict segment/byte reductions
+    // (asserted below, not just printed).
     let workloads: Vec<(&'static str, qcs_circuits::Circuit)> = vec![
         ("qft_16", qft_benchmark_circuit(16, 12)),
         ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
@@ -926,8 +927,6 @@ fn table_partial(dir: &Path) {
         "seg MB",
         "seg MB full",
         "qry fetch MB",
-        "qry pdec",
-        "qry seg KB",
         "max err",
     ]);
     for (name, circuit) in workloads {
@@ -949,10 +948,19 @@ fn table_partial(dir: &Path) {
             sim.run(&circuit, &mut rng).expect("run");
             let wall = t0.elapsed().as_secs_f64();
             let r_run = sim.report();
-            let probs: Vec<f64> = (sa_bits..block_log2)
-                .map(|q| sim.prob_one(q as usize).expect("prob"))
-                .collect();
+            let sweep = |sim: &CompressedSimulator| -> Vec<u64> {
+                (sa_bits..block_log2)
+                    .map(|q| sim.prob_one(q as usize).expect("prob").to_bits())
+                    .collect()
+            };
+            let probs = sweep(&sim);
             let r_all = sim.report();
+            assert_eq!(sweep(&sim), probs, "{name}: the repeated sweep moved");
+            let r_warm = sim.report();
+            assert_eq!(
+                r_warm.breakdown.fetch_bytes, r_all.breakdown.fetch_bytes,
+                "{name}: the repeated sweep read the spill tier"
+            );
             let snap = sim.snapshot_dense().expect("snapshot");
             let err = snap
                 .amplitudes()
@@ -974,23 +982,13 @@ fn table_partial(dir: &Path) {
             err_on <= 1e-10 && err_off <= 1e-10,
             "{name}: amplitude error vs dense {err_on:e} / {err_off:e} > 1e-10"
         );
-        for (q, (a, b)) in (sa_bits..block_log2).zip(probs_on.iter().zip(&probs_off)) {
-            assert!(
-                (a - b).abs() <= 1e-12,
-                "{name}: P(q{q}=1) partial {a} vs full {b}"
-            );
-        }
+        assert_eq!(
+            probs_on, probs_off,
+            "{name}: P(q = 1) bits differ with partial routing on and off"
+        );
         let q_fetch = |r1: &qcs_core::SimReport, r2: &qcs_core::SimReport| {
             r2.breakdown.fetch_bytes - r1.breakdown.fetch_bytes
         };
-        let (qf_on, qf_off) = (q_fetch(&r1_on, &r2_on), q_fetch(&r1_off, &r2_off));
-        let q_pdec_on = r2_on.breakdown.partial_decodes - r1_on.breakdown.partial_decodes;
-        let q_seg_on = r2_on.breakdown.segment_bytes_read - r1_on.breakdown.segment_bytes_read;
-        assert!(q_pdec_on > 0, "{name}: queries never took the partial path");
-        assert!(
-            qf_on < qf_off,
-            "{name}: byte-range queries must read fewer spill bytes ({qf_on} vs {qf_off})"
-        );
         if name == "qft_16" {
             assert!(
                 r1_on.breakdown.partial_decodes > 0,
@@ -1024,26 +1022,17 @@ fn table_partial(dir: &Path) {
                 format!("{:.2}", r1.breakdown.segment_bytes_read as f64 / 1e6),
                 format!("{:.2}", r1.breakdown.segment_bytes_full as f64 / 1e6),
                 format!("{:.2}", q_fetch(r1, r2) as f64 / 1e6),
-                format!(
-                    "{}",
-                    r2.breakdown.partial_decodes - r1.breakdown.partial_decodes
-                ),
-                format!(
-                    "{:.1}",
-                    (r2.breakdown.segment_bytes_read - r1.breakdown.segment_bytes_read) as f64
-                        / 1e3
-                ),
                 format!("{err:.2e}"),
             ]);
         }
         println!(
-            "... {name} done (query sweep: {} range KB on vs {} frame KB off)",
-            q_seg_on / 1000,
-            qf_off / 1000
+            "... {name} done (first query sweep: {} frame KB on vs {} off; repeated sweep: 0)",
+            q_fetch(&r1_on, &r2_on) / 1000,
+            q_fetch(&r1_off, &r2_off) / 1000
         );
     }
     finish(&t, dir, "table_partial");
-    println!("expected: qft decodes strictly fewer segments/bytes with partial on; queries on the spilled state read byte ranges instead of whole frames on both workloads; amplitudes match dense to 1e-10 either way");
+    println!("expected: qft decodes strictly fewer segments/bytes with partial on; the P(q = 1) sweep gives the same bits on and off, and repeating it on the frozen state reads 0 spill bytes; amplitudes match dense to 1e-10 either way");
 }
 
 fn table_server(dir: &Path) {

@@ -39,12 +39,12 @@
 //!
 //! A v2 frame's checksum covers only the payload's *stream prefix* (the
 //! segmented header + per-segment index); the index's own per-segment
-//! checksums cover the bodies. That split is what makes byte-range
-//! reads possible — a reader can fetch `header + prefix`, verify both, and
-//! then fetch exactly the segment bodies it needs, each verified against
-//! its index entry — without ever materializing the whole payload.
-//! [`parse_header`] parses either version from a byte slice for exactly
-//! this path. [`read_frame`] also checks that a v2 payload is a segmented
+//! checksums cover the bodies. The split keeps every byte of a v2 frame
+//! verified while leaving each segment body checkable on its own: a reader
+//! holding `header + prefix` can verify both, then verify any segment body
+//! against its index entry without the rest of the payload.
+//! [`parse_header`] parses either version from a byte slice.
+//! [`read_frame`] also checks that a v2 payload is a segmented
 //! stream this build reads, with a prefix of exactly `prefix_len` bytes: a
 //! segmented layout that is no longer written (see [`crate::partial`]) is
 //! refused there by name. Non-segmented payloads keep the version-1
@@ -233,9 +233,9 @@ pub fn encode_frame_into(
     Ok(())
 }
 
-/// A parsed frame header (either version), without its payload. This is
-/// the byte-range read path: parse the header from the head of a spilled
-/// frame, then fetch payload bytes selectively.
+/// A parsed frame header (either version), without its payload: what
+/// [`parse_header`] reads from the head of a frame before any payload
+/// byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameHeader {
     /// Codec that produced the payload.

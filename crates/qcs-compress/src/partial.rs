@@ -18,15 +18,13 @@
 //!
 //! Everything before the bodies is the *stream prefix*: a fixed 20-byte
 //! header plus 12 bytes per segment. Its length is a pure function of
-//! `(n_values, seg_values)` ([`SegmentIndex::prefix_len_for`]), so an
-//! out-of-core store can read the prefix of a spilled stream with a single
-//! byte-range read and then fetch exactly the segment bodies a partial
-//! decode needs. Each body carries its own checksum in the index
+//! `(n_values, seg_values)` ([`SegmentIndex::prefix_len_for`]). Each body
+//! carries its own checksum in the index
 //! ([`checksum64`](crate::checksum::checksum64), XXH64 — FNV-1a in streams
 //! written before checkpoint format `QCSCKPT3`, which therefore fail
-//! verification segment by segment), which is how byte-range reads stay
-//! end-to-end verified even though the enclosing frame can no longer
-//! checksum the whole payload.
+//! verification segment by segment), so a partial decode verifies exactly
+//! the bodies it reads, and the enclosing frame only has to checksum the
+//! prefix.
 //!
 //! A Solution C segment body starts with a mode byte (see
 //! [`crate::trunc`]). Segmented Solution C streams written before checkpoint
@@ -265,9 +263,8 @@ pub trait PartialCodec: Codec {
         SegmentIndex::parse(data)
     }
 
-    /// Decode one segment from its body bytes alone (the byte-range read
-    /// path: `body` need not live inside a complete stream). Appends the
-    /// segment's values to `out`.
+    /// Decode one segment from its body bytes alone (`body` need not live
+    /// inside a complete stream). Appends the segment's values to `out`.
     fn decompress_segment(
         &self,
         index: &SegmentIndex,

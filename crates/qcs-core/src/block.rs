@@ -229,11 +229,6 @@ impl BlockCodec {
         }
     }
 
-    /// The configured lossy codec id.
-    pub fn lossy_id(&self) -> CodecId {
-        self.lossy_id
-    }
-
     /// Pre-populate the pool with `n` amplitude buffers sized for
     /// `block_f64s` doubles and `n` byte buffers sized for the worst
     /// realistic compressed output, so steady-state waves start warm.
@@ -378,12 +373,6 @@ impl BlockCodec {
             .then(|| self.lossy.as_partial())
             .flatten()
             .filter(|p| p.supports_partial())
-    }
-
-    /// The lossy codec's partial capability independent of any particular
-    /// block — used to pre-qualify a wave before blocks are fetched.
-    pub fn partial_codec(&self) -> Option<&dyn PartialCodec> {
-        self.lossy.as_partial().filter(|p| p.supports_partial())
     }
 
     /// Decompress into `out` (cleared first).

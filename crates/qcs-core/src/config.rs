@@ -152,13 +152,12 @@ pub struct SimConfig {
     /// where every cold block is a blocking seek-and-read.
     pub prefetch: bool,
     /// Route qualifying waves through the segment-addressable partial
-    /// decode/encode path (on by default). Diagonal and controlled gates,
-    /// measurement collapse, and probability queries whose
-    /// touched-amplitude set covers at most half of a block's segments
-    /// decode and re-encode only those segments; on a spilled block the
-    /// store reads only the needed segment byte ranges. Only effective
-    /// with a segment-addressable lossy codec (Solution C/D, the
-    /// default); disabling it reproduces whole-block decode everywhere.
+    /// decode/encode path (on by default). Diagonal and controlled gates
+    /// and measurement collapse whose touched-amplitude set covers at most
+    /// half of a block's segments decode and re-encode only those
+    /// segments. Only effective with a segment-addressable lossy codec
+    /// (Solution C/D, the default); disabling it reproduces whole-block
+    /// decode everywhere. Queries always decode whole blocks.
     pub partial_decode: bool,
     /// Multi-node transport: when set, rank workers are hosted by
     /// `qcsim-workerd` daemons at these endpoints instead of in-process

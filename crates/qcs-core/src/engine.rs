@@ -1052,8 +1052,22 @@ impl CompressedSimulator {
 
     // --- measurement and observables --------------------------------------
 
+    /// `SimError::Config` unless `qubit` is one of the register's.
+    fn check_qubit(&self, qubit: usize) -> Result<(), SimError> {
+        let n = self.layout.num_qubits;
+        if qubit >= n as usize {
+            return Err(SimError::Config(format!(
+                "qubit {qubit} outside a {n}-qubit register"
+            )));
+        }
+        Ok(())
+    }
+
     /// Probability that `qubit` reads `|1>` (a sum-reduce across ranks).
+    /// Each rank remembers its term per qubit until the next mutation, so
+    /// only the first call per qubit on a frozen state decodes anything.
     pub fn prob_one(&self, qubit: usize) -> Result<f64, SimError> {
+        self.check_qubit(qubit)?;
         let scope = self.layout.control_scope(qubit as u32);
         let outs = self.query_all(|| WorkerCmd::ProbOne { scope })?;
         Ok(outs.into_iter().map(|o| o.scalar()).sum())
@@ -1183,9 +1197,13 @@ impl CompressedSimulator {
     /// once), every later one — for any pair — decodes nothing. The
     /// value is the same bits either way.
     pub fn expectation_zz(&self, a: usize, b: usize) -> Result<f64, SimError> {
-        assert!(a != b, "zz needs distinct qubits");
-        let layout = self.layout;
-        assert!(a < layout.num_qubits as usize && b < layout.num_qubits as usize);
+        self.check_qubit(a)?;
+        self.check_qubit(b)?;
+        if a == b {
+            return Err(SimError::Config(format!(
+                "<Z_{a} Z_{b}> needs two distinct qubits"
+            )));
+        }
         let outs = self.query_all(|| WorkerCmd::ExpectationZz { a, b })?;
         Ok(outs.into_iter().map(|o| o.scalar()).sum())
     }
@@ -1377,6 +1395,47 @@ mod tests {
         let p5 = sim.prob_one(5).unwrap();
         assert!((p5 - if outcome { 1.0 } else { 0.0 }).abs() < 1e-9);
         assert!((sim.norm_sqr().unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    fn is_config_error<T: std::fmt::Debug>(got: Result<T, SimError>) -> bool {
+        matches!(got, Err(SimError::Config(_)))
+    }
+
+    #[test]
+    fn prob_one_refuses_a_qubit_outside_the_register() {
+        let sim = CompressedSimulator::new(6, small_cfg()).unwrap();
+        for q in [6, 64, usize::MAX] {
+            assert!(is_config_error(sim.prob_one(q)), "qubit {q}");
+        }
+    }
+
+    #[test]
+    fn expectation_z_refuses_a_qubit_outside_the_register() {
+        let sim = CompressedSimulator::new(6, small_cfg()).unwrap();
+        for q in [6, 64, usize::MAX] {
+            assert!(is_config_error(sim.expectation_z(q)), "qubit {q}");
+        }
+    }
+
+    #[test]
+    fn measure_refuses_a_qubit_outside_the_register() {
+        let mut sim = CompressedSimulator::new(6, small_cfg()).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        for q in [6, 64, usize::MAX] {
+            assert!(is_config_error(sim.measure(q, &mut rng)), "qubit {q}");
+        }
+        // Nothing was dispatched: the state is still |0…0⟩.
+        assert_eq!(sim.prob_one(0).unwrap(), 0.0);
+        assert!(!sim.measure(0, &mut rng).unwrap());
+    }
+
+    #[test]
+    fn expectation_zz_refuses_equal_or_outside_qubits() {
+        let sim = CompressedSimulator::new(6, small_cfg()).unwrap();
+        for (a, b) in [(2, 2), (0, 6), (6, 0), (7, 7), (usize::MAX, 1)] {
+            assert!(is_config_error(sim.expectation_zz(a, b)), "<Z_{a} Z_{b}>");
+        }
+        assert!((sim.expectation_zz(0, 5).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -25,11 +25,7 @@
 //! - **measurement collapse** on an offset bit at or above `sa_bits`
 //!   ([`partial_collapse`]): the surviving half is decoded and rescaled,
 //!   the projected-out half becomes [`SegmentEdit::Zero`] edits that are
-//!   never decoded at all;
-//! - **probability queries** on such a bit ([`bit_set_segments`]): only
-//!   the bit-set half of the segments contributes, and on a spilled block
-//!   the store reads only those segment bodies
-//!   ([`crate::store::BlockStore::fetch_ranges`]).
+//!   never decoded at all.
 //!
 //! The partial paths reproduce the whole-block kernels' arithmetic
 //! operation for operation, so routing is behavior-neutral up to the sign
@@ -40,7 +36,6 @@ use crate::block::{BlockCodec, CompressedBlock};
 use crate::worker::{wrong_length, BatchPlan};
 use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentEdit, SegmentIndex};
 use qcs_statevec::{Complex64, Gate1};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,7 +110,7 @@ pub(crate) fn diag_touch(gate: &Gate1, offset_bit: u32, cmask: usize) -> Option<
 
 /// `log2` of the amplitudes per segment, when the stream's geometry
 /// supports bit-mask segment routing (power-of-two segment size).
-pub(crate) fn seg_amp_bits(index: &SegmentIndex) -> Option<u32> {
+fn seg_amp_bits(index: &SegmentIndex) -> Option<u32> {
     let sv = index.seg_values;
     (sv >= 2 && sv.is_power_of_two()).then(|| sv.trailing_zeros() - 1)
 }
@@ -138,31 +133,6 @@ pub(crate) fn touched_segments(
             .filter(|s| s & hi_mask == hi_value)
             .collect(),
     )
-}
-
-/// The segments whose amplitudes all have `offset_bit` set — the half a
-/// `P(qubit = 1)` query needs. `None` when the bit lives below segment
-/// granularity (segments mix bit-set and bit-clear amplitudes).
-pub(crate) fn bit_set_segments(
-    index: &SegmentIndex,
-    sa_bits: u32,
-    offset_bit: u32,
-) -> Option<Vec<usize>> {
-    if offset_bit < sa_bits {
-        return None;
-    }
-    let bit = 1usize << offset_bit;
-    Some(
-        (0..index.n_segs())
-            .filter(|&s| (s << sa_bits) & bit != 0)
-            .collect(),
-    )
-}
-
-/// The contiguous segment run covering `segs` (a prefetch hint shape), or
-/// `None` for an empty set.
-pub(crate) fn covering_run(segs: &[usize]) -> Option<Range<usize>> {
-    Some(*segs.first()?..*segs.last()? + 1)
 }
 
 /// Diagonal-gate update over a decoded segment holding the amplitudes at
@@ -314,11 +284,7 @@ impl SegView<'_> {
 
 /// Stats for a partial op that decoded `segs` of a `stream_len`-byte
 /// stream: the bytes consumed are the prefix plus the touched bodies.
-pub(crate) fn partial_stats(
-    index: &SegmentIndex,
-    segs: &[usize],
-    stream_len: usize,
-) -> PartialStats {
+fn partial_stats(index: &SegmentIndex, segs: &[usize], stream_len: usize) -> PartialStats {
     let body_bytes: usize = segs.iter().map(|&s| index.byte_range(s).len()).sum();
     PartialStats {
         segments: segs.len() as u64,
@@ -482,11 +448,6 @@ mod tests {
         // A low target bit constrains no segment: partial declines.
         let t = diag_touch(&Gate1::t(), 3, 0).unwrap();
         assert!(touched_segments(&index, sa_bits, t).is_none());
-        // Bit-set segments of offset bit 9 are the odd ones.
-        assert_eq!(bit_set_segments(&index, sa_bits, 9).unwrap(), vec![1, 3]);
-        assert!(bit_set_segments(&index, sa_bits, 3).is_none());
-        assert_eq!(covering_run(&[2, 3]), Some(2..4));
-        assert_eq!(covering_run(&[]), None);
     }
 
     #[test]

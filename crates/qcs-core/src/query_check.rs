@@ -1,10 +1,10 @@
-//! In-crate checks of the per-rank query summary that need a seam the
-//! public API does not offer: the recording store shim (what a warm query
-//! reads), engines over hand-made states (accuracy of the `<Z_a Z_b>`
-//! table against the direct signed sum), and a bare [`RankWorker`] (the
-//! single-block rank, and the one mutating command — `Recompress` — the
-//! facade never sends to a warm rank). The engine-level staleness matrix
-//! lives in `tests/query_staleness.rs`.
+//! In-crate checks of the per-rank query summary and `prob_one` memo that
+//! need a seam the public API does not offer: the recording store shim
+//! (what a warm query reads), engines over hand-made states (accuracy of
+//! the `<Z_a Z_b>` table against the direct signed sum), and a bare
+//! [`RankWorker`] (the single-block rank, and the one mutating command —
+//! `Recompress` — the facade never sends to a warm rank). The engine-level
+//! staleness matrix lives in `tests/query_staleness.rs`.
 
 use crate::block::{BlockCodec, CompressedBlock};
 use crate::cache::BlockCache;
@@ -186,9 +186,52 @@ fn warm_queries_read_no_blocks() {
     }
 }
 
+/// Decode pin: the first `prob_one(q)` after a mutation is one pass over
+/// each rank's blocks; a second one on the frozen state reads no block
+/// and decodes nothing, on every scope a qubit can have.
+#[test]
+fn a_repeated_prob_one_reads_no_blocks() {
+    for ranks_log2 in [0u32, 1] {
+        for spill in [false, true] {
+            let mut cfg = SimConfig::default()
+                .with_block_log2(3)
+                .with_ranks_log2(ranks_log2);
+            if spill {
+                cfg = cfg.with_spill(2).with_prefetch(false);
+            }
+            let log = trace::access_log(1 << ranks_log2);
+            let mut sim = CompressedSimulator::new_traced(8, cfg, log.clone()).expect("sim");
+            let circuit = random_circuit(Grid::new(2, 4), 6, 5);
+            sim.run(&circuit, &mut StdRng::seed_from_u64(1))
+                .expect("run");
+            let all: Vec<usize> = (0..sim.layout().blocks_per_rank()).collect();
+            for q in 0..8 {
+                let what = format!("ranks_log2={ranks_log2} spill={spill} q={q}");
+                let _ = trace::drain(&log);
+                let cold = sim.prob_one(q).expect("cold prob_one");
+                assert_eq!(
+                    trace::drain(&log),
+                    vec![all.clone(); 1 << ranks_log2],
+                    "{what}: the first prob_one is one pass"
+                );
+                let decoded = sim.report().breakdown.decompression;
+                let warm = sim.prob_one(q).expect("warm prob_one");
+                assert_eq!(warm.to_bits(), cold.to_bits(), "{what}: warm bits");
+                let reads: usize = trace::drain(&log).iter().map(Vec::len).sum();
+                assert_eq!(reads, 0, "{what}: a repeated prob_one read blocks");
+                assert_eq!(
+                    sim.report().breakdown.decompression,
+                    decoded,
+                    "{what}: a repeated prob_one decoded"
+                );
+            }
+        }
+    }
+}
+
 /// The arm of `RankWorker::handle` the facade only reaches behind a gate
-/// or a collapse that already dropped the summary: `Recompress` on a warm
-/// rank must drop it too.
+/// or a collapse that already dropped the summary and the `prob_one`
+/// memo: `Recompress` on a warm rank must drop both too.
 #[test]
 fn recompress_drops_a_warm_summary() {
     let layout = Layout::new(7, 0, 3);
@@ -211,6 +254,11 @@ fn recompress_drops_a_warm_summary() {
                 let zz = w.query(WorkerCmd::ExpectationZz { a, b }).expect("zz");
                 bits.push(zz.scalar().to_bits());
             }
+        }
+        for q in 0..7 {
+            let scope = layout.control_scope(q);
+            let p = w.query(WorkerCmd::ProbOne { scope }).expect("prob_one");
+            bits.push(p.scalar().to_bits());
         }
         bits
     };

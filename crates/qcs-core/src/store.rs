@@ -46,18 +46,6 @@
 //! it (or the next `take`) surfaces any deferred write error instead of
 //! dropping it.
 //!
-//! # Byte-range reads (partial decode)
-//!
-//! Segment-addressable payloads (see [`qcs_compress::PartialCodec`])
-//! carry a byte-offset index ahead of their segment bodies, and the v2
-//! frame format checksums that prefix separately — so a partial decode
-//! of a spilled block does not need the whole frame.
-//! [`BlockStore::fetch_ranges`] reads just the frame header, the
-//! verified index prefix, and the caller-selected segment byte ranges;
-//! [`BlockStore::prefetch_ranges`] stages such a read on a background
-//! fetcher ahead of need. Both fall back to `None`/no-op for resident
-//! blocks, pre-segmented (v1) frames, and stores without a spill tier.
-//!
 //! # Segment-file layout, sharding, and compaction
 //!
 //! A [`SpillStore`] appends one frame per eviction to a segment file and
@@ -89,57 +77,15 @@ use crate::block::CompressedBlock;
 use crate::engine::SimError;
 use parking_lot::Mutex;
 use qcs_cluster::{Metrics, Phase};
-use qcs_compress::checksum::checksum64;
 use qcs_compress::frame;
-use qcs_compress::{CodecId, ErrorBound, SegmentIndex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
-use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::Instant;
-
-/// A byte-range read of a spilled frame, as returned by
-/// [`BlockStore::fetch_ranges`]: the frame's identity, the segmented
-/// payload's index prefix (already checksum-verified), and the requested
-/// payload byte ranges — everything a partial decode needs without the
-/// store ever materializing the whole payload.
-#[derive(Debug, Clone)]
-pub struct RangeFetch {
-    /// Codec that produced the payload.
-    pub codec: CodecId,
-    /// Error bound the payload was compressed under.
-    pub bound: ErrorBound,
-    /// Length of the whole payload on disk (the full-read equivalent,
-    /// for partial-decode savings accounting).
-    pub payload_len: usize,
-    /// The payload's segment-index prefix (`payload[..prefix_len]`),
-    /// verified against the frame checksum.
-    pub prefix: Vec<u8>,
-    /// The requested payload byte ranges and their bytes, in request
-    /// order. Range offsets are payload-absolute (like
-    /// [`qcs_compress::SegmentIndex::byte_range`]).
-    pub parts: Vec<(Range<usize>, Vec<u8>)>,
-}
-
-impl RangeFetch {
-    /// Heap bytes this fetch holds (staging-buffer accounting).
-    fn heap_bytes(&self) -> u64 {
-        (self.prefix.len() + self.parts.iter().map(|(_, b)| b.len()).sum::<usize>()) as u64
-    }
-
-    /// The part covering payload byte range `want`, sliced to it, if any
-    /// single staged part contains it.
-    pub fn part_covering(&self, want: &Range<usize>) -> Option<&[u8]> {
-        self.parts.iter().find_map(|(r, bytes)| {
-            (r.start <= want.start && want.end <= r.end)
-                .then(|| &bytes[want.start - r.start..want.end - r.start])
-        })
-    }
-}
 
 /// Where a rank worker's compressed blocks live, addressed by local slot
 /// index (`0..len()`).
@@ -187,40 +133,6 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     /// path (or with prefetching disabled) ignore it.
     fn prefetch(&self, slots: &[usize]) {
         let _ = slots;
-    }
-
-    /// Byte-range read of the spilled frame in `slot` for a partial
-    /// decode, without changing the slot's tier (the read-only sibling of
-    /// [`BlockStore::peek`] for segment-addressable payloads).
-    ///
-    /// `prefix_hint` is the caller's guess at the payload's segment-index
-    /// prefix length (pass 0 when unknown; a good hint folds the header
-    /// and prefix into one read). `ranges` receives the verified prefix
-    /// and returns the payload-absolute byte ranges to read — typically
-    /// segment-body runs mapped through a parsed
-    /// [`qcs_compress::SegmentIndex`].
-    ///
-    /// Returns `Ok(None)` whenever a byte-range read is not the right
-    /// tool — the block is in memory anyway (resident, dirty, staged),
-    /// the store has no spill tier, or the frame predates the segmented
-    /// format — and the caller falls back to a whole-block fetch.
-    fn fetch_ranges(
-        &self,
-        slot: usize,
-        prefix_hint: usize,
-        ranges: &mut dyn FnMut(&[u8]) -> Vec<Range<usize>>,
-    ) -> Result<Option<RangeFetch>, SimError> {
-        let _ = (slot, prefix_hint, ranges);
-        Ok(None)
-    }
-
-    /// Hint that byte-range reads covering segments `segs` of each hinted
-    /// slot will follow ([`BlockStore::fetch_ranges`]). A spill tier
-    /// reads just those segment bytes on a background thread and stages
-    /// them; everyone else ignores the hint, exactly like
-    /// [`BlockStore::prefetch`].
-    fn prefetch_ranges(&self, hints: &[(usize, Range<usize>)]) {
-        let _ = hints;
     }
 
     /// Announce the ordered slot accesses the caller plans to perform
@@ -649,12 +561,6 @@ struct SpillInner {
     staged: HashMap<usize, CompressedBlock>,
     /// Compressed bytes held in `staged` (part of residency accounting).
     staged_bytes: u64,
-    /// Byte-range reads the background fetcher staged ahead of need
-    /// ([`BlockStore::prefetch_ranges`]); one-shot like `staged`,
-    /// invalidated whenever the slot changes tier.
-    staged_ranges: HashMap<usize, RangeFetch>,
-    /// Heap bytes held in `staged_ranges`.
-    staged_range_bytes: u64,
     /// Slots whose frames a background fetcher is currently reading.
     /// Foreground fetches of a pending slot wait on `Shared::resolved`
     /// instead of issuing a duplicate read.
@@ -722,29 +628,16 @@ struct FrameAt {
     frame_len: u32,
 }
 
-/// A byte-range prefetch request: read segments `segs` of the frame at
-/// `offset` and stage the bytes for an upcoming
-/// [`BlockStore::fetch_ranges`].
+/// One unit of background-fetcher work: whole frames to read, coalesce,
+/// and stage as blocks, confined to a single shard so N fetcher threads
+/// read N shards concurrently. The handle is cloned from the shard file
+/// *at snapshot time*, so reads stay valid even if a compaction renames a
+/// fresh segment over a path mid-flight (the clone still addresses the
+/// old inode, whose live frames are untouched).
 #[derive(Debug)]
-struct RangeJob {
-    slot: usize,
-    offset: u64,
-    header_len: u32,
-    payload_len: u32,
-    segs: Range<usize>,
-}
-
-/// One unit of background-fetcher work, confined to a single shard so N
-/// fetcher threads read N shards concurrently. The handle is cloned from
-/// the shard file *at snapshot time*, so reads stay valid even if a
-/// compaction renames a fresh segment over a path mid-flight (the clone
-/// still addresses the old inode, whose live frames are untouched).
-#[derive(Debug)]
-enum FetchJob {
-    /// Whole frames to read, coalesce, and stage as blocks.
-    Frames { file: File, frames: Vec<FrameAt> },
-    /// A segment run to read and stage as a [`RangeFetch`].
-    Ranges { file: File, req: RangeJob },
+struct FetchJob {
+    file: File,
+    frames: Vec<FrameAt>,
 }
 
 /// Cap on background I/O threads of each kind (fetchers, writers): one
@@ -878,8 +771,6 @@ impl SpillStore {
                 spilled_payload_bytes: 0,
                 staged: HashMap::new(),
                 staged_bytes: 0,
-                staged_ranges: HashMap::new(),
-                staged_range_bytes: 0,
                 pending: HashSet::new(),
                 fetch_jobs: VecDeque::new(),
                 policy: opts.eviction.build(),
@@ -1332,11 +1223,6 @@ impl BlockStore for SpillStore {
             return Err(SimError::Spill(e));
         }
         inner.policy.note_access(slot);
-        // The slot leaves the spilled tier: any staged byte-range read
-        // of its old frame is stale.
-        if let Some(stale) = inner.staged_ranges.remove(&slot) {
-            inner.staged_range_bytes -= stale.heap_bytes();
-        }
         match std::mem::replace(&mut inner.slots[slot], Slot::InFlight) {
             Slot::Resident { blk, .. } => {
                 inner.resident_count -= 1;
@@ -1392,13 +1278,9 @@ impl BlockStore for SpillStore {
             matches!(inner.slots[slot], Slot::InFlight),
             "slot {slot} already occupied"
         );
-        // A staged copy (if any survived an aborted wave) is now stale,
-        // and so is any staged byte-range read.
+        // A staged copy (if any survived an aborted wave) is now stale.
         if let Some(stale) = inner.staged.remove(&slot) {
             inner.staged_bytes -= stale.len() as u64;
-        }
-        if let Some(stale) = inner.staged_ranges.remove(&slot) {
-            inner.staged_range_bytes -= stale.heap_bytes();
         }
         inner.clock += 1;
         let stamp = inner.clock;
@@ -1475,9 +1357,6 @@ impl BlockStore for SpillStore {
         // (result index, shard, offset, frame_len): the blocking reads.
         let mut reads: Vec<(usize, u32, u64, u32)> = Vec::new();
         for (i, &slot) in slots.iter().enumerate() {
-            if let Some(stale) = inner.staged_ranges.remove(&slot) {
-                inner.staged_range_bytes -= stale.heap_bytes();
-            }
             match std::mem::replace(&mut inner.slots[slot], Slot::InFlight) {
                 Slot::Resident { blk, .. } => {
                     inner.resident_count -= 1;
@@ -1590,159 +1469,10 @@ impl BlockStore for SpillStore {
                 for f in &frames {
                     inner.pending.insert(f.slot);
                 }
-                inner
-                    .fetch_jobs
-                    .push_back(FetchJob::Frames { file, frames });
+                inner.fetch_jobs.push_back(FetchJob { file, frames });
                 queued += 1;
             }
             start = end;
-        }
-        drop(inner);
-        for _ in 0..queued {
-            self.shared.fetch_work.notify_one();
-        }
-    }
-
-    fn fetch_ranges(
-        &self,
-        slot: usize,
-        prefix_hint: usize,
-        ranges: &mut dyn FnMut(&[u8]) -> Vec<Range<usize>>,
-    ) -> Result<Option<RangeFetch>, SimError> {
-        let mut inner = self.shared.lock();
-        // A full copy is in memory or about to be staged: a byte-range
-        // read would only duplicate it — let the caller peek instead.
-        if inner.pending.contains(&slot) || inner.staged.contains_key(&slot) {
-            return Ok(None);
-        }
-        let Slot::Spilled {
-            shard,
-            offset,
-            frame_len,
-            payload_len,
-        } = inner.slots[slot]
-        else {
-            return Ok(None);
-        };
-        inner.policy.note_access(slot);
-        // Serve from a staged byte-range read when it covers the request
-        // (one-shot, like the block staging buffer).
-        if let Some(staged) = inner.staged_ranges.remove(&slot) {
-            inner.staged_range_bytes -= staged.heap_bytes();
-            let wanted = ranges(&staged.prefix);
-            if wanted.iter().all(|r| staged.part_covering(r).is_some()) {
-                let parts = wanted
-                    .into_iter()
-                    .map(|r| {
-                        let bytes = staged.part_covering(&r).expect("covered above").to_vec();
-                        (r, bytes)
-                    })
-                    .collect();
-                return Ok(Some(RangeFetch {
-                    codec: staged.codec,
-                    bound: staged.bound,
-                    payload_len: staged.payload_len,
-                    prefix: staged.prefix,
-                    parts,
-                }));
-            }
-            // Staged run does not cover the request: fall through to disk.
-        }
-        let header_len = (frame_len - payload_len) as usize;
-        let t = Instant::now();
-        let file = &inner.shards[shard as usize].file;
-        // Fold the frame header and (hinted) index prefix into one read.
-        let hint = prefix_hint.min(payload_len as usize);
-        let mut head = vec![0u8; header_len + hint];
-        file.read_exact_at(&mut head, offset)
-            .map_err(|e| io_err("read spill frame header", e))?;
-        let header =
-            frame::parse_header(&head).map_err(|e| io_err("parse spill frame header", e))?;
-        let Some(prefix_len) = header.prefix_len else {
-            // Pre-segmented (v1) frame: whole-block reads only.
-            self.metrics.add(Phase::SpillIo, t.elapsed());
-            return Ok(None);
-        };
-        let mut prefix = head.split_off(header_len);
-        if prefix.len() > prefix_len {
-            prefix.truncate(prefix_len);
-        } else if prefix.len() < prefix_len {
-            let have = prefix.len();
-            prefix.resize(prefix_len, 0);
-            file.read_exact_at(&mut prefix[have..], offset + (header_len + have) as u64)
-                .map_err(|e| io_err("read spill segment index", e))?;
-        }
-        if checksum64(&prefix) != header.checksum {
-            return Err(SimError::Spill(
-                "spill frame segment index checksum mismatch".into(),
-            ));
-        }
-        let wanted = ranges(&prefix);
-        let mut parts = Vec::with_capacity(wanted.len());
-        for r in wanted {
-            if r.start < prefix_len || r.end > payload_len as usize || r.start > r.end {
-                return Err(SimError::Spill(format!(
-                    "segment byte range {}..{} outside spilled payload",
-                    r.start, r.end
-                )));
-            }
-            let mut buf = vec![0u8; r.len()];
-            file.read_exact_at(&mut buf, offset + header_len as u64 + r.start as u64)
-                .map_err(|e| io_err("read spill segment run", e))?;
-            parts.push((r, buf));
-        }
-        self.metrics.add(Phase::SpillIo, t.elapsed());
-        Ok(Some(RangeFetch {
-            codec: header.codec,
-            bound: header.bound,
-            payload_len: payload_len as usize,
-            prefix,
-            parts,
-        }))
-    }
-
-    /// Stage byte-range reads for the hinted segment runs on the
-    /// background fetchers (see [`BlockStore::prefetch_ranges`]).
-    fn prefetch_ranges(&self, hints: &[(usize, Range<usize>)]) {
-        if !self.prefetch_on {
-            return;
-        }
-        let mut inner = self.shared.lock();
-        let mut queued = 0usize;
-        for (slot, segs) in hints {
-            if inner.staged.len() + inner.staged_ranges.len() + inner.pending.len() >= self.cap {
-                break;
-            }
-            if inner.staged.contains_key(slot)
-                || inner.staged_ranges.contains_key(slot)
-                || inner.pending.contains(slot)
-            {
-                continue;
-            }
-            let Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                payload_len,
-            } = inner.slots[*slot]
-            else {
-                continue;
-            };
-            let Ok(file) = inner.shards[shard as usize].file.try_clone() else {
-                continue;
-            };
-            inner.pending.insert(*slot);
-            inner.fetch_jobs.push_back(FetchJob::Ranges {
-                file,
-                req: RangeJob {
-                    slot: *slot,
-                    offset,
-                    header_len: frame_len - payload_len,
-                    payload_len,
-                    segs: segs.clone(),
-                },
-            });
-            queued += 1;
         }
         drop(inner);
         for _ in 0..queued {
@@ -1763,12 +1493,12 @@ impl BlockStore for SpillStore {
     }
 
     /// Compressed bytes held in memory: residents plus the prefetch
-    /// staging buffers (whole blocks and byte-range reads) plus the
-    /// write-behind dirty buffer — the honest memory footprint of the
-    /// tier (each buffer is bounded by one residency budget).
+    /// staging buffer plus the write-behind dirty buffer — the honest
+    /// memory footprint of the tier (each buffer is bounded by one
+    /// residency budget).
     fn resident_bytes(&self) -> u64 {
         let inner = self.shared.lock();
-        inner.resident_bytes + inner.staged_bytes + inner.staged_range_bytes + inner.dirty_bytes
+        inner.resident_bytes + inner.staged_bytes + inner.dirty_bytes
     }
 
     /// Residents only: staging and dirty occupancy depend on background
@@ -1843,54 +1573,14 @@ fn read_frame_runs<K: Copy>(
     out
 }
 
-/// Read the header, segment-index prefix, and the hinted segment run of
-/// the frame at `req.offset` — the background half of the byte-range
-/// path. `None` on any failure or on a pre-segmented frame; the
-/// foreground read retries and surfaces errors.
-fn read_segment_run(file: &File, req: &RangeJob) -> Option<RangeFetch> {
-    let header_len = req.header_len as usize;
-    let mut head = vec![0u8; header_len];
-    file.read_exact_at(&mut head, req.offset).ok()?;
-    let header = frame::parse_header(&head).ok()?;
-    let prefix_len = header.prefix_len?;
-    let mut prefix = vec![0u8; prefix_len];
-    file.read_exact_at(&mut prefix, req.offset + header_len as u64)
-        .ok()?;
-    if checksum64(&prefix) != header.checksum {
-        return None;
-    }
-    let index = SegmentIndex::parse(&prefix).ok().flatten()?;
-    let lo = req.segs.start.min(index.n_segs());
-    let hi = req.segs.end.min(index.n_segs());
-    if lo >= hi {
-        return None;
-    }
-    // Segment bodies are contiguous: the run is one read.
-    let run = index.byte_range(lo).start..index.byte_range(hi - 1).end;
-    if run.end > req.payload_len as usize {
-        return None;
-    }
-    let mut bytes = vec![0u8; run.len()];
-    file.read_exact_at(&mut bytes, req.offset + (header_len + run.start) as u64)
-        .ok()?;
-    Some(RangeFetch {
-        codec: header.codec,
-        bound: header.bound,
-        payload_len: req.payload_len as usize,
-        prefix,
-        parts: vec![(run, bytes)],
-    })
-}
-
 /// Body of one of a [`SpillStore`]'s background fetch threads: claim
 /// prefetch jobs (each confined to one shard, so N fetchers read N
-/// shards concurrently), read their frames through [`read_frame_runs`]
-/// or their segment runs through [`read_segment_run`], and stage the
-/// results. Read time lands in [`Phase::Prefetch`] — off the critical
-/// path. A frame that fails to read or decode is simply not staged; the
-/// foreground's blocking fetch retries and surfaces the error. Queued
-/// jobs are drained even after shutdown so reserved `pending` marks
-/// always resolve.
+/// shards concurrently), read their frames through [`read_frame_runs`],
+/// and stage the decoded blocks. Read time lands in [`Phase::Prefetch`] —
+/// off the critical path. A frame that fails to read or decode is simply
+/// not staged; the foreground's blocking fetch retries and surfaces the
+/// error. Queued jobs are drained even after shutdown so reserved
+/// `pending` marks always resolve.
 fn run_fetcher(shared: &Shared, metrics: &Metrics) {
     loop {
         let mut inner = shared.lock();
@@ -1907,46 +1597,28 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         };
         drop(inner);
-        match job {
-            FetchJob::Frames { file, frames } => {
-                // Single-shard job: shard key 0 against the one handle.
-                let mut reads: Vec<(usize, u32, u64, u32)> = frames
-                    .iter()
-                    .map(|f| (f.slot, 0, f.offset, f.frame_len))
-                    .collect();
-                let t = Instant::now();
-                let decoded = read_frame_runs(&[&file], &mut reads);
-                metrics.add(Phase::Prefetch, t.elapsed());
-                let mut inner = shared.lock();
-                for (slot, _, blk) in decoded {
-                    inner.pending.remove(&slot);
-                    if let Ok(blk) = blk {
-                        // Pending slots cannot change tier (foreground
-                        // fetches of them wait), so the frame we read is
-                        // still current.
-                        debug_assert!(matches!(inner.slots[slot], Slot::Spilled { .. }));
-                        inner.staged_bytes += blk.len() as u64;
-                        inner.staged.insert(slot, blk);
-                    }
-                }
-                drop(inner);
-                shared.resolved.notify_all();
-            }
-            FetchJob::Ranges { file, req } => {
-                let t = Instant::now();
-                let staged = read_segment_run(&file, &req);
-                metrics.add(Phase::Prefetch, t.elapsed());
-                let mut inner = shared.lock();
-                inner.pending.remove(&req.slot);
-                if let Some(rf) = staged {
-                    debug_assert!(matches!(inner.slots[req.slot], Slot::Spilled { .. }));
-                    inner.staged_range_bytes += rf.heap_bytes();
-                    inner.staged_ranges.insert(req.slot, rf);
-                }
-                drop(inner);
-                shared.resolved.notify_all();
+        // Single-shard job: shard key 0 against the one handle.
+        let mut reads: Vec<(usize, u32, u64, u32)> = job
+            .frames
+            .iter()
+            .map(|f| (f.slot, 0, f.offset, f.frame_len))
+            .collect();
+        let t = Instant::now();
+        let decoded = read_frame_runs(&[&job.file], &mut reads);
+        metrics.add(Phase::Prefetch, t.elapsed());
+        let mut inner = shared.lock();
+        for (slot, _, blk) in decoded {
+            inner.pending.remove(&slot);
+            if let Ok(blk) = blk {
+                // Pending slots cannot change tier (foreground fetches of
+                // them wait), so the frame we read is still current.
+                debug_assert!(matches!(inner.slots[slot], Slot::Spilled { .. }));
+                inner.staged_bytes += blk.len() as u64;
+                inner.staged.insert(slot, blk);
             }
         }
+        drop(inner);
+        shared.resolved.notify_all();
     }
 }
 
@@ -2254,22 +1926,6 @@ pub(crate) mod trace {
 
         fn prefetch(&self, slots: &[usize]) {
             self.inner.prefetch(slots);
-        }
-
-        // A byte-range read is a logical access like `peek`: recorded,
-        // then forwarded.
-        fn fetch_ranges(
-            &self,
-            slot: usize,
-            prefix_hint: usize,
-            ranges: &mut dyn FnMut(&[u8]) -> Vec<Range<usize>>,
-        ) -> Result<Option<RangeFetch>, SimError> {
-            self.record(slot);
-            self.inner.fetch_ranges(slot, prefix_hint, ranges)
-        }
-
-        fn prefetch_ranges(&self, hints: &[(usize, Range<usize>)]) {
-            self.inner.prefetch_ranges(hints);
         }
 
         // Plan windows are advisory, like prefetch hints: forwarded to the
@@ -3119,121 +2775,5 @@ mod tests {
         }
         drop(s);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A segmented Solution C payload of `n_values` amplitudes (several
-    /// segments at the default segment size when `n_values > 1024`).
-    fn seg_payload(n_values: usize) -> Vec<u8> {
-        use qcs_compress::Codec as _;
-        let data: Vec<f64> = (0..n_values)
-            .map(|i| (i as f64 * 0.37).sin() * 1e-3)
-            .collect();
-        qcs_compress::trunc::SolutionC::default()
-            .compress(&data, ErrorBound::PointwiseRelative(1e-6))
-            .unwrap()
-    }
-
-    fn seg_blk(payload: &[u8]) -> CompressedBlock {
-        CompressedBlock {
-            codec: CodecId::SolutionC,
-            bound: ErrorBound::PointwiseRelative(1e-6),
-            bytes: payload.to_vec().into(),
-        }
-    }
-
-    #[test]
-    fn fetch_ranges_reads_only_segment_bytes() {
-        use qcs_compress::{Codec as _, PartialCodec as _};
-        let metrics = Metrics::new();
-        let payload = seg_payload(3000);
-        let blocks = (0..3).map(|_| Some(seg_blk(&payload))).collect();
-        let s = SpillStore::create(&tmp_dir("ranges"), "r0", 1, metrics.clone(), blocks).unwrap();
-        // Slots 0 and 1 are spilled (cap 1 keeps only the last put).
-        let rf = s
-            .fetch_ranges(0, 64, &mut |prefix| {
-                let idx = SegmentIndex::parse(prefix).unwrap().unwrap();
-                vec![idx.byte_range(1)]
-            })
-            .unwrap()
-            .expect("spilled segmented frame supports byte-range reads");
-        assert_eq!(rf.codec, CodecId::SolutionC);
-        assert_eq!(rf.payload_len, payload.len());
-        let idx = SegmentIndex::parse(&rf.prefix).unwrap().unwrap();
-        assert_eq!(idx.n_segs(), 3);
-        let want = idx.byte_range(1);
-        assert_eq!(rf.parts.len(), 1);
-        assert_eq!(rf.parts[0].0, want.clone());
-        assert_eq!(&rf.parts[0].1[..], &payload[want.clone()]);
-        // The partial read moved strictly fewer payload bytes than a
-        // whole-block fetch would have.
-        assert!(rf.prefix.len() + rf.parts[0].1.len() < payload.len());
-        // The staged segment decodes to exactly the full decode's slice.
-        let c = qcs_compress::trunc::SolutionC::default();
-        let mut out = Vec::new();
-        c.decompress_segment(&idx, 1, rf.part_covering(&want).unwrap(), &mut out)
-            .unwrap();
-        let full = c.decompress(&payload).unwrap();
-        let vr = idx.value_range(1);
-        assert_eq!(out.len(), vr.len());
-        for (a, b) in out.iter().zip(&full[vr]) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // A resident slot has no byte-range path (the caller peeks).
-        assert!(s.fetch_ranges(2, 0, &mut |_| Vec::new()).unwrap().is_none());
-        // Pre-segmented payloads fall back to whole-block reads.
-        let metrics2 = Metrics::new();
-        let s2 = spill_store("ranges-v1", 1, 3, &metrics2);
-        assert!(s2
-            .fetch_ranges(0, 64, &mut |_| Vec::new())
-            .unwrap()
-            .is_none());
-        // MemStore honors the default: no spill tier, no byte ranges.
-        let m = MemStore::new(vec![Some(seg_blk(&payload))]);
-        assert!(m.fetch_ranges(0, 0, &mut |_| Vec::new()).unwrap().is_none());
-    }
-
-    #[test]
-    fn prefetch_ranges_stages_byte_runs() {
-        let metrics = Metrics::new();
-        let payload = seg_payload(3000);
-        let s = SpillStore::create_with(
-            &tmp_dir("prefetch-ranges"),
-            "r0",
-            1,
-            metrics.clone(),
-            (0..3).map(|_| Some(seg_blk(&payload))).collect(),
-            SpillOptions {
-                prefetch: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let resident_before = s.resident_bytes();
-        // Hint segments 1..3 of spilled slot 0 and let the background
-        // read land.
-        s.prefetch_ranges(&[(0, 1..3)]);
-        s.debug_wait_staged();
-        assert!(
-            s.resident_bytes() > resident_before,
-            "staged range bytes must appear in the footprint"
-        );
-        assert!(metrics.breakdown().prefetch.as_nanos() > 0);
-        // The staged run covers a fetch of segment 1 alone: served from
-        // memory, consumed one-shot.
-        let rf = s
-            .fetch_ranges(0, 0, &mut |prefix| {
-                let idx = SegmentIndex::parse(prefix).unwrap().unwrap();
-                vec![idx.byte_range(1)]
-            })
-            .unwrap()
-            .expect("staged byte-range read serves the fetch");
-        let idx = SegmentIndex::parse(&rf.prefix).unwrap().unwrap();
-        let want = idx.byte_range(1);
-        assert_eq!(&rf.parts[0].1[..], &payload[want]);
-        assert_eq!(s.resident_bytes(), resident_before, "staging is one-shot");
-        // The slot never changed tier and whole-block fetches still work.
-        let b = s.take(0).unwrap();
-        assert_eq!(&b.bytes[..], &payload[..]);
-        s.put(0, b).unwrap();
     }
 }

@@ -85,14 +85,14 @@
 //!  │  Cycle::pair/  │  │ then installs  │             (§3.3 case (c))
 //!  │  send          │  │                │
 //!  │                │  │                │
-//!  │ Prob: map_blocks, the read-only    │             the rank's term of
-//!  │  walk (PlanCursor-chunked too)     │             an MPI_Allreduce
-//!  │                │  │                │
-//!  │ Norm/Weights/Zz│  │ first one after│             the same reduce,
-//!  │  read from the │  │ a mutation: one│             its operand kept
-//!  │  QuerySummary, │  │ pass builds it;│             per frozen state;
-//!  │  no decode     │  │ Gate..Recompr. │             any mutating
-//!  │                │  │ arms drop it   │             command drops it
+//!  │ Prob/Norm/     │  │ first one after│             the rank's term of
+//!  │  Weights/Zz:   │  │ a mutation: one│             an MPI_Allreduce,
+//!  │  read from the │  │ map_blocks walk│             its operand kept
+//!  │  QuerySummary /│  │ (read-only,    │             per frozen state;
+//!  │  per-qubit memo│  │ PlanCursor-    │             any mutating
+//!  │  — no decode   │  │ chunked) fills │             command drops it
+//!  │                │  │ it; Gate..Re-  │
+//!  │                │  │ compr. drop it │
 //!  └──────┬─────────┘  └──────┬─────────┘
 //!         │   WorkerOut       │
 //!         ▼                   ▼
@@ -110,7 +110,9 @@
 //! reduce family (each rank returns its partial, the facade sums) — the
 //! last three answered from the rank's `QuerySummary` (see
 //! `crate::summary`), which the first of them after a mutating command
-//! builds in one pass and every mutating command drops;
+//! builds in one pass, and `ProbOne` from a per-qubit memo that the first
+//! `ProbOne` on that qubit fills with one whole-block pass; every
+//! mutating command drops both;
 //! [`WorkerCmd::SnapshotBlocks`] / [`WorkerCmd::FetchBlock`] are gathers;
 //! [`WorkerCmd::Exchange`] is the point-to-point case below; and
 //! [`WorkerCmd::Nop`] lets the facade address a single rank inside an
@@ -165,10 +167,9 @@ use crate::summary::QuerySummary;
 use qcs_circuits::schedule::MAX_BATCH_GATES;
 use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
 use qcs_compress::checksum::checksum64;
-use qcs_compress::{CodecError, ErrorBound, PartialCodec, SegmentIndex};
+use qcs_compress::{CodecError, ErrorBound};
 use qcs_statevec::{kernels, Gate1};
 use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -515,6 +516,10 @@ pub(crate) struct RankWorker {
     /// by the next one ([`RankWorker::mutate`]). Behind a `OnceLock`
     /// because queries run through `&self`.
     summary: OnceLock<QuerySummary>,
+    /// The frozen state's `P(qubit = 1)` terms, one slot per qubit, each
+    /// filled by the first `ProbOne` on that qubit after a mutation and
+    /// dropped with the summary.
+    prob_ones: Vec<OnceLock<f64>>,
     /// The error of the first mutating command that failed. Its wave's
     /// fetched blocks never went back to the store, so the rank's state is
     /// gone: every later command is answered with this error.
@@ -566,19 +571,23 @@ impl RankWorker {
             store,
             partial,
             summary: OnceLock::new(),
+            prob_ones: (0..layout.num_qubits).map(|_| OnceLock::new()).collect(),
             failed: None,
         }
     }
 
     /// Every mutating arm of [`RankWorker::handle`], and nowhere else: the
-    /// blocks are about to change, so drop the frozen state's summary, run
-    /// the wave, and keep the error if it fails.
+    /// blocks are about to change, so drop the frozen state's summary and
+    /// probabilities, run the wave, and keep the error if it fails.
     fn mutate(
         &mut self,
         wave: impl FnOnce(&mut Self) -> Result<WaveOut, SimError>,
     ) -> Result<WorkerOut, SimError> {
         self.refuse_if_failed()?;
         self.summary.take();
+        for p in &mut self.prob_ones {
+            p.take();
+        }
         let out = wave(self);
         if let Err(e) = &out {
             self.failed = Some(e.clone());
@@ -1016,13 +1025,14 @@ impl RankWorker {
         Ok(())
     }
 
+    /// The rank's term of `P(qubit = 1)`: one whole-block pass on the
+    /// first call after a mutation, remembered per qubit next to the
+    /// [`QuerySummary`] and answered from memory — no decode, no store
+    /// read — on every later one.
     fn prob_one(&self, scope: ControlScope) -> Result<f64, SimError> {
-        if self.partial {
-            if let ControlScope::InBlock { offset_bit } = scope {
-                if let Some(p) = self.prob_one_partial(offset_bit)? {
-                    return Ok(p);
-                }
-            }
+        let memo = &self.prob_ones[scope_qubit(self.layout, scope)];
+        if let Some(&p) = memo.get() {
+            return Ok(p);
         }
         let mut total = 0.0;
         self.map_blocks(
@@ -1034,7 +1044,8 @@ impl RankWorker {
             },
             |_, sum| total += sum,
         )?;
-        Ok(total)
+        // Two racing first queries sum the same bits; either may win.
+        Ok(*memo.get_or_init(|| total))
     }
 
     /// One whole block's term of `P(qubit = 1)`: the squared norm of the
@@ -1054,144 +1065,6 @@ impl RankWorker {
             }
             _ => buf.iter().map(|v| v * v).sum(),
         })
-    }
-
-    /// Segment-addressed `P(qubit = 1)`: when the lossy codec is
-    /// segment-addressable and the measured offset bit sits at or above
-    /// segment granularity, only the bit-set half of each block's
-    /// segments contributes to the sum — so only those segments are
-    /// decoded, and for a spilled block only their byte ranges are read
-    /// off disk ([`BlockStore::fetch_ranges`]). `Ok(None)` when the
-    /// configured geometry does not qualify (caller falls back to the
-    /// whole-block reduce). Per-amplitude summation order matches the
-    /// whole-block path exactly, so both paths return bit-identical
-    /// probabilities and downstream measurement sampling is unaffected.
-    fn prob_one_partial(&self, offset_bit: u32) -> Result<Option<f64>, SimError> {
-        let Some(p) = self.codec.partial_codec() else {
-            return Ok(None);
-        };
-        let Some(seg_values) = p.segment_values() else {
-            return Ok(None);
-        };
-        let block_f64s = self.layout.block_amps() * 2;
-        if seg_values < 2 || !seg_values.is_power_of_two() || seg_values >= block_f64s {
-            return Ok(None);
-        }
-        let sa_bits = seg_values.trailing_zeros() - 1;
-        if offset_bit < sa_bits {
-            return Ok(None);
-        }
-        // Prefetch hints use the configured geometry; each stream's own
-        // index re-derives the real one when the block is read.
-        let bit = 1usize << offset_bit;
-        let n_segs = block_f64s.div_ceil(seg_values);
-        let hint_segs: Vec<usize> = (0..n_segs).filter(|&s| (s << sa_bits) & bit != 0).collect();
-        let Some(hint_run) = partial::covering_run(&hint_segs) else {
-            return Ok(None);
-        };
-        let bpr = self.layout.blocks_per_rank();
-        let all: Vec<usize> = (0..bpr).collect();
-        self.announce_plan(&all, None);
-        let prefix_hint = SegmentIndex::prefix_len_for(block_f64s, seg_values);
-        let sums = (0..bpr)
-            .map(|b| {
-                if b + 1 < bpr {
-                    self.store.prefetch_ranges(&[(b + 1, hint_run.clone())]);
-                }
-                self.prob_one_partial_block(p, b, prefix_hint, offset_bit)
-            })
-            .collect::<Result<Vec<f64>, SimError>>()?;
-        Ok(Some(sums.into_iter().sum()))
-    }
-
-    /// One block's term of the partial `P(qubit = 1)` reduce: byte-range
-    /// read when the store can serve one, segment decode from the full
-    /// resident bytes otherwise, whole-block decode as the last resort.
-    fn prob_one_partial_block(
-        &self,
-        p: &dyn PartialCodec,
-        b: usize,
-        prefix_hint: usize,
-        offset_bit: u32,
-    ) -> Result<f64, SimError> {
-        // Byte-range path: a spilled segmented frame serves exactly the
-        // selected segments' bytes off disk.
-        let mut parsed: Option<(SegmentIndex, Vec<usize>)> = None;
-        let fetched = self.store.fetch_ranges(b, prefix_hint, &mut |prefix| {
-            let Ok(Some(index)) = SegmentIndex::parse(prefix) else {
-                return Vec::new();
-            };
-            let Some(segs) = partial::seg_amp_bits(&index)
-                .and_then(|sa| partial::bit_set_segments(&index, sa, offset_bit))
-            else {
-                return Vec::new();
-            };
-            let ranges = segs.iter().map(|&s| index.byte_range(s)).collect();
-            parsed = Some((index, segs));
-            ranges
-        })?;
-        if let (Some(rf), Some((index, segs))) = (fetched, parsed) {
-            if rf.codec == self.codec.lossy_id() {
-                return self.segment_norm(p, &index, &segs, rf.payload_len, b, |r| {
-                    rf.part_covering(&r)
-                });
-            }
-        }
-
-        // Resident path: decode only the selected segments of the full
-        // in-memory stream.
-        let blk = self.store.peek(b)?;
-        if let Some(pf) = self.codec.partial_for(&blk) {
-            if let Some(index) = pf.segment_index(&blk.bytes)? {
-                if let Some(segs) = partial::seg_amp_bits(&index)
-                    .and_then(|sa| partial::bit_set_segments(&index, sa, offset_bit))
-                {
-                    return self
-                        .segment_norm(pf, &index, &segs, blk.bytes.len(), b, |r| blk.bytes.get(r));
-                }
-            }
-        }
-
-        // Whole-block fallback (lossless blocks, foreign streams).
-        self.bit_set_norm(&blk, ControlScope::InBlock { offset_bit })
-    }
-
-    /// Squared norm of segments `segs` of slot `b`'s segmented stream
-    /// (`stream_len` bytes, described by `index`), each body served by
-    /// `body_of` from wherever the stream's bytes are; the decode time and
-    /// the partial-decode savings are accounted here.
-    fn segment_norm<'a>(
-        &self,
-        p: &dyn PartialCodec,
-        index: &SegmentIndex,
-        segs: &[usize],
-        stream_len: usize,
-        b: usize,
-        body_of: impl Fn(Range<usize>) -> Option<&'a [u8]>,
-    ) -> Result<f64, SimError> {
-        let block_f64s = 2 * self.layout.block_amps();
-        if index.n_values != block_f64s {
-            return Err(wrong_length(index.n_values, block_f64s).into());
-        }
-        let mut sum = 0.0;
-        let mut decode = Duration::ZERO;
-        for &s in segs {
-            let body = body_of(index.byte_range(s)).ok_or_else(|| {
-                CodecError::Corrupt(format!("segment {s} body out of bounds in slot {b}"))
-            })?;
-            let t = Instant::now();
-            let mut vals = Vec::with_capacity(index.value_range(s).len());
-            p.decompress_segment(index, s, body, &mut vals)?;
-            decode += t.elapsed();
-            for o in 0..vals.len() / 2 {
-                sum += vals[2 * o] * vals[2 * o] + vals[2 * o + 1] * vals[2 * o + 1];
-            }
-        }
-        self.metrics.add(Phase::Decompression, decode);
-        let st = partial::partial_stats(index, segs, stream_len);
-        self.metrics
-            .add_partial_decode(st.segments, st.segments_full, st.bytes, st.bytes_full);
-        Ok(sum)
     }
 
     /// The frozen state's [`QuerySummary`]: built by one pass over the
@@ -1296,6 +1169,16 @@ pub(crate) fn decode_block<'a>(
         return Err(wrong_length(out.len(), block_f64s).into());
     }
     Ok(out)
+}
+
+/// The qubit a control scope of `layout` was classified from (the inverse
+/// of [`Layout::control_scope`]).
+fn scope_qubit(layout: Layout, scope: ControlScope) -> usize {
+    (match scope {
+        ControlScope::InBlock { offset_bit } => offset_bit,
+        ControlScope::BlockSelect { block_bit } => layout.block_log2 + block_bit,
+        ControlScope::RankSelect { rank_bit } => layout.num_qubits - layout.ranks_log2 + rank_bit,
+    }) as usize
 }
 
 /// For a qubit above the block — a block-index or rank-index bit —

@@ -1,15 +1,17 @@
-//! Staleness matrix and determinism pins for the per-rank query summary.
+//! Staleness matrix and determinism pins for the per-rank query summary
+//! and the per-qubit `prob_one` memo.
 //!
 //! `norm_sqr`, `sample` (its weights) and `expectation_zz` are answered
 //! from a summary each rank builds on the first such query after a
-//! mutation. A summary that outlives the state it describes would return
-//! plausible, wrong numbers, so every kind of mutation is driven here
-//! against a *warm* summary, and the answers afterwards must equal — bit
-//! for bit — those of a fresh engine restored from a checkpoint of the
-//! mutated state, which has never seen the earlier state at all.
+//! mutation, and `prob_one(q)` from a memo the first `prob_one(q)` after a
+//! mutation fills. A summary or memo that outlives the state it describes
+//! would return plausible, wrong numbers, so every kind of mutation is
+//! driven here against *warm* ones, and the answers afterwards must equal
+//! — bit for bit — those of a fresh engine restored from a checkpoint of
+//! the mutated state, which has never seen the earlier state at all.
 //!
-//! Which line of `RankWorker::handle` each case guards (commenting that
-//! arm's `thaw()` out fails the case):
+//! Which line of `RankWorker::handle` each case guards (routing that arm
+//! around `RankWorker::mutate` fails the case):
 //!
 //! | case       | mutation through the public API        | arm          |
 //! |------------|----------------------------------------|--------------|
@@ -39,12 +41,13 @@ use std::path::PathBuf;
 const QUBITS: usize = 8;
 const BLOCK_LOG2: u32 = 3;
 
-/// Everything the summary answers, as bits.
+/// Everything the summary and the `prob_one` memo answer, as bits.
 #[derive(Debug, PartialEq, Eq)]
 struct Answers {
     norm: u64,
     zz: Vec<u64>,
     samples: Vec<u64>,
+    prob_one: Vec<u64>,
 }
 
 fn answers(sim: &CompressedSimulator) -> Answers {
@@ -62,7 +65,15 @@ fn answers(sim: &CompressedSimulator) -> Answers {
         samples: (0..32)
             .map(|_| sim.sample(&mut rng).expect("sample"))
             .collect(),
+        prob_one: prob_one_bits(sim),
     }
+}
+
+/// `prob_one` on every qubit, as bits.
+fn prob_one_bits(sim: &CompressedSimulator) -> Vec<u64> {
+    (0..sim.num_qubits() as usize)
+        .map(|q| sim.prob_one(q).expect("prob_one").to_bits())
+        .collect()
 }
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -304,3 +315,124 @@ fn norm_and_samples_match_the_pre_summary_engine() {
         assert_eq!(got, samples, "ranks_log2={ranks_log2}: sampled indices");
     }
 }
+
+/// `prob_one` answers exactly what it answered while a segment-addressed
+/// path served offset bits at or above segment granularity: golden bits
+/// captured at commit 3ac1874 for every qubit of a seeded 14-qubit state
+/// (2^10-amplitude blocks, so offset bit 9 is the segment bit of a lossy
+/// block), per `ranks_log2` and bound. Resident and spilled stores and
+/// `partial_decode` on and off all answer the same bits, cold and warm.
+#[test]
+fn prob_one_matches_the_pre_memo_engine() {
+    // (ranks_log2, lossy) -> P(q = 1) bits for q = 0..14.
+    for ((ranks_log2, lossy), want) in PROB_ONE_GOLDEN {
+        for spill in [false, true] {
+            for partial in [true, false] {
+                let bound = if lossy {
+                    ErrorBound::PointwiseRelative(1e-3)
+                } else {
+                    ErrorBound::Lossless
+                };
+                let mut cfg = SimConfig::default()
+                    .with_block_log2(10)
+                    .with_ranks_log2(ranks_log2)
+                    .with_fixed_bound(bound)
+                    .with_partial_decode(partial);
+                if spill {
+                    cfg = cfg.with_spill(4);
+                }
+                let mut sim = CompressedSimulator::new(14, cfg).expect("sim");
+                let circuit = random_circuit(Grid::new(2, 7), 6, 7);
+                sim.run(&circuit, &mut StdRng::seed_from_u64(7))
+                    .expect("run");
+                let what = format!(
+                    "ranks_log2={ranks_log2} lossy={lossy} spill={spill} partial={partial}"
+                );
+                let cold = prob_one_bits(&sim);
+                assert_eq!(cold, want, "{what}: cold prob_one bits");
+                assert_eq!(prob_one_bits(&sim), want, "{what}: warm prob_one bits");
+            }
+        }
+    }
+}
+
+/// [`prob_one_matches_the_pre_memo_engine`]'s golden bits, per
+/// `(ranks_log2, lossy)`, for qubits 0..14.
+const PROB_ONE_GOLDEN: [((u32, bool), [u64; 14]); 4] = [
+    (
+        (0, false),
+        [
+            0x3fe0000000000000,
+            0x3fdfffffffffffff,
+            0x3fdffffffffffffe,
+            0x3fe0000000000000,
+            0x3fe0000000000000,
+            0x3fdffffffffffffd,
+            0x3fe0000000000002,
+            0x3fe0000000000000,
+            0x3fe0000000000000,
+            0x3fe0000000000001,
+            0x3fdffffffffffff9,
+            0x3fdffffffffffffc,
+            0x3fe0000000000001,
+            0x3fdffffffffffffe,
+        ],
+    ),
+    (
+        (0, true),
+        [
+            0x3fdfb870ef6a9c40,
+            0x3fdfb87ef08bb300,
+            0x3fdfb85020048a00,
+            0x3fdfb7c026903880,
+            0x3fdfb863124b8100,
+            0x3fdfb8808228f240,
+            0x3fdfb83a3a1acf00,
+            0x3fdfb843f57acdc0,
+            0x3fdfb85942b9af40,
+            0x3fdfb8501156e840,
+            0x3fdfb88012084900,
+            0x3fdfb8475ce59240,
+            0x3fdfb8a0f5434500,
+            0x3fdfb868ee22c500,
+        ],
+    ),
+    (
+        (1, false),
+        [
+            0x3fdfffffffffffff,
+            0x3fdfffffffffffff,
+            0x3fdfffffffffffff,
+            0x3fe0000000000000,
+            0x3fdfffffffffffff,
+            0x3fdffffffffffffe,
+            0x3fe0000000000002,
+            0x3fe0000000000000,
+            0x3fe0000000000000,
+            0x3fe0000000000000,
+            0x3fdffffffffffffa,
+            0x3fdffffffffffffc,
+            0x3fe0000000000001,
+            0x3fdffffffffffffe,
+        ],
+    ),
+    (
+        (1, true),
+        [
+            0x3fdfb870ef6a9c40,
+            0x3fdfb87ef08bb300,
+            0x3fdfb85020048a00,
+            0x3fdfb7c026903880,
+            0x3fdfb863124b8100,
+            0x3fdfb8808228f240,
+            0x3fdfb83a3a1acf00,
+            0x3fdfb843f57acdc0,
+            0x3fdfb85942b9af40,
+            0x3fdfb8501156e840,
+            0x3fdfb88012084900,
+            0x3fdfb8475ce59240,
+            0x3fdfb8a0f5434500,
+            0x3fdfb868ee22c500,
+        ],
+    ),
+];

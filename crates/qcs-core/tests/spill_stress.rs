@@ -2,8 +2,8 @@
 //! threads hammer `take`/`put`/`fetch_many` on disjoint slot ranges of
 //! one 4-shard [`SpillStore`] (with prefetch *and* write-behind threads
 //! running) while a fifth thread floods the advisory surface —
-//! `prefetch`, `prefetch_ranges`, `plan_accesses` — across the whole
-//! store, including slots other threads are actively moving.
+//! `prefetch`, `plan_accesses` — across the whole store, including slots
+//! other threads are actively moving.
 //!
 //! Contracts pinned:
 //! - no deadlock and no panic under contention (the test finishing at
@@ -116,10 +116,6 @@ fn sharded_spill_store_survives_concurrent_hammering() {
             let all: Vec<usize> = (0..SLOTS).collect();
             for round in 0..ITERS * 2 {
                 store.prefetch(&all[round % SLOTS..]);
-                let hints: Vec<(usize, std::ops::Range<usize>)> = (0..SLOTS)
-                    .map(|s| (s, (round % 3)..(round % 3 + 2)))
-                    .collect();
-                store.prefetch_ranges(&hints);
                 store.plan_accesses(&all);
                 std::thread::yield_now();
             }

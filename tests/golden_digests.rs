@@ -32,6 +32,16 @@
 //! rank/store layouts — and a release build (CI runs this suite by name
 //! next to `differential`) runs them all.
 //!
+//! Since the lines were captured, one change moved counters and no bits:
+//! when `prob_one` became the whole-block reduce (the segment-addressed
+//! probability path was deleted), only the `partial=` field of the four
+//! `mid fusion={true,false} lossy=true partial_decode=true ranks_log2=0
+//! spill={false,true}` lines was re-captured — their `P(q9 = 1)` stopped
+//! counting as a partial decode, halving each count (32/32/64/3344/5280 →
+//! 16/16/32/1704/2640 with fusion, 34/34/68/3534/5572 → 18/18/36/1902/2940
+//! without). Every `digest=`, `gates=` and `cache=` field of all 128 lines
+//! is unchanged.
+//!
 //! A PR that *means* to move bits regenerates the fixture: run
 //! `cargo test --release --test golden_digests -- --nocapture`, copy the lines
 //! between the `BEGIN`/`END` markers over `tests/fixtures/golden_digests.txt`,
