@@ -2,7 +2,7 @@
 //!
 //! Usage: `repro <experiment> [--csv-dir DIR] [--remote]` where experiment
 //! is one of `table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//! fig14 fig15 fig16 table2 table-spill table-partial table-server
+//! fig14 fig15 fig16 table2 table-spill table-server
 //! ablation-cache ablation-qzstd ablation-ladder ablation-fusion all`.
 //!
 //! `--remote` makes `fig5` host its rank workers in `qcsim-workerd`
@@ -45,7 +45,7 @@ fn main() {
     }
     if cmds.is_empty() {
         eprintln!(
-            "usage: repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table2|table-spill|table-partial|table-server|ablation-cache|ablation-qzstd|ablation-ladder|ablation-fusion|all> [--csv-dir DIR] [--remote]"
+            "usage: repro <table1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table2|table-spill|table-server|ablation-cache|ablation-qzstd|ablation-ladder|ablation-fusion|all> [--csv-dir DIR] [--remote]"
         );
         std::process::exit(2);
     }
@@ -65,7 +65,6 @@ fn main() {
         "fig16",
         "table2",
         "table-spill",
-        "table-partial",
         "table-server",
         "ablation-cache",
         "ablation-qzstd",
@@ -96,7 +95,6 @@ fn main() {
             "fig16" => fig16(&csv_dir),
             "table2" => table2(&csv_dir),
             "table-spill" => table_spill(&csv_dir),
-            "table-partial" => table_partial(&csv_dir),
             "table-server" => table_server(&csv_dir),
             "ablation-cache" => ablation_cache(&csv_dir),
             "ablation-qzstd" => ablation_qzstd(&csv_dir),
@@ -887,152 +885,6 @@ fn table_spill(dir: &Path) {
     }
     finish(&t, dir, "table_spill");
     println!("expected: peak memory falls with the budget; staged hits replace blocking fetches once prefetch is on; min victims cut blocking fetches further at tight budgets; write-behind moves eviction i/o off the critical path (io ms falls, wb io ms absorbs it)");
-}
-
-fn table_partial(dir: &Path) {
-    // The segment-addressable fast path (PR 8): diagonal gate waves and
-    // collapses only touch the segments their masks select, so the codec
-    // decodes strictly fewer amplitudes.
-    //
-    // Workloads: the deep QFT, whose cphase cascades carry high-bit
-    // controls (the diagonal-heavy shape the fast path targets), and a
-    // supremacy circuit (H-heavy dense waves — a near-worst case that
-    // must not regress). Each runs the strict per-gate pipeline at a
-    // fixed tight bound with a small resident budget, partial routing on
-    // vs off, then answers a `P(q = 1)` sweep over the
-    // segment-granularity in-block qubits against the spilled state,
-    // twice. The first sweep is one whole-block pass per qubit and must
-    // give the same bits with routing on and off; the second, on the same
-    // frozen state, is answered from each rank's per-qubit memo and must
-    // read nothing from the spill tier. Prefetch stays off so the `qry
-    // fetch MB` column (the first sweep's spill reads) counts synchronous
-    // reads only; the rest cover the circuit run. Amplitudes must agree
-    // with the dense reference to 1e-10 either way, and the
-    // diagonal-heavy run must show the strict segment/byte reductions
-    // (asserted below, not just printed).
-    let workloads: Vec<(&'static str, qcs_circuits::Circuit)> = vec![
-        ("qft_16", qft_benchmark_circuit(16, 12)),
-        ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
-    ];
-    let block_log2 = 11u32; // 2048 amps = 4096 f64s = 4 segments per block
-    let sa_bits = 9u32; // 1024-f64 segments = 512 amps
-    let mut t = Table::new(vec![
-        "workload",
-        "qubits",
-        "partial",
-        "wall (s)",
-        "pdec",
-        "segs dec",
-        "segs full",
-        "seg MB",
-        "seg MB full",
-        "qry fetch MB",
-        "max err",
-    ]);
-    for (name, circuit) in workloads {
-        let n = circuit.num_qubits() as u32;
-        let mut rng = StdRng::seed_from_u64(0);
-        let dense = circuit.simulate_dense(&mut rng);
-        let run = |partial: bool| {
-            let cfg = SimConfig::default()
-                .with_block_log2(block_log2)
-                .with_spill(8)
-                .with_prefetch(false)
-                .with_fixed_bound(ErrorBound::PointwiseRelative(1e-13))
-                .without_cache()
-                .without_fusion()
-                .with_partial_decode(partial);
-            let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
-            let mut rng = StdRng::seed_from_u64(0);
-            let t0 = Instant::now();
-            sim.run(&circuit, &mut rng).expect("run");
-            let wall = t0.elapsed().as_secs_f64();
-            let r_run = sim.report();
-            let sweep = |sim: &CompressedSimulator| -> Vec<u64> {
-                (sa_bits..block_log2)
-                    .map(|q| sim.prob_one(q as usize).expect("prob").to_bits())
-                    .collect()
-            };
-            let probs = sweep(&sim);
-            let r_all = sim.report();
-            assert_eq!(sweep(&sim), probs, "{name}: the repeated sweep moved");
-            let r_warm = sim.report();
-            assert_eq!(
-                r_warm.breakdown.fetch_bytes, r_all.breakdown.fetch_bytes,
-                "{name}: the repeated sweep read the spill tier"
-            );
-            let snap = sim.snapshot_dense().expect("snapshot");
-            let err = snap
-                .amplitudes()
-                .iter()
-                .zip(dense.amplitudes())
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0f64, f64::max);
-            (wall, r_run, r_all, probs, err)
-        };
-        let (wall_on, r1_on, r2_on, probs_on, err_on) = run(true);
-        let (wall_off, r1_off, r2_off, probs_off, err_off) = run(false);
-
-        // In-run checks: the acceptance contract, not just table copy.
-        assert_eq!(
-            r2_off.breakdown.partial_decodes, 0,
-            "{name}: partial_decode=false must never route partially"
-        );
-        assert!(
-            err_on <= 1e-10 && err_off <= 1e-10,
-            "{name}: amplitude error vs dense {err_on:e} / {err_off:e} > 1e-10"
-        );
-        assert_eq!(
-            probs_on, probs_off,
-            "{name}: P(q = 1) bits differ with partial routing on and off"
-        );
-        let q_fetch = |r1: &qcs_core::SimReport, r2: &qcs_core::SimReport| {
-            r2.breakdown.fetch_bytes - r1.breakdown.fetch_bytes
-        };
-        if name == "qft_16" {
-            assert!(
-                r1_on.breakdown.partial_decodes > 0,
-                "qft: partial path never fired during the run"
-            );
-            assert!(
-                r1_on.breakdown.segments_decoded < r1_on.breakdown.segments_full,
-                "qft: {} segments decoded, whole-block would be {}",
-                r1_on.breakdown.segments_decoded,
-                r1_on.breakdown.segments_full
-            );
-            assert!(
-                r1_on.breakdown.segment_bytes_read < r1_on.breakdown.segment_bytes_full,
-                "qft: {} codec bytes touched, whole-block would be {}",
-                r1_on.breakdown.segment_bytes_read,
-                r1_on.breakdown.segment_bytes_full
-            );
-        }
-        for (partial, wall, r1, r2, err) in [
-            (true, wall_on, &r1_on, &r2_on, err_on),
-            (false, wall_off, &r1_off, &r2_off, err_off),
-        ] {
-            t.row(vec![
-                name.to_string(),
-                format!("{n}"),
-                format!("{partial}"),
-                format!("{wall:.2}"),
-                format!("{}", r1.breakdown.partial_decodes),
-                format!("{}", r1.breakdown.segments_decoded),
-                format!("{}", r1.breakdown.segments_full),
-                format!("{:.2}", r1.breakdown.segment_bytes_read as f64 / 1e6),
-                format!("{:.2}", r1.breakdown.segment_bytes_full as f64 / 1e6),
-                format!("{:.2}", q_fetch(r1, r2) as f64 / 1e6),
-                format!("{err:.2e}"),
-            ]);
-        }
-        println!(
-            "... {name} done (first query sweep: {} frame KB on vs {} off; repeated sweep: 0)",
-            q_fetch(&r1_on, &r2_on) / 1000,
-            q_fetch(&r1_off, &r2_off) / 1000
-        );
-    }
-    finish(&t, dir, "table_partial");
-    println!("expected: qft decodes strictly fewer segments/bytes with partial on; the P(q = 1) sweep gives the same bits on and off, and repeating it on the frozen state reads 0 spill bytes; amplitudes match dense to 1e-10 either way");
 }
 
 fn table_server(dir: &Path) {

@@ -202,18 +202,18 @@ breakdown_table! {
         write_behind_spills,
         /// Spill-tier bytes written by the background write-behind thread.
         write_behind_bytes,
-        /// Block operations served by the segment-addressable fast path
-        /// (0 with partial decode off or a whole-stream codec).
+        /// Always 0: every block operation decodes the whole block. This
+        /// row and the four after it counted a segment-level decode path
+        /// the engine no longer has; they stay in the table so that its
+        /// readers (and the wire's array form) keep their layout.
         partial_decodes,
-        /// Segments actually decoded by partial-path operations.
+        /// Always 0 (see `partial_decodes`).
         segments_decoded,
-        /// Segments a whole-block decode would have touched for the same
-        /// operations.
+        /// Always 0 (see `partial_decodes`).
         segments_full,
-        /// Compressed bytes the partial path actually read.
+        /// Always 0 (see `partial_decodes`).
         segment_bytes_read,
-        /// Compressed bytes a whole-block decode would have read for the same
-        /// operations.
+        /// Always 0 (see `partial_decodes`).
         segment_bytes_full,
         /// Heap allocations observed at the codec seam (pool misses plus
         /// scratch-capacity growth); 0 in a warm steady state.
@@ -369,29 +369,6 @@ impl Metrics {
         inner.write_behind_bytes += bytes;
     }
 
-    /// Record one block operation served by the segment-addressable fast
-    /// path: it decoded `segments` of the block's `segments_full` segments
-    /// and read `bytes` of the `bytes_full` a whole-block decode would
-    /// have touched. The `*_full` arguments accumulate the full-decode
-    /// *equivalents*, so `segments_decoded / segments_full` (and the byte
-    /// ratio) is exactly the fraction of codec/I/O work the partial path
-    /// paid relative to routing the same operations through whole-block
-    /// decodes.
-    pub fn add_partial_decode(
-        &self,
-        segments: u64,
-        segments_full: u64,
-        bytes: u64,
-        bytes_full: u64,
-    ) {
-        let mut inner = self.inner.lock();
-        inner.partial_decodes += 1;
-        inner.segments_decoded += segments;
-        inner.segments_full += segments_full;
-        inner.segment_bytes_read += bytes;
-        inner.segment_bytes_full += bytes_full;
-    }
-
     /// Fold a drained codec-seam snapshot into the accumulator:
     /// `allocs` heap allocations totalling `bytes` bytes and
     /// `reuse_hits` scratch-buffer reuses observed at the block codec's
@@ -476,6 +453,43 @@ mod tests {
             m.absorb(&only);
             assert_eq!(m.breakdown(), only, "{name}");
         }
+    }
+
+    #[test]
+    fn retired_segment_rows_keep_their_places_and_read_zero() {
+        // The wire's array form and the benchmark's readers index these
+        // five rows by position: they stay between the write-behind and
+        // the codec-seam counters, and no recorder feeds them.
+        let retired = [
+            "partial_decodes",
+            "segments_decoded",
+            "segments_full",
+            "segment_bytes_read",
+            "segment_bytes_full",
+        ];
+        let names = TimeBreakdown::FIELD_NAMES;
+        let at = names.iter().position(|n| *n == retired[0]).unwrap();
+        assert_eq!(names[at - 1], "write_behind_bytes");
+        assert_eq!(&names[at..at + retired.len()], &retired);
+        assert_eq!(names[at + retired.len()], "codec_allocs");
+
+        let m = Metrics::new();
+        for phase in Phase::ALL {
+            m.add(phase, Duration::from_nanos(3));
+        }
+        m.add_comm_bytes(10);
+        m.add_exchange();
+        m.add_spill(11);
+        m.add_fetch_blocking(12);
+        m.add_fetch_overlapped(13);
+        m.add_spill_write_behind(14);
+        m.add_codec_counters(1, 15, 2);
+        m.add_block_touch(3);
+        m.add_cache_lookup(true);
+        m.add_cache_lookup(false);
+        let fields = m.breakdown().to_array();
+        assert!(fields[at + retired.len()..].iter().any(|v| *v > 0));
+        assert_eq!(&fields[at..at + retired.len()], &[0; 5]);
     }
 
     #[test]
@@ -596,20 +610,6 @@ mod tests {
             b.percentages()[6] > 99.0,
             "only write-behind i/o was recorded"
         );
-    }
-
-    #[test]
-    fn partial_decode_accounting_tracks_savings() {
-        let m = Metrics::new();
-        // Two partial operations: 2 of 8 segments, then 3 of 8.
-        m.add_partial_decode(2, 8, 200, 800);
-        m.add_partial_decode(3, 8, 300, 800);
-        let b = m.breakdown();
-        assert_eq!(b.partial_decodes, 2);
-        assert_eq!(b.segments_decoded, 5);
-        assert_eq!(b.segments_full, 16);
-        assert_eq!(b.segment_bytes_read, 500);
-        assert_eq!(b.segment_bytes_full, 1600);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every integrity field and content tag is this function over the bytes
 //! it covers: the frame checksum and the per-segment index entries
-//! ([`crate::frame`], [`crate::partial`]), the spill tier's prefix
+//! ([`crate::frame`], [`crate::segment`]), the spill tier's prefix
 //! verification, the block cache's line tag and the `qcs-net` wire frame.
 //! The cache line's op key folds its words through it one at a time.
 //!

@@ -96,13 +96,6 @@ pub trait Codec: Send + Sync {
         let _ = bound;
         true
     }
-
-    /// The codec's segment-addressable capability, when it has one
-    /// ([`crate::partial::PartialCodec`]). `None` — the default — means the
-    /// codec only works whole-stream.
-    fn as_partial(&self) -> Option<&dyn crate::partial::PartialCodec> {
-        None
-    }
 }
 
 /// Identifier for every codec in the crate; stable across checkpoints.

@@ -28,7 +28,7 @@
 //!
 //! # Frame version 2: segment-addressable payloads
 //!
-//! When the payload is a segmented stream (see [`crate::partial`]),
+//! When the payload is a segmented stream (see [`crate::segment`]),
 //! [`write_frame`] automatically emits a version-2 frame:
 //!
 //! ```text
@@ -46,7 +46,7 @@
 //! [`parse_header`] parses either version from a byte slice.
 //! [`read_frame`] also checks that a v2 payload is a segmented
 //! stream this build reads, with a prefix of exactly `prefix_len` bytes: a
-//! segmented layout that is no longer written (see [`crate::partial`]) is
+//! segmented layout that is no longer written (see [`crate::segment`]) is
 //! refused there by name. Non-segmented payloads keep the version-1
 //! format, and version-1 frames remain fully readable.
 //!
@@ -139,13 +139,13 @@ pub fn encoded_len(payload_len: usize) -> usize {
 /// Total on-disk footprint [`write_frame`] will produce for `payload` —
 /// accounts for the automatic v1/v2 header selection.
 pub fn encoded_len_of(payload: &[u8]) -> usize {
-    match crate::partial::segmented_prefix_len(payload) {
+    match crate::segment::segmented_prefix_len(payload) {
         Some(_) => HEADER2_LEN + payload.len(),
         None => HEADER_LEN + payload.len(),
     }
 }
 
-/// Write one frame to `w`. Segmented payloads (see [`crate::partial`]) get
+/// Write one frame to `w`. Segmented payloads (see [`crate::segment`]) get
 /// a version-2 header whose checksum covers only the stream prefix; any
 /// other payload gets the version-1 format. Returns the number of bytes
 /// written ([`encoded_len_of`]`(payload)`).
@@ -161,7 +161,7 @@ pub fn write_frame<W: Write>(
             payload.len()
         )));
     }
-    let prefix_len = crate::partial::segmented_prefix_len(payload);
+    let prefix_len = crate::segment::segmented_prefix_len(payload);
     w.write_all(if prefix_len.is_some() {
         &MAGIC2
     } else {
@@ -212,7 +212,7 @@ pub fn encode_frame_into(
         )));
     }
     out.reserve(encoded_len_of(payload));
-    let prefix_len = crate::partial::segmented_prefix_len(payload);
+    let prefix_len = crate::segment::segmented_prefix_len(payload);
     out.extend_from_slice(if prefix_len.is_some() {
         &MAGIC2
     } else {
@@ -348,8 +348,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     // A v2 frame promises a segmented payload this build reads, whose
     // prefix is exactly what the checksum covered.
     if let Some(p) = parsed.prefix_len {
-        if crate::partial::segmented_prefix_len(&payload) != Some(p) {
-            let why = match crate::partial::SegmentIndex::parse(&payload) {
+        if crate::segment::segmented_prefix_len(&payload) != Some(p) {
+            let why = match crate::segment::SegmentIndex::parse(&payload) {
                 Err(e) => e.to_string(),
                 Ok(_) => format!("payload is not a segmented stream with a {p}-byte prefix"),
             };
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn parse_header_reads_both_versions() {
         let payload = segmented_payload();
-        let prefix_len = crate::partial::segmented_prefix_len(&payload).unwrap();
+        let prefix_len = crate::segment::segmented_prefix_len(&payload).unwrap();
         let mut v2 = Vec::new();
         write_frame(
             &mut v2,
@@ -604,7 +604,7 @@ mod tests {
     fn v2_corrupt_body_passes_frame_but_fails_codec() {
         use crate::codec::Codec;
         let payload = segmented_payload();
-        let prefix_len = crate::partial::segmented_prefix_len(&payload).unwrap();
+        let prefix_len = crate::segment::segmented_prefix_len(&payload).unwrap();
         let mut buf = Vec::new();
         write_frame(
             &mut buf,

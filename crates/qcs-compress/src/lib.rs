@@ -140,9 +140,9 @@ pub mod fpzip;
 pub mod frame;
 pub mod huffman;
 pub mod lz77;
-pub mod partial;
 pub mod qzstd;
 pub(crate) mod scratch;
+pub mod segment;
 pub mod stats;
 pub mod sz;
 pub mod trunc;
@@ -151,9 +151,7 @@ pub mod zfp;
 pub use codec::{bytes_to_f64s, f64s_to_bytes, Codec, CodecError, CodecId};
 pub use error_bound::{ladder, mantissa_bits_for_relative, ErrorBound, PWR_LEVELS};
 pub use frame::{Frame, FrameError};
-pub use partial::{
-    segmented_prefix_len, PartialCodec, SegmentEdit, SegmentIndex, DEFAULT_SEGMENT_VALUES,
-};
+pub use segment::{segmented_prefix_len, SegmentIndex, DEFAULT_SEGMENT_VALUES};
 
 /// Lossless codec over raw f64 bytes, wrapping [`qzstd`].
 ///

@@ -10,7 +10,7 @@
 //!
 //! Step (3) runs over the whole reduced stream only where that pays. Each
 //! segment of a segmented Solution C stream (the engine's default format,
-//! see [`crate::partial`]) starts with a mode byte:
+//! see [`crate::segment`]) starts with a mode byte:
 //!
 //! ```text
 //! mode 0: qzstd(body)                                 first byte 0..=3

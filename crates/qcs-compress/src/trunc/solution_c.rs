@@ -23,7 +23,7 @@
 //! `qzstd(body)`, byte for byte as it always was.
 //!
 //! Each segment of the segmented format (the engine's default, see
-//! [`crate::partial`]) starts with a mode byte:
+//! [`crate::segment`]) starts with a mode byte:
 //!
 //! ```text
 //! mode 0: qzstd(body)                                 first byte 0..=3
@@ -56,9 +56,7 @@
 use crate::bitio::bytes;
 use crate::codec::{Codec, CodecError};
 use crate::error_bound::{mantissa_bits_for_relative, ErrorBound};
-use crate::partial::{
-    PartialCodec, SegmentEdit, SegmentIndex, DEFAULT_SEGMENT_VALUES, SEG_MAGIC_C,
-};
+use crate::segment::{DEFAULT_SEGMENT_VALUES, SEG_MAGIC_C};
 use crate::{lz77, qzstd};
 use std::ops::Range;
 
@@ -105,11 +103,11 @@ fn is_exception(bits: u64) -> bool {
 pub struct SolutionC {
     /// Lossless backend effort.
     pub backend_level: qzstd::Level,
-    /// Values per segment of the segment-addressable stream format
+    /// Values per segment of the segmented stream format
     /// (`None` emits the legacy whole-stream format). Segmented streams
     /// reset the XOR-delta chain and run the lossless backend per
     /// segment, making every segment independently decodable — see
-    /// [`crate::partial`].
+    /// [`crate::segment`].
     pub segment_values: Option<usize>,
 }
 
@@ -505,62 +503,12 @@ impl Codec for SolutionC {
     fn supports(&self, bound: ErrorBound) -> bool {
         !matches!(bound, ErrorBound::Absolute(_))
     }
-
-    fn as_partial(&self) -> Option<&dyn PartialCodec> {
-        Some(self)
-    }
-}
-
-impl PartialCodec for SolutionC {
-    fn supports_partial(&self) -> bool {
-        self.segment_values.is_some()
-    }
-
-    fn segment_values(&self) -> Option<usize> {
-        self.segment_values
-    }
-
-    fn decompress_segment(
-        &self,
-        index: &SegmentIndex,
-        seg: usize,
-        body: &[u8],
-        out: &mut Vec<f64>,
-    ) -> Result<(), CodecError> {
-        segmented::decode_segment(
-            index,
-            seg,
-            body,
-            &|b, n, o| self.decode_segment_into(b, n, o),
-            out,
-        )
-    }
-
-    fn recompress_segments_into(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let m = Self::mantissa_bits(bound)?;
-        out.clear();
-        segmented::splice_into(
-            SEG_MAGIC_C,
-            data,
-            edits,
-            |slice, out| {
-                self.encode_segment_into(slice, m, out);
-                Ok(())
-            },
-            out,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentIndex;
 
     fn sample_data(n: usize) -> Vec<f64> {
         // Spiky, sign-alternating small amplitudes like Fig. 9.
@@ -729,63 +677,72 @@ mod tests {
     }
 
     #[test]
-    fn decompress_range_matches_full_decode_sliced() {
+    fn index_tiles_the_values_and_the_stream() {
         let data = sample_data(2500);
         let c = SolutionC::default();
         let enc = c
             .compress(&data, ErrorBound::PointwiseRelative(1e-4))
             .unwrap();
-        let full = c.decompress(&enc).unwrap();
         let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        assert_eq!(index.n_segs(), 3);
-        for segs in [0..1usize, 1..2, 0..3, 2..3, 1..3] {
-            let mut part = Vec::new();
-            c.decompress_range(&enc, segs.clone(), &mut part).unwrap();
-            let lo = index.value_range(segs.start).start;
-            let hi = index.value_range(segs.end - 1).end;
-            assert_eq!(part.len(), hi - lo);
-            for (a, b) in part.iter().zip(&full[lo..hi]) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+        assert_eq!(
+            (index.n_values, index.seg_values, index.n_segs()),
+            (2500, 1024, 3)
+        );
+        let (mut next_value, mut next_byte) = (0, index.prefix_len());
+        for seg in 0..index.n_segs() {
+            let (values, bytes) = (index.value_range(seg), index.byte_range(seg));
+            assert_eq!((values.start, bytes.start), (next_value, next_byte));
+            assert_eq!(
+                crate::checksum::checksum64(&enc[bytes.clone()]),
+                index.entry(seg).checksum
+            );
+            (next_value, next_byte) = (values.end, bytes.end);
         }
+        assert_eq!((next_value, next_byte), (2500, enc.len()));
+        assert_eq!(index.stream_len(), enc.len());
     }
 
     #[test]
-    fn recompress_range_splices_without_touching_the_rest() {
+    fn a_segment_body_depends_only_on_its_own_values() {
         let data = sample_data(2048); // exactly 2 segments
         let c = SolutionC::default();
         let bound = ErrorBound::PointwiseRelative(1e-3);
         let enc = c.compress(&data, bound).unwrap();
-        let mut seg1: Vec<f64> = data[1024..].to_vec();
-        for v in &mut seg1 {
+        let mut edited = data.clone();
+        for v in &mut edited[1024..] {
             *v *= 2.0;
         }
-        let spliced = c.recompress_range(&enc, 1..2, &seg1, bound).unwrap();
-        let dec = c.decompress(&spliced).unwrap();
+        let enc2 = c.compress(&edited, bound).unwrap();
+        let a = SegmentIndex::parse(&enc).unwrap().unwrap();
+        let b = SegmentIndex::parse(&enc2).unwrap().unwrap();
+        // The untouched segment is byte for byte the same body.
+        assert_eq!(&enc[a.byte_range(0)], &enc2[b.byte_range(0)]);
+        assert_eq!(a.entry(0).checksum, b.entry(0).checksum);
+        assert_ne!(&enc[a.byte_range(1)], &enc2[b.byte_range(1)]);
         let orig = c.decompress(&enc).unwrap();
-        // Untouched segment is byte-for-byte the original decode.
-        for (a, b) in dec[..1024].iter().zip(&orig[..1024]) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let dec = c.decompress(&enc2).unwrap();
+        for (x, y) in orig[..1024].iter().zip(&dec[..1024]) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
-        for (v, d) in seg1.iter().zip(&dec[1024..]) {
+        for (v, d) in edited[1024..].iter().zip(&dec[1024..]) {
             assert!((v - d).abs() <= 1e-3 * v.abs());
         }
     }
 
     #[test]
-    fn zero_edit_matches_encoding_zeros() {
-        let data = sample_data(2048);
+    fn a_zero_segment_decodes_to_exact_zeros() {
+        let mut data = sample_data(2048);
+        data[..1024].fill(0.0);
         let c = SolutionC::default();
-        let bound = ErrorBound::PointwiseRelative(1e-3);
-        let enc = c.compress(&data, bound).unwrap();
-        let zeroed = c
-            .recompress_segments(&enc, &[SegmentEdit::Zero { seg: 0 }], bound)
+        let enc = c
+            .compress(&data, ErrorBound::PointwiseRelative(1e-3))
             .unwrap();
-        let dec = c.decompress(&zeroed).unwrap();
-        assert!(dec[..1024].iter().all(|v| *v == 0.0));
-        let orig = c.decompress(&enc).unwrap();
-        for (a, b) in dec[1024..].iter().zip(&orig[1024..]) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
+        assert!(index.byte_range(0).len() < index.byte_range(1).len());
+        let dec = c.decompress(&enc).unwrap();
+        assert!(dec[..1024].iter().all(|v| v.to_bits() == 0));
+        for (v, d) in data[1024..].iter().zip(&dec[1024..]) {
+            assert!((v - d).abs() <= 1e-3 * v.abs());
         }
     }
 
@@ -800,12 +757,9 @@ mod tests {
         let mut bad = enc.clone();
         let mid = index.byte_range(1).start + index.byte_range(1).len() / 2;
         bad[mid] ^= 0x10;
-        // Whole decode and the partial path both catch the bad checksum.
-        assert!(c.decompress(&bad).is_err());
-        let mut out = Vec::new();
-        assert!(c.decompress_range(&bad, 1..2, &mut out).is_err());
-        // The untouched segment still partially decodes.
-        out.clear();
-        assert!(c.decompress_range(&bad, 0..1, &mut out).is_ok());
+        match c.decompress(&bad) {
+            Err(CodecError::Corrupt(m)) => assert!(m.contains("segment 1"), "{m}"),
+            other => panic!("a flipped body byte decoded: {other:?}"),
+        }
     }
 }

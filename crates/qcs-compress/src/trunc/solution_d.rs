@@ -3,8 +3,8 @@
 use crate::bitio::bytes;
 use crate::codec::{Codec, CodecError};
 use crate::error_bound::ErrorBound;
-use crate::partial::{PartialCodec, SegmentEdit, SegmentIndex, SEG_MAGIC_D};
 use crate::qzstd;
+use crate::segment::SEG_MAGIC_D;
 
 use super::{segmented, SolutionC};
 
@@ -196,57 +196,6 @@ impl Codec for SolutionD {
     fn supports(&self, bound: ErrorBound) -> bool {
         self.inner.supports(bound)
     }
-
-    fn as_partial(&self) -> Option<&dyn PartialCodec> {
-        Some(self)
-    }
-}
-
-impl PartialCodec for SolutionD {
-    fn supports_partial(&self) -> bool {
-        self.inner.segment_values.is_some()
-    }
-
-    fn segment_values(&self) -> Option<usize> {
-        self.inner.segment_values
-    }
-
-    fn decompress_segment(
-        &self,
-        index: &SegmentIndex,
-        seg: usize,
-        body: &[u8],
-        out: &mut Vec<f64>,
-    ) -> Result<(), CodecError> {
-        segmented::decode_segment(
-            index,
-            seg,
-            body,
-            &|b, n, o| self.decode_shuffled_into(b, Some(n), o),
-            out,
-        )
-    }
-
-    fn recompress_segments_into(
-        &self,
-        data: &[u8],
-        edits: &[SegmentEdit<'_>],
-        bound: ErrorBound,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let m = SolutionC::mantissa_bits(bound)?;
-        out.clear();
-        segmented::splice_into(
-            SEG_MAGIC_D,
-            data,
-            edits,
-            |slice, out| {
-                self.encode_shuffled_into(slice, m, out);
-                Ok(())
-            },
-            out,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -347,6 +296,36 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_body_depends_only_on_its_own_values() {
+        use crate::segment::SegmentIndex;
+        let data = complex_like(2500); // 3 segments, the last one short
+        let d = SolutionD::default();
+        let bound = ErrorBound::PointwiseRelative(1e-4);
+        let enc = d.compress(&data, bound).unwrap();
+        let mut edited = data.clone();
+        for v in &mut edited[1024..2048] {
+            *v = -*v;
+        }
+        let enc2 = d.compress(&edited, bound).unwrap();
+        let a = SegmentIndex::parse(&enc).unwrap().unwrap();
+        let b = SegmentIndex::parse(&enc2).unwrap().unwrap();
+        assert_eq!((a.n_segs(), b.n_segs()), (3, 3));
+        for seg in [0, 2] {
+            assert_eq!(&enc[a.byte_range(seg)], &enc2[b.byte_range(seg)], "{seg}");
+        }
+        assert_ne!(&enc[a.byte_range(1)], &enc2[b.byte_range(1)]);
+        let orig = d.decompress(&enc).unwrap();
+        let dec = d.decompress(&enc2).unwrap();
+        for (i, (x, y)) in orig.iter().zip(&dec).enumerate() {
+            if (1024..2048).contains(&i) {
+                assert_eq!(x.to_bits(), (-*y).to_bits(), "value {i}");
+            } else {
+                assert_eq!(x.to_bits(), y.to_bits(), "value {i}");
+            }
+        }
+    }
+
+    #[test]
     fn segmented_and_whole_stream_decode_identically() {
         let data = complex_like(3000);
         let seg = SolutionD::default();
@@ -360,27 +339,6 @@ mod tests {
                 .unwrap();
             assert_eq!(ds.len(), dw.len());
             for (a, b) in ds.iter().zip(&dw) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn decompress_range_matches_full_decode_sliced() {
-        use crate::partial::{PartialCodec, SegmentIndex};
-        let data = complex_like(2500);
-        let d = SolutionD::default();
-        let enc = d
-            .compress(&data, ErrorBound::PointwiseRelative(1e-4))
-            .unwrap();
-        let full = d.decompress(&enc).unwrap();
-        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        for segs in [0..1usize, 1..3, 2..3] {
-            let mut part = Vec::new();
-            d.decompress_range(&enc, segs.clone(), &mut part).unwrap();
-            let lo = index.value_range(segs.start).start;
-            let hi = index.value_range(segs.end - 1).end;
-            for (a, b) in part.iter().zip(&full[lo..hi]) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

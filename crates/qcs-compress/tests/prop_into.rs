@@ -5,9 +5,12 @@
 //! oversized, or undersized across calls — and every allocating `compress`
 //! must return a vector whose capacity equals its length (so the
 //! `Vec<u8> -> Arc<[u8]>` conversion in the engine never reallocates).
+//! `decompress_capped_into` at the true value count must be
+//! `decompress_into`, and the codecs whose headers size an allocation must
+//! refuse a cap one value short.
 
 use proptest::prelude::*;
-use qcs_compress::{CodecId, ErrorBound, SegmentEdit};
+use qcs_compress::{CodecError, CodecId, ErrorBound};
 
 /// Random amplitude blocks spanning many decades, with zero stretches.
 fn amplitude_block() -> impl Strategy<Value = Vec<f64>> {
@@ -107,40 +110,33 @@ proptest! {
         }
     }
 
-    // recompress_segments_into == recompress_segments for the partial
-    // codecs, with a dirty reused buffer, and the edited stream decodes
-    // through decompress_into identically to decompress.
+    // decompress_capped_into at the stream's true value count == decompress,
+    // bit for bit, into a dirty buffer; the codecs whose headers size an
+    // allocation (qzstd, Solutions C and D) refuse a cap one value short.
     #[test]
-    fn recompress_segments_into_bit_identical(
+    fn capped_decode_at_the_true_length_is_decompress(
         data in amplitude_block(),
-        zero_first in any::<bool>(),
+        bound_sel in 0usize..BOUNDS.len(),
     ) {
-        let bound = ErrorBound::PointwiseRelative(1e-4);
-        for id in [CodecId::SolutionC, CodecId::SolutionD] {
+        let bound = BOUNDS[bound_sel];
+        for id in CodecId::ALL {
             let codec = id.build();
-            let partial = codec.as_partial().expect("solutions C/D are partial");
+            if !codec.supports(bound) {
+                continue;
+            }
             let enc = codec.compress(&data, bound).unwrap();
-            let replacement: Vec<f64> = data
-                .iter()
-                .take(partial.segment_values().unwrap().min(data.len()))
-                .map(|v| v * 0.5)
-                .collect();
-            let edits = [
-                SegmentEdit::Replace { seg: 0, values: &replacement },
-                SegmentEdit::Zero { seg: 0 },
-            ];
-            let edits = if zero_first { [edits[1], edits[0]] } else { [edits[0], edits[1]] };
-            let plain = partial.recompress_segments(&enc, &edits, bound).unwrap();
-            let mut out = vec![0xEEu8; 5];
-            partial
-                .recompress_segments_into(&enc, &edits, bound, &mut out)
-                .unwrap();
-            prop_assert_eq!(&out[..], &plain[..]);
-
-            let full = codec.decompress(&plain).unwrap();
-            let mut dec = vec![f64::NAN; 1];
-            codec.decompress_into(&out, &mut dec).unwrap();
-            assert_same_values(&full, &dec)?;
+            let plain = codec.decompress(&enc).unwrap();
+            let mut out = vec![f64::NAN; 3];
+            codec.decompress_capped_into(&enc, data.len(), &mut out).unwrap();
+            assert_same_values(&plain, &out)?;
+            if matches!(id, CodecId::Qzstd | CodecId::SolutionC | CodecId::SolutionD) {
+                let short = codec.decompress_capped_into(&enc, data.len() - 1, &mut out);
+                prop_assert!(
+                    matches!(short, Err(CodecError::Corrupt(_))),
+                    "{:?} decoded {} values under a cap of {}: {:?}",
+                    id, data.len(), data.len() - 1, short
+                );
+            }
         }
     }
 }

@@ -5,14 +5,13 @@
 //!   regress against the single-mode layout these streams replaced;
 //! - (b) the packed body is byte for byte the one the scalar loop wrote,
 //!   and unpacks to the same values, for every mantissa width;
-//! - (c) streams mixing both modes round-trip inside the bound, whole and
-//!   by range;
+//! - (c) streams mixing both modes round-trip inside the bound;
 //! - (d) every truncation and single-byte substitution of a mode-0 and a
 //!   mode-1 segment ends in a typed error, with bounded allocation.
 
 use qcs_compress::checksum::checksum64;
 use qcs_compress::trunc::SolutionC;
-use qcs_compress::{qzstd, Codec, CodecError, ErrorBound, PartialCodec, SegmentIndex};
+use qcs_compress::{qzstd, Codec, CodecError, ErrorBound, SegmentIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::f64::consts::TAU;
@@ -333,7 +332,7 @@ fn word_unpack_matches_the_scalar_values() {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Both modes, whole and by range
+// (c) Both modes in one stream
 // ---------------------------------------------------------------------------
 
 /// Segment `seg`'s mode: 1 when its first byte is the raw-suffix mark,
@@ -354,7 +353,7 @@ fn mixed_block() -> (Vec<f64>, SolutionC) {
 }
 
 #[test]
-fn both_modes_round_trip_whole_and_by_range() {
+fn both_modes_round_trip_within_the_bound() {
     let (data, c) = mixed_block();
     for eps in [1e-2, 1e-3, 1e-5] {
         let stream = c
@@ -373,19 +372,6 @@ fn both_modes_round_trip_whole_and_by_range() {
         assert!(modes.contains(&1), "eps={eps}: {modes:?}");
         let full = c.decompress(&stream).unwrap();
         assert_within_bound(&data, &full, eps);
-        for start in 0..index.n_segs() {
-            for end in start + 1..=index.n_segs() {
-                let mut part = Vec::new();
-                c.decompress_range(&stream, start..end, &mut part).unwrap();
-                let lo = index.value_range(start).start;
-                let hi = index.value_range(end - 1).end;
-                assert!(part
-                    .iter()
-                    .zip(&full[lo..hi])
-                    .all(|(a, b)| a.to_bits() == b.to_bits()));
-                assert_eq!(part.len(), hi - lo);
-            }
-        }
     }
     // Lossless too: noise keeps every suffix byte, the periodic half
     // repeats them.
@@ -484,7 +470,7 @@ fn every_cut_and_substitution_of_either_mode_is_a_typed_error() {
         assert_eq!(mode_of(&stream, &index, 0), mode);
         let (prefix, body) = stream.split_at(index.prefix_len());
         let mut out = Vec::with_capacity(data.len());
-        c.decompress_segment(&index, 0, body, &mut out).unwrap();
+        c.decompress_into(&stream, &mut out).unwrap();
         let full_decode = out.clone();
 
         // Cuts: refused by the index's length, and re-pointed, by the body.

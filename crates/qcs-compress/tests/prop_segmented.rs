@@ -1,12 +1,12 @@
-//! Property suite for the segment-addressable Solution C/D formats: a
-//! segmented stream must decode to exactly the values the legacy
-//! whole-stream format produces at the same bound, `decompress_range` must
-//! equal the full decode sliced, and splicing edits via `recompress_range`
-//! must touch only the edited segments.
+//! Property suite for the segmented Solution C/D formats: a segmented
+//! stream must decode to exactly the values the legacy whole-stream format
+//! produces at the same bound, its index must describe the whole stream,
+//! and a segment's body must depend on that segment's values alone.
 
 use proptest::prelude::*;
+use qcs_compress::checksum::checksum64;
 use qcs_compress::trunc::{SolutionC, SolutionD};
-use qcs_compress::{Codec, ErrorBound, PartialCodec, SegmentIndex};
+use qcs_compress::{segmented_prefix_len, Codec, ErrorBound, SegmentIndex, DEFAULT_SEGMENT_VALUES};
 
 /// Random amplitude blocks spanning many decades, with zero stretches.
 fn amplitude_block() -> impl Strategy<Value = Vec<f64>> {
@@ -69,38 +69,42 @@ proptest! {
         }
     }
 
-    // decompress_range over any contiguous run equals the full decode
-    // sliced to the covered values.
+    // The index describes the whole stream: the bodies run back to back
+    // from the end of the prefix to the last byte, each under its own
+    // checksum, and their value ranges tile the input.
     #[test]
-    fn decompress_range_equals_full_decode_sliced(
+    fn index_describes_the_whole_stream(
         data in amplitude_block(),
         seg_values in 1usize..200,
         bound_exp in 0u32..6,
-        pick in (0usize..1000, 0usize..1000),
     ) {
         let bound = bound_from(bound_exp);
-        let c = segmented_c(seg_values);
-        let enc = c.compress(&data, bound).unwrap();
-        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        let n_segs = index.n_segs();
-        let (a, b) = (pick.0 % n_segs, pick.1 % n_segs);
-        let segs = a.min(b)..a.max(b) + 1;
-        let full = c.decompress(&enc).unwrap();
-        let mut part = Vec::new();
-        c.decompress_range(&enc, segs.clone(), &mut part).unwrap();
-        let lo = index.value_range(segs.start).start;
-        let hi = index.value_range(segs.end - 1).end;
-        prop_assert_eq!(part.len(), hi - lo);
-        for (x, y) in part.iter().zip(&full[lo..hi]) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
+        let codecs: [(&dyn Codec, usize); 2] = [
+            (&segmented_c(seg_values), seg_values),
+            (&SolutionD::default(), DEFAULT_SEGMENT_VALUES),
+        ];
+        for (codec, seg_values) in codecs {
+            let enc = codec.compress(&data, bound).unwrap();
+            let index = SegmentIndex::parse(&enc).unwrap().unwrap();
+            prop_assert_eq!((index.n_values, index.seg_values), (data.len(), seg_values));
+            prop_assert_eq!(segmented_prefix_len(&enc), Some(index.prefix_len()));
+            let (mut next_value, mut next_byte) = (0, index.prefix_len());
+            for seg in 0..index.n_segs() {
+                let (values, bytes) = (index.value_range(seg), index.byte_range(seg));
+                prop_assert_eq!((values.start, bytes.start), (next_value, next_byte));
+                prop_assert!(!values.is_empty());
+                prop_assert_eq!(checksum64(&enc[bytes.clone()]), index.entry(seg).checksum);
+                (next_value, next_byte) = (values.end, bytes.end);
+            }
+            prop_assert_eq!((next_value, next_byte), (data.len(), enc.len()));
         }
     }
 
-    // recompress_range re-encodes exactly the chosen run: edited segments
-    // decode to the (truncated) replacement values, all other segments
-    // stay bit-identical to the original decode.
+    // Segments are encoded independently: rewriting the values of one run
+    // of segments leaves every other body byte for byte as it was, and the
+    // rewritten run decodes inside the bound.
     #[test]
-    fn recompress_range_touches_only_the_edited_run(
+    fn editing_a_run_of_segments_changes_no_other_body(
         data in amplitude_block(),
         seg_values in 1usize..200,
         bound_exp in 1u32..6,
@@ -108,34 +112,36 @@ proptest! {
         scale in 0.25f64..4.0,
     ) {
         let bound = bound_from(bound_exp);
+        let eps = 10f64.powi(-(bound_exp as i32));
         let c = segmented_c(seg_values);
         let enc = c.compress(&data, bound).unwrap();
         let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        let n_segs = index.n_segs();
-        let (a, b) = (pick.0 % n_segs, pick.1 % n_segs);
+        let (a, b) = (pick.0 % index.n_segs(), pick.1 % index.n_segs());
         let segs = a.min(b)..a.max(b) + 1;
         let lo = index.value_range(segs.start).start;
         let hi = index.value_range(segs.end - 1).end;
-        let replacement: Vec<f64> = data[lo..hi].iter().map(|v| v * scale).collect();
-        let spliced = c.recompress_range(&enc, segs.clone(), &replacement, bound).unwrap();
-
+        let mut edited = data.clone();
+        for v in &mut edited[lo..hi] {
+            *v *= scale;
+        }
+        let enc2 = c.compress(&edited, bound).unwrap();
+        let index2 = SegmentIndex::parse(&enc2).unwrap().unwrap();
+        prop_assert_eq!(index2.n_segs(), index.n_segs());
+        for seg in (0..index.n_segs()).filter(|s| !segs.contains(s)) {
+            prop_assert_eq!(&enc[index.byte_range(seg)], &enc2[index2.byte_range(seg)]);
+        }
         let orig = c.decompress(&enc).unwrap();
-        let new = c.decompress(&spliced).unwrap();
-        prop_assert_eq!(new.len(), orig.len());
-        for i in 0..orig.len() {
-            if i >= lo && i < hi {
-                let want = replacement[i - lo];
-                let eps = match bound {
-                    ErrorBound::PointwiseRelative(e) => e,
-                    _ => 0.0,
-                };
+        let dec = c.decompress(&enc2).unwrap();
+        for i in 0..data.len() {
+            if (lo..hi).contains(&i) {
+                let want = edited[i];
                 prop_assert!(
-                    (new[i] - want).abs() <= eps * want.abs() + f64::MIN_POSITIVE,
-                    "edited value {i}: {} vs {}", new[i], want
+                    (dec[i] - want).abs() <= eps * want.abs(),
+                    "edited value {}: {} vs {}", i, dec[i], want
                 );
             } else {
                 prop_assert!(
-                    new[i].to_bits() == orig[i].to_bits(),
+                    dec[i].to_bits() == orig[i].to_bits(),
                     "untouched value {} changed", i
                 );
             }

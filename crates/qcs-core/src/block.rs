@@ -10,7 +10,7 @@
 //! heap for per-block codec work after warm-up.
 
 use parking_lot::Mutex;
-use qcs_compress::{Codec, CodecError, CodecId, ErrorBound, PartialCodec, QzstdCodec};
+use qcs_compress::{Codec, CodecError, CodecId, ErrorBound, QzstdCodec};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -365,16 +365,6 @@ impl BlockCodec {
         block
     }
 
-    /// Segment-addressable view of the codec that produced `block`, when
-    /// that codec supports partial decode/encode. `None` for lossless
-    /// (qzstd) blocks and for whole-stream lossy codecs.
-    pub fn partial_for(&self, block: &CompressedBlock) -> Option<&dyn PartialCodec> {
-        (block.codec == self.lossy_id)
-            .then(|| self.lossy.as_partial())
-            .flatten()
-            .filter(|p| p.supports_partial())
-    }
-
     /// Decompress into `out` (cleared first).
     ///
     /// Blocks from the resident codecs decode through the shared instances
@@ -422,7 +412,7 @@ impl BlockCodec {
 
     /// Count a capacity transition observed at the seam: growth is an
     /// allocation of the grown bytes, staying put is a reuse hit.
-    pub(crate) fn note_growth(&self, cap_before: usize, cap_after: usize, elem_size: u64) {
+    fn note_growth(&self, cap_before: usize, cap_after: usize, elem_size: u64) {
         if cap_after > cap_before {
             self.counters
                 .note_alloc((cap_after - cap_before) as u64 * elem_size);
@@ -529,6 +519,179 @@ mod tests {
             let pooled = bc.compress_pooled(&data, bound).unwrap();
             assert_eq!(plain.codec, pooled.codec);
             assert_eq!(&plain.bytes[..], &pooled.bytes[..]);
+        }
+    }
+
+    /// 2048 amplitudes (4096 f64s): four default-size segments of 512
+    /// amplitudes, so offset bits 9 and 10 select whole segments.
+    fn segmented_amps() -> Vec<f64> {
+        (0..4096)
+            .map(|i| ((i as f64 * 0.37).sin() + 1.5) * 1e-3)
+            .collect()
+    }
+
+    const SEG_BOUND: ErrorBound = ErrorBound::PointwiseRelative(1e-6);
+
+    fn index_of(blk: &CompressedBlock) -> qcs_compress::SegmentIndex {
+        qcs_compress::SegmentIndex::parse(&blk.bytes)
+            .unwrap()
+            .expect("segmented stream")
+    }
+
+    /// One whole-block cycle: decode, transform, re-encode at `bound`.
+    /// Returns the new block and the values the transform produced.
+    fn cycle(
+        bc: &BlockCodec,
+        blk: &CompressedBlock,
+        bound: ErrorBound,
+        transform: impl FnOnce(&mut [f64]),
+    ) -> (CompressedBlock, Vec<f64>) {
+        let mut buf = Vec::new();
+        bc.decompress(blk, &mut buf).unwrap();
+        transform(&mut buf);
+        (bc.compress(&buf, bound).unwrap(), buf)
+    }
+
+    fn assert_within(got: &[f64], want: &[f64], eps: f64) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= eps * w.abs(), "value {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn lossy_blocks_are_segmented_and_lossless_blocks_are_not() {
+        let bc = BlockCodec::new(CodecId::SolutionC);
+        let blk = bc.compress(&segmented_amps(), SEG_BOUND).unwrap();
+        let index = index_of(&blk);
+        assert_eq!(index.n_segs(), 4);
+        for seg in 0..4 {
+            assert_eq!(index.value_range(seg), seg * 1024..(seg + 1) * 1024);
+        }
+        let blk = bc
+            .compress(&segmented_amps(), ErrorBound::Lossless)
+            .unwrap();
+        assert_eq!(blk.codec, CodecId::Qzstd);
+        assert_eq!(qcs_compress::SegmentIndex::parse(&blk.bytes).unwrap(), None);
+    }
+
+    #[test]
+    fn a_diagonal_gate_cycle_leaves_the_untouched_segments_byte_identical() {
+        use qcs_statevec::{kernels, Gate1};
+        let bc = BlockCodec::new(CodecId::SolutionC);
+        let blk = bc.compress(&segmented_amps(), SEG_BOUND).unwrap();
+        // T on offset bit 10 moves only the amplitudes with bit 10 set:
+        // segments 2 and 3.
+        let (out, want) = cycle(&bc, &blk, SEG_BOUND, |buf| {
+            kernels::apply_in_block(buf, 10, &Gate1::t(), 0)
+        });
+        let (before, after) = (index_of(&blk), index_of(&out));
+        for seg in [0, 1] {
+            assert_eq!(
+                &blk.bytes[before.byte_range(seg)],
+                &out.bytes[after.byte_range(seg)],
+                "segment {seg}"
+            );
+        }
+        for seg in [2, 3] {
+            assert_ne!(
+                &blk.bytes[before.byte_range(seg)],
+                &out.bytes[after.byte_range(seg)],
+                "segment {seg}"
+            );
+        }
+        let mut got = Vec::new();
+        bc.decompress(&out, &mut got).unwrap();
+        assert_within(&got, &want, 1e-6);
+    }
+
+    #[test]
+    fn a_low_bit_gate_cycle_rewrites_every_segment() {
+        use qcs_statevec::{kernels, Gate1};
+        let bc = BlockCodec::new(CodecId::SolutionC);
+        let blk = bc.compress(&segmented_amps(), SEG_BOUND).unwrap();
+        let (out, want) = cycle(&bc, &blk, SEG_BOUND, |buf| {
+            kernels::apply_in_block(buf, 3, &Gate1::rz(0.2), 0)
+        });
+        let (before, after) = (index_of(&blk), index_of(&out));
+        for seg in 0..4 {
+            assert_ne!(
+                before.entry(seg).checksum,
+                after.entry(seg).checksum,
+                "segment {seg}"
+            );
+        }
+        let mut got = Vec::new();
+        bc.decompress(&out, &mut got).unwrap();
+        assert_within(&got, &want, 1e-6);
+    }
+
+    #[test]
+    fn a_collapse_cycle_at_segment_granularity_zeroes_whole_segments() {
+        let bc = BlockCodec::new(CodecId::SolutionC);
+        let blk = bc.compress(&segmented_amps(), SEG_BOUND).unwrap();
+        let (bit, scale) = (1usize << 10, 1.25f64);
+        for outcome in [false, true] {
+            let (out, want) = cycle(&bc, &blk, SEG_BOUND, |buf| {
+                for (o, pair) in buf.chunks_exact_mut(2).enumerate() {
+                    let k = if (o & bit != 0) == outcome {
+                        scale
+                    } else {
+                        0.0
+                    };
+                    pair[0] *= k;
+                    pair[1] *= k;
+                }
+            });
+            let mut got = Vec::new();
+            bc.decompress(&out, &mut got).unwrap();
+            assert_within(&got, &want, 1e-6);
+            let index = index_of(&out);
+            let (dropped, kept) = if outcome {
+                ([0, 1], [2, 3])
+            } else {
+                ([2, 3], [0, 1])
+            };
+            for (z, k) in dropped.into_iter().zip(kept) {
+                assert!(got[index.value_range(z)].iter().all(|v| v.to_bits() == 0));
+                assert!(index.byte_range(z).len() < index.byte_range(k).len());
+            }
+        }
+    }
+
+    #[test]
+    fn the_lossless_rung_reencodes_a_lossy_block_exactly() {
+        let bc = BlockCodec::new(CodecId::SolutionC);
+        let blk = bc.compress(&segmented_amps(), SEG_BOUND).unwrap();
+        let (out, want) = cycle(&bc, &blk, ErrorBound::Lossless, |_| {});
+        assert_eq!(out.codec, CodecId::Qzstd);
+        let mut got = Vec::new();
+        bc.decompress(&out, &mut got).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
+    #[test]
+    fn capped_decode_refuses_a_block_longer_than_the_layout() {
+        let bc = BlockCodec::new(CodecId::SolutionC);
+        let data = segmented_amps();
+        for bound in [ErrorBound::Lossless, SEG_BOUND] {
+            let blk = bc.compress(&data, bound).unwrap();
+            let mut whole = Vec::new();
+            bc.decompress(&blk, &mut whole).unwrap();
+            let mut out = vec![f64::NAN; 7];
+            bc.decompress_capped(&blk, data.len(), &mut out).unwrap();
+            assert!(out
+                .iter()
+                .zip(&whole)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(out.len(), whole.len());
+            assert!(matches!(
+                bc.decompress_capped(&blk, data.len() / 2, &mut out),
+                Err(CodecError::Corrupt(_))
+            ));
         }
     }
 

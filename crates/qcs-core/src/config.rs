@@ -151,14 +151,6 @@ pub struct SimConfig {
     /// one more staged). Disable to reproduce the pull-on-demand tier
     /// where every cold block is a blocking seek-and-read.
     pub prefetch: bool,
-    /// Route qualifying waves through the segment-addressable partial
-    /// decode/encode path (on by default). Diagonal and controlled gates
-    /// and measurement collapse whose touched-amplitude set covers at most
-    /// half of a block's segments decode and re-encode only those
-    /// segments. Only effective with a segment-addressable lossy codec
-    /// (Solution C/D, the default); disabling it reproduces whole-block
-    /// decode everywhere. Queries always decode whole blocks.
-    pub partial_decode: bool,
     /// Multi-node transport: when set, rank workers are hosted by
     /// `qcsim-workerd` daemons at these endpoints instead of in-process
     /// threads, with commands and compressed exchange payloads moving
@@ -181,7 +173,6 @@ impl Default for SimConfig {
             max_batch_gates: qcs_circuits::schedule::MAX_BATCH_GATES,
             spill: None,
             prefetch: true,
-            partial_decode: true,
             remote: None,
         }
     }
@@ -326,13 +317,6 @@ impl SimConfig {
         self
     }
 
-    /// Config with the partial decode/encode fast path explicitly on or
-    /// off (on by default; see [`SimConfig::partial_decode`]).
-    pub fn with_partial_decode(mut self, partial_decode: bool) -> Self {
-        self.partial_decode = partial_decode;
-        self
-    }
-
     /// Host every rank worker remotely, on `qcsim-workerd` daemons at
     /// `endpoints` (rank `r` dials endpoint `r % endpoints.len()`), with
     /// default connection supervision (see [`RemoteConfig::new`]).
@@ -436,8 +420,6 @@ mod tests {
         assert_eq!(c.ladder[5], ErrorBound::PointwiseRelative(1e-1));
         assert_eq!(c.cache_lines, 64);
         assert_eq!(c.lossy_codec, CodecId::SolutionC);
-        assert!(c.partial_decode, "partial decode is on by default");
-        assert!(!c.with_partial_decode(false).partial_decode);
     }
 
     #[test]

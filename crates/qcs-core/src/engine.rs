@@ -168,7 +168,7 @@ pub struct WaveStatus {
 /// Summary statistics of a finished (or in-progress) simulation, matching
 /// the rows of the paper's Table 2. Everything the [`Metrics`] sink
 /// accumulates — phase times and the exchange / spill / prefetch /
-/// partial-decode / codec-allocation counters — lives in
+/// codec-allocation counters — lives in
 /// [`breakdown`](Self::breakdown) and nowhere else; the other fields are
 /// what only the engine facade knows.
 #[derive(Debug, Clone, PartialEq)]
@@ -497,7 +497,6 @@ impl CompressedSimulator {
                     Arc::clone(&cache),
                     metrics.clone(),
                     store,
-                    cfg.partial_decode,
                 )
             })
             .collect();

@@ -102,7 +102,6 @@ pub mod config;
 pub mod engine;
 pub mod fidelity_bound;
 pub mod net;
-mod partial;
 #[cfg(test)]
 mod plan_check;
 #[cfg(test)]

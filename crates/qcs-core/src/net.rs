@@ -653,13 +653,7 @@ fn build_worker(
         None => Box::new(MemStore::new(hello.blocks.clone())),
     };
     Ok(RankWorker::new(
-        hello.rank,
-        layout,
-        codec,
-        cache,
-        metrics,
-        store,
-        cfg.partial_decode,
+        hello.rank, layout, codec, cache, metrics, store,
     ))
 }
 
@@ -1003,7 +997,6 @@ mod tests {
             .with_spill(2)
             .with_write_behind(true)
             .with_spill_shards(3)
-            .with_partial_decode(false)
             .with_spill_dir(PathBuf::from("/coordinator/only"))
             .with_remote(vec!["127.0.0.1:9"])
     }
@@ -1042,7 +1035,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 6);
+        assert_eq!(PROTOCOL_VERSION, 7);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1347,8 +1340,7 @@ mod tests {
             .with_threads_per_rank(2)
             .with_spill(2)
             .with_write_behind(true)
-            .with_spill_shards(3)
-            .with_partial_decode(false);
+            .with_spill_shards(3);
         let coordinator_side = cfg
             .clone()
             .with_spill_dir(PathBuf::from("/coordinator/only"))
@@ -1402,6 +1394,18 @@ mod tests {
         match Hello::admit(body) {
             Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v5"), "{m}"),
             other => panic!("a v5 hello was not refused by version: {other:?}"),
+        }
+    }
+
+    /// `hello_full` as protocol v6 wrote it, whose config still carried
+    /// the `partial_decode` flag: refused by its version, not parsed one
+    /// byte out of step.
+    #[test]
+    fn a_v6_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v6.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v6"), "{m}"),
+            other => panic!("a v6 hello was not refused by version: {other:?}"),
         }
     }
 

@@ -54,7 +54,6 @@ fn worker_over(layout: Layout, rank: usize, blocks: Vec<Option<CompressedBlock>>
         Arc::new(BlockCache::new(0)),
         Metrics::new(),
         Box::new(MemStore::new(blocks)),
-        true,
     )
 }
 

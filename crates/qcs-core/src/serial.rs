@@ -53,7 +53,6 @@ wire! {
         max_batch_gates: usize,
         spill: Option<SpillConfig>,
         prefetch: bool,
-        partial_decode: bool,
         remote: Option<RemoteConfig>,
     }
 }

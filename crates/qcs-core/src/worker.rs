@@ -22,12 +22,10 @@
 //!   the facade's snapshot and sampling reads), so a block of the wrong
 //!   length — from a checkpoint, a spill segment or a peer's `Hello` — is
 //!   `CodecError::Corrupt` on every path instead of an out-of-bounds index
-//!   in a kernel or a silently half-updated pair. The partial path never
-//!   decodes a whole block; it makes the same check on the segment index
-//!   (`crate::partial`);
+//!   in a kernel or a silently half-updated pair;
 //! - **one cycle per arity**, `Cycle::block` (one block through a plan
-//!   list: cache lookup → partial fast path → decode → kernels → encode →
-//!   cache insert) and `Cycle::pair` (two partner blocks through
+//!   list: cache lookup → decode → kernels → encode → cache insert) and
+//!   `Cycle::pair` (two partner blocks through
 //!   [`kernels::apply_cross`], two in and two out). A lone in-block gate
 //!   is a batch of one plan — [`RankWorker`] lowers it on arrival, the
 //!   facade and the wire still send a `GateCmd`;
@@ -161,7 +159,6 @@
 use crate::block::{BlockCodec, CompressedBlock};
 use crate::cache::BlockCache;
 use crate::engine::SimError;
-use crate::partial::{self, PartialOp, PartialStats};
 use crate::store::BlockStore;
 use crate::summary::QuerySummary;
 use qcs_circuits::schedule::MAX_BATCH_GATES;
@@ -508,9 +505,6 @@ pub(crate) struct RankWorker {
     /// spilled; waves are chunked to the store's residency cap so at most
     /// a budget's worth of blocks is ever in flight.
     store: Box<dyn BlockStore>,
-    /// Route qualifying waves through the segment-addressable partial
-    /// decode/encode path ([`SimConfig::partial_decode`](crate::SimConfig)).
-    partial: bool,
     /// The frozen state's [`QuerySummary`], built by the first
     /// `Weights`/`NormSqr`/`ExpectationZz` after a mutation and dropped
     /// by the next one ([`RankWorker::mutate`]). Behind a `OnceLock`
@@ -559,7 +553,6 @@ impl RankWorker {
         cache: Arc<BlockCache>,
         metrics: Metrics,
         store: Box<dyn BlockStore>,
-        partial: bool,
     ) -> Self {
         debug_assert_eq!(store.len(), layout.blocks_per_rank());
         Self {
@@ -569,7 +562,6 @@ impl RankWorker {
             cache,
             metrics,
             store,
-            partial,
             summary: OnceLock::new(),
             prob_ones: (0..layout.num_qubits).map(|_| OnceLock::new()).collect(),
             failed: None,
@@ -681,7 +673,6 @@ impl RankWorker {
             cache: &self.cache,
             layout: self.layout,
             bound,
-            partial: self.partial,
         }
     }
 
@@ -816,10 +807,6 @@ impl RankWorker {
         if let Some(hit) = stats.cache {
             self.metrics.add_cache_lookup(hit);
         }
-        if let Some(s) = stats.partial {
-            self.metrics
-                .add_partial_decode(s.segments, s.segments_full, s.bytes, s.bytes_full);
-        }
     }
 
     // --- inter-rank exchange ---------------------------------------------
@@ -941,25 +928,8 @@ impl RankWorker {
     ) -> Result<WaveOut, SimError> {
         let rank = self.rank;
         let cycle = self.cycle(bound);
-        let block_f64s = 2 * self.layout.block_amps();
         self.walk(&self.all_blocks(), &None, |&([b], ()), [blk], _| {
             let mut stats = CycleStats::default();
-            // Partial fast path: with the measured bit at or above
-            // segment granularity, the projected-out half of the
-            // segments is zeroed without ever being decoded.
-            if let (true, ControlScope::InBlock { offset_bit }) = (cycle.partial, scope) {
-                if let Some(op) = partial::partial_collapse(
-                    cycle.codec,
-                    block_f64s,
-                    &blk,
-                    offset_bit,
-                    outcome,
-                    scale,
-                    bound,
-                )? {
-                    return Ok(([stats.absorb(op)], stats));
-                }
-            }
             let mut buf = cycle.decode(&blk, &mut stats)?;
             let t = Instant::now();
             let project = |vals: &mut [f64], keep: bool| {
@@ -1105,7 +1075,7 @@ impl RankWorker {
 
 /// The error every path reports for a block whose stream is intact but
 /// holds another number of values than the layout's blocks do.
-pub(crate) fn wrong_length(decoded: usize, expected: usize) -> CodecError {
+fn wrong_length(decoded: usize, expected: usize) -> CodecError {
     CodecError::Corrupt(format!(
         "block decodes to {decoded} values, layout has {expected}"
     ))
@@ -1223,9 +1193,6 @@ struct CycleStats {
     touch: Option<u64>,
     /// Whether the block cache answered, when it was consulted.
     cache: Option<bool>,
-    /// Set when the cycle ran through the segment-addressable partial
-    /// path instead of a whole-block decode.
-    partial: Option<PartialStats>,
 }
 
 impl CycleStats {
@@ -1237,17 +1204,6 @@ impl CycleStats {
             cache: Some(true),
             ..Self::default()
         }
-    }
-
-    /// Take over a partial rewrite's accounting; the rewritten block is
-    /// the cycle's output.
-    fn absorb(&mut self, op: PartialOp) -> CompressedBlock {
-        self.decompress += op.decompress;
-        self.compute += op.compute;
-        self.compress += op.compress;
-        self.lossy = op.block.bound.is_lossy();
-        self.partial = Some(op.stats);
-        op.block
     }
 }
 
@@ -1261,8 +1217,6 @@ struct Cycle<'a> {
     cache: &'a BlockCache,
     layout: Layout,
     bound: ErrorBound,
-    /// Try the segment-addressable partial path first.
-    partial: bool,
 }
 
 impl Cycle<'_> {
@@ -1291,8 +1245,7 @@ impl Cycle<'_> {
     /// applied gate, in order, the bits of its matrix entries and where it
     /// acts (`at`: offset bit and in-block control mask; a pair's gate
     /// spans its two blocks and passes offset bit 0), then the bound the
-    /// output is recompressed under. The partial path reads a subset of
-    /// them.
+    /// output is recompressed under.
     ///
     /// Each word is folded in through [`checksum64`] of `key ^ word`, a
     /// bijection of the word for a fixed key and of the key for a fixed
@@ -1314,9 +1267,8 @@ impl Cycle<'_> {
 
     /// One block through the plans `mask` selects: decompress once, apply
     /// every firing gate, recompress once — or skip all three on a cache
-    /// hit (§3.4), or rewrite only the touched segments when every firing
-    /// gate is diagonal (see [`crate::partial`]). One lookup/insert
-    /// happens per block touch (not per member gate).
+    /// hit (§3.4). One lookup/insert happens per block touch (not per
+    /// member gate).
     fn block(
         &self,
         plans: &[BatchPlan],
@@ -1341,30 +1293,19 @@ impl Cycle<'_> {
             cache: miss.counted().then_some(false),
             ..CycleStats::default()
         };
-        let block_f64s = 2 * self.layout.block_amps();
-        let rewritten = if self.partial {
-            partial::partial_batch(self.codec, block_f64s, input, plans, mask, self.bound)?
-        } else {
-            None
-        };
-        let out = match rewritten {
-            Some(op) => stats.absorb(op),
-            None => {
-                let mut buf = self.decode(input, &mut stats)?;
-                let t = Instant::now();
-                for plan in (0..plans.len()).filter(fired).map(|i| &plans[i]) {
-                    run_in_block_kernel(
-                        &mut buf,
-                        plan.offset_bit,
-                        &plan.gate,
-                        plan.offset_cmask,
-                        wide,
-                    );
-                }
-                stats.compute += t.elapsed();
-                self.encode(&buf, &mut stats)?
-            }
-        };
+        let mut buf = self.decode(input, &mut stats)?;
+        let t = Instant::now();
+        for plan in (0..plans.len()).filter(fired).map(|i| &plans[i]) {
+            run_in_block_kernel(
+                &mut buf,
+                plan.offset_bit,
+                &plan.gate,
+                plan.offset_cmask,
+                wide,
+            );
+        }
+        stats.compute += t.elapsed();
+        let out = self.encode(&buf, &mut stats)?;
         self.cache.insert(miss, &out, None);
         Ok((out, stats))
     }
@@ -1426,7 +1367,6 @@ mod tests {
                 cache: &cache,
                 layout: Layout::new(4, 0, 3),
                 bound,
-                partial: false,
             };
             cycle.op_key(gates.iter().map(|(g, at)| (g, *at)))
         };

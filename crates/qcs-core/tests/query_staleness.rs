@@ -320,38 +320,33 @@ fn norm_and_samples_match_the_pre_summary_engine() {
 /// path served offset bits at or above segment granularity: golden bits
 /// captured at commit 3ac1874 for every qubit of a seeded 14-qubit state
 /// (2^10-amplitude blocks, so offset bit 9 is the segment bit of a lossy
-/// block), per `ranks_log2` and bound. Resident and spilled stores and
-/// `partial_decode` on and off all answer the same bits, cold and warm.
+/// block), per `ranks_log2` and bound. Resident and spilled stores answer
+/// the same bits, cold and warm.
 #[test]
 fn prob_one_matches_the_pre_memo_engine() {
     // (ranks_log2, lossy) -> P(q = 1) bits for q = 0..14.
     for ((ranks_log2, lossy), want) in PROB_ONE_GOLDEN {
         for spill in [false, true] {
-            for partial in [true, false] {
-                let bound = if lossy {
-                    ErrorBound::PointwiseRelative(1e-3)
-                } else {
-                    ErrorBound::Lossless
-                };
-                let mut cfg = SimConfig::default()
-                    .with_block_log2(10)
-                    .with_ranks_log2(ranks_log2)
-                    .with_fixed_bound(bound)
-                    .with_partial_decode(partial);
-                if spill {
-                    cfg = cfg.with_spill(4);
-                }
-                let mut sim = CompressedSimulator::new(14, cfg).expect("sim");
-                let circuit = random_circuit(Grid::new(2, 7), 6, 7);
-                sim.run(&circuit, &mut StdRng::seed_from_u64(7))
-                    .expect("run");
-                let what = format!(
-                    "ranks_log2={ranks_log2} lossy={lossy} spill={spill} partial={partial}"
-                );
-                let cold = prob_one_bits(&sim);
-                assert_eq!(cold, want, "{what}: cold prob_one bits");
-                assert_eq!(prob_one_bits(&sim), want, "{what}: warm prob_one bits");
+            let bound = if lossy {
+                ErrorBound::PointwiseRelative(1e-3)
+            } else {
+                ErrorBound::Lossless
+            };
+            let mut cfg = SimConfig::default()
+                .with_block_log2(10)
+                .with_ranks_log2(ranks_log2)
+                .with_fixed_bound(bound);
+            if spill {
+                cfg = cfg.with_spill(4);
             }
+            let mut sim = CompressedSimulator::new(14, cfg).expect("sim");
+            let circuit = random_circuit(Grid::new(2, 7), 6, 7);
+            sim.run(&circuit, &mut StdRng::seed_from_u64(7))
+                .expect("run");
+            let what = format!("ranks_log2={ranks_log2} lossy={lossy} spill={spill}");
+            let cold = prob_one_bits(&sim);
+            assert_eq!(cold, want, "{what}: cold prob_one bits");
+            assert_eq!(prob_one_bits(&sim), want, "{what}: warm prob_one bits");
         }
     }
 }

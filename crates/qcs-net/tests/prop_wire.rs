@@ -140,13 +140,13 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
         (2u32..7, 0u32..3, 0usize..5, 0u64..3, 0usize..7, 0usize..3),
         (0u8..2, 1usize..9, 0usize..9, 0u8..2, 0u8..2, 1usize..4),
-        (0u8..2, 0u8..2, 0usize..3, 1u32..5, 0u64..3, arb_bound()),
+        (0u8..2, 0usize..3, 1u32..5, 0u64..3, arb_bound()),
     )
         .prop_map(
             |(
                 (block_log2, ranks_log2, threads_raw, mem_raw, codec_raw, cache_raw),
                 (fusion, max_batch, spill_raw, write_behind, planned_min, shards),
-                (prefetch, partial, remote_raw, attempts, timeout_raw, bound),
+                (prefetch, remote_raw, attempts, timeout_raw, bound),
             )| {
                 let mut cfg = SimConfig::default()
                     .with_block_log2(block_log2)
@@ -154,8 +154,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
                     .with_fixed_bound(bound)
                     .with_fusion(fusion == 1)
                     .with_max_batch_gates(max_batch)
-                    .with_prefetch(prefetch == 1)
-                    .with_partial_decode(partial == 1);
+                    .with_prefetch(prefetch == 1);
                 cfg.threads_per_rank = (threads_raw > 0).then_some(threads_raw);
                 cfg.memory_budget = (mem_raw > 0).then_some(mem_raw << 24);
                 cfg.lossy_codec = CodecId::ALL[codec_raw];
@@ -404,7 +403,6 @@ fn golden_config() -> SimConfig {
         .with_write_behind(true)
         .with_spill_shards(4)
         .with_prefetch(false)
-        .with_partial_decode(false)
         .with_remote(vec!["127.0.0.1:9000", "node-b.example:7401"]);
     cfg.cache_lines = 96;
     cfg.recompress_on_escalate = !cfg.recompress_on_escalate;
@@ -569,7 +567,7 @@ fn job_protocol_bytes_match_the_parent_commit() {
     for (name, out) in golden_outs() {
         assert_golden(&format!("job_out_{name}"), &out);
     }
-    assert_eq!(qcs_net::PROTOCOL_VERSION, 6);
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 7);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 

@@ -144,50 +144,37 @@ proptest! {
 
     // The segment index is parsed from attacker-controllable bytes (a
     // spilled frame's prefix): corrupting any prefix byte must yield
-    // Err/None or a still-bounded index, never a panic, and partial
-    // decodes through a corrupt index must fail cleanly too.
+    // Err/None or a still-bounded index, never a panic, and decoding
+    // through a corrupt index must fail cleanly too.
     #[test]
     fn segment_index_survives_prefix_corruption(
         byte_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
-        use qcsim::compress::{Codec as _, PartialCodec as _, SegmentIndex};
+        use qcsim::compress::{Codec as _, SegmentIndex};
         let mut payload = segmented_payload();
         let index = SegmentIndex::parse(&payload).unwrap().unwrap();
         let prefix_len = index.prefix_len();
         let pos = ((prefix_len - 1) as f64 * byte_frac) as usize;
         payload[pos] ^= 1 << bit;
-        if let Ok(Some(bad)) = SegmentIndex::parse(&payload) {
-            // A surviving index must still bound every claimed range, and
-            // decoding through it must return Err or data — not panic.
+        if let Ok(Some(_)) = SegmentIndex::parse(&payload) {
+            // Decoding through a surviving index must return Err or
+            // data — not panic.
             let c = qcsim::compress::trunc::SolutionC::default();
-            for s in 0..bad.n_segs().min(64) {
-                let range = bad.byte_range(s);
-                if let Some(body) = payload.get(range) {
-                    let mut out = Vec::new();
-                    let _ = c.decompress_segment(&bad, s, body, &mut out);
-                }
-            }
             let _ = c.decompress(&payload);
         }
     }
 
     // Truncating a segmented stream anywhere — inside the index or inside
-    // a body — must produce Err from both the whole-stream and the
-    // range decoders.
+    // a body — must produce Err, whether the cut left the index whole or
+    // not.
     #[test]
     fn segmented_stream_survives_truncation(frac in 0.0f64..1.0) {
-        use qcsim::compress::{Codec as _, PartialCodec as _, SegmentIndex};
+        use qcsim::compress::Codec as _;
         let payload = segmented_payload();
         let cut = ((payload.len() - 1) as f64 * frac) as usize;
         let c = qcsim::compress::trunc::SolutionC::default();
         prop_assert!(c.decompress(&payload[..cut]).is_err());
-        if let Ok(Some(index)) = SegmentIndex::parse(&payload[..cut]) {
-            // Prefix survived the cut: range decodes must notice the
-            // missing body bytes rather than panic.
-            let mut out = Vec::new();
-            let _ = c.decompress_range(&payload[..cut], 0..index.n_segs(), &mut out);
-        }
     }
 }
 
@@ -360,11 +347,11 @@ fn huffman_payload_truncation_is_an_error_at_every_cut() {
 
 /// A segmented Solution C stream from before segments carried a mode byte
 /// (magic "QCSc") is refused by its magic, naming the old layout: by the
-/// index parser, the whole decoder and the range decoder, with no value
+/// index parser and by the decoder of either configuration, with no value
 /// decoded and no fall-through to the whole-stream decoder.
 fn assert_refused_as_the_old_segment_layout(stream: &[u8]) {
     use qcsim::compress::trunc::SolutionC;
-    use qcsim::compress::{Codec as _, CodecError, PartialCodec as _, SegmentIndex};
+    use qcsim::compress::{Codec as _, CodecError, SegmentIndex};
     let names_it = |r: Result<(), CodecError>| match r {
         Err(CodecError::Corrupt(m)) => m.contains("QCSc"),
         _ => false,
@@ -376,7 +363,7 @@ fn assert_refused_as_the_old_segment_layout(stream: &[u8]) {
         SolutionC::whole_stream().decompress(stream).map(drop)
     ));
     let mut out = Vec::new();
-    assert!(names_it(c.decompress_range(stream, 0..1, &mut out)));
+    assert!(names_it(c.decompress_into(stream, &mut out)));
     assert!(out.is_empty(), "a stale segment leaked values");
 }
 
@@ -504,7 +491,7 @@ fn body_claiming(n: u64) -> Vec<u8> {
 fn segment_counts_are_checked_before_allocating() {
     use qcsim::compress::checksum::checksum64;
     use qcsim::compress::trunc::SolutionC;
-    use qcsim::compress::{qzstd, Codec as _, CodecError, PartialCodec as _, SegmentIndex};
+    use qcsim::compress::{qzstd, Codec as _, CodecError, SegmentIndex};
 
     let c = SolutionC::default();
     let good = c
@@ -528,9 +515,6 @@ fn segment_counts_are_checked_before_allocating() {
         stream[24..32].copy_from_slice(&checksum64(&body).to_le_bytes());
         stream.extend_from_slice(&body);
         corrupt(c.decompress(&stream), &format!("segment claiming {n}"));
-        let mut out = Vec::new();
-        let range = c.decompress_range(&stream, 0..1, &mut out);
-        corrupt(range.map(|()| out), &format!("range over {n}"));
         // The same body as a whole stream, with no index to hold it to.
         corrupt(
             SolutionC::whole_stream().decompress(&body),

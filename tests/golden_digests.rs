@@ -5,42 +5,34 @@
 //! `differential` and `compressed_vs_dense` hold the simulator to a
 //! tolerance against the dense reference; this suite holds it to *itself*,
 //! bit for bit: a refactor of the decompress → compute → recompress path
-//! that reorders one floating-point operation, drops one cache line or
-//! decodes one more segment changes a line below. Per case the line
-//! records
+//! that reorders one floating-point operation or drops one cache line
+//! changes a line below. Per case the line records
 //!
 //! * `digest` — `checksum64` of the little-endian `snapshot_f64` bytes,
 //! * `gates` — `report().gates`,
-//! * `partial` — decodes / segments decoded / segments full / bytes read /
-//!   bytes full of the partial-decode path,
-//! * `cache` — block-cache hits/misses,
-//!
-//! the last two only where they are a property of the circuit
-//! (`ranks_log2 = 0`, `threads_per_rank = 1`) and `-` elsewhere: two rank
-//! threads share one cache, so which of them finds the other's line — and
-//! with it whether a partial rewrite runs or a hit skips it — depends on
-//! their timing,
+//! * `cache` — block-cache hits/misses, only where they are a property of
+//!   the circuit (`ranks_log2 = 0`, `threads_per_rank = 1`) and `-`
+//!   elsewhere: two rank threads share one cache, so which of them finds
+//!   the other's line depends on their timing,
 //!
 //! over four seeded circuits (QFT with its swap network, a supremacy
 //! circuit, QAOA, and one with mid-circuit measurements) × fusion on/off ×
-//! lossless / fixed 1e-3 × `partial_decode` on/off × `ranks_log2` 0/1 ×
-//! all-resident / `with_spill(4)` under planned-MIN eviction.
+//! lossless / fixed 1e-3 × `ranks_log2` 0/1 × all-resident /
+//! `with_spill(4)` under planned-MIN eviction.
 //!
-//! The 128 cases take ~15 s optimised and minutes unoptimised, so a debug
+//! The 64 cases take ~8 s optimised and minutes unoptimised, so a debug
 //! build (tier-1 `cargo test`) runs every fourth one — each circuit keeps
-//! the full fusion × bound × `partial_decode` cross on one of the four
-//! rank/store layouts — and a release build (CI runs this suite by name
-//! next to `differential`) runs them all.
+//! the full fusion × bound cross on one of the four rank/store layouts —
+//! and a release build (CI runs this suite by name next to `differential`)
+//! runs them all.
 //!
-//! Since the lines were captured, one change moved counters and no bits:
-//! when `prob_one` became the whole-block reduce (the segment-addressed
-//! probability path was deleted), only the `partial=` field of the four
-//! `mid fusion={true,false} lossy=true partial_decode=true ranks_log2=0
-//! spill={false,true}` lines was re-captured — their `P(q9 = 1)` stopped
-//! counting as a partial decode, halving each count (32/32/64/3344/5280 →
-//! 16/16/32/1704/2640 with fusion, 34/34/68/3534/5572 → 18/18/36/1902/2940
-//! without). Every `digest=`, `gates=` and `cache=` field of all 128 lines
-//! is unchanged.
+//! The fixture once held 128 lines, a `partial_decode` on/off axis and a
+//! `partial=` field of segment-decode counters. When the segment-level
+//! decode path and the flag were deleted, the fixture became the 64
+//! `partial_decode=false` lines with those two fields cut out: every
+//! `digest=`, `gates=` and `cache=` field is as captured (`cache=` as
+//! re-captured when the cache key moved), and the `partial_decode=true`
+//! lines it dropped carried the same digests.
 //!
 //! A PR that *means* to move bits regenerates the fixture: run
 //! `cargo test --release --test golden_digests -- --nocapture`, copy the lines
@@ -59,8 +51,7 @@ const GOLDEN: &str = include_str!("fixtures/golden_digests.txt");
 
 /// 14 qubits over 2^10-amplitude blocks: 16 blocks (8 per rank at
 /// `ranks_log2 = 1`, so a 4-block budget spills on both layouts), each
-/// lossy block two default-size segments (so the partial path engages on
-/// offset bit 9).
+/// lossy block two default-size segments.
 const QUBITS: usize = 14;
 const BLOCK_LOG2: u32 = 10;
 
@@ -107,62 +98,47 @@ fn digest_lines() -> Vec<(usize, String)> {
     for (c, (name, circuit)) in circuits().into_iter().enumerate() {
         for fusion in [true, false] {
             for lossy in [false, true] {
-                for partial in [true, false] {
-                    for ranks_log2 in [0u32, 1] {
-                        for spill in [false, true] {
-                            case += 1;
-                            if cfg!(debug_assertions) && (case - 1) % 4 != c {
-                                continue;
-                            }
-                            let bound = if lossy {
-                                ErrorBound::PointwiseRelative(1e-3)
-                            } else {
-                                ErrorBound::Lossless
-                            };
-                            let mut cfg = SimConfig::default()
-                                .with_block_log2(BLOCK_LOG2)
-                                .with_ranks_log2(ranks_log2)
-                                .with_fixed_bound(bound)
-                                .with_fusion(fusion)
-                                .with_partial_decode(partial);
-                            if ranks_log2 == 0 {
-                                cfg = cfg.with_threads_per_rank(1);
-                            }
-                            if spill {
-                                cfg = cfg.with_spill(4).with_eviction(Eviction::PlannedMin);
-                            }
-                            let mut sim =
-                                CompressedSimulator::new(QUBITS as u32, cfg).expect("sim");
-                            sim.run(&circuit, &mut StdRng::seed_from_u64(2019))
-                                .expect("run");
-                            let report = sim.report();
-                            let b = &report.breakdown;
-                            let digest =
-                                checksum64(&f64s_to_bytes(&sim.snapshot_f64().expect("snapshot")));
-                            let counters = if ranks_log2 == 0 {
-                                format!(
-                                    "partial={}/{}/{}/{}/{} cache={}/{}",
-                                    b.partial_decodes,
-                                    b.segments_decoded,
-                                    b.segments_full,
-                                    b.segment_bytes_read,
-                                    b.segment_bytes_full,
-                                    report.cache_hits,
-                                    report.cache_misses
-                                )
-                            } else {
-                                "partial=- cache=-".to_string()
-                            };
-                            lines.push((
-                                case - 1,
-                                format!(
-                                    "{name} fusion={fusion} lossy={lossy} partial_decode={partial} \
-                                     ranks_log2={ranks_log2} spill={spill} digest={digest:016x} \
-                                     gates={} {counters}",
-                                    report.gates
-                                ),
-                            ));
+                for ranks_log2 in [0u32, 1] {
+                    for spill in [false, true] {
+                        case += 1;
+                        if cfg!(debug_assertions) && (case - 1) % 4 != c {
+                            continue;
                         }
+                        let bound = if lossy {
+                            ErrorBound::PointwiseRelative(1e-3)
+                        } else {
+                            ErrorBound::Lossless
+                        };
+                        let mut cfg = SimConfig::default()
+                            .with_block_log2(BLOCK_LOG2)
+                            .with_ranks_log2(ranks_log2)
+                            .with_fixed_bound(bound)
+                            .with_fusion(fusion);
+                        if ranks_log2 == 0 {
+                            cfg = cfg.with_threads_per_rank(1);
+                        }
+                        if spill {
+                            cfg = cfg.with_spill(4).with_eviction(Eviction::PlannedMin);
+                        }
+                        let mut sim = CompressedSimulator::new(QUBITS as u32, cfg).expect("sim");
+                        sim.run(&circuit, &mut StdRng::seed_from_u64(2019))
+                            .expect("run");
+                        let report = sim.report();
+                        let digest =
+                            checksum64(&f64s_to_bytes(&sim.snapshot_f64().expect("snapshot")));
+                        let cache = if ranks_log2 == 0 {
+                            format!("cache={}/{}", report.cache_hits, report.cache_misses)
+                        } else {
+                            "cache=-".to_string()
+                        };
+                        lines.push((
+                            case - 1,
+                            format!(
+                                "{name} fusion={fusion} lossy={lossy} ranks_log2={ranks_log2} \
+                                 spill={spill} digest={digest:016x} gates={} {cache}",
+                                report.gates
+                            ),
+                        ));
                     }
                 }
             }
@@ -180,7 +156,7 @@ fn every_digest_matches_the_line_captured_at_8cc0d4a() {
     }
     println!("END golden_digests");
     let want: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(want.len(), 128, "the fixture holds one line per case");
+    assert_eq!(want.len(), 64, "the fixture holds one line per case");
     let moved: Vec<String> = got
         .iter()
         .filter(|(i, line)| want[*i] != line)
@@ -193,7 +169,6 @@ fn every_digest_matches_the_line_captured_at_8cc0d4a() {
         got.len(),
         moved.join("\n")
     );
-    // The matrix is only a pin if the paths it names actually ran.
-    assert!(got.iter().any(|(_, l)| !l.contains(" partial=0/0/0/0/0")));
+    // The matrix is only a pin if the cache it names actually ran.
     assert!(got.iter().any(|(_, l)| !l.ends_with("cache=-")));
 }

@@ -10,8 +10,8 @@
 //! that can reach the short block then ends in
 //! `SimError::Codec(Corrupt(..))` naming the decoded and the expected
 //! value counts: in-block gate, batch, inter-block gate, rank-crossing
-//! gate, a diagonal gate (the partial path, on a lossy segmented block),
-//! `measure` (collapse) and the recompression pass of a ladder escalation —
+//! gate, a diagonal gate (on a lossy segmented block), `measure`
+//! (collapse) and the recompression pass of a ladder escalation —
 //! for a lossless and for a lossy segmented short block, on the in-place
 //! worker (`ranks_log2 = 0`) and on two rank threads (`ranks_log2 = 1`).
 //! A failed wave's blocks never return to the store, so the rank answers
