@@ -1,10 +1,12 @@
 //! The one 64-bit checksum of the workspace: XXH64 (seed 0).
 //!
 //! Every integrity field and content tag is this function over the bytes
-//! it covers: the frame checksum and the per-segment index entries
-//! ([`crate::frame`], [`crate::segment`]), the spill tier's prefix
-//! verification, the block cache's line tag and the `qcs-net` wire frame.
-//! The cache line's op key folds its words through it one at a time.
+//! it covers: the block frame of a spill segment or a checkpoint
+//! ([`crate::frame`], over the whole payload), the `qcs-net` wire frame
+//! and the block cache's line tag. A block's bytes are checked where they
+//! leave memory and nowhere else: the compressed streams carry no checksum
+//! of their own. The cache line's op key folds its words through it one at
+//! a time.
 //!
 //! XXH64 is a public specification with public test vectors
 //! (`tests/prop_checksum.rs` pins them and a scalar reference). Input is

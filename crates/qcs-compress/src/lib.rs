@@ -142,7 +142,6 @@ pub mod huffman;
 pub mod lz77;
 pub mod qzstd;
 pub(crate) mod scratch;
-pub mod segment;
 pub mod stats;
 pub mod sz;
 pub mod trunc;
@@ -151,7 +150,7 @@ pub mod zfp;
 pub use codec::{bytes_to_f64s, f64s_to_bytes, Codec, CodecError, CodecId};
 pub use error_bound::{ladder, mantissa_bits_for_relative, ErrorBound, PWR_LEVELS};
 pub use frame::{Frame, FrameError};
-pub use segment::{segmented_prefix_len, SegmentIndex, DEFAULT_SEGMENT_VALUES};
+pub use trunc::segmented::DEFAULT_SEGMENT_VALUES;
 
 /// Lossless codec over raw f64 bytes, wrapping [`qzstd`].
 ///

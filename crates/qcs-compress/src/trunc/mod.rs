@@ -8,9 +8,31 @@
 //! ([`crate::qzstd`]). There is no prediction, quantization, or Huffman
 //! stage, which is exactly why it is so much faster than SZ-style pipelines.
 //!
+//! # Segmented streams
+//!
+//! The engine's default format breaks the value sequence into segments of
+//! [`DEFAULT_SEGMENT_VALUES`](crate::DEFAULT_SEGMENT_VALUES) doubles (the
+//! last one may be shorter) and encodes each on its own: the XOR-delta
+//! chain restarts at every segment boundary, and each body goes through
+//! the lossless backend by itself. The bodies follow one another, each
+//! behind its byte length:
+//!
+//! ```text
+//! magic u32 | n_values u64
+//! | ceil(n_values / DEFAULT_SEGMENT_VALUES) x { body_len u32 | body }
+//! ```
+//!
+//! Nothing follows the last body. The magic is "QCSs" for Solution C and
+//! "QCSt" for Solution D. The stream carries no checksum: a block is
+//! hashed where its bytes leave memory, by the frame of a spill segment or
+//! a checkpoint ([`crate::frame`]) and by the `qcs-net` frame on a socket.
+//! Streams in an older segmented layout are refused with a `Corrupt` error
+//! that names their magic: "QCSc" (Solution C segments without a mode
+//! byte) and "QCSe"/"QCSd" (Solution C/D segments behind an index of 12
+//! bytes per segment, each body under its own checksum).
+//!
 //! Step (3) runs over the whole reduced stream only where that pays. Each
-//! segment of a segmented Solution C stream (the engine's default format,
-//! see [`crate::segment`]) starts with a mode byte:
+//! segment of a segmented Solution C stream starts with a mode byte:
 //!
 //! ```text
 //! mode 0: qzstd(body)                                 first byte 0..=3
@@ -32,7 +54,7 @@
 //! Solution D adds a reshuffle step that separates real and imaginary parts
 //! (even/odd indices) before applying Solution C to each stream.
 
-mod segmented;
+pub(crate) mod segmented;
 mod solution_c;
 mod solution_d;
 

@@ -23,7 +23,7 @@
 //! `qzstd(body)`, byte for byte as it always was.
 //!
 //! Each segment of the segmented format (the engine's default, see
-//! [`crate::segment`]) starts with a mode byte:
+//! [`crate::trunc`]) starts with a mode byte:
 //!
 //! ```text
 //! mode 0: qzstd(body)                                 first byte 0..=3
@@ -56,11 +56,15 @@
 use crate::bitio::bytes;
 use crate::codec::{Codec, CodecError};
 use crate::error_bound::{mantissa_bits_for_relative, ErrorBound};
-use crate::segment::{DEFAULT_SEGMENT_VALUES, SEG_MAGIC_C};
 use crate::{lz77, qzstd};
 use std::ops::Range;
 
-use super::segmented;
+use super::segmented::{self, MAGIC_C};
+
+/// The lossless backend's effort: the fast (LZ-only) level. Solution C's
+/// whole point is removing the costly entropy stages (§4.2), and the
+/// truncated XOR stream carries little entropy-codeable structure anyway.
+const BACKEND: qzstd::Level = qzstd::Level::Fast;
 
 /// Suffix bytes the segment-mode probe runs LZ77 over.
 const PROBE_LEN: usize = 1024;
@@ -98,29 +102,12 @@ fn is_exception(bits: u64) -> bool {
     (e == 0 && (bits & 0x000F_FFFF_FFFF_FFFF) != 0) || e == 0x7FF
 }
 
-/// Solution C compressor.
-#[derive(Debug, Clone)]
+/// Solution C compressor. The default writes the segmented format (see
+/// [`crate::trunc`]); [`SolutionC::whole_stream`] writes the legacy
+/// whole-stream format. Either decodes both.
+#[derive(Debug, Clone, Default)]
 pub struct SolutionC {
-    /// Lossless backend effort.
-    pub backend_level: qzstd::Level,
-    /// Values per segment of the segmented stream format
-    /// (`None` emits the legacy whole-stream format). Segmented streams
-    /// reset the XOR-delta chain and run the lossless backend per
-    /// segment, making every segment independently decodable — see
-    /// [`crate::segment`].
-    pub segment_values: Option<usize>,
-}
-
-impl Default for SolutionC {
-    fn default() -> Self {
-        // The fast (LZ-only) backend: Solution C's whole point is removing
-        // the costly entropy stages (§4.2), and the truncated XOR stream
-        // carries little entropy-codeable structure anyway.
-        Self {
-            backend_level: qzstd::Level::Fast,
-            segment_values: Some(DEFAULT_SEGMENT_VALUES),
-        }
-    }
+    whole: bool,
 }
 
 const MAGIC: u32 = 0x5143_5343; // "QCSC"
@@ -129,10 +116,7 @@ impl SolutionC {
     /// Legacy whole-stream Solution C (shared by tests and benchmarks that
     /// want the un-segmented paper format).
     pub fn whole_stream() -> Self {
-        Self {
-            segment_values: None,
-            ..Self::default()
-        }
+        Self { whole: true }
     }
 
     pub(crate) fn mantissa_bits(bound: ErrorBound) -> Result<u32, CodecError> {
@@ -156,20 +140,20 @@ impl SolutionC {
     /// `qzstd(body)`, *appended* to `out`. The intermediate body is staged
     /// through recycled per-thread scratch, so steady-state encoding
     /// performs no heap allocation.
-    pub(crate) fn encode_stream_into(&self, data: &[f64], m: u32, out: &mut Vec<u8>) {
+    pub(crate) fn encode_stream_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut body = crate::scratch::take_bytes();
         Self::encode_body(data, m, &mut body);
-        qzstd::compress_into(&body, self.backend_level, out);
+        qzstd::compress_into(&body, BACKEND, out);
         crate::scratch::put_bytes(body);
     }
 
     /// Encode one segment of the segmented format, mode byte first,
     /// *appending* it to `out` (see the module docs for the two modes).
-    fn encode_segment_into(&self, data: &[f64], m: u32, out: &mut Vec<u8>) {
+    fn encode_segment_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut body = crate::scratch::take_bytes();
         let suffix = Self::encode_body(data, m, &mut body);
         if suffix.is_empty() || dictionary_pays(&body[suffix.clone()]) {
-            qzstd::compress_into(&body, self.backend_level, out);
+            qzstd::compress_into(&body, BACKEND, out);
         } else {
             out.push(MODE_RAW_SUFFIX);
             // The head is staged behind the body in the same buffer.
@@ -178,7 +162,7 @@ impl SolutionC {
             body.extend_from_within(suffix.end..head_start);
             let len_at = out.len();
             bytes::put_u32(out, 0); // head container length, backfilled below
-            qzstd::compress_into(&body[head_start..], self.backend_level, out);
+            qzstd::compress_into(&body[head_start..], BACKEND, out);
             let head_len = (out.len() - len_at - 4) as u32;
             out[len_at..len_at + 4].copy_from_slice(&head_len.to_le_bytes());
             out.extend_from_slice(&body[suffix]);
@@ -246,27 +230,26 @@ impl SolutionC {
     /// Decode a stream of either layout into `out` (cleared first);
     /// `expect` as in [`segmented::decompress_into`].
     fn decode_any_into(
-        &self,
         data: &[u8],
         expect: Option<usize>,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
         out.clear();
         segmented::decompress_into(
+            MAGIC_C,
             data,
             expect,
-            &|body, n, out| self.decode_segment_into(body, n, out),
-            |data, expect, out| self.decode_stream_into(data, expect, out),
+            &Self::decode_segment_into,
+            Self::decode_stream_into,
             out,
         )
     }
 
     /// Core decoder shared with Solution D and the whole-stream format,
-    /// *appending* the values to `out`. `expect` is the value count an
-    /// index or the caller promises, when there is one. The decompressed
-    /// body is staged through recycled per-thread scratch.
+    /// *appending* the values to `out`. `expect` is the value count the
+    /// container or the caller promises, when there is one. The
+    /// decompressed body is staged through recycled per-thread scratch.
     pub(crate) fn decode_stream_into(
-        &self,
         data: &[u8],
         expect: Option<usize>,
         out: &mut Vec<f64>,
@@ -281,14 +264,9 @@ impl SolutionC {
 
     /// Decode one segment of the segmented format holding `n` values,
     /// *appending* them to `out`.
-    fn decode_segment_into(
-        &self,
-        seg: &[u8],
-        n: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CodecError> {
+    fn decode_segment_into(seg: &[u8], n: usize, out: &mut Vec<f64>) -> Result<(), CodecError> {
         let Some((&MODE_RAW_SUFFIX, rest)) = seg.split_first() else {
-            return self.decode_stream_into(seg, Some(n), out);
+            return Self::decode_stream_into(seg, Some(n), out);
         };
         let mut pos = 0usize;
         let head_len = bytes::get_u32(rest, &mut pos)
@@ -474,21 +452,21 @@ impl Codec for SolutionC {
     ) -> Result<(), CodecError> {
         let m = Self::mantissa_bits(bound)?;
         out.clear();
-        match self.segment_values {
-            Some(sv) => segmented::compress_into(
-                SEG_MAGIC_C,
+        if self.whole {
+            Self::encode_stream_into(data, m, out);
+        } else {
+            segmented::compress_into(
+                MAGIC_C,
                 data,
-                sv,
-                |slice, out| self.encode_segment_into(slice, m, out),
+                |slice, out| Self::encode_segment_into(slice, m, out),
                 out,
-            ),
-            None => self.encode_stream_into(data, m, out),
+            );
         }
         Ok(())
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        self.decode_any_into(data, None, out)
+        Self::decode_any_into(data, None, out)
     }
 
     fn decompress_capped_into(
@@ -497,7 +475,7 @@ impl Codec for SolutionC {
         max_values: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        self.decode_any_into(data, Some(max_values), out)
+        Self::decode_any_into(data, Some(max_values), out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {
@@ -508,7 +486,7 @@ impl Codec for SolutionC {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::SegmentIndex;
+    use crate::trunc::segmented::body_ranges;
 
     fn sample_data(n: usize) -> Vec<f64> {
         // Spiky, sign-alternating small amplitudes like Fig. 9.
@@ -677,29 +655,18 @@ mod tests {
     }
 
     #[test]
-    fn index_tiles_the_values_and_the_stream() {
+    fn segments_tile_the_stream() {
         let data = sample_data(2500);
         let c = SolutionC::default();
         let enc = c
             .compress(&data, ErrorBound::PointwiseRelative(1e-4))
             .unwrap();
-        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        assert_eq!(
-            (index.n_values, index.seg_values, index.n_segs()),
-            (2500, 1024, 3)
-        );
-        let (mut next_value, mut next_byte) = (0, index.prefix_len());
-        for seg in 0..index.n_segs() {
-            let (values, bytes) = (index.value_range(seg), index.byte_range(seg));
-            assert_eq!((values.start, bytes.start), (next_value, next_byte));
-            assert_eq!(
-                crate::checksum::checksum64(&enc[bytes.clone()]),
-                index.entry(seg).checksum
-            );
-            (next_value, next_byte) = (values.end, bytes.end);
-        }
-        assert_eq!((next_value, next_byte), (2500, enc.len()));
-        assert_eq!(index.stream_len(), enc.len());
+        assert_eq!(u32::from_le_bytes(enc[..4].try_into().unwrap()), MAGIC_C);
+        assert_eq!(u64::from_le_bytes(enc[4..12].try_into().unwrap()), 2500);
+        // Three length-prefixed bodies, the last ending the stream.
+        let bodies = body_ranges(&enc);
+        assert_eq!(bodies.len(), 3);
+        assert_eq!(bodies[2].end, enc.len());
     }
 
     #[test]
@@ -713,12 +680,10 @@ mod tests {
             *v *= 2.0;
         }
         let enc2 = c.compress(&edited, bound).unwrap();
-        let a = SegmentIndex::parse(&enc).unwrap().unwrap();
-        let b = SegmentIndex::parse(&enc2).unwrap().unwrap();
+        let (a, b) = (body_ranges(&enc), body_ranges(&enc2));
         // The untouched segment is byte for byte the same body.
-        assert_eq!(&enc[a.byte_range(0)], &enc2[b.byte_range(0)]);
-        assert_eq!(a.entry(0).checksum, b.entry(0).checksum);
-        assert_ne!(&enc[a.byte_range(1)], &enc2[b.byte_range(1)]);
+        assert_eq!(&enc[a[0].clone()], &enc2[b[0].clone()]);
+        assert_ne!(&enc[a[1].clone()], &enc2[b[1].clone()]);
         let orig = c.decompress(&enc).unwrap();
         let dec = c.decompress(&enc2).unwrap();
         for (x, y) in orig[..1024].iter().zip(&dec[..1024]) {
@@ -737,8 +702,8 @@ mod tests {
         let enc = c
             .compress(&data, ErrorBound::PointwiseRelative(1e-3))
             .unwrap();
-        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        assert!(index.byte_range(0).len() < index.byte_range(1).len());
+        let bodies = body_ranges(&enc);
+        assert!(bodies[0].len() < bodies[1].len());
         let dec = c.decompress(&enc).unwrap();
         assert!(dec[..1024].iter().all(|v| v.to_bits() == 0));
         for (v, d) in data[1024..].iter().zip(&dec[1024..]) {
@@ -747,19 +712,21 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_segment_body_rejected() {
+    fn a_wrong_body_length_is_rejected() {
         let data = sample_data(2048);
         let c = SolutionC::default();
         let enc = c
             .compress(&data, ErrorBound::PointwiseRelative(1e-3))
             .unwrap();
-        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        let mut bad = enc.clone();
-        let mid = index.byte_range(1).start + index.byte_range(1).len() / 2;
-        bad[mid] ^= 0x10;
-        match c.decompress(&bad) {
-            Err(CodecError::Corrupt(m)) => assert!(m.contains("segment 1"), "{m}"),
-            other => panic!("a flipped body byte decoded: {other:?}"),
+        let at = body_ranges(&enc)[1].start - 4;
+        for delta in [1u32, u32::MAX] {
+            let mut bad = enc.clone();
+            let len = u32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
+            bad[at..at + 4].copy_from_slice(&len.wrapping_add(delta).to_le_bytes());
+            match c.decompress(&bad) {
+                Err(CodecError::Corrupt(m)) => assert!(m.contains("segment 1"), "{m}"),
+                other => panic!("a wrong body length decoded: {other:?}"),
+            }
         }
     }
 }

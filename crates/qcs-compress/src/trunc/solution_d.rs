@@ -3,10 +3,9 @@
 use crate::bitio::bytes;
 use crate::codec::{Codec, CodecError};
 use crate::error_bound::ErrorBound;
-use crate::qzstd;
-use crate::segment::SEG_MAGIC_D;
 
-use super::{segmented, SolutionC};
+use super::segmented::{self, MAGIC_D};
+use super::SolutionC;
 
 /// Solution D compressor.
 ///
@@ -16,28 +15,18 @@ use super::{segmented, SolutionC};
 /// may help the dictionary stage find repeated patterns when the real and
 /// imaginary parts occupy different value ranges, at the cost of the extra
 /// shuffle pass. Odd-length inputs keep their trailing element in the even
-/// stream.
+/// stream. The default writes the segmented format (see
+/// [`crate::trunc`]); [`SolutionD::whole_stream`] writes the legacy
+/// whole-stream format. Either decodes both.
 #[derive(Debug, Clone, Default)]
 pub struct SolutionD {
-    inner: SolutionC,
+    whole: bool,
 }
 
 impl SolutionD {
-    /// Use a specific lossless backend effort for both streams.
-    pub fn with_backend(level: qzstd::Level) -> Self {
-        Self {
-            inner: SolutionC {
-                backend_level: level,
-                ..SolutionC::default()
-            },
-        }
-    }
-
     /// Legacy whole-stream Solution D (the un-segmented paper format).
     pub fn whole_stream() -> Self {
-        Self {
-            inner: SolutionC::whole_stream(),
-        }
+        Self { whole: true }
     }
 
     /// Encode one run of values as a legacy D body — even/odd reshuffle,
@@ -46,7 +35,7 @@ impl SolutionD {
     /// format. The half streams are encoded straight onto the tail of
     /// `out` (their length words backfilled), with the shuffled halves
     /// staged through recycled per-thread scratch.
-    fn encode_shuffled_into(&self, data: &[f64], m: u32, out: &mut Vec<u8>) {
+    fn encode_shuffled_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut even = crate::scratch::take_f64s();
         let mut odd = crate::scratch::take_f64s();
         even.reserve(data.len().div_ceil(2));
@@ -63,7 +52,7 @@ impl SolutionD {
             let len_at = out.len();
             bytes::put_u64(out, 0); // stream length, backfilled below
             let start = out.len();
-            self.inner.encode_stream_into(half, m, out);
+            SolutionC::encode_stream_into(half, m, out);
             let len = (out.len() - start) as u64;
             out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
         }
@@ -74,28 +63,27 @@ impl SolutionD {
     /// Decode a stream of either layout into `out` (cleared first);
     /// `expect` as in [`segmented::decompress_into`].
     fn decode_any_into(
-        &self,
         data: &[u8],
         expect: Option<usize>,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
         out.clear();
         segmented::decompress_into(
+            MAGIC_D,
             data,
             expect,
-            &|body, n, out| self.decode_shuffled_into(body, Some(n), out),
-            |data, expect, out| self.decode_shuffled_into(data, expect, out),
+            &|body, n, out| Self::decode_shuffled_into(body, Some(n), out),
+            Self::decode_shuffled_into,
             out,
         )
     }
 
     /// Decode one legacy D body (the inverse of
     /// [`Self::encode_shuffled_into`]), *appending* the values to `out`.
-    /// `expect` is the value count an index promises, when there is one.
-    /// The half streams are staged through recycled per-thread scratch
-    /// before interleaving.
+    /// `expect` is the value count the container promises, when there is
+    /// one. The half streams are staged through recycled per-thread
+    /// scratch before interleaving.
     fn decode_shuffled_into(
-        &self,
         data: &[u8],
         expect: Option<usize>,
         out: &mut Vec<f64>,
@@ -122,13 +110,8 @@ impl SolutionD {
 
         let mut even = crate::scratch::take_f64s();
         let mut odd = crate::scratch::take_f64s();
-        let res = self
-            .inner
-            .decode_stream_into(e_bytes, expect.map(|n| n.div_ceil(2)), &mut even)
-            .and_then(|()| {
-                self.inner
-                    .decode_stream_into(o_bytes, expect.map(|n| n / 2), &mut odd)
-            })
+        let res = SolutionC::decode_stream_into(e_bytes, expect.map(|n| n.div_ceil(2)), &mut even)
+            .and_then(|()| SolutionC::decode_stream_into(o_bytes, expect.map(|n| n / 2), &mut odd))
             .and_then(|()| {
                 if even.len() < odd.len() || even.len() > odd.len() + 1 {
                     return Err(CodecError::Corrupt(format!(
@@ -167,21 +150,21 @@ impl Codec for SolutionD {
     ) -> Result<(), CodecError> {
         let m = SolutionC::mantissa_bits(bound)?;
         out.clear();
-        match self.inner.segment_values {
-            Some(sv) => segmented::compress_into(
-                SEG_MAGIC_D,
+        if self.whole {
+            Self::encode_shuffled_into(data, m, out);
+        } else {
+            segmented::compress_into(
+                MAGIC_D,
                 data,
-                sv,
-                |slice, out| self.encode_shuffled_into(slice, m, out),
+                |slice, out| Self::encode_shuffled_into(slice, m, out),
                 out,
-            ),
-            None => self.encode_shuffled_into(data, m, out),
+            );
         }
         Ok(())
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        self.decode_any_into(data, None, out)
+        Self::decode_any_into(data, None, out)
     }
 
     fn decompress_capped_into(
@@ -190,11 +173,11 @@ impl Codec for SolutionD {
         max_values: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        self.decode_any_into(data, Some(max_values), out)
+        Self::decode_any_into(data, Some(max_values), out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {
-        self.inner.supports(bound)
+        !matches!(bound, ErrorBound::Absolute(_))
     }
 }
 
@@ -297,7 +280,7 @@ mod tests {
 
     #[test]
     fn a_segment_body_depends_only_on_its_own_values() {
-        use crate::segment::SegmentIndex;
+        use crate::trunc::segmented::body_ranges;
         let data = complex_like(2500); // 3 segments, the last one short
         let d = SolutionD::default();
         let bound = ErrorBound::PointwiseRelative(1e-4);
@@ -307,13 +290,12 @@ mod tests {
             *v = -*v;
         }
         let enc2 = d.compress(&edited, bound).unwrap();
-        let a = SegmentIndex::parse(&enc).unwrap().unwrap();
-        let b = SegmentIndex::parse(&enc2).unwrap().unwrap();
-        assert_eq!((a.n_segs(), b.n_segs()), (3, 3));
+        let (a, b) = (body_ranges(&enc), body_ranges(&enc2));
+        assert_eq!((a.len(), b.len()), (3, 3));
         for seg in [0, 2] {
-            assert_eq!(&enc[a.byte_range(seg)], &enc2[b.byte_range(seg)], "{seg}");
+            assert_eq!(&enc[a[seg].clone()], &enc2[b[seg].clone()], "{seg}");
         }
-        assert_ne!(&enc[a.byte_range(1)], &enc2[b.byte_range(1)]);
+        assert_ne!(&enc[a[1].clone()], &enc2[b[1].clone()]);
         let orig = d.decompress(&enc).unwrap();
         let dec = d.decompress(&enc2).unwrap();
         for (i, (x, y)) in orig.iter().zip(&dec).enumerate() {

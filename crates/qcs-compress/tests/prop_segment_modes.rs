@@ -6,15 +6,16 @@
 //! - (b) the packed body is byte for byte the one the scalar loop wrote,
 //!   and unpacks to the same values, for every mantissa width;
 //! - (c) streams mixing both modes round-trip inside the bound;
-//! - (d) every truncation and single-byte substitution of a mode-0 and a
-//!   mode-1 segment ends in a typed error, with bounded allocation.
+//! - (d) every truncation of a mode-0 and a mode-1 segment ends in a
+//!   typed error, and every single-byte substitution in a typed error or
+//!   the segment's value count, with bounded allocation.
 
-use qcs_compress::checksum::checksum64;
 use qcs_compress::trunc::SolutionC;
-use qcs_compress::{qzstd, Codec, CodecError, ErrorBound, SegmentIndex};
+use qcs_compress::{qzstd, Codec, CodecError, ErrorBound};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::f64::consts::TAU;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Blocks
@@ -335,13 +336,26 @@ fn word_unpack_matches_the_scalar_values() {
 // (c) Both modes in one stream
 // ---------------------------------------------------------------------------
 
-/// Segment `seg`'s mode: 1 when its first byte is the raw-suffix mark,
+/// Byte ranges of the bodies of a segmented stream: each behind its u32
+/// length, from the end of the 12-byte header to the last byte.
+fn body_ranges(stream: &[u8]) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut at = 12;
+    while at < stream.len() {
+        let len = u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+        ranges.push(at + 4..at + 4 + len);
+        at += 4 + len;
+    }
+    ranges
+}
+
+/// A segment body's mode: 1 when its first byte is the raw-suffix mark,
 /// 0 when it is a bare backend container (first byte 0..=3).
-fn mode_of(stream: &[u8], index: &SegmentIndex, seg: usize) -> u8 {
-    match stream[index.byte_range(seg).start] {
+fn mode_of(body: &[u8]) -> u8 {
+    match body[0] {
         0xFF => 1,
         0..=3 => 0,
-        other => panic!("segment {seg} starts with {other:#04x}"),
+        other => panic!("segment starts with {other:#04x}"),
     }
 }
 
@@ -359,9 +373,9 @@ fn both_modes_round_trip_within_the_bound() {
         let stream = c
             .compress(&data, ErrorBound::PointwiseRelative(eps))
             .unwrap();
-        let index = SegmentIndex::parse(&stream).unwrap().unwrap();
-        let modes: Vec<u8> = (0..index.n_segs())
-            .map(|s| mode_of(&stream, &index, s))
+        let modes: Vec<u8> = body_ranges(&stream)
+            .into_iter()
+            .map(|body| mode_of(&stream[body]))
             .collect();
         // At 1e-2 three suffix bytes keep only 7 mantissa bits, and LZ77
         // finds repeats even in noise; finer bounds leave noise raw.
@@ -432,12 +446,11 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// say: a few times the largest body those values can need.
 const ALLOC_BUDGET: usize = 1 << 20;
 
-/// A one-segment stream around `body`, its index entry re-pointed at it
-/// (length and checksum), so the body decoder itself meets the bytes.
-fn restream(prefix: &[u8], body: &[u8]) -> Vec<u8> {
-    let mut s = prefix.to_vec();
-    s[20..24].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    s[24..32].copy_from_slice(&checksum64(body).to_le_bytes());
+/// A one-segment stream around `body`, its length word re-pointed at it,
+/// so the body decoder itself meets the bytes.
+fn restream(header: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut s = header.to_vec();
+    s.extend_from_slice(&(body.len() as u32).to_le_bytes());
     s.extend_from_slice(body);
     s
 }
@@ -465,29 +478,29 @@ fn every_cut_and_substitution_of_either_mode_is_a_typed_error() {
     ];
     for (mode, data) in cases {
         let stream = c.compress(&data, BOUND).unwrap();
-        let index = SegmentIndex::parse(&stream).unwrap().unwrap();
-        assert_eq!(index.n_segs(), 1);
-        assert_eq!(mode_of(&stream, &index, 0), mode);
-        let (prefix, body) = stream.split_at(index.prefix_len());
+        let bodies = body_ranges(&stream);
+        assert_eq!(bodies.len(), 1);
+        let (header, body) = (&stream[..12], &stream[bodies[0].clone()]);
+        assert_eq!(mode_of(body), mode);
         let mut out = Vec::with_capacity(data.len());
         c.decompress_into(&stream, &mut out).unwrap();
         let full_decode = out.clone();
 
-        // Cuts: refused by the index's length, and re-pointed, by the body.
+        // Cuts: refused by the length word, and re-pointed, by the body.
         for cut in 0..body.len() {
-            let short = &stream[..prefix.len() + cut];
+            let short = &stream[..bodies[0].start + cut];
             assert!(
                 is_corrupt(&bounded_decode(&c, short, &mut out)),
                 "mode {mode}: cut to {cut} body bytes decoded"
             );
-            let short = restream(prefix, &body[..cut]);
+            let short = restream(header, &body[..cut]);
             assert!(
                 is_corrupt(&bounded_decode(&c, &short, &mut out)),
                 "mode {mode}: re-pointed cut to {cut} bytes decoded"
             );
         }
-        // Substitutions: refused by the checksum, and re-pointed, decoded
-        // to some n values or refused.
+        // Substitutions: decoded to some n values or refused. (The frame
+        // around a block is what refuses a flipped byte.)
         let mut bent = body.to_vec();
         for at in 0..body.len() {
             for sub in [body[at] ^ 0x01, body[at] ^ 0x80, 0x00, 0xFF] {
@@ -495,13 +508,7 @@ fn every_cut_and_substitution_of_either_mode_is_a_typed_error() {
                     continue;
                 }
                 bent[at] = sub;
-                let mut whole = prefix.to_vec();
-                whole.extend_from_slice(&bent);
-                assert!(
-                    is_corrupt(&bounded_decode(&c, &whole, &mut out)),
-                    "mode {mode}: byte {at} = {sub:#04x} passed the checksum"
-                );
-                match bounded_decode(&c, &restream(prefix, &bent), &mut out) {
+                match bounded_decode(&c, &restream(header, &bent), &mut out) {
                     Ok(()) => assert_eq!(out.len(), data.len()),
                     Err(CodecError::Corrupt(_)) => {}
                     Err(e) => panic!("mode {mode}: byte {at} = {sub:#04x}: untyped {e:?}"),

@@ -1,12 +1,13 @@
 //! Property suite for the segmented Solution C/D formats: a segmented
 //! stream must decode to exactly the values the legacy whole-stream format
-//! produces at the same bound, its index must describe the whole stream,
-//! and a segment's body must depend on that segment's values alone.
+//! produces at the same bound, its length-prefixed bodies must tile the
+//! whole stream, and a segment's body must depend on that segment's values
+//! alone.
 
 use proptest::prelude::*;
-use qcs_compress::checksum::checksum64;
 use qcs_compress::trunc::{SolutionC, SolutionD};
-use qcs_compress::{segmented_prefix_len, Codec, ErrorBound, SegmentIndex, DEFAULT_SEGMENT_VALUES};
+use qcs_compress::{Codec, ErrorBound, DEFAULT_SEGMENT_VALUES};
+use std::ops::Range;
 
 /// Random amplitude blocks spanning many decades, with zero stretches.
 fn amplitude_block() -> impl Strategy<Value = Vec<f64>> {
@@ -17,7 +18,7 @@ fn amplitude_block() -> impl Strategy<Value = Vec<f64>> {
             2 => Just(0.0f64),
             1 => -1.0f64..1.0,
         ],
-        1..800,
+        1..3 * DEFAULT_SEGMENT_VALUES,
     )
 }
 
@@ -29,11 +30,17 @@ fn bound_from(exp: u32) -> ErrorBound {
     }
 }
 
-fn segmented_c(seg_values: usize) -> SolutionC {
-    SolutionC {
-        segment_values: Some(seg_values),
-        ..SolutionC::default()
+/// Byte ranges of the bodies of a segmented stream: each behind its u32
+/// length, from the end of the 12-byte header to the last byte.
+fn body_ranges(stream: &[u8]) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut at = 12;
+    while at < stream.len() {
+        let len = u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+        ranges.push(at + 4..at + 4 + len);
+        at += 4 + len;
     }
+    ranges
 }
 
 proptest! {
@@ -41,16 +48,14 @@ proptest! {
 
     // The segmented format is a pure re-framing: at every bound, decoding
     // a segmented stream yields bit-for-bit the values of the legacy
-    // whole-stream format, for both Solution C and Solution D, at any
-    // segment size.
+    // whole-stream format, for both Solution C and Solution D.
     #[test]
     fn segmented_matches_whole_stream_bitwise(
         data in amplitude_block(),
-        seg_values in 1usize..200,
         bound_exp in 0u32..6,
     ) {
         let bound = bound_from(bound_exp);
-        let seg_c = segmented_c(seg_values);
+        let seg_c = SolutionC::default();
         let whole_c = SolutionC::whole_stream();
         let ds = seg_c.decompress(&seg_c.compress(&data, bound).unwrap()).unwrap();
         let dw = whole_c.decompress(&whole_c.compress(&data, bound).unwrap()).unwrap();
@@ -69,34 +74,36 @@ proptest! {
         }
     }
 
-    // The index describes the whole stream: the bodies run back to back
-    // from the end of the prefix to the last byte, each under its own
-    // checksum, and their value ranges tile the input.
+    // The stream is its header and one length-prefixed body per segment:
+    // the value count is the input's, the bodies run back to back to the
+    // last byte, and each decodes on its own to its segment's values.
     #[test]
-    fn index_describes_the_whole_stream(
+    fn bodies_tile_the_whole_stream(
         data in amplitude_block(),
-        seg_values in 1usize..200,
         bound_exp in 0u32..6,
     ) {
         let bound = bound_from(bound_exp);
-        let codecs: [(&dyn Codec, usize); 2] = [
-            (&segmented_c(seg_values), seg_values),
-            (&SolutionD::default(), DEFAULT_SEGMENT_VALUES),
-        ];
-        for (codec, seg_values) in codecs {
+        let codecs: [&dyn Codec; 2] = [&SolutionC::default(), &SolutionD::default()];
+        for codec in codecs {
             let enc = codec.compress(&data, bound).unwrap();
-            let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-            prop_assert_eq!((index.n_values, index.seg_values), (data.len(), seg_values));
-            prop_assert_eq!(segmented_prefix_len(&enc), Some(index.prefix_len()));
-            let (mut next_value, mut next_byte) = (0, index.prefix_len());
-            for seg in 0..index.n_segs() {
-                let (values, bytes) = (index.value_range(seg), index.byte_range(seg));
-                prop_assert_eq!((values.start, bytes.start), (next_value, next_byte));
-                prop_assert!(!values.is_empty());
-                prop_assert_eq!(checksum64(&enc[bytes.clone()]), index.entry(seg).checksum);
-                (next_value, next_byte) = (values.end, bytes.end);
+            let n_values = u64::from_le_bytes(enc[4..12].try_into().unwrap());
+            prop_assert_eq!(n_values, data.len() as u64);
+            let bodies = body_ranges(&enc);
+            prop_assert_eq!(bodies.len(), data.len().div_ceil(DEFAULT_SEGMENT_VALUES));
+            prop_assert_eq!(bodies.last().map(|b| b.end), Some(enc.len()));
+            let whole = codec.decompress(&enc).unwrap();
+            for (seg, body) in bodies.iter().enumerate() {
+                let mut one = enc[..4].to_vec();
+                let values = seg * DEFAULT_SEGMENT_VALUES
+                    ..((seg + 1) * DEFAULT_SEGMENT_VALUES).min(data.len());
+                one.extend_from_slice(&(values.len() as u64).to_le_bytes());
+                one.extend_from_slice(&enc[body.start - 4..body.end]);
+                let part = codec.decompress(&one).unwrap();
+                prop_assert!(part
+                    .iter()
+                    .zip(&whole[values])
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            prop_assert_eq!((next_value, next_byte), (data.len(), enc.len()));
         }
     }
 
@@ -106,29 +113,28 @@ proptest! {
     #[test]
     fn editing_a_run_of_segments_changes_no_other_body(
         data in amplitude_block(),
-        seg_values in 1usize..200,
         bound_exp in 1u32..6,
         pick in (0usize..1000, 0usize..1000),
         scale in 0.25f64..4.0,
     ) {
         let bound = bound_from(bound_exp);
         let eps = 10f64.powi(-(bound_exp as i32));
-        let c = segmented_c(seg_values);
+        let c = SolutionC::default();
         let enc = c.compress(&data, bound).unwrap();
-        let index = SegmentIndex::parse(&enc).unwrap().unwrap();
-        let (a, b) = (pick.0 % index.n_segs(), pick.1 % index.n_segs());
+        let bodies = body_ranges(&enc);
+        let (a, b) = (pick.0 % bodies.len(), pick.1 % bodies.len());
         let segs = a.min(b)..a.max(b) + 1;
-        let lo = index.value_range(segs.start).start;
-        let hi = index.value_range(segs.end - 1).end;
+        let lo = segs.start * DEFAULT_SEGMENT_VALUES;
+        let hi = (segs.end * DEFAULT_SEGMENT_VALUES).min(data.len());
         let mut edited = data.clone();
         for v in &mut edited[lo..hi] {
             *v *= scale;
         }
         let enc2 = c.compress(&edited, bound).unwrap();
-        let index2 = SegmentIndex::parse(&enc2).unwrap().unwrap();
-        prop_assert_eq!(index2.n_segs(), index.n_segs());
-        for seg in (0..index.n_segs()).filter(|s| !segs.contains(s)) {
-            prop_assert_eq!(&enc[index.byte_range(seg)], &enc2[index2.byte_range(seg)]);
+        let bodies2 = body_ranges(&enc2);
+        prop_assert_eq!(bodies2.len(), bodies.len());
+        for seg in (0..bodies.len()).filter(|s| !segs.contains(s)) {
+            prop_assert_eq!(&enc[bodies[seg].clone()], &enc2[bodies2[seg].clone()]);
         }
         let orig = c.decompress(&enc).unwrap();
         let dec = c.decompress(&enc2).unwrap();

@@ -236,8 +236,9 @@ impl BlockCodec {
     pub fn prewarm(&self, block_f64s: usize, n: usize) {
         for _ in 0..n {
             self.pool.put_f64s(Vec::with_capacity(block_f64s));
-            // Compressed output can exceed the raw size by headers plus
-            // per-segment indexes; 2x raw + change covers every codec.
+            // Compressed output can exceed the raw size by a stream header
+            // and a length word per segment; 2x raw + change covers both
+            // codecs the engine runs.
             self.pool
                 .put_bytes(Vec::with_capacity(2 * 8 * block_f64s + 1024));
         }
@@ -300,8 +301,7 @@ impl BlockCodec {
     }
 
     /// The resident (pre-built, shared) codec instance for `id`, if this
-    /// front-end holds one. `None` for foreign ids — blocks produced by a
-    /// differently-configured engine.
+    /// front-end holds one: qzstd and the configured lossy codec.
     fn resident_codec(&self, id: CodecId) -> Option<&dyn Codec> {
         if id == self.lossy_id {
             Some(&*self.lossy)
@@ -367,10 +367,12 @@ impl BlockCodec {
 
     /// Decompress into `out` (cleared first).
     ///
-    /// Blocks from the resident codecs decode through the shared instances
-    /// (no per-call codec construction); only foreign codec ids fall back
-    /// to building a codec. Capacity growth of `out` is counted; a decode
-    /// that fits the existing capacity counts as a scratch reuse.
+    /// Blocks decode through the shared resident instances (no per-call
+    /// codec construction). A block naming any other codec is `Corrupt`:
+    /// this engine never writes one, so it can only have come from a
+    /// checkpoint or a socket, and the comparator decoders apply no
+    /// allocation cap. Capacity growth of `out` is counted; a decode that
+    /// fits the existing capacity counts as a scratch reuse.
     pub fn decompress(
         &self,
         block: &CompressedBlock,
@@ -397,14 +399,16 @@ impl BlockCodec {
         max_values: Option<usize>,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
+        let codec = self.resident_codec(block.codec).ok_or_else(|| {
+            CodecError::Corrupt(format!(
+                "{} block in an engine that runs qzstd and {}",
+                block.codec, self.lossy_id
+            ))
+        })?;
         let cap_before = out.capacity();
-        let run = |codec: &dyn Codec, out: &mut Vec<f64>| match max_values {
+        let res = match max_values {
             Some(max) => codec.decompress_capped_into(&block.bytes, max, out),
             None => codec.decompress_into(&block.bytes, out),
-        };
-        let res = match self.resident_codec(block.codec) {
-            Some(codec) => run(codec, out),
-            None => run(&*block.codec.build(), out),
         };
         self.note_growth(cap_before, out.capacity(), 8);
         res
@@ -499,8 +503,16 @@ mod tests {
             &*bc.lossy as *const dyn Codec as *const u8,
         ));
         // A foreign id (not configured on this front-end) has no resident
-        // instance and takes the build() fallback.
+        // instance, and a block naming it is refused, not decoded.
         assert!(bc.resident_codec(CodecId::SolutionD).is_none());
+        let foreign = BlockCodec::new(CodecId::SolutionD)
+            .compress(&amps(64), ErrorBound::PointwiseRelative(1e-3))
+            .unwrap();
+        let mut out = Vec::new();
+        assert!(matches!(
+            bc.decompress(&foreign, &mut out),
+            Err(CodecError::Corrupt(_))
+        ));
 
         // And a qzstd block round-trips through that shared instance.
         let data = amps(1024);
@@ -532,10 +544,22 @@ mod tests {
 
     const SEG_BOUND: ErrorBound = ErrorBound::PointwiseRelative(1e-6);
 
-    fn index_of(blk: &CompressedBlock) -> qcs_compress::SegmentIndex {
-        qcs_compress::SegmentIndex::parse(&blk.bytes)
-            .unwrap()
-            .expect("segmented stream")
+    /// Byte ranges of a segmented block's bodies: each behind its u32
+    /// length, from the end of the 12-byte stream header to the last byte.
+    fn bodies(blk: &CompressedBlock) -> Vec<std::ops::Range<usize>> {
+        let mut ranges = Vec::new();
+        let mut at = 12;
+        while at < blk.bytes.len() {
+            let len = u32::from_le_bytes(blk.bytes[at..at + 4].try_into().unwrap()) as usize;
+            ranges.push(at + 4..at + 4 + len);
+            at += 4 + len;
+        }
+        ranges
+    }
+
+    /// Segment `seg`'s body bytes.
+    fn body(blk: &CompressedBlock, seg: usize) -> &[u8] {
+        &blk.bytes[bodies(blk)[seg].clone()]
     }
 
     /// One whole-block cycle: decode, transform, re-encode at `bound`.
@@ -563,16 +587,16 @@ mod tests {
     fn lossy_blocks_are_segmented_and_lossless_blocks_are_not() {
         let bc = BlockCodec::new(CodecId::SolutionC);
         let blk = bc.compress(&segmented_amps(), SEG_BOUND).unwrap();
-        let index = index_of(&blk);
-        assert_eq!(index.n_segs(), 4);
-        for seg in 0..4 {
-            assert_eq!(index.value_range(seg), seg * 1024..(seg + 1) * 1024);
-        }
+        assert_eq!(
+            u64::from_le_bytes(blk.bytes[4..12].try_into().unwrap()),
+            4096
+        );
+        assert_eq!(bodies(&blk).len(), 4);
         let blk = bc
             .compress(&segmented_amps(), ErrorBound::Lossless)
             .unwrap();
         assert_eq!(blk.codec, CodecId::Qzstd);
-        assert_eq!(qcs_compress::SegmentIndex::parse(&blk.bytes).unwrap(), None);
+        assert!(blk.bytes[0] <= 3, "a bare qzstd container");
     }
 
     #[test]
@@ -585,20 +609,11 @@ mod tests {
         let (out, want) = cycle(&bc, &blk, SEG_BOUND, |buf| {
             kernels::apply_in_block(buf, 10, &Gate1::t(), 0)
         });
-        let (before, after) = (index_of(&blk), index_of(&out));
         for seg in [0, 1] {
-            assert_eq!(
-                &blk.bytes[before.byte_range(seg)],
-                &out.bytes[after.byte_range(seg)],
-                "segment {seg}"
-            );
+            assert_eq!(body(&blk, seg), body(&out, seg), "segment {seg}");
         }
         for seg in [2, 3] {
-            assert_ne!(
-                &blk.bytes[before.byte_range(seg)],
-                &out.bytes[after.byte_range(seg)],
-                "segment {seg}"
-            );
+            assert_ne!(body(&blk, seg), body(&out, seg), "segment {seg}");
         }
         let mut got = Vec::new();
         bc.decompress(&out, &mut got).unwrap();
@@ -613,13 +628,8 @@ mod tests {
         let (out, want) = cycle(&bc, &blk, SEG_BOUND, |buf| {
             kernels::apply_in_block(buf, 3, &Gate1::rz(0.2), 0)
         });
-        let (before, after) = (index_of(&blk), index_of(&out));
         for seg in 0..4 {
-            assert_ne!(
-                before.entry(seg).checksum,
-                after.entry(seg).checksum,
-                "segment {seg}"
-            );
+            assert_ne!(body(&blk, seg), body(&out, seg), "segment {seg}");
         }
         let mut got = Vec::new();
         bc.decompress(&out, &mut got).unwrap();
@@ -646,15 +656,15 @@ mod tests {
             let mut got = Vec::new();
             bc.decompress(&out, &mut got).unwrap();
             assert_within(&got, &want, 1e-6);
-            let index = index_of(&out);
             let (dropped, kept) = if outcome {
                 ([0, 1], [2, 3])
             } else {
                 ([2, 3], [0, 1])
             };
             for (z, k) in dropped.into_iter().zip(kept) {
-                assert!(got[index.value_range(z)].iter().all(|v| v.to_bits() == 0));
-                assert!(index.byte_range(z).len() < index.byte_range(k).len());
+                let values = &got[z * 1024..(z + 1) * 1024];
+                assert!(values.iter().all(|v| v.to_bits() == 0));
+                assert!(body(&out, z).len() < body(&out, k).len());
             }
         }
     }

@@ -114,7 +114,9 @@ pub struct SimConfig {
     /// two scratch blocks per rank). `None` disables the adaptive ladder:
     /// the simulation stays at the first ladder level.
     pub memory_budget: Option<u64>,
-    /// Lossy codec used once the ladder leaves the lossless level.
+    /// Lossy codec used once the ladder leaves the lossless level:
+    /// Solution C (the default) or Solution D ([`SimConfig::validate`]
+    /// refuses the comparator codecs).
     pub lossy_codec: CodecId,
     /// The adaptive error-bound ladder (§3.7). Defaults to
     /// `[lossless, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]`.
@@ -123,10 +125,6 @@ pub struct SimConfig {
     /// 64). 0 disables the cache entirely; a cache that never hits turns
     /// itself off ([`crate::cache::AUTO_DISABLE_AFTER`]).
     pub cache_lines: usize,
-    /// When the ladder escalates, immediately recompress every block at the
-    /// new bound so the budget is actually restored (rather than only
-    /// applying the new bound to future compressions).
-    pub recompress_on_escalate: bool,
     /// Run circuits through the batch scheduler: fuse consecutive
     /// single-qubit gates on the same qubit and group consecutive
     /// intra-block gates into batches, so each block pays one
@@ -168,7 +166,6 @@ impl Default for SimConfig {
             lossy_codec: CodecId::SolutionC,
             ladder: qcs_compress::ladder().to_vec(),
             cache_lines: 64,
-            recompress_on_escalate: true,
             fusion: true,
             max_batch_gates: qcs_circuits::schedule::MAX_BATCH_GATES,
             spill: None,
@@ -341,6 +338,12 @@ impl SimConfig {
     pub fn validate(&self, num_qubits: u32) -> Result<(), String> {
         if self.ladder.is_empty() {
             return Err("ladder must have at least one level".into());
+        }
+        if !matches!(self.lossy_codec, CodecId::SolutionC | CodecId::SolutionD) {
+            return Err(format!(
+                "lossy codec {} is not Solution C or D",
+                self.lossy_codec
+            ));
         }
         if num_qubits > Self::MAX_QUBITS {
             return Err(format!(
@@ -542,6 +545,15 @@ mod tests {
             .is_some());
         assert!(SimConfig::default().with_write_behind(true).spill.is_some());
         assert!(SimConfig::default().with_spill_shards(2).spill.is_some());
+    }
+
+    #[test]
+    fn validation_accepts_only_the_engine_lossy_codecs() {
+        for id in CodecId::ALL {
+            let ok = SimConfig::default().with_lossy_codec(id).validate(13);
+            let engine = matches!(id, CodecId::SolutionC | CodecId::SolutionD);
+            assert_eq!(ok.is_ok(), engine, "{id}: {ok:?}");
+        }
     }
 
     #[test]

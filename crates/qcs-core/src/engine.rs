@@ -875,17 +875,17 @@ impl CompressedSimulator {
     }
 
     /// Post-gate epilogue: walk the adaptive ladder (§3.7) while over
-    /// budget, then refresh the memory/ratio watermarks. Escalation keys
-    /// on the deterministic hot footprint so the ladder walk (and the
-    /// amplitudes it shapes) never depends on background-thread timing.
+    /// budget, recompressing every block at each new bound so the budget
+    /// is actually restored, then refresh the memory/ratio watermarks.
+    /// Escalation keys on the deterministic hot footprint so the ladder
+    /// walk (and the amplitudes it shapes) never depends on
+    /// background-thread timing.
     fn after_gate(&mut self) -> Result<(), SimError> {
         if let Some(budget) = self.cfg.memory_budget {
             while self.hot_memory_bytes() > budget && self.level + 1 < self.cfg.ladder.len() {
                 self.level += 1;
                 self.escalations += 1;
-                if self.cfg.recompress_on_escalate {
-                    self.recompress_all()?;
-                }
+                self.recompress_all()?;
             }
         }
         self.note_memory();

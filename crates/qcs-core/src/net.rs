@@ -831,8 +831,9 @@ mod tests {
 
     // --- golden values: the bytes under qcs-net/tests/fixtures/ were
     // written by the hand-rolled codecs of commit 3a80267 from exactly
-    // these values; those carrying a block or the protocol version were
-    // regenerated at protocol v6 (segment mode bytes) ----------------------
+    // these values; those carrying a block, a config or the protocol
+    // version were regenerated at protocol v8 (one frame version, no
+    // segment index, one config field fewer) -------------------------------
 
     fn golden_block(lossy: bool) -> CompressedBlock {
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
@@ -1035,7 +1036,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 7);
+        assert_eq!(PROTOCOL_VERSION, 8);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1406,6 +1407,38 @@ mod tests {
         match Hello::admit(body) {
             Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v6"), "{m}"),
             other => panic!("a v6 hello was not refused by version: {other:?}"),
+        }
+    }
+
+    /// A lossy block of two segments at 1e-3 with one byte of its second
+    /// segment's body flipped: the embedded frame's checksum covers every
+    /// payload byte, so the block is refused on the socket, before any
+    /// worker decodes it.
+    #[test]
+    fn a_flipped_body_byte_in_an_embedded_block_frame_is_refused() {
+        let vals: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.37).sin() * 1e-3).collect();
+        let blk = BlockCodec::new(qcs_compress::CodecId::SolutionC)
+            .compress(&vals, ErrorBound::PointwiseRelative(1e-3))
+            .unwrap();
+        let mut body = encode(&blk);
+        let payload_at = body.len() - blk.len();
+        let len0 = u32::from_le_bytes(blk.bytes[12..16].try_into().unwrap()) as usize;
+        body[payload_at + 16 + len0 + 4 + 10] ^= 0x04; // inside segment 1's body
+        match decode::<CompressedBlock>(&body) {
+            Err(NetError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
+            other => panic!("a flipped body byte crossed the wire: {other:?}"),
+        }
+    }
+
+    /// `hello_full` as protocol v7 wrote it, whose lossy blocks travel in
+    /// version-2 frames around an indexed segment layout: refused by its
+    /// version, so none of its blocks reaches a worker.
+    #[test]
+    fn a_v7_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v7.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v7"), "{m}"),
+            other => panic!("a v7 hello was not refused by version: {other:?}"),
         }
     }
 

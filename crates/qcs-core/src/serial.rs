@@ -48,7 +48,6 @@ wire! {
         lossy_codec: CodecId,
         ladder: Vec<ErrorBound>,
         cache_lines: usize,
-        recompress_on_escalate: bool,
         fusion: bool,
         max_batch_gates: usize,
         spill: Option<SpillConfig>,

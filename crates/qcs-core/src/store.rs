@@ -1628,7 +1628,7 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
 /// residency budget of queued dirty blocks, the next shard in rotation,
 /// and — the key to concurrency — the exact byte extent the run's frames
 /// will occupy in that shard (computable up front because
-/// [`frame::encoded_len_of`] is exact). The run is then encoded into one
+/// [`frame::encoded_len`] is exact). The run is then encoded into one
 /// buffer and landed with a single positional write *outside* the lock,
 /// so N writers append to disjoint extents of independently chosen
 /// shards in parallel. Append time lands in [`Phase::WriteBehind`] — off
@@ -1723,7 +1723,7 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
         let base = inner.shards[shard_idx].end;
         let total: u64 = blks
             .iter()
-            .map(|(_, _, b)| frame::encoded_len_of(&b.bytes) as u64)
+            .map(|(_, _, b)| frame::encoded_len(b.len()) as u64)
             .sum();
         inner.shards[shard_idx].end = base + total;
         inner.writers_busy += 1;
@@ -2316,6 +2316,29 @@ mod tests {
         // instead: at least one of the spilled fetches must fail.
         let failures = (0..2).filter(|&i| s.peek(i).is_err()).count();
         assert!(failures >= 1, "corruption went unnoticed");
+
+        // A lossy block of two segments at 1e-3, spilled: a flipped byte in
+        // its second segment's body fails the fetch, because the frame
+        // checksums the whole payload.
+        let vals: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.37).sin() * 1e-3).collect();
+        let lossy = crate::block::BlockCodec::new(CodecId::SolutionC)
+            .compress(&vals, ErrorBound::PointwiseRelative(1e-3))
+            .unwrap();
+        let blocks = vec![Some(lossy.clone()), Some(blk(1, 64))];
+        let s = SpillStore::create(&tmp_dir("corrupt-lossy"), "r0", 1, metrics, blocks).unwrap();
+        let path = s.segment_path().to_path_buf();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes
+            .windows(lossy.len())
+            .position(|w| w == &lossy.bytes[..])
+            .expect("slot 0 is spilled");
+        let len0 = u32::from_le_bytes(lossy.bytes[12..16].try_into().unwrap()) as usize;
+        bytes[at + 16 + len0 + 4 + 10] ^= 0x04; // inside segment 1's body
+        std::fs::write(&path, &bytes).unwrap();
+        match s.peek(0) {
+            Err(e) => assert!(e.to_string().contains("checksum"), "{e}"),
+            Ok(_) => panic!("a flipped body byte was fetched"),
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";

@@ -405,7 +405,6 @@ fn golden_config() -> SimConfig {
         .with_prefetch(false)
         .with_remote(vec!["127.0.0.1:9000", "node-b.example:7401"]);
     cfg.cache_lines = 96;
-    cfg.recompress_on_escalate = !cfg.recompress_on_escalate;
     let remote = cfg.remote.as_mut().unwrap();
     remote.connect_attempts = 3;
     remote.connect_backoff_ms = 25;
@@ -567,7 +566,7 @@ fn job_protocol_bytes_match_the_parent_commit() {
     for (name, out) in golden_outs() {
         assert_golden(&format!("job_out_{name}"), &out);
     }
-    assert_eq!(qcs_net::PROTOCOL_VERSION, 7);
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 8);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 

@@ -101,13 +101,9 @@ fn all_lossy_codecs_work_in_the_simulator() {
     for q in 0..8 {
         c.rz(0.2 * (q + 1) as f64, q);
     }
-    for codec in [
-        CodecId::SolutionA,
-        CodecId::SolutionB,
-        CodecId::SolutionC,
-        CodecId::SolutionD,
-        CodecId::Fpzip,
-    ] {
+    // The engine runs Solutions C and D; the comparators keep their
+    // codec-level pins in `prop_bounds` and `prop_invariants`.
+    for codec in [CodecId::SolutionC, CodecId::SolutionD] {
         let cfg = SimConfig::default()
             .with_block_log2(4)
             .with_ranks_log2(1)

@@ -126,48 +126,54 @@ proptest! {
     }
 }
 
-/// A valid segmented Solution C stream with several segments, for
-/// index-corruption tests.
+/// A valid segmented Solution C stream with three segments, for
+/// header-corruption tests.
 fn segmented_payload() -> Vec<u8> {
     use qcsim::compress::Codec as _;
     let data: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.17).sin() * 1e-4).collect();
-    qcsim::compress::trunc::SolutionC {
-        segment_values: Some(512),
-        ..Default::default()
+    qcsim::compress::trunc::SolutionC::default()
+        .compress(&data, ErrorBound::PointwiseRelative(1e-6))
+        .unwrap()
+}
+
+/// Byte offsets of a segmented stream's counts: its 12-byte header (magic,
+/// value count) and the length word in front of each body.
+fn count_offsets(stream: &[u8]) -> Vec<usize> {
+    let mut offsets: Vec<usize> = (0..12).collect();
+    let mut at = 12;
+    while at < stream.len() {
+        offsets.extend(at..at + 4);
+        at += 4 + u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
     }
-    .compress(&data, ErrorBound::PointwiseRelative(1e-6))
-    .unwrap()
+    offsets
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The segment index is parsed from attacker-controllable bytes (a
-    // spilled frame's prefix): corrupting any prefix byte must yield
-    // Err/None or a still-bounded index, never a panic, and decoding
-    // through a corrupt index must fail cleanly too.
+    // The header and the body lengths are the container's only claims, read
+    // from bytes a checkpoint or a socket supplies: a flipped bit in any of
+    // them decodes to an error or to data, never a panic, and never asks
+    // for more than a few times the stream's values.
     #[test]
-    fn segment_index_survives_prefix_corruption(
-        byte_frac in 0.0f64..1.0,
+    fn segment_header_and_lengths_survive_corruption(
+        pick in 0usize..1 << 16,
         bit in 0usize..8,
     ) {
-        use qcsim::compress::{Codec as _, SegmentIndex};
+        use qcsim::compress::Codec as _;
         let mut payload = segmented_payload();
-        let index = SegmentIndex::parse(&payload).unwrap().unwrap();
-        let prefix_len = index.prefix_len();
-        let pos = ((prefix_len - 1) as f64 * byte_frac) as usize;
-        payload[pos] ^= 1 << bit;
-        if let Ok(Some(_)) = SegmentIndex::parse(&payload) {
-            // Decoding through a surviving index must return Err or
-            // data — not panic.
-            let c = qcsim::compress::trunc::SolutionC::default();
-            let _ = c.decompress(&payload);
+        let offsets = count_offsets(&payload);
+        payload[offsets[pick % offsets.len()]] ^= 1 << bit;
+        let c = qcsim::compress::trunc::SolutionC::default();
+        let (res, requested) = allocated_by(|| c.decompress(&payload));
+        if let Ok(out) = res {
+            prop_assert_eq!(out.len(), 3000);
         }
+        prop_assert!(requested <= 1 << 20, "requested {} bytes", requested);
     }
 
-    // Truncating a segmented stream anywhere — inside the index or inside
-    // a body — must produce Err, whether the cut left the index whole or
-    // not.
+    // Truncating a segmented stream anywhere — inside the header, a length
+    // word or a body — must produce Err.
     #[test]
     fn segmented_stream_survives_truncation(frac in 0.0f64..1.0) {
         use qcsim::compress::Codec as _;
@@ -345,18 +351,16 @@ fn huffman_payload_truncation_is_an_error_at_every_cut() {
     }
 }
 
-/// A segmented Solution C stream from before segments carried a mode byte
-/// (magic "QCSc") is refused by its magic, naming the old layout: by the
-/// index parser and by the decoder of either configuration, with no value
+/// A segmented Solution C stream in a retired layout is refused by its
+/// `magic`, named: by the decoder of either configuration, with no value
 /// decoded and no fall-through to the whole-stream decoder.
-fn assert_refused_as_the_old_segment_layout(stream: &[u8]) {
+fn assert_refused_as_a_retired_segment_layout(stream: &[u8], magic: &str) {
     use qcsim::compress::trunc::SolutionC;
-    use qcsim::compress::{Codec as _, CodecError, SegmentIndex};
+    use qcsim::compress::{Codec as _, CodecError};
     let names_it = |r: Result<(), CodecError>| match r {
-        Err(CodecError::Corrupt(m)) => m.contains("QCSc"),
+        Err(CodecError::Corrupt(m)) => m.contains(magic),
         _ => false,
     };
-    assert!(names_it(SegmentIndex::parse(stream).map(drop)));
     let c = SolutionC::default();
     assert!(names_it(c.decompress(stream).map(drop)));
     assert!(names_it(
@@ -367,11 +371,24 @@ fn assert_refused_as_the_old_segment_layout(stream: &[u8]) {
     assert!(out.is_empty(), "a stale segment leaked values");
 }
 
+/// Header length of a retired version-2 frame: the version-1 header plus a
+/// `prefix_len u32`. The stale fixtures below read their payload past it.
+const FRAME_V2_HEADER_LEN: usize = 30;
+
+/// Refused as a retired version-2 frame, by name.
+fn assert_refused_as_a_v2_frame(frame: &[u8]) {
+    use qcsim::compress::frame::{read_frame, FrameError};
+    match read_frame(&mut &frame[..]) {
+        Err(FrameError::Corrupt(m)) => assert!(m.contains("QCF2"), "{m}"),
+        other => panic!("a version-2 frame was accepted: {other:?}"),
+    }
+}
+
 /// Bytes written by the last build whose checksums were FNV-1a (frames
-/// `QCF1`/`QCF2` unchanged in layout, checkpoint `QCSCKPT2`), captured from
-/// that build and checked in. Every field but the checksums still parses,
-/// so each reader must get as far as the checksum (or the version) and stop
-/// there with its typed error — never decode, never panic.
+/// `QCF1` and version 2 unchanged in layout, checkpoint `QCSCKPT2`),
+/// captured from that build and checked in. Each reader must stop at the
+/// checksum, the frame version or the checkpoint version with its typed
+/// error — never decode, never panic.
 #[test]
 fn fnv1a_era_bytes_end_in_typed_errors() {
     use qcsim::compress::frame::{parse_header, read_frame, FrameError};
@@ -381,19 +398,19 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
     let v2: &[u8] = include_bytes!("fixtures/fnv1a_frame_v2_solution_c.bin");
     let ckpt: &[u8] = include_bytes!("fixtures/fnv1a_checkpoint_v2.bin");
 
-    // Frames: same header layout, so the header parses; the payload (v1)
-    // or prefix (v2) checksum is what refuses them.
-    for (frame, codec) in [(v1, CodecId::Qzstd), (v2, CodecId::SolutionC)] {
-        assert_eq!(parse_header(frame).unwrap().codec, codec);
-        match read_frame(&mut &frame[..]) {
-            Err(FrameError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
-            other => panic!("{codec} frame from the FNV-1a era accepted: {other:?}"),
-        }
+    // The v1 frame has today's header layout, so the header parses and the
+    // payload checksum is what refuses it; the v2 frame is refused by its
+    // version.
+    assert_eq!(parse_header(v1).unwrap().codec, CodecId::Qzstd);
+    match read_frame(&mut &v1[..]) {
+        Err(FrameError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
+        other => panic!("a qzstd frame from the FNV-1a era accepted: {other:?}"),
     }
+    assert_refused_as_a_v2_frame(v2);
 
     // The segmented stream inside the v2 frame predates segment mode bytes
-    // too: refused by its magic before any body checksum is computed.
-    assert_refused_as_the_old_segment_layout(&v2[parse_header(v2).unwrap().header_len..]);
+    // too: refused by its magic.
+    assert_refused_as_a_retired_segment_layout(&v2[FRAME_V2_HEADER_LEN..], "QCSc");
 
     // Checkpoint: refused by version before any frame is read; with the
     // version byte forged, refused at the first block frame's checksum.
@@ -412,7 +429,7 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
     let m = load(ckpt);
     assert!(m.contains("version '2'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'4';
+    forged[7] = b'5';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("checksum"), "{m}");
     std::fs::remove_file(&path).ok();
@@ -424,26 +441,18 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
 /// `adaptive_and_checkpoint.rs`'s golden simulator. (Its v5 Hello is
 /// `qcs-net/tests/fixtures/hello_v5.bin`, refused by version in
 /// `qcs-core`'s `net` tests.) Checksums still match, so each reader must
-/// stop at the magic or the version with its typed error.
+/// stop at a magic or a version with its typed error.
 #[test]
 fn pre_mode_byte_bytes_end_in_typed_errors() {
-    use qcsim::compress::frame::{parse_header, read_frame, FrameError};
-    use qcsim::compress::CodecId;
     use qcsim::core::{checkpoint, SimError};
 
     let frame: &[u8] = include_bytes!("fixtures/qcsc_segmented_frame.bin");
     let ckpt: &[u8] = include_bytes!("fixtures/checkpoint_v3_small.bin");
 
-    // The frame header is unchanged and its prefix checksum holds; the
-    // frame is refused because its payload is no segmented stream this
-    // build reads, and so is the stream itself.
-    let header = parse_header(frame).unwrap();
-    assert_eq!(header.codec, CodecId::SolutionC);
-    match read_frame(&mut &frame[..]) {
-        Err(FrameError::Corrupt(m)) => assert!(m.contains("QCSc"), "{m}"),
-        other => panic!("a pre-mode-byte frame was accepted: {other:?}"),
-    }
-    assert_refused_as_the_old_segment_layout(&frame[header.header_len..]);
+    // The frame is refused by its version, and the stream inside it by its
+    // magic.
+    assert_refused_as_a_v2_frame(frame);
+    assert_refused_as_a_retired_segment_layout(&frame[FRAME_V2_HEADER_LEN..], "QCSc");
 
     // The checkpoint: refused by version; with the version forged, its
     // first block frame is refused the same way.
@@ -461,11 +470,53 @@ fn pre_mode_byte_bytes_end_in_typed_errors() {
     };
     assert_eq!(&ckpt[..8], b"QCSCKPT3");
     let m = load(ckpt);
-    assert!(m.contains("version '3'") && m.contains("reads '4'"), "{m}");
+    assert!(m.contains("version '3'") && m.contains("reads '5'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'4';
+    forged[7] = b'5';
     let m = load(&forged);
-    assert!(m.contains("block frame 0") && m.contains("QCSc"), "{m}");
+    assert!(m.contains("block frame 0") && m.contains("QCF2"), "{m}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Bytes written by the last build whose segmented streams carried an
+/// index of 12 bytes per segment inside a version-2 frame, captured from
+/// that build (commit f28be16): a two-segment Solution C block at 1e-3 in
+/// its `QCF2` frame, and `checkpoint_v4_small.bin`, the `QCSCKPT4`
+/// checkpoint of `adaptive_and_checkpoint.rs`'s golden simulator. (Its v7
+/// Hello is `qcs-net/tests/fixtures/hello_v7.bin`, refused by version in
+/// `qcs-core`'s `net` tests.) Checksums still match, so each reader must
+/// stop at a magic or a version with its typed error.
+#[test]
+fn pre_sequential_layout_bytes_end_in_typed_errors() {
+    use qcsim::core::{checkpoint, SimError};
+
+    let frame: &[u8] = include_bytes!("fixtures/qcse_indexed_frame_v2.bin");
+    let ckpt: &[u8] = include_bytes!("fixtures/checkpoint_v4_small.bin");
+
+    assert_refused_as_a_v2_frame(frame);
+    assert_refused_as_a_retired_segment_layout(&frame[FRAME_V2_HEADER_LEN..], "QCSe");
+
+    // The checkpoint: refused by version; with the version forged, its
+    // first block frame is refused by its frame version.
+    let path = std::env::temp_dir().join(format!("qcsim-qcse-{}.ckpt", std::process::id()));
+    let cfg = qcsim::SimConfig::default().with_block_log2(3);
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        match checkpoint::load(&path, cfg.clone()) {
+            Err(SimError::Checkpoint(m)) => m,
+            other => panic!(
+                "QCSCKPT4 checkpoint mishandled: {:?}",
+                other.err().map(|e| e.to_string())
+            ),
+        }
+    };
+    assert_eq!(&ckpt[..8], b"QCSCKPT4");
+    let m = load(ckpt);
+    assert!(m.contains("version '4'") && m.contains("reads '5'"), "{m}");
+    let mut forged = ckpt.to_vec();
+    forged[7] = b'5';
+    let m = load(&forged);
+    assert!(m.contains("block frame 0") && m.contains("QCF2"), "{m}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -482,16 +533,15 @@ fn body_claiming(n: u64) -> Vec<u8> {
     body
 }
 
-// Counts read from a segmented stream are claims: the index's value count
+// Counts read from a segmented stream are claims: the header's value count
 // and each body's must agree before either sizes an allocation. Both
-// streams below are correctly checksummed; both used to take the process
-// down (a capacity-overflow panic, or an abort on a 2^43- or 2^35-byte
+// streams below are well formed; both used to take the process down (a
+// capacity-overflow panic, or an abort on a 2^43- or 2^35-byte
 // allocation).
 #[test]
 fn segment_counts_are_checked_before_allocating() {
-    use qcsim::compress::checksum::checksum64;
     use qcsim::compress::trunc::SolutionC;
-    use qcsim::compress::{qzstd, Codec as _, CodecError, SegmentIndex};
+    use qcsim::compress::{qzstd, Codec as _, CodecError};
 
     let c = SolutionC::default();
     let good = c
@@ -500,19 +550,18 @@ fn segment_counts_are_checked_before_allocating() {
             ErrorBound::PointwiseRelative(1e-3),
         )
         .unwrap();
-    let prefix_len = SegmentIndex::parse(&good).unwrap().unwrap().prefix_len();
-    assert_eq!(prefix_len, 32, "one segment");
+    let body_len = u32::from_le_bytes(good[12..16].try_into().unwrap()) as usize;
+    assert_eq!(good.len(), 16 + body_len, "one segment");
     let corrupt = |r: Result<Vec<f64>, CodecError>, what: &str| match r {
         Err(CodecError::Corrupt(m)) => assert!(m.contains("values"), "{what}: {m}"),
         other => panic!("{what}: {other:?}"),
     };
 
-    // A body claiming 2^61 or 2^40 values behind an index of four.
+    // A body claiming 2^61 or 2^40 values behind a header of four.
     for n in [1u64 << 61, 1 << 40] {
         let body = qzstd::compress(&body_claiming(n), qzstd::Level::Fast);
-        let mut stream = good[..prefix_len].to_vec();
-        stream[20..24].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        stream[24..32].copy_from_slice(&checksum64(&body).to_le_bytes());
+        let mut stream = good[..12].to_vec();
+        stream.extend_from_slice(&(body.len() as u32).to_le_bytes());
         stream.extend_from_slice(&body);
         corrupt(c.decompress(&stream), &format!("segment claiming {n}"));
         // The same body as a whole stream, with no index to hold it to.
@@ -522,13 +571,54 @@ fn segment_counts_are_checked_before_allocating() {
         );
     }
 
-    // An index claiming u32::MAX values in one segment over a valid
-    // four-value body.
-    let mut stream = good.clone();
-    stream[4..12].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
-    stream[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(SegmentIndex::parse(&stream).unwrap().unwrap().n_segs(), 1);
-    corrupt(c.decompress(&stream), "index claiming u32::MAX");
+    // A header claiming u32::MAX or 2^60 values over a valid four-value
+    // body.
+    for n in [u64::from(u32::MAX), 1 << 60] {
+        let mut stream = good.clone();
+        stream[4..12].copy_from_slice(&n.to_le_bytes());
+        corrupt(c.decompress(&stream), &format!("header claiming {n}"));
+    }
+}
+
+// A lossy block of four segments at 1e-3 with one byte of its second
+// segment's body flipped in a checkpoint: the block frame checksums its
+// whole payload, so the file is refused at load, before anything decodes.
+#[test]
+fn a_flipped_body_byte_fails_the_checkpoint_load() {
+    use qcsim::core::{checkpoint, SimError};
+    use qcsim::{Circuit, CompressedSimulator, SimConfig};
+    use rand::SeedableRng;
+
+    let cfg = SimConfig::default()
+        .with_block_log2(11)
+        .with_fixed_bound(ErrorBound::PointwiseRelative(1e-3));
+    let mut sim = CompressedSimulator::new(12, cfg.clone()).unwrap();
+    let mut c = Circuit::new(12);
+    for q in 0..12 {
+        c.h(q).rz(0.3 + 0.1 * q as f64, q);
+    }
+    sim.run(&c, &mut rand::rngs::StdRng::seed_from_u64(0))
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("qcsim-flip-{}.ckpt", std::process::id()));
+    checkpoint::save(&sim, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    // The first block frame's payload: its 26-byte frame header, then the
+    // 12-byte stream header and segment 0 behind its length word.
+    let payload = CHECKPOINT_HEADER_LEN + 26;
+    assert_eq!(bytes[payload + 4..payload + 12], 4096u64.to_le_bytes());
+    let len0 = u32::from_le_bytes(bytes[payload + 12..payload + 16].try_into().unwrap()) as usize;
+    bytes[payload + 16 + len0 + 4 + 10] ^= 0x04; // inside segment 1's body
+    std::fs::write(&path, &bytes).unwrap();
+    match checkpoint::load(&path, cfg) {
+        Err(SimError::Checkpoint(m)) => {
+            assert!(m.contains("block frame 0") && m.contains("checksum"), "{m}")
+        }
+        other => panic!(
+            "a flipped body byte loaded: {:?}",
+            other.err().map(|e| e.to_string())
+        ),
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The 9-byte qzstd container `[3, 2^36 LE]`: the all-zero mode, declaring
@@ -565,16 +655,22 @@ fn capped_decoders_refuse_an_oversized_zero_container() {
     }
 }
 
-/// Magic plus the fixed-width header of a `QCSCKPT4` file: everything in
+/// Magic plus the fixed-width header of a `QCSCKPT5` file: everything in
 /// front of the first block frame.
 const CHECKPOINT_HEADER_LEN: usize = 8 + 57;
 
+/// Offset of the lossy codec id in a checkpoint header: after the magic
+/// and four u32 fields.
+const CHECKPOINT_CODEC_AT: usize = 8 + 16;
+
 // The same container as the first block of a checksummed checkpoint of a
-// 5-qubit register in 16-value blocks, framed as a lossless (qzstd) block
-// and as a Solution C block at 1e-3 (whose decoder then takes the
-// whole-stream path). The file loads, since nothing decodes at load; the
-// first read of the block is a typed error, where it used to abort on a
-// 64 GiB allocation.
+// 5-qubit register in 16-value blocks, framed as a lossless (qzstd) block,
+// as a Solution C block at 1e-3 (whose decoder then takes the whole-stream
+// path), and as a block of each comparator codec, whose decoders apply no
+// cap. The file loads, since nothing decodes at load; the first read of the
+// block is a typed error, where it used to abort on a 64 GiB allocation. A
+// checkpoint whose header names a comparator as its lossy codec is refused
+// at load.
 #[test]
 fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
     use qcsim::compress::{frame, CodecError};
@@ -595,9 +691,14 @@ fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
     }
 
     let zero = zero_container_declaring_64_gib();
+    let lossy = ErrorBound::PointwiseRelative(1e-3);
     for (codec, bound) in [
         (CodecId::Qzstd, ErrorBound::Lossless),
-        (CodecId::SolutionC, ErrorBound::PointwiseRelative(1e-3)),
+        (CodecId::SolutionC, lossy),
+        (CodecId::SolutionA, lossy),
+        (CodecId::SolutionB, lossy),
+        (CodecId::Zfp, lossy),
+        (CodecId::Fpzip, lossy),
     ] {
         let mut spliced = header.to_vec();
         frame::write_frame(&mut spliced, codec, bound, &zero).unwrap();
@@ -613,6 +714,18 @@ fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
         }
         assert!(requested <= 1 << 16, "{codec}: requested {requested} bytes");
         eprintln!("{codec}: norm_sqr requested {requested} bytes");
+    }
+
+    assert_eq!(good[CHECKPOINT_CODEC_AT], CodecId::SolutionC as u8);
+    let mut fpzip = good.clone();
+    fpzip[CHECKPOINT_CODEC_AT] = CodecId::Fpzip as u8;
+    std::fs::write(&path, &fpzip).unwrap();
+    match checkpoint::load(&path, cfg.clone()) {
+        Err(SimError::Config(m)) => assert!(m.contains("fpzip"), "{m}"),
+        other => panic!(
+            "a checkpoint naming fpzip loaded: {:?}",
+            other.err().map(|e| e.to_string())
+        ),
     }
     std::fs::remove_file(&path).ok();
 }
