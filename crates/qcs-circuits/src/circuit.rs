@@ -48,19 +48,31 @@ pub enum Op {
 }
 
 impl Op {
-    /// Highest qubit index referenced.
-    pub fn max_qubit(&self) -> usize {
-        match self {
-            Op::Single { target, .. } => *target,
+    /// Check the op against a `num_qubits`-qubit register: every qubit it
+    /// names is in range and distinct from the others — a gate controlled
+    /// on its own target, or a swap of a qubit with itself, is no op.
+    pub fn validate(&self, num_qubits: usize) -> Result<(), String> {
+        let (others, last): (&[usize], &usize) = match self {
+            Op::Single { target, .. } | Op::Measure { target } => (&[], target),
             Op::Controlled {
                 control, target, ..
-            } => (*control).max(*target),
+            } => (std::slice::from_ref(control), target),
             Op::MultiControlled {
                 controls, target, ..
-            } => controls.iter().copied().max().unwrap_or(0).max(*target),
-            Op::Swap { a, b } => (*a).max(*b),
-            Op::Measure { target } => *target,
+            } => (controls, target),
+            Op::Swap { a, b } => (std::slice::from_ref(a), b),
+        };
+        for (i, q) in others.iter().chain([last]).enumerate() {
+            if *q >= num_qubits {
+                return Err(format!(
+                    "{self:?} touches qubit {q}, out of range for {num_qubits} qubits"
+                ));
+            }
+            if others[..i].contains(q) {
+                return Err(format!("duplicate qubits in {self:?}"));
+            }
         }
+        Ok(())
     }
 }
 
@@ -96,22 +108,14 @@ impl Circuit {
         self.ops.len()
     }
 
-    /// Push a raw op, validating qubit indices.
+    /// Push a raw op.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`Op::validate`] refuses the op.
     pub fn push(&mut self, op: Op) -> &mut Self {
-        assert!(
-            op.max_qubit() < self.num_qubits,
-            "op {op:?} out of range for {} qubits",
-            self.num_qubits
-        );
-        if let Op::MultiControlled {
-            controls, target, ..
-        } = &op
-        {
-            let mut seen = controls.clone();
-            seen.push(*target);
-            seen.sort_unstable();
-            seen.dedup();
-            assert_eq!(seen.len(), controls.len() + 1, "duplicate qubits in {op:?}");
+        if let Err(e) = op.validate(self.num_qubits) {
+            panic!("{e}");
         }
         self.ops.push(op);
         self

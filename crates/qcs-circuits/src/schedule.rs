@@ -25,13 +25,15 @@
 //!
 //! Because the schedule fixes the execution order, it also fixes *which
 //! blocks* every wave will touch once a block geometry is chosen: an
-//! [`AccessPlan`] derives, per wave and per rank, the ordered block-slot
-//! list ahead of execution. The engine's out-of-core tier uses the plan to
-//! prefetch the next chunk of spilled blocks while the current chunk
-//! computes, turning blocking seek-and-read fetches into overlapped
-//! background I/O.
+//! [`AccessPlan`] lists, per wave and per rank, the ordered block slots
+//! ahead of execution, read off the same `qcs_cluster::Layout` slot
+//! functions the engine's wave walker executes. The engine's out-of-core
+//! tier uses the plan to prefetch the next chunk of spilled blocks while
+//! the current chunk computes, turning blocking seek-and-read fetches
+//! into overlapped background I/O.
 
 use crate::circuit::{Circuit, Op};
+use qcs_cluster::{Layout, Route};
 use qcs_statevec::{BatchGate, StateVector};
 
 /// Upper limit on gates per batch: the engine tracks which batch members
@@ -433,17 +435,6 @@ impl WaveAccess {
     pub fn is_empty(&self) -> bool {
         self.per_rank.iter().all(|v| v.is_empty())
     }
-
-    /// Position of the first planned access of `slot` in rank `rank`'s
-    /// ordered wave sequence — the next-use distance a Belady (MIN)
-    /// eviction policy keys on. `None` when the wave never touches `slot`
-    /// on that rank (or the rank index is out of range), which MIN reads
-    /// as "furthest away": the best possible eviction victim.
-    pub fn next_use_distance(&self, rank: usize, slot: usize) -> Option<usize> {
-        self.per_rank
-            .get(rank)
-            .and_then(|slots| slots.iter().position(|&s| s == slot))
-    }
 }
 
 /// A schedule's block-access plan: for every wave of every scheduled item,
@@ -458,142 +449,95 @@ impl WaveAccess {
 /// expands to its three controlled-X waves and a bare `Measure` to its
 /// probability-reduce (peek) wave followed by its collapse wave.
 ///
-/// The plan is exact, not speculative: the engine's property suite pins
-/// the planned slots against the accesses an instrumented block store
-/// actually observes, for every circuit family and rank count.
+/// Every wave's slots come from the `qcs_cluster::Layout` slot functions
+/// the engine's rank workers build their unit lists with, so the plan is
+/// exact, not speculative; what is planned here alone is the item → wave
+/// expansion, which the engine's property suite pins against the accesses
+/// an instrumented block store observes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPlan {
     per_item: Vec<Vec<WaveAccess>>,
     ranks: usize,
 }
 
-/// Block-layout arithmetic shared by the wave builders (the same index
-/// split as the engine's `Layout`, re-derived here so planning needs only
-/// the schedule and two geometry exponents).
-struct PlanGeom {
-    num_qubits: u32,
-    ranks_log2: u32,
-    block_log2: u32,
+/// Access of one (possibly controlled) single-qubit gate wave: the
+/// slots the walker's unit list for the gate's route holds on each rank.
+fn gate_wave(layout: &Layout, target: usize, controls: &[usize]) -> WaveAccess {
+    let (_, bcm, rcm) = layout.control_masks(controls);
+    let mut per_rank = vec![Vec::new(); layout.ranks()];
+    match layout.route(target as u32) {
+        // A lone in-block gate runs as a batch of one.
+        Route::InBlock { .. } => return batch_wave(layout, &[(bcm, rcm)]),
+        Route::InterBlock { block_stride } => {
+            let mut pairs = Vec::new();
+            layout
+                .block_pairs(block_stride, bcm)
+                .for_each(|pair| pairs.extend(pair));
+            let selected = (0..layout.ranks()).filter(|r| r & rcm == rcm);
+            selected.for_each(|r| per_rank[r].clone_from(&pairs));
+        }
+        // The leader and the follower of each rank pair walk the same
+        // selected-block list.
+        Route::InterRank { rank_stride } => {
+            let sel: Vec<usize> = layout.selected_blocks(bcm).collect();
+            for pair in layout.rank_pairs(rank_stride, rcm) {
+                pair.iter().for_each(|&r| per_rank[r].clone_from(&sel));
+            }
+        }
+    }
+    WaveAccess { per_rank }
 }
 
-impl PlanGeom {
-    fn ranks(&self) -> usize {
-        1usize << self.ranks_log2
-    }
+/// Access of a batch wave whose member gates carry `(block_cmask,
+/// rank_cmask)` pairs `masks`: each rank touches, in ascending order,
+/// every block at least one member selects.
+fn batch_wave(layout: &Layout, masks: &[(usize, usize)]) -> WaveAccess {
+    let per_rank = (0..layout.ranks())
+        .map(|r| {
+            layout
+                .batch_units(r, masks)
+                .into_iter()
+                .map(|(b, _)| b)
+                .collect()
+        })
+        .collect();
+    WaveAccess { per_rank }
+}
 
-    fn blocks_per_rank(&self) -> usize {
-        1usize << (self.num_qubits - self.ranks_log2 - self.block_log2)
-    }
-
-    /// First qubit index owned by the rank segment.
-    fn rank_base(&self) -> u32 {
-        self.num_qubits - self.ranks_log2
-    }
-
-    /// Partition `controls` into `(block_cmask, rank_cmask)`; offset-scope
-    /// controls never affect which blocks a wave touches.
-    fn masks(&self, controls: &[usize]) -> (usize, usize) {
-        let mut block_cmask = 0usize;
-        let mut rank_cmask = 0usize;
-        for &c in controls {
-            let c = c as u32;
-            if c < self.block_log2 {
-                // Offset scope: selects amplitudes inside every block.
-            } else if c < self.rank_base() {
-                block_cmask |= 1usize << (c - self.block_log2);
-            } else {
-                rank_cmask |= 1usize << (c - self.rank_base());
-            }
-        }
-        (block_cmask, rank_cmask)
-    }
-
-    /// Access of one (possibly controlled) single-qubit gate wave.
-    fn gate_wave(&self, target: usize, controls: &[usize]) -> WaveAccess {
-        let (bcm, rcm) = self.masks(controls);
-        let bpr = self.blocks_per_rank();
-        let block_ok = |b: usize| b & bcm == bcm;
-        let t = target as u32;
-        let mut per_rank = vec![Vec::new(); self.ranks()];
-        if t < self.block_log2 {
-            let list: Vec<usize> = (0..bpr).filter(|&b| block_ok(b)).collect();
-            for (r, slots) in per_rank.iter_mut().enumerate() {
-                if r & rcm == rcm {
-                    *slots = list.clone();
-                }
-            }
-        } else if t < self.rank_base() {
-            let stride = 1usize << (t - self.block_log2);
-            let list: Vec<usize> = (0..bpr)
-                .filter(|&b| b & stride == 0 && block_ok(b))
-                .flat_map(|b| [b, b | stride])
+/// The waves one scheduled item expands into, in execution order.
+fn item_waves(layout: &Layout, item: &ScheduledOp) -> Vec<WaveAccess> {
+    match item {
+        ScheduledOp::Batch(b) => {
+            let masks: Vec<(usize, usize)> = b
+                .gates()
+                .iter()
+                .map(|g| {
+                    let (_, bcm, rcm) = layout.control_masks(&g.op.controls);
+                    (bcm, rcm)
+                })
                 .collect();
-            for (r, slots) in per_rank.iter_mut().enumerate() {
-                if r & rcm == rcm {
-                    *slots = list.clone();
-                }
+            vec![batch_wave(layout, &masks)]
+        }
+        ScheduledOp::Gate(g) => vec![gate_wave(layout, g.op.target, &g.op.controls)],
+        ScheduledOp::Bare { op, .. } => match op {
+            // The engine decomposes SWAP into three controlled-X waves:
+            // CX(a,b); CX(b,a); CX(a,b).
+            Op::Swap { a, b } => vec![
+                gate_wave(layout, *b, &[*a]),
+                gate_wave(layout, *a, &[*b]),
+                gate_wave(layout, *b, &[*a]),
+            ],
+            // Measurement is a probability sum-reduce (peek of every
+            // block) followed by a collapse rewrite of every block,
+            // whatever the outcome.
+            Op::Measure { .. } => {
+                let all = WaveAccess {
+                    per_rank: vec![layout.selected_blocks(0).collect(); layout.ranks()],
+                };
+                vec![all.clone(), all]
             }
-        } else {
-            let rstride = 1usize << (t - self.rank_base());
-            let sel: Vec<usize> = (0..bpr).filter(|&b| block_ok(b)).collect();
-            for r in 0..self.ranks() {
-                if r & rstride == 0 && r & rcm == rcm {
-                    per_rank[r] = sel.clone();
-                    per_rank[r | rstride] = sel.clone();
-                }
-            }
-        }
-        WaveAccess { per_rank }
-    }
-
-    /// Access of a [`GateBatch`] wave: each rank touches, in ascending
-    /// order, every block at least one member gate selects.
-    fn batch_wave(&self, gates: &[FusedGate]) -> WaveAccess {
-        let masks: Vec<(usize, usize)> = gates.iter().map(|g| self.masks(&g.op.controls)).collect();
-        let bpr = self.blocks_per_rank();
-        let per_rank = (0..self.ranks())
-            .map(|r| {
-                (0..bpr)
-                    .filter(|&b| {
-                        masks
-                            .iter()
-                            .any(|&(bcm, rcm)| r & rcm == rcm && b & bcm == bcm)
-                    })
-                    .collect()
-            })
-            .collect();
-        WaveAccess { per_rank }
-    }
-
-    /// Access of a whole-state wave (collapse, recompress, probability
-    /// reduce): every rank touches every block in ascending order.
-    fn all_blocks_wave(&self) -> WaveAccess {
-        let all: Vec<usize> = (0..self.blocks_per_rank()).collect();
-        WaveAccess {
-            per_rank: vec![all; self.ranks()],
-        }
-    }
-
-    /// The waves one scheduled item expands into, in execution order.
-    fn item_waves(&self, item: &ScheduledOp) -> Vec<WaveAccess> {
-        match item {
-            ScheduledOp::Batch(b) => vec![self.batch_wave(b.gates())],
-            ScheduledOp::Gate(g) => vec![self.gate_wave(g.op.target, &g.op.controls)],
-            ScheduledOp::Bare { op, .. } => match op {
-                // The engine decomposes SWAP into three controlled-X
-                // waves: CX(a,b); CX(b,a); CX(a,b).
-                Op::Swap { a, b } => vec![
-                    self.gate_wave(*b, &[*a]),
-                    self.gate_wave(*a, &[*b]),
-                    self.gate_wave(*b, &[*a]),
-                ],
-                // Measurement is a probability sum-reduce (peek of
-                // every block) followed by a collapse rewrite of every
-                // block, whatever the outcome.
-                Op::Measure { .. } => vec![self.all_blocks_wave(), self.all_blocks_wave()],
-                _ => unreachable!("unitaries are never scheduled bare"),
-            },
-        }
+            _ => unreachable!("unitaries are never scheduled bare"),
+        },
     }
 }
 
@@ -607,24 +551,15 @@ impl AccessPlan {
     /// Panics when the geometry does not fit the schedule's qubit count
     /// (`num_qubits < ranks_log2 + block_log2`).
     pub fn for_schedule(schedule: &Schedule, ranks_log2: u32, block_log2: u32) -> Self {
-        let n = schedule.num_qubits() as u32;
-        assert!(
-            n >= ranks_log2 + block_log2,
-            "cannot split 2^{n} amplitudes into 2^{ranks_log2} ranks x 2^{block_log2} amp blocks"
-        );
-        let geom = PlanGeom {
-            num_qubits: n,
-            ranks_log2,
-            block_log2,
-        };
+        let layout = Layout::new(schedule.num_qubits() as u32, ranks_log2, block_log2);
         let per_item = schedule
             .items()
             .iter()
-            .map(|item| geom.item_waves(item))
+            .map(|item| item_waves(&layout, item))
             .collect();
         Self {
             per_item,
-            ranks: geom.ranks(),
+            ranks: layout.ranks(),
         }
     }
 
@@ -643,17 +578,7 @@ impl AccessPlan {
         ranks_log2: u32,
         block_log2: u32,
     ) -> Vec<WaveAccess> {
-        assert!(
-            num_qubits >= ranks_log2 + block_log2,
-            "cannot split 2^{num_qubits} amplitudes into 2^{ranks_log2} ranks x \
-             2^{block_log2} amp blocks"
-        );
-        PlanGeom {
-            num_qubits,
-            ranks_log2,
-            block_log2,
-        }
-        .item_waves(item)
+        item_waves(&Layout::new(num_qubits, ranks_log2, block_log2), item)
     }
 
     /// Number of scheduled items covered (equal to `schedule.items().len()`).
@@ -676,15 +601,6 @@ impl AccessPlan {
         &self.per_item[item]
     }
 
-    /// The first non-empty wave at or after scheduled item `item` — what a
-    /// wave finishing item `item - 1` should hint its stores to prefetch.
-    pub fn first_wave_at(&self, item: usize) -> Option<&WaveAccess> {
-        self.per_item[item.min(self.per_item.len())..]
-            .iter()
-            .flatten()
-            .find(|w| !w.is_empty())
-    }
-
     /// Rank `rank`'s planned accesses from scheduled item `from_item`
     /// onward, flattened across waves in execution order — the exact
     /// future-reference trace a Belady (MIN) eviction policy consumes.
@@ -695,19 +611,6 @@ impl AccessPlan {
             .flat_map(|w| w.per_rank.get(rank).map(|v| v.as_slice()).unwrap_or(&[]))
             .copied()
             .collect()
-    }
-
-    /// Next-use distance of `slot` on rank `rank`, counted in planned
-    /// accesses starting at scheduled item `from_item`: the number of
-    /// planned block touches before the slot is needed again. `None` when
-    /// the remaining plan never touches the slot — the "furthest away"
-    /// answer MIN evicts first.
-    pub fn next_use_distance(&self, rank: usize, from_item: usize, slot: usize) -> Option<usize> {
-        self.per_item[from_item.min(self.per_item.len())..]
-            .iter()
-            .flatten()
-            .flat_map(|w| w.per_rank.get(rank).map(|v| v.as_slice()).unwrap_or(&[]))
-            .position(|&s| s == slot)
     }
 }
 
@@ -977,10 +880,6 @@ mod tests {
         for w in plan.item_waves(1) {
             assert_eq!(w.per_rank, vec![vec![0, 1, 2, 3]]);
         }
-        // Lookahead helper: the first non-empty wave at or after an item.
-        assert_eq!(plan.first_wave_at(0), Some(&plan.item_waves(0)[0]));
-        assert_eq!(plan.first_wave_at(1), Some(&plan.item_waves(1)[0]));
-        assert_eq!(plan.first_wave_at(2), None);
         assert!(!plan.is_empty());
     }
 

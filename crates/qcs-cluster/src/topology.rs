@@ -13,6 +13,15 @@
 //! bit `q`, so the pair lives (a) in the same block, (b) in a different
 //! block of the same rank, or (c) in a different rank — the three cases of
 //! §3.3. Controls partition the same way (§3.3, two-qubit list).
+//!
+//! [`Layout`] is the one owner of that rule. Besides [`Layout::route`]
+//! and [`Layout::control_scope`] it answers which slots a wave touches:
+//! [`Layout::control_masks`] splits a gate's controls by scope, and the
+//! slot functions ([`Layout::selected_blocks`], [`Layout::block_pairs`],
+//! [`Layout::rank_pairs`], [`Layout::batch_units`]) list the blocks, block
+//! pairs and rank pairs of each wave kind in the order a rank walks them.
+//! The engine's rank workers and the schedule's access plan both call
+//! them, so the plan and the walker agree by construction.
 
 /// Where the two amplitudes of a gate pair live relative to each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +167,99 @@ impl Layout {
         }
     }
 
+    /// The qubit a control scope was classified from: the inverse of
+    /// [`Layout::control_scope`].
+    pub fn scope_qubit(&self, scope: ControlScope) -> u32 {
+        match scope {
+            ControlScope::InBlock { offset_bit } => offset_bit,
+            ControlScope::BlockSelect { block_bit } => self.block_log2 + block_bit,
+            ControlScope::RankSelect { rank_bit } => self.num_qubits - self.ranks_log2 + rank_bit,
+        }
+    }
+
+    /// For a qubit above the block — a block-index or rank-index bit —
+    /// whether it reads 1 on every amplitude of block `block` of `rank`;
+    /// `None` for an offset qubit, which splits each block.
+    pub fn block_wide_bit(&self, scope: ControlScope, rank: usize, block: usize) -> Option<bool> {
+        match scope {
+            ControlScope::InBlock { .. } => None,
+            ControlScope::BlockSelect { block_bit } => Some(block >> block_bit & 1 == 1),
+            ControlScope::RankSelect { rank_bit } => Some(rank >> rank_bit & 1 == 1),
+        }
+    }
+
+    /// Split controls by scope into `(offset, block, rank)` masks: a gate
+    /// acts on the amplitudes whose offset, block index and rank index
+    /// each cover their mask.
+    pub fn control_masks(&self, controls: &[usize]) -> (usize, usize, usize) {
+        let mut masks = (0, 0, 0);
+        for &c in controls {
+            match self.control_scope(c as u32) {
+                ControlScope::InBlock { offset_bit } => masks.0 |= 1 << offset_bit,
+                ControlScope::BlockSelect { block_bit } => masks.1 |= 1 << block_bit,
+                ControlScope::RankSelect { rank_bit } => masks.2 |= 1 << rank_bit,
+            }
+        }
+        masks
+    }
+
+    /// The blocks of a rank whose index covers `block_cmask`, ascending
+    /// (every block for an empty mask).
+    pub fn selected_blocks(&self, block_cmask: usize) -> impl Iterator<Item = usize> {
+        (0..self.blocks_per_rank()).filter(move |b| b & block_cmask == block_cmask)
+    }
+
+    /// The `[b, b | stride]` block pairs of an inter-block wave on a
+    /// selected rank, in ascending `b`.
+    pub fn block_pairs(
+        &self,
+        block_stride: usize,
+        block_cmask: usize,
+    ) -> impl Iterator<Item = [usize; 2]> {
+        (0..self.blocks_per_rank())
+            .filter(move |b| b & block_stride == 0 && b & block_cmask == block_cmask)
+            .map(move |b| [b, b | block_stride])
+    }
+
+    /// The `[lead, follow]` rank pairs of an inter-rank wave: rank `r`
+    /// leads rank `r | stride`; pairs whose ranks miss `rank_cmask` sit
+    /// the wave out.
+    pub fn rank_pairs(
+        &self,
+        rank_stride: usize,
+        rank_cmask: usize,
+    ) -> impl Iterator<Item = [usize; 2]> {
+        (0..self.ranks())
+            .filter(move |r| r & rank_stride == 0 && r & rank_cmask == rank_cmask)
+            .map(move |r| [r, r | rank_stride])
+    }
+
+    /// The units of an in-block batch wave on `rank`: every block some
+    /// gate selects, ascending, with the mask of the gates that fire on
+    /// it. `masks[i]` is gate `i`'s `(block_cmask, rank_cmask)`.
+    pub fn batch_units(&self, rank: usize, masks: &[(usize, usize)]) -> Vec<(usize, u64)> {
+        // Gates without a block-scope control fire on every block of a
+        // rank they select; only the others are tested block by block.
+        let (mut every, mut some) = (0u64, Vec::new());
+        for (i, &(bcm, rcm)) in masks.iter().enumerate() {
+            if rank & rcm != rcm {
+                continue;
+            }
+            match bcm {
+                0 => every |= 1 << i,
+                _ => some.push((bcm, 1u64 << i)),
+            }
+        }
+        let fired = |b: usize| {
+            let hits = some.iter().filter(|&&(bcm, _)| b & bcm == bcm);
+            hits.fold(every, |mask, &(_, bit)| mask | bit)
+        };
+        (0..self.blocks_per_rank())
+            .map(|b| (b, fired(b)))
+            .filter(|&(_, mask)| mask != 0)
+            .collect()
+    }
+
     /// Memory required for an uncompressed simulation: `2^{n+4}` bytes
     /// (double-precision complex amplitudes, paper §1).
     pub fn uncompressed_bytes(&self) -> u128 {
@@ -281,5 +383,108 @@ mod tests {
     #[should_panic(expected = "need 2^")]
     fn undersized_layout_rejected() {
         Layout::new(5, 3, 3);
+    }
+
+    /// Every layout with `n <= 10`.
+    fn layouts() -> impl Iterator<Item = Layout> {
+        (1..=10u32)
+            .flat_map(|n| (0..=n).flat_map(move |r| (0..=n - r).map(move |b| Layout::new(n, r, b))))
+    }
+
+    /// A gate of `l` drawn from `(target, control subset)` bits: the
+    /// controls are the subset's qubits below `n`, minus the target.
+    fn gate(l: &Layout, (t, subset): (u32, u16)) -> (u32, Vec<usize>) {
+        let target = t % l.num_qubits;
+        let controls = (0..l.num_qubits)
+            .filter(|&c| c != target && subset >> c & 1 == 1)
+            .map(|c| c as usize)
+            .collect();
+        (target, controls)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        #[test]
+        fn slot_functions_match_a_brute_force(
+            picks in proptest::collection::vec((0u32..64, proptest::prelude::any::<u16>()), 1..5)
+        ) {
+            for l in layouts() {
+                let gates: Vec<_> = picks.iter().map(|&p| gate(&l, p)).collect();
+                // Block `b` of rank `r` is in a gate's wave exactly when every
+                // block- and rank-scope control reads 1 at its first index.
+                let high = |c: &usize| *c as u32 >= l.block_log2;
+                let sel = |cs: &[usize], r, b| {
+                    let i = l.join(r, b, 0);
+                    cs.iter().filter(|c| high(c)).all(|&c| i >> c & 1 == 1)
+                };
+                let masks: Vec<_> = gates
+                    .iter()
+                    .map(|(_, cs)| {
+                        let (_, bcm, rcm) = l.control_masks(cs);
+                        (bcm, rcm)
+                    })
+                    .collect();
+                for r in 0..l.ranks() {
+                    let expect: Vec<(usize, u64)> = (0..l.blocks_per_rank())
+                        .map(|b| {
+                            let fired = gates.iter().enumerate().filter(|(_, (_, cs))| sel(cs, r, b));
+                            (b, fired.fold(0, |m, (i, _)| m | 1 << i))
+                        })
+                        .filter(|&(_, m)| m != 0)
+                        .collect();
+                    assert_eq!(l.batch_units(r, &masks), expect, "{l:?} rank {r}");
+                }
+                for (&(t, ref cs), &(bcm, rcm)) in gates.iter().zip(&masks) {
+                    let bit = 1u64 << t;
+                    match l.route(t) {
+                        Route::InBlock { .. } => {}
+                        Route::InterBlock { block_stride } => {
+                            for r in 0..l.ranks() {
+                                let got: Vec<_> = if r & rcm == rcm {
+                                    l.block_pairs(block_stride, bcm).collect()
+                                } else {
+                                    vec![]
+                                };
+                                let expect: Vec<_> = (0..l.blocks_per_rank())
+                                    .filter(|&b| l.join(r, b, 0) & bit == 0 && sel(cs, r, b))
+                                    .map(|b| [b, l.split(l.join(r, b, 0) ^ bit).1])
+                                    .collect();
+                                assert_eq!(got, expect, "{l:?} target {t} controls {cs:?}");
+                            }
+                        }
+                        Route::InterRank { rank_stride } => {
+                            let rank_sel = |r| {
+                                let i = l.join(r, 0, 0);
+                                cs.iter().all(|&c| (c as u32) < l.num_qubits - l.ranks_log2 || i >> c & 1 == 1)
+                            };
+                            let expect: Vec<_> = (0..l.ranks())
+                                .filter(|&r| l.join(r, 0, 0) & bit == 0 && rank_sel(r))
+                                .map(|r| [r, l.split(l.join(r, 0, 0) ^ bit).0])
+                                .collect();
+                            let pairs: Vec<_> = l.rank_pairs(rank_stride, rcm).collect();
+                            assert_eq!(pairs, expect, "{l:?} target {t} controls {cs:?}");
+                            for [lead, follow] in pairs {
+                                for r in [lead, follow] {
+                                    let expect: Vec<_> =
+                                        (0..l.blocks_per_rank()).filter(|&b| sel(cs, r, b)).collect();
+                                    let got: Vec<_> = l.selected_blocks(bcm).collect();
+                                    assert_eq!(got, expect, "{l:?} target {t} controls {cs:?}");
+                                }
+                            }
+                        }
+                    }
+                }
+                for q in 0..l.num_qubits {
+                    let scope = l.control_scope(q);
+                    assert_eq!(l.scope_qubit(scope), q);
+                    for r in 0..l.ranks() {
+                        for b in 0..l.blocks_per_rank() {
+                            let bit = (q >= l.block_log2).then(|| l.join(r, b, 0) >> q & 1 == 1);
+                            assert_eq!(l.block_wide_bit(scope, r, b), bit, "{l:?} qubit {q}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

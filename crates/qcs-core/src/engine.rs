@@ -50,10 +50,9 @@
 //! consults the cache exactly once per batch, not once per member gate.
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::cache::BlockCache;
 use crate::config::SimConfig;
 use crate::fidelity_bound::FidelityLedger;
-use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
+use crate::store::{self, BlockStore, SegmentDirGuard};
 use crate::worker::{
     decode_block, BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
     WaveOut, WorkerCmd, WorkerOut,
@@ -62,7 +61,7 @@ use qcs_circuits::{
     schedule_circuit, AccessPlan, Circuit, GateBatch, Op, Schedule, ScheduledOp, WaveAccess,
 };
 use qcs_cluster::exec::{duplex, ClusterSim, Worker};
-use qcs_cluster::{ControlScope, Layout, Metrics, Phase, Route, TimeBreakdown};
+use qcs_cluster::{Layout, Metrics, Phase, Route, TimeBreakdown};
 use qcs_compress::ErrorBound;
 use qcs_statevec::{Complex64, Gate1, StateVector};
 use std::sync::Arc;
@@ -399,18 +398,13 @@ impl CompressedSimulator {
         let bpr = layout.blocks_per_rank();
         debug_assert_eq!(blocks.len(), ranks * bpr);
         let metrics = Metrics::new();
-        // Warm the codec's scratch pool so even the first waves run
-        // allocation-free (prewarm is deliberately uncounted).
-        codec.prewarm(
-            layout.block_amps() * 2,
-            (4 * rayon::current_num_threads() + 4).min(32),
-        );
 
         // Remote transport takes precedence over the in-process backends
         // (even at one rank): the blocks ship to the daemons during the
         // handshake, and no local stores are built at all — each daemon
         // owns its rank's store (and spill directory, if any).
         if let Some(remote) = cfg.remote.clone() {
+            store::prewarm(&codec, layout);
             let mut per_rank: Vec<Vec<Option<CompressedBlock>>> = Vec::with_capacity(ranks);
             let mut rank_bytes = Vec::with_capacity(ranks);
             let mut iter = blocks.into_iter();
@@ -453,39 +447,18 @@ impl CompressedSimulator {
             Some(spill) => Some(SegmentDirGuard::create(&spill.directory())?),
             None => None,
         };
-        let mut rank_bytes = Vec::with_capacity(ranks);
-        let mut rank_resident = Vec::with_capacity(ranks);
-        let mut rank_hot = Vec::with_capacity(ranks);
-        let mut stores: Vec<Box<dyn BlockStore>> = Vec::with_capacity(ranks);
         let mut iter = blocks.into_iter();
-        for rank in 0..ranks {
-            let local: Vec<_> = iter.by_ref().take(bpr).collect();
-            let store: Box<dyn BlockStore> = match (&cfg.spill, &spill_guard) {
-                (Some(spill), Some(guard)) => Box::new(SpillStore::create_with(
-                    guard.path(),
-                    &format!("r{rank}"),
-                    spill.resident_blocks,
-                    metrics.clone(),
-                    local,
-                    SpillOptions {
-                        prefetch: cfg.prefetch,
-                        dir_guard: Some(Arc::clone(guard)),
-                        eviction: spill.eviction,
-                        write_behind: spill.write_behind,
-                        shards: spill.shards,
-                    },
-                )?),
-                _ => Box::new(MemStore::new(local)),
-            };
-            let store = wrap(rank, store);
-            rank_bytes.push(store.compressed_bytes());
-            rank_resident.push(store.resident_bytes());
-            rank_hot.push(store.hot_bytes());
-            stores.push(store);
-        }
-
-        // One cache per process, shared by its rank threads.
-        let cache = Arc::new(BlockCache::new(cfg.cache_lines));
+        let local = (0..ranks).map(|rank| (rank, iter.by_ref().take(bpr).collect()));
+        let (cache, stores) =
+            store::rank_stores(&cfg, layout, &codec, spill_guard.as_ref(), &metrics, local)?;
+        let stores: Vec<_> = stores
+            .into_iter()
+            .enumerate()
+            .map(|(rank, store)| wrap(rank, store))
+            .collect();
+        let rank_bytes = stores.iter().map(|s| s.compressed_bytes()).collect();
+        let rank_resident = stores.iter().map(|s| s.resident_bytes()).collect();
+        let rank_hot = stores.iter().map(|s| s.hot_bytes()).collect();
         let workers: Vec<RankWorker> = stores
             .into_iter()
             .enumerate()
@@ -837,8 +810,11 @@ impl CompressedSimulator {
         }
     }
 
-    /// Apply one operation.
+    /// Apply one operation. An op that [`Op::validate`] refuses for this
+    /// register is a `SimError::Config`, sent to no rank.
     pub fn apply_op(&mut self, op: &Op, rng: &mut impl rand::Rng) -> Result<(), SimError> {
+        op.validate(self.layout.num_qubits as usize)
+            .map_err(SimError::Config)?;
         let start = Instant::now();
         match op {
             Op::Single { gate, target } => {
@@ -892,21 +868,6 @@ impl CompressedSimulator {
         Ok(())
     }
 
-    /// Partition control qubits by scope (§3.3).
-    fn control_masks(&self, controls: &[usize]) -> (usize, usize, usize) {
-        let mut offset_cmask = 0usize;
-        let mut block_cmask = 0usize;
-        let mut rank_cmask = 0usize;
-        for &c in controls {
-            match self.layout.control_scope(c as u32) {
-                ControlScope::InBlock { offset_bit } => offset_cmask |= 1 << offset_bit,
-                ControlScope::BlockSelect { block_bit } => block_cmask |= 1 << block_bit,
-                ControlScope::RankSelect { rank_bit } => rank_cmask |= 1 << rank_bit,
-            }
-        }
-        (offset_cmask, block_cmask, rank_cmask)
-    }
-
     /// Apply a (multi-)controlled single-qubit unitary: one wave across all
     /// rank workers, routed per §3.3. `lookahead` carries the next planned
     /// wave's access so the workers can prefetch across the wave boundary.
@@ -918,7 +879,7 @@ impl CompressedSimulator {
         lookahead: Option<&WaveAccess>,
     ) -> Result<(), SimError> {
         let layout = self.layout;
-        let (offset_cmask, block_cmask, rank_cmask) = self.control_masks(controls);
+        let (offset_cmask, block_cmask, rank_cmask) = layout.control_masks(controls);
         let bound = self.cfg.ladder[self.level];
         let lookaheads = self.lookahead_for(lookahead);
 
@@ -942,15 +903,12 @@ impl CompressedSimulator {
             Route::InterRank { rank_stride } => {
                 // Pair rank r with r | stride; rank-scope controls deselect
                 // whole pairs (both members share the non-stride bits).
-                let ranks = layout.ranks();
-                let mut roles: Vec<ExchangeRole> = (0..ranks).map(|_| ExchangeRole::Idle).collect();
-                for r in 0..ranks {
-                    if r & rank_stride != 0 || r & rank_cmask != rank_cmask {
-                        continue;
-                    }
-                    let (lead, follow) = duplex();
-                    roles[r] = ExchangeRole::Lead(lead);
-                    roles[r | rank_stride] = ExchangeRole::Follow(follow);
+                let mut roles: Vec<ExchangeRole> =
+                    (0..layout.ranks()).map(|_| ExchangeRole::Idle).collect();
+                for [lead, follow] in layout.rank_pairs(rank_stride, rank_cmask) {
+                    let (lead_link, follow_link) = duplex();
+                    roles[lead] = ExchangeRole::Lead(lead_link);
+                    roles[follow] = ExchangeRole::Follow(follow_link);
                 }
                 let cmds = roles
                     .into_iter()
@@ -1009,7 +967,7 @@ impl CompressedSimulator {
                     )))
                 }
             };
-            let (offset_cmask, block_cmask, rank_cmask) = self.control_masks(&fg.op.controls);
+            let (offset_cmask, block_cmask, rank_cmask) = layout.control_masks(&fg.op.controls);
             plans.push(BatchPlan {
                 gate: fg.op.gate,
                 offset_bit,
@@ -1406,6 +1364,38 @@ mod tests {
         for q in [6, 64, usize::MAX] {
             assert!(is_config_error(sim.prob_one(q)), "qubit {q}");
         }
+    }
+
+    #[test]
+    fn apply_op_refuses_outside_or_repeated_qubits() {
+        let mut sim = CompressedSimulator::new(6, small_cfg()).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let cx = |control, target| Op::Controlled {
+            gate: qcs_statevec::GateKind::X,
+            control,
+            target,
+        };
+        let x = |target| Op::Single {
+            gate: qcs_statevec::GateKind::X,
+            target,
+        };
+        // Target n, control n, and a control that is its own target, on
+        // every route: offset (1), block (3) and rank (5) qubits.
+        let mut bad = vec![x(6), cx(0, 6), cx(6, 0), Op::Swap { a: 2, b: 6 }];
+        for q in [1, 3, 5] {
+            bad.extend([cx(q, q), Op::Swap { a: q, b: q }]);
+            bad.push(Op::MultiControlled {
+                gate: qcs_statevec::GateKind::Z,
+                controls: vec![0, q],
+                target: q,
+            });
+        }
+        for op in &bad {
+            assert!(is_config_error(sim.apply_op(op, &mut rng)), "{op:?}");
+        }
+        // Nothing was dispatched: the state is still |0…0⟩.
+        assert_eq!(sim.report().gates, 0);
+        assert_eq!(sim.prob_one(0).unwrap(), 0.0);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   under a residency budget, cold blocks in per-rank segment files of
 //!   checksummed frames, optionally sharded), so the simulable size is
 //!   bounded by disk rather than RAM. Out-of-core runs are *planned*: the
-//!   schedule's `AccessPlan` fixes every wave's block order ahead of time,
+//!   schedule's `AccessPlan` fixes every wave's block order ahead of time
+//!   (from the same `qcs_cluster::Layout` slot functions the rank workers
+//!   walk, so plan and walk agree by construction),
 //!   each store's background fetcher streams the next chunk off disk
 //!   while the current one computes ([`SimConfig::prefetch`]), a
 //!   write-behind thread drains eviction writes off the critical path

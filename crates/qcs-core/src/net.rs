@@ -54,11 +54,10 @@
 //! segment files it owned.
 
 use crate::block::{BlockCodec, CompressedBlock};
-use crate::cache::BlockCache;
 use crate::config::{RemoteConfig, SimConfig};
 use crate::engine::SimError;
 use crate::serial::BreakdownWire;
-use crate::store::{BlockStore, MemStore, SegmentDirGuard, SpillOptions, SpillStore};
+use crate::store::{self, SegmentDirGuard};
 use crate::worker::{
     BatchCmd, BatchPlan, BlockMsg, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
     WaveOut, WorkerCmd, WorkerOut,
@@ -623,35 +622,18 @@ fn build_worker(
     }
     let cfg = &hello.cfg;
     let codec = Arc::new(BlockCodec::new(cfg.lossy_codec));
-    codec.prewarm(
-        layout.block_amps() * 2,
-        (4 * rayon::current_num_threads() + 4).min(32),
-    );
-    let cache = Arc::new(BlockCache::new(cfg.cache_lines));
-    let store: Box<dyn BlockStore> = match &cfg.spill {
-        Some(spill) => {
+    let guard = match &cfg.spill {
+        Some(_) => {
             let dir = opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-            let guard = SegmentDirGuard::create(&dir).map_err(|e| format!("spill dir: {e}"))?;
-            Box::new(
-                SpillStore::create_with(
-                    guard.path(),
-                    &format!("r{}", hello.rank),
-                    spill.resident_blocks,
-                    metrics.clone(),
-                    hello.blocks.clone(),
-                    SpillOptions {
-                        prefetch: cfg.prefetch,
-                        dir_guard: Some(Arc::clone(&guard)),
-                        eviction: spill.eviction,
-                        write_behind: spill.write_behind,
-                        shards: spill.shards,
-                    },
-                )
-                .map_err(|e| format!("spill store: {e}"))?,
-            )
+            Some(SegmentDirGuard::create(&dir).map_err(|e| format!("spill dir: {e}"))?)
         }
-        None => Box::new(MemStore::new(hello.blocks.clone())),
+        None => None,
     };
+    let local = [(hello.rank, hello.blocks.clone())];
+    let (cache, mut stores) =
+        store::rank_stores(cfg, layout, &codec, guard.as_ref(), &metrics, local)
+            .map_err(|e| format!("spill store: {e}"))?;
+    let store = stores.pop().expect("one rank's store");
     Ok(RankWorker::new(
         hello.rank, layout, codec, cache, metrics, store,
     ))

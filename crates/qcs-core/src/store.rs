@@ -73,10 +73,12 @@
 //! [`SegmentDirGuard`] whose last owner removes the whole directory, so
 //! even a panicking worker thread cannot leak spill files.
 
-use crate::block::CompressedBlock;
+use crate::block::{BlockCodec, CompressedBlock};
+use crate::cache::BlockCache;
+use crate::config::SimConfig;
 use crate::engine::SimError;
 use parking_lot::Mutex;
-use qcs_cluster::{Metrics, Phase};
+use qcs_cluster::{Layout, Metrics, Phase};
 use qcs_compress::frame;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
@@ -1853,6 +1855,54 @@ impl Drop for SpillStore {
             }
         }
     }
+}
+
+/// Warm `codec`'s scratch pool for one process's rank workers, so even
+/// the first waves run allocation-free (prewarm is deliberately
+/// uncounted).
+pub(crate) fn prewarm(codec: &BlockCodec, layout: Layout) {
+    let buffers = (4 * rayon::current_num_threads() + 4).min(32);
+    codec.prewarm(layout.block_amps() * 2, buffers);
+}
+
+/// The block cache one process's ranks share, and each rank's store.
+pub(crate) type RankStores = (Arc<BlockCache>, Vec<Box<dyn BlockStore>>);
+
+/// Stand up the storage of one process's rank workers under `cfg`:
+/// [`prewarm`] the codec, build the one block cache the process's ranks
+/// share, and give each `(rank, blocks)` its store — a [`SpillStore`] in
+/// `dir` when `cfg.spill` is set, else a [`MemStore`].
+pub(crate) fn rank_stores(
+    cfg: &SimConfig,
+    layout: Layout,
+    codec: &BlockCodec,
+    dir: Option<&Arc<SegmentDirGuard>>,
+    metrics: &Metrics,
+    ranks: impl IntoIterator<Item = (usize, Vec<Option<CompressedBlock>>)>,
+) -> Result<RankStores, SimError> {
+    prewarm(codec, layout);
+    let cache = Arc::new(BlockCache::new(cfg.cache_lines));
+    let store = |(rank, blocks)| -> Result<Box<dyn BlockStore>, SimError> {
+        Ok(match (&cfg.spill, dir) {
+            (Some(spill), Some(guard)) => Box::new(SpillStore::create_with(
+                guard.path(),
+                &format!("r{rank}"),
+                spill.resident_blocks,
+                metrics.clone(),
+                blocks,
+                SpillOptions {
+                    prefetch: cfg.prefetch,
+                    dir_guard: Some(Arc::clone(guard)),
+                    eviction: spill.eviction,
+                    write_behind: spill.write_behind,
+                    shards: spill.shards,
+                },
+            )?),
+            _ => Box::new(MemStore::new(blocks)),
+        })
+    };
+    let stores = ranks.into_iter().map(store).collect::<Result<_, _>>()?;
+    Ok((cache, stores))
 }
 
 /// Test-only instrumented store shim: records the exact slot order of

@@ -38,9 +38,11 @@
 //! - **one mutating wave walker**, `RankWorker::walk`: announce the plan →
 //!   [`PlanCursor`] chunk → `fetch_many` → prefetch hint → one unit on the
 //!   calling thread or many across rayon → merge metrics → `put`. Pair
-//!   waves, batch waves, collapse and recompress are each a unit list and
-//!   a cycle closure handed to it; `RankWorker::map_blocks` is its
-//!   read-only twin for queries (peeks instead of takes, no write-back).
+//!   waves, batch waves, collapse and recompress are each a unit list —
+//!   read off the [`Layout`] slot functions the schedule's `AccessPlan`
+//!   is built from too — and a cycle closure handed to it;
+//!   `RankWorker::map_blocks` is its read-only twin for queries (peeks
+//!   instead of takes, no write-back).
 //!
 //! # Wave lifecycle
 //!
@@ -601,10 +603,6 @@ impl RankWorker {
         }
     }
 
-    fn selected(&self, rank_cmask: usize) -> bool {
-        self.rank & rank_cmask == rank_cmask
-    }
-
     /// How many blocks a wave may hold in flight at once: the store's
     /// residency cap, or everything when the store is all-resident.
     fn flight_budget(&self) -> usize {
@@ -677,7 +675,8 @@ impl RankWorker {
     }
 
     fn apply_gate(&mut self, cmd: &GateCmd) -> Result<WaveOut, SimError> {
-        if !self.selected(cmd.rank_cmask) {
+        // A rank the gate's rank-scope controls deselect makes no store call.
+        if self.rank & cmd.rank_cmask != cmd.rank_cmask {
             return Ok(self.wave_out(false));
         }
         match cmd.route {
@@ -694,9 +693,10 @@ impl RankWorker {
                 lookahead: cmd.lookahead.clone(),
             }),
             Route::InterBlock { block_stride } => {
-                let units: Vec<([usize; 2], ())> = (0..self.layout.blocks_per_rank())
-                    .filter(|b| b & block_stride == 0 && b & cmd.block_cmask == cmd.block_cmask)
-                    .map(|b| ([b, b | block_stride], ()))
+                let units: Vec<([usize; 2], ())> = self
+                    .layout
+                    .block_pairs(block_stride, cmd.block_cmask)
+                    .map(|pair| (pair, ()))
                     .collect();
                 let cycle = self.cycle(cmd.bound);
                 self.walk(&units, &cmd.lookahead, |_, [a, b], _| {
@@ -712,18 +712,17 @@ impl RankWorker {
     fn apply_batch(&mut self, cmd: &BatchCmd) -> Result<WaveOut, SimError> {
         // One unit per local block some gate selects, with the subset of
         // gates that fire on it.
-        let mut units: Vec<([usize; 1], u64)> = Vec::new();
-        for b in 0..self.layout.blocks_per_rank() {
-            let mut mask = 0u64;
-            for (i, p) in cmd.plans.iter().enumerate() {
-                if self.selected(p.rank_cmask) && b & p.block_cmask == p.block_cmask {
-                    mask |= 1 << i;
-                }
-            }
-            if mask != 0 {
-                units.push(([b], mask));
-            }
-        }
+        let masks: Vec<_> = cmd
+            .plans
+            .iter()
+            .map(|p| (p.block_cmask, p.rank_cmask))
+            .collect();
+        let units: Vec<([usize; 1], u64)> = self
+            .layout
+            .batch_units(self.rank, &masks)
+            .into_iter()
+            .map(|(b, mask)| ([b], mask))
+            .collect();
         let cycle = self.cycle(cmd.bound);
         self.walk(&units, &cmd.lookahead, |&(_, mask), [blk], wide| {
             let (out, stats) = cycle.block(&cmd.plans, mask, &blk, wide)?;
@@ -825,12 +824,6 @@ impl RankWorker {
         out
     }
 
-    fn selected_blocks(&self, block_cmask: usize) -> Vec<usize> {
-        (0..self.layout.blocks_per_rank())
-            .filter(|b| b & block_cmask == block_cmask)
-            .collect()
-    }
-
     /// Follower side: stream every selected compressed block to the
     /// leader up front (the sends buffer, overlapping the leader's
     /// compute), then install the compressed replacements as they return.
@@ -843,7 +836,7 @@ impl RankWorker {
         cmd: &ExchangeCmd,
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
-        let sel = self.selected_blocks(cmd.block_cmask);
+        let sel: Vec<usize> = self.layout.selected_blocks(cmd.block_cmask).collect();
         self.announce_plan(&sel, cmd.lookahead.as_ref().map(|v| v.as_slice()));
         // Stream in residency-budget chunks: each chunk is one coalesced
         // fetch, and the sent payloads live in the link's buffer (the MPI
@@ -876,7 +869,7 @@ impl RankWorker {
         cmd: &ExchangeCmd,
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
-        let sel = self.selected_blocks(cmd.block_cmask);
+        let sel: Vec<usize> = self.layout.selected_blocks(cmd.block_cmask).collect();
         self.announce_plan(&sel, cmd.lookahead.as_ref().map(|v| v.as_slice()));
         // The leader takes its own block once per received partner block:
         // stage them ahead so those takes ride the background fetcher
@@ -914,9 +907,7 @@ impl RankWorker {
 
     /// Every local block as a one-block wave unit (collapse, recompress).
     fn all_blocks(&self) -> Vec<([usize; 1], ())> {
-        (0..self.layout.blocks_per_rank())
-            .map(|b| ([b], ()))
-            .collect()
+        self.layout.selected_blocks(0).map(|b| ([b], ())).collect()
     }
 
     fn collapse(
@@ -926,7 +917,7 @@ impl RankWorker {
         scale: f64,
         bound: ErrorBound,
     ) -> Result<WaveOut, SimError> {
-        let rank = self.rank;
+        let (layout, rank) = (self.layout, self.rank);
         let cycle = self.cycle(bound);
         self.walk(&self.all_blocks(), &None, |&([b], ()), [blk], _| {
             let mut stats = CycleStats::default();
@@ -946,7 +937,10 @@ impl RankWorker {
                         project(amp, (o & bit != 0) == outcome);
                     }
                 }
-                _ => project(&mut buf, block_wide_bit(scope, rank, b) == Some(outcome)),
+                _ => project(
+                    &mut buf,
+                    layout.block_wide_bit(scope, rank, b) == Some(outcome),
+                ),
             }
             stats.compute += t.elapsed();
             Ok(([cycle.encode(&buf, &mut stats)?], stats))
@@ -976,8 +970,7 @@ impl RankWorker {
         f: impl Fn(usize, &CompressedBlock) -> Result<T, SimError> + Sync,
         mut fold: impl FnMut(usize, T),
     ) -> Result<(), SimError> {
-        let bpr = self.layout.blocks_per_rank();
-        let all: Vec<usize> = (0..bpr).collect();
+        let all: Vec<usize> = self.layout.selected_blocks(0).collect();
         self.announce_plan(&all, None);
         let mut cursor = PlanCursor::new(&all, self.flight_budget().min(QUERY_CHUNK_BLOCKS));
         while let Some(chunk) = cursor.next_chunk() {
@@ -1000,14 +993,14 @@ impl RankWorker {
     /// [`QuerySummary`] and answered from memory — no decode, no store
     /// read — on every later one.
     fn prob_one(&self, scope: ControlScope) -> Result<f64, SimError> {
-        let memo = &self.prob_ones[scope_qubit(self.layout, scope)];
+        let memo = &self.prob_ones[self.layout.scope_qubit(scope) as usize];
         if let Some(&p) = memo.get() {
             return Ok(p);
         }
         let mut total = 0.0;
         self.map_blocks(
             |b, blk| {
-                if block_wide_bit(scope, self.rank, b) == Some(false) {
+                if self.layout.block_wide_bit(scope, self.rank, b) == Some(false) {
                     return Ok(0.0);
                 }
                 self.bit_set_norm(blk, scope)
@@ -1139,27 +1132,6 @@ pub(crate) fn decode_block<'a>(
         return Err(wrong_length(out.len(), block_f64s).into());
     }
     Ok(out)
-}
-
-/// The qubit a control scope of `layout` was classified from (the inverse
-/// of [`Layout::control_scope`]).
-fn scope_qubit(layout: Layout, scope: ControlScope) -> usize {
-    (match scope {
-        ControlScope::InBlock { offset_bit } => offset_bit,
-        ControlScope::BlockSelect { block_bit } => layout.block_log2 + block_bit,
-        ControlScope::RankSelect { rank_bit } => layout.num_qubits - layout.ranks_log2 + rank_bit,
-    }) as usize
-}
-
-/// For a qubit above the block — a block-index or rank-index bit —
-/// whether it reads 1 on every amplitude of block `b` of `rank`; `None`
-/// for an offset qubit, which splits each block.
-fn block_wide_bit(scope: ControlScope, rank: usize, b: usize) -> Option<bool> {
-    match scope {
-        ControlScope::InBlock { .. } => None,
-        ControlScope::BlockSelect { block_bit } => Some(b >> block_bit & 1 == 1),
-        ControlScope::RankSelect { rank_bit } => Some(rank >> rank_bit & 1 == 1),
-    }
 }
 
 /// In-block pair update over a whole scratch buffer, splitting the buffer

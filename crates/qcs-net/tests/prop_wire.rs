@@ -611,3 +611,38 @@ fn fnv1a_era_hello_ends_in_typed_errors() {
         .join()
         .expect("both handlers ended without panicking");
 }
+
+/// A job whose circuit names one qubit twice in a gate — `cx(q, q)` or
+/// `swap(q, q)` — is corrupt on the wire, like an out-of-range qubit: no
+/// engine ever sees it. The circuit API refuses to build one, so the
+/// bytes are a valid job's with the second qubit overwritten.
+#[test]
+fn a_job_spec_with_a_repeated_qubit_is_corrupt() {
+    for (q, other) in [(1usize, 6usize), (4, 2), (7, 0)] {
+        for swap in [false, true] {
+            let mut circuit = Circuit::new(8);
+            circuit.h(0);
+            if swap {
+                circuit.swap(q, other);
+            } else {
+                circuit.cx(q, other);
+            }
+            let spec = JobSpec::new("dup", circuit, golden_config());
+            let mut bytes = encode_job_cmd(&JobCmd::Submit(Box::new(spec))).unwrap();
+            let pair = [(q as u32).to_le_bytes(), (other as u32).to_le_bytes()].concat();
+            let at: Vec<usize> = (0..bytes.len() - pair.len())
+                .filter(|&i| bytes[i..i + pair.len()] == pair[..])
+                .collect();
+            assert_eq!(
+                at.len(),
+                1,
+                "the op's qubit pair must be unique in the body"
+            );
+            bytes[at[0] + 4..at[0] + 8].copy_from_slice(&(q as u32).to_le_bytes());
+            match decode_job_cmd(&bytes) {
+                Err(NetError::Corrupt(m)) => assert!(m.contains("duplicate qubits"), "{m}"),
+                other => panic!("swap={swap} q={q}: a repeated qubit decoded to {other:?}"),
+            }
+        }
+    }
+}

@@ -335,21 +335,7 @@ impl Wire<Circuit> for CircuitWire {
         }
         let mut circuit = Circuit::new(num_qubits);
         for op in <Vec<OpWire>>::take(cur)? {
-            if op.max_qubit() >= num_qubits {
-                return Err(NetError::Corrupt(format!(
-                    "op touches qubit {} in a {num_qubits}-qubit circuit",
-                    op.max_qubit()
-                )));
-            }
-            if let Op::MultiControlled {
-                controls, target, ..
-            } = &op
-            {
-                let repeats = |(i, q): (usize, &usize)| q == target || controls[..i].contains(q);
-                if controls.iter().enumerate().any(repeats) {
-                    return Err(NetError::Corrupt(format!("duplicate qubits in {op:?}")));
-                }
-            }
+            op.validate(num_qubits).map_err(NetError::Corrupt)?;
             circuit.push(op);
         }
         Ok(circuit)
