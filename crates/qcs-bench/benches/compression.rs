@@ -1,11 +1,12 @@
 //! Criterion kernels for the compression pipelines (Fig. 10/11 companions):
-//! compression and decompression throughput of Solutions A-D and the
-//! comparators on a supremacy state snapshot, and the lossless codec on
-//! one block per path of its repeat probe.
+//! compression and decompression throughput of Solution C and the
+//! comparators (Solutions A, B and D, ZFP, FPZIP) on a supremacy state
+//! snapshot, and the lossless codec on one block per path of its repeat
+//! probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qcs_bench::{qaoa_snapshot, supremacy_snapshot};
-use qcs_compress::{bytes_to_f64s, Codec, CodecId, ErrorBound, QzstdCodec};
+use qcs_bench::{comparators, qaoa_snapshot, supremacy_snapshot};
+use qcs_compress::{bytes_to_f64s, Codec, ErrorBound, QzstdCodec};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::f64::consts::TAU;
@@ -15,15 +16,7 @@ fn bench_compress(c: &mut Criterion) {
     let mut group = c.benchmark_group("compress_sup16");
     group.throughput(Throughput::Bytes(snap.bytes() as u64));
     group.sample_size(10);
-    for id in [
-        CodecId::SolutionA,
-        CodecId::SolutionB,
-        CodecId::SolutionC,
-        CodecId::SolutionD,
-        CodecId::Zfp,
-        CodecId::Fpzip,
-    ] {
-        let codec = id.build();
+    for (id, codec) in comparators::evaluated() {
         group.bench_with_input(BenchmarkId::new("pwr1e-3", id), &snap.data, |b, data| {
             b.iter(|| {
                 codec
@@ -40,13 +33,7 @@ fn bench_decompress(c: &mut Criterion) {
     let mut group = c.benchmark_group("decompress_sup16");
     group.throughput(Throughput::Bytes(snap.bytes() as u64));
     group.sample_size(10);
-    for id in [
-        CodecId::SolutionA,
-        CodecId::SolutionB,
-        CodecId::SolutionC,
-        CodecId::SolutionD,
-    ] {
-        let codec = id.build();
+    for (id, codec) in comparators::solutions() {
         let enc = codec
             .compress(&snap.data, ErrorBound::PointwiseRelative(1e-3))
             .unwrap();
@@ -105,7 +92,7 @@ fn bench_lossless_codec(c: &mut Criterion) {
         // Bit-flip symmetric amplitudes repeat: the matcher path.
         ("qaoa_2^7", qaoa_snapshot(7, 1).data, 1),
     ];
-    let codec = QzstdCodec::default();
+    let codec = QzstdCodec;
     let mut group = c.benchmark_group("qzstd_codec");
     group.sample_size(20);
     for (name, data, mode) in cases {

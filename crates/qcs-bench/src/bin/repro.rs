@@ -13,6 +13,7 @@
 //! scale — see DESIGN.md for the scaling map) and writes a CSV next to the
 //! printed table under `results/`.
 
+use qcs_bench::comparators::{self, FpzipLike, SolutionA, ZfpLike};
 use qcs_bench::{qaoa_snapshot, supremacy_snapshot, Snapshot, Table};
 use qcs_circuits::supremacy::{random_circuit, Grid};
 use qcs_circuits::{hadamard_wall, qft_benchmark_circuit};
@@ -21,7 +22,7 @@ use qcs_compress::stats::{
     empirical_cdf, lag1_autocorrelation, max_pointwise_relative_error, spikiness, value_range,
 };
 use qcs_compress::trunc::truncation_levels;
-use qcs_compress::{CodecId, ErrorBound, PWR_LEVELS};
+use qcs_compress::{Codec, CodecId, ErrorBound, PWR_LEVELS};
 use qcs_core::{fidelity_curve, CompressedSimulator, Eviction, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -236,8 +237,8 @@ fn fig7(dir: &Path) {
         for frac in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
             let e = frac * range;
             let mut row = vec![snap.name.clone(), format!("{frac:.0e}")];
-            for id in [CodecId::SolutionA, CodecId::Zfp] {
-                let codec = id.build();
+            let codecs: [&dyn Codec; 2] = [&SolutionA::default(), &ZfpLike];
+            for codec in codecs {
                 let enc = codec
                     .compress(&snap.data, ErrorBound::Absolute(e))
                     .expect("compress");
@@ -258,8 +259,8 @@ fn fig8(dir: &Path) {
     for snap in [&qaoa, &sup] {
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
             let mut row = vec![snap.name.clone(), format!("{eps:.0e}")];
-            for id in [CodecId::SolutionA, CodecId::Fpzip, CodecId::Zfp] {
-                let codec = id.build();
+            let codecs: [&dyn Codec; 3] = [&SolutionA::default(), &FpzipLike, &ZfpLike];
+            for codec in codecs {
                 let enc = codec
                     .compress(&snap.data, ErrorBound::PointwiseRelative(eps))
                     .expect("compress");
@@ -297,21 +298,13 @@ fn fig9(dir: &Path) {
 
 // --- Fig. 10: compression ratio of Solutions A-D -------------------------
 
-const SOLUTIONS: [CodecId; 4] = [
-    CodecId::SolutionA,
-    CodecId::SolutionB,
-    CodecId::SolutionC,
-    CodecId::SolutionD,
-];
-
 fn fig10(dir: &Path) {
     let (qaoa, sup) = eval_snapshots();
     let mut t = Table::new(vec!["dataset", "bound", "Sol.A", "Sol.B", "Sol.C", "Sol.D"]);
     for snap in [&qaoa, &sup] {
         for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
             let mut row = vec![snap.name.clone(), format!("{eps:.0e}")];
-            for id in SOLUTIONS {
-                let codec = id.build();
+            for (_, codec) in comparators::solutions() {
                 let enc = codec
                     .compress(&snap.data, ErrorBound::PointwiseRelative(eps))
                     .expect("compress");
@@ -344,8 +337,7 @@ fn fig11(dir: &Path) {
                 format!("{eps:.0e}"),
                 "decmpr MB/s".to_string(),
             ];
-            for id in SOLUTIONS {
-                let codec = id.build();
+            for (_, codec) in comparators::solutions() {
                 let t0 = Instant::now();
                 let enc = codec
                     .compress(&snap.data, ErrorBound::PointwiseRelative(eps))
@@ -375,8 +367,7 @@ fn fig12(dir: &Path) {
     ]);
     for snap in [&qaoa, &sup] {
         for eps in [1e-2, 1e-4] {
-            for id in SOLUTIONS {
-                let codec = id.build();
+            for (id, codec) in comparators::solutions() {
                 let mut maxes: Vec<f64> = Vec::new();
                 for chunk in snap.data.chunks(block) {
                     let enc = codec

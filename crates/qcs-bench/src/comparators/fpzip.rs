@@ -12,10 +12,8 @@
 //! paper: "FPZIP is missing in this figure because it does not support an
 //! absolute error bound" (Fig. 7).
 
-use crate::bitio::bytes;
-use crate::codec::{Codec, CodecError};
-use crate::error_bound::{mantissa_bits_for_relative, ErrorBound};
-use crate::qzstd;
+use qcs_compress::bitio::bytes;
+use qcs_compress::{mantissa_bits_for_relative, qzstd, Codec, CodecError, ErrorBound};
 
 const MAGIC: u32 = 0x5143_465A; // "QCFZ"
 

@@ -1,10 +1,7 @@
 //! Core SZ pipeline shared by Solutions A and B.
 
-use crate::bitio::bytes;
-use crate::codec::{Codec, CodecError};
-use crate::error_bound::ErrorBound;
-use crate::huffman;
-use crate::qzstd;
+use qcs_compress::bitio::bytes;
+use qcs_compress::{huffman, qzstd, Codec, CodecError, ErrorBound};
 
 /// Default quantization bin count (SZ 2.1 default).
 pub const DEFAULT_BINS: u32 = 65_536;
@@ -38,10 +35,6 @@ impl Codec for SzCore {
         "sz"
     }
 
-    /// Every intermediate (quantization codes, bitmaps, bodies, log
-    /// stream) is staged through recycled per-thread scratch, so
-    /// steady-state compression into a reused `out` performs no heap
-    /// allocation.
     fn compress_into(
         &self,
         data: &[f64],
@@ -105,26 +98,23 @@ impl SzCore {
 
     /// Append the qzstd-compressed absolute-mode stream for `data` to `out`.
     fn compress_abs_into(&self, data: &[f64], e: f64, out: &mut Vec<u8>) {
-        let mut body = crate::scratch::take_bytes();
+        let mut body = Vec::new();
         self.abs_body_into(data, e, &mut body);
         qzstd::compress_into(&body, qzstd::Level::Fast, out);
-        crate::scratch::put_bytes(body);
     }
 
     /// Build the pre-backend absolute-mode body: value count, Huffman-coded
     /// quantization symbols (length backfilled once encoded), verbatim
-    /// outliers. Codes, outliers, and the per-chain predictor state are all
-    /// staged through recycled per-thread scratch.
+    /// outliers.
     fn abs_body_into(&self, data: &[f64], e: f64, body: &mut Vec<u8>) {
         let half = (self.bins / 2) as i64;
         let unpredictable_code = self.bins; // reserved symbol
-        let mut codes = crate::scratch::take_u32s();
-        let mut outliers = crate::scratch::take_bytes();
+        let mut codes = Vec::new();
+        let mut outliers = Vec::new();
         // Previous decompressed value per prediction chain. Chain `i % stride`
         // is first touched at index `i < stride`, so `i >= stride` is exactly
         // "this chain has a previous value".
-        let mut prev = crate::scratch::take_f64s();
-        prev.resize(self.stride, 0.0);
+        let mut prev = vec![0.0; self.stride];
         codes.reserve(data.len());
         let two_e = 2.0 * e;
         for (i, &v) in data.iter().enumerate() {
@@ -160,9 +150,6 @@ impl SzCore {
         body[huff_len_at..huff_len_at + 8].copy_from_slice(&huff_len.to_le_bytes());
         bytes::put_u64(body, outliers.len() as u64);
         body.extend_from_slice(&outliers);
-        crate::scratch::put_f64s(prev);
-        crate::scratch::put_bytes(outliers);
-        crate::scratch::put_u32s(codes);
     }
 
     /// Decode one absolute-mode stream, *appending* the values to `out`.
@@ -172,14 +159,11 @@ impl SzCore {
         e: f64,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        let mut body = crate::scratch::take_bytes();
-        let mut codes = crate::scratch::take_u32s();
-        let res = qzstd::decompress_into(payload, &mut body)
+        let mut body = Vec::new();
+        let mut codes = Vec::new();
+        qzstd::decompress_into(payload, &mut body)
             .map_err(|err| CodecError::Corrupt(format!("backend: {err}")))
-            .and_then(|()| self.decode_abs_body(&body, e, &mut codes, out));
-        crate::scratch::put_u32s(codes);
-        crate::scratch::put_bytes(body);
-        res
+            .and_then(|()| self.decode_abs_body(&body, e, &mut codes, out))
     }
 
     fn decode_abs_body(
@@ -214,8 +198,7 @@ impl SzCore {
         let half = (self.bins / 2) as i64;
         let two_e = 2.0 * e;
         out.reserve(n);
-        let mut prev = crate::scratch::take_f64s();
-        prev.resize(self.stride, 0.0);
+        let mut prev = vec![0.0; self.stride];
         let mut opos = 0usize;
         let mut res = Ok(());
         for (i, &code) in codes.iter().enumerate() {
@@ -242,7 +225,6 @@ impl SzCore {
             out.push(v);
             prev[chain] = v;
         }
-        crate::scratch::put_f64s(prev);
         res
     }
 
@@ -250,11 +232,10 @@ impl SzCore {
 
     /// Append the qzstd-compressed relative-mode stream for `data` to `out`.
     fn compress_rel_into(&self, data: &[f64], eps: f64, out: &mut Vec<u8>) {
-        let mut body = crate::scratch::take_bytes();
+        let mut body = Vec::new();
         self.rel_body_into(data, eps, &mut body);
         // Signs/zeros bitmaps are already dense; one fast lossless pass.
         qzstd::compress_into(&body, qzstd::Level::Fast, out);
-        crate::scratch::put_bytes(body);
     }
 
     /// Build the pre-backend relative-mode body: sign/zero bitmaps filled in
@@ -271,8 +252,7 @@ impl SzCore {
         let zeros_start = signs_start + bitmap_len;
         body.resize(zeros_start + bitmap_len, 0);
         let mut exceptions: Vec<(u64, u64)> = Vec::new();
-        let mut logs = crate::scratch::take_f64s();
-        logs.reserve(data.len());
+        let mut logs = Vec::with_capacity(data.len());
         for (i, &v) in data.iter().enumerate() {
             if v == 0.0 {
                 body[zeros_start + i / 8] |= 1 << (i % 8);
@@ -299,17 +279,14 @@ impl SzCore {
         self.compress_abs_into(&logs, log_bound, body);
         let inner_len = (body.len() - inner_start) as u64;
         body[inner_len_at..inner_len_at + 8].copy_from_slice(&inner_len.to_le_bytes());
-        crate::scratch::put_f64s(logs);
     }
 
     /// Decode one relative-mode stream, *appending* the values to `out`.
     fn decompress_rel_into(&self, payload: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        let mut body = crate::scratch::take_bytes();
-        let res = qzstd::decompress_into(payload, &mut body)
+        let mut body = Vec::new();
+        qzstd::decompress_into(payload, &mut body)
             .map_err(|err| CodecError::Corrupt(format!("backend: {err}")))
-            .and_then(|()| self.decode_rel_body(&body, out));
-        crate::scratch::put_bytes(body);
-        res
+            .and_then(|()| self.decode_rel_body(&body, out))
     }
 
     fn decode_rel_body(&self, body: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
@@ -347,9 +324,8 @@ impl SzCore {
             .get(pos..pos + inner_len)
             .ok_or_else(|| CodecError::Corrupt("truncated inner stream".into()))?;
 
-        let mut logs = crate::scratch::take_f64s();
-        let res = self
-            .decompress_abs_into(inner, log_bound, &mut logs)
+        let mut logs = Vec::new();
+        self.decompress_abs_into(inner, log_bound, &mut logs)
             .and_then(|()| {
                 out.reserve(n);
                 let mut li = 0usize;
@@ -378,9 +354,7 @@ impl SzCore {
                     out[base + idx] = f64::from_bits(bits);
                 }
                 Ok(())
-            });
-        crate::scratch::put_f64s(logs);
-        res
+            })
     }
 }
 

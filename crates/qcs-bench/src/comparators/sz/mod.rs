@@ -8,7 +8,7 @@
 //!    into `2e`-wide bins; residuals outside the bin range become verbatim
 //!    "unpredictable" values (Fig. 13 (a)).
 //! 3. **Huffman encoding** of the quantization codes.
-//! 4. **Lossless backend** ([`crate::qzstd`]) over the whole payload.
+//! 4. **Lossless backend** ([`qcs_compress::qzstd`]) over the whole payload.
 //!
 //! Pointwise-relative bounds are implemented with the logarithmic transform
 //! the SZ authors use: compress `ln|x|` with an absolute bound of
@@ -18,8 +18,7 @@ mod core_impl;
 
 pub use core_impl::{SzCore, DEFAULT_BINS, SOLUTION_B_BINS};
 
-use crate::codec::{Codec, CodecError};
-use crate::error_bound::ErrorBound;
+use qcs_compress::{Codec, CodecError, ErrorBound};
 
 /// Solution A: classic SZ 2.1 treating the input as a flat 1D array,
 /// 65,536 quantization bins.

@@ -11,10 +11,8 @@
 //! data defeats the transform and the compression ratio collapses, which is
 //! precisely the effect Figures 7 and 8 demonstrate.
 
-use crate::bitio::{bytes, BitReader, BitWriter};
-use crate::codec::{Codec, CodecError};
-use crate::error_bound::ErrorBound;
-use crate::qzstd;
+use qcs_compress::bitio::{bytes, BitReader, BitWriter};
+use qcs_compress::{qzstd, Codec, CodecError, ErrorBound};
 
 const BLOCK: usize = 4;
 /// Fixed-point scale: values are normalized into `[-1, 1)` per block and

@@ -1,5 +1,7 @@
-//! The uniform [`Codec`] interface implemented by every compressor in this
-//! crate, plus a registry used by the benchmark harness to sweep codecs.
+//! The uniform [`Codec`] interface implemented by both compressors in this
+//! crate (and by the comparators the benchmark harness sweeps), plus the
+//! [`CodecId`] that names a block's codec in frames, checkpoints and on the
+//! wire.
 
 use crate::error_bound::ErrorBound;
 
@@ -63,7 +65,7 @@ pub trait Codec: Send + Sync {
     /// decode or be refused; the caller checks the decoded length.
     ///
     /// The provided form is [`Codec::decompress_into`]. The codecs whose
-    /// headers size an allocation (qzstd, Solutions C and D) override it.
+    /// headers size an allocation (qzstd and Solution C) override it.
     fn decompress_capped_into(
         &self,
         bytes: &[u8],
@@ -98,39 +100,25 @@ pub trait Codec: Send + Sync {
     }
 }
 
-/// Identifier for every codec in the crate; stable across checkpoints.
+/// Identifier of the two codecs the engine runs; stable across frames,
+/// checkpoints and the wire. The discriminants are the ones these codecs
+/// always had: the bytes 1, 2 and 4–6 named the SZ, Solution D, ZFP and
+/// FPZIP comparators, which live in the benchmark harness now, and
+/// [`CodecId::from_u8`] refuses them like any other unknown byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CodecId {
     /// Lossless qzstd over raw f64 bytes.
     Qzstd = 0,
-    /// Solution A: classic SZ 2.1-style pipeline.
-    SolutionA = 1,
-    /// Solution B: SZ with complex-type split prediction, 16,384 bins.
-    SolutionB = 2,
     /// Solution C: XOR leading-zero + bit-plane truncation + qzstd.
     SolutionC = 3,
-    /// Solution D: re/im reshuffle + Solution C.
-    SolutionD = 4,
-    /// ZFP-style domain-transform comparator.
-    Zfp = 5,
-    /// FPZIP-style predictive-precision comparator.
-    Fpzip = 6,
 }
 
 impl CodecId {
     /// All codec identifiers.
-    pub const ALL: [CodecId; 7] = [
-        CodecId::Qzstd,
-        CodecId::SolutionA,
-        CodecId::SolutionB,
-        CodecId::SolutionC,
-        CodecId::SolutionD,
-        CodecId::Zfp,
-        CodecId::Fpzip,
-    ];
+    pub const ALL: [CodecId; 2] = [CodecId::Qzstd, CodecId::SolutionC];
 
-    /// Parse from the byte stored in checkpoints.
+    /// Parse from the byte stored in frames, checkpoints and wire messages.
     pub fn from_u8(v: u8) -> Option<CodecId> {
         CodecId::ALL.into_iter().find(|c| *c as u8 == v)
     }
@@ -138,29 +126,18 @@ impl CodecId {
     /// Instantiate the codec.
     pub fn build(self) -> Box<dyn Codec> {
         match self {
-            CodecId::Qzstd => Box::new(crate::QzstdCodec::default()),
-            CodecId::SolutionA => Box::new(crate::sz::SolutionA::default()),
-            CodecId::SolutionB => Box::new(crate::sz::SolutionB::default()),
+            CodecId::Qzstd => Box::new(crate::QzstdCodec),
             CodecId::SolutionC => Box::new(crate::trunc::SolutionC::default()),
-            CodecId::SolutionD => Box::new(crate::trunc::SolutionD::default()),
-            CodecId::Zfp => Box::new(crate::zfp::ZfpLike),
-            CodecId::Fpzip => Box::new(crate::fpzip::FpzipLike),
         }
     }
 }
 
 impl std::fmt::Display for CodecId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+        f.write_str(match self {
             CodecId::Qzstd => "qzstd",
-            CodecId::SolutionA => "sol_a(sz)",
-            CodecId::SolutionB => "sol_b(sz-complex)",
             CodecId::SolutionC => "sol_c(trunc)",
-            CodecId::SolutionD => "sol_d(shuffle+trunc)",
-            CodecId::Zfp => "zfp-like",
-            CodecId::Fpzip => "fpzip-like",
-        };
-        f.write_str(s)
+        })
     }
 }
 
@@ -216,7 +193,9 @@ mod tests {
         for id in CodecId::ALL {
             assert_eq!(CodecId::from_u8(id as u8), Some(id));
         }
-        assert_eq!(CodecId::from_u8(200), None);
+        for retired in [1, 2, 4, 5, 6, 200] {
+            assert_eq!(CodecId::from_u8(retired), None);
+        }
     }
 
     #[test]

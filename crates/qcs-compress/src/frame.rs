@@ -19,7 +19,7 @@
 //!
 //! The checksum is [`checksum64`] (XXH64, seed 0; see [`crate::checksum`])
 //! over every payload byte, whatever the codec. It is the only hash a
-//! block's bytes get: the segmented Solution C/D streams carry none of
+//! block's bytes get: the segmented Solution C streams carry none of
 //! their own ([`crate::trunc`]). Builds up to checkpoint format `QCSCKPT2`
 //! computed the same field with FNV-1a; a frame outlives its process only
 //! inside a checkpoint, whose own magic was bumped (spill segments are
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn round_trips_empty_payload() {
-        let f = round_trip(CodecId::SolutionD, ErrorBound::Lossless, b"");
+        let f = round_trip(CodecId::SolutionC, ErrorBound::Lossless, b"");
         assert!(f.payload.is_empty());
     }
 

@@ -1,4 +1,4 @@
-//! The paper's tailored lossy compressors (§4.2, Solutions C and D).
+//! The paper's tailored lossy compressor (§4.2, Solution C).
 //!
 //! Solution C is the compressor the paper selects for its experiments:
 //! per value, (1) truncate insignificant mantissa bit-planes according to
@@ -22,10 +22,10 @@
 //! | ceil(n_values / DEFAULT_SEGMENT_VALUES) x { body_len u32 | body }
 //! ```
 //!
-//! Nothing follows the last body. The magic is "QCSs" for Solution C and
-//! "QCSt" for Solution D. The stream carries no checksum: a block is
-//! hashed where its bytes leave memory, by the frame of a spill segment or
-//! a checkpoint ([`crate::frame`]) and by the `qcs-net` frame on a socket.
+//! Nothing follows the last body. The magic is "QCSs". The stream carries
+//! no checksum: a block is hashed where its bytes leave memory, by the
+//! frame of a spill segment or a checkpoint ([`crate::frame`]) and by the
+//! `qcs-net` frame on a socket.
 //! Streams in an older segmented layout are refused with a `Corrupt` error
 //! that names their magic: "QCSc" (Solution C segments without a mode
 //! byte) and "QCSe"/"QCSd" (Solution C/D segments behind an index of 12
@@ -48,18 +48,13 @@
 //! segment keeps mode 0 whenever LZ77 over its first 1 KiB of suffix comes
 //! out strictly shorter than its input. A mode-0 segment is the bare
 //! backend container, whose own mode byte doubles as the segment's. The
-//! legacy whole-stream format ([`SolutionC::whole_stream`]) and Solution D
-//! keep their bytes: every body goes through qzstd.
-//!
-//! Solution D adds a reshuffle step that separates real and imaginary parts
-//! (even/odd indices) before applying Solution C to each stream.
+//! legacy whole-stream format ([`SolutionC::whole_stream`]) keeps its
+//! bytes: its one body goes through qzstd.
 
 pub(crate) mod segmented;
 mod solution_c;
-mod solution_d;
 
 pub use solution_c::{truncate_to_mantissa_bits, SolutionC};
-pub use solution_d::SolutionD;
 
 /// One row of the paper's Figure 13: the decompressed value and relative
 /// error produced by keeping `mantissa_bits` bits of `value`'s mantissa.

@@ -59,7 +59,7 @@ use crate::error_bound::{mantissa_bits_for_relative, ErrorBound};
 use crate::{lz77, qzstd};
 use std::ops::Range;
 
-use super::segmented::{self, MAGIC_C};
+use super::segmented;
 
 /// The lossless backend's effort: the fast (LZ-only) level. Solution C's
 /// whole point is removing the costly entropy stages (§4.2), and the
@@ -113,13 +113,14 @@ pub struct SolutionC {
 const MAGIC: u32 = 0x5143_5343; // "QCSC"
 
 impl SolutionC {
-    /// Legacy whole-stream Solution C (shared by tests and benchmarks that
-    /// want the un-segmented paper format).
+    /// Legacy whole-stream Solution C: the un-segmented paper format, for
+    /// the benchmarks and comparators that want one backend container per
+    /// stream.
     pub fn whole_stream() -> Self {
         Self { whole: true }
     }
 
-    pub(crate) fn mantissa_bits(bound: ErrorBound) -> Result<u32, CodecError> {
+    fn mantissa_bits(bound: ErrorBound) -> Result<u32, CodecError> {
         match bound {
             ErrorBound::Lossless => Ok(52),
             ErrorBound::PointwiseRelative(eps) => {
@@ -136,11 +137,10 @@ impl SolutionC {
         }
     }
 
-    /// Core encoder shared with Solution D and the whole-stream format:
-    /// `qzstd(body)`, *appended* to `out`. The intermediate body is staged
-    /// through recycled per-thread scratch, so steady-state encoding
-    /// performs no heap allocation.
-    pub(crate) fn encode_stream_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
+    /// Encode the whole-stream format, `qzstd(body)`, *appending* it to
+    /// `out`. The intermediate body is staged through recycled per-thread
+    /// scratch, so steady-state encoding performs no heap allocation.
+    fn encode_stream_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut body = crate::scratch::take_bytes();
         Self::encode_body(data, m, &mut body);
         qzstd::compress_into(&body, BACKEND, out);
@@ -149,7 +149,7 @@ impl SolutionC {
 
     /// Encode one segment of the segmented format, mode byte first,
     /// *appending* it to `out` (see the module docs for the two modes).
-    fn encode_segment_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
+    pub(super) fn encode_segment_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
         let mut body = crate::scratch::take_bytes();
         let suffix = Self::encode_body(data, m, &mut body);
         if suffix.is_empty() || dictionary_pays(&body[suffix.clone()]) {
@@ -227,29 +227,11 @@ impl SolutionC {
         suffix_start..s
     }
 
-    /// Decode a stream of either layout into `out` (cleared first);
-    /// `expect` as in [`segmented::decompress_into`].
-    fn decode_any_into(
-        data: &[u8],
-        expect: Option<usize>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CodecError> {
-        out.clear();
-        segmented::decompress_into(
-            MAGIC_C,
-            data,
-            expect,
-            &Self::decode_segment_into,
-            Self::decode_stream_into,
-            out,
-        )
-    }
-
-    /// Core decoder shared with Solution D and the whole-stream format,
+    /// Decode the whole-stream format (and a mode-0 segment, which is one),
     /// *appending* the values to `out`. `expect` is the value count the
     /// container or the caller promises, when there is one. The
     /// decompressed body is staged through recycled per-thread scratch.
-    pub(crate) fn decode_stream_into(
+    pub(super) fn decode_stream_into(
         data: &[u8],
         expect: Option<usize>,
         out: &mut Vec<f64>,
@@ -264,7 +246,11 @@ impl SolutionC {
 
     /// Decode one segment of the segmented format holding `n` values,
     /// *appending* them to `out`.
-    fn decode_segment_into(seg: &[u8], n: usize, out: &mut Vec<f64>) -> Result<(), CodecError> {
+    pub(super) fn decode_segment_into(
+        seg: &[u8],
+        n: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let Some((&MODE_RAW_SUFFIX, rest)) = seg.split_first() else {
             return Self::decode_stream_into(seg, Some(n), out);
         };
@@ -455,18 +441,14 @@ impl Codec for SolutionC {
         if self.whole {
             Self::encode_stream_into(data, m, out);
         } else {
-            segmented::compress_into(
-                MAGIC_C,
-                data,
-                |slice, out| Self::encode_segment_into(slice, m, out),
-                out,
-            );
+            segmented::compress_into(data, m, out);
         }
         Ok(())
     }
 
     fn decompress_into(&self, data: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-        Self::decode_any_into(data, None, out)
+        out.clear();
+        segmented::decompress_into(data, None, out)
     }
 
     fn decompress_capped_into(
@@ -475,7 +457,8 @@ impl Codec for SolutionC {
         max_values: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        Self::decode_any_into(data, Some(max_values), out)
+        out.clear();
+        segmented::decompress_into(data, Some(max_values), out)
     }
 
     fn supports(&self, bound: ErrorBound) -> bool {
@@ -661,7 +644,10 @@ mod tests {
         let enc = c
             .compress(&data, ErrorBound::PointwiseRelative(1e-4))
             .unwrap();
-        assert_eq!(u32::from_le_bytes(enc[..4].try_into().unwrap()), MAGIC_C);
+        assert_eq!(
+            u32::from_le_bytes(enc[..4].try_into().unwrap()),
+            segmented::MAGIC
+        );
         assert_eq!(u64::from_le_bytes(enc[4..12].try_into().unwrap()), 2500);
         // Three length-prefixed bodies, the last ending the stream.
         let bodies = body_ranges(&enc);

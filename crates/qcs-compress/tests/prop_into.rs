@@ -1,13 +1,14 @@
-//! Property suite for the allocation-free `*_into` codec API: for every
-//! codec and every bound mode it supports, `compress_into` and
+//! Property suite for the allocation-free `*_into` codec API: for both
+//! codecs and every bound mode they support, `compress_into` and
 //! `decompress_into` must be bit-identical to the allocating `compress` /
 //! `decompress` — including when the output buffer is reused dirty,
 //! oversized, or undersized across calls — and every allocating `compress`
 //! must return a vector whose capacity equals its length (so the
 //! `Vec<u8> -> Arc<[u8]>` conversion in the engine never reallocates).
 //! `decompress_capped_into` at the true value count must be
-//! `decompress_into`, and the codecs whose headers size an allocation must
-//! refuse a cap one value short.
+//! `decompress_into`, and a cap one value short must be refused. The
+//! comparator codecs' half of this suite is `qcs-bench`'s
+//! `prop_comparators`.
 
 use proptest::prelude::*;
 use qcs_compress::{CodecError, CodecId, ErrorBound};
@@ -26,8 +27,7 @@ fn amplitude_block() -> impl Strategy<Value = Vec<f64>> {
     )
 }
 
-/// Every bound mode the codec zoo spans; each codec opts in via
-/// `Codec::supports`.
+/// Every bound mode; each codec opts in via `Codec::supports`.
 const BOUNDS: [ErrorBound; 4] = [
     ErrorBound::Lossless,
     ErrorBound::Absolute(1e-6),
@@ -111,8 +111,7 @@ proptest! {
     }
 
     // decompress_capped_into at the stream's true value count == decompress,
-    // bit for bit, into a dirty buffer; the codecs whose headers size an
-    // allocation (qzstd, Solutions C and D) refuse a cap one value short.
+    // bit for bit, into a dirty buffer; a cap one value short is refused.
     #[test]
     fn capped_decode_at_the_true_length_is_decompress(
         data in amplitude_block(),
@@ -129,14 +128,12 @@ proptest! {
             let mut out = vec![f64::NAN; 3];
             codec.decompress_capped_into(&enc, data.len(), &mut out).unwrap();
             assert_same_values(&plain, &out)?;
-            if matches!(id, CodecId::Qzstd | CodecId::SolutionC | CodecId::SolutionD) {
-                let short = codec.decompress_capped_into(&enc, data.len() - 1, &mut out);
-                prop_assert!(
-                    matches!(short, Err(CodecError::Corrupt(_))),
-                    "{:?} decoded {} values under a cap of {}: {:?}",
-                    id, data.len(), data.len() - 1, short
-                );
-            }
+            let short = codec.decompress_capped_into(&enc, data.len() - 1, &mut out);
+            prop_assert!(
+                matches!(short, Err(CodecError::Corrupt(_))),
+                "{:?} decoded {} values under a cap of {}: {:?}",
+                id, data.len(), data.len() - 1, short
+            );
         }
     }
 }

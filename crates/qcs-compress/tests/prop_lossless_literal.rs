@@ -23,9 +23,7 @@ const MODE_LZ_HUFF: u8 = 2;
 
 /// The container `QzstdCodec` writes for `data`.
 fn codec_bytes(data: &[f64]) -> Vec<u8> {
-    QzstdCodec::default()
-        .compress(data, ErrorBound::Lossless)
-        .unwrap()
+    QzstdCodec.compress(data, ErrorBound::Lossless).unwrap()
 }
 
 /// `QzstdCodec`'s container equals the reference's and decodes bit-exactly.
@@ -33,7 +31,7 @@ fn assert_identical(what: &str, data: &[f64]) -> Vec<u8> {
     let got = codec_bytes(data);
     let want = qzstd::compress(&f64s_to_bytes(data), Level::High);
     assert!(got == want, "{what}: {} bytes vs {}", got.len(), want.len());
-    let back = QzstdCodec::default().decompress(&got).unwrap();
+    let back = QzstdCodec.decompress(&got).unwrap();
     assert_eq!(back.len(), data.len(), "{what}");
     assert!(
         data.iter()
@@ -242,7 +240,7 @@ fn a_misaligned_match_costs_ratio_not_correctness() {
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
         .collect();
     let got = codec_bytes(&data);
-    let back = QzstdCodec::default().decompress(&got).unwrap();
+    let back = QzstdCodec.decompress(&got).unwrap();
     assert!(data
         .iter()
         .zip(&back)
@@ -269,7 +267,7 @@ fn a_straddling_match_moves_bytes_not_values() {
     assert_ne!(got, want, "the probe does not see a straddling match");
     assert_eq!((got[0], want[0]), (MODE_LZ_HUFF, MODE_LZ_HUFF));
     assert!(got.len() <= want.len(), "{} vs {}", got.len(), want.len());
-    let back = QzstdCodec::default().decompress(&got).unwrap();
+    let back = QzstdCodec.decompress(&got).unwrap();
     assert!(data
         .iter()
         .zip(&back)

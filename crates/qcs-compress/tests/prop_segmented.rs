@@ -1,11 +1,11 @@
-//! Property suite for the segmented Solution C/D formats: a segmented
+//! Property suite for the segmented Solution C format: a segmented
 //! stream must decode to exactly the values the legacy whole-stream format
 //! produces at the same bound, its length-prefixed bodies must tile the
 //! whole stream, and a segment's body must depend on that segment's values
 //! alone.
 
 use proptest::prelude::*;
-use qcs_compress::trunc::{SolutionC, SolutionD};
+use qcs_compress::trunc::SolutionC;
 use qcs_compress::{Codec, ErrorBound, DEFAULT_SEGMENT_VALUES};
 use std::ops::Range;
 
@@ -48,7 +48,7 @@ proptest! {
 
     // The segmented format is a pure re-framing: at every bound, decoding
     // a segmented stream yields bit-for-bit the values of the legacy
-    // whole-stream format, for both Solution C and Solution D.
+    // whole-stream format.
     #[test]
     fn segmented_matches_whole_stream_bitwise(
         data in amplitude_block(),
@@ -59,15 +59,6 @@ proptest! {
         let whole_c = SolutionC::whole_stream();
         let ds = seg_c.decompress(&seg_c.compress(&data, bound).unwrap()).unwrap();
         let dw = whole_c.decompress(&whole_c.compress(&data, bound).unwrap()).unwrap();
-        prop_assert_eq!(ds.len(), dw.len());
-        for (a, b) in ds.iter().zip(&dw) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let d = SolutionD::default();
-        let wd = SolutionD::whole_stream();
-        let ds = d.decompress(&d.compress(&data, bound).unwrap()).unwrap();
-        let dw = wd.decompress(&wd.compress(&data, bound).unwrap()).unwrap();
         prop_assert_eq!(ds.len(), dw.len());
         for (a, b) in ds.iter().zip(&dw) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -83,27 +74,25 @@ proptest! {
         bound_exp in 0u32..6,
     ) {
         let bound = bound_from(bound_exp);
-        let codecs: [&dyn Codec; 2] = [&SolutionC::default(), &SolutionD::default()];
-        for codec in codecs {
-            let enc = codec.compress(&data, bound).unwrap();
-            let n_values = u64::from_le_bytes(enc[4..12].try_into().unwrap());
-            prop_assert_eq!(n_values, data.len() as u64);
-            let bodies = body_ranges(&enc);
-            prop_assert_eq!(bodies.len(), data.len().div_ceil(DEFAULT_SEGMENT_VALUES));
-            prop_assert_eq!(bodies.last().map(|b| b.end), Some(enc.len()));
-            let whole = codec.decompress(&enc).unwrap();
-            for (seg, body) in bodies.iter().enumerate() {
-                let mut one = enc[..4].to_vec();
-                let values = seg * DEFAULT_SEGMENT_VALUES
-                    ..((seg + 1) * DEFAULT_SEGMENT_VALUES).min(data.len());
-                one.extend_from_slice(&(values.len() as u64).to_le_bytes());
-                one.extend_from_slice(&enc[body.start - 4..body.end]);
-                let part = codec.decompress(&one).unwrap();
-                prop_assert!(part
-                    .iter()
-                    .zip(&whole[values])
-                    .all(|(a, b)| a.to_bits() == b.to_bits()));
-            }
+        let codec = SolutionC::default();
+        let enc = codec.compress(&data, bound).unwrap();
+        let n_values = u64::from_le_bytes(enc[4..12].try_into().unwrap());
+        prop_assert_eq!(n_values, data.len() as u64);
+        let bodies = body_ranges(&enc);
+        prop_assert_eq!(bodies.len(), data.len().div_ceil(DEFAULT_SEGMENT_VALUES));
+        prop_assert_eq!(bodies.last().map(|b| b.end), Some(enc.len()));
+        let whole = codec.decompress(&enc).unwrap();
+        for (seg, body) in bodies.iter().enumerate() {
+            let mut one = enc[..4].to_vec();
+            let values = seg * DEFAULT_SEGMENT_VALUES
+                ..((seg + 1) * DEFAULT_SEGMENT_VALUES).min(data.len());
+            one.extend_from_slice(&(values.len() as u64).to_le_bytes());
+            one.extend_from_slice(&enc[body.start - 4..body.end]);
+            let part = codec.decompress(&one).unwrap();
+            prop_assert!(part
+                .iter()
+                .zip(&whole[values])
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 

@@ -10,6 +10,7 @@
 //! heap for per-block codec work after warm-up.
 
 use parking_lot::Mutex;
+use qcs_compress::trunc::SolutionC;
 use qcs_compress::{Codec, CodecError, CodecId, ErrorBound, QzstdCodec};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -194,36 +195,30 @@ impl BufferPool {
     }
 }
 
-/// Compressor front-end that picks lossless vs lossy per the active ladder
-/// level and stamps blocks with their codec id.
+/// Compressor front-end that picks lossless (qzstd) vs lossy (Solution C)
+/// per the active ladder level and stamps blocks with their codec id.
 ///
-/// Codec instances are built once and shared across worker threads, which
+/// Both codecs are held by value and shared across worker threads, which
 /// keeps the per-block hot path allocation-free apart from output buffers —
 /// and those come from the built-in [`BufferPool`], so the steady state
 /// allocates nothing at all (pinned by [`CodecCounters`]).
+#[derive(Debug)]
 pub struct BlockCodec {
-    lossy_id: CodecId,
-    lossy: Box<dyn Codec>,
     lossless: QzstdCodec,
+    lossy: SolutionC,
     pool: BufferPool,
     counters: CodecCounters,
 }
 
-impl std::fmt::Debug for BlockCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockCodec")
-            .field("lossy_id", &self.lossy_id)
-            .finish()
-    }
-}
-
 impl BlockCodec {
-    /// Codec front-end using `lossy_id` for lossy levels.
+    /// Codec front-end for lossy levels run by `lossy_id`, which must be
+    /// [`CodecId::SolutionC`], the one lossy codec
+    /// ([`crate::SimConfig::validate`] refuses any other).
     pub fn new(lossy_id: CodecId) -> Self {
+        assert_eq!(lossy_id, CodecId::SolutionC, "the lossy codec");
         Self {
-            lossy_id,
-            lossy: lossy_id.build(),
-            lossless: QzstdCodec::default(),
+            lossless: QzstdCodec,
+            lossy: SolutionC::default(),
             pool: BufferPool::default(),
             counters: CodecCounters::default(),
         }
@@ -300,25 +295,13 @@ impl BlockCodec {
         self.pool.put_bytes(buf);
     }
 
-    /// The resident (pre-built, shared) codec instance for `id`, if this
-    /// front-end holds one: qzstd and the configured lossy codec.
-    fn resident_codec(&self, id: CodecId) -> Option<&dyn Codec> {
-        if id == self.lossy_id {
-            Some(&*self.lossy)
-        } else if id == CodecId::Qzstd {
-            Some(&self.lossless)
-        } else {
-            None
-        }
-    }
-
     /// Compress `data` under `bound`.
     ///
     /// `ErrorBound::Lossless` uses the qzstd codec (the paper's Zstd leg);
-    /// lossy bounds use the configured lossy codec (Solution C by default).
+    /// lossy bounds use Solution C.
     pub fn compress(&self, data: &[f64], bound: ErrorBound) -> Result<CompressedBlock, CodecError> {
         let (id, bytes) = if bound.is_lossy() {
-            (self.lossy_id, self.lossy.compress(data, bound)?)
+            (CodecId::SolutionC, self.lossy.compress(data, bound)?)
         } else {
             (CodecId::Qzstd, self.lossless.compress(data, bound)?)
         };
@@ -346,7 +329,7 @@ impl BlockCodec {
         let cap_before = buf.capacity();
         let (id, res) = if bound.is_lossy() {
             (
-                self.lossy_id,
+                CodecId::SolutionC,
                 self.lossy.compress_into(data, bound, &mut buf),
             )
         } else {
@@ -367,11 +350,8 @@ impl BlockCodec {
 
     /// Decompress into `out` (cleared first).
     ///
-    /// Blocks decode through the shared resident instances (no per-call
-    /// codec construction). A block naming any other codec is `Corrupt`:
-    /// this engine never writes one, so it can only have come from a
-    /// checkpoint or a socket, and the comparator decoders apply no
-    /// allocation cap. Capacity growth of `out` is counted; a decode that
+    /// Blocks decode through the shared instances (no per-call codec
+    /// construction). Capacity growth of `out` is counted; a decode that
     /// fits the existing capacity counts as a scratch reuse.
     pub fn decompress(
         &self,
@@ -399,12 +379,10 @@ impl BlockCodec {
         max_values: Option<usize>,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        let codec = self.resident_codec(block.codec).ok_or_else(|| {
-            CodecError::Corrupt(format!(
-                "{} block in an engine that runs qzstd and {}",
-                block.codec, self.lossy_id
-            ))
-        })?;
+        let codec: &dyn Codec = match block.codec {
+            CodecId::Qzstd => &self.lossless,
+            CodecId::SolutionC => &self.lossy,
+        };
         let cap_before = out.capacity();
         let res = match max_values {
             Some(max) => codec.decompress_capped_into(&block.bytes, max, out),
@@ -480,46 +458,6 @@ mod tests {
         let data = vec![0.0f64; 1 << 14];
         let blk = bc.compress(&data, ErrorBound::Lossless).unwrap();
         assert!(blk.len() < 32, "all-zero block: {} bytes", blk.len());
-    }
-
-    #[test]
-    fn lossless_blocks_decode_through_the_shared_instance() {
-        // The paper's hot loop decodes lossless blocks constantly while the
-        // state is sparse; each decode must reuse `self.lossless` rather
-        // than building a boxed codec per call.
-        let bc = BlockCodec::new(CodecId::SolutionC);
-        let resident = bc
-            .resident_codec(CodecId::Qzstd)
-            .expect("qzstd is always resident");
-        assert!(std::ptr::eq(
-            resident as *const dyn Codec as *const u8,
-            &bc.lossless as *const QzstdCodec as *const u8,
-        ));
-        let lossy = bc
-            .resident_codec(CodecId::SolutionC)
-            .expect("configured lossy codec is resident");
-        assert!(std::ptr::eq(
-            lossy as *const dyn Codec as *const u8,
-            &*bc.lossy as *const dyn Codec as *const u8,
-        ));
-        // A foreign id (not configured on this front-end) has no resident
-        // instance, and a block naming it is refused, not decoded.
-        assert!(bc.resident_codec(CodecId::SolutionD).is_none());
-        let foreign = BlockCodec::new(CodecId::SolutionD)
-            .compress(&amps(64), ErrorBound::PointwiseRelative(1e-3))
-            .unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(
-            bc.decompress(&foreign, &mut out),
-            Err(CodecError::Corrupt(_))
-        ));
-
-        // And a qzstd block round-trips through that shared instance.
-        let data = amps(1024);
-        let blk = bc.compress(&data, ErrorBound::Lossless).unwrap();
-        let mut out = Vec::new();
-        bc.decompress(&blk, &mut out).unwrap();
-        assert_eq!(out.len(), data.len());
     }
 
     #[test]

@@ -114,12 +114,13 @@ pub struct SimConfig {
     /// two scratch blocks per rank). `None` disables the adaptive ladder:
     /// the simulation stays at the first ladder level.
     pub memory_budget: Option<u64>,
-    /// Lossy codec used once the ladder leaves the lossless level:
-    /// Solution C (the default) or Solution D ([`SimConfig::validate`]
-    /// refuses the comparator codecs).
+    /// Lossy codec used once the ladder leaves the lossless level. Solution
+    /// C is the only one, and [`SimConfig::validate`] refuses any other id.
     pub lossy_codec: CodecId,
     /// The adaptive error-bound ladder (§3.7). Defaults to
-    /// `[lossless, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]`.
+    /// `[lossless, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]`. Every level is lossless
+    /// or a pointwise-relative bound in `(0, 1)`, the bounds Solution C
+    /// runs ([`SimConfig::validate`]).
     pub ladder: Vec<ErrorBound>,
     /// Compressed-block cache lines per simulation (§3.4; the paper uses
     /// 64). 0 disables the cache entirely; a cache that never hits turns
@@ -339,10 +340,20 @@ impl SimConfig {
         if self.ladder.is_empty() {
             return Err("ladder must have at least one level".into());
         }
-        if !matches!(self.lossy_codec, CodecId::SolutionC | CodecId::SolutionD) {
+        if self.lossy_codec != CodecId::SolutionC {
             return Err(format!(
-                "lossy codec {} is not Solution C or D",
+                "lossy codec {} is not Solution C",
                 self.lossy_codec
+            ));
+        }
+        // `!(0 < eps < 1)` also refuses NaN and infinity.
+        if let Some(bad) = self.ladder.iter().find(|b| match b {
+            ErrorBound::Lossless => false,
+            ErrorBound::PointwiseRelative(eps) => !(*eps > 0.0 && *eps < 1.0),
+            ErrorBound::Absolute(_) => true,
+        }) {
+            return Err(format!(
+                "ladder level {bad:?} is neither lossless nor a pointwise-relative bound in (0, 1)"
             ));
         }
         if num_qubits > Self::MAX_QUBITS {
@@ -551,9 +562,38 @@ mod tests {
     fn validation_accepts_only_the_engine_lossy_codecs() {
         for id in CodecId::ALL {
             let ok = SimConfig::default().with_lossy_codec(id).validate(13);
-            let engine = matches!(id, CodecId::SolutionC | CodecId::SolutionD);
-            assert_eq!(ok.is_ok(), engine, "{id}: {ok:?}");
+            assert_eq!(ok.is_ok(), id == CodecId::SolutionC, "{id}: {ok:?}");
         }
+    }
+
+    /// A level Solution C cannot run is refused by `validate`, as a fixed
+    /// bound and as a rung of an otherwise increasing ladder, so a job
+    /// holding one is refused at admission instead of failing mid-run or
+    /// running its blocks lossless under a NaN bound.
+    #[test]
+    fn validation_refuses_levels_solution_c_cannot_run() {
+        use ErrorBound::{Absolute, Lossless, PointwiseRelative as Pwr};
+        let rung = |top| vec![Lossless, Pwr(1e-3), top];
+        for (bad, ladder) in [
+            (Pwr(f64::NAN), rung(Pwr(f64::NAN))),
+            (Pwr(1.5), rung(Pwr(1.5))),
+            (Absolute(1e-2), rung(Absolute(1e-2))),
+            (Pwr(f64::INFINITY), rung(Pwr(f64::INFINITY))),
+            (Pwr(-0.1), vec![Pwr(-0.1), Pwr(1e-3)]),
+        ] {
+            let base = SimConfig::default().with_block_log2(4);
+            for cfg in [
+                base.clone().with_fixed_bound(bad),
+                SimConfig { ladder, ..base },
+            ] {
+                let err = cfg.validate(12).expect_err(&format!("{bad} accepted"));
+                assert!(err.contains("ladder level"), "{bad}: {err}");
+            }
+        }
+        let ok = SimConfig::default()
+            .with_block_log2(4)
+            .with_fixed_bound(Pwr(0.5));
+        assert!(ok.validate(12).is_ok());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use qcs_circuits::{Circuit, Op};
 use qcs_cluster::TimeBreakdown;
 use qcs_compress::{CodecId, ErrorBound};
 use qcs_core::{SimConfig, SimReport, SpillConfig};
-use qcs_net::wire::{encode, Wire};
+use qcs_net::wire::{decode, encode, Wire};
 use qcs_net::{Cursor, NetError};
 use qcs_server::protocol::{
     decode_job_cmd, decode_job_out, encode_job_cmd, encode_job_out, AdmissionEvent, CircuitWire,
@@ -138,7 +138,7 @@ fn arb_bound() -> impl Strategy<Value = ErrorBound> {
 
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
-        (2u32..7, 0u32..3, 0usize..5, 0u64..3, 0usize..7, 0usize..3),
+        (2u32..7, 0u32..3, 0usize..5, 0u64..3, 0usize..2, 0usize..3),
         (0u8..2, 1usize..9, 0usize..9, 0u8..2, 0u8..2, 1usize..4),
         (0u8..2, 0usize..3, 1u32..5, 0u64..3, arb_bound()),
     )
@@ -395,7 +395,7 @@ fn golden_config() -> SimConfig {
         .with_ranks_log2(2)
         .with_threads_per_rank(3)
         .with_memory_budget(1 << 24)
-        .with_lossy_codec(CodecId::SolutionD)
+        .with_lossy_codec(CodecId::SolutionC)
         .with_max_batch_gates(17)
         .with_spill(4)
         .with_spill_dir(std::path::PathBuf::from("/tmp/qcs-spill"))
@@ -568,6 +568,22 @@ fn job_protocol_bytes_match_the_parent_commit() {
     }
     assert_eq!(qcs_net::PROTOCOL_VERSION, 8);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
+}
+
+/// The golden config named Solution D (codec id 4) until the codec id
+/// space shrank to the two codecs the engine runs. Its bytes from that
+/// build, alone and inside a job submission, end in a typed error naming
+/// the id.
+#[test]
+fn solution_d_configs_from_the_parent_commit_are_corrupt() {
+    let config: &[u8] = include_bytes!("fixtures/sim_config_max_solution_d.bin");
+    let submit: &[u8] = include_bytes!("fixtures/job_cmd_submit_solution_d.bin");
+    let refused = |r: Result<(), NetError>| match r {
+        Err(NetError::Corrupt(m)) => assert!(m.contains("unknown codec id 4"), "{m}"),
+        other => panic!("a Solution D config decoded: {other:?}"),
+    };
+    refused(decode::<SimConfig>(config).map(drop));
+    refused(decode_job_cmd(submit).map(drop));
 }
 
 // ---------------------------------------------------------------------------

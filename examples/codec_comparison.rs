@@ -1,10 +1,12 @@
 //! Compare all compressors on a real quantum-state snapshot — a miniature
 //! of the paper's §4 evaluation. Generates a QAOA state (the `qaoa_36`
-//! analogue at laptop scale), then sweeps every codec over the five
-//! pointwise-relative error bounds, printing ratio, speed, and max error.
+//! analogue at laptop scale), then sweeps Solution C and the comparators
+//! of `qcs_bench::comparators` over the five pointwise-relative error
+//! bounds, printing ratio, speed, and max error.
 //!
 //! Run with: `cargo run --release --example codec_comparison`
 
+use qcs_bench::comparators;
 use qcsim::compress::stats::{lag1_autocorrelation, max_pointwise_relative_error};
 use qcsim::compress::PWR_LEVELS;
 use qcsim::{CodecId, ErrorBound};
@@ -31,15 +33,7 @@ fn main() {
         "codec", "bound", "ratio", "MB/s cmp", "MB/s dec", "max rel err"
     );
     let mb = (data.len() * 8) as f64 / 1e6;
-    for id in [
-        CodecId::SolutionA,
-        CodecId::SolutionB,
-        CodecId::SolutionC,
-        CodecId::SolutionD,
-        CodecId::Zfp,
-        CodecId::Fpzip,
-    ] {
-        let codec = id.build();
+    for (id, codec) in comparators::evaluated() {
         for eps in PWR_LEVELS.iter().rev() {
             let bound = ErrorBound::PointwiseRelative(*eps);
             let t0 = Instant::now();
@@ -52,7 +46,7 @@ fn main() {
             let max_err = max_pointwise_relative_error(&data, &dec);
             println!(
                 "{:<22} {:>8.0e} {:>9.2}x {:>10.1} {:>10.1} {:>12.3e}",
-                id.to_string(),
+                id,
                 eps,
                 ratio,
                 mb / t_c,

@@ -3,8 +3,9 @@
 //! Umbrella crate re-exporting the whole workspace: a reproduction of
 //! Wu et al., SC 2019 (arXiv:1911.04034).
 //!
-//! - [`compress`] — lossless backend + error-bounded lossy codecs
-//!   (Solutions A-D, ZFP/FPZIP comparators);
+//! - [`compress`] — the engine's two codecs: the lossless backend and
+//!   the paper's error-bounded Solution C (the SZ, Solution D, ZFP and
+//!   FPZIP comparators are in the `qcs-bench` harness);
 //! - [`statevec`] — dense Schrödinger substrate (Intel-QS stand-in);
 //! - [`circuits`] — Grover / supremacy RCS / QAOA / QFT workloads;
 //! - [`cluster`] — simulated MPI rank layout and phase metrics;

@@ -73,22 +73,20 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
 
 fn valid_payload(id: CodecId) -> Vec<u8> {
     let data: Vec<f64> = (0..512).map(|i| (i as f64 * 0.17).sin() * 1e-4).collect();
-    let codec = id.build();
-    let bound = if codec.supports(ErrorBound::PointwiseRelative(1e-3)) {
-        ErrorBound::PointwiseRelative(1e-3)
-    } else {
-        ErrorBound::Absolute(1e-6)
-    };
-    codec.compress(&data, bound).unwrap()
+    id.build()
+        .compress(&data, ErrorBound::PointwiseRelative(1e-3))
+        .unwrap()
 }
 
+// The engine's two decoders on garbage; the comparators' run the same
+// three properties in `qcs-bench`'s `prop_comparators`.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn decoders_survive_random_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
-        pick in 0usize..7,
+        pick in 0usize..CodecId::ALL.len(),
     ) {
         let codec = CodecId::ALL[pick].build();
         // Must not panic; Err is the expected outcome for garbage.
@@ -98,7 +96,7 @@ proptest! {
     #[test]
     fn decoders_survive_truncation(
         frac in 0.0f64..1.0,
-        pick in 0usize..7,
+        pick in 0usize..CodecId::ALL.len(),
     ) {
         let id = CodecId::ALL[pick];
         let payload = valid_payload(id);
@@ -111,7 +109,7 @@ proptest! {
     fn decoders_survive_single_bit_flips(
         bit in 0usize..64,
         byte_frac in 0.0f64..1.0,
-        pick in 0usize..7,
+        pick in 0usize..CodecId::ALL.len(),
     ) {
         let id = CodecId::ALL[pick];
         let mut payload = valid_payload(id);
@@ -632,24 +630,15 @@ fn zero_container_declaring_64_gib() -> Vec<u8> {
 
 // Told how many values a stream must hold, a decoder refuses a container
 // declaring more before it allocates: qzstd as itself, Solution C as a
-// whole stream, Solution D as both halves of its body.
+// whole stream.
 #[test]
 fn capped_decoders_refuse_an_oversized_zero_container() {
     use qcsim::compress::CodecError;
     let zero = zero_container_declaring_64_gib();
-    let mut d_body = 0x5143_5344u32.to_le_bytes().to_vec(); // "QCSD"
-    for _ in 0..2 {
-        d_body.extend_from_slice(&(zero.len() as u64).to_le_bytes());
-        d_body.extend_from_slice(&zero);
-    }
-    for (id, bytes) in [
-        (CodecId::Qzstd, &zero),
-        (CodecId::SolutionC, &zero),
-        (CodecId::SolutionD, &d_body),
-    ] {
+    for id in CodecId::ALL {
         let codec = id.build();
         let mut out = Vec::new();
-        let (res, requested) = allocated_by(|| codec.decompress_capped_into(bytes, 16, &mut out));
+        let (res, requested) = allocated_by(|| codec.decompress_capped_into(&zero, 16, &mut out));
         assert!(matches!(res, Err(CodecError::Corrupt(_))), "{id}: {res:?}");
         assert!(requested <= 1 << 16, "{id}: requested {requested} bytes");
     }
@@ -663,27 +652,115 @@ const CHECKPOINT_HEADER_LEN: usize = 8 + 57;
 /// and four u32 fields.
 const CHECKPOINT_CODEC_AT: usize = 8 + 16;
 
+/// Every codec byte but the two the engine runs (0, qzstd; 3, Solution C),
+/// the comparators' old ids 1, 2 and 4–6 among them.
+fn retired_codec_ids() -> impl Iterator<Item = u8> {
+    (0..=u8::MAX).filter(|b| CodecId::from_u8(*b).is_none())
+}
+
+/// Index of the one byte in which `a` and `b` differ.
+fn the_differing_byte(a: &[u8], b: &[u8]) -> usize {
+    assert_eq!(a.len(), b.len());
+    let at: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+    assert_eq!(at.len(), 1, "one codec byte");
+    at[0]
+}
+
+/// A 5-qubit checkpoint in 8-amplitude blocks, as saved.
+fn small_checkpoint(path: &std::path::Path) -> (Vec<u8>, qcsim::SimConfig) {
+    let cfg = qcsim::SimConfig::default()
+        .with_block_log2(3)
+        .with_threads_per_rank(1);
+    let sim = qcsim::CompressedSimulator::new(5, cfg.clone()).unwrap();
+    qcsim::core::checkpoint::save(&sim, path).unwrap();
+    (std::fs::read(path).unwrap(), cfg)
+}
+
+// Every place bytes become a `CodecId` refuses each retired byte with its
+// typed error, without panicking and without asking for more than 64 KiB:
+// a frame header, a `CompressedBlock` and a `SimConfig` on the wire, and
+// the lossy codec in a checkpoint header.
+#[test]
+fn retired_codec_ids_are_typed_errors() {
+    use qcs_net::{wire, NetError};
+    use qcsim::compress::frame::{self, FrameError};
+    use qcsim::core::{checkpoint, CompressedBlock, SimError};
+
+    let block = |codec| CompressedBlock {
+        codec,
+        bound: ErrorBound::Lossless,
+        bytes: vec![3u8, 0, 0, 0, 0, 0, 0, 0, 0].into(),
+    };
+    let frames = [CodecId::Qzstd, CodecId::SolutionC]
+        .map(|id| frame::encode_frame(id, ErrorBound::Lossless, &block(id).bytes).unwrap());
+    let blocks = [CodecId::Qzstd, CodecId::SolutionC].map(|id| wire::encode(&block(id)));
+    let configs = [CodecId::Qzstd, CodecId::SolutionC]
+        .map(|id| wire::encode(&qcsim::SimConfig::default().with_lossy_codec(id)));
+    let path = std::env::temp_dir().join(format!("qcsim-retired-{}.ckpt", std::process::id()));
+    let (good, cfg) = small_checkpoint(&path);
+    assert_eq!(good[CHECKPOINT_CODEC_AT], CodecId::SolutionC as u8);
+
+    let wire_refused = |r: Result<(), NetError>, b: u8, what: &str| match r {
+        Err(NetError::Corrupt(m)) => assert!(m.contains(&format!("unknown codec id {b}")), "{m}"),
+        other => panic!("{what} naming codec {b} decoded: {other:?}"),
+    };
+    for b in retired_codec_ids() {
+        let (res, requested) = allocated_by(|| {
+            let mut f = frames[1].clone();
+            f[the_differing_byte(&frames[0], &frames[1])] = b;
+            match frame::read_frame(&mut &f[..]) {
+                Err(FrameError::Corrupt(m)) => {
+                    assert!(m.contains(&format!("unknown codec id {b}")), "{m}")
+                }
+                other => panic!("a frame naming codec {b} read: {other:?}"),
+            }
+            let mut body = blocks[1].clone();
+            body[the_differing_byte(&blocks[0], &blocks[1])] = b;
+            wire_refused(
+                wire::decode::<CompressedBlock>(&body).map(drop),
+                b,
+                "a block",
+            );
+            let mut body = configs[1].clone();
+            body[the_differing_byte(&configs[0], &configs[1])] = b;
+            wire_refused(
+                wire::decode::<qcsim::SimConfig>(&body).map(drop),
+                b,
+                "a config",
+            );
+            let mut ckpt = good.clone();
+            ckpt[CHECKPOINT_CODEC_AT] = b;
+            std::fs::write(&path, &ckpt).unwrap();
+            checkpoint::load(&path, cfg.clone()).map(drop)
+        });
+        match res {
+            Err(SimError::Checkpoint(m)) => {
+                assert!(m.contains(&format!("unknown codec id {b}")), "{m}")
+            }
+            other => panic!("a checkpoint naming codec {b} loaded: {other:?}"),
+        }
+        assert!(
+            requested <= 1 << 16,
+            "codec {b}: requested {requested} bytes"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 // The same container as the first block of a checksummed checkpoint of a
-// 5-qubit register in 16-value blocks, framed as a lossless (qzstd) block,
-// as a Solution C block at 1e-3 (whose decoder then takes the whole-stream
-// path), and as a block of each comparator codec, whose decoders apply no
-// cap. The file loads, since nothing decodes at load; the first read of the
-// block is a typed error, where it used to abort on a 64 GiB allocation. A
-// checkpoint whose header names a comparator as its lossy codec is refused
-// at load.
+// 5-qubit register in 8-amplitude blocks, framed as a lossless (qzstd)
+// block and as a Solution C block at 1e-3 (whose decoder then takes the
+// whole-stream path). The file loads, since nothing decodes at load; the
+// first read of the block is a typed error, where it used to abort on a
+// 64 GiB allocation. The same frame naming a retired codec byte (the
+// comparators' old ids) is refused at load.
 #[test]
 fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
     use qcsim::compress::{frame, CodecError};
     use qcsim::core::{checkpoint, SimError};
-    use qcsim::{CompressedSimulator, SimConfig};
 
-    let cfg = SimConfig::default()
-        .with_block_log2(3)
-        .with_threads_per_rank(1);
-    let sim = CompressedSimulator::new(5, cfg.clone()).unwrap();
     let path = std::env::temp_dir().join(format!("qcsim-zero64-{}.ckpt", std::process::id()));
-    checkpoint::save(&sim, &path).unwrap();
-    let good = std::fs::read(&path).unwrap();
+    let (good, cfg) = small_checkpoint(&path);
     let (header, mut rest) = good.split_at(CHECKPOINT_HEADER_LEN);
     let mut frames = Vec::new();
     while !rest.is_empty() {
@@ -692,21 +769,24 @@ fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
 
     let zero = zero_container_declaring_64_gib();
     let lossy = ErrorBound::PointwiseRelative(1e-3);
-    for (codec, bound) in [
-        (CodecId::Qzstd, ErrorBound::Lossless),
-        (CodecId::SolutionC, lossy),
-        (CodecId::SolutionA, lossy),
-        (CodecId::SolutionB, lossy),
-        (CodecId::Zfp, lossy),
-        (CodecId::Fpzip, lossy),
-    ] {
+    let splice = |codec, bound, raw_id: Option<u8>| {
         let mut spliced = header.to_vec();
+        let at = spliced.len() + 4; // the first frame's codec byte
         frame::write_frame(&mut spliced, codec, bound, &zero).unwrap();
+        if let Some(b) = raw_id {
+            spliced[at] = b;
+        }
         for f in &frames[1..] {
             frame::write_frame(&mut spliced, f.codec, f.bound, &f.payload).unwrap();
         }
         std::fs::write(&path, &spliced).unwrap();
-        let sim = checkpoint::load(&path, cfg.clone()).expect("nothing decodes at load");
+        checkpoint::load(&path, cfg.clone())
+    };
+    for (codec, bound) in [
+        (CodecId::Qzstd, ErrorBound::Lossless),
+        (CodecId::SolutionC, lossy),
+    ] {
+        let sim = splice(codec, bound, None).expect("nothing decodes at load");
         let (res, requested) = allocated_by(|| sim.norm_sqr());
         match res {
             Err(SimError::Codec(CodecError::Corrupt(_))) => {}
@@ -715,17 +795,22 @@ fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
         assert!(requested <= 1 << 16, "{codec}: requested {requested} bytes");
         eprintln!("{codec}: norm_sqr requested {requested} bytes");
     }
-
-    assert_eq!(good[CHECKPOINT_CODEC_AT], CodecId::SolutionC as u8);
-    let mut fpzip = good.clone();
-    fpzip[CHECKPOINT_CODEC_AT] = CodecId::Fpzip as u8;
-    std::fs::write(&path, &fpzip).unwrap();
-    match checkpoint::load(&path, cfg.clone()) {
-        Err(SimError::Config(m)) => assert!(m.contains("fpzip"), "{m}"),
-        other => panic!(
-            "a checkpoint naming fpzip loaded: {:?}",
-            other.err().map(|e| e.to_string())
-        ),
+    for b in retired_codec_ids() {
+        let (res, requested) =
+            allocated_by(|| splice(CodecId::SolutionC, lossy, Some(b)).map(drop));
+        match res {
+            Err(SimError::Checkpoint(m)) => {
+                assert!(
+                    m.contains("block frame 0") && m.contains("unknown codec id"),
+                    "{m}"
+                )
+            }
+            other => panic!("a block naming codec {b} loaded: {other:?}"),
+        }
+        assert!(
+            requested <= 1 << 16,
+            "codec {b}: requested {requested} bytes"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
