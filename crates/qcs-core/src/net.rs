@@ -337,6 +337,10 @@ impl Hello {
             .cfg
             .validate(hello.num_qubits)
             .map_err(NetError::Corrupt)?;
+        // Every store is seeded with whole blocks; a hole would panic it.
+        if let Some(i) = hello.blocks.iter().position(Option::is_none) {
+            return Err(NetError::Corrupt(format!("handshake block {i} is absent")));
+        }
         let layout = Layout::new(hello.num_qubits, hello.cfg.ranks_log2, hello.cfg.block_log2);
         Ok((hello, layout))
     }
@@ -1330,9 +1334,9 @@ mod tests {
             .with_remote(vec!["127.0.0.1:9"]);
         let blocks = vec![
             Some(golden_block(false)),
-            None,
+            Some(golden_block(true)),
             Some(golden_block(false)),
-            None,
+            Some(golden_block(true)),
         ];
         let body = encode(&Hello::new(1, &coordinator_side, 6, &blocks));
         let (hello, layout) = Hello::admit(&body).unwrap();
@@ -1422,6 +1426,31 @@ mod tests {
             Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v7"), "{m}"),
             other => panic!("a v7 hello was not refused by version: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_hello_with_an_absent_block_gets_an_err_ack() {
+        // One table for a 6-qubit, 2-rank, 2^3-amp-block layout, with a
+        // hole: a spilling store would panic on it at seeding, a resident
+        // one at the first read.
+        let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
+        let zeros = Some(codec.compress(&[0.0; 16], ErrorBound::Lossless).unwrap());
+        let blocks = [zeros.clone(), None, zeros.clone(), zeros];
+        let cfg = SimConfig::default().with_block_log2(3).with_ranks_log2(1);
+        let (addr, daemon) = spawn_loopback(2, ServeOptions::default()).unwrap();
+        for cfg in [cfg.clone(), cfg.with_spill(2)] {
+            let mut stream =
+                qcs_net::connect_supervised(&addr, &qcs_net::ConnectPolicy::default()).unwrap();
+            let hello = encode(&Hello::new(0, &cfg, 6, &blocks));
+            write_frame_to(&mut stream, K_HELLO, &hello).unwrap();
+            let (kind, ack) = recv_frame(&mut stream).expect("the handshake is answered");
+            assert_eq!(kind, K_HELLO_ACK);
+            match decode::<HelloAck>(&ack).unwrap() {
+                Err(msg) => assert!(msg.contains("handshake block 1 is absent"), "{msg}"),
+                Ok(ack) => panic!("spill={:?}: acked {ack:?}", cfg.spill.is_some()),
+            }
+        }
+        daemon.join().expect("the daemon thread ends cleanly");
     }
 
     #[test]

@@ -32,41 +32,52 @@
 //! Every method takes `&self`: stores are internally locked so read-only
 //! collectives can run against `&RankWorker` exactly as before.
 //!
-//! # Write-behind
+//! # One way in, one way out
 //!
-//! With [`SpillOptions::write_behind`] on, evictions leave the critical
-//! path too: the victim moves into a bounded *dirty buffer* (still served
-//! from memory, still counted against residency accounting) and
-//! background writer threads — one per shard, bounded — drain coalesced
-//! runs of dirty blocks into the segment files. Each writer reserves its
-//! run's exact byte extent under the lock and lands it with one
-//! positional write outside it, so shards see concurrent,
-//! non-overlapping I/O. [`SpillStore::flush`] is the barrier that makes
-//! every dirty block durable; it runs before compaction and on drop, and
-//! it (or the next `take`) surfaces any deferred write error instead of
+//! Every eviction parks its victim in a *dirty buffer* (still served from
+//! memory, still counted against residency accounting), and one run
+//! writer, `write_run`, drains it: it claims a run of queued dirty blocks,
+//! the next shard in rotation and the run's exact byte extent under the
+//! lock, encodes the run into one recycled buffer, lands it with one
+//! positional write outside the lock, and commits each frame by
+//! generation. With [`SpillOptions::write_behind`] on, background writer
+//! threads — one per shard, bounded — call it off the critical path, so
+//! shards see concurrent, non-overlapping I/O. The evicting thread calls
+//! it inline when write-behind is off (a synchronous eviction is a run of
+//! one), when no writer is alive, and when a barrier or a full buffer
+//! must drain. [`SpillStore::flush`] is the barrier that makes every
+//! dirty block durable; it runs before compaction and on drop, and it
+//! (or the next `take`) surfaces any deferred write error instead of
 //! dropping it.
+//!
+//! Every read of a segment goes through `read_frame_runs`, which sorts
+//! frames by offset and serves segment-adjacent ones with one positional
+//! read: `fetch_many` and the background fetcher call it directly,
+//! [`BlockStore::take`] is a one-slot `fetch_many`, and `peek` and
+//! compaction read through it too.
 //!
 //! # Segment-file layout, sharding, and compaction
 //!
-//! A [`SpillStore`] appends one frame per eviction to a segment file and
-//! remembers `(shard, offset, length)` per slot. With
+//! A [`SpillStore`] appends each run as consecutive frames to a segment
+//! file and remembers `(shard, offset, length)` per slot. With
 //! [`SpillOptions::shards`] ` > 1` the store keeps one segment file in
-//! each of N shard directories and rotates eviction runs across them in
-//! eviction order — which under [`PlannedMin`] follows the planned access
-//! order — so coalesced prefetch and write-behind runs land on distinct
-//! shards. A block fetched back leaves its old frame behind as garbage;
-//! when a shard's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and
-//! twice its live bytes, the store rewrites the live frames into a fresh
-//! segment and atomically renames it over the old one, bounding disk
-//! usage at ~3× the live spilled working set. Fetches verify the frame
-//! checksum, so torn writes and bit rot surface as [`SimError::Spill`]
-//! instead of corrupt amplitudes.
+//! each of N shard directories and rotates runs across them in eviction
+//! order — which under [`PlannedMin`] follows the planned access order —
+//! so coalesced prefetch and write-behind runs land on distinct shards.
+//! A block fetched back leaves its old frame behind as garbage; when a
+//! shard's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and twice
+//! its live bytes, the store rewrites the live frames, in slot order,
+//! into a fresh segment and atomically renames it over the old one,
+//! bounding disk usage at ~3× the live spilled working set. Fetches
+//! verify the frame checksum, so torn writes and bit rot surface as
+//! [`SimError::Spill`] instead of corrupt amplitudes.
 //!
 //! Spill/fetch counts, bytes, and I/O time are recorded into the shared
-//! [`Metrics`]: critical-path reads under `Phase::SpillIo` (prefetch
-//! misses, blocking bytes), background reads under `Phase::Prefetch`
-//! (hits, overlapped bytes), background eviction writes under
-//! `Phase::WriteBehind` — all surfaced through `SimReport`.
+//! [`Metrics`]: critical-path reads and inline runs under
+//! `Phase::SpillIo` (prefetch misses, blocking bytes, synchronous
+//! spills), background reads under `Phase::Prefetch` (hits, overlapped
+//! bytes), writer-thread runs under `Phase::WriteBehind` — all surfaced
+//! through `SimReport`.
 //!
 //! Segment files are deleted when their store drops; a simulation
 //! additionally wraps its per-rank segment files in a shared
@@ -82,7 +93,7 @@ use qcs_cluster::{Layout, Metrics, Phase};
 use qcs_compress::frame;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +132,7 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     /// Remove and return the blocks in `slots`, in `slots` order — the
     /// batched form of [`BlockStore::take`] a planned wave uses to pull a
     /// whole chunk at once. A spill tier coalesces adjacent frames of its
-    /// segment file into a single ordered read instead of paying one seek
+    /// segment file into a single ordered read instead of paying one read
     /// per block; the default implementation just loops `take`.
     fn fetch_many(&self, slots: &[usize]) -> Result<Vec<CompressedBlock>, SimError> {
         slots.iter().map(|&s| self.take(s)).collect()
@@ -484,10 +495,11 @@ pub struct SpillOptions {
     /// Victim-selection policy for the residency budget ([`Lru`] by
     /// default; [`PlannedMin`] consumes [`BlockStore::plan_accesses`]).
     pub eviction: Eviction,
-    /// Spawn the store's background writer thread: evictions enqueue into
-    /// a bounded dirty buffer and return immediately, the writer drains
-    /// coalesced runs to the segment files (off: every eviction appends
-    /// its frame synchronously on the critical path).
+    /// Spawn the store's background writer threads: evictions enqueue
+    /// into a bounded dirty buffer and return immediately, the writers
+    /// drain coalesced runs to the segment files (off: the evicting
+    /// thread writes each victim itself, a run of one, on the critical
+    /// path).
     pub write_behind: bool,
     /// Number of segment shards, each a directory holding one segment
     /// file; eviction runs rotate across shards. `0` is treated as 1
@@ -502,9 +514,8 @@ enum Slot {
     InFlight,
     /// Hot: held in memory, competing under the eviction policy.
     Resident { blk: CompressedBlock, stamp: u64 },
-    /// Evicted into the dirty buffer: still served from memory while the
-    /// write-behind thread appends its frame. `gen` (a clock stamp)
-    /// guards the commit — a block re-taken, re-put, and re-evicted while
+    /// Evicted into the dirty buffer: still served from memory while a
+    /// run writes its frame. `gen` (a clock stamp) guards the commit — a block re-taken, re-put, and re-evicted while
     /// its old frame was in flight gets a higher generation, so the stale
     /// frame is discarded as dead bytes instead of adopted.
     Dirty { blk: CompressedBlock, gen: u64 },
@@ -521,7 +532,10 @@ enum Slot {
 /// accounting (compaction is per shard).
 #[derive(Debug)]
 struct Shard {
-    file: File,
+    /// Shared, so a run or a prefetch job can address the file outside
+    /// the lock; compaction swaps in a new one, and holders of the old
+    /// handle keep reading the old inode.
+    file: Arc<File>,
     path: PathBuf,
     /// Directory created for this shard (removed on drop), when the
     /// sharded layout is in use.
@@ -532,14 +546,11 @@ struct Shard {
     live: u64,
     /// Bytes of superseded frames awaiting compaction.
     dead: u64,
-    /// Recycled frame-encode buffer: synchronous appends stage the whole
-    /// frame here and land it with one write instead of seven.
-    scratch: Vec<u8>,
 }
 
-/// Test-only fault plan for the write-behind path: makes the writer's
-/// next drain fail (a deferred [`SimError::Spill`] surfaced by the next
-/// `take`/`flush`) or panic (exercising the panic-safety backstops).
+/// Test-only fault plan for the writer threads: makes their runs fail (a
+/// deferred [`SimError::Spill`] surfaced by the next `take`/`flush`) or
+/// panic (exercising the panic-safety backstops). Inline runs ignore it.
 #[derive(Debug, Default, Clone)]
 struct WriteFault {
     fail: bool,
@@ -576,11 +587,11 @@ struct SpillInner {
     dirty_queue: VecDeque<usize>,
     /// Compressed bytes held in the dirty buffer.
     dirty_bytes: u64,
-    /// Number of writer threads currently appending a claimed run
-    /// (defers compaction and flush completion while non-zero).
-    writers_busy: usize,
+    /// Runs claimed and not yet committed or aborted, by a writer thread
+    /// or inline (defers compaction and flush completion while non-zero).
+    runs_in_flight: usize,
     /// Writer threads still running; once zero (normal exit or panic),
-    /// waiters fall back to synchronous draining.
+    /// evictions and barriers drain inline.
     writers_alive: usize,
     /// Set by drop: background threads finish their backlog and exit.
     shutdown: bool,
@@ -589,15 +600,14 @@ struct SpillInner {
     write_error: Option<String>,
     /// Rotates eviction runs across shards (in eviction order).
     spill_seq: u64,
-    /// Longest run one writer drain appends to a single shard (the
-    /// residency budget): capping runs keeps consecutive drains actually
-    /// rotating shards instead of landing a whole backlog on one.
+    /// Longest run appended to a single shard (the residency budget):
+    /// capping runs keeps consecutive runs actually rotating shards
+    /// instead of landing a whole backlog on one.
     run_cap: usize,
-    /// Test-only fault injection for the writer thread.
+    /// Test-only fault injection for the writer threads.
     fault: WriteFault,
-    /// Recycled write-behind run buffers (bounded by the writer count):
-    /// each drain encodes its whole run into one of these and lands it
-    /// with a single positional write.
+    /// Recycled run buffers (at most `MAX_IO_THREADS`): each run encodes
+    /// into one of these and lands with a single positional write.
     wb_bufs: Vec<Vec<u8>>,
 }
 
@@ -632,13 +642,13 @@ struct FrameAt {
 
 /// One unit of background-fetcher work: whole frames to read, coalesce,
 /// and stage as blocks, confined to a single shard so N fetcher threads
-/// read N shards concurrently. The handle is cloned from the shard file
-/// *at snapshot time*, so reads stay valid even if a compaction renames a
-/// fresh segment over a path mid-flight (the clone still addresses the
-/// old inode, whose live frames are untouched).
+/// read N shards concurrently. The handle is the shard file *at snapshot
+/// time*, so reads stay valid even if a compaction renames a fresh
+/// segment over a path mid-flight (the handle still addresses the old
+/// inode, whose live frames are untouched).
 #[derive(Debug)]
 struct FetchJob {
-    file: File,
+    file: Arc<File>,
     frames: Vec<FrameAt>,
 }
 
@@ -646,9 +656,10 @@ struct FetchJob {
 /// per shard, bounded so a wide shard layout cannot fork a thread herd.
 const MAX_IO_THREADS: usize = 8;
 
-/// The out-of-core tier: at most `cap` hot blocks resident (LRU by last
-/// touch), the rest spilled to a per-rank segment file of checksummed
-/// frames. The segment file is deleted on drop.
+/// The out-of-core tier: at most `cap` hot blocks resident (the victim
+/// of an overflow chosen by the store's [`EvictionPolicy`]), the rest
+/// spilled to per-rank segment files of checksummed frames. The segment
+/// files are deleted on drop.
 ///
 /// # The prefetch pipeline
 ///
@@ -671,9 +682,9 @@ const MAX_IO_THREADS: usize = 8;
 /// Both pipelines scale with the shard layout: the store spawns one
 /// fetcher and one writer thread per shard (bounded by
 /// `MAX_IO_THREADS`), prefetch jobs are split per shard at enqueue,
-/// and each writer claims a run together with a shard *and its exact
-/// byte extent* under the lock, then lands the run with a positional
-/// write outside it — so shards see concurrent, non-overlapping I/O.
+/// and every run — a writer's or an inline one — claims a shard *and its
+/// exact byte extent* under the lock, then lands with a positional write
+/// outside it — so shards see concurrent, non-overlapping I/O.
 pub struct SpillStore {
     cap: usize,
     path: PathBuf,
@@ -753,13 +764,12 @@ impl SpillStore {
                 .open(&path)
                 .map_err(|e| io_err("create spill segment", e))?;
             shards.push(Shard {
-                file,
+                file: Arc::new(file),
                 path,
                 dir: shard_dir,
                 end: 0,
                 live: 0,
                 dead: 0,
-                scratch: Vec::new(),
             });
         }
         let path = shards[0].path.clone();
@@ -778,7 +788,7 @@ impl SpillStore {
                 policy: opts.eviction.build(),
                 dirty_queue: VecDeque::new(),
                 dirty_bytes: 0,
-                writers_busy: 0,
+                runs_in_flight: 0,
                 writers_alive: 0,
                 shutdown: false,
                 write_error: None,
@@ -894,48 +904,16 @@ impl SpillStore {
         &self.path
     }
 
-    /// Append one frame for `blk` to `shard`, returning
-    /// `(offset, frame_len)`.
-    fn append_frame(shard: &mut Shard, blk: &CompressedBlock) -> Result<(u64, u32), SimError> {
-        let offset = shard.end;
-        shard
-            .file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err("seek for spill", e))?;
-        // Stage the frame in the shard's recycled scratch so the append is
-        // one write syscall and steady-state spills reuse its capacity.
-        shard.scratch.clear();
-        frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut shard.scratch)
-            .map_err(|e| io_err("write spill frame", e))?;
-        let frame_len = shard.scratch.len() as u64;
-        shard
-            .file
-            .write_all(&shard.scratch)
-            .map_err(|e| io_err("write spill frame", e))?;
-        shard.end += frame_len;
-        Ok((offset, frame_len as u32))
-    }
-
-    /// Read the frame at `offset` of `shard` back into a block, verifying
-    /// its checksum.
-    fn read_frame_at(shard: &mut Shard, offset: u64) -> Result<CompressedBlock, SimError> {
-        shard
-            .file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err("seek for fetch", e))?;
-        let f = frame::read_frame(&mut shard.file).map_err(|e| io_err("read spill frame", e))?;
-        Ok(CompressedBlock {
-            codec: f.codec,
-            bound: f.bound,
-            bytes: f.payload.into(),
-        })
-    }
-
-    /// Evict policy-chosen residents until the budget holds: enqueued
-    /// into the dirty buffer when write-behind runs, else appended
-    /// synchronously to a segment shard.
+    /// Evict policy-chosen residents until the budget holds. Each victim
+    /// parks in the dirty buffer. With write-behind on and a writer alive,
+    /// the writers drain it off the critical path; past a residency budget
+    /// of dirty blocks the put waits for them (backpressure). Otherwise —
+    /// write-behind off, no writer left, or the buffer still full because
+    /// the writers are parked on a deferred error — the buffer drains on
+    /// this thread through the same run writer, so a synchronous eviction
+    /// is a run of one.
     fn evict_over_cap<'a>(
-        &self,
+        &'a self,
         mut inner: MutexGuard<'a, SpillInner>,
     ) -> Result<MutexGuard<'a, SpillInner>, SimError> {
         while inner.resident_count > self.cap {
@@ -958,75 +936,113 @@ impl SpillStore {
             };
             inner.resident_count -= 1;
             inner.resident_bytes -= blk.len() as u64;
+            let gen = inner.clock;
+            inner.dirty_bytes += blk.len() as u64;
+            inner.slots[victim] = Slot::Dirty { blk, gen };
+            inner.dirty_queue.push_back(victim);
             if self.write_behind && inner.writers_alive > 0 {
-                // Write-behind: park the victim in the dirty buffer (it
-                // still serves from memory) and let a writer drain it
-                // off the critical path.
-                let gen = inner.clock;
-                inner.dirty_bytes += blk.len() as u64;
-                inner.slots[victim] = Slot::Dirty { blk, gen };
-                inner.dirty_queue.push_back(victim);
                 self.shared.write_work.notify_one();
-                // Bounded buffer: never hold more than a residency budget
-                // of dirty blocks; the wait (rare — the writers usually
-                // keep up) is critical-path spill time. A writer parked
-                // on a deferred error never drains, so waiting on it
-                // would deadlock — exit and drain here instead.
-                if inner.dirty_queue.len() > self.cap {
-                    let t = Instant::now();
-                    while inner.dirty_queue.len() > self.cap
-                        && inner.writers_alive > 0
-                        && inner.write_error.is_none()
-                    {
-                        inner = self
-                            .shared
-                            .resolved
-                            .wait(inner)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    // Writer dead or parked on an error: bound the buffer
-                    // by draining on this thread; the deferred error still
-                    // surfaces on the next take/fetch_many/flush.
-                    if inner.dirty_queue.len() > self.cap {
-                        self.drain_dirty_sync(&mut inner)?;
-                    }
-                    self.metrics.add(Phase::SpillIo, t.elapsed());
+                if inner.dirty_queue.len() <= self.cap {
+                    continue;
                 }
-            } else {
-                let shard_idx = (inner.spill_seq % inner.shards.len() as u64) as usize;
-                inner.spill_seq += 1;
+                // The wait (rare — the writers usually keep up) is
+                // critical-path spill time. A writer parked on a deferred
+                // error never drains, so waiting on it would deadlock.
                 let t = Instant::now();
-                let (offset, frame_len) = {
-                    let shard = &mut inner.shards[shard_idx];
-                    Self::append_frame(shard, &blk)?
-                };
+                while inner.dirty_queue.len() > self.cap
+                    && inner.writers_alive > 0
+                    && inner.write_error.is_none()
+                {
+                    inner = self
+                        .shared
+                        .resolved
+                        .wait(inner)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                }
                 self.metrics.add(Phase::SpillIo, t.elapsed());
-                self.metrics.add_spill(frame_len as u64);
-                inner.shards[shard_idx].live += frame_len as u64;
-                inner.spilled_payload_bytes += blk.len() as u64;
-                inner.slots[victim] = Slot::Spilled {
-                    shard: shard_idx as u32,
-                    offset,
-                    frame_len,
-                    payload_len: blk.len() as u32,
-                };
+                if inner.dirty_queue.len() <= self.cap {
+                    continue;
+                }
             }
+            // A deferred error still surfaces on the next
+            // take/fetch_many/flush.
+            inner = self.drain_inline(inner)?;
         }
         Ok(inner)
+    }
+
+    /// Drain the whole dirty buffer on the calling thread, one run at a
+    /// time, charged to the critical path.
+    fn drain_inline<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, SpillInner>,
+    ) -> Result<MutexGuard<'a, SpillInner>, SimError> {
+        while !inner.dirty_queue.is_empty() {
+            let (guard, result) = write_run(&self.shared, &self.metrics, inner, true);
+            inner = guard;
+            self.shared.resolved.notify_all();
+            result.map_err(SimError::Spill)?;
+        }
+        Ok(inner)
+    }
+
+    /// Consume `slot`'s staged copy, if the fetcher staged one: a prefetch
+    /// hit, or a blocking fetch when the wave `waited` for the background
+    /// read.
+    fn take_staged(
+        &self,
+        inner: &mut SpillInner,
+        slot: usize,
+        frame_len: u32,
+        waited: bool,
+    ) -> Option<CompressedBlock> {
+        let blk = inner.staged.remove(&slot)?;
+        inner.staged_bytes -= blk.len() as u64;
+        if waited {
+            self.metrics.add_fetch_blocking(frame_len as u64);
+        } else {
+            self.metrics.add_fetch_overlapped(frame_len as u64);
+        }
+        Some(blk)
+    }
+
+    /// Read spilled frames on the critical path through
+    /// [`read_frame_runs`], charged to `SpillIo`, each counted as a
+    /// blocking fetch. `reads` entries are `(key, shard, offset,
+    /// frame_len)`.
+    fn read_blocking<K: Copy>(
+        &self,
+        inner: &SpillInner,
+        reads: &mut [(K, u32, u64, u32)],
+    ) -> Vec<(K, Result<CompressedBlock, SimError>)> {
+        if reads.is_empty() {
+            return Vec::new();
+        }
+        let files: Vec<&File> = inner.shards.iter().map(|s| &*s.file).collect();
+        let t = Instant::now();
+        let decoded = read_frame_runs(&files, reads);
+        self.metrics.add(Phase::SpillIo, t.elapsed());
+        decoded
+            .into_iter()
+            .map(|(key, frame_len, blk)| {
+                self.metrics.add_fetch_blocking(frame_len as u64);
+                (key, blk)
+            })
+            .collect()
     }
 
     /// Rewrite a shard's live frames into a fresh segment when its
     /// garbage dominates.
     ///
-    /// Deferred while the dirty buffer is non-empty or the writer is
-    /// mid-drain (so compaction only ever observes durable frames); a
-    /// later put retries once the writer catches up. The in-memory index
-    /// is only repointed *after* the new segment is fully written,
-    /// synced, and renamed over the old one: a mid-compaction I/O failure
-    /// (out of disk, torn write) leaves the store untouched on the old
-    /// segment, and the orphaned `.tmp` is removed.
+    /// Deferred while the dirty buffer is non-empty or a run is in flight
+    /// (so compaction only ever observes durable frames); a later put
+    /// retries once the writers catch up. The in-memory index is only
+    /// repointed *after* the new segment is fully written, synced, and
+    /// renamed over the old one: a mid-compaction I/O failure (out of
+    /// disk, torn write) leaves the store untouched on the old segment,
+    /// and the orphaned `.tmp` is removed.
     fn maybe_compact(&self, inner: &mut SpillInner) -> Result<(), SimError> {
-        if !inner.dirty_queue.is_empty() || inner.writers_busy > 0 {
+        if !inner.dirty_queue.is_empty() || inner.runs_in_flight > 0 {
             return Ok(());
         }
         for si in 0..inner.shards.len() {
@@ -1040,10 +1056,28 @@ impl SpillStore {
     }
 
     /// Unconditionally compact shard `si` (see [`Self::maybe_compact`]).
+    /// The live frames are read through [`read_frame_runs`] a residency
+    /// budget at a time, and written in slot order.
     fn compact_shard(&self, inner: &mut SpillInner, si: usize) -> Result<(), SimError> {
         let t = Instant::now();
         let shard_path = inner.shards[si].path.clone();
         let tmp_path = shard_path.with_extension("tmp");
+        let file = Arc::clone(&inner.shards[si].file);
+        let mut live: Vec<(usize, u32, u64, u32)> = inner
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| match *s {
+                Slot::Spilled {
+                    shard,
+                    offset,
+                    frame_len,
+                    ..
+                } if shard as usize == si => Some((i, 0, offset, frame_len)),
+                _ => None,
+            })
+            .collect();
+        let batch = inner.run_cap;
         let result = (|| {
             let mut tmp = File::options()
                 .read(true)
@@ -1053,29 +1087,22 @@ impl SpillStore {
                 .open(&tmp_path)
                 .map_err(|e| io_err("create compaction segment", e))?;
             // (slot, new offset) moves, applied only once the swap landed.
-            let mut moves = Vec::new();
+            let mut moves = Vec::with_capacity(live.len());
             let mut new_end = 0u64;
-            let mut scratch = Vec::new();
-            for i in 0..inner.slots.len() {
-                if let Slot::Spilled {
-                    shard,
-                    offset,
-                    frame_len,
-                    ..
-                } = inner.slots[i]
-                {
-                    if shard as usize != si {
-                        continue;
-                    }
-                    let blk = Self::read_frame_at(&mut inner.shards[si], offset)?;
-                    scratch.clear();
-                    frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut scratch)
+            let mut buf = Vec::new();
+            for chunk in live.chunks_mut(batch) {
+                let mut blocks = read_frame_runs(&[&file], chunk);
+                blocks.sort_unstable_by_key(|&(slot, _, _)| slot);
+                buf.clear();
+                for (slot, frame_len, blk) in blocks {
+                    let blk = blk?;
+                    frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut buf)
                         .map_err(|e| io_err("rewrite spill frame", e))?;
-                    tmp.write_all(&scratch)
-                        .map_err(|e| io_err("rewrite spill frame", e))?;
-                    moves.push((i, new_end));
+                    moves.push((slot, new_end));
                     new_end += frame_len as u64;
                 }
+                tmp.write_all(&buf)
+                    .map_err(|e| io_err("rewrite spill frame", e))?;
             }
             tmp.sync_all().map_err(|e| io_err("sync compaction", e))?;
             std::fs::rename(&tmp_path, &shard_path)
@@ -1094,7 +1121,7 @@ impl SpillStore {
                 *offset = new_offset;
             }
         }
-        inner.shards[si].file = tmp;
+        inner.shards[si].file = Arc::new(tmp);
         inner.shards[si].end = new_end;
         inner.shards[si].live = new_end;
         inner.shards[si].dead = 0;
@@ -1102,62 +1129,18 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Synchronously drain the dirty buffer on the calling thread — the
-    /// fallback half of [`SpillStore::flush`], also safe when the writer
-    /// thread is gone.
-    fn drain_dirty_sync(&self, inner: &mut SpillInner) -> Result<(), SimError> {
-        while let Some(victim) = inner.dirty_queue.pop_front() {
-            let (blk, gen) = match std::mem::replace(&mut inner.slots[victim], Slot::InFlight) {
-                Slot::Dirty { blk, gen } => (blk, gen),
-                other => {
-                    // Stale queue entry (the slot was re-taken): restore
-                    // whatever tier it reached and move on.
-                    inner.slots[victim] = other;
-                    continue;
-                }
-            };
-            let shard_idx = (inner.spill_seq % inner.shards.len() as u64) as usize;
-            inner.spill_seq += 1;
-            let t = Instant::now();
-            let append = {
-                let shard = &mut inner.shards[shard_idx];
-                Self::append_frame(shard, &blk)
-            };
-            self.metrics.add(Phase::SpillIo, t.elapsed());
-            let (offset, frame_len) = match append {
-                Ok(parts) => parts,
-                Err(e) => {
-                    // Keep the block safe in memory and requeue it.
-                    inner.dirty_queue.push_front(victim);
-                    inner.slots[victim] = Slot::Dirty { blk, gen };
-                    return Err(e);
-                }
-            };
-            self.metrics.add_spill(frame_len as u64);
-            inner.shards[shard_idx].live += frame_len as u64;
-            inner.dirty_bytes -= blk.len() as u64;
-            inner.spilled_payload_bytes += blk.len() as u64;
-            inner.slots[victim] = Slot::Spilled {
-                shard: shard_idx as u32,
-                offset,
-                frame_len,
-                payload_len: blk.len() as u32,
-            };
-        }
-        Ok(())
-    }
-
     /// Barrier: block until every dirty block is durable in a segment
-    /// shard, surfacing any deferred write-behind error. Waits for the
-    /// writer thread to drain (the wait is critical-path spill time) and
-    /// falls back to draining synchronously when the writer is gone —
-    /// including after a writer panic.
+    /// shard, surfacing any deferred write-behind error. Live writers
+    /// drain first (the wait is critical-path spill time); whatever is
+    /// left — write-behind off, no writer alive (a writer panic
+    /// included), or writers parked on an error — drains on this thread
+    /// through the same run writer.
     pub fn flush_dirty(&self) -> Result<(), SimError> {
         let mut inner = self.shared.lock();
         if self.write_behind && inner.writers_alive > 0 {
             self.shared.write_work.notify_all();
             let t = Instant::now();
-            while (!inner.dirty_queue.is_empty() || inner.writers_busy > 0)
+            while (!inner.dirty_queue.is_empty() || inner.runs_in_flight > 0)
                 && inner.writers_alive > 0
                 && inner.write_error.is_none()
             {
@@ -1169,9 +1152,7 @@ impl SpillStore {
             }
             self.metrics.add(Phase::SpillIo, t.elapsed());
         }
-        // Whatever is left (writer off, dead, or stopped on an error)
-        // drains on this thread.
-        self.drain_dirty_sync(&mut inner)?;
+        let mut inner = self.drain_inline(inner)?;
         if let Some(e) = inner.write_error.take() {
             return Err(SimError::Spill(e));
         }
@@ -1197,7 +1178,7 @@ impl SpillStore {
     #[cfg(test)]
     pub(crate) fn debug_wait_written(&self) {
         let mut inner = self.shared.lock();
-        while (!inner.dirty_queue.is_empty() || inner.writers_busy > 0)
+        while (!inner.dirty_queue.is_empty() || inner.runs_in_flight > 0)
             && inner.writers_alive > 0
             && inner.write_error.is_none()
         {
@@ -1215,63 +1196,10 @@ impl BlockStore for SpillStore {
         self.shared.lock().slots.len()
     }
 
+    /// A one-slot [`BlockStore::fetch_many`]: one read path, one
+    /// accounting.
     fn take(&self, slot: usize) -> Result<CompressedBlock, SimError> {
-        let inner = self.shared.lock();
-        let (mut inner, waited) = self.wait_pending(inner, &[slot]);
-        // A deferred write-behind failure surfaces on the next take
-        // rather than being silently dropped (the failed blocks are
-        // still safe in the dirty buffer).
-        if let Some(e) = inner.write_error.take() {
-            return Err(SimError::Spill(e));
-        }
-        inner.policy.note_access(slot);
-        match std::mem::replace(&mut inner.slots[slot], Slot::InFlight) {
-            Slot::Resident { blk, .. } => {
-                inner.resident_count -= 1;
-                inner.resident_bytes -= blk.len() as u64;
-                Ok(blk)
-            }
-            Slot::Dirty { blk, .. } => {
-                // Still in the dirty buffer: serve from memory. Any frame
-                // the writer is appending for it turns into dead bytes at
-                // commit (the generation no longer matches).
-                inner.dirty_bytes -= blk.len() as u64;
-                inner.dirty_queue.retain(|&s| s != slot);
-                Ok(blk)
-            }
-            Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                payload_len,
-            } => {
-                let blk = match inner.staged.remove(&slot) {
-                    Some(blk) => {
-                        inner.staged_bytes -= blk.len() as u64;
-                        if waited.is_empty() {
-                            self.metrics.add_fetch_overlapped(frame_len as u64);
-                        } else {
-                            // The wave stalled for the background read:
-                            // critical-path I/O, not overlap.
-                            self.metrics.add_fetch_blocking(frame_len as u64);
-                        }
-                        blk
-                    }
-                    None => {
-                        let t = Instant::now();
-                        let blk = Self::read_frame_at(&mut inner.shards[shard as usize], offset)?;
-                        self.metrics.add(Phase::SpillIo, t.elapsed());
-                        self.metrics.add_fetch_blocking(frame_len as u64);
-                        blk
-                    }
-                };
-                inner.shards[shard as usize].live -= frame_len as u64;
-                inner.shards[shard as usize].dead += frame_len as u64;
-                inner.spilled_payload_bytes -= payload_len as u64;
-                Ok(blk)
-            }
-            Slot::InFlight => panic!("slot {slot} taken twice"),
-        }
+        Ok(self.fetch_many(&[slot])?.remove(0))
     }
 
     fn put(&self, slot: usize, blk: CompressedBlock) -> Result<(), SimError> {
@@ -1299,56 +1227,47 @@ impl BlockStore for SpillStore {
         inner.policy.note_access(slot);
         inner.clock += 1;
         let stamp = inner.clock;
-        match &mut inner.slots[slot] {
+        let (shard, offset, frame_len) = match &mut inner.slots[slot] {
             Slot::Resident {
                 blk,
                 stamp: last_used,
             } => {
                 *last_used = stamp;
-                Ok(blk.clone())
+                return Ok(blk.clone());
             }
             // Dirty blocks are still in memory: peek serves the copy and
             // leaves the write-behind queue untouched.
-            Slot::Dirty { blk, .. } => Ok(blk.clone()),
+            Slot::Dirty { blk, .. } => return Ok(blk.clone()),
             Slot::Spilled {
                 shard,
                 offset,
                 frame_len,
                 ..
-            } => {
-                let (shard, offset, frame_len) = (*shard, *offset, *frame_len);
-                // Staging is a one-shot buffer: consuming on peek keeps
-                // its occupancy bounded by what is still ahead of the
-                // wave, at the cost of re-reading on a later fetch.
-                if let Some(blk) = inner.staged.remove(&slot) {
-                    inner.staged_bytes -= blk.len() as u64;
-                    if waited.is_empty() {
-                        self.metrics.add_fetch_overlapped(frame_len as u64);
-                    } else {
-                        self.metrics.add_fetch_blocking(frame_len as u64);
-                    }
-                    return Ok(blk);
-                }
-                let t = Instant::now();
-                let blk = Self::read_frame_at(&mut inner.shards[shard as usize], offset)?;
-                self.metrics.add(Phase::SpillIo, t.elapsed());
-                self.metrics.add_fetch_blocking(frame_len as u64);
-                Ok(blk)
-            }
+            } => (*shard, *offset, *frame_len),
             Slot::InFlight => panic!("peek at in-flight slot {slot}"),
+        };
+        // Staging is a one-shot buffer: consuming on peek keeps its
+        // occupancy bounded by what is still ahead of the wave, at the
+        // cost of re-reading on a later fetch.
+        if let Some(blk) = self.take_staged(&mut inner, slot, frame_len, !waited.is_empty()) {
+            return Ok(blk);
         }
+        let (_, blk) = self
+            .read_blocking(&inner, &mut [((), shard, offset, frame_len)])
+            .remove(0);
+        blk
     }
 
     /// Take a whole chunk at once: resident and staged blocks come out of
-    /// memory, and the remaining spilled frames are sorted by segment
-    /// offset and coalesced — adjacent frames are served by one contiguous
-    /// read instead of a seek-and-read per block.
+    /// memory, and the remaining spilled frames are read through
+    /// `read_frame_runs` — adjacent frames are served by one contiguous
+    /// read instead of a read per block.
     fn fetch_many(&self, slots: &[usize]) -> Result<Vec<CompressedBlock>, SimError> {
         let inner = self.shared.lock();
         let (mut inner, waited) = self.wait_pending(inner, slots);
-        // The wave paths fetch exclusively through here: surface a
-        // deferred write-behind failure exactly as `take` does, instead
-        // of letting it sit unreported until a checkpoint flush.
+        // A deferred write-behind failure surfaces on the next fetch
+        // rather than being silently dropped (the failed blocks are still
+        // safe in the dirty buffer).
         if let Some(e) = inner.write_error.take() {
             return Err(SimError::Spill(e));
         }
@@ -1366,6 +1285,9 @@ impl BlockStore for SpillStore {
                     out[i] = Some(blk);
                 }
                 Slot::Dirty { blk, .. } => {
+                    // Still in the dirty buffer: served from memory. Any
+                    // frame a run is writing for it turns into dead bytes
+                    // at commit (the generation no longer matches).
                     inner.dirty_bytes -= blk.len() as u64;
                     inner.dirty_queue.retain(|&s| s != slot);
                     out[i] = Some(blk);
@@ -1379,31 +1301,16 @@ impl BlockStore for SpillStore {
                     inner.shards[shard as usize].live -= frame_len as u64;
                     inner.shards[shard as usize].dead += frame_len as u64;
                     inner.spilled_payload_bytes -= payload_len as u64;
-                    match inner.staged.remove(&slot) {
-                        Some(blk) => {
-                            inner.staged_bytes -= blk.len() as u64;
-                            if waited.contains(&slot) {
-                                self.metrics.add_fetch_blocking(frame_len as u64);
-                            } else {
-                                self.metrics.add_fetch_overlapped(frame_len as u64);
-                            }
-                            out[i] = Some(blk);
-                        }
+                    match self.take_staged(&mut inner, slot, frame_len, waited.contains(&slot)) {
+                        Some(blk) => out[i] = Some(blk),
                         None => reads.push((i, shard, offset, frame_len)),
                     }
                 }
                 Slot::InFlight => panic!("slot {slot} taken twice"),
             }
         }
-        if !reads.is_empty() {
-            let files: Vec<&File> = inner.shards.iter().map(|s| &s.file).collect();
-            let t = Instant::now();
-            let decoded = read_frame_runs(&files, &mut reads);
-            self.metrics.add(Phase::SpillIo, t.elapsed());
-            for (i, frame_len, blk) in decoded {
-                self.metrics.add_fetch_blocking(frame_len as u64);
-                out[i] = Some(blk?);
-            }
+        for (i, blk) in self.read_blocking(&inner, &mut reads) {
+            out[i] = Some(blk?);
         }
         Ok(out
             .into_iter()
@@ -1466,14 +1373,13 @@ impl BlockStore for SpillStore {
                     .iter()
                     .take_while(|(s, _)| *s == shard)
                     .count();
-            if let Ok(file) = inner.shards[shard as usize].file.try_clone() {
-                let frames: Vec<FrameAt> = picks[start..end].iter().map(|&(_, f)| f).collect();
-                for f in &frames {
-                    inner.pending.insert(f.slot);
-                }
-                inner.fetch_jobs.push_back(FetchJob { file, frames });
-                queued += 1;
+            let file = Arc::clone(&inner.shards[shard as usize].file);
+            let frames: Vec<FrameAt> = picks[start..end].iter().map(|&(_, f)| f).collect();
+            for f in &frames {
+                inner.pending.insert(f.slot);
             }
+            inner.fetch_jobs.push_back(FetchJob { file, frames });
+            queued += 1;
             start = end;
         }
         drop(inner);
@@ -1606,7 +1512,7 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
             .map(|f| (f.slot, 0, f.offset, f.frame_len))
             .collect();
         let t = Instant::now();
-        let decoded = read_frame_runs(&[&job.file], &mut reads);
+        let decoded = read_frame_runs(&[&*job.file], &mut reads);
         metrics.add(Phase::Prefetch, t.elapsed());
         let mut inner = shared.lock();
         for (slot, _, blk) in decoded {
@@ -1624,24 +1530,182 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
     }
 }
 
-/// Body of one of a [`SpillStore`]'s background write-behind threads.
+/// A run between its claim and its settlement. Dropped armed — the
+/// writing thread unwound mid-write — it aborts the run, so barriers
+/// never wait on a dead claim and the run's blocks stay drainable.
+struct Claim<'a> {
+    shared: &'a Shared,
+    run: Vec<usize>,
+    shard: usize,
+    extent: u64,
+    armed: bool,
+}
+
+impl Claim<'_> {
+    /// Give the run up: its whole reserved extent is dead (nothing durable
+    /// in it), and its blocks — still in memory — return to the front of
+    /// the dirty queue in order.
+    fn abort(&self, inner: &mut SpillInner) {
+        inner.shards[self.shard].dead += self.extent;
+        for &slot in self.run.iter().rev() {
+            if matches!(inner.slots[slot], Slot::Dirty { .. }) && !inner.dirty_queue.contains(&slot)
+            {
+                inner.dirty_queue.push_front(slot);
+            }
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            let mut inner = self.shared.lock();
+            inner.runs_in_flight -= 1;
+            self.abort(&mut inner);
+            drop(inner);
+            self.shared.resolved.notify_all();
+        }
+    }
+}
+
+/// The one way a frame reaches a segment shard: claim, write and commit
+/// one run of the dirty queue.
 ///
-/// Each writer claims one run at a time under the lock: at most a
-/// residency budget of queued dirty blocks, the next shard in rotation,
-/// and — the key to concurrency — the exact byte extent the run's frames
-/// will occupy in that shard (computable up front because
-/// [`frame::encoded_len`] is exact). The run is then encoded into one
-/// buffer and landed with a single positional write *outside* the lock,
-/// so N writers append to disjoint extents of independently chosen
-/// shards in parallel. Append time lands in [`Phase::WriteBehind`] — off
-/// the critical path.
+/// Under the lock, the run takes at most a residency budget of queued
+/// blocks, the next shard in rotation and — the key to concurrency — the
+/// exact byte extent its frames will occupy there (computable up front
+/// because [`frame::encoded_len`] is exact). The run is then encoded
+/// into one recycled buffer and landed with a single positional write
+/// *outside* the lock, so concurrent runs append to disjoint extents of
+/// independently chosen shards. Back under the lock, each frame whose
+/// slot is still dirty at the generation it was claimed at becomes
+/// `Slot::Spilled`; a block re-taken (or re-evicted at a newer
+/// generation) mid-write leaves its frame as dead bytes.
 ///
-/// A failed run re-queues its blocks (still safe in memory), marks its
-/// reserved extent dead, and records a deferred error for the next
-/// `take`/`flush` to surface; writers then idle until the error is
-/// consumed. A writer exiting — normally or by panic — decrements the
-/// alive count and wakes all waiters, so barriers fall back to
-/// synchronous draining once no writer remains.
+/// A writer thread calls it with `inline` false: time lands in
+/// [`Phase::WriteBehind`], spills in the write-behind share, and the
+/// test-only [`WriteFault`] applies. The foreground calls it with
+/// `inline` true, charged to [`Phase::SpillIo`]. A failed run is
+/// all-or-nothing: nothing commits, the blocks go back to the queue, and
+/// the error is returned for the caller to report. The caller wakes the
+/// `resolved` waiters.
+fn write_run<'a>(
+    shared: &'a Shared,
+    metrics: &Metrics,
+    mut inner: MutexGuard<'a, SpillInner>,
+    inline: bool,
+) -> (MutexGuard<'a, SpillInner>, Result<(), String>) {
+    let n = inner.dirty_queue.len().min(inner.run_cap);
+    let run: Vec<usize> = inner.dirty_queue.drain(..n).collect();
+    // (slot, generation, block copy): the block stays in its slot, so
+    // fetches keep hitting memory while the run is written.
+    let blks: Vec<(usize, u64, CompressedBlock)> = run
+        .iter()
+        .filter_map(|&slot| match &inner.slots[slot] {
+            Slot::Dirty { blk, gen } => Some((slot, *gen, blk.clone())),
+            _ => None,
+        })
+        .collect();
+    if blks.is_empty() {
+        return (inner, Ok(()));
+    }
+    let shard = (inner.spill_seq % inner.shards.len() as u64) as usize;
+    inner.spill_seq += 1;
+    let file = Arc::clone(&inner.shards[shard].file);
+    let base = inner.shards[shard].end;
+    let extent: u64 = blks
+        .iter()
+        .map(|(_, _, b)| frame::encoded_len(b.len()) as u64)
+        .sum();
+    inner.shards[shard].end = base + extent;
+    inner.runs_in_flight += 1;
+    let mut buf = inner.wb_bufs.pop().unwrap_or_default();
+    let fault = if inline {
+        WriteFault::default()
+    } else {
+        inner.fault.clone()
+    };
+    drop(inner);
+    let mut claim = Claim {
+        shared,
+        run,
+        shard,
+        extent,
+        armed: true,
+    };
+
+    if fault.panic {
+        panic!("injected write-behind panic");
+    }
+    let t = Instant::now();
+    buf.clear();
+    let result = if fault.fail {
+        Err("injected write-behind failure".to_string())
+    } else {
+        blks.iter()
+            .try_for_each(|(_, _, b)| {
+                frame::encode_frame_into(b.codec, b.bound, &b.bytes, &mut buf)
+            })
+            .map_err(|e| format!("encode spill frame: {e}"))
+            .and_then(|()| {
+                debug_assert_eq!(buf.len() as u64, extent);
+                file.write_all_at(&buf, base)
+                    .map_err(|e| format!("write spill run: {e}"))
+            })
+    };
+    let lane = if inline {
+        Phase::SpillIo
+    } else {
+        Phase::WriteBehind
+    };
+    metrics.add(lane, t.elapsed());
+
+    let mut inner = shared.lock();
+    claim.armed = false;
+    inner.runs_in_flight -= 1;
+    if inner.wb_bufs.len() < MAX_IO_THREADS {
+        buf.clear();
+        inner.wb_bufs.push(buf);
+    }
+    if result.is_err() {
+        claim.abort(&mut inner);
+    } else {
+        let mut offset = base;
+        for (slot, gen, blk) in blks {
+            let frame_len = frame::encoded_len(blk.len()) as u32;
+            if matches!(inner.slots[slot], Slot::Dirty { gen: g, .. } if g == gen) {
+                inner.slots[slot] = Slot::Spilled {
+                    shard: shard as u32,
+                    offset,
+                    frame_len,
+                    payload_len: blk.len() as u32,
+                };
+                inner.dirty_bytes -= blk.len() as u64;
+                inner.spilled_payload_bytes += blk.len() as u64;
+                inner.shards[shard].live += frame_len as u64;
+                if inline {
+                    metrics.add_spill(frame_len as u64);
+                } else {
+                    metrics.add_spill_write_behind(frame_len as u64);
+                }
+            } else {
+                inner.shards[shard].dead += frame_len as u64;
+            }
+            offset += frame_len as u64;
+        }
+    }
+    (inner, result)
+}
+
+/// Body of one of a [`SpillStore`]'s background write-behind threads:
+/// park until the dirty queue has work, then drain it one [`write_run`]
+/// at a time, off the critical path.
+///
+/// A failed run records a deferred error for the next
+/// `take`/`fetch_many`/`flush` to surface; writers then idle until the
+/// error is consumed. A writer exiting — normally or by panic —
+/// decrements the alive count and wakes all waiters, so evictions and
+/// barriers drain inline once no writer remains.
 fn run_writer(shared: &Shared, metrics: &Metrics) {
     struct AliveGuard<'a>(&'a Shared);
     impl Drop for AliveGuard<'_> {
@@ -1650,22 +1714,6 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
             inner.writers_alive -= 1;
             drop(inner);
             self.0.resolved.notify_all();
-        }
-    }
-    /// Decrements `writers_busy` even when the write unwinds, so flush
-    /// barriers never wait on a dead writer's claim.
-    struct BusyGuard<'a> {
-        shared: &'a Shared,
-        armed: bool,
-    }
-    impl Drop for BusyGuard<'_> {
-        fn drop(&mut self) {
-            if self.armed {
-                let mut inner = self.shared.lock();
-                inner.writers_busy -= 1;
-                drop(inner);
-                self.shared.resolved.notify_all();
-            }
         }
     }
     let _alive = AliveGuard(shared);
@@ -1685,150 +1733,9 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
         if inner.shutdown && (inner.dirty_queue.is_empty() || inner.write_error.is_some()) {
             return;
         }
-        // Claim a run: snapshot at most a residency budget of queued
-        // blocks for the next shard in rotation (consecutive runs land
-        // on distinct directories; a longer backlog drains as several
-        // runs, claimed by whichever writers are free).
-        let n = inner.dirty_queue.len().min(inner.run_cap);
-        let run: Vec<usize> = inner.dirty_queue.drain(..n).collect();
-        let shard_idx = (inner.spill_seq % inner.shards.len() as u64) as usize;
-        inner.spill_seq += 1;
-        // (slot, generation, block copy): the block stays in the slot so
-        // foreground fetches keep hitting memory while we write.
-        let blks: Vec<(usize, u64, CompressedBlock)> = run
-            .iter()
-            .filter_map(|&slot| match &inner.slots[slot] {
-                Slot::Dirty { blk, gen } => Some((slot, *gen, blk.clone())),
-                _ => None,
-            })
-            .collect();
-        if blks.is_empty() {
-            continue;
-        }
-        let fault = inner.fault.clone();
-        let file = match inner.shards[shard_idx].file.try_clone() {
-            Ok(f) => f,
-            Err(e) => {
-                inner.write_error = Some(format!("clone shard handle: {e}"));
-                for &slot in run.iter().rev() {
-                    if matches!(inner.slots[slot], Slot::Dirty { .. }) {
-                        inner.dirty_queue.push_front(slot);
-                    }
-                }
-                drop(inner);
-                shared.resolved.notify_all();
-                continue;
-            }
-        };
-        // Reserve the run's exact extent: concurrent writers append to
-        // disjoint byte ranges, and sync appends go past every claim.
-        let base = inner.shards[shard_idx].end;
-        let total: u64 = blks
-            .iter()
-            .map(|(_, _, b)| frame::encoded_len(b.len()) as u64)
-            .sum();
-        inner.shards[shard_idx].end = base + total;
-        inner.writers_busy += 1;
-        let mut buf = inner.wb_bufs.pop().unwrap_or_default();
-        drop(inner);
-        let mut busy = BusyGuard {
-            shared,
-            armed: true,
-        };
-
-        if fault.panic {
-            panic!("injected write-behind panic");
-        }
-        let t = Instant::now();
-        // Encode the whole run into one recycled buffer and land it with a
-        // single positional write into the reserved extent (all-or-nothing:
-        // a failed run leaves only dead reserved bytes, never torn frames).
-        buf.clear();
-        buf.reserve(total as usize);
-        // (slot, generation, offset, frame_len) encoded so far.
-        let mut written: Vec<(usize, u64, u64, u32)> = Vec::new();
-        let mut result: Result<(), String> = if fault.fail {
-            Err("injected write-behind failure".into())
-        } else {
-            Ok(())
-        };
-        if result.is_ok() {
-            let mut off = base;
-            for (slot, gen, blk) in &blks {
-                match frame::write_frame(&mut buf, blk.codec, blk.bound, &blk.bytes) {
-                    Ok(len) => {
-                        written.push((*slot, *gen, off, len as u32));
-                        off += len as u64;
-                    }
-                    Err(e) => {
-                        result = Err(format!("write-behind frame: {e}"));
-                        break;
-                    }
-                }
-            }
-        }
-        if result.is_ok() {
-            if let Err(e) = file.write_all_at(&buf, base) {
-                result = Err(format!("write-behind run: {e}"));
-            }
-        }
-        if result.is_err() {
-            written.clear();
-        }
-        metrics.add(Phase::WriteBehind, t.elapsed());
-
-        let mut inner = shared.lock();
-        inner.writers_busy -= 1;
-        if inner.wb_bufs.len() < MAX_IO_THREADS {
-            buf.clear();
-            inner.wb_bufs.push(buf);
-        }
-        busy.armed = false;
-        // Commit the landed run: adopt frames whose slot is still dirty
-        // at the same generation; anything re-taken (or re-evicted at a
-        // newer generation) mid-write leaves its frame as dead bytes.
-        let mut committed: HashSet<usize> = HashSet::new();
-        for (slot, gen, offset, frame_len) in written {
-            let adopt = matches!(inner.slots[slot], Slot::Dirty { gen: g, .. } if g == gen);
-            if adopt {
-                let blk = match std::mem::replace(
-                    &mut inner.slots[slot],
-                    Slot::Spilled {
-                        shard: shard_idx as u32,
-                        offset,
-                        frame_len,
-                        payload_len: 0,
-                    },
-                ) {
-                    Slot::Dirty { blk, .. } => blk,
-                    _ => unreachable!("checked dirty above"),
-                };
-                if let Slot::Spilled { payload_len, .. } = &mut inner.slots[slot] {
-                    *payload_len = blk.len() as u32;
-                }
-                inner.dirty_bytes -= blk.len() as u64;
-                inner.spilled_payload_bytes += blk.len() as u64;
-                inner.shards[shard_idx].live += frame_len as u64;
-                metrics.add_spill_write_behind(frame_len as u64);
-                committed.insert(slot);
-            } else {
-                inner.shards[shard_idx].dead += frame_len as u64;
-            }
-        }
+        let (mut inner, result) = write_run(shared, metrics, inner, false);
         if let Err(msg) = result {
-            // The whole reserved extent is dead (nothing durable in it).
-            inner.shards[shard_idx].dead += total;
             inner.write_error.get_or_insert(msg);
-            // Re-queue the run (front, preserving order): the blocks are
-            // still in memory, nothing is lost.
-            for &slot in run.iter().rev() {
-                if !committed.contains(&slot)
-                    && matches!(inner.slots[slot], Slot::Dirty { .. })
-                    && !inner.dirty_queue.contains(&slot)
-                {
-                    inner.dirty_queue.push_front(slot);
-                }
-            }
         }
         drop(inner);
         shared.resolved.notify_all();
@@ -2848,5 +2755,118 @@ mod tests {
         }
         drop(s);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The spill and fetch counters of one store, in a fixed order.
+    fn io_counters(m: &Metrics) -> [u64; 8] {
+        let b = m.breakdown();
+        [
+            b.spills,
+            b.spill_bytes,
+            b.fetches,
+            b.fetch_bytes,
+            b.prefetch_hits,
+            b.prefetch_misses,
+            b.blocking_fetch_bytes,
+            b.overlapped_fetch_bytes,
+        ]
+    }
+
+    #[test]
+    fn one_op_sequence_reads_the_same_on_every_write_path_and_shard_count() {
+        // One seeded put/take/fetch_many/peek/flush sequence. The writer
+        // is let finish after every put, so write-behind spills exactly
+        // the blocks a synchronous store spills.
+        let run = |write_behind: bool, shards: usize| {
+            let metrics = Metrics::new();
+            let n = 12usize;
+            let s = SpillStore::create_with(
+                &tmp_dir(&format!("merge-{write_behind}-{shards}")),
+                "r0",
+                3,
+                metrics.clone(),
+                (0..n).map(|i| Some(blk(i as u8, 64 + 7 * i))).collect(),
+                SpillOptions {
+                    write_behind,
+                    shards,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let put = |slot: usize, b: CompressedBlock| {
+                s.put(slot, b).unwrap();
+                s.debug_wait_written();
+            };
+            s.debug_wait_written();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move |m: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % m as u64) as usize
+            };
+            let mut seen: Vec<Vec<u8>> = Vec::new();
+            for step in 0..240 {
+                match next(5) {
+                    0 => {
+                        let slot = next(n);
+                        let b = s.take(slot).unwrap();
+                        seen.push(b.bytes.to_vec());
+                        put(slot, b);
+                    }
+                    1 => {
+                        let first = next(n);
+                        let slots = [first, (first + 5) % n, (first + 7) % n];
+                        let blocks = s.fetch_many(&slots).unwrap();
+                        seen.extend(blocks.iter().map(|b| b.bytes.to_vec()));
+                        for (&slot, b) in slots.iter().zip(blocks).rev() {
+                            put(slot, b);
+                        }
+                    }
+                    2 => seen.push(s.peek(next(n)).unwrap().bytes.to_vec()),
+                    3 => s.flush().unwrap(),
+                    _ => {
+                        // A new block of another length: later frames move.
+                        let slot = next(n);
+                        let _ = s.take(slot).unwrap();
+                        put(slot, blk(step as u8, 40 + next(90)));
+                    }
+                }
+            }
+            for slot in 0..n {
+                seen.push(s.peek(slot).unwrap().bytes.to_vec());
+            }
+            (seen, io_counters(&metrics))
+        };
+        let (blocks, counters) = run(false, 1);
+        assert!(counters[0] > 0 && counters[2] > 0, "{counters:?}");
+        for (write_behind, shards) in [(false, 3), (true, 1), (true, 3)] {
+            let (b, c) = run(write_behind, shards);
+            assert!(
+                b == blocks,
+                "write_behind={write_behind} shards={shards}: blocks differ"
+            );
+            assert_eq!(c, counters, "write_behind={write_behind} shards={shards}");
+        }
+    }
+
+    #[test]
+    fn a_spilled_take_is_accounted_as_a_one_slot_fetch_many() {
+        let read = |fetch: fn(&SpillStore) -> CompressedBlock| {
+            let metrics = Metrics::new();
+            let s = spill_store("take-vs-fetch", 2, 4, &metrics);
+            let before = io_counters(&metrics);
+            let b = fetch(&s);
+            let after = io_counters(&metrics);
+            (
+                b.bytes.to_vec(),
+                std::array::from_fn::<u64, 8, _>(|i| after[i] - before[i]),
+            )
+        };
+        // Seeding 4 blocks under a budget of 2 spills slots 0 and 1.
+        let took = read(|s| s.take(0).unwrap());
+        let fetched = read(|s| s.fetch_many(&[0]).unwrap().remove(0));
+        assert_eq!(took, fetched);
+        assert_eq!(took.1[2], 1, "one blocking fetch: {:?}", took.1);
     }
 }
