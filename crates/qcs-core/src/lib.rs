@@ -22,13 +22,14 @@
 //!   bounded by disk rather than RAM. Out-of-core runs are *planned*: the
 //!   schedule's `AccessPlan` fixes every wave's block order ahead of time
 //!   (from the same `qcs_cluster::Layout` slot functions the rank workers
-//!   walk, so plan and walk agree by construction),
-//!   each store's background fetcher streams the next chunk off disk
-//!   while the current one computes ([`SimConfig::prefetch`]), a
-//!   write-behind thread drains eviction writes off the critical path
-//!   (`SpillConfig::write_behind`), and the same plan drives victim
-//!   selection: [`Eviction::PlannedMin`] implements Belady's MIN exactly
-//!   because the future access trace is known ([`EvictionPolicy`]);
+//!   walk, so plan and walk agree by construction). Each wave announces
+//!   that order to its store in one call, `BlockStore::plan_accesses`:
+//!   the background fetcher stages along it, so the next chunk streams
+//!   off disk while the current one computes ([`SimConfig::prefetch`]),
+//!   and [`Eviction::PlannedMin`] picks victims by it — Belady's MIN,
+//!   exact because the future access trace is known. A write-behind
+//!   thread drains eviction writes off the critical path
+//!   (`SpillConfig::write_behind`);
 //! - [`BlockCache`] — the 64-line LRU compressed-block cache with
 //!   auto-disable (§3.4, Fig. 4);
 //! - [`FidelityLedger`] — the `prod (1 - delta_i)` fidelity lower bound
@@ -119,7 +120,4 @@ pub use config::{RemoteConfig, SimConfig, SpillConfig};
 pub use engine::{CompressedSimulator, RunOutcome, SimError, SimReport, WaveControl, WaveStatus};
 pub use fidelity_bound::{fidelity_curve, FidelityLedger};
 pub use net::{serve, spawn_loopback, ServeOptions};
-pub use store::{
-    BlockStore, Eviction, EvictionPolicy, Lru, MemStore, PlannedMin, SegmentDirGuard, SpillOptions,
-    SpillStore,
-};
+pub use store::{BlockStore, Eviction, MemStore, SegmentDirGuard, SpillOptions, SpillStore};

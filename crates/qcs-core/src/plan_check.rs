@@ -78,23 +78,38 @@ fn access_plan_matches_observed_store_accesses() {
 fn access_plan_is_exact_through_the_spill_tier_too() {
     // The plan describes *logical* accesses, so it must be invariant to
     // the storage tier: the same circuit over a 2-block residency budget
-    // observes the same slot sequences.
+    // observes the same slot sequences, with the background fetcher off
+    // and live (the default).
+    for prefetch in [false, true] {
+        spilled_run_matches_the_plan(
+            SimConfig::default()
+                .with_block_log2(3)
+                .with_ranks_log2(1)
+                .with_spill(2)
+                .with_prefetch(prefetch),
+        );
+    }
+}
+
+fn spilled_run_matches_the_plan(cfg: SimConfig) {
     let circuit = qft_benchmark_circuit(8, 4);
-    let cfg = SimConfig::default()
-        .with_block_log2(3)
-        .with_ranks_log2(1)
-        .with_spill(2)
-        .with_prefetch(false); // hints are advisory; keep the trace strict
     let schedule = schedule_circuit(&circuit, &cfg.fusion_policy());
     let plan = AccessPlan::for_schedule(&schedule, 1, 3);
     let log = trace::access_log(2);
+    let prefetch = cfg.prefetch;
     let mut sim = CompressedSimulator::new_traced(8, cfg, log.clone()).expect("sim");
     // Seeding a spill store puts blocks through the shim-wrapped store
     // only after wrapping; drain anything recorded during construction.
     let _ = trace::drain(&log);
     let mut rng = StdRng::seed_from_u64(7);
     for (i, item) in schedule.items().iter().enumerate() {
-        sim.apply_item(item, &mut rng, None).expect("apply item");
+        // The next item's first wave as the lookahead, as `run_schedule`
+        // hands it down: windows then reach across the wave boundary.
+        let lookahead = (i + 1 < plan.len())
+            .then(|| plan.item_waves(i + 1).iter().find(|w| !w.is_empty()))
+            .flatten();
+        sim.apply_item(item, &mut rng, lookahead.filter(|_| prefetch))
+            .expect("apply item");
         let observed = trace::drain(&log);
         let planned: Vec<Vec<usize>> = (0..plan.ranks())
             .map(|r| {
@@ -104,10 +119,19 @@ fn access_plan_is_exact_through_the_spill_tier_too() {
                     .collect()
             })
             .collect();
-        assert_eq!(observed, planned, "spilled run diverged at item {i}");
+        assert_eq!(
+            observed, planned,
+            "spilled run (prefetch {prefetch}) diverged at item {i}"
+        );
     }
+    let breakdown = sim.report().breakdown;
     assert!(
-        sim.report().breakdown.spills > 0,
+        breakdown.spills > 0,
         "precondition: the run must actually spill"
+    );
+    assert_eq!(
+        breakdown.prefetch > std::time::Duration::ZERO,
+        prefetch,
+        "the background fetcher runs exactly when prefetch is on"
     );
 }

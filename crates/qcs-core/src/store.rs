@@ -7,28 +7,34 @@
 //! - [`MemStore`] — the classic all-resident tier (what the engine always
 //!   did): every block stays in memory, no I/O, no residency cap.
 //! - [`SpillStore`] — the out-of-core tier: a configurable number of hot
-//!   compressed blocks stay resident (victims chosen by a pluggable
-//!   [`EvictionPolicy`] — [`Lru`] by default, or the plan-driven
-//!   [`PlannedMin`]) and the rest are spilled to per-rank segment files as
-//!   self-describing [`qcs_compress::frame`]s (codec id, error bound,
-//!   length, checksum), optionally sharded across several directories.
-//!   The simulable qubit count is then bounded by disk, not RAM — the next
-//!   rung below the paper's compression ladder in the storage hierarchy.
+//!   compressed blocks stay resident (victims chosen per [`Eviction`]:
+//!   least recently touched, or Belady's MIN over the planned window) and
+//!   the rest are spilled to per-rank segment files as self-describing
+//!   [`qcs_compress::frame`]s (codec id, error bound, length, checksum),
+//!   optionally sharded across several directories. The simulable qubit
+//!   count is then bounded by disk, not RAM — the next rung below the
+//!   paper's compression ladder in the storage hierarchy.
 //!
 //! Workers address blocks by their local slot index and move them with
 //! [`BlockStore::take`] / [`BlockStore::put`] (exclusive, for the
 //! decompress → compute → recompress cycle) or copy them with
 //! [`BlockStore::peek`] (shared, for snapshots and read-only collectives).
 //! Planned waves pull whole chunks with [`BlockStore::fetch_many`] (a
-//! spill tier coalesces adjacent segment frames into single reads) and
-//! announce the chunk after next with [`BlockStore::prefetch`], which a
-//! [`SpillStore`] serves from a background fetch thread so the next
-//! chunk's disk reads overlap the current chunk's compute. A planned wave
-//! additionally announces its full ordered access window with
-//! [`BlockStore::plan_accesses`], which the [`PlannedMin`] eviction
-//! policy consumes to evict the resident block whose next planned use is
-//! furthest away (Belady's MIN — implementable exactly because the
-//! schedule's `AccessPlan` is an exact future-reference trace).
+//! spill tier coalesces adjacent segment frames into single reads).
+//!
+//! # One planned-access call
+//!
+//! A planned wave tells the store its future once, with
+//! [`BlockStore::plan_accesses`]: its ordered slots with the next wave's
+//! lookahead appended. Every consumption of a planned slot moves the
+//! window's cursor past it, and both users of the future read the slots
+//! after the cursor. A prefetching [`SpillStore`] stages the spilled ones
+//! among the next residency budget of them on background fetch threads,
+//! so the next chunk's disk reads overlap the current chunk's compute and
+//! the last chunk's overlap the next wave's. [`Eviction::PlannedMin`]
+//! evicts the resident block whose next planned use is furthest away
+//! (Belady's MIN — implementable exactly because the schedule's
+//! `AccessPlan` is an exact future-reference trace).
 //! Every method takes `&self`: stores are internally locked so read-only
 //! collectives can run against `&RankWorker` exactly as before.
 //!
@@ -62,7 +68,7 @@
 //! file and remembers `(shard, offset, length)` per slot. With
 //! [`SpillOptions::shards`] ` > 1` the store keeps one segment file in
 //! each of N shard directories and rotates runs across them in eviction
-//! order — which under [`PlannedMin`] follows the planned access order —
+//! order — which under MIN follows the planned access order —
 //! so coalesced prefetch and write-behind runs land on distinct shards.
 //! A block fetched back leaves its old frame behind as garbage; when a
 //! shard's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and twice
@@ -91,6 +97,7 @@ use crate::engine::SimError;
 use parking_lot::Mutex;
 use qcs_cluster::{Layout, Metrics, Phase};
 use qcs_compress::frame;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io::Write;
@@ -138,29 +145,18 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
         slots.iter().map(|&s| self.take(s)).collect()
     }
 
-    /// Hint that `slots` will be fetched soon (the next chunk of a planned
-    /// wave, or the next wave's first chunk). A spill tier starts reading
-    /// the spilled frames among them on a background thread, staging the
-    /// decoded blocks so the upcoming `take`/`fetch_many` calls do not
-    /// block on disk. Purely advisory: stores without a background fetch
-    /// path (or with prefetching disabled) ignore it.
-    fn prefetch(&self, slots: &[usize]) {
-        let _ = slots;
-    }
-
     /// Announce the ordered slot accesses the caller plans to perform
-    /// next (the remaining wave, with the next wave's lookahead appended),
-    /// replacing any previous window. Purely advisory, like
-    /// [`BlockStore::prefetch`]: a plan-aware spill tier feeds the window
-    /// to its [`EvictionPolicy`] (Belady MIN keys its victim choice on
-    /// it); every other store ignores it.
+    /// next (the wave, with the next wave's lookahead appended),
+    /// replacing any previous window. Purely advisory: a spill tier
+    /// stages along it and MIN picks victims by it (see the module docs);
+    /// every other store ignores it.
     fn plan_accesses(&self, upcoming: &[usize]) {
         let _ = upcoming;
     }
 
-    /// True when the store's eviction policy consumes
-    /// [`BlockStore::plan_accesses`] windows — lets callers skip building
-    /// the window for stores that would ignore it.
+    /// True when the store reads [`BlockStore::plan_accesses`] windows —
+    /// a spill tier that prefetches or evicts by MIN — so callers skip
+    /// building a window nobody reads.
     fn wants_plan(&self) -> bool {
         false
     }
@@ -254,18 +250,11 @@ impl BlockStore for MemStore {
 }
 
 // ---------------------------------------------------------------------------
-// Eviction policies
+// Eviction and the planned-access window
 // ---------------------------------------------------------------------------
 
-/// Victim selection for a [`SpillStore`]'s residency budget.
-///
-/// The store tells the policy about the planned future ([`EvictionPolicy::
-/// note_plan`], fed from [`BlockStore::plan_accesses`]) and the actual
-/// present ([`EvictionPolicy::note_access`], one call per logical
-/// `take`/`peek`/`fetch_many` access, in order); when a `put` overflows
-/// the budget, [`EvictionPolicy::pick_victim`] chooses which resident
-/// block spills. Policies are selected per simulation through
-/// [`Eviction`] on the spill config:
+/// Victim selection for a [`SpillStore`]'s residency budget, chosen per
+/// simulation on the spill config:
 ///
 /// ```
 /// use qcs_core::{Eviction, SimConfig};
@@ -284,150 +273,104 @@ impl BlockStore for MemStore {
 /// let lru = SimConfig::default().with_spill(4);
 /// assert_eq!(lru.spill.as_ref().unwrap().eviction, Eviction::Lru);
 /// ```
-pub trait EvictionPolicy: Send + std::fmt::Debug {
-    /// Replace the policy's plan window with the upcoming ordered slot
-    /// accesses. Advisory; the default keeps no window.
-    fn note_plan(&mut self, upcoming: &[usize]) {
-        let _ = upcoming;
-    }
-
-    /// Observe one actual slot access (in access order), letting the
-    /// policy advance its plan window past it. Advisory; default ignores.
-    fn note_access(&mut self, slot: usize) {
-        let _ = slot;
-    }
-
-    /// Choose the eviction victim among `residents`, given as
-    /// `(slot, last-touch stamp)` pairs (stamps are unique and increase
-    /// with recency). Returns `None` only when `residents` is empty.
-    fn pick_victim(&mut self, residents: &[(usize, u64)]) -> Option<usize>;
-}
-
-/// Evict the least-recently-touched resident block (the classic policy,
-/// and the behavior every pre-policy release shipped).
-#[derive(Debug, Default)]
-pub struct Lru;
-
-/// The LRU victim among `residents`: minimum `(stamp, slot)`.
-fn lru_victim(residents: &[(usize, u64)]) -> Option<usize> {
-    residents
-        .iter()
-        .map(|&(slot, stamp)| (stamp, slot))
-        .min()
-        .map(|(_, slot)| slot)
-}
-
-impl EvictionPolicy for Lru {
-    fn pick_victim(&mut self, residents: &[(usize, u64)]) -> Option<usize> {
-        lru_victim(residents)
-    }
-}
-
-/// Belady's MIN on the planned access window: evict the resident block
-/// whose next planned use is furthest away.
-///
-/// The schedule's `AccessPlan` is an exact future-reference trace, so the
-/// optimal offline policy is implementable online: the worker announces
-/// each wave's ordered accesses (plus the next wave's lookahead) through
-/// [`BlockStore::plan_accesses`], actual accesses consume the window from
-/// the front, and a victim choice ranks residents by their next position
-/// in what remains. Blocks the window never mentions again are the best
-/// victims; among those (and when the window is empty — e.g. unplanned
-/// access patterns) the policy degrades to exact [`Lru`] ordering.
-#[derive(Debug, Default)]
-pub struct PlannedMin {
-    /// Pending occurrence positions per slot, front = soonest.
-    occurrences: HashMap<usize, VecDeque<u64>>,
-    /// Window position of the next unconsumed planned access.
-    cursor: u64,
-}
-
-impl PlannedMin {
-    /// Next planned position of `slot` at or after the cursor, dropping
-    /// stale (already passed) occurrences on the way.
-    fn next_use(&mut self, slot: usize) -> Option<u64> {
-        let dq = self.occurrences.get_mut(&slot)?;
-        while let Some(&front) = dq.front() {
-            if front < self.cursor {
-                dq.pop_front();
-            } else {
-                return Some(front);
-            }
-        }
-        None
-    }
-}
-
-impl EvictionPolicy for PlannedMin {
-    fn note_plan(&mut self, upcoming: &[usize]) {
-        self.occurrences.clear();
-        self.cursor = 0;
-        for (pos, &slot) in upcoming.iter().enumerate() {
-            self.occurrences
-                .entry(slot)
-                .or_default()
-                .push_back(pos as u64);
-        }
-    }
-
-    fn note_access(&mut self, slot: usize) {
-        if let Some(dq) = self.occurrences.get_mut(&slot) {
-            while let Some(front) = dq.pop_front() {
-                if front >= self.cursor {
-                    self.cursor = front + 1;
-                    break;
-                }
-            }
-        }
-    }
-
-    fn pick_victim(&mut self, residents: &[(usize, u64)]) -> Option<usize> {
-        // Victim preference: no planned use at all beats any planned use;
-        // later planned use beats sooner; LRU `(stamp, slot)` breaks the
-        // remaining ties (and carries the whole choice when the window is
-        // empty).
-        residents
-            .iter()
-            .map(|&(slot, stamp)| (slot, stamp, self.next_use(slot)))
-            .max_by_key(|&(slot, stamp, next)| {
-                (
-                    next.is_none(),
-                    next,
-                    std::cmp::Reverse(stamp),
-                    std::cmp::Reverse(slot),
-                )
-            })
-            .map(|(slot, _, _)| slot)
-    }
-}
-
-/// Config-level selector for the [`EvictionPolicy`] a [`SpillStore`]
-/// runs (see the trait docs for an end-to-end example).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Eviction {
-    /// [`Lru`]: evict the least-recently-touched resident block.
+    /// Evict the least-recently-touched resident block (the classic
+    /// policy); the planned window does not enter the choice.
     #[default]
     Lru,
-    /// [`PlannedMin`]: Belady's MIN over the planned access window,
-    /// falling back to LRU ordering for blocks outside the window.
+    /// Belady's MIN over the planned access window: evict the resident
+    /// block whose next planned use is furthest away, falling back to LRU
+    /// order for blocks the window does not name again.
     PlannedMin,
 }
 
 impl Eviction {
-    /// Instantiate the selected policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
-        match self {
-            Eviction::Lru => Box::new(Lru),
-            Eviction::PlannedMin => Box::<PlannedMin>::default(),
-        }
-    }
-
     /// Short display name (bench tables).
     pub fn name(self) -> &'static str {
         match self {
             Eviction::Lru => "lru",
             Eviction::PlannedMin => "min",
         }
+    }
+}
+
+/// A [`SpillStore`]'s view of the future: the window the last
+/// [`BlockStore::plan_accesses`] announced and a cursor past the last
+/// planned slot consumed.
+///
+/// A `take`, `peek` or `fetch_many` of a slot moves the cursor just past
+/// the slot's next planned use; a slot the rest of the window never names
+/// (a snapshot or checkpoint read) leaves it where it is. The prefetcher
+/// stages along the slots after the cursor, and MIN ranks residents by
+/// their next position among them: blocks the window never names again
+/// are the best victims, and among those (an empty or consumed window
+/// included) the choice is exact LRU order.
+#[derive(Debug, Default)]
+struct Window {
+    slots: Vec<usize>,
+    cursor: usize,
+    /// Planned positions per slot, front = soonest; fronts behind the
+    /// cursor are dropped lazily. Built under [`Eviction::PlannedMin`]
+    /// only: LRU victims ignore the window.
+    occurrences: Option<HashMap<usize, VecDeque<usize>>>,
+}
+
+impl Window {
+    fn new(eviction: Eviction) -> Self {
+        Self {
+            occurrences: (eviction == Eviction::PlannedMin).then(HashMap::new),
+            ..Self::default()
+        }
+    }
+
+    /// Replace the window with `upcoming`, cursor at its start.
+    fn plan(&mut self, upcoming: &[usize]) {
+        self.slots.clear();
+        self.slots.extend_from_slice(upcoming);
+        self.cursor = 0;
+        if let Some(occurrences) = &mut self.occurrences {
+            occurrences.clear();
+            for (pos, &slot) in upcoming.iter().enumerate() {
+                occurrences.entry(slot).or_default().push_back(pos);
+            }
+        }
+    }
+
+    /// Consume `slot`: move the cursor past its next planned use. True
+    /// when it had one — a planned consumption.
+    fn advance(&mut self, slot: usize) -> bool {
+        let next = self.slots[self.cursor..].iter().position(|&s| s == slot);
+        next.map(|d| self.cursor += d + 1).is_some()
+    }
+
+    /// The next `n` planned slots past the cursor.
+    fn ahead(&self, n: usize) -> &[usize] {
+        &self.slots[self.cursor..self.slots.len().min(self.cursor + n)]
+    }
+
+    /// The eviction victim among `residents`, given as `(slot,
+    /// last-touch stamp)` pairs (stamps are unique and increase with
+    /// recency); `None` only when `residents` is empty. No planned use
+    /// beats any planned use, a later one beats a sooner one, and LRU
+    /// `(stamp, slot)` breaks the remaining ties — which is every tie
+    /// under [`Eviction::Lru`], where no resident has a planned use.
+    fn victim(&mut self, residents: &[(usize, u64)]) -> Option<usize> {
+        let cursor = self.cursor;
+        let mut next_use = |slot: usize| {
+            let dq = self.occurrences.as_mut()?.get_mut(&slot)?;
+            while *dq.front()? < cursor {
+                dq.pop_front();
+            }
+            dq.front().copied()
+        };
+        residents
+            .iter()
+            .map(|&(slot, stamp)| (slot, stamp, next_use(slot)))
+            .max_by_key(|&(slot, stamp, next)| {
+                (next.is_none(), next, Reverse(stamp), Reverse(slot))
+            })
+            .map(|(slot, _, _)| slot)
     }
 }
 
@@ -485,15 +428,17 @@ impl Drop for SegmentDirGuard {
 /// [`SegmentDirGuard`] for panic-safe cleanup.
 #[derive(Debug, Default, Clone)]
 pub struct SpillOptions {
-    /// Spawn the store's background fetch thread and honor
-    /// [`BlockStore::prefetch`] hints (off: hints are ignored and every
-    /// spilled fetch blocks, the pre-pipeline behavior).
+    /// Spawn the store's background fetch threads and stage along the
+    /// [`BlockStore::plan_accesses`] window after every planned
+    /// consumption (off: every spilled fetch blocks, the pre-pipeline
+    /// behavior).
     pub prefetch: bool,
     /// Directory guard keeping the segment dir alive until the last store
     /// (or the facade) drops, then removing the whole tree.
     pub dir_guard: Option<Arc<SegmentDirGuard>>,
-    /// Victim-selection policy for the residency budget ([`Lru`] by
-    /// default; [`PlannedMin`] consumes [`BlockStore::plan_accesses`]).
+    /// Victim selection for the residency budget ([`Eviction::Lru`] by
+    /// default; [`Eviction::PlannedMin`] ranks residents by the
+    /// [`BlockStore::plan_accesses`] window).
     pub eviction: Eviction,
     /// Spawn the store's background writer threads: evictions enqueue
     /// into a bounded dirty buffer and return immediately, the writers
@@ -581,8 +526,9 @@ struct SpillInner {
     /// Prefetch jobs awaiting a fetcher thread, split per shard at
     /// enqueue so fetchers read distinct shards concurrently.
     fetch_jobs: VecDeque<FetchJob>,
-    /// Victim selection for `evict_over_cap`.
-    policy: Box<dyn EvictionPolicy>,
+    /// The announced access window: victims for `evict_over_cap` and
+    /// the slots `stage_ahead` stages.
+    window: Window,
     /// Slots awaiting their write-behind append, in eviction order.
     dirty_queue: VecDeque<usize>,
     /// Compressed bytes held in the dirty buffer.
@@ -657,17 +603,18 @@ struct FetchJob {
 const MAX_IO_THREADS: usize = 8;
 
 /// The out-of-core tier: at most `cap` hot blocks resident (the victim
-/// of an overflow chosen by the store's [`EvictionPolicy`]), the rest
+/// of an overflow chosen per the store's [`Eviction`]), the rest
 /// spilled to per-rank segment files of checksummed frames. The segment
 /// files are deleted on drop.
 ///
 /// # The prefetch pipeline
 ///
-/// With [`SpillOptions::prefetch`] on, the store runs one background
-/// fetch thread. [`BlockStore::prefetch`] snapshots the spilled frames
-/// among the hinted slots (marking them *pending*) and hands the snapshot
-/// to the thread, which reads them — adjacent frames coalesced into
-/// single reads — and parks the decoded blocks in a *staging* buffer.
+/// With [`SpillOptions::prefetch`] on, the store runs background fetch
+/// threads. After every planned consumption it snapshots the spilled
+/// frames among the next residency budget of window slots (marking them
+/// *pending*) and hands the snapshot to a thread, which reads them —
+/// adjacent frames coalesced into single reads — and parks the decoded
+/// blocks in a *staging* buffer.
 /// Staging plus pending never exceed the residency budget, so the store's
 /// memory ceiling is at most double-buffered: one budget of residents,
 /// one of staged next-chunk blocks. A later `take`/`fetch_many` of a
@@ -785,7 +732,7 @@ impl SpillStore {
                 staged_bytes: 0,
                 pending: HashSet::new(),
                 fetch_jobs: VecDeque::new(),
-                policy: opts.eviction.build(),
+                window: Window::new(opts.eviction),
                 dirty_queue: VecDeque::new(),
                 dirty_bytes: 0,
                 runs_in_flight: 0,
@@ -904,7 +851,7 @@ impl SpillStore {
         &self.path
     }
 
-    /// Evict policy-chosen residents until the budget holds. Each victim
+    /// Evict [`Window::victim`]s until the budget holds. Each victim
     /// parks in the dirty buffer. With write-behind on and a writer alive,
     /// the writers drain it off the critical path; past a residency budget
     /// of dirty blocks the put waits for them (backpressure). Otherwise —
@@ -926,10 +873,7 @@ impl SpillStore {
                     _ => None,
                 })
                 .collect();
-            let victim = inner
-                .policy
-                .pick_victim(&residents)
-                .expect("resident_count > 0");
+            let victim = inner.window.victim(&residents).expect("resident_count > 0");
             let blk = match std::mem::replace(&mut inner.slots[victim], Slot::InFlight) {
                 Slot::Resident { blk, .. } => blk,
                 _ => unreachable!("victim is resident"),
@@ -1004,6 +948,62 @@ impl SpillStore {
             self.metrics.add_fetch_overlapped(frame_len as u64);
         }
         Some(blk)
+    }
+
+    /// After a planned consumption: reserve the spilled frames among the
+    /// next residency budget of window slots, within the staging budget,
+    /// and hand them to the background fetchers, one job per shard so
+    /// distinct shards are read concurrently. No-op when prefetching is
+    /// off.
+    fn stage_ahead(&self) {
+        if !self.prefetch_on {
+            return;
+        }
+        let mut inner = self.shared.lock();
+        // (shard, frame) picks within the staging budget.
+        let mut picks: Vec<(u32, FrameAt)> = Vec::new();
+        for &slot in inner.window.ahead(self.cap) {
+            if inner.staged.len() + inner.pending.len() + picks.len() >= self.cap {
+                break;
+            }
+            if inner.staged.contains_key(&slot)
+                || inner.pending.contains(&slot)
+                || picks.iter().any(|(_, f)| f.slot == slot)
+            {
+                continue;
+            }
+            if let Slot::Spilled {
+                shard,
+                offset,
+                frame_len,
+                ..
+            } = inner.slots[slot]
+            {
+                let frame = FrameAt {
+                    slot,
+                    offset,
+                    frame_len,
+                };
+                picks.push((shard, frame));
+            }
+        }
+        // Split per shard, snapshotting each shard's handle under the
+        // same lock as the offsets: a later compaction swaps in a new
+        // segment file, but these clones keep addressing the inodes the
+        // offsets were taken from.
+        picks.sort_unstable_by_key(|&(shard, f)| (shard, f.offset));
+        let mut queued = 0;
+        for run in picks.chunk_by(|a, b| a.0 == b.0) {
+            let file = Arc::clone(&inner.shards[run[0].0 as usize].file);
+            let frames: Vec<FrameAt> = run.iter().map(|&(_, f)| f).collect();
+            inner.pending.extend(frames.iter().map(|f| f.slot));
+            inner.fetch_jobs.push_back(FetchJob { file, frames });
+            queued += 1;
+        }
+        drop(inner);
+        for _ in 0..queued {
+            self.shared.fetch_work.notify_one();
+        }
     }
 
     /// Read spilled frames on the critical path through
@@ -1224,37 +1224,43 @@ impl BlockStore for SpillStore {
     fn peek(&self, slot: usize) -> Result<CompressedBlock, SimError> {
         let inner = self.shared.lock();
         let (mut inner, waited) = self.wait_pending(inner, &[slot]);
-        inner.policy.note_access(slot);
+        let planned = inner.window.advance(slot);
         inner.clock += 1;
         let stamp = inner.clock;
-        let (shard, offset, frame_len) = match &mut inner.slots[slot] {
+        let blk = match &mut inner.slots[slot] {
             Slot::Resident {
                 blk,
                 stamp: last_used,
             } => {
                 *last_used = stamp;
-                return Ok(blk.clone());
+                Ok(blk.clone())
             }
             // Dirty blocks are still in memory: peek serves the copy and
             // leaves the write-behind queue untouched.
-            Slot::Dirty { blk, .. } => return Ok(blk.clone()),
-            Slot::Spilled {
+            Slot::Dirty { blk, .. } => Ok(blk.clone()),
+            &mut Slot::Spilled {
                 shard,
                 offset,
                 frame_len,
                 ..
-            } => (*shard, *offset, *frame_len),
+            } => {
+                // Staging is a one-shot buffer: consuming on peek keeps
+                // its occupancy bounded by what is still ahead of the
+                // wave, at the cost of re-reading on a later fetch.
+                match self.take_staged(&mut inner, slot, frame_len, !waited.is_empty()) {
+                    Some(blk) => Ok(blk),
+                    None => {
+                        let read = &mut [((), shard, offset, frame_len)];
+                        self.read_blocking(&inner, read).remove(0).1
+                    }
+                }
+            }
             Slot::InFlight => panic!("peek at in-flight slot {slot}"),
         };
-        // Staging is a one-shot buffer: consuming on peek keeps its
-        // occupancy bounded by what is still ahead of the wave, at the
-        // cost of re-reading on a later fetch.
-        if let Some(blk) = self.take_staged(&mut inner, slot, frame_len, !waited.is_empty()) {
-            return Ok(blk);
+        drop(inner);
+        if planned {
+            self.stage_ahead();
         }
-        let (_, blk) = self
-            .read_blocking(&inner, &mut [((), shard, offset, frame_len)])
-            .remove(0);
         blk
     }
 
@@ -1271,8 +1277,9 @@ impl BlockStore for SpillStore {
         if let Some(e) = inner.write_error.take() {
             return Err(SimError::Spill(e));
         }
+        let mut planned = false;
         for &slot in slots {
-            inner.policy.note_access(slot);
+            planned |= inner.window.advance(slot);
         }
         let mut out: Vec<Option<CompressedBlock>> = slots.iter().map(|_| None).collect();
         // (result index, shard, offset, frame_len): the blocking reads.
@@ -1312,88 +1319,22 @@ impl BlockStore for SpillStore {
         for (i, blk) in self.read_blocking(&inner, &mut reads) {
             out[i] = Some(blk?);
         }
+        drop(inner);
+        if planned {
+            self.stage_ahead();
+        }
         Ok(out
             .into_iter()
             .map(|b| b.expect("every requested slot fetched"))
             .collect())
     }
 
-    /// Reserve the spilled frames among `slots` (up to the staging
-    /// budget) and hand them to the background fetchers, one job per
-    /// shard so distinct shards are read concurrently. No-op when
-    /// prefetching is off.
-    fn prefetch(&self, slots: &[usize]) {
-        if !self.prefetch_on {
-            return;
-        }
-        let mut inner = self.shared.lock();
-        // (shard, frame) picks within the staging budget.
-        let mut picks: Vec<(u32, FrameAt)> = Vec::new();
-        for &slot in slots {
-            if inner.staged.len() + inner.pending.len() + picks.len() >= self.cap {
-                break;
-            }
-            if inner.staged.contains_key(&slot)
-                || inner.pending.contains(&slot)
-                || picks.iter().any(|(_, f)| f.slot == slot)
-            {
-                continue;
-            }
-            if let Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                ..
-            } = inner.slots[slot]
-            {
-                picks.push((
-                    shard,
-                    FrameAt {
-                        slot,
-                        offset,
-                        frame_len,
-                    },
-                ));
-            }
-        }
-        if picks.is_empty() {
-            return;
-        }
-        // Split per shard, snapshotting each shard's handle under the
-        // same lock as the offsets: a later compaction swaps in a new
-        // segment file, but these clones keep addressing the inodes the
-        // offsets were taken from.
-        picks.sort_unstable_by_key(|&(shard, f)| (shard, f.offset));
-        let mut queued = 0usize;
-        let mut start = 0usize;
-        while start < picks.len() {
-            let shard = picks[start].0;
-            let end = start
-                + picks[start..]
-                    .iter()
-                    .take_while(|(s, _)| *s == shard)
-                    .count();
-            let file = Arc::clone(&inner.shards[shard as usize].file);
-            let frames: Vec<FrameAt> = picks[start..end].iter().map(|&(_, f)| f).collect();
-            for f in &frames {
-                inner.pending.insert(f.slot);
-            }
-            inner.fetch_jobs.push_back(FetchJob { file, frames });
-            queued += 1;
-            start = end;
-        }
-        drop(inner);
-        for _ in 0..queued {
-            self.shared.fetch_work.notify_one();
-        }
-    }
-
     fn plan_accesses(&self, upcoming: &[usize]) {
-        self.shared.lock().policy.note_plan(upcoming);
+        self.shared.lock().window.plan(upcoming);
     }
 
     fn wants_plan(&self) -> bool {
-        self.eviction == Eviction::PlannedMin
+        self.prefetch_on || self.eviction == Eviction::PlannedMin
     }
 
     fn flush(&self) -> Result<(), SimError> {
@@ -1815,9 +1756,9 @@ pub(crate) fn rank_stores(
 /// Test-only instrumented store shim: records the exact slot order of
 /// every logical access (`take`/`peek`/`fetch_many`) a worker issues, so
 /// the engine's property suite can pin the schedule's `AccessPlan`
-/// against what a wave actually touched. Prefetch hints are deliberately
+/// against what a wave actually touched. Plan windows are deliberately
 /// *not* recorded — they are advisory, and the plan must match the
-/// blocking access stream, not the hints derived from it.
+/// access stream, not the window announced ahead of it.
 #[cfg(test)]
 pub(crate) mod trace {
     use super::*;
@@ -1881,12 +1822,8 @@ pub(crate) mod trace {
             self.inner.fetch_many(slots)
         }
 
-        fn prefetch(&self, slots: &[usize]) {
-            self.inner.prefetch(slots);
-        }
-
-        // Plan windows are advisory, like prefetch hints: forwarded to the
-        // wrapped store but *not* recorded in the access log.
+        // Plan windows are advisory: forwarded to the wrapped store but
+        // *not* recorded in the access log.
         fn plan_accesses(&self, upcoming: &[usize]) {
             self.inner.plan_accesses(upcoming);
         }
@@ -2075,10 +2012,10 @@ mod tests {
         );
         // MemStore honors the same contract through the default impl.
         let m = MemStore::new(vec![Some(blk(1, 10)), Some(blk(2, 20))]);
+        m.plan_accesses(&[1, 0]); // default no-op
         let got = m.fetch_many(&[1, 0]).unwrap();
         assert_eq!(got[0].len(), 20);
         assert_eq!(got[1].len(), 10);
-        m.prefetch(&[0]); // default no-op
     }
 
     #[test]
@@ -2099,7 +2036,10 @@ mod tests {
         )
         .unwrap();
         // Slots 0..=3 are spilled (cap 2 keeps only the last two puts).
-        s.prefetch(&[0, 1]);
+        // Consuming the resident slot 5 of the window stages the next
+        // budget of it, the spilled 0 and 1.
+        s.plan_accesses(&[5, 0, 1]);
+        let b5 = s.take(5).unwrap();
         // Let the background read complete so consumption is overlapped
         // (a fetch that arrives while the read is in flight waits and is
         // accounted as blocking instead).
@@ -2115,7 +2055,7 @@ mod tests {
             0,
             "nothing should have blocked"
         );
-        // A non-prefetched spilled slot still blocks (a miss).
+        // A spilled slot outside the window still blocks (a miss).
         let b2 = s.take(2).unwrap();
         assert_eq!(&b2.bytes[..], &blk(2, 66).bytes[..]);
         assert_eq!(metrics.breakdown().prefetch_misses, 1);
@@ -2123,11 +2063,13 @@ mod tests {
         s.put(0, b0).unwrap();
         s.put(1, b1).unwrap();
         s.put(2, b2).unwrap();
+        s.put(5, b5).unwrap();
         // Fetch total is exactly hits + misses.
         let b = metrics.breakdown();
         assert_eq!(b.fetches, b.prefetch_hits + b.prefetch_misses);
-        // Hints about resident or already-staged slots are absorbed.
-        s.prefetch(&[0, 1, 2, 3, 4, 5]);
+        // Windows over resident or already-staged slots are absorbed.
+        s.plan_accesses(&[0, 1, 2, 3, 4, 5]);
+        s.peek(0).unwrap();
         drop(s); // joins the fetcher cleanly with requests possibly queued
     }
 
@@ -2149,11 +2091,22 @@ mod tests {
             },
         )
         .unwrap();
-        // Hint far more spilled slots than the budget: at most `cap` may
-        // ever be staged or in flight, so hits are bounded by cap.
+        // Plan far more spilled slots than the budget: consuming the
+        // resident slot 11 stages the first `cap` of them, and jumping the
+        // cursor past those (a planned take of `all[cap]`) stages nothing
+        // more while they sit unconsumed. At most `cap` may ever be staged
+        // or in flight, so hits are bounded by cap.
         let all: Vec<usize> = (0..n - cap).collect();
-        s.prefetch(&all);
+        let window: Vec<usize> = std::iter::once(n - 1).chain(all.iter().copied()).collect();
+        s.plan_accesses(&window);
+        let last = s.take(n - 1).unwrap();
         s.debug_wait_staged();
+        let jumped = s.take(all[cap]).unwrap();
+        s.debug_wait_staged();
+        s.put(all[cap], jumped).unwrap();
+        s.put(n - 1, last).unwrap();
+        // The wave is over: the reads below are unplanned.
+        s.plan_accesses(&[]);
         for &slot in &all {
             let b = s.take(slot).unwrap();
             assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
@@ -2300,33 +2253,120 @@ mod tests {
 
     #[test]
     fn planned_min_prefers_furthest_next_use() {
-        let mut p = PlannedMin::default();
+        let mut p = Window::new(Eviction::PlannedMin);
         // Plan: 0 1 2 0 1. Residents (slot, stamp): 0, 1, 2 — slot 2 has
         // no use after its first, slot 0 recurs soonest.
-        p.note_plan(&[0, 1, 2, 0, 1]);
+        p.plan(&[0, 1, 2, 0, 1]);
         // Consume the first round so the window is the `0 1` tail.
-        p.note_access(0);
-        p.note_access(1);
-        p.note_access(2);
+        p.advance(0);
+        p.advance(1);
+        p.advance(2);
         let residents = [(0usize, 10u64), (1, 11), (2, 12)];
         // Slot 2 is never used again: the unique MIN victim.
-        assert_eq!(p.pick_victim(&residents), Some(2));
+        assert_eq!(p.victim(&residents), Some(2));
         // Without slot 2, slot 1's next use (pos 4) is after slot 0's
         // (pos 3).
-        assert_eq!(p.pick_victim(&residents[..2]), Some(1));
+        assert_eq!(p.victim(&residents[..2]), Some(1));
     }
 
     #[test]
     fn planned_min_empty_window_is_lru() {
-        let mut p = PlannedMin::default();
+        let mut p = Window::new(Eviction::PlannedMin);
         let residents = [(3usize, 7u64), (1, 2), (4, 9)];
-        assert_eq!(p.pick_victim(&residents), lru_victim(&residents));
-        assert_eq!(p.pick_victim(&residents), Some(1));
+        let lru = Window::new(Eviction::Lru).victim(&residents);
+        assert_eq!(p.victim(&residents), lru);
+        assert_eq!(p.victim(&residents), Some(1));
         // A fully consumed window degrades the same way.
-        p.note_plan(&[3, 1]);
-        p.note_access(3);
-        p.note_access(1);
-        assert_eq!(p.pick_victim(&residents), Some(1));
+        p.plan(&[3, 1]);
+        p.advance(3);
+        p.advance(1);
+        assert_eq!(p.victim(&residents), Some(1));
+    }
+
+    #[test]
+    fn an_lru_store_ignores_the_window() {
+        // cap 2, 3 slots: seeding evicts slot 0, leaving residents 1 and
+        // 2 (stamps 2 and 3). The window names 1 again and 2 never, so
+        // when the put of 0 overflows the budget MIN evicts 2 while LRU
+        // evicts 1, the least recently touched.
+        let evicted = |eviction: Eviction| {
+            let s = SpillStore::create_with(
+                &tmp_dir(&format!("lru-window-{}", eviction.name())),
+                "r0",
+                2,
+                Metrics::new(),
+                (0..3).map(|i| Some(blk(i as u8, 64))).collect(),
+                SpillOptions {
+                    prefetch: true,
+                    eviction,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert!(s.wants_plan());
+            s.plan_accesses(&[0, 1]);
+            let b0 = s.take(0).unwrap();
+            s.put(0, b0).unwrap();
+            let inner = s.shared.lock();
+            let spilled = |slot: usize| matches!(inner.slots[slot], Slot::Spilled { .. });
+            (0..3).filter(|&slot| spilled(slot)).collect::<Vec<_>>()
+        };
+        assert_eq!(evicted(Eviction::PlannedMin), vec![2]);
+        assert_eq!(evicted(Eviction::Lru), vec![1]);
+    }
+
+    /// The slots a store has staged, once its fetchers are idle.
+    fn staged(s: &SpillStore) -> Vec<usize> {
+        s.debug_wait_staged();
+        let mut staged: Vec<usize> = s.shared.lock().staged.keys().copied().collect();
+        staged.sort_unstable();
+        staged
+    }
+
+    #[test]
+    fn planned_consumption_stages_the_next_budget_of_window_slots() {
+        // 12 blocks under a budget of 3: slots 0..=8 are spilled, 9..=11
+        // resident. The window never names 6, 7 or 8.
+        let (n, cap) = (12usize, 3usize);
+        let w = [0usize, 9, 1, 10, 2, 3, 11, 4, 5];
+        let store = |name: &str, prefetch: bool| {
+            SpillStore::create_with(
+                &tmp_dir(name),
+                "r0",
+                cap,
+                Metrics::new(),
+                (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
+                SpillOptions {
+                    prefetch,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        // After `fetch_many(&w[..c])` the staged set is exactly the
+        // spilled slots among `w[c..c + cap]`.
+        for c in 1..=w.len() {
+            let s = store(&format!("stage-{c}"), true);
+            s.plan_accesses(&w);
+            let _ = s.fetch_many(&w[..c]).unwrap();
+            let mut want: Vec<usize> = w[c..w.len().min(c + cap)]
+                .iter()
+                .copied()
+                .filter(|&slot| slot < n - cap)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(staged(&s), want, "after consuming {:?}", &w[..c]);
+        }
+        // An unplanned peek stages nothing.
+        let s = store("stage-peek", true);
+        s.plan_accesses(&w);
+        s.peek(6).unwrap();
+        assert_eq!(staged(&s), Vec::<usize>::new());
+        // Nor does a store with prefetching off.
+        let s = store("stage-off", false);
+        s.plan_accesses(&w);
+        let _ = s.fetch_many(&w[..2]).unwrap();
+        assert_eq!(staged(&s), Vec::<usize>::new());
     }
 
     /// Ground-truth next use of `slot` in `seq[from..]`.
@@ -2344,19 +2384,19 @@ mod tests {
             seq in proptest::collection::vec(0usize..8, 1..48),
             cap in 1usize..4,
         ) {
-            let mut p = PlannedMin::default();
-            p.note_plan(&seq);
+            let mut p = Window::new(Eviction::PlannedMin);
+            p.plan(&seq);
             let mut residents: Vec<(usize, u64)> = Vec::new();
             let mut stamp = 0u64;
             for (t, &slot) in seq.iter().enumerate() {
-                p.note_access(slot);
+                p.advance(slot);
                 stamp += 1;
                 if let Some(r) = residents.iter_mut().find(|r| r.0 == slot) {
                     r.1 = stamp;
                     continue;
                 }
                 if residents.len() == cap {
-                    let v = p.pick_victim(&residents).unwrap();
+                    let v = p.victim(&residents).unwrap();
                     // None = never used again = usize::MAX distance.
                     let dist = |s: usize| {
                         next_use_in(&seq, t + 1, s).unwrap_or(usize::MAX)
@@ -2376,8 +2416,8 @@ mod tests {
             }
         }
 
-        // Satellite: with no plan window at all, `PlannedMin` reproduces
-        // exact LRU ordering on every resident set.
+        // Satellite: with no plan window at all, MIN reproduces exact LRU
+        // ordering on every resident set.
         #[test]
         fn planned_min_without_plan_degrades_to_lru(
             entries in proptest::collection::vec((0usize..64, 0u64..1_000), 1..12),
@@ -2390,10 +2430,10 @@ mod tests {
                 .filter(|(_, (slot, _))| seen.insert(*slot))
                 .map(|(i, (slot, stamp))| (slot, stamp * 16 + i as u64))
                 .collect();
-            let mut p = PlannedMin::default();
+            let mut p = Window::new(Eviction::PlannedMin);
             proptest::prop_assert_eq!(
-                p.pick_victim(&residents),
-                lru_victim(&residents)
+                p.victim(&residents),
+                Window::new(Eviction::Lru).victim(&residents)
             );
         }
     }
@@ -2619,8 +2659,10 @@ mod tests {
         .unwrap();
         s.flush_dirty().unwrap();
         let resident_only = s.resident_bytes();
-        // Stage two spilled blocks: both copies must appear.
-        s.prefetch(&[0, 1]);
+        // Stage two spilled blocks — a planned peek of the resident slot 4
+        // stages the window's next two: both copies must appear.
+        s.plan_accesses(&[4, 0, 1]);
+        s.peek(4).unwrap();
         s.debug_wait_staged();
         assert_eq!(s.resident_bytes(), resident_only + 2 * 1024);
         // Park a dirty block behind a failing writer: still in memory,

@@ -36,11 +36,11 @@
 //!   charged like the recompression it replays, and hits and misses are
 //!   counted in the rank's metrics like any other cycle;
 //! - **one mutating wave walker**, `RankWorker::walk`: announce the plan →
-//!   [`PlanCursor`] chunk → `fetch_many` → prefetch hint → one unit on the
-//!   calling thread or many across rayon → merge metrics → `put`. Pair
-//!   waves, batch waves, collapse and recompress are each a unit list —
-//!   read off the [`Layout`] slot functions the schedule's `AccessPlan`
-//!   is built from too — and a cycle closure handed to it;
+//!   chunk → `fetch_many` → one unit on the calling thread or many across
+//!   rayon → merge metrics → `put`. Pair waves, batch waves, collapse and
+//!   recompress are each a unit list — read off the [`Layout`] slot
+//!   functions the schedule's `AccessPlan` is built from too — and a
+//!   cycle closure handed to it;
 //!   `RankWorker::map_blocks` is its read-only twin for queries (peeks
 //!   instead of takes, no write-back).
 //!
@@ -69,16 +69,16 @@
 //!  │  ::handle(cmd) │  │  ::handle(cmd) │             (its event loop)
 //!  │                │  │                │
 //!  │ Gate/Batch/Collapse/Recompress — `walk`          §3.2 block cycle
-//!  │ takes the wave's planned units, one              on the rank's own
-//!  │ residency-budget chunk at a time:                memory (MCDRAM
-//!  │  fetch_many(chunk k)   coalesced reads           scratch); the
-//!  │  ─▶ prefetch(chunk k+1) ─▶ Cycle::block          prefetch hint is
-//!  │  or ::pair: decode_block (length checked)        the paper's MPI
-//!  │  ─▶ kernel ─▶ recompress ─▶ store.put            overlap aimed at
-//!  │  (the wave's last chunk prefetches the           disk: a recv
-//!  │  *next* wave's first slots — the facade's        posted before the
-//!  │  AccessPlan lookahead — so wave boundaries       wave that needs it
-//!  │  overlap too)  │  │                │
+//!  │ announces its units + the lookahead              on the rank's own
+//!  │ (plan_accesses), then one residency-             memory (MCDRAM
+//!  │ budget chunk at a time:                          scratch); staging
+//!  │  fetch_many(chunk k)   coalesced reads;          along the window
+//!  │    the store stages the window's next budget     is the paper's MPI
+//!  │  ─▶ Cycle::block or ::pair: decode_block         overlap aimed at
+//!  │  (length checked) ─▶ kernel ─▶ recompress        disk: a recv
+//!  │  ─▶ store.put (after the last chunk the          posted before the
+//!  │  window holds the *next* wave's first slots,     wave that needs it
+//!  │  so wave boundaries overlap too)  │
 //!  │                │  │                │
 //!  │ Exchange:      │◀─┼─ Duplex link ─▶│             MPI_Sendrecv of
 //!  │  leader recv/  │  │ follower sends │             compressed blocks
@@ -89,7 +89,7 @@
 //!  │  Weights/Zz:   │  │ a mutation: one│             an MPI_Allreduce,
 //!  │  read from the │  │ map_blocks walk│             its operand kept
 //!  │  QuerySummary /│  │ (read-only,    │             per frozen state;
-//!  │  per-qubit memo│  │ PlanCursor-    │             any mutating
+//!  │  per-qubit memo│  │ planned and    │             any mutating
 //!  │  — no decode   │  │ chunked) fills │             command drops it
 //!  │                │  │ it; Gate..Re-  │
 //!  │                │  │ compr. drop it │
@@ -133,16 +133,17 @@
 //!
 //! Block storage is behind the [`BlockStore`] seam: a worker never holds
 //! raw block tables, so the same pipeline runs all-in-RAM (`MemStore`) or
-//! out-of-core (`SpillStore`, hot blocks resident under an LRU budget,
-//! cold blocks in per-rank segment files). Gate, batch, recompress and
-//! collapse waves (`walk`) and query waves (`map_blocks`) all take their
-//! planned slot lists through a [`PlanCursor`]: each chunk (at most a
-//! residency budget of blocks) is pulled with one coalesced
-//! [`BlockStore::fetch_many`], and before the chunk computes the cursor hints the store at the chunk after it — or,
-//! on a wave's last chunk, at the next wave's first slots, delivered by
-//! the facade from the schedule's `AccessPlan` — so a spilling store
-//! streams the upcoming blocks off disk in the background instead of
-//! blocking the wave on a seek-and-read per block.
+//! out-of-core (`SpillStore`, hot blocks resident under a budget, cold
+//! blocks in per-rank segment files). Every planned wave — gate, batch,
+//! recompress and collapse (`walk`), exchange, and query (`map_blocks`) —
+//! makes one planning call, [`BlockStore::plan_accesses`] with its
+//! ordered slots and the next wave's first slots (the facade's
+//! `AccessPlan` lookahead), then consumes those slots in order, a chunk
+//! of at most a residency budget at a time, each with one coalesced
+//! [`BlockStore::fetch_many`]. A spilling store stages the budget of
+//! slots after each consumption in the background, so the upcoming
+//! blocks stream off disk instead of blocking the wave on a
+//! seek-and-read per block.
 //!
 //! # The compressed exchange
 //!
@@ -177,9 +178,10 @@ use std::time::{Duration, Instant};
 pub(crate) type BlockMsg = (usize, CompressedBlock);
 
 /// The next wave's first planned block slots for this rank, handed down
-/// by the facade from the schedule's `AccessPlan` so a wave's last chunk
-/// can prefetch across the wave boundary. `None` when the run is not
-/// planned (no schedule, prefetch off, or an unplanned wave follows).
+/// by the facade from the schedule's `AccessPlan` and appended to the
+/// window the wave announces, so a prefetching store stages across the
+/// wave boundary. `None` when the run is not planned (no schedule,
+/// prefetch off, or an unplanned wave follows).
 pub(crate) type Lookahead = Option<Arc<Vec<usize>>>;
 
 /// One (possibly controlled) single-qubit gate wave, pre-routed by the
@@ -429,69 +431,6 @@ const MIN_SEGMENT_F64: usize = 4096;
 /// its in-order fold (see [`RankWorker::map_blocks`]).
 const QUERY_CHUNK_BLOCKS: usize = 256;
 
-/// Walks one wave's planned unit list in residency-budget chunks — the
-/// single place wave chunking lives, shared by gate, batch, recompress,
-/// collapse, and query waves.
-///
-/// Protocol per chunk: the worker pulls the chunk's blocks with one
-/// coalesced [`BlockStore::fetch_many`] (or peeks, for read-only waves),
-/// then calls [`PlanCursor::hint_upcoming`] so the store's background
-/// fetcher starts on the *next* chunk — or, once the wave is drained, on
-/// the next wave's first slots (the facade's `AccessPlan` lookahead) —
-/// while the current chunk computes. The hint goes out after the fetch on
-/// purpose: consuming the current chunk frees the store's staging budget
-/// for exactly the blocks being hinted.
-pub(crate) struct PlanCursor<'a, U> {
-    units: &'a [U],
-    chunk_len: usize,
-    pos: usize,
-}
-
-impl<'a, U> PlanCursor<'a, U> {
-    pub(crate) fn new(units: &'a [U], chunk_len: usize) -> Self {
-        Self {
-            units,
-            chunk_len: chunk_len.max(1),
-            pos: 0,
-        }
-    }
-
-    /// The next chunk of units to fetch and compute, or `None` when the
-    /// wave is drained.
-    pub(crate) fn next_chunk(&mut self) -> Option<&'a [U]> {
-        if self.pos >= self.units.len() {
-            return None;
-        }
-        let end = (self.pos + self.chunk_len).min(self.units.len());
-        let chunk = &self.units[self.pos..end];
-        self.pos = end;
-        Some(chunk)
-    }
-
-    /// Hint the store at what the wave touches next: the upcoming chunk's
-    /// slots (extracted by `slots_of`), or `lookahead` when this wave has
-    /// no chunks left.
-    pub(crate) fn hint_upcoming(
-        &self,
-        store: &dyn BlockStore,
-        lookahead: Option<&[usize]>,
-        slots_of: impl Fn(&U, &mut Vec<usize>),
-    ) {
-        let end = (self.pos + self.chunk_len).min(self.units.len());
-        if self.pos < end {
-            let mut slots = Vec::with_capacity(end - self.pos);
-            for u in &self.units[self.pos..end] {
-                slots_of(u, &mut slots);
-            }
-            store.prefetch(&slots);
-        } else if let Some(next) = lookahead {
-            if !next.is_empty() {
-                store.prefetch(next);
-            }
-        }
-    }
-}
-
 /// The per-rank execution unit: owns its rank's blocks (through a
 /// [`BlockStore`] tier) and shares the codec, cache, and metrics sinks
 /// with every other rank.
@@ -614,21 +553,14 @@ impl RankWorker {
 
     /// Announce a wave's ordered slot accesses — the wave's own planned
     /// order with the next wave's `AccessPlan` lookahead appended — to a
-    /// plan-consuming store (Belady MIN keys eviction on the window).
-    /// Skipped entirely when the store ignores plans, so LRU and
+    /// store that reads plans (it stages along the window, and MIN picks
+    /// victims by it). Skipped when the store ignores plans, so
     /// all-resident runs build no window.
-    fn announce_plan(&self, wave_slots: &[usize], lookahead: Option<&[usize]>) {
-        if !self.store.wants_plan() {
-            return;
-        }
-        match lookahead {
-            Some(next) if !next.is_empty() => {
-                let mut window = Vec::with_capacity(wave_slots.len() + next.len());
-                window.extend_from_slice(wave_slots);
-                window.extend_from_slice(next);
-                self.store.plan_accesses(&window);
-            }
-            _ => self.store.plan_accesses(wave_slots),
+    fn announce_plan(&self, wave_slots: impl IntoIterator<Item = usize>, lookahead: &Lookahead) {
+        if self.store.wants_plan() {
+            let next = lookahead.iter().flat_map(|l| l.iter().copied());
+            let window: Vec<usize> = wave_slots.into_iter().chain(next).collect();
+            self.store.plan_accesses(&window);
         }
     }
 
@@ -733,17 +665,17 @@ impl RankWorker {
     /// The one mutating wave walker: run `cycle` over every unit of a
     /// wave — `N` blocks in, `N` blocks out — and write the results back.
     ///
-    /// The wave's planned slots are announced to a plan-consuming store,
-    /// then walked through a [`PlanCursor`] so at most the store's
-    /// residency budget of blocks is in flight at once: each chunk is one
-    /// coalesced [`BlockStore::fetch_many`], the next chunk (or, on the
-    /// last one, the next wave's `lookahead`) prefetches while this one
-    /// computes, the chunk's units stripe across rayon, and their metrics
-    /// and blocks are merged and put back in unit order. A chunk of one
-    /// unit runs on the calling thread and is told so (`wide`), so a rank
-    /// with one big block still uses its whole rayon width inside the
-    /// kernel. Per-worker scratch comes from the codec's pool inside the
-    /// cycle.
+    /// The wave's planned slots are announced to a store that reads
+    /// plans, then walked in chunks so at most the store's residency
+    /// budget of blocks is in flight at once: each chunk is one coalesced
+    /// [`BlockStore::fetch_many`] (after which a prefetching store stages
+    /// along the window — the next chunk, or on the last one the next
+    /// wave's `lookahead` — while this one computes), the chunk's units
+    /// stripe across rayon, and their metrics and blocks are merged and
+    /// put back in unit order. A chunk of one unit runs on the calling
+    /// thread and is told so (`wide`), so a rank with one big block still
+    /// uses its whole rayon width inside the kernel. Per-worker scratch
+    /// comes from the codec's pool inside the cycle.
     fn walk<const N: usize, T: Sync>(
         &self,
         units: &[([usize; N], T)],
@@ -755,21 +687,11 @@ impl RankWorker {
             ) -> Result<([CompressedBlock; N], CycleStats), SimError>
             + Sync,
     ) -> Result<WaveOut, SimError> {
-        let lookahead = lookahead.as_ref().map(|v| v.as_slice());
-        let unit_slots = |u: &([usize; N], T), out: &mut Vec<usize>| out.extend_from_slice(&u.0);
-        let flat = |units: &[([usize; N], T)]| {
-            let mut slots = Vec::with_capacity(units.len() * N);
-            units.iter().for_each(|u| unit_slots(u, &mut slots));
-            slots
-        };
-        if self.store.wants_plan() {
-            self.announce_plan(&flat(units), lookahead);
-        }
+        self.announce_plan(units.iter().flat_map(|u| u.0), lookahead);
         let mut lossy = false;
-        let mut cursor = PlanCursor::new(units, (self.flight_budget() / N).max(1));
-        while let Some(chunk) = cursor.next_chunk() {
-            let mut fetched = self.store.fetch_many(&flat(chunk))?.into_iter();
-            cursor.hint_upcoming(self.store.as_ref(), lookahead, unit_slots);
+        for chunk in units.chunks((self.flight_budget() / N).max(1)) {
+            let slots: Vec<usize> = chunk.iter().flat_map(|u| u.0).collect();
+            let mut fetched = self.store.fetch_many(&slots)?.into_iter();
             let wide = chunk.len() == 1;
             let taken: Vec<_> = chunk
                 .iter()
@@ -811,17 +733,24 @@ impl RankWorker {
     // --- inter-rank exchange ---------------------------------------------
 
     fn exchange(&mut self, mut cmd: ExchangeCmd) -> Result<WaveOut, SimError> {
-        let out = match std::mem::replace(&mut cmd.role, ExchangeRole::Idle) {
+        match std::mem::replace(&mut cmd.role, ExchangeRole::Idle) {
             ExchangeRole::Idle => Ok(self.wave_out(false)),
             ExchangeRole::Follow(link) => self.exchange_follow(&cmd, link),
             ExchangeRole::Lead(link) => self.exchange_lead(&cmd, link),
-        };
-        // The exchange is this wave's last (only) chunk: start on the next
-        // wave's planned slots while the facade gathers.
-        if let (Ok(_), Some(next)) = (&out, &cmd.lookahead) {
-            self.store.prefetch(next);
         }
-        out
+    }
+
+    /// The next block off an exchange link, which must be `due`: both
+    /// sides stream in the order of the selected blocks, and a block
+    /// index from a socket is a peer's bytes, not a slot to index with.
+    fn recv_due(link: &Duplex<BlockMsg>, due: usize) -> Result<CompressedBlock, SimError> {
+        match link.recv() {
+            Some((b, blk)) if b == due => Ok(blk),
+            Some((b, _)) => Err(SimError::Exchange(format!(
+                "peer sent block {b} where block {due} was due"
+            ))),
+            None => Err(SimError::Exchange("peer rank failed mid-exchange".into())),
+        }
     }
 
     /// Follower side: stream every selected compressed block to the
@@ -837,7 +766,7 @@ impl RankWorker {
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
         let sel: Vec<usize> = self.layout.selected_blocks(cmd.block_cmask).collect();
-        self.announce_plan(&sel, cmd.lookahead.as_ref().map(|v| v.as_slice()));
+        self.announce_plan(sel.iter().copied(), &cmd.lookahead);
         // Stream in residency-budget chunks: each chunk is one coalesced
         // fetch, and the sent payloads live in the link's buffer (the MPI
         // send-buffer allowance) — the follower never materializes more
@@ -850,10 +779,8 @@ impl RankWorker {
                 }
             }
         }
-        for _ in &sel {
-            let (b, blk) = link
-                .recv()
-                .ok_or_else(|| SimError::Exchange("peer rank failed mid-exchange".into()))?;
+        for &b in &sel {
+            let blk = Self::recv_due(&link, b)?;
             self.store.put(b, blk)?;
         }
         // The wait above is overlap with the leader's compute; the leader
@@ -870,20 +797,13 @@ impl RankWorker {
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
         let sel: Vec<usize> = self.layout.selected_blocks(cmd.block_cmask).collect();
-        self.announce_plan(&sel, cmd.lookahead.as_ref().map(|v| v.as_slice()));
-        // The leader takes its own block once per received partner block:
-        // stage them ahead so those takes ride the background fetcher
-        // instead of blocking between pair updates.
-        self.store.prefetch(&sel);
+        self.announce_plan(sel.iter().copied(), &cmd.lookahead);
         let cycle = self.cycle(cmd.bound);
         let mut lossy = false;
         for &b in &sel {
             let t = Instant::now();
-            let (pb, partner) = link
-                .recv()
-                .ok_or_else(|| SimError::Exchange("peer rank failed mid-exchange".into()))?;
+            let partner = Self::recv_due(&link, b)?;
             self.metrics.add(Phase::Communication, t.elapsed());
-            debug_assert_eq!(pb, b, "exchange block order diverged");
             let own = self.store.take(b)?;
             let inbound = partner.len() as u64;
 
@@ -957,10 +877,10 @@ impl RankWorker {
     }
 
     /// Map every local block through read-only `f`, handing the per-block
-    /// outputs to `fold` strictly in block order. Query waves walk the
-    /// same [`PlanCursor`] as the mutating ones: chunked to the residency
+    /// outputs to `fold` strictly in block order. Query waves are planned
+    /// and chunked like the mutating ones: chunked to the residency
     /// budget (spilled blocks are peeked from disk without displacing hot
-    /// ones), the next chunk prefetching while the current one reduces,
+    /// ones), staging along the window while the current chunk reduces,
     /// striped across rayon inside each chunk. At most
     /// [`QUERY_CHUNK_BLOCKS`] outputs are in flight between `f` and
     /// `fold`, whatever the store's budget; chunking never reorders the
@@ -971,14 +891,12 @@ impl RankWorker {
         mut fold: impl FnMut(usize, T),
     ) -> Result<(), SimError> {
         let all: Vec<usize> = self.layout.selected_blocks(0).collect();
-        self.announce_plan(&all, None);
-        let mut cursor = PlanCursor::new(&all, self.flight_budget().min(QUERY_CHUNK_BLOCKS));
-        while let Some(chunk) = cursor.next_chunk() {
-            let mut peeked = Vec::with_capacity(chunk.len());
-            for &b in chunk {
-                peeked.push((b, self.store.peek(b)?));
-            }
-            cursor.hint_upcoming(self.store.as_ref(), None, |&b, out| out.push(b));
+        self.announce_plan(all.iter().copied(), &None);
+        for chunk in all.chunks(self.flight_budget().min(QUERY_CHUNK_BLOCKS)) {
+            let peeked: Vec<_> = chunk
+                .iter()
+                .map(|&b| Ok((b, self.store.peek(b)?)))
+                .collect::<Result<_, SimError>>()?;
             let results: Result<Vec<T>, SimError> =
                 peeked.into_par_iter().map(|(b, blk)| f(b, &blk)).collect();
             for (&b, out) in chunk.iter().zip(results?) {
@@ -1324,7 +1242,55 @@ impl Cycle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MemStore;
+    use qcs_cluster::exec::{duplex, Worker};
     use qcs_compress::CodecId;
+
+    /// The test plays the exchange peer of a rank of two blocks, [0, 1],
+    /// both sides streaming in that order: a peer whose block indices
+    /// leave the range, repeat, or come out of order ends the wave in an
+    /// `Err`, on the leader and on the follower, and panics nothing.
+    #[test]
+    fn exchange_block_indices_from_the_peer_are_checked() {
+        let layout = Layout::new(5, 1, 3);
+        let codec = Arc::new(BlockCodec::new(CodecId::SolutionC));
+        let zero = codec
+            .compress(&vec![0.0; 2 * layout.block_amps()], ErrorBound::Lossless)
+            .unwrap();
+        for sent in [[1usize << 40, 1], [0, 0], [1, 0]] {
+            for lead in [true, false] {
+                let blocks = vec![Some(zero.clone()), Some(zero.clone())];
+                let mut worker = RankWorker::new(
+                    usize::from(!lead),
+                    layout,
+                    Arc::clone(&codec),
+                    Arc::new(BlockCache::new(0)),
+                    Metrics::new(),
+                    Box::new(MemStore::new(blocks)),
+                );
+                let (link, peer) = duplex();
+                for b in sent {
+                    assert!(peer.send((b, zero.clone())));
+                }
+                let role = match lead {
+                    true => ExchangeRole::Lead(link),
+                    false => ExchangeRole::Follow(link),
+                };
+                let out = worker.handle(WorkerCmd::Exchange(ExchangeCmd {
+                    gate: Gate1::h(),
+                    offset_cmask: 0,
+                    block_cmask: 0,
+                    bound: ErrorBound::Lossless,
+                    role,
+                    lookahead: None,
+                }));
+                match out {
+                    Err(SimError::Exchange(msg)) => assert!(msg.contains("was due"), "{msg}"),
+                    other => panic!("peer sent {sent:?}, lead {lead}: {other:?}"),
+                }
+            }
+        }
+    }
 
     /// Equal gates at equal places under an equal bound share a key; the
     /// gates' order and places, the bound — kind and magnitude — and the

@@ -2,8 +2,9 @@
 //! threads hammer `take`/`put`/`fetch_many` on disjoint slot ranges of
 //! one 4-shard [`SpillStore`] (with prefetch *and* write-behind threads
 //! running) while a fifth thread floods the advisory surface —
-//! `prefetch`, `plan_accesses` — across the whole store, including slots
-//! other threads are actively moving.
+//! `plan_accesses` windows across the whole store, which the owners'
+//! takes consume and stage along — including slots other threads are
+//! actively moving.
 //!
 //! Contracts pinned:
 //! - no deadlock and no panic under contention (the test finishing at
@@ -18,7 +19,7 @@
 //!
 //! Slot ownership is partitioned because the `BlockStore` contract
 //! forbids double-`take` of a slot without an intervening `put`; the
-//! advisory hints carry no such restriction and deliberately overlap.
+//! advisory windows carry no such restriction and deliberately overlap.
 
 use qcs_cluster::Metrics;
 use qcs_compress::{CodecId, ErrorBound};
@@ -86,6 +87,10 @@ fn sharded_spill_store_survives_concurrent_hammering() {
             let per = SLOTS / THREADS;
             let mine: Vec<usize> = (t * per..(t + 1) * per).collect();
             for version in 0..ITERS {
+                // Each version is a planned wave over the owner's range:
+                // its takes stage along the window (advisory traffic is
+                // legal at any time).
+                store.plan_accesses(&mine);
                 if version % 3 == 0 {
                     // Batched path: pull the whole range at once.
                     let got = store.fetch_many(&mine).expect("fetch_many");
@@ -102,20 +107,20 @@ fn sharded_spill_store_survives_concurrent_hammering() {
                         store.put(slot, payload(slot, version + 1)).expect("put");
                     }
                 }
-                // Advisory traffic from the owner is legal at any time.
-                store.prefetch(&mine);
             }
         }));
     }
 
-    // Hint flooder: advisory calls across ALL slots, overlapping the
-    // owners' take/put traffic. None of these may wedge or panic.
+    // Window flooder: windows across ALL slots, overlapping the owners'
+    // take/put traffic, whose takes then stage along them. None of these
+    // may wedge or panic.
     let flooder = {
         let store = Arc::clone(&store);
         std::thread::spawn(move || {
             let all: Vec<usize> = (0..SLOTS).collect();
             for round in 0..ITERS * 2 {
-                store.prefetch(&all[round % SLOTS..]);
+                store.plan_accesses(&all[round % SLOTS..]);
+                std::thread::yield_now();
                 store.plan_accesses(&all);
                 std::thread::yield_now();
             }
