@@ -3,7 +3,7 @@
 //!
 //! In the compressed-block simulator the dominant per-gate cost is the
 //! decompress → compute → recompress cycle (paper Table 2: the compression
-//! and decompression rows dwarf computation). Two circuit-level rewrites
+//! and decompression rows dwarf computation). Three circuit-level rewrites
 //! amortize that cycle without changing the simulated state:
 //!
 //! 1. **Fusion** — a run of consecutive single-qubit gates on the same
@@ -16,6 +16,20 @@
 //!    no data flow between blocks. Such runs group into a [`GateBatch`] so
 //!    the engine decompresses each block once per batch and applies every
 //!    batched gate to the scratch buffer before recompressing.
+//! 3. **Per-block phases** — a controlled `diag(1, λ)` gate (CZ, CPhase,
+//!    multi-controlled Z, a controlled T or S) whose qubits all sit at or
+//!    above `block_log2` needs no partner amplitude: it multiplies every
+//!    block whose high bits are all set by `λ`. The scheduler rewrites it
+//!    as `λ·I` on in-block qubit 0, controlled by every original qubit, so
+//!    it joins the batch on either side of it instead of running its own
+//!    inter-block pair wave or rank exchange. A `diag(d0, d1)` with
+//!    `d0 ≠ 1` (Rz) is not rewritten, and neither is an uncontrolled
+//!    phase (T, S, Z on one qubit): whether a single-qubit gate or fused
+//!    run is `diag(1, λ)` depends on the gate values, so rewriting it would
+//!    make the wave count, and with it the Eq. 11 fidelity ledger (one
+//!    `δ` per wave), differ between circuits of one shape (the seeds of a
+//!    random circuit, the angles of a variational one). Whether a
+//!    controlled gate is a phase is fixed by its kind.
 //!
 //! The scheduler is strictly order-preserving: every [`ScheduledOp`] covers
 //! a contiguous range of source-op indices and the ranges partition
@@ -34,7 +48,7 @@
 
 use crate::circuit::{Circuit, Op};
 use qcs_cluster::{Layout, Route};
-use qcs_statevec::{BatchGate, StateVector};
+use qcs_statevec::{BatchGate, Complex64, Gate1, StateVector};
 
 /// Upper limit on gates per batch: the engine tracks which batch members
 /// apply to a given block in a 64-bit selection mask.
@@ -54,8 +68,13 @@ pub struct FusionPolicy {
     /// Re-orient diagonal controlled-phase gates (`diag(1, e^{i theta})`
     /// targets: Z, S, T, Phase) onto their lowest qubit. Such gates are
     /// symmetric under control/target exchange, so the QFT's
-    /// high-target cphase cascades become intra-block (batchable) and
-    /// rank-crossing phase gates stop paying communication.
+    /// high-target cphase cascades become intra-block (batchable).
+    /// A controlled `diag(1, e^{i theta})` gate whose qubits all sit at or
+    /// above `block_log2 >= 1` then becomes a per-block phase:
+    /// `e^{i theta} * I` on qubit 0, controlled by every original qubit.
+    /// It joins a batch, so CZ and CPhase gates between block and rank
+    /// qubits stop paying a pair wave or communication. Uncontrolled
+    /// phases keep their target (see the module docs).
     pub retarget_diagonal: bool,
 }
 
@@ -79,8 +98,7 @@ impl FusionPolicy {
 /// True for matrices of the form `diag(1, lambda)` (bit-exact check): the
 /// controlled gate then acts as a phase on the all-ones subspace, making
 /// control and target roles interchangeable.
-fn is_diagonal_phase(g: &qcs_statevec::Gate1) -> bool {
-    use qcs_statevec::Complex64;
+fn is_diagonal_phase(g: &Gate1) -> bool {
     g.m[0][0] == Complex64::ONE && g.m[0][1] == Complex64::ZERO && g.m[1][0] == Complex64::ZERO
 }
 
@@ -109,6 +127,31 @@ fn retarget_diagonal(op: &mut BatchGate) {
     }
     op.target = lowest;
     op.controls.sort_unstable();
+}
+
+/// Rewrite a controlled `diag(1, lambda)` gate whose qubits all sit at or
+/// above the block split as `lambda * I` on in-block qubit 0, controlled by
+/// every original qubit (a no-op for other gates, for a gate without
+/// controls, and when `block_log2 == 0` leaves no in-block qubit).
+///
+/// Such a gate needs no partner amplitude: it scales every block whose
+/// high bits are all set by `lambda` and leaves the other blocks alone. The
+/// rewritten form routes in-block, so it joins the batch on either side of
+/// it instead of running its own inter-block pair wave or rank exchange.
+fn retarget_per_block(op: &mut BatchGate, block_log2: u32) {
+    let lowest = op.controls.iter().fold(op.target, |lo, &c| lo.min(c));
+    if op.controls.is_empty()
+        || block_log2 == 0
+        || (lowest as u32) < block_log2
+        || !is_diagonal_phase(&op.gate)
+    {
+        return;
+    }
+    let lambda = op.gate.m[1][1];
+    op.gate = Gate1::new(lambda, Complex64::ZERO, Complex64::ZERO, lambda);
+    op.controls.push(op.target);
+    op.controls.sort_unstable();
+    op.target = 0;
 }
 
 /// One (possibly fused) controlled single-qubit unitary plus the source
@@ -327,6 +370,7 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
                 let mut bg = BatchGate::controlled(gate.matrix(), vec![*control], *target);
                 if policy.retarget_diagonal {
                     retarget_diagonal(&mut bg);
+                    retarget_per_block(&mut bg, policy.block_log2);
                 }
                 pre.push(PreItem::Gate(FusedGate {
                     op: bg,
@@ -344,6 +388,7 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
                 let mut bg = BatchGate::controlled(gate.matrix(), controls.clone(), *target);
                 if policy.retarget_diagonal {
                     retarget_diagonal(&mut bg);
+                    retarget_per_block(&mut bg, policy.block_log2);
                 }
                 pre.push(PreItem::Gate(FusedGate {
                     op: bg,
@@ -617,7 +662,6 @@ impl AccessPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcs_statevec::Gate1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -726,6 +770,25 @@ mod tests {
         }
     }
 
+    /// Every (possibly fused) unitary of `s`, in program order.
+    fn emitted(s: &Schedule) -> Vec<&FusedGate> {
+        s.items()
+            .iter()
+            .flat_map(|i| match i {
+                ScheduledOp::Batch(b) => b.gates().iter().collect::<Vec<_>>(),
+                ScheduledOp::Gate(g) => vec![g],
+                ScheduledOp::Bare { .. } => vec![],
+            })
+            .collect()
+    }
+
+    fn targets_and_controls(s: &Schedule) -> Vec<(usize, Vec<usize>)> {
+        emitted(s)
+            .iter()
+            .map(|g| (g.op.target, g.op.controls.clone()))
+            .collect()
+    }
+
     #[test]
     fn diagonal_controlled_gates_retarget_to_lowest_qubit() {
         use qcs_statevec::GateKind;
@@ -738,31 +801,22 @@ mod tests {
             control: 6,
             target: 3,
         });
-        c.mcz(&[4, 6], 7); // multi-controlled Z: onto qubit 4
+        c.mcz(&[4, 6], 7); // multi-controlled Z above the block: a per-block -1
         let s = schedule_circuit(&c, &FusionPolicy::for_block(3));
-        let gates: Vec<&FusedGate> = s
-            .items()
-            .iter()
-            .flat_map(|i| match i {
-                ScheduledOp::Batch(b) => b.gates().iter().collect::<Vec<_>>(),
-                ScheduledOp::Gate(g) => vec![g],
-                ScheduledOp::Bare { .. } => vec![],
-            })
-            .collect();
-        let tc: Vec<(usize, Vec<usize>)> = gates
-            .iter()
-            .map(|g| (g.op.target, g.op.controls.clone()))
-            .collect();
+        let gates = emitted(&s);
         assert_eq!(
-            tc,
+            targets_and_controls(&s),
             vec![
                 (1, vec![6]),
                 (2, vec![7]),
                 (0, vec![5]),
                 (3, vec![6]),
-                (4, vec![6, 7]),
+                (0, vec![4, 6, 7]),
             ]
         );
+        let minus_one = -Complex64::ONE;
+        let minus_i = Gate1::new(minus_one, Complex64::ZERO, Complex64::ZERO, minus_one);
+        assert_eq!(gates[4].op.gate, minus_i);
         // Retargeted circuits stay observationally identical.
         let mut rng1 = StdRng::seed_from_u64(0);
         let mut rng2 = StdRng::seed_from_u64(0);
@@ -786,12 +840,118 @@ mod tests {
     }
 
     #[test]
+    fn per_block_phases_become_scalars_on_qubit_zero() {
+        use qcs_statevec::GateKind;
+        // n = 6, block_log2 = 2: qubits 2..5 sit above the block split.
+        let mut c = Circuit::new(6);
+        let controlled = |gate, control, target| Op::Controlled {
+            gate,
+            control,
+            target,
+        };
+        c.push(controlled(GateKind::T, 3, 5));
+        c.push(controlled(GateKind::S, 2, 4));
+        c.cz(5, 3).cphase(0.7, 4, 2).mcz(&[2, 5], 4);
+        // Uncontrolled phases keep their pair wave, as do gates that are
+        // not diag(1, lambda).
+        c.t(3);
+        c.push(Op::Single {
+            gate: GateKind::S,
+            target: 4,
+        });
+        c.z(5);
+        c.t(2).t(2); // a fused T·T run
+        c.rz(0.3, 3).h(4).x(5);
+        c.push(controlled(GateKind::Rz(0.4), 5, 4));
+
+        let t = Gate1::t().m[1][1];
+        let s_phase = GateKind::S.matrix().m[1][1];
+        let minus_one = GateKind::Z.matrix().m[1][1];
+        let cphase = GateKind::Phase(0.7).matrix().m[1][1];
+        let scalars = [
+            (vec![3, 5], t),
+            (vec![2, 4], s_phase),
+            (vec![3, 5], minus_one),
+            (vec![2, 4], cphase),
+            (vec![2, 4, 5], minus_one),
+        ];
+        let s = schedule_circuit(&c, &FusionPolicy::for_block(2));
+        let gates = emitted(&s);
+        let untouched = [
+            (Gate1::t(), 3, vec![]),
+            (GateKind::S.matrix(), 4, vec![]),
+            (GateKind::Z.matrix(), 5, vec![]),
+            (Gate1::t().matmul(&Gate1::t()), 2, vec![]),
+            (GateKind::Rz(0.3).matrix(), 3, vec![]),
+            (Gate1::h(), 4, vec![]),
+            (GateKind::X.matrix(), 5, vec![]),
+            (GateKind::Rz(0.4).matrix(), 4, vec![5]),
+        ];
+        assert_eq!(gates.len(), scalars.len() + untouched.len());
+        for (g, (controls, lambda)) in gates.iter().zip(&scalars) {
+            assert_eq!((g.op.target, &g.op.controls), (0, controls));
+            let z = Complex64::ZERO;
+            assert_eq!(
+                g.op.gate,
+                Gate1::new(*lambda, z, z, *lambda),
+                "{controls:?}"
+            );
+        }
+        for (g, (m, target, controls)) in gates[scalars.len()..].iter().zip(&untouched) {
+            assert_eq!((g.op.target, &g.op.controls), (*target, controls));
+            assert_eq!(&g.op.gate, m);
+        }
+        // The five controlled phases share one batch; the others route alone.
+        assert_eq!(s.items().len(), 1 + untouched.len());
+
+        // No in-block qubit (block_log2 = 0) or retargeting off: only
+        // the controlled-phase re-orientation (or nothing) applies.
+        let lowest_first: Vec<(usize, Vec<usize>)> = [
+            (3, vec![5]),
+            (2, vec![4]),
+            (3, vec![5]),
+            (2, vec![4]),
+            (2, vec![4, 5]),
+        ]
+        .into_iter()
+        .chain(untouched.iter().map(|(_, t, c)| (*t, c.clone())))
+        .collect();
+        let mut as_written = lowest_first.clone();
+        as_written[0] = (5, vec![3]);
+        as_written[1] = (4, vec![2]);
+        as_written[4] = (4, vec![2, 5]);
+        let off = FusionPolicy {
+            retarget_diagonal: false,
+            ..FusionPolicy::for_block(2)
+        };
+        for (policy, want) in [
+            (FusionPolicy::for_block(0), lowest_first),
+            (off, as_written),
+        ] {
+            let s = schedule_circuit(&c, &policy);
+            assert_eq!(targets_and_controls(&s), want, "{policy:?}");
+        }
+
+        // Every form is observationally identical to the source circuit.
+        for policy in [FusionPolicy::for_block(2), FusionPolicy::for_block(0), off] {
+            let mut direct = StateVector::zero_state(6);
+            for q in 0..6 {
+                direct.apply_gate(&Gate1::h(), q);
+            }
+            let mut scheduled = direct.clone();
+            c.run_dense(&mut direct, &mut StdRng::seed_from_u64(0));
+            schedule_circuit(&c, &policy).run_dense(&mut scheduled, &mut StdRng::seed_from_u64(0));
+            assert!(fidelity(&direct, &scheduled) > 1.0 - 1e-12, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn empty_controls_list_degrades_to_single_qubit() {
         use qcs_statevec::GateKind;
         // A MultiControlled op with zero controls is legal at construction
         // and must schedule as the bare single-qubit gate — in particular
         // the diagonal-retarget pass must not assume a non-empty list.
-        let mut bare = qcs_statevec::BatchGate::controlled(Gate1::t(), vec![], 3);
+        let mut bare = BatchGate::controlled(Gate1::t(), vec![], 3);
         retarget_diagonal(&mut bare);
         assert_eq!((bare.target, bare.controls.as_slice()), (3, &[][..]));
 

@@ -6,11 +6,13 @@
 use proptest::prelude::*;
 use qcs_circuits::schedule::{schedule_circuit, FusionPolicy, ScheduledOp};
 use qcs_circuits::{Circuit, Op};
-use qcs_statevec::GateKind;
+use qcs_statevec::{Complex64, GateKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const N: usize = 6;
+const ONE: Complex64 = Complex64::ONE;
+const ZERO: Complex64 = Complex64::ZERO;
 
 fn gate_kind() -> impl Strategy<Value = GateKind> {
     prop_oneof![
@@ -153,6 +155,34 @@ proptest! {
                     );
                     prop_assert_eq!(op, &c.ops()[*src]);
                 }
+            }
+        }
+    }
+
+    // With retargeting on and an in-block qubit to land on, no emitted
+    // controlled gate is a `diag(1, lambda)` phase targeting a qubit at or
+    // above the block split: every such phase runs as a per-block scalar.
+    #[test]
+    fn no_phase_targets_a_qubit_above_the_block(
+        c in random_circuit(),
+        block_log2 in 1u32..7,
+        max_batch in 1usize..9,
+    ) {
+        let s = schedule_circuit(&c, &policy(block_log2, max_batch));
+        for item in s.items() {
+            let gates: Vec<_> = match item {
+                ScheduledOp::Batch(b) => b.gates().iter().collect(),
+                ScheduledOp::Gate(g) => vec![g],
+                ScheduledOp::Bare { .. } => vec![],
+            };
+            for g in gates {
+                let m = g.op.gate.m;
+                let phase = m[0][0] == ONE && m[0][1] == ZERO && m[1][0] == ZERO;
+                prop_assert!(
+                    !phase || g.op.controls.is_empty() || (g.op.target as u32) < block_log2,
+                    "phase {m:?} still targets qubit {} (block_log2 {block_log2})",
+                    g.op.target
+                );
             }
         }
     }

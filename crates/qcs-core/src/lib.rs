@@ -57,10 +57,15 @@
 //!   `CT`, `CPhase`, multi-controlled Z) are symmetric under
 //!   control/target exchange, so the scheduler re-orients them onto their
 //!   lowest qubit — the QFT's high-target cphase cascades become
-//!   intra-block (batchable) and rank-crossing phase gates stop paying
-//!   communication.
+//!   intra-block (batchable).
+//! - **What runs per block:** a controlled `diag(1, λ)` gate whose qubits
+//!   all sit at or above `block_log2` scales every block whose high bits
+//!   are all set by `λ`. The scheduler emits it as `λ·I` on in-block qubit
+//!   0, controlled by every original qubit, so it batches: block-qubit CZs
+//!   stop decoding a partner block and rank-qubit CZs stop paying
+//!   communication. Uncontrolled phases keep their target.
 //! - **What blocks fusion/batching:** two-qubit, controlled (for fusion),
-//!   swap and measure ops, and any non-symmetric target routing
+//!   swap and measure ops, and any other gate whose target routes
 //!   inter-block/inter-rank (for batching). The scheduler never reorders
 //!   operations.
 //! - **How to disable it:** [`SimConfig::without_fusion`] (or

@@ -12,9 +12,10 @@
 //! [`SimError`], never a panic or a hang, and the daemon's spill
 //! segment directories must not outlive its workers.
 
-use qcs_circuits::{grover_circuit, optimal_iterations, qft_benchmark_circuit};
+use qcs_circuits::{grover_circuit, optimal_iterations, qft_benchmark_circuit, Circuit, Op};
+use qcs_compress::ErrorBound;
 use qcs_core::{CompressedSimulator, ServeOptions, SimConfig, SimError, SimReport};
-use qcs_statevec::StateVector;
+use qcs_statevec::{GateKind, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,6 +92,109 @@ fn loopback_remote_ranks_match_in_process() {
 
         drop(sim); // says goodbye to the daemon, ending both handlers
         server.join().expect("daemon thread");
+    }
+}
+
+/// Controlled phases above the block split run as per-block scalars
+/// inside batches, so controlled-T, CZ and CPhase gates on block and rank
+/// qubits move no block over a rank link: between a layer of H on every qubit and a layer of H on
+/// the in-block qubits, they exchange nothing, in process at 2 and 4 ranks
+/// and on two loopback daemons. The unfused twin routes the same phases by
+/// their targets and does exchange, so the zero is not vacuous.
+#[test]
+fn phases_on_block_and_rank_qubits_never_cross_a_link() {
+    const N: usize = 8;
+    const BLOCK_LOG2: u32 = 3;
+    let mut prelude = Circuit::new(N);
+    for q in 0..N {
+        prelude.h(q);
+    }
+    let mut phases = Circuit::new(N);
+    let high = BLOCK_LOG2 as usize..N;
+    let controlled_t = |control, target| Op::Controlled {
+        gate: GateKind::T,
+        control,
+        target,
+    };
+    for q in high.clone().skip(1) {
+        phases.push(controlled_t(q, q - 1));
+    }
+    for q in high.clone().skip(1) {
+        phases
+            .cz(q - 1, q)
+            .cphase(0.25 * q as f64, BLOCK_LOG2 as usize, q);
+    }
+    for q in high.skip(1) {
+        phases.push(controlled_t(q - 1, q));
+    }
+    for q in 0..BLOCK_LOG2 as usize {
+        phases.h(q);
+    }
+    let mut whole = prelude.clone();
+    whole.extend(&phases);
+    let dense = whole.simulate_dense(&mut StdRng::seed_from_u64(0));
+
+    // The phase section's exchange count and bytes, the final state and
+    // the Eq. 11 bound of one run; `endpoints` daemons host the ranks.
+    let run = |cfg: SimConfig, endpoints: usize| {
+        let ranks = 1usize << cfg.ranks_log2;
+        let daemons: Vec<_> = (0..endpoints)
+            .map(|_| qcs_core::spawn_loopback(ranks / endpoints, ServeOptions::default()))
+            .collect::<Result<_, _>>()
+            .expect("spawn daemons");
+        let cfg = match endpoints {
+            0 => cfg,
+            _ => cfg.with_remote(daemons.iter().map(|(addr, _)| addr.clone()).collect()),
+        };
+        let mut sim = CompressedSimulator::new(N as u32, cfg).expect("sim");
+        let mut rng = StdRng::seed_from_u64(0);
+        sim.run(&prelude, &mut rng).expect("prelude");
+        let before = sim.report().breakdown;
+        sim.run(&phases, &mut rng).expect("phases");
+        let report = sim.report();
+        let section = report.breakdown.delta(&before);
+        let snap = sim.snapshot_dense().expect("snapshot");
+        drop(sim);
+        for (_, server) in daemons {
+            server.join().expect("daemon thread");
+        }
+        (section, snap, report.fidelity_lower_bound)
+    };
+
+    for ranks_log2 in [1u32, 2] {
+        let cfg = SimConfig::default()
+            .with_block_log2(BLOCK_LOG2)
+            .with_ranks_log2(ranks_log2);
+        let lossy = cfg
+            .clone()
+            .with_fixed_bound(ErrorBound::PointwiseRelative(1e-3));
+        for endpoints in [0, 2] {
+            let what = format!("ranks_log2={ranks_log2} daemons={endpoints}");
+            let (section, snap, _) = run(cfg.clone(), endpoints);
+            assert_eq!(section.exchanges, 0, "{what}: lossless exchanges");
+            assert_eq!(section.comm_bytes, 0, "{what}: lossless bytes exchanged");
+            let err = snap
+                .amplitudes()
+                .iter()
+                .zip(dense.amplitudes())
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(err <= TOL, "{what}: amplitude error {err:e} vs dense");
+
+            let (section, snap, bound) = run(lossy.clone(), endpoints);
+            assert_eq!(section.exchanges, 0, "{what}: lossy exchanges");
+            assert_eq!(section.comm_bytes, 0, "{what}: lossy bytes exchanged");
+            let fid = snap.fidelity(&dense);
+            assert!(
+                fid >= bound,
+                "{what}: fidelity {fid} < Eq. 11 bound {bound}"
+            );
+        }
+        let (section, _, _) = run(cfg.without_fusion(), 0);
+        assert!(
+            section.exchanges > 0,
+            "ranks_log2={ranks_log2}: the unfused twin must exchange"
+        );
     }
 }
 

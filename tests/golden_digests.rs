@@ -34,6 +34,12 @@
 //! re-captured when the cache key moved), and the `partial_decode=true`
 //! lines it dropped carried the same digests.
 //!
+//! The 12 `fusion=true` lines of `qft` and `sup` were regenerated when
+//! controlled phases above the block split started joining batches as
+//! per-block scalars: their lossy digests moved (fewer lossy
+//! recompressions) and so did their `cache=` columns (fewer block
+//! touches). Every lossless digest and every other line stayed put.
+//!
 //! A PR that *means* to move bits regenerates the fixture: run
 //! `cargo test --release --test golden_digests -- --nocapture`, copy the lines
 //! between the `BEGIN`/`END` markers over `tests/fixtures/golden_digests.txt`,
