@@ -770,9 +770,9 @@ fn table_spill(dir: &Path) {
     // keep prefetch on and sweep eviction policy x write mode:
     //
     //   policy  lru  — least-recently-used victims (plan-blind)
-    //           min  — Belady's MIN over the schedule's AccessPlan: evict
-    //                  the resident block whose next planned use is
-    //                  furthest away
+    //           min  — Belady's MIN over the running wave's slots: evict
+    //                  the resident block whose next planned use in the
+    //                  wave is furthest away
     //   writes  sync — eviction writes the frame to its segment file
     //                  inline, on the critical path
     //           wb   — write-behind: eviction parks the frame in a dirty

@@ -41,10 +41,11 @@
 //! blocks* every wave will touch once a block geometry is chosen: an
 //! [`AccessPlan`] lists, per wave and per rank, the ordered block slots
 //! ahead of execution, read off the same `qcs_cluster::Layout` slot
-//! functions the engine's wave walker executes. The engine's out-of-core
-//! tier uses the plan to prefetch the next chunk of spilled blocks while
-//! the current chunk computes, turning blocking seek-and-read fetches
-//! into overlapped background I/O.
+//! functions the engine's wave walker executes. The engine does not read
+//! the plan at run time: each wave announces its own slots to its rank's
+//! store, one wave at a time. The plan is the whole-schedule view of
+//! those announcements, for tools that replay a schedule's store traffic
+//! and for the engine's test that pins the two against each other.
 
 use crate::circuit::{Circuit, Op};
 use qcs_cluster::{Layout, Route};
@@ -475,22 +476,15 @@ pub struct WaveAccess {
     pub per_rank: Vec<Vec<usize>>,
 }
 
-impl WaveAccess {
-    /// True when no rank touches any block in this wave.
-    pub fn is_empty(&self) -> bool {
-        self.per_rank.iter().all(|v| v.is_empty())
-    }
-}
-
 /// A schedule's block-access plan: for every wave of every scheduled item,
 /// the ordered set of block slots each rank will touch.
 ///
 /// Because a [`Schedule`] fixes the gate order and the block geometry
 /// fixes §3.3 routing, the blocks every wave touches are known *before
-/// execution* — the fact the out-of-core prefetch pipeline exploits: the
-/// engine streams the next chunk's blocks off disk while the current
-/// chunk computes, and hints each wave's store at the following wave's
-/// first slots. Most items expand to exactly one wave; a bare `Swap`
+/// execution* — the fact the out-of-core tier exploits inside each wave:
+/// a wave announces its slots, and the store streams the wave's next
+/// chunk off disk while the current chunk computes. Most items expand to
+/// exactly one wave; a bare `Swap`
 /// expands to its three controlled-X waves and a bare `Measure` to its
 /// probability-reduce (peek) wave followed by its collapse wave.
 ///
@@ -606,24 +600,6 @@ impl AccessPlan {
             per_item,
             ranks: layout.ranks(),
         }
-    }
-
-    /// Plan a single scheduled item without materializing a whole-schedule
-    /// plan — what the engine uses to derive each wave's lookahead lazily,
-    /// so planning memory stays proportional to one item rather than
-    /// `O(items × ranks × blocks_per_rank)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the geometry does not fit `num_qubits` (see
-    /// [`AccessPlan::for_schedule`]).
-    pub fn for_item(
-        item: &ScheduledOp,
-        num_qubits: u32,
-        ranks_log2: u32,
-        block_log2: u32,
-    ) -> Vec<WaveAccess> {
-        item_waves(&Layout::new(num_qubits, ranks_log2, block_log2), item)
     }
 
     /// Number of scheduled items covered (equal to `schedule.items().len()`).

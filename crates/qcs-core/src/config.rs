@@ -18,8 +18,8 @@ pub struct SpillConfig {
     pub dir: Option<PathBuf>,
     /// Victim-selection policy for the residency budget: classic
     /// [`Eviction::Lru`] (the default) or plan-driven
-    /// [`Eviction::PlannedMin`] (Belady's MIN over the schedule's
-    /// `AccessPlan`).
+    /// [`Eviction::PlannedMin`] (Belady's MIN over the slots the current
+    /// wave announces).
     pub eviction: Eviction,
     /// Drain eviction writes on a per-rank background writer thread
     /// (bounded dirty buffer, coalesced appends, flush/drop barriers)
@@ -143,11 +143,14 @@ pub struct SimConfig {
     pub spill: Option<SpillConfig>,
     /// Overlap spill-tier reads with compute (the default; only
     /// meaningful with `spill` set). Each rank's store runs a background
-    /// fetch thread, waves are driven by the schedule's `AccessPlan`, and
-    /// the next chunk of spilled blocks streams off disk while the
+    /// fetch thread, each wave announces its own block slots, and the
+    /// wave's next chunk of spilled blocks streams off disk while the
     /// current chunk computes — staged in a buffer bounded by the
     /// residency budget (double-buffering: one budget resident, at most
-    /// one more staged). Disable to reproduce the pull-on-demand tier
+    /// one more staged). The window is one wave, so nothing is staged
+    /// across a wave boundary: prefetch changes when a block is read,
+    /// not which blocks are read, and a wave boundary holds the same
+    /// bytes either way. Disable to reproduce the pull-on-demand tier
     /// where every cold block is a blocking seek-and-read.
     pub prefetch: bool,
     /// Multi-node transport: when set, rank workers are hosted by

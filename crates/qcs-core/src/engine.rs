@@ -54,12 +54,10 @@ use crate::config::SimConfig;
 use crate::fidelity_bound::FidelityLedger;
 use crate::store::{self, BlockStore, SegmentDirGuard};
 use crate::worker::{
-    decode_block, BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
-    WaveOut, WorkerCmd, WorkerOut,
+    decode_block, BatchCmd, BatchPlan, ExchangeCmd, ExchangeRole, GateCmd, RankWorker, WaveOut,
+    WorkerCmd, WorkerOut,
 };
-use qcs_circuits::{
-    schedule_circuit, AccessPlan, Circuit, GateBatch, Op, Schedule, ScheduledOp, WaveAccess,
-};
+use qcs_circuits::{schedule_circuit, Circuit, GateBatch, Op, Schedule, ScheduledOp};
 use qcs_cluster::exec::{duplex, ClusterSim, Worker};
 use qcs_cluster::{Layout, Metrics, Phase, Route, TimeBreakdown};
 use qcs_compress::ErrorBound;
@@ -547,16 +545,19 @@ impl CompressedSimulator {
     /// two decompression scratch buffers per rank. Spilled blocks live on
     /// disk and are not charged.
     ///
-    /// "In memory" is the honest footprint of an out-of-core store: hot
+    /// "In memory" is the footprint of an out-of-core store: hot
     /// residents **plus** blocks staged by the prefetch pipeline **plus**
     /// blocks parked in the write-behind dirty buffer. Each of those
     /// buffers is bounded by one residency budget of compressed blocks,
     /// so the tier's ceiling is at most budget + staging + dirty — what
     /// the peak-memory regression in `tests/eviction_policy.rs` pins.
-    /// Because the two buffers drain on background threads, their
-    /// occupancy at a sample point is timing-dependent; this quantity
-    /// feeds `peak_memory_bytes` reporting, while the adaptive-ladder
-    /// escalation decision uses the deterministic
+    /// The sample point is a wave boundary, and a wave's staging window
+    /// ends with the wave, so a boundary holds no staged blocks: staging
+    /// *inside* a wave is not sampled. The dirty buffer drains on
+    /// background threads, so with write-behind on its occupancy at the
+    /// sample point is timing-dependent; this quantity feeds
+    /// `peak_memory_bytes` reporting, while the adaptive-ladder escalation
+    /// decision uses the deterministic
     /// [`CompressedSimulator::hot_memory_bytes`].
     ///
     /// Not charged: the per-rank query summary a frozen state keeps
@@ -619,35 +620,10 @@ impl CompressedSimulator {
         Ok(outs)
     }
 
-    /// Broadcast one mutating command to every rank (`make` receives the
-    /// rank index, so per-rank payloads like prefetch lookaheads can
-    /// differ).
-    fn mutate_all(&mut self, make: impl Fn(usize) -> WorkerCmd) -> Result<Vec<WaveOut>, SimError> {
-        let cmds = (0..self.layout.ranks()).map(make).collect();
+    /// Broadcast one mutating command to every rank.
+    fn mutate_all(&mut self, make: impl Fn() -> WorkerCmd) -> Result<Vec<WaveOut>, SimError> {
+        let cmds = (0..self.layout.ranks()).map(|_| make()).collect();
         self.mutate_wave(cmds)
-    }
-
-    /// Per-rank lookahead payloads for the next planned wave: rank `r`
-    /// gets the first slots `next.per_rank[r]` will touch, truncated to
-    /// the staging budget. All `None` when the run is not prefetching.
-    fn lookahead_for(&self, next: Option<&WaveAccess>) -> Vec<Lookahead> {
-        let ranks = self.layout.ranks();
-        match (next, &self.cfg.spill) {
-            (Some(wave), Some(spill)) if self.cfg.prefetch => {
-                let cap = spill.resident_blocks.max(1);
-                (0..ranks)
-                    .map(|r| {
-                        let slots = &wave.per_rank[r];
-                        if slots.is_empty() {
-                            None
-                        } else {
-                            Some(Arc::new(slots[..slots.len().min(cap)].to_vec()))
-                        }
-                    })
-                    .collect()
-            }
-            _ => vec![None; ranks],
-        }
     }
 
     /// Scatter one read-only command per rank and gather the answers.
@@ -686,20 +662,14 @@ impl CompressedSimulator {
 
     /// Run a full circuit. `rng` drives intermediate measurements.
     ///
-    /// When [`SimConfig::fusion`] is on (the default) the circuit first
-    /// passes through the batch scheduler; disable it to execute gate by
-    /// gate exactly as written.
+    /// The circuit passes through the batch scheduler under
+    /// [`SimConfig::fusion_policy`]. With [`SimConfig::fusion`] on (the
+    /// default) it fuses, batches and retargets; with it off the schedule
+    /// is the circuit gate by gate, exactly as written. A circuit on
+    /// another qubit count is a `SimError::Config`.
     pub fn run(&mut self, circuit: &Circuit, rng: &mut impl rand::Rng) -> Result<(), SimError> {
-        assert_eq!(circuit.num_qubits() as u32, self.layout.num_qubits);
-        if self.cfg.fusion {
-            let schedule = schedule_circuit(circuit, &self.cfg.fusion_policy());
-            self.run_schedule(&schedule, rng)
-        } else {
-            for op in circuit.ops() {
-                self.apply_op(op, rng)?;
-            }
-            Ok(())
-        }
+        let schedule = schedule_circuit(circuit, &self.cfg.fusion_policy());
+        self.run_schedule(&schedule, rng)
     }
 
     /// Run a pre-built [`Schedule`] (e.g. one reused across shots).
@@ -709,12 +679,9 @@ impl CompressedSimulator {
     /// configuration error.
     ///
     /// On an out-of-core run with [`SimConfig::prefetch`] on, each wave
-    /// is dispatched with the *next* scheduled item's first planned wave
-    /// as its prefetch lookahead — an [`AccessPlan::for_item`] lookup,
-    /// computed lazily so planning memory stays proportional to one item
-    /// rather than the whole schedule. Spill-tier reads therefore stream
-    /// ahead across wave boundaries as well as between chunks inside a
-    /// wave.
+    /// announces its own block slots to its rank's store, which stages
+    /// the wave's next chunk while the current one computes. The window
+    /// is one wave: nothing is staged across a wave boundary.
     pub fn run_schedule(
         &mut self,
         schedule: &Schedule,
@@ -742,6 +709,9 @@ impl CompressedSimulator {
     /// a circuit with intermediate measurements draws from whatever `rng`
     /// it is handed. Measurement-free circuits (every differential suite
     /// workload) resume bit-identically.
+    ///
+    /// A schedule on another qubit count, or a `start_item` past its end,
+    /// is a `SimError::Config`, sent to no rank.
     pub fn run_schedule_observed(
         &mut self,
         schedule: &Schedule,
@@ -749,28 +719,23 @@ impl CompressedSimulator {
         start_item: usize,
         observer: &mut impl FnMut(WaveStatus) -> WaveControl,
     ) -> Result<RunOutcome, SimError> {
-        assert_eq!(schedule.num_qubits() as u32, self.layout.num_qubits);
-        let planning = self.cfg.prefetch && self.cfg.spill.is_some();
+        let n = self.layout.num_qubits;
+        if schedule.num_qubits() != n as usize {
+            return Err(SimError::Config(format!(
+                "a {}-qubit schedule cannot run on a {n}-qubit register",
+                schedule.num_qubits()
+            )));
+        }
         let items = schedule.items();
-        assert!(
-            start_item <= items.len(),
-            "start_item {start_item} out of range for {} items",
-            items.len()
-        );
+        if start_item > items.len() {
+            return Err(SimError::Config(format!(
+                "start_item {start_item} out of range for {} items",
+                items.len()
+            )));
+        }
         let mut since = self.metrics.breakdown();
         for (i, item) in items.iter().enumerate().skip(start_item) {
-            let next_waves = (planning && i + 1 < items.len()).then(|| {
-                AccessPlan::for_item(
-                    &items[i + 1],
-                    self.layout.num_qubits,
-                    self.cfg.ranks_log2,
-                    self.cfg.block_log2,
-                )
-            });
-            let lookahead = next_waves
-                .as_ref()
-                .and_then(|waves| waves.iter().find(|w| !w.is_empty()));
-            self.apply_item(item, rng, lookahead)?;
+            self.apply_item(item, rng)?;
             let delta = self.metrics.delta_since(&mut since);
             let status = WaveStatus {
                 item: i,
@@ -787,21 +752,19 @@ impl CompressedSimulator {
         Ok(RunOutcome::Completed)
     }
 
-    /// Apply one scheduled item, with the next planned wave's access (if
-    /// any) as the prefetch lookahead. Exposed to the crate's
-    /// plan-vs-observed property suite, which drives items one at a time
-    /// against an instrumented store.
+    /// Apply one scheduled item. Exposed to the crate's plan-vs-observed
+    /// property suite, which drives items one at a time against an
+    /// instrumented store.
     pub(crate) fn apply_item(
         &mut self,
         item: &ScheduledOp,
         rng: &mut impl rand::Rng,
-        lookahead: Option<&WaveAccess>,
     ) -> Result<(), SimError> {
         match item {
-            ScheduledOp::Batch(batch) => self.apply_batch_planned(batch, lookahead),
+            ScheduledOp::Batch(batch) => self.apply_batch(batch),
             ScheduledOp::Gate(g) => {
                 let start = Instant::now();
-                self.apply_unitary(&g.op.gate, &g.op.controls, g.op.target, lookahead)?;
+                self.apply_unitary(&g.op.gate, &g.op.controls, g.op.target)?;
                 self.gates_applied += g.src_len;
                 self.wall_time += start.elapsed();
                 self.after_gate()
@@ -818,28 +781,28 @@ impl CompressedSimulator {
         let start = Instant::now();
         match op {
             Op::Single { gate, target } => {
-                self.apply_unitary(&gate.matrix(), &[], *target, None)?;
+                self.apply_unitary(&gate.matrix(), &[], *target)?;
             }
             Op::Controlled {
                 gate,
                 control,
                 target,
             } => {
-                self.apply_unitary(&gate.matrix(), &[*control], *target, None)?;
+                self.apply_unitary(&gate.matrix(), &[*control], *target)?;
             }
             Op::MultiControlled {
                 gate,
                 controls,
                 target,
             } => {
-                self.apply_unitary(&gate.matrix(), controls, *target, None)?;
+                self.apply_unitary(&gate.matrix(), controls, *target)?;
             }
             Op::Swap { a, b } => {
                 // SWAP = CX(a,b) CX(b,a) CX(a,b); counted as one gate.
                 let x = Gate1::x();
-                self.apply_unitary(&x, &[*a], *b, None)?;
-                self.apply_unitary(&x, &[*b], *a, None)?;
-                self.apply_unitary(&x, &[*a], *b, None)?;
+                self.apply_unitary(&x, &[*a], *b)?;
+                self.apply_unitary(&x, &[*b], *a)?;
+                self.apply_unitary(&x, &[*a], *b)?;
             }
             Op::Measure { target } => {
                 self.measure(*target, rng)?;
@@ -869,19 +832,16 @@ impl CompressedSimulator {
     }
 
     /// Apply a (multi-)controlled single-qubit unitary: one wave across all
-    /// rank workers, routed per §3.3. `lookahead` carries the next planned
-    /// wave's access so the workers can prefetch across the wave boundary.
+    /// rank workers, routed per §3.3.
     fn apply_unitary(
         &mut self,
         gate: &Gate1,
         controls: &[usize],
         target: usize,
-        lookahead: Option<&WaveAccess>,
     ) -> Result<(), SimError> {
         let layout = self.layout;
         let (offset_cmask, block_cmask, rank_cmask) = layout.control_masks(controls);
         let bound = self.cfg.ladder[self.level];
-        let lookaheads = self.lookahead_for(lookahead);
 
         let waves = match layout.route(target as u32) {
             route @ (Route::InBlock { .. } | Route::InterBlock { .. }) => {
@@ -892,13 +852,8 @@ impl CompressedSimulator {
                     block_cmask,
                     rank_cmask,
                     bound,
-                    lookahead: None,
                 };
-                self.mutate_all(|rank| {
-                    let mut cmd = cmd.clone();
-                    cmd.lookahead = lookaheads[rank].clone();
-                    WorkerCmd::Gate(cmd)
-                })?
+                self.mutate_all(|| WorkerCmd::Gate(cmd.clone()))?
             }
             Route::InterRank { rank_stride } => {
                 // Pair rank r with r | stride; rank-scope controls deselect
@@ -912,15 +867,13 @@ impl CompressedSimulator {
                 }
                 let cmds = roles
                     .into_iter()
-                    .zip(&lookaheads)
-                    .map(|(role, lookahead)| {
+                    .map(|role| {
                         WorkerCmd::Exchange(ExchangeCmd {
                             gate: *gate,
                             offset_cmask,
                             block_cmask,
                             bound,
                             role,
-                            lookahead: lookahead.clone(),
                         })
                     })
                     .collect();
@@ -941,16 +894,6 @@ impl CompressedSimulator {
     /// mask fires make up the cache key, and blocks no gate selects are
     /// skipped outright (no touch, no cache traffic).
     pub fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
-        self.apply_batch_planned(batch, None)
-    }
-
-    /// [`CompressedSimulator::apply_batch`] with the next planned wave's
-    /// access as the prefetch lookahead (the path `run_schedule` drives).
-    fn apply_batch_planned(
-        &mut self,
-        batch: &GateBatch,
-        lookahead: Option<&WaveAccess>,
-    ) -> Result<(), SimError> {
         let start = Instant::now();
         let layout = self.layout;
 
@@ -978,17 +921,11 @@ impl CompressedSimulator {
         }
 
         let bound = self.cfg.ladder[self.level];
-        let lookaheads = self.lookahead_for(lookahead);
         let cmd = BatchCmd {
             plans: Arc::new(plans),
             bound,
-            lookahead: None,
         };
-        let waves = self.mutate_all(|rank| {
-            let mut cmd = cmd.clone();
-            cmd.lookahead = lookaheads[rank].clone();
-            WorkerCmd::Batch(cmd)
-        })?;
+        let waves = self.mutate_all(|| WorkerCmd::Batch(cmd.clone()))?;
         self.finish_wave(&waves, bound);
         self.gates_applied += batch.source_gate_count();
         self.wall_time += start.elapsed();
@@ -999,7 +936,7 @@ impl CompressedSimulator {
     /// escalation so the budget is actually enforced).
     fn recompress_all(&mut self) -> Result<(), SimError> {
         let bound = self.cfg.ladder[self.level];
-        self.mutate_all(|_| WorkerCmd::Recompress { bound })?;
+        self.mutate_all(|| WorkerCmd::Recompress { bound })?;
         if bound.is_lossy() {
             // The recompression pass is itself a lossy compression event.
             self.ledger.record_gate(bound.magnitude());
@@ -1047,7 +984,7 @@ impl CompressedSimulator {
         let scope = self.layout.control_scope(qubit as u32);
         let scale = 1.0 / p.sqrt();
         let bound = self.cfg.ladder[self.level];
-        let waves = self.mutate_all(|_| WorkerCmd::Collapse {
+        let waves = self.mutate_all(|| WorkerCmd::Collapse {
             scope,
             outcome,
             scale,
@@ -1809,6 +1746,44 @@ mod tests {
         sim2.run_schedule(&sched_ok, &mut rng).unwrap();
         let dense = c.simulate_dense(&mut rng);
         assert!(sim2.snapshot_dense().unwrap().fidelity(&dense) > 1.0 - 1e-12);
+    }
+
+    /// A circuit or a schedule on another register, and a resume point
+    /// past the schedule's end, are `SimError::Config`: no rank is sent a
+    /// command and the observer is never called.
+    #[test]
+    fn run_entry_points_refuse_another_register_or_a_start_past_the_end() {
+        use qcs_circuits::schedule_circuit;
+        let mut sim = CompressedSimulator::new(6, small_cfg()).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let before = sim.report();
+        let mut seven = Circuit::new(7);
+        seven.h(0).cx(0, 6);
+        assert!(is_config_error(sim.run(&seven, &mut rng)));
+
+        let mut observed = 0;
+        let mut observer = |_: WaveStatus| {
+            observed += 1;
+            WaveControl::Continue
+        };
+        let policy = sim.cfg.fusion_policy();
+        let other = schedule_circuit(&seven, &policy);
+        let err = sim.run_schedule_observed(&other, &mut rng, 0, &mut observer);
+        assert!(is_config_error(err));
+
+        let mut six = Circuit::new(6);
+        six.h(0).h(4);
+        let schedule = schedule_circuit(&six, &policy);
+        let past = schedule.items().len() + 1;
+        let err = sim.run_schedule_observed(&schedule, &mut rng, past, &mut observer);
+        assert!(is_config_error(err));
+        // A start at the end runs nothing and completes.
+        let done = sim.run_schedule_observed(&schedule, &mut rng, past - 1, &mut observer);
+        assert_eq!(done.unwrap(), RunOutcome::Completed);
+        assert_eq!(observed, 0);
+        // Nothing was dispatched: no gate, no wave, no metric moved.
+        assert_eq!(sim.report(), before);
+        assert_eq!(sim.prob_one(0).unwrap(), 0.0);
     }
 
     #[test]

@@ -19,17 +19,17 @@
 //!   (all-resident, the paper's regime) and [`SpillStore`] (hot blocks
 //!   under a residency budget, cold blocks in per-rank segment files of
 //!   checksummed frames, optionally sharded), so the simulable size is
-//!   bounded by disk rather than RAM. Out-of-core runs are *planned*: the
-//!   schedule's `AccessPlan` fixes every wave's block order ahead of time
-//!   (from the same `qcs_cluster::Layout` slot functions the rank workers
-//!   walk, so plan and walk agree by construction). Each wave announces
-//!   that order to its store in one call, `BlockStore::plan_accesses`:
-//!   the background fetcher stages along it, so the next chunk streams
+//!   bounded by disk rather than RAM. Out-of-core waves are *planned*:
+//!   a wave's block order is known before it runs (the rank worker reads
+//!   it off the `qcs_cluster::Layout` slot functions it then walks, as
+//!   the schedule's `AccessPlan` does). Each wave announces its own order
+//!   to its store in one call, `BlockStore::plan_accesses`: the
+//!   background fetcher stages along it, so the wave's next chunk streams
 //!   off disk while the current one computes ([`SimConfig::prefetch`]),
-//!   and [`Eviction::PlannedMin`] picks victims by it — Belady's MIN,
-//!   exact because the future access trace is known. A write-behind
-//!   thread drains eviction writes off the critical path
-//!   (`SpillConfig::write_behind`);
+//!   and [`Eviction::PlannedMin`] picks victims by it — Belady's MIN over
+//!   the wave's window. The window is one wave: nothing is staged across
+//!   a wave boundary. A write-behind thread drains eviction writes off
+//!   the critical path (`SpillConfig::write_behind`);
 //! - [`BlockCache`] — the 64-line LRU compressed-block cache with
 //!   auto-disable (§3.4, Fig. 4);
 //! - [`FidelityLedger`] — the `prod (1 - delta_i)` fidelity lower bound

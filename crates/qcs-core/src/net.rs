@@ -59,8 +59,8 @@ use crate::engine::SimError;
 use crate::serial::BreakdownWire;
 use crate::store::{self, SegmentDirGuard};
 use crate::worker::{
-    BatchCmd, BatchPlan, BlockMsg, ExchangeCmd, ExchangeRole, GateCmd, Lookahead, RankWorker,
-    WaveOut, WorkerCmd, WorkerOut,
+    BatchCmd, BatchPlan, BlockMsg, ExchangeCmd, ExchangeRole, GateCmd, RankWorker, WaveOut,
+    WorkerCmd, WorkerOut,
 };
 use qcs_cluster::exec::Worker as _;
 use qcs_cluster::{
@@ -193,7 +193,6 @@ wire! {
         block_cmask: usize,
         rank_cmask: usize,
         bound: ErrorBound,
-        lookahead: Lookahead,
     }
 }
 
@@ -204,7 +203,6 @@ wire! {
         block_cmask: usize,
         bound: ErrorBound,
         role: ExchangeRole,
-        lookahead: Lookahead,
     }
 }
 
@@ -221,7 +219,6 @@ wire! {
 wire! {
     impl struct BatchCmd {
         bound: ErrorBound,
-        lookahead: Lookahead,
         plans: Arc<Vec<BatchPlan>>,
     }
 }
@@ -819,7 +816,9 @@ mod tests {
     // written by the hand-rolled codecs of commit 3a80267 from exactly
     // these values; those carrying a block, a config or the protocol
     // version were regenerated at protocol v8 (one frame version, no
-    // segment index, one config field fewer) -------------------------------
+    // segment index, one config field fewer), and the gate, exchange and
+    // batch commands and those carrying the version again at v9 (no
+    // prefetch slots in the commands) --------------------------------------
 
     fn golden_block(lossy: bool) -> CompressedBlock {
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
@@ -844,7 +843,6 @@ mod tests {
                     block_cmask: 0b10,
                     rank_cmask: 1,
                     bound: ErrorBound::PointwiseRelative(1e-3),
-                    lookahead: Some(Arc::new(vec![3, 1, 4])),
                 }),
             ),
             (
@@ -856,7 +854,6 @@ mod tests {
                     block_cmask: 0,
                     rank_cmask: 0,
                     bound: ErrorBound::Lossless,
-                    lookahead: None,
                 }),
             ),
             (
@@ -867,7 +864,6 @@ mod tests {
                     block_cmask: 1,
                     bound: ErrorBound::Lossless,
                     role: ExchangeRole::Lead(lead),
-                    lookahead: None,
                 }),
             ),
             (
@@ -878,7 +874,6 @@ mod tests {
                     block_cmask: 0,
                     bound: ErrorBound::Absolute(1e-5),
                     role: ExchangeRole::Follow(follow),
-                    lookahead: Some(Arc::new(vec![0, 2])),
                 }),
             ),
             (
@@ -889,7 +884,6 @@ mod tests {
                     block_cmask: 2,
                     bound: ErrorBound::Lossless,
                     role: ExchangeRole::Idle,
-                    lookahead: Some(Arc::new(Vec::new())),
                 }),
             ),
             (
@@ -912,7 +906,6 @@ mod tests {
                         },
                     ]),
                     bound: ErrorBound::PointwiseRelative(1e-4),
-                    lookahead: Some(Arc::new(vec![1])),
                 }),
             ),
             (
@@ -1022,7 +1015,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 8);
+        assert_eq!(PROTOCOL_VERSION, 9);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1045,13 +1038,6 @@ mod tests {
                 m: [[c(0), c(1)], [c(2), c(3)]],
             }
         })
-    }
-
-    fn arb_lookahead() -> impl Strategy<Value = Lookahead> {
-        prop_oneof![
-            Just(None),
-            prop::collection::vec(any::<usize>(), 0..6).prop_map(|v| Some(Arc::new(v))),
-        ]
     }
 
     fn arb_scope() -> impl Strategy<Value = ControlScope> {
@@ -1087,10 +1073,9 @@ mod tests {
                 arb_gate(),
                 (0u8..3, any::<u32>(), any::<usize>()),
                 masks(),
-                arb_bound(),
-                arb_lookahead()
+                arb_bound()
             )
-                .prop_map(|(gate, (kind, bit, stride), m, bound, lookahead)| {
+                .prop_map(|(gate, (kind, bit, stride), m, bound)| {
                     WorkerCmd::Gate(GateCmd {
                         gate,
                         route: match kind {
@@ -1106,32 +1091,27 @@ mod tests {
                         block_cmask: m.1,
                         rank_cmask: m.2,
                         bound,
-                        lookahead,
                     })
                 }),
-            (arb_gate(), masks(), arb_bound(), 0u8..3, arb_lookahead()).prop_map(
-                |(gate, m, bound, role, lookahead)| {
-                    let (lead, follow) = duplex::<BlockMsg>();
-                    WorkerCmd::Exchange(ExchangeCmd {
-                        gate,
-                        offset_cmask: m.0,
-                        block_cmask: m.1,
-                        bound,
-                        role: match role {
-                            0 => ExchangeRole::Idle,
-                            1 => ExchangeRole::Lead(lead),
-                            _ => ExchangeRole::Follow(follow),
-                        },
-                        lookahead,
-                    })
-                }
-            ),
+            (arb_gate(), masks(), arb_bound(), 0u8..3).prop_map(|(gate, m, bound, role)| {
+                let (lead, follow) = duplex::<BlockMsg>();
+                WorkerCmd::Exchange(ExchangeCmd {
+                    gate,
+                    offset_cmask: m.0,
+                    block_cmask: m.1,
+                    bound,
+                    role: match role {
+                        0 => ExchangeRole::Idle,
+                        1 => ExchangeRole::Lead(lead),
+                        _ => ExchangeRole::Follow(follow),
+                    },
+                })
+            }),
             (
                 prop::collection::vec((arb_gate(), any::<u32>(), masks()), 0..5),
-                arb_bound(),
-                arb_lookahead()
+                arb_bound()
             )
-                .prop_map(|(plans, bound, lookahead)| {
+                .prop_map(|(plans, bound)| {
                     WorkerCmd::Batch(BatchCmd {
                         plans: Arc::new(
                             plans
@@ -1146,7 +1126,6 @@ mod tests {
                                 .collect(),
                         ),
                         bound,
-                        lookahead,
                     })
                 }),
             (arb_scope(), any::<bool>(), 0.5f64..2.0, arb_bound()).prop_map(
@@ -1272,7 +1251,6 @@ mod tests {
         let cmd = WorkerCmd::Batch(BatchCmd {
             plans: Arc::new(Vec::new()),
             bound: ErrorBound::Lossless,
-            lookahead: None,
         });
         let mut body = encode(&cmd);
         let count_at = body.len() - 4;
@@ -1302,7 +1280,6 @@ mod tests {
             block_cmask: 0,
             bound: ErrorBound::Lossless,
             role: ExchangeRole::Lead(lead),
-            lookahead: None,
         });
         match decode::<WorkerCmd>(&encode(&cmd)).unwrap() {
             WorkerCmd::Exchange(ExchangeCmd {
@@ -1396,6 +1373,30 @@ mod tests {
         }
     }
 
+    /// `hello_full` as protocol v7 wrote it, whose lossy blocks travel in
+    /// version-2 frames around an indexed segment layout: refused by its
+    /// version, so none of its blocks reaches a worker.
+    #[test]
+    fn a_v7_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v7.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v7"), "{m}"),
+            other => panic!("a v7 hello was not refused by version: {other:?}"),
+        }
+    }
+
+    /// `hello_full` as protocol v8 wrote it, whose gate, exchange and batch
+    /// commands carried the next wave's prefetch slots: refused by its
+    /// version, so none of its blocks reaches a worker.
+    #[test]
+    fn a_v8_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v8.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v8"), "{m}"),
+            other => panic!("a v8 hello was not refused by version: {other:?}"),
+        }
+    }
+
     /// A lossy block of two segments at 1e-3 with one byte of its second
     /// segment's body flipped: the embedded frame's checksum covers every
     /// payload byte, so the block is refused on the socket, before any
@@ -1413,18 +1414,6 @@ mod tests {
         match decode::<CompressedBlock>(&body) {
             Err(NetError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
             other => panic!("a flipped body byte crossed the wire: {other:?}"),
-        }
-    }
-
-    /// `hello_full` as protocol v7 wrote it, whose lossy blocks travel in
-    /// version-2 frames around an indexed segment layout: refused by its
-    /// version, so none of its blocks reaches a worker.
-    #[test]
-    fn a_v7_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v7.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v7"), "{m}"),
-            other => panic!("a v7 hello was not refused by version: {other:?}"),
         }
     }
 
@@ -1467,7 +1456,7 @@ mod tests {
     /// `unreachable!` past rank 0 of a 6-qubit, 2-rank, 2^3-amp-block
     /// layout (4 blocks per rank).
     fn hostile_cmds() -> Vec<(&'static str, WorkerCmd)> {
-        let gate = |route, masks: (usize, usize, usize), lookahead: Lookahead| {
+        let gate = |route, masks: (usize, usize, usize)| {
             WorkerCmd::Gate(GateCmd {
                 gate: Gate1::h(),
                 route,
@@ -1475,7 +1464,6 @@ mod tests {
                 block_cmask: masks.1,
                 rank_cmask: masks.2,
                 bound: ErrorBound::Lossless,
-                lookahead,
             })
         };
         let in_block = Route::InBlock { offset_bit: 0 };
@@ -1490,7 +1478,6 @@ mod tests {
             WorkerCmd::Batch(BatchCmd {
                 plans: Arc::new(plans),
                 bound: ErrorBound::Lossless,
-                lookahead: None,
             })
         };
         let scopes = [
@@ -1503,35 +1490,31 @@ mod tests {
             ("fetch one past", WorkerCmd::FetchBlock { block: 4 }),
             (
                 "inter-rank gate",
-                gate(Route::InterRank { rank_stride: 1 }, (0, 0, 0), None),
+                gate(Route::InterRank { rank_stride: 1 }, (0, 0, 0)),
             ),
             (
                 "offset bit = block_log2",
-                gate(Route::InBlock { offset_bit: 3 }, (0, 0, 0), None),
+                gate(Route::InBlock { offset_bit: 3 }, (0, 0, 0)),
             ),
             (
                 "offset bit 63",
-                gate(Route::InBlock { offset_bit: 63 }, (0, 0, 0), None),
+                gate(Route::InBlock { offset_bit: 63 }, (0, 0, 0)),
             ),
             (
                 "stride = blocks",
-                gate(Route::InterBlock { block_stride: 4 }, (0, 0, 0), None),
+                gate(Route::InterBlock { block_stride: 4 }, (0, 0, 0)),
             ),
             (
                 "stride not a bit",
-                gate(Route::InterBlock { block_stride: 3 }, (0, 0, 0), None),
+                gate(Route::InterBlock { block_stride: 3 }, (0, 0, 0)),
             ),
             (
                 "stride zero",
-                gate(Route::InterBlock { block_stride: 0 }, (0, 0, 0), None),
+                gate(Route::InterBlock { block_stride: 0 }, (0, 0, 0)),
             ),
-            ("offset mask", gate(in_block, (1 << 3, 0, 0), None)),
-            ("block mask", gate(in_block, (0, 4, 0), None)),
-            ("rank mask", gate(in_block, (0, 0, 2), None)),
-            (
-                "lookahead slot",
-                gate(in_block, (0, 0, 0), Some(Arc::new(vec![0, 99]))),
-            ),
+            ("offset mask", gate(in_block, (1 << 3, 0, 0))),
+            ("block mask", gate(in_block, (0, 4, 0))),
+            ("rank mask", gate(in_block, (0, 0, 2))),
             (
                 "65-gate batch",
                 batch(
@@ -1549,7 +1532,6 @@ mod tests {
                     block_cmask: 8,
                     bound: ErrorBound::Lossless,
                     role: ExchangeRole::Lead(duplex().0),
-                    lookahead: None,
                 }),
             ),
             ("zz out of range", WorkerCmd::ExpectationZz { a: 6, b: 0 }),
@@ -1624,7 +1606,6 @@ mod tests {
                 block_cmask: 0,
                 rank_cmask: 0,
                 bound: ErrorBound::Lossless,
-                lookahead: None,
             })
         };
         let batch = WorkerCmd::Batch(BatchCmd {
@@ -1636,7 +1617,6 @@ mod tests {
                 rank_cmask: 0,
             }]),
             bound: ErrorBound::Lossless,
-            lookahead: None,
         });
         for (what, cmd) in [
             ("in-block gate", gate(Route::InBlock { offset_bit: 2 })),

@@ -55,7 +55,7 @@ fn access_plan_matches_observed_store_accesses() {
             let mut sim = CompressedSimulator::new_traced(n, cfg, log.clone()).expect("sim");
             let mut rng = StdRng::seed_from_u64(2019);
             for (i, item) in schedule.items().iter().enumerate() {
-                sim.apply_item(item, &mut rng, None).expect("apply item");
+                sim.apply_item(item, &mut rng).expect("apply item");
                 let observed = trace::drain(&log);
                 let planned: Vec<Vec<usize>> = (0..plan.ranks())
                     .map(|r| {
@@ -103,13 +103,7 @@ fn spilled_run_matches_the_plan(cfg: SimConfig) {
     let _ = trace::drain(&log);
     let mut rng = StdRng::seed_from_u64(7);
     for (i, item) in schedule.items().iter().enumerate() {
-        // The next item's first wave as the lookahead, as `run_schedule`
-        // hands it down: windows then reach across the wave boundary.
-        let lookahead = (i + 1 < plan.len())
-            .then(|| plan.item_waves(i + 1).iter().find(|w| !w.is_empty()))
-            .flatten();
-        sim.apply_item(item, &mut rng, lookahead.filter(|_| prefetch))
-            .expect("apply item");
+        sim.apply_item(item, &mut rng).expect("apply item");
         let observed = trace::drain(&log);
         let planned: Vec<Vec<usize>> = (0..plan.ranks())
             .map(|r| {

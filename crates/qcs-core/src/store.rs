@@ -25,16 +25,17 @@
 //! # One planned-access call
 //!
 //! A planned wave tells the store its future once, with
-//! [`BlockStore::plan_accesses`]: its ordered slots with the next wave's
-//! lookahead appended. Every consumption of a planned slot moves the
+//! [`BlockStore::plan_accesses`]: its own ordered slots, and nothing of
+//! the wave after it. Every consumption of a planned slot moves the
 //! window's cursor past it, and both users of the future read the slots
 //! after the cursor. A prefetching [`SpillStore`] stages the spilled ones
 //! among the next residency budget of them on background fetch threads,
-//! so the next chunk's disk reads overlap the current chunk's compute and
-//! the last chunk's overlap the next wave's. [`Eviction::PlannedMin`]
-//! evicts the resident block whose next planned use is furthest away
-//! (Belady's MIN — implementable exactly because the schedule's
-//! `AccessPlan` is an exact future-reference trace).
+//! so the next chunk's disk reads overlap the current chunk's compute.
+//! The window is one wave: its last chunk stages nothing, so a wave
+//! boundary holds no staged block. [`Eviction::PlannedMin`] evicts the
+//! resident block whose next planned use in the window is furthest away
+//! (Belady's MIN — exact within a wave, because the wave's slot order is
+//! known before it runs).
 //! Every method takes `&self`: stores are internally locked so read-only
 //! collectives can run against `&RankWorker` exactly as before.
 //!
@@ -146,8 +147,7 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     }
 
     /// Announce the ordered slot accesses the caller plans to perform
-    /// next (the wave, with the next wave's lookahead appended),
-    /// replacing any previous window. Purely advisory: a spill tier
+    /// next (one wave's), replacing any previous window. Purely advisory: a spill tier
     /// stages along it and MIN picks victims by it (see the module docs);
     /// every other store ignores it.
     fn plan_accesses(&self, upcoming: &[usize]) {
@@ -259,7 +259,7 @@ impl BlockStore for MemStore {
 /// ```
 /// use qcs_core::{Eviction, SimConfig};
 ///
-/// // Belady's MIN over the schedule's exact access plan, with eviction
+/// // Belady's MIN over each wave's exact slot order, with eviction
 /// // writes drained off the critical path by the write-behind thread.
 /// let cfg = SimConfig::default()
 ///     .with_spill(4)
@@ -279,9 +279,10 @@ pub enum Eviction {
     /// policy); the planned window does not enter the choice.
     #[default]
     Lru,
-    /// Belady's MIN over the planned access window: evict the resident
-    /// block whose next planned use is furthest away, falling back to LRU
-    /// order for blocks the window does not name again.
+    /// Belady's MIN over the planned access window, which is the current
+    /// wave's own slots: evict the resident block whose next planned use
+    /// in the wave is furthest away, falling back to LRU order for blocks
+    /// the rest of the wave does not name again.
     PlannedMin,
 }
 

@@ -39,8 +39,7 @@
 //!   chunk → `fetch_many` → one unit on the calling thread or many across
 //!   rayon → merge metrics → `put`. Pair waves, batch waves, collapse and
 //!   recompress are each a unit list — read off the [`Layout`] slot
-//!   functions the schedule's `AccessPlan` is built from too — and a
-//!   cycle closure handed to it;
+//!   functions — and a cycle closure handed to it;
 //!   `RankWorker::map_blocks` is its read-only twin for queries (peeks
 //!   instead of takes, no write-back).
 //!
@@ -57,10 +56,7 @@
 //! ```text
 //!  facade (engine.rs)                                 MPI counterpart
 //!  ──────────────────                                 ───────────────
-//!  route gate / plan batch / pick collective;
-//!  look up the next wave's planned block slots
-//!  in the schedule's AccessPlan (per-rank
-//!  prefetch lookahead, out-of-core runs only)
+//!  route gate / plan batch / pick collective
 //!        │
 //!        │  ClusterSim::dispatch(Vec<WorkerCmd>)      MPI_Scatter over
 //!        ▼                                            MPI_COMM_WORLD
@@ -69,16 +65,15 @@
 //!  │  ::handle(cmd) │  │  ::handle(cmd) │             (its event loop)
 //!  │                │  │                │
 //!  │ Gate/Batch/Collapse/Recompress — `walk`          §3.2 block cycle
-//!  │ announces its units + the lookahead              on the rank's own
+//!  │ announces its own units                          on the rank's own
 //!  │ (plan_accesses), then one residency-             memory (MCDRAM
 //!  │ budget chunk at a time:                          scratch); staging
 //!  │  fetch_many(chunk k)   coalesced reads;          along the window
 //!  │    the store stages the window's next budget     is the paper's MPI
 //!  │  ─▶ Cycle::block or ::pair: decode_block         overlap aimed at
 //!  │  (length checked) ─▶ kernel ─▶ recompress        disk: a recv
-//!  │  ─▶ store.put (after the last chunk the          posted before the
-//!  │  window holds the *next* wave's first slots,     wave that needs it
-//!  │  so wave boundaries overlap too)  │
+//!  │  ─▶ store.put (the window is this wave's         posted before the
+//!  │  units only: nothing is staged past it)          chunk that needs it
 //!  │                │  │                │
 //!  │ Exchange:      │◀─┼─ Duplex link ─▶│             MPI_Sendrecv of
 //!  │  leader recv/  │  │ follower sends │             compressed blocks
@@ -136,14 +131,14 @@
 //! out-of-core (`SpillStore`, hot blocks resident under a budget, cold
 //! blocks in per-rank segment files). Every planned wave — gate, batch,
 //! recompress and collapse (`walk`), exchange, and query (`map_blocks`) —
-//! makes one planning call, [`BlockStore::plan_accesses`] with its
-//! ordered slots and the next wave's first slots (the facade's
-//! `AccessPlan` lookahead), then consumes those slots in order, a chunk
-//! of at most a residency budget at a time, each with one coalesced
+//! makes one planning call, [`BlockStore::plan_accesses`] with its own
+//! ordered slots, then consumes those slots in order, a chunk of at most
+//! a residency budget at a time, each with one coalesced
 //! [`BlockStore::fetch_many`]. A spilling store stages the budget of
-//! slots after each consumption in the background, so the upcoming
-//! blocks stream off disk instead of blocking the wave on a
-//! seek-and-read per block.
+//! slots after each consumption in the background, so the wave's next
+//! chunk streams off disk instead of blocking on a seek-and-read per
+//! block. The window is one wave: a wave's last chunk stages nothing,
+//! and the next wave starts from its own announcement.
 //!
 //! # The compressed exchange
 //!
@@ -177,13 +172,6 @@ use std::time::{Duration, Instant};
 /// with its block index within the rank.
 pub(crate) type BlockMsg = (usize, CompressedBlock);
 
-/// The next wave's first planned block slots for this rank, handed down
-/// by the facade from the schedule's `AccessPlan` and appended to the
-/// window the wave announces, so a prefetching store stages across the
-/// wave boundary. `None` when the run is not planned (no schedule,
-/// prefetch off, or an unplanned wave follows).
-pub(crate) type Lookahead = Option<Arc<Vec<usize>>>;
-
 /// One (possibly controlled) single-qubit gate wave, pre-routed by the
 /// facade. `route` is never `InterRank` — rank-crossing gates go through
 /// [`ExchangeCmd`] instead.
@@ -196,7 +184,6 @@ pub(crate) struct GateCmd {
     pub block_cmask: usize,
     pub rank_cmask: usize,
     pub bound: ErrorBound,
-    pub lookahead: Lookahead,
 }
 
 /// This rank's role in an inter-rank exchange wave.
@@ -220,7 +207,6 @@ pub(crate) struct ExchangeCmd {
     pub block_cmask: usize,
     pub bound: ErrorBound,
     pub role: ExchangeRole,
-    pub lookahead: Lookahead,
 }
 
 /// Per-gate kernel plan inside a batch: the matrix plus the control masks
@@ -241,7 +227,6 @@ pub(crate) struct BatchPlan {
 pub(crate) struct BatchCmd {
     pub plans: Arc<Vec<BatchPlan>>,
     pub bound: ErrorBound,
-    pub lookahead: Lookahead,
 }
 
 /// The command protocol between the engine facade and its rank workers.
@@ -317,18 +302,9 @@ impl WorkerCmd {
             )),
             _ => Ok(()),
         };
-        let ahead = |lookahead: &Lookahead| match lookahead
-            .iter()
-            .flat_map(|l| l.iter())
-            .find(|&&s| s >= bpr)
-        {
-            Some(slot) => Err(format!("lookahead slot {slot} outside a {bpr}-block rank")),
-            None => Ok(()),
-        };
         match self {
             WorkerCmd::Gate(g) => {
                 masks(g.offset_cmask, g.block_cmask, g.rank_cmask)?;
-                ahead(&g.lookahead)?;
                 match g.route {
                     Route::InBlock { offset_bit: bit } => offset_bit(bit),
                     Route::InterBlock { block_stride }
@@ -344,10 +320,7 @@ impl WorkerCmd {
                     }
                 }
             }
-            WorkerCmd::Exchange(x) => {
-                masks(x.offset_cmask, x.block_cmask, 0)?;
-                ahead(&x.lookahead)
-            }
+            WorkerCmd::Exchange(x) => masks(x.offset_cmask, x.block_cmask, 0),
             WorkerCmd::Batch(b) => {
                 if b.plans.len() > MAX_BATCH_GATES {
                     return Err(format!(
@@ -355,7 +328,6 @@ impl WorkerCmd {
                         b.plans.len()
                     ));
                 }
-                ahead(&b.lookahead)?;
                 b.plans.iter().try_for_each(|p| {
                     offset_bit(p.offset_bit)?;
                     masks(p.offset_cmask, p.block_cmask, p.rank_cmask)
@@ -551,15 +523,13 @@ impl RankWorker {
             .max(1)
     }
 
-    /// Announce a wave's ordered slot accesses — the wave's own planned
-    /// order with the next wave's `AccessPlan` lookahead appended — to a
-    /// store that reads plans (it stages along the window, and MIN picks
-    /// victims by it). Skipped when the store ignores plans, so
-    /// all-resident runs build no window.
-    fn announce_plan(&self, wave_slots: impl IntoIterator<Item = usize>, lookahead: &Lookahead) {
+    /// Announce a wave's own ordered slot accesses to a store that reads
+    /// plans (it stages along the window, and MIN picks victims by it).
+    /// Skipped when the store ignores plans, so all-resident runs build
+    /// no window.
+    fn announce_plan(&self, wave_slots: impl IntoIterator<Item = usize>) {
         if self.store.wants_plan() {
-            let next = lookahead.iter().flat_map(|l| l.iter().copied());
-            let window: Vec<usize> = wave_slots.into_iter().chain(next).collect();
+            let window: Vec<usize> = wave_slots.into_iter().collect();
             self.store.plan_accesses(&window);
         }
     }
@@ -622,7 +592,6 @@ impl RankWorker {
                     rank_cmask: cmd.rank_cmask,
                 }]),
                 bound: cmd.bound,
-                lookahead: cmd.lookahead.clone(),
             }),
             Route::InterBlock { block_stride } => {
                 let units: Vec<([usize; 2], ())> = self
@@ -631,7 +600,7 @@ impl RankWorker {
                     .map(|pair| (pair, ()))
                     .collect();
                 let cycle = self.cycle(cmd.bound);
-                self.walk(&units, &cmd.lookahead, |_, [a, b], _| {
+                self.walk(&units, |_, [a, b], _| {
                     cycle.pair(&cmd.gate, cmd.offset_cmask, &a, &b)
                 })
             }
@@ -656,7 +625,7 @@ impl RankWorker {
             .map(|(b, mask)| ([b], mask))
             .collect();
         let cycle = self.cycle(cmd.bound);
-        self.walk(&units, &cmd.lookahead, |&(_, mask), [blk], wide| {
+        self.walk(&units, |&(_, mask), [blk], wide| {
             let (out, stats) = cycle.block(&cmd.plans, mask, &blk, wide)?;
             Ok(([out], stats))
         })
@@ -669,8 +638,8 @@ impl RankWorker {
     /// plans, then walked in chunks so at most the store's residency
     /// budget of blocks is in flight at once: each chunk is one coalesced
     /// [`BlockStore::fetch_many`] (after which a prefetching store stages
-    /// along the window — the next chunk, or on the last one the next
-    /// wave's `lookahead` — while this one computes), the chunk's units
+    /// the next chunk along the window while this one computes; the
+    /// window ends with the wave), the chunk's units
     /// stripe across rayon, and their metrics and blocks are merged and
     /// put back in unit order. A chunk of one unit runs on the calling
     /// thread and is told so (`wide`), so a rank with one big block still
@@ -679,7 +648,6 @@ impl RankWorker {
     fn walk<const N: usize, T: Sync>(
         &self,
         units: &[([usize; N], T)],
-        lookahead: &Lookahead,
         cycle: impl Fn(
                 &([usize; N], T),
                 [CompressedBlock; N],
@@ -687,7 +655,7 @@ impl RankWorker {
             ) -> Result<([CompressedBlock; N], CycleStats), SimError>
             + Sync,
     ) -> Result<WaveOut, SimError> {
-        self.announce_plan(units.iter().flat_map(|u| u.0), lookahead);
+        self.announce_plan(units.iter().flat_map(|u| u.0));
         let mut lossy = false;
         for chunk in units.chunks((self.flight_budget() / N).max(1)) {
             let slots: Vec<usize> = chunk.iter().flat_map(|u| u.0).collect();
@@ -766,7 +734,7 @@ impl RankWorker {
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
         let sel: Vec<usize> = self.layout.selected_blocks(cmd.block_cmask).collect();
-        self.announce_plan(sel.iter().copied(), &cmd.lookahead);
+        self.announce_plan(sel.iter().copied());
         // Stream in residency-budget chunks: each chunk is one coalesced
         // fetch, and the sent payloads live in the link's buffer (the MPI
         // send-buffer allowance) — the follower never materializes more
@@ -797,7 +765,7 @@ impl RankWorker {
         link: Duplex<BlockMsg>,
     ) -> Result<WaveOut, SimError> {
         let sel: Vec<usize> = self.layout.selected_blocks(cmd.block_cmask).collect();
-        self.announce_plan(sel.iter().copied(), &cmd.lookahead);
+        self.announce_plan(sel.iter().copied());
         let cycle = self.cycle(cmd.bound);
         let mut lossy = false;
         for &b in &sel {
@@ -839,7 +807,7 @@ impl RankWorker {
     ) -> Result<WaveOut, SimError> {
         let (layout, rank) = (self.layout, self.rank);
         let cycle = self.cycle(bound);
-        self.walk(&self.all_blocks(), &None, |&([b], ()), [blk], _| {
+        self.walk(&self.all_blocks(), |&([b], ()), [blk], _| {
             let mut stats = CycleStats::default();
             let mut buf = cycle.decode(&blk, &mut stats)?;
             let t = Instant::now();
@@ -869,7 +837,7 @@ impl RankWorker {
 
     fn recompress_all(&mut self, bound: ErrorBound) -> Result<WaveOut, SimError> {
         let cycle = self.cycle(bound);
-        self.walk(&self.all_blocks(), &None, |_, [blk], _| {
+        self.walk(&self.all_blocks(), |_, [blk], _| {
             let mut stats = CycleStats::default();
             let buf = cycle.decode(&blk, &mut stats)?;
             Ok(([cycle.encode(&buf, &mut stats)?], stats))
@@ -891,7 +859,7 @@ impl RankWorker {
         mut fold: impl FnMut(usize, T),
     ) -> Result<(), SimError> {
         let all: Vec<usize> = self.layout.selected_blocks(0).collect();
-        self.announce_plan(all.iter().copied(), &None);
+        self.announce_plan(all.iter().copied());
         for chunk in all.chunks(self.flight_budget().min(QUERY_CHUNK_BLOCKS)) {
             let peeked: Vec<_> = chunk
                 .iter()
@@ -1282,7 +1250,6 @@ mod tests {
                     block_cmask: 0,
                     bound: ErrorBound::Lossless,
                     role,
-                    lookahead: None,
                 }));
                 match out {
                     Err(SimError::Exchange(msg)) => assert!(msg.contains("was due"), "{msg}"),

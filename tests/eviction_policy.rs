@@ -1,7 +1,7 @@
 //! Eviction-policy differential harness: victim selection and write
 //! scheduling must be pure *performance* changes. Whatever the spill tier
 //! evicts — least-recently-used blocks or Belady-MIN victims chosen from
-//! the schedule's `AccessPlan` — and however it writes them out —
+//! the slots each wave announces — and however it writes them out —
 //! synchronously on the critical path or through the write-behind dirty
 //! buffer — the amplitudes must match the dense reference to 1e-10 on
 //! every circuit family.
@@ -15,7 +15,8 @@
 //! * peak memory stays within the residency budget plus the two bounded
 //!   side buffers (prefetch staging, write-behind dirty queue) — the
 //!   accounting gap regression: both buffers hold real decoded frames and
-//!   must show up in `peak_memory_bytes`.
+//!   count in `peak_memory_bytes` whenever they are occupied at a wave
+//!   boundary (staging never is: its window ends with the wave).
 
 use qcsim::circuits::supremacy::{random_circuit, Grid};
 use qcsim::circuits::{

@@ -8,11 +8,15 @@
 //! compressed blocks) with only 4 blocks resident per rank, the regime the
 //! paper's storage hierarchy extends to: dense → compressed-resident →
 //! spilled to disk — once with the blocking pull-on-demand tier and once
-//! with the schedule-planned prefetch pipeline, which must produce the
-//! same amplitudes while moving spill reads off the critical path
-//! (non-zero prefetch hits, strictly fewer blocking fetches).
+//! with the planned prefetch pipeline, which must produce the same
+//! amplitudes while moving spill reads off the critical path (non-zero
+//! prefetch hits, strictly fewer blocking fetches). Prefetch stages only
+//! inside a wave, so it moves *when* blocks are read and nothing else:
+//! with synchronous eviction writes, prefetch on and off read the same
+//! spill and fetch counts and the same peak.
 
-use qcsim::core::SimConfig;
+use qcsim::circuits::{qaoa_circuit, random_regular_graph, QaoaParams};
+use qcsim::core::{Eviction, SimConfig};
 use qcsim::{Circuit, CompressedSimulator, ErrorBound};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,8 +76,8 @@ fn twenty_qubit_spilled_runs_match_in_ram_blocking_and_prefetched() {
     // heaviest sims, so every assertion shares them):
     //  * prefetch off — the pure pull-on-demand tier, every cold block a
     //    blocking seek-and-read;
-    //  * prefetch on — the schedule's AccessPlan drives the waves and the
-    //    next chunk's spilled frames stream off disk (background fetch
+    //  * prefetch on — each wave announces its slots and the wave's next
+    //    chunk of spilled frames streams off disk (background fetch
     //    thread, coalesced reads) while the current chunk computes.
     // Both are storage-only changes: amplitudes must match the all-in-RAM
     // run, while with prefetch on the fetch traffic moves from blocking
@@ -195,4 +199,50 @@ fn spilled_measurement_and_observables_match() {
     let err = max_amp_error(&mem, &spill);
     assert!(err <= TOL, "post-measurement divergence {err:e}");
     assert!(spill.report().breakdown.fetches > 0);
+}
+
+#[test]
+fn prefetch_changes_when_blocks_are_read_not_how_many_or_the_peak() {
+    // A wave's staging window is the wave's own slots, so everything the
+    // background fetcher stages is consumed before the wave ends: a wave
+    // boundary, where the footprint is sampled, holds no staged block.
+    // With synchronous eviction writes (write-behind off) nothing else
+    // drains in the background, so prefetch on and off must evict, fetch
+    // and read back the same blocks, sample the same peak, and leave the
+    // same amplitudes, under either victim policy.
+    let circuit = qaoa_circuit(&random_regular_graph(8, 4, 3), &QaoaParams::standard(1));
+    for eviction in [Eviction::Lru, Eviction::PlannedMin] {
+        let cfg = |prefetch| {
+            lossless_cfg(3, 0)
+                .with_spill(4)
+                .with_eviction(eviction)
+                .with_write_behind(false)
+                .with_prefetch(prefetch)
+        };
+        let (off, on) = (run(&circuit, cfg(false)), run(&circuit, cfg(true)));
+        let (a, b) = (off.report(), on.report());
+        let counts = |r: &qcsim::SimReport| {
+            (
+                r.peak_memory_bytes,
+                r.breakdown.spills,
+                r.breakdown.fetches,
+                r.breakdown.fetch_bytes,
+            )
+        };
+        assert!(a.breakdown.spills > 0, "{eviction:?}: the run must spill");
+        assert!(
+            b.breakdown.prefetch_hits > 0,
+            "{eviction:?}: prefetch on must stage blocks"
+        );
+        assert_eq!(
+            counts(&a),
+            counts(&b),
+            "{eviction:?}: (peak, spills, fetches, fetch bytes), prefetch off vs on"
+        );
+        assert_eq!(
+            off.snapshot_f64().unwrap(),
+            on.snapshot_f64().unwrap(),
+            "{eviction:?}: amplitudes"
+        );
+    }
 }
