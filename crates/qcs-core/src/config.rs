@@ -11,7 +11,7 @@ use std::path::PathBuf;
 pub struct SpillConfig {
     /// Residency budget per rank, in blocks (minimum 1): the hottest
     /// `resident_blocks` compressed blocks stay in memory (victims chosen
-    /// by `eviction`); the rest live in the rank's segment file(s).
+    /// by `eviction`); the rest live in the rank's segment file.
     pub resident_blocks: usize,
     /// Directory for the per-rank segment files; `None` uses the system
     /// temp directory. Files are deleted when the simulator is dropped.
@@ -25,16 +25,15 @@ pub struct SpillConfig {
     /// (bounded dirty buffer, coalesced appends, flush/drop barriers)
     /// instead of appending synchronously on the critical path.
     pub write_behind: bool,
-    /// Segment shards per rank (minimum 1): with `> 1`, each rank keeps
-    /// one segment file in each of `shards` directories and rotates
-    /// eviction runs across them in eviction order.
+    /// Segment files per rank. Each rank keeps exactly one, so
+    /// [`SimConfig::validate`] accepts only 1; the field stays in the wire
+    /// layout.
     pub shards: usize,
 }
 
 impl SpillConfig {
     /// Spill config with the given per-rank residency budget, segments in
-    /// the system temp directory, LRU eviction, synchronous writes, one
-    /// shard.
+    /// the system temp directory, LRU eviction, synchronous writes.
     pub fn new(resident_blocks: usize) -> Self {
         Self {
             resident_blocks,
@@ -194,13 +193,20 @@ impl SimConfig {
     /// panics the table constructor outright.
     pub const MAX_CACHE_LINES: usize = 1 << 16;
 
-    /// Most segment shards per rank [`SimConfig::validate`] accepts: each
-    /// shard is one directory and one open segment file per rank.
-    pub const MAX_SPILL_SHARDS: usize = 64;
-
     /// Most rayon threads per rank [`SimConfig::validate`] accepts: the
     /// value is a thread-spawn count.
     pub const MAX_THREADS_PER_RANK: usize = 256;
+
+    /// Largest `ranks_log2` [`SimConfig::validate`] accepts: 2^8 = 256
+    /// ranks, the ceiling of [`SimConfig::MAX_THREADS_PER_RANK`] (the
+    /// paper runs 128 per node). Every rank is a worker thread, and a
+    /// spilling one holds a segment file and its I/O threads.
+    pub const MAX_RANKS_LOG2: u32 = 8;
+
+    /// Largest `block_log2` [`SimConfig::validate`] accepts: 16x the
+    /// paper's 2^20-amplitude block. A block's amplitude count sizes the
+    /// codec's scratch buffers before any gate runs.
+    pub const MAX_BLOCK_LOG2: u32 = 24;
 
     /// Config with a given block size exponent.
     pub fn with_block_log2(mut self, block_log2: u32) -> Self {
@@ -308,16 +314,6 @@ impl SimConfig {
         self
     }
 
-    /// Config with the given per-rank segment shard count (enables
-    /// spilling with a 1-block budget if it was off; keeps a previously
-    /// set budget; validated to be at least 1).
-    pub fn with_spill_shards(mut self, shards: usize) -> Self {
-        let mut spill = self.spill.take().unwrap_or_else(|| SpillConfig::new(1));
-        spill.shards = shards;
-        self.spill = Some(spill);
-        self
-    }
-
     /// Host every rank worker remotely, on `qcsim-workerd` daemons at
     /// `endpoints` (rank `r` dials endpoint `r % endpoints.len()`), with
     /// default connection supervision (see [`RemoteConfig::new`]).
@@ -365,9 +361,21 @@ impl SimConfig {
                 Self::MAX_QUBITS
             ));
         }
-        // Widen to u64: ranks_log2/block_log2 come off the wire, and the
-        // sum must not overflow-panic before the range check rejects it.
-        if (num_qubits as u64) < self.ranks_log2 as u64 + self.block_log2 as u64 + 1 {
+        if self.ranks_log2 > Self::MAX_RANKS_LOG2 {
+            return Err(format!(
+                "ranks_log2 {} exceeds the supported maximum of {}",
+                self.ranks_log2,
+                Self::MAX_RANKS_LOG2
+            ));
+        }
+        if self.block_log2 > Self::MAX_BLOCK_LOG2 {
+            return Err(format!(
+                "block_log2 {} exceeds the supported maximum of {}",
+                self.block_log2,
+                Self::MAX_BLOCK_LOG2
+            ));
+        }
+        if num_qubits < self.ranks_log2 + self.block_log2 + 1 {
             return Err(format!(
                 "{num_qubits} qubits cannot split into 2^{} ranks x 2^{} amp blocks",
                 self.ranks_log2, self.block_log2
@@ -405,11 +413,10 @@ impl SimConfig {
             if spill.resident_blocks == 0 {
                 return Err("spill residency budget must be at least 1 block".into());
             }
-            if !(1..=Self::MAX_SPILL_SHARDS).contains(&spill.shards) {
+            if spill.shards != 1 {
                 return Err(format!(
-                    "spill shard count {} outside 1..={}",
-                    spill.shards,
-                    Self::MAX_SPILL_SHARDS
+                    "spill shard count {} is not 1: a rank keeps one segment file",
+                    spill.shards
                 ));
             }
         }
@@ -484,18 +491,40 @@ mod tests {
             .clone()
             .with_threads_per_rank(SimConfig::MAX_THREADS_PER_RANK);
         at_cap.cache_lines = SimConfig::MAX_CACHE_LINES;
-        at_cap.spill.as_mut().unwrap().shards = SimConfig::MAX_SPILL_SHARDS;
         assert!(at_cap.validate(9).is_ok());
 
         let mut bad = ok.clone();
         bad.cache_lines = usize::MAX;
         assert!(bad.validate(9).unwrap_err().contains("cache lines"));
-        let bad = ok
-            .clone()
-            .with_spill_shards(SimConfig::MAX_SPILL_SHARDS + 1);
-        assert!(bad.validate(9).unwrap_err().contains("shard"));
         let bad = ok.with_threads_per_rank(usize::MAX);
         assert!(bad.validate(9).unwrap_err().contains("threads_per_rank"));
+    }
+
+    /// `ranks_log2` is a thread-spawn count (a worker per rank, a store
+    /// and its I/O threads per spilling rank) and `block_log2` sizes the
+    /// codec's scratch buffers, so both are capped, not only their sum.
+    /// Validation only: nothing here builds a simulator.
+    #[test]
+    fn validation_caps_the_rank_and_block_exponents() {
+        let cfg = |ranks_log2, block_log2| {
+            SimConfig::default()
+                .with_ranks_log2(ranks_log2)
+                .with_block_log2(block_log2)
+                .with_spill(4)
+        };
+        assert!(cfg(8, 3).validate(12).is_ok());
+        let err = cfg(9, 3).validate(13).unwrap_err();
+        assert!(err.contains("ranks_log2"), "{err}");
+        // The hostile server job: 2^20 one-amplitude ranks on 21 qubits.
+        let err = cfg(20, 0).validate(21).unwrap_err();
+        assert!(err.contains("ranks_log2"), "{err}");
+
+        assert!(cfg(0, 24).validate(25).is_ok());
+        let err = cfg(0, 25).validate(26).unwrap_err();
+        assert!(err.contains("block_log2"), "{err}");
+        // The hostile handshake: two 2^39-amplitude blocks on 40 qubits.
+        let err = cfg(0, 39).validate(40).unwrap_err();
+        assert!(err.contains("block_log2"), "{err}");
     }
 
     #[test]
@@ -536,29 +565,59 @@ mod tests {
         let c = SimConfig::default()
             .with_spill(4)
             .with_eviction(Eviction::PlannedMin)
-            .with_write_behind(true)
-            .with_spill_shards(3);
+            .with_write_behind(true);
         let spill = c.spill.as_ref().unwrap();
         assert_eq!(spill.resident_blocks, 4, "builders keep the budget");
         assert_eq!(spill.eviction, Eviction::PlannedMin);
         assert!(spill.write_behind);
-        assert_eq!(spill.shards, 3);
         assert!(c.validate(9).is_err(), "block_log2 still default");
         let c = c.with_block_log2(3);
         assert!(c.validate(9).is_ok());
-        // Zero shards are rejected.
-        let bad = SimConfig::default()
-            .with_block_log2(3)
-            .with_spill(4)
-            .with_spill_shards(0);
-        assert!(bad.validate(9).is_err());
         // Each builder arms the spill tier if it was off.
         assert!(SimConfig::default()
             .with_eviction(Eviction::PlannedMin)
             .spill
             .is_some());
         assert!(SimConfig::default().with_write_behind(true).spill.is_some());
-        assert!(SimConfig::default().with_spill_shards(2).spill.is_some());
+    }
+
+    /// A rank keeps one segment file: the config refuses any other shard
+    /// count, and a store refuses more than one (0 is what
+    /// `SpillOptions::default()` holds).
+    #[test]
+    fn one_segment_file_per_rank() {
+        use crate::store::{SpillOptions, SpillStore};
+        let cfg = |shards| {
+            let mut c = SimConfig::default().with_block_log2(3).with_spill(4);
+            c.spill.as_mut().unwrap().shards = shards;
+            c
+        };
+        assert!(cfg(1).validate(9).is_ok());
+        for shards in [0, 2, usize::MAX] {
+            let err = cfg(shards).validate(9).unwrap_err();
+            assert!(err.contains("shard"), "{shards}: {err}");
+        }
+        let dir = std::env::temp_dir().join(format!("qcs-config-shards-{}", std::process::id()));
+        let store = |shards| {
+            SpillStore::create_with(
+                &dir,
+                "r0",
+                1,
+                qcs_cluster::Metrics::new(),
+                Vec::new(),
+                SpillOptions {
+                    shards,
+                    ..SpillOptions::default()
+                },
+            )
+        };
+        assert!(store(0).is_ok());
+        assert!(store(1).is_ok());
+        match store(2) {
+            Err(crate::SimError::Config(m)) => assert!(m.contains("shard"), "{m}"),
+            other => panic!("a two-shard store was built: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

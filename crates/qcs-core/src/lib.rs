@@ -17,8 +17,8 @@
 //!   ladder (§3.7), cache size (§3.4), out-of-core residency budget;
 //! - [`store`] — the block storage tiers behind the workers: [`MemStore`]
 //!   (all-resident, the paper's regime) and [`SpillStore`] (hot blocks
-//!   under a residency budget, cold blocks in per-rank segment files of
-//!   checksummed frames, optionally sharded), so the simulable size is
+//!   under a residency budget, cold blocks in one segment file of
+//!   checksummed frames per rank), so the simulable size is
 //!   bounded by disk rather than RAM. Out-of-core waves are *planned*:
 //!   a wave's block order is known before it runs (the rank worker reads
 //!   it off the `qcs_cluster::Layout` slot functions it then walks, as

@@ -969,16 +969,19 @@ mod tests {
         ]
     }
 
+    /// Encoded and decoded only, never validated: its three shards pin
+    /// the field's bytes.
     fn golden_hello_cfg() -> SimConfig {
-        SimConfig::default()
+        let mut cfg = SimConfig::default()
             .with_block_log2(3)
             .with_ranks_log2(1)
             .with_threads_per_rank(2)
             .with_spill(2)
             .with_write_behind(true)
-            .with_spill_shards(3)
             .with_spill_dir(PathBuf::from("/coordinator/only"))
-            .with_remote(vec!["127.0.0.1:9"])
+            .with_remote(vec!["127.0.0.1:9"]);
+        cfg.spill.as_mut().unwrap().shards = 3;
+        cfg
     }
 
     fn assert_golden<T: Wire + PartialEq + std::fmt::Debug>(name: &str, value: &T) {
@@ -1196,10 +1199,8 @@ mod tests {
                         .with_block_log2(block_log2)
                         .with_ranks_log2(ranks_log2);
                     if spill > 0 {
-                        cfg = cfg
-                            .with_spill(spill)
-                            .with_spill_shards(shards)
-                            .with_write_behind(write_behind);
+                        cfg = cfg.with_spill(spill).with_write_behind(write_behind);
+                        cfg.spill.as_mut().unwrap().shards = shards;
                     }
                     Hello {
                         version,
@@ -1303,8 +1304,7 @@ mod tests {
             .with_ranks_log2(1)
             .with_threads_per_rank(2)
             .with_spill(2)
-            .with_write_behind(true)
-            .with_spill_shards(3);
+            .with_write_behind(true);
         let coordinator_side = cfg
             .clone()
             .with_spill_dir(PathBuf::from("/coordinator/only"))
@@ -1438,6 +1438,33 @@ mod tests {
                 Err(msg) => assert!(msg.contains("handshake block 1 is absent"), "{msg}"),
                 Ok(ack) => panic!("spill={:?}: acked {ack:?}", cfg.spill.is_some()),
             }
+        }
+        daemon.join().expect("the daemon thread ends cleanly");
+    }
+
+    #[test]
+    fn a_hello_with_an_oversized_block_gets_an_err_ack() {
+        // Two tiny blocks claiming 2^39 amplitudes each on 40 qubits: the
+        // daemon would size its codec scratch by the claim (8 TiB of f64s)
+        // before decoding either block.
+        let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
+        let zeros = Some(codec.compress(&[0.0; 16], ErrorBound::Lossless).unwrap());
+        let blocks = [zeros.clone(), zeros];
+        let cfg = SimConfig::default().with_block_log2(39);
+        let (addr, daemon) = spawn_loopback(1, ServeOptions::default()).unwrap();
+        let mut stream =
+            qcs_net::connect_supervised(&addr, &qcs_net::ConnectPolicy::default()).unwrap();
+        write_frame_to(
+            &mut stream,
+            K_HELLO,
+            &encode(&Hello::new(0, &cfg, 40, &blocks)),
+        )
+        .unwrap();
+        let (kind, ack) = recv_frame(&mut stream).expect("the handshake is answered");
+        assert_eq!(kind, K_HELLO_ACK);
+        match decode::<HelloAck>(&ack).unwrap() {
+            Err(msg) => assert!(msg.contains("block_log2"), "{msg}"),
+            Ok(ack) => panic!("acked {ack:?}"),
         }
         daemon.join().expect("the daemon thread ends cleanly");
     }

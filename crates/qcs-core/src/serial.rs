@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn config_round_trips_with_all_options_set() {
-        let cfg = SimConfig::default()
+        let mut cfg = SimConfig::default()
             .with_block_log2(10)
             .with_ranks_log2(2)
             .with_memory_budget(1 << 24)
@@ -108,8 +108,9 @@ mod tests {
             .with_spill_dir(PathBuf::from("/tmp/qcs-spill"))
             .with_eviction(Eviction::PlannedMin)
             .with_write_behind(true)
-            .with_spill_shards(4)
             .with_remote(vec!["127.0.0.1:9000"]);
+        // The wire carries a shard count validate refuses as it is.
+        cfg.spill.as_mut().unwrap().shards = 4;
         assert_eq!(decode::<SimConfig>(&encode(&cfg)).unwrap(), cfg);
     }
 

@@ -9,11 +9,11 @@
 //! - [`SpillStore`] — the out-of-core tier: a configurable number of hot
 //!   compressed blocks stay resident (victims chosen per [`Eviction`]:
 //!   least recently touched, or Belady's MIN over the planned window) and
-//!   the rest are spilled to per-rank segment files as self-describing
-//!   [`qcs_compress::frame`]s (codec id, error bound, length, checksum),
-//!   optionally sharded across several directories. The simulable qubit
-//!   count is then bounded by disk, not RAM — the next rung below the
-//!   paper's compression ladder in the storage hierarchy.
+//!   the rest are spilled to one segment file per rank as self-describing
+//!   [`qcs_compress::frame`]s (codec id, error bound, length, checksum).
+//!   The simulable qubit count is then bounded by disk, not RAM — the
+//!   next rung below the paper's compression ladder in the storage
+//!   hierarchy.
 //!
 //! Workers address blocks by their local slot index and move them with
 //! [`BlockStore::take`] / [`BlockStore::put`] (exclusive, for the
@@ -29,7 +29,7 @@
 //! the wave after it. Every consumption of a planned slot moves the
 //! window's cursor past it, and both users of the future read the slots
 //! after the cursor. A prefetching [`SpillStore`] stages the spilled ones
-//! among the next residency budget of them on background fetch threads,
+//! among the next residency budget of them on a background fetch thread,
 //! so the next chunk's disk reads overlap the current chunk's compute.
 //! The window is one wave: its last chunk stages nothing, so a wave
 //! boundary holds no staged block. [`Eviction::PlannedMin`] evicts the
@@ -43,19 +43,17 @@
 //!
 //! Every eviction parks its victim in a *dirty buffer* (still served from
 //! memory, still counted against residency accounting), and one run
-//! writer, `write_run`, drains it: it claims a run of queued dirty blocks,
-//! the next shard in rotation and the run's exact byte extent under the
-//! lock, encodes the run into one recycled buffer, lands it with one
-//! positional write outside the lock, and commits each frame by
-//! generation. With [`SpillOptions::write_behind`] on, background writer
-//! threads — one per shard, bounded — call it off the critical path, so
-//! shards see concurrent, non-overlapping I/O. The evicting thread calls
-//! it inline when write-behind is off (a synchronous eviction is a run of
-//! one), when no writer is alive, and when a barrier or a full buffer
-//! must drain. [`SpillStore::flush`] is the barrier that makes every
-//! dirty block durable; it runs before compaction and on drop, and it
-//! (or the next `take`) surfaces any deferred write error instead of
-//! dropping it.
+//! writer, `write_run`, drains it: it claims a run of queued dirty blocks
+//! and the run's exact byte extent of the segment under the lock, encodes
+//! the run into one recycled buffer, lands it with one positional write
+//! outside the lock, and commits each frame by generation. With
+//! [`SpillOptions::write_behind`] on, one background writer thread calls
+//! it off the critical path. The evicting thread calls it inline when
+//! write-behind is off (a synchronous eviction is a run of one), when the
+//! writer is gone, and when a barrier or a full buffer must drain.
+//! [`SpillStore::flush`] is the barrier that makes every dirty block
+//! durable; it runs before compaction and on drop, and it (or the next
+//! `take`) surfaces any deferred write error instead of dropping it.
 //!
 //! Every read of a segment goes through `read_frame_runs`, which sorts
 //! frames by offset and serves segment-adjacent ones with one positional
@@ -63,16 +61,12 @@
 //! [`BlockStore::take`] is a one-slot `fetch_many`, and `peek` and
 //! compaction read through it too.
 //!
-//! # Segment-file layout, sharding, and compaction
+//! # Segment-file layout and compaction
 //!
-//! A [`SpillStore`] appends each run as consecutive frames to a segment
-//! file and remembers `(shard, offset, length)` per slot. With
-//! [`SpillOptions::shards`] ` > 1` the store keeps one segment file in
-//! each of N shard directories and rotates runs across them in eviction
-//! order — which under MIN follows the planned access order —
-//! so coalesced prefetch and write-behind runs land on distinct shards.
-//! A block fetched back leaves its old frame behind as garbage; when a
-//! shard's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and twice
+//! A [`SpillStore`] appends each run as consecutive frames to its one
+//! segment file and remembers `(offset, length)` per slot. A block
+//! fetched back leaves its old frame behind as garbage; when the
+//! segment's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and twice
 //! its live bytes, the store rewrites the live frames, in slot order,
 //! into a fresh segment and atomically renames it over the old one,
 //! bounding disk usage at ~3× the live spilled working set. Fetches
@@ -425,11 +419,11 @@ impl Drop for SegmentDirGuard {
 
 /// Construction options for a [`SpillStore`] beyond the required
 /// geometry: the eviction policy, the asynchronous pipelines to run
-/// (prefetch, write-behind), segment sharding, and an optional shared
-/// [`SegmentDirGuard`] for panic-safe cleanup.
+/// (prefetch, write-behind), and an optional shared [`SegmentDirGuard`]
+/// for panic-safe cleanup.
 #[derive(Debug, Default, Clone)]
 pub struct SpillOptions {
-    /// Spawn the store's background fetch threads and stage along the
+    /// Spawn the store's background fetch thread and stage along the
     /// [`BlockStore::plan_accesses`] window after every planned
     /// consumption (off: every spilled fetch blocks, the pre-pipeline
     /// behavior).
@@ -441,15 +435,15 @@ pub struct SpillOptions {
     /// default; [`Eviction::PlannedMin`] ranks residents by the
     /// [`BlockStore::plan_accesses`] window).
     pub eviction: Eviction,
-    /// Spawn the store's background writer threads: evictions enqueue
-    /// into a bounded dirty buffer and return immediately, the writers
-    /// drain coalesced runs to the segment files (off: the evicting
+    /// Spawn the store's background writer thread: evictions enqueue
+    /// into a bounded dirty buffer and return immediately, the writer
+    /// drains coalesced runs to the segment file (off: the evicting
     /// thread writes each victim itself, a run of one, on the critical
     /// path).
     pub write_behind: bool,
-    /// Number of segment shards, each a directory holding one segment
-    /// file; eviction runs rotate across shards. `0` is treated as 1
-    /// (the single-segment layout).
+    /// Segment files per store, mirroring [`crate::SpillConfig::shards`]:
+    /// a store holds exactly one, so [`SpillStore::create_with`] accepts
+    /// 0 (the default) or 1 and refuses more.
     pub shards: usize,
 }
 
@@ -465,36 +459,15 @@ enum Slot {
     /// its old frame was in flight gets a higher generation, so the stale
     /// frame is discarded as dead bytes instead of adopted.
     Dirty { blk: CompressedBlock, gen: u64 },
-    /// Cold: one frame in a segment shard.
+    /// Cold: one frame in the segment file.
     Spilled {
-        shard: u32,
         offset: u64,
         frame_len: u32,
         payload_len: u32,
     },
 }
 
-/// One segment shard: a file of checksummed frames plus its usage
-/// accounting (compaction is per shard).
-#[derive(Debug)]
-struct Shard {
-    /// Shared, so a run or a prefetch job can address the file outside
-    /// the lock; compaction swaps in a new one, and holders of the old
-    /// handle keep reading the old inode.
-    file: Arc<File>,
-    path: PathBuf,
-    /// Directory created for this shard (removed on drop), when the
-    /// sharded layout is in use.
-    dir: Option<PathBuf>,
-    /// Append offset (end of the last frame).
-    end: u64,
-    /// Bytes of live frames in this shard.
-    live: u64,
-    /// Bytes of superseded frames awaiting compaction.
-    dead: u64,
-}
-
-/// Test-only fault plan for the writer threads: makes their runs fail (a
+/// Test-only fault plan for the writer thread: makes its runs fail (a
 /// deferred [`SimError::Spill`] surfaced by the next `take`/`flush`) or
 /// panic (exercising the panic-safety backstops). Inline runs ignore it.
 #[derive(Debug, Default, Clone)]
@@ -505,7 +478,17 @@ struct WriteFault {
 
 #[derive(Debug)]
 struct SpillInner {
-    shards: Vec<Shard>,
+    /// The segment file of checksummed frames. Shared, so a run or a
+    /// prefetch job can address it outside the lock; compaction swaps in
+    /// a new one, and holders of the old handle keep reading the old
+    /// inode.
+    file: Arc<File>,
+    /// Append offset (end of the last frame).
+    end: u64,
+    /// Bytes of live frames in the segment.
+    live: u64,
+    /// Bytes of superseded frames awaiting compaction.
+    dead: u64,
     slots: Vec<Slot>,
     /// LRU clock; bumped on every residency touch.
     clock: u64,
@@ -520,12 +503,11 @@ struct SpillInner {
     staged: HashMap<usize, CompressedBlock>,
     /// Compressed bytes held in `staged` (part of residency accounting).
     staged_bytes: u64,
-    /// Slots whose frames a background fetcher is currently reading.
+    /// Slots whose frames the background fetcher is currently reading.
     /// Foreground fetches of a pending slot wait on `Shared::resolved`
     /// instead of issuing a duplicate read.
     pending: HashSet<usize>,
-    /// Prefetch jobs awaiting a fetcher thread, split per shard at
-    /// enqueue so fetchers read distinct shards concurrently.
+    /// Prefetch jobs awaiting the fetcher thread.
     fetch_jobs: VecDeque<FetchJob>,
     /// The announced access window: victims for `evict_over_cap` and
     /// the slots `stage_ahead` stages.
@@ -534,28 +516,27 @@ struct SpillInner {
     dirty_queue: VecDeque<usize>,
     /// Compressed bytes held in the dirty buffer.
     dirty_bytes: u64,
-    /// Runs claimed and not yet committed or aborted, by a writer thread
-    /// or inline (defers compaction and flush completion while non-zero).
+    /// Runs claimed and not yet committed or aborted, by the writer
+    /// thread or inline (defers compaction and flush completion while
+    /// non-zero).
     runs_in_flight: usize,
-    /// Writer threads still running; once zero (normal exit or panic),
-    /// evictions and barriers drain inline.
-    writers_alive: usize,
+    /// The writer thread is running; once it is not (normal exit or
+    /// panic), evictions and barriers drain inline.
+    writer_alive: bool,
     /// Set by drop: background threads finish their backlog and exit.
     shutdown: bool,
     /// First write-behind failure not yet surfaced; the next `take` or
     /// `flush` returns it instead of silently dropping it.
     write_error: Option<String>,
-    /// Rotates eviction runs across shards (in eviction order).
-    spill_seq: u64,
-    /// Longest run appended to a single shard (the residency budget):
-    /// capping runs keeps consecutive runs actually rotating shards
-    /// instead of landing a whole backlog on one.
+    /// Longest run (the residency budget): bounds a run's encode buffer
+    /// to one budget of frames.
     run_cap: usize,
-    /// Test-only fault injection for the writer threads.
+    /// Test-only fault injection for the writer thread.
     fault: WriteFault,
-    /// Recycled run buffers (at most `MAX_IO_THREADS`): each run encodes
-    /// into one of these and lands with a single positional write.
-    wb_bufs: Vec<Vec<u8>>,
+    /// Recycled run buffer: a run takes it, encodes into it and lands
+    /// with a single positional write, then puts it back. A second run
+    /// claimed while one is out takes an empty one.
+    run_buf: Vec<u8>,
 }
 
 /// State shared between a [`SpillStore`] and its background I/O threads.
@@ -565,9 +546,9 @@ struct Shared {
     /// Signaled whenever pending prefetches resolve (staged or failed)
     /// or a writer commits/aborts a run.
     resolved: Condvar,
-    /// Wakes fetcher threads when `fetch_jobs` gains work (or shutdown).
+    /// Wakes the fetcher thread when `fetch_jobs` gains work (or shutdown).
     fetch_work: Condvar,
-    /// Wakes writer threads when `dirty_queue` gains work (or shutdown).
+    /// Wakes the writer thread when `dirty_queue` gains work (or shutdown).
     write_work: Condvar,
 }
 
@@ -579,41 +560,28 @@ impl Shared {
     }
 }
 
-/// One spilled frame the background fetcher should read and stage.
-#[derive(Debug, Clone, Copy)]
-struct FrameAt {
-    slot: usize,
-    offset: u64,
-    frame_len: u32,
-}
-
 /// One unit of background-fetcher work: whole frames to read, coalesce,
-/// and stage as blocks, confined to a single shard so N fetcher threads
-/// read N shards concurrently. The handle is the shard file *at snapshot
-/// time*, so reads stay valid even if a compaction renames a fresh
-/// segment over a path mid-flight (the handle still addresses the old
-/// inode, whose live frames are untouched).
+/// and stage as blocks, as `(slot, offset, frame_len)`. The handle is the
+/// segment file *at snapshot time*, so reads stay valid even if a
+/// compaction renames a fresh segment over the path mid-flight (the
+/// handle still addresses the old inode, whose live frames are
+/// untouched).
 #[derive(Debug)]
 struct FetchJob {
     file: Arc<File>,
-    frames: Vec<FrameAt>,
+    reads: Vec<(usize, u64, u32)>,
 }
-
-/// Cap on background I/O threads of each kind (fetchers, writers): one
-/// per shard, bounded so a wide shard layout cannot fork a thread herd.
-const MAX_IO_THREADS: usize = 8;
 
 /// The out-of-core tier: at most `cap` hot blocks resident (the victim
 /// of an overflow chosen per the store's [`Eviction`]), the rest
-/// spilled to per-rank segment files of checksummed frames. The segment
-/// files are deleted on drop.
+/// spilled to one segment file of checksummed frames, deleted on drop.
 ///
 /// # The prefetch pipeline
 ///
-/// With [`SpillOptions::prefetch`] on, the store runs background fetch
-/// threads. After every planned consumption it snapshots the spilled
+/// With [`SpillOptions::prefetch`] on, the store runs a background fetch
+/// thread. After every planned consumption it snapshots the spilled
 /// frames among the next residency budget of window slots (marking them
-/// *pending*) and hands the snapshot to a thread, which reads them —
+/// *pending*) and hands the snapshot to the thread, which reads them —
 /// adjacent frames coalesced into single reads — and parks the decoded
 /// blocks in a *staging* buffer.
 /// Staging plus pending never exceed the residency budget, so the store's
@@ -627,22 +595,20 @@ const MAX_IO_THREADS: usize = 8;
 /// came through the fetcher. Everything else is a blocking fetch,
 /// exactly as without the pipeline.
 ///
-/// Both pipelines scale with the shard layout: the store spawns one
-/// fetcher and one writer thread per shard (bounded by
-/// `MAX_IO_THREADS`), prefetch jobs are split per shard at enqueue,
-/// and every run — a writer's or an inline one — claims a shard *and its
-/// exact byte extent* under the lock, then lands with a positional write
-/// outside it — so shards see concurrent, non-overlapping I/O.
+/// Each pipeline is one thread. Every run — the writer's or an inline
+/// one — claims its exact byte extent of the segment under the lock,
+/// then lands with a positional write outside it, so concurrent runs
+/// never overlap.
 pub struct SpillStore {
     cap: usize,
     path: PathBuf,
     metrics: Metrics,
     shared: Arc<Shared>,
-    /// True when the background fetch pipeline is on (fetchers spawned).
+    /// True when the background fetch pipeline is on (fetcher spawned).
     prefetch_on: bool,
-    /// True when the write-behind pipeline is on (writers spawned).
+    /// True when the write-behind pipeline is on (writer spawned).
     write_behind: bool,
-    /// Background fetcher and writer threads, joined on drop.
+    /// Background fetcher and writer thread, joined on drop.
     io_threads: Vec<std::thread::JoinHandle<()>>,
     /// The policy selector this store was built with.
     eviction: Eviction,
@@ -680,7 +646,8 @@ impl SpillStore {
         Self::create_with(dir, label, cap, metrics, blocks, SpillOptions::default())
     }
 
-    /// [`SpillStore::create`] with explicit [`SpillOptions`].
+    /// [`SpillStore::create`] with explicit [`SpillOptions`]. A
+    /// `shards` count above 1 is a [`SimError::Config`].
     pub fn create_with(
         dir: &Path,
         label: &str,
@@ -689,41 +656,30 @@ impl SpillStore {
         blocks: Vec<Option<CompressedBlock>>,
         opts: SpillOptions,
     ) -> Result<Self, SimError> {
+        if opts.shards > 1 {
+            return Err(SimError::Config(format!(
+                "spill shard count {} is not 1: a store holds one segment file",
+                opts.shards
+            )));
+        }
         std::fs::create_dir_all(dir).map_err(|e| io_err("create spill dir", e))?;
         let seq = SEG_SEQ.fetch_add(1, Ordering::Relaxed);
-        let nshards = opts.shards.max(1);
-        let stem = format!("qcs-spill-{label}-{}-{seq}", std::process::id());
-        let mut shards = Vec::with_capacity(nshards);
-        for k in 0..nshards {
-            // One segment file per shard; the sharded layout puts each in
-            // its own directory so runs land on distinct directories.
-            let (shard_dir, path) = if nshards == 1 {
-                (None, dir.join(format!("{stem}.seg")))
-            } else {
-                let d = dir.join(format!("{stem}-shard{k}"));
-                std::fs::create_dir_all(&d).map_err(|e| io_err("create shard dir", e))?;
-                let p = d.join("seg");
-                (Some(d), p)
-            };
-            let file = File::options()
-                .read(true)
-                .write(true)
-                .create_new(true)
-                .open(&path)
-                .map_err(|e| io_err("create spill segment", e))?;
-            shards.push(Shard {
+        let path = dir.join(format!(
+            "qcs-spill-{label}-{}-{seq}.seg",
+            std::process::id()
+        ));
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| io_err("create spill segment", e))?;
+        let shared = Arc::new(Shared {
+            inner: StdMutex::new(SpillInner {
                 file: Arc::new(file),
-                path,
-                dir: shard_dir,
                 end: 0,
                 live: 0,
                 dead: 0,
-            });
-        }
-        let path = shards[0].path.clone();
-        let shared = Arc::new(Shared {
-            inner: StdMutex::new(SpillInner {
-                shards,
                 slots: blocks.iter().map(|_| Slot::InFlight).collect(),
                 clock: 0,
                 resident_count: 0,
@@ -737,48 +693,40 @@ impl SpillStore {
                 dirty_queue: VecDeque::new(),
                 dirty_bytes: 0,
                 runs_in_flight: 0,
-                writers_alive: 0,
+                writer_alive: false,
                 shutdown: false,
                 write_error: None,
-                spill_seq: 0,
                 run_cap: cap.max(1),
                 fault: WriteFault::default(),
-                wb_bufs: Vec::new(),
+                run_buf: Vec::new(),
             }),
             resolved: Condvar::new(),
             fetch_work: Condvar::new(),
             write_work: Condvar::new(),
         });
-        // One I/O thread of each enabled kind per shard, bounded: the
-        // pipelines issue reads/writes to distinct shards concurrently.
-        let io_thread_count = nshards.min(MAX_IO_THREADS);
         let mut io_threads = Vec::new();
         if opts.prefetch {
-            for k in 0..io_thread_count {
-                let handle = std::thread::Builder::new()
-                    .name(format!("qcs-prefetch-{label}-{k}"))
-                    .spawn({
-                        let shared = Arc::clone(&shared);
-                        let metrics = metrics.clone();
-                        move || run_fetcher(&shared, &metrics)
-                    })
-                    .map_err(|e| io_err("spawn prefetch thread", e))?;
-                io_threads.push(handle);
-            }
+            let handle = std::thread::Builder::new()
+                .name(format!("qcs-prefetch-{label}"))
+                .spawn({
+                    let shared = Arc::clone(&shared);
+                    let metrics = metrics.clone();
+                    move || run_fetcher(&shared, &metrics)
+                })
+                .map_err(|e| io_err("spawn prefetch thread", e))?;
+            io_threads.push(handle);
         }
         if opts.write_behind {
-            shared.lock().writers_alive = io_thread_count;
-            for k in 0..io_thread_count {
-                let handle = std::thread::Builder::new()
-                    .name(format!("qcs-writer-{label}-{k}"))
-                    .spawn({
-                        let shared = Arc::clone(&shared);
-                        let metrics = metrics.clone();
-                        move || run_writer(&shared, &metrics)
-                    })
-                    .map_err(|e| io_err("spawn write-behind thread", e))?;
-                io_threads.push(handle);
-            }
+            shared.lock().writer_alive = true;
+            let handle = std::thread::Builder::new()
+                .name(format!("qcs-writer-{label}"))
+                .spawn({
+                    let shared = Arc::clone(&shared);
+                    let metrics = metrics.clone();
+                    move || run_writer(&shared, &metrics)
+                })
+                .map_err(|e| io_err("spawn write-behind thread", e))?;
+            io_threads.push(handle);
         }
         let store = Self {
             cap: cap.max(1),
@@ -853,11 +801,11 @@ impl SpillStore {
     }
 
     /// Evict [`Window::victim`]s until the budget holds. Each victim
-    /// parks in the dirty buffer. With write-behind on and a writer alive,
-    /// the writers drain it off the critical path; past a residency budget
-    /// of dirty blocks the put waits for them (backpressure). Otherwise —
-    /// write-behind off, no writer left, or the buffer still full because
-    /// the writers are parked on a deferred error — the buffer drains on
+    /// parks in the dirty buffer. With write-behind on and the writer
+    /// alive, it drains the buffer off the critical path; past a residency
+    /// budget of dirty blocks the put waits for it (backpressure).
+    /// Otherwise — write-behind off, the writer gone, or the buffer still
+    /// full because the writer is parked on a deferred error — it drains on
     /// this thread through the same run writer, so a synchronous eviction
     /// is a run of one.
     fn evict_over_cap<'a>(
@@ -885,17 +833,17 @@ impl SpillStore {
             inner.dirty_bytes += blk.len() as u64;
             inner.slots[victim] = Slot::Dirty { blk, gen };
             inner.dirty_queue.push_back(victim);
-            if self.write_behind && inner.writers_alive > 0 {
+            if self.write_behind && inner.writer_alive {
                 self.shared.write_work.notify_one();
                 if inner.dirty_queue.len() <= self.cap {
                     continue;
                 }
-                // The wait (rare — the writers usually keep up) is
+                // The wait (rare — the writer usually keeps up) is
                 // critical-path spill time. A writer parked on a deferred
                 // error never drains, so waiting on it would deadlock.
                 let t = Instant::now();
                 while inner.dirty_queue.len() > self.cap
-                    && inner.writers_alive > 0
+                    && inner.writer_alive
                     && inner.write_error.is_none()
                 {
                     inner = self
@@ -953,75 +901,58 @@ impl SpillStore {
 
     /// After a planned consumption: reserve the spilled frames among the
     /// next residency budget of window slots, within the staging budget,
-    /// and hand them to the background fetchers, one job per shard so
-    /// distinct shards are read concurrently. No-op when prefetching is
-    /// off.
+    /// and hand them to the background fetcher as one job. No-op when
+    /// prefetching is off.
     fn stage_ahead(&self) {
         if !self.prefetch_on {
             return;
         }
         let mut inner = self.shared.lock();
-        // (shard, frame) picks within the staging budget.
-        let mut picks: Vec<(u32, FrameAt)> = Vec::new();
+        // (slot, offset, frame_len) picks within the staging budget.
+        let mut reads: Vec<(usize, u64, u32)> = Vec::new();
         for &slot in inner.window.ahead(self.cap) {
-            if inner.staged.len() + inner.pending.len() + picks.len() >= self.cap {
+            if inner.staged.len() + inner.pending.len() + reads.len() >= self.cap {
                 break;
             }
             if inner.staged.contains_key(&slot)
                 || inner.pending.contains(&slot)
-                || picks.iter().any(|(_, f)| f.slot == slot)
+                || reads.iter().any(|r| r.0 == slot)
             {
                 continue;
             }
             if let Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                ..
+                offset, frame_len, ..
             } = inner.slots[slot]
             {
-                let frame = FrameAt {
-                    slot,
-                    offset,
-                    frame_len,
-                };
-                picks.push((shard, frame));
+                reads.push((slot, offset, frame_len));
             }
         }
-        // Split per shard, snapshotting each shard's handle under the
-        // same lock as the offsets: a later compaction swaps in a new
-        // segment file, but these clones keep addressing the inodes the
-        // offsets were taken from.
-        picks.sort_unstable_by_key(|&(shard, f)| (shard, f.offset));
-        let mut queued = 0;
-        for run in picks.chunk_by(|a, b| a.0 == b.0) {
-            let file = Arc::clone(&inner.shards[run[0].0 as usize].file);
-            let frames: Vec<FrameAt> = run.iter().map(|&(_, f)| f).collect();
-            inner.pending.extend(frames.iter().map(|f| f.slot));
-            inner.fetch_jobs.push_back(FetchJob { file, frames });
-            queued += 1;
+        if reads.is_empty() {
+            return;
         }
+        // Snapshot the handle under the same lock as the offsets: a later
+        // compaction swaps in a new segment file, but this clone keeps
+        // addressing the inode the offsets were taken from.
+        let file = Arc::clone(&inner.file);
+        inner.pending.extend(reads.iter().map(|r| r.0));
+        inner.fetch_jobs.push_back(FetchJob { file, reads });
         drop(inner);
-        for _ in 0..queued {
-            self.shared.fetch_work.notify_one();
-        }
+        self.shared.fetch_work.notify_one();
     }
 
     /// Read spilled frames on the critical path through
     /// [`read_frame_runs`], charged to `SpillIo`, each counted as a
-    /// blocking fetch. `reads` entries are `(key, shard, offset,
-    /// frame_len)`.
+    /// blocking fetch. `reads` entries are `(key, offset, frame_len)`.
     fn read_blocking<K: Copy>(
         &self,
         inner: &SpillInner,
-        reads: &mut [(K, u32, u64, u32)],
+        reads: &mut [(K, u64, u32)],
     ) -> Vec<(K, Result<CompressedBlock, SimError>)> {
         if reads.is_empty() {
             return Vec::new();
         }
-        let files: Vec<&File> = inner.shards.iter().map(|s| &*s.file).collect();
         let t = Instant::now();
-        let decoded = read_frame_runs(&files, reads);
+        let decoded = read_frame_runs(&inner.file, reads);
         self.metrics.add(Phase::SpillIo, t.elapsed());
         decoded
             .into_iter()
@@ -1032,49 +963,42 @@ impl SpillStore {
             .collect()
     }
 
-    /// Rewrite a shard's live frames into a fresh segment when its
-    /// garbage dominates.
+    /// Rewrite the live frames into a fresh segment when its garbage
+    /// dominates.
     ///
     /// Deferred while the dirty buffer is non-empty or a run is in flight
     /// (so compaction only ever observes durable frames); a later put
-    /// retries once the writers catch up. The in-memory index is only
+    /// retries once the writer catches up. The in-memory index is only
     /// repointed *after* the new segment is fully written, synced, and
     /// renamed over the old one: a mid-compaction I/O failure (out of
     /// disk, torn write) leaves the store untouched on the old segment,
     /// and the orphaned `.tmp` is removed.
     fn maybe_compact(&self, inner: &mut SpillInner) -> Result<(), SimError> {
-        if !inner.dirty_queue.is_empty() || inner.runs_in_flight > 0 {
+        if !inner.dirty_queue.is_empty()
+            || inner.runs_in_flight > 0
+            || inner.dead < COMPACT_MIN_DEAD_BYTES
+            || inner.dead < 2 * inner.live
+        {
             return Ok(());
         }
-        for si in 0..inner.shards.len() {
-            let (dead, live) = (inner.shards[si].dead, inner.shards[si].live);
-            if dead < COMPACT_MIN_DEAD_BYTES || dead < 2 * live {
-                continue;
-            }
-            self.compact_shard(inner, si)?;
-        }
-        Ok(())
+        self.compact(inner)
     }
 
-    /// Unconditionally compact shard `si` (see [`Self::maybe_compact`]).
+    /// Unconditionally compact the segment (see [`Self::maybe_compact`]).
     /// The live frames are read through [`read_frame_runs`] a residency
     /// budget at a time, and written in slot order.
-    fn compact_shard(&self, inner: &mut SpillInner, si: usize) -> Result<(), SimError> {
+    fn compact(&self, inner: &mut SpillInner) -> Result<(), SimError> {
         let t = Instant::now();
-        let shard_path = inner.shards[si].path.clone();
-        let tmp_path = shard_path.with_extension("tmp");
-        let file = Arc::clone(&inner.shards[si].file);
-        let mut live: Vec<(usize, u32, u64, u32)> = inner
+        let tmp_path = self.path.with_extension("tmp");
+        let file = Arc::clone(&inner.file);
+        let mut live: Vec<(usize, u64, u32)> = inner
             .slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match *s {
                 Slot::Spilled {
-                    shard,
-                    offset,
-                    frame_len,
-                    ..
-                } if shard as usize == si => Some((i, 0, offset, frame_len)),
+                    offset, frame_len, ..
+                } => Some((i, offset, frame_len)),
                 _ => None,
             })
             .collect();
@@ -1092,7 +1016,7 @@ impl SpillStore {
             let mut new_end = 0u64;
             let mut buf = Vec::new();
             for chunk in live.chunks_mut(batch) {
-                let mut blocks = read_frame_runs(&[&file], chunk);
+                let mut blocks = read_frame_runs(&file, chunk);
                 blocks.sort_unstable_by_key(|&(slot, _, _)| slot);
                 buf.clear();
                 for (slot, frame_len, blk) in blocks {
@@ -1106,7 +1030,7 @@ impl SpillStore {
                     .map_err(|e| io_err("rewrite spill frame", e))?;
             }
             tmp.sync_all().map_err(|e| io_err("sync compaction", e))?;
-            std::fs::rename(&tmp_path, &shard_path)
+            std::fs::rename(&tmp_path, &self.path)
                 .map_err(|e| io_err("swap compacted segment", e))?;
             Ok((tmp, moves, new_end))
         })();
@@ -1122,27 +1046,27 @@ impl SpillStore {
                 *offset = new_offset;
             }
         }
-        inner.shards[si].file = Arc::new(tmp);
-        inner.shards[si].end = new_end;
-        inner.shards[si].live = new_end;
-        inner.shards[si].dead = 0;
+        inner.file = Arc::new(tmp);
+        inner.end = new_end;
+        inner.live = new_end;
+        inner.dead = 0;
         self.metrics.add(Phase::SpillIo, t.elapsed());
         Ok(())
     }
 
-    /// Barrier: block until every dirty block is durable in a segment
-    /// shard, surfacing any deferred write-behind error. Live writers
-    /// drain first (the wait is critical-path spill time); whatever is
-    /// left — write-behind off, no writer alive (a writer panic
-    /// included), or writers parked on an error — drains on this thread
+    /// Barrier: block until every dirty block is durable in the segment,
+    /// surfacing any deferred write-behind error. A live writer drains
+    /// first (the wait is critical-path spill time); whatever is left —
+    /// write-behind off, the writer gone (a writer panic included), or
+    /// the writer parked on an error — drains on this thread
     /// through the same run writer.
     pub fn flush_dirty(&self) -> Result<(), SimError> {
         let mut inner = self.shared.lock();
-        if self.write_behind && inner.writers_alive > 0 {
+        if self.write_behind && inner.writer_alive {
             self.shared.write_work.notify_all();
             let t = Instant::now();
             while (!inner.dirty_queue.is_empty() || inner.runs_in_flight > 0)
-                && inner.writers_alive > 0
+                && inner.writer_alive
                 && inner.write_error.is_none()
             {
                 inner = self
@@ -1180,7 +1104,7 @@ impl SpillStore {
     pub(crate) fn debug_wait_written(&self) {
         let mut inner = self.shared.lock();
         while (!inner.dirty_queue.is_empty() || inner.runs_in_flight > 0)
-            && inner.writers_alive > 0
+            && inner.writer_alive
             && inner.write_error.is_none()
         {
             inner = self
@@ -1240,10 +1164,7 @@ impl BlockStore for SpillStore {
             // leaves the write-behind queue untouched.
             Slot::Dirty { blk, .. } => Ok(blk.clone()),
             &mut Slot::Spilled {
-                shard,
-                offset,
-                frame_len,
-                ..
+                offset, frame_len, ..
             } => {
                 // Staging is a one-shot buffer: consuming on peek keeps
                 // its occupancy bounded by what is still ahead of the
@@ -1251,7 +1172,7 @@ impl BlockStore for SpillStore {
                 match self.take_staged(&mut inner, slot, frame_len, !waited.is_empty()) {
                     Some(blk) => Ok(blk),
                     None => {
-                        let read = &mut [((), shard, offset, frame_len)];
+                        let read = &mut [((), offset, frame_len)];
                         self.read_blocking(&inner, read).remove(0).1
                     }
                 }
@@ -1283,8 +1204,8 @@ impl BlockStore for SpillStore {
             planned |= inner.window.advance(slot);
         }
         let mut out: Vec<Option<CompressedBlock>> = slots.iter().map(|_| None).collect();
-        // (result index, shard, offset, frame_len): the blocking reads.
-        let mut reads: Vec<(usize, u32, u64, u32)> = Vec::new();
+        // (result index, offset, frame_len): the blocking reads.
+        let mut reads: Vec<(usize, u64, u32)> = Vec::new();
         for (i, &slot) in slots.iter().enumerate() {
             match std::mem::replace(&mut inner.slots[slot], Slot::InFlight) {
                 Slot::Resident { blk, .. } => {
@@ -1301,17 +1222,16 @@ impl BlockStore for SpillStore {
                     out[i] = Some(blk);
                 }
                 Slot::Spilled {
-                    shard,
                     offset,
                     frame_len,
                     payload_len,
                 } => {
-                    inner.shards[shard as usize].live -= frame_len as u64;
-                    inner.shards[shard as usize].dead += frame_len as u64;
+                    inner.live -= frame_len as u64;
+                    inner.dead += frame_len as u64;
                     inner.spilled_payload_bytes -= payload_len as u64;
                     match self.take_staged(&mut inner, slot, frame_len, waited.contains(&slot)) {
                         Some(blk) => out[i] = Some(blk),
-                        None => reads.push((i, shard, offset, frame_len)),
+                        None => reads.push((i, offset, frame_len)),
                     }
                 }
                 Slot::InFlight => panic!("slot {slot} taken twice"),
@@ -1370,42 +1290,38 @@ impl BlockStore for SpillStore {
 }
 
 /// Read and decode a set of spilled frames, coalescing segment-adjacent
-/// ones (within the same shard) into single contiguous positional reads —
-/// the one copy of the sort/run/decode logic shared by the foreground
-/// (`fetch_many`, blocking) and the background fetcher (`run_fetcher`,
-/// overlapped). `files` is indexed by shard; `reads` entries are
-/// `(key, shard, offset, frame_len)`; the input is sorted in place by
-/// `(shard, offset)` and one `(key, frame_len, outcome)` is returned per
+/// ones into single contiguous positional reads — the one copy of the
+/// sort/run/decode logic shared by the foreground (`fetch_many`,
+/// blocking) and the background fetcher (`run_fetcher`, overlapped).
+/// `reads` entries are `(key, offset, frame_len)`; the input is sorted in
+/// place by offset and one `(key, frame_len, outcome)` is returned per
 /// entry.
 fn read_frame_runs<K: Copy>(
-    files: &[&File],
-    reads: &mut [(K, u32, u64, u32)],
+    file: &File,
+    reads: &mut [(K, u64, u32)],
 ) -> Vec<(K, u32, Result<CompressedBlock, SimError>)> {
-    reads.sort_unstable_by_key(|&(_, shard, offset, _)| (shard, offset));
+    reads.sort_unstable_by_key(|&(_, offset, _)| offset);
     let mut out = Vec::with_capacity(reads.len());
     let mut start = 0usize;
     while start < reads.len() {
-        // Extend the run while frames are segment-adjacent in one shard.
+        // Extend the run while frames are segment-adjacent.
         let mut end = start + 1;
-        let mut run_len = reads[start].3 as usize;
-        while end < reads.len()
-            && reads[end].1 == reads[end - 1].1
-            && reads[end].2 == reads[end - 1].2 + reads[end - 1].3 as u64
-        {
-            run_len += reads[end].3 as usize;
+        let mut run_len = reads[start].2 as usize;
+        while end < reads.len() && reads[end].1 == reads[end - 1].1 + reads[end - 1].2 as u64 {
+            run_len += reads[end].2 as usize;
             end += 1;
         }
         let mut buf = vec![0u8; run_len];
-        match files[reads[start].1 as usize].read_exact_at(&mut buf, reads[start].2) {
+        match file.read_exact_at(&mut buf, reads[start].1) {
             Err(e) => {
                 let msg = format!("read spill run: {e}");
-                for &(k, _, _, frame_len) in &reads[start..end] {
+                for &(k, _, frame_len) in &reads[start..end] {
                     out.push((k, frame_len, Err(SimError::Spill(msg.clone()))));
                 }
             }
             Ok(()) => {
                 let mut pos = 0usize;
-                for &(k, _, _, frame_len) in &reads[start..end] {
+                for &(k, _, frame_len) in &reads[start..end] {
                     let res = frame::read_frame(&mut &buf[pos..pos + frame_len as usize])
                         .map(|f| CompressedBlock {
                             codec: f.codec,
@@ -1423,10 +1339,9 @@ fn read_frame_runs<K: Copy>(
     out
 }
 
-/// Body of one of a [`SpillStore`]'s background fetch threads: claim
-/// prefetch jobs (each confined to one shard, so N fetchers read N
-/// shards concurrently), read their frames through [`read_frame_runs`],
-/// and stage the decoded blocks. Read time lands in [`Phase::Prefetch`] —
+/// Body of a [`SpillStore`]'s background fetch thread: claim prefetch
+/// jobs, read their frames through [`read_frame_runs`], and stage the
+/// decoded blocks. Read time lands in [`Phase::Prefetch`] —
 /// off the critical path. A frame that fails to read or decode is simply
 /// not staged; the foreground's blocking fetch retries and surfaces the
 /// error. Queued jobs are drained even after shutdown so reserved
@@ -1447,14 +1362,9 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         };
         drop(inner);
-        // Single-shard job: shard key 0 against the one handle.
-        let mut reads: Vec<(usize, u32, u64, u32)> = job
-            .frames
-            .iter()
-            .map(|f| (f.slot, 0, f.offset, f.frame_len))
-            .collect();
+        let FetchJob { file, mut reads } = job;
         let t = Instant::now();
-        let decoded = read_frame_runs(&[&*job.file], &mut reads);
+        let decoded = read_frame_runs(&file, &mut reads);
         metrics.add(Phase::Prefetch, t.elapsed());
         let mut inner = shared.lock();
         for (slot, _, blk) in decoded {
@@ -1478,7 +1388,6 @@ fn run_fetcher(shared: &Shared, metrics: &Metrics) {
 struct Claim<'a> {
     shared: &'a Shared,
     run: Vec<usize>,
-    shard: usize,
     extent: u64,
     armed: bool,
 }
@@ -1488,7 +1397,7 @@ impl Claim<'_> {
     /// in it), and its blocks — still in memory — return to the front of
     /// the dirty queue in order.
     fn abort(&self, inner: &mut SpillInner) {
-        inner.shards[self.shard].dead += self.extent;
+        inner.dead += self.extent;
         for &slot in self.run.iter().rev() {
             if matches!(inner.slots[slot], Slot::Dirty { .. }) && !inner.dirty_queue.contains(&slot)
             {
@@ -1510,21 +1419,20 @@ impl Drop for Claim<'_> {
     }
 }
 
-/// The one way a frame reaches a segment shard: claim, write and commit
-/// one run of the dirty queue.
+/// The one way a frame reaches the segment: claim, write and commit one
+/// run of the dirty queue.
 ///
 /// Under the lock, the run takes at most a residency budget of queued
-/// blocks, the next shard in rotation and — the key to concurrency — the
-/// exact byte extent its frames will occupy there (computable up front
-/// because [`frame::encoded_len`] is exact). The run is then encoded
-/// into one recycled buffer and landed with a single positional write
-/// *outside* the lock, so concurrent runs append to disjoint extents of
-/// independently chosen shards. Back under the lock, each frame whose
+/// blocks and — the key to concurrency — the exact byte extent its frames
+/// will occupy (computable up front because [`frame::encoded_len`] is
+/// exact). The run is then encoded into the recycled buffer and landed
+/// with a single positional write *outside* the lock, so concurrent runs
+/// append to disjoint extents. Back under the lock, each frame whose
 /// slot is still dirty at the generation it was claimed at becomes
 /// `Slot::Spilled`; a block re-taken (or re-evicted at a newer
 /// generation) mid-write leaves its frame as dead bytes.
 ///
-/// A writer thread calls it with `inline` false: time lands in
+/// The writer thread calls it with `inline` false: time lands in
 /// [`Phase::WriteBehind`], spills in the write-behind share, and the
 /// test-only [`WriteFault`] applies. The foreground calls it with
 /// `inline` true, charged to [`Phase::SpillIo`]. A failed run is
@@ -1551,17 +1459,15 @@ fn write_run<'a>(
     if blks.is_empty() {
         return (inner, Ok(()));
     }
-    let shard = (inner.spill_seq % inner.shards.len() as u64) as usize;
-    inner.spill_seq += 1;
-    let file = Arc::clone(&inner.shards[shard].file);
-    let base = inner.shards[shard].end;
+    let file = Arc::clone(&inner.file);
+    let base = inner.end;
     let extent: u64 = blks
         .iter()
         .map(|(_, _, b)| frame::encoded_len(b.len()) as u64)
         .sum();
-    inner.shards[shard].end = base + extent;
+    inner.end = base + extent;
     inner.runs_in_flight += 1;
-    let mut buf = inner.wb_bufs.pop().unwrap_or_default();
+    let mut buf = std::mem::take(&mut inner.run_buf);
     let fault = if inline {
         WriteFault::default()
     } else {
@@ -1571,7 +1477,6 @@ fn write_run<'a>(
     let mut claim = Claim {
         shared,
         run,
-        shard,
         extent,
         armed: true,
     };
@@ -1605,10 +1510,7 @@ fn write_run<'a>(
     let mut inner = shared.lock();
     claim.armed = false;
     inner.runs_in_flight -= 1;
-    if inner.wb_bufs.len() < MAX_IO_THREADS {
-        buf.clear();
-        inner.wb_bufs.push(buf);
-    }
+    inner.run_buf = buf;
     if result.is_err() {
         claim.abort(&mut inner);
     } else {
@@ -1617,21 +1519,20 @@ fn write_run<'a>(
             let frame_len = frame::encoded_len(blk.len()) as u32;
             if matches!(inner.slots[slot], Slot::Dirty { gen: g, .. } if g == gen) {
                 inner.slots[slot] = Slot::Spilled {
-                    shard: shard as u32,
                     offset,
                     frame_len,
                     payload_len: blk.len() as u32,
                 };
                 inner.dirty_bytes -= blk.len() as u64;
                 inner.spilled_payload_bytes += blk.len() as u64;
-                inner.shards[shard].live += frame_len as u64;
+                inner.live += frame_len as u64;
                 if inline {
                     metrics.add_spill(frame_len as u64);
                 } else {
                     metrics.add_spill_write_behind(frame_len as u64);
                 }
             } else {
-                inner.shards[shard].dead += frame_len as u64;
+                inner.dead += frame_len as u64;
             }
             offset += frame_len as u64;
         }
@@ -1639,21 +1540,21 @@ fn write_run<'a>(
     (inner, result)
 }
 
-/// Body of one of a [`SpillStore`]'s background write-behind threads:
-/// park until the dirty queue has work, then drain it one [`write_run`]
-/// at a time, off the critical path.
+/// Body of a [`SpillStore`]'s background write-behind thread: park until
+/// the dirty queue has work, then drain it one [`write_run`] at a time,
+/// off the critical path.
 ///
 /// A failed run records a deferred error for the next
-/// `take`/`fetch_many`/`flush` to surface; writers then idle until the
-/// error is consumed. A writer exiting — normally or by panic —
+/// `take`/`fetch_many`/`flush` to surface; the writer then idles until
+/// the error is consumed. The writer exiting — normally or by panic —
 /// decrements the alive count and wakes all waiters, so evictions and
-/// barriers drain inline once no writer remains.
+/// barriers drain inline from then on.
 fn run_writer(shared: &Shared, metrics: &Metrics) {
     struct AliveGuard<'a>(&'a Shared);
     impl Drop for AliveGuard<'_> {
         fn drop(&mut self) {
             let mut inner = self.0.lock();
-            inner.writers_alive -= 1;
+            inner.writer_alive = false;
             drop(inner);
             self.0.resolved.notify_all();
         }
@@ -1662,7 +1563,7 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
     loop {
         let mut inner = shared.lock();
         // Park until there is drainable work. An unsurfaced failure
-        // parks the writers (the data sits safely in the dirty buffer
+        // parks the writer (the data sits safely in the dirty buffer
         // until take/flush reports the error); shutdown triggers one
         // final drain of whatever is queued, so a dropping store's
         // barrier still observes durable frames.
@@ -1686,23 +1587,17 @@ fn run_writer(shared: &Shared, metrics: &Metrics) {
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        // Shutdown ends every background thread: fetchers drain their
-        // queued jobs (resolving all pending marks), writers do one
-        // final drain (the drop barrier), and all are joined before
-        // deleting the segments so no background I/O races the unlink.
+        // Shutdown ends both background threads: the fetcher drains its
+        // queued jobs (resolving all pending marks), the writer does one
+        // final drain (the drop barrier), and both are joined before
+        // deleting the segment so no background I/O races the unlink.
         self.shared.lock().shutdown = true;
         self.shared.fetch_work.notify_all();
         self.shared.write_work.notify_all();
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
         }
-        let inner = self.shared.lock();
-        for shard in &inner.shards {
-            let _ = std::fs::remove_file(&shard.path);
-            if let Some(dir) = &shard.dir {
-                let _ = std::fs::remove_dir(dir);
-            }
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -2316,7 +2211,7 @@ mod tests {
         assert_eq!(evicted(Eviction::Lru), vec![1]);
     }
 
-    /// The slots a store has staged, once its fetchers are idle.
+    /// The slots a store has staged, once its fetcher is idle.
     fn staged(s: &SpillStore) -> Vec<usize> {
         s.debug_wait_staged();
         let mut staged: Vec<usize> = s.shared.lock().staged.keys().copied().collect();
@@ -2586,59 +2481,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_segments_round_trip_and_clean_up() {
-        let metrics = Metrics::new();
-        let n = 10usize;
-        let dir = tmp_dir("shards");
-        let s = SpillStore::create_with(
-            &dir,
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                shards: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Three shard directories, each holding one segment file.
-        let shard_dirs: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_dir())
-            .collect();
-        assert_eq!(shard_dirs.len(), 3);
-        // Evictions rotate across shards: every shard received frames.
-        for d in &shard_dirs {
-            let seg = d.path().join("seg");
-            assert!(std::fs::metadata(&seg).unwrap().len() > 0, "{seg:?} empty");
-        }
-        // Batched fetches coalesce per shard and round-trip intact.
-        let slots: Vec<usize> = (0..n - 2).collect();
-        let blocks = s.fetch_many(&slots).unwrap();
-        for (&slot, b) in slots.iter().zip(&blocks) {
-            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
-        }
-        for (&slot, b) in slots.iter().zip(blocks) {
-            s.put(slot, b).unwrap();
-        }
-        for i in 0..n {
-            assert_eq!(
-                &s.peek(i).unwrap().bytes[..],
-                &blk(i as u8, 64 + i).bytes[..]
-            );
-        }
-        drop(s);
-        assert_eq!(
-            std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0),
-            0,
-            "shard directories survived the drop"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn resident_bytes_counts_staging_and_dirty_buffers() {
         // Satellite: the honest-footprint accounting — blocks parked in
         // the prefetch staging buffer and the write-behind dirty buffer
@@ -2763,43 +2605,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_behind_runs_rotate_across_shards() {
-        let metrics = Metrics::new();
-        let n = 10usize;
-        let dir = tmp_dir("wb-shards");
-        let s = SpillStore::create_with(
-            &dir,
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                write_behind: true,
-                shards: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        // Eight evictions drained in runs capped at the residency budget
-        // (2): at least four runs, so rotation must have reached every
-        // shard — not one shard swallowing the whole backlog.
-        {
-            let inner = s.shared.lock();
-            for (k, shard) in inner.shards.iter().enumerate() {
-                assert!(shard.end > 0, "shard {k} never received a run");
-            }
-        }
-        let slots: Vec<usize> = (0..n).collect();
-        let blocks = s.fetch_many(&slots).unwrap();
-        for (&slot, b) in slots.iter().zip(&blocks) {
-            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
-        }
-        drop(s);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The spill and fetch counters of one store, in a fixed order.
     fn io_counters(m: &Metrics) -> [u64; 8] {
         let b = m.breakdown();
@@ -2819,7 +2624,8 @@ mod tests {
     fn one_op_sequence_reads_the_same_on_every_write_path_and_shard_count() {
         // One seeded put/take/fetch_many/peek/flush sequence. The writer
         // is let finish after every put, so write-behind spills exactly
-        // the blocks a synchronous store spills.
+        // the blocks a synchronous store spills. The shard counts are the
+        // two a store accepts, 0 (the options' default) and 1.
         let run = |write_behind: bool, shards: usize| {
             let metrics = Metrics::new();
             let n = 12usize;
@@ -2883,7 +2689,7 @@ mod tests {
         };
         let (blocks, counters) = run(false, 1);
         assert!(counters[0] > 0 && counters[2] > 0, "{counters:?}");
-        for (write_behind, shards) in [(false, 3), (true, 1), (true, 3)] {
+        for (write_behind, shards) in [(false, 0), (true, 1), (true, 0)] {
             let (b, c) = run(write_behind, shards);
             assert!(
                 b == blocks,

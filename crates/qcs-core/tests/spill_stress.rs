@@ -1,7 +1,7 @@
-//! Concurrency stress for the sharded out-of-core tier: four worker
-//! threads hammer `take`/`put`/`fetch_many` on disjoint slot ranges of
-//! one 4-shard [`SpillStore`] (with prefetch *and* write-behind threads
-//! running) while a fifth thread floods the advisory surface —
+//! Concurrency stress for the out-of-core tier: four worker threads
+//! hammer `take`/`put`/`fetch_many` on disjoint slot ranges of one
+//! [`SpillStore`] (one segment file, with its prefetch *and* write-behind
+//! threads running) while a fifth thread floods the advisory surface —
 //! `plan_accesses` windows across the whole store, which the owners'
 //! takes consume and stage along — including slots other threads are
 //! actively moving.
@@ -54,7 +54,7 @@ fn assert_is(slot: usize, version: usize, blk: &CompressedBlock) {
 }
 
 #[test]
-fn sharded_spill_store_survives_concurrent_hammering() {
+fn spill_store_survives_concurrent_hammering() {
     let parent = std::env::temp_dir().join(format!("qcs-spill-stress-{}", std::process::id()));
     let guard = SegmentDirGuard::create(&parent).expect("segment dir guard");
     let dir = guard.path().to_path_buf();
@@ -73,10 +73,10 @@ fn sharded_spill_store_survives_concurrent_hammering() {
                 dir_guard: Some(guard),
                 eviction: Eviction::Lru,
                 write_behind: true,
-                shards: 4,
+                shards: 1,
             },
         )
-        .expect("create sharded store"),
+        .expect("create spill store"),
     );
 
     let max_block = 48 + SLOTS; // largest payload in the store

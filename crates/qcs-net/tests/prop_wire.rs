@@ -401,10 +401,12 @@ fn golden_config() -> SimConfig {
         .with_spill_dir(std::path::PathBuf::from("/tmp/qcs-spill"))
         .with_eviction(qcs_core::Eviction::PlannedMin)
         .with_write_behind(true)
-        .with_spill_shards(4)
         .with_prefetch(false)
         .with_remote(vec!["127.0.0.1:9000", "node-b.example:7401"]);
     cfg.cache_lines = 96;
+    // Encoded and decoded only, never validated: four shards pin the
+    // field's bytes.
+    cfg.spill.as_mut().unwrap().shards = 4;
     let remote = cfg.remote.as_mut().unwrap();
     remote.connect_attempts = 3;
     remote.connect_backoff_ms = 25;

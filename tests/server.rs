@@ -478,11 +478,22 @@ fn a_hostile_config_or_a_panicking_runner_cannot_wedge_the_server() {
         err.to_string().contains("cache lines"),
         "typed reason: {err}"
     );
-    let hostile = job_cfg().with_spill_shards(usize::MAX);
+    let mut hostile = job_cfg();
+    hostile.spill.as_mut().unwrap().shards = usize::MAX;
     let err = client
         .submit(&JobSpec::new("shard-bomb", circuit.clone(), hostile))
         .expect_err("an unbounded shard count must be rejected at admission");
     assert!(err.to_string().contains("shard"), "typed reason: {err}");
+    // 2^20 one-amplitude ranks: each would be a rank thread and a spill
+    // store with its fetch thread.
+    let hostile = job_cfg().with_block_log2(0).with_ranks_log2(20);
+    let err = client
+        .submit(&JobSpec::new("rank-bomb", Circuit::new(21), hostile))
+        .expect_err("2^20 ranks must be rejected at admission");
+    assert!(
+        err.to_string().contains("ranks_log2"),
+        "typed reason: {err}"
+    );
 
     server.debug_panic_next_runner();
     let doomed = client
