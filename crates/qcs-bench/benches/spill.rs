@@ -27,28 +27,17 @@ fn bench_budget_sweep(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("spill_budget_16q");
     group.sample_size(10);
-    for (budget, prefetch) in [
-        (None, false),
-        (Some(16usize), false),
-        (Some(16), true),
-        (Some(4), false),
-        (Some(4), true),
-    ] {
-        let label = match budget {
-            None => "all".to_string(),
-            Some(b) if prefetch => format!("{b}-prefetch"),
-            Some(b) => format!("{b}-blocking"),
-        };
+    for budget in [None, Some(16usize), Some(4)] {
+        let label = budget.map_or("all".to_string(), |b| b.to_string());
         group.bench_with_input(
             BenchmarkId::new("resident", label),
-            &(budget, prefetch),
-            |b, &(budget, prefetch)| {
+            &budget,
+            |b, &budget| {
                 b.iter(|| {
                     let mut cfg = SimConfig::default().with_block_log2(10).without_cache();
                     if let Some(blocks) = budget {
                         cfg = cfg.with_spill(blocks);
                     }
-                    cfg = cfg.with_prefetch(prefetch);
                     let mut sim = CompressedSimulator::new(n as u32, cfg).unwrap();
                     let mut rng = StdRng::seed_from_u64(0);
                     sim.run(&circuit, &mut rng).unwrap();

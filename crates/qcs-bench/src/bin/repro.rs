@@ -764,27 +764,16 @@ fn table_spill(dir: &Path) {
     // budget while the amplitudes stay bit-identical (pinned by
     // tests/out_of_core.rs).
     //
-    // Each budget runs a small pipeline matrix. The first row is the PR-4
-    // regime (prefetch off, LRU victims, synchronous eviction writes:
-    // every cold block a blocking seek-and-read). The remaining rows all
-    // keep prefetch on and sweep eviction policy x write mode:
+    // Each budget runs both victim policies; every eviction write and
+    // every fetch is a blocking read or write on the worker's thread:
     //
     //   policy  lru  — least-recently-used victims (plan-blind)
     //           min  — Belady's MIN over the running wave's slots: evict
     //                  the resident block whose next planned use in the
     //                  wave is furthest away
-    //   writes  sync — eviction writes the frame to its segment file
-    //                  inline, on the critical path
-    //           wb   — write-behind: eviction parks the frame in a dirty
-    //                  buffer and a writer thread drains it to disk while
-    //                  the compute pipeline keeps going
     //
-    // The pf-hit / blocking columns make the pipelines directly
-    // comparable: with prefetch on, staged hits replace blocking fetches;
-    // with MIN victims the blocks the plan touches soonest stay resident,
-    // so blocking fetches fall again; with write-behind the eviction half
-    // of spill I/O moves off the critical path (the wb io column counts
-    // the writer thread's time, which overlaps compute).
+    // With MIN victims the blocks the plan touches soonest stay resident,
+    // so fetches (and the io column) fall at tight budgets.
     let workloads: Vec<(&'static str, qcs_circuits::Circuit)> = vec![
         ("qft_18", qft_benchmark_circuit(18, 12)),
         ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
@@ -793,52 +782,32 @@ fn table_spill(dir: &Path) {
         "workload",
         "qubits",
         "budget (blk)",
-        "prefetch",
         "policy",
-        "writes",
         "wall (s)",
         "peak MB",
         "spills",
         "fetches",
-        "pf hits",
-        "hit rate",
-        "blocking",
         "spill MB",
         "io (ms)",
-        "pf io (ms)",
-        "wb MB",
-        "wb io (ms)",
     ]);
-    // (prefetch, eviction policy, write-behind) per row; `None` marks the
-    // all-resident row where the knobs are moot.
-    type Mode = Option<(bool, Eviction, bool)>;
-    let spilled_modes: &[Mode] = &[
-        Some((false, Eviction::Lru, false)), // PR-4 regime
-        Some((true, Eviction::Lru, false)),
-        Some((true, Eviction::Lru, true)),
-        Some((true, Eviction::PlannedMin, false)),
-        Some((true, Eviction::PlannedMin, true)),
-    ];
     for (name, circuit) in workloads {
         let n = circuit.num_qubits() as u32;
         let bpr = 1usize << (n - 10); // block_log2 = 10, one rank
         let mut budgets = vec![None, Some(bpr / 4), Some(bpr / 16), Some(4)];
         budgets.dedup();
         for budget in budgets {
-            let modes: &[Mode] = match budget {
-                None => &[None], // all-resident: nothing to evict or prefetch
-                Some(_) => spilled_modes,
+            // `None` marks the all-resident row, where the policy is moot.
+            let policies: &[Option<Eviction>] = match budget {
+                None => &[None],
+                Some(_) => &[Some(Eviction::Lru), Some(Eviction::PlannedMin)],
             };
-            for &mode in modes {
+            for &policy in policies {
                 let mut cfg = SimConfig::default().with_block_log2(10);
                 if let Some(blocks) = budget {
                     cfg = cfg.with_spill(blocks);
                 }
-                if let Some((prefetch, eviction, write_behind)) = mode {
-                    cfg = cfg
-                        .with_prefetch(prefetch)
-                        .with_eviction(eviction)
-                        .with_write_behind(write_behind);
+                if let Some(eviction) = policy {
+                    cfg = cfg.with_eviction(eviction);
                 }
                 let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
                 let mut rng = StdRng::seed_from_u64(0);
@@ -850,32 +819,22 @@ fn table_spill(dir: &Path) {
                     name.to_string(),
                     format!("{n}"),
                     budget.map_or("all".to_string(), |b| format!("{b}")),
-                    mode.map_or("-".to_string(), |(p, _, _)| {
-                        if p { "on" } else { "off" }.to_string()
-                    }),
-                    mode.map_or("-".to_string(), |(_, e, _)| e.name().to_string()),
-                    mode.map_or("-".to_string(), |(_, _, wb)| {
-                        if wb { "wb" } else { "sync" }.to_string()
-                    }),
+                    policy.map_or("-".to_string(), |e| e.name().to_string()),
                     format!("{wall:.2}"),
                     format!("{:.1}", report.peak_memory_bytes as f64 / 1e6),
                     format!("{}", report.breakdown.spills),
                     format!("{}", report.breakdown.fetches),
-                    format!("{}", report.breakdown.prefetch_hits),
-                    format!("{:.0}%", 100.0 * report.breakdown.prefetch_hit_rate()),
-                    format!("{}", report.breakdown.prefetch_misses),
                     format!("{:.1}", report.breakdown.spill_bytes as f64 / 1e6),
                     format!("{:.0}", report.breakdown.spill_io_ns() as f64 / 1e6),
-                    format!("{:.0}", report.breakdown.prefetch_ns() as f64 / 1e6),
-                    format!("{:.1}", report.breakdown.write_behind_bytes as f64 / 1e6),
-                    format!("{:.0}", report.breakdown.write_behind_ns() as f64 / 1e6),
                 ]);
             }
         }
         println!("... {name} done");
     }
     finish(&t, dir, "table_spill");
-    println!("expected: peak memory falls with the budget; staged hits replace blocking fetches once prefetch is on; min victims cut blocking fetches further at tight budgets; write-behind moves eviction i/o off the critical path (io ms falls, wb io ms absorbs it)");
+    println!(
+        "expected: peak memory falls with the budget; min victims cut fetches at tight budgets"
+    );
 }
 
 fn table_server(dir: &Path) {

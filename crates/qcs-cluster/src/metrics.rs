@@ -28,14 +28,12 @@ pub enum Phase {
     /// Reading/writing spilled blocks on the out-of-core tier, *on the
     /// critical path* (blocking seeks and reads the wave waited for).
     SpillIo,
-    /// Background prefetch I/O: spilled frames read by a store's fetch
-    /// thread while the compute chunk runs. Time here is off the wave's
-    /// critical path — the overlap the prefetch pipeline buys.
+    /// Background prefetch I/O. No recorder feeds it: the spill tier
+    /// reads on the caller's thread (`SpillIo`). The lane stays so the
+    /// report's row order and the wire's array form keep their layout.
     Prefetch,
-    /// Background write-behind I/O: evicted frames appended to segment
-    /// files by a store's writer thread while the compute chunk runs.
-    /// Time here is off the wave's critical path — the overlap the
-    /// asynchronous spill tier buys on the eviction side.
+    /// Background write-behind I/O. No recorder feeds it: the spill tier
+    /// writes on the caller's thread (`SpillIo`). Kept like `Prefetch`.
     WriteBehind,
 }
 
@@ -156,11 +154,10 @@ breakdown_table! {
         /// Time spent reading/writing spilled blocks on the out-of-core
         /// tier's critical path (blocking I/O the waves waited for).
         spill_io: SpillIo,
-        /// Time the background prefetch threads spent reading spilled frames
-        /// (overlapped with compute — not on any wave's critical path).
+        /// Always 0: the spill tier runs no background fetch thread. The
+        /// row stays for its readers and the wire's array form.
         prefetch: Prefetch,
-        /// Time the background write-behind threads spent appending evicted
-        /// frames (overlapped with compute — not on any wave's critical path).
+        /// Always 0: the spill tier runs no background writer thread.
         write_behind: WriteBehind,
     }
     counters {
@@ -186,21 +183,22 @@ breakdown_table! {
         spill_bytes,
         /// Bytes read back from the spill tier.
         fetch_bytes,
-        /// Spilled fetches served from the prefetch staging buffer — the
-        /// background read overlapped with compute (0 with prefetch off or
-        /// without an out-of-core store).
+        /// Always 0: no spilled fetch is served from a staging buffer.
+        /// This row, `overlapped_fetch_bytes` and the two `write_behind_*`
+        /// rows counted background spill I/O the tier no longer has; they
+        /// stay for their readers and the wire's array form.
         prefetch_hits,
-        /// Spilled fetches that blocked on a critical-path disk read (with
-        /// prefetch off, every spilled fetch is a miss).
+        /// Spilled fetches that blocked on a critical-path disk read:
+        /// every spilled fetch, so this equals `fetches`.
         prefetch_misses,
-        /// Spill-tier bytes read on the critical path.
+        /// Spill-tier bytes read on the critical path (equal to
+        /// `fetch_bytes`).
         blocking_fetch_bytes,
-        /// Spill-tier bytes read in the background, overlapped with compute.
+        /// Always 0 (see `prefetch_hits`).
         overlapped_fetch_bytes,
-        /// Spill-tier blocks written by the background write-behind thread
-        /// (a subset of `spills`; 0 with write-behind off).
+        /// Always 0 (see `prefetch_hits`).
         write_behind_spills,
-        /// Spill-tier bytes written by the background write-behind thread.
+        /// Always 0 (see `prefetch_hits`).
         write_behind_bytes,
         /// Always 0: every block operation decodes the whole block. This
         /// row and the four after it counted a segment-level decode path
@@ -243,18 +241,20 @@ impl TimeBreakdown {
         saturating_nanos(self.spill_io)
     }
 
-    /// Background prefetch I/O time in nanoseconds (saturating).
+    /// Background prefetch I/O time in nanoseconds (saturating; always
+    /// 0, see the `prefetch` row).
     pub fn prefetch_ns(&self) -> u64 {
         saturating_nanos(self.prefetch)
     }
 
-    /// Background write-behind I/O time in nanoseconds (saturating).
+    /// Background write-behind I/O time in nanoseconds (saturating;
+    /// always 0, see the `write_behind` row).
     pub fn write_behind_ns(&self) -> u64 {
         saturating_nanos(self.write_behind)
     }
 
-    /// Fraction of spilled fetches served from the prefetch staging
-    /// buffer (0 when nothing was fetched).
+    /// Fraction of spilled fetches served from a prefetch staging
+    /// buffer (always 0: every fetch blocks).
     pub fn prefetch_hit_rate(&self) -> f64 {
         let total = self.prefetch_hits + self.prefetch_misses;
         if total == 0 {
@@ -332,41 +332,14 @@ impl Metrics {
     }
 
     /// Record one block read back from the spill tier on the critical
-    /// path — the wave blocked, either on its own synchronous read or
-    /// waiting for a background read still in flight (`bytes` = the
-    /// frame's on-disk footprint). Counted as a prefetch *miss*: an
-    /// overlap that finished too late is still a stall.
+    /// path (`bytes` = the frame's on-disk footprint). Counted as a
+    /// prefetch *miss* too.
     pub fn add_fetch_blocking(&self, bytes: u64) {
         let mut inner = self.inner.lock();
         inner.fetches += 1;
         inner.fetch_bytes += bytes;
         inner.prefetch_misses += 1;
         inner.blocking_fetch_bytes += bytes;
-    }
-
-    /// Record one block read back from the spill tier that was served
-    /// from the prefetch staging buffer — the disk read happened in the
-    /// background, overlapped with compute (`bytes` = the frame's
-    /// on-disk footprint). Counted as a prefetch *hit*.
-    pub fn add_fetch_overlapped(&self, bytes: u64) {
-        let mut inner = self.inner.lock();
-        inner.fetches += 1;
-        inner.fetch_bytes += bytes;
-        inner.prefetch_hits += 1;
-        inner.overlapped_fetch_bytes += bytes;
-    }
-
-    /// Record one block evicted from residency and written to the spill
-    /// tier by the background write-behind thread (`bytes` = the frame's
-    /// on-disk footprint). Counted as a spill, with the asynchronous
-    /// share tracked separately so reports can show how much eviction
-    /// traffic left the critical path.
-    pub fn add_spill_write_behind(&self, bytes: u64) {
-        let mut inner = self.inner.lock();
-        inner.spills += 1;
-        inner.spill_bytes += bytes;
-        inner.write_behind_spills += 1;
-        inner.write_behind_bytes += bytes;
     }
 
     /// Fold a drained codec-seam snapshot into the accumulator:
@@ -481,8 +454,6 @@ mod tests {
         m.add_exchange();
         m.add_spill(11);
         m.add_fetch_blocking(12);
-        m.add_fetch_overlapped(13);
-        m.add_spill_write_behind(14);
         m.add_codec_counters(1, 15, 2);
         m.add_block_touch(3);
         m.add_cache_lookup(true);
@@ -569,47 +540,24 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_accounting_splits_blocking_from_overlapped() {
-        let m = Metrics::new();
-        m.add_fetch_blocking(100);
-        m.add_fetch_overlapped(60);
-        m.add_fetch_overlapped(40);
-        m.add(Phase::Prefetch, Duration::from_millis(2));
-        // Hits and misses partition the fetch total.
-        let b = m.breakdown();
-        assert_eq!(b.fetches, 3);
-        assert_eq!(b.prefetch_hits, 2);
-        assert_eq!(b.prefetch_misses, 1);
-        assert_eq!(b.fetch_bytes, 200);
-        assert_eq!(b.blocking_fetch_bytes, 100);
-        assert_eq!(b.overlapped_fetch_bytes, 100);
-        assert!((b.prefetch_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(b.prefetch, Duration::from_millis(2));
-        assert_eq!(b.prefetch_ns(), 2_000_000);
-        assert!(b.percentages()[5] > 99.0, "only prefetch i/o was recorded");
-        assert_eq!(TimeBreakdown::default().prefetch_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn write_behind_accounting_splits_async_spills() {
+    fn every_spilled_fetch_blocks_and_the_background_rows_read_zero() {
         let m = Metrics::new();
         m.add_spill(100);
-        m.add_spill_write_behind(60);
-        m.add_spill_write_behind(40);
-        m.add(Phase::WriteBehind, Duration::from_millis(4));
-        // Write-behind spills count toward the spill totals, with the
-        // asynchronous share tracked separately.
+        m.add_fetch_blocking(60);
+        m.add_fetch_blocking(40);
         let b = m.breakdown();
-        assert_eq!(b.spills, 3);
-        assert_eq!(b.spill_bytes, 200);
-        assert_eq!(b.write_behind_spills, 2);
-        assert_eq!(b.write_behind_bytes, 100);
-        assert_eq!(b.write_behind, Duration::from_millis(4));
-        assert_eq!(b.write_behind_ns(), 4_000_000);
-        assert!(
-            b.percentages()[6] > 99.0,
-            "only write-behind i/o was recorded"
+        assert_eq!(b.fetches, 2);
+        assert_eq!(b.prefetch_misses, b.fetches);
+        assert_eq!(b.blocking_fetch_bytes, b.fetch_bytes);
+        assert_eq!(b.fetch_bytes, 100);
+        assert_eq!(
+            (b.prefetch_hits, b.overlapped_fetch_bytes),
+            (0, 0),
+            "no fetch is staged"
         );
+        assert_eq!((b.write_behind_spills, b.write_behind_bytes), (0, 0));
+        assert_eq!(b.prefetch_hit_rate(), 0.0);
+        assert_eq!((b.prefetch_ns(), b.write_behind_ns()), (0, 0));
     }
 
     #[test]

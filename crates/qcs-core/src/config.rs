@@ -5,8 +5,8 @@ use qcs_compress::{CodecId, ErrorBound};
 use std::path::PathBuf;
 
 /// Out-of-core tier configuration: how many hot compressed blocks each
-/// rank keeps resident, which eviction policy picks victims, how
-/// eviction writes reach disk, and where the cold ones spill.
+/// rank keeps resident, which eviction policy picks victims, and where
+/// the cold ones spill.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Residency budget per rank, in blocks (minimum 1): the hottest
@@ -21,9 +21,9 @@ pub struct SpillConfig {
     /// [`Eviction::PlannedMin`] (Belady's MIN over the slots the current
     /// wave announces).
     pub eviction: Eviction,
-    /// Drain eviction writes on a per-rank background writer thread
-    /// (bounded dirty buffer, coalesced appends, flush/drop barriers)
-    /// instead of appending synchronously on the critical path.
+    /// Accepted for both values and ignored: every eviction writes its
+    /// victim's frame on the evicting thread. The field stays because the
+    /// wire layout carries it.
     pub write_behind: bool,
     /// Segment files per rank. Each rank keeps exactly one, so
     /// [`SimConfig::validate`] accepts only 1; the field stays in the wire
@@ -33,7 +33,7 @@ pub struct SpillConfig {
 
 impl SpillConfig {
     /// Spill config with the given per-rank residency budget, segments in
-    /// the system temp directory, LRU eviction, synchronous writes.
+    /// the system temp directory, LRU eviction.
     pub fn new(resident_blocks: usize) -> Self {
         Self {
             resident_blocks,
@@ -140,17 +140,9 @@ pub struct SimConfig {
     /// the rest to a per-rank segment file of checksummed frames. `None`
     /// (the default) keeps every block resident, as in the paper.
     pub spill: Option<SpillConfig>,
-    /// Overlap spill-tier reads with compute (the default; only
-    /// meaningful with `spill` set). Each rank's store runs a background
-    /// fetch thread, each wave announces its own block slots, and the
-    /// wave's next chunk of spilled blocks streams off disk while the
-    /// current chunk computes — staged in a buffer bounded by the
-    /// residency budget (double-buffering: one budget resident, at most
-    /// one more staged). The window is one wave, so nothing is staged
-    /// across a wave boundary: prefetch changes when a block is read,
-    /// not which blocks are read, and a wave boundary holds the same
-    /// bytes either way. Disable to reproduce the pull-on-demand tier
-    /// where every cold block is a blocking seek-and-read.
+    /// Accepted for both values and ignored: every spilled fetch is a
+    /// read on the fetching thread. The field stays because the wire
+    /// layout and the repo benchmark carry it.
     pub prefetch: bool,
     /// Multi-node transport: when set, rank workers are hosted by
     /// `qcsim-workerd` daemons at these endpoints instead of in-process
@@ -288,8 +280,8 @@ impl SimConfig {
         self
     }
 
-    /// Config with the out-of-core prefetch pipeline explicitly on or off
-    /// (on by default; only meaningful together with a spill budget).
+    /// Config with [`SimConfig::prefetch`] set, which changes nothing a
+    /// run does (see the field).
     pub fn with_prefetch(mut self, prefetch: bool) -> Self {
         self.prefetch = prefetch;
         self
@@ -304,9 +296,9 @@ impl SimConfig {
         self
     }
 
-    /// Config with spill write-behind explicitly on or off (enables
-    /// spilling with a 1-block budget if it was off; keeps a previously
-    /// set budget).
+    /// Config with [`SpillConfig::write_behind`] set, which changes
+    /// nothing a run does (see the field). Enables spilling with a
+    /// 1-block budget if it was off; keeps a previously set budget.
     pub fn with_write_behind(mut self, write_behind: bool) -> Self {
         let mut spill = self.spill.take().unwrap_or_else(|| SpillConfig::new(1));
         spill.write_behind = write_behind;
@@ -546,14 +538,14 @@ mod tests {
         // A zero-block budget is rejected.
         let bad = SimConfig::default().with_spill(0);
         assert!(bad.validate(9).is_err());
-        // Default stays all-resident, with the prefetch pipeline armed
-        // for whenever a spill budget appears.
+        // Default stays all-resident; the inert prefetch flag keeps its
+        // wire default.
         assert!(SimConfig::default().spill.is_none());
         assert!(SimConfig::default().prefetch);
         assert!(!SimConfig::default().with_prefetch(false).prefetch);
         assert_eq!(SpillConfig::new(2).directory(), std::env::temp_dir());
-        // New-knob defaults keep pre-policy behavior: LRU, synchronous
-        // writes, single-segment layout.
+        // Spill defaults: LRU, the inert write-behind flag off, one
+        // segment file.
         let spill = SpillConfig::new(2);
         assert_eq!(spill.eviction, Eviction::Lru);
         assert!(!spill.write_behind);

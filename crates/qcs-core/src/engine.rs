@@ -282,14 +282,10 @@ pub struct CompressedSimulator {
     /// refreshed by every state-mutating wave (compression-ratio
     /// accounting without an extra collective).
     rank_bytes: Vec<u64>,
-    /// Last-known *resident* compressed bytes per rank — the honest
-    /// in-memory footprint (hot residents plus the prefetch-staging and
-    /// write-behind buffers), what `peak_memory` reports.
+    /// Last-known *resident* compressed bytes per rank — the in-memory
+    /// footprint Eq. 8 charges, what `peak_memory` reports and the ladder
+    /// escalates on.
     rank_resident: Vec<u64>,
-    /// Last-known deterministic resident bytes per rank (foreground
-    /// residents only) — what Eq. 8 charges against the memory budget, so
-    /// ladder escalation never depends on background-thread timing.
-    rank_hot: Vec<u64>,
     level: usize,
     ledger: FidelityLedger,
     min_ratio: f64,
@@ -323,25 +319,28 @@ impl CompressedSimulator {
         cfg: SimConfig,
         log: crate::store::trace::AccessLog,
     ) -> Result<Self, SimError> {
+        Self::new_wrapped(num_qubits, cfg, |rank, store| {
+            Box::new(crate::store::trace::TraceStore::new(
+                rank,
+                Arc::clone(&log),
+                store,
+            ))
+        })
+    }
+
+    /// Test-only: [`CompressedSimulator::new`] with every rank's seeded
+    /// store passed through `wrap(rank, store)`.
+    #[cfg(test)]
+    pub(crate) fn new_wrapped(
+        num_qubits: u32,
+        cfg: SimConfig,
+        wrap: impl Fn(usize, Box<dyn BlockStore>) -> Box<dyn BlockStore>,
+    ) -> Result<Self, SimError> {
         cfg.validate(num_qubits).map_err(SimError::Config)?;
         let layout = Layout::new(num_qubits, cfg.ranks_log2, cfg.block_log2);
         let codec = Arc::new(BlockCodec::new(cfg.lossy_codec));
         let blocks = Self::initial_blocks(&cfg, layout, &codec)?;
-        Self::from_parts_wrapped(
-            cfg,
-            layout,
-            codec,
-            0,
-            FidelityLedger::new(),
-            blocks,
-            |rank, store| {
-                Box::new(crate::store::trace::TraceStore::new(
-                    rank,
-                    Arc::clone(&log),
-                    store,
-                ))
-            },
-        )
+        Self::from_parts_wrapped(cfg, layout, codec, 0, FidelityLedger::new(), blocks, wrap)
     }
 
     /// The `|0...0>` block table: all blocks zero except block 0 of rank 0.
@@ -426,8 +425,7 @@ impl CompressedSimulator {
                 metrics,
                 backend: Backend::Remote(ClusterSim::new(clients, None)),
                 rank_bytes: rank_bytes.clone(),
-                rank_resident: rank_bytes.clone(),
-                rank_hot: rank_bytes,
+                rank_resident: rank_bytes,
                 level,
                 ledger,
                 min_ratio: f64::INFINITY,
@@ -456,7 +454,6 @@ impl CompressedSimulator {
             .collect();
         let rank_bytes = stores.iter().map(|s| s.compressed_bytes()).collect();
         let rank_resident = stores.iter().map(|s| s.resident_bytes()).collect();
-        let rank_hot = stores.iter().map(|s| s.hot_bytes()).collect();
         let workers: Vec<RankWorker> = stores
             .into_iter()
             .enumerate()
@@ -494,7 +491,6 @@ impl CompressedSimulator {
             backend,
             rank_bytes,
             rank_resident,
-            rank_hot,
             level,
             ledger,
             min_ratio: f64::INFINITY,
@@ -545,20 +541,14 @@ impl CompressedSimulator {
     /// two decompression scratch buffers per rank. Spilled blocks live on
     /// disk and are not charged.
     ///
-    /// "In memory" is the footprint of an out-of-core store: hot
-    /// residents **plus** blocks staged by the prefetch pipeline **plus**
-    /// blocks parked in the write-behind dirty buffer. Each of those
-    /// buffers is bounded by one residency budget of compressed blocks,
-    /// so the tier's ceiling is at most budget + staging + dirty — what
-    /// the peak-memory regression in `tests/eviction_policy.rs` pins.
-    /// The sample point is a wave boundary, and a wave's staging window
-    /// ends with the wave, so a boundary holds no staged blocks: staging
-    /// *inside* a wave is not sampled. The dirty buffer drains on
-    /// background threads, so with write-behind on its occupancy at the
-    /// sample point is timing-dependent; this quantity feeds
-    /// `peak_memory_bytes` reporting, while the adaptive-ladder escalation
-    /// decision uses the deterministic
-    /// [`CompressedSimulator::hot_memory_bytes`].
+    /// "In memory" is the footprint of an out-of-core store: its hot
+    /// residents, at most one residency budget of compressed blocks per
+    /// rank — what the peak-memory regression in
+    /// `tests/eviction_policy.rs` pins. A spill store does its I/O on the
+    /// caller's thread and buffers nothing else, so the value sampled at
+    /// a wave boundary is a function of the circuit and the config alone:
+    /// it feeds both `peak_memory_bytes` and the adaptive ladder's
+    /// escalation decision.
     ///
     /// Not charged: the per-rank query summary a frozen state keeps
     /// between mutations (`8 * blocks_per_rank + 4 * n * (n - 1)` bytes
@@ -567,18 +557,6 @@ impl CompressedSimulator {
     pub fn memory_bytes(&self) -> u64 {
         let scratch = 2 * (self.layout.block_amps() as u64) * 16;
         self.resident_bytes() + self.layout.ranks() as u64 * scratch
-    }
-
-    /// The deterministic variant of [`CompressedSimulator::memory_bytes`]
-    /// the ladder escalates on: foreground residents plus scratch only,
-    /// excluding the timing-dependent prefetch-staging and write-behind
-    /// occupancy. Keyed on this, escalation — and therefore the simulated
-    /// amplitudes — is reproducible run-to-run even when a
-    /// `memory_budget` is combined with the background pipelines.
-    /// Identical to `memory_bytes` without an out-of-core store.
-    pub fn hot_memory_bytes(&self) -> u64 {
-        let scratch = 2 * (self.layout.block_amps() as u64) * 16;
-        self.rank_hot.iter().sum::<u64>() + self.layout.ranks() as u64 * scratch
     }
 
     /// Current compression ratio: uncompressed state bytes over compressed
@@ -615,7 +593,6 @@ impl CompressedSimulator {
         for (rank, wave) in outs.iter().enumerate() {
             self.rank_bytes[rank] = wave.compressed_bytes;
             self.rank_resident[rank] = wave.resident_bytes;
-            self.rank_hot[rank] = wave.hot_bytes;
         }
         Ok(outs)
     }
@@ -678,10 +655,9 @@ impl CompressedSimulator {
     /// geometry: a batch whose target does not route intra-block is a
     /// configuration error.
     ///
-    /// On an out-of-core run with [`SimConfig::prefetch`] on, each wave
-    /// announces its own block slots to its rank's store, which stages
-    /// the wave's next chunk while the current one computes. The window
-    /// is one wave: nothing is staged across a wave boundary.
+    /// On an out-of-core run under [`crate::Eviction::PlannedMin`], each
+    /// wave announces its own block slots to its rank's store, which
+    /// picks victims by them. The window is one wave.
     pub fn run_schedule(
         &mut self,
         schedule: &Schedule,
@@ -816,12 +792,9 @@ impl CompressedSimulator {
     /// Post-gate epilogue: walk the adaptive ladder (§3.7) while over
     /// budget, recompressing every block at each new bound so the budget
     /// is actually restored, then refresh the memory/ratio watermarks.
-    /// Escalation keys on the deterministic hot footprint so the ladder
-    /// walk (and the amplitudes it shapes) never depends on
-    /// background-thread timing.
     fn after_gate(&mut self) -> Result<(), SimError> {
         if let Some(budget) = self.cfg.memory_budget {
-            while self.hot_memory_bytes() > budget && self.level + 1 < self.cfg.ladder.len() {
+            while self.memory_bytes() > budget && self.level + 1 < self.cfg.ladder.len() {
                 self.level += 1;
                 self.escalations += 1;
                 self.recompress_all()?;
@@ -1897,9 +1870,6 @@ mod tests {
         assert!(sim.resident_bytes() * 8 < sim.compressed_bytes());
         let scratch = 2 * (sim.layout().block_amps() as u64) * 16;
         assert_eq!(sim.memory_bytes(), sim.resident_bytes() + scratch);
-        // Without the background pipelines the deterministic escalation
-        // quantity and the honest footprint coincide.
-        assert_eq!(sim.hot_memory_bytes(), sim.memory_bytes());
     }
 
     #[test]
@@ -1932,6 +1902,41 @@ mod tests {
             report.breakdown.exchanges > 0,
             "rank-crossing gates must exchange"
         );
+    }
+
+    #[test]
+    fn a_failed_spill_write_ends_the_run_in_a_typed_error_and_poisons_the_rank() {
+        // Every store's writes fail once seeded: the first eviction of the
+        // first wave fails, and the wave's fetched blocks never go back.
+        let mut c = Circuit::new(8);
+        for q in 0..8 {
+            c.h(q);
+        }
+        for ranks_log2 in [0, 1] {
+            let cfg = SimConfig::default()
+                .with_block_log2(3)
+                .with_ranks_log2(ranks_log2)
+                .with_spill(2);
+            let mut sim = CompressedSimulator::new_wrapped(8, cfg, |_, store| {
+                store.debug_set_write_fault(true);
+                store
+            })
+            .unwrap();
+            let mut rng = StdRng::seed_from_u64(2);
+            match sim.run(&c, &mut rng) {
+                Err(SimError::Spill(msg)) => assert!(msg.contains("injected"), "{msg}"),
+                other => panic!("ranks_log2={ranks_log2}: {other:?}"),
+            }
+            // The failed rank answers every later command with its error.
+            assert!(
+                matches!(sim.prob_one(0), Err(SimError::Spill(_))),
+                "ranks_log2={ranks_log2}: a query after the failure"
+            );
+            assert!(
+                matches!(sim.run(&c, &mut rng), Err(SimError::Spill(_))),
+                "ranks_log2={ranks_log2}: a wave after the failure"
+            );
+        }
     }
 
     #[test]

@@ -23,13 +23,11 @@
 //!   a wave's block order is known before it runs (the rank worker reads
 //!   it off the `qcs_cluster::Layout` slot functions it then walks, as
 //!   the schedule's `AccessPlan` does). Each wave announces its own order
-//!   to its store in one call, `BlockStore::plan_accesses`: the
-//!   background fetcher stages along it, so the wave's next chunk streams
-//!   off disk while the current one computes ([`SimConfig::prefetch`]),
-//!   and [`Eviction::PlannedMin`] picks victims by it — Belady's MIN over
-//!   the wave's window. The window is one wave: nothing is staged across
-//!   a wave boundary. A write-behind thread drains eviction writes off
-//!   the critical path (`SpillConfig::write_behind`);
+//!   to its store in one call, `BlockStore::plan_accesses`, and
+//!   [`Eviction::PlannedMin`] picks victims by it — Belady's MIN over the
+//!   wave's window. The store does its reads and eviction writes on the
+//!   caller's thread, so a rank's resident bytes and spill counters
+//!   repeat exactly run to run;
 //! - [`BlockCache`] — the 64-line LRU compressed-block cache with
 //!   auto-disable (§3.4, Fig. 4);
 //! - [`FidelityLedger`] — the `prod (1 - delta_i)` fidelity lower bound

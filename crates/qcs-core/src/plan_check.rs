@@ -78,25 +78,15 @@ fn access_plan_matches_observed_store_accesses() {
 fn access_plan_is_exact_through_the_spill_tier_too() {
     // The plan describes *logical* accesses, so it must be invariant to
     // the storage tier: the same circuit over a 2-block residency budget
-    // observes the same slot sequences, with the background fetcher off
-    // and live (the default).
-    for prefetch in [false, true] {
-        spilled_run_matches_the_plan(
-            SimConfig::default()
-                .with_block_log2(3)
-                .with_ranks_log2(1)
-                .with_spill(2)
-                .with_prefetch(prefetch),
-        );
-    }
-}
-
-fn spilled_run_matches_the_plan(cfg: SimConfig) {
+    // observes the same slot sequences.
+    let cfg = SimConfig::default()
+        .with_block_log2(3)
+        .with_ranks_log2(1)
+        .with_spill(2);
     let circuit = qft_benchmark_circuit(8, 4);
     let schedule = schedule_circuit(&circuit, &cfg.fusion_policy());
     let plan = AccessPlan::for_schedule(&schedule, 1, 3);
     let log = trace::access_log(2);
-    let prefetch = cfg.prefetch;
     let mut sim = CompressedSimulator::new_traced(8, cfg, log.clone()).expect("sim");
     // Seeding a spill store puts blocks through the shim-wrapped store
     // only after wrapping; drain anything recorded during construction.
@@ -113,19 +103,10 @@ fn spilled_run_matches_the_plan(cfg: SimConfig) {
                     .collect()
             })
             .collect();
-        assert_eq!(
-            observed, planned,
-            "spilled run (prefetch {prefetch}) diverged at item {i}"
-        );
+        assert_eq!(observed, planned, "spilled run diverged at item {i}");
     }
-    let breakdown = sim.report().breakdown;
     assert!(
-        breakdown.spills > 0,
+        sim.report().breakdown.spills > 0,
         "precondition: the run must actually spill"
-    );
-    assert_eq!(
-        breakdown.prefetch > std::time::Duration::ZERO,
-        prefetch,
-        "the background fetcher runs exactly when prefetch is on"
     );
 }

@@ -146,7 +146,7 @@ fn warm_queries_read_no_blocks() {
                 .with_block_log2(3)
                 .with_ranks_log2(ranks_log2);
             if spill {
-                cfg = cfg.with_spill(2).with_prefetch(false);
+                cfg = cfg.with_spill(2);
             }
             let what = format!("ranks_log2={ranks_log2} spill={spill}");
             let log = trace::access_log(1 << ranks_log2);
@@ -196,7 +196,7 @@ fn a_repeated_prob_one_reads_no_blocks() {
                 .with_block_log2(3)
                 .with_ranks_log2(ranks_log2);
             if spill {
-                cfg = cfg.with_spill(2).with_prefetch(false);
+                cfg = cfg.with_spill(2);
             }
             let log = trace::access_log(1 << ranks_log2);
             let mut sim = CompressedSimulator::new_traced(8, cfg, log.clone()).expect("sim");

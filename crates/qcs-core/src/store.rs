@@ -27,58 +27,46 @@
 //! A planned wave tells the store its future once, with
 //! [`BlockStore::plan_accesses`]: its own ordered slots, and nothing of
 //! the wave after it. Every consumption of a planned slot moves the
-//! window's cursor past it, and both users of the future read the slots
-//! after the cursor. A prefetching [`SpillStore`] stages the spilled ones
-//! among the next residency budget of them on a background fetch thread,
-//! so the next chunk's disk reads overlap the current chunk's compute.
-//! The window is one wave: its last chunk stages nothing, so a wave
-//! boundary holds no staged block. [`Eviction::PlannedMin`] evicts the
-//! resident block whose next planned use in the window is furthest away
-//! (Belady's MIN — exact within a wave, because the wave's slot order is
-//! known before it runs).
+//! window's cursor past it. [`Eviction::PlannedMin`] evicts the resident
+//! block whose next planned use in the window is furthest away (Belady's
+//! MIN — exact within a wave, because the wave's slot order is known
+//! before it runs); an LRU store asks for no window.
 //! Every method takes `&self`: stores are internally locked so read-only
 //! collectives can run against `&RankWorker` exactly as before.
 //!
-//! # One way in, one way out
+//! # The caller's thread does the I/O
 //!
-//! Every eviction parks its victim in a *dirty buffer* (still served from
-//! memory, still counted against residency accounting), and one run
-//! writer, `write_run`, drains it: it claims a run of queued dirty blocks
-//! and the run's exact byte extent of the segment under the lock, encodes
-//! the run into one recycled buffer, lands it with one positional write
-//! outside the lock, and commits each frame by generation. With
-//! [`SpillOptions::write_behind`] on, one background writer thread calls
-//! it off the critical path. The evicting thread calls it inline when
-//! write-behind is off (a synchronous eviction is a run of one), when the
-//! writer is gone, and when a barrier or a full buffer must drain.
-//! [`SpillStore::flush`] is the barrier that makes every dirty block
-//! durable; it runs before compaction and on drop, and it (or the next
-//! `take`) surfaces any deferred write error instead of dropping it.
-//!
+//! A [`SpillStore`] runs no thread of its own. Every eviction encodes its
+//! victim's frame into the store's one reused buffer and lands it with a
+//! single positional write at the segment's end, under the store lock
+//! (`spill_victim`, the only place a `Slot::Spilled` is built). A failed
+//! write leaves the victim resident and the segment's bookkeeping
+//! untouched, and the `put` that evicted returns [`SimError::Spill`].
 //! Every read of a segment goes through `read_frame_runs`, which sorts
 //! frames by offset and serves segment-adjacent ones with one positional
-//! read: `fetch_many` and the background fetcher call it directly,
+//! read: [`BlockStore::fetch_many`] calls it for a chunk's spilled slots,
 //! [`BlockStore::take`] is a one-slot `fetch_many`, and `peek` and
-//! compaction read through it too.
+//! compaction read through it too. The segment lives in the page cache on
+//! the workloads this tier serves, so a background fetcher or writer
+//! would save a memcpy at the cost of thread handoffs; with the I/O on
+//! the caller's thread, the resident bytes at a wave boundary — and the
+//! spill and fetch counters — are a function of the circuit alone.
 //!
 //! # Segment-file layout and compaction
 //!
-//! A [`SpillStore`] appends each run as consecutive frames to its one
-//! segment file and remembers `(offset, length)` per slot. A block
-//! fetched back leaves its old frame behind as garbage; when the
-//! segment's dead bytes exceed both [`COMPACT_MIN_DEAD_BYTES`] and twice
-//! its live bytes, the store rewrites the live frames, in slot order,
-//! into a fresh segment and atomically renames it over the old one,
-//! bounding disk usage at ~3× the live spilled working set. Fetches
-//! verify the frame checksum, so torn writes and bit rot surface as
-//! [`SimError::Spill`] instead of corrupt amplitudes.
+//! A [`SpillStore`] appends each evicted frame to its one segment file and
+//! remembers `(offset, length)` per slot. A block fetched back leaves its
+//! old frame behind as garbage; when the segment's dead bytes exceed both
+//! [`COMPACT_MIN_DEAD_BYTES`] and twice its live bytes, the store rewrites
+//! the live frames, in slot order, into a fresh segment and atomically
+//! renames it over the old one, bounding disk usage at ~3× the live
+//! spilled working set. Fetches verify the frame checksum, so torn writes
+//! and bit rot surface as [`SimError::Spill`] instead of corrupt
+//! amplitudes.
 //!
 //! Spill/fetch counts, bytes, and I/O time are recorded into the shared
-//! [`Metrics`]: critical-path reads and inline runs under
-//! `Phase::SpillIo` (prefetch misses, blocking bytes, synchronous
-//! spills), background reads under `Phase::Prefetch` (hits, overlapped
-//! bytes), writer-thread runs under `Phase::WriteBehind` — all surfaced
-//! through `SimReport`.
+//! [`Metrics`] under `Phase::SpillIo` — every fetch is a blocking one —
+//! and surfaced through `SimReport`.
 //!
 //! Segment files are deleted when their store drops; a simulation
 //! additionally wraps its per-rank segment files in a shared
@@ -93,13 +81,13 @@ use parking_lot::Mutex;
 use qcs_cluster::{Layout, Metrics, Phase};
 use qcs_compress::frame;
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Where a rank worker's compressed blocks live, addressed by local slot
@@ -141,41 +129,29 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     }
 
     /// Announce the ordered slot accesses the caller plans to perform
-    /// next (one wave's), replacing any previous window. Purely advisory: a spill tier
-    /// stages along it and MIN picks victims by it (see the module docs);
-    /// every other store ignores it.
+    /// next (one wave's), replacing any previous window. Purely advisory:
+    /// a MIN spill tier picks victims by it (see the module docs); every
+    /// other store ignores it.
     fn plan_accesses(&self, upcoming: &[usize]) {
         let _ = upcoming;
     }
 
     /// True when the store reads [`BlockStore::plan_accesses`] windows —
-    /// a spill tier that prefetches or evicts by MIN — so callers skip
-    /// building a window nobody reads.
+    /// a spill tier that evicts by MIN — so callers skip building a
+    /// window nobody reads.
     fn wants_plan(&self) -> bool {
         false
     }
 
-    /// Barrier: make every pending background write durable and surface
-    /// any deferred write error. A write-behind spill tier drains its
-    /// dirty buffer; stores without one return immediately.
+    /// Barrier for stores that buffer writes. Every store in this crate
+    /// writes on the caller's thread, so there is nothing to drain and
+    /// this returns immediately.
     fn flush(&self) -> Result<(), SimError> {
         Ok(())
     }
 
     /// Compressed bytes currently resident in memory.
     fn resident_bytes(&self) -> u64;
-
-    /// The deterministic subset of [`BlockStore::resident_bytes`]: bytes
-    /// held by foreground-managed residents only, excluding buffers that
-    /// background threads fill and drain (prefetch staging, write-behind
-    /// dirty blocks), whose occupancy at any sample point is
-    /// timing-dependent. The engine keys its adaptive-ladder escalation
-    /// on this quantity so escalation — and therefore the simulated
-    /// amplitudes — stay reproducible run-to-run; honest peak-footprint
-    /// reporting uses `resident_bytes`.
-    fn hot_bytes(&self) -> u64 {
-        self.resident_bytes()
-    }
 
     /// Compressed bytes of all blocks, resident plus spilled.
     fn compressed_bytes(&self) -> u64;
@@ -184,6 +160,13 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
     /// Workers use this to bound how many blocks they hold in flight at
     /// once during a wave.
     fn resident_cap(&self) -> Option<usize>;
+
+    /// Test-only: make every later segment write fail (`fail`) or succeed
+    /// again. Stores that write nothing ignore it.
+    #[cfg(test)]
+    fn debug_set_write_fault(&self, fail: bool) {
+        let _ = fail;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,17 +236,14 @@ impl BlockStore for MemStore {
 /// ```
 /// use qcs_core::{Eviction, SimConfig};
 ///
-/// // Belady's MIN over each wave's exact slot order, with eviction
-/// // writes drained off the critical path by the write-behind thread.
+/// // Belady's MIN over each wave's exact slot order.
 /// let cfg = SimConfig::default()
 ///     .with_spill(4)
-///     .with_eviction(Eviction::PlannedMin)
-///     .with_write_behind(true);
+///     .with_eviction(Eviction::PlannedMin);
 /// let spill = cfg.spill.as_ref().unwrap();
 /// assert_eq!(spill.eviction, Eviction::PlannedMin);
-/// assert!(spill.write_behind);
 ///
-/// // The default spill tier keeps the classic LRU, synchronous writes.
+/// // The default spill tier keeps the classic LRU.
 /// let lru = SimConfig::default().with_spill(4);
 /// assert_eq!(lru.spill.as_ref().unwrap().eviction, Eviction::Lru);
 /// ```
@@ -296,11 +276,10 @@ impl Eviction {
 ///
 /// A `take`, `peek` or `fetch_many` of a slot moves the cursor just past
 /// the slot's next planned use; a slot the rest of the window never names
-/// (a snapshot or checkpoint read) leaves it where it is. The prefetcher
-/// stages along the slots after the cursor, and MIN ranks residents by
-/// their next position among them: blocks the window never names again
-/// are the best victims, and among those (an empty or consumed window
-/// included) the choice is exact LRU order.
+/// (a snapshot or checkpoint read) leaves it where it is. MIN ranks
+/// residents by their next position after the cursor: blocks the window
+/// never names again are the best victims, and among those (an empty or
+/// consumed window included) the choice is exact LRU order.
 #[derive(Debug, Default)]
 struct Window {
     slots: Vec<usize>,
@@ -332,16 +311,12 @@ impl Window {
         }
     }
 
-    /// Consume `slot`: move the cursor past its next planned use. True
-    /// when it had one — a planned consumption.
-    fn advance(&mut self, slot: usize) -> bool {
-        let next = self.slots[self.cursor..].iter().position(|&s| s == slot);
-        next.map(|d| self.cursor += d + 1).is_some()
-    }
-
-    /// The next `n` planned slots past the cursor.
-    fn ahead(&self, n: usize) -> &[usize] {
-        &self.slots[self.cursor..self.slots.len().min(self.cursor + n)]
+    /// Consume `slot`: move the cursor past its next planned use, if it
+    /// has one.
+    fn advance(&mut self, slot: usize) {
+        if let Some(d) = self.slots[self.cursor..].iter().position(|&s| s == slot) {
+            self.cursor += d + 1;
+        }
     }
 
     /// The eviction victim among `residents`, given as `(slot,
@@ -418,15 +393,13 @@ impl Drop for SegmentDirGuard {
 }
 
 /// Construction options for a [`SpillStore`] beyond the required
-/// geometry: the eviction policy, the asynchronous pipelines to run
-/// (prefetch, write-behind), and an optional shared [`SegmentDirGuard`]
-/// for panic-safe cleanup.
+/// geometry: the eviction policy and an optional shared
+/// [`SegmentDirGuard`] for panic-safe cleanup. `prefetch` and
+/// `write_behind` mirror config fields a store ignores.
 #[derive(Debug, Default, Clone)]
 pub struct SpillOptions {
-    /// Spawn the store's background fetch thread and stage along the
-    /// [`BlockStore::plan_accesses`] window after every planned
-    /// consumption (off: every spilled fetch blocks, the pre-pipeline
-    /// behavior).
+    /// Accepted and ignored: mirrors [`SimConfig::prefetch`]. Every
+    /// spilled fetch is a read on the caller's thread.
     pub prefetch: bool,
     /// Directory guard keeping the segment dir alive until the last store
     /// (or the facade) drops, then removing the whole tree.
@@ -435,11 +408,8 @@ pub struct SpillOptions {
     /// default; [`Eviction::PlannedMin`] ranks residents by the
     /// [`BlockStore::plan_accesses`] window).
     pub eviction: Eviction,
-    /// Spawn the store's background writer thread: evictions enqueue
-    /// into a bounded dirty buffer and return immediately, the writer
-    /// drains coalesced runs to the segment file (off: the evicting
-    /// thread writes each victim itself, a run of one, on the critical
-    /// path).
+    /// Accepted and ignored: mirrors [`crate::SpillConfig::write_behind`].
+    /// Every eviction writes its victim on the caller's thread.
     pub write_behind: bool,
     /// Segment files per store, mirroring [`crate::SpillConfig::shards`]:
     /// a store holds exactly one, so [`SpillStore::create_with`] accepts
@@ -454,11 +424,6 @@ enum Slot {
     InFlight,
     /// Hot: held in memory, competing under the eviction policy.
     Resident { blk: CompressedBlock, stamp: u64 },
-    /// Evicted into the dirty buffer: still served from memory while a
-    /// run writes its frame. `gen` (a clock stamp) guards the commit — a block re-taken, re-put, and re-evicted while
-    /// its old frame was in flight gets a higher generation, so the stale
-    /// frame is discarded as dead bytes instead of adopted.
-    Dirty { blk: CompressedBlock, gen: u64 },
     /// Cold: one frame in the segment file.
     Spilled {
         offset: u64,
@@ -467,22 +432,11 @@ enum Slot {
     },
 }
 
-/// Test-only fault plan for the writer thread: makes its runs fail (a
-/// deferred [`SimError::Spill`] surfaced by the next `take`/`flush`) or
-/// panic (exercising the panic-safety backstops). Inline runs ignore it.
-#[derive(Debug, Default, Clone)]
-struct WriteFault {
-    fail: bool,
-    panic: bool,
-}
-
 #[derive(Debug)]
 struct SpillInner {
-    /// The segment file of checksummed frames. Shared, so a run or a
-    /// prefetch job can address it outside the lock; compaction swaps in
-    /// a new one, and holders of the old handle keep reading the old
-    /// inode.
-    file: Arc<File>,
+    /// The segment file of checksummed frames; compaction swaps in a new
+    /// one.
+    file: File,
     /// Append offset (end of the last frame).
     end: u64,
     /// Bytes of live frames in the segment.
@@ -496,120 +450,25 @@ struct SpillInner {
     resident_bytes: u64,
     /// Sum of spilled payload (compressed block) lengths.
     spilled_payload_bytes: u64,
-    /// Blocks the background fetcher decoded ahead of need: the staging
-    /// half of the double buffer, bounded (together with `pending`) by
-    /// the residency budget. Entries are one-shot — consumed by the next
-    /// `take`/`peek`/`fetch_many` of the slot and invalidated by `put`.
-    staged: HashMap<usize, CompressedBlock>,
-    /// Compressed bytes held in `staged` (part of residency accounting).
-    staged_bytes: u64,
-    /// Slots whose frames the background fetcher is currently reading.
-    /// Foreground fetches of a pending slot wait on `Shared::resolved`
-    /// instead of issuing a duplicate read.
-    pending: HashSet<usize>,
-    /// Prefetch jobs awaiting the fetcher thread.
-    fetch_jobs: VecDeque<FetchJob>,
-    /// The announced access window: victims for `evict_over_cap` and
-    /// the slots `stage_ahead` stages.
+    /// The announced access window: MIN picks `evict_over_cap`'s victims
+    /// by it.
     window: Window,
-    /// Slots awaiting their write-behind append, in eviction order.
-    dirty_queue: VecDeque<usize>,
-    /// Compressed bytes held in the dirty buffer.
-    dirty_bytes: u64,
-    /// Runs claimed and not yet committed or aborted, by the writer
-    /// thread or inline (defers compaction and flush completion while
-    /// non-zero).
-    runs_in_flight: usize,
-    /// The writer thread is running; once it is not (normal exit or
-    /// panic), evictions and barriers drain inline.
-    writer_alive: bool,
-    /// Set by drop: background threads finish their backlog and exit.
-    shutdown: bool,
-    /// First write-behind failure not yet surfaced; the next `take` or
-    /// `flush` returns it instead of silently dropping it.
-    write_error: Option<String>,
-    /// Longest run (the residency budget): bounds a run's encode buffer
-    /// to one budget of frames.
-    run_cap: usize,
-    /// Test-only fault injection for the writer thread.
-    fault: WriteFault,
-    /// Recycled run buffer: a run takes it, encodes into it and lands
-    /// with a single positional write, then puts it back. A second run
-    /// claimed while one is out takes an empty one.
-    run_buf: Vec<u8>,
-}
-
-/// State shared between a [`SpillStore`] and its background I/O threads.
-#[derive(Debug)]
-struct Shared {
-    inner: StdMutex<SpillInner>,
-    /// Signaled whenever pending prefetches resolve (staged or failed)
-    /// or a writer commits/aborts a run.
-    resolved: Condvar,
-    /// Wakes the fetcher thread when `fetch_jobs` gains work (or shutdown).
-    fetch_work: Condvar,
-    /// Wakes the writer thread when `dirty_queue` gains work (or shutdown).
-    write_work: Condvar,
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, SpillInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// One unit of background-fetcher work: whole frames to read, coalesce,
-/// and stage as blocks, as `(slot, offset, frame_len)`. The handle is the
-/// segment file *at snapshot time*, so reads stay valid even if a
-/// compaction renames a fresh segment over the path mid-flight (the
-/// handle still addresses the old inode, whose live frames are
-/// untouched).
-#[derive(Debug)]
-struct FetchJob {
-    file: Arc<File>,
-    reads: Vec<(usize, u64, u32)>,
+    /// The one reused frame buffer every eviction encodes into.
+    frame_buf: Vec<u8>,
+    /// Test-only fault injection: every segment write fails while set.
+    #[cfg(test)]
+    write_fault: bool,
 }
 
 /// The out-of-core tier: at most `cap` hot blocks resident (the victim
 /// of an overflow chosen per the store's [`Eviction`]), the rest
 /// spilled to one segment file of checksummed frames, deleted on drop.
-///
-/// # The prefetch pipeline
-///
-/// With [`SpillOptions::prefetch`] on, the store runs a background fetch
-/// thread. After every planned consumption it snapshots the spilled
-/// frames among the next residency budget of window slots (marking them
-/// *pending*) and hands the snapshot to the thread, which reads them —
-/// adjacent frames coalesced into single reads — and parks the decoded
-/// blocks in a *staging* buffer.
-/// Staging plus pending never exceed the residency budget, so the store's
-/// memory ceiling is at most double-buffered: one budget of residents,
-/// one of staged next-chunk blocks. A later `take`/`fetch_many` of a
-/// staged slot consumes the staged block without touching disk (a
-/// *prefetch hit*, its bytes counted as overlapped I/O); a fetch of a
-/// slot still pending waits for the in-flight background read rather
-/// than issuing a duplicate one — and because the wave stalled, that
-/// consumption is accounted as a *blocking* fetch even though the bytes
-/// came through the fetcher. Everything else is a blocking fetch,
-/// exactly as without the pipeline.
-///
-/// Each pipeline is one thread. Every run — the writer's or an inline
-/// one — claims its exact byte extent of the segment under the lock,
-/// then lands with a positional write outside it, so concurrent runs
-/// never overlap.
+/// All I/O runs on the calling thread, under the store lock.
 pub struct SpillStore {
     cap: usize,
     path: PathBuf,
     metrics: Metrics,
-    shared: Arc<Shared>,
-    /// True when the background fetch pipeline is on (fetcher spawned).
-    prefetch_on: bool,
-    /// True when the write-behind pipeline is on (writer spawned).
-    write_behind: bool,
-    /// Background fetcher and writer thread, joined on drop.
-    io_threads: Vec<std::thread::JoinHandle<()>>,
+    inner: Mutex<SpillInner>,
     /// The policy selector this store was built with.
     eviction: Eviction,
     /// Keeps the segment directory alive until the last store drops.
@@ -634,8 +493,8 @@ impl SpillStore {
     /// Create the segment file under `dir` (created if missing) and seed
     /// the store with `blocks`; blocks beyond the `cap.max(1)` residency
     /// budget spill immediately. `label` distinguishes per-rank files of
-    /// one simulation. Prefetching is off; use [`SpillStore::create_with`]
-    /// to enable it or to attach a directory guard.
+    /// one simulation. Eviction is LRU; use [`SpillStore::create_with`]
+    /// to pick MIN or to attach a directory guard.
     pub fn create(
         dir: &Path,
         label: &str,
@@ -674,9 +533,12 @@ impl SpillStore {
             .create_new(true)
             .open(&path)
             .map_err(|e| io_err("create spill segment", e))?;
-        let shared = Arc::new(Shared {
-            inner: StdMutex::new(SpillInner {
-                file: Arc::new(file),
+        let store = Self {
+            cap: cap.max(1),
+            path,
+            metrics,
+            inner: Mutex::new(SpillInner {
+                file,
                 end: 0,
                 live: 0,
                 dead: 0,
@@ -685,57 +547,11 @@ impl SpillStore {
                 resident_count: 0,
                 resident_bytes: 0,
                 spilled_payload_bytes: 0,
-                staged: HashMap::new(),
-                staged_bytes: 0,
-                pending: HashSet::new(),
-                fetch_jobs: VecDeque::new(),
                 window: Window::new(opts.eviction),
-                dirty_queue: VecDeque::new(),
-                dirty_bytes: 0,
-                runs_in_flight: 0,
-                writer_alive: false,
-                shutdown: false,
-                write_error: None,
-                run_cap: cap.max(1),
-                fault: WriteFault::default(),
-                run_buf: Vec::new(),
+                frame_buf: Vec::new(),
+                #[cfg(test)]
+                write_fault: false,
             }),
-            resolved: Condvar::new(),
-            fetch_work: Condvar::new(),
-            write_work: Condvar::new(),
-        });
-        let mut io_threads = Vec::new();
-        if opts.prefetch {
-            let handle = std::thread::Builder::new()
-                .name(format!("qcs-prefetch-{label}"))
-                .spawn({
-                    let shared = Arc::clone(&shared);
-                    let metrics = metrics.clone();
-                    move || run_fetcher(&shared, &metrics)
-                })
-                .map_err(|e| io_err("spawn prefetch thread", e))?;
-            io_threads.push(handle);
-        }
-        if opts.write_behind {
-            shared.lock().writer_alive = true;
-            let handle = std::thread::Builder::new()
-                .name(format!("qcs-writer-{label}"))
-                .spawn({
-                    let shared = Arc::clone(&shared);
-                    let metrics = metrics.clone();
-                    move || run_writer(&shared, &metrics)
-                })
-                .map_err(|e| io_err("spawn write-behind thread", e))?;
-            io_threads.push(handle);
-        }
-        let store = Self {
-            cap: cap.max(1),
-            path,
-            metrics,
-            shared,
-            prefetch_on: opts.prefetch,
-            write_behind: opts.write_behind,
-            io_threads,
             eviction: opts.eviction,
             _dir_guard: opts.dir_guard,
         };
@@ -748,70 +564,13 @@ impl SpillStore {
         Ok(store)
     }
 
-    /// Block the calling thread until no slot in `slots` has an in-flight
-    /// background read, charging the (critical-path) wait to `SpillIo`.
-    ///
-    /// Returns the requested slots that were still pending on arrival:
-    /// their staged blocks were *waited for*, not overlapped, so the
-    /// consumers account them as blocking fetches — keeping the hit/miss
-    /// counters aligned with the time accounting (a fetch only counts as
-    /// a prefetch hit when the wave never stalled for it).
-    fn wait_pending<'a>(
-        &self,
-        mut inner: MutexGuard<'a, SpillInner>,
-        slots: &[usize],
-    ) -> (MutexGuard<'a, SpillInner>, Vec<usize>) {
-        let waited: Vec<usize> = slots
-            .iter()
-            .copied()
-            .filter(|s| inner.pending.contains(s))
-            .collect();
-        if waited.is_empty() {
-            return (inner, waited);
-        }
-        let t = Instant::now();
-        while slots.iter().any(|s| inner.pending.contains(s)) {
-            inner = self
-                .shared
-                .resolved
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        self.metrics.add(Phase::SpillIo, t.elapsed());
-        (inner, waited)
-    }
-
-    /// Test-only: park until the background fetcher has resolved every
-    /// pending prefetch, so staged consumption is deterministic.
-    #[cfg(test)]
-    pub(crate) fn debug_wait_staged(&self) {
-        let mut inner = self.shared.lock();
-        while !inner.pending.is_empty() {
-            inner = self
-                .shared
-                .resolved
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
     /// Path of the segment file (exposed for tests and diagnostics).
     pub fn segment_path(&self) -> &Path {
         &self.path
     }
 
-    /// Evict [`Window::victim`]s until the budget holds. Each victim
-    /// parks in the dirty buffer. With write-behind on and the writer
-    /// alive, it drains the buffer off the critical path; past a residency
-    /// budget of dirty blocks the put waits for it (backpressure).
-    /// Otherwise — write-behind off, the writer gone, or the buffer still
-    /// full because the writer is parked on a deferred error — it drains on
-    /// this thread through the same run writer, so a synchronous eviction
-    /// is a run of one.
-    fn evict_over_cap<'a>(
-        &'a self,
-        mut inner: MutexGuard<'a, SpillInner>,
-    ) -> Result<MutexGuard<'a, SpillInner>, SimError> {
+    /// Spill [`Window::victim`]s until the budget holds.
+    fn evict_over_cap(&self, inner: &mut SpillInner) -> Result<(), SimError> {
         while inner.resident_count > self.cap {
             let residents: Vec<(usize, u64)> = inner
                 .slots
@@ -823,126 +582,59 @@ impl SpillStore {
                 })
                 .collect();
             let victim = inner.window.victim(&residents).expect("resident_count > 0");
-            let blk = match std::mem::replace(&mut inner.slots[victim], Slot::InFlight) {
-                Slot::Resident { blk, .. } => blk,
-                _ => unreachable!("victim is resident"),
-            };
-            inner.resident_count -= 1;
-            inner.resident_bytes -= blk.len() as u64;
-            let gen = inner.clock;
-            inner.dirty_bytes += blk.len() as u64;
-            inner.slots[victim] = Slot::Dirty { blk, gen };
-            inner.dirty_queue.push_back(victim);
-            if self.write_behind && inner.writer_alive {
-                self.shared.write_work.notify_one();
-                if inner.dirty_queue.len() <= self.cap {
-                    continue;
-                }
-                // The wait (rare — the writer usually keeps up) is
-                // critical-path spill time. A writer parked on a deferred
-                // error never drains, so waiting on it would deadlock.
-                let t = Instant::now();
-                while inner.dirty_queue.len() > self.cap
-                    && inner.writer_alive
-                    && inner.write_error.is_none()
-                {
-                    inner = self
-                        .shared
-                        .resolved
-                        .wait(inner)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                self.metrics.add(Phase::SpillIo, t.elapsed());
-                if inner.dirty_queue.len() <= self.cap {
-                    continue;
-                }
-            }
-            // A deferred error still surfaces on the next
-            // take/fetch_many/flush.
-            inner = self.drain_inline(inner)?;
+            self.spill_victim(inner, victim)?;
         }
-        Ok(inner)
+        Ok(())
     }
 
-    /// Drain the whole dirty buffer on the calling thread, one run at a
-    /// time, charged to the critical path.
-    fn drain_inline<'a>(
-        &'a self,
-        mut inner: MutexGuard<'a, SpillInner>,
-    ) -> Result<MutexGuard<'a, SpillInner>, SimError> {
-        while !inner.dirty_queue.is_empty() {
-            let (guard, result) = write_run(&self.shared, &self.metrics, inner, true);
-            inner = guard;
-            self.shared.resolved.notify_all();
-            result.map_err(SimError::Spill)?;
+    /// The one way a frame reaches the segment: encode the resident block
+    /// in `slot` into the reused frame buffer, land it at the segment's
+    /// end with one positional write, and make the slot `Spilled`. On
+    /// failure the block stays resident under its old stamp, `end`,
+    /// `live` and `dead` adopt nothing (a partly written tail is
+    /// overwritten by the next frame), and the error is returned.
+    fn spill_victim(&self, inner: &mut SpillInner, slot: usize) -> Result<(), SimError> {
+        let Slot::Resident { blk, stamp } =
+            std::mem::replace(&mut inner.slots[slot], Slot::InFlight)
+        else {
+            unreachable!("victim is resident")
+        };
+        let t = Instant::now();
+        inner.frame_buf.clear();
+        let written =
+            frame::encode_frame_into(blk.codec, blk.bound, &blk.bytes, &mut inner.frame_buf)
+                .map_err(|e| io_err("encode spill frame", e))
+                .and_then(|()| inner.injected_fault())
+                .and_then(|()| {
+                    inner
+                        .file
+                        .write_all_at(&inner.frame_buf, inner.end)
+                        .map_err(|e| io_err("write spill frame", e))
+                });
+        self.metrics.add(Phase::SpillIo, t.elapsed());
+        if let Err(e) = written {
+            inner.slots[slot] = Slot::Resident { blk, stamp };
+            return Err(e);
         }
-        Ok(inner)
+        let frame_len = inner.frame_buf.len() as u32;
+        let payload_len = blk.len() as u32;
+        inner.slots[slot] = Slot::Spilled {
+            offset: inner.end,
+            frame_len,
+            payload_len,
+        };
+        inner.end += frame_len as u64;
+        inner.live += frame_len as u64;
+        inner.resident_count -= 1;
+        inner.resident_bytes -= payload_len as u64;
+        inner.spilled_payload_bytes += payload_len as u64;
+        self.metrics.add_spill(frame_len as u64);
+        Ok(())
     }
 
-    /// Consume `slot`'s staged copy, if the fetcher staged one: a prefetch
-    /// hit, or a blocking fetch when the wave `waited` for the background
-    /// read.
-    fn take_staged(
-        &self,
-        inner: &mut SpillInner,
-        slot: usize,
-        frame_len: u32,
-        waited: bool,
-    ) -> Option<CompressedBlock> {
-        let blk = inner.staged.remove(&slot)?;
-        inner.staged_bytes -= blk.len() as u64;
-        if waited {
-            self.metrics.add_fetch_blocking(frame_len as u64);
-        } else {
-            self.metrics.add_fetch_overlapped(frame_len as u64);
-        }
-        Some(blk)
-    }
-
-    /// After a planned consumption: reserve the spilled frames among the
-    /// next residency budget of window slots, within the staging budget,
-    /// and hand them to the background fetcher as one job. No-op when
-    /// prefetching is off.
-    fn stage_ahead(&self) {
-        if !self.prefetch_on {
-            return;
-        }
-        let mut inner = self.shared.lock();
-        // (slot, offset, frame_len) picks within the staging budget.
-        let mut reads: Vec<(usize, u64, u32)> = Vec::new();
-        for &slot in inner.window.ahead(self.cap) {
-            if inner.staged.len() + inner.pending.len() + reads.len() >= self.cap {
-                break;
-            }
-            if inner.staged.contains_key(&slot)
-                || inner.pending.contains(&slot)
-                || reads.iter().any(|r| r.0 == slot)
-            {
-                continue;
-            }
-            if let Slot::Spilled {
-                offset, frame_len, ..
-            } = inner.slots[slot]
-            {
-                reads.push((slot, offset, frame_len));
-            }
-        }
-        if reads.is_empty() {
-            return;
-        }
-        // Snapshot the handle under the same lock as the offsets: a later
-        // compaction swaps in a new segment file, but this clone keeps
-        // addressing the inode the offsets were taken from.
-        let file = Arc::clone(&inner.file);
-        inner.pending.extend(reads.iter().map(|r| r.0));
-        inner.fetch_jobs.push_back(FetchJob { file, reads });
-        drop(inner);
-        self.shared.fetch_work.notify_one();
-    }
-
-    /// Read spilled frames on the critical path through
-    /// [`read_frame_runs`], charged to `SpillIo`, each counted as a
-    /// blocking fetch. `reads` entries are `(key, offset, frame_len)`.
+    /// Read spilled frames through [`read_frame_runs`], charged to
+    /// `SpillIo`, each counted as a blocking fetch. `reads` entries are
+    /// `(key, offset, frame_len)`.
     fn read_blocking<K: Copy>(
         &self,
         inner: &SpillInner,
@@ -966,19 +658,13 @@ impl SpillStore {
     /// Rewrite the live frames into a fresh segment when its garbage
     /// dominates.
     ///
-    /// Deferred while the dirty buffer is non-empty or a run is in flight
-    /// (so compaction only ever observes durable frames); a later put
-    /// retries once the writer catches up. The in-memory index is only
-    /// repointed *after* the new segment is fully written, synced, and
-    /// renamed over the old one: a mid-compaction I/O failure (out of
-    /// disk, torn write) leaves the store untouched on the old segment,
-    /// and the orphaned `.tmp` is removed.
+    /// The in-memory index is only repointed *after* the new segment is
+    /// fully written, synced, and renamed over the old one: a
+    /// mid-compaction I/O failure (out of disk, torn write) leaves the
+    /// store untouched on the old segment, and the orphaned `.tmp` is
+    /// removed.
     fn maybe_compact(&self, inner: &mut SpillInner) -> Result<(), SimError> {
-        if !inner.dirty_queue.is_empty()
-            || inner.runs_in_flight > 0
-            || inner.dead < COMPACT_MIN_DEAD_BYTES
-            || inner.dead < 2 * inner.live
-        {
+        if inner.dead < COMPACT_MIN_DEAD_BYTES || inner.dead < 2 * inner.live {
             return Ok(());
         }
         self.compact(inner)
@@ -990,7 +676,6 @@ impl SpillStore {
     fn compact(&self, inner: &mut SpillInner) -> Result<(), SimError> {
         let t = Instant::now();
         let tmp_path = self.path.with_extension("tmp");
-        let file = Arc::clone(&inner.file);
         let mut live: Vec<(usize, u64, u32)> = inner
             .slots
             .iter()
@@ -1002,7 +687,7 @@ impl SpillStore {
                 _ => None,
             })
             .collect();
-        let batch = inner.run_cap;
+        let file = &inner.file;
         let result = (|| {
             let mut tmp = File::options()
                 .read(true)
@@ -1015,8 +700,8 @@ impl SpillStore {
             let mut moves = Vec::with_capacity(live.len());
             let mut new_end = 0u64;
             let mut buf = Vec::new();
-            for chunk in live.chunks_mut(batch) {
-                let mut blocks = read_frame_runs(&file, chunk);
+            for chunk in live.chunks_mut(self.cap) {
+                let mut blocks = read_frame_runs(file, chunk);
                 blocks.sort_unstable_by_key(|&(slot, _, _)| slot);
                 buf.clear();
                 for (slot, frame_len, blk) in blocks {
@@ -1046,79 +731,30 @@ impl SpillStore {
                 *offset = new_offset;
             }
         }
-        inner.file = Arc::new(tmp);
+        inner.file = tmp;
         inner.end = new_end;
         inner.live = new_end;
         inner.dead = 0;
         self.metrics.add(Phase::SpillIo, t.elapsed());
         Ok(())
     }
+}
 
-    /// Barrier: block until every dirty block is durable in the segment,
-    /// surfacing any deferred write-behind error. A live writer drains
-    /// first (the wait is critical-path spill time); whatever is left —
-    /// write-behind off, the writer gone (a writer panic included), or
-    /// the writer parked on an error — drains on this thread
-    /// through the same run writer.
-    pub fn flush_dirty(&self) -> Result<(), SimError> {
-        let mut inner = self.shared.lock();
-        if self.write_behind && inner.writer_alive {
-            self.shared.write_work.notify_all();
-            let t = Instant::now();
-            while (!inner.dirty_queue.is_empty() || inner.runs_in_flight > 0)
-                && inner.writer_alive
-                && inner.write_error.is_none()
-            {
-                inner = self
-                    .shared
-                    .resolved
-                    .wait(inner)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            self.metrics.add(Phase::SpillIo, t.elapsed());
-        }
-        let mut inner = self.drain_inline(inner)?;
-        if let Some(e) = inner.write_error.take() {
-            return Err(SimError::Spill(e));
+impl SpillInner {
+    /// The armed test-only write fault, as the error a failed write
+    /// returns; `Ok` outside tests.
+    fn injected_fault(&self) -> Result<(), SimError> {
+        #[cfg(test)]
+        if self.write_fault {
+            return Err(SimError::Spill("injected write failure".into()));
         }
         Ok(())
-    }
-
-    /// Test-only: arm the write-behind fault plan — the writer's next
-    /// drain fails (`fail`) or panics (`panic`).
-    #[cfg(test)]
-    pub(crate) fn debug_set_write_fault(&self, fail: bool, panic: bool) {
-        self.shared.lock().fault = WriteFault { fail, panic };
-    }
-
-    /// Test-only: count of blocks currently parked in the dirty buffer.
-    #[cfg(test)]
-    pub(crate) fn debug_dirty_len(&self) -> usize {
-        self.shared.lock().dirty_queue.len()
-    }
-
-    /// Test-only: park until the writer thread has drained the dirty
-    /// buffer (or died, or stopped on a deferred error), so write-behind
-    /// observations are deterministic.
-    #[cfg(test)]
-    pub(crate) fn debug_wait_written(&self) {
-        let mut inner = self.shared.lock();
-        while (!inner.dirty_queue.is_empty() || inner.runs_in_flight > 0)
-            && inner.writer_alive
-            && inner.write_error.is_none()
-        {
-            inner = self
-                .shared
-                .resolved
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
     }
 }
 
 impl BlockStore for SpillStore {
     fn len(&self) -> usize {
-        self.shared.lock().slots.len()
+        self.inner.lock().slots.len()
     }
 
     /// A one-slot [`BlockStore::fetch_many`]: one read path, one
@@ -1128,31 +764,26 @@ impl BlockStore for SpillStore {
     }
 
     fn put(&self, slot: usize, blk: CompressedBlock) -> Result<(), SimError> {
-        let mut inner = self.shared.lock();
+        let mut inner = self.inner.lock();
         debug_assert!(
             matches!(inner.slots[slot], Slot::InFlight),
             "slot {slot} already occupied"
         );
-        // A staged copy (if any survived an aborted wave) is now stale.
-        if let Some(stale) = inner.staged.remove(&slot) {
-            inner.staged_bytes -= stale.len() as u64;
-        }
         inner.clock += 1;
         let stamp = inner.clock;
         inner.resident_count += 1;
         inner.resident_bytes += blk.len() as u64;
         inner.slots[slot] = Slot::Resident { blk, stamp };
-        let mut inner = self.evict_over_cap(inner)?;
+        self.evict_over_cap(&mut inner)?;
         self.maybe_compact(&mut inner)
     }
 
     fn peek(&self, slot: usize) -> Result<CompressedBlock, SimError> {
-        let inner = self.shared.lock();
-        let (mut inner, waited) = self.wait_pending(inner, &[slot]);
-        let planned = inner.window.advance(slot);
+        let mut inner = self.inner.lock();
+        inner.window.advance(slot);
         inner.clock += 1;
         let stamp = inner.clock;
-        let blk = match &mut inner.slots[slot] {
+        match &mut inner.slots[slot] {
             Slot::Resident {
                 blk,
                 stamp: last_used,
@@ -1160,65 +791,33 @@ impl BlockStore for SpillStore {
                 *last_used = stamp;
                 Ok(blk.clone())
             }
-            // Dirty blocks are still in memory: peek serves the copy and
-            // leaves the write-behind queue untouched.
-            Slot::Dirty { blk, .. } => Ok(blk.clone()),
             &mut Slot::Spilled {
                 offset, frame_len, ..
             } => {
-                // Staging is a one-shot buffer: consuming on peek keeps
-                // its occupancy bounded by what is still ahead of the
-                // wave, at the cost of re-reading on a later fetch.
-                match self.take_staged(&mut inner, slot, frame_len, !waited.is_empty()) {
-                    Some(blk) => Ok(blk),
-                    None => {
-                        let read = &mut [((), offset, frame_len)];
-                        self.read_blocking(&inner, read).remove(0).1
-                    }
-                }
+                let read = &mut [((), offset, frame_len)];
+                self.read_blocking(&inner, read).remove(0).1
             }
             Slot::InFlight => panic!("peek at in-flight slot {slot}"),
-        };
-        drop(inner);
-        if planned {
-            self.stage_ahead();
         }
-        blk
     }
 
-    /// Take a whole chunk at once: resident and staged blocks come out of
-    /// memory, and the remaining spilled frames are read through
-    /// `read_frame_runs` — adjacent frames are served by one contiguous
-    /// read instead of a read per block.
+    /// Take a whole chunk at once: resident blocks come out of memory,
+    /// and the spilled frames are read through `read_frame_runs` —
+    /// adjacent frames are served by one contiguous read instead of a
+    /// read per block.
     fn fetch_many(&self, slots: &[usize]) -> Result<Vec<CompressedBlock>, SimError> {
-        let inner = self.shared.lock();
-        let (mut inner, waited) = self.wait_pending(inner, slots);
-        // A deferred write-behind failure surfaces on the next fetch
-        // rather than being silently dropped (the failed blocks are still
-        // safe in the dirty buffer).
-        if let Some(e) = inner.write_error.take() {
-            return Err(SimError::Spill(e));
-        }
-        let mut planned = false;
+        let mut inner = self.inner.lock();
         for &slot in slots {
-            planned |= inner.window.advance(slot);
+            inner.window.advance(slot);
         }
         let mut out: Vec<Option<CompressedBlock>> = slots.iter().map(|_| None).collect();
-        // (result index, offset, frame_len): the blocking reads.
+        // (result index, offset, frame_len): the reads.
         let mut reads: Vec<(usize, u64, u32)> = Vec::new();
         for (i, &slot) in slots.iter().enumerate() {
             match std::mem::replace(&mut inner.slots[slot], Slot::InFlight) {
                 Slot::Resident { blk, .. } => {
                     inner.resident_count -= 1;
                     inner.resident_bytes -= blk.len() as u64;
-                    out[i] = Some(blk);
-                }
-                Slot::Dirty { blk, .. } => {
-                    // Still in the dirty buffer: served from memory. Any
-                    // frame a run is writing for it turns into dead bytes
-                    // at commit (the generation no longer matches).
-                    inner.dirty_bytes -= blk.len() as u64;
-                    inner.dirty_queue.retain(|&s| s != slot);
                     out[i] = Some(blk);
                 }
                 Slot::Spilled {
@@ -1229,20 +828,13 @@ impl BlockStore for SpillStore {
                     inner.live -= frame_len as u64;
                     inner.dead += frame_len as u64;
                     inner.spilled_payload_bytes -= payload_len as u64;
-                    match self.take_staged(&mut inner, slot, frame_len, waited.contains(&slot)) {
-                        Some(blk) => out[i] = Some(blk),
-                        None => reads.push((i, offset, frame_len)),
-                    }
+                    reads.push((i, offset, frame_len));
                 }
                 Slot::InFlight => panic!("slot {slot} taken twice"),
             }
         }
         for (i, blk) in self.read_blocking(&inner, &mut reads) {
             out[i] = Some(blk?);
-        }
-        drop(inner);
-        if planned {
-            self.stage_ahead();
         }
         Ok(out
             .into_iter()
@@ -1251,51 +843,39 @@ impl BlockStore for SpillStore {
     }
 
     fn plan_accesses(&self, upcoming: &[usize]) {
-        self.shared.lock().window.plan(upcoming);
+        self.inner.lock().window.plan(upcoming);
     }
 
     fn wants_plan(&self) -> bool {
-        self.prefetch_on || self.eviction == Eviction::PlannedMin
+        self.eviction == Eviction::PlannedMin
     }
 
-    fn flush(&self) -> Result<(), SimError> {
-        self.flush_dirty()
-    }
-
-    /// Compressed bytes held in memory: residents plus the prefetch
-    /// staging buffer plus the write-behind dirty buffer — the honest
-    /// memory footprint of the tier (each buffer is bounded by one
-    /// residency budget).
+    /// Compressed bytes of the resident blocks: the whole memory footprint
+    /// of the tier, since it buffers nothing else.
     fn resident_bytes(&self) -> u64 {
-        let inner = self.shared.lock();
-        inner.resident_bytes + inner.staged_bytes + inner.dirty_bytes
-    }
-
-    /// Residents only: staging and dirty occupancy depend on background
-    /// thread timing, so they are excluded from the deterministic count.
-    fn hot_bytes(&self) -> u64 {
-        self.shared.lock().resident_bytes
+        self.inner.lock().resident_bytes
     }
 
     fn compressed_bytes(&self) -> u64 {
-        let inner = self.shared.lock();
-        // Staged blocks are copies of spilled frames, already counted in
-        // the spilled payload total.
-        inner.resident_bytes + inner.dirty_bytes + inner.spilled_payload_bytes
+        let inner = self.inner.lock();
+        inner.resident_bytes + inner.spilled_payload_bytes
     }
 
     fn resident_cap(&self) -> Option<usize> {
         Some(self.cap)
     }
+
+    #[cfg(test)]
+    fn debug_set_write_fault(&self, fail: bool) {
+        self.inner.lock().write_fault = fail;
+    }
 }
 
 /// Read and decode a set of spilled frames, coalescing segment-adjacent
 /// ones into single contiguous positional reads — the one copy of the
-/// sort/run/decode logic shared by the foreground (`fetch_many`,
-/// blocking) and the background fetcher (`run_fetcher`, overlapped).
-/// `reads` entries are `(key, offset, frame_len)`; the input is sorted in
-/// place by offset and one `(key, frame_len, outcome)` is returned per
-/// entry.
+/// sort/run/decode logic every segment read goes through. `reads` entries
+/// are `(key, offset, frame_len)`; the input is sorted in place by offset
+/// and one `(key, frame_len, outcome)` is returned per entry.
 fn read_frame_runs<K: Copy>(
     file: &File,
     reads: &mut [(K, u64, u32)],
@@ -1339,264 +919,8 @@ fn read_frame_runs<K: Copy>(
     out
 }
 
-/// Body of a [`SpillStore`]'s background fetch thread: claim prefetch
-/// jobs, read their frames through [`read_frame_runs`], and stage the
-/// decoded blocks. Read time lands in [`Phase::Prefetch`] —
-/// off the critical path. A frame that fails to read or decode is simply
-/// not staged; the foreground's blocking fetch retries and surfaces the
-/// error. Queued jobs are drained even after shutdown so reserved
-/// `pending` marks always resolve.
-fn run_fetcher(shared: &Shared, metrics: &Metrics) {
-    loop {
-        let mut inner = shared.lock();
-        let job = loop {
-            if let Some(job) = inner.fetch_jobs.pop_front() {
-                break job;
-            }
-            if inner.shutdown {
-                return;
-            }
-            inner = shared
-                .fetch_work
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        };
-        drop(inner);
-        let FetchJob { file, mut reads } = job;
-        let t = Instant::now();
-        let decoded = read_frame_runs(&file, &mut reads);
-        metrics.add(Phase::Prefetch, t.elapsed());
-        let mut inner = shared.lock();
-        for (slot, _, blk) in decoded {
-            inner.pending.remove(&slot);
-            if let Ok(blk) = blk {
-                // Pending slots cannot change tier (foreground fetches of
-                // them wait), so the frame we read is still current.
-                debug_assert!(matches!(inner.slots[slot], Slot::Spilled { .. }));
-                inner.staged_bytes += blk.len() as u64;
-                inner.staged.insert(slot, blk);
-            }
-        }
-        drop(inner);
-        shared.resolved.notify_all();
-    }
-}
-
-/// A run between its claim and its settlement. Dropped armed — the
-/// writing thread unwound mid-write — it aborts the run, so barriers
-/// never wait on a dead claim and the run's blocks stay drainable.
-struct Claim<'a> {
-    shared: &'a Shared,
-    run: Vec<usize>,
-    extent: u64,
-    armed: bool,
-}
-
-impl Claim<'_> {
-    /// Give the run up: its whole reserved extent is dead (nothing durable
-    /// in it), and its blocks — still in memory — return to the front of
-    /// the dirty queue in order.
-    fn abort(&self, inner: &mut SpillInner) {
-        inner.dead += self.extent;
-        for &slot in self.run.iter().rev() {
-            if matches!(inner.slots[slot], Slot::Dirty { .. }) && !inner.dirty_queue.contains(&slot)
-            {
-                inner.dirty_queue.push_front(slot);
-            }
-        }
-    }
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut inner = self.shared.lock();
-            inner.runs_in_flight -= 1;
-            self.abort(&mut inner);
-            drop(inner);
-            self.shared.resolved.notify_all();
-        }
-    }
-}
-
-/// The one way a frame reaches the segment: claim, write and commit one
-/// run of the dirty queue.
-///
-/// Under the lock, the run takes at most a residency budget of queued
-/// blocks and — the key to concurrency — the exact byte extent its frames
-/// will occupy (computable up front because [`frame::encoded_len`] is
-/// exact). The run is then encoded into the recycled buffer and landed
-/// with a single positional write *outside* the lock, so concurrent runs
-/// append to disjoint extents. Back under the lock, each frame whose
-/// slot is still dirty at the generation it was claimed at becomes
-/// `Slot::Spilled`; a block re-taken (or re-evicted at a newer
-/// generation) mid-write leaves its frame as dead bytes.
-///
-/// The writer thread calls it with `inline` false: time lands in
-/// [`Phase::WriteBehind`], spills in the write-behind share, and the
-/// test-only [`WriteFault`] applies. The foreground calls it with
-/// `inline` true, charged to [`Phase::SpillIo`]. A failed run is
-/// all-or-nothing: nothing commits, the blocks go back to the queue, and
-/// the error is returned for the caller to report. The caller wakes the
-/// `resolved` waiters.
-fn write_run<'a>(
-    shared: &'a Shared,
-    metrics: &Metrics,
-    mut inner: MutexGuard<'a, SpillInner>,
-    inline: bool,
-) -> (MutexGuard<'a, SpillInner>, Result<(), String>) {
-    let n = inner.dirty_queue.len().min(inner.run_cap);
-    let run: Vec<usize> = inner.dirty_queue.drain(..n).collect();
-    // (slot, generation, block copy): the block stays in its slot, so
-    // fetches keep hitting memory while the run is written.
-    let blks: Vec<(usize, u64, CompressedBlock)> = run
-        .iter()
-        .filter_map(|&slot| match &inner.slots[slot] {
-            Slot::Dirty { blk, gen } => Some((slot, *gen, blk.clone())),
-            _ => None,
-        })
-        .collect();
-    if blks.is_empty() {
-        return (inner, Ok(()));
-    }
-    let file = Arc::clone(&inner.file);
-    let base = inner.end;
-    let extent: u64 = blks
-        .iter()
-        .map(|(_, _, b)| frame::encoded_len(b.len()) as u64)
-        .sum();
-    inner.end = base + extent;
-    inner.runs_in_flight += 1;
-    let mut buf = std::mem::take(&mut inner.run_buf);
-    let fault = if inline {
-        WriteFault::default()
-    } else {
-        inner.fault.clone()
-    };
-    drop(inner);
-    let mut claim = Claim {
-        shared,
-        run,
-        extent,
-        armed: true,
-    };
-
-    if fault.panic {
-        panic!("injected write-behind panic");
-    }
-    let t = Instant::now();
-    buf.clear();
-    let result = if fault.fail {
-        Err("injected write-behind failure".to_string())
-    } else {
-        blks.iter()
-            .try_for_each(|(_, _, b)| {
-                frame::encode_frame_into(b.codec, b.bound, &b.bytes, &mut buf)
-            })
-            .map_err(|e| format!("encode spill frame: {e}"))
-            .and_then(|()| {
-                debug_assert_eq!(buf.len() as u64, extent);
-                file.write_all_at(&buf, base)
-                    .map_err(|e| format!("write spill run: {e}"))
-            })
-    };
-    let lane = if inline {
-        Phase::SpillIo
-    } else {
-        Phase::WriteBehind
-    };
-    metrics.add(lane, t.elapsed());
-
-    let mut inner = shared.lock();
-    claim.armed = false;
-    inner.runs_in_flight -= 1;
-    inner.run_buf = buf;
-    if result.is_err() {
-        claim.abort(&mut inner);
-    } else {
-        let mut offset = base;
-        for (slot, gen, blk) in blks {
-            let frame_len = frame::encoded_len(blk.len()) as u32;
-            if matches!(inner.slots[slot], Slot::Dirty { gen: g, .. } if g == gen) {
-                inner.slots[slot] = Slot::Spilled {
-                    offset,
-                    frame_len,
-                    payload_len: blk.len() as u32,
-                };
-                inner.dirty_bytes -= blk.len() as u64;
-                inner.spilled_payload_bytes += blk.len() as u64;
-                inner.live += frame_len as u64;
-                if inline {
-                    metrics.add_spill(frame_len as u64);
-                } else {
-                    metrics.add_spill_write_behind(frame_len as u64);
-                }
-            } else {
-                inner.dead += frame_len as u64;
-            }
-            offset += frame_len as u64;
-        }
-    }
-    (inner, result)
-}
-
-/// Body of a [`SpillStore`]'s background write-behind thread: park until
-/// the dirty queue has work, then drain it one [`write_run`] at a time,
-/// off the critical path.
-///
-/// A failed run records a deferred error for the next
-/// `take`/`fetch_many`/`flush` to surface; the writer then idles until
-/// the error is consumed. The writer exiting — normally or by panic —
-/// decrements the alive count and wakes all waiters, so evictions and
-/// barriers drain inline from then on.
-fn run_writer(shared: &Shared, metrics: &Metrics) {
-    struct AliveGuard<'a>(&'a Shared);
-    impl Drop for AliveGuard<'_> {
-        fn drop(&mut self) {
-            let mut inner = self.0.lock();
-            inner.writer_alive = false;
-            drop(inner);
-            self.0.resolved.notify_all();
-        }
-    }
-    let _alive = AliveGuard(shared);
-    loop {
-        let mut inner = shared.lock();
-        // Park until there is drainable work. An unsurfaced failure
-        // parks the writer (the data sits safely in the dirty buffer
-        // until take/flush reports the error); shutdown triggers one
-        // final drain of whatever is queued, so a dropping store's
-        // barrier still observes durable frames.
-        while !inner.shutdown && (inner.dirty_queue.is_empty() || inner.write_error.is_some()) {
-            inner = shared
-                .write_work
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if inner.shutdown && (inner.dirty_queue.is_empty() || inner.write_error.is_some()) {
-            return;
-        }
-        let (mut inner, result) = write_run(shared, metrics, inner, false);
-        if let Err(msg) = result {
-            inner.write_error.get_or_insert(msg);
-        }
-        drop(inner);
-        shared.resolved.notify_all();
-    }
-}
-
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        // Shutdown ends both background threads: the fetcher drains its
-        // queued jobs (resolving all pending marks), the writer does one
-        // final drain (the drop barrier), and both are joined before
-        // deleting the segment so no background I/O races the unlink.
-        self.shared.lock().shutdown = true;
-        self.shared.fetch_work.notify_all();
-        self.shared.write_work.notify_all();
-        for handle in self.io_threads.drain(..) {
-            let _ = handle.join();
-        }
         let _ = std::fs::remove_file(&self.path);
     }
 }
@@ -1635,11 +959,10 @@ pub(crate) fn rank_stores(
                 metrics.clone(),
                 blocks,
                 SpillOptions {
-                    prefetch: cfg.prefetch,
                     dir_guard: Some(Arc::clone(guard)),
                     eviction: spill.eviction,
-                    write_behind: spill.write_behind,
                     shards: spill.shards,
+                    ..SpillOptions::default()
                 },
             )?),
             _ => Box::new(MemStore::new(blocks)),
@@ -1728,16 +1051,8 @@ pub(crate) mod trace {
             self.inner.wants_plan()
         }
 
-        fn flush(&self) -> Result<(), SimError> {
-            self.inner.flush()
-        }
-
         fn resident_bytes(&self) -> u64 {
             self.inner.resident_bytes()
-        }
-
-        fn hot_bytes(&self) -> u64 {
-            self.inner.hot_bytes()
         }
 
         fn compressed_bytes(&self) -> u64 {
@@ -1754,6 +1069,7 @@ pub(crate) mod trace {
 mod tests {
     use super::*;
     use qcs_compress::{CodecId, ErrorBound};
+    use std::collections::HashSet;
 
     fn blk(fill: u8, len: usize) -> CompressedBlock {
         CompressedBlock {
@@ -1900,119 +1216,15 @@ mod tests {
         for (&slot, b) in slots.iter().zip(blocks) {
             s.put(slot, b).unwrap();
         }
-        assert!(metrics.breakdown().fetches > 0);
-        assert_eq!(
-            metrics.breakdown().prefetch_hits,
-            0,
-            "no prefetch was requested"
-        );
+        let b = metrics.breakdown();
+        assert!(b.fetches > 0);
+        assert_eq!(b.prefetch_misses, b.fetches, "every fetch blocks");
         // MemStore honors the same contract through the default impl.
         let m = MemStore::new(vec![Some(blk(1, 10)), Some(blk(2, 20))]);
         m.plan_accesses(&[1, 0]); // default no-op
         let got = m.fetch_many(&[1, 0]).unwrap();
         assert_eq!(got[0].len(), 20);
         assert_eq!(got[1].len(), 10);
-    }
-
-    #[test]
-    fn prefetch_stages_and_fetches_hit_overlapped() {
-        let metrics = Metrics::new();
-        let n = 6usize;
-        let s = SpillStore::create_with(
-            &tmp_dir("prefetch"),
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                prefetch: true,
-                dir_guard: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Slots 0..=3 are spilled (cap 2 keeps only the last two puts).
-        // Consuming the resident slot 5 of the window stages the next
-        // budget of it, the spilled 0 and 1.
-        s.plan_accesses(&[5, 0, 1]);
-        let b5 = s.take(5).unwrap();
-        // Let the background read complete so consumption is overlapped
-        // (a fetch that arrives while the read is in flight waits and is
-        // accounted as blocking instead).
-        s.debug_wait_staged();
-        let b0 = s.take(0).unwrap();
-        assert_eq!(&b0.bytes[..], &blk(0, 64).bytes[..]);
-        let b1 = s.fetch_many(&[1]).unwrap().remove(0);
-        assert_eq!(&b1.bytes[..], &blk(1, 65).bytes[..]);
-        assert_eq!(metrics.breakdown().prefetch_hits, 2);
-        assert!(metrics.breakdown().overlapped_fetch_bytes > 0);
-        assert_eq!(
-            metrics.breakdown().prefetch_misses,
-            0,
-            "nothing should have blocked"
-        );
-        // A spilled slot outside the window still blocks (a miss).
-        let b2 = s.take(2).unwrap();
-        assert_eq!(&b2.bytes[..], &blk(2, 66).bytes[..]);
-        assert_eq!(metrics.breakdown().prefetch_misses, 1);
-        assert!(metrics.breakdown().blocking_fetch_bytes > 0);
-        s.put(0, b0).unwrap();
-        s.put(1, b1).unwrap();
-        s.put(2, b2).unwrap();
-        s.put(5, b5).unwrap();
-        // Fetch total is exactly hits + misses.
-        let b = metrics.breakdown();
-        assert_eq!(b.fetches, b.prefetch_hits + b.prefetch_misses);
-        // Windows over resident or already-staged slots are absorbed.
-        s.plan_accesses(&[0, 1, 2, 3, 4, 5]);
-        s.peek(0).unwrap();
-        drop(s); // joins the fetcher cleanly with requests possibly queued
-    }
-
-    #[test]
-    fn prefetch_respects_staging_budget() {
-        let metrics = Metrics::new();
-        let n = 12usize;
-        let cap = 3usize;
-        let s = SpillStore::create_with(
-            &tmp_dir("prefetch-budget"),
-            "r0",
-            cap,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                prefetch: true,
-                dir_guard: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Plan far more spilled slots than the budget: consuming the
-        // resident slot 11 stages the first `cap` of them, and jumping the
-        // cursor past those (a planned take of `all[cap]`) stages nothing
-        // more while they sit unconsumed. At most `cap` may ever be staged
-        // or in flight, so hits are bounded by cap.
-        let all: Vec<usize> = (0..n - cap).collect();
-        let window: Vec<usize> = std::iter::once(n - 1).chain(all.iter().copied()).collect();
-        s.plan_accesses(&window);
-        let last = s.take(n - 1).unwrap();
-        s.debug_wait_staged();
-        let jumped = s.take(all[cap]).unwrap();
-        s.debug_wait_staged();
-        s.put(all[cap], jumped).unwrap();
-        s.put(n - 1, last).unwrap();
-        // The wave is over: the reads below are unplanned.
-        s.plan_accesses(&[]);
-        for &slot in &all {
-            let b = s.take(slot).unwrap();
-            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
-            s.put(slot, b).unwrap();
-        }
-        assert!(metrics.breakdown().prefetch_hits <= cap as u64);
-        assert!(
-            metrics.breakdown().prefetch_hits > 0,
-            "the budgeted prefix must hit"
-        );
     }
 
     #[test]
@@ -2032,7 +1244,6 @@ mod tests {
                 metrics,
                 (0..4).map(|i| Some(blk(i as u8, 64))).collect(),
                 SpillOptions {
-                    prefetch: true,
                     dir_guard: Some(thread_guard),
                     ..Default::default()
                 },
@@ -2193,76 +1404,21 @@ mod tests {
                 Metrics::new(),
                 (0..3).map(|i| Some(blk(i as u8, 64))).collect(),
                 SpillOptions {
-                    prefetch: true,
                     eviction,
                     ..Default::default()
                 },
             )
             .unwrap();
-            assert!(s.wants_plan());
+            assert_eq!(s.wants_plan(), eviction == Eviction::PlannedMin);
             s.plan_accesses(&[0, 1]);
             let b0 = s.take(0).unwrap();
             s.put(0, b0).unwrap();
-            let inner = s.shared.lock();
+            let inner = s.inner.lock();
             let spilled = |slot: usize| matches!(inner.slots[slot], Slot::Spilled { .. });
             (0..3).filter(|&slot| spilled(slot)).collect::<Vec<_>>()
         };
         assert_eq!(evicted(Eviction::PlannedMin), vec![2]);
         assert_eq!(evicted(Eviction::Lru), vec![1]);
-    }
-
-    /// The slots a store has staged, once its fetcher is idle.
-    fn staged(s: &SpillStore) -> Vec<usize> {
-        s.debug_wait_staged();
-        let mut staged: Vec<usize> = s.shared.lock().staged.keys().copied().collect();
-        staged.sort_unstable();
-        staged
-    }
-
-    #[test]
-    fn planned_consumption_stages_the_next_budget_of_window_slots() {
-        // 12 blocks under a budget of 3: slots 0..=8 are spilled, 9..=11
-        // resident. The window never names 6, 7 or 8.
-        let (n, cap) = (12usize, 3usize);
-        let w = [0usize, 9, 1, 10, 2, 3, 11, 4, 5];
-        let store = |name: &str, prefetch: bool| {
-            SpillStore::create_with(
-                &tmp_dir(name),
-                "r0",
-                cap,
-                Metrics::new(),
-                (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-                SpillOptions {
-                    prefetch,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        // After `fetch_many(&w[..c])` the staged set is exactly the
-        // spilled slots among `w[c..c + cap]`.
-        for c in 1..=w.len() {
-            let s = store(&format!("stage-{c}"), true);
-            s.plan_accesses(&w);
-            let _ = s.fetch_many(&w[..c]).unwrap();
-            let mut want: Vec<usize> = w[c..w.len().min(c + cap)]
-                .iter()
-                .copied()
-                .filter(|&slot| slot < n - cap)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(staged(&s), want, "after consuming {:?}", &w[..c]);
-        }
-        // An unplanned peek stages nothing.
-        let s = store("stage-peek", true);
-        s.plan_accesses(&w);
-        s.peek(6).unwrap();
-        assert_eq!(staged(&s), Vec::<usize>::new());
-        // Nor does a store with prefetching off.
-        let s = store("stage-off", false);
-        s.plan_accesses(&w);
-        let _ = s.fetch_many(&w[..2]).unwrap();
-        assert_eq!(staged(&s), Vec::<usize>::new());
     }
 
     /// Ground-truth next use of `slot` in `seq[from..]`.
@@ -2334,277 +1490,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_behind_drains_off_critical_path_and_round_trips() {
-        let metrics = Metrics::new();
-        let n = 8usize;
-        let s = SpillStore::create_with(
-            &tmp_dir("write-behind"),
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 64 + i))).collect(),
-            SpillOptions {
-                write_behind: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Flush is the barrier: after it, every evicted block is durable
-        // and the dirty buffer is empty.
-        s.flush_dirty().unwrap();
-        assert_eq!(s.debug_dirty_len(), 0);
-        let b = metrics.breakdown();
-        assert!(
-            b.write_behind_spills > 0,
-            "seed evictions must drain through the writer"
-        );
-        assert_eq!(b.write_behind_spills, b.spills);
-        assert!(b.write_behind_bytes > 0);
-        for i in 0..n {
-            let b = s.take(i).unwrap();
-            assert_eq!(&b.bytes[..], &blk(i as u8, 64 + i).bytes[..], "slot {i}");
-            s.put(i, b).unwrap();
-        }
-        s.flush_dirty().unwrap();
-    }
-
-    #[test]
-    fn write_behind_error_surfaces_on_take_and_clears() {
-        let metrics = Metrics::new();
-        let s = SpillStore::create_with(
-            &tmp_dir("wb-take-err"),
-            "r0",
-            1,
-            metrics.clone(),
-            (0..3).map(|i| Some(blk(i as u8, 64))).collect(),
-            SpillOptions {
-                write_behind: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        s.debug_set_write_fault(true, false);
-        // Evict with the fault armed: the writer fails, the block stays
-        // safe in the dirty buffer, and the error surfaces on the NEXT
-        // take — not silently dropped.
-        let b = s.take(0).unwrap();
-        s.put(0, b).unwrap();
-        s.debug_wait_written();
-        let err = s.take(1).unwrap_err();
-        assert!(
-            format!("{err}").contains("injected write-behind failure"),
-            "unexpected error: {err}"
-        );
-        // The error is consumed; disarm the fault and flush: the parked
-        // block drains synchronously and everything round-trips.
-        s.debug_set_write_fault(false, false);
-        s.flush_dirty().unwrap();
-        assert_eq!(s.debug_dirty_len(), 0);
-        for i in 0..3 {
-            assert_eq!(&s.peek(i).unwrap().bytes[..], &blk(i as u8, 64).bytes[..]);
-        }
-    }
-
-    #[test]
-    fn write_behind_error_surfaces_on_flush() {
-        let metrics = Metrics::new();
-        let s = SpillStore::create_with(
-            &tmp_dir("wb-flush-err"),
-            "r0",
-            1,
-            metrics.clone(),
-            (0..3).map(|i| Some(blk(i as u8, 64))).collect(),
-            SpillOptions {
-                write_behind: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        s.debug_set_write_fault(true, false);
-        let b = s.take(0).unwrap();
-        s.put(0, b).unwrap();
-        s.debug_wait_written();
-        s.debug_set_write_fault(false, false);
-        // Flush both surfaces the deferred error and (having drained the
-        // dirty block synchronously first) leaves the store consistent.
-        let err = s.flush_dirty().unwrap_err();
-        assert!(format!("{err}").contains("injected write-behind failure"));
-        assert_eq!(s.debug_dirty_len(), 0);
-        s.flush_dirty().unwrap();
-    }
-
-    #[test]
-    fn write_behind_panic_falls_back_and_leaks_nothing() {
-        // Satellite: a panicking writer thread must not hang barriers or
-        // leak segment files — the store falls back to synchronous
-        // draining and the `SegmentDirGuard` still collects everything.
-        let parent = tmp_dir("wb-panic");
-        let guard = SegmentDirGuard::create(&parent).unwrap();
-        let dir = guard.path().to_path_buf();
-        let metrics = Metrics::new();
-        let s = SpillStore::create_with(
-            &dir,
-            "r0",
-            1,
-            metrics.clone(),
-            (0..4).map(|i| Some(blk(i as u8, 64))).collect(),
-            SpillOptions {
-                write_behind: true,
-                dir_guard: Some(Arc::clone(&guard)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        s.debug_set_write_fault(false, true);
-        let b = s.take(0).unwrap();
-        s.put(0, b).unwrap(); // the writer wakes on this eviction and dies
-        s.debug_wait_written();
-        // The barrier must complete via the synchronous fallback, and the
-        // store keeps serving correctly without its writer.
-        s.flush_dirty().unwrap();
-        assert_eq!(s.debug_dirty_len(), 0);
-        for i in 0..4 {
-            assert_eq!(&s.peek(i).unwrap().bytes[..], &blk(i as u8, 64).bytes[..]);
-        }
-        drop(s);
-        assert_eq!(
-            std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0),
-            0,
-            "segment files leaked after the writer panic"
-        );
-        drop(guard);
-        let _ = std::fs::remove_dir_all(&parent);
-    }
-
-    #[test]
-    fn resident_bytes_counts_staging_and_dirty_buffers() {
-        // Satellite: the honest-footprint accounting — blocks parked in
-        // the prefetch staging buffer and the write-behind dirty buffer
-        // both appear in `resident_bytes`.
-        let metrics = Metrics::new();
-        let n = 6usize;
-        let s = SpillStore::create_with(
-            &tmp_dir("accounting"),
-            "r0",
-            2,
-            metrics.clone(),
-            (0..n).map(|i| Some(blk(i as u8, 1024))).collect(),
-            SpillOptions {
-                prefetch: true,
-                write_behind: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        let resident_only = s.resident_bytes();
-        // Stage two spilled blocks — a planned peek of the resident slot 4
-        // stages the window's next two: both copies must appear.
-        s.plan_accesses(&[4, 0, 1]);
-        s.peek(4).unwrap();
-        s.debug_wait_staged();
-        assert_eq!(s.resident_bytes(), resident_only + 2 * 1024);
-        // Park a dirty block behind a failing writer: still in memory,
-        // still counted.
-        s.debug_set_write_fault(true, false);
-        let b = s.take(2).unwrap();
-        s.put(2, b).unwrap();
-        s.debug_wait_written();
-        assert_eq!(s.debug_dirty_len(), 1);
-        assert_eq!(s.resident_bytes(), resident_only + 3 * 1024);
-        // The deterministic count excludes both background buffers: only
-        // foreground residents (unchanged by the take/put cycle — every
-        // block is 1024 bytes) are charged against the memory budget.
-        assert_eq!(s.hot_bytes(), resident_only);
-        // And the total never double-counts: staged copies mirror spilled
-        // payloads, dirty blocks are pre-durability residents.
-        assert_eq!(s.compressed_bytes(), (n as u64) * 1024);
-        s.debug_set_write_fault(false, false);
-        let _ = s.flush_dirty();
-    }
-
-    #[test]
-    fn write_behind_error_surfaces_on_fetch_many() {
-        let metrics = Metrics::new();
-        let s = SpillStore::create_with(
-            &tmp_dir("wb-fetch-err"),
-            "r0",
-            1,
-            metrics.clone(),
-            (0..3).map(|i| Some(blk(i as u8, 64))).collect(),
-            SpillOptions {
-                write_behind: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        s.debug_set_write_fault(true, false);
-        let b = s.take(0).unwrap();
-        s.put(0, b).unwrap();
-        s.debug_wait_written();
-        // The wave paths fetch through fetch_many: the deferred failure
-        // must surface there too, not wait for a checkpoint flush.
-        let err = s.fetch_many(&[1, 2]).unwrap_err();
-        assert!(
-            format!("{err}").contains("injected write-behind failure"),
-            "unexpected error: {err}"
-        );
-        s.debug_set_write_fault(false, false);
-        s.flush_dirty().unwrap();
-        for i in 0..3 {
-            assert_eq!(&s.peek(i).unwrap().bytes[..], &blk(i as u8, 64).bytes[..]);
-        }
-    }
-
-    #[test]
-    fn backpressure_does_not_deadlock_on_parked_write_error() {
-        let metrics = Metrics::new();
-        let s = SpillStore::create_with(
-            &tmp_dir("wb-backpressure-err"),
-            "r0",
-            1,
-            metrics.clone(),
-            (0..4).map(|i| Some(blk(i as u8, 64))).collect(),
-            SpillOptions {
-                write_behind: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.flush_dirty().unwrap();
-        let blocks = s.fetch_many(&[0, 1, 2]).unwrap();
-        s.debug_set_write_fault(true, false);
-        // Three puts against a 1-block budget while the writer parks on
-        // an injected failure: one of them overflows the dirty buffer.
-        // The backpressure wait must exit on the parked error and drain
-        // synchronously instead of waiting on the condvar forever.
-        for (slot, b) in blocks.into_iter().enumerate() {
-            s.put(slot, b).unwrap();
-        }
-        assert!(s.debug_dirty_len() <= 1, "dirty buffer left unbounded");
-        s.debug_set_write_fault(false, false);
-        // The deferred error still surfaces (at the latest on flush) —
-        // the synchronous fallback must not swallow it.
-        let mut surfaced = false;
-        for _ in 0..2 {
-            if let Err(e) = s.flush_dirty() {
-                assert!(format!("{e}").contains("injected write-behind failure"));
-                surfaced = true;
-                break;
-            }
-        }
-        assert!(surfaced, "parked write error was silently dropped");
-        s.flush_dirty().unwrap();
-        for i in 0..4 {
-            assert_eq!(&s.peek(i).unwrap().bytes[..], &blk(i as u8, 64).bytes[..]);
-        }
-    }
-
     /// The spill and fetch counters of one store, in a fixed order.
     fn io_counters(m: &Metrics) -> [u64; 8] {
         let b = m.breakdown();
@@ -2622,31 +1507,25 @@ mod tests {
 
     #[test]
     fn one_op_sequence_reads_the_same_on_every_write_path_and_shard_count() {
-        // One seeded put/take/fetch_many/peek/flush sequence. The writer
-        // is let finish after every put, so write-behind spills exactly
-        // the blocks a synchronous store spills. The shard counts are the
-        // two a store accepts, 0 (the options' default) and 1.
-        let run = |write_behind: bool, shards: usize| {
+        // One seeded put/take/fetch_many/peek/flush sequence through the
+        // one write path, at the two shard counts a store accepts: 0 (the
+        // options' default) and 1.
+        let run = |shards: usize| {
             let metrics = Metrics::new();
             let n = 12usize;
             let s = SpillStore::create_with(
-                &tmp_dir(&format!("merge-{write_behind}-{shards}")),
+                &tmp_dir(&format!("merge-{shards}")),
                 "r0",
                 3,
                 metrics.clone(),
                 (0..n).map(|i| Some(blk(i as u8, 64 + 7 * i))).collect(),
                 SpillOptions {
-                    write_behind,
                     shards,
                     ..Default::default()
                 },
             )
             .unwrap();
-            let put = |slot: usize, b: CompressedBlock| {
-                s.put(slot, b).unwrap();
-                s.debug_wait_written();
-            };
-            s.debug_wait_written();
+            let put = |slot: usize, b: CompressedBlock| s.put(slot, b).unwrap();
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
             let mut next = move |m: usize| {
                 x ^= x << 13;
@@ -2687,16 +1566,11 @@ mod tests {
             }
             (seen, io_counters(&metrics))
         };
-        let (blocks, counters) = run(false, 1);
+        let (blocks, counters) = run(1);
         assert!(counters[0] > 0 && counters[2] > 0, "{counters:?}");
-        for (write_behind, shards) in [(false, 0), (true, 1), (true, 0)] {
-            let (b, c) = run(write_behind, shards);
-            assert!(
-                b == blocks,
-                "write_behind={write_behind} shards={shards}: blocks differ"
-            );
-            assert_eq!(c, counters, "write_behind={write_behind} shards={shards}");
-        }
+        let (b, c) = run(0);
+        assert!(b == blocks, "shards=0: blocks differ");
+        assert_eq!(c, counters, "shards=0");
     }
 
     #[test]
@@ -2717,5 +1591,48 @@ mod tests {
         let fetched = read(|s| s.fetch_many(&[0]).unwrap().remove(0));
         assert_eq!(took, fetched);
         assert_eq!(took.1[2], 1, "one blocking fetch: {:?}", took.1);
+    }
+
+    #[test]
+    fn a_failed_eviction_write_keeps_the_victim_resident_and_adopts_no_frame() {
+        // cap 2, 3 slots: seeding spills slot 0 and keeps 1 and 2.
+        let metrics = Metrics::new();
+        let s = spill_store("write-fault", 2, 3, &metrics);
+        let segment = |s: &SpillStore| {
+            let inner = s.inner.lock();
+            (inner.end, inner.live, inner.dead)
+        };
+        let b0 = s.take(0).unwrap();
+        let before = segment(&s);
+        let spills = metrics.breakdown().spills;
+        s.debug_set_write_fault(true);
+        // The put overflows the budget, and the LRU victim's write fails.
+        match s.put(0, b0) {
+            Err(SimError::Spill(msg)) => assert!(msg.contains("injected"), "{msg}"),
+            other => panic!("a failed eviction write returned {other:?}"),
+        }
+        assert_eq!(segment(&s), before, "no frame adopted");
+        assert_eq!(metrics.breakdown().spills, spills);
+        // Every block is still in memory with its exact bytes: the victim
+        // (slot 1) through peek and take, the others through peek.
+        for slot in 0..3 {
+            let want = blk(slot as u8, 64 + slot);
+            assert_eq!(&s.peek(slot).unwrap().bytes[..], &want.bytes[..]);
+        }
+        let b1 = s.take(1).unwrap();
+        assert_eq!(&b1.bytes[..], &blk(1, 65).bytes[..]);
+        assert_eq!(segment(&s), before, "the victim was never spilled");
+        // Cleared, the next put evicts through the same path and the
+        // spilled frame round-trips.
+        s.debug_set_write_fault(false);
+        s.put(1, b1).unwrap();
+        assert_eq!(metrics.breakdown().spills, spills + 1);
+        let (end, live, dead) = segment(&s);
+        assert!(end > before.0 && live > before.1 && dead == before.2);
+        for slot in 0..3 {
+            let b = s.take(slot).unwrap();
+            assert_eq!(&b.bytes[..], &blk(slot as u8, 64 + slot).bytes[..]);
+            s.put(slot, b).unwrap();
+        }
     }
 }

@@ -66,14 +66,14 @@
 //!  │                │  │                │
 //!  │ Gate/Batch/Collapse/Recompress — `walk`          §3.2 block cycle
 //!  │ announces its own units                          on the rank's own
-//!  │ (plan_accesses), then one residency-             memory (MCDRAM
-//!  │ budget chunk at a time:                          scratch); staging
-//!  │  fetch_many(chunk k)   coalesced reads;          along the window
-//!  │    the store stages the window's next budget     is the paper's MPI
-//!  │  ─▶ Cycle::block or ::pair: decode_block         overlap aimed at
-//!  │  (length checked) ─▶ kernel ─▶ recompress        disk: a recv
-//!  │  ─▶ store.put (the window is this wave's         posted before the
-//!  │  units only: nothing is staged past it)          chunk that needs it
+//!  │ (plan_accesses, read by MIN), then one           memory (MCDRAM
+//!  │ residency-budget chunk at a time:                scratch)
+//!  │  fetch_many(chunk k)   coalesced reads on
+//!  │    this thread
+//!  │  ─▶ Cycle::block or ::pair: decode_block
+//!  │  (length checked) ─▶ kernel ─▶ recompress
+//!  │  ─▶ store.put (an eviction writes its
+//!  │  victim's frame on this thread)
 //!  │                │  │                │
 //!  │ Exchange:      │◀─┼─ Duplex link ─▶│             MPI_Sendrecv of
 //!  │  leader recv/  │  │ follower sends │             compressed blocks
@@ -362,9 +362,9 @@ pub(crate) struct WaveOut {
     /// Compressed bytes actually resident in memory after the wave (equal
     /// to `compressed_bytes` without an out-of-core tier).
     pub resident_bytes: u64,
-    /// Deterministic subset of `resident_bytes`: foreground residents
-    /// only, excluding the timing-dependent prefetch-staging and
-    /// write-behind buffers (see [`BlockStore::hot_bytes`]).
+    /// Always equal to `resident_bytes`: a store holds no background
+    /// buffer, so resident bytes are already deterministic. The field
+    /// stays in the wire layout.
     pub hot_bytes: u64,
 }
 
@@ -506,11 +506,12 @@ impl RankWorker {
     }
 
     fn wave_out(&self, lossy: bool) -> WaveOut {
+        let resident_bytes = self.store.resident_bytes();
         WaveOut {
             lossy,
             compressed_bytes: self.store.compressed_bytes(),
-            resident_bytes: self.store.resident_bytes(),
-            hot_bytes: self.store.hot_bytes(),
+            resident_bytes,
+            hot_bytes: resident_bytes,
         }
     }
 
@@ -524,7 +525,7 @@ impl RankWorker {
     }
 
     /// Announce a wave's own ordered slot accesses to a store that reads
-    /// plans (it stages along the window, and MIN picks victims by it).
+    /// plans (a MIN spill tier picks victims by it).
     /// Skipped when the store ignores plans, so all-resident runs build
     /// no window.
     fn announce_plan(&self, wave_slots: impl IntoIterator<Item = usize>) {
@@ -542,21 +543,12 @@ impl RankWorker {
             WorkerCmd::ProbOne { scope } => self.prob_one(scope).map(WorkerOut::Scalar),
             WorkerCmd::NormSqr => self.norm_sqr().map(WorkerOut::Scalar),
             WorkerCmd::Weights => self.weights().map(WorkerOut::Weights),
-            WorkerCmd::FetchBlock { block } => {
-                // Checkpoint barrier: make pending write-behind frames
-                // durable (and surface any deferred write error) before
-                // handing out state a checkpoint will persist.
-                self.store.flush()?;
-                Ok(WorkerOut::Block(self.store.peek(block)?))
-            }
-            WorkerCmd::SnapshotBlocks => {
-                self.store.flush()?;
-                Ok(WorkerOut::Blocks(
-                    (0..self.store.len())
-                        .map(|b| self.store.peek(b))
-                        .collect::<Result<_, _>>()?,
-                ))
-            }
+            WorkerCmd::FetchBlock { block } => Ok(WorkerOut::Block(self.store.peek(block)?)),
+            WorkerCmd::SnapshotBlocks => Ok(WorkerOut::Blocks(
+                (0..self.store.len())
+                    .map(|b| self.store.peek(b))
+                    .collect::<Result<_, _>>()?,
+            )),
             WorkerCmd::ExpectationZz { a, b } => self.expectation_zz(a, b).map(WorkerOut::Scalar),
             WorkerCmd::Nop => Ok(WorkerOut::Scalar(0.0)),
             _ => unreachable!("mutating command sent through the query path"),
@@ -637,9 +629,7 @@ impl RankWorker {
     /// The wave's planned slots are announced to a store that reads
     /// plans, then walked in chunks so at most the store's residency
     /// budget of blocks is in flight at once: each chunk is one coalesced
-    /// [`BlockStore::fetch_many`] (after which a prefetching store stages
-    /// the next chunk along the window while this one computes; the
-    /// window ends with the wave), the chunk's units
+    /// [`BlockStore::fetch_many`] on this thread, the chunk's units
     /// stripe across rayon, and their metrics and blocks are merged and
     /// put back in unit order. A chunk of one unit runs on the calling
     /// thread and is told so (`wide`), so a rank with one big block still
@@ -848,8 +838,7 @@ impl RankWorker {
     /// outputs to `fold` strictly in block order. Query waves are planned
     /// and chunked like the mutating ones: chunked to the residency
     /// budget (spilled blocks are peeked from disk without displacing hot
-    /// ones), staging along the window while the current chunk reduces,
-    /// striped across rayon inside each chunk. At most
+    /// ones), striped across rayon inside each chunk. At most
     /// [`QUERY_CHUNK_BLOCKS`] outputs are in flight between `f` and
     /// `fold`, whatever the store's budget; chunking never reorders the
     /// fold, so the result does not depend on it.

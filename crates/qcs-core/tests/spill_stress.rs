@@ -1,10 +1,10 @@
 //! Concurrency stress for the out-of-core tier: four worker threads
 //! hammer `take`/`put`/`fetch_many` on disjoint slot ranges of one
-//! [`SpillStore`] (one segment file, with its prefetch *and* write-behind
-//! threads running) while a fifth thread floods the advisory surface —
-//! `plan_accesses` windows across the whole store, which the owners'
-//! takes consume and stage along — including slots other threads are
-//! actively moving.
+//! [`SpillStore`] (one segment file, MIN eviction, every read and write
+//! on the calling thread under the store lock) while a fifth thread
+//! floods the advisory surface — `plan_accesses` windows across the whole
+//! store, which the owners' takes consume and MIN picks victims by —
+//! including slots other threads are actively moving.
 //!
 //! Contracts pinned:
 //! - no deadlock and no panic under contention (the test finishing at
@@ -14,8 +14,8 @@
 //! - `resident_bytes` stays honest: it never exceeds what the residency
 //!   cap allows, drains to zero when every block is taken out, and
 //!   returns when they are put back;
-//! - shutdown is clean: dropping the store joins its background writer
-//!   and fetch threads, and the segment-dir guard removes the tree.
+//! - shutdown is clean: dropping the store and the segment-dir guard
+//!   removes the tree.
 //!
 //! Slot ownership is partitioned because the `BlockStore` contract
 //! forbids double-`take` of a slot without an intervening `put`; the
@@ -69,11 +69,9 @@ fn spill_store_survives_concurrent_hammering() {
             metrics.clone(),
             blocks,
             SpillOptions {
-                prefetch: true,
                 dir_guard: Some(guard),
-                eviction: Eviction::Lru,
-                write_behind: true,
-                shards: 1,
+                eviction: Eviction::PlannedMin,
+                ..SpillOptions::default()
             },
         )
         .expect("create spill store"),
@@ -88,7 +86,7 @@ fn spill_store_survives_concurrent_hammering() {
             let mine: Vec<usize> = (t * per..(t + 1) * per).collect();
             for version in 0..ITERS {
                 // Each version is a planned wave over the owner's range:
-                // its takes stage along the window (advisory traffic is
+                // its takes move the window's cursor (advisory traffic is
                 // legal at any time).
                 store.plan_accesses(&mine);
                 if version % 3 == 0 {
@@ -112,8 +110,8 @@ fn spill_store_survives_concurrent_hammering() {
     }
 
     // Window flooder: windows across ALL slots, overlapping the owners'
-    // take/put traffic, whose takes then stage along them. None of these
-    // may wedge or panic.
+    // take/put traffic, whose evictions then rank victims by them. None
+    // of these may wedge or panic.
     let flooder = {
         let store = Arc::clone(&store);
         std::thread::spawn(move || {
@@ -132,21 +130,12 @@ fn spill_store_survives_concurrent_hammering() {
     }
     flooder.join().expect("flooder thread");
 
-    // Quiescent audit: residency accounting must be honest. `hot_bytes`
-    // is the deterministic residents-only count and must respect the
-    // cap exactly; `resident_bytes` additionally includes the prefetch
-    // staging and write-behind dirty buffers, each bounded by one more
-    // residency budget's worth. Flush first — the write-behind barrier
-    // the engine itself uses.
-    store.flush_dirty().expect("flush write-behind");
+    // Quiescent audit: residency accounting must be honest. The store
+    // holds nothing but its residents, so `resident_bytes` must respect
+    // the cap exactly.
     assert!(
-        store.hot_bytes() <= (CAP * max_block) as u64,
-        "hot bytes {} exceed the residency cap's worth",
-        store.hot_bytes()
-    );
-    assert!(
-        store.resident_bytes() <= (4 * CAP * max_block) as u64,
-        "resident bytes {} exceed residents + bounded background buffers",
+        store.resident_bytes() <= (CAP * max_block) as u64,
+        "resident bytes {} exceed the residency cap's worth",
         store.resident_bytes()
     );
     let mut drained = Vec::new();
@@ -155,14 +144,17 @@ fn spill_store_survives_concurrent_hammering() {
         assert_is(slot, ITERS, &blk);
         drained.push(blk);
     }
-    assert_eq!(store.hot_bytes(), 0, "all blocks taken: nothing resident");
+    assert_eq!(
+        store.resident_bytes(),
+        0,
+        "all blocks taken: nothing resident"
+    );
     for (slot, blk) in drained.into_iter().enumerate() {
         store.put(slot, blk).expect("final put");
     }
-    assert!(store.hot_bytes() > 0, "blocks back: residency returns");
-    store.flush_dirty().expect("flush write-behind again");
+    assert!(store.resident_bytes() > 0, "blocks back: residency returns");
     assert!(
-        store.hot_bytes() <= (CAP * max_block) as u64,
+        store.resident_bytes() <= (CAP * max_block) as u64,
         "residency stays bounded after the storm"
     );
     assert!(
@@ -170,8 +162,8 @@ fn spill_store_survives_concurrent_hammering() {
         "a {CAP}-of-{SLOTS} residency budget must actually spill"
     );
 
-    // Clean shutdown: drop joins the writer/fetch threads and the guard
-    // removes the segment tree. A hang here is a join leak.
+    // Clean shutdown: the store deletes its segment and the guard
+    // removes the segment tree.
     drop(store);
     assert!(!dir.exists(), "segment dir guard must remove {dir:?}");
 }

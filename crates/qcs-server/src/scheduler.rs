@@ -15,8 +15,7 @@
 //!
 //! Each job's memory footprint is a *carve-out* computed from its
 //! normalized config by [`carve_bytes`] — an Eq. 8-style upper bound on
-//! the bytes its resident compressed blocks, staging/dirty buffers, and
-//! scratch can occupy. The invariant (asserted by the harness over the
+//! the bytes its resident compressed blocks and scratch can occupy. The invariant (asserted by the harness over the
 //! recorded [`AdmissionEvent`] log) is that the sum of carve-outs of
 //! admitted-but-not-ended jobs never exceeds the budget at any admission
 //! event. Queued jobs are considered strictly in (priority desc,
@@ -105,11 +104,9 @@ fn pow2_or_max(log2: u64) -> u64 {
 
 /// Compute a job's admission carve-out in bytes from its **normalized**
 /// config (spill always set by the server): an upper bound in the spirit
-/// of Eq. 8. Per rank, the resident compressed blocks — plus one staging
-/// buffer's worth with prefetch on and one dirty buffer's worth with
-/// write-behind on, both bounded by the residency budget — plus two
-/// uncompressed scratch blocks; compressed blocks are bounded above by
-/// their uncompressed size. Every step saturates, so un-admittable
+/// of Eq. 8. Per rank, one residency budget of compressed blocks (a
+/// spill store holds nothing else) plus two uncompressed scratch blocks;
+/// compressed blocks are bounded above by their uncompressed size. Every step saturates, so un-admittable
 /// configs (`SimConfig::validate` enforces the real bounds upstream)
 /// produce a `u64::MAX`-ish carve instead of arithmetic panics or
 /// wrapped-around tiny values.
@@ -121,17 +118,12 @@ pub fn carve_bytes(cfg: &SimConfig, num_qubits: u32) -> u64 {
             .saturating_sub(cfg.block_log2 as u64 + cfg.ranks_log2 as u64)
             .max(1),
     );
-    let (resident, buffers) = match &cfg.spill {
-        Some(spill) => {
-            let resident = (spill.resident_blocks as u64).min(blocks_per_rank);
-            let buffers = 1 + cfg.prefetch as u64 + spill.write_behind as u64;
-            (resident, buffers)
-        }
-        None => (blocks_per_rank, 1),
+    let resident = match &cfg.spill {
+        Some(spill) => (spill.resident_blocks as u64).min(blocks_per_rank),
+        None => blocks_per_rank,
     };
     ranks.saturating_mul(
         resident
-            .saturating_mul(buffers)
             .saturating_mul(block_bytes)
             .saturating_add(block_bytes.saturating_mul(2)),
     )
@@ -605,6 +597,28 @@ mod tests {
         // Priority order: hi starts before b.
         assert_eq!(starts(&acts), vec![_hi]);
         let _ = b;
+    }
+
+    #[test]
+    fn carve_charges_one_residency_budget_plus_scratch_per_rank() {
+        // 8 qubits over 2^3-amp blocks (128 bytes each) on 2 ranks: 16
+        // blocks per rank, 2 of them resident, 2 scratch blocks.
+        let cfg = SimConfig::default()
+            .with_block_log2(3)
+            .with_ranks_log2(1)
+            .with_spill(2);
+        assert_eq!(carve_bytes(&cfg, 8), 2 * (2 * 128 + 2 * 128));
+        // The inert pipeline flags charge nothing.
+        for (prefetch, write_behind) in [(false, false), (true, true)] {
+            let flagged = cfg
+                .clone()
+                .with_prefetch(prefetch)
+                .with_write_behind(write_behind);
+            assert_eq!(carve_bytes(&flagged, 8), carve_bytes(&cfg, 8));
+        }
+        // A budget above the rank's block count charges every block.
+        let all = cfg.clone().with_spill(64);
+        assert_eq!(carve_bytes(&all, 8), 2 * (16 * 128 + 2 * 128));
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Eviction-policy differential harness: victim selection and write
-//! scheduling must be pure *performance* changes. Whatever the spill tier
-//! evicts — least-recently-used blocks or Belady-MIN victims chosen from
-//! the slots each wave announces — and however it writes them out —
-//! synchronously on the critical path or through the write-behind dirty
-//! buffer — the amplitudes must match the dense reference to 1e-10 on
+//! Eviction-policy differential harness: victim selection must be a pure
+//! *performance* change. Whatever the spill tier evicts — least-recently-
+//! used blocks or Belady-MIN victims chosen from the slots each wave
+//! announces — the amplitudes must match the dense reference to 1e-10 on
 //! every circuit family.
 //!
 //! On top of the correctness matrix, the suite pins the two performance
@@ -12,11 +10,9 @@
 //! * `PlannedMin` never issues more blocking fetches than `Lru` on a
 //!   planned workload (the plan is a perfect future-reference trace, so
 //!   MIN victims can only help);
-//! * peak memory stays within the residency budget plus the two bounded
-//!   side buffers (prefetch staging, write-behind dirty queue) — the
-//!   accounting gap regression: both buffers hold real decoded frames and
-//!   count in `peak_memory_bytes` whenever they are occupied at a wave
-//!   boundary (staging never is: its window ends with the wave).
+//! * peak memory stays within the residency budget plus scratch: the
+//!   store buffers nothing beside its residents, and `peak_memory_bytes`
+//!   must still count those.
 
 use qcsim::circuits::supremacy::{random_circuit, Grid};
 use qcsim::circuits::{
@@ -31,7 +27,7 @@ use rand::SeedableRng;
 const TOL: f64 = 1e-10;
 
 /// The five circuit families of the paper's evaluation, at geometries
-/// small enough that the full policy x write-mode matrix stays fast while
+/// small enough that the policy matrix stays fast while
 /// a 2-block budget still forces real spill traffic (2^n amplitudes over
 /// 2^3-amplitude blocks = up to 64 blocks per family).
 fn families() -> Vec<(&'static str, Circuit)> {
@@ -47,16 +43,14 @@ fn families() -> Vec<(&'static str, Circuit)> {
     ]
 }
 
-/// Lossless out-of-core config: `budget` resident blocks, the given
-/// victim policy, and synchronous or write-behind eviction writes.
-fn spilled_cfg(budget: usize, eviction: Eviction, write_behind: bool, prefetch: bool) -> SimConfig {
+/// Lossless out-of-core config: `budget` resident blocks and the given
+/// victim policy.
+fn spilled_cfg(budget: usize, eviction: Eviction) -> SimConfig {
     SimConfig::default()
         .with_block_log2(3)
         .with_fixed_bound(ErrorBound::Lossless)
         .with_spill(budget)
-        .with_prefetch(prefetch)
         .with_eviction(eviction)
-        .with_write_behind(write_behind)
 }
 
 fn run(c: &Circuit, cfg: SimConfig) -> CompressedSimulator {
@@ -80,76 +74,55 @@ fn max_amp_error(sim: &CompressedSimulator, dense: &StateVector) -> f64 {
 
 #[test]
 fn every_family_matches_dense_across_policy_and_write_behind() {
-    // The full matrix: {Lru, PlannedMin} x {sync, write-behind} on all
-    // five families at a 2-block budget. Every cell must actually go
-    // out-of-core and still match the dense reference amplitude-wise.
+    // {Lru, PlannedMin} on all five families at a 2-block budget (every
+    // eviction write is synchronous; the write-behind flag is inert).
+    // Every cell must actually go out-of-core and still match the dense
+    // reference amplitude-wise.
     for (name, circuit) in families() {
         let mut rng = StdRng::seed_from_u64(2019);
         let dense = circuit.simulate_dense(&mut rng);
         for eviction in [Eviction::Lru, Eviction::PlannedMin] {
-            for write_behind in [false, true] {
-                let sim = run(&circuit, spilled_cfg(2, eviction, write_behind, true));
-                let report = sim.report();
-                assert!(
-                    report.breakdown.spills > 0 && report.breakdown.fetches > 0,
-                    "{name} ({} / wb={write_behind}): the run must go out-of-core",
-                    eviction.name()
-                );
-                if write_behind {
-                    assert!(
-                        report.breakdown.write_behind_bytes <= report.breakdown.spill_bytes,
-                        "{name}: write-behind bytes are a subset of spill bytes"
-                    );
-                } else {
-                    assert_eq!(
-                        report.breakdown.write_behind_spills,
-                        0,
-                        "{name} ({}): synchronous mode must never count \
-                         write-behind spills",
-                        eviction.name()
-                    );
-                }
-                let err = max_amp_error(&sim, &dense);
-                assert!(
-                    err <= TOL,
-                    "{name} ({} / wb={write_behind}): max amplitude error \
-                     {err:e} > {TOL:e}",
-                    eviction.name()
-                );
-                assert_eq!(
-                    report.fidelity_lower_bound, 1.0,
-                    "{name}: lossless run must keep the ledger at 1"
-                );
-            }
+            let sim = run(&circuit, spilled_cfg(2, eviction));
+            let report = sim.report();
+            assert!(
+                report.breakdown.spills > 0 && report.breakdown.fetches > 0,
+                "{name} ({}): the run must go out-of-core",
+                eviction.name()
+            );
+            let err = max_amp_error(&sim, &dense);
+            assert!(
+                err <= TOL,
+                "{name} ({}): max amplitude error {err:e} > {TOL:e}",
+                eviction.name()
+            );
+            assert_eq!(
+                report.fidelity_lower_bound, 1.0,
+                "{name}: lossless run must keep the ledger at 1"
+            );
         }
     }
 }
 
 #[test]
 fn planned_min_never_blocks_on_more_fetches_than_lru() {
-    // With prefetch off every fetch is a blocking seek-and-read and the
-    // counters are fully deterministic (no background-thread races), so
-    // the MIN-vs-LRU comparison is exact: the plan window hands
+    // Every fetch is a blocking seek-and-read and the counters are fully
+    // deterministic, so the MIN-vs-LRU comparison is exact: the plan window hands
     // `PlannedMin` the true future reference trace, and Belady's
     // argument says its miss count is a lower bound on any plan-blind
     // policy's over the same window.
     for (name, circuit) in families() {
         for budget in [2usize, 4] {
-            let lru = run(&circuit, spilled_cfg(budget, Eviction::Lru, false, false));
-            let min = run(
-                &circuit,
-                spilled_cfg(budget, Eviction::PlannedMin, false, false),
-            );
+            let lru = run(&circuit, spilled_cfg(budget, Eviction::Lru));
+            let min = run(&circuit, spilled_cfg(budget, Eviction::PlannedMin));
             let (lru, min) = (lru.report(), min.report());
             assert_eq!(
-                lru.breakdown.prefetch_hits, 0,
-                "{name}: prefetch off must never stage blocks"
+                lru.breakdown.prefetch_misses, lru.breakdown.fetches,
+                "{name}: every fetch blocks"
             );
             assert!(
                 lru.breakdown.fetches > 0,
                 "{name} (budget {budget}): the comparison needs spill traffic"
             );
-            // With prefetch off, blocking fetches == fetches.
             assert!(
                 min.breakdown.prefetch_misses <= lru.breakdown.prefetch_misses,
                 "{name} (budget {budget}): PlannedMin blocked on more \
@@ -170,14 +143,10 @@ fn planned_min_never_blocks_on_more_fetches_than_lru() {
 
 #[test]
 fn peak_memory_stays_within_budget_staging_and_dirty_bounds() {
-    // The accounting-gap regression (the footprint the escalation loop
-    // steers by): with prefetch *and* write-behind on, the spill tier
-    // holds at most `budget` resident blocks, `budget` staged frames
-    // (the prefetch reservation cap), and `budget + 1` dirty frames (the
-    // bounded enqueue admits one over before it stalls the evictor).
-    // `peak_memory_bytes` must count all three tiers and stay under that
-    // ceiling — a store that hid the side buffers would pass the old
-    // resident-only bound while silently doubling its real footprint.
+    // The accounting regression (the footprint the escalation loop
+    // steers by): the spill tier holds at most `budget` resident blocks
+    // and no staging or dirty buffer, so `peak_memory_bytes` must stay
+    // under budget + scratch while still counting the residents.
     let circuit = qft_benchmark_circuit(12, 7);
     let block_log2 = 6u32;
     let budget = 4usize;
@@ -185,36 +154,27 @@ fn peak_memory_stays_within_budget_staging_and_dirty_bounds() {
         .with_block_log2(block_log2)
         .with_fixed_bound(ErrorBound::Lossless)
         .with_spill(budget)
-        .with_prefetch(true)
-        .with_eviction(Eviction::PlannedMin)
-        .with_write_behind(true);
+        .with_eviction(Eviction::PlannedMin);
     let sim = run(&circuit, cfg);
     let report = sim.report();
     assert!(report.breakdown.spills > 0, "the run must go out-of-core");
-    assert!(
-        report.breakdown.write_behind_spills > 0,
-        "the writer thread must commit at least one frame"
-    );
 
     // Generous per-block ceiling: a lossless compressed frame never
     // exceeds the raw amplitudes plus codec/frame headers.
     let block_amps = 1u64 << block_log2;
     let block_cap = 16 * block_amps + 1024;
-    let tiers = (3 * budget as u64 + 1) * block_cap; // resident + staged + dirty
     let scratch = 2 * block_amps * 16; // one decoded block in flight (Eq. 8)
-    let ceiling = tiers + scratch;
+    let ceiling = budget as u64 * block_cap + scratch;
     assert!(
         report.peak_memory_bytes <= ceiling,
-        "peak {} exceeds budget+staging+dirty ceiling {}",
+        "peak {} exceeds the budget+scratch ceiling {}",
         report.peak_memory_bytes,
         ceiling
     );
-    // And the floor: the budget's worth of residents alone must register,
-    // so an accounting regression that *undercounts* (e.g. drops the
-    // staged or dirty tier again) has little room to hide.
+    // And the floor: the budget's worth of residents must register.
     assert!(
         report.peak_memory_bytes > scratch,
-        "peak {} fails to count the compressed tiers at all",
+        "peak {} fails to count the resident tier at all",
         report.peak_memory_bytes
     );
 }

@@ -7,13 +7,11 @@
 //! The headline tests run a 20-qubit circuit (2^20 amplitudes, 256
 //! compressed blocks) with only 4 blocks resident per rank, the regime the
 //! paper's storage hierarchy extends to: dense → compressed-resident →
-//! spilled to disk — once with the blocking pull-on-demand tier and once
-//! with the planned prefetch pipeline, which must produce the same
-//! amplitudes while moving spill reads off the critical path (non-zero
-//! prefetch hits, strictly fewer blocking fetches). Prefetch stages only
-//! inside a wave, so it moves *when* blocks are read and nothing else:
-//! with synchronous eviction writes, prefetch on and off read the same
-//! spill and fetch counts and the same peak.
+//! spilled to disk, every cold block a read on the worker's thread.
+//! The store does all of its I/O on the calling thread, so a spilled run
+//! under a memory budget repeats exactly: the same amplitudes, peak,
+//! spill and fetch counts and escalations on every rerun and thread
+//! count.
 
 use qcsim::circuits::{qaoa_circuit, random_regular_graph, QaoaParams};
 use qcsim::core::{Eviction, SimConfig};
@@ -49,9 +47,8 @@ fn run(c: &Circuit, cfg: SimConfig) -> CompressedSimulator {
     sim
 }
 
-/// The 20-qubit workload shared by the blocking and prefetching variants:
-/// entangles across all routing segments so every one of the 256 blocks
-/// carries real amplitude mass.
+/// The 20-qubit workload: entangles across all routing segments so every
+/// one of the 256 blocks carries real amplitude mass.
 fn twenty_qubit_circuit() -> Circuit {
     let n = 20usize;
     let mut c = Circuit::new(n);
@@ -69,74 +66,38 @@ fn twenty_qubit_circuit() -> Circuit {
 }
 
 #[test]
-fn twenty_qubit_spilled_runs_match_in_ram_blocking_and_prefetched() {
+fn twenty_qubit_spilled_run_matches_in_ram() {
     // 20 qubits, 2^12-amplitude blocks -> 256 blocks on one rank, with a
-    // 4-block residency budget, in both spill pipelines (one run of each
-    // — the in-RAM baseline and the two spilled variants are the suite's
-    // heaviest sims, so every assertion shares them):
-    //  * prefetch off — the pure pull-on-demand tier, every cold block a
-    //    blocking seek-and-read;
-    //  * prefetch on — each wave announces its slots and the wave's next
-    //    chunk of spilled frames streams off disk (background fetch
-    //    thread, coalesced reads) while the current chunk computes.
-    // Both are storage-only changes: amplitudes must match the all-in-RAM
-    // run, while with prefetch on the fetch traffic moves from blocking
-    // reads to staged hits.
+    // 4-block residency budget: a storage-only change, so amplitudes must
+    // match the all-in-RAM run while every cold block is a blocking
+    // read.
     let c = twenty_qubit_circuit();
 
     let in_ram = run(&c, lossless_cfg(12, 0));
     // The compressed working set (all blocks hold nonzero amplitudes
     // after the Hadamard wall) is far larger than 4 blocks' worth, so
-    // neither spilled run can avoid going out-of-core.
-    let blocking = run(&c, lossless_cfg(12, 0).with_spill(4).with_prefetch(false));
-    let prefetched = run(&c, lossless_cfg(12, 0).with_spill(4).with_prefetch(true));
+    // the spilled run cannot avoid going out-of-core.
+    let spilled = run(&c, lossless_cfg(12, 0).with_spill(4));
 
-    let off = blocking.report();
-    assert_eq!(
-        off.breakdown.prefetch_hits, 0,
-        "prefetch off must never serve staged blocks"
-    );
+    let report = spilled.report();
     assert!(
-        blocking.resident_bytes() < blocking.compressed_bytes() / 8,
+        spilled.resident_bytes() < spilled.compressed_bytes() / 8,
         "residency budget must be a small fraction of the working set: \
          {} resident of {} compressed",
-        blocking.resident_bytes(),
-        blocking.compressed_bytes()
+        spilled.resident_bytes(),
+        spilled.compressed_bytes()
     );
-    assert!(off.breakdown.spills > 0, "no blocks were spilled");
-    assert!(off.breakdown.fetches > 0, "no blocks were fetched back");
-    assert!(off.breakdown.spill_bytes > 0 && off.breakdown.fetch_bytes > 0);
-    let err = max_amp_error(&in_ram, &blocking);
+    assert!(report.breakdown.spills > 0, "no blocks were spilled");
+    assert!(report.breakdown.fetches > 0, "no blocks were fetched back");
+    assert!(report.breakdown.spill_bytes > 0 && report.breakdown.fetch_bytes > 0);
+    assert_eq!(
+        report.breakdown.prefetch_misses, report.breakdown.fetches,
+        "every spilled fetch is a blocking read"
+    );
+    let err = max_amp_error(&in_ram, &spilled);
     assert!(
         err <= TOL,
         "spilled 20-qubit run diverged: max amplitude error {err:e} > {TOL:e}"
-    );
-
-    let on = prefetched.report();
-    let err = max_amp_error(&in_ram, &prefetched);
-    assert!(
-        err <= TOL,
-        "prefetched 20-qubit run diverged: max amplitude error {err:e} > {TOL:e}"
-    );
-    assert!(
-        on.breakdown.spills > 0 && on.breakdown.fetches > 0,
-        "the run must go out-of-core"
-    );
-    assert!(
-        on.breakdown.prefetch_hits > 0,
-        "planned access must produce staged (overlapped) fetches"
-    );
-    assert!(on.breakdown.overlapped_fetch_bytes > 0);
-    assert_eq!(
-        on.breakdown.prefetch_hits + on.breakdown.prefetch_misses,
-        on.breakdown.fetches,
-        "hits and misses must partition the fetch total"
-    );
-    assert!(
-        on.breakdown.prefetch_misses < off.breakdown.prefetch_misses,
-        "prefetch on must block on fewer fetches than off ({} vs {})",
-        on.breakdown.prefetch_misses,
-        off.breakdown.prefetch_misses
     );
 }
 
@@ -202,47 +163,68 @@ fn spilled_measurement_and_observables_match() {
 }
 
 #[test]
-fn prefetch_changes_when_blocks_are_read_not_how_many_or_the_peak() {
-    // A wave's staging window is the wave's own slots, so everything the
-    // background fetcher stages is consumed before the wave ends: a wave
-    // boundary, where the footprint is sampled, holds no staged block.
-    // With synchronous eviction writes (write-behind off) nothing else
-    // drains in the background, so prefetch on and off must evict, fetch
-    // and read back the same blocks, sample the same peak, and leave the
-    // same amplitudes, under either victim policy.
-    let circuit = qaoa_circuit(&random_regular_graph(8, 4, 3), &QaoaParams::standard(1));
-    for eviction in [Eviction::Lru, Eviction::PlannedMin] {
-        let cfg = |prefetch| {
-            lossless_cfg(3, 0)
-                .with_spill(4)
-                .with_eviction(eviction)
-                .with_write_behind(false)
-                .with_prefetch(prefetch)
-        };
-        let (off, on) = (run(&circuit, cfg(false)), run(&circuit, cfg(true)));
-        let (a, b) = (off.report(), on.report());
-        let counts = |r: &qcsim::SimReport| {
-            (
-                r.peak_memory_bytes,
-                r.breakdown.spills,
-                r.breakdown.fetches,
-                r.breakdown.fetch_bytes,
-            )
-        };
-        assert!(a.breakdown.spills > 0, "{eviction:?}: the run must spill");
+fn a_budgeted_min_spill_run_repeats_exactly_on_every_rerun_and_thread_count() {
+    // The `qaoa_budget_spill` benchmark shape at test size: QAOA p=2 on
+    // 10 qubits over 2^5-amp blocks, 8 resident blocks under MIN, and a
+    // memory budget of two scratch blocks plus 44 % of the resident set's
+    // raw bytes, which the lossless level cannot meet, so the ladder
+    // escalates. Nothing in the spill tier runs on a thread of its own,
+    // so three reruns at one thread per rank and two at two read the
+    // same amplitudes, peak, spill and fetch counts and escalations.
+    let circuit = qaoa_circuit(
+        &random_regular_graph(10, 4, 2019),
+        &QaoaParams {
+            gammas: vec![0.61, 0.47],
+            betas: vec![0.38, 0.52],
+        },
+    );
+    let block_log2 = 5u32;
+    let resident_blocks = 8usize;
+    let block_bytes = 16u64 << block_log2;
+    let budget = 2 * block_bytes + (resident_blocks as f64 * block_bytes as f64 * 0.44) as u64;
+    let observe = |threads: usize| {
+        let cfg = SimConfig::default()
+            .with_block_log2(block_log2)
+            .with_threads_per_rank(threads)
+            .with_memory_budget(budget)
+            .with_spill(resident_blocks)
+            .with_eviction(Eviction::PlannedMin)
+            .with_write_behind(true);
+        let sim = run(&circuit, cfg);
+        let r = sim.report();
+        assert_eq!(
+            r.breakdown.prefetch_misses, r.breakdown.fetches,
+            "threads={threads}: every fetch blocks"
+        );
+        let counts = (
+            r.peak_memory_bytes,
+            r.breakdown.spills,
+            r.breakdown.spill_bytes,
+            r.breakdown.fetches,
+            r.escalations,
+        );
+        (sim.snapshot_f64().unwrap(), counts)
+    };
+    let (amps, counts) = observe(1);
+    assert!(
+        counts.1 > 0 && counts.3 > 0,
+        "the run must go out-of-core: {counts:?}"
+    );
+    assert!(
+        counts.4 > 0,
+        "the budget must escalate the ladder: {counts:?}"
+    );
+    for threads in [1, 1, 2, 2] {
+        let (a, c) = observe(threads);
+        assert_eq!(
+            c, counts,
+            "threads={threads}: (peak, spills, spill bytes, fetches, escalations)"
+        );
         assert!(
-            b.breakdown.prefetch_hits > 0,
-            "{eviction:?}: prefetch on must stage blocks"
-        );
-        assert_eq!(
-            counts(&a),
-            counts(&b),
-            "{eviction:?}: (peak, spills, fetches, fetch bytes), prefetch off vs on"
-        );
-        assert_eq!(
-            off.snapshot_f64().unwrap(),
-            on.snapshot_f64().unwrap(),
-            "{eviction:?}: amplitudes"
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(amps.iter().map(|x| x.to_bits())),
+            "threads={threads}: amplitudes differ"
         );
     }
 }
