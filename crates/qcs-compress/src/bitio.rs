@@ -232,6 +232,12 @@ pub mod bytes {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append a `u16` in little-endian order.
+    #[inline]
+    pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Append an `f64` in little-endian order.
     #[inline]
     pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
@@ -252,6 +258,14 @@ pub mod bytes {
         let bytes = buf.get(*pos..*pos + 4)?;
         *pos += 4;
         Some(u32::from_le_bytes(bytes.try_into().ok()?))
+    }
+
+    /// Read a `u16` at `pos`, advancing `pos`.
+    #[inline]
+    pub fn get_u16(buf: &[u8], pos: &mut usize) -> Option<u16> {
+        let bytes = buf.get(*pos..*pos + 2)?;
+        *pos += 2;
+        Some(u16::from_le_bytes(bytes.try_into().ok()?))
     }
 
     /// Read an `f64` at `pos`, advancing `pos`.

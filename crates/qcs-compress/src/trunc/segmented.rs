@@ -10,11 +10,15 @@ use crate::codec::CodecError;
 /// amplitudes).
 pub const DEFAULT_SEGMENT_VALUES: usize = 1024;
 
-/// Stream magic of segmented Solution C streams ("QCSs").
-pub(super) const MAGIC: u32 = 0x5143_5373;
+/// Stream magic of segmented Solution C streams ("QCSt").
+pub(super) const MAGIC: u32 = 0x5143_5374;
 
 /// Magics of the segmented layouts this build no longer reads.
-const RETIRED: [(u32, &str); 3] = [
+const RETIRED: [(u32, &str); 4] = [
+    (
+        0x5143_5373,
+        "QCSs, Solution C segments whose mode 1 ran the backend over its head",
+    ),
     (0x5143_5363, "QCSc, Solution C segments without a mode byte"),
     (
         0x5143_5365,

@@ -23,35 +23,51 @@
 //! `qzstd(body)`, byte for byte as it always was.
 //!
 //! Each segment of the segmented format (the engine's default, see
-//! [`crate::trunc`]) starts with a mode byte:
+//! [`crate::trunc`]) starts with a mode byte. The container knows the
+//! segment's value count `n`, so no segment stores it:
 //!
 //! ```text
-//! mode 0: qzstd(body)                                 first byte 0..=3
-//! mode 1: 0xFF | head_len u32 | qzstd(body minus its suffix bytes) | suffix
+//! mode 0: qzstd(body)                                   first byte 0..=3
+//! mode 2: 0xFE | m u8 | runs | exceptions | suffix
+//!      or 0xFD | m u8 | plane_len u16 | qzstd(codes) | exceptions | suffix
+//! runs:       { c << 6 | more << 5 | (len - 1) & 31
+//!               [, LEB128 of (len - 1) >> 5 when more] }, covering n
+//! exceptions: n_exc u16 | n_exc x { index u16 | bits u64 }
 //! ```
 //!
 //! A mode-0 segment is the bare backend container, so the container's own
 //! mode byte (0–3) doubles as the segment's; a separate byte would cost
-//! 1.5 % on a constant block, whose segments are 68 bytes each. Mode 1
-//! runs the backend over only the header, the code plane and the
-//! exceptions, and stores the suffix bytes verbatim. The decoder reads them
-//! in place.
+//! 2.7 % on an all-zero block, whose segments are 37 bytes each.
+//!
+//! A mode-2 segment runs no LZ77 and stores nothing its decoder can
+//! derive (the stage table is in [`crate::trunc`]). The lead codes are
+//! runs of equal codes, one byte per run of up to 32 values. The suffix
+//! length is the sum of the bytes each code keeps, so the suffix is the
+//! rest of the segment, stored verbatim and read in place. Only when the
+//! runs take more than one byte per [`COMPACT_RUN_VALUES`] values does
+//! the encoder also put the packed code plane (`codes` above) through the
+//! backend, and it keeps whichever is shorter (mode byte 0xFD for the
+//! plane). A periodic sparse block needs that: with runs alone, the
+//! one-amplitude-in-sixteen block of `prop_segment_modes` takes 11,529
+//! bytes, against 11,219 in the single-mode layout and 10,285 with the
+//! fallback; a raw 256-byte plane per segment took 17,662.
 //!
 //! The truncated XOR suffix of a generic amplitude block is close to
 //! noise. On a Porter–Thomas 2^14-amplitude block at 1e-3, LZ77 over the
 //! segment bodies took two thirds of the compress time and shrank them by
-//! only 6.6 %. With the suffix stored raw, the block's stream is 100,471
-//! bytes against 100,532, and it compresses in 189 µs instead of 394 µs
-//! (decompresses in 84 µs instead of 121 µs; one core of a shared 2-vCPU
-//! VM). Structured states are different: the first block of QFT|8192> on
-//! 2^20 amplitudes repeats every 128 amplitudes, and an always-raw suffix
-//! would drop its ratio from 18.5 to 2.6. So mode 0 is chosen whenever a
-//! fixed probe says the dictionary pays: LZ77 over the first [`PROBE_LEN`]
-//! suffix bytes must come out strictly shorter than its input. An empty
-//! suffix also takes mode 0, since both modes would then compress the same
-//! bytes. The probe cannot see a repeat more than [`PROBE_LEN`] suffix
-//! bytes back: a segment of a state that is a product across the
-//! segment's top offset bit can then take mode 1 and grow by a fifth.
+//! only 6.6 %. Structured states are different: the first block of
+//! QFT|8192> on 2^20 amplitudes repeats every 128 amplitudes, and an
+//! always-raw suffix would drop its ratio from 18.5 to 2.6. So mode 0 is
+//! chosen whenever a fixed probe says the dictionary pays: LZ77 over the
+//! first [`PROBE_LEN`] suffix bytes must come out strictly shorter than
+//! its input. An empty suffix also takes mode 0. The probe cannot see a
+//! repeat more than [`PROBE_LEN`] suffix bytes back: a segment of a state
+//! that is a product across the segment's top offset bit can then take
+//! mode 2 and grow by a fifth.
+//!
+//! Mode byte 0xFF was mode 1: the header, code plane and exceptions
+//! through the backend, the suffix verbatim. The stream magic changed
+//! with it (see [`crate::trunc`]), so no stream holding one decodes.
 
 use crate::bitio::bytes;
 use crate::codec::{Codec, CodecError};
@@ -68,11 +84,18 @@ const BACKEND: qzstd::Level = qzstd::Level::Fast;
 
 /// Suffix bytes the segment-mode probe runs LZ77 over.
 const PROBE_LEN: usize = 1024;
-/// Mode byte of a mode-1 segment (the body minus its suffix through the
-/// backend, the suffix stored verbatim after it). A mode-0 segment is the
-/// bare backend container, whose first byte, the container's own mode
-/// (0–3), is the segment's mode byte.
-const MODE_RAW_SUFFIX: u8 = 0xFF;
+/// Mode byte of a mode-2 segment whose lead codes are stored as runs. A
+/// mode-0 segment is the bare backend container, whose first byte, the
+/// container's own mode (0–3), is the segment's mode byte.
+const MODE_RUNS: u8 = 0xFE;
+/// Mode byte of a mode-2 segment whose packed code plane went through the
+/// backend.
+const MODE_PLANE: u8 = 0xFD;
+/// Values per run byte at or above which a mode-2 segment keeps its runs
+/// without trying the backend on its code plane.
+const COMPACT_RUN_VALUES: usize = 32;
+/// Offset of the code plane in a body: magic, `n`, `m` and `codes_len`.
+const CODES_AT: usize = 4 + 8 + 1 + 8;
 
 /// Truncate `v` to `m` mantissa bits (toward zero).
 ///
@@ -149,46 +172,60 @@ impl SolutionC {
 
     /// Encode one segment of the segmented format, mode byte first,
     /// *appending* it to `out` (see the module docs for the two modes).
+    /// A segment holds at most [`crate::DEFAULT_SEGMENT_VALUES`] values,
+    /// so every index fits a `u16`.
     pub(super) fn encode_segment_into(data: &[f64], m: u32, out: &mut Vec<u8>) {
+        debug_assert!(data.len() <= usize::from(u16::MAX));
         let mut body = crate::scratch::take_bytes();
         let suffix = Self::encode_body(data, m, &mut body);
         if suffix.is_empty() || dictionary_pays(&body[suffix.clone()]) {
             qzstd::compress_into(&body, BACKEND, out);
         } else {
-            out.push(MODE_RAW_SUFFIX);
-            // The head is staged behind the body in the same buffer.
-            let head_start = body.len();
-            body.extend_from_within(..suffix.start);
-            body.extend_from_within(suffix.end..head_start);
-            let len_at = out.len();
-            bytes::put_u32(out, 0); // head container length, backfilled below
-            qzstd::compress_into(&body[head_start..], BACKEND, out);
-            let head_len = (out.len() - len_at - 4) as u32;
-            out[len_at..len_at + 4].copy_from_slice(&head_len.to_le_bytes());
+            let mode_at = out.len();
+            out.extend_from_slice(&[MODE_RUNS, m as u8]);
+            let codes = &body[CODES_AT..suffix.start - 8];
+            put_runs(codes, data.len(), out);
+            let run_bytes = out.len() - mode_at - 2;
+            if run_bytes * COMPACT_RUN_VALUES > data.len() {
+                let mut plane = crate::scratch::take_bytes();
+                qzstd::compress_into(codes, BACKEND, &mut plane);
+                if 2 + plane.len() < run_bytes {
+                    out.truncate(mode_at + 2);
+                    out[mode_at] = MODE_PLANE;
+                    bytes::put_u16(out, plane.len() as u16);
+                    out.extend_from_slice(&plane);
+                }
+                crate::scratch::put_bytes(plane);
+            }
+            // Each body exception is `index u64 | bits u64`; the index's
+            // low two bytes are its `u16`.
+            let exceptions = &body[suffix.end + 8..];
+            bytes::put_u16(out, (exceptions.len() / 16) as u16);
+            for exc in exceptions.chunks_exact(16) {
+                out.extend_from_slice(&exc[..2]);
+                out.extend_from_slice(&exc[8..]);
+            }
             out.extend_from_slice(&body[suffix]);
         }
         crate::scratch::put_bytes(body);
     }
 
-    /// Build the pre-backend body (layout in the module docs), returning
-    /// the byte range of its suffix. The code plane and the worst-case
-    /// suffix are sized up front; each value stores one big-endian word
-    /// and advances by the bytes it keeps, so the last store needs eight
-    /// bytes of slack, trimmed afterwards.
+    /// Build the pre-backend body (layout in the module docs) in the empty
+    /// `body`, returning the byte range of its suffix. The code plane and
+    /// the worst-case suffix are sized up front; each value stores one
+    /// big-endian word and advances by the bytes it keeps, so the last
+    /// store needs eight bytes of slack, trimmed afterwards.
     fn encode_body(data: &[f64], m: u32, body: &mut Vec<u8>) -> Range<usize> {
-        // Number of significant most-significant bytes per value:
-        // sign(1) + exponent(11) + m mantissa bits.
-        let sig_bytes = ((12 + m) as usize).div_ceil(8);
-        // Bytes kept per lead code: the code skips {0, 2, 4, 6} bytes.
-        let keep = [0, 2, 4, 6].map(|skip: usize| sig_bytes.saturating_sub(skip));
+        let keep = kept_bytes(m);
+        let sig_bytes = keep[0];
         let codes_len = data.len().div_ceil(4);
 
         bytes::put_u32(body, MAGIC);
         bytes::put_u64(body, data.len() as u64);
         body.push(m as u8);
         bytes::put_u64(body, codes_len as u64);
-        let codes_start = body.len();
-        let suffix_start = codes_start + codes_len + 8;
+        debug_assert_eq!(body.len(), CODES_AT);
+        let suffix_start = CODES_AT + codes_len + 8;
         body.resize(suffix_start + data.len() * sig_bytes + 8, 0);
 
         let mut exceptions: Vec<(u64, u64)> = Vec::new();
@@ -213,7 +250,7 @@ impl SolutionC {
                 body[s..s + 8].copy_from_slice(&(x << (16 * c)).to_be_bytes());
                 s += keep[c as usize];
             }
-            body[codes_start + q] = codes;
+            body[CODES_AT + q] = codes;
         }
         body.truncate(s);
         let suffix_len = (s - suffix_start) as u64;
@@ -236,10 +273,9 @@ impl SolutionC {
         expect: Option<usize>,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        let cap = expect.map_or(usize::MAX, |n| max_body_len(n, true));
+        let cap = expect.map_or(usize::MAX, max_body_len);
         let mut body = crate::scratch::take_bytes();
-        let res =
-            unpack(data, cap, &mut body).and_then(|()| Self::decode_body(&body, None, expect, out));
+        let res = unpack(data, cap, &mut body).and_then(|()| Self::decode_body(&body, expect, out));
         crate::scratch::put_bytes(body);
         res
     }
@@ -251,31 +287,24 @@ impl SolutionC {
         n: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
-        let Some((&MODE_RAW_SUFFIX, rest)) = seg.split_first() else {
-            return Self::decode_stream_into(seg, Some(n), out);
-        };
-        let mut pos = 0usize;
-        let head_len = bytes::get_u32(rest, &mut pos)
-            .ok_or_else(|| CodecError::Corrupt("missing head length".into()))?
-            as usize;
-        let container = rest
-            .get(pos..pos + head_len)
-            .ok_or_else(|| CodecError::Corrupt("truncated head".into()))?;
-        let suffix = &rest[pos + head_len..];
-        let mut head = crate::scratch::take_bytes();
-        let res = unpack(container, max_body_len(n, false), &mut head)
-            .and_then(|()| Self::decode_body(&head, Some(suffix), Some(n), out));
-        crate::scratch::put_bytes(head);
-        res
+        match seg.first() {
+            Some(&(MODE_RUNS | MODE_PLANE)) => {
+                let mut plane = crate::scratch::take_bytes();
+                let res = decode_mode2(seg, n, &mut plane, out);
+                crate::scratch::put_bytes(plane);
+                res
+            }
+            Some(&mode) if mode > 3 => Err(CodecError::Corrupt(format!(
+                "unknown segment mode {mode:#04x}"
+            ))),
+            _ => Self::decode_stream_into(seg, Some(n), out),
+        }
     }
 
-    /// Decode a body. `suffix` is `None` when the suffix bytes sit inside
-    /// `body`, or the verbatim suffix of a mode-1 segment, whose head goes
-    /// straight on to the exceptions after `suffix_len`. Every length is
-    /// checked against the value count before anything is reserved.
+    /// Decode a body. Every length is checked against the value count
+    /// before anything is reserved.
     fn decode_body(
         body: &[u8],
-        suffix: Option<&[u8]>,
         expect: Option<usize>,
         out: &mut Vec<f64>,
     ) -> Result<(), CodecError> {
@@ -291,14 +320,8 @@ impl SolutionC {
         if let Some(want) = expect.filter(|&want| want != n) {
             return Err(corrupt(format!("body holds {n} values, expected {want}")));
         }
-        let m = *body
-            .get(pos)
-            .ok_or_else(|| corrupt("missing mantissa bits".into()))? as u32;
+        let keep = checked_kept_bytes(body.get(pos))?;
         pos += 1;
-        if m > 52 {
-            return Err(corrupt(format!("invalid mantissa bits {m}")));
-        }
-        let sig_bytes = ((12 + m) as usize).div_ceil(8);
 
         let codes_len =
             bytes::get_u64(body, &mut pos).ok_or_else(|| corrupt("missing codes len".into()))?;
@@ -312,26 +335,13 @@ impl SolutionC {
         pos += codes.len();
         let suffix_len =
             bytes::get_u64(body, &mut pos).ok_or_else(|| corrupt("missing suffix len".into()))?;
-        if suffix_len > (n * sig_bytes) as u64 {
+        if suffix_len > (n * keep[0]) as u64 {
             return Err(corrupt(format!("{suffix_len} suffix bytes for {n} values")));
         }
-        let suffix_len = suffix_len as usize;
-        let suffix = match suffix {
-            Some(suffix) if suffix.len() == suffix_len => suffix,
-            Some(suffix) => {
-                return Err(corrupt(format!(
-                    "segment stores {} suffix bytes, its head says {suffix_len}",
-                    suffix.len()
-                )))
-            }
-            None => {
-                let inline = body
-                    .get(pos..pos + suffix_len)
-                    .ok_or_else(|| corrupt("truncated suffix".into()))?;
-                pos += suffix_len;
-                inline
-            }
-        };
+        let suffix = body
+            .get(pos..pos + suffix_len as usize)
+            .ok_or_else(|| corrupt("truncated suffix".into()))?;
+        pos += suffix.len();
         let n_exc = bytes::get_u64(body, &mut pos)
             .ok_or_else(|| corrupt("missing exception count".into()))?;
         if n_exc > n as u64 {
@@ -346,26 +356,12 @@ impl SolutionC {
 
         let base = out.len();
         out.reserve(n);
-        let keep = [0, 2, 4, 6].map(|skip: usize| sig_bytes.saturating_sub(skip));
-        // The bytes a value keeps, as a mask over its XOR word.
-        let kept = !0u64 << (64 - 8 * sig_bytes);
-        let mut prev = 0u64;
-        let mut s = 0usize;
-        let mut left = n;
-        for &packed in codes {
-            let mut packed = packed;
-            for _ in 0..left.min(4) {
-                let c = (packed & 0b11) as usize;
-                packed >>= 2;
-                prev ^= (load_be(suffix, s) >> (16 * c)) & kept;
-                s += keep[c];
-                out.push(f64::from_bits(prev));
-            }
-            left = left.saturating_sub(4);
-        }
-        if s != suffix.len() {
+        let mut values = Unpack::new(keep, suffix);
+        values.plane(codes, n, out);
+        if values.at != suffix.len() {
             return Err(corrupt(format!(
-                "codes use {s} suffix bytes, the body holds {}",
+                "codes use {} suffix bytes, the body holds {}",
+                values.at,
                 suffix.len()
             )));
         }
@@ -382,6 +378,233 @@ impl SolutionC {
     }
 }
 
+/// Bytes a value keeps per lead code at `m` mantissa bits: the
+/// `sig_bytes = ceil((12 + m) / 8)` significant bytes (sign, exponent and
+/// `m` mantissa bits) less the {0, 2, 4, 6} bytes each code skips.
+fn kept_bytes(m: u32) -> [usize; 4] {
+    let sig_bytes = ((12 + m) as usize).div_ceil(8);
+    [0, 2, 4, 6].map(|skip: usize| sig_bytes.saturating_sub(skip))
+}
+
+/// The bytes kept per lead code at the mantissa width in `m`, which must
+/// be present and at most 52.
+fn checked_kept_bytes(m: Option<&u8>) -> Result<[usize; 4], CodecError> {
+    match m {
+        Some(&m) if m <= 52 => Ok(kept_bytes(m.into())),
+        Some(m) => Err(CodecError::Corrupt(format!("invalid mantissa bits {m}"))),
+        None => Err(CodecError::Corrupt("missing mantissa bits".into())),
+    }
+}
+
+/// The lead codes of a mode-2 segment, checked against its value count.
+enum Codes<'a> {
+    /// Its run list.
+    Runs(&'a [u8]),
+    /// Its packed code plane, out of the backend.
+    Plane(&'a [u8]),
+}
+
+/// Decode a mode-2 segment holding `n` values, *appending* them to
+/// `out`; `plane` is scratch for a backend code plane. The codes, the
+/// exception indices and the suffix length are all checked against `n`
+/// before anything is reserved.
+fn decode_mode2(
+    seg: &[u8],
+    n: usize,
+    plane: &mut Vec<u8>,
+    out: &mut Vec<f64>,
+) -> Result<(), CodecError> {
+    let corrupt = CodecError::Corrupt;
+    let keep = checked_kept_bytes(seg.get(1))?;
+    let mut pos = 2;
+    let (codes, suffix_len) = if seg[0] == MODE_RUNS {
+        let (len, suffix_len) = scan_runs(&seg[pos..], n, &keep)?;
+        pos += len;
+        (Codes::Runs(&seg[pos - len..pos]), suffix_len)
+    } else {
+        let len = bytes::get_u16(seg, &mut pos)
+            .ok_or_else(|| corrupt("missing plane length".into()))? as usize;
+        let container = seg
+            .get(pos..pos + len)
+            .ok_or_else(|| corrupt("truncated plane".into()))?;
+        pos += len;
+        unpack(container, n.div_ceil(4), plane)?;
+        if plane.len() != n.div_ceil(4) {
+            return Err(corrupt(format!(
+                "{} code bytes for {n} values",
+                plane.len()
+            )));
+        }
+        (Codes::Plane(plane), plane_suffix_len(plane, n, &keep))
+    };
+    let n_exc = bytes::get_u16(seg, &mut pos)
+        .ok_or_else(|| corrupt("missing exception count".into()))? as usize;
+    if n_exc > n {
+        return Err(corrupt(format!("{n_exc} exceptions for {n} values")));
+    }
+    let exceptions = seg
+        .get(pos..pos + 10 * n_exc)
+        .ok_or_else(|| corrupt("truncated exceptions".into()))?;
+    let index = |exc: &[u8]| usize::from(u16::from_le_bytes([exc[0], exc[1]]));
+    if exceptions.chunks_exact(10).any(|exc| index(exc) >= n) {
+        return Err(corrupt("exception index out of range".into()));
+    }
+    let suffix = &seg[pos + exceptions.len()..];
+    if suffix.len() != suffix_len {
+        return Err(corrupt(format!(
+            "codes imply {suffix_len} suffix bytes, the segment holds {}",
+            suffix.len()
+        )));
+    }
+
+    let base = out.len();
+    out.reserve(n);
+    let mut values = Unpack::new(keep, suffix);
+    match codes {
+        Codes::Runs(runs) => {
+            let mut at = 0;
+            while let Some((c, len)) = next_run(runs, &mut at) {
+                values.run(c, len, out);
+            }
+        }
+        Codes::Plane(codes) => values.plane(codes, n, out),
+    }
+    for exc in exceptions.chunks_exact(10) {
+        out[base + index(exc)] =
+            f64::from_bits(u64::from_le_bytes(exc[2..].try_into().expect("8 bytes")));
+    }
+    Ok(())
+}
+
+/// Append the lead codes of `n` values, packed four to a byte in `codes`,
+/// as runs of equal codes (layout in the module docs).
+fn put_runs(codes: &[u8], n: usize, out: &mut Vec<u8>) {
+    let Some(&first) = codes.first() else {
+        return;
+    };
+    let (mut cur, mut len) = (first & 0b11, 0usize);
+    for (q, &byte) in codes.iter().enumerate() {
+        let vals = (n - 4 * q).min(4);
+        if vals == 4 && byte == cur * 0x55 {
+            len += 4;
+            continue;
+        }
+        for j in 0..vals {
+            let c = byte >> (2 * j) & 0b11;
+            if c != cur {
+                put_run(cur, len, out);
+                (cur, len) = (c, 0);
+            }
+            len += 1;
+        }
+    }
+    put_run(cur, len, out);
+}
+
+/// Append one run of `len >= 1` values of lead code `c`.
+fn put_run(c: u8, len: usize, out: &mut Vec<u8>) {
+    let rest = len - 1;
+    let more = if rest >> 5 > 0 { 0x20 } else { 0 };
+    out.push(c << 6 | more | (rest & 0x1F) as u8);
+    let mut rest = rest >> 5;
+    while rest > 0 {
+        let more = if rest >> 7 > 0 { 0x80 } else { 0 };
+        out.push(more | (rest & 0x7F) as u8);
+        rest >>= 7;
+    }
+}
+
+/// The run at `pos` of a run list, its lead code and length, advancing
+/// `pos`; `None` when it is cut short or longer than three LEB128 bytes.
+fn next_run(runs: &[u8], pos: &mut usize) -> Option<(usize, usize)> {
+    let head = *runs.get(*pos)?;
+    *pos += 1;
+    let mut rest = usize::from(head & 0x1F);
+    let mut more = head & 0x20 != 0;
+    for shift in [5, 12, 19] {
+        if !more {
+            return Some((usize::from(head >> 6), rest + 1));
+        }
+        let byte = *runs.get(*pos)?;
+        *pos += 1;
+        rest |= usize::from(byte & 0x7F) << shift;
+        more = byte & 0x80 != 0;
+    }
+    (!more).then_some((usize::from(head >> 6), rest + 1))
+}
+
+/// Walk the run list at the head of `runs` that covers `n` values,
+/// returning its byte length and the suffix bytes its codes keep.
+fn scan_runs(runs: &[u8], n: usize, keep: &[usize; 4]) -> Result<(usize, usize), CodecError> {
+    let (mut pos, mut covered, mut suffix) = (0, 0, 0);
+    while covered < n {
+        let (c, len) = next_run(runs, &mut pos)
+            .ok_or_else(|| CodecError::Corrupt("code runs cut short".into()))?;
+        if len > n - covered {
+            return Err(CodecError::Corrupt(format!("code runs overrun {n} values")));
+        }
+        covered += len;
+        suffix += len * keep[c];
+    }
+    Ok((pos, suffix))
+}
+
+/// The suffix bytes the first `n` codes of a packed plane keep.
+fn plane_suffix_len(codes: &[u8], n: usize, keep: &[usize; 4]) -> usize {
+    (0..n)
+        .map(|i| keep[usize::from(codes[i / 4] >> (2 * (i % 4)) & 0b11)])
+        .sum()
+}
+
+/// The running state of an unpack: the last value's bits and the read
+/// position in the suffix.
+struct Unpack<'a> {
+    suffix: &'a [u8],
+    at: usize,
+    prev: u64,
+    keep: [usize; 4],
+    /// The bytes a value keeps, as a mask over its XOR word.
+    kept: u64,
+}
+
+impl<'a> Unpack<'a> {
+    fn new(keep: [usize; 4], suffix: &'a [u8]) -> Self {
+        Self {
+            suffix,
+            at: 0,
+            prev: 0,
+            keep,
+            kept: !0u64 << (64 - 8 * keep[0]),
+        }
+    }
+
+    /// Append `len` values of lead code `c`.
+    #[inline]
+    fn run(&mut self, c: usize, len: usize, out: &mut Vec<f64>) {
+        let (shift, step) = (16 * c, self.keep[c]);
+        let (mut prev, mut at) = (self.prev, self.at);
+        for _ in 0..len {
+            prev ^= (load_be(self.suffix, at) >> shift) & self.kept;
+            at += step;
+            out.push(f64::from_bits(prev));
+        }
+        (self.prev, self.at) = (prev, at);
+    }
+
+    /// Append the `n` values of a packed code plane.
+    fn plane(&mut self, codes: &[u8], n: usize, out: &mut Vec<f64>) {
+        let mut left = n;
+        for &packed in codes {
+            let mut packed = packed;
+            for _ in 0..left.min(4) {
+                self.run(usize::from(packed & 0b11), 1, out);
+                packed >>= 2;
+            }
+            left = left.saturating_sub(4);
+        }
+    }
+}
+
 /// The strict-saving probe: whether LZ77 shrinks the first [`PROBE_LEN`]
 /// bytes of `suffix`.
 fn dictionary_pays(suffix: &[u8]) -> bool {
@@ -394,14 +617,13 @@ fn dictionary_pays(suffix: &[u8]) -> bool {
 }
 
 /// The longest body `n` values can need: every suffix at full width and
-/// every value an exception (`with_suffix == false` counts a mode-1 head).
-fn max_body_len(n: usize, with_suffix: bool) -> usize {
+/// every value an exception.
+fn max_body_len(n: usize) -> usize {
     // magic, n, m, codes_len, suffix_len, n_exc
-    const FIXED: usize = 4 + 8 + 1 + 8 + 8 + 8;
-    let suffix = if with_suffix { n.saturating_mul(8) } else { 0 };
+    const FIXED: usize = CODES_AT + 8 + 8;
     FIXED
         .saturating_add(n.div_ceil(4))
-        .saturating_add(suffix)
+        .saturating_add(n.saturating_mul(8))
         .saturating_add(n.saturating_mul(16))
 }
 

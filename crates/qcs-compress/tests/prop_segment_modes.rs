@@ -5,11 +5,17 @@
 //!   regress against the single-mode layout these streams replaced;
 //! - (b) the packed body is byte for byte the one the scalar loop wrote,
 //!   and unpacks to the same values, for every mantissa width;
-//! - (c) streams mixing both modes round-trip inside the bound;
-//! - (d) every truncation of a mode-0 and a mode-1 segment ends in a
+//! - (c) streams mixing mode 0 and both mode-2 code forms (runs and the
+//!   backend plane) round-trip inside the bound;
+//! - (d) every truncation of a mode-0 and a mode-2 segment ends in a
 //!   typed error, and every single-byte substitution in a typed error or
-//!   the segment's value count, with bounded allocation.
+//!   the segment's value count, with bounded allocation; a run list
+//!   overrunning the value count, a suffix its codes do not account for
+//!   and an exception index past the count are refused before anything
+//!   is reserved;
+//! - (e) the segment bytes of a seeded corpus are pinned by a digest.
 
+use qcs_compress::checksum::checksum64;
 use qcs_compress::trunc::SolutionC;
 use qcs_compress::{qzstd, Codec, CodecError, ErrorBound};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -349,20 +355,28 @@ fn body_ranges(stream: &[u8]) -> Vec<Range<usize>> {
     ranges
 }
 
-/// A segment body's mode: 1 when its first byte is the raw-suffix mark,
-/// 0 when it is a bare backend container (first byte 0..=3).
+/// A segment body's mode: 0 when it is a bare backend container (first
+/// byte 0..=3), else its mode byte: [`RUNS`] or [`PLANE`].
 fn mode_of(body: &[u8]) -> u8 {
     match body[0] {
-        0xFF => 1,
         0..=3 => 0,
+        RUNS | PLANE => body[0],
         other => panic!("segment starts with {other:#04x}"),
     }
 }
 
-/// Four segments of a periodic state, then four of noise.
+/// Mode byte of a mode-2 segment whose lead codes are runs.
+const RUNS: u8 = 0xFE;
+/// Mode byte of a mode-2 segment whose code plane went through the
+/// backend.
+const PLANE: u8 = 0xFD;
+
+/// Four segments of a periodic state, four of noise, then two of a
+/// sparse periodic state.
 fn mixed_block() -> (Vec<f64>, SolutionC) {
     let mut data = qft_basis(8192)[..4096].to_vec();
     data.extend_from_slice(&porter_thomas(11)[..4096]);
+    data.extend_from_slice(&sparse_16()[..2048]);
     (data, SolutionC::default())
 }
 
@@ -381,9 +395,10 @@ fn both_modes_round_trip_within_the_bound() {
         // finds repeats even in noise; finer bounds leave noise raw.
         assert_eq!(modes[..4], [0; 4], "eps={eps}: the periodic half");
         if eps < 1e-2 {
-            assert_eq!(modes[4..], [1; 4], "eps={eps}: the noise half");
+            assert_eq!(modes[4..8], [RUNS; 4], "eps={eps}: the noise");
+            assert_eq!(modes[8..], [PLANE; 2], "eps={eps}: the sparse tail");
         }
-        assert!(modes.contains(&1), "eps={eps}: {modes:?}");
+        assert!(modes.contains(&RUNS), "eps={eps}: {modes:?}");
         let full = c.decompress(&stream).unwrap();
         assert_within_bound(&data, &full, eps);
     }
@@ -469,26 +484,34 @@ fn bounded_decode(c: &SolutionC, bytes: &[u8], out: &mut Vec<f64>) -> Result<(),
     res
 }
 
+/// A one-segment stream of `data` at [`BOUND`] whose segment takes
+/// `mode`: its 12-byte header and its body.
+fn one_segment(c: &SolutionC, data: &[f64], mode: u8) -> (Vec<u8>, Range<usize>) {
+    let stream = c.compress(data, BOUND).unwrap();
+    let bodies = body_ranges(&stream);
+    assert_eq!(bodies.len(), 1);
+    assert_eq!(mode_of(&stream[bodies[0].clone()]), mode);
+    (stream, bodies[0].clone())
+}
+
 #[test]
 fn every_cut_and_substitution_of_either_mode_is_a_typed_error() {
     let c = SolutionC::default();
     let cases = [
         (0u8, qft_basis(8192)[..1024].to_vec()),
-        (1u8, porter_thomas(5)[..1024].to_vec()),
+        (RUNS, porter_thomas(5)[..1024].to_vec()),
+        (PLANE, sparse_16()[..1024].to_vec()),
     ];
     for (mode, data) in cases {
-        let stream = c.compress(&data, BOUND).unwrap();
-        let bodies = body_ranges(&stream);
-        assert_eq!(bodies.len(), 1);
-        let (header, body) = (&stream[..12], &stream[bodies[0].clone()]);
-        assert_eq!(mode_of(body), mode);
+        let (stream, range) = one_segment(&c, &data, mode);
+        let (header, body) = (&stream[..12], &stream[range.clone()]);
         let mut out = Vec::with_capacity(data.len());
         c.decompress_into(&stream, &mut out).unwrap();
         let full_decode = out.clone();
 
         // Cuts: refused by the length word, and re-pointed, by the body.
         for cut in 0..body.len() {
-            let short = &stream[..bodies[0].start + cut];
+            let short = &stream[..range.start + cut];
             assert!(
                 is_corrupt(&bounded_decode(&c, short, &mut out)),
                 "mode {mode}: cut to {cut} body bytes decoded"
@@ -522,4 +545,154 @@ fn every_cut_and_substitution_of_either_mode_is_a_typed_error() {
             .zip(&full_decode)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
+}
+
+/// Decode `body` as the one segment of a stream of `n` values into an
+/// empty vector: it must be refused with a message naming `what`, having
+/// reserved nothing for the values.
+fn refused_unreserved(c: &SolutionC, n: usize, body: &[u8], what: &str) {
+    let mut header = 0x5143_5374u32.to_le_bytes().to_vec(); // "QCSt"
+    header.extend_from_slice(&(n as u64).to_le_bytes());
+    let stream = restream(&header, body);
+    let mut out = Vec::new();
+    let (res, requested) = allocated_by(|| c.decompress_into(&stream, &mut out));
+    match res {
+        Err(CodecError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+        other => panic!("wanted an error naming {what:?}, got {other:?}"),
+    }
+    assert_eq!(out.capacity(), 0, "{what}: values reserved");
+    assert!(requested < 1024, "{what}: {requested} bytes requested");
+}
+
+#[test]
+fn a_mode_2_segment_is_checked_against_its_count_before_reserving() {
+    let c = SolutionC::default();
+    // Porter–Thomas noise with one subnormal: a run-list segment with one
+    // exception, whose bits are the only place its 8 bytes occur.
+    let mut data = porter_thomas(9)[..1024].to_vec();
+    let odd = f64::from_bits(0x000A_5A5A_5A5A_5A5A);
+    data[700] = odd;
+    let (stream, range) = one_segment(&c, &data, RUNS);
+    let body = &stream[range];
+    let n = data.len();
+    let mut back = Vec::new();
+    c.decompress_into(&stream, &mut back).unwrap();
+    assert_eq!(back[700].to_bits(), odd.to_bits());
+
+    // Runs: one run of n + 1 values (n = 1024 needs two LEB128 bytes).
+    let over = n; // len - 1
+    let runs = [0x20 | (over & 0x1F) as u8, (over >> 5) as u8];
+    let mut overrun = vec![RUNS, body[1]];
+    overrun.extend_from_slice(&runs);
+    overrun.extend_from_slice(&0u16.to_le_bytes());
+    refused_unreserved(&c, n, &overrun, "overrun");
+    // The same overrun split across two runs of different codes: 1000
+    // values of code 0, then 25 of code 1.
+    let first = 1000 - 1;
+    let mut split = vec![
+        RUNS,
+        body[1],
+        0x20 | (first & 0x1F) as u8,
+        (first >> 5) as u8,
+        1 << 6 | 24,
+    ];
+    split.extend_from_slice(&0u16.to_le_bytes());
+    refused_unreserved(&c, n, &split, "overrun");
+
+    // Suffix: one byte short of what the codes keep, and one byte over.
+    refused_unreserved(&c, n, &body[..body.len() - 1], "suffix bytes");
+    let mut long = body.to_vec();
+    long.push(0);
+    refused_unreserved(&c, n, &long, "suffix bytes");
+
+    // The exception's index re-pointed at n, and at u16::MAX.
+    let at = body
+        .windows(8)
+        .position(|w| w == odd.to_bits().to_le_bytes())
+        .expect("the exception's bits")
+        - 2;
+    assert_eq!(u16::from_le_bytes([body[at], body[at + 1]]), 700);
+    for idx in [n as u16, u16::MAX] {
+        let mut bad = body.to_vec();
+        bad[at..at + 2].copy_from_slice(&idx.to_le_bytes());
+        refused_unreserved(&c, n, &bad, "exception index");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (e) Golden bytes
+// ---------------------------------------------------------------------------
+
+/// The first 128 amplitudes (256 values) of a 10-qubit, p = 1 QAOA state
+/// on a ring with seeded edge weights: the weighted cut phase
+/// `exp(-i γ C(z))` over the uniform state, then `Rx(2β)` on every qubit.
+/// (A whole QAOA register repeats itself under the global bit flip, so
+/// its every segment would take mode 0; one block of a larger register
+/// holds no such pair.)
+fn qaoa_ring_256() -> Vec<f64> {
+    let (qubits, gamma, beta) = (10usize, 0.61f64, 0.37f64);
+    let mut s = 17;
+    let weights: Vec<f64> = (0..qubits).map(|_| 0.5 + uniform(&mut s)).collect();
+    let dim = 1usize << qubits;
+    let norm = 1.0 / (dim as f64).sqrt();
+    let mut amps: Vec<(f64, f64)> = (0..dim)
+        .map(|z| {
+            let cut: f64 = (0..qubits)
+                .filter(|&q| (z >> q & 1) != (z >> ((q + 1) % qubits) & 1))
+                .map(|q| weights[q])
+                .sum();
+            let phase = -gamma * cut;
+            (norm * phase.cos(), norm * phase.sin())
+        })
+        .collect();
+    let (cb, sb) = (beta.cos(), beta.sin());
+    for q in 0..qubits {
+        for z in (0..dim).filter(|z| z >> q & 1 == 0) {
+            let (a, b) = (amps[z], amps[z | 1 << q]);
+            // Rx(2β) = [[cos β, -i sin β], [-i sin β, cos β]].
+            amps[z] = (cb * a.0 + sb * b.1, cb * a.1 - sb * b.0);
+            amps[z | 1 << q] = (cb * b.0 + sb * a.1, cb * b.1 - sb * a.0);
+        }
+    }
+    amps[..128].iter().flat_map(|&(re, im)| [re, im]).collect()
+}
+
+#[test]
+fn segment_bytes_match_the_pinned_digest() {
+    let c = SolutionC::default();
+    let corpus = [
+        porter_thomas(3),
+        qft_basis(1),
+        sparse_16(),
+        grover(),
+        qaoa_ring_256(),
+    ];
+    let mut all = Vec::new();
+    let mut modes = [0usize; 3];
+    for data in &corpus {
+        for bound in [
+            ErrorBound::Lossless,
+            ErrorBound::PointwiseRelative(1e-1),
+            ErrorBound::PointwiseRelative(1e-3),
+            ErrorBound::PointwiseRelative(1e-5),
+        ] {
+            let s = c.compress(data, bound).unwrap();
+            assert_eq!(c.decompress(&s).unwrap().len(), data.len());
+            for body in body_ranges(&s) {
+                modes[match mode_of(&s[body]) {
+                    0 => 0,
+                    RUNS => 1,
+                    _ => 2,
+                }] += 1;
+            }
+            all.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            all.extend_from_slice(&s);
+        }
+    }
+    println!("segments in mode 0 / runs / plane: {modes:?}");
+    assert!(modes.iter().all(|&k| k > 0), "{modes:?}");
+    assert_eq!(
+        (checksum64(&all), all.len()),
+        (0xb503_1d91_183b_96d7, 1_001_866)
+    );
 }

@@ -7,7 +7,7 @@
 //! binary format:
 //!
 //! ```text
-//! magic "QCSCKPT5" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
+//! magic "QCSCKPT6" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
 //! | level u32 | lossy_codec u8
 //! | ledger: log_product f64, gates u64, lossy_gates u64, max_delta f64
 //! | block_count u64 | blocks: one qcs_compress::frame each *
@@ -15,7 +15,7 @@
 //!
 //! The 57 bytes between the magic and the first block are one
 //! [`qcs_net::wire!`] declaration (`Header` below), shared by `save` and
-//! `load`; `tests/fixtures/checkpoint_v5_small.bin` pins the bytes (see
+//! `load`; `tests/fixtures/checkpoint_v6_small.bin` pins the bytes (see
 //! "Changing a layout" in [`mod@qcs_net::wire`]).
 //!
 //! Each block is stored as a self-describing [`qcs_compress::frame`] — the
@@ -28,8 +28,10 @@
 //! Version 4 has version 3's layout; its segmented Solution C payloads
 //! carry a mode byte per segment (see [`qcs_compress::trunc`]). Version 5
 //! has version 4's layout; every block frame checksums its whole payload,
-//! and segmented payloads carry no index of their own. The magic changed
-//! each time, so an older file is refused by name before any frame is
+//! and segmented payloads carry no index of their own. Version 6 has
+//! version 5's layout; its segmented payloads are in the "QCSt" layout,
+//! whose noisy segments store their head without LZ77 (mode 2). The
+//! magic changed each time, so an older file is refused by name before any frame is
 //! read.
 //!
 //! Checkpointing composes with the out-of-core tier in both directions:
@@ -48,7 +50,7 @@ use qcs_net::wire::{decode, Idx32, Wire};
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"QCSCKPT5";
+const MAGIC: &[u8; 8] = b"QCSCKPT6";
 
 qcs_net::wire! {
     /// Everything between the magic and the block frames. Every field is
@@ -409,7 +411,7 @@ mod tests {
         std::fs::write(&path, b"QCSCKPT1then-some-v1-payload").unwrap();
         match load(&path, SimConfig::default()) {
             Err(SimError::Checkpoint(m)) => assert!(
-                m.contains("version '1'") && m.contains("reads '5'"),
+                m.contains("version '1'") && m.contains("reads '6'"),
                 "v1 file must name the version mismatch, got: {m}"
             ),
             other => panic!(

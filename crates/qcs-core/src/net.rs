@@ -818,7 +818,8 @@ mod tests {
     // version were regenerated at protocol v8 (one frame version, no
     // segment index, one config field fewer), and the gate, exchange and
     // batch commands and those carrying the version again at v9 (no
-    // prefetch slots in the commands) --------------------------------------
+    // prefetch slots in the commands), and those carrying the version or
+    // a lossy block again at v10 (mode-2 segments) -------------------------
 
     fn golden_block(lossy: bool) -> CompressedBlock {
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
@@ -1018,7 +1019,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 9);
+        assert_eq!(PROTOCOL_VERSION, 10);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1394,6 +1395,19 @@ mod tests {
         match Hello::admit(body) {
             Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v8"), "{m}"),
             other => panic!("a v8 hello was not refused by version: {other:?}"),
+        }
+    }
+
+    /// `hello_full` as protocol v9 wrote it, whose lossy blocks hold
+    /// segments in the retired "QCSs" layout (mode 1 ran LZ77 over each
+    /// segment's head): refused by its version, so none of its blocks
+    /// reaches a worker.
+    #[test]
+    fn a_v9_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v9.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v9"), "{m}"),
+            other => panic!("a v9 hello was not refused by version: {other:?}"),
         }
     }
 

@@ -44,7 +44,8 @@
 //! version 7 drops the `partial_decode` flag from the `SimConfig` body;
 //! version 8 carries lossy blocks in one frame version with no segment
 //! index; version 9 drops the next wave's prefetch slots from the gate,
-//! exchange and batch commands.
+//! exchange and batch commands; version 10 carries segmented Solution C
+//! blocks whose noisy segments store their head without LZ77 (mode 2).
 //!
 //! The `kind` byte is opaque to this crate; the protocol built on top
 //! assigns meanings. Like the block-frame decoder, [`recv_frame`] never
@@ -67,7 +68,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 9;
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";

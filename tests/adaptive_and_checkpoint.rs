@@ -187,8 +187,8 @@ fn golden_checkpoint_sim() -> CompressedSimulator {
 /// the magic, and regenerate the fixture in the same commit.
 #[test]
 fn checkpoint_bytes_match_the_parent_commit() {
-    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v5_small.bin");
-    assert_eq!(&fixture[..8], b"QCSCKPT5");
+    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v6_small.bin");
+    assert_eq!(&fixture[..8], b"QCSCKPT6");
     let sim = golden_checkpoint_sim();
     let path = std::env::temp_dir().join(format!("qcsim-golden-{}.ckpt", std::process::id()));
 

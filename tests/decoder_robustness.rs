@@ -427,7 +427,7 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
     let m = load(ckpt);
     assert!(m.contains("version '2'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'5';
+    forged[7] = b'6';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("checksum"), "{m}");
     std::fs::remove_file(&path).ok();
@@ -468,9 +468,9 @@ fn pre_mode_byte_bytes_end_in_typed_errors() {
     };
     assert_eq!(&ckpt[..8], b"QCSCKPT3");
     let m = load(ckpt);
-    assert!(m.contains("version '3'") && m.contains("reads '5'"), "{m}");
+    assert!(m.contains("version '3'") && m.contains("reads '6'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'5';
+    forged[7] = b'6';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("QCF2"), "{m}");
     std::fs::remove_file(&path).ok();
@@ -510,11 +510,66 @@ fn pre_sequential_layout_bytes_end_in_typed_errors() {
     };
     assert_eq!(&ckpt[..8], b"QCSCKPT4");
     let m = load(ckpt);
-    assert!(m.contains("version '4'") && m.contains("reads '5'"), "{m}");
+    assert!(m.contains("version '4'") && m.contains("reads '6'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'5';
+    forged[7] = b'6';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("QCF2"), "{m}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Bytes written by the last build whose noisy Solution C segments ran
+/// LZ77 over their head (mode 1, segmented magic "QCSs"), captured from
+/// that build (commit c59c66f): a two-segment block at 1e-3, one segment
+/// in mode 0 and one in mode 1, in a `QCF1` frame, and
+/// `checkpoint_v5_small.bin`, the `QCSCKPT5` checkpoint of
+/// `adaptive_and_checkpoint.rs`'s golden simulator. (Its v9 Hello is
+/// `qcs-net/tests/fixtures/hello_v9.bin`, refused by version in
+/// `qcs-core`'s `net` tests.) The frame layout and its checksum are
+/// current, so the frame reads and the stream inside it is what a reader
+/// must refuse, by its magic.
+#[test]
+fn mode_1_segment_bytes_end_in_typed_errors() {
+    use qcsim::compress::frame::read_frame;
+    use qcsim::core::{checkpoint, SimError};
+
+    let frame: &[u8] = include_bytes!("fixtures/qcss_mode1_frame.bin");
+    let ckpt: &[u8] = include_bytes!("fixtures/checkpoint_v5_small.bin");
+
+    let f = read_frame(&mut &frame[..]).unwrap();
+    assert_eq!(f.codec, CodecId::SolutionC);
+    assert_eq!(&f.payload[..4], b"sSCQ", "the QCSs magic, little-endian");
+    assert_refused_as_a_retired_segment_layout(&f.payload, "QCSs");
+
+    // The checkpoint: refused by version; with the version forged, its
+    // frames read and its first block decode is refused by the magic.
+    let path = std::env::temp_dir().join(format!("qcsim-qcss-{}.ckpt", std::process::id()));
+    let cfg = qcsim::SimConfig::default().with_block_log2(3);
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        checkpoint::load(&path, cfg.clone())
+    };
+    assert_eq!(&ckpt[..8], b"QCSCKPT5");
+    match load(ckpt) {
+        Err(SimError::Checkpoint(m)) => {
+            assert!(m.contains("version '5'") && m.contains("reads '6'"), "{m}")
+        }
+        other => panic!(
+            "QCSCKPT5 checkpoint mishandled: {:?}",
+            other.err().map(|e| e.to_string())
+        ),
+    }
+    let mut forged = ckpt.to_vec();
+    forged[7] = b'6';
+    let sim = load(&forged)
+        .map_err(|e| e.to_string())
+        .expect("the frames of a forged QCSCKPT5 read");
+    let m = sim
+        .snapshot_dense()
+        .map(drop)
+        .expect_err("a QCSs block decoded")
+        .to_string();
+    assert!(m.contains("QCSs"), "{m}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -644,7 +699,7 @@ fn capped_decoders_refuse_an_oversized_zero_container() {
     }
 }
 
-/// Magic plus the fixed-width header of a `QCSCKPT5` file: everything in
+/// Magic plus the fixed-width header of a `QCSCKPT6` file: everything in
 /// front of the first block frame.
 const CHECKPOINT_HEADER_LEN: usize = 8 + 57;
 
