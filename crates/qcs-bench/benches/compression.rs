@@ -77,18 +77,19 @@ fn porter_thomas(amps: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// `QzstdCodec` on one block per path its repeat probe picks: a block with
-/// no repeated aligned word goes to the container selection as one literal
-/// run (stored, or entropy-coded when Huffman wins); one with a repeat runs
-/// the LZ77 matcher. The container mode each block lands in is asserted.
+/// `QzstdCodec` on one block per path it picks: a block with no repeated
+/// aligned word whose top bytes take at most 16 values takes the palette,
+/// one whose top bytes take more goes to the container selection as one
+/// literal run, and one with a repeat runs the LZ77 matcher. The container
+/// mode each block lands in is asserted.
 fn bench_lossless_codec(c: &mut Criterion) {
     let mut noise = vec![0u8; 8 << 9];
     StdRng::seed_from_u64(8).fill_bytes(&mut noise);
     let cases = [
         // A deep circuit's raw doubles: literal run, stored.
         ("full_entropy_2^8", bytes_to_f64s(&noise).unwrap(), 0u8),
-        // Literal run, Huffman over it beats the stored container.
-        ("porter_thomas_2^10", porter_thomas(1 << 10, 3), 2),
+        // A state's amplitudes: sign and exponent as palette indices.
+        ("porter_thomas_2^10", porter_thomas(1 << 10, 3), 4),
         // Bit-flip symmetric amplitudes repeat: the matcher path.
         ("qaoa_2^7", qaoa_snapshot(7, 1).data, 1),
     ];

@@ -7,7 +7,8 @@
 //! exactly the two codecs the engine runs (§3.7, §4.2):
 //!
 //! - [`qzstd`] and [`QzstdCodec`] — the lossless leg (LZ77 + canonical
-//!   Huffman), standing in for Zstandard;
+//!   Huffman, and a palette of sign/exponent bytes for blocks LZ77 cannot
+//!   use), standing in for Zstandard;
 //! - [`trunc`] — the paper's tailored lossy compressor, Solution C: XOR
 //!   leading-zero reduction + bit-plane truncation + lossless backend;
 //! - [`stats`] — error distributions, CDFs and autocorrelation used by the
@@ -101,17 +102,19 @@ pub use trunc::segmented::DEFAULT_SEGMENT_VALUES;
 /// while the simulation state is still sparse enough for lossless
 /// compression to fit the memory budget.
 ///
-/// Most of its blocks hold nothing LZ77 can use: on the `qft_lossless`
-/// benchmark workload 99.7 % of the containers come out stored, on
-/// `server_mix` 98.5 %. So a block with no repeated aligned 4-byte word
-/// skips the match search and reaches qzstd's container selection as one
-/// literal run, which is exactly the stream LZ77 writes when it finds no
-/// match; the Huffman check still runs on it. A block with a repeat is
-/// [`qzstd::compress`] at [`QzstdCodec::LEVEL`]. The probe misses matches
-/// shorter than 7 bytes and matches at offsets that are not a multiple of
-/// four, so the bytes are [`qzstd::compress`]'s except on blocks whose only
-/// matches are of those kinds; the [`qzstd`] module docs give the measured
-/// rates. Every container decodes exactly.
+/// A block with a repeated aligned 4-byte word is [`qzstd::compress`] at
+/// [`QzstdCodec::LEVEL`], byte for byte. A block without one (about 99 % of
+/// the blocks of the `qft_lossless` benchmark workload) skips the match
+/// search. When its top bytes, the sign and top seven exponent bits of
+/// each double, take at most 16 values, it is stored as palette indices
+/// beside the verbatim low seven bytes of each double (qzstd mode 4);
+/// otherwise it reaches qzstd's container selection as one literal run,
+/// which is exactly the stream LZ77 writes when it finds no match. The
+/// probe misses matches shorter than 7 bytes and matches at offsets that
+/// are not a multiple of four, so a block whose only matches are of those
+/// kinds can differ from [`qzstd::compress`]. The [`qzstd`] module docs
+/// give the selection rule and its measurements. Every container decodes
+/// exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QzstdCodec;
 
@@ -140,18 +143,11 @@ impl Codec for QzstdCodec {
         let mut raw = scratch::take_bytes();
         codec::extend_f64s_as_bytes(data, &mut raw);
         out.clear();
-        qzstd::compress_staged(
-            &raw,
-            Self::LEVEL,
-            |bytes, lz| {
-                if qzstd::has_repeated_word(bytes) {
-                    lz77::compress_into(bytes, lz);
-                } else {
-                    lz77::literal_run_into(bytes, lz);
-                }
-            },
-            out,
-        );
+        if qzstd::has_repeated_word(&raw) {
+            qzstd::compress_into(&raw, Self::LEVEL, out);
+        } else if !qzstd::palette_into(&raw, out) {
+            qzstd::compress_staged(&raw, Self::LEVEL, lz77::literal_run_into, out);
+        }
         scratch::put_bytes(raw);
         Ok(())
     }

@@ -45,7 +45,8 @@
 //! code; the rest of the body is a short header, the packed lead codes and
 //! the exceptions. Periodic states (a QFT of a basis state) repeat, so a
 //! segment keeps mode 0 whenever LZ77 over its first 1 KiB of suffix comes
-//! out strictly shorter than its input (or its suffix is empty). A mode-0
+//! out strictly shorter than its input; an empty suffix (an all-zero
+//! stretch) takes mode 2, six bytes per 1024 zeros. A mode-0
 //! segment is the bare backend container, whose own mode byte doubles as
 //! the segment's. Every other segment takes mode 2, which runs no LZ77
 //! and stores nothing its decoder can derive: the value count is the

@@ -36,8 +36,8 @@
 //! ```
 //!
 //! A mode-0 segment is the bare backend container, so the container's own
-//! mode byte (0–3) doubles as the segment's; a separate byte would cost
-//! 2.7 % on an all-zero block, whose segments are 37 bytes each.
+//! mode byte (0–3) doubles as the segment's, and it pays no byte for its
+//! mode.
 //!
 //! A mode-2 segment runs no LZ77 and stores nothing its decoder can
 //! derive (the stage table is in [`crate::trunc`]). The lead codes are
@@ -60,7 +60,10 @@
 //! always-raw suffix would drop its ratio from 18.5 to 2.6. So mode 0 is
 //! chosen whenever a fixed probe says the dictionary pays: LZ77 over the
 //! first [`PROBE_LEN`] suffix bytes must come out strictly shorter than
-//! its input. An empty suffix also takes mode 0. The probe cannot see a
+//! its input. A segment with an empty suffix (every value truncates to
+//! zero: an all-zero stretch, exceptions aside) takes mode 2 without the
+//! probe: 1024 zeros at 1e-3 store 6 bytes, where mode 0 took 37. The
+//! probe cannot see a
 //! repeat more than [`PROBE_LEN`] suffix bytes back: a segment of a state
 //! that is a product across the segment's top offset bit can then take
 //! mode 2 and grow by a fifth.
@@ -178,7 +181,7 @@ impl SolutionC {
         debug_assert!(data.len() <= usize::from(u16::MAX));
         let mut body = crate::scratch::take_bytes();
         let suffix = Self::encode_body(data, m, &mut body);
-        if suffix.is_empty() || dictionary_pays(&body[suffix.clone()]) {
+        if !suffix.is_empty() && dictionary_pays(&body[suffix.clone()]) {
             qzstd::compress_into(&body, BACKEND, out);
         } else {
             let mode_at = out.len();
@@ -917,6 +920,35 @@ mod tests {
         for (v, d) in data[1024..].iter().zip(&dec[1024..]) {
             assert!((v - d).abs() <= 1e-3 * v.abs());
         }
+    }
+
+    /// An empty suffix takes mode 2: the mode byte, `m`, one run of 1024
+    /// values of code 3 (two bytes) and `n_exc = 0`, behind the 16-byte
+    /// stream header and length word.
+    #[test]
+    fn an_all_zero_segment_is_six_bytes_of_mode_2() {
+        let data = [0.0f64; 1024];
+        let c = SolutionC::default();
+        let enc = c
+            .compress(&data, ErrorBound::PointwiseRelative(1e-3))
+            .unwrap();
+        assert_eq!(enc.len(), 22);
+        let m = mantissa_bits_for_relative(1e-3) as u8;
+        assert_eq!(&enc[16..], &[MODE_RUNS, m, 0xE0 | 0x1F, 0x1F, 0, 0]);
+        let dec = c.decompress(&enc).unwrap();
+        assert_eq!(dec.len(), data.len());
+        assert!(dec.iter().all(|v| v.to_bits() == 0));
+        // Signed zeros truncate to themselves, so their suffix is not empty.
+        let mut signed = data;
+        signed[7] = -0.0;
+        let enc = c
+            .compress(&signed, ErrorBound::PointwiseRelative(1e-3))
+            .unwrap();
+        let dec = c.decompress(&enc).unwrap();
+        assert!(signed
+            .iter()
+            .zip(&dec)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

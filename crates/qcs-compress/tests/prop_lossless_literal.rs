@@ -1,37 +1,53 @@
-//! The lossless codec's literal path: [`QzstdCodec`] skips the LZ77 match
-//! search on a block with no repeated aligned 4-byte word and hands the
-//! container selection one literal run instead. Its bytes must stay the
-//! bytes `qzstd::compress(.., Level::High)` writes for the same doubles:
+//! The lossless codec's contract. [`QzstdCodec`] runs a repeat probe over
+//! each block's aligned 4-byte words, then:
 //!
-//! - on the block shapes a simulation holds, at 2^6–2^14 amplitudes;
-//! - on edge values (zeros, signed zeros, subnormals, infinities, NaN);
-//! - on random blocks with whole or half doubles repeated at random.
+//! - a block with a repeat is byte for byte `qzstd::compress(.., High)`;
+//! - a match-free block (no repeated aligned word) is never longer than
+//!   it: it takes the palette container when its top bytes take at most
+//!   16 values, else one literal run through qzstd's container selection;
+//! - a block whose top bytes take more than 16 values never takes the
+//!   palette;
+//! - every block decodes bit-exactly.
 //!
-//! A match the probe cannot see (shorter than 7 bytes, or at an offset
-//! that is no multiple of four) can move the container's bytes. Two blocks
-//! pin what that costs: nothing in correctness, and at most the stored
-//! bound in length.
+//! Checked on the block shapes a simulation holds at 2^6–2^14 amplitudes,
+//! on edge values (zeros, signed zeros, subnormals, infinities, NaN) and
+//! on random blocks with whole or half doubles repeated at random. A match
+//! the probe cannot see (shorter than 7 bytes, or at an offset that is no
+//! multiple of four) can move the container's bytes; two blocks pin what
+//! that costs: nothing in correctness, and at most the stored bound in
+//! length.
 
 use proptest::prelude::*;
 use qcs_compress::qzstd::{self, Level};
 use qcs_compress::{f64s_to_bytes, lz77, Codec, ErrorBound, QzstdCodec};
+use std::collections::HashSet;
 use std::f64::consts::TAU;
 
-/// Mode byte of a stored container and of an LZ77 + Huffman one.
+/// Mode bytes of a stored, an LZ77 + Huffman and a palette container.
 const MODE_STORED: u8 = 0;
 const MODE_LZ_HUFF: u8 = 2;
+const MODE_PALETTE: u8 = 4;
 
 /// The container `QzstdCodec` writes for `data`.
 fn codec_bytes(data: &[f64]) -> Vec<u8> {
     QzstdCodec.compress(data, ErrorBound::Lossless).unwrap()
 }
 
-/// `QzstdCodec`'s container equals the reference's and decodes bit-exactly.
-fn assert_identical(what: &str, data: &[f64]) -> Vec<u8> {
-    let got = codec_bytes(data);
-    let want = qzstd::compress(&f64s_to_bytes(data), Level::High);
-    assert!(got == want, "{what}: {} bytes vs {}", got.len(), want.len());
-    let back = QzstdCodec.decompress(&got).unwrap();
+/// Whether an aligned little-endian 4-byte word of `bytes` occurs twice.
+fn has_repeated_word(bytes: &[u8]) -> bool {
+    let mut seen = HashSet::new();
+    !bytes.chunks_exact(4).all(|word| seen.insert(word))
+}
+
+/// Distinct top bytes (sign and top seven exponent bits) over `data`.
+fn top_byte_values(data: &[f64]) -> usize {
+    let tops: HashSet<u8> = data.iter().map(|v| (v.to_bits() >> 56) as u8).collect();
+    tops.len()
+}
+
+/// `data` decodes from `container` bit for bit.
+fn assert_decodes(what: &str, data: &[f64], container: &[u8]) {
+    let back = QzstdCodec.decompress(container).unwrap();
     assert_eq!(back.len(), data.len(), "{what}");
     assert!(
         data.iter()
@@ -39,6 +55,28 @@ fn assert_identical(what: &str, data: &[f64]) -> Vec<u8> {
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "{what}: decode differs"
     );
+}
+
+/// `QzstdCodec`'s container for `data` keeps the contract in the module
+/// docs against the reference `qzstd::compress(.., High)`.
+fn assert_contract(what: &str, data: &[f64]) -> Vec<u8> {
+    let got = codec_bytes(data);
+    let bytes = f64s_to_bytes(data);
+    let want = qzstd::compress(&bytes, Level::High);
+    if has_repeated_word(&bytes) {
+        assert!(got == want, "{what}: {} bytes vs {}", got.len(), want.len());
+    } else {
+        assert!(
+            got.len() <= want.len(),
+            "{what}: match-free, {} bytes vs {}",
+            got.len(),
+            want.len()
+        );
+    }
+    if top_byte_values(data) > 16 {
+        assert_ne!(got[0], MODE_PALETTE, "{what}: more than 16 top bytes");
+    }
+    assert_decodes(what, data, &got);
     got
 }
 
@@ -152,21 +190,26 @@ fn qaoa_phase(amps: usize, gamma: f64) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Identity
+// The contract on simulation blocks and edge values
 // ---------------------------------------------------------------------------
 
 #[test]
 fn random_and_product_blocks_match_at_every_size() {
     for log2 in [6, 8, 10, 12, 14] {
         let amps = 1usize << log2;
-        assert_identical(&format!("porter-thomas 2^{log2}"), &porter_thomas(amps, 7));
-        assert_identical(&format!("ry product 2^{log2}"), &ry_product(amps));
+        let got = assert_contract(&format!("porter-thomas 2^{log2}"), &porter_thomas(amps, 7));
+        // Above 2^10 amplitudes a high word repeats by chance.
+        if log2 <= 10 {
+            assert_eq!(got[0], MODE_PALETTE, "porter-thomas 2^{log2}");
+        }
+        assert_contract(&format!("ry product 2^{log2}"), &ry_product(amps));
     }
 }
 
-/// The case that forbids storing a probe-negative block raw: a 2^10-amp
-/// Porter–Thomas block has no match for LZ77 at all, and Huffman over its
-/// literal run still beats the stored container.
+/// A 2^10-amp Porter–Thomas block has no match for LZ77 at all, and
+/// Huffman over its literal run beats the stored container. The palette
+/// codes the one byte plane that carries structure and beats both, without
+/// running the Huffman check.
 #[test]
 fn a_match_free_block_can_still_take_the_entropy_stage() {
     let data = porter_thomas(1 << 10, 7);
@@ -178,9 +221,12 @@ fn a_match_free_block_can_still_take_the_entropy_stage() {
         &bytes[..],
         "one literal run, then the end-of-stream token"
     );
-    let got = assert_identical("porter-thomas 2^10", &data);
-    assert_eq!(got[0], MODE_LZ_HUFF);
-    assert!(got.len() < bytes.len(), "{} of {}", got.len(), bytes.len());
+    let want = qzstd::compress(&bytes, Level::High);
+    assert_eq!(want[0], MODE_LZ_HUFF);
+    let got = assert_contract("porter-thomas 2^10", &data);
+    assert_eq!(got[0], MODE_PALETTE);
+    assert_eq!(got.len(), 14_862, "reference {} bytes", want.len());
+    assert!(got.len() < want.len());
 }
 
 #[test]
@@ -196,7 +242,13 @@ fn simulation_states_match() {
         ("qaoa phase", qaoa_phase(amps, 0.7)),
         ("qaoa phase 2^7", qaoa_phase(1 << 7, 0.7)),
     ] {
-        assert_identical(what, &data);
+        assert_contract(what, &data);
+    }
+    for log2 in [6, 8, 10, 14] {
+        let amps = 1usize << log2;
+        for k in [1, 12345] {
+            assert_contract(&format!("qft|{k}> 2^{log2}"), &qft_basis(amps, k));
+        }
     }
 }
 
@@ -216,10 +268,36 @@ fn edge_values_match() {
         ("mixed", vec![f64::NAN, -0.0, tiny, f64::INFINITY, 0.25]),
     ];
     for (what, data) in cases {
-        let got = assert_identical(what, &data);
+        let got = assert_contract(what, &data);
         if what == "empty" || what == "all zero" {
             assert_eq!(got.len(), 9, "{what}: header-only zero container");
             assert_eq!(got[0], 3, "{what}: the all-zero mode");
+        }
+    }
+    // Each value inside a Porter–Thomas block. -0, ±Inf and the default
+    // NaN share a zero low word, so each goes into a block of its own, and
+    // so do the two signs of a subnormal. (+0 repeats its own zero word,
+    // so a block holding it takes the matcher.) Up to 2^10 amplitudes the
+    // block takes the palette; above, its high words start to repeat.
+    let edges = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_1234),
+        -0.0,
+        tiny,
+        -tiny,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    for log2 in [6, 8, 10, 12, 14] {
+        for edge in edges {
+            let mut data = porter_thomas(1 << log2, 3);
+            data[(1 << log2) / 3] = edge;
+            let what = format!("{edge:e} in porter-thomas 2^{log2}");
+            let got = assert_contract(&what, &data);
+            if log2 <= 10 {
+                assert_eq!(got[0], MODE_PALETTE, "{what}");
+            }
         }
     }
 }
@@ -240,14 +318,10 @@ fn a_misaligned_match_costs_ratio_not_correctness() {
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
         .collect();
     let got = codec_bytes(&data);
-    let back = QzstdCodec.decompress(&got).unwrap();
-    assert!(data
-        .iter()
-        .zip(&back)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
-    assert_eq!(back.len(), data.len());
+    assert_decodes("misaligned copy", &data, &got);
     assert!(got.len() <= bytes.len() + 9, "{} bytes", got.len());
-    // The matcher finds the 128-byte copy; the probe does not see it.
+    // The matcher finds the 128-byte copy; the probe does not see it, and
+    // random top bytes keep the block off the palette.
     assert_eq!(qzstd::compress(&bytes, Level::High)[0], 1, "LZ77 mode");
     assert_eq!(got[0], MODE_STORED);
 }
@@ -255,24 +329,19 @@ fn a_misaligned_match_costs_ratio_not_correctness() {
 /// The same on a block the simulator could hold: this 2^10-amp
 /// Porter–Thomas block's only LZ77 matches are two 4-byte ones that
 /// straddle two doubles (the top bytes of one, the low bytes of the next,
-/// one or more doubles back). Both containers take the entropy stage; the
-/// literal run's is the shorter, because a 4-byte match costs Huffman
-/// more bits than the literals it replaces.
+/// one or more doubles back). The reference takes LZ77 + Huffman; the
+/// codec, whose probe does not see the matches, takes the palette, which
+/// comes out shorter.
 #[test]
 fn a_straddling_match_moves_bytes_not_values() {
     let data = porter_thomas(1 << 10, 6);
     let bytes = f64s_to_bytes(&data);
+    assert!(!has_repeated_word(&bytes));
     let want = qzstd::compress(&bytes, Level::High);
-    let got = codec_bytes(&data);
+    let got = assert_contract("porter-thomas 2^10, seed 6", &data);
     assert_ne!(got, want, "the probe does not see a straddling match");
-    assert_eq!((got[0], want[0]), (MODE_LZ_HUFF, MODE_LZ_HUFF));
-    assert!(got.len() <= want.len(), "{} vs {}", got.len(), want.len());
-    let back = QzstdCodec.decompress(&got).unwrap();
-    assert!(data
-        .iter()
-        .zip(&back)
-        .all(|(a, b)| a.to_bits() == b.to_bits()));
-    assert_eq!(back.len(), data.len());
+    assert_eq!((got[0], want[0]), (MODE_PALETTE, MODE_LZ_HUFF));
+    assert!(got.len() < want.len(), "{} vs {}", got.len(), want.len());
 }
 
 // ---------------------------------------------------------------------------
@@ -283,13 +352,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // Random doubles, then up to eight copies of a whole double or of one
-    // of its 4-byte halves onto another aligned slot.
+    // of its 4-byte halves onto another aligned slot. With `tops`, every
+    // top byte is first redrawn from that many values, so blocks without
+    // a repeat take the palette up to 16 values and the literal run above
+    // (`tops` 0 keeps the random top bytes).
     #[test]
     fn random_blocks_with_injected_repeats_match(
         bits in prop::collection::vec(any::<u64>(), 0..700),
         copies in prop::collection::vec((any::<u32>(), any::<u32>(), 0usize..5), 0..8),
+        tops in 0u64..=20,
     ) {
-        let mut bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+        let mut bytes: Vec<u8> = bits
+            .iter()
+            .flat_map(|&b| match tops {
+                0 => b.to_le_bytes(),
+                k => (b & !(0xFF << 56) | (0x3C + b % k) << 56).to_le_bytes(),
+            })
+            .collect();
         let n = bits.len();
         for &(from, to, what) in &copies {
             if n == 0 {
@@ -305,7 +384,6 @@ proptest! {
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let got = codec_bytes(&data);
-        prop_assert!(got == qzstd::compress(&bytes, Level::High), "{} values", n);
+        assert_contract(&format!("{n} values, tops {tops}"), &data);
     }
 }

@@ -7,7 +7,7 @@
 //! binary format:
 //!
 //! ```text
-//! magic "QCSCKPT6" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
+//! magic "QCSCKPT7" | num_qubits u32 | ranks_log2 u32 | block_log2 u32
 //! | level u32 | lossy_codec u8
 //! | ledger: log_product f64, gates u64, lossy_gates u64, max_delta f64
 //! | block_count u64 | blocks: one qcs_compress::frame each *
@@ -15,7 +15,7 @@
 //!
 //! The 57 bytes between the magic and the first block are one
 //! [`qcs_net::wire!`] declaration (`Header` below), shared by `save` and
-//! `load`; `tests/fixtures/checkpoint_v6_small.bin` pins the bytes (see
+//! `load`; `tests/fixtures/checkpoint_v7_small.bin` pins the bytes (see
 //! "Changing a layout" in [`mod@qcs_net::wire`]).
 //!
 //! Each block is stored as a self-describing [`qcs_compress::frame`] — the
@@ -30,9 +30,10 @@
 //! has version 4's layout; every block frame checksums its whole payload,
 //! and segmented payloads carry no index of their own. Version 6 has
 //! version 5's layout; its segmented payloads are in the "QCSt" layout,
-//! whose noisy segments store their head without LZ77 (mode 2). The
-//! magic changed each time, so an older file is refused by name before any frame is
-//! read.
+//! whose noisy segments store their head without LZ77 (mode 2). Version
+//! 7 has version 6's layout; its lossless blocks may be qzstd palette
+//! containers (mode 4). The magic changed each time, so an older file is
+//! refused by name before any frame is read.
 //!
 //! Checkpointing composes with the out-of-core tier in both directions:
 //! saving streams spilled blocks one at a time through the block store
@@ -50,7 +51,7 @@ use qcs_net::wire::{decode, Idx32, Wire};
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"QCSCKPT6";
+const MAGIC: &[u8; 8] = b"QCSCKPT7";
 
 qcs_net::wire! {
     /// Everything between the magic and the block frames. Every field is
@@ -411,7 +412,7 @@ mod tests {
         std::fs::write(&path, b"QCSCKPT1then-some-v1-payload").unwrap();
         match load(&path, SimConfig::default()) {
             Err(SimError::Checkpoint(m)) => assert!(
-                m.contains("version '1'") && m.contains("reads '6'"),
+                m.contains("version '1'") && m.contains("reads '7'"),
                 "v1 file must name the version mismatch, got: {m}"
             ),
             other => panic!(

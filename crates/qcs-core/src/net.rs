@@ -818,8 +818,9 @@ mod tests {
     // version were regenerated at protocol v8 (one frame version, no
     // segment index, one config field fewer), and the gate, exchange and
     // batch commands and those carrying the version again at v9 (no
-    // prefetch slots in the commands), and those carrying the version or
-    // a lossy block again at v10 (mode-2 segments) -------------------------
+    // prefetch slots in the commands), those carrying the version or a
+    // lossy block again at v10 (mode-2 segments), and those carrying the
+    // version again at v11 (qzstd palette containers) ----------------------
 
     fn golden_block(lossy: bool) -> CompressedBlock {
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
@@ -1019,7 +1020,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 10);
+        assert_eq!(PROTOCOL_VERSION, 11);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1408,6 +1409,19 @@ mod tests {
         match Hello::admit(body) {
             Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v9"), "{m}"),
             other => panic!("a v9 hello was not refused by version: {other:?}"),
+        }
+    }
+
+    /// `hello_full` as protocol v10 wrote it, from the last build whose
+    /// lossless leg wrote no qzstd palette container: its blocks would
+    /// still decode, but a v10 peer cannot read what a v11 one sends, so it
+    /// is refused by its version.
+    #[test]
+    fn a_v10_hello_is_refused_by_version() {
+        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v10.bin");
+        match Hello::admit(body) {
+            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v10"), "{m}"),
+            other => panic!("a v10 hello was not refused by version: {other:?}"),
         }
     }
 

@@ -45,7 +45,9 @@
 //! version 8 carries lossy blocks in one frame version with no segment
 //! index; version 9 drops the next wave's prefetch slots from the gate,
 //! exchange and batch commands; version 10 carries segmented Solution C
-//! blocks whose noisy segments store their head without LZ77 (mode 2).
+//! blocks whose noisy segments store their head without LZ77 (mode 2);
+//! version 11 carries lossless blocks that may be qzstd palette
+//! containers (mode 4).
 //!
 //! The `kind` byte is opaque to this crate; the protocol built on top
 //! assigns meanings. Like the block-frame decoder, [`recv_frame`] never
@@ -68,7 +70,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 10;
+pub const PROTOCOL_VERSION: u32 = 11;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";

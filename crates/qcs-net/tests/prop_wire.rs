@@ -568,7 +568,7 @@ fn job_protocol_bytes_match_the_parent_commit() {
     for (name, out) in golden_outs() {
         assert_golden(&format!("job_out_{name}"), &out);
     }
-    assert_eq!(qcs_net::PROTOCOL_VERSION, 10);
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 11);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 

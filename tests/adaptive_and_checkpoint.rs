@@ -177,18 +177,19 @@ fn golden_checkpoint_sim() -> CompressedSimulator {
     sim
 }
 
-/// `fixtures/checkpoint_v5_small.bin` was written from exactly this
-/// simulator by the build whose block frames all checksum their whole
-/// payload and whose segmented streams carry no index; its header bytes
-/// are those the hand-rolled header code of commit 3a80267 wrote, under the
-/// new magic. (The `QCSCKPT3` and `QCSCKPT4` files it replaced are stale
+/// `fixtures/checkpoint_v7_small.bin` was written from exactly this
+/// simulator by the build whose lossless blocks may be qzstd palette
+/// containers; its header bytes are those the hand-rolled header code of
+/// commit 3a80267 wrote, under the new magic. It differs from
+/// `checkpoint_v6_small.bin` only in the magic: none of its blocks takes
+/// the palette. (The `QCSCKPT3` to `QCSCKPT6` files it replaced are stale
 /// fixtures of `decoder_robustness.rs`.) To change the layout on purpose:
 /// edit the `Header` declaration in `qcs-core/src/checkpoint.rs`, change
 /// the magic, and regenerate the fixture in the same commit.
 #[test]
 fn checkpoint_bytes_match_the_parent_commit() {
-    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v6_small.bin");
-    assert_eq!(&fixture[..8], b"QCSCKPT6");
+    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v7_small.bin");
+    assert_eq!(&fixture[..8], b"QCSCKPT7");
     let sim = golden_checkpoint_sim();
     let path = std::env::temp_dir().join(format!("qcsim-golden-{}.ckpt", std::process::id()));
 

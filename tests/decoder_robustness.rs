@@ -427,7 +427,7 @@ fn fnv1a_era_bytes_end_in_typed_errors() {
     let m = load(ckpt);
     assert!(m.contains("version '2'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'6';
+    forged[7] = b'7';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("checksum"), "{m}");
     std::fs::remove_file(&path).ok();
@@ -468,9 +468,9 @@ fn pre_mode_byte_bytes_end_in_typed_errors() {
     };
     assert_eq!(&ckpt[..8], b"QCSCKPT3");
     let m = load(ckpt);
-    assert!(m.contains("version '3'") && m.contains("reads '6'"), "{m}");
+    assert!(m.contains("version '3'") && m.contains("reads '7'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'6';
+    forged[7] = b'7';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("QCF2"), "{m}");
     std::fs::remove_file(&path).ok();
@@ -510,9 +510,9 @@ fn pre_sequential_layout_bytes_end_in_typed_errors() {
     };
     assert_eq!(&ckpt[..8], b"QCSCKPT4");
     let m = load(ckpt);
-    assert!(m.contains("version '4'") && m.contains("reads '6'"), "{m}");
+    assert!(m.contains("version '4'") && m.contains("reads '7'"), "{m}");
     let mut forged = ckpt.to_vec();
-    forged[7] = b'6';
+    forged[7] = b'7';
     let m = load(&forged);
     assert!(m.contains("block frame 0") && m.contains("QCF2"), "{m}");
     std::fs::remove_file(&path).ok();
@@ -552,7 +552,7 @@ fn mode_1_segment_bytes_end_in_typed_errors() {
     assert_eq!(&ckpt[..8], b"QCSCKPT5");
     match load(ckpt) {
         Err(SimError::Checkpoint(m)) => {
-            assert!(m.contains("version '5'") && m.contains("reads '6'"), "{m}")
+            assert!(m.contains("version '5'") && m.contains("reads '7'"), "{m}")
         }
         other => panic!(
             "QCSCKPT5 checkpoint mishandled: {:?}",
@@ -560,7 +560,7 @@ fn mode_1_segment_bytes_end_in_typed_errors() {
         ),
     }
     let mut forged = ckpt.to_vec();
-    forged[7] = b'6';
+    forged[7] = b'7';
     let sim = load(&forged)
         .map_err(|e| e.to_string())
         .expect("the frames of a forged QCSCKPT5 read");
@@ -570,6 +570,69 @@ fn mode_1_segment_bytes_end_in_typed_errors() {
         .expect_err("a QCSs block decoded")
         .to_string();
     assert!(m.contains("QCSs"), "{m}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Bytes written by the last build whose lossless leg had no palette
+/// container (qzstd mode 4), captured from that build (commit 03d21bb): a
+/// 2^8-amplitude Porter–Thomas block, which it stored raw, in a `QCF1`
+/// frame, and `checkpoint_v6_small.bin`, the `QCSCKPT6` checkpoint of
+/// `adaptive_and_checkpoint.rs`'s golden simulator. (Its v10 Hello is
+/// `qcs-net/tests/fixtures/hello_v10.bin`, refused by version in
+/// `qcs-core`'s `net` tests.) The palette only adds a mode, so the frame
+/// decodes bit for bit; the checkpoint is refused by its version, and
+/// with the version forged it restores the amplitudes of the current
+/// golden checkpoint bit for bit.
+#[test]
+fn pre_palette_bytes_decode_behind_a_refused_version() {
+    use qcsim::compress::frame::read_frame;
+    use qcsim::compress::{Codec as _, QzstdCodec};
+    use qcsim::core::{checkpoint, SimError};
+
+    let frame: &[u8] = include_bytes!("fixtures/qzstd_stored_frame.bin");
+    let f = read_frame(&mut &frame[..]).unwrap();
+    assert_eq!((f.codec, f.bound), (CodecId::Qzstd, ErrorBound::Lossless));
+    assert_eq!(f.payload[0], 0, "a stored container");
+    let values = QzstdCodec.decompress(&f.payload).unwrap();
+    assert_eq!(values.len(), 512);
+    let raw: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert!(raw == f.payload[9..], "the stored doubles, bit for bit");
+    // This build writes the same block as a shorter palette container.
+    let now = QzstdCodec.compress(&values, ErrorBound::Lossless).unwrap();
+    assert_eq!(now[0], MODE_PALETTE);
+    assert!(now.len() < f.payload.len(), "{} bytes", now.len());
+
+    let ckpt: &[u8] = include_bytes!("fixtures/checkpoint_v6_small.bin");
+    let current: &[u8] = include_bytes!("fixtures/checkpoint_v7_small.bin");
+    let path = std::env::temp_dir().join(format!("qcsim-v6-{}.ckpt", std::process::id()));
+    let cfg = qcsim::SimConfig::default().with_block_log2(3);
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        checkpoint::load(&path, cfg.clone())
+    };
+    assert_eq!(&ckpt[..8], b"QCSCKPT6");
+    match load(ckpt) {
+        Err(SimError::Checkpoint(m)) => {
+            assert!(m.contains("version '6'") && m.contains("reads '7'"), "{m}")
+        }
+        other => panic!(
+            "QCSCKPT6 checkpoint mishandled: {:?}",
+            other.err().map(|e| e.to_string())
+        ),
+    }
+    let mut forged = ckpt.to_vec();
+    forged[7] = b'7';
+    let amplitudes = |bytes: &[u8]| {
+        let sim = load(bytes).map_err(|e| e.to_string()).unwrap();
+        let dense = sim.snapshot_dense().map_err(|e| e.to_string()).unwrap();
+        let bits: Vec<(u64, u64)> = dense
+            .amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect();
+        bits
+    };
+    assert_eq!(amplitudes(&forged), amplitudes(current));
     std::fs::remove_file(&path).ok();
 }
 
@@ -699,7 +762,120 @@ fn capped_decoders_refuse_an_oversized_zero_container() {
     }
 }
 
-/// Magic plus the fixed-width header of a `QCSCKPT6` file: everything in
+/// Mode byte of a qzstd palette container.
+const MODE_PALETTE: u8 = 4;
+
+/// `n` doubles of a slow sine at amplitude scale: no aligned word repeats
+/// and the top bytes take four values, so `QzstdCodec` writes a palette
+/// container.
+fn palette_block(n: usize) -> (Vec<f64>, Vec<u8>) {
+    use qcsim::compress::{Codec as _, QzstdCodec};
+    let data: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.37 + 0.1).sin() * 1e-3)
+        .collect();
+    let container = QzstdCodec.compress(&data, ErrorBound::Lossless).unwrap();
+    assert_eq!(container[0], MODE_PALETTE);
+    (data, container)
+}
+
+/// A palette container declaring `n` doubles, by hand: `k` entries,
+/// `ceil(log2 k)`-bit indices that are all 0 but the last, which is
+/// `last`, then zero low bytes.
+fn palette_container(k: usize, n: usize, last: usize) -> Vec<u8> {
+    let bits = k.next_power_of_two().trailing_zeros() as usize;
+    let mut c = vec![MODE_PALETTE];
+    c.extend_from_slice(&(8 * n as u64).to_le_bytes());
+    c.push(k as u8);
+    c.extend((0..k).map(|i| 0x3C + i as u8));
+    let mut packed = vec![0u8; (n * bits).div_ceil(8)];
+    let at = (n - 1) * bits;
+    packed[at / 8] |= (last << (at % 8)) as u8;
+    c.extend_from_slice(&packed);
+    c.resize(c.len() + 7 * n, 0);
+    c
+}
+
+// A palette container (qzstd mode 4) off the socket or out of a
+// checkpoint: every cut is a typed error, every single-byte substitution
+// a typed error or the declared count of values, and each malformed field
+// is refused before anything is reserved for the values it declares.
+#[test]
+fn palette_containers_are_checked_before_reserving() {
+    use qcsim::compress::{Codec as _, CodecError, QzstdCodec};
+
+    let (data, small) = palette_block(64);
+    let back = QzstdCodec.decompress(&small).unwrap();
+    assert!(data
+        .iter()
+        .zip(&back)
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    for cut in 0..small.len() {
+        assert!(
+            matches!(
+                QzstdCodec.decompress(&small[..cut]),
+                Err(CodecError::Corrupt(_))
+            ),
+            "cut to {cut}"
+        );
+    }
+    let mut bad = small.clone();
+    for at in 0..small.len() {
+        for b in (0..=u8::MAX).filter(|&b| b != small[at]) {
+            bad[at] = b;
+            match QzstdCodec.decompress(&bad) {
+                Ok(v) => assert_eq!(v.len(), 64, "byte {at} set to {b:#04x}"),
+                Err(CodecError::Corrupt(_)) => {}
+                Err(e) => panic!("byte {at} set to {b:#04x}: {e:?}"),
+            }
+        }
+        bad[at] = small[at];
+    }
+
+    // Hostile fields over 2048 declared doubles, 16 KiB of values: each
+    // decode runs on a thread of its own, so no recycled buffer hides a
+    // reservation.
+    let n = 2048;
+    let valid = palette_container(3, n, 2);
+    assert_eq!(QzstdCodec.decompress(&valid).unwrap().len(), n);
+    let (_, real) = palette_block(n);
+    let mut k_zero = valid.clone();
+    k_zero[9] = 0;
+    let mut short = valid.clone();
+    short.pop();
+    let mut long = valid.clone();
+    long.push(0);
+    let cases: [(&str, Vec<u8>, usize, &str); 7] = [
+        ("k = 0", k_zero, n, "palette size"),
+        ("k = 17", palette_container(17, n, 0), n, "palette size"),
+        (
+            "index 3 of 3",
+            palette_container(3, n, 3),
+            n,
+            "palette index",
+        ),
+        ("one byte short", short, n, "payload length"),
+        ("one byte long", long, n, "payload length"),
+        ("over the cap", valid.clone(), n - 1, "cap"),
+        ("a real block over the cap", real, n - 1, "cap"),
+    ];
+    for (what, container, max_values, why) in cases {
+        let (res, requested) = std::thread::spawn(move || {
+            allocated_by(|| {
+                let mut out = Vec::new();
+                QzstdCodec.decompress_capped_into(&container, max_values, &mut out)
+            })
+        })
+        .join()
+        .unwrap();
+        match res {
+            Err(CodecError::Corrupt(m)) => assert!(m.contains(why), "{what}: {m}"),
+            other => panic!("{what}: {other:?}"),
+        }
+        assert!(requested < 1024, "{what}: requested {requested} bytes");
+    }
+}
+
+/// Magic plus the fixed-width header of a `QCSCKPT7` file: everything in
 /// front of the first block frame.
 const CHECKPOINT_HEADER_LEN: usize = 8 + 57;
 

@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Magic plus the fixed-width header of a `QCSCKPT6` file: everything in
+/// Magic plus the fixed-width header of a `QCSCKPT7` file: everything in
 /// front of the first block frame.
 const CHECKPOINT_HEADER_LEN: usize = 8 + 57;
 
