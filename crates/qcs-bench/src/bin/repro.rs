@@ -23,7 +23,7 @@ use qcs_compress::stats::{
 };
 use qcs_compress::trunc::truncation_levels;
 use qcs_compress::{Codec, CodecId, ErrorBound, PWR_LEVELS};
-use qcs_core::{fidelity_curve, CompressedSimulator, Eviction, SimConfig};
+use qcs_core::{fidelity_curve, CompressedSimulator, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -771,16 +771,10 @@ fn table_spill(dir: &Path) {
     // budget while the amplitudes stay bit-identical (pinned by
     // tests/out_of_core.rs).
     //
-    // Each budget runs both victim policies; every eviction write and
-    // every fetch is a blocking read or write on the worker's thread:
-    //
-    //   policy  lru  — least-recently-used victims (plan-blind)
-    //           min  — Belady's MIN over the running wave's slots: evict
-    //                  the resident block whose next planned use in the
-    //                  wave is furthest away
-    //
-    // With MIN victims the blocks the plan touches soonest stay resident,
-    // so fetches (and the io column) fall at tight budgets.
+    // Every eviction write and every fetch is a blocking read or write on
+    // the worker's thread. Victims are Belady's MIN over the running
+    // wave's slots: the resident block whose next planned use in the wave
+    // is furthest away goes first.
     let workloads: Vec<(&'static str, qcs_circuits::Circuit)> = vec![
         ("qft_18", qft_benchmark_circuit(18, 12)),
         ("sup_16", random_circuit(Grid::new(4, 4), 11, 2019)),
@@ -789,7 +783,6 @@ fn table_spill(dir: &Path) {
         "workload",
         "qubits",
         "budget (blk)",
-        "policy",
         "wall (s)",
         "peak MB",
         "spills",
@@ -803,44 +796,35 @@ fn table_spill(dir: &Path) {
         let mut budgets = vec![None, Some(bpr / 4), Some(bpr / 16), Some(4)];
         budgets.dedup();
         for budget in budgets {
-            // `None` marks the all-resident row, where the policy is moot.
-            let policies: &[Option<Eviction>] = match budget {
-                None => &[None],
-                Some(_) => &[Some(Eviction::Lru), Some(Eviction::PlannedMin)],
-            };
-            for &policy in policies {
-                let mut cfg = SimConfig::default().with_block_log2(10);
-                if let Some(blocks) = budget {
-                    cfg = cfg.with_spill(blocks);
-                }
-                if let Some(eviction) = policy {
-                    cfg = cfg.with_eviction(eviction);
-                }
-                let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
-                let mut rng = StdRng::seed_from_u64(0);
-                let t0 = Instant::now();
-                sim.run(&circuit, &mut rng).expect("run");
-                let wall = t0.elapsed().as_secs_f64();
-                let report = sim.report();
-                t.row(vec![
-                    name.to_string(),
-                    format!("{n}"),
-                    budget.map_or("all".to_string(), |b| format!("{b}")),
-                    policy.map_or("-".to_string(), |e| e.name().to_string()),
-                    format!("{wall:.2}"),
-                    format!("{:.1}", report.peak_memory_bytes as f64 / 1e6),
-                    format!("{}", report.breakdown.spills),
-                    format!("{}", report.breakdown.fetches),
-                    format!("{:.1}", report.breakdown.spill_bytes as f64 / 1e6),
-                    format!("{:.0}", report.breakdown.spill_io_ns() as f64 / 1e6),
-                ]);
+            let mut cfg = SimConfig::default().with_block_log2(10);
+            if let Some(blocks) = budget {
+                cfg = cfg.with_spill(blocks);
             }
+            let mut sim = CompressedSimulator::new(n, cfg).expect("sim");
+            let mut rng = StdRng::seed_from_u64(0);
+            let t0 = Instant::now();
+            sim.run(&circuit, &mut rng).expect("run");
+            let wall = t0.elapsed().as_secs_f64();
+            let report = sim.report();
+            t.row(vec![
+                name.to_string(),
+                format!("{n}"),
+                budget.map_or("all".to_string(), |b| format!("{b}")),
+                format!("{wall:.2}"),
+                format!("{:.1}", report.peak_memory_bytes as f64 / 1e6),
+                format!("{}", report.breakdown.spills),
+                format!("{}", report.breakdown.fetches),
+                format!("{:.1}", report.breakdown.spill_bytes as f64 / 1e6),
+                format!("{:.0}", report.breakdown.spill_io_ns() as f64 / 1e6),
+            ]);
         }
         println!("... {name} done");
     }
     finish(&t, dir, "table_spill");
     println!(
-        "expected: peak memory falls with the budget; min victims cut fetches at tight budgets"
+        "expected: peak memory falls with the budget; fetches sit at the floor of N - B per \
+         full sweep (N blocks per rank, B resident), the fewest any policy reads when a \
+         wave touches every block once"
     );
 }
 

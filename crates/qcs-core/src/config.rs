@@ -5,21 +5,20 @@ use qcs_compress::{CodecId, ErrorBound};
 use std::path::PathBuf;
 
 /// Out-of-core tier configuration: how many hot compressed blocks each
-/// rank keeps resident, which eviction policy picks victims, and where
-/// the cold ones spill.
+/// rank keeps resident and where the cold ones spill. Victims are chosen
+/// by Belady's MIN over each wave's own slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Residency budget per rank, in blocks (minimum 1): the hottest
-    /// `resident_blocks` compressed blocks stay in memory (victims chosen
-    /// by `eviction`); the rest live in the rank's segment file.
+    /// `resident_blocks` compressed blocks stay in memory; the rest live
+    /// in the rank's segment file.
     pub resident_blocks: usize,
     /// Directory for the per-rank segment files; `None` uses the system
     /// temp directory. Files are deleted when the simulator is dropped.
     pub dir: Option<PathBuf>,
-    /// Victim-selection policy for the residency budget: classic
-    /// [`Eviction::Lru`] (the default) or plan-driven
+    /// Victim-selection policy for the residency budget. Its one value is
     /// [`Eviction::PlannedMin`] (Belady's MIN over the slots the current
-    /// wave announces).
+    /// wave announces); the field stays in the API and the wire layout.
     pub eviction: Eviction,
     /// Accepted for both values and ignored: every eviction writes its
     /// victim's frame on the evicting thread. The field stays because the
@@ -33,7 +32,7 @@ pub struct SpillConfig {
 
 impl SpillConfig {
     /// Spill config with the given per-rank residency budget, segments in
-    /// the system temp directory, LRU eviction.
+    /// the system temp directory.
     pub fn new(resident_blocks: usize) -> Self {
         Self {
             resident_blocks,
@@ -131,10 +130,6 @@ pub struct SimConfig {
     /// decompress/recompress cycle per *batch* instead of per gate.
     /// Disable to reproduce the paper's strict gate-at-a-time pipeline.
     pub fusion: bool,
-    /// Maximum (fused) gates per batch, in `1..=64` (the engine tracks the
-    /// per-block gate-selection subset in a 64-bit mask). `1` keeps fusion
-    /// but disables batching.
-    pub max_batch_gates: usize,
     /// Out-of-core tier: when set, each rank keeps only
     /// `spill.resident_blocks` hot compressed blocks in memory and spills
     /// the rest to a per-rank segment file of checksummed frames. `None`
@@ -162,7 +157,6 @@ impl Default for SimConfig {
             ladder: qcs_compress::ladder().to_vec(),
             cache_lines: 64,
             fusion: true,
-            max_batch_gates: qcs_circuits::schedule::MAX_BATCH_GATES,
             spill: None,
             prefetch: true,
             remote: None,
@@ -256,12 +250,6 @@ impl SimConfig {
         self
     }
 
-    /// Config with a batch-length cap (`1..=64`; validated).
-    pub fn with_max_batch_gates(mut self, max: usize) -> Self {
-        self.max_batch_gates = max;
-        self
-    }
-
     /// Config with the out-of-core tier enabled: at most `resident_blocks`
     /// hot compressed blocks per rank stay in memory, the rest spill to
     /// per-rank segment files in the system temp directory.
@@ -287,8 +275,9 @@ impl SimConfig {
         self
     }
 
-    /// Config with the given spill eviction policy (enables spilling with
-    /// a 1-block budget if it was off; keeps a previously set budget).
+    /// Config with [`SpillConfig::eviction`] set; its one value is the
+    /// default. Enables spilling with a 1-block budget if it was off;
+    /// keeps a previously set budget.
     pub fn with_eviction(mut self, eviction: Eviction) -> Self {
         let mut spill = self.spill.take().unwrap_or_else(|| SpillConfig::new(1));
         spill.eviction = eviction;
@@ -316,11 +305,17 @@ impl SimConfig {
         self
     }
 
-    /// The scheduling policy this config induces.
+    /// The scheduling policy this config induces: batches of up to
+    /// [`qcs_circuits::schedule::MAX_BATCH_GATES`] fused gates with
+    /// fusion on, one gate per batch with it off.
     pub fn fusion_policy(&self) -> qcs_circuits::FusionPolicy {
         qcs_circuits::FusionPolicy {
             fuse_single_qubit_runs: self.fusion,
-            max_batch_gates: if self.fusion { self.max_batch_gates } else { 1 },
+            max_batch_gates: if self.fusion {
+                qcs_circuits::schedule::MAX_BATCH_GATES
+            } else {
+                1
+            },
             block_log2: self.block_log2,
             retarget_diagonal: self.fusion,
         }
@@ -377,13 +372,6 @@ impl SimConfig {
             if w[0].magnitude() >= w[1].magnitude() {
                 return Err("ladder bounds must be strictly increasing".into());
             }
-        }
-        if !(1..=qcs_circuits::schedule::MAX_BATCH_GATES).contains(&self.max_batch_gates) {
-            return Err(format!(
-                "max_batch_gates {} outside 1..={}",
-                self.max_batch_gates,
-                qcs_circuits::schedule::MAX_BATCH_GATES
-            ));
         }
         if self.cache_lines > Self::MAX_CACHE_LINES {
             return Err(format!(
@@ -544,10 +532,10 @@ mod tests {
         assert!(SimConfig::default().prefetch);
         assert!(!SimConfig::default().with_prefetch(false).prefetch);
         assert_eq!(SpillConfig::new(2).directory(), std::env::temp_dir());
-        // Spill defaults: LRU, the inert write-behind flag off, one
-        // segment file.
+        // Spill defaults: MIN (the one policy), the inert write-behind
+        // flag off, one segment file.
         let spill = SpillConfig::new(2);
-        assert_eq!(spill.eviction, Eviction::Lru);
+        assert_eq!(spill.eviction, Eviction::PlannedMin);
         assert!(!spill.write_behind);
         assert_eq!(spill.shards, 1);
     }

@@ -655,9 +655,9 @@ impl CompressedSimulator {
     /// geometry: a batch whose target does not route intra-block is a
     /// configuration error.
     ///
-    /// On an out-of-core run under [`crate::Eviction::PlannedMin`], each
-    /// wave announces its own block slots to its rank's store, which
-    /// picks victims by them. The window is one wave.
+    /// On an out-of-core run, each wave announces its own block slots to
+    /// its rank's store, which picks victims by them (Belady's MIN). The
+    /// window is one wave.
     pub fn run_schedule(
         &mut self,
         schedule: &Schedule,

@@ -23,9 +23,9 @@
 //!   a wave's block order is known before it runs (the rank worker reads
 //!   it off the `qcs_cluster::Layout` slot functions it then walks, as
 //!   the schedule's `AccessPlan` does). Each wave announces its own order
-//!   to its store in one call, `BlockStore::plan_accesses`, and
-//!   [`Eviction::PlannedMin`] picks victims by it — Belady's MIN over the
-//!   wave's window. The store does its reads and eviction writes on the
+//!   to its store in one call, `BlockStore::plan_accesses`, and the
+//!   store picks victims by it — Belady's MIN over the wave's window,
+//!   the one spill policy. The store does its reads and eviction writes on the
 //!   caller's thread, so a rank's resident bytes and spill counters
 //!   repeat exactly run to run;
 //! - [`BlockCache`] — the 64-line LRU compressed-block cache with
@@ -68,8 +68,7 @@
 //!   operations.
 //! - **How to disable it:** [`SimConfig::without_fusion`] (or
 //!   `fusion: false`) reproduces the paper's strict gate-at-a-time
-//!   pipeline; [`SimConfig::with_max_batch_gates`]`(1)` keeps fusion but
-//!   disables batching.
+//!   pipeline.
 //!
 //! Cache keys stay sound under batching: a block touch's compressed-block
 //! cache line is keyed by its content — the member gates the block's

@@ -1020,7 +1020,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 11);
+        assert_eq!(PROTOCOL_VERSION, 12);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1340,89 +1340,36 @@ mod tests {
         ));
     }
 
-    /// `hello_full` as protocol v4 wrote it, before the op signatures left
-    /// the command bodies: refused by its version, not parsed.
-    #[test]
-    fn a_v4_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v4.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v4"), "{m}"),
-            other => panic!("a v4 hello was not refused by version: {other:?}"),
-        }
+    /// One test per `hello_full` fixture a past protocol version wrote,
+    /// each with what its layout still carried. Every one is refused by
+    /// its version, not parsed, so none of its blocks reaches a worker.
+    macro_rules! stale_hellos_are_refused_by_version {
+        ($($name:ident: $v:literal, $carried:literal;)*) => {$(
+            #[doc = concat!("`hello_full` as protocol v", $v, " wrote it: ", $carried, ".")]
+            #[test]
+            fn $name() {
+                let body = include_bytes!(concat!(
+                    "../../qcs-net/tests/fixtures/hello_v", $v, ".bin"
+                ));
+                let speaks = concat!("peer speaks protocol v", $v);
+                match Hello::admit(body) {
+                    Err(NetError::Protocol(m)) => assert!(m.contains(speaks), "{m}"),
+                    other => panic!("a v{} hello was not refused by version: {other:?}", $v),
+                }
+            }
+        )*};
     }
 
-    /// `hello_full` as protocol v5 wrote it, before segmented Solution C
-    /// blocks carried a mode byte per segment: refused by its version, so
-    /// none of its blocks reaches a worker.
-    #[test]
-    fn a_v5_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v5.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v5"), "{m}"),
-            other => panic!("a v5 hello was not refused by version: {other:?}"),
-        }
-    }
-
-    /// `hello_full` as protocol v6 wrote it, whose config still carried
-    /// the `partial_decode` flag: refused by its version, not parsed one
-    /// byte out of step.
-    #[test]
-    fn a_v6_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v6.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v6"), "{m}"),
-            other => panic!("a v6 hello was not refused by version: {other:?}"),
-        }
-    }
-
-    /// `hello_full` as protocol v7 wrote it, whose lossy blocks travel in
-    /// version-2 frames around an indexed segment layout: refused by its
-    /// version, so none of its blocks reaches a worker.
-    #[test]
-    fn a_v7_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v7.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v7"), "{m}"),
-            other => panic!("a v7 hello was not refused by version: {other:?}"),
-        }
-    }
-
-    /// `hello_full` as protocol v8 wrote it, whose gate, exchange and batch
-    /// commands carried the next wave's prefetch slots: refused by its
-    /// version, so none of its blocks reaches a worker.
-    #[test]
-    fn a_v8_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v8.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v8"), "{m}"),
-            other => panic!("a v8 hello was not refused by version: {other:?}"),
-        }
-    }
-
-    /// `hello_full` as protocol v9 wrote it, whose lossy blocks hold
-    /// segments in the retired "QCSs" layout (mode 1 ran LZ77 over each
-    /// segment's head): refused by its version, so none of its blocks
-    /// reaches a worker.
-    #[test]
-    fn a_v9_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v9.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v9"), "{m}"),
-            other => panic!("a v9 hello was not refused by version: {other:?}"),
-        }
-    }
-
-    /// `hello_full` as protocol v10 wrote it, from the last build whose
-    /// lossless leg wrote no qzstd palette container: its blocks would
-    /// still decode, but a v10 peer cannot read what a v11 one sends, so it
-    /// is refused by its version.
-    #[test]
-    fn a_v10_hello_is_refused_by_version() {
-        let body = include_bytes!("../../qcs-net/tests/fixtures/hello_v10.bin");
-        match Hello::admit(body) {
-            Err(NetError::Protocol(m)) => assert!(m.contains("peer speaks protocol v10"), "{m}"),
-            other => panic!("a v10 hello was not refused by version: {other:?}"),
-        }
+    stale_hellos_are_refused_by_version! {
+        a_v4_hello_is_refused_by_version: 4, "command bodies still carried op signatures";
+        a_v5_hello_is_refused_by_version: 5, "segmented Solution C blocks had no mode byte";
+        a_v6_hello_is_refused_by_version: 6, "its config still carried `partial_decode`";
+        a_v7_hello_is_refused_by_version: 7, "lossy blocks in version-2 frames with a segment index";
+        a_v8_hello_is_refused_by_version: 8, "commands carried the next wave's prefetch slots";
+        a_v9_hello_is_refused_by_version: 9, "segments in the retired \"QCSs\" layout";
+        a_v10_hello_is_refused_by_version: 10, "no qzstd palette containers";
+        a_v11_hello_is_refused_by_version: 11,
+            "its config carried `max_batch_gates` and an LRU eviction tag";
     }
 
     /// A lossy block of two segments at 1e-3 with one byte of its second

@@ -18,7 +18,8 @@ use qcs_net::{wire, Cursor, NetError};
 use std::path::PathBuf;
 use std::time::Duration;
 
-wire! { impl enum Eviction { 0 => Lru {}, 1 => PlannedMin {} } }
+// Tag 0 was LRU until protocol v12; a body naming it is a typed error.
+wire! { impl enum Eviction { 1 => PlannedMin {} } }
 
 wire! {
     impl struct SpillConfig {
@@ -49,7 +50,6 @@ wire! {
         ladder: Vec<ErrorBound>,
         cache_lines: usize,
         fusion: bool,
-        max_batch_gates: usize,
         spill: Option<SpillConfig>,
         prefetch: bool,
         remote: Option<RemoteConfig>,
@@ -106,7 +106,6 @@ mod tests {
             .with_memory_budget(1 << 24)
             .with_spill(4)
             .with_spill_dir(PathBuf::from("/tmp/qcs-spill"))
-            .with_eviction(Eviction::PlannedMin)
             .with_write_behind(true)
             .with_remote(vec!["127.0.0.1:9000"]);
         // The wire carries a shard count validate refuses as it is.
@@ -150,5 +149,32 @@ mod tests {
                 Err(e) => panic!("unexpected error kind at {len}: {e}"),
             }
         }
+    }
+
+    /// A spill config naming LRU (tag 0, the policy protocol v12 removed)
+    /// is a typed decode error, alone and inside a config, never a panic.
+    #[test]
+    fn an_lru_tagged_spill_config_is_a_typed_error() {
+        let spill = SpillConfig::new(4);
+        let min = encode(&spill);
+        let mut lru = encode(&spill.resident_blocks);
+        lru.extend(encode(&spill.dir));
+        let at = lru.len();
+        lru.extend(encode(&spill.eviction));
+        lru.extend(encode(&spill.write_behind));
+        lru.extend(encode(&spill.shards));
+        assert_eq!(lru, min, "the hand-built body is the config's layout");
+        assert_eq!(lru[at], 1, "MIN is tag 1");
+        lru[at] = 0;
+        let refused = |r: Result<(), NetError>| match r {
+            Err(NetError::Corrupt(m)) => assert!(m.contains("unknown Eviction tag 0"), "{m}"),
+            other => panic!("an LRU-tagged spill config decoded: {other:?}"),
+        };
+        refused(decode::<SpillConfig>(&lru).map(drop));
+
+        let mut cfg = encode(&SimConfig::default().with_spill(4));
+        let body = cfg.windows(min.len()).rposition(|w| w == min).unwrap();
+        cfg[body + at] = 0;
+        refused(decode::<SimConfig>(&cfg).map(drop));
     }
 }

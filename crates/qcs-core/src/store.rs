@@ -7,10 +7,10 @@
 //! - [`MemStore`] — the classic all-resident tier (what the engine always
 //!   did): every block stays in memory, no I/O, no residency cap.
 //! - [`SpillStore`] — the out-of-core tier: a configurable number of hot
-//!   compressed blocks stay resident (victims chosen per [`Eviction`]:
-//!   least recently touched, or Belady's MIN over the planned window) and
-//!   the rest are spilled to one segment file per rank as self-describing
-//!   [`qcs_compress::frame`]s (codec id, error bound, length, checksum).
+//!   compressed blocks stay resident (victims chosen by Belady's MIN over
+//!   the planned window) and the rest are spilled to one segment file per
+//!   rank as self-describing [`qcs_compress::frame`]s (codec id, error
+//!   bound, length, checksum).
 //!   The simulable qubit count is then bounded by disk, not RAM — the
 //!   next rung below the paper's compression ladder in the storage
 //!   hierarchy.
@@ -27,10 +27,12 @@
 //! A planned wave tells the store its future once, with
 //! [`BlockStore::plan_accesses`]: its own ordered slots, and nothing of
 //! the wave after it. Every consumption of a planned slot moves the
-//! window's cursor past it. [`Eviction::PlannedMin`] evicts the resident
-//! block whose next planned use in the window is furthest away (Belady's
-//! MIN — exact within a wave, because the wave's slot order is known
-//! before it runs); an LRU store asks for no window.
+//! window's cursor past it. A [`SpillStore`] evicts the resident block
+//! whose next planned use in the window is furthest away (Belady's MIN —
+//! exact within a wave, because the wave's slot order is known before it
+//! runs); with no planned use left it evicts the least recently touched.
+//! Workers announce a window only to a store with a residency cap, so an
+//! all-resident [`MemStore`] run builds none.
 //! Every method takes `&self`: stores are internally locked so read-only
 //! collectives can run against `&RankWorker` exactly as before.
 //!
@@ -130,17 +132,10 @@ pub trait BlockStore: Send + Sync + std::fmt::Debug {
 
     /// Announce the ordered slot accesses the caller plans to perform
     /// next (one wave's), replacing any previous window. Purely advisory:
-    /// a MIN spill tier picks victims by it (see the module docs); every
+    /// a spill tier picks victims by it (see the module docs); every
     /// other store ignores it.
     fn plan_accesses(&self, upcoming: &[usize]) {
         let _ = upcoming;
-    }
-
-    /// True when the store reads [`BlockStore::plan_accesses`] windows —
-    /// a spill tier that evicts by MIN — so callers skip building a
-    /// window nobody reads.
-    fn wants_plan(&self) -> bool {
-        false
     }
 
     /// Barrier for stores that buffer writes. Every store in this crate
@@ -230,44 +225,26 @@ impl BlockStore for MemStore {
 // Eviction and the planned-access window
 // ---------------------------------------------------------------------------
 
-/// Victim selection for a [`SpillStore`]'s residency budget, chosen per
-/// simulation on the spill config:
+/// Victim selection for a [`SpillStore`]'s residency budget. It has one
+/// value: every spill store evicts by Belady's MIN over its wave's own
+/// slots. The type, [`crate::SpillConfig::eviction`],
+/// [`SpillOptions::eviction`] and [`SimConfig::with_eviction`] stay in
+/// the API and the wire layout (tag 1; the retired LRU tag 0 is refused).
 ///
 /// ```
 /// use qcs_core::{Eviction, SimConfig};
 ///
-/// // Belady's MIN over each wave's exact slot order.
-/// let cfg = SimConfig::default()
-///     .with_spill(4)
-///     .with_eviction(Eviction::PlannedMin);
-/// let spill = cfg.spill.as_ref().unwrap();
+/// let spill = SimConfig::default().with_spill(4).spill.unwrap();
 /// assert_eq!(spill.eviction, Eviction::PlannedMin);
-///
-/// // The default spill tier keeps the classic LRU.
-/// let lru = SimConfig::default().with_spill(4);
-/// assert_eq!(lru.spill.as_ref().unwrap().eviction, Eviction::Lru);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Eviction {
-    /// Evict the least-recently-touched resident block (the classic
-    /// policy); the planned window does not enter the choice.
-    #[default]
-    Lru,
     /// Belady's MIN over the planned access window, which is the current
     /// wave's own slots: evict the resident block whose next planned use
-    /// in the wave is furthest away, falling back to LRU order for blocks
-    /// the rest of the wave does not name again.
+    /// in the wave is furthest away, falling back to least-recently-touched
+    /// order for blocks the rest of the wave does not name again.
+    #[default]
     PlannedMin,
-}
-
-impl Eviction {
-    /// Short display name (bench tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            Eviction::Lru => "lru",
-            Eviction::PlannedMin => "min",
-        }
-    }
 }
 
 /// A [`SpillStore`]'s view of the future: the window the last
@@ -279,36 +256,26 @@ impl Eviction {
 /// (a snapshot or checkpoint read) leaves it where it is. MIN ranks
 /// residents by their next position after the cursor: blocks the window
 /// never names again are the best victims, and among those (an empty or
-/// consumed window included) the choice is exact LRU order.
+/// consumed window included) the oldest stamp goes first.
 #[derive(Debug, Default)]
 struct Window {
     slots: Vec<usize>,
     cursor: usize,
     /// Planned positions per slot, front = soonest; fronts behind the
-    /// cursor are dropped lazily. Built under [`Eviction::PlannedMin`]
-    /// only: LRU victims ignore the window.
-    occurrences: Option<HashMap<usize, VecDeque<usize>>>,
+    /// cursor are dropped lazily. Built from `slots` by the first
+    /// `victim` after a `plan`, so a wave that evicts nothing (a spilled
+    /// run whose blocks all fit the budget) indexes nothing.
+    occurrences: HashMap<usize, VecDeque<usize>>,
+    indexed: bool,
 }
 
 impl Window {
-    fn new(eviction: Eviction) -> Self {
-        Self {
-            occurrences: (eviction == Eviction::PlannedMin).then(HashMap::new),
-            ..Self::default()
-        }
-    }
-
     /// Replace the window with `upcoming`, cursor at its start.
     fn plan(&mut self, upcoming: &[usize]) {
         self.slots.clear();
         self.slots.extend_from_slice(upcoming);
         self.cursor = 0;
-        if let Some(occurrences) = &mut self.occurrences {
-            occurrences.clear();
-            for (pos, &slot) in upcoming.iter().enumerate() {
-                occurrences.entry(slot).or_default().push_back(pos);
-            }
-        }
+        self.indexed = false;
     }
 
     /// Consume `slot`: move the cursor past its next planned use, if it
@@ -322,13 +289,19 @@ impl Window {
     /// The eviction victim among `residents`, given as `(slot,
     /// last-touch stamp)` pairs (stamps are unique and increase with
     /// recency); `None` only when `residents` is empty. No planned use
-    /// beats any planned use, a later one beats a sooner one, and LRU
-    /// `(stamp, slot)` breaks the remaining ties — which is every tie
-    /// under [`Eviction::Lru`], where no resident has a planned use.
+    /// beats any planned use, a later one beats a sooner one, and the
+    /// oldest `(stamp, slot)` breaks the remaining ties.
     fn victim(&mut self, residents: &[(usize, u64)]) -> Option<usize> {
+        if !self.indexed {
+            self.occurrences.clear();
+            for (pos, &slot) in self.slots.iter().enumerate() {
+                self.occurrences.entry(slot).or_default().push_back(pos);
+            }
+            self.indexed = true;
+        }
         let cursor = self.cursor;
         let mut next_use = |slot: usize| {
-            let dq = self.occurrences.as_mut()?.get_mut(&slot)?;
+            let dq = self.occurrences.get_mut(&slot)?;
             while *dq.front()? < cursor {
                 dq.pop_front();
             }
@@ -393,9 +366,9 @@ impl Drop for SegmentDirGuard {
 }
 
 /// Construction options for a [`SpillStore`] beyond the required
-/// geometry: the eviction policy and an optional shared
-/// [`SegmentDirGuard`] for panic-safe cleanup. `prefetch` and
-/// `write_behind` mirror config fields a store ignores.
+/// geometry: an optional shared [`SegmentDirGuard`] for panic-safe
+/// cleanup. `prefetch`, `eviction` and `write_behind` mirror config
+/// fields a store ignores.
 #[derive(Debug, Default, Clone)]
 pub struct SpillOptions {
     /// Accepted and ignored: mirrors [`SimConfig::prefetch`]. Every
@@ -404,9 +377,9 @@ pub struct SpillOptions {
     /// Directory guard keeping the segment dir alive until the last store
     /// (or the facade) drops, then removing the whole tree.
     pub dir_guard: Option<Arc<SegmentDirGuard>>,
-    /// Victim selection for the residency budget ([`Eviction::Lru`] by
-    /// default; [`Eviction::PlannedMin`] ranks residents by the
-    /// [`BlockStore::plan_accesses`] window).
+    /// Mirrors [`crate::SpillConfig::eviction`], whose one value is
+    /// [`Eviction::PlannedMin`]: every store ranks residents by the
+    /// [`BlockStore::plan_accesses`] window.
     pub eviction: Eviction,
     /// Accepted and ignored: mirrors [`crate::SpillConfig::write_behind`].
     /// Every eviction writes its victim on the caller's thread.
@@ -422,7 +395,7 @@ pub struct SpillOptions {
 enum Slot {
     /// Taken by the worker; will be put back at the end of the cycle.
     InFlight,
-    /// Hot: held in memory, competing under the eviction policy.
+    /// Hot: held in memory, competing for the residency budget.
     Resident { blk: CompressedBlock, stamp: u64 },
     /// Cold: one frame in the segment file.
     Spilled {
@@ -444,13 +417,14 @@ struct SpillInner {
     /// Bytes of superseded frames awaiting compaction.
     dead: u64,
     slots: Vec<Slot>,
-    /// LRU clock; bumped on every residency touch.
+    /// Touch clock, bumped on every residency touch: the stamps victims
+    /// fall back to, oldest first, when the window names none again.
     clock: u64,
     resident_count: usize,
     resident_bytes: u64,
     /// Sum of spilled payload (compressed block) lengths.
     spilled_payload_bytes: u64,
-    /// The announced access window: MIN picks `evict_over_cap`'s victims
+    /// The announced access window: `evict_over_cap` picks its victims
     /// by it.
     window: Window,
     /// The one reused frame buffer every eviction encodes into.
@@ -461,7 +435,7 @@ struct SpillInner {
 }
 
 /// The out-of-core tier: at most `cap` hot blocks resident (the victim
-/// of an overflow chosen per the store's [`Eviction`]), the rest
+/// of an overflow chosen by MIN over the announced window), the rest
 /// spilled to one segment file of checksummed frames, deleted on drop.
 /// All I/O runs on the calling thread, under the store lock.
 pub struct SpillStore {
@@ -469,8 +443,6 @@ pub struct SpillStore {
     path: PathBuf,
     metrics: Metrics,
     inner: Mutex<SpillInner>,
-    /// The policy selector this store was built with.
-    eviction: Eviction,
     /// Keeps the segment directory alive until the last store drops.
     _dir_guard: Option<Arc<SegmentDirGuard>>,
 }
@@ -480,7 +452,6 @@ impl std::fmt::Debug for SpillStore {
         f.debug_struct("SpillStore")
             .field("cap", &self.cap)
             .field("path", &self.path)
-            .field("eviction", &self.eviction)
             .finish()
     }
 }
@@ -493,8 +464,9 @@ impl SpillStore {
     /// Create the segment file under `dir` (created if missing) and seed
     /// the store with `blocks`; blocks beyond the `cap.max(1)` residency
     /// budget spill immediately. `label` distinguishes per-rank files of
-    /// one simulation. Eviction is LRU; use [`SpillStore::create_with`]
-    /// to pick MIN or to attach a directory guard.
+    /// one simulation. Victims are chosen by MIN over the window
+    /// [`BlockStore::plan_accesses`] announces, oldest first without one;
+    /// use [`SpillStore::create_with`] to attach a directory guard.
     pub fn create(
         dir: &Path,
         label: &str,
@@ -547,12 +519,11 @@ impl SpillStore {
                 resident_count: 0,
                 resident_bytes: 0,
                 spilled_payload_bytes: 0,
-                window: Window::new(opts.eviction),
+                window: Window::default(),
                 frame_buf: Vec::new(),
                 #[cfg(test)]
                 write_fault: false,
             }),
-            eviction: opts.eviction,
             _dir_guard: opts.dir_guard,
         };
         for (slot, blk) in blocks.into_iter().enumerate() {
@@ -567,6 +538,14 @@ impl SpillStore {
     /// Path of the segment file (exposed for tests and diagnostics).
     pub fn segment_path(&self) -> &Path {
         &self.path
+    }
+
+    /// Always true: every spill store picks its victims by the
+    /// [`BlockStore::plan_accesses`] window. Kept for callers outside the
+    /// workspace that still ask before announcing one (the repo
+    /// benchmark's store replay).
+    pub fn wants_plan(&self) -> bool {
+        true
     }
 
     /// Spill [`Window::victim`]s until the budget holds.
@@ -846,10 +825,6 @@ impl BlockStore for SpillStore {
         self.inner.lock().window.plan(upcoming);
     }
 
-    fn wants_plan(&self) -> bool {
-        self.eviction == Eviction::PlannedMin
-    }
-
     /// Compressed bytes of the resident blocks: the whole memory footprint
     /// of the tier, since it buffers nothing else.
     fn resident_bytes(&self) -> u64 {
@@ -960,7 +935,6 @@ pub(crate) fn rank_stores(
                 blocks,
                 SpillOptions {
                     dir_guard: Some(Arc::clone(guard)),
-                    eviction: spill.eviction,
                     shards: spill.shards,
                     ..SpillOptions::default()
                 },
@@ -1045,10 +1019,6 @@ pub(crate) mod trace {
         // *not* recorded in the access log.
         fn plan_accesses(&self, upcoming: &[usize]) {
             self.inner.plan_accesses(upcoming);
-        }
-
-        fn wants_plan(&self) -> bool {
-            self.inner.wants_plan()
         }
 
         fn resident_bytes(&self) -> u64 {
@@ -1360,7 +1330,7 @@ mod tests {
 
     #[test]
     fn planned_min_prefers_furthest_next_use() {
-        let mut p = Window::new(Eviction::PlannedMin);
+        let mut p = Window::default();
         // Plan: 0 1 2 0 1. Residents (slot, stamp): 0, 1, 2 — slot 2 has
         // no use after its first, slot 0 recurs soonest.
         p.plan(&[0, 1, 2, 0, 1]);
@@ -1378,47 +1348,15 @@ mod tests {
 
     #[test]
     fn planned_min_empty_window_is_lru() {
-        let mut p = Window::new(Eviction::PlannedMin);
+        let mut p = Window::default();
+        // Slot 1 holds the oldest stamp.
         let residents = [(3usize, 7u64), (1, 2), (4, 9)];
-        let lru = Window::new(Eviction::Lru).victim(&residents);
-        assert_eq!(p.victim(&residents), lru);
         assert_eq!(p.victim(&residents), Some(1));
         // A fully consumed window degrades the same way.
         p.plan(&[3, 1]);
         p.advance(3);
         p.advance(1);
         assert_eq!(p.victim(&residents), Some(1));
-    }
-
-    #[test]
-    fn an_lru_store_ignores_the_window() {
-        // cap 2, 3 slots: seeding evicts slot 0, leaving residents 1 and
-        // 2 (stamps 2 and 3). The window names 1 again and 2 never, so
-        // when the put of 0 overflows the budget MIN evicts 2 while LRU
-        // evicts 1, the least recently touched.
-        let evicted = |eviction: Eviction| {
-            let s = SpillStore::create_with(
-                &tmp_dir(&format!("lru-window-{}", eviction.name())),
-                "r0",
-                2,
-                Metrics::new(),
-                (0..3).map(|i| Some(blk(i as u8, 64))).collect(),
-                SpillOptions {
-                    eviction,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(s.wants_plan(), eviction == Eviction::PlannedMin);
-            s.plan_accesses(&[0, 1]);
-            let b0 = s.take(0).unwrap();
-            s.put(0, b0).unwrap();
-            let inner = s.inner.lock();
-            let spilled = |slot: usize| matches!(inner.slots[slot], Slot::Spilled { .. });
-            (0..3).filter(|&slot| spilled(slot)).collect::<Vec<_>>()
-        };
-        assert_eq!(evicted(Eviction::PlannedMin), vec![2]);
-        assert_eq!(evicted(Eviction::Lru), vec![1]);
     }
 
     /// Ground-truth next use of `slot` in `seq[from..]`.
@@ -1436,7 +1374,7 @@ mod tests {
             seq in proptest::collection::vec(0usize..8, 1..48),
             cap in 1usize..4,
         ) {
-            let mut p = Window::new(Eviction::PlannedMin);
+            let mut p = Window::default();
             p.plan(&seq);
             let mut residents: Vec<(usize, u64)> = Vec::new();
             let mut stamp = 0u64;
@@ -1468,8 +1406,8 @@ mod tests {
             }
         }
 
-        // Satellite: with no plan window at all, MIN reproduces exact LRU
-        // ordering on every resident set.
+        // Satellite: with no plan window at all, MIN evicts the resident
+        // with the oldest stamp on every resident set.
         #[test]
         fn planned_min_without_plan_degrades_to_lru(
             entries in proptest::collection::vec((0usize..64, 0u64..1_000), 1..12),
@@ -1482,11 +1420,9 @@ mod tests {
                 .filter(|(_, (slot, _))| seen.insert(*slot))
                 .map(|(i, (slot, stamp))| (slot, stamp * 16 + i as u64))
                 .collect();
-            let mut p = Window::new(Eviction::PlannedMin);
-            proptest::prop_assert_eq!(
-                p.victim(&residents),
-                Window::new(Eviction::Lru).victim(&residents)
-            );
+            let oldest = residents.iter().min_by_key(|r| r.1).map(|r| r.0);
+            let mut p = Window::default();
+            proptest::prop_assert_eq!(p.victim(&residents), oldest);
         }
     }
 

@@ -524,12 +524,11 @@ impl RankWorker {
             .max(1)
     }
 
-    /// Announce a wave's own ordered slot accesses to a store that reads
-    /// plans (a MIN spill tier picks victims by it).
-    /// Skipped when the store ignores plans, so all-resident runs build
-    /// no window.
+    /// Announce a wave's own ordered slot accesses to a store with a
+    /// residency cap (a spill tier picks victims by it). Skipped for an
+    /// all-resident store, so those runs build no window.
     fn announce_plan(&self, wave_slots: impl IntoIterator<Item = usize>) {
-        if self.store.wants_plan() {
+        if self.store.resident_cap().is_some() {
             let window: Vec<usize> = wave_slots.into_iter().collect();
             self.store.plan_accesses(&window);
         }

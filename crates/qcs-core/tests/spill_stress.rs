@@ -23,7 +23,7 @@
 
 use qcs_cluster::Metrics;
 use qcs_compress::{CodecId, ErrorBound};
-use qcs_core::{BlockStore, CompressedBlock, Eviction, SegmentDirGuard, SpillOptions, SpillStore};
+use qcs_core::{BlockStore, CompressedBlock, SegmentDirGuard, SpillOptions, SpillStore};
 use std::sync::Arc;
 
 const SLOTS: usize = 64;
@@ -70,7 +70,6 @@ fn spill_store_survives_concurrent_hammering() {
             blocks,
             SpillOptions {
                 dir_guard: Some(guard),
-                eviction: Eviction::PlannedMin,
                 ..SpillOptions::default()
             },
         )

@@ -47,7 +47,9 @@
 //! exchange and batch commands; version 10 carries segmented Solution C
 //! blocks whose noisy segments store their head without LZ77 (mode 2);
 //! version 11 carries lossless blocks that may be qzstd palette
-//! containers (mode 4).
+//! containers (mode 4); version 12 drops `max_batch_gates` from the
+//! `SimConfig` body and refuses the spill config's LRU eviction tag
+//! (0), leaving MIN (1) as its one value.
 //!
 //! The `kind` byte is opaque to this crate; the protocol built on top
 //! assigns meanings. Like the block-frame decoder, [`recv_frame`] never
@@ -70,7 +72,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 11;
+pub const PROTOCOL_VERSION: u32 = 12;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";

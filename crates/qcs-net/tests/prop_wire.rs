@@ -139,13 +139,13 @@ fn arb_bound() -> impl Strategy<Value = ErrorBound> {
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
         (2u32..7, 0u32..3, 0usize..5, 0u64..3, 0usize..2, 0usize..3),
-        (0u8..2, 1usize..9, 0usize..9, 0u8..2, 0u8..2, 1usize..4),
+        (0u8..2, 0usize..9, 0u8..2, 1usize..4),
         (0u8..2, 0usize..3, 1u32..5, 0u64..3, arb_bound()),
     )
         .prop_map(
             |(
                 (block_log2, ranks_log2, threads_raw, mem_raw, codec_raw, cache_raw),
-                (fusion, max_batch, spill_raw, write_behind, planned_min, shards),
+                (fusion, spill_raw, write_behind, shards),
                 (prefetch, remote_raw, attempts, timeout_raw, bound),
             )| {
                 let mut cfg = SimConfig::default()
@@ -153,7 +153,6 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
                     .with_ranks_log2(ranks_log2)
                     .with_fixed_bound(bound)
                     .with_fusion(fusion == 1)
-                    .with_max_batch_gates(max_batch)
                     .with_prefetch(prefetch == 1);
                 cfg.threads_per_rank = (threads_raw > 0).then_some(threads_raw);
                 cfg.memory_budget = (mem_raw > 0).then_some(mem_raw << 24);
@@ -163,9 +162,6 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
                     let mut spill = SpillConfig::new(spill_raw);
                     spill.write_behind = write_behind == 1;
                     spill.shards = shards;
-                    if planned_min == 1 {
-                        spill.eviction = qcs_core::Eviction::PlannedMin;
-                    }
                     if spill_raw % 2 == 0 {
                         spill.dir = Some(std::path::PathBuf::from(format!("spill-{spill_raw}")));
                     }
@@ -396,10 +392,8 @@ fn golden_config() -> SimConfig {
         .with_threads_per_rank(3)
         .with_memory_budget(1 << 24)
         .with_lossy_codec(CodecId::SolutionC)
-        .with_max_batch_gates(17)
         .with_spill(4)
         .with_spill_dir(std::path::PathBuf::from("/tmp/qcs-spill"))
-        .with_eviction(qcs_core::Eviction::PlannedMin)
         .with_write_behind(true)
         .with_prefetch(false)
         .with_remote(vec!["127.0.0.1:9000", "node-b.example:7401"]);
@@ -568,7 +562,7 @@ fn job_protocol_bytes_match_the_parent_commit() {
     for (name, out) in golden_outs() {
         assert_golden(&format!("job_out_{name}"), &out);
     }
-    assert_eq!(qcs_net::PROTOCOL_VERSION, 11);
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 12);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 

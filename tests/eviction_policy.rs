@@ -1,15 +1,14 @@
-//! Eviction-policy differential harness: victim selection must be a pure
-//! *performance* change. Whatever the spill tier evicts — least-recently-
-//! used blocks or Belady-MIN victims chosen from the slots each wave
-//! announces — the amplitudes must match the dense reference to 1e-10 on
-//! every circuit family.
+//! Eviction differential harness: victim selection must be a pure
+//! *performance* change. Whatever the spill tier evicts — Belady-MIN
+//! victims chosen from the slots each wave announces — the amplitudes
+//! must match the dense reference to 1e-10 on every circuit family.
 //!
 //! On top of the correctness matrix, the suite pins the two performance
-//! contracts the policies exist for:
+//! contracts the policy exists for:
 //!
-//! * `PlannedMin` never issues more blocking fetches than `Lru` on a
-//!   planned workload (the plan is a perfect future-reference trace, so
-//!   MIN victims can only help);
+//! * on a run whose every wave touches each of the N blocks once, MIN
+//!   reads exactly N − B fetches per sweep with B blocks resident, the
+//!   floor no policy can beat (the B residents are the only hits);
 //! * peak memory stays within the residency budget plus scratch: the
 //!   store buffers nothing beside its residents, and `peak_memory_bytes`
 //!   must still count those.
@@ -19,7 +18,6 @@ use qcsim::circuits::{
     grover_circuit, phase_estimation_circuit, qaoa_circuit, qft_benchmark_circuit,
     random_regular_graph, QaoaParams,
 };
-use qcsim::core::Eviction;
 use qcsim::{Circuit, CompressedSimulator, ErrorBound, SimConfig, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,7 +25,7 @@ use rand::SeedableRng;
 const TOL: f64 = 1e-10;
 
 /// The five circuit families of the paper's evaluation, at geometries
-/// small enough that the policy matrix stays fast while
+/// small enough that the suite stays fast while
 /// a 2-block budget still forces real spill traffic (2^n amplitudes over
 /// 2^3-amplitude blocks = up to 64 blocks per family).
 fn families() -> Vec<(&'static str, Circuit)> {
@@ -43,14 +41,13 @@ fn families() -> Vec<(&'static str, Circuit)> {
     ]
 }
 
-/// Lossless out-of-core config: `budget` resident blocks and the given
-/// victim policy.
-fn spilled_cfg(budget: usize, eviction: Eviction) -> SimConfig {
+/// Lossless out-of-core config: `budget` resident blocks of 2^3
+/// amplitudes on one rank.
+fn spilled_cfg(budget: usize) -> SimConfig {
     SimConfig::default()
         .with_block_log2(3)
         .with_fixed_bound(ErrorBound::Lossless)
         .with_spill(budget)
-        .with_eviction(eviction)
 }
 
 fn run(c: &Circuit, cfg: SimConfig) -> CompressedSimulator {
@@ -73,71 +70,52 @@ fn max_amp_error(sim: &CompressedSimulator, dense: &StateVector) -> f64 {
 }
 
 #[test]
-fn every_family_matches_dense_across_policy_and_write_behind() {
-    // {Lru, PlannedMin} on all five families at a 2-block budget (every
-    // eviction write is synchronous; the write-behind flag is inert).
-    // Every cell must actually go out-of-core and still match the dense
-    // reference amplitude-wise.
+fn every_family_matches_dense_out_of_core() {
+    // All five families at a 2-block budget. Every run must actually go
+    // out-of-core and still match the dense reference amplitude-wise.
     for (name, circuit) in families() {
         let mut rng = StdRng::seed_from_u64(2019);
         let dense = circuit.simulate_dense(&mut rng);
-        for eviction in [Eviction::Lru, Eviction::PlannedMin] {
-            let sim = run(&circuit, spilled_cfg(2, eviction));
-            let report = sim.report();
-            assert!(
-                report.breakdown.spills > 0 && report.breakdown.fetches > 0,
-                "{name} ({}): the run must go out-of-core",
-                eviction.name()
-            );
-            let err = max_amp_error(&sim, &dense);
-            assert!(
-                err <= TOL,
-                "{name} ({}): max amplitude error {err:e} > {TOL:e}",
-                eviction.name()
-            );
-            assert_eq!(
-                report.fidelity_lower_bound, 1.0,
-                "{name}: lossless run must keep the ledger at 1"
-            );
-        }
+        let sim = run(&circuit, spilled_cfg(2));
+        let report = sim.report();
+        assert!(
+            report.breakdown.spills > 0 && report.breakdown.fetches > 0,
+            "{name}: the run must go out-of-core"
+        );
+        let err = max_amp_error(&sim, &dense);
+        assert!(err <= TOL, "{name}: max amplitude error {err:e} > {TOL:e}");
+        assert_eq!(
+            report.fidelity_lower_bound, 1.0,
+            "{name}: lossless run must keep the ledger at 1"
+        );
     }
 }
 
 #[test]
-fn planned_min_never_blocks_on_more_fetches_than_lru() {
-    // Every fetch is a blocking seek-and-read and the counters are fully
-    // deterministic, so the MIN-vs-LRU comparison is exact: the plan window hands
-    // `PlannedMin` the true future reference trace, and Belady's
-    // argument says its miss count is a lower bound on any plan-blind
-    // policy's over the same window.
-    for (name, circuit) in families() {
-        for budget in [2usize, 4] {
-            let lru = run(&circuit, spilled_cfg(budget, Eviction::Lru));
-            let min = run(&circuit, spilled_cfg(budget, Eviction::PlannedMin));
-            let (lru, min) = (lru.report(), min.report());
-            assert_eq!(
-                lru.breakdown.prefetch_misses, lru.breakdown.fetches,
-                "{name}: every fetch blocks"
-            );
-            assert!(
-                lru.breakdown.fetches > 0,
-                "{name} (budget {budget}): the comparison needs spill traffic"
-            );
-            assert!(
-                min.breakdown.prefetch_misses <= lru.breakdown.prefetch_misses,
-                "{name} (budget {budget}): PlannedMin blocked on more \
-                 fetches than Lru ({} vs {})",
-                min.breakdown.prefetch_misses,
-                lru.breakdown.prefetch_misses
-            );
-            assert!(
-                min.breakdown.spill_bytes <= lru.breakdown.spill_bytes,
-                "{name} (budget {budget}): PlannedMin wrote more spill \
-                 bytes than Lru ({} vs {})",
-                min.breakdown.spill_bytes,
-                lru.breakdown.spill_bytes
-            );
-        }
+fn planned_min_fetches_sit_at_the_sweep_floor() {
+    // H on each qubit above the block split: every wave pairs each of the
+    // N blocks with its partner and touches it once. With B blocks
+    // resident, the B residents are the only hits a sweep can have, so
+    // no policy reads fewer than N - B fetches per sweep, and MIN (the
+    // plan hands it the wave's exact reference trace) reads exactly that.
+    // Every fetch is a blocking read and the counters are deterministic,
+    // so the pin is exact.
+    let (n, block_log2) = (9usize, 3usize);
+    let mut circuit = Circuit::new(n);
+    for q in block_log2..n {
+        circuit.h(q);
+    }
+    let blocks = 1u64 << (n - block_log2);
+    let sweeps = (n - block_log2) as u64;
+    for budget in [2u64, 4] {
+        let sim = run(&circuit, spilled_cfg(budget as usize));
+        let b = sim.report().breakdown;
+        assert_eq!(b.prefetch_misses, b.fetches, "every fetch blocks");
+        assert_eq!(
+            b.fetches,
+            sweeps * (blocks - budget),
+            "budget {budget}: {sweeps} sweeps over {blocks} blocks"
+        );
     }
 }
 
@@ -153,8 +131,7 @@ fn peak_memory_stays_within_budget_staging_and_dirty_bounds() {
     let cfg = SimConfig::default()
         .with_block_log2(block_log2)
         .with_fixed_bound(ErrorBound::Lossless)
-        .with_spill(budget)
-        .with_eviction(Eviction::PlannedMin);
+        .with_spill(budget);
     let sim = run(&circuit, cfg);
     let report = sim.report();
     assert!(report.breakdown.spills > 0, "the run must go out-of-core");

@@ -18,7 +18,7 @@
 //! over four seeded circuits (QFT with its swap network, a supremacy
 //! circuit, QAOA, and one with mid-circuit measurements) × fusion on/off ×
 //! lossless / fixed 1e-3 × `ranks_log2` 0/1 × all-resident /
-//! `with_spill(4)` under planned-MIN eviction.
+//! `with_spill(4)` (MIN eviction, the one spill policy).
 //!
 //! The 64 cases take ~8 s optimised and minutes unoptimised, so a debug
 //! build (tier-1 `cargo test`) runs every fourth one — each circuit keeps
@@ -49,7 +49,7 @@ use qcsim::circuits::supremacy::{random_circuit, Grid};
 use qcsim::circuits::{qaoa_circuit, qft_circuit, random_regular_graph, QaoaParams};
 use qcsim::compress::checksum::checksum64;
 use qcsim::compress::f64s_to_bytes;
-use qcsim::{Circuit, CompressedSimulator, ErrorBound, Eviction, SimConfig};
+use qcsim::{Circuit, CompressedSimulator, ErrorBound, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -124,7 +124,7 @@ fn digest_lines() -> Vec<(usize, String)> {
                             cfg = cfg.with_threads_per_rank(1);
                         }
                         if spill {
-                            cfg = cfg.with_spill(4).with_eviction(Eviction::PlannedMin);
+                            cfg = cfg.with_spill(4);
                         }
                         let mut sim = CompressedSimulator::new(QUBITS as u32, cfg).expect("sim");
                         sim.run(&circuit, &mut StdRng::seed_from_u64(2019))

@@ -14,7 +14,7 @@
 //! count.
 
 use qcsim::circuits::{qaoa_circuit, random_regular_graph, QaoaParams};
-use qcsim::core::{Eviction, SimConfig};
+use qcsim::core::SimConfig;
 use qcsim::{Circuit, CompressedSimulator, ErrorBound};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,7 +188,6 @@ fn a_budgeted_min_spill_run_repeats_exactly_on_every_rerun_and_thread_count() {
             .with_threads_per_rank(threads)
             .with_memory_budget(budget)
             .with_spill(resident_blocks)
-            .with_eviction(Eviction::PlannedMin)
             .with_write_behind(true);
         let sim = run(&circuit, cfg);
         let r = sim.report();

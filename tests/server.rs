@@ -42,7 +42,6 @@ fn job_cfg() -> SimConfig {
         .with_fixed_bound(ErrorBound::Lossless)
         .with_spill(4)
         .without_fusion()
-        .with_max_batch_gates(1)
 }
 
 fn connect(addr: &std::net::SocketAddr) -> JobClient {
