@@ -134,11 +134,11 @@
 //! makes one planning call, [`BlockStore::plan_accesses`] with its own
 //! ordered slots, then consumes those slots in order, a chunk of at most
 //! a residency budget at a time, each with one coalesced
-//! [`BlockStore::fetch_many`]. A spilling store stages the budget of
-//! slots after each consumption in the background, so the wave's next
-//! chunk streams off disk instead of blocking on a seek-and-read per
-//! block. The window is one wave: a wave's last chunk stages nothing,
-//! and the next wave starts from its own announcement.
+//! [`BlockStore::fetch_many`]. A spilling store stages nothing ahead:
+//! every spilled fetch is a blocking read on the worker's thread, and
+//! the announced slots only rank its eviction victims (Belady's MIN).
+//! The window is one wave: the next wave starts from its own
+//! announcement.
 //!
 //! # The compressed exchange
 //!
