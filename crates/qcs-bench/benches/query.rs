@@ -88,7 +88,7 @@ fn bench_cold_query(c: &mut Criterion) {
 
         // Controlled on every block-index qubit: mutates the last block
         // only, and drops the summary like any gate.
-        let thaw = Op::MultiControlled {
+        let thaw = Op::Gate {
             gate: GateKind::Z,
             controls: (block_log2 as usize..n).collect(),
             target: 0,

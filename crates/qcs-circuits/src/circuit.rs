@@ -6,27 +6,13 @@ use qcs_statevec::{GateKind, StateVector};
 /// One operation in a circuit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
-    /// Single-qubit gate on `target`.
-    Single {
-        /// Gate to apply.
-        gate: GateKind,
-        /// Target qubit.
-        target: usize,
-    },
-    /// Controlled single-qubit gate (Eq. 7): applied where `control` is 1.
-    Controlled {
+    /// Single-qubit gate on `target`, applied where every qubit of
+    /// `controls` is 1 (Eq. 7). Empty `controls` is the uncontrolled gate;
+    /// two controls and X is the Toffoli.
+    Gate {
         /// Gate to apply on the target.
         gate: GateKind,
-        /// Control qubit.
-        control: usize,
-        /// Target qubit.
-        target: usize,
-    },
-    /// Multi-controlled single-qubit gate (e.g. Toffoli = controls x2 + X).
-    MultiControlled {
-        /// Gate to apply on the target.
-        gate: GateKind,
-        /// Control qubits (all must be 1).
+        /// Control qubits (all must be 1), possibly none.
         controls: Vec<usize>,
         /// Target qubit.
         target: usize,
@@ -48,27 +34,29 @@ pub enum Op {
 }
 
 impl Op {
+    /// The qubits the op names, the target last.
+    pub fn qubits(&self) -> Vec<usize> {
+        match self {
+            Op::Gate {
+                controls, target, ..
+            } => controls.iter().chain([target]).copied().collect(),
+            Op::Swap { a, b } => vec![*a, *b],
+            Op::Measure { target } => vec![*target],
+        }
+    }
+
     /// Check the op against a `num_qubits`-qubit register: every qubit it
     /// names is in range and distinct from the others — a gate controlled
     /// on its own target, or a swap of a qubit with itself, is no op.
     pub fn validate(&self, num_qubits: usize) -> Result<(), String> {
-        let (others, last): (&[usize], &usize) = match self {
-            Op::Single { target, .. } | Op::Measure { target } => (&[], target),
-            Op::Controlled {
-                control, target, ..
-            } => (std::slice::from_ref(control), target),
-            Op::MultiControlled {
-                controls, target, ..
-            } => (controls, target),
-            Op::Swap { a, b } => (std::slice::from_ref(a), b),
-        };
-        for (i, q) in others.iter().chain([last]).enumerate() {
+        let qubits = self.qubits();
+        for (i, q) in qubits.iter().enumerate() {
             if *q >= num_qubits {
                 return Err(format!(
                     "{self:?} touches qubit {q}, out of range for {num_qubits} qubits"
                 ));
             }
-            if others[..i].contains(q) {
+            if qubits[..i].contains(q) {
                 return Err(format!("duplicate qubits in {self:?}"));
             }
         }
@@ -130,129 +118,88 @@ impl Circuit {
 
     // --- builder helpers ---
 
+    /// Push `gate` on `target` under `controls`.
+    fn gate(&mut self, gate: GateKind, controls: &[usize], target: usize) -> &mut Self {
+        self.push(Op::Gate {
+            gate,
+            controls: controls.to_vec(),
+            target,
+        })
+    }
+
     /// Hadamard.
     pub fn h(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::H,
-            target: q,
-        })
+        self.gate(GateKind::H, &[], q)
     }
 
     /// Pauli-X.
     pub fn x(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::X,
-            target: q,
-        })
+        self.gate(GateKind::X, &[], q)
     }
 
     /// Pauli-Y.
     pub fn y(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::Y,
-            target: q,
-        })
+        self.gate(GateKind::Y, &[], q)
     }
 
     /// Pauli-Z.
     pub fn z(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::Z,
-            target: q,
-        })
+        self.gate(GateKind::Z, &[], q)
     }
 
     /// T gate.
     pub fn t(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::T,
-            target: q,
-        })
+        self.gate(GateKind::T, &[], q)
     }
 
     /// sqrt(X).
     pub fn sx(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::SqrtX,
-            target: q,
-        })
+        self.gate(GateKind::SqrtX, &[], q)
     }
 
     /// sqrt(Y).
     pub fn sy(&mut self, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::SqrtY,
-            target: q,
-        })
+        self.gate(GateKind::SqrtY, &[], q)
     }
 
     /// Rx rotation.
     pub fn rx(&mut self, theta: f64, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::Rx(theta),
-            target: q,
-        })
+        self.gate(GateKind::Rx(theta), &[], q)
     }
 
     /// Ry rotation.
     pub fn ry(&mut self, theta: f64, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::Ry(theta),
-            target: q,
-        })
+        self.gate(GateKind::Ry(theta), &[], q)
     }
 
     /// Rz rotation.
     pub fn rz(&mut self, theta: f64, q: usize) -> &mut Self {
-        self.push(Op::Single {
-            gate: GateKind::Rz(theta),
-            target: q,
-        })
+        self.gate(GateKind::Rz(theta), &[], q)
     }
 
     /// CNOT.
     pub fn cx(&mut self, control: usize, target: usize) -> &mut Self {
-        self.push(Op::Controlled {
-            gate: GateKind::X,
-            control,
-            target,
-        })
+        self.gate(GateKind::X, &[control], target)
     }
 
     /// Controlled-Z.
     pub fn cz(&mut self, control: usize, target: usize) -> &mut Self {
-        self.push(Op::Controlled {
-            gate: GateKind::Z,
-            control,
-            target,
-        })
+        self.gate(GateKind::Z, &[control], target)
     }
 
     /// Controlled phase.
     pub fn cphase(&mut self, theta: f64, control: usize, target: usize) -> &mut Self {
-        self.push(Op::Controlled {
-            gate: GateKind::Phase(theta),
-            control,
-            target,
-        })
+        self.gate(GateKind::Phase(theta), &[control], target)
     }
 
     /// Toffoli (CCX).
     pub fn ccx(&mut self, c1: usize, c2: usize, target: usize) -> &mut Self {
-        self.push(Op::MultiControlled {
-            gate: GateKind::X,
-            controls: vec![c1, c2],
-            target,
-        })
+        self.gate(GateKind::X, &[c1, c2], target)
     }
 
     /// Multi-controlled Z.
     pub fn mcz(&mut self, controls: &[usize], target: usize) -> &mut Self {
-        self.push(Op::MultiControlled {
-            gate: GateKind::Z,
-            controls: controls.to_vec(),
-            target,
-        })
+        self.gate(GateKind::Z, controls, target)
     }
 
     /// Swap.
@@ -267,26 +214,7 @@ impl Circuit {
 
     /// Execute on a dense state vector. Measurements consume `rng`.
     pub fn run_dense(&self, state: &mut StateVector, rng: &mut impl rand::Rng) {
-        assert_eq!(state.num_qubits(), self.num_qubits);
-        for op in &self.ops {
-            match op {
-                Op::Single { gate, target } => state.apply_gate(&gate.matrix(), *target),
-                Op::Controlled {
-                    gate,
-                    control,
-                    target,
-                } => state.apply_controlled(&gate.matrix(), *control, *target),
-                Op::MultiControlled {
-                    gate,
-                    controls,
-                    target,
-                } => state.apply_multi_controlled(&gate.matrix(), controls, *target),
-                Op::Swap { a, b } => state.apply_swap(*a, *b),
-                Op::Measure { target } => {
-                    state.measure(*target, rng);
-                }
-            }
-        }
+        self.run_dense_noisy(state, &qcs_statevec::NoiseModel::ideal(), rng);
     }
 
     /// Convenience: run from `|0...0>` and return the final state.
@@ -297,7 +225,8 @@ impl Circuit {
     }
 
     /// Execute with a stochastic noise model (one quantum trajectory):
-    /// the configured channel fires on each gate's qubits after the gate.
+    /// after each gate, every qubit it names is depolarized, controls
+    /// first, then the target.
     /// This is the "modern noise simulation" the paper's conclusion
     /// contrasts with its compression-error noise idea (§6).
     pub fn run_dense_noisy(
@@ -308,46 +237,35 @@ impl Circuit {
     ) {
         assert_eq!(state.num_qubits(), self.num_qubits);
         for op in &self.ops {
-            match op {
-                Op::Single { gate, target } => {
-                    state.apply_gate(&gate.matrix(), *target);
-                    if let Some(ch) = noise.after_single {
-                        ch.apply(state, *target, rng);
-                    }
-                }
-                Op::Controlled {
+            let p = match op {
+                Op::Gate {
                     gate,
-                    control,
+                    controls,
                     target,
-                } => {
-                    state.apply_controlled(&gate.matrix(), *control, *target);
-                    if let Some(ch) = noise.after_two {
-                        ch.apply(state, *control, rng);
-                        ch.apply(state, *target, rng);
-                    }
+                } if controls.is_empty() => {
+                    state.apply_gate(&gate.matrix(), *target);
+                    noise.p_single
                 }
-                Op::MultiControlled {
+                Op::Gate {
                     gate,
                     controls,
                     target,
                 } => {
                     state.apply_multi_controlled(&gate.matrix(), controls, *target);
-                    if let Some(ch) = noise.after_two {
-                        for &q in controls {
-                            ch.apply(state, q, rng);
-                        }
-                        ch.apply(state, *target, rng);
-                    }
+                    noise.p_multi
                 }
                 Op::Swap { a, b } => {
                     state.apply_swap(*a, *b);
-                    if let Some(ch) = noise.after_two {
-                        ch.apply(state, *a, rng);
-                        ch.apply(state, *b, rng);
-                    }
+                    noise.p_multi
                 }
                 Op::Measure { target } => {
                     state.measure(*target, rng);
+                    continue;
+                }
+            };
+            if p > 0.0 {
+                for q in op.qubits() {
+                    qcs_statevec::noise::depolarize(state, q, p, rng);
                 }
             }
         }
@@ -355,35 +273,14 @@ impl Circuit {
 
     /// Count of two-or-more-qubit operations (entangling gates).
     pub fn entangling_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    Op::Controlled { .. } | Op::MultiControlled { .. } | Op::Swap { .. }
-                )
-            })
-            .count()
+        self.ops.iter().filter(|op| op.qubits().len() > 1).count()
     }
 
     /// A crude depth estimate: greedy layering of non-overlapping ops.
     pub fn depth(&self) -> usize {
         let mut layers: Vec<Vec<usize>> = Vec::new(); // qubits busy per layer
         for op in &self.ops {
-            let qubits: Vec<usize> = match op {
-                Op::Single { target, .. } | Op::Measure { target } => vec![*target],
-                Op::Controlled {
-                    control, target, ..
-                } => vec![*control, *target],
-                Op::MultiControlled {
-                    controls, target, ..
-                } => {
-                    let mut v = controls.clone();
-                    v.push(*target);
-                    v
-                }
-                Op::Swap { a, b } => vec![*a, *b],
-            };
+            let qubits = op.qubits();
             // Greedy layering: place after the last layer that conflicts.
             let pos = layers
                 .iter()
@@ -423,7 +320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate qubits")]
     fn duplicate_controls_rejected() {
-        Circuit::new(3).push(Op::MultiControlled {
+        Circuit::new(3).push(Op::Gate {
             gate: GateKind::X,
             controls: vec![1, 1],
             target: 2,

@@ -190,11 +190,12 @@ mod tests {
         let mut x = 0;
         for op in c.ops() {
             match op {
-                Op::MultiControlled { controls, .. } if controls.len() == 2 => tof += 1,
-                Op::Single {
+                Op::Gate { controls, .. } if controls.len() == 2 => tof += 1,
+                Op::Gate {
                     gate: qcs_statevec::GateKind::X,
+                    controls,
                     ..
-                } => x += 1,
+                } if controls.is_empty() => x += 1,
                 _ => {}
             }
         }

@@ -6,10 +6,10 @@
 //! and decompression rows dwarf computation). Three circuit-level rewrites
 //! amortize that cycle without changing the simulated state:
 //!
-//! 1. **Fusion** — a run of consecutive single-qubit gates on the same
-//!    qubit collapses into one [`FusedGate`] whose matrix is the product of
-//!    the run (`G_k ... G_2 G_1`). `k` gates then cost one cycle instead of
-//!    `k`.
+//! 1. **Fusion** — a run of consecutive uncontrolled gates (an
+//!    [`Op::Gate`] with empty `controls`) on the same qubit collapses into
+//!    one [`FusedGate`] whose matrix is the product of the run
+//!    (`G_k ... G_2 G_1`). `k` gates then cost one cycle instead of `k`.
 //! 2. **Batching** — consecutive gates whose *targets* all route to the
 //!    intra-block case of §3.3 (target qubit below `block_log2`) share the
 //!    same block-touch pattern: every block is touched exactly once, with
@@ -58,41 +58,25 @@ pub const MAX_BATCH_GATES: usize = 64;
 /// How the scheduler rewrites a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionPolicy {
-    /// Fuse runs of consecutive single-qubit gates on the same qubit.
-    pub fuse_single_qubit_runs: bool,
-    /// Maximum gates per [`GateBatch`] (clamped to [`MAX_BATCH_GATES`]).
-    /// `1` disables batching while keeping fusion.
-    pub max_batch_gates: usize,
+    /// Apply the three rewrites of the module docs: fuse single-qubit
+    /// runs, batch up to [`MAX_BATCH_GATES`] consecutive in-block gates,
+    /// and re-orient each controlled `diag(1, e^{i theta})` gate onto its
+    /// lowest qubit (or, with every qubit at or above `block_log2 >= 1`,
+    /// onto in-block qubit 0 as a per-block phase). Off, every gate is its
+    /// own item, as written: the paper's one-cycle-per-gate pipeline.
+    pub enabled: bool,
     /// `log2` of amplitudes per block: targets below this bit route
     /// intra-block and are eligible for batching.
     pub block_log2: u32,
-    /// Re-orient diagonal controlled-phase gates (`diag(1, e^{i theta})`
-    /// targets: Z, S, T, Phase) onto their lowest qubit. Such gates are
-    /// symmetric under control/target exchange, so the QFT's
-    /// high-target cphase cascades become intra-block (batchable).
-    /// A controlled `diag(1, e^{i theta})` gate whose qubits all sit at or
-    /// above `block_log2 >= 1` then becomes a per-block phase:
-    /// `e^{i theta} * I` on qubit 0, controlled by every original qubit.
-    /// It joins a batch, so CZ and CPhase gates between block and rank
-    /// qubits stop paying a pair wave or communication. Uncontrolled
-    /// phases keep their target (see the module docs).
-    pub retarget_diagonal: bool,
 }
 
 impl FusionPolicy {
-    /// Default policy for a given block size: fusion on, batches up to
-    /// [`MAX_BATCH_GATES`], diagonal retargeting on.
+    /// Every rewrite on, for a given block size.
     pub fn for_block(block_log2: u32) -> Self {
         Self {
-            fuse_single_qubit_runs: true,
-            max_batch_gates: MAX_BATCH_GATES,
+            enabled: true,
             block_log2,
-            retarget_diagonal: true,
         }
-    }
-
-    fn batch_cap(&self) -> usize {
-        self.max_batch_gates.clamp(1, MAX_BATCH_GATES)
     }
 }
 
@@ -338,75 +322,50 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
     };
 
     for (i, op) in circuit.ops().iter().enumerate() {
-        match op {
-            Op::Single { gate, target } => {
-                source_unitaries += 1;
-                match &mut pending {
-                    Some(run)
-                        if policy.fuse_single_qubit_runs
-                            && run.op.controls.is_empty()
-                            && run.op.target == *target =>
-                    {
-                        // Later gate multiplies from the left: |s'> = G2 G1 |s>.
-                        run.op.gate = gate.matrix().matmul(&run.op.gate);
-                        run.src_len += 1;
-                    }
-                    _ => {
-                        flush(&mut pending, &mut pre);
-                        pending = Some(FusedGate {
-                            op: BatchGate::new(gate.matrix(), *target),
-                            src_start: i,
-                            src_len: 1,
-                        });
-                    }
+        let Op::Gate {
+            gate,
+            controls,
+            target,
+        } = op
+        else {
+            flush(&mut pending, &mut pre);
+            pre.push(PreItem::Other(op.clone(), i));
+            continue;
+        };
+        source_unitaries += 1;
+        if controls.is_empty() {
+            match &mut pending {
+                Some(run) if policy.enabled && run.op.target == *target => {
+                    // Later gate multiplies from the left: |s'> = G2 G1 |s>.
+                    run.op.gate = gate.matrix().matmul(&run.op.gate);
+                    run.src_len += 1;
+                }
+                _ => {
+                    flush(&mut pending, &mut pre);
+                    pending = Some(FusedGate {
+                        op: BatchGate::new(gate.matrix(), *target),
+                        src_start: i,
+                        src_len: 1,
+                    });
                 }
             }
-            Op::Controlled {
-                gate,
-                control,
-                target,
-            } => {
-                source_unitaries += 1;
-                flush(&mut pending, &mut pre);
-                let mut bg = BatchGate::controlled(gate.matrix(), vec![*control], *target);
-                if policy.retarget_diagonal {
-                    retarget_diagonal(&mut bg);
-                    retarget_per_block(&mut bg, policy.block_log2);
-                }
-                pre.push(PreItem::Gate(FusedGate {
-                    op: bg,
-                    src_start: i,
-                    src_len: 1,
-                }));
-            }
-            Op::MultiControlled {
-                gate,
-                controls,
-                target,
-            } => {
-                source_unitaries += 1;
-                flush(&mut pending, &mut pre);
-                let mut bg = BatchGate::controlled(gate.matrix(), controls.clone(), *target);
-                if policy.retarget_diagonal {
-                    retarget_diagonal(&mut bg);
-                    retarget_per_block(&mut bg, policy.block_log2);
-                }
-                pre.push(PreItem::Gate(FusedGate {
-                    op: bg,
-                    src_start: i,
-                    src_len: 1,
-                }));
-            }
-            Op::Swap { .. } | Op::Measure { .. } => {
-                flush(&mut pending, &mut pre);
-                pre.push(PreItem::Other(op.clone(), i));
-            }
+            continue;
         }
+        flush(&mut pending, &mut pre);
+        let mut bg = BatchGate::controlled(gate.matrix(), controls.clone(), *target);
+        if policy.enabled {
+            retarget_diagonal(&mut bg);
+            retarget_per_block(&mut bg, policy.block_log2);
+        }
+        pre.push(PreItem::Gate(FusedGate {
+            op: bg,
+            src_start: i,
+            src_len: 1,
+        }));
     }
     flush(&mut pending, &mut pre);
 
     // Batching pass: group consecutive intra-block gates.
-    let cap = policy.batch_cap();
     let mut items: Vec<ScheduledOp> = Vec::with_capacity(pre.len());
     let mut stats = ScheduleStats {
         source_ops: circuit.gate_count(),
@@ -431,8 +390,8 @@ pub fn schedule_circuit(circuit: &Circuit, policy: &FusionPolicy) -> Schedule {
         match item {
             PreItem::Gate(g) => {
                 stats.fused_gates += 1;
-                if (g.op.target as u32) < policy.block_log2 && cap > 1 {
-                    if run.len() >= cap {
+                if (g.op.target as u32) < policy.block_log2 && policy.enabled {
+                    if run.len() >= MAX_BATCH_GATES {
                         close_run(&mut run, &mut items, &mut stats);
                     }
                     run.push(g);
@@ -699,19 +658,20 @@ mod tests {
 
     #[test]
     fn batch_cap_splits_long_runs() {
-        let mut c = Circuit::new(2);
-        for i in 0..10 {
+        let mut c = Circuit::new(3);
+        for i in 0..=MAX_BATCH_GATES {
             // Alternate qubits so fusion cannot collapse the run.
             c.rz(0.1 * i as f64, i % 2);
         }
-        let policy = FusionPolicy {
-            max_batch_gates: 4,
-            block_log2: 2,
-            ..FusionPolicy::for_block(2)
-        };
-        let s = schedule_circuit(&c, &policy);
-        assert_eq!(s.stats().batches, 3); // 4 + 4 + 2
-        assert_eq!(s.stats().max_batch_len, 4);
+        let s = schedule_circuit(&c, &FusionPolicy::for_block(2));
+        match s.items() {
+            [ScheduledOp::Batch(b), ScheduledOp::Gate(g)] => {
+                assert_eq!(b.len(), MAX_BATCH_GATES);
+                assert_eq!(g.src_start, MAX_BATCH_GATES);
+            }
+            other => panic!("expected a full batch and one gate, got {other:?}"),
+        }
+        assert_eq!(s.stats().max_batch_len, MAX_BATCH_GATES);
     }
 
     #[test]
@@ -772,9 +732,9 @@ mod tests {
         c.cphase(0.7, 1, 6); // symmetric: should re-orient onto qubit 1
         c.cz(7, 2); // symmetric: onto qubit 2
         c.cx(5, 0); // X is not diagonal: must keep target 0 / control 5
-        c.push(Op::Controlled {
+        c.push(Op::Gate {
             gate: GateKind::Rz(0.4), // diag but m00 != 1: not symmetric
-            control: 6,
+            controls: vec![6],
             target: 3,
         });
         c.mcz(&[4, 6], 7); // multi-controlled Z above the block: a per-block -1
@@ -820,9 +780,9 @@ mod tests {
         use qcs_statevec::GateKind;
         // n = 6, block_log2 = 2: qubits 2..5 sit above the block split.
         let mut c = Circuit::new(6);
-        let controlled = |gate, control, target| Op::Controlled {
+        let controlled = |gate, control, target| Op::Gate {
             gate,
-            control,
+            controls: vec![control],
             target,
         };
         c.push(controlled(GateKind::T, 3, 5));
@@ -831,8 +791,9 @@ mod tests {
         // Uncontrolled phases keep their pair wave, as do gates that are
         // not diag(1, lambda).
         c.t(3);
-        c.push(Op::Single {
+        c.push(Op::Gate {
             gate: GateKind::S,
+            controls: vec![],
             target: 4,
         });
         c.z(5);
@@ -880,8 +841,9 @@ mod tests {
         // The five controlled phases share one batch; the others route alone.
         assert_eq!(s.items().len(), 1 + untouched.len());
 
-        // No in-block qubit (block_log2 = 0) or retargeting off: only
-        // the controlled-phase re-orientation (or nothing) applies.
+        // No in-block qubit (block_log2 = 0): only the controlled-phase
+        // re-orientation applies. Every rewrite off: the gates as written,
+        // the T·T run unfused.
         let lowest_first: Vec<(usize, Vec<usize>)> = [
             (3, vec![5]),
             (2, vec![4]),
@@ -896,8 +858,9 @@ mod tests {
         as_written[0] = (5, vec![3]);
         as_written[1] = (4, vec![2]);
         as_written[4] = (4, vec![2, 5]);
+        as_written.insert(scalars.len() + 3, (2, vec![]));
         let off = FusionPolicy {
-            retarget_diagonal: false,
+            enabled: false,
             ..FusionPolicy::for_block(2)
         };
         for (policy, want) in [
@@ -924,15 +887,15 @@ mod tests {
     #[test]
     fn empty_controls_list_degrades_to_single_qubit() {
         use qcs_statevec::GateKind;
-        // A MultiControlled op with zero controls is legal at construction
-        // and must schedule as the bare single-qubit gate — in particular
-        // the diagonal-retarget pass must not assume a non-empty list.
+        // A gate with zero controls must schedule as the bare single-qubit
+        // gate — in particular the diagonal-retarget pass must not assume
+        // a non-empty list.
         let mut bare = BatchGate::controlled(Gate1::t(), vec![], 3);
         retarget_diagonal(&mut bare);
         assert_eq!((bare.target, bare.controls.as_slice()), (3, &[][..]));
 
         let mut c = Circuit::new(5);
-        c.push(Op::MultiControlled {
+        c.push(Op::Gate {
             gate: GateKind::T, // diagonal phase: exercises the retarget pass
             controls: vec![],
             target: 4,

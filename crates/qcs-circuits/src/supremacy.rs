@@ -130,8 +130,9 @@ pub fn random_circuit(grid: Grid, depth: usize, seed: u64) -> Circuit {
                 1 => GateKind::SqrtX,
                 _ => GateKind::SqrtY,
             };
-            c.push(crate::circuit::Op::Single {
+            c.push(crate::circuit::Op::Gate {
                 gate: kind,
+                controls: vec![],
                 target: q,
             });
             had_any_single[q] = true;
@@ -187,7 +188,7 @@ mod tests {
             assert!(
                 matches!(
                     op,
-                    Op::Single {
+                    Op::Gate {
                         gate: qcs_statevec::GateKind::H,
                         ..
                     }
@@ -203,10 +204,15 @@ mod tests {
         let c = random_circuit(grid, 8, 7);
         let mut first: Vec<Option<&'static str>> = vec![None; grid.num_qubits()];
         for op in c.ops().iter().skip(grid.num_qubits()) {
-            if let Op::Single { gate, target } = op {
-                if first[*target].is_none() {
+            match op {
+                Op::Gate {
+                    gate,
+                    controls,
+                    target,
+                } if controls.is_empty() && first[*target].is_none() => {
                     first[*target] = Some(gate.name());
                 }
+                _ => {}
             }
         }
         for f in first.into_iter().flatten() {
@@ -220,9 +226,16 @@ mod tests {
         let c = random_circuit(grid, 16, 3);
         let mut last: Vec<Option<&'static str>> = vec![None; grid.num_qubits()];
         for op in c.ops().iter().skip(grid.num_qubits()) {
-            if let Op::Single { gate, target } = op {
-                assert_ne!(last[*target], Some(gate.name()), "qubit {target}");
-                last[*target] = Some(gate.name());
+            match op {
+                Op::Gate {
+                    gate,
+                    controls,
+                    target,
+                } if controls.is_empty() => {
+                    assert_ne!(last[*target], Some(gate.name()), "qubit {target}");
+                    last[*target] = Some(gate.name());
+                }
+                _ => {}
             }
         }
     }

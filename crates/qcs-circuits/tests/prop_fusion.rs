@@ -4,7 +4,7 @@
 //! unitary fused matrices.
 
 use proptest::prelude::*;
-use qcs_circuits::schedule::{schedule_circuit, FusionPolicy, ScheduledOp};
+use qcs_circuits::schedule::{schedule_circuit, FusionPolicy, ScheduledOp, MAX_BATCH_GATES};
 use qcs_circuits::{Circuit, Op};
 use qcs_statevec::{Complex64, GateKind};
 use rand::rngs::StdRng;
@@ -39,17 +39,17 @@ fn random_circuit() -> impl Strategy<Value = Circuit> {
             match kind {
                 // Weight single-qubit gates heavily so fusion runs form.
                 0..=3 => {
-                    c.push(Op::Single { gate: g, target: t });
+                    c.push(single(g, t));
                 }
                 4 if a != t => {
-                    c.push(Op::Controlled {
+                    c.push(Op::Gate {
                         gate: g,
-                        control: a,
+                        controls: vec![a],
                         target: t,
                     });
                 }
                 5 if a != b && a != t && b != t => {
-                    c.push(Op::MultiControlled {
+                    c.push(Op::Gate {
                         gate: g,
                         controls: vec![a, b],
                         target: t,
@@ -62,7 +62,7 @@ fn random_circuit() -> impl Strategy<Value = Circuit> {
                     c.push(Op::Measure { target: t });
                 }
                 _ => {
-                    c.push(Op::Single { gate: g, target: t });
+                    c.push(single(g, t));
                 }
             }
         }
@@ -70,10 +70,18 @@ fn random_circuit() -> impl Strategy<Value = Circuit> {
     })
 }
 
-fn policy(block_log2: u32, max_batch: usize) -> FusionPolicy {
+fn single(gate: GateKind, target: usize) -> Op {
+    Op::Gate {
+        gate,
+        controls: vec![],
+        target,
+    }
+}
+
+fn policy(block_log2: u32, enabled: bool) -> FusionPolicy {
     FusionPolicy {
-        max_batch_gates: max_batch,
-        ..FusionPolicy::for_block(block_log2)
+        enabled,
+        block_log2,
     }
 }
 
@@ -86,10 +94,10 @@ proptest! {
     fn scheduled_execution_matches_direct(
         c in random_circuit(),
         block_log2 in 0u32..7,
-        max_batch in 1usize..9,
+        enabled in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let s = schedule_circuit(&c, &policy(block_log2, max_batch));
+        let s = schedule_circuit(&c, &policy(block_log2, enabled));
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
         let direct = c.simulate_dense(&mut rng_a);
@@ -111,9 +119,9 @@ proptest! {
     fn schedule_is_order_preserving(
         c in random_circuit(),
         block_log2 in 0u32..7,
-        max_batch in 1usize..9,
+        enabled in any::<bool>(),
     ) {
-        let s = schedule_circuit(&c, &policy(block_log2, max_batch));
+        let s = schedule_circuit(&c, &policy(block_log2, enabled));
         let mut next = 0usize;
         for item in s.items() {
             let (start, len) = item.src_range();
@@ -131,12 +139,12 @@ proptest! {
         c in random_circuit(),
         block_log2 in 0u32..7,
     ) {
-        let s = schedule_circuit(&c, &policy(block_log2, 8));
+        let s = schedule_circuit(&c, &policy(block_log2, true));
         let check_gate = |g: &qcs_circuits::FusedGate| {
             if g.src_len > 1 {
                 for op in &c.ops()[g.src_start..g.src_start + g.src_len] {
                     match op {
-                        Op::Single { target, .. } => {
+                        Op::Gate { controls, target, .. } if controls.is_empty() => {
                             assert_eq!(*target, g.op.target, "fused run changed target");
                         }
                         other => panic!("fused run swallowed {other:?}"),
@@ -159,16 +167,15 @@ proptest! {
         }
     }
 
-    // With retargeting on and an in-block qubit to land on, no emitted
+    // With the rewrites on and an in-block qubit to land on, no emitted
     // controlled gate is a `diag(1, lambda)` phase targeting a qubit at or
     // above the block split: every such phase runs as a per-block scalar.
     #[test]
     fn no_phase_targets_a_qubit_above_the_block(
         c in random_circuit(),
         block_log2 in 1u32..7,
-        max_batch in 1usize..9,
     ) {
-        let s = schedule_circuit(&c, &policy(block_log2, max_batch));
+        let s = schedule_circuit(&c, &policy(block_log2, true));
         for item in s.items() {
             let gates: Vec<_> = match item {
                 ScheduledOp::Batch(b) => b.gates().iter().collect(),
@@ -196,9 +203,9 @@ proptest! {
     ) {
         let mut c = Circuit::new(1);
         for g in kinds {
-            c.push(Op::Single { gate: g, target: 0 });
+            c.push(single(g, 0));
         }
-        let s = schedule_circuit(&c, &policy(1, 8));
+        let s = schedule_circuit(&c, &policy(1, true));
         let mut fused_seen = 0usize;
         for item in s.items() {
             let gates: Vec<_> = match item {
@@ -218,19 +225,20 @@ proptest! {
         prop_assert_eq!(fused_seen, c.gate_count());
     }
 
-    // Batches only contain intra-block targets, and batch length respects
-    // the configured cap.
+    // Batches only contain intra-block targets, hold at most the cap, and
+    // only form with the rewrites on.
     #[test]
     fn batches_respect_block_routing_and_cap(
         c in random_circuit(),
         block_log2 in 0u32..7,
-        max_batch in 1usize..9,
+        enabled in any::<bool>(),
     ) {
-        let s = schedule_circuit(&c, &policy(block_log2, max_batch));
+        let s = schedule_circuit(&c, &policy(block_log2, enabled));
         for item in s.items() {
             if let ScheduledOp::Batch(b) = item {
+                prop_assert!(enabled, "batch with the rewrites off");
                 prop_assert!(b.len() >= 2, "degenerate batch");
-                prop_assert!(b.len() <= max_batch.max(1));
+                prop_assert!(b.len() <= MAX_BATCH_GATES);
                 for g in b.gates() {
                     prop_assert!(
                         (g.op.target as u32) < block_log2,

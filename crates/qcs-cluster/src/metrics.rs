@@ -241,18 +241,6 @@ impl TimeBreakdown {
         saturating_nanos(self.spill_io)
     }
 
-    /// Background prefetch I/O time in nanoseconds (saturating; always
-    /// 0, see the `prefetch` row).
-    pub fn prefetch_ns(&self) -> u64 {
-        saturating_nanos(self.prefetch)
-    }
-
-    /// Background write-behind I/O time in nanoseconds (saturating;
-    /// always 0, see the `write_behind` row).
-    pub fn write_behind_ns(&self) -> u64 {
-        saturating_nanos(self.write_behind)
-    }
-
     /// Fraction of spilled fetches served from a prefetch staging
     /// buffer (always 0: every fetch blocks).
     pub fn prefetch_hit_rate(&self) -> f64 {
@@ -557,7 +545,6 @@ mod tests {
         );
         assert_eq!((b.write_behind_spills, b.write_behind_bytes), (0, 0));
         assert_eq!(b.prefetch_hit_rate(), 0.0);
-        assert_eq!((b.prefetch_ns(), b.write_behind_ns()), (0, 0));
     }
 
     #[test]

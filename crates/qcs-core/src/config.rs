@@ -305,19 +305,12 @@ impl SimConfig {
         self
     }
 
-    /// The scheduling policy this config induces: batches of up to
-    /// [`qcs_circuits::schedule::MAX_BATCH_GATES`] fused gates with
-    /// fusion on, one gate per batch with it off.
+    /// The scheduling policy this config induces: every rewrite on with
+    /// [`SimConfig::fusion`], none without.
     pub fn fusion_policy(&self) -> qcs_circuits::FusionPolicy {
         qcs_circuits::FusionPolicy {
-            fuse_single_qubit_runs: self.fusion,
-            max_batch_gates: if self.fusion {
-                qcs_circuits::schedule::MAX_BATCH_GATES
-            } else {
-                1
-            },
+            enabled: self.fusion,
             block_log2: self.block_log2,
-            retarget_diagonal: self.fusion,
         }
     }
 

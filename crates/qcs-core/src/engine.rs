@@ -756,17 +756,7 @@ impl CompressedSimulator {
             .map_err(SimError::Config)?;
         let start = Instant::now();
         match op {
-            Op::Single { gate, target } => {
-                self.apply_unitary(&gate.matrix(), &[], *target)?;
-            }
-            Op::Controlled {
-                gate,
-                control,
-                target,
-            } => {
-                self.apply_unitary(&gate.matrix(), &[*control], *target)?;
-            }
-            Op::MultiControlled {
+            Op::Gate {
                 gate,
                 controls,
                 target,
@@ -817,10 +807,24 @@ impl CompressedSimulator {
         let bound = self.cfg.ladder[self.level];
 
         let waves = match layout.route(target as u32) {
-            route @ (Route::InBlock { .. } | Route::InterBlock { .. }) => {
+            // A lone in-block gate is a batch of one plan.
+            Route::InBlock { offset_bit } => {
+                let cmd = BatchCmd {
+                    plans: Arc::new(vec![BatchPlan {
+                        gate: *gate,
+                        offset_bit,
+                        offset_cmask,
+                        block_cmask,
+                        rank_cmask,
+                    }]),
+                    bound,
+                };
+                self.mutate_all(|| WorkerCmd::Batch(cmd.clone()))?
+            }
+            Route::InterBlock { block_stride } => {
                 let cmd = GateCmd {
                     gate: *gate,
-                    route,
+                    block_stride,
                     offset_cmask,
                     block_cmask,
                     rank_cmask,
@@ -1280,13 +1284,14 @@ mod tests {
     fn apply_op_refuses_outside_or_repeated_qubits() {
         let mut sim = CompressedSimulator::new(6, small_cfg()).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let cx = |control, target| Op::Controlled {
+        let cx = |control, target| Op::Gate {
             gate: qcs_statevec::GateKind::X,
-            control,
+            controls: vec![control],
             target,
         };
-        let x = |target| Op::Single {
+        let x = |target| Op::Gate {
             gate: qcs_statevec::GateKind::X,
+            controls: vec![],
             target,
         };
         // Target n, control n, and a control that is its own target, on
@@ -1294,7 +1299,7 @@ mod tests {
         let mut bad = vec![x(6), cx(0, 6), cx(6, 0), Op::Swap { a: 2, b: 6 }];
         for q in [1, 3, 5] {
             bad.extend([cx(q, q), Op::Swap { a: q, b: q }]);
-            bad.push(Op::MultiControlled {
+            bad.push(Op::Gate {
                 gate: qcs_statevec::GateKind::Z,
                 controls: vec![0, q],
                 target: q,
@@ -1649,9 +1654,9 @@ mod tests {
             c.h(8);
             for theta in [0.3, -0.3] {
                 let gate = rot(theta);
-                c.push(Op::Controlled {
+                c.push(Op::Gate {
                     gate,
-                    control: 8,
+                    controls: vec![8],
                     target: 0,
                 });
                 c.x(8);

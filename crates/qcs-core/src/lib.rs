@@ -42,15 +42,18 @@
 //! therefore runs through the batch scheduler
 //! (`qcs_circuits::schedule`) before execution:
 //!
-//! - **What fuses:** runs of consecutive single-qubit gates on the same
-//!   qubit become one matrix product, paying one cycle instead of one per
-//!   gate.
+//! - **What fuses:** a circuit's one gate form is `Op::Gate { gate,
+//!   controls, target }`; runs of consecutive gates with empty `controls`
+//!   on the same qubit become one matrix product, paying one cycle instead
+//!   of one per gate.
 //! - **What batches:** consecutive gates whose targets all route
 //!   *intra-block* (§3.3 case (a), i.e. target qubit `< block_log2`) form a
 //!   `GateBatch`; the engine decompresses each block once per batch,
 //!   applies every member gate that selects the block, and recompresses
 //!   once. A batched recompression is also a single lossy event, so the
-//!   Eq. 11 fidelity ledger is charged once per batch.
+//!   Eq. 11 fidelity ledger is charged once per batch. A lone in-block gate
+//!   travels to the ranks as a batch of one plan, so every in-block wave
+//!   is the same command.
 //! - **What retargets:** controlled diagonal-phase gates (`CZ`, `CS`,
 //!   `CT`, `CPhase`, multi-controlled Z) are symmetric under
 //!   control/target exchange, so the scheduler re-orients them onto their
@@ -62,13 +65,14 @@
 //!   0, controlled by every original qubit, so it batches: block-qubit CZs
 //!   stop decoding a partner block and rank-qubit CZs stop paying
 //!   communication. Uncontrolled phases keep their target.
-//! - **What blocks fusion/batching:** two-qubit, controlled (for fusion),
+//! - **What blocks fusion/batching:** gates with controls (for fusion),
 //!   swap and measure ops, and any other gate whose target routes
 //!   inter-block/inter-rank (for batching). The scheduler never reorders
 //!   operations.
 //! - **How to disable it:** [`SimConfig::without_fusion`] (or
-//!   `fusion: false`) reproduces the paper's strict gate-at-a-time
-//!   pipeline.
+//!   `fusion: false`, which sets the scheduler's one switch,
+//!   `FusionPolicy::enabled`) turns every rewrite off and reproduces the
+//!   paper's strict gate-at-a-time pipeline.
 //!
 //! Cache keys stay sound under batching: a block touch's compressed-block
 //! cache line is keyed by its content — the member gates the block's

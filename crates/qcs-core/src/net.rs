@@ -64,7 +64,7 @@ use crate::worker::{
 };
 use qcs_cluster::exec::Worker as _;
 use qcs_cluster::{
-    duplex, ControlScope, Duplex, DuplexRx, DuplexTx, Layout, Metrics, Route, TimeBreakdown,
+    duplex, ControlScope, Duplex, DuplexRx, DuplexTx, Layout, Metrics, TimeBreakdown,
 };
 use qcs_compress::frame as cframe;
 use qcs_compress::ErrorBound;
@@ -102,8 +102,8 @@ fn transport_err(rank: usize, context: &str, e: impl std::fmt::Display) -> SimEr
 
 // --- leaf layouts --------------------------------------------------------
 //
-// `Gate1`, `Route` and `ControlScope` belong to other crates, so their
-// layouts hang off marker types (see `qcs_net::wire`).
+// `Gate1` and `ControlScope` belong to other crates, so their layouts
+// hang off marker types (see `qcs_net::wire`).
 
 /// The 2x2 matrix row-major, each entry as `re`, `im`.
 struct GateWire;
@@ -122,15 +122,6 @@ impl Wire<Gate1> for GateWire {
             *c = Complex64::new(f64::take(cur)?, f64::take(cur)?);
         }
         Ok(Gate1 { m })
-    }
-}
-
-struct RouteWire;
-wire! {
-    impl enum Route as RouteWire {
-        0 => InBlock { offset_bit: u32 },
-        1 => InterBlock { block_stride: usize },
-        2 => InterRank { rank_stride: usize },
     }
 }
 
@@ -188,7 +179,7 @@ wire! {
 wire! {
     impl struct GateCmd {
         gate: Gate1 as GateWire,
-        route: Route as RouteWire,
+        block_stride: usize,
         offset_cmask: usize,
         block_cmask: usize,
         rank_cmask: usize,
@@ -250,7 +241,6 @@ wire! {
         lossy: bool,
         compressed_bytes: u64,
         resident_bytes: u64,
-        hot_bytes: u64,
     }
 }
 
@@ -819,8 +809,10 @@ mod tests {
     // segment index, one config field fewer), and the gate, exchange and
     // batch commands and those carrying the version again at v9 (no
     // prefetch slots in the commands), those carrying the version or a
-    // lossy block again at v10 (mode-2 segments), and those carrying the
-    // version again at v11 (qzstd palette containers) ----------------------
+    // lossy block again at v10 (mode-2 segments), those carrying the
+    // version again at v11 (qzstd palette containers), and those carrying
+    // the version, the gate command or a wave result again at v13 (a gate
+    // command is an inter-block pair, a wave result has no hot bytes) -----
 
     fn golden_block(lossy: bool) -> CompressedBlock {
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
@@ -840,22 +832,11 @@ mod tests {
                 "gate",
                 WorkerCmd::Gate(GateCmd {
                     gate: Gate1::t(),
-                    route: Route::InterBlock { block_stride: 4 },
+                    block_stride: 4,
                     offset_cmask: 0b101,
                     block_cmask: 0b10,
                     rank_cmask: 1,
                     bound: ErrorBound::PointwiseRelative(1e-3),
-                }),
-            ),
-            (
-                "gate_in_block",
-                WorkerCmd::Gate(GateCmd {
-                    gate: Gate1::u3(0.1, -0.2, 0.3),
-                    route: Route::InBlock { offset_bit: 2 },
-                    offset_cmask: 0,
-                    block_cmask: 0,
-                    rank_cmask: 0,
-                    bound: ErrorBound::Lossless,
                 }),
             ),
             (
@@ -954,7 +935,6 @@ mod tests {
                     lossy: true,
                     compressed_bytes: 1000,
                     resident_bytes: 800,
-                    hot_bytes: 700,
                 })),
             ),
             ("scalar", Ok(WorkerOut::Scalar(-0.125))),
@@ -1020,7 +1000,7 @@ mod tests {
             "hello_ack_err",
             &Err("rank 9 out of range for a 2-rank layout".into()),
         );
-        assert_eq!(PROTOCOL_VERSION, 12);
+        assert_eq!(PROTOCOL_VERSION, 13);
     }
 
     // --- the wire contract over arbitrary protocol values ------------------
@@ -1074,30 +1054,18 @@ mod tests {
     fn arb_cmd() -> impl Strategy<Value = WorkerCmd> {
         let masks = || (any::<usize>(), any::<usize>(), any::<usize>());
         prop_oneof![
-            (
-                arb_gate(),
-                (0u8..3, any::<u32>(), any::<usize>()),
-                masks(),
-                arb_bound()
-            )
-                .prop_map(|(gate, (kind, bit, stride), m, bound)| {
+            (arb_gate(), any::<usize>(), masks(), arb_bound()).prop_map(
+                |(gate, block_stride, m, bound)| {
                     WorkerCmd::Gate(GateCmd {
                         gate,
-                        route: match kind {
-                            0 => Route::InBlock { offset_bit: bit },
-                            1 => Route::InterBlock {
-                                block_stride: stride,
-                            },
-                            _ => Route::InterRank {
-                                rank_stride: stride,
-                            },
-                        },
+                        block_stride,
                         offset_cmask: m.0,
                         block_cmask: m.1,
                         rank_cmask: m.2,
                         bound,
                     })
-                }),
+                }
+            ),
             (arb_gate(), masks(), arb_bound(), 0u8..3).prop_map(|(gate, m, bound, role)| {
                 let (lead, follow) = duplex::<BlockMsg>();
                 WorkerCmd::Exchange(ExchangeCmd {
@@ -1154,13 +1122,12 @@ mod tests {
 
     fn arb_out() -> impl Strategy<Value = WorkerOut> {
         prop_oneof![
-            (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-                |(lossy, compressed_bytes, resident_bytes, hot_bytes)| {
+            (any::<bool>(), any::<u64>(), any::<u64>()).prop_map(
+                |(lossy, compressed_bytes, resident_bytes)| {
                     WorkerOut::Wave(WaveOut {
                         lossy,
                         compressed_bytes,
                         resident_bytes,
-                        hot_bytes,
                     })
                 }
             ),
@@ -1370,6 +1337,8 @@ mod tests {
         a_v10_hello_is_refused_by_version: 10, "no qzstd palette containers";
         a_v11_hello_is_refused_by_version: 11,
             "its config carried `max_batch_gates` and an LRU eviction tag";
+        a_v12_hello_is_refused_by_version: 12,
+            "in-block gates and inter-rank routes could travel as gate commands";
     }
 
     /// A lossy block of two segments at 1e-3 with one byte of its second
@@ -1458,23 +1427,22 @@ mod tests {
     /// `unreachable!` past rank 0 of a 6-qubit, 2-rank, 2^3-amp-block
     /// layout (4 blocks per rank).
     fn hostile_cmds() -> Vec<(&'static str, WorkerCmd)> {
-        let gate = |route, masks: (usize, usize, usize)| {
+        let gate = |block_stride, masks: (usize, usize, usize)| {
             WorkerCmd::Gate(GateCmd {
                 gate: Gate1::h(),
-                route,
+                block_stride,
                 offset_cmask: masks.0,
                 block_cmask: masks.1,
                 rank_cmask: masks.2,
                 bound: ErrorBound::Lossless,
             })
         };
-        let in_block = Route::InBlock { offset_bit: 0 };
-        let plan = |offset_bit| BatchPlan {
+        let plan = |offset_bit, masks: (usize, usize, usize)| BatchPlan {
             gate: Gate1::h(),
             offset_bit,
-            offset_cmask: 0,
-            block_cmask: 0,
-            rank_cmask: 0,
+            offset_cmask: masks.0,
+            block_cmask: masks.1,
+            rank_cmask: masks.2,
         };
         let batch = |plans: Vec<BatchPlan>| {
             WorkerCmd::Batch(BatchCmd {
@@ -1482,6 +1450,7 @@ mod tests {
                 bound: ErrorBound::Lossless,
             })
         };
+        let unmasked = (0, 0, 0);
         let scopes = [
             ControlScope::InBlock { offset_bit: 3 },
             ControlScope::BlockSelect { block_bit: 2 },
@@ -1490,42 +1459,28 @@ mod tests {
         let mut cmds = vec![
             ("fetch far", WorkerCmd::FetchBlock { block: 1 << 40 }),
             ("fetch one past", WorkerCmd::FetchBlock { block: 4 }),
-            (
-                "inter-rank gate",
-                gate(Route::InterRank { rank_stride: 1 }, (0, 0, 0)),
-            ),
-            (
-                "offset bit = block_log2",
-                gate(Route::InBlock { offset_bit: 3 }, (0, 0, 0)),
-            ),
-            (
-                "offset bit 63",
-                gate(Route::InBlock { offset_bit: 63 }, (0, 0, 0)),
-            ),
-            (
-                "stride = blocks",
-                gate(Route::InterBlock { block_stride: 4 }, (0, 0, 0)),
-            ),
-            (
-                "stride not a bit",
-                gate(Route::InterBlock { block_stride: 3 }, (0, 0, 0)),
-            ),
-            (
-                "stride zero",
-                gate(Route::InterBlock { block_stride: 0 }, (0, 0, 0)),
-            ),
-            ("offset mask", gate(in_block, (1 << 3, 0, 0))),
-            ("block mask", gate(in_block, (0, 4, 0))),
-            ("rank mask", gate(in_block, (0, 0, 2))),
+            ("stride = blocks", gate(4, unmasked)),
+            ("stride not a bit", gate(3, unmasked)),
+            ("stride zero", gate(0, unmasked)),
+            ("gate offset mask", gate(1, (1 << 3, 0, 0))),
+            ("gate block mask", gate(1, (0, 4, 0))),
+            ("gate rank mask", gate(1, (0, 0, 2))),
             (
                 "65-gate batch",
                 batch(
                     (0..=qcs_circuits::schedule::MAX_BATCH_GATES)
-                        .map(|_| plan(0))
+                        .map(|_| plan(0, unmasked))
                         .collect(),
                 ),
             ),
-            ("batch offset bit", batch(vec![plan(0), plan(3)])),
+            ("offset bit 63", batch(vec![plan(63, unmasked)])),
+            (
+                "offset bit = block_log2",
+                batch(vec![plan(0, unmasked), plan(3, unmasked)]),
+            ),
+            ("batch offset mask", batch(vec![plan(0, (1 << 3, 0, 0))])),
+            ("batch block mask", batch(vec![plan(0, (0, 4, 0))])),
+            ("batch rank mask", batch(vec![plan(0, (0, 0, 2))])),
             (
                 "exchange block mask",
                 WorkerCmd::Exchange(ExchangeCmd {
@@ -1556,7 +1511,7 @@ mod tests {
 
     #[test]
     fn hostile_commands_get_done_err_and_the_daemon_keeps_serving() {
-        let (addr, daemon) = spawn_loopback(4, ServeOptions::default()).unwrap();
+        let (addr, daemon) = spawn_loopback(3, ServeOptions::default()).unwrap();
         let codec = BlockCodec::new(qcs_compress::CodecId::SolutionC);
         let block = |vals: &[f64]| Some(codec.compress(vals, ErrorBound::Lossless).unwrap());
         // |0...0> on rank 0: amplitude 1 at offset 0 of block 0.
@@ -1600,16 +1555,14 @@ mod tests {
         // cleanly, to half the values of the layout's blocks. `Hello` does
         // not decode, so the handshake succeeds; each wave that reaches
         // the block is `Done(Err)`, not a dead handler.
-        let gate = |route| {
-            WorkerCmd::Gate(GateCmd {
-                gate: Gate1::h(),
-                route,
-                offset_cmask: 0,
-                block_cmask: 0,
-                rank_cmask: 0,
-                bound: ErrorBound::Lossless,
-            })
-        };
+        let gate = WorkerCmd::Gate(GateCmd {
+            gate: Gate1::h(),
+            block_stride: 1,
+            offset_cmask: 0,
+            block_cmask: 0,
+            rank_cmask: 0,
+            bound: ErrorBound::Lossless,
+        });
         let batch = WorkerCmd::Batch(BatchCmd {
             plans: Arc::new(vec![BatchPlan {
                 gate: Gate1::h(),
@@ -1620,14 +1573,7 @@ mod tests {
             }]),
             bound: ErrorBound::Lossless,
         });
-        for (what, cmd) in [
-            ("in-block gate", gate(Route::InBlock { offset_bit: 2 })),
-            ("batch", batch),
-            (
-                "inter-block gate",
-                gate(Route::InterBlock { block_stride: 1 }),
-            ),
-        ] {
+        for (what, cmd) in [("batch", batch), ("inter-block gate", gate)] {
             let mut stream = session(&[block(&first[..8]), zeros(), zeros(), zeros()]);
             match ask(&mut stream, &cmd) {
                 Err(msg) => assert!(

@@ -27,8 +27,8 @@
 //!   list: cache lookup → decode → kernels → encode → cache insert) and
 //!   `Cycle::pair` (two partner blocks through
 //!   [`kernels::apply_cross`], two in and two out). A lone in-block gate
-//!   is a batch of one plan — [`RankWorker`] lowers it on arrival, the
-//!   facade and the wire still send a `GateCmd`;
+//!   is a batch of one plan: the facade sends it as a [`BatchCmd`], and a
+//!   [`GateCmd`] is always an inter-block pair wave;
 //! - **one cache key**, `Cycle::op_key`: a §3.4 line's `OP` is derived
 //!   from what the cycle computes — each applied gate's matrix, offset bit
 //!   and in-block control mask, then the bound — never from block or rank
@@ -160,7 +160,7 @@ use crate::engine::SimError;
 use crate::store::BlockStore;
 use crate::summary::QuerySummary;
 use qcs_circuits::schedule::MAX_BATCH_GATES;
-use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase, Route};
+use qcs_cluster::{exec, ControlScope, Duplex, Layout, Metrics, Phase};
 use qcs_compress::checksum::checksum64;
 use qcs_compress::{CodecError, ErrorBound};
 use qcs_statevec::{kernels, Gate1};
@@ -172,14 +172,14 @@ use std::time::{Duration, Instant};
 /// with its block index within the rank.
 pub(crate) type BlockMsg = (usize, CompressedBlock);
 
-/// One (possibly controlled) single-qubit gate wave, pre-routed by the
-/// facade. `route` is never `InterRank` — rank-crossing gates go through
-/// [`ExchangeCmd`] instead.
+/// A `Route::InterBlock` gate wave: the (possibly controlled) gate
+/// pairs block `b` with `b | block_stride`. In-block gates travel as a
+/// one-plan [`BatchCmd`], rank-crossing ones as an [`ExchangeCmd`].
 #[derive(Clone)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct GateCmd {
     pub gate: Gate1,
-    pub route: Route,
+    pub block_stride: usize,
     pub offset_cmask: usize,
     pub block_cmask: usize,
     pub rank_cmask: usize,
@@ -232,7 +232,7 @@ pub(crate) struct BatchCmd {
 /// The command protocol between the engine facade and its rank workers.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) enum WorkerCmd {
-    /// Apply an in-block or inter-block gate to the local blocks.
+    /// Apply an inter-block gate to the local block pairs.
     Gate(GateCmd),
     /// Take part in an inter-rank compressed-block exchange.
     Exchange(ExchangeCmd),
@@ -265,9 +265,9 @@ pub(crate) enum WorkerCmd {
 
 impl WorkerCmd {
     /// Check a command that came off a socket against the rank's layout
-    /// before [`RankWorker::handle`] sees it: the handlers index blocks,
-    /// shift by bit positions and `unreachable!` on routes the facade
-    /// never sends, all of which a peer's bytes could otherwise reach.
+    /// before [`RankWorker::handle`] sees it: the handlers index blocks
+    /// and shift by bit positions, which a peer's bytes could otherwise
+    /// push past the layout.
     pub(crate) fn validate(&self, layout: &Layout) -> Result<(), String> {
         let bpr = layout.blocks_per_rank();
         let block_bits = bpr.trailing_zeros();
@@ -305,20 +305,13 @@ impl WorkerCmd {
         match self {
             WorkerCmd::Gate(g) => {
                 masks(g.offset_cmask, g.block_cmask, g.rank_cmask)?;
-                match g.route {
-                    Route::InBlock { offset_bit: bit } => offset_bit(bit),
-                    Route::InterBlock { block_stride }
-                        if !block_stride.is_power_of_two() || block_stride >= bpr =>
-                    {
-                        Err(format!(
-                            "block stride {block_stride} is not a block bit of a {bpr}-block rank"
-                        ))
-                    }
-                    Route::InterBlock { .. } => Ok(()),
-                    Route::InterRank { .. } => {
-                        Err("an inter-rank gate must arrive as an exchange".into())
-                    }
+                if !g.block_stride.is_power_of_two() || g.block_stride >= bpr {
+                    return Err(format!(
+                        "block stride {} is not a block bit of a {bpr}-block rank",
+                        g.block_stride
+                    ));
                 }
+                Ok(())
             }
             WorkerCmd::Exchange(x) => masks(x.offset_cmask, x.block_cmask, 0),
             WorkerCmd::Batch(b) => {
@@ -362,10 +355,6 @@ pub(crate) struct WaveOut {
     /// Compressed bytes actually resident in memory after the wave (equal
     /// to `compressed_bytes` without an out-of-core tier).
     pub resident_bytes: u64,
-    /// Always equal to `resident_bytes`: a store holds no background
-    /// buffer, so resident bytes are already deterministic. The field
-    /// stays in the wire layout.
-    pub hot_bytes: u64,
 }
 
 /// Response half of the [`WorkerCmd`] protocol.
@@ -506,12 +495,10 @@ impl RankWorker {
     }
 
     fn wave_out(&self, lossy: bool) -> WaveOut {
-        let resident_bytes = self.store.resident_bytes();
         WaveOut {
             lossy,
             compressed_bytes: self.store.compressed_bytes(),
-            resident_bytes,
-            hot_bytes: resident_bytes,
+            resident_bytes: self.store.resident_bytes(),
         }
     }
 
@@ -572,33 +559,15 @@ impl RankWorker {
         if self.rank & cmd.rank_cmask != cmd.rank_cmask {
             return Ok(self.wave_out(false));
         }
-        match cmd.route {
-            // A lone in-block gate is a batch of one.
-            Route::InBlock { offset_bit } => self.apply_batch(&BatchCmd {
-                plans: Arc::new(vec![BatchPlan {
-                    gate: cmd.gate,
-                    offset_bit,
-                    offset_cmask: cmd.offset_cmask,
-                    block_cmask: cmd.block_cmask,
-                    rank_cmask: cmd.rank_cmask,
-                }]),
-                bound: cmd.bound,
-            }),
-            Route::InterBlock { block_stride } => {
-                let units: Vec<([usize; 2], ())> = self
-                    .layout
-                    .block_pairs(block_stride, cmd.block_cmask)
-                    .map(|pair| (pair, ()))
-                    .collect();
-                let cycle = self.cycle(cmd.bound);
-                self.walk(&units, |_, [a, b], _| {
-                    cycle.pair(&cmd.gate, cmd.offset_cmask, &a, &b)
-                })
-            }
-            Route::InterRank { .. } => {
-                unreachable!("inter-rank gates are exchange commands")
-            }
-        }
+        let units: Vec<([usize; 2], ())> = self
+            .layout
+            .block_pairs(cmd.block_stride, cmd.block_cmask)
+            .map(|pair| (pair, ()))
+            .collect();
+        let cycle = self.cycle(cmd.bound);
+        self.walk(&units, |_, [a, b], _| {
+            cycle.pair(&cmd.gate, cmd.offset_cmask, &a, &b)
+        })
     }
 
     fn apply_batch(&mut self, cmd: &BatchCmd) -> Result<WaveOut, SimError> {

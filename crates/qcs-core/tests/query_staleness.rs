@@ -127,8 +127,9 @@ fn mutations() -> Vec<Mutation> {
     vec![
         ("gate", |sim| {
             // Qubit 4 routes inter-block at ranks_log2 0 and 1.
-            let op = Op::Single {
+            let op = Op::Gate {
                 gate: GateKind::H,
+                controls: vec![],
                 target: 4,
             };
             sim.apply_op(&op, &mut StdRng::seed_from_u64(2))
@@ -140,8 +141,9 @@ fn mutations() -> Vec<Mutation> {
         ("exchange", |sim| {
             // The top qubit: an inter-rank exchange whenever there are
             // two ranks, an inter-block gate otherwise.
-            let op = Op::Single {
+            let op = Op::Gate {
                 gate: GateKind::H,
+                controls: vec![],
                 target: QUBITS - 1,
             };
             sim.apply_op(&op, &mut StdRng::seed_from_u64(3))
@@ -229,8 +231,9 @@ fn ladder_escalation_drops_the_summary() {
         let sim = restored(&prepared(&cfg), &budgeted, &format!("{tag}-arm"));
         assert_eq!(sim.current_bound(), ErrorBound::Lossless);
         check_mutation(sim, &budgeted, &format!("{tag}-escalation"), |sim| {
-            let op = Op::Single {
+            let op = Op::Gate {
                 gate: GateKind::T,
+                controls: vec![],
                 target: 0,
             };
             sim.apply_op(&op, &mut StdRng::seed_from_u64(5))

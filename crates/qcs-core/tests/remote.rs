@@ -111,9 +111,9 @@ fn phases_on_block_and_rank_qubits_never_cross_a_link() {
     }
     let mut phases = Circuit::new(N);
     let high = BLOCK_LOG2 as usize..N;
-    let controlled_t = |control, target| Op::Controlled {
+    let controlled_t = |control, target| Op::Gate {
         gate: GateKind::T,
-        control,
+        controls: vec![control],
         target,
     };
     for q in high.clone().skip(1) {

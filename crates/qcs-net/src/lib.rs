@@ -49,7 +49,12 @@
 //! version 11 carries lossless blocks that may be qzstd palette
 //! containers (mode 4); version 12 drops `max_batch_gates` from the
 //! `SimConfig` body and refuses the spill config's LRU eviction tag
-//! (0), leaving MIN (1) as its one value.
+//! (0), leaving MIN (1) as its one value; version 13 sends an in-block
+//! gate as a one-plan batch command, makes the gate command the
+//! inter-block pair wave (a block stride in place of a route), drops the
+//! wave result's hot bytes, and carries a circuit op as one controlled
+//! gate form (tag 0, any number of controls), a swap (1) or a
+//! measurement (2).
 //!
 //! The `kind` byte is opaque to this crate; the protocol built on top
 //! assigns meanings. Like the block-frame decoder, [`recv_frame`] never
@@ -72,7 +77,7 @@ pub use wire::Cursor;
 /// Version of the wire protocol spoken over these frames. Bumped on any
 /// incompatible change to the frame format or the message bodies built on
 /// it; the handshake rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 12;
+pub const PROTOCOL_VERSION: u32 = 13;
 
 /// Frame magic: "QWP" + format version 1.
 pub const MAGIC: [u8; 4] = *b"QWP1";

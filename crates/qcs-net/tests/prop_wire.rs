@@ -93,12 +93,16 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
                 let other = b % n;
                 match shape {
                     0 => {
-                        c.push(Op::Single { gate, target });
+                        c.push(Op::Gate {
+                            gate,
+                            controls: vec![],
+                            target,
+                        });
                     }
                     1 if other != target => {
-                        c.push(Op::Controlled {
+                        c.push(Op::Gate {
                             gate,
-                            control: other,
+                            controls: vec![other],
                             target,
                         });
                     }
@@ -106,7 +110,7 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
                         let controls: Vec<usize> =
                             (0..n).filter(|q| *q != target).take(k.min(n - 1)).collect();
                         if !controls.is_empty() {
-                            c.push(Op::MultiControlled {
+                            c.push(Op::Gate {
                                 gate,
                                 controls,
                                 target,
@@ -427,29 +431,16 @@ fn golden_report() -> SimReport {
 
 fn golden_circuit() -> Circuit {
     let mut c = Circuit::new(5);
-    c.push(Op::Single {
-        gate: GateKind::U3(0.1, -0.2, 0.3),
-        target: 4,
-    });
-    c.push(Op::Single {
-        gate: GateKind::SqrtY,
-        target: 0,
-    });
-    c.push(Op::Controlled {
-        gate: GateKind::Phase(1.25),
-        control: 0,
-        target: 3,
-    });
-    c.push(Op::MultiControlled {
-        gate: GateKind::X,
-        controls: vec![0, 1],
-        target: 2,
-    });
+    let single = |gate, target| Op::Gate {
+        gate,
+        controls: vec![],
+        target,
+    };
+    c.push(single(GateKind::U3(0.1, -0.2, 0.3), 4));
+    c.push(single(GateKind::SqrtY, 0));
+    c.cphase(1.25, 0, 3).ccx(0, 1, 2);
     c.push(Op::Swap { a: 1, b: 4 });
-    c.push(Op::Single {
-        gate: GateKind::Rz(-0.5),
-        target: 2,
-    });
+    c.push(single(GateKind::Rz(-0.5), 2));
     c.push(Op::Measure { target: 0 });
     c
 }
@@ -562,14 +553,14 @@ fn job_protocol_bytes_match_the_parent_commit() {
     for (name, out) in golden_outs() {
         assert_golden(&format!("job_out_{name}"), &out);
     }
-    assert_eq!(qcs_net::PROTOCOL_VERSION, 12);
+    assert_eq!(qcs_net::PROTOCOL_VERSION, 13);
     assert_eq!(&qcs_net::MAGIC, b"QWP1");
 }
 
 /// The golden config named Solution D (codec id 4) until the codec id
 /// space shrank to the two codecs the engine runs. Its bytes from that
-/// build, alone and inside a job submission, end in a typed error naming
-/// the id.
+/// build, alone and spliced into `job_cmd_submit.bin` in place of the
+/// golden config, end in a typed error naming the id.
 #[test]
 fn solution_d_configs_from_the_parent_commit_are_corrupt() {
     let config: &[u8] = include_bytes!("fixtures/sim_config_max_solution_d.bin");
@@ -624,37 +615,54 @@ fn fnv1a_era_hello_ends_in_typed_errors() {
         .expect("both handlers ended without panicking");
 }
 
-/// A job whose circuit names one qubit twice in a gate — `cx(q, q)` or
-/// `swap(q, q)` — is corrupt on the wire, like an out-of-range qubit: no
-/// engine ever sees it. The circuit API refuses to build one, so the
-/// bytes are a valid job's with the second qubit overwritten.
+/// A job whose circuit names one qubit twice in an op — `cx(q, q)`,
+/// `swap(q, q)`, a Toffoli whose target is one of its controls or whose
+/// controls repeat — is corrupt on the wire, like an out-of-range qubit:
+/// no engine ever sees it. The circuit API refuses to build one, so the
+/// bytes are a valid job's with one qubit overwritten by the op's first.
 #[test]
 fn a_job_spec_with_a_repeated_qubit_is_corrupt() {
+    type Build = fn(&mut Circuit, &[usize]);
+    let cx: Build = |c, q| {
+        c.cx(q[0], q[1]);
+    };
+    let swap: Build = |c, q| {
+        c.swap(q[0], q[1]);
+    };
+    let ccx: Build = |c, q| {
+        c.ccx(q[0], q[1], q[2]);
+    };
+    // (op, its qubits in encoded order, the position overwritten)
+    let mut rows: Vec<(&str, Build, Vec<usize>, usize)> = Vec::new();
     for (q, other) in [(1usize, 6usize), (4, 2), (7, 0)] {
-        for swap in [false, true] {
-            let mut circuit = Circuit::new(8);
-            circuit.h(0);
-            if swap {
-                circuit.swap(q, other);
-            } else {
-                circuit.cx(q, other);
-            }
-            let spec = JobSpec::new("dup", circuit, golden_config());
-            let mut bytes = encode_job_cmd(&JobCmd::Submit(Box::new(spec))).unwrap();
-            let pair = [(q as u32).to_le_bytes(), (other as u32).to_le_bytes()].concat();
-            let at: Vec<usize> = (0..bytes.len() - pair.len())
-                .filter(|&i| bytes[i..i + pair.len()] == pair[..])
-                .collect();
-            assert_eq!(
-                at.len(),
-                1,
-                "the op's qubit pair must be unique in the body"
-            );
-            bytes[at[0] + 4..at[0] + 8].copy_from_slice(&(q as u32).to_le_bytes());
-            match decode_job_cmd(&bytes) {
-                Err(NetError::Corrupt(m)) => assert!(m.contains("duplicate qubits"), "{m}"),
-                other => panic!("swap={swap} q={q}: a repeated qubit decoded to {other:?}"),
-            }
+        rows.push(("cx", cx, vec![q, other], 1));
+        rows.push(("swap", swap, vec![q, other], 1));
+    }
+    rows.push(("a target among its controls", ccx, vec![3, 5, 6], 2));
+    rows.push(("a repeated control", ccx, vec![3, 5, 6], 1));
+    for (what, build, qubits, at) in rows {
+        let mut circuit = Circuit::new(8);
+        circuit.h(0);
+        build(&mut circuit, &qubits);
+        let spec = JobSpec::new("dup", circuit, golden_config());
+        let mut bytes = encode_job_cmd(&JobCmd::Submit(Box::new(spec))).unwrap();
+        let run: Vec<u8> = qubits
+            .iter()
+            .flat_map(|&q| (q as u32).to_le_bytes())
+            .collect();
+        let found: Vec<usize> = (0..bytes.len() - run.len())
+            .filter(|&i| bytes[i..i + run.len()] == run[..])
+            .collect();
+        assert_eq!(
+            found.len(),
+            1,
+            "{what}: the op's qubits must be unique in the body"
+        );
+        let slot = found[0] + 4 * at;
+        bytes[slot..slot + 4].copy_from_slice(&(qubits[0] as u32).to_le_bytes());
+        match decode_job_cmd(&bytes) {
+            Err(NetError::Corrupt(m)) => assert!(m.contains("duplicate qubits"), "{m}"),
+            other => panic!("{what} {qubits:?}: a repeated qubit decoded to {other:?}"),
         }
     }
 }

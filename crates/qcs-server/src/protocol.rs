@@ -298,19 +298,13 @@ wire! {
 struct OpWire;
 wire! {
     impl enum Op as OpWire {
-        0 => Single { gate: GateKind as GateKindWire, target: usize as Idx32 },
-        1 => Controlled {
-            gate: GateKind as GateKindWire,
-            control: usize as Idx32,
-            target: usize as Idx32,
-        },
-        2 => MultiControlled {
+        0 => Gate {
             gate: GateKind as GateKindWire,
             controls: Vec<usize> as Vec<Idx32>,
             target: usize as Idx32,
         },
-        3 => Swap { a: usize as Idx32, b: usize as Idx32 },
-        4 => Measure { target: usize as Idx32 },
+        1 => Swap { a: usize as Idx32, b: usize as Idx32 },
+        2 => Measure { target: usize as Idx32 },
     }
 }
 
@@ -422,20 +416,12 @@ mod tests {
     #[test]
     fn circuit_round_trips() {
         let mut c = Circuit::new(5);
-        c.push(Op::Single {
+        c.push(Op::Gate {
             gate: GateKind::U3(0.1, -0.2, 0.3),
+            controls: vec![],
             target: 4,
         });
-        c.push(Op::Controlled {
-            gate: GateKind::Phase(1.25),
-            control: 0,
-            target: 3,
-        });
-        c.push(Op::MultiControlled {
-            gate: GateKind::X,
-            controls: vec![0, 1],
-            target: 2,
-        });
+        c.cphase(1.25, 0, 3).ccx(0, 1, 2);
         c.push(Op::Swap { a: 1, b: 4 });
         c.push(Op::Measure { target: 0 });
         let mut buf = Vec::new();
@@ -453,11 +439,12 @@ mod tests {
             <Vec<OpWire>>::put(&ops.to_vec(), &mut buf);
             buf
         };
-        let out_of_range = Op::Single {
+        let out_of_range = Op::Gate {
             gate: GateKind::H,
+            controls: vec![],
             target: 7,
         };
-        let repeated = |controls: Vec<usize>, target| Op::MultiControlled {
+        let repeated = |controls: Vec<usize>, target| Op::Gate {
             gate: GateKind::X,
             controls,
             target,

@@ -34,6 +34,6 @@ pub mod state;
 
 pub use complex::Complex64;
 pub use gates::{qft_phase, Gate1, GateKind};
-pub use noise::{NoiseChannel, NoiseModel};
+pub use noise::NoiseModel;
 pub use observables::{entanglement_entropy, Pauli, PauliString};
 pub use state::{BatchGate, StateVector};

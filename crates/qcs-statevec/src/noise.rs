@@ -1,159 +1,55 @@
-//! Stochastic noise channels via quantum trajectories.
+//! Stochastic depolarizing noise via quantum trajectories.
 //!
 //! The paper's conclusion (§6) proposes treating lossy-compression errors
 //! as a *natural* noise model: "The compression errors are not correlated
 //! to the data, and hence the errors might be used to further simulate
 //! noise on real devices. The modern noise simulations add errors to
-//! perfect simulations." This module implements exactly those "modern"
-//! trajectory-style noise simulations — per-gate Pauli channels, amplitude
-//! damping, and dephasing — so the compressed simulator's bounded
-//! compression noise can be compared against explicit device-noise models
-//! (see `examples/noise_model.rs` and the `repro ext-noise` target).
+//! perfect simulations." This module implements the trajectory-style
+//! depolarizing channel such "modern" simulations add after every gate, so
+//! the compressed simulator's bounded compression noise can be compared
+//! against it (see `examples/noise_model.rs`).
 
-use crate::complex::Complex64;
 use crate::gates::Gate1;
 use crate::state::StateVector;
 use rand::Rng;
 
-/// A single-qubit stochastic noise channel, applied by sampling one Kraus
-/// branch per invocation (trajectory method).
+/// With probability `p`, apply a uniformly random Pauli to `qubit`: one
+/// sampled branch of the depolarizing channel (trajectory method). Draws
+/// one `f64`, then the Pauli's index when the error fires.
+pub fn depolarize(state: &mut StateVector, qubit: usize, p: f64, rng: &mut impl Rng) {
+    if rng.gen::<f64>() < p {
+        match rng.gen_range(0..3) {
+            0 => state.apply_gate(&Gate1::x(), qubit),
+            1 => state.apply_gate(&Gate1::y(), qubit),
+            _ => state.apply_gate(&Gate1::z(), qubit),
+        }
+    }
+}
+
+/// A noise model: depolarizing probabilities applied after every gate to
+/// each qubit it names. A class with probability 0 draws nothing, so the
+/// ideal model consumes no randomness.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NoiseChannel {
-    /// Depolarizing: with probability `p`, apply a uniformly random Pauli.
-    Depolarizing {
-        /// Error probability per application.
-        p: f64,
-    },
-    /// Bit flip: with probability `p`, apply X.
-    BitFlip {
-        /// Error probability.
-        p: f64,
-    },
-    /// Phase flip (dephasing): with probability `p`, apply Z.
-    PhaseFlip {
-        /// Error probability.
-        p: f64,
-    },
-    /// Amplitude damping with rate `gamma`, via trajectory branching
-    /// between the two Kraus operators.
-    AmplitudeDamping {
-        /// Damping rate in [0, 1].
-        gamma: f64,
-    },
-}
-
-impl NoiseChannel {
-    /// Validate parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        let p = match self {
-            NoiseChannel::Depolarizing { p }
-            | NoiseChannel::BitFlip { p }
-            | NoiseChannel::PhaseFlip { p } => *p,
-            NoiseChannel::AmplitudeDamping { gamma } => *gamma,
-        };
-        if (0.0..=1.0).contains(&p) {
-            Ok(())
-        } else {
-            Err(format!("noise parameter {p} outside [0, 1]"))
-        }
-    }
-
-    /// Apply one sampled trajectory branch to `qubit` of `state`.
-    pub fn apply(&self, state: &mut StateVector, qubit: usize, rng: &mut impl Rng) {
-        match *self {
-            NoiseChannel::Depolarizing { p } => {
-                if rng.gen::<f64>() < p {
-                    match rng.gen_range(0..3) {
-                        0 => state.apply_gate(&Gate1::x(), qubit),
-                        1 => state.apply_gate(&Gate1::y(), qubit),
-                        _ => state.apply_gate(&Gate1::z(), qubit),
-                    }
-                }
-            }
-            NoiseChannel::BitFlip { p } => {
-                if rng.gen::<f64>() < p {
-                    state.apply_gate(&Gate1::x(), qubit);
-                }
-            }
-            NoiseChannel::PhaseFlip { p } => {
-                if rng.gen::<f64>() < p {
-                    state.apply_gate(&Gate1::z(), qubit);
-                }
-            }
-            NoiseChannel::AmplitudeDamping { gamma } => {
-                // Trajectory branching: P(decay branch) = gamma * P(|1>).
-                let p1 = state.prob_one(qubit);
-                let p_decay = gamma * p1;
-                if rng.gen::<f64>() < p_decay {
-                    // K1 = sqrt(gamma) |0><1| then renormalize: the qubit
-                    // collapses to |0> with the |1> component transferred.
-                    decay_to_zero(state, qubit);
-                } else {
-                    // K0 = diag(1, sqrt(1 - gamma)), renormalized.
-                    damp_one_component(state, qubit, (1.0 - gamma).sqrt(), p_decay);
-                }
-            }
-        }
-    }
-}
-
-/// Apply `K1 = |0><1|` (up to normalization): move each `|1>` amplitude to
-/// its `|0>` partner and renormalize.
-fn decay_to_zero(state: &mut StateVector, qubit: usize) {
-    let bit = 1usize << qubit;
-    let amps = state.amplitudes_mut();
-    for i in 0..amps.len() {
-        if i & bit != 0 {
-            amps[i & !bit] = amps[i];
-            amps[i] = Complex64::ZERO;
-        }
-    }
-    state.normalize();
-}
-
-/// Apply `K0 = diag(1, s)` and renormalize by `sqrt(1 - p_decay)`.
-fn damp_one_component(state: &mut StateVector, qubit: usize, s: f64, p_decay: f64) {
-    let bit = 1usize << qubit;
-    let amps = state.amplitudes_mut();
-    for (i, a) in amps.iter_mut().enumerate() {
-        if i & bit != 0 {
-            *a = a.scale(s);
-        }
-    }
-    let norm = (1.0 - p_decay).sqrt();
-    if norm > 0.0 {
-        let inv = 1.0 / norm;
-        for a in state.amplitudes_mut() {
-            *a = a.scale(inv);
-        }
-    }
-    state.normalize();
-}
-
-/// A noise model: a channel applied after every gate to the gate's qubits.
-#[derive(Debug, Clone, Copy)]
 pub struct NoiseModel {
-    /// Channel applied after each single-qubit gate.
-    pub after_single: Option<NoiseChannel>,
-    /// Channel applied to both qubits after each two-qubit gate.
-    pub after_two: Option<NoiseChannel>,
+    /// Depolarizing probability after each uncontrolled single-qubit gate.
+    pub p_single: f64,
+    /// Depolarizing probability on each qubit of a controlled gate or a
+    /// swap.
+    pub p_multi: f64,
 }
 
 impl NoiseModel {
-    /// Uniform depolarizing noise with single/two-qubit error rates.
+    /// Uniform depolarizing noise with single/multi-qubit error rates.
     pub fn depolarizing(p1: f64, p2: f64) -> Self {
         Self {
-            after_single: Some(NoiseChannel::Depolarizing { p: p1 }),
-            after_two: Some(NoiseChannel::Depolarizing { p: p2 }),
+            p_single: p1,
+            p_multi: p2,
         }
     }
 
     /// Noise-free model.
     pub fn ideal() -> Self {
-        Self {
-            after_single: None,
-            after_two: None,
-        }
+        Self::depolarizing(0.0, 0.0)
     }
 }
 
@@ -164,33 +60,15 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn parameters_validated() {
-        assert!(NoiseChannel::Depolarizing { p: 0.5 }.validate().is_ok());
-        assert!(NoiseChannel::Depolarizing { p: -0.1 }.validate().is_err());
-        assert!(NoiseChannel::AmplitudeDamping { gamma: 1.5 }
-            .validate()
-            .is_err());
-    }
-
-    #[test]
     fn zero_probability_is_identity() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = StateVector::zero_state(3);
         s.apply_gate(&Gate1::h(), 0);
         let before = s.clone();
         for _ in 0..50 {
-            NoiseChannel::Depolarizing { p: 0.0 }.apply(&mut s, 0, &mut rng);
-            NoiseChannel::AmplitudeDamping { gamma: 0.0 }.apply(&mut s, 1, &mut rng);
+            depolarize(&mut s, 0, 0.0, &mut rng);
         }
         assert!(s.fidelity(&before) > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn bit_flip_with_p1_always_flips() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut s = StateVector::zero_state(2);
-        NoiseChannel::BitFlip { p: 1.0 }.apply(&mut s, 1, &mut rng);
-        assert!((s.prob_one(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -200,39 +78,12 @@ mod tests {
         for q in 0..4 {
             s.apply_gate(&Gate1::h(), q);
         }
-        let channels = [
-            NoiseChannel::Depolarizing { p: 0.3 },
-            NoiseChannel::BitFlip { p: 0.5 },
-            NoiseChannel::PhaseFlip { p: 0.5 },
-            NoiseChannel::AmplitudeDamping { gamma: 0.4 },
-        ];
         for _ in 0..20 {
-            for (q, ch) in channels.iter().enumerate() {
-                ch.apply(&mut s, q, &mut rng);
+            for q in 0..4 {
+                depolarize(&mut s, q, 0.3, &mut rng);
                 assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn amplitude_damping_drains_excited_population() {
-        // |1> under repeated damping decays toward |0> on average.
-        let gamma = 0.2;
-        let trials = 400;
-        let mut decayed = 0;
-        for seed in 0..trials {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut s = StateVector::basis_state(1, 1);
-            for _ in 0..10 {
-                NoiseChannel::AmplitudeDamping { gamma }.apply(&mut s, 0, &mut rng);
-            }
-            if s.prob_one(0) < 0.5 {
-                decayed += 1;
-            }
-        }
-        // After 10 rounds of gamma=0.2, survival is (0.8)^10 ~ 0.107.
-        let frac = decayed as f64 / trials as f64;
-        assert!(frac > 0.8, "decayed fraction {frac}");
     }
 
     #[test]
@@ -247,9 +98,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut s = StateVector::zero_state(2);
             s.apply_gate(&Gate1::h(), 0);
-            NoiseChannel::Depolarizing { p: 0.2 }.apply(&mut s, 0, &mut rng);
+            depolarize(&mut s, 0, 0.2, &mut rng);
             s.apply_controlled(&Gate1::x(), 0, 1);
-            NoiseChannel::Depolarizing { p: 0.2 }.apply(&mut s, 1, &mut rng);
+            depolarize(&mut s, 1, 0.2, &mut rng);
             total += s.fidelity(&ideal).powi(2);
         }
         let avg = total / trials as f64;

@@ -116,17 +116,21 @@ fn random_ops(n: usize) -> impl Strategy<Value = Circuit> {
         for (g, a, b, t, kind) in specs {
             match kind {
                 0 => {
-                    c.push(qcsim::Op::Single { gate: g, target: t });
+                    c.push(qcsim::Op::Gate {
+                        gate: g,
+                        controls: vec![],
+                        target: t,
+                    });
                 }
                 1 if a != t => {
-                    c.push(qcsim::Op::Controlled {
+                    c.push(qcsim::Op::Gate {
                         gate: g,
-                        control: a,
+                        controls: vec![a],
                         target: t,
                     });
                 }
                 2 if a != b && a != t && b != t => {
-                    c.push(qcsim::Op::MultiControlled {
+                    c.push(qcsim::Op::Gate {
                         gate: g,
                         controls: vec![a, b],
                         target: t,
@@ -136,7 +140,11 @@ fn random_ops(n: usize) -> impl Strategy<Value = Circuit> {
                     c.push(qcsim::Op::Swap { a, b });
                 }
                 _ => {
-                    c.push(qcsim::Op::Single { gate: g, target: t });
+                    c.push(qcsim::Op::Gate {
+                        gate: g,
+                        controls: vec![],
+                        target: t,
+                    });
                 }
             }
         }

@@ -15,8 +15,9 @@ use qcsim::{
 fn circuit_ir_constructs() {
     let mut c = Circuit::new(3);
     c.h(0).cx(0, 1);
-    c.push(Op::Single {
+    c.push(Op::Gate {
         gate: GateKind::T,
+        controls: vec![],
         target: 2,
     });
     assert_eq!(c.num_qubits(), 3);
