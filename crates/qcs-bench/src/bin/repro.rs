@@ -244,7 +244,7 @@ fn fig5(remote: bool) -> Out {
         // The simulator is dropped here, before the daemon loop is joined.
         let Run { secs, report, .. } = run(&circuit, cfg, 0);
         if let Some(handle) = daemon {
-            handle.join().expect("daemon loop");
+            qcs_core::join_loopback(handle);
         }
         let base = *baseline.get_or_insert(secs);
         let (bytes, per_gate) = (report.breakdown.comm_bytes, report.exchanges_per_gate());

@@ -13,6 +13,16 @@
 //! of 255-saturated continuation, as in LZ4. A match_len_code of 0 with
 //! offset 0 marks the end-of-stream token.
 //!
+//! # Decoding
+//!
+//! A literal run is one `extend_from_slice`. A match is a chunked
+//! `extend_from_within`: the output from `offset` back repeats with period
+//! `offset`, so the first chunk copies those `offset` bytes and each next
+//! one copies everything written since the match's source, twice as much
+//! each time, until the match is out. An offset-1 run of 600 bytes is ten
+//! copies instead of 600 pushes. An offset is checked against the bytes
+//! the call itself wrote, never against what the caller's buffer held.
+//!
 //! # Match finder tables
 //!
 //! The match finder is recycled per thread and **nothing in it is ever
@@ -344,12 +354,21 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), LzError> {
         if off == 0 || off > out.len() - base {
             return Err(LzError::Corrupt("invalid back-reference"));
         }
-        // Overlapping copies are valid (e.g. offset 1 = run-length).
-        let start = out.len() - off;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
-        }
+        copy_match(out, off, mlen);
+    }
+}
+
+/// Append `len` bytes that repeat the `off` bytes ending `out`, as a
+/// byte-at-a-time copy from `off` back would (an overlapping match with
+/// offset 1 is a run of one byte). The output from `off` back is periodic
+/// with period `off`, so each chunk copies all of it that is there, up
+/// to what is left: `off` bytes first, then twice as many, and so on.
+fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) {
+    let start = out.len() - off;
+    let end = out.len() + len;
+    while out.len() < end {
+        let chunk = (end - out.len()).min(out.len() - start);
+        out.extend_from_within(start..start + chunk);
     }
 }
 

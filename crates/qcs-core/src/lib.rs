@@ -125,5 +125,5 @@ pub use cache::BlockCache;
 pub use config::{RemoteConfig, SimConfig, SpillConfig};
 pub use engine::{CompressedSimulator, RunOutcome, SimError, SimReport, WaveControl, WaveStatus};
 pub use fidelity_bound::{fidelity_curve, FidelityLedger};
-pub use net::{serve, spawn_loopback, ServeOptions};
+pub use net::{join_loopback, serve, spawn_loopback, ServeOptions};
 pub use store::{BlockStore, Eviction, MemStore, SegmentDirGuard, SpillOptions, SpillStore};

@@ -76,6 +76,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 // Frame kinds of the worker protocol (the `kind` byte of each qcs-net
 // frame).
@@ -569,8 +570,8 @@ pub fn serve(listener: TcpListener, opts: ServeOptions) -> std::io::Result<()> {
 /// thread. Returns the bound address (to hand to
 /// [`crate::config::SimConfig::with_remote`]) and the server thread's
 /// handle, which finishes once [`ServeOptions::max_conns`] connections
-/// have been served — so tests and the repro harness can join it to know
-/// every worker is torn down.
+/// have been served — so tests and the repro harness can join it, through
+/// [`join_loopback`], to know every worker is torn down.
 pub fn spawn_loopback(
     conns: usize,
     mut opts: ServeOptions,
@@ -586,6 +587,32 @@ pub fn spawn_loopback(
             }
         })?;
     Ok((addr, handle))
+}
+
+/// How long [`join_loopback`] waits for a loopback server thread.
+const LOOPBACK_JOIN_LIMIT: Duration = Duration::from_secs(30);
+
+/// Join a [`spawn_loopback`] server thread, waiting at most 30 s for it
+/// to finish. The thread ends only after the number of connections it
+/// was spawned for, so a caller that opens fewer would wait forever;
+/// this panics instead, naming the calling thread (the test harness
+/// names it after the test). A panic on the server thread is passed on.
+pub fn join_loopback(server: JoinHandle<()>) {
+    let deadline = Instant::now() + LOOPBACK_JOIN_LIMIT;
+    while !server.is_finished() {
+        if Instant::now() >= deadline {
+            let caller = std::thread::current();
+            panic!(
+                "{}: the loopback server is still running after {LOOPBACK_JOIN_LIMIT:?}; \
+                 it ends only after every connection it was spawned for",
+                caller.name().unwrap_or("an unnamed thread")
+            );
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    if let Err(panic) = server.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 /// Build one rank's worker from its handshake. The daemon keeps its own
@@ -1383,7 +1410,7 @@ mod tests {
                 Ok(ack) => panic!("spill={:?}: acked {ack:?}", cfg.spill.is_some()),
             }
         }
-        daemon.join().expect("the daemon thread ends cleanly");
+        join_loopback(daemon);
     }
 
     #[test]
@@ -1410,7 +1437,7 @@ mod tests {
             Err(msg) => assert!(msg.contains("block_log2"), "{msg}"),
             Ok(ack) => panic!("acked {ack:?}"),
         }
-        daemon.join().expect("the daemon thread ends cleanly");
+        join_loopback(daemon);
     }
 
     #[test]
@@ -1596,6 +1623,6 @@ mod tests {
             }
             write_frame_to(&mut stream, K_SHUTDOWN, &[]).unwrap();
         }
-        daemon.join().expect("the daemon thread ends cleanly");
+        join_loopback(daemon);
     }
 }

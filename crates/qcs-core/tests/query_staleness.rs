@@ -215,7 +215,7 @@ fn every_mutation_drops_the_summary_on_remote_ranks() {
             .with_ranks_log2(1)
             .with_remote(vec![addr]);
         check_mutation(prepared(&cfg), &cfg, &format!("remote-{name}"), mutate);
-        daemon.join().expect("daemon thread");
+        qcs_core::join_loopback(daemon);
     }
 }
 

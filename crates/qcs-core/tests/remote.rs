@@ -91,7 +91,7 @@ fn loopback_remote_ranks_match_in_process() {
         assert!(report.breakdown.exchanges > 0, "{name}: exchange count");
 
         drop(sim); // says goodbye to the daemon, ending both handlers
-        server.join().expect("daemon thread");
+        qcs_core::join_loopback(server);
     }
 }
 
@@ -156,7 +156,7 @@ fn phases_on_block_and_rank_qubits_never_cross_a_link() {
         let snap = sim.snapshot_dense().expect("snapshot");
         drop(sim);
         for (_, server) in daemons {
-            server.join().expect("daemon thread");
+            qcs_core::join_loopback(server);
         }
         (section, snap, report.fidelity_lower_bound)
     };
@@ -225,7 +225,7 @@ fn single_remote_rank_queries_work() {
         );
     }
     drop(sim);
-    server.join().expect("daemon thread");
+    qcs_core::join_loopback(server);
 }
 
 /// A daemon that drops a rank's connection cold mid-run surfaces a typed
@@ -264,7 +264,7 @@ fn killed_worker_is_a_typed_error_and_leaks_no_spill_files() {
 
     // ...and they are gone once the daemon's handlers finish.
     drop(sim);
-    server.join().expect("daemon thread");
+    qcs_core::join_loopback(server);
     let leaked: Vec<_> = std::fs::read_dir(&spill_dir)
         .expect("read spill dir")
         .map(|e| e.expect("dir entry").file_name())
@@ -284,7 +284,7 @@ fn rejects_connections_cleanly_after_serving() {
     let sim = CompressedSimulator::new(6, cfg.clone().with_remote(vec![addr.clone()]))
         .expect("first sim connects");
     drop(sim);
-    server.join().expect("daemon thread");
+    qcs_core::join_loopback(server);
     let mut cfg = cfg.with_remote(vec![addr]);
     if let Some(remote) = cfg.remote.as_mut() {
         remote.connect_attempts = 2;

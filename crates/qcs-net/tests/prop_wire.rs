@@ -610,9 +610,8 @@ fn fnv1a_era_hello_ends_in_typed_errors() {
     let reason = String::take(&mut cur).unwrap();
     assert!(reason.contains("protocol v3"), "{reason}");
 
-    daemon
-        .join()
-        .expect("both handlers ended without panicking");
+    // Both handlers end without panicking.
+    qcs_core::join_loopback(daemon);
 }
 
 /// A job whose circuit names one qubit twice in an op — `cx(q, q)`,

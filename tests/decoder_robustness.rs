@@ -1045,3 +1045,89 @@ fn a_checkpoint_block_declaring_64_gib_is_a_typed_error() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// A one-segment Solution C stream around `segment`, holding `n` values.
+fn one_segment_stream(n: usize, segment: &[u8]) -> Vec<u8> {
+    let mut stream = 0x5143_5374u32.to_le_bytes().to_vec(); // "QCSt"
+    stream.extend_from_slice(&(n as u64).to_le_bytes());
+    stream.extend_from_slice(&(segment.len() as u32).to_le_bytes());
+    stream.extend_from_slice(segment);
+    stream
+}
+
+// The unpack loads the words that lie inside a segment's suffix in place
+// and zero-pads only the last 8 bytes' worth; the LZ77 decoder copies a
+// match in chunks. A stream cut or forged at either seam must end in a
+// typed error, never in a panic or an out-of-bounds load.
+#[test]
+fn the_decode_fast_paths_refuse_streams_forged_at_their_seams() {
+    use qcsim::compress::trunc::SolutionC;
+    use qcsim::compress::{lz77, Codec as _, CodecError};
+
+    let c = SolutionC::default();
+    let corrupt = |r: Result<Vec<f64>, CodecError>, what: &str| match r {
+        Err(CodecError::Corrupt(_)) => {}
+        other => panic!("{what}: {other:?}"),
+    };
+
+    // Noise takes the run list (0xFE); one amplitude in sixteen, its
+    // periodic codes through the backend (0xFD).
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut noise = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    let noisy: Vec<f64> = (0..1024).map(|_| noise() * 1e-2).collect();
+    let sparse: Vec<f64> = (0..1024)
+        .map(|i| if i % 32 < 2 { noise() * 1e-2 } else { 0.0 })
+        .collect();
+    for (data, mode) in [(noisy, 0xFE), (sparse, 0xFD)] {
+        let good = c
+            .compress(&data, ErrorBound::PointwiseRelative(1e-3))
+            .unwrap();
+        assert_eq!(good[16], mode, "the segment's mode");
+        let segment = &good[16..];
+        assert!(c.decompress(&good).is_ok());
+        // The suffix ends the segment: cutting 1-8 bytes lands on the
+        // boundary between the in-place words and the zero-padded tail.
+        for cut in 1..=8 {
+            let stream = one_segment_stream(1024, &segment[..segment.len() - cut]);
+            corrupt(c.decompress(&stream), &format!("mode {mode:#x}, cut {cut}"));
+        }
+    }
+
+    // Four values of code 0 at 10 mantissa bits keep 3 bytes each. A run
+    // list claiming five values overruns the count; one claiming four
+    // over a suffix that holds three values' bytes is one value short.
+    let runs_segment = |run_len: u8, suffix_values: usize| {
+        let mut seg = vec![0xFE, 10, run_len - 1, 0, 0];
+        seg.extend(std::iter::repeat_n(0x3F, 3 * suffix_values));
+        one_segment_stream(4, &seg)
+    };
+    assert!(c.decompress(&runs_segment(4, 4)).is_ok());
+    corrupt(c.decompress(&runs_segment(5, 4)), "runs over five values");
+    corrupt(c.decompress(&runs_segment(4, 3)), "suffix one value short");
+
+    // An LZ77 match whose chunked copy would start before the stream's
+    // own output: three literals, then 597 bytes at offset `off`, in a
+    // lossless block of 75 doubles.
+    let block = |off: u16| {
+        let mut c = vec![1u8]; // qzstd mode 1: LZ77
+        c.extend_from_slice(&600u64.to_le_bytes());
+        c.extend_from_slice(&[0x3F, 1, 2, 3]); // 3 literals, match code 15
+        c.extend_from_slice(&off.to_le_bytes());
+        c.extend_from_slice(&[255, 255, 69]); // 18 + 579 = 597 bytes
+        c.extend_from_slice(&[0x00, 0, 0]); // end of stream
+        c
+    };
+    let lossless = CodecId::Qzstd.build();
+    assert_eq!(lossless.decompress(&block(3)).unwrap().len(), 75);
+    for off in [4u16, 5, 600] {
+        corrupt(lossless.decompress(&block(off)), &format!("match at {off}"));
+        // Behind bytes the caller already holds, which are not history.
+        let mut out = vec![0xEEu8; 1024];
+        assert!(lz77::decompress_into(&block(off)[9..], &mut out).is_err());
+    }
+}

@@ -324,7 +324,7 @@ fn killed_worker_fails_only_its_own_job() {
     assert_eq!(health.carved_bytes, 0, "failed job released its carve-out");
     assert_eq!(leaked_job_files(server.work_dir()), Vec::<String>::new());
     server.shutdown();
-    worker.join().expect("worker daemon thread");
+    qcsim::core::join_loopback(worker);
 }
 
 /// Explicit cancellation mid-run ends the job as `Cancelled` and leaves
